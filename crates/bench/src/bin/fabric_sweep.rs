@@ -11,14 +11,14 @@
 //! aggregate throughput is monotone-then-saturating in initiator count.
 
 use bpfstor_bench::cli;
-use bpfstor_bench::experiments::{fabric_contention_with, fabric_sweep_with};
+use bpfstor_bench::experiments::{fabric_contention, fabric_sweep};
 
 fn main() {
     let args = cli::parse_args();
     cli::emit(&[
-        (fabric_sweep_with(args.scale(), args.seed), "fabric_sweep"),
+        (fabric_sweep(args.scale(), args.seed), "fabric_sweep"),
         (
-            fabric_contention_with(args.scale(), args.seed),
+            fabric_contention(args.scale(), args.seed),
             "fabric_contention",
         ),
     ]);

@@ -6,9 +6,9 @@
 //! invocation favours the compiled tier at depth ≥ 4.
 
 use bpfstor_bench::cli;
-use bpfstor_bench::experiments::jit_sweep_with;
+use bpfstor_bench::experiments::jit_sweep;
 
 fn main() {
     let args = cli::parse_args();
-    cli::emit(&[(jit_sweep_with(args.scale(), args.seed), "jit_sweep")]);
+    cli::emit(&[(jit_sweep(args.scale(), args.seed), "jit_sweep")]);
 }

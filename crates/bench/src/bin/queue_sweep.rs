@@ -5,12 +5,12 @@
 //! hybrid across light-to-deep batches).
 
 use bpfstor_bench::cli;
-use bpfstor_bench::experiments::{queue_sweep_with, reap_sweep_with};
+use bpfstor_bench::experiments::{queue_sweep, reap_sweep};
 
 fn main() {
     let args = cli::parse_args();
     cli::emit(&[
-        (queue_sweep_with(args.scale(), args.seed), "queue_sweep"),
-        (reap_sweep_with(args.scale(), args.seed), "reap_sweep"),
+        (queue_sweep(args.scale(), args.seed), "queue_sweep"),
+        (reap_sweep(args.scale(), args.seed), "reap_sweep"),
     ]);
 }

@@ -7,9 +7,9 @@
 //! bit.
 
 use bpfstor_bench::cli;
-use bpfstor_bench::experiments::tenant_sweep_with;
+use bpfstor_bench::experiments::tenant_sweep;
 
 fn main() {
     let args = cli::parse_args();
-    cli::emit(&[(tenant_sweep_with(args.scale(), args.seed), "tenant_sweep")]);
+    cli::emit(&[(tenant_sweep(args.scale(), args.seed), "tenant_sweep")]);
 }

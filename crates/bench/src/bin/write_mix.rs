@@ -5,15 +5,12 @@
 //! three journal commit policies.
 
 use bpfstor_bench::cli;
-use bpfstor_bench::experiments::{group_commit_study_with, write_mix_with};
+use bpfstor_bench::experiments::{group_commit_study, write_mix};
 
 fn main() {
     let args = cli::parse_args();
     cli::emit(&[
-        (write_mix_with(args.scale(), args.seed), "write_mix"),
-        (
-            group_commit_study_with(args.scale(), args.seed),
-            "group_commit",
-        ),
+        (write_mix(args.scale(), args.seed), "write_mix"),
+        (group_commit_study(args.scale(), args.seed), "group_commit"),
     ]);
 }

@@ -13,7 +13,7 @@ use bpfstor_device::{DeviceClass, DeviceProfile, SECTOR_SIZE};
 use bpfstor_fs::{ExtFs, ExtentEvent};
 use bpfstor_kernel::{ChainStatus, Machine, MachineConfig, RunReport};
 use bpfstor_lsm::{LsmConfig, LsmTree};
-use bpfstor_sim::{Nanos, SimRng, MILLISECOND, SECOND};
+use bpfstor_sim::{Nanos, SimRng, MILLISECOND};
 use bpfstor_workload::{KeyDist, Op, OpMix, YcsbGen};
 
 use crate::drivers::{ChaseFallbackDriver, RandomReadDriver};
@@ -290,13 +290,10 @@ pub fn fig3d(scale: Scale) -> Table {
 /// the effective device parallelism, and the coalescing knobs trade
 /// completion latency against per-CQE interrupt cost. IOPS must vary
 /// monotonically along both axes in every dispatch mode.
-pub fn queue_sweep(scale: Scale) -> Table {
-    queue_sweep_with(scale, None)
-}
-
-/// [`queue_sweep`] with an explicit seed override (`None` keeps the
-/// canonical seed the CSVs were calibrated on).
-pub fn queue_sweep_with(scale: Scale, seed: Option<u64>) -> Table {
+///
+/// `seed` overrides the canonical seed the CSVs were calibrated on
+/// (`None` keeps it).
+pub fn queue_sweep(scale: Scale, seed: Option<u64>) -> Table {
     let seed = seed.unwrap_or(2024);
     let duration = if scale.quick {
         4 * MILLISECOND
@@ -376,12 +373,10 @@ pub fn queue_sweep_with(scale: Scale, seed: Option<u64>) -> Table {
 /// CPU-per-IO when the queue is nearly empty and a poll loop would spin
 /// on an idle CQ, and the hybrid scheduler must land within 10% of the
 /// better fixed mode at every swept point.
-pub fn reap_sweep(scale: Scale) -> Table {
-    reap_sweep_with(scale, None)
-}
-
-/// [`reap_sweep`] with an explicit seed override.
-pub fn reap_sweep_with(scale: Scale, seed: Option<u64>) -> Table {
+///
+/// `seed` overrides the canonical seed the CSVs were calibrated on
+/// (`None` keeps it).
+pub fn reap_sweep(scale: Scale, seed: Option<u64>) -> Table {
     let seed = seed.unwrap_or(2024);
     let duration = if scale.quick {
         4 * MILLISECOND
@@ -500,12 +495,10 @@ pub fn reap_sweep_with(scale: Scale, seed: Option<u64>) -> Table {
 /// non-decreasing in queue depth in every dispatch mode, and the
 /// write-heavy mix must cost readers tail latency versus read-only at
 /// the same depth.
-pub fn write_mix(scale: Scale) -> Table {
-    write_mix_with(scale, None)
-}
-
-/// [`write_mix`] with an explicit seed override.
-pub fn write_mix_with(scale: Scale, seed: Option<u64>) -> Table {
+///
+/// `seed` overrides the canonical seed the CSVs were calibrated on
+/// (`None` keeps it).
+pub fn write_mix(scale: Scale, seed: Option<u64>) -> Table {
     let seed = seed.unwrap_or(0x3117);
     let duration = if scale.quick {
         4 * MILLISECOND
@@ -586,12 +579,10 @@ pub fn write_mix_with(scale: Scale, seed: Option<u64>) -> Table {
 /// background flush timer on top. The function asserts the amortization
 /// headline: at 8+ writers the grouped policies deliver at least 1.5×
 /// the per-fsync write IOPS with fewer than one barrier per fsync.
-pub fn group_commit_study(scale: Scale) -> Table {
-    group_commit_study_with(scale, None)
-}
-
-/// [`group_commit_study`] with an explicit seed override.
-pub fn group_commit_study_with(scale: Scale, seed: Option<u64>) -> Table {
+///
+/// `seed` overrides the canonical seed the CSVs were calibrated on
+/// (`None` keeps it).
+pub fn group_commit_study(scale: Scale, seed: Option<u64>) -> Table {
     let seed = seed.unwrap_or(0x6C01);
     let duration = if scale.quick {
         4 * MILLISECOND
@@ -707,12 +698,10 @@ pub fn group_commit_study_with(scale: Scale, seed: Option<u64>) -> Table {
 /// whole chain target-side and pays ~1, and the gap between them grows
 /// with the configured network latency. `LocalTransport` numbers ride
 /// along as the baseline. The function asserts all three shapes.
-pub fn fabric_sweep(scale: Scale) -> Table {
-    fabric_sweep_with(scale, None)
-}
-
-/// [`fabric_sweep`] with an explicit seed override.
-pub fn fabric_sweep_with(scale: Scale, seed: Option<u64>) -> Table {
+///
+/// `seed` overrides the canonical seed the CSVs were calibrated on
+/// (`None` keeps it).
+pub fn fabric_sweep(scale: Scale, seed: Option<u64>) -> Table {
     let seed = seed.unwrap_or(4077);
     const HOPS: u64 = 8;
     let duration = if scale.quick {
@@ -814,12 +803,10 @@ pub fn fabric_sweep_with(scale: Scale, seed: Option<u64>) -> Table {
 /// with 4 initiators, pushdown write throughput is at least 2x the
 /// no-pushdown run, and aggregate throughput is monotone-then-saturating
 /// in the initiator count for both arms.
-pub fn fabric_contention(scale: Scale) -> Table {
-    fabric_contention_with(scale, None)
-}
-
-/// [`fabric_contention`] with an explicit seed override.
-pub fn fabric_contention_with(scale: Scale, seed: Option<u64>) -> Table {
+///
+/// `seed` overrides the canonical seed the CSVs were calibrated on
+/// (`None` keeps it).
+pub fn fabric_contention(scale: Scale, seed: Option<u64>) -> Table {
     let seed = seed.unwrap_or(0xBF0F);
     let duration = if scale.quick {
         6 * MILLISECOND
@@ -991,12 +978,10 @@ pub fn fabric_contention_with(scale: Scale, seed: Option<u64>) -> Table {
 /// program whose verified worst case exceeds the tenant's instruction
 /// budget is rejected at install time; and a single-tenant group with
 /// default limits reproduces the standalone session bit for bit.
-pub fn tenant_sweep(scale: Scale) -> Table {
-    tenant_sweep_with(scale, None)
-}
-
-/// [`tenant_sweep`] with an explicit seed override.
-pub fn tenant_sweep_with(scale: Scale, seed: Option<u64>) -> Table {
+///
+/// `seed` overrides the canonical seed the CSVs were calibrated on
+/// (`None` keeps it).
+pub fn tenant_sweep(scale: Scale, seed: Option<u64>) -> Table {
     let seed = seed.unwrap_or(0x7E4A);
     let duration = if scale.quick {
         4 * MILLISECOND
@@ -1694,12 +1679,10 @@ fn chain_file_blocks(depth: usize) -> Vec<u8> {
 /// charge (retired-instruction counts are engine-independent) — while
 /// the *measured* host CPU per hop, sampled by an injected monotonic
 /// clock, must favour the compiled tier at depth ≥ 4.
-pub fn jit_sweep(scale: Scale) -> Table {
-    jit_sweep_with(scale, None)
-}
-
-/// [`jit_sweep`] with an explicit seed override.
-pub fn jit_sweep_with(scale: Scale, seed: Option<u64>) -> Table {
+///
+/// `seed` overrides the canonical seed the CSVs were calibrated on
+/// (`None` keeps it).
+pub fn jit_sweep(scale: Scale, seed: Option<u64>) -> Table {
     use bpfstor_kernel::{ExecClock, ExecEngine};
 
     let seed = seed.unwrap_or(0x317);
@@ -1802,9 +1785,3 @@ pub fn jit_sweep_with(scale: Scale, seed: Option<u64>) -> Table {
     t.note("simulated totals (chains, IOs, trace.bpf, sim_time) are asserted bit-identical");
     t
 }
-
-/// The default until-forever horizon used with chain-count-bounded runs.
-pub const FOREVER: Nanos = HUGE;
-
-/// One simulated second, re-exported for binaries.
-pub const ONE_SECOND: Nanos = SECOND;

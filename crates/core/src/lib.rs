@@ -17,8 +17,7 @@
 //!   SSTable get (stateful multi-hop chain), sequential
 //!   scan/filter/aggregate, and a generic pointer chase;
 //! - [`driver`]: low-level closed-loop drivers programmed directly
-//!   against the kernel's `ChainDriver` trait;
-//! - [`env`]: deprecated B-tree-only shims over the session API.
+//!   against the kernel's `ChainDriver` trait.
 //!
 //! # Examples
 //!
@@ -37,7 +36,6 @@
 //! ```
 
 pub mod driver;
-pub mod env;
 pub mod group;
 pub mod lsm_io;
 pub mod progs;
@@ -52,9 +50,6 @@ pub use bpfstor_kernel::{
 };
 pub use bpfstor_kernel::{TenantBreakdown, TenantId, TenantLimits, DEFAULT_TENANT};
 pub use driver::{value_of, BtreeLookupDriver, KeyChoice, LookupStats, SstGetDriver};
-pub use env::LookupHit;
-#[allow(deprecated)]
-pub use env::{BtreeEnv, StorageBpfBuilder};
 pub use group::{TenantGroup, TenantGroupBuilder};
 pub use lsm_io::MachineLsmIo;
 pub use progs::{

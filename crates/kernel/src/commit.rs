@@ -16,12 +16,18 @@
 //!   flush interval of acknowledged-but-unsynced data (fsync still
 //!   forces a seal and keeps its durability contract).
 //!
+//! The grouped policies' state machine — who waits in the window, who
+//! rides the in-flight barrier, when the next seal is due — is
+//! `Barrier`: it takes op ids and `now`, returns actions, and never
+//! sees the machine's event queue, cores or cost table.
+//!
 //! Every commit is summarized in a [`CommitStats`] and aggregated into
 //! the run's [`CommitLog`] ([`RunReport::commit`]); the headline
 //! amortization figure is [`CommitLog::flushes_per_fsync`].
 //!
 //! [`RunReport::commit`]: crate::chain::RunReport::commit
 
+use bpfstor_fs::SealedTxn;
 use bpfstor_sim::Nanos;
 
 /// When the journal's running transaction seals and pays its flush
@@ -141,6 +147,284 @@ impl CommitLog {
     }
 }
 
+/// What the machine must do for one fsync's barrier request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Request {
+    /// Parked on the in-flight barrier: its sealed transaction already
+    /// covers the fsync's records, so its CQE makes them durable.
+    Join,
+    /// Queued in the window awaiting the next seal; nothing to schedule
+    /// (a timer is already armed, or the seal chains at the in-flight
+    /// barrier's CQE).
+    Window,
+    /// The window is full, or the policy never waits: seal now.
+    SealNow,
+    /// First fsync of an idle window: schedule its seal timer.
+    ArmTimer {
+        /// Instant the timer fires.
+        at: Nanos,
+        /// Epoch the timer event must carry.
+        epoch: u64,
+    },
+}
+
+/// What a background writeback tick asks of the machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tick {
+    /// Journal clean: stay disarmed until the next un-fsynced write.
+    Idle,
+    /// A barrier is in flight: check again next period.
+    Rearm {
+        /// Instant the next tick fires.
+        at: Nanos,
+        /// Epoch the tick event must carry.
+        epoch: u64,
+    },
+    /// Seal the running transaction. `background` means no fsync is
+    /// waiting, so a kernel-internal op must lead the barrier
+    /// ([`Barrier::seal`]'s `internal` argument).
+    Seal {
+        /// Whether the seal needs an internal leader.
+        background: bool,
+    },
+}
+
+/// Everything a barrier's CQE releases.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Release {
+    /// Fsyncs to complete, leader first. A background barrier's
+    /// internal leader is not among them.
+    pub ids: Vec<usize>,
+    /// The committed transaction.
+    pub stats: CommitStats,
+    /// Sealed by the writeback timer rather than an application fsync.
+    pub background: bool,
+    /// Device time of the barrier's flush command, for the machine to
+    /// re-split across the released fsyncs' tenants.
+    pub flush_dev_ns: Nanos,
+    /// Fsyncs queued up behind this barrier: seal the next transaction
+    /// right away (jbd2's chained commit).
+    pub seal_next: bool,
+}
+
+/// A sealed transaction awaiting its flush barrier's CQE.
+struct InFlight {
+    /// The op whose flush command carries the barrier.
+    leader: usize,
+    /// Fsyncs the CQE releases: the leader first (unless it is
+    /// internal), then everything sealed with it or joined since.
+    waiters: Vec<usize>,
+    txn: SealedTxn,
+    sealed_at: Nanos,
+    flush_dev_ns: Nanos,
+    background: bool,
+}
+
+/// The group-commit barrier state machine shared by every fsyncing
+/// chain under a grouped [`CommitPolicy`]: which fsyncs wait in the
+/// window, which ride the in-flight barrier, and when the next seal is
+/// due. Inputs are op ids and `now`; outputs are actions — the machine
+/// owns the journal, the event queue and every charge.
+pub(crate) struct Barrier {
+    policy: CommitPolicy,
+    in_flight: Option<InFlight>,
+    /// Fsyncs awaiting the next seal (the group-commit window).
+    window: Vec<usize>,
+    /// Seal again as soon as the in-flight barrier's CQE lands.
+    window_due: bool,
+    /// Whether a live seal timer is outstanding.
+    timer_armed: bool,
+    /// Epoch of live seal timers; bumped on every seal and run reset so
+    /// superseded timers die at pop time.
+    seal_epoch: u64,
+    /// Whether a live writeback tick is outstanding.
+    wb_armed: bool,
+    /// Epoch of live writeback ticks.
+    wb_epoch: u64,
+}
+
+impl Barrier {
+    pub(crate) fn new(policy: CommitPolicy) -> Self {
+        Barrier {
+            policy,
+            in_flight: None,
+            window: Vec::new(),
+            window_due: false,
+            timer_armed: false,
+            seal_epoch: 0,
+            wb_armed: false,
+            wb_epoch: 0,
+        }
+    }
+
+    pub(crate) fn policy(&self) -> CommitPolicy {
+        self.policy
+    }
+
+    /// Per-run reset. A run never starts with a barrier in flight
+    /// (every prior chain delivered), so only the timers reset — and
+    /// their epochs are bumped, not zeroed, which kills any timer event
+    /// an earlier run or one-shot left in the queue.
+    pub(crate) fn reset(&mut self) {
+        debug_assert!(self.in_flight.is_none() && self.window.is_empty());
+        self.seal_epoch += 1;
+        self.timer_armed = false;
+        self.window_due = false;
+        self.wb_epoch += 1;
+        self.wb_armed = false;
+    }
+
+    /// True for a seal timer superseded by a later seal or run reset.
+    pub(crate) fn seal_timer_stale(&self, epoch: u64) -> bool {
+        epoch != self.seal_epoch
+    }
+
+    /// True for a writeback tick superseded by a run reset.
+    pub(crate) fn writeback_tick_stale(&self, epoch: u64) -> bool {
+        epoch != self.wb_epoch
+    }
+
+    /// Routes one fsync whose records end at `journal_end`: park on the
+    /// in-flight barrier when its sealed transaction covers them, else
+    /// join the window awaiting the next seal.
+    pub(crate) fn request(&mut self, id: usize, journal_end: usize, now: Nanos) -> Request {
+        if let Some(f) = self.in_flight.as_mut() {
+            if journal_end <= f.txn.end {
+                f.waiters.push(id);
+                return Request::Join;
+            }
+            // Records landed after the seal — they need the *next*
+            // transaction, chained at the in-flight barrier's CQE.
+            self.window.push(id);
+            self.window_due = true;
+            return Request::Window;
+        }
+        self.window.push(id);
+        match self.policy {
+            CommitPolicy::Group {
+                max_wait_us,
+                max_handles,
+            } => {
+                if self.window.len() >= max_handles.max(1) as usize {
+                    Request::SealNow
+                } else if self.timer_armed {
+                    Request::Window
+                } else {
+                    self.timer_armed = true;
+                    Request::ArmTimer {
+                        at: now + max_wait_us.saturating_mul(1_000),
+                        epoch: self.seal_epoch,
+                    }
+                }
+            }
+            // Writeback batches opportunistically (joins + chaining)
+            // but an explicit fsync never waits for company.
+            CommitPolicy::Writeback { .. } => Request::SealNow,
+            CommitPolicy::PerFsync => unreachable!("per-fsync never windows"),
+        }
+    }
+
+    /// Records the journal transaction just sealed and returns the op
+    /// that must carry its single flush through the submission path:
+    /// the first windowed fsync (the rest park on the barrier), or
+    /// `internal` — a kernel op the caller allocated — for a background
+    /// seal with nobody waiting.
+    pub(crate) fn seal(&mut self, txn: SealedTxn, now: Nanos, internal: Option<usize>) -> usize {
+        debug_assert!(self.in_flight.is_none(), "one barrier in flight");
+        self.seal_epoch += 1;
+        self.timer_armed = false;
+        self.window_due = false;
+        let waiters = std::mem::take(&mut self.window);
+        debug_assert_eq!(internal.is_some(), waiters.is_empty());
+        let leader = internal.unwrap_or_else(|| waiters[0]);
+        self.in_flight = Some(InFlight {
+            leader,
+            waiters,
+            txn,
+            sealed_at: now,
+            flush_dev_ns: 0,
+            background: internal.is_some(),
+        });
+        leader
+    }
+
+    /// Notes the device time of op `id`'s just-reaped command when that
+    /// op leads the in-flight barrier (its flush's CQE).
+    pub(crate) fn note_device_time(&mut self, id: usize, ns: Nanos) {
+        if let Some(f) = self.in_flight.as_mut().filter(|f| f.leader == id) {
+            f.flush_dev_ns = ns;
+        }
+    }
+
+    /// The barrier's CQE: the sealed transaction is durable and every
+    /// parked fsync releases at once.
+    pub(crate) fn on_cqe(&mut self, now: Nanos) -> Release {
+        let f = self.in_flight.take().expect("a barrier is in flight");
+        let seal_next = self.window_due && !self.window.is_empty();
+        self.window_due = seal_next;
+        Release {
+            ids: f.waiters,
+            stats: CommitStats {
+                handles: f.txn.handles,
+                records: f.txn.records,
+                barrier_ns: now.saturating_sub(f.sealed_at),
+            },
+            background: f.background,
+            flush_dev_ns: f.flush_dev_ns,
+            seal_next,
+        }
+    }
+
+    /// A live seal timer fired: true to seal now; otherwise the seal
+    /// defers to the in-flight barrier's CQE (or the window is empty).
+    pub(crate) fn on_seal_timer(&mut self) -> bool {
+        self.timer_armed = false;
+        if self.in_flight.is_some() {
+            self.window_due = true;
+            return false;
+        }
+        !self.window.is_empty()
+    }
+
+    /// Under [`CommitPolicy::Writeback`], arms the background tick
+    /// after an un-fsynced write completes: `(fire at, epoch)` when
+    /// newly armed, `None` when already armed or under another policy.
+    pub(crate) fn arm_writeback(&mut self, now: Nanos) -> Option<(Nanos, u64)> {
+        let CommitPolicy::Writeback { flush_interval_us } = self.policy else {
+            return None;
+        };
+        if self.wb_armed {
+            return None;
+        }
+        self.wb_armed = true;
+        Some((
+            now + flush_interval_us.saturating_mul(1_000).max(1),
+            self.wb_epoch,
+        ))
+    }
+
+    /// A live writeback tick fired; `journal_dirty` says whether the
+    /// journal holds records that are not yet durable.
+    pub(crate) fn on_writeback_tick(&mut self, now: Nanos, journal_dirty: bool) -> Tick {
+        self.wb_armed = false;
+        if self.in_flight.is_some() {
+            return match self.arm_writeback(now) {
+                Some((at, epoch)) => Tick::Rearm { at, epoch },
+                None => Tick::Idle,
+            };
+        }
+        if !self.window.is_empty() {
+            // Shouldn't happen (a windowed fsync seals immediately
+            // under writeback), but a seal is always safe.
+            Tick::Seal { background: false }
+        } else if journal_dirty {
+            Tick::Seal { background: true }
+        } else {
+            Tick::Idle
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,5 +485,136 @@ mod tests {
         // 6 commits, 2 of them background: 4 fsync-driven barriers over
         // 4 fsyncs.
         assert!((log.flushes_per_fsync() - 1.0).abs() < 1e-9);
+    }
+}
+
+#[cfg(test)]
+mod barrier_tests {
+    use super::*;
+
+    const GROUP: CommitPolicy = CommitPolicy::Group {
+        max_wait_us: 20,
+        max_handles: 3,
+    };
+
+    fn txn(end: usize) -> SealedTxn {
+        SealedTxn {
+            end,
+            records: end,
+            handles: 1,
+        }
+    }
+
+    #[test]
+    fn fsync_under_the_seal_horizon_joins_and_one_past_it_chains_the_next_seal() {
+        let mut b = Barrier::new(GROUP);
+        // First fsync of an idle window arms the timer; the second waits.
+        assert_eq!(
+            b.request(1, 4, 100),
+            Request::ArmTimer {
+                at: 100 + 20_000,
+                epoch: 0
+            }
+        );
+        assert_eq!(b.request(2, 6, 150), Request::Window);
+        assert!(b.on_seal_timer());
+        // Op 1 leads; op 2 parks with it.
+        assert_eq!(b.seal(txn(6), 200, None), 1);
+        // Records at or under the seal horizon ride the in-flight barrier.
+        assert_eq!(b.request(3, 6, 210), Request::Join);
+        // One record past it needs the next transaction.
+        assert_eq!(b.request(4, 7, 220), Request::Window);
+        b.note_device_time(2, 999); // not the leader: ignored
+        b.note_device_time(1, 5_000);
+        let rel = b.on_cqe(900);
+        assert_eq!(rel.ids, vec![1, 2, 3]);
+        assert_eq!(
+            rel.stats,
+            CommitStats {
+                handles: 1,
+                records: 6,
+                barrier_ns: 700
+            }
+        );
+        assert_eq!(rel.flush_dev_ns, 5_000);
+        assert!(!rel.background);
+        assert!(rel.seal_next, "op 4 chains a seal at the CQE");
+        assert_eq!(b.seal(txn(7), 900, None), 4);
+        let rel = b.on_cqe(1_000);
+        assert_eq!(rel.ids, vec![4]);
+        assert!(!rel.seal_next);
+    }
+
+    #[test]
+    fn max_handles_seals_immediately() {
+        let mut b = Barrier::new(GROUP);
+        assert!(matches!(b.request(1, 1, 0), Request::ArmTimer { .. }));
+        assert_eq!(b.request(2, 2, 0), Request::Window);
+        assert_eq!(b.request(3, 3, 0), Request::SealNow);
+        // Writeback never waits for company.
+        let mut wb = Barrier::new(CommitPolicy::Writeback {
+            flush_interval_us: 500,
+        });
+        assert_eq!(wb.request(1, 1, 0), Request::SealNow);
+    }
+
+    #[test]
+    fn stale_epoch_timers_are_ignored() {
+        let mut b = Barrier::new(GROUP);
+        let Request::ArmTimer { epoch, .. } = b.request(1, 1, 0) else {
+            panic!("first fsync arms the timer");
+        };
+        assert!(!b.seal_timer_stale(epoch));
+        // A seal supersedes the armed timer...
+        b.seal(txn(1), 10, None);
+        assert!(b.seal_timer_stale(epoch));
+        b.on_cqe(20);
+        // ...and so does a run reset, for both timers.
+        let mut wb = Barrier::new(CommitPolicy::Writeback {
+            flush_interval_us: 500,
+        });
+        let (at, tick_epoch) = wb.arm_writeback(1_000).expect("arms");
+        assert_eq!(at, 1_000 + 500_000);
+        assert_eq!(wb.arm_writeback(2_000), None, "already armed");
+        assert!(!wb.writeback_tick_stale(tick_epoch));
+        wb.reset();
+        assert!(wb.writeback_tick_stale(tick_epoch));
+        assert!(wb.arm_writeback(0).is_some(), "reset disarms");
+        // A timer that fires while a barrier is in flight defers to its CQE.
+        let mut b = Barrier::new(GROUP);
+        b.request(1, 1, 0);
+        b.request(2, 2, 0);
+        b.request(3, 3, 0);
+        b.seal(txn(3), 0, None);
+        assert!(matches!(b.request(4, 4, 1), Request::Window));
+        assert!(!b.on_seal_timer());
+        assert!(b.on_cqe(5).seal_next);
+    }
+
+    #[test]
+    fn background_seal_with_an_empty_window_needs_an_internal_leader() {
+        let mut b = Barrier::new(CommitPolicy::Writeback {
+            flush_interval_us: 100,
+        });
+        assert_eq!(b.on_writeback_tick(0, false), Tick::Idle);
+        b.arm_writeback(0);
+        assert_eq!(
+            b.on_writeback_tick(100_000, true),
+            Tick::Seal { background: true }
+        );
+        assert_eq!(b.seal(txn(2), 100_000, Some(42)), 42);
+        // While that barrier is in flight the tick re-arms instead.
+        assert_eq!(
+            b.on_writeback_tick(150_000, true),
+            Tick::Rearm {
+                at: 250_000,
+                epoch: 0
+            }
+        );
+        // A covered fsync may still ride the background barrier.
+        assert_eq!(b.request(7, 2, 160_000), Request::Join);
+        let rel = b.on_cqe(180_000);
+        assert!(rel.background);
+        assert_eq!(rel.ids, vec![7], "the internal leader is not released");
     }
 }

@@ -22,6 +22,7 @@
 
 pub mod chain;
 pub mod commit;
+pub mod config;
 pub mod costs;
 pub mod extcache;
 pub mod machine;
@@ -36,9 +37,10 @@ pub use chain::{
     DispatchMode, Fd, ProgHandle, RunReport, UserNext, WriteStart,
 };
 pub use commit::{CommitLog, CommitPolicy, CommitStats};
+pub use config::{ExecClock, MachineConfig};
 pub use costs::LayerCosts;
 pub use extcache::{ExtCacheStats, ExtentCache};
-pub use machine::{ExecClock, KernelError, Machine, MachineConfig, Mutation};
+pub use machine::{KernelError, Machine, Mutation};
 pub use reaper::{
     AdaptiveIrqConfig, HybridConfig, ModeTransition, PollConfig, ReapKind, ReapMode, ReaperStats,
 };

@@ -45,14 +45,36 @@
 //! trip per dependent hop, while [`DispatchMode::DriverHook`] chains
 //! become *target-resident*: hops recycle on the target and only the
 //! terminal response capsule crosses back ([`Ev::CapsuleRx`]).
+//!
+//! # Event map
+//!
+//! One loop body (`Machine::step`) pops an event, drops it if it is a
+//! superseded commit timer, advances the clock and dispatches:
+//!
+//! | `Ev` | handler | consults |
+//! |---|---|---|
+//! | `AppStart` | `on_app_start` → `start_chain`, or `uring_enter` | the [`ChainDriver`], `rng` |
+//! | `DevSubmit` | `on_dev_submit` → `submit_read` / `submit_write_data` / flush → `submit_segments` | `fs`, page cache, `SqAdmission`, the [`Transport`] |
+//! | `CacheHit` | `on_device_done` | the attached program (`run_hook`) |
+//! | `Doorbell` | `on_doorbell` | [`Transport`], [`Reaper`] |
+//! | `IrqFire`, `Poll` | `on_irq_fire`, `on_poll` → `reap_qp` → `on_cqe` → `on_device_done` | [`Reaper`], `FairSched`, `SqAdmission`, `Barrier` |
+//! | `Delivered` | `on_delivered` (→ `restart_chain`) | the [`ChainDriver`] |
+//! | `CapsuleRx` | `on_capsule_rx` → `unwind` | costs only |
+//! | `Mutate` | `on_mutate` | `fs`, [`ExtentCache`] |
+//! | `CommitSeal` | `on_commit_seal` → `seal_and_issue` | `Barrier` |
+//! | `WritebackTick` | `on_writeback_tick` → `seal_and_issue` | `Barrier`, `fs` |
+//!
+//! Every chain ends in `deliver`, which owns the local-vs-capsule
+//! decision; every device command goes through `submit_segments`.
 
 use std::collections::{HashMap, HashSet};
 
 use bpfstor_device::device::{NvmeCommand, NvmeOp};
 use bpfstor_device::{
-    DeviceProfile, FabricStats, NvmeDevice, SubmitClass, Transport, TransportConfig, SECTOR_SIZE,
+    DeviceStats, NvmeCompletion, NvmeDevice, SectorStore, SubmitClass, Transport, TransportConfig,
+    SECTOR_SIZE,
 };
-use bpfstor_fs::{ExtFs, ExtentEvent, PageCache};
+use bpfstor_fs::{ExtFs, ExtentEvent, FsError, PageCache};
 use bpfstor_sim::{Cores, EventQueue, Histogram, Nanos, SimRng};
 use bpfstor_vm::{
     action, compile, verify_bounded, CompiledProg, ExecEngine, ExecEnv, MapSet, Program,
@@ -60,120 +82,16 @@ use bpfstor_vm::{
 };
 
 use crate::chain::{
-    ChainDriver, ChainOutcome, ChainSpec, ChainStatus, ChainToken, ChainVerdict, DispatchMode, Fd,
-    ProgHandle, RunReport, UserNext, WriteStart,
+    ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainStatus, ChainToken, ChainVerdict,
+    DispatchMode, Fd, ProgHandle, RunReport, UserNext, WriteStart,
 };
-use crate::commit::{CommitLog, CommitPolicy, CommitStats};
+use crate::commit::{Barrier, CommitLog, CommitStats, Request, Tick};
+use crate::config::{ExecClock, MachineConfig, PAGECACHE_BLOCKS};
 use crate::costs::LayerCosts;
-use crate::extcache::ExtentCache;
-use crate::reaper::{FairSched, ReapKind, ReapMode, Reaper, ReaperStats};
-use crate::tenant::{TenantBreakdown, TenantId, TenantLimits, DEFAULT_TENANT};
+use crate::extcache::{ExtCacheStats, ExtentCache};
+use crate::reaper::{FairSched, ReapKind, Reaper};
+use crate::tenant::{SqAdmission, TenantBreakdown, TenantId, TenantLimits, DEFAULT_TENANT};
 use crate::trace::{ExecSplit, LayerTrace};
-
-/// A monotonic host-CPU clock the harness injects to *measure* real
-/// per-hop execution time ([`MachineConfig::exec_clock`]). The machine
-/// samples it around every hook invocation and accumulates the deltas
-/// into [`RunReport::exec`]; it never feeds the simulated timeline, so
-/// a machine without a clock stays fully deterministic.
-#[derive(Clone)]
-pub struct ExecClock(pub std::sync::Arc<dyn Fn() -> u64 + Send + Sync>);
-
-impl ExecClock {
-    /// Wraps a monotonic nanosecond counter.
-    pub fn new(f: impl Fn() -> u64 + Send + Sync + 'static) -> Self {
-        ExecClock(std::sync::Arc::new(f))
-    }
-
-    fn now(&self) -> u64 {
-        (self.0)()
-    }
-}
-
-impl std::fmt::Debug for ExecClock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ExecClock(..)")
-    }
-}
-
-/// Machine construction parameters.
-#[derive(Debug, Clone)]
-pub struct MachineConfig {
-    /// CPU cores (the paper's testbed has 6).
-    pub cores: usize,
-    /// Device model.
-    pub profile: DeviceProfile,
-    /// Layer cost model.
-    pub costs: LayerCosts,
-    /// RNG seed (device latencies, workload forks).
-    pub seed: u64,
-    /// File-system size in 512 B blocks.
-    pub fs_blocks: u64,
-    /// Page-cache capacity in blocks (buffered I/O only).
-    pub pagecache_blocks: usize,
-    /// NVMe-layer chained-resubmission bound (§4 fairness counter).
-    pub resubmit_bound: u32,
-    /// Interrupt-coalescing time budget in microseconds: a pending CQE
-    /// fires an interrupt at most this long after it is posted. `0`
-    /// fires immediately (no time-based coalescing).
-    pub irq_coalesce_us: u64,
-    /// Interrupt-coalescing aggregation threshold: the interrupt fires
-    /// as soon as this many CQEs are pending, even inside the time
-    /// budget. `1` (or `0`) disables depth-based coalescing.
-    pub irq_coalesce_depth: u32,
-    /// Completion-delivery policy: static interrupts (the default, using
-    /// the two coalescing knobs above), adaptive interrupts, dedicated
-    /// pollers, or the load-adaptive hybrid scheduler.
-    pub reap_mode: ReapMode,
-    /// The ring→device hop: PCIe pass-through (the default) or an
-    /// NVMe-oF initiator/target pair over a modelled network.
-    pub transport: TransportConfig,
-    /// Explicit queue-pair→core interrupt affinity (MSI-X vector
-    /// steering): entry `q` names the core whose IRQ handler serves
-    /// queue pair `q`. `None` gives the identity mapping (`qp % cores`),
-    /// which matches the per-thread queue-pair layout.
-    pub qp_affinity: Option<Vec<usize>>,
-    /// Which engine executes hook programs: the interpreter or the
-    /// template-JIT compiled tier. Compiled execution is observably
-    /// identical (same traps, same retired-instruction counts — so
-    /// [`LayerCosts::bpf_exec`] simulated charging is bit-for-bit
-    /// unchanged) but cheaper in real host CPU; programs the compiler
-    /// declines transparently fall back to the interpreter. The default
-    /// honours the `BPFSTOR_ENGINE` environment variable
-    /// ([`ExecEngine::from_env`]), interpreter when unset.
-    pub exec_engine: ExecEngine,
-    /// Optional monotonic host clock sampled around each hook
-    /// invocation to fill [`RunReport::exec`] with *measured*
-    /// per-engine nanoseconds. `None` (the default) skips sampling:
-    /// hop and fallback counters still move, the `_ns` fields stay 0.
-    pub exec_clock: Option<ExecClock>,
-    /// When the journal's running transaction seals and pays its flush
-    /// barrier: per-fsync (the default — one barrier per fsyncing
-    /// chain, bit-for-bit the historical write path), jbd2-style group
-    /// commit, or group commit plus background writeback.
-    pub commit_policy: CommitPolicy,
-}
-
-impl Default for MachineConfig {
-    fn default() -> Self {
-        MachineConfig {
-            cores: 6,
-            profile: DeviceProfile::optane_gen2_p5800x(),
-            costs: LayerCosts::default(),
-            seed: 0xB9F5_702E,
-            fs_blocks: 1 << 22, // 2 GiB of 512 B blocks
-            pagecache_blocks: 4096,
-            resubmit_bound: 256,
-            irq_coalesce_us: 0,
-            irq_coalesce_depth: 1,
-            reap_mode: ReapMode::Interrupt,
-            transport: TransportConfig::Local,
-            qp_affinity: None,
-            exec_engine: ExecEngine::from_env(),
-            exec_clock: None,
-            commit_policy: CommitPolicy::PerFsync,
-        }
-    }
-}
 
 /// Errors from control-plane operations (open/install/attach/re-arm).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,6 +127,12 @@ impl std::fmt::Display for KernelError {
 
 impl std::error::Error for KernelError {}
 
+impl From<FsError> for KernelError {
+    fn from(e: FsError) -> Self {
+        KernelError::Fs(e.to_string())
+    }
+}
+
 /// A file-system mutation scheduled to run mid-simulation (drives the
 /// invalidation experiments).
 #[derive(Debug, Clone)]
@@ -232,6 +156,18 @@ struct FdState {
     ino: u64,
     o_direct: bool,
     tenant: TenantId,
+}
+
+impl FdState {
+    /// A kernel-internal descriptor: direct I/O on behalf of the
+    /// default tenant.
+    fn kernel(ino: u64) -> Self {
+        FdState {
+            ino,
+            o_direct: true,
+            tenant: DEFAULT_TENANT,
+        }
+    }
 }
 
 struct Install {
@@ -303,7 +239,7 @@ enum Ev {
         epoch: u64,
     },
     /// The background writeback timer fired: flush un-fsynced journal
-    /// records ([`CommitPolicy::Writeback`]). Epoch-guarded like
+    /// records ([`crate::CommitPolicy::Writeback`]). Epoch-guarded like
     /// [`Ev::CommitSeal`].
     WritebackTick {
         epoch: u64,
@@ -332,6 +268,41 @@ enum OpKind {
     WriteFlush,
 }
 
+/// The write-only part of an [`Op`] (all defaults on a read chain).
+#[derive(Default)]
+struct WriteState {
+    /// The chain's payload before submission planning.
+    data: Vec<u8>,
+    /// Planned `Write` commands, built once at first submission and
+    /// preserved across backpressure parking.
+    segments: Option<Vec<NvmeOp>>,
+    /// Logical block range of the write (page-cache coherence).
+    lb: u64,
+    nblocks: u64,
+    /// Journal length right after this write's records were logged: the
+    /// seal horizon its fsync needs durable. An fsync may park on an
+    /// in-flight barrier only when the sealed transaction's end covers
+    /// this point.
+    journal_end: usize,
+    /// Instant the chain's fsync requested its barrier (data CQEs
+    /// already back) — the start of the fsync-latency measurement.
+    fsync_from: Nanos,
+}
+
+/// The fabric-only part of an [`Op`] (all defaults on a local machine).
+#[derive(Default)]
+struct FabricState {
+    /// Pushdown over fabric: the chain's hook runs on the NVMe-oF
+    /// target, hops recycle target-side, and the terminal outcome
+    /// returns as one response capsule.
+    pushdown: bool,
+    /// This target-resident fsync released on a shared commit barrier
+    /// and rides the barrier's single acknowledgement capsule instead
+    /// of crossing on its own (its [`Ev::CapsuleRx`] skips the decode —
+    /// the leader pays it once).
+    capsule_joined: bool,
+}
+
 struct Op {
     thread: usize,
     fd: Fd,
@@ -339,14 +310,15 @@ struct Op {
     /// per-tenant budget, bound, and counter keys on.
     tenant: TenantId,
     ino: u64,
+    o_direct: bool,
     kind: OpKind,
     mode: DispatchMode,
     origin: Origin,
+    /// Carries the chain's start instant (`issued`).
     token: ChainToken,
-    /// First read of the chain, kept for [`ChainVerdict::RearmRetry`]
+    /// First offset of the chain, kept for [`ChainVerdict::RearmRetry`]
     /// restarts.
     first_off: u64,
-    first_len: u32,
     attempts: u32,
     file_off: u64,
     len: u32,
@@ -357,13 +329,10 @@ struct Op {
     /// verification-time budget covers the same whole-chain worst case).
     insns_used: u64,
     ios: u32,
-    started: Nanos,
     data: Vec<u8>,
-    device_ns: Nanos,
     scratch: Vec<u8>,
     emitted: Vec<u8>,
     status: Option<ChainStatus>,
-    o_direct: bool,
     /// Per-segment read buffers of the in-flight device request; CQEs
     /// may land out of order across channels, so each fills its slot.
     seg_data: Vec<Option<Vec<u8>>>,
@@ -379,44 +348,59 @@ struct Op {
     /// Whether the current device request is a recycled hop (bypasses
     /// the page cache entirely).
     recycled: bool,
-    /// A write chain's payload before submission planning.
-    wr_data: Vec<u8>,
-    /// Planned write segments `(physical block, payload)`, built once at
-    /// first submission and preserved across backpressure parking.
-    wr_segments: Option<Vec<(u64, Vec<u8>)>>,
-    /// Logical block range of the write (page-cache coherence).
-    wr_lb: u64,
-    wr_nblocks: u64,
-    /// Pushdown over fabric: the chain's hook runs on the NVMe-oF
-    /// target, hops recycle target-side, and the terminal outcome
-    /// returns as one response capsule.
-    remote_pushdown: bool,
-    /// This target-resident fsync released on a shared commit barrier
-    /// and rides the barrier's single acknowledgement capsule instead
-    /// of crossing on its own (its [`Ev::CapsuleRx`] skips the decode —
-    /// the leader pays it once).
-    capsule_joined: bool,
-    /// Journal length right after this write's records were logged: the
-    /// seal horizon its fsync needs durable. An fsync may park on an
-    /// in-flight barrier only when the sealed transaction's end covers
-    /// this point.
-    journal_end: usize,
-    /// Instant the chain's fsync requested its barrier (data CQEs
-    /// already back) — the start of the fsync-latency measurement.
-    fsync_from: Nanos,
-    /// A synthetic kernel-side op carrying a background writeback
-    /// flush: freed silently at the barrier's CQE, never delivered to
-    /// the application and never counted as a chain.
-    internal: bool,
+    wr: WriteState,
+    fab: FabricState,
+}
+
+impl Op {
+    /// The one place an op is built — a chain's first request, or the
+    /// kernel-internal flush of a background seal — with nothing issued
+    /// yet; the caller fills in the request.
+    fn new(
+        thread: usize,
+        fd: Fd,
+        st: FdState,
+        kind: OpKind,
+        mode: DispatchMode,
+        origin: Origin,
+        token: ChainToken,
+    ) -> Self {
+        Op {
+            thread,
+            fd,
+            tenant: st.tenant,
+            ino: st.ino,
+            o_direct: st.o_direct,
+            kind,
+            mode,
+            origin,
+            token,
+            first_off: 0,
+            attempts: 0,
+            file_off: 0,
+            len: 0,
+            hop: 0,
+            insns_used: 0,
+            ios: 0,
+            data: Vec::new(),
+            scratch: Vec::new(),
+            emitted: Vec::new(),
+            status: None,
+            seg_data: Vec::new(),
+            segs_pending: 0,
+            submitted_at: 0,
+            phys_target: None,
+            recycled: false,
+            wr: WriteState::default(),
+            fab: FabricState::default(),
+        }
+    }
 }
 
 /// A chain queued for re-issue after a rearm-retry verdict.
 #[derive(Debug, Clone, Copy)]
 struct RetrySpec {
-    fd: Fd,
-    file_off: u64,
-    len: u32,
-    arg: u64,
+    start: ChainStart,
     attempts: u32,
 }
 
@@ -430,9 +414,9 @@ struct UringState {
     batch: u32,
     pending: u32,
     queue: Vec<PendingSub>,
-    reaped_since_enter: u32,
 }
 
+#[derive(Default)]
 struct ThreadState {
     stopped: bool,
     uring: Option<UringState>,
@@ -463,6 +447,59 @@ impl ExecEnv for HookEnv<'_> {
     }
 }
 
+/// Everything that describes *one run*: replaced wholesale by
+/// `begin_run`, so a counter added here cannot be forgotten in the
+/// reset. Counters that have a per-tenant twin live only in `tstats`
+/// and are summed once, in `finish_run`.
+#[derive(Default)]
+struct RunState {
+    /// No new chain starts at or past this instant.
+    until: Nanos,
+    trace: LayerTrace,
+    lat_read: Histogram,
+    lat_write: Histogram,
+    /// Device commands submitted — also the command-id allocator.
+    ios: u64,
+    rearm_retries: u64,
+    /// Per-tenant counters (index = tenant id).
+    tstats: Vec<TenantBreakdown>,
+    /// §4 resubmissions keyed `[tenant][thread]`; the per-thread and
+    /// per-tenant views are its column and row sums.
+    resub: Vec<Vec<u64>>,
+    /// In-flight command id → (op slot, segment index).
+    cid_map: HashMap<u64, (usize, usize)>,
+    /// Monotone counter salting the per-chain RNG forks of the uring
+    /// path, so every SQE in a batch draws an independent stream.
+    rng_streams: u64,
+    /// Per-queue-pair: is a doorbell event already scheduled? Submits
+    /// that land at the same instant share one MMIO write.
+    doorbell_armed: Vec<bool>,
+    /// Peak in-flight depth seen at doorbell time since the last
+    /// productive reap: the hybrid scheduler's load signal. Sampling
+    /// the instantaneous residue at reap time instead would read a
+    /// promptly-polled queue as idle and a coalesced one as busy.
+    load_peak: Vec<usize>,
+    /// Commits absorbed so far (`fsyncs` and `barrier_joins` are filled
+    /// from the tenants at the end of the run).
+    commit_log: CommitLog,
+}
+
+impl RunState {
+    fn new(until: Nanos, nr_queues: usize, tenants: &[TenantLimits]) -> Self {
+        RunState {
+            until,
+            tstats: (0..)
+                .zip(tenants)
+                .map(|(t, l)| TenantBreakdown::fresh(t, l.weight.max(1)))
+                .collect(),
+            resub: vec![Vec::new(); tenants.len()],
+            doorbell_armed: vec![false; nr_queues],
+            load_peak: vec![0; nr_queues],
+            ..RunState::default()
+        }
+    }
+}
+
 /// The simulated machine.
 pub struct Machine {
     /// Current simulated time.
@@ -483,50 +520,26 @@ pub struct Machine {
     fds: HashMap<Fd, FdState>,
     next_fd: Fd,
     installs: HashMap<Fd, ProgTable>,
+    /// Deliberately never reset: token ids stay unique across runs of
+    /// one machine, so driver state keyed by token id can never collide
+    /// with a stale entry from an earlier run.
     next_chain_id: u64,
-    rearm_retries: u64,
     ops: Vec<Option<Op>>,
     free_ops: Vec<usize>,
     threads: Vec<ThreadState>,
-    /// Per-queue-pair: is a doorbell event already scheduled? Submits
-    /// that land at the same instant share one MMIO write.
-    doorbell_armed: Vec<bool>,
     /// The completion-reaping state machine: per-queue-pair pending
     /// instants, armed timers, adaptive coalescing, hybrid scheduling.
     reaper: Reaper,
-    /// Parked ops keyed `[queue pair][tenant]`: queue-full backpressure
-    /// and tenant SQ-budget parks both land here, re-issued after the
-    /// next reap frees slots. Tenants' queues drain round-robin so no
-    /// tenant's backlog can starve another's re-issue.
-    stalled: Vec<Vec<Vec<usize>>>,
-    /// Per-queue-pair rotation cursor for the round-robin un-park.
-    unpark_cursor: Vec<usize>,
+    /// Tenant SQ slot budgets and the submissions parked on them (or on
+    /// device backpressure).
+    admission: SqAdmission,
     /// Registered tenants; index = [`TenantId`]. Tenant 0 always exists.
     tenants: Vec<TenantLimits>,
-    /// Per-run, per-tenant counters (index = tenant id).
-    tstats: Vec<TenantBreakdown>,
-    /// In-flight commands keyed `[queue pair][tenant]` — the SQ
-    /// slot-budget meter.
-    sq_inflight: Vec<Vec<usize>>,
-    /// §4 resubmissions keyed `[tenant][thread]` — the per-thread view
-    /// ([`Machine::resubmission_accounting`]) is kept separately so the
-    /// single-tenant surface is unchanged.
-    resub_matrix: Vec<Vec<u64>>,
     /// Deficit-round-robin state for weighted fair reaping.
     fair: FairSched,
     /// Whether reap batches are reordered by the fair scheduler
     /// (default off: FIFO, bit-for-bit the single-tenant behaviour).
     fair_reap: bool,
-    /// Peak in-flight depth seen at doorbell time since the last
-    /// productive reap: the hybrid scheduler's load signal. Sampling
-    /// the instantaneous residue at reap time instead would read a
-    /// promptly-polled queue as idle and a coalesced one as busy.
-    load_peak: Vec<usize>,
-    /// In-flight command id → (op slot, segment index).
-    cid_map: HashMap<u64, (usize, usize)>,
-    /// Monotone per-run counter salting the per-chain RNG forks of the
-    /// uring path, so every SQE in a batch draws an independent stream.
-    rng_streams: u64,
     mutations: Vec<Mutation>,
     aborting_inos: HashSet<u64>,
     resubmit_bound: u32,
@@ -534,67 +547,10 @@ pub struct Machine {
     exec_engine: ExecEngine,
     /// Optional measured-time clock ([`MachineConfig::exec_clock`]).
     exec_clock: Option<ExecClock>,
-    /// Per-run measured execution split (all tenants).
-    exec: ExecSplit,
-    trace: LayerTrace,
-    latency: Histogram,
-    lat_read: Histogram,
-    lat_write: Histogram,
-    chains: u64,
-    ios: u64,
-    errors: u64,
-    /// §4 fairness accounting: chained resubmissions per thread, as the
-    /// NVMe layer would periodically report them to the BIO layer.
-    resubmissions: Vec<u64>,
-    until: Nanos,
-    /// When the journal's running transaction seals and flushes
-    /// ([`MachineConfig::commit_policy`]).
-    commit_policy: CommitPolicy,
-    /// The op whose flush command carries the in-flight shared barrier,
-    /// if a sealed transaction is awaiting its CQE.
-    barrier_leader: Option<usize>,
-    /// Fsyncs parked on the in-flight barrier, released at its CQE.
-    barrier_joined: Vec<usize>,
-    /// Seal point of the in-flight barrier's transaction (record index;
-    /// fsyncs whose [`Op::journal_end`] falls under it may join).
-    barrier_seal_end: usize,
-    /// Records the in-flight barrier's transaction carries.
-    barrier_records: usize,
-    /// Writer handles joined to the in-flight barrier's transaction.
-    barrier_handles: usize,
-    /// Instant the in-flight barrier's transaction sealed.
-    barrier_sealed_at: Nanos,
-    /// Device time of the barrier's flush command, captured at its CQE
-    /// and re-split proportionally across the released fsyncs' tenants.
-    barrier_dev_ns: Nanos,
-    /// Whether the in-flight barrier was sealed by the background
-    /// writeback timer rather than an application fsync.
-    barrier_background: bool,
-    /// True while a barrier CQE is releasing its fsyncs: the first
-    /// target-resident release sends the barrier's single shared
-    /// acknowledgement capsule, the rest ride it.
-    barrier_ack_pending: bool,
-    /// Host arrival instant of that shared acknowledgement capsule.
-    barrier_ack_arrive: Option<Nanos>,
-    /// Fsyncs awaiting the next seal (the group-commit window).
-    window: Vec<usize>,
-    /// Seal again as soon as the in-flight barrier's CQE lands (fsyncs
-    /// queued up behind it — jbd2's chained commit).
-    window_due: bool,
-    /// Whether a valid [`Ev::CommitSeal`] timer is outstanding.
-    window_timer_armed: bool,
-    /// Epoch of valid [`Ev::CommitSeal`] events; bumped on every seal
-    /// and run reset so superseded timers die at pop time.
-    window_epoch: u64,
-    /// Whether a valid [`Ev::WritebackTick`] is outstanding.
-    wb_armed: bool,
-    /// Epoch of valid [`Ev::WritebackTick`] events.
-    wb_epoch: u64,
-    /// Per-run commit activity ([`RunReport::commit`]).
-    commit_log: CommitLog,
-    /// Per-run fsync-issue-to-barrier-CQE latency
-    /// ([`RunReport::fsync_latency`]).
-    fsync_lat: Histogram,
+    /// The group-commit barrier ([`MachineConfig::commit_policy`]).
+    barrier: Barrier,
+    /// Counters and bookkeeping of the current/last run.
+    run: RunState,
 }
 
 impl Machine {
@@ -616,7 +572,6 @@ impl Machine {
             TransportConfig::Local => cfg.transport.build(device, SimRng::seed(0)),
             TransportConfig::Fabric(_) => cfg.transport.build(device, rng.fork(2)),
         };
-        let fabric = transport.is_fabric();
         let qp_core: Vec<usize> = match cfg.qp_affinity {
             Some(map) => {
                 assert_eq!(map.len(), nr_queues, "one affinity entry per queue pair");
@@ -628,15 +583,16 @@ impl Machine {
             }
             None => (0..nr_queues).map(|q| q % cfg.cores.max(1)).collect(),
         };
+        let tenants = vec![TenantLimits::default()];
         Machine {
             now: 0,
             events: EventQueue::new(),
             cores: Cores::new(cfg.cores),
+            fabric: transport.is_fabric(),
             transport,
-            fabric,
             qp_core,
             fs: ExtFs::mkfs(cfg.fs_blocks),
-            pagecache: PageCache::new(cfg.pagecache_blocks, SECTOR_SIZE),
+            pagecache: PageCache::new(PAGECACHE_BLOCKS, SECTOR_SIZE),
             extcache: ExtentCache::new(),
             costs: cfg.costs,
             rng,
@@ -644,11 +600,9 @@ impl Machine {
             next_fd: 3,
             installs: HashMap::new(),
             next_chain_id: 0,
-            rearm_retries: 0,
             ops: Vec::new(),
             free_ops: Vec::new(),
             threads: Vec::new(),
-            doorbell_armed: vec![false; nr_queues],
             // A zero aggregation threshold is clamped to one ("fire
             // immediately"): a depth that can never be reached would
             // silently disable depth-based firing. The session builder
@@ -659,51 +613,17 @@ impl Machine {
                 cfg.irq_coalesce_us.saturating_mul(1_000),
                 cfg.irq_coalesce_depth.max(1),
             ),
-            stalled: vec![vec![Vec::new()]; nr_queues],
-            unpark_cursor: vec![0; nr_queues],
-            tenants: vec![TenantLimits::default()],
-            tstats: vec![TenantBreakdown::fresh(DEFAULT_TENANT, 1)],
-            sq_inflight: vec![vec![0]; nr_queues],
-            resub_matrix: vec![Vec::new()],
+            admission: SqAdmission::new(nr_queues),
             fair: FairSched::new(nr_queues),
             fair_reap: false,
-            load_peak: vec![0; nr_queues],
-            cid_map: HashMap::new(),
-            rng_streams: 0,
             mutations: Vec::new(),
             aborting_inos: HashSet::new(),
             resubmit_bound: cfg.resubmit_bound,
             exec_engine: cfg.exec_engine,
             exec_clock: cfg.exec_clock,
-            exec: ExecSplit::default(),
-            trace: LayerTrace::default(),
-            latency: Histogram::new(),
-            lat_read: Histogram::new(),
-            lat_write: Histogram::new(),
-            chains: 0,
-            ios: 0,
-            errors: 0,
-            resubmissions: Vec::new(),
-            until: 0,
-            commit_policy: cfg.commit_policy,
-            barrier_leader: None,
-            barrier_joined: Vec::new(),
-            barrier_seal_end: 0,
-            barrier_records: 0,
-            barrier_handles: 0,
-            barrier_sealed_at: 0,
-            barrier_dev_ns: 0,
-            barrier_background: false,
-            barrier_ack_pending: false,
-            barrier_ack_arrive: None,
-            window: Vec::new(),
-            window_due: false,
-            window_timer_armed: false,
-            window_epoch: 0,
-            wb_armed: false,
-            wb_epoch: 0,
-            commit_log: CommitLog::default(),
-            fsync_lat: Histogram::new(),
+            barrier: Barrier::new(cfg.commit_policy),
+            run: RunState::new(0, nr_queues, &tenants),
+            tenants,
         }
     }
 
@@ -716,13 +636,9 @@ impl Machine {
     ///
     /// Propagates file-system failures.
     pub fn create_file(&mut self, name: &str, data: &[u8]) -> Result<u64, KernelError> {
-        let ino = self
-            .fs
-            .create(name)
-            .map_err(|e| KernelError::Fs(e.to_string()))?;
-        self.fs
-            .write(ino, 0, data, self.transport.device_mut().store_mut())
-            .map_err(|e| KernelError::Fs(e.to_string()))?;
+        let ino = self.fs.create(name)?;
+        let store = self.transport.device_mut().store_mut();
+        self.fs.write(ino, 0, data, store)?;
         self.fs.take_events();
         Ok(ino)
     }
@@ -779,13 +695,11 @@ impl Machine {
     pub fn register_tenant(&mut self, limits: TenantLimits) -> TenantId {
         let id = self.tenants.len() as TenantId;
         self.tenants.push(limits);
-        self.tstats
+        self.run
+            .tstats
             .push(TenantBreakdown::fresh(id, limits.weight.max(1)));
-        self.resub_matrix.push(Vec::new());
-        for qp in 0..self.sq_inflight.len() {
-            self.sq_inflight[qp].push(0);
-            self.stalled[qp].push(Vec::new());
-        }
+        self.run.resub.push(Vec::new());
+        self.admission.add_tenant();
         self.fair.set_weight(id as usize, limits.weight);
         id
     }
@@ -800,27 +714,13 @@ impl Machine {
         let t = tenant as usize;
         assert!(t < self.tenants.len(), "tenant {tenant} not registered");
         self.tenants[t] = limits;
-        self.tstats[t].weight = limits.weight.max(1);
+        self.run.tstats[t].weight = limits.weight.max(1);
         self.fair.set_weight(t, limits.weight);
-    }
-
-    /// The limits a tenant was registered with.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unregistered tenant.
-    pub fn tenant_limits(&self, tenant: TenantId) -> TenantLimits {
-        self.tenants[tenant as usize]
     }
 
     /// Number of registered tenants (≥ 1: tenant 0 always exists).
     pub fn tenant_count(&self) -> usize {
         self.tenants.len()
-    }
-
-    /// The tenant owning a descriptor.
-    pub fn tenant_of(&self, fd: Fd) -> Option<TenantId> {
-        self.fds.get(&fd).map(|s| s.tenant)
     }
 
     /// Enables or disables weighted fair reaping: when on, each reap
@@ -896,10 +796,7 @@ impl Machine {
             .fds
             .get(&handle.fd)
             .ok_or(KernelError::BadFd(handle.fd))?;
-        let table = self
-            .installs
-            .get_mut(&handle.fd)
-            .ok_or(KernelError::BadHandle(handle))?;
+        let table = self.table_mut(handle)?;
         if !table.progs.contains_key(&handle.slot) {
             return Err(KernelError::BadHandle(handle));
         }
@@ -916,10 +813,7 @@ impl Machine {
     /// [`KernelError::BadHandle`] if the handle is not loaded or not the
     /// attached program.
     pub fn detach(&mut self, handle: ProgHandle) -> Result<(), KernelError> {
-        let table = self
-            .installs
-            .get_mut(&handle.fd)
-            .ok_or(KernelError::BadHandle(handle))?;
+        let table = self.table_mut(handle)?;
         if table.attached != Some(handle.slot) {
             return Err(KernelError::BadHandle(handle));
         }
@@ -934,10 +828,7 @@ impl Machine {
     ///
     /// [`KernelError::BadHandle`] for unknown handles.
     pub fn unload(&mut self, handle: ProgHandle) -> Result<(), KernelError> {
-        let table = self
-            .installs
-            .get_mut(&handle.fd)
-            .ok_or(KernelError::BadHandle(handle))?;
+        let table = self.table_mut(handle)?;
         if table.progs.remove(&handle.slot).is_none() {
             return Err(KernelError::BadHandle(handle));
         }
@@ -945,6 +836,12 @@ impl Machine {
             table.attached = None;
         }
         Ok(())
+    }
+
+    fn table_mut(&mut self, handle: ProgHandle) -> Result<&mut ProgTable, KernelError> {
+        self.installs
+            .get_mut(&handle.fd)
+            .ok_or(KernelError::BadHandle(handle))
     }
 
     /// The handle of the program currently attached to `fd`, if any.
@@ -955,14 +852,8 @@ impl Machine {
 
     /// Pushes a fresh extent snapshot for `ino` to the NVMe layer.
     fn snapshot_extents(&mut self, ino: u64) -> Result<(), KernelError> {
-        let (_, unmap_gen) = self
-            .fs
-            .generations(ino)
-            .map_err(|e| KernelError::Fs(e.to_string()))?;
-        let snapshot = self
-            .fs
-            .extents_snapshot(ino)
-            .map_err(|e| KernelError::Fs(e.to_string()))?;
+        let (_, unmap_gen) = self.fs.generations(ino)?;
+        let snapshot = self.fs.extents_snapshot(ino)?;
         self.extcache.install(ino, snapshot, unmap_gen);
         self.aborting_inos.remove(&ino);
         Ok(())
@@ -1011,12 +902,12 @@ impl Machine {
     }
 
     /// Direct mutable FS + store access for setup.
-    pub fn fs_and_store(&mut self) -> (&mut ExtFs, &mut bpfstor_device::SectorStore) {
+    pub fn fs_and_store(&mut self) -> (&mut ExtFs, &mut SectorStore) {
         (&mut self.fs, self.transport.device_mut().store_mut())
     }
 
     /// The extent-cache statistics.
-    pub fn extcache_stats(&self) -> crate::extcache::ExtCacheStats {
+    pub fn extcache_stats(&self) -> ExtCacheStats {
         self.extcache.stats()
     }
 
@@ -1027,9 +918,12 @@ impl Machine {
 
     /// §4 fairness accounting: chained NVMe resubmissions per thread in
     /// the last run — the counters the paper proposes the NVMe layer
-    /// periodically passes up to the BIO layer.
-    pub fn resubmission_accounting(&self) -> &[u64] {
-        &self.resubmissions
+    /// periodically passes up to the BIO layer (summed over tenants).
+    pub fn resubmission_accounting(&self) -> Vec<u64> {
+        let threads = self.run.resub.iter().map(Vec::len).max().unwrap_or(0);
+        (0..threads)
+            .map(|t| self.run.resub.iter().filter_map(|row| row.get(t)).sum())
+            .collect()
     }
 
     /// §4 fairness accounting keyed by (tenant, thread): chained NVMe
@@ -1042,25 +936,14 @@ impl Machine {
     ///
     /// Panics on an unregistered tenant.
     pub fn resubmission_accounting_for(&self, tenant: TenantId) -> &[u64] {
-        &self.resub_matrix[tenant as usize]
+        &self.run.resub[tenant as usize]
     }
 
     /// Device counters for the current/last run: doorbell rings,
     /// interrupts, reaped CQEs, and backpressure rejections. On a
     /// fabric transport these are target-side counters.
-    pub fn device_stats(&self) -> bpfstor_device::DeviceStats {
+    pub fn device_stats(&self) -> DeviceStats {
         self.transport.device().stats()
-    }
-
-    /// Fabric counters for the current/last run (all zero on the local
-    /// transport).
-    pub fn fabric_stats(&self) -> FabricStats {
-        self.transport.fabric_stats()
-    }
-
-    /// True when the ring→device hop crosses an NVMe-oF fabric.
-    pub fn is_fabric(&self) -> bool {
-        self.fabric
     }
 
     /// The core whose interrupt handler serves queue pair `qp` (MSI-X
@@ -1126,7 +1009,7 @@ impl Machine {
         // boundary: size the request to cover the unaligned head too,
         // then trim to the requested byte range.
         let skip = (off % SECTOR_SIZE as u64) as usize;
-        let spec = ChainSpec::Read(crate::chain::ChainStart {
+        let spec = ChainSpec::Read(ChainStart {
             fd,
             file_off: off - skip as u64,
             len: (skip + len) as u32,
@@ -1150,9 +1033,7 @@ impl Machine {
     ///
     /// Propagates file-system failures.
     pub fn unlink_file(&mut self, name: &str) -> Result<(), KernelError> {
-        self.fs
-            .unlink(name)
-            .map_err(|e| KernelError::Fs(e.to_string()))?;
+        self.fs.unlink(name)?;
         self.apply_fs_events();
         Ok(())
     }
@@ -1170,14 +1051,7 @@ impl Machine {
     /// A reusable internal descriptor for by-inode synchronous I/O.
     fn sync_fd(&mut self, ino: u64) -> Fd {
         const SYNC_FD: Fd = u32::MAX;
-        self.fds.insert(
-            SYNC_FD,
-            FdState {
-                ino,
-                o_direct: true,
-                tenant: DEFAULT_TENANT,
-            },
-        );
+        self.fds.insert(SYNC_FD, FdState::kernel(ino));
         SYNC_FD
     }
 
@@ -1202,16 +1076,10 @@ impl Machine {
                 ChainVerdict::Done
             }
         }
-        let saved_until = self.until;
-        self.until = Nanos::MAX;
-        if self.threads.is_empty() {
-            self.threads.push(ThreadState {
-                stopped: false,
-                uring: None,
-            });
-        } else {
-            self.threads[0].stopped = false;
-            self.threads[0].uring = None;
+        let saved_until = std::mem::replace(&mut self.run.until, Nanos::MAX);
+        match self.threads.first_mut() {
+            Some(t) => *t = ThreadState::default(),
+            None => self.threads.push(ThreadState::default()),
         }
         let mut d = OneShot {
             spec: Some(spec),
@@ -1220,31 +1088,14 @@ impl Machine {
         self.events.push(self.now, Ev::AppStart { thread: 0 });
         // Drive only this chain to delivery — do NOT drain the whole
         // queue, which may hold mutations scheduled for a future run.
-        // One-shot ops run between runs, so a queued event may predate
-        // the current clock (runs reset `now` to 0): clamp instead of
-        // asserting monotonicity.
-        while d.out.is_none() {
-            let Some((t, ev)) = self.events.pop() else {
-                break;
-            };
-            if self.stale_timer(&ev) {
-                continue;
-            }
-            self.now = self.now.max(t);
-            self.dispatch_ev(ev, &mut d);
-        }
+        while d.out.is_none() && self.step(&mut d) {}
         // Consume the op's own trailing bookkeeping (the AppStart pushed
         // at delivery, any already-due timers) without touching events
         // scheduled strictly in the future.
         while self.events.peek_time().is_some_and(|t| t <= self.now) {
-            let (t, ev) = self.events.pop().expect("peeked");
-            if self.stale_timer(&ev) {
-                continue;
-            }
-            self.now = self.now.max(t);
-            self.dispatch_ev(ev, &mut d);
+            self.step(&mut d);
         }
-        self.until = saved_until;
+        self.run.until = saved_until;
         d.out
             .ok_or_else(|| KernelError::Fs("one-shot chain never delivered".to_string()))
     }
@@ -1272,27 +1123,33 @@ impl Machine {
         }
         let cost = self.costs.fab_encode * n + self.costs.fab_encode_per_kb * payload_bytes / 1024;
         self.charge(cost);
-        self.trace.fabric += cost;
+        self.run.trace.fabric += cost;
     }
 
-    /// Terminal hop of a target-resident (pushdown-over-fabric) chain:
-    /// the target runs its final work (`target_cost`), encodes the
-    /// response capsule, and puts it on the wire; the host unwinds its
-    /// completion path when the capsule arrives ([`Ev::CapsuleRx`]).
-    /// Returns the capsule's host arrival instant so a grouped commit
-    /// barrier can ack its other released fsyncs on the same capsule.
-    fn send_response_capsule(&mut self, id: usize, target_cost: Nanos) -> Nanos {
-        let cost = target_cost + self.costs.fab_encode;
-        let end = self.charge(cost);
-        self.trace.fabric += self.costs.fab_encode;
-        let initiator = self.ops[id].as_ref().expect("op").tenant;
-        let (arrive, wire) = self
-            .transport
-            .response_capsule(end, initiator)
-            .expect("target-resident chains require a fabric transport");
-        self.trace.fabric_wire += wire;
-        self.events.push(arrive, Ev::CapsuleRx { op: id });
-        arrive
+    /// A synchronous request's app think + full submission burst (the
+    /// layer walk down to the driver) as one CPU job, after which the op
+    /// reaches the device path.
+    fn sync_submit(&mut self, id: usize, write: bool) {
+        let c = self.costs;
+        let submit = if write {
+            c.sync_write_submit()
+        } else {
+            c.sync_submit()
+        };
+        let end = self.charge(c.app_think + submit);
+        let t = &mut self.run.trace;
+        t.app += c.app_think;
+        t.crossing += c.crossing_enter;
+        t.syscall += c.syscall;
+        t.bio += c.bio_submit;
+        t.drv += c.drv_submit;
+        if write {
+            t.fs += c.wr_fs_submit;
+            t.journal += c.journal_log;
+        } else {
+            t.fs += c.fs_submit;
+        }
+        self.events.push(end, Ev::DevSubmit { op: id });
     }
 
     /// True when the chain's outcome lives on the NVMe-oF target and
@@ -1302,25 +1159,66 @@ impl Machine {
     fn target_resident(&self, id: usize) -> bool {
         self.ops[id]
             .as_ref()
-            .is_some_and(|op| op.remote_pushdown && op.ios > 0)
+            .is_some_and(|op| op.fab.pushdown && op.ios > 0)
+    }
+
+    /// The host-side completion path up to the application: `extra`
+    /// plus the completion burst as one CPU job, then delivery. The
+    /// only place a terminal [`Ev::Delivered`] is scheduled.
+    fn unwind(&mut self, id: usize, extra: Nanos) {
+        let c = self.costs;
+        let end = self.charge(extra + c.sync_complete());
+        let t = &mut self.run.trace;
+        t.drv += c.drv_complete;
+        t.bio += c.bio_complete;
+        t.fs += c.fs_complete;
+        t.crossing += c.crossing_exit;
+        self.events.push(end, Ev::Delivered { op: id });
+    }
+
+    /// Terminal hop of a chain after `extra` of final CPU work (the
+    /// hook's run, or nothing). A local chain unwinds the completion
+    /// stack directly. A target-resident chain's outcome returns as one
+    /// response capsule — the target does the work and encodes the
+    /// capsule, and the host unwinds when it arrives
+    /// ([`Ev::CapsuleRx`]); the arrival instant is returned so a
+    /// grouped commit barrier can ack its other released fsyncs on the
+    /// same capsule.
+    fn deliver(&mut self, id: usize, extra: Nanos) -> Option<Nanos> {
+        if !self.target_resident(id) {
+            self.unwind(id, extra);
+            return None;
+        }
+        let end = self.charge(extra + self.costs.fab_encode);
+        self.run.trace.fabric += self.costs.fab_encode;
+        let initiator = self.ops[id].as_ref().expect("op").tenant;
+        let (arrive, wire) = self
+            .transport
+            .response_capsule(end, initiator)
+            .expect("target-resident chains require a fabric transport");
+        self.run.trace.fabric_wire += wire;
+        self.events.push(arrive, Ev::CapsuleRx { op: id });
+        Some(arrive)
+    }
+
+    /// Ends the chain with `status` after `extra` of final CPU work
+    /// (over a fabric, a failure caught at the target returns as its
+    /// response capsule first).
+    fn fail(&mut self, id: usize, status: ChainStatus, extra: Nanos) {
+        self.ops[id].as_mut().expect("op").status = Some(status);
+        self.deliver(id, extra);
     }
 
     /// §4 fairness accounting: one chained kernel-side resubmission on
     /// behalf of `(tenant, thread)` (read hop recycle or write flush
-    /// chase). The per-thread view sums across tenants; the per-tenant
-    /// matrix keeps each tenant's charges separate so one tenant hitting
-    /// its bound never bills another.
+    /// chase). Each tenant's charges stay in its own row, so one tenant
+    /// hitting its bound never bills another.
     fn note_resubmission(&mut self, tenant: TenantId, thread: usize) {
-        if self.resubmissions.len() <= thread {
-            self.resubmissions.resize(thread + 1, 0);
-        }
-        self.resubmissions[thread] += 1;
-        let row = &mut self.resub_matrix[tenant as usize];
+        let row = &mut self.run.resub[tenant as usize];
         if row.len() <= thread {
             row.resize(thread + 1, 0);
         }
         row[thread] += 1;
-        self.tstats[tenant as usize].resubmissions += 1;
     }
 
     /// The §4 chained-resubmission bound in force for a tenant: its own
@@ -1331,53 +1229,9 @@ impl Machine {
             .unwrap_or(self.resubmit_bound)
     }
 
-    /// True when `tenant` may put `n` more commands on `qp` under its
-    /// SQ slot budget. A tenant with nothing in flight is always
-    /// admitted, so a request wider than its budget cannot park forever.
-    fn tenant_can_submit(&self, qp: usize, tenant: TenantId, n: usize) -> bool {
-        let t = tenant as usize;
-        match self.tenants[t].sq_slots {
-            None => true,
-            Some(budget) => {
-                let inflight = self.sq_inflight[qp][t];
-                inflight == 0 || inflight + n <= budget
-            }
-        }
-    }
-
-    /// Re-issues parked submissions after completions freed SQ slots or
-    /// tenant budget: one op per tenant per round-robin pass, starting
-    /// after the tenant served first on the previous unpark, so no
-    /// tenant's parked queue starves behind another's. With a single
-    /// tenant this is exactly the old FIFO drain.
-    fn unpark(&mut self, qp: usize) {
-        let nt = self.stalled[qp].len();
-        let total: usize = self.stalled[qp].iter().map(Vec::len).sum();
-        if total == 0 {
-            return;
-        }
-        let mut queues: Vec<std::collections::VecDeque<usize>> = self.stalled[qp]
-            .iter_mut()
-            .map(|q| std::mem::take(q).into())
-            .collect();
-        let start = self.unpark_cursor[qp] % nt;
-        let mut out = Vec::with_capacity(total);
-        while out.len() < total {
-            for i in 0..nt {
-                if let Some(id) = queues[(start + i) % nt].pop_front() {
-                    out.push(id);
-                }
-            }
-        }
-        self.unpark_cursor[qp] = (start + 1) % nt;
-        for id in out {
-            self.events.push(self.now, Ev::DevSubmit { op: id });
-        }
-    }
-
-    /// Whether any submission is parked on `qp` (budget or backpressure).
-    fn has_stalled(&self, qp: usize) -> bool {
-        self.stalled[qp].iter().any(|q| !q.is_empty())
+    /// Chains completed so far this run (all tenants).
+    fn chains_done(&self) -> u64 {
+        self.run.tstats.iter().map(|t| t.chains).sum()
     }
 
     // --- Run loops -----------------------------------------------------------
@@ -1390,20 +1244,7 @@ impl Machine {
         until: Nanos,
         driver: &mut dyn ChainDriver,
     ) -> RunReport {
-        self.begin_run(until);
-        self.threads = (0..nthreads)
-            .map(|_| ThreadState {
-                stopped: false,
-                uring: None,
-            })
-            .collect();
-        for t in 0..nthreads {
-            // Small stagger desynchronises thread start-up.
-            self.events
-                .push((t as Nanos) * 97, Ev::AppStart { thread: t });
-        }
-        self.event_loop(driver);
-        self.finish_run()
+        self.run(nthreads, None, until, driver)
     }
 
     /// Runs an io_uring workload: each thread keeps `batch` SQEs in
@@ -1415,194 +1256,149 @@ impl Machine {
         until: Nanos,
         driver: &mut dyn ChainDriver,
     ) -> RunReport {
+        self.run(nthreads, Some(batch), until, driver)
+    }
+
+    fn run(
+        &mut self,
+        nthreads: usize,
+        uring_batch: Option<u32>,
+        until: Nanos,
+        driver: &mut dyn ChainDriver,
+    ) -> RunReport {
         self.begin_run(until);
         self.threads = (0..nthreads)
             .map(|_| ThreadState {
                 stopped: false,
-                uring: Some(UringState {
+                uring: uring_batch.map(|batch| UringState {
                     batch,
                     pending: 0,
                     queue: Vec::new(),
-                    reaped_since_enter: 0,
                 }),
             })
             .collect();
         for t in 0..nthreads {
+            // Small stagger desynchronises thread start-up.
             self.events
                 .push((t as Nanos) * 97, Ev::AppStart { thread: t });
         }
-        self.event_loop(driver);
+        while let Some(t) = self.events.peek_time() {
+            debug_assert!(t >= self.now, "time went backwards");
+            self.step(driver);
+        }
         self.finish_run()
     }
 
     fn begin_run(&mut self, until: Nanos) {
-        self.until = until;
         self.now = 0;
         self.cores.reset();
         self.transport.reset_timing();
-        self.trace = LayerTrace::default();
-        self.exec = ExecSplit::default();
-        self.latency = Histogram::new();
-        self.lat_read = Histogram::new();
-        self.lat_write = Histogram::new();
-        self.chains = 0;
-        self.ios = 0;
-        self.errors = 0;
-        // next_chain_id deliberately NOT reset: token ids stay unique
-        // across runs of one machine, so driver state keyed by token id
-        // can never collide with a stale entry from an earlier run.
-        self.rearm_retries = 0;
-        self.resubmissions.clear();
-        for armed in &mut self.doorbell_armed {
-            *armed = false;
-        }
         self.reaper.reset();
-        for per_qp in &mut self.stalled {
-            for q in per_qp.iter_mut() {
-                q.clear();
-            }
-        }
-        for c in &mut self.unpark_cursor {
-            *c = 0;
-        }
-        for (t, stats) in self.tstats.iter_mut().enumerate() {
-            *stats = TenantBreakdown::fresh(t as TenantId, self.tenants[t].weight.max(1));
-        }
-        for per_qp in &mut self.sq_inflight {
-            for n in per_qp.iter_mut() {
-                *n = 0;
-            }
-        }
-        for row in &mut self.resub_matrix {
-            row.clear();
-        }
         self.fair.reset();
-        self.cid_map.clear();
-        self.rng_streams = 0;
-        // Commit-layer state: a run never starts with a barrier in
-        // flight (every prior chain delivered), so only the stats and
-        // timer epochs reset — the epoch bumps kill any timer events
-        // left in the queue by an earlier run or one-shot.
-        debug_assert!(self.barrier_leader.is_none());
-        debug_assert!(self.barrier_joined.is_empty() && self.window.is_empty());
-        self.window_epoch += 1;
-        self.window_timer_armed = false;
-        self.window_due = false;
-        self.wb_epoch += 1;
-        self.wb_armed = false;
-        self.commit_log = CommitLog::default();
-        self.fsync_lat = Histogram::new();
+        self.admission.reset();
+        self.barrier.reset();
+        self.run = RunState::new(until, self.transport.nr_queues(), &self.tenants);
     }
 
+    /// Builds the report. Every aggregate that has a per-tenant twin is
+    /// the sum over [`RunReport::tenants`], here and nowhere else.
     fn finish_run(&mut self) -> RunReport {
         let sim_time = self.now.max(1);
         let secs = sim_time as f64 / 1e9;
+        let (mut chains, mut errors, mut resubmissions) = (0, 0, 0);
+        let (mut latency, mut fsync_latency) = (Histogram::new(), Histogram::new());
+        let mut exec = ExecSplit::default();
+        let mut commit = self.run.commit_log;
+        for (t, row) in self.run.tstats.iter_mut().zip(&self.run.resub) {
+            t.resubmissions = row.iter().sum();
+            chains += t.chains;
+            errors += t.errors;
+            resubmissions += t.resubmissions;
+            latency.merge(&t.latency);
+            fsync_latency.merge(&t.fsync_latency);
+            exec.absorb(&t.exec);
+            commit.fsyncs += t.fsyncs;
+            commit.barrier_joins += t.barrier_joins;
+        }
         RunReport {
             sim_time,
-            chains: self.chains,
-            ios: self.ios,
-            errors: self.errors,
-            iops: self.ios as f64 / secs,
-            chains_per_sec: self.chains as f64 / secs,
-            latency: self.latency.clone(),
-            read_latency: self.lat_read.clone(),
-            write_latency: self.lat_write.clone(),
-            fsync_latency: self.fsync_lat.clone(),
+            chains,
+            ios: self.run.ios,
+            errors,
+            iops: self.run.ios as f64 / secs,
+            chains_per_sec: chains as f64 / secs,
+            latency,
+            read_latency: self.run.lat_read.clone(),
+            write_latency: self.run.lat_write.clone(),
+            fsync_latency,
             cpu_util: self.cores.utilization(sim_time),
             device_util: self.transport.device().utilization(sim_time),
             device: self.transport.device().stats(),
             fabric: self.transport.fabric_stats(),
             fabric_initiators: self.transport.initiator_stats(),
-            trace: self.trace,
+            trace: self.run.trace,
             extcache: self.extcache.stats(),
-            resubmissions: self.resubmissions.iter().sum(),
-            rearm_retries: self.rearm_retries,
+            resubmissions,
+            rearm_retries: self.run.rearm_retries,
             reaper: self.reaper.stats().clone(),
-            tenants: self.tstats.clone(),
-            exec: self.exec,
-            commit: self.commit_log,
+            tenants: self.run.tstats.clone(),
+            exec,
+            commit,
         }
     }
 
-    /// Commit activity accumulated since the last run began (also in
-    /// [`RunReport::commit`]).
-    pub fn commit_log(&self) -> CommitLog {
-        self.commit_log
-    }
-
-    /// The commit policy the machine was built with.
-    pub fn commit_policy(&self) -> CommitPolicy {
-        self.commit_policy
-    }
-
-    /// Completion-reaping counters accumulated since the last run began.
-    pub fn reaper_stats(&self) -> &ReaperStats {
-        self.reaper.stats()
-    }
-
-    fn event_loop(&mut self, driver: &mut dyn ChainDriver) {
-        while let Some((t, ev)) = self.events.pop() {
-            // Superseded commit timers die *before* the clock advances,
-            // so a stale tick from an earlier epoch can never inflate a
-            // later run's sim_time.
-            if self.stale_timer(&ev) {
-                continue;
-            }
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.dispatch_ev(ev, driver);
-        }
-    }
-
-    /// True for an epoch-tagged commit timer superseded by a later seal
-    /// or run reset. Checked at pop time in every event loop.
-    fn stale_timer(&self, ev: &Ev) -> bool {
-        match *ev {
-            Ev::CommitSeal { epoch } => epoch != self.window_epoch,
-            Ev::WritebackTick { epoch } => epoch != self.wb_epoch,
+    /// The one event-loop body: pop, drop a superseded commit timer
+    /// *before* the clock advances (so a stale tick from an earlier
+    /// epoch can never inflate a later run's `sim_time`), advance, and
+    /// dispatch. Returns `false` once the queue is empty. One-shot ops
+    /// run between runs, when a queued event may predate the current
+    /// clock (runs reset `now` to 0), so the clock clamps rather than
+    /// steps back.
+    fn step(&mut self, driver: &mut dyn ChainDriver) -> bool {
+        let Some((t, ev)) = self.events.pop() else {
+            return false;
+        };
+        let stale = match ev {
+            Ev::CommitSeal { epoch } => self.barrier.seal_timer_stale(epoch),
+            Ev::WritebackTick { epoch } => self.barrier.writeback_tick_stale(epoch),
             _ => false,
+        };
+        if stale {
+            return true;
         }
-    }
-
-    fn dispatch_ev(&mut self, ev: Ev, driver: &mut dyn ChainDriver) {
+        self.now = self.now.max(t);
         match ev {
             Ev::AppStart { thread } => self.on_app_start(thread, driver),
             Ev::DevSubmit { op } => self.on_dev_submit(op),
-            Ev::CacheHit { op } => self.on_device_done(op, driver),
+            Ev::CacheHit { op } => self.on_device_done(op),
             Ev::Doorbell { qp } => self.on_doorbell(qp),
-            Ev::IrqFire { qp } => self.on_irq_fire(qp, driver),
-            Ev::Poll { qp } => self.on_poll(qp, driver),
+            Ev::IrqFire { qp } => self.on_irq_fire(qp),
+            Ev::Poll { qp } => self.on_poll(qp),
             Ev::Delivered { op } => self.on_delivered(op, driver),
             Ev::CapsuleRx { op } => self.on_capsule_rx(op),
             Ev::Mutate { idx } => self.on_mutate(idx),
             Ev::CommitSeal { .. } => self.on_commit_seal(),
             Ev::WritebackTick { .. } => self.on_writeback_tick(),
         }
+        true
     }
 
     /// A terminal pushdown response capsule reaches the host: decode it
     /// and unwind the initiator-side completion path to the application.
-    /// A write chain unwinds the write completion path; an fsync that
-    /// rode a shared barrier's acknowledgement capsule
-    /// ([`Op::capsule_joined`]) skips the decode — the capsule was
-    /// decoded once by the barrier leader.
+    /// An fsync that rode a shared barrier's acknowledgement capsule
+    /// ([`FabricState::capsule_joined`]) skips the decode — the capsule
+    /// was decoded once by the barrier leader.
     fn on_capsule_rx(&mut self, id: usize) {
         let Some(op) = self.ops[id].as_ref() else {
             return;
         };
-        let unwind = match op.kind {
-            OpKind::Read => self.costs.sync_complete(),
-            _ => self.costs.sync_write_complete(),
-        };
-        let decode = if op.capsule_joined {
+        let decode = if op.fab.capsule_joined {
             0
         } else {
             self.costs.fab_decode
         };
-        let end = self.charge(decode + unwind);
-        self.trace.fabric += decode;
-        self.account_complete_trace();
-        self.events.push(end, Ev::Delivered { op: id });
+        self.run.trace.fabric += decode;
+        self.unwind(id, decode);
     }
 
     // --- Op slab --------------------------------------------------------------
@@ -1622,6 +1418,17 @@ impl Machine {
         self.free_ops.push(id);
     }
 
+    /// Mints the token of a chain starting now.
+    fn next_token(&mut self, tenant: TenantId, arg: u64) -> ChainToken {
+        self.next_chain_id += 1;
+        ChainToken {
+            id: self.next_chain_id - 1,
+            tenant,
+            arg,
+            issued: self.now,
+        }
+    }
+
     // --- Event handlers ---------------------------------------------------------
 
     fn on_app_start(&mut self, thread: usize, driver: &mut dyn ChainDriver) {
@@ -1632,11 +1439,11 @@ impl Machine {
             self.uring_enter(thread, driver);
             return;
         }
-        if self.now >= self.until {
+        if self.now >= self.run.until {
             self.threads[thread].stopped = true;
             return;
         }
-        let mut rng = self.rng.fork(thread as u64 * 7919 + self.chains);
+        let mut rng = self.rng.fork(thread as u64 * 7919 + self.chains_done());
         let Some(spec) = driver.next_op(thread, &mut rng) else {
             self.threads[thread].stopped = true;
             return;
@@ -1653,135 +1460,38 @@ impl Machine {
         origin: Origin,
         attempts: u32,
     ) -> Option<usize> {
-        let (fd, file_off, len, arg, kind, wr_data) = match spec {
-            ChainSpec::Read(s) => (s.fd, s.file_off, s.len, s.arg, OpKind::Read, Vec::new()),
-            ChainSpec::Write(w) => {
-                let len = w.data.len() as u32;
-                (
-                    w.fd,
-                    w.file_off,
-                    len,
-                    w.arg,
-                    OpKind::WriteData { fsync: w.fsync },
-                    w.data,
-                )
-            }
+        let (start, kind, wr_data) = match spec {
+            ChainSpec::Read(s) => (s, OpKind::Read, Vec::new()),
+            ChainSpec::Write(w) => (
+                ChainStart {
+                    fd: w.fd,
+                    file_off: w.file_off,
+                    len: w.data.len() as u32,
+                    arg: w.arg,
+                },
+                OpKind::WriteData { fsync: w.fsync },
+                w.data,
+            ),
         };
-        let st = self.fds.get(&fd).copied()?;
-        let mut scratch = vec![0u8; SCRATCH_SIZE];
-        scratch[..8].copy_from_slice(&arg.to_le_bytes());
-        let token = ChainToken {
-            id: self.next_chain_id,
-            tenant: st.tenant,
-            arg,
-            issued: self.now,
-        };
-        self.next_chain_id += 1;
-        let op = Op {
-            thread,
-            fd,
-            tenant: st.tenant,
-            ino: st.ino,
-            kind,
-            mode,
-            origin,
-            token,
-            first_off: file_off,
-            first_len: len,
-            attempts,
-            file_off,
-            len,
-            hop: 0,
-            insns_used: 0,
-            ios: 0,
-            started: self.now,
-            data: Vec::new(),
-            device_ns: 0,
-            scratch,
-            emitted: Vec::new(),
-            status: None,
-            o_direct: st.o_direct,
-            seg_data: Vec::new(),
-            segs_pending: 0,
-            submitted_at: 0,
-            phys_target: None,
-            recycled: false,
-            wr_data,
-            wr_segments: None,
-            wr_lb: 0,
-            wr_nblocks: 0,
-            remote_pushdown: self.fabric
-                && mode == DispatchMode::DriverHook
-                && matches!(kind, OpKind::Read | OpKind::WriteData { .. }),
-            capsule_joined: false,
-            journal_end: 0,
-            fsync_from: 0,
-            internal: false,
-        };
+        let st = self.fds.get(&start.fd).copied()?;
+        let token = self.next_token(st.tenant, start.arg);
+        let mut op = Op::new(thread, start.fd, st, kind, mode, origin, token);
+        op.scratch = vec![0u8; SCRATCH_SIZE];
+        op.scratch[..8].copy_from_slice(&start.arg.to_le_bytes());
+        (op.first_off, op.file_off, op.len) = (start.file_off, start.file_off, start.len);
+        op.attempts = attempts;
+        op.wr.data = wr_data;
+        op.fab.pushdown = self.fabric && mode == DispatchMode::DriverHook;
         let id = self.alloc_op(op);
         if origin == Origin::Sync {
-            // App think + full submission burst in one CPU job.
-            let submit = match kind {
-                OpKind::Read => self.costs.sync_submit(),
-                _ => self.costs.sync_write_submit(),
-            };
-            let cost = self.costs.app_think + submit;
-            let end = self.charge(cost);
-            self.trace.app += self.costs.app_think;
-            match kind {
-                OpKind::Read => self.account_submit_trace(),
-                _ => self.account_write_submit_trace(),
-            }
-            self.events.push(end, Ev::DevSubmit { op: id });
+            self.sync_submit(id, kind != OpKind::Read);
         }
         Some(id)
     }
 
-    fn account_submit_trace(&mut self) {
-        self.trace.crossing += self.costs.crossing_enter;
-        self.trace.syscall += self.costs.syscall;
-        self.trace.fs += self.costs.fs_submit;
-        self.trace.bio += self.costs.bio_submit;
-        self.trace.drv += self.costs.drv_submit;
-    }
-
-    fn account_write_submit_trace(&mut self) {
-        self.trace.crossing += self.costs.crossing_enter;
-        self.trace.syscall += self.costs.syscall;
-        self.trace.fs += self.costs.wr_fs_submit;
-        self.trace.journal += self.costs.journal_log;
-        self.trace.bio += self.costs.bio_submit;
-        self.trace.drv += self.costs.drv_submit;
-    }
-
-    /// Fails the op's current request and schedules delivery after the
-    /// completion-side CPU burst. For a target-resident chain (a stale
-    /// recycled hop caught at the target) the failure returns to the
-    /// host as a response capsule first.
-    fn fail_submit(&mut self, id: usize, status: ChainStatus, unwind_trace: bool) {
-        let op = self.ops[id].as_mut().expect("op");
-        op.status = Some(status);
-        if self.target_resident(id) {
-            self.send_response_capsule(id, 0);
-            return;
-        }
-        let cost = self.costs.sync_complete();
-        let end = self.charge(cost);
-        if unwind_trace {
-            self.account_complete_trace();
-        }
-        self.events.push(end, Ev::Delivered { op: id });
-    }
-
-    /// Issues the op's current target to the device: translate, enqueue
-    /// every segment on the thread's submission ring, and arm the
-    /// doorbell. First hops and user-path reissues translate through
-    /// live FS metadata (the normal submission path did this work
-    /// inside `fs_submit` cost); recycled driver-hook hops carry the
-    /// extent-snapshot's physical target and *never* consult the FS —
-    /// a snapshot that went stale aborts the chain instead of silently
-    /// healing. A queue pair at capacity parks the op until the next
-    /// completion interrupt frees slots (EBUSY-style backpressure).
+    /// Issues the op's current target to the device. A queue pair at
+    /// capacity parks the op until the next completion interrupt frees
+    /// slots (EBUSY-style backpressure).
     fn on_dev_submit(&mut self, id: usize) {
         let Some(op) = self.ops[id].as_ref() else {
             return;
@@ -1789,304 +1499,210 @@ impl Machine {
         match op.kind {
             OpKind::Read => self.submit_read(id),
             OpKind::WriteData { fsync } => self.submit_write_data(id, fsync),
-            OpKind::WriteFlush => self.submit_write_flush(id),
+            // The fsync flush barrier; its CQE commits the journal.
+            OpKind::WriteFlush => self.submit_segments(id, 1, |_| std::iter::once(NvmeOp::Flush)),
         }
     }
 
-    /// Plans (on the first attempt) and submits a write chain's payload
-    /// as `Write` commands on the thread's queue pair: the file system
-    /// performs the metadata half (allocation, journal records, size)
-    /// and the data rides the same SQ/CQ rings as reads — paying
-    /// queueing delay, the shared doorbell, and the coalesced interrupt.
-    /// A full queue pair parks the op exactly like a read.
-    fn submit_write_data(&mut self, id: usize, fsync: bool) {
+    /// Puts the `n` commands of the op's current device request on its
+    /// thread's queue pair — the one submission path reads, journaled
+    /// writes and flush barriers (application or writeback) all share.
+    /// The request must fit the tenant's SQ slot budget and the queue
+    /// pair as a whole, or the op parks until the next reap frees
+    /// slots; `cmds` is only called (to take the commands out of the
+    /// op) once the request is admitted, so a parked op keeps its plan.
+    fn submit_segments<I: Iterator<Item = NvmeOp>>(
+        &mut self,
+        id: usize,
+        n: usize,
+        cmds: impl FnOnce(&mut Op) -> I,
+    ) {
         let op = self.ops[id].as_ref().expect("op");
-        let (ino, file_off, thread, tenant) = (op.ino, op.file_off, op.thread, op.tenant);
-        if op.wr_segments.is_none() {
-            // First attempt: metadata plan + payload assembly. The plan
-            // survives backpressure parking (no double allocation).
-            let len = op.wr_data.len();
-            if len == 0 {
-                // Pure fsync: skip straight to the flush barrier.
-                if fsync {
-                    let journal_end = self.fs.journal_len();
-                    let grouped = self.commit_policy.is_grouped();
-                    let op = self.ops[id].as_mut().expect("op");
-                    op.kind = OpKind::WriteFlush;
-                    op.fsync_from = self.now;
-                    // A pure fsync wants everything logged so far
-                    // durable, not just its own (absent) records.
-                    op.journal_end = journal_end;
-                    self.commit_log.fsyncs += 1;
-                    self.tstats[tenant as usize].fsyncs += 1;
-                    if grouped {
-                        self.fsync_request_barrier(id);
-                    } else {
-                        self.submit_write_flush(id);
-                    }
-                } else {
-                    // Zero-byte write: nothing to do.
-                    let op = self.ops[id].as_mut().expect("op");
-                    op.status = Some(ChainStatus::Written(0));
-                    let end = self.charge(self.costs.sync_write_complete());
-                    self.account_complete_trace();
-                    self.events.push(end, Ev::Delivered { op: id });
-                }
-                return;
-            }
-            let plan = match self.fs.plan_write(
-                ino,
-                file_off,
-                len,
-                self.transport.device_mut().store_mut(),
-            ) {
-                Ok(p) => p,
-                Err(_) => {
-                    self.fail_submit(id, ChainStatus::IoError, false);
-                    return;
-                }
-            };
-            // Assemble per-segment payloads, read-modify-writing the
-            // partial edge blocks from the current stored bytes.
-            let bs = SECTOR_SIZE as u64;
-            let first_lb = file_off / bs;
-            let last_lb = (file_off + len as u64 - 1) / bs;
-            let nblocks = last_lb - first_lb + 1;
-            let mut blocks: Vec<Vec<u8>> = Vec::with_capacity(nblocks as usize);
-            {
-                let op = self.ops[id].as_ref().expect("op");
-                let mut pos = file_off;
-                let mut remaining = &op.wr_data[..];
-                let mut segs = plan.iter();
-                let mut cur: Option<(u64, u64)> = None; // (phys base, blocks left)
-                for lb in first_lb..=last_lb {
-                    let (base, left) = match cur {
-                        Some((b, l)) if l > 0 => (b, l),
-                        _ => {
-                            let &(b, l) = segs.next().expect("plan covers range");
-                            (b, l)
-                        }
-                    };
-                    let phys = base;
-                    cur = Some((base + 1, left - 1));
-                    let in_block = (pos % bs) as usize;
-                    let chunk = remaining.len().min(SECTOR_SIZE - in_block);
-                    let block = if in_block == 0 && chunk == SECTOR_SIZE {
-                        remaining[..SECTOR_SIZE].to_vec()
-                    } else {
-                        let mut buf = self.transport.device_mut().store_mut().read(phys, 1);
-                        buf[in_block..in_block + chunk].copy_from_slice(&remaining[..chunk]);
-                        buf
-                    };
-                    let _ = lb;
-                    blocks.push(block);
-                    pos += chunk as u64;
-                    remaining = &remaining[chunk..];
-                }
-            }
-            // Re-chunk the per-block payloads into the plan's physically
-            // contiguous segments (one SQE per segment, like the bio
-            // layer merging adjacent blocks).
-            let mut segments: Vec<(u64, Vec<u8>)> = Vec::with_capacity(plan.len());
-            let mut block_iter = blocks.into_iter();
-            for (phys, run) in &plan {
-                let mut payload = Vec::with_capacity(*run as usize * SECTOR_SIZE);
-                for _ in 0..*run {
-                    payload.extend_from_slice(&block_iter.next().expect("block per plan slot"));
-                }
-                segments.push((*phys, payload));
-            }
-            let journal_end = self.fs.journal_len();
-            let op = self.ops[id].as_mut().expect("op");
-            op.wr_lb = first_lb;
-            op.wr_nblocks = nblocks;
-            op.wr_segments = Some(segments);
-            op.wr_data = Vec::new();
-            // The plan just logged this write's journal records: any
-            // seal at or past this point covers them.
-            op.journal_end = journal_end;
-        }
-        let nsegs = self.ops[id]
-            .as_ref()
-            .expect("op")
-            .wr_segments
-            .as_ref()
-            .expect("planned")
-            .len();
-        let qp = thread % self.transport.nr_queues();
-        if nsegs > self.transport.queue_capacity() {
-            self.fail_submit(id, ChainStatus::IoError, false);
-            return;
-        }
-        if !self.tenant_can_submit(qp, tenant, nsegs) {
-            self.tstats[tenant as usize].sq_parks += 1;
-            self.stalled[qp][tenant as usize].push(id);
-            return;
-        }
-        // Write pushdown: the chain's *first* device phase crosses as
-        // one capsule carrying the data payload; everything after it
-        // (flush chase, rearm resubmissions) is already target-side.
-        let class = {
-            let op = self.ops[id].as_ref().expect("op");
-            match (op.remote_pushdown, op.ios == 0) {
-                (true, true) => SubmitClass::PushdownStart,
-                (true, false) => SubmitClass::TargetLocal,
-                (false, _) => SubmitClass::Host,
-            }
+        let (tenant, t) = (op.tenant, op.tenant as usize);
+        let qp = op.thread % self.transport.nr_queues();
+        // Over a fabric, a pushdown chain's *first* device phase
+        // crosses as a command capsule (hauling a write's payload)
+        // whose completion stays target-side; recycled hops, the flush
+        // chase and resubmissions are already there and never touch the
+        // wire. Everything else is an ordinary host command (full round
+        // trip per hop).
+        let class = match (op.fab.pushdown, op.phys_target.is_some() || op.ios > 0) {
+            (false, _) => SubmitClass::Host,
+            (true, false) => SubmitClass::PushdownStart,
+            (true, true) => SubmitClass::TargetLocal,
         };
-        if !self.transport.can_accept(qp, nsegs, tenant, class) {
+        // A request that can never fit the SQ is an I/O error (a real
+        // driver would split it; the workloads never get near this).
+        if n > self.transport.queue_capacity() {
+            return self.fail(id, ChainStatus::IoError, 0);
+        }
+        // Tenant SQ budget: a tenant at its per-qp slot budget parks in
+        // its own queue without consuming shared slots.
+        if !self
+            .admission
+            .can_admit(qp, tenant, n, self.tenants[t].sq_slots)
+        {
+            self.run.tstats[t].sq_parks += 1;
+            return self.admission.park(qp, tenant, id);
+        }
+        // Backpressure: the whole request must fit the queue pair.
+        if !self.transport.can_accept(qp, n, tenant, class) {
             self.transport.record_rejection(tenant);
-            self.stalled[qp][tenant as usize].push(id);
-            return;
+            return self.admission.park(qp, tenant, id);
         }
         // Extra bio/driver work for each split segment beyond the first.
-        let extra = (nsegs as u64 - 1) * (self.costs.bio_submit + self.costs.drv_submit);
+        let extra = (n as u64 - 1) * (self.costs.bio_submit + self.costs.drv_submit);
         if extra > 0 {
             self.charge(extra);
-            self.trace.bio += extra;
+            self.run.trace.bio += extra;
         }
+        self.admission.admit(qp, tenant, n);
         let op = self.ops[id].as_mut().expect("op");
-        let segments = op.wr_segments.take().expect("planned");
-        op.segs_pending = segments.len() as u32;
-        op.seg_data = segments.iter().map(|_| None).collect();
+        op.segs_pending = n as u32;
+        op.seg_data = (0..n).map(|_| None).collect();
         op.submitted_at = self.now;
-        op.ios += segments.len() as u32;
-        self.trace.ios += segments.len() as u64;
-        self.trace.write_ios += segments.len() as u64;
-        self.sq_inflight[qp][tenant as usize] += segments.len();
-        let ts = &mut self.tstats[tenant as usize];
-        ts.ios += segments.len() as u64;
-        ts.dev_writes += segments.len() as u64;
-        if class != SubmitClass::TargetLocal {
-            let payload: u64 = segments.iter().map(|(_, p)| p.len() as u64).sum();
-            self.charge_capsule_encode(segments.len() as u64, payload);
-        }
-        for (seg, (phys, payload)) in segments.into_iter().enumerate() {
-            let cid = self.ios;
-            self.ios += 1;
-            self.cid_map.insert(cid, (id, seg));
+        op.ios += n as u32;
+        let ts = &mut self.run.tstats[t];
+        let (mut reads, mut payload) = (0, 0);
+        for (seg, cmd) in cmds(op).enumerate() {
+            match &cmd {
+                NvmeOp::Read { .. } => reads += 1,
+                NvmeOp::Write { data, .. } => {
+                    ts.dev_writes += 1;
+                    payload += data.len() as u64;
+                }
+                NvmeOp::Flush => ts.dev_flushes += 1,
+            }
+            let cid = self.run.ios;
+            self.run.ios += 1;
+            self.run.cid_map.insert(cid, (id, seg));
             self.transport
-                .submit(
-                    qp,
-                    NvmeCommand {
-                        cid,
-                        op: NvmeOp::Write {
-                            slba: phys,
-                            data: payload,
-                        },
-                    },
-                    class,
-                    tenant,
-                )
+                .submit(qp, NvmeCommand { cid, op: cmd }, class, tenant)
                 .expect("capacity checked above");
         }
-        if !self.doorbell_armed[qp] {
-            self.doorbell_armed[qp] = true;
-            self.events.push(self.now, Ev::Doorbell { qp });
-        }
-    }
-
-    /// Submits the fsync flush barrier; its CQE commits the journal.
-    fn submit_write_flush(&mut self, id: usize) {
-        let (thread, tenant) = {
-            let op = self.ops[id].as_ref().expect("op");
-            (op.thread, op.tenant)
-        };
-        let qp = thread % self.transport.nr_queues();
-        if !self.tenant_can_submit(qp, tenant, 1) {
-            self.tstats[tenant as usize].sq_parks += 1;
-            self.stalled[qp][tenant as usize].push(id);
-            return;
-        }
-        // A pushdown chain's flush chase is already target-side; only a
-        // pure fsync (no data phase) crosses as its own capsule.
-        let class = {
-            let op = self.ops[id].as_ref().expect("op");
-            match (op.remote_pushdown, op.ios == 0) {
-                (true, true) => SubmitClass::PushdownStart,
-                (true, false) => SubmitClass::TargetLocal,
-                (false, _) => SubmitClass::Host,
-            }
-        };
-        if !self.transport.can_accept(qp, 1, tenant, class) {
-            self.transport.record_rejection(tenant);
-            self.stalled[qp][tenant as usize].push(id);
-            return;
-        }
-        let op = self.ops[id].as_mut().expect("op");
-        op.segs_pending = 1;
-        op.seg_data = vec![None];
-        op.submitted_at = self.now;
-        op.ios += 1;
-        self.trace.ios += 1;
-        self.trace.write_ios += 1;
-        self.sq_inflight[qp][tenant as usize] += 1;
-        let ts = &mut self.tstats[tenant as usize];
-        ts.ios += 1;
-        ts.dev_flushes += 1;
-        let cid = self.ios;
-        self.ios += 1;
-        self.cid_map.insert(cid, (id, 0));
+        ts.ios += n as u64;
+        ts.dev_reads += reads;
+        self.run.trace.ios += n as u64;
+        self.run.trace.write_ios += n as u64 - reads;
         if class != SubmitClass::TargetLocal {
-            self.charge_capsule_encode(1, 0);
+            self.charge_capsule_encode(n as u64, payload);
         }
-        self.transport
-            .submit(
-                qp,
-                NvmeCommand {
-                    cid,
-                    op: NvmeOp::Flush,
-                },
-                class,
-                tenant,
-            )
-            .expect("capacity checked above");
-        if !self.doorbell_armed[qp] {
-            self.doorbell_armed[qp] = true;
+        if !self.run.doorbell_armed[qp] {
+            self.run.doorbell_armed[qp] = true;
             self.events.push(self.now, Ev::Doorbell { qp });
         }
     }
 
-    fn submit_read(&mut self, id: usize) {
-        let Some(op) = self.ops[id].as_ref() else {
+    /// Submits a write chain's payload as `Write` commands, planning it
+    /// on the first attempt: the data rides the same SQ/CQ rings as
+    /// reads — paying queueing delay, the shared doorbell, and the
+    /// coalesced interrupt.
+    fn submit_write_data(&mut self, id: usize, fsync: bool) {
+        let planned = self.ops[id].as_ref().expect("op").wr.segments.as_ref();
+        let Some(n) = planned.map(Vec::len).or_else(|| self.plan_write(id, fsync)) else {
             return;
         };
-        let (len, file_off, ino, o_direct, thread, tenant, phys_target) = (
-            op.len,
-            op.file_off,
-            op.ino,
-            op.o_direct,
-            op.thread,
-            op.tenant,
-            op.phys_target,
-        );
-        let nblocks = (len as u64).div_ceil(SECTOR_SIZE as u64).max(1);
-        let lb = file_off / SECTOR_SIZE as u64;
+        self.submit_segments(id, n, |op| {
+            op.wr.segments.take().expect("planned").into_iter()
+        });
+    }
+
+    /// First attempt of a write chain: the file system performs the
+    /// metadata half (allocation, journal records, size) and the
+    /// payload is cut into one `Write` command per physically
+    /// contiguous run (like the bio layer merging adjacent blocks),
+    /// read-modify-writing the partial edge blocks from the current
+    /// stored bytes. The plan survives backpressure parking (no double
+    /// allocation). Returns the number of commands planned, or `None`
+    /// when there is nothing to submit: an empty write completed (or
+    /// became a pure fsync), or planning failed the chain.
+    fn plan_write(&mut self, id: usize, fsync: bool) -> Option<usize> {
+        let op = self.ops[id].as_mut().expect("op");
+        let (ino, file_off, len) = (op.ino, op.file_off, op.wr.data.len());
+        if len == 0 {
+            if fsync {
+                // A pure fsync wants everything logged so far durable,
+                // not just its own (absent) records; it skips straight
+                // to the flush barrier.
+                op.wr.journal_end = self.fs.journal_len();
+                if !self.enter_flush_phase(id) {
+                    self.on_dev_submit(id);
+                }
+            } else {
+                op.status = Some(ChainStatus::Written(0));
+                self.deliver(id, 0);
+            }
+            return None;
+        }
+        let store = self.transport.device_mut().store_mut();
+        let Ok(plan) = self.fs.plan_write(ino, file_off, len, store) else {
+            self.fail(id, ChainStatus::IoError, 0);
+            return None;
+        };
+        let bs = SECTOR_SIZE as u64;
+        let mut pos = file_off;
+        let mut rest = &op.wr.data[..];
+        let mut segments = Vec::with_capacity(plan.len());
+        for &(slba, run) in &plan {
+            let mut data = Vec::with_capacity(run as usize * SECTOR_SIZE);
+            for phys in slba..slba + run {
+                let in_block = (pos % bs) as usize;
+                let chunk = rest.len().min(SECTOR_SIZE - in_block);
+                if chunk == SECTOR_SIZE {
+                    data.extend_from_slice(&rest[..chunk]);
+                } else {
+                    let mut block = store.read(phys, 1);
+                    block[in_block..in_block + chunk].copy_from_slice(&rest[..chunk]);
+                    data.extend_from_slice(&block);
+                }
+                pos += chunk as u64;
+                rest = &rest[chunk..];
+            }
+            segments.push(NvmeOp::Write { slba, data });
+        }
+        debug_assert!(rest.is_empty(), "plan covers range");
+        op.wr.lb = file_off / bs;
+        op.wr.nblocks = (file_off + len as u64 - 1) / bs - op.wr.lb + 1;
+        op.wr.segments = Some(segments);
+        op.wr.data = Vec::new();
+        // The plan just logged this write's journal records: any seal
+        // at or past this point covers them.
+        op.wr.journal_end = self.fs.journal_len();
+        Some(plan.len())
+    }
+
+    /// Translates and submits a read. First hops and user-path reissues
+    /// translate through live FS metadata (the normal submission path
+    /// did this work inside `fs_submit` cost); recycled driver-hook
+    /// hops carry the extent-snapshot's physical target and *never*
+    /// consult the FS — a snapshot that went stale aborts the chain
+    /// instead of silently healing.
+    fn submit_read(&mut self, id: usize) {
+        let op = self.ops[id].as_mut().expect("op");
+        let ino = op.ino;
+        let nblocks = (op.len as u64).div_ceil(SECTOR_SIZE as u64).max(1);
+        let lb = op.file_off / SECTOR_SIZE as u64;
         // Buffered path: a whole-request page-cache hit skips the device
         // (and its queues) entirely.
-        if !o_direct && phys_target.is_none() {
+        if !op.o_direct && op.phys_target.is_none() {
             let mut assembled = Vec::with_capacity((nblocks as usize) * SECTOR_SIZE);
-            let mut complete = true;
-            for i in 0..nblocks {
-                match self.pagecache.get((ino, lb + i)) {
-                    Some(block) => assembled.extend_from_slice(block),
-                    None => {
-                        complete = false;
-                        break;
-                    }
-                }
-            }
+            let complete = (lb..lb + nblocks).all(|b| {
+                self.pagecache
+                    .get((ino, b))
+                    .map(|block| assembled.extend_from_slice(block))
+                    .is_some()
+            });
             if complete {
-                let op = self.ops[id].as_mut().expect("op exists");
                 op.data = assembled;
                 let cost = self.costs.pagecache_hit * nblocks;
                 let end = self.charge(cost);
-                self.trace.fs += cost;
+                self.run.trace.fs += cost;
                 self.events.push(end, Ev::CacheHit { op: id });
                 return;
             }
         }
-        let segments: Vec<(u64, u32)> = if let Some((phys, snap_gen)) = phys_target {
+        let mut segments = Vec::new();
+        if let Some((phys, snap_gen)) = op.phys_target {
             // Recycled hop: submit to the snapshot's physical target.
             // If the file's extents changed under the snapshot (its
             // unmap generation moved, or the entry died), the recycled
@@ -2094,110 +1710,31 @@ impl Machine {
             // rather than re-translated through live fs metadata.
             let live_gen = self.fs.generations(ino).ok().map(|(_, unmap)| unmap);
             if !self.extcache.is_armed(ino) || live_gen != Some(snap_gen) {
-                self.fail_submit(id, ChainStatus::Invalidated, true);
-                return;
+                return self.fail(id, ChainStatus::Invalidated, 0);
             }
-            vec![(phys, nblocks as u32)]
+            segments.push(NvmeOp::Read {
+                slba: phys,
+                nlb: nblocks as u32,
+            });
         } else {
             // Translate logical blocks to physical segments via the FS.
-            let mut segments: Vec<(u64, u32)> = Vec::new();
-            let mut remaining = nblocks;
-            let mut cur = lb;
-            while remaining > 0 {
-                match self.fs.map(ino, cur) {
-                    Ok(Some((phys, run))) => {
-                        let take = remaining.min(run) as u32;
-                        segments.push((phys, take));
-                        cur += take as u64;
-                        remaining -= take as u64;
-                    }
-                    _ => break,
+            let (mut cur, end) = (lb, lb + nblocks);
+            while let Ok(Some((slba, run))) = self.fs.map(ino, cur) {
+                let nlb = (end - cur).min(run) as u32;
+                segments.push(NvmeOp::Read { slba, nlb });
+                cur += nlb as u64;
+                if cur == end {
+                    break;
                 }
             }
-            if segments.is_empty() || remaining > 0 {
-                self.fail_submit(id, ChainStatus::IoError, false);
-                return;
+            if cur < end {
+                return self.fail(id, ChainStatus::IoError, 0);
             }
-            segments
-        };
-        let qp = thread % self.transport.nr_queues();
-        // A request that can never fit the SQ is an I/O error (a real
-        // driver would split it; the workloads never get near this).
-        if segments.len() > self.transport.queue_capacity() {
-            self.fail_submit(id, ChainStatus::IoError, false);
-            return;
         }
-        // Tenant SQ budget: a tenant at its per-qp slot budget parks in
-        // its own queue without consuming shared slots.
-        if !self.tenant_can_submit(qp, tenant, segments.len()) {
-            self.tstats[tenant as usize].sq_parks += 1;
-            self.stalled[qp][tenant as usize].push(id);
-            return;
-        }
-        // Over a fabric, a pushdown chain's first read crosses as a
-        // command capsule whose completion stays target-side; recycled
-        // hops never touch the wire at all. Everything else is an
-        // ordinary host command (full round trip per hop).
-        let class = {
-            let op = self.ops[id].as_ref().expect("op");
-            match (op.remote_pushdown, phys_target.is_some()) {
-                (true, true) => SubmitClass::TargetLocal,
-                (true, false) => SubmitClass::PushdownStart,
-                (false, _) => SubmitClass::Host,
-            }
-        };
-        // Backpressure: the whole request must fit, or the op parks
-        // until the next interrupt frees queue slots.
-        if !self.transport.can_accept(qp, segments.len(), tenant, class) {
-            self.transport.record_rejection(tenant);
-            self.stalled[qp][tenant as usize].push(id);
-            return;
-        }
-        // Extra bio/driver work for each split segment beyond the first.
-        let extra = (segments.len() as u64 - 1) * (self.costs.bio_submit + self.costs.drv_submit);
-        if extra > 0 {
-            let end = self.charge(extra);
-            self.trace.bio += extra;
-            let _ = end;
-        }
-        let op = self.ops[id].as_mut().expect("op");
-        op.segs_pending = segments.len() as u32;
-        op.seg_data = segments.iter().map(|_| None).collect();
-        op.submitted_at = self.now;
-        op.recycled = phys_target.is_some();
-        op.phys_target = None;
-        op.ios += segments.len() as u32;
-        self.trace.ios += segments.len() as u64;
-        self.sq_inflight[qp][tenant as usize] += segments.len();
-        let ts = &mut self.tstats[tenant as usize];
-        ts.ios += segments.len() as u64;
-        ts.dev_reads += segments.len() as u64;
-        if class != SubmitClass::TargetLocal {
-            self.charge_capsule_encode(segments.len() as u64, 0);
-        }
-        for (seg, (phys, take)) in segments.iter().enumerate() {
-            let cid = self.ios;
-            self.ios += 1;
-            self.cid_map.insert(cid, (id, seg));
-            self.transport
-                .submit(
-                    qp,
-                    NvmeCommand {
-                        cid,
-                        op: NvmeOp::Read {
-                            slba: *phys,
-                            nlb: *take,
-                        },
-                    },
-                    class,
-                    tenant,
-                )
-                .expect("capacity checked above");
-        }
-        if !self.doorbell_armed[qp] {
-            self.doorbell_armed[qp] = true;
-            self.events.push(self.now, Ev::Doorbell { qp });
-        }
+        self.submit_segments(id, segments.len(), |op| {
+            op.recycled = op.phys_target.take().is_some();
+            segments.into_iter()
+        });
     }
 
     /// The driver's doorbell MMIO write: the device batch-services the
@@ -2205,11 +1742,11 @@ impl Machine {
     /// or poller) arms around the new completion instants. SQEs
     /// enqueued at the same instant share one ring (and one charge).
     fn on_doorbell(&mut self, qp: usize) {
-        self.doorbell_armed[qp] = false;
+        self.run.doorbell_armed[qp] = false;
         let cost = self.costs.doorbell;
-        let _ = self.charge(cost);
-        self.trace.drv += cost;
-        self.trace.doorbells += 1;
+        self.charge(cost);
+        self.run.trace.drv += cost;
+        self.run.trace.doorbells += 1;
         // The MMIO write is issued inline by the submitting path; the
         // charge accounts its CPU time but does not gate the device —
         // service starts at the ring instant.
@@ -2222,21 +1759,8 @@ impl Machine {
         }
         self.reaper.note_doorbell(qp, &times);
         let depth = self.transport.outstanding(qp);
-        self.load_peak[qp] = self.load_peak[qp].max(depth);
+        self.run.load_peak[qp] = self.run.load_peak[qp].max(depth);
         self.arm_reap(qp);
-    }
-
-    /// One hybrid-scheduler load sample: the peak doorbell-time depth
-    /// since the last productive reap (floored by what this reap
-    /// drained plus the residue). The peak resets only on productive
-    /// reaps so idle poll visits re-observe recent pressure instead of
-    /// reporting a spurious lull.
-    fn sample_load(&mut self, qp: usize, reaped: usize) -> usize {
-        let load = self.load_peak[qp].max(self.transport.outstanding(qp) + reaped);
-        if reaped > 0 {
-            self.load_peak[qp] = 0;
-        }
-        load
     }
 
     /// Arms whichever reaping mechanism is live on `qp`: the coalescing
@@ -2261,22 +1785,43 @@ impl Machine {
         }
     }
 
-    /// Reaps `qp` at the current instant on behalf of either mechanism:
+    /// Reaps `qp` at the current instant on behalf of mechanism `via`:
     /// post ready CQEs, drain the completion ring, run the completion
-    /// path of every finished request, and re-issue ops parked on
-    /// backpressure. Returns how many CQEs were drained.
-    fn reap_qp(&mut self, qp: usize, driver: &mut dyn ChainDriver) -> usize {
+    /// path of every finished request, re-issue ops parked on
+    /// backpressure, and feed the adaptive-coalescing controller and
+    /// the hybrid scheduler. Returns how many CQEs were drained.
+    fn reap_qp(&mut self, qp: usize, via: ReapKind) -> usize {
         self.transport.post_ready(self.now, qp);
         let cqes = self.transport.reap(self.now, qp, usize::MAX);
         let cqes = self.fair_order(qp, cqes);
         let reaped = cqes.len();
-        for c in cqes {
-            self.on_cqe(c, driver);
+        if via == ReapKind::Interrupt && reaped > 0 {
+            // One interrupt entry is charged no matter how many CQEs it
+            // reaps — the coalescing win. MSI-X affinity: it lands on
+            // the queue pair's owning core, not on whichever is idle.
+            let cost = self.costs.irq_entry;
+            self.charge_on(self.qp_core[qp], cost);
+            self.run.trace.drv += cost;
+            self.run.trace.irqs += 1;
+            self.reaper.charge_irq(cost);
         }
+        for c in cqes {
+            self.on_cqe(c);
+        }
+        // One hybrid-scheduler load sample: the peak doorbell-time
+        // depth since the last productive reap (floored by what this
+        // reap drained plus the residue). The peak resets only on
+        // productive reaps so idle poll visits re-observe recent
+        // pressure instead of reporting a spurious lull.
+        let load = self.run.load_peak[qp].max(self.transport.outstanding(qp) + reaped);
         if reaped > 0 {
             // Freed queue slots un-park stalled submissions.
-            self.unpark(qp);
+            for id in self.admission.drain_round_robin(qp) {
+                self.events.push(self.now, Ev::DevSubmit { op: id });
+            }
+            self.run.load_peak[qp] = 0;
         }
+        self.reaper.note_reap(self.now, qp, reaped, load, via);
         reaped
     }
 
@@ -2284,64 +1829,34 @@ impl Machine {
     /// batch. Identity (FIFO) unless fair reaping is enabled and the
     /// batch holds more than one CQE; always a permutation of the
     /// input, so exactly-once delivery is policy-independent.
-    fn fair_order(
-        &mut self,
-        qp: usize,
-        cqes: Vec<bpfstor_device::NvmeCompletion>,
-    ) -> Vec<bpfstor_device::NvmeCompletion> {
+    fn fair_order(&mut self, qp: usize, cqes: Vec<NvmeCompletion>) -> Vec<NvmeCompletion> {
         if !self.fair_reap || cqes.len() <= 1 {
             return cqes;
         }
         let tenants: Vec<u32> = cqes
             .iter()
             .map(|c| {
-                self.cid_map
+                self.run
+                    .cid_map
                     .get(&c.cid)
                     .and_then(|&(id, _)| self.ops[id].as_ref())
                     .map_or(DEFAULT_TENANT, |op| op.tenant)
             })
             .collect();
         let order = self.fair.order(qp, &tenants);
-        let mut slots: Vec<Option<bpfstor_device::NvmeCompletion>> =
-            cqes.into_iter().map(Some).collect();
+        let mut slots: Vec<Option<NvmeCompletion>> = cqes.into_iter().map(Some).collect();
         order
             .into_iter()
             .map(|i| slots[i].take().expect("DRR order is a permutation"))
             .collect()
     }
 
-    /// The completion interrupt: one interrupt entry is charged no
-    /// matter how many CQEs it reaps — the coalescing win. Feeds the
-    /// adaptive-coalescing controller and the hybrid scheduler.
-    fn on_irq_fire(&mut self, qp: usize, driver: &mut dyn ChainDriver) {
+    /// The completion interrupt.
+    fn on_irq_fire(&mut self, qp: usize) {
         if !self.reaper.irq_due(self.now, qp) {
             return; // stale timer — a newer arm (or a mode switch) superseded it
         }
-        let reaped = {
-            self.transport.post_ready(self.now, qp);
-            let cqes = self.transport.reap(self.now, qp, usize::MAX);
-            let cqes = self.fair_order(qp, cqes);
-            if !cqes.is_empty() {
-                // MSI-X affinity: the interrupt lands on the queue
-                // pair's owning core, not on whichever core is idle.
-                let cost = self.costs.irq_entry;
-                let _ = self.charge_on(self.qp_core[qp], cost);
-                self.trace.drv += cost;
-                self.trace.irqs += 1;
-                self.reaper.charge_irq(cost);
-            }
-            let reaped = cqes.len();
-            for c in cqes {
-                self.on_cqe(c, driver);
-            }
-            if reaped > 0 {
-                self.unpark(qp);
-            }
-            reaped
-        };
-        let load = self.sample_load(qp, reaped);
-        self.reaper
-            .note_reap(self.now, qp, reaped, load, ReapKind::Interrupt);
+        self.reap_qp(qp, ReapKind::Interrupt);
         self.arm_reap(qp);
     }
 
@@ -2349,25 +1864,22 @@ impl Machine {
     /// whether or not anything has posted (an empty visit is the
     /// polling tax), reap what has, and re-arm while the queue pair
     /// has commands in flight.
-    fn on_poll(&mut self, qp: usize, driver: &mut dyn ChainDriver) {
+    fn on_poll(&mut self, qp: usize) {
         if !self.reaper.poll_due(self.now, qp) {
             return; // stale visit — the pair switched to interrupts
         }
         let cost = self.costs.poll_loop;
         let end = self.charge_on(self.qp_core[qp], cost);
-        self.trace.poll += cost;
-        self.trace.polls += 1;
-        let reaped = self.reap_qp(qp, driver);
+        self.run.trace.poll += cost;
+        self.run.trace.polls += 1;
+        let reaped = self.reap_qp(qp, ReapKind::Polled);
         self.reaper.charge_poll(cost, reaped == 0);
         if reaped == 0 {
             self.transport.device_mut().record_empty_poll();
         }
-        let load = self.sample_load(qp, reaped);
-        self.reaper
-            .note_reap(self.now, qp, reaped, load, ReapKind::Polled);
         match self.reaper.active(qp) {
             ReapKind::Polled => {
-                if self.transport.outstanding(qp) > 0 || self.has_stalled(qp) {
+                if self.transport.outstanding(qp) > 0 || self.admission.has_parked(qp) {
                     // Next visit no sooner than the loop body finishes
                     // on a contended core.
                     let at = end.max(self.now + self.reaper.poll_interval());
@@ -2384,8 +1896,8 @@ impl Machine {
     /// segment lands, assemble the buffer, warm the page cache (per
     /// block, buffered non-recycled requests only), and run the
     /// completion path.
-    fn on_cqe(&mut self, c: bpfstor_device::NvmeCompletion, driver: &mut dyn ChainDriver) {
-        let Some((id, seg)) = self.cid_map.remove(&c.cid) else {
+    fn on_cqe(&mut self, c: NvmeCompletion) {
+        let Some((id, seg)) = self.run.cid_map.remove(&c.cid) else {
             return;
         };
         let Some(op) = self.ops[id].as_mut() else {
@@ -2394,33 +1906,31 @@ impl Machine {
         // Time on the wire (fabric only) is accounted apart from the
         // device bucket so Table 1's device row stays a device row.
         let wire = c.fabric_ns;
-        let dev_ns = c.complete_at.saturating_sub(op.submitted_at);
-        op.device_ns += dev_ns.saturating_sub(wire);
+        let dev = c
+            .complete_at
+            .saturating_sub(op.submitted_at)
+            .saturating_sub(wire);
         op.seg_data[seg] = Some(c.data);
         op.segs_pending -= 1;
-        let host_capsule = self.fabric && !op.remote_pushdown;
-        let tenant = op.tenant as usize;
         let qp = op.thread % self.transport.nr_queues();
-        self.sq_inflight[qp][tenant] = self.sq_inflight[qp][tenant].saturating_sub(1);
-        let ts = &mut self.tstats[tenant];
+        self.admission.complete(qp, op.tenant);
+        let ts = &mut self.run.tstats[op.tenant as usize];
         ts.cqes += 1;
-        ts.device_ns += dev_ns.saturating_sub(wire);
-        self.trace.device += dev_ns.saturating_sub(wire);
-        self.trace.fabric_wire += wire;
-        if self.barrier_leader == Some(id) {
-            // The shared barrier's flush time, re-split across the
-            // released fsyncs' tenants at the barrier's completion.
-            self.barrier_dev_ns = dev_ns.saturating_sub(wire);
-        }
+        ts.device_ns += dev;
+        self.run.trace.device += dev;
+        self.run.trace.fabric_wire += wire;
+        // A shared barrier's flush time is re-split across the released
+        // fsyncs' tenants at the barrier's completion.
+        self.barrier.note_device_time(id, dev);
+        let (host_capsule, last) = (self.fabric && !op.fab.pushdown, op.segs_pending == 0);
         if host_capsule {
             // Each host-class CQE arrived as a response capsule the
             // initiator must decode.
             let dec = self.costs.fab_decode;
             self.charge(dec);
-            self.trace.fabric += dec;
+            self.run.trace.fabric += dec;
         }
-        let op = self.ops[id].as_ref().expect("op");
-        if op.segs_pending > 0 {
+        if !last {
             return;
         }
         let op = self.ops[id].as_mut().expect("op");
@@ -2437,68 +1947,42 @@ impl Machine {
         // Buffered reads warm the host page cache — except target-
         // resident pushdown completions, whose data lives on the NVMe-oF
         // target and never reached the host.
-        if op.kind == OpKind::Read && !op.o_direct && !op.recycled && !op.remote_pushdown {
-            let ino = op.ino;
+        if op.kind == OpKind::Read && !op.o_direct && !op.recycled && !op.fab.pushdown {
             let lb = op.file_off / SECTOR_SIZE as u64;
-            let data = op.data.clone();
-            for (i, block) in data.chunks_exact(SECTOR_SIZE).enumerate() {
-                self.pagecache.insert((ino, lb + i as u64), block);
+            for (b, block) in (lb..).zip(op.data.chunks_exact(SECTOR_SIZE)) {
+                self.pagecache.insert((op.ino, b), block);
             }
         }
-        self.on_device_done(id, driver);
+        self.on_device_done(id);
     }
 
-    fn on_device_done(&mut self, id: usize, driver: &mut dyn ChainDriver) {
-        let Some(op_ref) = self.ops[id].as_ref() else {
+    /// The op's device request (or page-cache hit) finished: a write
+    /// moves to its next phase; a read ends at the application or runs
+    /// its hook.
+    fn on_device_done(&mut self, id: usize) {
+        let Some(op) = self.ops[id].as_ref() else {
             return;
         };
-        if op_ref.kind != OpKind::Read {
-            self.on_write_device_done(id);
-            let _ = driver;
-            return;
-        }
-        // Mid-chain invalidation: discard recycled I/O (§4). Over a
-        // fabric the target detects it and returns an error capsule.
-        if op_ref.mode == DispatchMode::DriverHook && self.aborting_inos.contains(&op_ref.ino) {
-            let op = self.ops[id].as_mut().expect("op");
-            op.status = Some(ChainStatus::Invalidated);
-            if self.target_resident(id) {
-                self.send_response_capsule(id, 0);
-                return;
+        match (op.kind, op.mode) {
+            (OpKind::Read, DispatchMode::User | DispatchMode::Remote) => {
+                self.deliver(id, 0);
             }
-            let cost = self.costs.sync_complete();
-            let end = self.charge(cost);
-            self.account_complete_trace();
-            self.events.push(end, Ev::Delivered { op: id });
-            return;
-        }
-        match op_ref.mode {
-            DispatchMode::User | DispatchMode::Remote => {
-                let cost = self.costs.sync_complete();
-                let end = self.charge(cost);
-                self.account_complete_trace();
-                self.events.push(end, Ev::Delivered { op: id });
+            // Mid-chain invalidation: discard recycled I/O (§4). Over a
+            // fabric the target detects it and returns an error capsule.
+            (OpKind::Read, DispatchMode::DriverHook) if self.aborting_inos.contains(&op.ino) => {
+                self.fail(id, ChainStatus::Invalidated, 0)
             }
-            DispatchMode::DriverHook => self.hook_at_driver(id),
-            DispatchMode::SyscallHook => self.hook_at_syscall(id),
+            (OpKind::Read, _) => self.run_hook(id),
+            _ => self.on_write_device_done(id),
         }
-        let _ = driver;
-    }
-
-    fn account_complete_trace(&mut self) {
-        self.trace.drv += self.costs.drv_complete;
-        self.trace.bio += self.costs.bio_complete;
-        self.trace.fs += self.costs.fs_complete;
-        self.trace.crossing += self.costs.crossing_exit;
     }
 
     /// A write chain's device phase finished: either chase the data
     /// CQEs with the fsync flush barrier (whose completion commits the
     /// journal), or unwind the completion path and deliver.
     fn on_write_device_done(&mut self, id: usize) {
-        let tenant = self.ops[id].as_ref().expect("op").tenant;
-        let bound = self.bound_for(tenant);
-        let op = self.ops[id].as_mut().expect("op");
+        let op = self.ops[id].as_ref().expect("op");
+        let (tenant, thread, hop) = (op.tenant, op.thread, op.hop);
         match op.kind {
             OpKind::WriteData { fsync: true } => {
                 // §4 fairness, write-aware: the ordered flush chase is a
@@ -2507,320 +1991,159 @@ impl Machine {
                 // budget. A write that hits the bound completes as
                 // BoundExceeded with its journal transaction uncommitted
                 // (crash-before-fsync durability).
-                if op.hop + 1 >= bound {
-                    op.status = Some(ChainStatus::BoundExceeded);
-                    if self.target_resident(id) {
-                        // The bound tripped on the target: the verdict
-                        // returns as the chain's one response capsule.
-                        self.send_response_capsule(id, 0);
-                        return;
-                    }
-                    let cost = self.costs.sync_write_complete();
-                    let end = self.charge(cost);
-                    self.account_complete_trace();
-                    self.events.push(end, Ev::Delivered { op: id });
-                    return;
+                if hop + 1 >= self.bound_for(tenant) {
+                    return self.fail(id, ChainStatus::BoundExceeded, 0);
                 }
-                op.hop += 1;
-                let thread = op.thread;
+                self.ops[id].as_mut().expect("op").hop += 1;
+                self.note_resubmission(tenant, thread);
                 // Ordered journal commit: the commit record + flush
                 // barrier go to the device only after the data CQEs.
-                op.kind = OpKind::WriteFlush;
-                op.fsync_from = self.now;
-                self.note_resubmission(tenant, thread);
-                self.commit_log.fsyncs += 1;
-                self.tstats[tenant as usize].fsyncs += 1;
-                if self.commit_policy.is_grouped() {
-                    // Shared barrier: park on the in-flight one or wait
-                    // for the next seal — the journal_commit build and
-                    // the flush itself are paid once per transaction by
-                    // the seal, not per fsync.
-                    self.fsync_request_barrier(id);
-                    return;
+                // Under a shared barrier the journal_commit build and
+                // the flush itself are paid once per transaction by the
+                // seal, not per fsync.
+                if !self.enter_flush_phase(id) {
+                    self.charge_commit_and_submit(id);
                 }
-                let cost = self.costs.journal_commit + self.costs.drv_submit;
-                let end = self.charge(cost);
-                self.trace.journal += self.costs.journal_commit;
-                self.trace.drv += self.costs.drv_submit;
-                self.events.push(end, Ev::DevSubmit { op: id });
             }
+            OpKind::WriteFlush if self.barrier.policy().is_grouped() => self.on_barrier_cqe(id),
             OpKind::WriteFlush => {
-                if self.commit_policy.is_grouped() {
-                    self.on_barrier_cqe(id);
-                    return;
-                }
                 // The barrier is durable: the journal transaction
                 // commits, then the completion path unwinds. The
                 // commit log and fsync-latency histogram are pure
-                // observation here — one commit per fsync, no new
-                // charges or events, bit-for-bit the historical path.
+                // observation here — one commit per fsync.
                 let committed_before = self.fs.journal().committed_records().len();
                 let handles = self.fs.commit_journal();
                 let records = self.fs.journal().committed_records().len() - committed_before;
-                let op = self.ops[id].as_ref().expect("op");
-                let (tenant, lat) = (op.tenant, self.now.saturating_sub(op.fsync_from));
-                self.commit_log.absorb(CommitStats {
+                let barrier_ns = self.record_fsync_latency(id);
+                self.run.commit_log.absorb(CommitStats {
                     handles,
                     records,
-                    barrier_ns: lat,
+                    barrier_ns,
                 });
-                self.fsync_lat.record(lat);
-                self.tstats[tenant as usize].fsync_latency.record(lat);
-                self.complete_write(id);
+                self.complete_write(id, None);
             }
             OpKind::WriteData { fsync: false } => {
-                self.maybe_arm_writeback();
-                self.complete_write(id);
+                // Under writeback, an un-fsynced write (re-)arms the
+                // background flush tick.
+                if let Some((at, epoch)) = self.barrier.arm_writeback(self.now) {
+                    self.events.push(at, Ev::WritebackTick { epoch });
+                }
+                self.complete_write(id, None);
             }
             OpKind::Read => unreachable!("read handled by on_device_done"),
         }
     }
 
-    /// Routes one fsync's barrier request under a grouped
-    /// [`CommitPolicy`]: park on the in-flight barrier when its sealed
-    /// transaction already covers the op's records, else join the
-    /// window awaiting the next seal.
-    fn fsync_request_barrier(&mut self, id: usize) {
-        let (tenant, journal_end) = {
-            let op = self.ops[id].as_ref().expect("op");
-            (op.tenant, op.journal_end)
-        };
-        if self.barrier_leader.is_some() {
-            if journal_end <= self.barrier_seal_end {
-                // The committing transaction covers this fsync's
-                // records: its CQE makes them durable, so ride it.
-                self.barrier_joined.push(id);
-                self.commit_log.barrier_joins += 1;
-                self.tstats[tenant as usize].barrier_joins += 1;
-            } else {
-                // Records landed after the seal — they need the *next*
-                // transaction, chained at the in-flight barrier's CQE.
-                self.window.push(id);
-                self.window_due = true;
-            }
-            return;
+    /// Flips a write chain to its flush phase and counts the fsync.
+    /// Returns `true` when a grouped [`crate::CommitPolicy`] took the fsync
+    /// over: it parks on the in-flight barrier if that barrier's sealed
+    /// transaction already covers its records, else joins the window
+    /// awaiting the next seal. `false` leaves the caller to issue the
+    /// chain's own flush.
+    fn enter_flush_phase(&mut self, id: usize) -> bool {
+        let op = self.ops[id].as_mut().expect("op");
+        op.kind = OpKind::WriteFlush;
+        op.wr.fsync_from = self.now;
+        let ts = &mut self.run.tstats[op.tenant as usize];
+        ts.fsyncs += 1;
+        if !self.barrier.policy().is_grouped() {
+            return false;
         }
-        self.window.push(id);
-        match self.commit_policy {
-            CommitPolicy::Group {
-                max_wait_us,
-                max_handles,
-            } => {
-                if self.window.len() >= max_handles.max(1) as usize {
-                    self.seal_and_issue(false);
-                } else if !self.window_timer_armed {
-                    self.window_timer_armed = true;
-                    self.events.push(
-                        self.now + max_wait_us.saturating_mul(1_000),
-                        Ev::CommitSeal {
-                            epoch: self.window_epoch,
-                        },
-                    );
-                }
-            }
-            // Writeback batches opportunistically (joins + chaining)
-            // but an explicit fsync never waits for company.
-            CommitPolicy::Writeback { .. } => self.seal_and_issue(false),
-            CommitPolicy::PerFsync => unreachable!("per-fsync never windows"),
+        match self.barrier.request(id, op.wr.journal_end, self.now) {
+            Request::Join => ts.barrier_joins += 1,
+            Request::Window => {}
+            Request::SealNow => self.seal_and_issue(false),
+            Request::ArmTimer { at, epoch } => self.events.push(at, Ev::CommitSeal { epoch }),
         }
+        true
+    }
+
+    /// One commit-record build + driver submission, then the flush
+    /// barrier of op `id` enters the submission path.
+    fn charge_commit_and_submit(&mut self, id: usize) {
+        let end = self.charge(self.costs.journal_commit + self.costs.drv_submit);
+        self.run.trace.journal += self.costs.journal_commit;
+        self.run.trace.drv += self.costs.drv_submit;
+        self.events.push(end, Ev::DevSubmit { op: id });
     }
 
     /// Seals the running journal transaction and puts its single flush
-    /// barrier on the rings. The first windowed fsync leads — its op
-    /// carries the flush through the submission path — and the rest
-    /// park on the barrier. A background seal with no windowed fsync
-    /// allocates a synthetic kernel op to carry the flush.
+    /// barrier on the rings — one amortized commit-record build and
+    /// driver submission for the whole transaction, the group-commit
+    /// win. The first windowed fsync leads; a `background` seal (no
+    /// fsync waiting) gets a synthetic kernel op instead, which rides
+    /// the rings like any flush but is freed silently at the barrier's
+    /// CQE — no delivery, no chain counted.
     fn seal_and_issue(&mut self, background: bool) {
-        debug_assert!(self.barrier_leader.is_none(), "one barrier in flight");
         let sealed = self.fs.seal_journal();
-        self.window_epoch += 1;
-        self.window_timer_armed = false;
-        self.window_due = false;
-        let mut waiters = std::mem::take(&mut self.window);
-        let leader = if waiters.is_empty() {
-            debug_assert!(background, "an fsync-driven seal always has a waiter");
-            self.alloc_internal_flush()
-        } else {
-            waiters.remove(0)
-        };
-        debug_assert!(self.barrier_joined.is_empty());
-        self.barrier_joined = waiters;
-        self.barrier_leader = Some(leader);
-        self.barrier_seal_end = sealed.end;
-        self.barrier_records = sealed.records;
-        self.barrier_handles = sealed.handles;
-        self.barrier_sealed_at = self.now;
-        self.barrier_dev_ns = 0;
-        self.barrier_background = background;
-        // One amortized commit-record build + driver submission for the
-        // whole transaction — the group-commit win.
-        let cost = self.costs.journal_commit + self.costs.drv_submit;
-        let end = self.charge(cost);
-        self.trace.journal += self.costs.journal_commit;
-        self.trace.drv += self.costs.drv_submit;
-        self.events.push(end, Ev::DevSubmit { op: leader });
-    }
-
-    /// Allocates the synthetic op that carries a background writeback
-    /// flush: it rides the rings like any flush but is freed silently
-    /// at the barrier's CQE — no delivery, no chain counted.
-    fn alloc_internal_flush(&mut self) -> usize {
-        let token = ChainToken {
-            id: self.next_chain_id,
-            tenant: DEFAULT_TENANT,
-            arg: 0,
-            issued: self.now,
-        };
-        self.next_chain_id += 1;
-        let op = Op {
-            thread: 0,
-            fd: 0,
-            tenant: DEFAULT_TENANT,
-            ino: 0,
-            kind: OpKind::WriteFlush,
-            mode: DispatchMode::User,
-            origin: Origin::Sync,
-            token,
-            first_off: 0,
-            first_len: 0,
-            attempts: 0,
-            file_off: 0,
-            len: 0,
-            hop: 0,
-            insns_used: 0,
-            ios: 0,
-            started: self.now,
-            data: Vec::new(),
-            device_ns: 0,
-            scratch: Vec::new(),
-            emitted: Vec::new(),
-            status: None,
-            o_direct: true,
-            seg_data: Vec::new(),
-            segs_pending: 0,
-            submitted_at: 0,
-            phys_target: None,
-            recycled: false,
-            wr_data: Vec::new(),
-            wr_segments: None,
-            wr_lb: 0,
-            wr_nblocks: 0,
-            remote_pushdown: false,
-            capsule_joined: false,
-            journal_end: 0,
-            fsync_from: self.now,
-            internal: true,
-        };
-        self.alloc_op(op)
+        let internal = background.then(|| {
+            let (st, token) = (FdState::kernel(0), self.next_token(DEFAULT_TENANT, 0));
+            let (kind, mode) = (OpKind::WriteFlush, DispatchMode::User);
+            self.alloc_op(Op::new(0, 0, st, kind, mode, Origin::Sync, token))
+        });
+        let leader = self.barrier.seal(sealed, self.now, internal);
+        self.charge_commit_and_submit(leader);
     }
 
     /// The shared barrier's CQE: the sealed transaction commits, every
     /// parked fsync releases at once, the flush's device time re-splits
-    /// proportionally across their tenants, and the next seal chains
+    /// evenly across their tenants, and the next seal chains
     /// immediately if fsyncs queued up behind the barrier.
     fn on_barrier_cqe(&mut self, id: usize) {
-        debug_assert_eq!(
-            self.barrier_leader,
-            Some(id),
-            "only the leader's flush reaps"
-        );
         self.fs.commit_journal_sealed();
-        self.commit_log.absorb(CommitStats {
-            handles: self.barrier_handles,
-            records: self.barrier_records,
-            barrier_ns: self.now.saturating_sub(self.barrier_sealed_at),
-        });
-        if self.barrier_background {
-            self.commit_log.writeback_flushes += 1;
-        }
-        self.barrier_leader = None;
-        let joined = std::mem::take(&mut self.barrier_joined);
-        let internal = self.ops[id].as_ref().expect("op").internal;
+        let rel = self.barrier.on_cqe(self.now);
+        self.run.commit_log.absorb(rel.stats);
         // Per-tenant §4-style accounting for the shared barrier: the
         // flush's device time was billed to the leader's tenant at its
-        // CQE; re-split it evenly across every released fsync's tenant
-        // (each already paid its own resubmission charge when its
-        // chain flipped to the flush chase).
-        let mut parts: Vec<TenantId> = Vec::with_capacity(joined.len() + 1);
-        if !internal {
-            parts.push(self.ops[id].as_ref().expect("op").tenant);
-        }
-        for &j in &joined {
-            parts.push(self.ops[j].as_ref().expect("op").tenant);
-        }
-        if !parts.is_empty() && self.barrier_dev_ns > 0 {
-            let total = self.barrier_dev_ns;
-            let leader_tenant = self.ops[id].as_ref().expect("op").tenant as usize;
-            self.tstats[leader_tenant].device_ns =
-                self.tstats[leader_tenant].device_ns.saturating_sub(total);
-            let share = total / parts.len() as u64;
-            let rem = total - share * parts.len() as u64;
-            for (i, &t) in parts.iter().enumerate() {
-                self.tstats[t as usize].device_ns += share + if i == 0 { rem } else { 0 };
+        // CQE; re-split it across every released fsync's tenant (each
+        // already paid its own resubmission charge when its chain
+        // flipped to the flush chase).
+        if !rel.ids.is_empty() && rel.flush_dev_ns > 0 {
+            let tenant_of = |j: usize| self.ops[j].as_ref().expect("op").tenant as usize;
+            let total = rel.flush_dev_ns;
+            let share = total / rel.ids.len() as u64;
+            let ts = &mut self.run.tstats;
+            ts[tenant_of(id)].device_ns = ts[tenant_of(id)].device_ns.saturating_sub(total);
+            ts[tenant_of(rel.ids[0])].device_ns += total - share * rel.ids.len() as u64;
+            for &j in &rel.ids {
+                ts[tenant_of(j)].device_ns += share;
             }
         }
-        self.barrier_dev_ns = 0;
+        if rel.background {
+            self.run.commit_log.writeback_flushes += 1;
+            self.free_op(id);
+        }
         // One return capsule acks every target-resident fsync this
         // barrier releases: the first release sends it, the rest join.
-        self.barrier_ack_pending = true;
-        self.barrier_ack_arrive = None;
-        if internal {
-            self.free_op(id);
-        } else {
-            self.record_fsync_latency(id);
-            self.complete_write(id);
-        }
-        for j in joined {
+        let mut ack = None;
+        for j in rel.ids {
             self.record_fsync_latency(j);
-            self.complete_write(j);
+            ack = self.complete_write(j, ack);
         }
-        self.barrier_ack_pending = false;
-        self.barrier_ack_arrive = None;
         // jbd2-style chaining: fsyncs that arrived too late for this
         // transaction seal the next one right away.
-        if self.window_due && !self.window.is_empty() {
+        if rel.seal_next {
             self.seal_and_issue(false);
-        } else {
-            self.window_due = false;
         }
     }
 
-    fn record_fsync_latency(&mut self, id: usize) {
+    /// Records (and returns) the fsync-issue-to-barrier-CQE latency.
+    fn record_fsync_latency(&mut self, id: usize) -> Nanos {
         let op = self.ops[id].as_ref().expect("op");
-        let (tenant, lat) = (op.tenant, self.now.saturating_sub(op.fsync_from));
-        self.fsync_lat.record(lat);
-        self.tstats[tenant as usize].fsync_latency.record(lat);
+        let lat = self.now.saturating_sub(op.wr.fsync_from);
+        self.run.tstats[op.tenant as usize]
+            .fsync_latency
+            .record(lat);
+        lat
     }
 
     /// The group-commit window timer: seal now, or defer to the
     /// in-flight barrier's CQE. Stale epochs never reach here — they
     /// are skipped at pop time.
     fn on_commit_seal(&mut self) {
-        self.window_timer_armed = false;
-        if self.barrier_leader.is_some() {
-            self.window_due = true;
-        } else if !self.window.is_empty() {
+        if self.barrier.on_seal_timer() {
             self.seal_and_issue(false);
         }
-    }
-
-    /// Under [`CommitPolicy::Writeback`], (re-)arms the background
-    /// flush tick after an un-fsynced write completes. No-op under the
-    /// other policies, so the default path stays event-free.
-    fn maybe_arm_writeback(&mut self) {
-        let CommitPolicy::Writeback { flush_interval_us } = self.commit_policy else {
-            return;
-        };
-        if self.wb_armed {
-            return;
-        }
-        self.wb_armed = true;
-        self.events.push(
-            self.now + flush_interval_us.saturating_mul(1_000).max(1),
-            Ev::WritebackTick {
-                epoch: self.wb_epoch,
-            },
-        );
     }
 
     /// The background writeback timer: flush un-fsynced journal records
@@ -2829,56 +2152,46 @@ impl Machine {
     /// journal is clean it stays disarmed until the next un-fsynced
     /// write completes.
     fn on_writeback_tick(&mut self) {
-        self.wb_armed = false;
-        if self.barrier_leader.is_some() {
-            self.maybe_arm_writeback();
-            return;
-        }
-        if !self.window.is_empty() {
-            // Shouldn't happen (a windowed fsync seals immediately
-            // under writeback), but a seal is always safe.
-            self.seal_and_issue(false);
-            return;
-        }
-        if self.fs.journal_dirty() {
-            self.seal_and_issue(true);
+        match self
+            .barrier
+            .on_writeback_tick(self.now, self.fs.journal_dirty())
+        {
+            Tick::Idle => {}
+            Tick::Rearm { at, epoch } => self.events.push(at, Ev::WritebackTick { epoch }),
+            Tick::Seal { background } => self.seal_and_issue(background),
         }
     }
 
-    fn complete_write(&mut self, id: usize) {
+    /// A write chain is durable as far as it asked to be: set its
+    /// status, keep the page cache coherent, and deliver. `shared_ack`
+    /// is the arrival instant of the response capsule an earlier
+    /// release of the same barrier already sent: a target-resident
+    /// fsync rides that capsule ([`FabricState::capsule_joined`])
+    /// instead of sending its own. Returns the capsule later releases
+    /// may ride.
+    fn complete_write(&mut self, id: usize, shared_ack: Option<Nanos>) -> Option<Nanos> {
+        let resident = self.target_resident(id);
         let op = self.ops[id].as_mut().expect("op");
         op.status = Some(ChainStatus::Written(op.len));
-        let (ino, lb, nblocks) = (op.ino, op.wr_lb, op.wr_nblocks);
-        // Page-cache coherence: drop any cached copies of the written
-        // blocks so buffered readers refetch the new bytes.
-        for b in lb..lb + nblocks {
-            self.pagecache.invalidate((ino, b));
+        // Drop any cached copies of the written blocks so buffered
+        // readers refetch the new bytes.
+        for b in op.wr.lb..op.wr.lb + op.wr.nblocks {
+            self.pagecache.invalidate((op.ino, b));
         }
-        if self.target_resident(id) {
-            // The commit happened on the NVMe-oF target: the
-            // acknowledgement returns as the chain's one response
-            // capsule. When a shared barrier releases several pushdown
-            // fsyncs at once, the first release carries them all —
-            // the rest ride the same capsule ([`Op::capsule_joined`]).
-            if let Some(arrive) = self.barrier_ack_arrive {
-                self.ops[id].as_mut().expect("op").capsule_joined = true;
+        match shared_ack {
+            Some(arrive) if resident => {
+                op.fab.capsule_joined = true;
                 self.events.push(arrive, Ev::CapsuleRx { op: id });
-            } else {
-                let arrive = self.send_response_capsule(id, 0);
-                if self.barrier_ack_pending {
-                    self.barrier_ack_arrive = Some(arrive);
-                }
+                shared_ack
             }
-            return;
+            _ => self.deliver(id, 0).or(shared_ack),
         }
-        let cost = self.costs.sync_write_complete();
-        let end = self.charge(cost);
-        self.account_complete_trace();
-        self.events.push(end, Ev::Delivered { op: id });
     }
 
-    /// Runs the installed program over the completed block; returns
-    /// `(status_if_terminal, resubmit_target, insns)`.
+    /// Runs the attached program over the completed block. Returns the
+    /// offset to resubmit when the chain continues (`None`: the op's
+    /// status is set and the chain is terminal) and the instructions
+    /// retired.
     ///
     /// Execution runs under the owning tenant's *remaining* instruction
     /// budget (its `insn_budget` minus instructions retired by the
@@ -2886,305 +2199,193 @@ impl Machine {
     /// verification-time check — and on the engine the machine was
     /// configured with; a program the compiler declined falls back to
     /// the interpreter and is counted in [`ExecSplit::fallbacks`].
-    fn run_hook_program(&mut self, id: usize) -> (Option<ChainStatus>, Option<u64>, u64) {
+    fn run_hook_program(&mut self, id: usize) -> (Option<u64>, u64) {
         let mut op = self.ops[id].take().expect("op exists");
-        // Tenant budget, engine, and clock are read before the install
-        // borrow: the remaining budget follows the tenant's *current*
-        // limits, so tightening them mid-stream binds running chains.
+        // The remaining budget follows the tenant's *current* limits,
+        // so tightening them mid-stream binds running chains.
         let budget = self.tenants[op.tenant as usize]
             .insn_budget
             .map(|b| b.saturating_sub(op.insns_used))
             .unwrap_or(DEFAULT_INSN_BUDGET);
-        let engine = self.exec_engine;
-        let clock = self.exec_clock.clone();
-        let mut compiled_hop = false;
-        let result = {
-            let install = self
-                .installs
-                .get_mut(&op.fd)
-                .and_then(|t| t.attached.and_then(|slot| t.progs.get_mut(&slot)));
-            let Some(install) = install else {
+        let install = self
+            .installs
+            .get_mut(&op.fd)
+            .and_then(|t| t.attached.and_then(|slot| t.progs.get_mut(&slot)));
+        let (next, insns) = match install {
+            None => {
                 op.status = Some(ChainStatus::VmError("no program attached".to_string()));
-                self.ops[id] = Some(op);
-                return (
-                    Some(ChainStatus::VmError("no program attached".to_string())),
-                    None,
-                    0,
-                );
-            };
-            let mut env = HookEnv {
-                resubmit_to: None,
-                resubmit_calls: 0,
-                emitted: &mut op.emitted,
-            };
-            let ctx = RunCtx {
-                data: &op.data,
-                file_off: op.file_off,
-                hop: op.hop,
-                flags: install.flags,
-                scratch: &mut op.scratch,
-            };
-            let t0 = clock.as_ref().map(ExecClock::now);
-            let r = match &install.compiled {
-                Some(cp) => {
-                    compiled_hop = true;
-                    cp.run_budgeted(budget, ctx, &mut install.maps, &mut env)
-                }
-                None => {
-                    Vm::with_budget(budget).run(&install.prog, ctx, &mut install.maps, &mut env)
-                }
-            };
-            let elapsed = t0
-                .and_then(|t0| clock.as_ref().map(|c| c.now().saturating_sub(t0)))
-                .unwrap_or(0);
-            let t = op.tenant as usize;
-            if compiled_hop {
-                self.exec.compiled_hops += 1;
-                self.exec.compiled_ns += elapsed;
-                self.tstats[t].exec.compiled_hops += 1;
-                self.tstats[t].exec.compiled_ns += elapsed;
-            } else {
-                self.exec.interp_hops += 1;
-                self.exec.interp_ns += elapsed;
-                self.tstats[t].exec.interp_hops += 1;
-                self.tstats[t].exec.interp_ns += elapsed;
-                if engine == ExecEngine::Compiled {
-                    self.exec.fallbacks += 1;
-                    self.tstats[t].exec.fallbacks += 1;
-                }
+                (None, 0)
             }
-            r.map(|out| (out, env.resubmit_to, env.resubmit_calls))
-        };
-        if let Ok((out, _, _)) = &result {
-            op.insns_used += out.insns;
-        }
-        let ret = match result {
-            Err(trap) => {
-                let s = ChainStatus::VmError(trap.to_string());
-                op.status = Some(s.clone());
-                self.ops[id] = Some(op);
-                return (Some(s), None, 0);
-            }
-            Ok((out, resubmit_to, resubmit_calls)) => {
-                let insns = out.insns;
-                let status = match out.ret {
-                    action::ACT_RESUBMIT => {
-                        if resubmit_calls == 1 && resubmit_to.is_some() {
-                            None // chain continues
-                        } else {
-                            Some(ChainStatus::VmError(
-                                "ACT_RESUBMIT without exactly one resubmit call".to_string(),
-                            ))
-                        }
-                    }
-                    action::ACT_EMIT => {
-                        if resubmit_calls > 0 {
-                            Some(ChainStatus::VmError(
-                                "resubmit called but action is EMIT".to_string(),
-                            ))
-                        } else {
-                            Some(ChainStatus::Emitted(op.emitted.clone()))
-                        }
-                    }
-                    action::ACT_PASS => Some(ChainStatus::Pass(op.data.clone())),
-                    action::ACT_HALT => Some(ChainStatus::Halted),
-                    other => Some(ChainStatus::VmError(format!("unknown action {other}"))),
+            Some(install) => {
+                let mut env = HookEnv {
+                    resubmit_to: None,
+                    resubmit_calls: 0,
+                    emitted: &mut op.emitted,
                 };
-                (status, resubmit_to, insns)
+                let ctx = RunCtx {
+                    data: &op.data,
+                    file_off: op.file_off,
+                    hop: op.hop,
+                    flags: install.flags,
+                    scratch: &mut op.scratch,
+                };
+                let t0 = self.exec_clock.as_ref().map(ExecClock::now);
+                let result = match &install.compiled {
+                    Some(cp) => cp.run_budgeted(budget, ctx, &mut install.maps, &mut env),
+                    None => {
+                        Vm::with_budget(budget).run(&install.prog, ctx, &mut install.maps, &mut env)
+                    }
+                };
+                let elapsed = match (t0, &self.exec_clock) {
+                    (Some(t0), Some(clock)) => clock.now().saturating_sub(t0),
+                    _ => 0,
+                };
+                let exec = &mut self.run.tstats[op.tenant as usize].exec;
+                if install.compiled.is_some() {
+                    exec.compiled_hops += 1;
+                    exec.compiled_ns += elapsed;
+                } else {
+                    exec.interp_hops += 1;
+                    exec.interp_ns += elapsed;
+                    if self.exec_engine == ExecEngine::Compiled {
+                        exec.fallbacks += 1;
+                    }
+                }
+                let (target, calls) = (env.resubmit_to, env.resubmit_calls);
+                let vm_error = |msg: &str| Some(ChainStatus::VmError(msg.to_string()));
+                match result {
+                    Err(trap) => {
+                        op.status = Some(ChainStatus::VmError(trap.to_string()));
+                        (None, 0)
+                    }
+                    Ok(out) => {
+                        op.insns_used += out.insns;
+                        op.status = match out.ret {
+                            action::ACT_RESUBMIT if calls == 1 && target.is_some() => None,
+                            action::ACT_RESUBMIT => {
+                                vm_error("ACT_RESUBMIT without exactly one resubmit call")
+                            }
+                            action::ACT_EMIT if calls > 0 => {
+                                vm_error("resubmit called but action is EMIT")
+                            }
+                            action::ACT_EMIT => Some(ChainStatus::Emitted(op.emitted.clone())),
+                            action::ACT_PASS => Some(ChainStatus::Pass(op.data.clone())),
+                            action::ACT_HALT => Some(ChainStatus::Halted),
+                            other => vm_error(&format!("unknown action {other}")),
+                        };
+                        (target.filter(|_| op.status.is_none()), out.insns)
+                    }
+                }
             }
         };
-        op.status = ret.0.clone();
         self.ops[id] = Some(op);
-        ret
+        (next, insns)
     }
 
-    /// Schedules terminal delivery of a driver-hook chain after
-    /// `hook_cost` of hook-side CPU work: a target-resident chain
-    /// returns its outcome as one response capsule over the wire; a
-    /// local chain unwinds the completion stack directly.
-    fn finish_driver_chain(&mut self, id: usize, hook_cost: Nanos) {
-        if self.target_resident(id) {
-            self.send_response_capsule(id, hook_cost);
+    /// A read completed under a hook mode: run the program, then either
+    /// end the chain or reissue its next hop. At the driver hook
+    /// ([`DispatchMode::DriverHook`]) the hop recycles the descriptor
+    /// after translating through the extent soft-state cache; at the
+    /// syscall hook the completion first climbs driver → bio → fs, and
+    /// the reissue pays the full submission path minus the boundary
+    /// crossing.
+    fn run_hook(&mut self, id: usize) {
+        let (next, insns) = self.run_hook_program(id);
+        let bpf_cost = self.costs.bpf_exec(insns);
+        self.run.trace.bpf += bpf_cost;
+        let op = self.ops[id].as_ref().expect("op");
+        let (tenant, thread, ino) = (op.tenant, op.thread, op.ino);
+        let bound = self.bound_for(tenant);
+        self.run.tstats[tenant as usize].bpf_ns += bpf_cost;
+        let Some(target) = next else {
+            // Terminal: the completion unwinds the full stack once
+            // (over a fabric, after the response capsule lands).
+            self.deliver(id, bpf_cost);
+            return;
+        };
+        // §4 fairness: bound chained resubmissions per tenant.
+        let op = self.ops[id].as_mut().expect("op");
+        if op.hop + 1 >= bound {
+            return self.fail(id, ChainStatus::BoundExceeded, bpf_cost);
+        }
+        let c = self.costs;
+        if op.mode == DispatchMode::SyscallHook {
+            op.file_off = target;
+            op.hop += 1;
+            let unwind = c.drv_complete + c.bio_complete + c.fs_complete;
+            let resubmit = c.syscall + c.fs_submit + c.bio_submit + c.drv_submit;
+            let end = self.charge(unwind + bpf_cost + resubmit);
+            let t = &mut self.run.trace;
+            t.drv += c.drv_complete + c.drv_submit;
+            t.bio += c.bio_complete + c.bio_submit;
+            t.fs += c.fs_complete + c.fs_submit;
+            t.syscall += c.syscall;
+            self.events.push(end, Ev::DevSubmit { op: id });
             return;
         }
-        let cost = hook_cost + self.costs.sync_complete();
-        let end = self.charge(cost);
-        self.account_complete_trace();
-        self.events.push(end, Ev::Delivered { op: id });
-    }
-
-    fn hook_at_driver(&mut self, id: usize) {
-        let (terminal, resubmit_to, insns) = self.run_hook_program(id);
-        let bpf_cost = self.costs.bpf_exec(insns);
-        self.trace.bpf += bpf_cost;
-        let tenant = self.ops[id].as_ref().expect("op").tenant;
-        let bound = self.bound_for(tenant);
-        self.tstats[tenant as usize].bpf_ns += bpf_cost;
-        match terminal {
-            None => {
-                let target = resubmit_to.expect("resubmit target");
-                let op = self.ops[id].as_mut().expect("op");
-                let nblocks = (op.len as u64).div_ceil(SECTOR_SIZE as u64).max(1);
-                // §4 fairness: bound chained resubmissions per tenant.
-                if op.hop + 1 >= bound {
-                    op.status = Some(ChainStatus::BoundExceeded);
-                    self.finish_driver_chain(id, bpf_cost);
-                    return;
-                }
-                // Translate through the extent soft-state cache.
-                let ino = op.ino;
-                let lb = target / SECTOR_SIZE as u64;
-                let cache_cost = self.costs.extent_cache_lookup;
-                match self.extcache.lookup(ino, lb) {
-                    Some((phys, run)) if run >= nblocks => {
-                        // Carry the snapshot's physical target (and the
-                        // generation it was taken at) to the recycled
-                        // submission — the NVMe layer must never heal a
-                        // stale snapshot through live fs metadata.
-                        let snap_gen = self.extcache.generation(ino).unwrap_or(0);
-                        let op = self.ops[id].as_mut().expect("op");
-                        op.file_off = target;
-                        op.phys_target = Some((phys, snap_gen));
-                        op.hop += 1;
-                        let thread = op.thread;
-                        self.note_resubmission(tenant, thread);
-                        let cost = self.costs.drv_complete
-                            + bpf_cost
-                            + cache_cost
-                            + self.costs.recycle_submit;
-                        let end = self.charge(cost);
-                        self.trace.drv += self.costs.drv_complete + self.costs.recycle_submit;
-                        self.trace.extent_cache += cache_cost;
-                        self.events.push(end, Ev::DevSubmit { op: id });
-                    }
-                    Some(_) => {
-                        // Crosses a physical extent boundary: BIO-path
-                        // fallback; the buffer goes back to the app.
-                        let op = self.ops[id].as_mut().expect("op");
-                        op.file_off = target;
-                        op.status = Some(ChainStatus::SplitFallback {
-                            file_off: target,
-                            data: op.data.clone(),
-                        });
-                        self.trace.extent_cache += cache_cost;
-                        self.finish_driver_chain(id, bpf_cost);
-                    }
-                    None => {
-                        let op = self.ops[id].as_mut().expect("op");
-                        op.status = Some(ChainStatus::ExtentMiss);
-                        self.trace.extent_cache += cache_cost;
-                        self.finish_driver_chain(id, bpf_cost);
-                    }
-                }
-            }
-            Some(_) => {
-                // Terminal: the completion unwinds the full stack once
-                // (over a fabric, after the response capsule lands).
-                self.finish_driver_chain(id, bpf_cost);
-            }
-        }
-    }
-
-    fn hook_at_syscall(&mut self, id: usize) {
-        // Completion unwinds driver → bio → fs, then the hook runs at the
-        // syscall dispatch layer.
-        let (terminal, resubmit_to, insns) = self.run_hook_program(id);
-        let bpf_cost = self.costs.bpf_exec(insns);
-        self.trace.bpf += bpf_cost;
-        let tenant = self.ops[id].as_ref().expect("op").tenant;
-        let bound = self.bound_for(tenant);
-        self.tstats[tenant as usize].bpf_ns += bpf_cost;
-        let unwind = self.costs.drv_complete + self.costs.bio_complete + self.costs.fs_complete;
-        match terminal {
-            None => {
-                let target = resubmit_to.expect("resubmit target");
-                let op = self.ops[id].as_mut().expect("op");
-                if op.hop + 1 >= bound {
-                    op.status = Some(ChainStatus::BoundExceeded);
-                    let cost = unwind + bpf_cost + self.costs.crossing_exit;
-                    let end = self.charge(cost);
-                    self.trace.drv += self.costs.drv_complete;
-                    self.trace.bio += self.costs.bio_complete;
-                    self.trace.fs += self.costs.fs_complete;
-                    self.trace.crossing += self.costs.crossing_exit;
-                    self.events.push(end, Ev::Delivered { op: id });
-                    return;
-                }
+        let nblocks = (op.len as u64).div_ceil(SECTOR_SIZE as u64).max(1);
+        self.run.trace.extent_cache += c.extent_cache_lookup;
+        match self.extcache.lookup(ino, target / SECTOR_SIZE as u64) {
+            Some((phys, run)) if run >= nblocks => {
+                // Carry the snapshot's physical target (and the
+                // generation it was taken at) to the recycled
+                // submission — the NVMe layer must never heal a stale
+                // snapshot through live fs metadata.
+                let snap_gen = self.extcache.generation(ino).unwrap_or(0);
                 op.file_off = target;
+                op.phys_target = Some((phys, snap_gen));
                 op.hop += 1;
-                // Reissue skips only the boundary crossing and the app:
-                // syscall + fs + bio + driver submission all run again.
-                let resubmit = self.costs.syscall
-                    + self.costs.fs_submit
-                    + self.costs.bio_submit
-                    + self.costs.drv_submit;
-                let cost = unwind + bpf_cost + resubmit;
-                let end = self.charge(cost);
-                self.trace.drv += self.costs.drv_complete + self.costs.drv_submit;
-                self.trace.bio += self.costs.bio_complete + self.costs.bio_submit;
-                self.trace.fs += self.costs.fs_complete + self.costs.fs_submit;
-                self.trace.syscall += self.costs.syscall;
+                self.note_resubmission(tenant, thread);
+                let drv = c.drv_complete + c.recycle_submit;
+                let end = self.charge(drv + bpf_cost + c.extent_cache_lookup);
+                self.run.trace.drv += drv;
                 self.events.push(end, Ev::DevSubmit { op: id });
             }
             Some(_) => {
-                let cost = unwind + bpf_cost + self.costs.crossing_exit;
-                let end = self.charge(cost);
-                self.trace.drv += self.costs.drv_complete;
-                self.trace.bio += self.costs.bio_complete;
-                self.trace.fs += self.costs.fs_complete;
-                self.trace.crossing += self.costs.crossing_exit;
-                self.events.push(end, Ev::Delivered { op: id });
+                // Crosses a physical extent boundary: BIO-path
+                // fallback; the buffer goes back to the app.
+                op.file_off = target;
+                let data = op.data.clone();
+                let status = ChainStatus::SplitFallback {
+                    file_off: target,
+                    data,
+                };
+                self.fail(id, status, bpf_cost);
             }
+            None => self.fail(id, ChainStatus::ExtentMiss, bpf_cost),
         }
     }
 
     fn on_delivered(&mut self, id: usize, driver: &mut dyn ChainDriver) {
-        let op = self.ops[id].as_ref().expect("op exists");
-        let thread = op.thread;
-        let origin = op.origin;
+        let op = self.ops[id].as_mut().expect("op exists");
+        let (thread, origin, tenant) = (op.thread, op.origin, op.tenant as usize);
         // User-mode (and remote-initiator) chains may continue from the
         // application; over a fabric every such hop pays a round trip.
         if matches!(op.mode, DispatchMode::User | DispatchMode::Remote) && op.status.is_none() {
-            let data = op.data.clone();
-            let token = op.token;
-            match driver.user_step(thread, &token, &data) {
+            match driver.user_step(thread, &op.token, &op.data) {
                 UserNext::Continue(next_off) => {
-                    let op = self.ops[id].as_mut().expect("op");
                     op.file_off = next_off;
                     op.hop += 1;
                     match origin {
-                        Origin::Sync => {
-                            let cost = self.costs.app_think + self.costs.sync_submit();
-                            let end = self.charge(cost);
-                            self.trace.app += self.costs.app_think;
-                            self.account_submit_trace();
-                            self.events.push(end, Ev::DevSubmit { op: id });
-                        }
-                        Origin::Uring => {
-                            // Queue the continuation for the next enter.
-                            let ur = self.threads[thread].uring.as_mut().expect("uring thread");
-                            ur.queue.push(PendingSub::Continue(id));
-                            self.uring_cqe_arrived(thread);
-                        }
+                        Origin::Sync => self.sync_submit(id, false),
+                        // Queue the continuation for the next enter.
+                        Origin::Uring => self.uring_cqe_arrived(thread, PendingSub::Continue(id)),
                     }
                     return;
                 }
-                UserNext::Done => {
-                    let op = self.ops[id].as_mut().expect("op");
-                    op.status = Some(ChainStatus::Pass(data));
-                }
+                UserNext::Done => op.status = Some(ChainStatus::Pass(op.data.clone())),
             }
         }
         // Chain is terminal.
-        let op = self.ops[id].as_ref().expect("op");
         let status = op.status.clone().unwrap_or(ChainStatus::IoError);
+        let is_read = op.kind == OpKind::Read;
         let outcome = ChainOutcome {
             thread,
             token: op.token,
-            status: status.clone(),
+            status,
             ios: op.ios,
             attempts: op.attempts,
-            latency: self.now.saturating_sub(op.started),
+            latency: self.now.saturating_sub(op.token.issued),
         };
         let verdict = driver.chain_done(thread, &outcome);
         // The retry protocol only applies to failures a re-arm repairs;
@@ -3194,33 +2395,27 @@ impl Machine {
         // retrying against a dead snapshot would burn the budget on a
         // permanent error — in which case the chain completes normally
         // with its failure status.
-        if verdict == ChainVerdict::RearmRetry && status.is_rearmable() && self.restart_chain(id) {
+        if verdict == ChainVerdict::RearmRetry
+            && outcome.status.is_rearmable()
+            && self.restart_chain(id)
+        {
             return;
         }
-        self.chains += 1;
-        let tenant = self.ops[id].as_ref().expect("op").tenant as usize;
-        self.tstats[tenant].chains += 1;
-        if !status.is_ok() {
-            self.errors += 1;
-            self.tstats[tenant].errors += 1;
+        let ts = &mut self.run.tstats[tenant];
+        ts.chains += 1;
+        if !outcome.status.is_ok() {
+            ts.errors += 1;
         }
-        self.latency.record(outcome.latency);
-        self.tstats[tenant].latency.record(outcome.latency);
-        let op = self.ops[id].as_ref().expect("op");
-        match op.kind {
-            OpKind::Read => self.lat_read.record(outcome.latency),
-            _ => self.lat_write.record(outcome.latency),
+        ts.latency.record(outcome.latency);
+        if is_read {
+            self.run.lat_read.record(outcome.latency);
+        } else {
+            self.run.lat_write.record(outcome.latency);
         }
         self.free_op(id);
         match origin {
-            Origin::Sync => {
-                self.events.push(self.now, Ev::AppStart { thread });
-            }
-            Origin::Uring => {
-                let ur = self.threads[thread].uring.as_mut().expect("uring thread");
-                ur.queue.push(PendingSub::NewChain);
-                self.uring_cqe_arrived(thread);
-            }
+            Origin::Sync => self.events.push(self.now, Ev::AppStart { thread }),
+            Origin::Uring => self.uring_cqe_arrived(thread, PendingSub::NewChain),
         }
     }
 
@@ -3231,61 +2426,49 @@ impl Machine {
     /// `false` without restarting when the re-arm itself fails (file
     /// gone, program detached) — a permanent error retrying cannot fix.
     fn restart_chain(&mut self, id: usize) -> bool {
-        let op = self.ops[id].as_ref().expect("op exists");
-        let (thread, fd, origin, mode) = (op.thread, op.fd, op.origin, op.mode);
         // The rearm ioctl itself: boundary crossings, syscall dispatch,
         // and the file system's extent walk.
-        let ioctl = self.costs.crossing() + self.costs.syscall + self.costs.fs_submit;
-        self.charge(ioctl);
-        self.trace.crossing += self.costs.crossing();
-        self.trace.syscall += self.costs.syscall;
-        self.trace.fs += self.costs.fs_submit;
-        if self.rearm(fd).is_err() {
-            return false;
-        }
+        let c = self.costs;
+        self.charge(c.crossing() + c.syscall + c.fs_submit);
+        self.run.trace.crossing += c.crossing();
+        self.run.trace.syscall += c.syscall;
+        self.run.trace.fs += c.fs_submit;
         let op = self.ops[id].as_ref().expect("op exists");
-        let spec = RetrySpec {
-            fd,
-            file_off: op.first_off,
-            len: op.first_len,
-            arg: op.token.arg,
+        let (thread, origin, mode) = (op.thread, op.origin, op.mode);
+        let retry = RetrySpec {
+            start: ChainStart {
+                fd: op.fd,
+                file_off: op.first_off,
+                len: op.len,
+                arg: op.token.arg,
+            },
             attempts: op.attempts + 1,
         };
+        if self.rearm(retry.start.fd).is_err() {
+            return false;
+        }
         self.free_op(id);
-        self.rearm_retries += 1;
+        self.run.rearm_retries += 1;
         match origin {
             Origin::Sync => {
-                self.start_chain(
-                    thread,
-                    ChainSpec::Read(crate::chain::ChainStart {
-                        fd: spec.fd,
-                        file_off: spec.file_off,
-                        len: spec.len,
-                        arg: spec.arg,
-                    }),
-                    mode,
-                    Origin::Sync,
-                    spec.attempts,
-                );
+                let spec = ChainSpec::Read(retry.start);
+                self.start_chain(thread, spec, mode, Origin::Sync, retry.attempts);
             }
-            Origin::Uring => {
-                let ur = self.threads[thread].uring.as_mut().expect("uring thread");
-                ur.queue.push(PendingSub::Retry(spec));
-                self.uring_cqe_arrived(thread);
-            }
+            Origin::Uring => self.uring_cqe_arrived(thread, PendingSub::Retry(retry)),
         }
         true
     }
 
-    fn uring_cqe_arrived(&mut self, thread: usize) {
+    /// One of the thread's SQEs completed; `next` is what takes its
+    /// slot at the next `io_uring_enter`.
+    fn uring_cqe_arrived(&mut self, thread: usize, next: PendingSub) {
         let ur = self.threads[thread].uring.as_mut().expect("uring thread");
+        ur.queue.push(next);
         ur.pending -= 1;
-        ur.reaped_since_enter += 1;
         if ur.pending == 0 {
             // The blocked io_uring_enter wakes: charge the exit crossing.
-            let cost = self.costs.crossing_exit;
-            let end = self.charge(cost);
-            self.trace.crossing += self.costs.crossing_exit;
+            let end = self.charge(self.costs.crossing_exit);
+            self.run.trace.crossing += self.costs.crossing_exit;
             self.events.push(end, Ev::AppStart { thread });
         }
     }
@@ -3295,80 +2478,47 @@ impl Machine {
         // continuations and rearm-retries of in-flight logical requests
         // still submit (matching the sync path, which also finishes
         // in-flight work past the deadline).
-        let past_deadline = self.now >= self.until;
-        let (batch, queue_len) = {
-            let ur = self.threads[thread].uring.as_ref().expect("uring");
-            (ur.batch, ur.queue.len())
-        };
+        let past_deadline = self.now >= self.run.until;
+        let ur = self.threads[thread].uring.as_mut().expect("uring");
         if past_deadline {
-            let ur = self.threads[thread].uring.as_mut().expect("uring");
             ur.queue.retain(|s| !matches!(s, PendingSub::NewChain));
-            if ur.queue.is_empty() {
-                self.threads[thread].stopped = true;
-                return;
-            }
-        } else if queue_len == 0 {
+        } else if ur.queue.is_empty() {
             // First enter of the run: fill the queue with fresh chains.
-            let ur = self.threads[thread].uring.as_mut().expect("uring");
-            for _ in 0..batch {
-                ur.queue.push(PendingSub::NewChain);
-            }
+            ur.queue.extend((0..ur.batch).map(|_| PendingSub::NewChain));
         }
-        let queue = {
-            let ur = self.threads[thread].uring.as_mut().expect("uring");
-            ur.reaped_since_enter = 0;
-            std::mem::take(&mut ur.queue)
-        };
+        let queue = std::mem::take(&mut ur.queue);
         let mode = driver.mode();
         let mut submitted: Vec<usize> = Vec::new();
         let mut n_writes: u64 = 0;
         let mut app_work: Nanos = 0;
         for sub in queue {
-            match sub {
+            let started = match sub {
                 PendingSub::NewChain => {
                     // Each SQE in a batch gets its own stream: salt the
                     // fork with a monotone sequence number, not the
                     // (batch-constant) completed-chain counter.
-                    let stream = self.rng_streams;
-                    self.rng_streams += 1;
+                    let stream = self.run.rng_streams;
+                    self.run.rng_streams += 1;
                     let mut rng = self.rng.fork(thread as u64 * 6151 + stream);
                     let Some(spec) = driver.next_op(thread, &mut rng) else {
                         continue;
                     };
                     let is_write = matches!(spec, ChainSpec::Write(_));
-                    app_work += self.costs.app_think;
-                    if let Some(id) = self.start_chain(thread, spec, mode, Origin::Uring, 0) {
-                        // Count the class only for accepted SQEs, or
-                        // `n_reads = submitted - n_writes` underflows
-                        // when a write spec names a bad fd.
-                        if is_write {
-                            n_writes += 1;
-                        }
-                        submitted.push(id);
-                    }
+                    let id = self.start_chain(thread, spec, mode, Origin::Uring, 0);
+                    // Count the class only for accepted SQEs, or
+                    // `n_reads = submitted - n_writes` underflows when
+                    // a write spec names a bad fd.
+                    n_writes += u64::from(is_write && id.is_some());
+                    id
                 }
-                PendingSub::Continue(id) => {
-                    app_work += self.costs.app_think;
-                    submitted.push(id);
+                PendingSub::Continue(id) => Some(id),
+                PendingSub::Retry(retry) => {
+                    let spec = ChainSpec::Read(retry.start);
+                    self.start_chain(thread, spec, mode, Origin::Uring, retry.attempts)
                 }
-                PendingSub::Retry(spec) => {
-                    app_work += self.costs.app_think;
-                    if let Some(id) = self.start_chain(
-                        thread,
-                        ChainSpec::Read(crate::chain::ChainStart {
-                            fd: spec.fd,
-                            file_off: spec.file_off,
-                            len: spec.len,
-                            arg: spec.arg,
-                        }),
-                        mode,
-                        Origin::Uring,
-                        spec.attempts,
-                    ) {
-                        submitted.push(id);
-                    }
-                }
-            }
+            };
+            app_work += self.costs.app_think;
+            submitted.extend(started);
         }
         if submitted.is_empty() {
             self.threads[thread].stopped = true;
@@ -3378,46 +2528,36 @@ impl Machine {
         // the uring + fs + bio + driver submission of each request. The
         // ext4 share of a write SQE splits into allocation + journal
         // append (same total as a read SQE).
-        let n_reads = submitted.len() as u64 - n_writes;
-        let per_sqe = self.costs.uring_sqe
-            + self.costs.fs_submit
-            + self.costs.bio_submit
-            + self.costs.drv_submit;
-        let reap_cost = self.costs.uring_cqe * submitted.len() as u64;
-        let cost =
-            app_work + self.costs.crossing_enter + per_sqe * submitted.len() as u64 + reap_cost;
-        let end = self.charge(cost);
-        self.trace.app += app_work;
-        self.trace.crossing += self.costs.crossing_enter;
-        self.trace.syscall +=
-            (self.costs.uring_sqe + self.costs.uring_cqe) * submitted.len() as u64;
-        self.trace.fs += self.costs.fs_submit * n_reads + self.costs.wr_fs_submit * n_writes;
-        self.trace.journal += self.costs.journal_log * n_writes;
-        self.trace.bio += self.costs.bio_submit * submitted.len() as u64;
-        self.trace.drv += self.costs.drv_submit * submitted.len() as u64;
-        let n = submitted.len() as u32;
+        let c = self.costs;
+        let n = submitted.len() as u64;
+        let n_reads = n - n_writes;
+        let per_sqe = c.uring_sqe + c.fs_submit + c.bio_submit + c.drv_submit + c.uring_cqe;
+        let end = self.charge(app_work + c.crossing_enter + per_sqe * n);
+        let t = &mut self.run.trace;
+        t.app += app_work;
+        t.crossing += c.crossing_enter;
+        t.syscall += (c.uring_sqe + c.uring_cqe) * n;
+        t.fs += c.fs_submit * n_reads + c.wr_fs_submit * n_writes;
+        t.journal += c.journal_log * n_writes;
+        t.bio += c.bio_submit * n;
+        t.drv += c.drv_submit * n;
         for id in submitted {
             self.events.push(end, Ev::DevSubmit { op: id });
         }
-        let ur = self.threads[thread].uring.as_mut().expect("uring");
-        ur.pending = n;
+        self.threads[thread].uring.as_mut().expect("uring").pending = n as u32;
     }
 
     fn on_mutate(&mut self, idx: usize) {
-        let m = self.mutations[idx].clone();
-        match m {
+        let store = self.transport.device_mut().store_mut();
+        match &self.mutations[idx] {
             Mutation::Relocate { name } => {
-                if let Ok(ino) = self.fs.open(&name) {
-                    let _ = self
-                        .fs
-                        .relocate(ino, self.transport.device_mut().store_mut());
+                if let Ok(ino) = self.fs.open(name) {
+                    let _ = self.fs.relocate(ino, store);
                 }
             }
             Mutation::Truncate { name, size } => {
-                if let Ok(ino) = self.fs.open(&name) {
-                    let _ = self
-                        .fs
-                        .truncate(ino, size, self.transport.device_mut().store_mut());
+                if let Ok(ino) = self.fs.open(name) {
+                    let _ = self.fs.truncate(ino, *size, store);
                 }
             }
         }

@@ -13,7 +13,8 @@
 //!   at most this many commands in flight per queue pair. At the budget,
 //!   its submissions park in a per-tenant queue (distinct from device
 //!   backpressure) and re-issue when its own completions return — other
-//!   tenants' slots are never consumed.
+//!   tenants' slots are never consumed. `SqAdmission` keeps the meter
+//!   and the parked queues.
 //! - **Weighted fair reaping** ([`TenantLimits::weight`] +
 //!   [`crate::Machine::set_fair_reap`]): pending CQEs on a queue pair
 //!   are serviced deficit-round-robin across tenants in proportion to
@@ -172,5 +173,177 @@ impl TenantBreakdown {
         } else {
             self.cqes as f64 / total as f64
         }
+    }
+}
+
+/// Submission-queue admission for one machine: the per-tenant SQ slot
+/// meter and the parked submissions waiting on it (or on device
+/// backpressure), all keyed `[queue pair][tenant]`. Inputs are op ids;
+/// the machine decides what a parked or drained op costs.
+pub(crate) struct SqAdmission {
+    /// Parked ops: tenant SQ-budget parks and queue-full backpressure
+    /// both land here, re-issued after the next reap frees slots.
+    parked: Vec<Vec<Vec<usize>>>,
+    /// Commands in flight — the slot-budget meter.
+    inflight: Vec<Vec<usize>>,
+    /// Per-queue-pair tenant the next drain serves first.
+    cursor: Vec<usize>,
+}
+
+impl SqAdmission {
+    /// `nr_queues` queue pairs and the default tenant.
+    pub(crate) fn new(nr_queues: usize) -> Self {
+        SqAdmission {
+            parked: vec![vec![Vec::new()]; nr_queues],
+            inflight: vec![vec![0]; nr_queues],
+            cursor: vec![0; nr_queues],
+        }
+    }
+
+    /// Grows every queue pair's tables by one tenant.
+    pub(crate) fn add_tenant(&mut self) {
+        for (parked, inflight) in self.parked.iter_mut().zip(&mut self.inflight) {
+            parked.push(Vec::new());
+            inflight.push(0);
+        }
+    }
+
+    /// Forgets every parked op and in-flight count (a new run).
+    pub(crate) fn reset(&mut self) {
+        self.parked.iter_mut().flatten().for_each(Vec::clear);
+        self.inflight.iter_mut().flatten().for_each(|n| *n = 0);
+        self.cursor.iter_mut().for_each(|c| *c = 0);
+    }
+
+    /// True when `tenant` may put `n` more commands on `qp` under
+    /// `budget` ([`TenantLimits::sq_slots`]). A tenant with nothing in
+    /// flight is always admitted, so a request wider than its budget
+    /// cannot park forever.
+    pub(crate) fn can_admit(
+        &self,
+        qp: usize,
+        tenant: TenantId,
+        n: usize,
+        budget: Option<usize>,
+    ) -> bool {
+        let inflight = self.inflight[qp][tenant as usize];
+        budget.is_none_or(|b| inflight == 0 || inflight + n <= b)
+    }
+
+    /// Counts `n` admitted commands against the tenant's slots.
+    pub(crate) fn admit(&mut self, qp: usize, tenant: TenantId, n: usize) {
+        self.inflight[qp][tenant as usize] += n;
+    }
+
+    /// One of the tenant's commands completed: its slot frees.
+    pub(crate) fn complete(&mut self, qp: usize, tenant: TenantId) {
+        let n = &mut self.inflight[qp][tenant as usize];
+        *n = n.saturating_sub(1);
+    }
+
+    /// Parks op `id` in the tenant's queue on `qp`.
+    pub(crate) fn park(&mut self, qp: usize, tenant: TenantId, id: usize) {
+        self.parked[qp][tenant as usize].push(id);
+    }
+
+    /// Whether any submission is parked on `qp`.
+    pub(crate) fn has_parked(&self, qp: usize) -> bool {
+        self.parked[qp].iter().any(|q| !q.is_empty())
+    }
+
+    /// Empties `qp`'s parked queues into re-issue order: one op per
+    /// tenant per round-robin pass, starting after the tenant served
+    /// first by the previous non-empty drain, so no tenant's backlog
+    /// starves behind another's. With a single tenant this is FIFO.
+    pub(crate) fn drain_round_robin(&mut self, qp: usize) -> Vec<usize> {
+        let queues = &mut self.parked[qp];
+        let total: usize = queues.iter().map(Vec::len).sum();
+        let mut out = Vec::with_capacity(total);
+        if total == 0 {
+            return out;
+        }
+        let nt = queues.len();
+        let start = self.cursor[qp] % nt;
+        let mut pass = 0;
+        while out.len() < total {
+            out.extend((0..nt).filter_map(|i| queues[(start + i) % nt].get(pass)));
+            pass += 1;
+        }
+        queues.iter_mut().for_each(Vec::clear);
+        self.cursor[qp] = (start + 1) % nt;
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn two_tenants() -> SqAdmission {
+        let mut a = SqAdmission::new(2);
+        a.add_tenant();
+        a
+    }
+
+    #[test]
+    fn idle_tenant_is_admitted_over_budget_and_bursts_park() {
+        let mut a = two_tenants();
+        // Nothing in flight: a request wider than the budget still goes.
+        assert!(a.can_admit(0, 1, 4, Some(2)));
+        a.admit(0, 1, 4);
+        // Now over budget: the next one parks, on this queue pair only.
+        assert!(!a.can_admit(0, 1, 1, Some(2)));
+        assert!(a.can_admit(1, 1, 1, Some(2)));
+        assert!(a.can_admit(0, 0, 1, Some(2)), "budgets are per tenant");
+        assert!(a.can_admit(0, 1, 100, None), "no budget, no limit");
+        a.park(0, 1, 9);
+        assert!(a.has_parked(0) && !a.has_parked(1));
+        for _ in 0..3 {
+            a.complete(0, 1);
+        }
+        assert!(a.can_admit(0, 1, 1, Some(2)), "1 in flight + 1 fits 2");
+        assert!(!a.can_admit(0, 1, 2, Some(2)));
+        a.complete(0, 1);
+        a.complete(0, 1); // saturates at zero
+        assert!(a.can_admit(0, 1, 2, Some(2)));
+    }
+
+    #[test]
+    fn drain_is_round_robin_and_rotates_its_start_tenant() {
+        let mut a = two_tenants();
+        a.add_tenant();
+        for id in [10, 11, 12] {
+            a.park(0, 0, id);
+        }
+        a.park(0, 1, 20);
+        a.park(0, 2, 30);
+        a.park(0, 2, 31);
+        assert_eq!(a.drain_round_robin(0), vec![10, 20, 30, 11, 31, 12]);
+        assert!(!a.has_parked(0));
+        assert_eq!(a.drain_round_robin(0), Vec::<usize>::new());
+        // The next non-empty drain starts one tenant later; an empty
+        // drain in between did not advance the cursor.
+        for (tenant, id) in [(0, 40), (1, 50), (2, 60)] {
+            a.park(0, tenant, id);
+        }
+        assert_eq!(a.drain_round_robin(0), vec![50, 60, 40]);
+        a.park(0, 0, 70);
+        a.park(0, 2, 80);
+        assert_eq!(a.drain_round_robin(0), vec![80, 70]);
+    }
+
+    #[test]
+    fn reset_clears_everything() {
+        let mut a = two_tenants();
+        a.admit(1, 1, 3);
+        a.park(1, 1, 5);
+        a.park(0, 0, 6);
+        a.drain_round_robin(0); // moves queue pair 0's cursor
+        a.reset();
+        assert!(!a.has_parked(0) && !a.has_parked(1));
+        assert!(a.can_admit(1, 1, 2, Some(2)), "in-flight counts cleared");
+        a.park(0, 0, 1);
+        a.park(0, 1, 2);
+        assert_eq!(a.drain_round_robin(0), vec![1, 2], "cursor back at 0");
     }
 }

@@ -2108,3 +2108,89 @@ fn resubmission_bound_is_per_tenant() {
     assert_eq!(report.tenants[tenant_b as usize].errors, 1);
     assert_eq!(report.tenants[DEFAULT_TENANT as usize].errors, 0);
 }
+
+#[test]
+fn every_report_aggregate_is_the_sum_of_its_tenants() {
+    // Two tenants, mixed work: the default tenant chases a 6-block
+    // chain under a §4 bound of 4 (every chain ends BoundExceeded after
+    // three recycled hops); tenant B fsyncs every write from four
+    // threads into shared group-commit barriers.
+    struct Mixed {
+        reader: ChaseDriver,
+        writer: WriteDriver,
+    }
+    impl ChainDriver for Mixed {
+        fn mode(&self) -> DispatchMode {
+            DispatchMode::DriverHook
+        }
+        fn next_op(
+            &mut self,
+            thread: usize,
+            rng: &mut SimRng,
+        ) -> Option<bpfstor_kernel::ChainSpec> {
+            match thread {
+                0 => self.reader.next_op(thread, rng),
+                _ => self.writer.next_op(thread, rng),
+            }
+        }
+        fn chain_done(&mut self, _thread: usize, _outcome: &ChainOutcome) -> ChainVerdict {
+            ChainVerdict::Done
+        }
+    }
+
+    let mut m = Machine::new(MachineConfig {
+        commit_policy: CommitPolicy::Group {
+            max_wait_us: 30,
+            max_handles: 2,
+        },
+        ..MachineConfig::default()
+    });
+    m.set_tenant_limits(
+        DEFAULT_TENANT,
+        TenantLimits {
+            resubmit_bound: Some(4),
+            ..TenantLimits::default()
+        },
+    );
+    let tenant_b = m.register_tenant(TenantLimits::weighted(2));
+    m.create_file("chain.db", &chain_file(6)).expect("create");
+    m.create_file("wal.db", &[]).expect("create");
+    let rfd = m.open("chain.db", true).expect("open");
+    let wfd = m.open_for(tenant_b, "wal.db", true).expect("open");
+    m.install(rfd, chase_program(), 0).expect("install");
+    let mut d = Mixed {
+        reader: ChaseDriver::new(rfd, DispatchMode::DriverHook, 12),
+        writer: WriteDriver::new(wfd, SECTOR_SIZE, 40, 1),
+    };
+    let report = m.run_closed_loop(5, SECOND, &mut d);
+
+    let sum = |f: fn(&bpfstor_kernel::TenantBreakdown) -> u64| -> u64 {
+        report.tenants.iter().map(f).sum()
+    };
+    assert_eq!(report.tenants.len(), 2);
+    assert_eq!(report.chains, sum(|t| t.chains));
+    assert_eq!(report.errors, sum(|t| t.errors));
+    assert_eq!(report.ios, sum(|t| t.ios));
+    assert_eq!(report.device.cqes, sum(|t| t.cqes));
+    assert_eq!(report.resubmissions, sum(|t| t.resubmissions));
+    assert_eq!(report.commit.fsyncs, sum(|t| t.fsyncs));
+    assert_eq!(report.commit.barrier_joins, sum(|t| t.barrier_joins));
+    assert_eq!(report.latency.count(), sum(|t| t.latency.count()));
+    assert_eq!(
+        report.fsync_latency.count(),
+        sum(|t| t.fsync_latency.count())
+    );
+    let mut exec = bpfstor_kernel::ExecSplit::default();
+    for t in &report.tenants {
+        exec.absorb(&t.exec);
+    }
+    assert_eq!(report.exec, exec);
+    // The run moved every one of those counters, on both tenants where
+    // both can: nothing above is 0 == 0.
+    assert_eq!((report.chains, report.errors), (12 + 40, 12));
+    assert_eq!(report.resubmissions, 12 * 3 + 40);
+    assert_eq!(report.commit.fsyncs, 40);
+    assert!(report.commit.barrier_joins > 0, "some fsync rode a barrier");
+    assert_eq!(report.exec.hops(), 12 * 4);
+    assert!(report.tenants.iter().all(|t| t.chains > 0 && t.cqes > 0));
+}

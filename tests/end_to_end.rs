@@ -7,7 +7,7 @@ use bpfstor::core::{
     btree_lookup_program_with_stats, stats_slot, Btree, BtreeLookupDriver, Chase, DispatchMode,
     PushdownSession, Scan, SessionError, Sst, CHASE_PAYLOAD,
 };
-use bpfstor::kernel::{ChainStatus, Machine, ProgHandle};
+use bpfstor::kernel::{Machine, ProgHandle};
 use bpfstor::sim::{MILLISECOND, SECOND};
 
 /// A small SSTable probe set: 600 entries with 48-byte values, probed by
@@ -457,31 +457,6 @@ fn driver_hook_beats_baseline_at_depth() {
         speedup > 1.5,
         "depth-8 driver hook should clearly win: {speedup:.2}x"
     );
-}
-
-// --- Deprecated shims stay functional ------------------------------------------
-
-#[test]
-#[allow(deprecated)]
-fn legacy_btree_facade_still_works() {
-    use bpfstor::core::StorageBpfBuilder;
-
-    let mut env = StorageBpfBuilder::new()
-        .btree_depth(4)
-        .dispatch(DispatchMode::DriverHook)
-        .build()
-        .expect("env");
-    assert!(env.lookup_checked(1).expect("before").found);
-    let status = env.invalidate_and_rearm().expect("protocol");
-    assert!(
-        matches!(status, ChainStatus::ExtentMiss | ChainStatus::Invalidated),
-        "{status:?}"
-    );
-    let hit = env.lookup_checked(1).expect("after rearm");
-    assert!(hit.found, "lookups work against the relocated file");
-    let (report, stats) = env.bench_lookups(2, 5 * MILLISECOND);
-    assert_eq!(stats.mismatches, 0);
-    assert_eq!(report.errors, 0);
 }
 
 // --- Queue-accurate device path -------------------------------------------------
