@@ -1,21 +1,31 @@
-//! Shared command-line handling and output emission for the sweep
-//! binaries, so every harness offers the same flags and prints/writes
-//! results identically.
+//! The `bench` binary's command line: one parser, one dispatcher and
+//! one output style for every experiment in the
+//! [registry](crate::registry).
 //!
-//! Flags:
+//! ```text
+//! bench <name> [--quick] [--seed <N>] [--engine <interp|compiled>]
+//! bench ablations [extent-cache|bpf-cost|resubmit-bound|split-fallback]... [--quick]
+//! bench list
+//! bench all [--quick]
+//! ```
 //!
-//! - `--quick`: reduced durations/counts (the `figures` bench scale);
+//! - `--quick`: reduced durations/counts;
 //! - `--seed <N>` (or `--seed=N`): override the experiment's default
-//!   RNG seed — decimal or `0x`-prefixed hex;
+//!   RNG seed — decimal or `0x`-prefixed hex; only the sweeps take one;
 //! - `--engine <interp|compiled>` (or `--engine=...`): select the hook
-//!   execution engine, overriding `BPFSTOR_ENGINE` and the default.
+//!   execution engine, overriding `BPFSTOR_ENGINE` and the default;
+//! - `all`: every fixed-seed experiment (the paper's tables and
+//!   figures, the stability measurements and the ablations), then the
+//!   calibration shape checks; exits 1 if a shape drifted.
+
+use std::process::ExitCode;
 
 use bpfstor_kernel::ExecEngine;
 
-use crate::experiments::Scale;
-use crate::report::Table;
+use crate::experiments::{shape_checks, Scale};
+use crate::registry::{self, Experiment, Part, EXPERIMENTS};
 
-/// Parsed sweep-binary arguments.
+/// Parsed flags.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SweepArgs {
     /// `--quick` was passed.
@@ -33,40 +43,44 @@ impl SweepArgs {
     }
 }
 
-/// The flags every sweep binary takes, for the usage message.
-pub const USAGE: &str =
-    "flags: --quick, --seed <N> (decimal or 0x hex), --engine <interp|compiled>";
-
-/// Parses the process arguments and applies `--engine` (as the
-/// `BPFSTOR_ENGINE` default every machine built afterwards reads). An
-/// unknown flag or a malformed value prints the problem and the valid
-/// flags, then exits with status 2 — a sweep silently running on the
-/// wrong seed is worse than no sweep.
-pub fn parse_args() -> SweepArgs {
-    let args = parse_from(std::env::args().skip(1)).unwrap_or_else(|e| usage_exit(&e, USAGE));
-    if let Some(engine) = args.engine {
-        std::env::set_var("BPFSTOR_ENGINE", engine.label());
-    }
-    args
+/// What the positional arguments asked for.
+pub enum Command {
+    /// `bench list`.
+    List,
+    /// `bench all`.
+    All,
+    /// `bench <name> [subset]...`: the experiment's tables to run, in
+    /// registry order (all of them when no subset is named).
+    Run(Vec<&'static Part>),
 }
 
-/// Prints `problem` and `usage` to standard error and exits with
-/// status 2.
-pub fn usage_exit(problem: &str, usage: &str) -> ! {
-    eprintln!("error: {problem}\n{usage}");
-    std::process::exit(2)
+/// The usage message: the flags and every valid name.
+pub fn usage() -> String {
+    let names: Vec<_> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    format!(
+        "usage: bench <name>|list|all [--quick] [--seed <N>] [--engine <interp|compiled>]\n\
+         flags: --quick, --seed <N> (decimal or 0x hex, sweeps only), --engine <interp|compiled>\n\
+         names: {}",
+        names.join(", ")
+    )
 }
 
-/// Parses sweep-binary arguments (without the program name).
+/// Parses the `bench` arguments (without the program name).
 ///
 /// # Errors
 ///
-/// Names the offending argument: an unknown flag, a flag missing its
-/// value, or a value that does not parse.
-pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<SweepArgs, String> {
+/// Names the offending argument: an unknown flag, experiment or subset,
+/// a missing or stray positional, a flag missing its value, a value
+/// that does not parse, or a `--seed` the experiment would ignore.
+pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<(Command, SweepArgs), String> {
     let mut out = SweepArgs::default();
+    let mut positional = Vec::new();
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            positional.push(arg);
+            continue;
+        }
         let (flag, inline) = match arg.split_once('=') {
             Some((flag, value)) => (flag, Some(value.to_string())),
             None => (arg.as_str(), None),
@@ -84,39 +98,33 @@ pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<SweepArgs, S
             _ => return Err(format!("unknown argument {arg:?}")),
         }
     }
-    Ok(out)
-}
-
-/// The subsets the `ablations` binary knows, in run order.
-pub const ABLATIONS: [&str; 4] = [
-    "extent-cache",
-    "bpf-cost",
-    "resubmit-bound",
-    "split-fallback",
-];
-
-/// Parses the `ablations` binary's arguments: `--quick` plus any number
-/// of subset names. Returns the quick flag and the subsets to run, in
-/// [`ABLATIONS`] order (all of them when none is named).
-///
-/// # Errors
-///
-/// Names the first argument that is neither `--quick` nor a subset.
-pub fn parse_ablations(
-    args: impl IntoIterator<Item = String>,
-) -> Result<(bool, Vec<&'static str>), String> {
-    let mut quick = false;
+    let mut positional = positional.into_iter();
+    let name = positional.next().ok_or("no experiment named")?;
+    let experiment = match name.as_str() {
+        "list" | "all" => None,
+        _ => Some(registry::find(&name).ok_or(format!("unknown experiment {name:?}"))?),
+    };
+    let subsets = experiment.map_or(&[][..], |e| e.subsets);
     let mut named = Vec::new();
-    for arg in args {
-        match ABLATIONS.iter().find(|name| **name == arg) {
-            Some(name) => named.push(*name),
-            None if arg == "--quick" => quick = true,
-            None => return Err(format!("unknown argument {arg:?}")),
-        }
+    for arg in positional {
+        let subset = subsets.iter().position(|s| *s == arg);
+        named.push(subset.ok_or(format!("unknown argument {arg:?} after {name}"))?);
     }
-    let all = named.is_empty();
-    let run = ABLATIONS.into_iter().filter(|n| all || named.contains(n));
-    Ok((quick, run.collect()))
+    if out.seed.is_some() && !experiment.is_some_and(|e| e.seeded) {
+        return Err(format!("{name} takes no --seed"));
+    }
+    let command = match experiment {
+        Some(e) => Command::Run(
+            (0..e.tables.len())
+                .filter(|i| named.is_empty() || named.contains(i))
+                .map(|i| &e.tables[i])
+                .collect(),
+        ),
+        None if name == "all" => Command::All,
+        None if out.quick || out.engine.is_some() => return Err("list takes no flags".into()),
+        None => Command::List,
+    };
+    Ok((command, out))
 }
 
 fn parse_engine(v: &str) -> Result<ExecEngine, String> {
@@ -131,44 +139,104 @@ fn parse_seed(v: &str) -> Result<u64, String> {
     parsed.map_err(|_| format!("--seed wants a u64 (decimal or 0x hex), got {v:?}"))
 }
 
-/// Prints each table and drops its CSV under `results/`, with the
-/// uniform `csv: <path>` / `csv write failed: <err>` messages the
-/// binaries have always emitted.
-pub fn emit(tables: &[(Table, &str)]) {
-    for (t, name) in tables {
+/// `bench list`: one line per experiment.
+pub fn list() -> String {
+    let line = |e: &Experiment| format!("{:<18}{}\n", e.name, e.about);
+    EXPERIMENTS.iter().map(line).collect()
+}
+
+/// Runs each table, prints it and drops its CSV under `results/`.
+fn emit<'a>(tables: impl IntoIterator<Item = &'a Part>, args: SweepArgs) {
+    for (csv, table) in tables {
+        let t = table(args.scale(), args.seed);
         t.print();
-        match t.write_csv(name) {
+        match t.write_csv(csv) {
             Ok(p) => println!("csv: {}", p.display()),
             Err(e) => eprintln!("csv write failed: {e}"),
         }
     }
 }
 
+/// The `bench` binary: parses the process arguments, applies `--engine`
+/// (as the `BPFSTOR_ENGINE` default every machine built afterwards
+/// reads) and runs the command. A bad argument prints the problem and
+/// the usage, and exits with status 2 — a sweep silently running on the
+/// wrong seed or scale is worse than no sweep.
+pub fn main() -> ExitCode {
+    let (command, args) = match parse_from(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(problem) => {
+            eprintln!("error: {problem}\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    if let Some(engine) = args.engine {
+        std::env::set_var("BPFSTOR_ENGINE", engine.label());
+    }
+    match command {
+        Command::List => print!("{}", list()),
+        Command::Run(tables) => emit(tables, args),
+        Command::All => {
+            for e in EXPERIMENTS.iter().filter(|e| !e.seeded) {
+                emit(e.tables, args);
+            }
+            println!("\n=== calibration shape checks ===");
+            let mut failed = 0;
+            for (desc, ok) in shape_checks(args.scale()) {
+                println!("  [{}] {desc}", if ok { "ok" } else { "FAIL" });
+                if !ok {
+                    failed += 1;
+                }
+            }
+            if failed > 0 {
+                eprintln!("{failed} shape check(s) failed — calibration drifted");
+                return ExitCode::FAILURE;
+            }
+            println!("all shapes hold");
+        }
+    }
+    ExitCode::SUCCESS
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<SweepArgs, String> {
+    fn parse(args: &[&str]) -> Result<(Command, SweepArgs), String> {
         parse_from(args.iter().map(|a| a.to_string()))
+    }
+
+    /// The flags of a seeded sweep invocation.
+    fn flags(args: &[&str]) -> Result<SweepArgs, String> {
+        parse(&[&["queue_sweep"], args].concat()).map(|(_, flags)| flags)
+    }
+
+    /// `--quick` and the csv names of the tables an invocation runs.
+    fn tables(args: &[&str]) -> Result<(bool, Vec<&'static str>), String> {
+        let (command, flags) = parse(args)?;
+        let Command::Run(tables) = command else {
+            return Err(format!("{args:?} is not an experiment run"));
+        };
+        Ok((flags.quick, tables.iter().map(|(csv, _)| *csv).collect()))
     }
 
     #[test]
     fn seed_parses_decimal_and_hex_in_both_spellings() {
-        assert_eq!(parse(&["--seed", "2024"]).expect("parses").seed, Some(2024));
+        assert_eq!(flags(&["--seed", "2024"]).expect("parses").seed, Some(2024));
         assert_eq!(
-            parse(&["--seed=0x3117"]).expect("parses").seed,
+            flags(&["--seed=0x3117"]).expect("parses").seed,
             Some(0x3117)
         );
-        assert_eq!(parse(&[]).expect("parses").seed, None);
+        assert_eq!(flags(&[]).expect("parses").seed, None);
     }
 
     #[test]
     fn engine_parses_both_tiers() {
-        let engine = |args: &[&str]| parse(args).expect("parses").engine;
+        let engine = |args: &[&str]| flags(args).expect("parses").engine;
         assert_eq!(engine(&["--engine=compiled"]), Some(ExecEngine::Compiled));
         assert_eq!(engine(&["--engine", "interp"]), Some(ExecEngine::Interp));
         assert_eq!(engine(&["--engine", "jit"]), Some(ExecEngine::Compiled));
-        let args = parse(&["--quick", "--engine=interp", "--seed", "7"]).expect("parses");
+        let args = flags(&["--quick", "--engine=interp", "--seed", "7"]).expect("parses");
         assert!(args.quick && args.scale().quick);
         assert_eq!(
             (args.seed, args.engine),
@@ -178,17 +246,22 @@ mod tests {
 
     #[test]
     fn ablation_subsets_are_checked_against_the_known_names() {
-        let ablations = |args: &[&str]| parse_ablations(args.iter().map(|a| a.to_string()));
-        assert_eq!(ablations(&[]), Ok((false, ABLATIONS.to_vec())));
+        let all = vec![
+            "ablation_extent_cache",
+            "ablation_bpf_cost",
+            "ablation_resubmit_bound",
+            "ablation_split_fallback",
+        ];
+        assert_eq!(tables(&["ablations"]), Ok((false, all)));
         assert_eq!(
-            ablations(&["split-fallback", "--quick", "bpf-cost"]),
-            Ok((true, vec!["bpf-cost", "split-fallback"]))
+            tables(&["ablations", "split-fallback", "--quick", "bpf-cost"]),
+            Ok((true, vec!["ablation_bpf_cost", "ablation_split_fallback"]))
         );
         // The typo that used to run nothing and exit 0.
-        let err = ablations(&["extent_cache"]).expect_err("unknown subset");
+        let err = tables(&["ablations", "extent_cache"]).expect_err("unknown subset");
         assert!(err.contains("extent_cache"), "{err}");
         assert!(
-            ablations(&["--seed", "7"]).is_err(),
+            tables(&["ablations", "--seed", "7"]).is_err(),
             "ablations take no seed"
         );
     }
@@ -196,14 +269,55 @@ mod tests {
     #[test]
     fn unknown_and_malformed_arguments_are_errors() {
         // The misspelling that used to run the canonical seed silently.
-        let err = parse(&["--sed", "7"]).expect_err("unknown flag");
+        let err = flags(&["--sed", "7"]).expect_err("unknown flag");
         assert!(err.contains("--sed"), "{err}");
-        assert!(parse(&["extent-cache"]).is_err(), "stray positional");
-        assert!(parse(&["--quick=yes"]).is_err());
-        let err = parse(&["--quick", "--seed"]).expect_err("missing value");
+        assert!(flags(&["extent-cache"]).is_err(), "stray positional");
+        assert!(flags(&["--quick=yes"]).is_err());
+        let err = flags(&["--quick", "--seed"]).expect_err("missing value");
         assert!(err.contains("--seed needs a value"), "{err}");
-        assert!(parse(&["--seed", "seven"]).is_err());
-        assert!(parse(&["--seed=0xZZ"]).is_err());
-        assert!(parse(&["--engine=turbo"]).is_err());
+        assert!(flags(&["--seed", "seven"]).is_err());
+        assert!(flags(&["--seed=0xZZ"]).is_err());
+        assert!(flags(&["--engine=turbo"]).is_err());
+    }
+
+    #[test]
+    fn the_figure_experiments_reject_what_they_used_to_ignore() {
+        // `fig3a --quik` ran at full scale and `fig1 --seed 7` dropped
+        // the seed, both exiting 0.
+        let err = tables(&["fig3a", "--quik"]).expect_err("misspelt flag");
+        assert!(err.contains("--quik"), "{err}");
+        let err = tables(&["fig1", "--seed", "7"]).expect_err("fig1 has a fixed seed");
+        assert!(err.contains("fig1 takes no --seed"), "{err}");
+        assert!(parse(&["all", "--seed=7"]).is_err(), "all runs fixed seeds");
+        let err = tables(&["table1", "table1"]).expect_err("stray positional");
+        assert!(err.contains("after table1"), "{err}");
+        let err = tables(&["fig9", "--quick"]).expect_err("unknown experiment");
+        assert!(err.contains("fig9"), "{err}");
+        assert!(parse(&["--quick"]).is_err(), "no experiment named");
+        assert!(parse(&["list", "--quick"]).is_err(), "list takes no flags");
+        // The usage printed with each of these names the flags and
+        // every experiment.
+        let usage = usage();
+        for flag in ["--quick", "--seed", "--engine"] {
+            assert!(usage.contains(flag), "{usage}");
+        }
+        for e in EXPERIMENTS {
+            assert!(usage.contains(e.name), "usage lacks {}", e.name);
+        }
+    }
+
+    #[test]
+    fn every_registry_entry_runs_whole_by_name_and_is_listed() {
+        let listing = list();
+        assert_eq!(listing.lines().count(), EXPERIMENTS.len());
+        for e in EXPERIMENTS {
+            let csvs: Vec<_> = e.tables.iter().map(|(csv, _)| *csv).collect();
+            assert_eq!(tables(&[e.name, "--quick"]), Ok((true, csvs)));
+            assert_eq!(tables(&[e.name, "--seed", "7"]).is_ok(), e.seeded);
+            let line = format!("{:<18}{}", e.name, e.about);
+            assert!(listing.lines().any(|l| l == line), "list lacks {}", e.name);
+        }
+        assert!(matches!(parse(&["list"]), Ok((Command::List, _))));
+        assert!(matches!(parse(&["all", "--quick"]), Ok((Command::All, _))));
     }
 }

@@ -2,8 +2,8 @@
 
 use bpfstor_device::SECTOR_SIZE;
 use bpfstor_kernel::{
-    ChainDriver, ChainOutcome, ChainStart, ChainStatus, ChainToken, ChainVerdict, DispatchMode, Fd,
-    UserNext,
+    ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainStatus, ChainToken, ChainVerdict,
+    DispatchMode, Fd, UserNext,
 };
 use bpfstor_sim::SimRng;
 
@@ -38,17 +38,17 @@ impl ChainDriver for RandomReadDriver {
         DispatchMode::User
     }
 
-    fn next_chain(&mut self, _thread: usize, rng: &mut SimRng) -> Option<ChainStart> {
+    fn next_op(&mut self, _thread: usize, rng: &mut SimRng) -> Option<ChainSpec> {
         if self.issued >= self.max_chains {
             return None;
         }
         self.issued += 1;
-        Some(ChainStart {
+        Some(ChainSpec::Read(ChainStart {
             fd: self.fd,
             file_off: rng.below(self.nblocks) * SECTOR_SIZE as u64,
             len: SECTOR_SIZE as u32,
             arg: 0,
-        })
+        }))
     }
 
     fn chain_done(&mut self, _thread: usize, _outcome: &ChainOutcome) -> ChainVerdict {
@@ -112,25 +112,25 @@ impl ChainDriver for ChaseFallbackDriver {
         self.mode
     }
 
-    fn next_chain(&mut self, _thread: usize, _rng: &mut SimRng) -> Option<ChainStart> {
+    fn next_op(&mut self, _thread: usize, _rng: &mut SimRng) -> Option<ChainSpec> {
         if let Some(off) = self.pending.pop() {
-            return Some(ChainStart {
+            return Some(ChainSpec::Read(ChainStart {
                 fd: self.fd,
                 file_off: off,
                 len: self.len,
                 arg: 0,
-            });
+            }));
         }
         if self.issued >= self.max_chains {
             return None;
         }
         self.issued += 1;
-        Some(ChainStart {
+        Some(ChainSpec::Read(ChainStart {
             fd: self.fd,
             file_off: 0,
             len: self.len,
             arg: 0,
-        })
+        }))
     }
 
     fn user_step(&mut self, _thread: usize, _token: &ChainToken, data: &[u8]) -> UserNext {

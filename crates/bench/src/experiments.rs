@@ -2,8 +2,7 @@
 //!
 //! Every function builds fresh machines (full determinism), runs the
 //! workload, and renders a [`Table`] shaped like the paper's artifact.
-//! The `quick` flag trades precision for speed; the dedicated binaries
-//! run full scale, the `figures` bench runs quick.
+//! The `quick` flag (`bench <name> --quick`) trades precision for speed.
 
 use bpfstor_core::{
     Btree, Chase, CommitPolicy, DispatchMode, FabricConfig, PushdownSession, ReapMode, TenantGroup,
@@ -11,16 +10,15 @@ use bpfstor_core::{
 };
 use bpfstor_device::{DeviceClass, DeviceProfile, SECTOR_SIZE};
 use bpfstor_fs::{ExtFs, ExtentEvent};
-use bpfstor_kernel::{ChainStatus, Machine, MachineConfig, RunReport};
-use bpfstor_lsm::{LsmConfig, LsmTree};
+use bpfstor_kernel::{Machine, MachineConfig, RunReport};
+use bpfstor_lsm::{DirectIo, LsmConfig, LsmTree};
 use bpfstor_sim::{Nanos, SimRng, MILLISECOND};
 use bpfstor_workload::{KeyDist, Op, OpMix, YcsbGen};
 
 use crate::drivers::{ChaseFallbackDriver, RandomReadDriver};
 use crate::report::{iops, ratio, us, Table};
 
-/// Run-scale knob: `quick` for the aggregated `figures` bench, full for
-/// the standalone binaries.
+/// Run-scale knob: `--quick` on the `bench` command line.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
     /// Reduced durations/counts.
@@ -1301,6 +1299,7 @@ pub fn lsm_stability(scale: Scale) -> Table {
     let rate = 2_000.0; // ops/s, for time extrapolation
     let mut fs = ExtFs::mkfs(1 << 22);
     let mut store = bpfstor_device::SectorStore::new();
+    let mut io = DirectIo::new(&mut fs, &mut store);
     let mut lsm = LsmTree::new(LsmConfig::default());
     let mut gen = YcsbGen::new(
         OpMix::paper_tokudb(),
@@ -1316,10 +1315,10 @@ pub fn lsm_stability(scale: Scale) -> Table {
     for _ in 0..ops {
         match gen.next_op() {
             Op::Read(k) => {
-                let _ = lsm.get(&mut fs, &mut store, k).expect("get");
+                let _ = lsm.get(&mut io, k).expect("get");
             }
             Op::Update(k) | Op::Insert(k) => {
-                lsm.put(&mut fs, &mut store, k, value(k)).expect("put");
+                lsm.put(&mut io, k, value(k)).expect("put");
             }
             Op::Scan { .. } => {}
         }
@@ -1571,8 +1570,8 @@ pub fn ablation_split_fallback(scale: Scale) -> Table {
     t
 }
 
-/// Sanity assertions over the headline shapes; used by integration tests
-/// and the `figures` bench to fail loudly if calibration drifts.
+/// Sanity assertions over the headline shapes; `bench all` runs them
+/// to fail loudly if calibration drifts.
 pub fn shape_checks(scale: Scale) -> Vec<(String, bool)> {
     let duration = scale.sweep_duration();
     let mut checks = Vec::new();
@@ -1604,12 +1603,6 @@ pub fn shape_checks(scale: Scale) -> Vec<(String, bool)> {
     ));
 
     checks
-}
-
-/// Helper shared by A1-style flows: a run that must produce only OK or
-/// invalidation statuses (used in tests).
-pub fn statuses_are_expected(status: &ChainStatus) -> bool {
-    status.is_ok() || matches!(status, ChainStatus::ExtentMiss | ChainStatus::Invalidated)
 }
 
 // --- JIT sweep (compiled vs interpreted hook execution) -------------------------

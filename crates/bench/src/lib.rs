@@ -1,30 +1,16 @@
 //! Benchmark harnesses for the `bpfstor` reproduction.
 //!
 //! Deliverable (d): for every table and figure in the paper's evaluation
-//! there is a regenerating harness (see DESIGN.md §4 for the index):
-//!
-//! | artifact | binary | function |
-//! |----------|--------|----------|
-//! | Figure 1 | `fig1` | [`experiments::fig1`] |
-//! | Table 1  | `table1` | [`experiments::table1`] |
-//! | Figure 3a | `fig3a` | [`experiments::fig3_throughput`] |
-//! | Figure 3b | `fig3b` | [`experiments::fig3_throughput`] |
-//! | Figure 3c | `fig3c` | [`experiments::fig3c`] |
-//! | Figure 3d | `fig3d` | [`experiments::fig3d`] |
-//! | §4 extent stability | `extent_stability` | [`experiments::extent_stability`] |
-//! | Queue sweep | `queue_sweep` | [`experiments::queue_sweep`] |
-//! | Write mix | `write_mix` | [`experiments::write_mix`] |
-//! | Fabric sweep (BPF-oF) | `fabric_sweep` | [`experiments::fabric_sweep`] |
-//! | Tenant sweep (noisy neighbor) | `tenant_sweep` | [`experiments::tenant_sweep`] |
-//! | Ablations A1–A4 | `ablations` | [`experiments::ablation_extent_cache`] ... |
-//!
-//! `cargo bench` additionally runs the `figures` harness (all of the
-//! above at quick scale) and Criterion microbenchmarks of the real hot
-//! paths (`components`).
+//! there is a regenerating harness, run by name through the one `bench`
+//! binary (`bench list` prints the index; [`registry::EXPERIMENTS`] is
+//! the table behind it, [`experiments`] the functions and what each
+//! asserts). `bench all` regenerates every fixed-seed artifact and runs
+//! the calibration shape checks.
 
 pub mod cli;
 pub mod drivers;
 pub mod experiments;
+pub mod registry;
 pub mod report;
 
 pub use cli::SweepArgs;

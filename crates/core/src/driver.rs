@@ -1,185 +1,30 @@
-//! Ready-made [`ChainDriver`]s for the benchmark workloads.
+//! The low-level SSTable driver, programmed directly against the
+//! kernel's [`ChainDriver`] trait, and the native cold-get stepper it
+//! shares with the [`Sst`](crate::workloads::Sst) workload.
 //!
-//! These are the *low-level* drivers, programmed directly against the
-//! kernel's [`ChainDriver`] trait; most applications should use the
-//! [`PushdownSession`](crate::PushdownSession) facade instead, which
-//! wraps the same logic behind a workload-generic API.
-//!
-//! [`BtreeLookupDriver`] reproduces the paper's §3 benchmark: threads in
-//! a closed loop issue B-tree lookups of uniformly random keys; in
-//! User mode the driver performs each pointer lookup natively (the
-//! baseline), in the hook modes the kernel-side BPF program does. Every
-//! completed lookup is checked against the canonical value function, so
-//! the benchmarks double as end-to-end correctness tests.
+//! Most applications should use the
+//! [`PushdownSession`](crate::PushdownSession) facade instead;
+//! [`SstGetDriver`] remains for tables an
+//! [`LsmTree`](bpfstor_lsm::LsmTree) wrote onto an existing machine,
+//! which a session (owning its machine and image) cannot adopt.
 //!
 //! Per-chain state is keyed by [`ChainToken::id`] — never by the lookup
 //! key — so concurrent chains for the same key cannot collide.
 
 use std::collections::HashMap;
 
-use bpfstor_btree::tree::{step_on_page, Step};
-use bpfstor_btree::Node;
 use bpfstor_kernel::{
-    ChainDriver, ChainOutcome, ChainStart, ChainStatus, ChainToken, ChainVerdict, DispatchMode, Fd,
-    UserNext,
+    ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainStatus, ChainToken, ChainVerdict,
+    DispatchMode, Fd, UserNext,
 };
 use bpfstor_sim::SimRng;
+
+use crate::session::SessionStats;
 
 /// The canonical value stored for `key` in generated B-trees: checking
 /// lookups needs no lookup table.
 pub fn value_of(key: u64) -> u64 {
     key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xB7EE
-}
-
-/// How lookup keys are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeyChoice {
-    /// Always the same key (single-lookup probes).
-    Fixed(u64),
-    /// Uniform over `[0, nkeys)`.
-    Uniform,
-}
-
-/// Outcome counters (also the correctness verdict).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LookupStats {
-    /// Chains completed.
-    pub completed: u64,
-    /// Lookups that found a value.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Hits whose value did not match [`value_of`] — must stay zero.
-    pub mismatches: u64,
-    /// Chains that ended in an error status.
-    pub errors: u64,
-    /// Total I/Os across chains.
-    pub total_ios: u64,
-}
-
-/// Closed-loop B-tree lookup workload.
-pub struct BtreeLookupDriver {
-    /// Tagged descriptor of the index file.
-    pub fd: Fd,
-    /// Dispatch mode under test.
-    pub mode: DispatchMode,
-    /// Byte offset of the root node.
-    pub root_off: u64,
-    /// Number of keys in the tree (keys are `0..nkeys`).
-    pub nkeys: u64,
-    /// Key selection policy.
-    pub choice: KeyChoice,
-    /// Verify values against [`value_of`].
-    pub check: bool,
-    /// Stop after this many chains (`u64::MAX` = run to the deadline).
-    pub max_chains: u64,
-    issued: u64,
-    /// Counters.
-    pub stats: LookupStats,
-    /// The value found by the most recent completed lookup.
-    pub last_value: Option<u64>,
-    /// Record every terminal [`ChainOutcome`] into
-    /// [`Self::last_outcome`]. Off by default: cloning a User-mode
-    /// `Pass` payload per chain is wasteful in closed-loop runs; enable
-    /// it for single-chain probes that inspect the failing status.
-    pub record_outcomes: bool,
-    /// The most recent terminal outcome (token + status), when
-    /// [`Self::record_outcomes`] is set.
-    pub last_outcome: Option<ChainOutcome>,
-}
-
-impl BtreeLookupDriver {
-    /// Creates a driver; see field docs for the parameters.
-    pub fn new(fd: Fd, mode: DispatchMode, root_off: u64, nkeys: u64) -> Self {
-        BtreeLookupDriver {
-            fd,
-            mode,
-            root_off,
-            nkeys,
-            choice: KeyChoice::Uniform,
-            check: true,
-            max_chains: u64::MAX,
-            issued: 0,
-            stats: LookupStats::default(),
-            last_value: None,
-            record_outcomes: false,
-            last_outcome: None,
-        }
-    }
-
-    fn record_hit(&mut self, key: u64, value: u64) {
-        self.stats.hits += 1;
-        self.last_value = Some(value);
-        if self.check && value != value_of(key) {
-            self.stats.mismatches += 1;
-        }
-    }
-
-    fn record_miss(&mut self, key: u64) {
-        self.stats.misses += 1;
-        self.last_value = None;
-        if self.check && key < self.nkeys {
-            // A key in range must be present.
-            self.stats.mismatches += 1;
-        }
-    }
-}
-
-impl ChainDriver for BtreeLookupDriver {
-    fn mode(&self) -> DispatchMode {
-        self.mode
-    }
-
-    fn next_chain(&mut self, _thread: usize, rng: &mut SimRng) -> Option<ChainStart> {
-        if self.issued >= self.max_chains {
-            return None;
-        }
-        self.issued += 1;
-        let key = match self.choice {
-            KeyChoice::Fixed(k) => k,
-            KeyChoice::Uniform => rng.below(self.nkeys),
-        };
-        Some(ChainStart {
-            fd: self.fd,
-            file_off: self.root_off,
-            len: bpfstor_btree::PAGE_SIZE as u32,
-            arg: key,
-        })
-    }
-
-    fn user_step(&mut self, _thread: usize, token: &ChainToken, data: &[u8]) -> UserNext {
-        match step_on_page(data, token.arg) {
-            Ok(Step::Next(off)) => UserNext::Continue(off),
-            // Leaf (hit or miss): deliver; chain_done parses the page.
-            Ok(Step::Found(_)) | Ok(Step::Missing) => UserNext::Done,
-            Err(_) => UserNext::Done,
-        }
-    }
-
-    fn chain_done(&mut self, _thread: usize, outcome: &ChainOutcome) -> ChainVerdict {
-        self.stats.completed += 1;
-        self.stats.total_ios += outcome.ios as u64;
-        let key = outcome.arg();
-        match &outcome.status {
-            ChainStatus::Emitted(v) if v.len() == 8 => {
-                let value = u64::from_le_bytes(v[..8].try_into().expect("8B"));
-                self.record_hit(key, value);
-            }
-            ChainStatus::Halted => self.record_miss(key),
-            ChainStatus::Pass(leaf) => match Node::decode(leaf) {
-                Ok(node) if node.is_leaf() => match node.find(key) {
-                    Some(v) => self.record_hit(key, v),
-                    None => self.record_miss(key),
-                },
-                _ => self.stats.errors += 1,
-            },
-            _ => self.stats.errors += 1,
-        }
-        if self.record_outcomes {
-            self.last_outcome = Some(outcome.clone());
-        }
-        ChainVerdict::Done
-    }
 }
 
 /// Per-chain stage of a cold SSTable get on the native (User) path.
@@ -303,7 +148,7 @@ pub struct SstGetDriver {
     pub max_chains: u64,
     issued: u64,
     /// Counters.
-    pub stats: LookupStats,
+    pub stats: SessionStats,
     // User-path per-chain state, keyed by the chain's token id — NOT the
     // lookup key, so the same key can be in flight on several chains.
     user_state: HashMap<u64, SstStage>,
@@ -332,7 +177,7 @@ impl SstGetDriver {
             expect,
             max_chains,
             issued: 0,
-            stats: LookupStats::default(),
+            stats: SessionStats::default(),
             user_state: HashMap::new(),
             pending: HashMap::new(),
             results: Vec::new(),
@@ -345,18 +190,18 @@ impl ChainDriver for SstGetDriver {
         self.mode
     }
 
-    fn next_chain(&mut self, _thread: usize, _rng: &mut SimRng) -> Option<ChainStart> {
+    fn next_op(&mut self, _thread: usize, _rng: &mut SimRng) -> Option<ChainSpec> {
         if self.issued >= self.max_chains {
             return None;
         }
         let key = self.keys[(self.issued % self.keys.len() as u64) as usize];
         self.issued += 1;
-        Some(ChainStart {
+        Some(ChainSpec::Read(ChainStart {
             fd: self.fd,
             file_off: self.footer_off,
             len: bpfstor_lsm::BLOCK as u32,
             arg: key,
-        })
+        }))
     }
 
     fn user_step(&mut self, _thread: usize, token: &ChainToken, data: &[u8]) -> UserNext {

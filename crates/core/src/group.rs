@@ -37,13 +37,13 @@
 //! ```
 
 use bpfstor_kernel::{
-    ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainToken, ChainVerdict, CommitPolicy,
-    DispatchMode, ExecEngine, FabricConfig, Fd, Machine, MachineConfig, ReapMode, RunReport,
-    TenantId, TenantLimits, TransportConfig, UserNext, WriteStart, DEFAULT_TENANT,
+    ChainDriver, ChainOutcome, ChainSpec, ChainToken, ChainVerdict, CommitPolicy, DispatchMode,
+    ExecEngine, FabricConfig, Machine, MachineConfig, ReapMode, RunReport, TenantId, TenantLimits,
+    TransportConfig, UserNext,
 };
 use bpfstor_sim::{Nanos, SimRng};
 
-use crate::session::{settle_chain, OpSpec, PushdownWorkload, SessionError, SessionStats};
+use crate::session::{Member, PushdownWorkload, SessionError, SessionStats};
 
 /// Builder for a [`TenantGroup`]; created via [`TenantGroup::builder`].
 #[derive(Debug, Clone)]
@@ -174,11 +174,13 @@ impl TenantGroup {
     /// [`TenantLimits::insn_budget`] is rejected here, before it ever
     /// runs.
     ///
-    /// The first tenant added becomes the kernel's default tenant
-    /// (id 0), re-limited to `limits`; later tenants get fresh ids in
-    /// order. The returned id indexes
+    /// Tenant ids are dense: the first tenant is the kernel's default
+    /// tenant (id 0), re-limited to `limits`, and later tenants follow
+    /// in order. The returned id indexes
     /// [`RunReport::tenants`](bpfstor_kernel::RunReport::tenants) and
-    /// the per-tenant accessors on this group.
+    /// the per-tenant accessors on this group. A rejected tenant leaves
+    /// the group as it was: its file is removed and its id goes to the
+    /// next tenant accepted.
     ///
     /// # Errors
     ///
@@ -189,30 +191,43 @@ impl TenantGroup {
         mut workload: W,
         limits: TenantLimits,
     ) -> Result<TenantId, SessionError> {
-        let tenant = if self.members.is_empty() {
-            self.machine.set_tenant_limits(DEFAULT_TENANT, limits);
-            DEFAULT_TENANT
-        } else {
-            self.machine.register_tenant(limits)
-        };
         let image = workload.build_image()?;
+        // A member's index is its kernel tenant id. The kernel may
+        // already hold the next id — tenant 0 exists from construction,
+        // and a rejected attempt keeps the id it registered.
+        let tenant = self.members.len() as TenantId;
+        if self.members.len() < self.machine.tenant_count() {
+            self.machine.set_tenant_limits(tenant, limits);
+        } else {
+            self.machine.register_tenant(limits);
+        }
         let file_name = format!("{}-t{}.img", workload.name(), tenant);
         self.machine.create_file(&file_name, &image)?;
-        let fd = self.machine.open_for(tenant, &file_name, true)?;
-        if matches!(
+        let hooked = matches!(
             self.mode,
             DispatchMode::SyscallHook | DispatchMode::DriverHook
-        ) {
-            self.machine
-                .install(fd, workload.program(), workload.install_flags())?;
-        }
-        self.members.push(Box::new(Member {
+        );
+        let fd = self
+            .machine
+            .open_for(tenant, &file_name, true)
+            .and_then(|fd| {
+                if hooked {
+                    self.machine
+                        .install(fd, workload.program(), workload.install_flags())?;
+                }
+                Ok(fd)
+            })
+            .inspect_err(|_| {
+                self.machine
+                    .unlink_file(&file_name)
+                    .expect("the file was created above");
+            })?;
+        self.members.push(Box::new(Member::new(
             workload,
             fd,
-            retry_budget: self.retry_budget,
-            stats: SessionStats::default(),
-            decode_errors: Vec::new(),
-        }));
+            self.mode,
+            self.retry_budget,
+        )));
         Ok(tenant)
     }
 
@@ -307,58 +322,12 @@ impl TenantGroup {
     }
 }
 
-/// Object-safe per-tenant half of the group driver: one attached
-/// workload plus its session accounting, erased over the workload type.
-trait GroupMember {
-    fn next_op(&mut self, rng: &mut SimRng) -> Option<ChainSpec>;
-    fn user_step(&mut self, token: &ChainToken, data: &[u8]) -> UserNext;
-    fn chain_done(&mut self, outcome: &ChainOutcome) -> ChainVerdict;
+/// A [`Member`] with its workload type erased.
+trait GroupMember: ChainDriver {
     fn stats(&self) -> SessionStats;
 }
 
-struct Member<W: PushdownWorkload> {
-    workload: W,
-    fd: Fd,
-    retry_budget: u32,
-    stats: SessionStats,
-    decode_errors: Vec<SessionError>,
-}
-
 impl<W: PushdownWorkload> GroupMember for Member<W> {
-    fn next_op(&mut self, rng: &mut SimRng) -> Option<ChainSpec> {
-        let req = self.workload.next_request(rng)?;
-        Some(match self.workload.first_op(&req) {
-            OpSpec::Read(spec) => ChainSpec::Read(ChainStart {
-                fd: self.fd,
-                file_off: spec.file_off,
-                len: spec.len,
-                arg: spec.arg,
-            }),
-            OpSpec::Write(w) => ChainSpec::Write(WriteStart {
-                fd: self.fd,
-                file_off: w.file_off,
-                data: w.data,
-                fsync: w.fsync,
-                arg: w.arg,
-            }),
-        })
-    }
-
-    fn user_step(&mut self, token: &ChainToken, data: &[u8]) -> UserNext {
-        self.workload.user_step(token, data)
-    }
-
-    fn chain_done(&mut self, outcome: &ChainOutcome) -> ChainVerdict {
-        settle_chain(
-            &mut self.workload,
-            &mut self.stats,
-            self.retry_budget,
-            outcome,
-            &mut self.decode_errors,
-            None,
-        )
-    }
-
     fn stats(&self) -> SessionStats {
         self.stats
     }
@@ -367,6 +336,7 @@ impl<W: PushdownWorkload> GroupMember for Member<W> {
 /// The [`ChainDriver`] multiplexer: requests route by the issuing
 /// thread's tenant assignment; completion callbacks route by the
 /// token's tenant, so a thread can never settle another tenant's chain.
+/// `members` is indexed by tenant id.
 struct GroupDriver<'a> {
     mode: DispatchMode,
     members: &'a mut [Box<dyn GroupMember>],
@@ -380,14 +350,14 @@ impl ChainDriver for GroupDriver<'_> {
 
     fn next_op(&mut self, thread: usize, rng: &mut SimRng) -> Option<ChainSpec> {
         let member = *self.thread_member.get(thread)?;
-        self.members[member].next_op(rng)
+        self.members[member].next_op(thread, rng)
     }
 
-    fn user_step(&mut self, _thread: usize, token: &ChainToken, data: &[u8]) -> UserNext {
-        self.members[token.tenant as usize].user_step(token, data)
+    fn user_step(&mut self, thread: usize, token: &ChainToken, data: &[u8]) -> UserNext {
+        self.members[token.tenant as usize].user_step(thread, token, data)
     }
 
-    fn chain_done(&mut self, _thread: usize, outcome: &ChainOutcome) -> ChainVerdict {
-        self.members[outcome.token.tenant as usize].chain_done(outcome)
+    fn chain_done(&mut self, thread: usize, outcome: &ChainOutcome) -> ChainVerdict {
+        self.members[outcome.token.tenant as usize].chain_done(thread, outcome)
     }
 }

@@ -16,8 +16,9 @@
 //! - [`progs`]: verified program generators — B-tree traversal, cold
 //!   SSTable get (stateful multi-hop chain), sequential
 //!   scan/filter/aggregate, and a generic pointer chase;
-//! - [`driver`]: low-level closed-loop drivers programmed directly
-//!   against the kernel's `ChainDriver` trait.
+//! - [`driver`]: the low-level [`SstGetDriver`], programmed directly
+//!   against the kernel's `ChainDriver` trait, for tables an LSM tree
+//!   wrote onto an existing machine.
 //!
 //! # Examples
 //!
@@ -49,7 +50,7 @@ pub use bpfstor_kernel::{
     ReapMode, ReaperStats, RunReport, TransportConfig, WriteStart,
 };
 pub use bpfstor_kernel::{TenantBreakdown, TenantId, TenantLimits, DEFAULT_TENANT};
-pub use driver::{value_of, BtreeLookupDriver, KeyChoice, LookupStats, SstGetDriver};
+pub use driver::{value_of, SstGetDriver};
 pub use group::{TenantGroup, TenantGroupBuilder};
 pub use lsm_io::MachineLsmIo;
 pub use progs::{

@@ -25,9 +25,9 @@
 //! [`run_uring`]: PushdownSession::run_uring
 
 use bpfstor_kernel::{
-    ChainDriver, ChainSpec, ChainStart, ChainStatus, ChainToken, ChainVerdict, CommitPolicy,
-    DispatchMode, ExecEngine, FabricConfig, Fd, KernelError, Machine, MachineConfig, Mutation,
-    ProgHandle, ReapMode, RunReport, TransportConfig, UserNext, WriteStart,
+    ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainStatus, ChainToken, ChainVerdict,
+    CommitPolicy, DispatchMode, ExecEngine, FabricConfig, Fd, KernelError, Machine, MachineConfig,
+    Mutation, ProgHandle, ReapMode, RunReport, TransportConfig, UserNext, WriteStart,
 };
 use bpfstor_sim::{Nanos, SimRng, SECOND};
 use bpfstor_vm::Program;
@@ -388,11 +388,8 @@ impl<W: PushdownWorkload> SessionBuilder<W> {
         };
         Ok(PushdownSession {
             machine,
-            workload: self.workload,
-            fd,
+            member: Member::new(self.workload, fd, self.mode, self.retry_budget),
             handle,
-            mode: self.mode,
-            retry_budget: self.retry_budget,
             file_name,
             stats: SessionStats::default(),
         })
@@ -418,11 +415,8 @@ pub struct LookupOutcome<O> {
 /// uniform lookup/benchmark surface across all dispatch modes.
 pub struct PushdownSession<W: PushdownWorkload> {
     machine: Machine,
-    workload: W,
-    fd: Fd,
+    member: Member<W>,
     handle: Option<ProgHandle>,
-    mode: DispatchMode,
-    retry_budget: u32,
     file_name: String,
     stats: SessionStats,
 }
@@ -442,12 +436,12 @@ impl<W: PushdownWorkload> PushdownSession<W> {
 
     /// The dispatch mode this session was built for.
     pub fn mode(&self) -> DispatchMode {
-        self.mode
+        self.member.mode
     }
 
     /// The tagged descriptor of the workload's file.
     pub fn fd(&self) -> Fd {
-        self.fd
+        self.member.fd
     }
 
     /// The installed program's handle (`None` in
@@ -468,12 +462,7 @@ impl<W: PushdownWorkload> PushdownSession<W> {
 
     /// The workload (e.g. to read recorded results).
     pub fn workload(&self) -> &W {
-        &self.workload
-    }
-
-    /// Mutable workload access (e.g. to change key-choice policy).
-    pub fn workload_mut(&mut self) -> &mut W {
-        &mut self.workload
+        &self.member.workload
     }
 
     /// The simulated machine (for advanced use: scheduling mutations,
@@ -503,7 +492,7 @@ impl<W: PushdownWorkload> PushdownSession<W> {
     ///
     /// Propagates kernel failures.
     pub fn rearm(&mut self) -> Result<(), KernelError> {
-        self.machine.rearm(self.fd)
+        self.machine.rearm(self.member.fd)
     }
 
     /// Writes `data` at `off` in the workload's file as a synchronous
@@ -522,8 +511,8 @@ impl<W: PushdownWorkload> PushdownSession<W> {
     ) -> Result<(Nanos, u32), SessionError> {
         let ino = self
             .machine
-            .ino_of(self.fd)
-            .ok_or(SessionError::Kernel(KernelError::BadFd(self.fd)))?;
+            .ino_of(self.member.fd)
+            .ok_or(SessionError::Kernel(KernelError::BadFd(self.member.fd)))?;
         let outcome = self.machine.write_file(ino, off, data, fsync)?;
         self.stats.completed += 1;
         self.stats.writes += 1;
@@ -550,39 +539,28 @@ impl<W: PushdownWorkload> PushdownSession<W> {
     /// [`SessionError::Mismatch`] if the workload's check fails, plus
     /// decode failures.
     pub fn lookup(&mut self, req: W::Request) -> Result<LookupOutcome<W::Output>, SessionError> {
-        let mut driver = SessionDriver {
-            workload: &mut self.workload,
-            fd: self.fd,
-            mode: self.mode,
-            retry_budget: self.retry_budget,
-            stats: SessionStats::default(),
-            one_shot: Some(vec![req]),
+        self.member.one_shot = Some(OneShot {
+            request: Some(req),
             last: None,
-            decode_errors: Vec::new(),
-        };
-        let _ = self.machine.run_closed_loop(1, SECOND, &mut driver);
-        let run_stats = driver.stats;
-        let last = driver.last.take();
-        let decode_err = driver.decode_errors.pop();
-        self.stats.absorb(&run_stats);
-        if let Some(e) = decode_err {
-            return Err(e);
-        }
-        let Some(last) = last else {
+        });
+        let _ = self.run(|machine, member| machine.run_closed_loop(1, SECOND, member));
+        let shot = self.member.one_shot.take().expect("set above");
+        let Some(last) = shot.last else {
             return Err(SessionError::Chain(ChainStatus::IoError));
         };
+        let output = last.output?;
         if !last.status.is_ok() {
             return Err(SessionError::Chain(last.status));
         }
         if last.mismatch {
             return Err(SessionError::Mismatch(format!(
                 "request {:?} returned {:?}",
-                last.token.arg, last.output
+                last.token.arg, output
             )));
         }
         Ok(LookupOutcome {
-            found: last.output.is_some(),
-            output: last.output,
+            found: output.is_some(),
+            output,
             ios: last.ios,
             latency: last.latency,
             attempts: last.attempts,
@@ -594,20 +572,7 @@ impl<W: PushdownWorkload> PushdownSession<W> {
     /// until simulated time `until`. Returns the kernel's report and
     /// this run's statistics.
     pub fn run_closed_loop(&mut self, threads: usize, until: Nanos) -> (RunReport, SessionStats) {
-        let mut driver = SessionDriver {
-            workload: &mut self.workload,
-            fd: self.fd,
-            mode: self.mode,
-            retry_budget: self.retry_budget,
-            stats: SessionStats::default(),
-            one_shot: None,
-            last: None,
-            decode_errors: Vec::new(),
-        };
-        let report = self.machine.run_closed_loop(threads, until, &mut driver);
-        let run_stats = driver.stats;
-        self.stats.absorb(&run_stats);
-        (report, run_stats)
+        self.run(|machine, member| machine.run_closed_loop(threads, until, member))
     }
 
     /// Runs the io_uring variant: each thread keeps `batch` SQEs in
@@ -618,58 +583,82 @@ impl<W: PushdownWorkload> PushdownSession<W> {
         batch: u32,
         until: Nanos,
     ) -> (RunReport, SessionStats) {
-        let mut driver = SessionDriver {
-            workload: &mut self.workload,
-            fd: self.fd,
-            mode: self.mode,
-            retry_budget: self.retry_budget,
-            stats: SessionStats::default(),
-            one_shot: None,
-            last: None,
-            decode_errors: Vec::new(),
-        };
-        let report = self.machine.run_uring(threads, batch, until, &mut driver);
-        let run_stats = driver.stats;
-        self.stats.absorb(&run_stats);
-        (report, run_stats)
+        self.run(|machine, member| machine.run_uring(threads, batch, until, member))
+    }
+
+    /// One run of the member on the machine: returns the kernel's
+    /// report with this run's statistics, folded into the session's
+    /// cumulative ones.
+    fn run(
+        &mut self,
+        run: impl FnOnce(&mut Machine, &mut Member<W>) -> RunReport,
+    ) -> (RunReport, SessionStats) {
+        self.member.stats = SessionStats::default();
+        let report = run(&mut self.machine, &mut self.member);
+        self.stats.absorb(&self.member.stats);
+        (report, self.member.stats)
     }
 }
 
-/// Record of the most recent terminal chain, kept for
+/// Record of a one-shot request's terminal chain, kept for
 /// [`PushdownSession::lookup`].
-pub(crate) struct LastChain<O> {
+struct LastChain<O> {
     token: ChainToken,
     status: ChainStatus,
-    output: Option<O>,
+    /// The decoded output (`None` = miss or write), or the decode error.
+    output: Result<Option<O>, SessionError>,
     mismatch: bool,
     ios: u32,
     latency: Nanos,
     attempts: u32,
 }
 
-/// The internal [`ChainDriver`] adapter translating kernel callbacks
-/// into workload calls and applying the rearm-and-retry policy.
-struct SessionDriver<'a, W: PushdownWorkload> {
-    workload: &'a mut W,
+/// An explicit request replacing the workload's request stream for one
+/// run, and the slot its terminal chain is recorded in.
+struct OneShot<W: PushdownWorkload> {
+    request: Option<W::Request>,
+    last: Option<LastChain<W::Output>>,
+}
+
+/// One attached workload as the kernel drives it: the [`ChainDriver`]
+/// adapter translating kernel callbacks into workload calls and
+/// applying the rearm-and-retry policy. A [`PushdownSession`] owns one;
+/// a [`crate::TenantGroup`] owns one per tenant.
+pub(crate) struct Member<W: PushdownWorkload> {
+    workload: W,
     fd: Fd,
     mode: DispatchMode,
     retry_budget: u32,
-    stats: SessionStats,
-    /// Explicit request queue for one-shot lookups (`None` = draw from
-    /// the workload's request stream).
-    one_shot: Option<Vec<W::Request>>,
-    last: Option<LastChain<W::Output>>,
-    decode_errors: Vec<SessionError>,
+    pub(crate) stats: SessionStats,
+    /// Set for the duration of a [`PushdownSession::lookup`]; `None`
+    /// draws from the workload's request stream and records no terminal
+    /// chain, which spares benchmark runs the (possibly block-sized)
+    /// status clone.
+    one_shot: Option<OneShot<W>>,
 }
 
-impl<W: PushdownWorkload> ChainDriver for SessionDriver<'_, W> {
+impl<W: PushdownWorkload> Member<W> {
+    /// A member drawing from its workload's request stream.
+    pub(crate) fn new(workload: W, fd: Fd, mode: DispatchMode, retry_budget: u32) -> Self {
+        Member {
+            workload,
+            fd,
+            mode,
+            retry_budget,
+            stats: SessionStats::default(),
+            one_shot: None,
+        }
+    }
+}
+
+impl<W: PushdownWorkload> ChainDriver for Member<W> {
     fn mode(&self) -> DispatchMode {
         self.mode
     }
 
     fn next_op(&mut self, _thread: usize, rng: &mut SimRng) -> Option<ChainSpec> {
         let req = match &mut self.one_shot {
-            Some(queue) => queue.pop()?,
+            Some(shot) => shot.request.take()?,
             None => self.workload.next_request(rng)?,
         };
         Some(match self.workload.first_op(&req) {
@@ -693,104 +682,59 @@ impl<W: PushdownWorkload> ChainDriver for SessionDriver<'_, W> {
         self.workload.user_step(token, data)
     }
 
-    fn chain_done(
-        &mut self,
-        _thread: usize,
-        outcome: &bpfstor_kernel::ChainOutcome,
-    ) -> ChainVerdict {
-        let last = if self.one_shot.is_some() {
-            Some(&mut self.last)
+    /// Applies the §4 rearm-and-retry recovery — invalidated chains
+    /// re-arm the ioctl and restart, invisible to the caller, with the
+    /// absorbed attempt's per-chain state released (the restart gets a
+    /// fresh token) — then accounts the outcome and decodes/checks the
+    /// output.
+    fn chain_done(&mut self, _thread: usize, outcome: &ChainOutcome) -> ChainVerdict {
+        if outcome.status.is_rearmable() && outcome.attempts < self.retry_budget {
+            self.workload.release(&outcome.token);
+            return ChainVerdict::RearmRetry;
+        }
+        let stats = &mut self.stats;
+        stats.completed += 1;
+        stats.total_ios += outcome.ios as u64;
+        stats.rearm_retries += outcome.attempts as u64;
+        let mut output = Ok(None);
+        let mut mismatch = false;
+        if let ChainStatus::Written(bytes) = outcome.status {
+            // Write chains carry no decodable output.
+            stats.writes += 1;
+            stats.bytes_written += bytes as u64;
+        } else if outcome.status.is_ok() {
+            output = self.workload.decode(&outcome.token, &outcome.status);
+            match &output {
+                Ok(out) => {
+                    match out {
+                        Some(_) => stats.hits += 1,
+                        None => stats.misses += 1,
+                    }
+                    if self.workload.check(&outcome.token, out.as_ref()) == Verdict::Mismatch {
+                        stats.mismatches += 1;
+                        mismatch = true;
+                    }
+                }
+                Err(_) => stats.errors += 1,
+            }
         } else {
-            None
-        };
-        settle_chain(
-            self.workload,
-            &mut self.stats,
-            self.retry_budget,
-            outcome,
-            &mut self.decode_errors,
-            last,
-        )
-    }
-}
-
-/// Terminal-chain settlement shared by the single-session driver and
-/// the tenant-group members ([`crate::TenantGroup`]): applies the §4
-/// rearm-and-retry recovery — invalidated chains re-arm the ioctl and
-/// restart, invisible to the caller, with the absorbed attempt's
-/// per-chain state released (the restart gets a fresh token) — then
-/// accounts the outcome and decodes/checks the output. A `Some(last)`
-/// records the terminal chain for one-shot lookups; benchmark runs pass
-/// `None` to skip the (possibly block-sized) status clone.
-pub(crate) fn settle_chain<W: PushdownWorkload>(
-    workload: &mut W,
-    stats: &mut SessionStats,
-    retry_budget: u32,
-    outcome: &bpfstor_kernel::ChainOutcome,
-    decode_errors: &mut Vec<SessionError>,
-    last: Option<&mut Option<LastChain<W::Output>>>,
-) -> ChainVerdict {
-    if outcome.status.is_rearmable() && outcome.attempts < retry_budget {
-        workload.release(&outcome.token);
-        return ChainVerdict::RearmRetry;
-    }
-    stats.completed += 1;
-    stats.total_ios += outcome.ios as u64;
-    stats.rearm_retries += outcome.attempts as u64;
-    // Write chains carry no decodable output: count and return.
-    if let ChainStatus::Written(bytes) = outcome.status {
-        stats.writes += 1;
-        stats.bytes_written += bytes as u64;
-        if let Some(last) = last {
-            *last = Some(LastChain {
+            self.workload.release(&outcome.token);
+            stats.errors += 1;
+            if outcome.status.is_rearmable() {
+                stats.retries_exhausted += 1;
+            }
+        }
+        if let Some(shot) = &mut self.one_shot {
+            shot.last = Some(LastChain {
                 token: outcome.token,
                 status: outcome.status.clone(),
-                output: None,
-                mismatch: false,
+                output,
+                mismatch,
                 ios: outcome.ios,
                 latency: outcome.latency,
                 attempts: outcome.attempts,
             });
         }
-        return ChainVerdict::Done;
+        ChainVerdict::Done
     }
-    let mut output = None;
-    let mut mismatch = false;
-    if outcome.status.is_ok() {
-        match workload.decode(&outcome.token, &outcome.status) {
-            Ok(out) => {
-                match &out {
-                    Some(_) => stats.hits += 1,
-                    None => stats.misses += 1,
-                }
-                if workload.check(&outcome.token, out.as_ref()) == Verdict::Mismatch {
-                    stats.mismatches += 1;
-                    mismatch = true;
-                }
-                output = out;
-            }
-            Err(e) => {
-                stats.errors += 1;
-                decode_errors.push(e);
-            }
-        }
-    } else {
-        workload.release(&outcome.token);
-        stats.errors += 1;
-        if outcome.status.is_rearmable() {
-            stats.retries_exhausted += 1;
-        }
-    }
-    if let Some(last) = last {
-        *last = Some(LastChain {
-            token: outcome.token,
-            status: outcome.status.clone(),
-            output,
-            mismatch,
-            ios: outcome.ios,
-            latency: outcome.latency,
-            attempts: outcome.attempts,
-        });
-    }
-    ChainVerdict::Done
 }

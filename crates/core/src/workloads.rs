@@ -21,7 +21,7 @@ use bpfstor_vm::Program;
 
 use bpfstor_workload::{KeyDist, Op, OpMix, YcsbGen};
 
-use crate::driver::{sst_native_step, value_of, KeyChoice, SstStage, SstWalk};
+use crate::driver::{sst_native_step, value_of, SstStage, SstWalk};
 use crate::progs::{
     btree_lookup_program, pointer_chase_program, scan_aggregate_program, sst_get_program,
     ScanResult,
@@ -37,7 +37,6 @@ use crate::session::{OpSpec, PushdownWorkload, ReadSpec, SessionError, Verdict, 
 #[derive(Debug, Clone)]
 pub struct Btree {
     depth: u32,
-    choice: KeyChoice,
     check: bool,
     max_chains: u64,
     issued: u64,
@@ -52,19 +51,12 @@ impl Btree {
         let (_, nkeys) = shape_for_depth(depth);
         Btree {
             depth,
-            choice: KeyChoice::Uniform,
             check: true,
             max_chains: u64::MAX,
             issued: 0,
             nkeys: nkeys as u64,
             info: None,
         }
-    }
-
-    /// Sets the key-selection policy for closed-loop runs.
-    pub fn key_choice(mut self, choice: KeyChoice) -> Self {
-        self.choice = choice;
-        self
     }
 
     /// Enables/disables value checking (disable for runs that expect
@@ -136,10 +128,7 @@ impl PushdownWorkload for Btree {
             return None;
         }
         self.issued += 1;
-        Some(match self.choice {
-            KeyChoice::Fixed(k) => k,
-            KeyChoice::Uniform => rng.below(self.nkeys),
-        })
+        Some(rng.below(self.nkeys))
     }
 
     fn user_step(&mut self, token: &ChainToken, data: &[u8]) -> UserNext {
@@ -585,7 +574,6 @@ pub struct YcsbMix {
     /// Every Nth write carries an fsync barrier (0 = never).
     fsync_every: u32,
     writes_issued: u64,
-    reads_issued: u64,
     max_chains: u64,
     issued: u64,
 }
@@ -604,7 +592,6 @@ impl YcsbMix {
             write_size: 512,
             fsync_every: 8,
             writes_issued: 0,
-            reads_issued: 0,
             max_chains: u64::MAX,
             issued: 0,
         }
@@ -627,16 +614,6 @@ impl YcsbMix {
     pub fn fsync_every(mut self, n: u32) -> Self {
         self.fsync_every = n;
         self
-    }
-
-    /// Write chains issued so far.
-    pub fn writes_issued(&self) -> u64 {
-        self.writes_issued
-    }
-
-    /// Read chains issued so far.
-    pub fn reads_issued(&self) -> u64 {
-        self.reads_issued
     }
 
     fn nkeys(&self) -> u64 {
@@ -722,10 +699,7 @@ impl PushdownWorkload for YcsbMix {
             .get_or_insert_with(|| YcsbGen::new(mix, KeyDist::zipfian(nkeys, 0.7), nkeys, seed));
         let op = gen.next_op();
         Some(match op {
-            Op::Read(k) | Op::Scan { key: k, .. } => {
-                self.reads_issued += 1;
-                MixRequest::Get(self.probe_key(k))
-            }
+            Op::Read(k) | Op::Scan { key: k, .. } => MixRequest::Get(self.probe_key(k)),
             Op::Update(k) => {
                 self.writes_issued += 1;
                 let fsync = self.fsync_every != 0

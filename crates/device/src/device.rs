@@ -374,11 +374,6 @@ impl NvmeDevice {
         self.stats.reap_lag_ns += lag;
     }
 
-    /// CQEs currently posted and waiting to be reaped on `qp`.
-    pub fn cq_backlog(&self, qp: QueuePairId) -> usize {
-        self.queues.get(qp).map_or(0, |q| q.cq.len())
-    }
-
     fn service(&mut self, now: Nanos, qp: QueuePairId, cmd: NvmeCommand) -> NvmeCompletion {
         // Earliest-free channel, lowest index on ties (deterministic).
         let mut ch = 0;
@@ -547,7 +542,7 @@ mod tests {
         assert_eq!(times, vec![500, 500, 1_000]);
         // Nothing is visible before its completion instant.
         assert_eq!(d.post_ready(499, 0), 0);
-        assert_eq!(d.cq_backlog(0), 0);
+        assert_eq!(d.queues[0].cq.len(), 0);
         // The two channel-parallel completions post together...
         assert_eq!(d.post_ready(500, 0), 2);
         let first = d.reap(0, usize::MAX);
@@ -694,7 +689,7 @@ mod tests {
         d.ring_doorbell(0, 0).expect("doorbell");
         d.reset_timing();
         assert_eq!(d.outstanding(0), 0);
-        assert_eq!(d.cq_backlog(0), 0);
+        assert_eq!(d.queues[0].cq.len(), 0);
         assert_eq!(d.post_ready(u64::MAX, 0), 0, "no stale inflight survives");
         assert_eq!(d.stats(), DeviceStats::default());
     }

@@ -16,8 +16,6 @@ pub const SECTOR_SIZE: usize = 512;
 #[derive(Debug, Default)]
 pub struct SectorStore {
     sectors: HashMap<u64, Box<[u8; SECTOR_SIZE]>>,
-    reads: u64,
-    writes: u64,
 }
 
 impl SectorStore {
@@ -28,7 +26,6 @@ impl SectorStore {
 
     /// Reads `nlb` sectors starting at `slba` into a fresh buffer.
     pub fn read(&mut self, slba: u64, nlb: u32) -> Vec<u8> {
-        self.reads += u64::from(nlb);
         let mut out = vec![0u8; nlb as usize * SECTOR_SIZE];
         for i in 0..nlb as u64 {
             if let Some(s) = self.sectors.get(&(slba + i)) {
@@ -52,7 +49,6 @@ impl SectorStore {
             data.len()
         );
         for (i, chunk) in data.chunks_exact(SECTOR_SIZE).enumerate() {
-            self.writes += 1;
             let sector = self
                 .sectors
                 .entry(slba + i as u64)
@@ -67,21 +63,6 @@ impl SectorStore {
         for i in 0..nlb as u64 {
             self.sectors.remove(&(slba + i));
         }
-    }
-
-    /// Number of sectors currently materialised.
-    pub fn allocated_sectors(&self) -> usize {
-        self.sectors.len()
-    }
-
-    /// Total sectors read since creation.
-    pub fn total_reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total sectors written since creation.
-    pub fn total_writes(&self) -> u64 {
-        self.writes
     }
 }
 
@@ -110,7 +91,7 @@ mod tests {
         s.write(100, &data);
         assert_eq!(s.read(100, 2), data);
         assert_eq!(s.read(101, 1), data[SECTOR_SIZE..]);
-        assert_eq!(s.allocated_sectors(), 2);
+        assert_eq!(s.sectors.len(), 2);
     }
 
     #[test]
@@ -129,21 +110,12 @@ mod tests {
         s.write(9, &[1u8; SECTOR_SIZE]);
         s.discard(9, 1);
         assert_eq!(s.read(9, 1), vec![0u8; SECTOR_SIZE]);
-        assert_eq!(s.allocated_sectors(), 0);
+        assert_eq!(s.sectors.len(), 0);
     }
 
     #[test]
     #[should_panic(expected = "not sector-aligned")]
     fn unaligned_write_panics() {
         SectorStore::new().write(0, &[0u8; 100]);
-    }
-
-    #[test]
-    fn counters() {
-        let mut s = SectorStore::new();
-        s.write(0, &[0u8; SECTOR_SIZE]);
-        s.read(0, 4);
-        assert_eq!(s.total_writes(), 1);
-        assert_eq!(s.total_reads(), 4);
     }
 }

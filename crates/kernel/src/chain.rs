@@ -282,20 +282,9 @@ pub trait ChainDriver {
     /// Dispatch mode for this run.
     fn mode(&self) -> DispatchMode;
 
-    /// The next read chain for `thread`, or `None` to stop that thread.
-    /// Read-only drivers implement this; mixed read/write drivers
-    /// override [`ChainDriver::next_op`] instead.
-    fn next_chain(&mut self, _thread: usize, _rng: &mut SimRng) -> Option<ChainStart> {
-        None
-    }
-
     /// The next operation for `thread` — a read chain or a journaled
-    /// write — or `None` to stop that thread. The default delegates to
-    /// [`ChainDriver::next_chain`], so read-only drivers need not
-    /// implement it.
-    fn next_op(&mut self, thread: usize, rng: &mut SimRng) -> Option<ChainSpec> {
-        self.next_chain(thread, rng).map(ChainSpec::Read)
-    }
+    /// write — or `None` to stop that thread.
+    fn next_op(&mut self, thread: usize, rng: &mut SimRng) -> Option<ChainSpec>;
 
     /// User-mode only: one application step over a completed block.
     /// `token` identifies the chain, so drivers can keep per-chain state

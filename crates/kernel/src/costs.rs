@@ -188,13 +188,6 @@ impl LayerCosts {
         self.bpf_base + self.bpf_per_insn * insns
     }
 
-    /// Host-side capsule CPU cost of one fabric round trip (encode the
-    /// command, decode the response). Wire time is modelled by the
-    /// transport, not the cost table.
-    pub fn fab_round_trip(&self) -> Nanos {
-        self.fab_encode + self.fab_decode
-    }
-
     /// The submission-side CPU burst of a synchronous `write`, up to
     /// (but excluding) the doorbell ring: the ext4 half is split into
     /// allocation/extent work and the journal record append, summing to
@@ -206,13 +199,6 @@ impl LayerCosts {
             + self.journal_log
             + self.bio_submit
             + self.drv_submit
-    }
-
-    /// The completion-side CPU burst of a synchronous `write` (identical
-    /// layer walk to a read completion; the journal commit at fsync is
-    /// charged separately via [`LayerCosts::journal_commit`]).
-    pub fn sync_write_complete(&self) -> Nanos {
-        self.sync_complete()
     }
 }
 
@@ -256,7 +242,6 @@ mod tests {
         let c = LayerCosts::default();
         assert_eq!(c.wr_fs_submit + c.journal_log, c.fs_submit);
         assert_eq!(c.sync_write_submit(), c.sync_submit());
-        assert_eq!(c.sync_write_complete(), c.sync_complete());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use bpfstor_device::SECTOR_SIZE;
 use bpfstor_kernel::{
-    AdaptiveIrqConfig, ChainDriver, ChainOutcome, ChainStart, ChainStatus, ChainToken,
+    AdaptiveIrqConfig, ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainStatus, ChainToken,
     ChainVerdict, CommitPolicy, DispatchMode, FabricConfig, Fd, HybridConfig, KernelError, Machine,
     MachineConfig, Mutation, PollConfig, ReapKind, ReapMode, TenantLimits, TransportConfig,
     UserNext, DEFAULT_TENANT,
@@ -88,17 +88,17 @@ impl ChainDriver for ChaseDriver {
         self.mode
     }
 
-    fn next_chain(&mut self, _thread: usize, _rng: &mut SimRng) -> Option<ChainStart> {
+    fn next_op(&mut self, _thread: usize, _rng: &mut SimRng) -> Option<ChainSpec> {
         if self.issued >= self.max_chains {
             return None;
         }
         self.issued += 1;
-        Some(ChainStart {
+        Some(ChainSpec::Read(ChainStart {
             fd: self.fd,
             file_off: 0,
             len: SECTOR_SIZE as u32,
             arg: 0,
-        })
+        }))
     }
 
     fn user_step(&mut self, _thread: usize, _token: &ChainToken, data: &[u8]) -> UserNext {
@@ -579,17 +579,17 @@ fn chain_tokens_are_unique_and_carry_the_argument() {
         fn mode(&self) -> DispatchMode {
             DispatchMode::DriverHook
         }
-        fn next_chain(&mut self, _t: usize, _rng: &mut bpfstor_sim::SimRng) -> Option<ChainStart> {
+        fn next_op(&mut self, _t: usize, _rng: &mut bpfstor_sim::SimRng) -> Option<ChainSpec> {
             if self.issued >= 12 {
                 return None;
             }
             self.issued += 1;
-            Some(ChainStart {
+            Some(ChainSpec::Read(ChainStart {
                 fd: self.fd,
                 file_off: 0,
                 len: SECTOR_SIZE as u32,
                 arg: self.issued % 3, // arguments repeat across chains
-            })
+            }))
         }
         fn chain_done(&mut self, _t: usize, outcome: &ChainOutcome) -> ChainVerdict {
             self.outcomes.push(outcome.clone());
@@ -629,8 +629,8 @@ fn rearm_retry_verdict_restarts_chains_without_caller_intervention() {
         fn mode(&self) -> DispatchMode {
             self.inner.mode()
         }
-        fn next_chain(&mut self, t: usize, rng: &mut bpfstor_sim::SimRng) -> Option<ChainStart> {
-            self.inner.next_chain(t, rng)
+        fn next_op(&mut self, t: usize, rng: &mut bpfstor_sim::SimRng) -> Option<ChainSpec> {
+            self.inner.next_op(t, rng)
         }
         fn user_step(&mut self, t: usize, token: &ChainToken, data: &[u8]) -> UserNext {
             self.inner.user_step(t, token, data)
@@ -817,19 +817,19 @@ fn uring_batch_samples_distinct_request_streams() {
         fn mode(&self) -> DispatchMode {
             DispatchMode::User
         }
-        fn next_chain(&mut self, _t: usize, rng: &mut SimRng) -> Option<ChainStart> {
+        fn next_op(&mut self, _t: usize, rng: &mut SimRng) -> Option<ChainSpec> {
             if self.issued >= 8 {
                 return None;
             }
             self.issued += 1;
             let key = rng.below(1 << 40);
             self.keys.push(key);
-            Some(ChainStart {
+            Some(ChainSpec::Read(ChainStart {
                 fd: self.fd,
                 file_off: 0,
                 len: SECTOR_SIZE as u32,
                 arg: key,
-            })
+            }))
         }
     }
     let mut m = Machine::new(MachineConfig::default());
@@ -903,17 +903,17 @@ fn repeated_multiblock_buffered_reads_hit_the_page_cache() {
         fn mode(&self) -> DispatchMode {
             DispatchMode::User
         }
-        fn next_chain(&mut self, _t: usize, _rng: &mut SimRng) -> Option<ChainStart> {
+        fn next_op(&mut self, _t: usize, _rng: &mut SimRng) -> Option<ChainSpec> {
             if self.left == 0 {
                 return None;
             }
             self.left -= 1;
-            Some(ChainStart {
+            Some(ChainSpec::Read(ChainStart {
                 fd: self.fd,
                 file_off: 0,
                 len: 4 * SECTOR_SIZE as u32,
                 arg: 0,
-            })
+            }))
         }
         fn chain_done(&mut self, _t: usize, outcome: &ChainOutcome) -> ChainVerdict {
             if let ChainStatus::Pass(data) = &outcome.status {
@@ -1248,17 +1248,17 @@ fn writes_invalidate_cached_pages() {
         fn mode(&self) -> DispatchMode {
             DispatchMode::User
         }
-        fn next_chain(&mut self, _t: usize, _rng: &mut SimRng) -> Option<ChainStart> {
+        fn next_op(&mut self, _t: usize, _rng: &mut SimRng) -> Option<ChainSpec> {
             if self.left == 0 {
                 return None;
             }
             self.left -= 1;
-            Some(ChainStart {
+            Some(ChainSpec::Read(ChainStart {
                 fd: self.fd,
                 file_off: 0,
                 len: SECTOR_SIZE as u32,
                 arg: 0,
-            })
+            }))
         }
         fn chain_done(&mut self, _t: usize, outcome: &ChainOutcome) -> ChainVerdict {
             if let ChainStatus::Pass(d) = &outcome.status {
@@ -2036,17 +2036,17 @@ fn resubmission_bound_is_per_tenant() {
         fn mode(&self) -> DispatchMode {
             DispatchMode::DriverHook
         }
-        fn next_chain(&mut self, thread: usize, _rng: &mut SimRng) -> Option<ChainStart> {
+        fn next_op(&mut self, thread: usize, _rng: &mut SimRng) -> Option<ChainSpec> {
             if self.issued[thread] {
                 return None;
             }
             self.issued[thread] = true;
-            Some(ChainStart {
+            Some(ChainSpec::Read(ChainStart {
                 fd: self.fds[thread],
                 file_off: 0,
                 len: SECTOR_SIZE as u32,
                 arg: 0,
-            })
+            }))
         }
         fn user_step(&mut self, _thread: usize, _token: &ChainToken, _data: &[u8]) -> UserNext {
             UserNext::Done

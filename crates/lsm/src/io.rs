@@ -1,12 +1,10 @@
 //! The LSM tree's storage backend abstraction.
 //!
-//! Historically every `LsmTree` method took `(&mut ExtFs, &mut
-//! SectorStore)` and moved bytes synchronously, which meant flush and
-//! compaction I/O bypassed the simulated NVMe queues entirely. The
-//! [`LsmIo`] trait routes all table I/O through a backend instead:
+//! Every `LsmTree` and `TableHandle` operation takes an [`LsmIo`]
+//! backend and routes all table I/O through it:
 //!
-//! - [`DirectIo`] keeps the old behaviour (metadata + store, no timing)
-//!   for unit tests and pure data-structure work;
+//! - [`DirectIo`] moves bytes synchronously (metadata + store, no
+//!   timing) for unit tests and pure data-structure work;
 //! - `bpfstor-core`'s `MachineLsmIo` drives the same calls through the
 //!   simulated kernel's journaled write path, so every flushed SSTable
 //!   and every compaction read/write pays queueing delay, doorbells,
@@ -74,8 +72,7 @@ pub trait LsmIo {
 }
 
 /// The untimed backend: metadata straight into [`ExtFs`], bytes straight
-/// into the [`SectorStore`] — the pre-queueing behaviour, still right
-/// for data-structure unit tests.
+/// into the [`SectorStore`] — right for data-structure unit tests.
 pub struct DirectIo<'a> {
     /// File-system metadata plane.
     pub fs: &'a mut ExtFs,

@@ -14,11 +14,10 @@
 
 use std::collections::BTreeMap;
 
-use bpfstor_device::SectorStore;
-use bpfstor_fs::{ExtFs, FsError};
+use bpfstor_fs::FsError;
 
 use crate::bloom::Bloom;
-use crate::io::{DirectIo, LsmIo};
+use crate::io::LsmIo;
 use crate::sstable::{build_image, data_block_entries, data_block_search, Footer, SstError, BLOCK};
 
 /// Tuning knobs.
@@ -93,24 +92,14 @@ pub struct TableHandle {
 }
 
 impl TableHandle {
-    /// Opens a table by name, loading footer + index + bloom (untimed
-    /// [`DirectIo`] convenience over [`TableHandle::open_io`]).
+    /// Opens a table by name, loading footer + index + bloom: the
+    /// reads go wherever the backend routes them (the machine backend
+    /// pays real ring round-trips for each).
     ///
     /// # Errors
     ///
     /// Fails if the file is missing or malformed.
-    pub fn open(fs: &mut ExtFs, store: &mut SectorStore, name: &str) -> Result<Self, LsmError> {
-        Self::open_io(&mut DirectIo::new(fs, store), name)
-    }
-
-    /// Opens a table by name through an [`LsmIo`] backend: the footer,
-    /// index, and bloom reads go wherever the backend routes them (the
-    /// machine backend pays real ring round-trips for each).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the file is missing or malformed.
-    pub fn open_io(io: &mut dyn LsmIo, name: &str) -> Result<Self, LsmError> {
+    pub fn open(io: &mut dyn LsmIo, name: &str) -> Result<Self, LsmError> {
         let ino = io.open(name)?;
         let size = io.file_size(ino)?;
         let nblocks = size / BLOCK as u64;
@@ -159,29 +148,14 @@ impl TableHandle {
         key >= self.footer.min_key && key <= self.footer.max_key && self.bloom.may_contain(key)
     }
 
-    /// Warm lookup: one data-block read using the cached index (untimed
-    /// [`DirectIo`] convenience over [`TableHandle::get_io`]).
+    /// Warm lookup: one data-block read using the cached index.
     ///
     /// Returns `None` when absent; `Some(empty)` is a tombstone.
     ///
     /// # Errors
     ///
-    /// Propagates FS/format failures.
-    pub fn get(
-        &self,
-        fs: &mut ExtFs,
-        store: &mut SectorStore,
-        key: u64,
-    ) -> Result<Option<Vec<u8>>, LsmError> {
-        self.get_io(&mut DirectIo::new(fs, store), key)
-    }
-
-    /// Warm lookup through an [`LsmIo`] backend.
-    ///
-    /// # Errors
-    ///
     /// Propagates backend/format failures.
-    pub fn get_io(&self, io: &mut dyn LsmIo, key: u64) -> Result<Option<Vec<u8>>, LsmError> {
+    pub fn get(&self, io: &mut dyn LsmIo, key: u64) -> Result<Option<Vec<u8>>, LsmError> {
         if !self.may_contain(key) {
             return Ok(None);
         }
@@ -198,21 +172,8 @@ impl TableHandle {
     ///
     /// # Errors
     ///
-    /// Propagates FS/format failures.
-    pub fn read_all(
-        &self,
-        fs: &mut ExtFs,
-        store: &mut SectorStore,
-    ) -> Result<Vec<(u64, Vec<u8>)>, LsmError> {
-        self.read_all_io(&mut DirectIo::new(fs, store))
-    }
-
-    /// Reads every entry through an [`LsmIo`] backend.
-    ///
-    /// # Errors
-    ///
     /// Propagates backend/format failures.
-    pub fn read_all_io(&self, io: &mut dyn LsmIo) -> Result<Vec<(u64, Vec<u8>)>, LsmError> {
+    pub fn read_all(&self, io: &mut dyn LsmIo) -> Result<Vec<(u64, Vec<u8>)>, LsmError> {
         let mut out = Vec::new();
         for db in 0..self.footer.data_blocks {
             let block = io.read(self.ino, db as u64 * BLOCK as u64, BLOCK)?;
@@ -267,31 +228,14 @@ impl LsmTree {
         }
     }
 
-    /// Inserts a key/value pair, flushing and compacting as needed
-    /// (untimed [`DirectIo`] convenience over [`LsmTree::put_io`]).
+    /// Inserts a key/value pair; a full memtable flushes (and possibly
+    /// compacts) through the same backend.
     ///
     /// # Errors
     ///
-    /// Rejects empty values ([`LsmError::EmptyValue`]); propagates FS
-    /// failures.
-    pub fn put(
-        &mut self,
-        fs: &mut ExtFs,
-        store: &mut SectorStore,
-        key: u64,
-        value: Vec<u8>,
-    ) -> Result<(), LsmError> {
-        self.put_io(&mut DirectIo::new(fs, store), key, value)
-    }
-
-    /// Inserts a key/value pair through an [`LsmIo`] backend; a full
-    /// memtable flushes (and possibly compacts) through the same
-    /// backend.
-    ///
-    /// # Errors
-    ///
-    /// Rejects empty values; propagates backend failures.
-    pub fn put_io(&mut self, io: &mut dyn LsmIo, key: u64, value: Vec<u8>) -> Result<(), LsmError> {
+    /// Rejects empty values ([`LsmError::EmptyValue`]); propagates
+    /// backend failures.
+    pub fn put(&mut self, io: &mut dyn LsmIo, key: u64, value: Vec<u8>) -> Result<(), LsmError> {
         if value.is_empty() {
             return Err(LsmError::EmptyValue);
         }
@@ -299,7 +243,7 @@ impl LsmTree {
         self.mem_bytes += 8 + value.len();
         self.memtable.insert(key, value);
         if self.mem_bytes >= self.cfg.memtable_limit {
-            self.flush_io(io)?;
+            self.flush(io)?;
         }
         Ok(())
     }
@@ -308,26 +252,12 @@ impl LsmTree {
     ///
     /// # Errors
     ///
-    /// Propagates FS failures on flush.
-    pub fn delete(
-        &mut self,
-        fs: &mut ExtFs,
-        store: &mut SectorStore,
-        key: u64,
-    ) -> Result<(), LsmError> {
-        self.delete_io(&mut DirectIo::new(fs, store), key)
-    }
-
-    /// Deletes a key through an [`LsmIo`] backend.
-    ///
-    /// # Errors
-    ///
     /// Propagates backend failures on flush.
-    pub fn delete_io(&mut self, io: &mut dyn LsmIo, key: u64) -> Result<(), LsmError> {
+    pub fn delete(&mut self, io: &mut dyn LsmIo, key: u64) -> Result<(), LsmError> {
         self.mem_bytes += 8;
         self.memtable.insert(key, Vec::new());
         if self.mem_bytes >= self.cfg.memtable_limit {
-            self.flush_io(io)?;
+            self.flush(io)?;
         }
         Ok(())
     }
@@ -336,29 +266,15 @@ impl LsmTree {
     ///
     /// # Errors
     ///
-    /// Propagates FS/format failures.
-    pub fn get(
-        &mut self,
-        fs: &mut ExtFs,
-        store: &mut SectorStore,
-        key: u64,
-    ) -> Result<Option<Vec<u8>>, LsmError> {
-        self.get_io(&mut DirectIo::new(fs, store), key)
-    }
-
-    /// Point lookup through an [`LsmIo`] backend.
-    ///
-    /// # Errors
-    ///
     /// Propagates backend/format failures.
-    pub fn get_io(&mut self, io: &mut dyn LsmIo, key: u64) -> Result<Option<Vec<u8>>, LsmError> {
+    pub fn get(&mut self, io: &mut dyn LsmIo, key: u64) -> Result<Option<Vec<u8>>, LsmError> {
         self.stats.gets += 1;
         if let Some(v) = self.memtable.get(&key) {
             return Ok(if v.is_empty() { None } else { Some(v.clone()) });
         }
         for level in &self.levels {
             for table in level {
-                if let Some(v) = table.get_io(io, key)? {
+                if let Some(v) = table.get(io, key)? {
                     return Ok(if v.is_empty() { None } else { Some(v) });
                 }
             }
@@ -366,41 +282,32 @@ impl LsmTree {
         Ok(None)
     }
 
-    /// Flushes the memtable into a new level-0 table.
-    ///
-    /// # Errors
-    ///
-    /// Propagates FS failures.
-    pub fn flush(&mut self, fs: &mut ExtFs, store: &mut SectorStore) -> Result<(), LsmError> {
-        self.flush_io(&mut DirectIo::new(fs, store))
-    }
-
-    /// Flushes the memtable into a new level-0 table through an
-    /// [`LsmIo`] backend: on the machine backend the table image rides
+    /// Flushes the memtable into a new level-0 table: on the machine
+    /// backend the table image rides
     /// the SQ/CQ rings as journaled writes and is made durable by the
     /// backend's sync (fsync barrier) before the table goes live.
     ///
     /// # Errors
     ///
     /// Propagates backend failures.
-    pub fn flush_io(&mut self, io: &mut dyn LsmIo) -> Result<(), LsmError> {
+    pub fn flush(&mut self, io: &mut dyn LsmIo) -> Result<(), LsmError> {
         if self.memtable.is_empty() {
             return Ok(());
         }
         let entries: Vec<(u64, Vec<u8>)> = std::mem::take(&mut self.memtable).into_iter().collect();
         self.mem_bytes = 0;
-        let name = self.write_table_io(io, &entries)?;
-        let handle = TableHandle::open_io(io, &name)?;
+        let name = self.write_table(io, &entries)?;
+        let handle = TableHandle::open(io, &name)?;
         if self.levels.is_empty() {
             self.levels.push(Vec::new());
         }
         self.levels[0].insert(0, handle);
         self.stats.flushes += 1;
-        self.compact_if_needed_io(io)?;
+        self.compact_if_needed(io)?;
         Ok(())
     }
 
-    fn write_table_io(
+    fn write_table(
         &mut self,
         io: &mut dyn LsmIo,
         entries: &[(u64, Vec<u8>)],
@@ -417,25 +324,25 @@ impl LsmTree {
         Ok(name)
     }
 
-    fn compact_if_needed_io(&mut self, io: &mut dyn LsmIo) -> Result<(), LsmError> {
+    fn compact_if_needed(&mut self, io: &mut dyn LsmIo) -> Result<(), LsmError> {
         let mut level = 0;
         while level < self.levels.len() {
             if self.levels[level].len() >= self.cfg.level_trigger {
-                self.compact_level_io(io, level)?;
+                self.compact_level(io, level)?;
             }
             level += 1;
         }
         Ok(())
     }
 
-    fn compact_level_io(&mut self, io: &mut dyn LsmIo, level: usize) -> Result<(), LsmError> {
+    fn compact_level(&mut self, io: &mut dyn LsmIo, level: usize) -> Result<(), LsmError> {
         self.stats.compactions += 1;
         let tables = std::mem::take(&mut self.levels[level]);
         // Merge newest-wins: iterate oldest table first so newer entries
         // overwrite.
         let mut merged: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         for table in tables.iter().rev() {
-            for (k, v) in table.read_all_io(io)? {
+            for (k, v) in table.read_all(io)? {
                 merged.insert(k, v);
             }
         }
@@ -453,8 +360,8 @@ impl LsmTree {
         if entries.is_empty() {
             return Ok(());
         }
-        let name = self.write_table_io(io, &entries)?;
-        let handle = TableHandle::open_io(io, &name)?;
+        let name = self.write_table(io, &entries)?;
+        let handle = TableHandle::open(io, &name)?;
         if self.levels.len() <= level + 1 {
             self.levels.push(Vec::new());
         }
@@ -472,11 +379,6 @@ impl LsmTree {
         self.stats
     }
 
-    /// Bytes buffered in the memtable.
-    pub fn memtable_bytes(&self) -> usize {
-        self.mem_bytes
-    }
-
     /// Total live SSTables.
     pub fn table_count(&self) -> usize {
         self.levels.iter().map(|l| l.len()).sum()
@@ -485,7 +387,11 @@ impl LsmTree {
 
 #[cfg(test)]
 mod tests {
+    use bpfstor_device::SectorStore;
+    use bpfstor_fs::ExtFs;
+
     use super::*;
+    use crate::io::DirectIo;
 
     fn setup() -> (ExtFs, SectorStore, LsmTree) {
         (
@@ -505,115 +411,107 @@ mod tests {
     #[test]
     fn memtable_roundtrip_without_flush() {
         let (mut fs, mut store, mut lsm) = setup();
-        lsm.put(&mut fs, &mut store, 1, val(1)).expect("put");
-        assert_eq!(lsm.get(&mut fs, &mut store, 1).expect("get"), Some(val(1)));
-        assert_eq!(lsm.get(&mut fs, &mut store, 2).expect("get"), None);
+        let mut io = DirectIo::new(&mut fs, &mut store);
+        lsm.put(&mut io, 1, val(1)).expect("put");
+        assert_eq!(lsm.get(&mut io, 1).expect("get"), Some(val(1)));
+        assert_eq!(lsm.get(&mut io, 2).expect("get"), None);
         assert_eq!(lsm.stats().flushes, 0);
     }
 
     #[test]
     fn flush_then_get_from_sstable() {
         let (mut fs, mut store, mut lsm) = setup();
+        let mut io = DirectIo::new(&mut fs, &mut store);
         for i in 0..50u64 {
-            lsm.put(&mut fs, &mut store, i, val(i)).expect("put");
+            lsm.put(&mut io, i, val(i)).expect("put");
         }
-        lsm.flush(&mut fs, &mut store).expect("flush");
-        assert_eq!(lsm.memtable_bytes(), 0);
+        lsm.flush(&mut io).expect("flush");
+        assert_eq!(lsm.mem_bytes, 0);
         assert!(lsm.table_count() >= 1);
         for i in 0..50u64 {
-            assert_eq!(
-                lsm.get(&mut fs, &mut store, i).expect("get"),
-                Some(val(i)),
-                "key {i}"
-            );
+            assert_eq!(lsm.get(&mut io, i).expect("get"), Some(val(i)), "key {i}");
         }
     }
 
     #[test]
     fn newest_version_wins_across_tables() {
         let (mut fs, mut store, mut lsm) = setup();
-        lsm.put(&mut fs, &mut store, 7, b"old".to_vec())
-            .expect("put");
-        lsm.flush(&mut fs, &mut store).expect("flush");
-        lsm.put(&mut fs, &mut store, 7, b"new".to_vec())
-            .expect("put");
-        lsm.flush(&mut fs, &mut store).expect("flush");
-        assert_eq!(
-            lsm.get(&mut fs, &mut store, 7).expect("get"),
-            Some(b"new".to_vec())
-        );
+        let mut io = DirectIo::new(&mut fs, &mut store);
+        lsm.put(&mut io, 7, b"old".to_vec()).expect("put");
+        lsm.flush(&mut io).expect("flush");
+        lsm.put(&mut io, 7, b"new".to_vec()).expect("put");
+        lsm.flush(&mut io).expect("flush");
+        assert_eq!(lsm.get(&mut io, 7).expect("get"), Some(b"new".to_vec()));
     }
 
     #[test]
     fn delete_shadows_older_values() {
         let (mut fs, mut store, mut lsm) = setup();
-        lsm.put(&mut fs, &mut store, 9, val(9)).expect("put");
-        lsm.flush(&mut fs, &mut store).expect("flush");
-        lsm.delete(&mut fs, &mut store, 9).expect("delete");
-        assert_eq!(lsm.get(&mut fs, &mut store, 9).expect("get"), None);
-        lsm.flush(&mut fs, &mut store).expect("flush");
-        assert_eq!(lsm.get(&mut fs, &mut store, 9).expect("get"), None);
+        let mut io = DirectIo::new(&mut fs, &mut store);
+        lsm.put(&mut io, 9, val(9)).expect("put");
+        lsm.flush(&mut io).expect("flush");
+        lsm.delete(&mut io, 9).expect("delete");
+        assert_eq!(lsm.get(&mut io, 9).expect("get"), None);
+        lsm.flush(&mut io).expect("flush");
+        assert_eq!(lsm.get(&mut io, 9).expect("get"), None);
     }
 
     #[test]
     fn compaction_merges_and_deletes_inputs() {
         let (mut fs, mut store, mut lsm) = setup();
+        let mut io = DirectIo::new(&mut fs, &mut store);
         // Force several flushes to trigger compaction (trigger = 3).
         for round in 0..4u64 {
             for i in 0..40u64 {
-                lsm.put(&mut fs, &mut store, i, val(i * 10 + round))
-                    .expect("put");
+                lsm.put(&mut io, i, val(i * 10 + round)).expect("put");
             }
-            lsm.flush(&mut fs, &mut store).expect("flush");
+            lsm.flush(&mut io).expect("flush");
         }
         assert!(lsm.stats().compactions >= 1, "compaction triggered");
         assert!(lsm.stats().tables_deleted >= 3, "inputs deleted");
         // Latest round (3) wins for every key.
         for i in 0..40u64 {
             assert_eq!(
-                lsm.get(&mut fs, &mut store, i).expect("get"),
+                lsm.get(&mut io, i).expect("get"),
                 Some(val(i * 10 + 3)),
                 "key {i}"
             );
         }
         // FS saw unmap events from the unlinks.
-        assert!(fs.stats().unmap_changes > 0);
+        assert!(io.fs.stats().unmap_changes > 0);
     }
 
     #[test]
     fn tombstones_dropped_at_deepest_level() {
         let (mut fs, mut store, mut lsm) = setup();
+        let mut io = DirectIo::new(&mut fs, &mut store);
         for i in 0..30u64 {
-            lsm.put(&mut fs, &mut store, i, val(i)).expect("put");
+            lsm.put(&mut io, i, val(i)).expect("put");
         }
-        lsm.flush(&mut fs, &mut store).expect("flush");
+        lsm.flush(&mut io).expect("flush");
         for i in 0..30u64 {
-            lsm.delete(&mut fs, &mut store, i).expect("del");
+            lsm.delete(&mut io, i).expect("del");
         }
-        lsm.flush(&mut fs, &mut store).expect("flush");
-        lsm.flush(&mut fs, &mut store).expect("noop flush");
+        lsm.flush(&mut io).expect("flush");
+        lsm.flush(&mut io).expect("noop flush");
         // Force compaction by flushing empty-ish memtables via puts.
         for round in 0..4u64 {
-            lsm.put(&mut fs, &mut store, 1000 + round, val(round))
-                .expect("put");
-            lsm.flush(&mut fs, &mut store).expect("flush");
+            lsm.put(&mut io, 1000 + round, val(round)).expect("put");
+            lsm.flush(&mut io).expect("flush");
         }
         for i in 0..30u64 {
-            assert_eq!(
-                lsm.get(&mut fs, &mut store, i).expect("get"),
-                None,
-                "key {i}"
-            );
+            assert_eq!(lsm.get(&mut io, i).expect("get"), None, "key {i}");
         }
     }
 
     #[test]
     fn bloom_prunes_lookups() {
         let (mut fs, mut store, mut lsm) = setup();
+        let mut io = DirectIo::new(&mut fs, &mut store);
         for i in 0..100u64 {
-            lsm.put(&mut fs, &mut store, i * 2, val(i)).expect("put");
+            lsm.put(&mut io, i * 2, val(i)).expect("put");
         }
-        lsm.flush(&mut fs, &mut store).expect("flush");
+        lsm.flush(&mut io).expect("flush");
         let table = &lsm.levels()[0][0];
         let mut pruned = 0;
         for probe in (1..200u64).step_by(2) {
@@ -627,13 +525,14 @@ mod tests {
     #[test]
     fn sstables_are_extent_contiguous() {
         let (mut fs, mut store, mut lsm) = setup();
+        let mut io = DirectIo::new(&mut fs, &mut store);
         for i in 0..200u64 {
-            lsm.put(&mut fs, &mut store, i, val(i)).expect("put");
+            lsm.put(&mut io, i, val(i)).expect("put");
         }
-        lsm.flush(&mut fs, &mut store).expect("flush");
+        lsm.flush(&mut io).expect("flush");
         for level in lsm.levels() {
             for t in level {
-                let snap = fs.extents_snapshot(t.ino).expect("snapshot");
+                let snap = io.fs.extents_snapshot(t.ino).expect("snapshot");
                 assert_eq!(
                     snap.len(),
                     1,
@@ -647,8 +546,9 @@ mod tests {
     #[test]
     fn empty_value_rejected() {
         let (mut fs, mut store, mut lsm) = setup();
+        let mut io = DirectIo::new(&mut fs, &mut store);
         assert_eq!(
-            lsm.put(&mut fs, &mut store, 1, Vec::new()).unwrap_err(),
+            lsm.put(&mut io, 1, Vec::new()).unwrap_err(),
             LsmError::EmptyValue
         );
     }
@@ -656,20 +556,21 @@ mod tests {
     #[test]
     fn heavy_churn_stays_consistent() {
         let (mut fs, mut store, mut lsm) = setup();
+        let mut io = DirectIo::new(&mut fs, &mut store);
         let mut reference = std::collections::HashMap::new();
         for i in 0..2_000u64 {
             let key = i % 97;
             if i % 7 == 0 {
-                lsm.delete(&mut fs, &mut store, key).expect("del");
+                lsm.delete(&mut io, key).expect("del");
                 reference.remove(&key);
             } else {
-                lsm.put(&mut fs, &mut store, key, val(i)).expect("put");
+                lsm.put(&mut io, key, val(i)).expect("put");
                 reference.insert(key, val(i));
             }
         }
         for key in 0..97u64 {
             assert_eq!(
-                lsm.get(&mut fs, &mut store, key).expect("get"),
+                lsm.get(&mut io, key).expect("get"),
                 reference.get(&key).cloned(),
                 "key {key}"
             );

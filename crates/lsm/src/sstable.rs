@@ -259,11 +259,6 @@ impl Footer {
         self.data_blocks as u64 + self.index_blocks as u64 + self.bloom_blocks as u64 + 1
     }
 
-    /// Block number of the footer (the last block).
-    pub fn footer_block(total_file_blocks: u64) -> u64 {
-        total_file_blocks - 1
-    }
-
     /// Parses a footer block.
     ///
     /// # Errors

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use bpfstor_device::SectorStore;
 use bpfstor_fs::ExtFs;
-use bpfstor_lsm::{LsmConfig, LsmTree};
+use bpfstor_lsm::{DirectIo, LsmConfig, LsmTree};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -35,6 +35,7 @@ proptest! {
     ) {
         let mut fs = ExtFs::mkfs(1 << 18);
         let mut store = SectorStore::new();
+        let mut io = DirectIo::new(&mut fs, &mut store);
         // Small memtable so the sequence crosses many flush/compaction
         // boundaries.
         let mut lsm = LsmTree::new(LsmConfig {
@@ -45,20 +46,20 @@ proptest! {
         for op in &ops {
             match op {
                 LsmOp::Put(k, tag) => {
-                    lsm.put(&mut fs, &mut store, *k, value_bytes(*tag)).expect("put");
+                    lsm.put(&mut io, *k, value_bytes(*tag)).expect("put");
                     reference.insert(*k, value_bytes(*tag));
                 }
                 LsmOp::Delete(k) => {
-                    lsm.delete(&mut fs, &mut store, *k).expect("delete");
+                    lsm.delete(&mut io, *k).expect("delete");
                     reference.remove(k);
                 }
-                LsmOp::Flush => lsm.flush(&mut fs, &mut store).expect("flush"),
+                LsmOp::Flush => lsm.flush(&mut io).expect("flush"),
             }
         }
         // Every key agrees with the reference, present or absent.
         for k in 0u64..200 {
             prop_assert_eq!(
-                lsm.get(&mut fs, &mut store, k).expect("get"),
+                lsm.get(&mut io, k).expect("get"),
                 reference.get(&k).cloned(),
                 "key {}", k
             );
@@ -68,11 +69,11 @@ proptest! {
         // (dead tables were really unlinked).
         for level in lsm.levels() {
             for table in level {
-                let (_, unmap_gen) = fs.generations(table.ino).expect("gens");
+                let (_, unmap_gen) = io.fs.generations(table.ino).expect("gens");
                 prop_assert_eq!(unmap_gen, 0, "live table {} lost blocks", table.name);
             }
         }
-        let live_files = fs.readdir().len();
+        let live_files = io.fs.readdir().len();
         prop_assert_eq!(live_files, lsm.table_count(), "no orphaned table files");
     }
 }

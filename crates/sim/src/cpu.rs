@@ -54,7 +54,6 @@ pub struct Placement {
 pub struct Cores {
     free_at: Vec<Nanos>,
     busy_ns: Vec<Nanos>,
-    jobs: Vec<u64>,
 }
 
 impl Cores {
@@ -68,7 +67,6 @@ impl Cores {
         Cores {
             free_at: vec![0; n],
             busy_ns: vec![0; n],
-            jobs: vec![0; n],
         }
     }
 
@@ -97,18 +95,7 @@ impl Cores {
         let end = start + dur;
         self.free_at[core] = end;
         self.busy_ns[core] += dur;
-        self.jobs[core] += 1;
         Placement { core, start, end }
-    }
-
-    /// Time at which the given core next becomes free.
-    pub fn free_at(&self, core: CoreId) -> Nanos {
-        self.free_at[core]
-    }
-
-    /// Earliest time any core is free (lower bound for an unpinned job).
-    pub fn earliest_free(&self) -> Nanos {
-        *self.free_at.iter().min().expect("at least one core")
     }
 
     fn pick_earliest_free(&self) -> CoreId {
@@ -138,11 +125,6 @@ impl Cores {
         (busy as f64 / capacity as f64).min(1.0)
     }
 
-    /// Total jobs executed across all cores.
-    pub fn total_jobs(&self) -> u64 {
-        self.jobs.iter().sum()
-    }
-
     /// Resets all accounting, returning the cores to idle at time zero.
     pub fn reset(&mut self) {
         for t in &mut self.free_at {
@@ -150,9 +132,6 @@ impl Cores {
         }
         for b in &mut self.busy_ns {
             *b = 0;
-        }
-        for j in &mut self.jobs {
-            *j = 0;
         }
     }
 }
@@ -207,7 +186,6 @@ mod tests {
         assert!((u - 0.75).abs() < 1e-9, "util {u}");
         assert_eq!(cores.busy_ns(0), 1_000);
         assert_eq!(cores.busy_ns(1), 500);
-        assert_eq!(cores.total_jobs(), 2);
     }
 
     #[test]
@@ -221,8 +199,7 @@ mod tests {
         let mut cores = Cores::new(2);
         cores.run(0, None, 100);
         cores.reset();
-        assert_eq!(cores.earliest_free(), 0);
-        assert_eq!(cores.total_jobs(), 0);
+        assert_eq!(cores.free_at, [0, 0]);
         assert_eq!(cores.utilization(100), 0.0);
     }
 

@@ -24,7 +24,7 @@
 //! - [`dist`]: latency distributions (constant, uniform, exponential,
 //!   log-normal, bimodal) used by device profiles,
 //! - [`cpu`]: an N-core run-to-completion CPU occupancy model,
-//! - [`stats`]: online statistics and log-bucketed latency histograms.
+//! - [`stats`]: log-bucketed latency histograms.
 
 pub mod cpu;
 pub mod dist;
@@ -37,5 +37,5 @@ pub use cpu::{CoreId, Cores};
 pub use dist::LatencyDist;
 pub use events::EventQueue;
 pub use rng::SimRng;
-pub use stats::{Histogram, OnlineStats};
+pub use stats::Histogram;
 pub use time::{Nanos, MICROSECOND, MILLISECOND, SECOND};

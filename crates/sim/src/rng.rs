@@ -118,14 +118,6 @@ impl SimRng {
         self.f64() < p
     }
 
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
     /// Picks a uniformly random element index for a non-empty slice length.
     ///
     /// # Panics
@@ -235,17 +227,6 @@ mod tests {
         let mut c2 = parent.fork(2);
         let overlap = (0..64).filter(|_| c1.next() == c2.next()).count();
         assert_eq!(overlap, 0);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::seed(77);
-        let mut xs: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(xs, (0..100).collect::<Vec<_>>(), "astronomically unlikely");
     }
 
     #[test]

@@ -1,99 +1,9 @@
-//! Online statistics and latency histograms.
+//! Latency histograms.
 //!
 //! Harnesses record per-request latencies into a [`Histogram`]
-//! (log-bucketed, constant memory, ~1.6% relative bucket error) and
-//! scalar series into [`OnlineStats`] (Welford's algorithm).
+//! (log-bucketed, constant memory, ~1.6% relative bucket error).
 
 use crate::time::Nanos;
-
-/// Streaming mean/variance/min/max via Welford's algorithm.
-///
-/// # Examples
-///
-/// ```
-/// use bpfstor_sim::OnlineStats;
-/// let mut s = OnlineStats::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.push(x);
-/// }
-/// assert_eq!(s.count(), 8);
-/// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.stddev() - 2.0).abs() < 1e-12); // population stddev
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`+inf` if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` if empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
-    }
-}
 
 /// Number of sub-buckets per power of two; 16 gives ≤ ~3.1% width and
 /// ~1.6% expected quantile error, plenty for latency reporting.
@@ -255,22 +165,6 @@ impl Histogram {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
-
-    #[test]
-    fn online_stats_basics() {
-        let mut s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        s.push(10.0);
-        assert_eq!(s.mean(), 10.0);
-        assert_eq!(s.variance(), 0.0);
-        s.push(20.0);
-        assert_eq!(s.mean(), 15.0);
-        assert_eq!(s.min(), 10.0);
-        assert_eq!(s.max(), 20.0);
-        assert_eq!(s.count(), 2);
-        assert!((s.sum() - 30.0).abs() < 1e-12);
-    }
 
     #[test]
     fn histogram_small_values_exact() {

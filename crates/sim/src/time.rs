@@ -37,16 +37,6 @@ pub fn pretty(ns: Nanos) -> String {
     }
 }
 
-/// Converts [`Nanos`] to fractional microseconds (for reporting).
-pub fn to_us(ns: Nanos) -> f64 {
-    ns as f64 / MICROSECOND as f64
-}
-
-/// Converts [`Nanos`] to fractional seconds (for reporting).
-pub fn to_secs(ns: Nanos) -> f64 {
-    ns as f64 / SECOND as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,11 +55,5 @@ mod tests {
         assert_eq!(pretty(999_999), "1000.00us");
         assert_eq!(pretty(1_000_000), "1.00ms");
         assert_eq!(pretty(1_000_000_000), "1.00s");
-    }
-
-    #[test]
-    fn conversions() {
-        assert!((to_us(6_270) - 6.27).abs() < 1e-9);
-        assert!((to_secs(1_500_000_000) - 1.5).abs() < 1e-9);
     }
 }

@@ -346,15 +346,6 @@ pub fn disasm(insn: &Insn) -> String {
     }
 }
 
-/// Renders a whole program with slot numbers, one line per slot.
-pub fn disasm_all(insns: &[Insn]) -> String {
-    let mut out = String::new();
-    for (pc, insn) in insns.iter().enumerate() {
-        out.push_str(&format!("{pc:4}: {}\n", disasm(insn)));
-    }
-    out
-}
-
 /// Byte width of a memory-access opcode.
 pub fn access_size(op: u8) -> usize {
     match op & 0x18 {
@@ -455,17 +446,6 @@ mod tests {
         let [lo, hi] = Insn::ld_imm64(3, 0x10);
         assert!(disasm(&lo).starts_with("ld_imm64 r3"));
         assert!(disasm(&hi).starts_with(".imm64_hi"));
-    }
-
-    #[test]
-    fn disasm_all_numbers_slots() {
-        let prog = vec![
-            Insn::new(CLS_ALU64 | ALU_MOV | SRC_K, 0, 0, 0, 1),
-            Insn::new(CLS_JMP | JMP_EXIT, 0, 0, 0, 0),
-        ];
-        let text = disasm_all(&prog);
-        assert!(text.contains("0: mov64 r0, 1"));
-        assert!(text.contains("1: exit"));
     }
 
     #[test]

@@ -100,11 +100,6 @@ impl Program {
     pub fn with_maps(insns: Vec<Insn>, maps: Vec<MapSpec>) -> Self {
         Program { insns, maps }
     }
-
-    /// Number of encoding slots (wide instructions already occupy two).
-    pub fn slot_count(&self) -> usize {
-        self.insns.len()
-    }
 }
 
 #[cfg(test)]
@@ -125,11 +120,10 @@ mod tests {
     }
 
     #[test]
-    fn slot_count_counts_wide() {
+    fn ld_imm64_occupies_two_slots() {
         let mut a = Asm::new();
         a.ld_imm64(1, 42).mov64_imm(0, 0).exit();
         let p = Program::new(a.finish().expect("assembles"));
         assert_eq!(p.insns.len(), 4, "ld_imm64 occupies two slots");
-        assert_eq!(p.slot_count(), 4);
     }
 }

@@ -17,7 +17,7 @@
 
 use bpfstor::core::{sst_get_program, DispatchMode, PushdownSession, Sst, SstGetDriver};
 use bpfstor::kernel::{Machine, MachineConfig};
-use bpfstor::lsm::{LsmConfig, LsmTree, BLOCK};
+use bpfstor::lsm::{DirectIo, LsmConfig, LsmTree, BLOCK};
 use bpfstor::sim::time::pretty;
 use bpfstor::sim::SECOND;
 
@@ -36,12 +36,12 @@ fn main() {
     // uniform stride), flush everything into SSTables.
     let mut machine = Machine::new(MachineConfig::default());
     let (fs, store) = machine.fs_and_store();
+    let mut io = DirectIo::new(fs, store);
     let mut lsm = LsmTree::new(LsmConfig::default());
     for key in 0..2_000u64 {
-        lsm.put(fs, store, key * 2, value_for(key * 2))
-            .expect("put");
+        lsm.put(&mut io, key * 2, value_for(key * 2)).expect("put");
     }
-    lsm.flush(fs, store).expect("flush");
+    lsm.flush(&mut io).expect("flush");
 
     // Pick the largest live table and compute its footer offset.
     let table = lsm

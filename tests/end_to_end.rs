@@ -4,8 +4,8 @@
 //! through the one workload-generic [`PushdownSession`] API.
 
 use bpfstor::core::{
-    btree_lookup_program_with_stats, stats_slot, Btree, BtreeLookupDriver, Chase, DispatchMode,
-    PushdownSession, Scan, SessionError, Sst, CHASE_PAYLOAD,
+    btree_lookup_program_with_stats, stats_slot, Btree, Chase, DispatchMode, PushdownSession, Scan,
+    SessionError, Sst, CHASE_PAYLOAD,
 };
 use bpfstor::kernel::{Machine, ProgHandle};
 use bpfstor::sim::{MILLISECOND, SECOND};
@@ -363,27 +363,20 @@ fn sst_same_key_on_two_concurrent_chains_does_not_collide() {
 fn stats_map_counts_kernel_side_through_the_handle() {
     // Build a depth-4 session, then swap in the stats-map program
     // variant; its handle addresses the map afterwards.
-    let mut s = PushdownSession::builder(Btree::depth(4))
+    let mut s = PushdownSession::builder(Btree::depth(4).max_chains(25))
         .dispatch(DispatchMode::DriverHook)
         .build()
         .expect("session");
     let fd = s.fd();
-    let root_off = s.workload().root_off();
-    let nkeys = s.workload().nkeys();
     let stats_handle = s
         .machine_mut()
         .install(fd, btree_lookup_program_with_stats(), 0)
         .expect("install stats variant");
     assert_ne!(Some(stats_handle), s.handle(), "a second, distinct handle");
 
-    let mut d = BtreeLookupDriver::new(fd, DispatchMode::DriverHook, root_off, nkeys);
-    d.max_chains = 25;
-    let report = s.machine_mut().run_closed_loop(1, SECOND, &mut d);
+    let (report, stats) = s.run_closed_loop(1, SECOND);
     assert_eq!(report.errors, 0);
-    assert_eq!(
-        d.stats.mismatches, 0,
-        "stats variant returns correct values"
-    );
+    assert_eq!(stats.mismatches, 0, "stats variant returns correct values");
 
     let slot = |m: &mut Machine, h: ProgHandle, s: u32| -> u64 {
         let v = m
@@ -400,8 +393,8 @@ fn stats_map_counts_kernel_side_through_the_handle() {
     assert_eq!(invocations, 25 * 4, "one invocation per hop");
     assert_eq!(resubmits, 25 * 3, "three interior hops per depth-4 lookup");
     assert_eq!(hits + misses, 25, "every chain terminates at a leaf");
-    assert_eq!(hits, d.stats.hits);
-    assert_eq!(misses, d.stats.misses);
+    assert_eq!(hits, stats.hits);
+    assert_eq!(misses, stats.misses);
 }
 
 // --- Whole-pipeline properties -------------------------------------------------
@@ -695,7 +688,7 @@ mod lsm_end_to_end {
     use super::*;
     use bpfstor::core::{sst_get_program, MachineLsmIo, SstGetDriver};
     use bpfstor::kernel::{
-        ChainDriver, ChainOutcome, ChainStart, ChainVerdict, Machine, MachineConfig, Mutation,
+        ChainDriver, ChainOutcome, ChainSpec, ChainVerdict, Machine, MachineConfig, Mutation,
         UserNext,
     };
     use bpfstor::lsm::{LsmConfig, LsmTree, BLOCK};
@@ -718,8 +711,8 @@ mod lsm_end_to_end {
         fn mode(&self) -> DispatchMode {
             self.0.mode
         }
-        fn next_chain(&mut self, t: usize, rng: &mut SimRng) -> Option<ChainStart> {
-            self.0.next_chain(t, rng)
+        fn next_op(&mut self, t: usize, rng: &mut SimRng) -> Option<ChainSpec> {
+            self.0.next_op(t, rng)
         }
         fn user_step(
             &mut self,
@@ -752,10 +745,9 @@ mod lsm_end_to_end {
         {
             let mut io = MachineLsmIo::new(&mut m);
             for key in 0..1_500u64 {
-                lsm.put_io(&mut io, key * 2, value_for(key * 2))
-                    .expect("put");
+                lsm.put(&mut io, key * 2, value_for(key * 2)).expect("put");
             }
-            lsm.flush_io(&mut io).expect("flush");
+            lsm.flush(&mut io).expect("flush");
         }
         let st = m.device_stats();
         assert!(st.writes > 0, "flush images went through the rings");
@@ -824,9 +816,9 @@ mod lsm_end_to_end {
         {
             let mut io = MachineLsmIo::new(&mut m);
             for key in 0..800u64 {
-                lsm.put_io(&mut io, key, value_for(key)).expect("put");
+                lsm.put(&mut io, key, value_for(key)).expect("put");
             }
-            lsm.flush_io(&mut io).expect("flush");
+            lsm.flush(&mut io).expect("flush");
         }
         let table = &lsm.levels()[0][0];
         let name = table.name.clone();
@@ -960,4 +952,102 @@ fn fabric_pushdown_survives_relocation_through_auto_retry() {
     assert_eq!(stats.mismatches, 0);
     assert_eq!(stats.errors, 0, "auto-retry absorbs the invalidation");
     assert_eq!(report.errors, 0);
+}
+
+// --- Tenant groups -------------------------------------------------------------
+
+mod tenant_groups {
+    use super::*;
+    use bpfstor::core::{TenantGroup, TenantLimits};
+
+    #[test]
+    fn single_tenant_group_equals_standalone_session_bit_for_bit() {
+        // Same machine config and seed, one tenant with default limits:
+        // the first tenant is the kernel's default tenant, so the group
+        // must not perturb a single simulated nanosecond.
+        const SEED: u64 = 0x7E4A;
+        const UNTIL: u64 = 4 * MILLISECOND;
+        for mode in [DispatchMode::DriverHook, DispatchMode::User] {
+            for uring in [false, true] {
+                let mut group = TenantGroup::builder().dispatch(mode).seed(SEED).build();
+                group
+                    .add_tenant(Btree::depth(3), TenantLimits::default())
+                    .expect("lone tenant");
+                let mut session = PushdownSession::builder(Btree::depth(3))
+                    .dispatch(mode)
+                    .seed(SEED)
+                    .build()
+                    .expect("session");
+                let (grouped, (standalone, stats)) = if uring {
+                    (
+                        group.run_uring(&[2], 4, UNTIL),
+                        session.run_uring(2, 4, UNTIL),
+                    )
+                } else {
+                    (
+                        group.run_closed_loop(&[2], UNTIL),
+                        session.run_closed_loop(2, UNTIL),
+                    )
+                };
+                let what = format!("{mode:?}, uring {uring}");
+                assert!(standalone.chains > 0, "{what}: the run does work");
+                assert_eq!(
+                    (grouped.chains, grouped.ios, grouped.sim_time),
+                    (standalone.chains, standalone.ios, standalone.sim_time),
+                    "{what}"
+                );
+                assert_eq!(grouped.trace, standalone.trace, "{what}: layer trace");
+                assert_eq!(grouped.device, standalone.device, "{what}: device stats");
+                for q in [0.5, 0.99] {
+                    assert_eq!(
+                        grouped.latency.quantile(q),
+                        standalone.latency.quantile(q),
+                        "{what}: latency quantile {q}"
+                    );
+                }
+                assert_eq!(group.stats(0), stats, "{what}: session statistics");
+            }
+        }
+    }
+
+    #[test]
+    fn rejected_tenant_leaves_the_group_usable() {
+        let mut group = TenantGroup::builder().build();
+        let first = group
+            .add_tenant(Btree::depth(3), TenantLimits::default())
+            .expect("first tenant");
+        // A depth-3 traversal cannot fit a 4-instruction budget: the
+        // verifier rejects it after the kernel has minted a tenant id.
+        let tight = TenantLimits {
+            insn_budget: Some(4),
+            ..TenantLimits::default()
+        };
+        let rejection = group
+            .add_tenant(Btree::depth(3), tight)
+            .expect_err("over-budget program is rejected at install");
+        assert!(format!("{rejection:?}").contains("BudgetExceeded"));
+        assert_eq!(group.tenant_count(), 1, "a rejected tenant is not attached");
+
+        let second = group
+            .add_tenant(Btree::depth(3), TenantLimits::default())
+            .expect("the group still accepts tenants");
+        assert_eq!(group.tenant_count(), 2);
+        // One thread count per attached tenant; the accepted tenant's id
+        // indexes the report, the group's stats and completion routing.
+        let report = group.run_closed_loop(&[1, 1], 2 * MILLISECOND);
+        assert_eq!(report.errors, 0);
+        for id in [first, second] {
+            let breakdown = &report.tenants[id as usize];
+            assert_eq!(breakdown.tenant, id);
+            assert!(breakdown.chains > 0, "tenant {id} ran");
+            let stats = group.stats(id);
+            assert_eq!(stats.completed, breakdown.chains, "tenant {id}");
+            assert_eq!(stats.mismatches + stats.errors, 0, "tenant {id}");
+        }
+        assert_eq!(
+            report.tenants.iter().map(|t| t.chains).sum::<u64>(),
+            report.chains,
+            "no chain is charged to a tenant that was never attached"
+        );
+    }
 }
