@@ -7,6 +7,12 @@
 //! small number of large extents. Extent stability under append-mostly
 //! workloads (§4's TokuDB/YCSB measurement) follows directly from this
 //! policy.
+//!
+//! Every scan and every set/clear works a 64-block bitmap word at a
+//! time (`!word & mask`, `trailing_zeros`), so an allocation costs
+//! O(words crossed) whether the goal is free or the first-fit pass has
+//! to skip a full group; `tests/props.rs` holds the bit-at-a-time
+//! allocator this one is checked against.
 
 /// Blocks per block group (ext4 uses 32768 × 4 KiB; we scale down for
 /// 512 B blocks but keep the structure).
@@ -59,19 +65,13 @@ impl BlockAllocator {
         self.nblocks - self.used
     }
 
-    #[inline]
-    fn is_set(&self, b: u64) -> bool {
-        self.bits[(b / 64) as usize] & (1u64 << (b % 64)) != 0
-    }
-
-    #[inline]
-    fn set(&mut self, b: u64) {
-        self.bits[(b / 64) as usize] |= 1u64 << (b % 64);
-    }
-
-    #[inline]
-    fn clear(&mut self, b: u64) {
-        self.bits[(b / 64) as usize] &= !(1u64 << (b % 64));
+    /// First block in `[from, to)` whose bit equals `used`.
+    fn first_in(&self, from: u64, to: u64, used: bool) -> Option<u64> {
+        let flip = if used { 0 } else { !0 };
+        word_masks(from, to).find_map(|(w, mask)| {
+            let hit = (self.bits[w] ^ flip) & mask;
+            (hit != 0).then(|| w as u64 * 64 + u64::from(hit.trailing_zeros()))
+        })
     }
 
     /// Allocates up to `want` contiguous blocks, preferring to start at
@@ -83,46 +83,24 @@ impl BlockAllocator {
         if want == 0 || self.free() == 0 {
             return None;
         }
-        let goal = goal.min(self.nblocks.saturating_sub(1));
-        // Pass 1: run starting exactly at `goal`.
-        if !self.is_set(goal) {
-            let len = self.run_length_at(goal, want);
-            return Some(self.take(goal, len));
-        }
-        // Pass 2: first fit scanning from the goal's block group start,
-        // then wrapping.
+        let goal = goal.min(self.nblocks - 1);
+        // Pass 1: a run starting exactly at `goal`. Pass 2: first fit
+        // scanning from the goal's block group start, then wrapping.
         let group_start = goal - goal % GROUP_BLOCKS;
-        let mut b = group_start;
-        let mut scanned = 0;
-        while scanned < self.nblocks {
-            if !self.is_set(b) {
-                let len = self.run_length_at(b, want);
-                return Some(self.take(b, len));
-            }
-            b += 1;
-            if b == self.nblocks {
-                b = 0;
-            }
-            scanned += 1;
-        }
-        None
-    }
-
-    fn run_length_at(&self, start: u64, want: u64) -> u64 {
-        let mut len = 0;
-        while len < want && start + len < self.nblocks && !self.is_set(start + len) {
-            len += 1;
-        }
-        len
-    }
-
-    fn take(&mut self, start: u64, len: u64) -> Run {
-        for b in start..start + len {
-            debug_assert!(!self.is_set(b));
-            self.set(b);
+        let goal_free = self.bits[(goal / 64) as usize] >> (goal % 64) & 1 == 0;
+        let start = if goal_free {
+            goal
+        } else {
+            self.first_in(group_start, self.nblocks, false)
+                .or_else(|| self.first_in(0, group_start, false))?
+        };
+        let end = start.saturating_add(want).min(self.nblocks);
+        let len = self.first_in(start, end, true).unwrap_or(end) - start;
+        for (w, mask) in word_masks(start, start + len) {
+            self.bits[w] |= mask;
         }
         self.used += len;
-        Run { start, len }
+        Some(Run { start, len })
     }
 
     /// Frees a previously allocated run.
@@ -132,18 +110,26 @@ impl BlockAllocator {
     /// Panics (in debug builds) on double-free, which would indicate
     /// metadata corruption.
     pub fn release(&mut self, start: u64, len: u64) {
-        for b in start..start + len {
-            debug_assert!(self.is_set(b), "double free of block {b}");
-            self.clear(b);
+        debug_assert_eq!(
+            self.first_in(start, start + len, false),
+            None,
+            "double free of block"
+        );
+        for (w, mask) in word_masks(start, start + len) {
+            self.bits[w] &= !mask;
         }
         self.used -= len;
     }
 
     /// Marks a run as allocated during mkfs/replay (must be free).
     pub fn reserve(&mut self, start: u64, len: u64) {
-        for b in start..start + len {
-            assert!(!self.is_set(b), "reserve of used block {b}");
-            self.set(b);
+        assert_eq!(
+            self.first_in(start, start + len, true),
+            None,
+            "reserve of used block"
+        );
+        for (w, mask) in word_masks(start, start + len) {
+            self.bits[w] |= mask;
         }
         self.used += len;
     }
@@ -151,17 +137,34 @@ impl BlockAllocator {
     /// Counts the free runs (a fragmentation measure used by the split-
     /// fallback ablation).
     pub fn free_fragments(&self) -> u64 {
+        // A free run starts at every free block whose predecessor is
+        // used (or absent); `prev_free` carries bit 63 across words.
         let mut frags = 0;
-        let mut in_free = false;
-        for b in 0..self.nblocks {
-            let free = !self.is_set(b);
-            if free && !in_free {
-                frags += 1;
-            }
-            in_free = free;
+        let mut prev_free = 0;
+        for (w, mask) in word_masks(0, self.nblocks) {
+            let free = !self.bits[w] & mask;
+            frags += u64::from((free & !(free << 1 | prev_free)).count_ones());
+            prev_free = free >> 63;
         }
         frags
     }
+}
+
+/// Splits the block range `[from, to)` at bitmap-word boundaries:
+/// `(word index, mask of the range's bits in that word)`.
+fn word_masks(from: u64, to: u64) -> impl Iterator<Item = (usize, u64)> {
+    let mut b = from;
+    std::iter::from_fn(move || {
+        if b >= to {
+            return None;
+        }
+        let lo = b % 64;
+        let n = (64 - lo).min(to - b);
+        let mask = (!0u64 >> (64 - n)) << lo;
+        let w = (b / 64) as usize;
+        b += n;
+        Some((w, mask))
+    })
 }
 
 #[cfg(test)]

@@ -70,6 +70,13 @@ impl ExtentTree {
         Some((e.physical + delta, e.len - delta))
     }
 
+    /// First mapped logical block past `lb` — where an unmapped gap
+    /// starting at `lb` ends. `None` when nothing is mapped beyond it.
+    pub fn next_mapped(&self, lb: u64) -> Option<u64> {
+        let idx = self.exts.partition_point(|e| e.logical <= lb);
+        self.exts.get(idx).map(|e| e.logical)
+    }
+
     fn find(&self, lb: u64) -> Option<usize> {
         // Binary search for the extent containing lb.
         let idx = self.exts.partition_point(|e| e.logical_end() <= lb);

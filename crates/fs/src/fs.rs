@@ -240,39 +240,36 @@ impl ExtFs {
         let nested = self.journal.in_transaction();
         self.journal.begin();
         let bs = BLOCK_SIZE as u64;
+        let mut segments = Vec::new();
+        let failure = self
+            .map_range(
+                ino,
+                off / bs,
+                (off + data.len() as u64).div_ceil(bs),
+                store,
+                &mut segments,
+            )
+            .err();
+        // One store write per physically contiguous run; a partial
+        // first or last block is read-modify-written.
         let mut pos = off;
         let mut remaining = data;
-        let mut failure = None;
-        while !remaining.is_empty() {
-            let lb = pos / bs;
-            let in_block = (pos % bs) as usize;
-            let chunk = remaining.len().min(BLOCK_SIZE - in_block);
-            let phys = match self.inode(ino)?.extents.lookup(lb) {
-                Some((p, _)) => p,
-                None => match self.allocate_block(ino, lb, store) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                },
-            };
-            if in_block == 0 && chunk == BLOCK_SIZE {
-                store.write(phys, &remaining[..BLOCK_SIZE]);
+        for (phys, run) in segments {
+            let head = (pos % bs) as usize;
+            let take = remaining.len().min(run as usize * BLOCK_SIZE - head);
+            let (src, rest) = remaining.split_at(take);
+            if head == 0 && take.is_multiple_of(BLOCK_SIZE) {
+                store.write(phys, src);
             } else {
-                // Read-modify-write for partial blocks.
-                let mut buf = store.read(phys, 1);
-                buf[in_block..in_block + chunk].copy_from_slice(&remaining[..chunk]);
-                store.write(phys, &buf);
+                store.write(phys, &store.read_modify(phys, head, src));
             }
-            pos += chunk as u64;
-            remaining = &remaining[chunk..];
+            pos += take as u64;
+            remaining = rest;
         }
         let inode = self.inode_mut(ino)?;
         if pos > inode.size {
             inode.size = pos;
-            let size = inode.size;
-            self.journal.log(JournalRecord::SetSize { ino, size });
+            self.journal.log(JournalRecord::SetSize { ino, size: pos });
         }
         if !nested {
             self.journal.commit();
@@ -311,20 +308,9 @@ impl ExtFs {
         }
         self.journal.join_running();
         let bs = BLOCK_SIZE as u64;
-        let first_lb = off / bs;
-        let last_lb = (off + len as u64 - 1) / bs;
-        let mut segments: Vec<(u64, u64)> = Vec::new();
-        for lb in first_lb..=last_lb {
-            let phys = match self.inode(ino)?.extents.lookup(lb) {
-                Some((p, _)) => p,
-                None => self.allocate_block(ino, lb, store)?,
-            };
-            match segments.last_mut() {
-                Some((start, n)) if *start + *n == phys => *n += 1,
-                _ => segments.push((phys, 1)),
-            }
-        }
         let end = off + len as u64;
+        let mut segments = Vec::new();
+        self.map_range(ino, off / bs, end.div_ceil(bs), store, &mut segments)?;
         let inode = self.inode_mut(ino)?;
         if end > inode.size {
             inode.size = end;
@@ -402,38 +388,76 @@ impl ExtFs {
         Ok(out)
     }
 
-    fn allocate_block(
+    /// Maps the logical blocks `[lb, end)`, allocating a run for every
+    /// unmapped gap, and appends the physical `(start, blocks)` segments
+    /// to `segments` in logical order, physically adjacent ones merged.
+    /// Returns the number of runs allocated. On failure `segments` holds
+    /// what was mapped up to the gap that found the device full.
+    fn map_range(
+        &mut self,
+        ino: u64,
+        mut lb: u64,
+        end: u64,
+        store: &mut SectorStore,
+        segments: &mut Vec<(u64, u64)>,
+    ) -> Result<usize, FsError> {
+        let mut allocated = 0;
+        while lb < end {
+            let (phys, len) = match self.inode(ino)?.extents.lookup(lb) {
+                Some((phys, run)) => (phys, run.min(end - lb)),
+                None => {
+                    let extent = self.allocate_run(ino, lb, end - lb, store)?;
+                    allocated += 1;
+                    (extent.physical, extent.len)
+                }
+            };
+            match segments.last_mut() {
+                Some((start, n)) if *start + *n == phys => *n += len,
+                _ => segments.push((phys, len)),
+            }
+            lb += len;
+        }
+        Ok(allocated)
+    }
+
+    /// Maps the unmapped logical block `lb` and up to `want - 1` blocks
+    /// after it to one physically contiguous run: one allocation, one
+    /// discard, one extent-tree insert, one `MapExtent` record, one
+    /// `Mapped` event. The run stops short of the next mapped block and
+    /// wherever the allocator's free run ends, so callers loop. The
+    /// counters advance per block, as if each had been mapped alone.
+    fn allocate_run(
         &mut self,
         ino: u64,
         lb: u64,
+        want: u64,
         store: &mut SectorStore,
-    ) -> Result<u64, FsError> {
+    ) -> Result<Extent, FsError> {
+        let extents = &self.inode(ino)?.extents;
         // Goal: extend the mapping of the previous logical block.
-        let goal = match lb
+        let goal = lb
             .checked_sub(1)
-            .and_then(|prev| self.inode(ino).ok()?.extents.lookup(prev))
-        {
-            Some((p, _)) => p + 1,
-            None => 0,
-        };
-        let run = self.alloc.alloc(1, goal).ok_or(FsError::NoSpace)?;
-        debug_assert_eq!(run.len, 1);
-        // Fresh blocks must read as zeros: the physical sector may hold a
-        // deleted file's bytes, which a real FS never exposes.
-        store.discard(run.start, 1);
+            .and_then(|prev| extents.lookup(prev))
+            .map_or(0, |(phys, _)| phys + 1);
+        let gap = extents.next_mapped(lb).map_or(u64::MAX, |next| next - lb);
+        let want = want.min(gap).min(u32::MAX.into());
+        let run = self.alloc.alloc(want, goal).ok_or(FsError::NoSpace)?;
+        // Fresh blocks must read as zeros: the physical sectors may hold
+        // a deleted file's bytes, which a real FS never exposes.
+        store.discard(run.start, run.len as u32);
         let extent = Extent {
             logical: lb,
             physical: run.start,
-            len: 1,
+            len: run.len,
         };
         let inode = self.inode_mut(ino)?;
         inode.extents.insert(extent);
-        inode.generation += 1;
-        self.stats.extent_changes += 1;
-        self.stats.blocks_allocated += 1;
+        inode.generation += run.len;
+        self.stats.extent_changes += run.len;
+        self.stats.blocks_allocated += run.len;
         self.journal.log(JournalRecord::MapExtent { ino, extent });
         self.events.push(ExtentEvent::Mapped { ino, extent });
-        Ok(run.start)
+        Ok(extent)
     }
 
     /// Preallocates `blocks` contiguous-ish blocks starting at logical
@@ -447,62 +471,14 @@ impl ExtFs {
         store: &mut SectorStore,
     ) -> Result<usize, FsError> {
         self.inode(ino)?;
-        let mut lb = lb_start;
-        let mut left = blocks;
-        let mut created = 0;
-        let mut goal = match lb
-            .checked_sub(1)
-            .and_then(|prev| self.inode(ino).ok()?.extents.lookup(prev))
-        {
-            Some((p, _)) => p + 1,
-            None => 0,
-        };
         let nested = self.journal.in_transaction();
         self.journal.begin();
         // Mid-allocation failure must still commit what was logged (the
         // blocks allocated so far stay allocated, as in `write`) — an
         // early return would leave the transaction open and silently
         // disable durability for every later operation.
-        let mut failure = None;
-        while left > 0 {
-            if self.inode(ino)?.extents.lookup(lb).is_some() {
-                lb += 1;
-                left -= 1;
-                continue;
-            }
-            // Allocate at most up to the next already-mapped block, so a
-            // run never overlaps an extent further into the gap.
-            let gap = self
-                .inode(ino)?
-                .extents
-                .iter()
-                .map(|e| e.logical)
-                .filter(|&l| l > lb)
-                .min()
-                .map_or(left, |next| left.min(next - lb));
-            let Some(run) = self.alloc.alloc(gap, goal) else {
-                failure = Some(FsError::NoSpace);
-                break;
-            };
-            store.discard(run.start, run.len as u32);
-            let extent = Extent {
-                logical: lb,
-                physical: run.start,
-                len: run.len,
-            };
-            let inode = self.inode_mut(ino)?;
-            inode.extents.insert(extent);
-            inode.generation += 1;
-            self.stats.extent_changes += 1;
-            self.stats.blocks_allocated += run.len;
-            self.journal.log(JournalRecord::MapExtent { ino, extent });
-            self.events.push(ExtentEvent::Mapped { ino, extent });
-            created += 1;
-            lb += run.len;
-            left -= run.len;
-            goal = run.start + run.len;
-        }
-        if failure.is_none() {
+        let created = self.map_range(ino, lb_start, lb_start + blocks, store, &mut Vec::new());
+        if created.is_ok() {
             let inode = self.inode_mut(ino)?;
             let new_size = inode.size.max((lb_start + blocks) * BLOCK_SIZE as u64);
             if new_size > inode.size {
@@ -516,10 +492,7 @@ impl ExtFs {
         if !nested {
             self.journal.commit();
         }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(created),
-        }
+        created
     }
 
     /// Truncates the file to `new_size` bytes, unmapping whole blocks
@@ -672,6 +645,12 @@ impl ExtFs {
     /// Drains pending extent events (consumed by the NVMe layer).
     pub fn take_events(&mut self) -> Vec<ExtentEvent> {
         std::mem::take(&mut self.events)
+    }
+
+    /// [`ExtFs::take_events`] for a consumer on the per-I/O path: the
+    /// queue keeps its buffer.
+    pub fn drain_events(&mut self) -> std::vec::Drain<'_, ExtentEvent> {
+        self.events.drain(..)
     }
 
     /// Activity counters.

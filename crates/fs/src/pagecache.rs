@@ -178,6 +178,15 @@ impl PageCache {
         }
     }
 
+    /// Drops the cached blocks `[lb, lb + n)` of an inode (the write
+    /// path); returns how many were cached. Free on an empty cache.
+    pub fn invalidate_range(&mut self, ino: u64, lb: u64, n: u64) -> usize {
+        if self.map.is_empty() {
+            return 0;
+        }
+        (lb..lb + n).filter(|&b| self.invalidate((ino, b))).count()
+    }
+
     /// Drops every cached block of an inode (truncate/unlink path).
     pub fn invalidate_inode(&mut self, ino: u64) -> usize {
         let keys: Vec<PageKey> = self

@@ -1039,7 +1039,7 @@ impl Machine {
     }
 
     fn apply_fs_events(&mut self) {
-        for ev in self.fs.take_events() {
+        for ev in self.fs.drain_events() {
             if let ExtentEvent::Unmapped { ino, .. } = ev {
                 self.extcache.invalidate(ino);
                 self.aborting_inos.insert(ino);
@@ -1635,36 +1635,43 @@ impl Machine {
             return None;
         }
         let store = self.transport.device_mut().store_mut();
-        let Ok(plan) = self.fs.plan_write(ino, file_off, len, store) else {
+        let plan = self.fs.plan_write(ino, file_off, len, store);
+        // The plan's `Mapped` events are consumed now rather than piling
+        // up until the next mutation.
+        self.apply_fs_events();
+        let Ok(plan) = plan else {
             self.fail(id, ChainStatus::IoError, 0);
             return None;
         };
+        let op = self.ops[id].as_mut().expect("op");
+        let store = self.transport.device_mut().store();
         let bs = SECTOR_SIZE as u64;
-        let mut pos = file_off;
-        let mut rest = &op.wr.data[..];
-        let mut segments = Vec::with_capacity(plan.len());
-        for &(slba, run) in &plan {
-            let mut data = Vec::with_capacity(run as usize * SECTOR_SIZE);
-            for phys in slba..slba + run {
-                let in_block = (pos % bs) as usize;
-                let chunk = rest.len().min(SECTOR_SIZE - in_block);
-                if chunk == SECTOR_SIZE {
-                    data.extend_from_slice(&rest[..chunk]);
-                } else {
-                    let mut block = store.read(phys, 1);
-                    block[in_block..in_block + chunk].copy_from_slice(&rest[..chunk]);
-                    data.extend_from_slice(&block);
-                }
-                pos += chunk as u64;
-                rest = &rest[chunk..];
+        let head = (file_off % bs) as usize;
+        let segments = match plan[..] {
+            // Whole sectors into one run: the payload is the command's.
+            [(slba, _)] if head == 0 && len.is_multiple_of(SECTOR_SIZE) => {
+                let data = std::mem::take(&mut op.wr.data);
+                vec![NvmeOp::Write { slba, data }]
             }
-            segments.push(NvmeOp::Write { slba, data });
-        }
-        debug_assert!(rest.is_empty(), "plan covers range");
+            _ => {
+                let mut rest = &op.wr.data[..];
+                let mut head = head;
+                let mut segments = Vec::with_capacity(plan.len());
+                for &(slba, run) in &plan {
+                    let (src, tail) =
+                        rest.split_at(rest.len().min(run as usize * SECTOR_SIZE - head));
+                    let data = store.read_modify(slba, head, src);
+                    segments.push(NvmeOp::Write { slba, data });
+                    (rest, head) = (tail, 0);
+                }
+                debug_assert!(rest.is_empty(), "plan covers range");
+                op.wr.data = Vec::new();
+                segments
+            }
+        };
         op.wr.lb = file_off / bs;
         op.wr.nblocks = (file_off + len as u64 - 1) / bs - op.wr.lb + 1;
         op.wr.segments = Some(segments);
-        op.wr.data = Vec::new();
         // The plan just logged this write's journal records: any seal
         // at or past this point covers them.
         op.wr.journal_end = self.fs.journal_len();
@@ -1934,13 +1941,9 @@ impl Machine {
             return;
         }
         let op = self.ops[id].as_mut().expect("op");
-        let mut data = Vec::with_capacity(
-            op.seg_data
-                .iter()
-                .map(|d| d.as_ref().map_or(0, Vec::len))
-                .sum(),
-        );
-        for d in op.seg_data.drain(..) {
+        let mut segs = op.seg_data.drain(..);
+        let mut data = segs.next().flatten().expect("all segments completed");
+        for d in segs {
             data.extend_from_slice(&d.expect("all segments completed"));
         }
         op.data = data;
@@ -2175,9 +2178,8 @@ impl Machine {
         op.status = Some(ChainStatus::Written(op.len));
         // Drop any cached copies of the written blocks so buffered
         // readers refetch the new bytes.
-        for b in op.wr.lb..op.wr.lb + op.wr.nblocks {
-            self.pagecache.invalidate((op.ino, b));
-        }
+        self.pagecache
+            .invalidate_range(op.ino, op.wr.lb, op.wr.nblocks);
         match shared_ack {
             Some(arrive) if resident => {
                 op.fab.capsule_joined = true;

@@ -7,7 +7,9 @@ use proptest::prelude::*;
 use bpfstor::btree::tree::{build_pages, lookup, step_on_page, Step};
 use bpfstor::btree::{Node, FANOUT_MAX};
 use bpfstor::core::{btree_lookup_program, value_of};
-use bpfstor::fs::{ExtFs, Extent, ExtentTree};
+use bpfstor::device::{SectorStore, SECTOR_SIZE};
+use bpfstor::fs::alloc::{Run, GROUP_BLOCKS};
+use bpfstor::fs::{BlockAllocator, ExtFs, Extent, ExtentTree, JournalRecord};
 use bpfstor::lsm::sstable::{build_image, data_block_entries, Footer};
 use bpfstor::lsm::BLOCK;
 use bpfstor::sim::Histogram;
@@ -708,6 +710,517 @@ proptest! {
                 "crash after {} of {} records must recover exactly txn-prefix {}",
                 k, total_records, t
             );
+        }
+    }
+}
+
+// --- Extent-granular write path vs the per-bit / per-sector / per-block code it replaced ---
+
+/// The bit-at-a-time allocator `BlockAllocator` was before it went
+/// word-at-a-time, kept verbatim as the placement oracle.
+#[derive(Debug, Clone)]
+struct BitAllocator {
+    bits: Vec<bool>,
+    used: u64,
+}
+
+impl BitAllocator {
+    fn new(nblocks: u64) -> Self {
+        BitAllocator {
+            bits: vec![false; nblocks as usize],
+            used: 0,
+        }
+    }
+
+    fn nblocks(&self) -> u64 {
+        self.bits.len() as u64
+    }
+
+    fn is_set(&self, b: u64) -> bool {
+        self.bits[b as usize]
+    }
+
+    fn all_free(&self, start: u64, len: u64) -> bool {
+        (start..start + len).all(|b| !self.is_set(b))
+    }
+
+    fn alloc(&mut self, want: u64, goal: u64) -> Option<Run> {
+        if want == 0 || self.used == self.nblocks() {
+            return None;
+        }
+        let goal = goal.min(self.nblocks().saturating_sub(1));
+        if !self.is_set(goal) {
+            let len = self.run_length_at(goal, want);
+            return Some(self.take(goal, len));
+        }
+        let mut b = goal - goal % GROUP_BLOCKS;
+        for _ in 0..self.nblocks() {
+            if !self.is_set(b) {
+                let len = self.run_length_at(b, want);
+                return Some(self.take(b, len));
+            }
+            b += 1;
+            if b == self.nblocks() {
+                b = 0;
+            }
+        }
+        None
+    }
+
+    fn run_length_at(&self, start: u64, want: u64) -> u64 {
+        let mut len = 0;
+        while len < want && start + len < self.nblocks() && !self.is_set(start + len) {
+            len += 1;
+        }
+        len
+    }
+
+    fn take(&mut self, start: u64, len: u64) -> Run {
+        self.reserve(start, len);
+        Run { start, len }
+    }
+
+    fn release(&mut self, start: u64, len: u64) {
+        for b in start..start + len {
+            assert!(self.is_set(b), "double free of block {b}");
+            self.bits[b as usize] = false;
+        }
+        self.used -= len;
+    }
+
+    fn reserve(&mut self, start: u64, len: u64) {
+        for b in start..start + len {
+            assert!(!self.is_set(b), "reserve of used block {b}");
+            self.bits[b as usize] = true;
+        }
+        self.used += len;
+    }
+
+    fn free_fragments(&self) -> u64 {
+        let mut frags = 0;
+        let mut in_free = false;
+        for &used in &self.bits {
+            if !used && !in_free {
+                frags += 1;
+            }
+            in_free = !used;
+        }
+        frags
+    }
+}
+
+/// One to three block groups, word-aligned and not.
+const ALLOC_SIZES: [u64; 10] = [
+    1,
+    63,
+    64,
+    65,
+    200,
+    GROUP_BLOCKS,
+    GROUP_BLOCKS + 1,
+    GROUP_BLOCKS + 70,
+    2 * GROUP_BLOCKS + 33,
+    3 * GROUP_BLOCKS,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn wordwise_allocator_matches_the_bitwise_one(
+        size in 0usize..ALLOC_SIZES.len(),
+        ops in proptest::collection::vec((0u8..8, any::<u64>(), any::<u64>()), 1..80)
+    ) {
+        let nblocks = ALLOC_SIZES[size];
+        let mut word = BlockAllocator::new(nblocks);
+        let mut bit = BitAllocator::new(nblocks);
+        let mut live: Vec<Run> = Vec::new();
+        for (kind, a, b) in ops {
+            match kind {
+                // Allocate: short runs, runs that can swallow a group
+                // (so the device fills and pass 2 has to wrap), goals
+                // anywhere up to past the end.
+                0..=4 => {
+                    let want = 1 + a % if kind < 3 { 40 } else { nblocks + 5 };
+                    let goal = b % (nblocks + 200);
+                    let got = word.alloc(want, goal);
+                    prop_assert_eq!(got, bit.alloc(want, goal), "alloc({}, {})", want, goal);
+                    live.extend(got);
+                }
+                // Release a random slice of a live run.
+                5 | 6 => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let run = live.swap_remove((a % live.len() as u64) as usize);
+                    let skip = b % run.len;
+                    let len = 1 + (b >> 32) % (run.len - skip);
+                    word.release(run.start + skip, len);
+                    bit.release(run.start + skip, len);
+                    for (start, len) in [(run.start, skip), (run.start + skip + len, run.len - skip - len)] {
+                        if len > 0 {
+                            live.push(Run { start, len });
+                        }
+                    }
+                }
+                // Reserve (replay's path) wherever the range is free.
+                _ => {
+                    let start = a % nblocks;
+                    let len = 1 + b % (nblocks - start).min(150);
+                    if bit.all_free(start, len) {
+                        word.reserve(start, len);
+                        bit.reserve(start, len);
+                        live.push(Run { start, len });
+                    }
+                }
+            }
+            prop_assert_eq!(word.used(), bit.used);
+            prop_assert_eq!(word.free(), nblocks - bit.used);
+            prop_assert_eq!(word.free_fragments(), bit.free_fragments());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn chunked_store_matches_the_per_sector_map(
+        ops in proptest::collection::vec((0u8..4, 0u64..150, 1u32..50, any::<u8>()), 1..60)
+    ) {
+        // The oracle is the store as it was: one entry per written
+        // sector, absent = zero. LBAs 0..200 cross a dozen chunk
+        // boundaries and the longer ranges cover whole chunks.
+        let mut store = SectorStore::new();
+        let mut oracle: std::collections::HashMap<u64, [u8; SECTOR_SIZE]> =
+            std::collections::HashMap::new();
+        let expect = |oracle: &std::collections::HashMap<u64, [u8; SECTOR_SIZE]>, slba: u64, nlb: u32| {
+            (slba..slba + u64::from(nlb))
+                .flat_map(|lba| oracle.get(&lba).copied().unwrap_or([0; SECTOR_SIZE]))
+                .collect::<Vec<u8>>()
+        };
+        for (kind, slba, nlb, fill) in ops {
+            match kind {
+                0 | 1 => {
+                    let data: Vec<u8> = (0..nlb as usize * SECTOR_SIZE)
+                        .map(|i| fill.wrapping_add((i / 7) as u8) | 1)
+                        .collect();
+                    store.write(slba, &data);
+                    for (lba, sector) in (slba..).zip(data.chunks_exact(SECTOR_SIZE)) {
+                        oracle.insert(lba, sector.try_into().expect("one sector"));
+                    }
+                }
+                2 => {
+                    store.discard(slba, nlb);
+                    for lba in slba..slba + u64::from(nlb) {
+                        oracle.remove(&lba);
+                    }
+                }
+                _ => {
+                    // A partial write framed by the stored edges.
+                    let head = fill as usize * 2;
+                    let src = vec![fill | 1; (nlb as usize * 37).min(3 * SECTOR_SIZE)];
+                    let mut want = expect(&oracle, slba, ((head + src.len()).div_ceil(SECTOR_SIZE)) as u32);
+                    want[head..head + src.len()].copy_from_slice(&src);
+                    prop_assert_eq!(store.read_modify(slba, head, &src), want);
+                }
+            }
+            // Every op is followed by reads around and across it.
+            let from = slba.saturating_sub(3);
+            let want = expect(&oracle, from, nlb + 6);
+            prop_assert_eq!(store.read(from, nlb + 6), want.clone());
+            let mut out = vec![0xEEu8; want.len()];
+            store.read_into(from, &mut out);
+            prop_assert_eq!(out, want);
+        }
+    }
+}
+
+/// The metadata half of the file system as it was when `write` and
+/// `plan_write` mapped one block per `allocate_block` call: placement,
+/// extent trees, generations, counters and sizes, over the bit-at-a-time
+/// allocator. No journal — what the journal must replay to is the live
+/// state itself.
+struct BlockwiseFs {
+    alloc: BitAllocator,
+    files: Vec<BlockwiseFile>,
+    stats: bpfstor::fs::FsStats,
+}
+
+#[derive(Default)]
+struct BlockwiseFile {
+    extents: ExtentTree,
+    size: u64,
+    generation: u64,
+}
+
+impl BlockwiseFs {
+    fn allocate_block(&mut self, file: usize, lb: u64) -> Option<u64> {
+        let f = &mut self.files[file];
+        let goal = lb
+            .checked_sub(1)
+            .and_then(|prev| f.extents.lookup(prev))
+            .map_or(0, |(p, _)| p + 1);
+        let run = self.alloc.alloc(1, goal)?;
+        f.extents.insert(Extent {
+            logical: lb,
+            physical: run.start,
+            len: 1,
+        });
+        f.generation += 1;
+        self.stats.extent_changes += 1;
+        self.stats.blocks_allocated += 1;
+        Some(run.start)
+    }
+
+    /// Maps `[lb, end)` a block at a time; returns the merged physical
+    /// segments and whether the device had room for all of it.
+    fn map_blocks(&mut self, file: usize, lb: u64, end: u64) -> (Vec<(u64, u64)>, bool) {
+        let mut segments: Vec<(u64, u64)> = Vec::new();
+        for lb in lb..end {
+            let mapped = self.files[file].extents.lookup(lb).map(|(p, _)| p);
+            let Some(phys) = mapped.or_else(|| self.allocate_block(file, lb)) else {
+                return (segments, false);
+            };
+            match segments.last_mut() {
+                Some((start, n)) if *start + *n == phys => *n += 1,
+                _ => segments.push((phys, 1)),
+            }
+        }
+        (segments, true)
+    }
+
+    fn truncate(&mut self, file: usize, new_size: u64) {
+        let f = &mut self.files[file];
+        let keep = new_size.div_ceil(512);
+        let last = f.extents.iter().last().map_or(0, |e| e.logical_end());
+        let removed = if last > keep {
+            f.extents.remove_range(keep, last - keep)
+        } else {
+            Vec::new()
+        };
+        if !removed.is_empty() {
+            f.generation += 1;
+            self.stats.extent_changes += 1;
+            self.stats.unmap_changes += 1;
+        }
+        for e in removed {
+            self.alloc.release(e.physical, e.len);
+            self.stats.blocks_freed += e.len;
+        }
+        f.size = f.size.min(new_size);
+    }
+}
+
+/// One step of the write-path differential.
+#[derive(Debug, Clone)]
+enum WriteOp {
+    /// `blocks` blocks at the file's end, `skip` blocks further on when
+    /// leaving a hole, through entry point `via`.
+    Append {
+        file: usize,
+        blocks: u64,
+        skip: u64,
+        via: u8,
+    },
+    /// Somewhere inside (or straddling the end of) the file, byte-
+    /// unaligned when `delta != 0`.
+    Overwrite {
+        file: usize,
+        at: u64,
+        blocks: u64,
+        delta: u64,
+        via: u8,
+    },
+    /// Two back-to-back multi-block appends reaching the file system in
+    /// swapped order — concurrent writers' submissions (the benchmark's
+    /// `plan_write_ooo` shape).
+    Swapped {
+        file: usize,
+        blocks: u64,
+    },
+    Truncate {
+        file: usize,
+        blocks: u64,
+    },
+}
+
+fn write_op_strategy() -> impl Strategy<Value = WriteOp> {
+    prop_oneof![
+        4 => (0usize..3, 1u64..24, 0u64..4, 0u8..3)
+            .prop_map(|(file, blocks, skip, via)| WriteOp::Append { file, blocks, skip: skip.saturating_sub(2), via }),
+        3 => (0usize..3, 0u64..60, 1u64..16, 0u64..3, 0u8..3)
+            .prop_map(|(file, at, blocks, delta, via)| WriteOp::Overwrite { file, at, blocks, delta: delta * 100, via }),
+        2 => (0usize..3, 2u64..12).prop_map(|(file, blocks)| WriteOp::Swapped { file, blocks }),
+        1 => (0usize..3, 0u64..40).prop_map(|(file, blocks)| WriteOp::Truncate { file, blocks }),
+    ]
+}
+
+/// The file system and its block-at-a-time reference, driven in
+/// lockstep.
+struct Lockstep {
+    nblocks: u64,
+    fs: ExtFs,
+    store: SectorStore,
+    inos: Vec<u64>,
+    reference: BlockwiseFs,
+}
+
+impl Lockstep {
+    const BS: u64 = 512;
+
+    /// Three empty files on one group small enough to fill, or on two
+    /// with the first nearly full, so goals and first-fit scans cross
+    /// the group boundary.
+    fn new(two_groups: bool) -> Self {
+        let nblocks = if two_groups { GROUP_BLOCKS + 400 } else { 300 };
+        let mut fs = ExtFs::mkfs(nblocks);
+        let inos = (0..3)
+            .map(|i| fs.create(&format!("f{i}")).expect("create"))
+            .collect();
+        let mut both = Lockstep {
+            nblocks,
+            fs,
+            store: SectorStore::new(),
+            inos,
+            reference: BlockwiseFs {
+                alloc: BitAllocator::new(nblocks),
+                files: (0..3).map(|_| BlockwiseFile::default()).collect(),
+                stats: Default::default(),
+            },
+        };
+        if two_groups {
+            both.write_range(0, 0, (GROUP_BLOCKS - 60) * Self::BS, 2);
+        }
+        both
+    }
+
+    fn end_block(&self, file: usize) -> u64 {
+        self.reference.files[file].size.div_ceil(Self::BS)
+    }
+
+    /// One byte range through `write` (0), `plan_write` (1) or
+    /// `fallocate` (2), on both sides.
+    fn write_range(&mut self, file: usize, off: u64, len: u64, via: u8) {
+        let (lb, end) = (off / Self::BS, (off + len).div_ceil(Self::BS));
+        let (segments, fit) = self.reference.map_blocks(file, lb, end);
+        let covered: u64 = segments.iter().map(|s| s.1).sum();
+        let (ino, store) = (self.inos[file], &mut self.store);
+        let reached = match via {
+            0 => {
+                let got = self.fs.write(ino, off, &vec![7u8; len as usize], store);
+                assert_eq!(got.is_ok(), fit);
+                // A short write ends where the device filled up.
+                Some(if fit {
+                    off + len
+                } else {
+                    off.max((lb + covered) * Self::BS)
+                })
+            }
+            1 => {
+                let got = self.fs.plan_write(ino, off, len as usize, store);
+                self.fs.commit_journal();
+                assert_eq!(
+                    got.as_ref().ok(),
+                    fit.then_some(&segments),
+                    "planned segments"
+                );
+                fit.then_some(off + len)
+            }
+            _ => {
+                let got = self.fs.fallocate(ino, lb, end - lb, store);
+                assert_eq!(got.is_ok(), fit);
+                fit.then_some(end * Self::BS)
+            }
+        };
+        let f = &mut self.reference.files[file];
+        f.size = f.size.max(reached.unwrap_or(0));
+    }
+
+    fn truncate(&mut self, file: usize, new_size: u64) {
+        self.fs
+            .truncate(self.inos[file], new_size, &mut self.store)
+            .expect("truncate");
+        self.reference.truncate(file, new_size);
+    }
+
+    /// Placement, extent trees, generations, sizes, counters and free
+    /// space agree, and — every step ends on a commit point — journal
+    /// replay lands on the live state.
+    fn check(&self) {
+        for (f, &ino) in self.reference.files.iter().zip(&self.inos) {
+            assert_eq!(
+                self.fs.extents_snapshot(ino).expect("extents"),
+                f.extents.snapshot()
+            );
+            assert_eq!(
+                self.fs.generations(ino).expect("generations").0,
+                f.generation
+            );
+            assert_eq!(self.fs.file_size(ino).expect("size"), f.size);
+        }
+        assert_eq!(self.fs.stats(), self.reference.stats);
+        assert_eq!(
+            self.fs.free_blocks(),
+            self.nblocks - self.reference.alloc.used
+        );
+        assert!(!self.fs.journal().in_transaction());
+        let recovered = self.fs.clone().crash_and_recover(self.nblocks);
+        assert_eq!(fs_meta(&recovered), fs_meta(&self.fs));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+    #[test]
+    fn run_granular_write_path_matches_block_at_a_time(
+        two_groups in any::<bool>(),
+        ops in proptest::collection::vec(write_op_strategy(), 1..40)
+    ) {
+        const BS: u64 = Lockstep::BS;
+        let mut both = Lockstep::new(two_groups);
+        both.check();
+        for op in ops {
+            match op {
+                WriteOp::Append { file, blocks, skip, via } => {
+                    let off = (both.end_block(file) + skip) * BS;
+                    both.write_range(file, off, blocks * BS, via);
+                }
+                WriteOp::Overwrite { file, at, blocks, delta, via } => {
+                    both.write_range(file, at * BS + delta, blocks * BS - delta, via);
+                }
+                WriteOp::Swapped { file, blocks } => {
+                    let off = both.end_block(file) * BS;
+                    both.write_range(file, off + blocks * BS, blocks * BS, 1);
+                    both.write_range(file, off, blocks * BS, 1);
+                }
+                WriteOp::Truncate { file, blocks } => both.truncate(file, blocks * BS),
+            }
+            both.check();
+        }
+    }
+
+    #[test]
+    fn contiguous_append_logs_one_extent_and_one_size(
+        appends in proptest::collection::vec(1u64..200, 1..12)
+    ) {
+        let mut fs = ExtFs::mkfs(1 << 14);
+        let mut store = SectorStore::new();
+        let ino = fs.create("log").expect("create");
+        let mut end = 0u64;
+        for blocks in appends {
+            let before = fs.journal().len();
+            let segments = fs.plan_write(ino, end * 512, (blocks * 512) as usize, &mut store).expect("room");
+            fs.commit_journal();
+            prop_assert_eq!(segments, vec![(end, blocks)]);
+            let extent = Extent { logical: end, physical: end, len: blocks };
+            end += blocks;
+            prop_assert_eq!(
+                &fs.journal().committed_records()[before..],
+                &[
+                    JournalRecord::MapExtent { ino, extent },
+                    JournalRecord::SetSize { ino, size: end * 512 },
+                ][..]
+            );
+            prop_assert_eq!(fs.extents_snapshot(ino).expect("extents").len(), 1);
         }
     }
 }
