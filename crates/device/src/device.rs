@@ -10,6 +10,11 @@
 //! CQ with [`NvmeDevice::reap`]. The kernel decides *when* the
 //! interrupt fires (coalescing is host policy, not device policy).
 //!
+//! The steady-state path allocates nothing: the doorbell services
+//! straight off the SQ ring, completion instants and reaped CQEs land in
+//! buffers that keep their capacity, and a read's payload is filled into
+//! a buffer the host handed back with [`NvmeDevice::recycle`].
+//!
 //! The model captures what the paper's evaluation depends on:
 //!
 //! - **service latency** per device class (Figure 1, Table 1 "storage
@@ -27,7 +32,7 @@ use bpfstor_sim::{Nanos, SimRng};
 
 use crate::profile::DeviceProfile;
 use crate::ring::Ring;
-use crate::store::SectorStore;
+use crate::store::{SectorStore, SECTOR_SIZE};
 
 /// Identifies a submission/completion queue pair.
 pub type QueuePairId = usize;
@@ -177,6 +182,12 @@ pub struct NvmeDevice {
     queues: Vec<QueuePair>,
     rng: SimRng,
     stats: DeviceStats,
+    /// Completion instants of the last doorbell's batch.
+    times: Vec<Nanos>,
+    /// Read buffers handed back by the host, reused for later reads.
+    /// A buffer is only ever created when this pool is empty, so the
+    /// pool is bounded by the peak number of read buffers alive at once.
+    free_bufs: Vec<Vec<u8>>,
 }
 
 impl NvmeDevice {
@@ -202,6 +213,8 @@ impl NvmeDevice {
             rng,
             profile,
             stats: DeviceStats::default(),
+            times: Vec::new(),
+            free_bufs: Vec::new(),
         }
     }
 
@@ -274,27 +287,29 @@ impl NvmeDevice {
 
     /// Rings the doorbell for queue pair `qp` at time `now`: consumes
     /// every queued command, assigns channels and service times, and
-    /// returns the completion instants (in service order). The serviced
-    /// commands stay in flight until [`NvmeDevice::post_ready`] moves
-    /// them to the completion ring.
+    /// returns the completion instants (in service order; the slice is
+    /// valid until the next ring). The serviced commands stay in flight
+    /// until [`NvmeDevice::post_ready`] moves them to the completion
+    /// ring.
     ///
     /// # Errors
     ///
     /// [`QueueError::NoSuchQueue`] for bad ids.
-    pub fn ring_doorbell(&mut self, now: Nanos, qp: QueuePairId) -> Result<Vec<Nanos>, QueueError> {
-        let q = self.queues.get_mut(qp).ok_or(QueueError::NoSuchQueue)?;
-        let cmds = q.sq.drain_all();
+    pub fn ring_doorbell(&mut self, now: Nanos, qp: QueuePairId) -> Result<&[Nanos], QueueError> {
+        if qp >= self.queues.len() {
+            return Err(QueueError::NoSuchQueue);
+        }
         self.stats.doorbells += 1;
-        if cmds.iter().any(|c| !matches!(c.op, NvmeOp::Read { .. })) {
-            self.stats.write_doorbells += 1;
+        self.times.clear();
+        let mut wrote = false;
+        while let Some(cmd) = self.queues[qp].sq.pop() {
+            wrote |= !matches!(cmd.op, NvmeOp::Read { .. });
+            let done = self.service(now, qp, cmd);
+            self.times.push(done.complete_at);
+            self.queues[qp].inflight.push(done);
         }
-        let mut done = Vec::with_capacity(cmds.len());
-        for cmd in cmds {
-            done.push(self.service(now, qp, cmd));
-        }
-        let times = done.iter().map(|c| c.complete_at).collect();
-        self.queues[qp].inflight.extend(done);
-        Ok(times)
+        self.stats.write_doorbells += u64::from(wrote);
+        Ok(&self.times)
     }
 
     /// Posts every in-flight completion whose instant has passed onto
@@ -319,42 +334,43 @@ impl NvmeDevice {
         take
     }
 
-    /// Drains up to `max` entries from the completion ring (the IRQ
-    /// handler's reap loop), freeing their queue slots.
-    pub fn reap(&mut self, qp: QueuePairId, max: usize) -> Vec<NvmeCompletion> {
+    /// Drains up to `max` entries from the completion ring onto the end
+    /// of `out` (the IRQ handler's reap loop), freeing their queue
+    /// slots. Returns how many were drained. The doorbell→reap gap is
+    /// accounted by whoever reaps ([`NvmeDevice::note_reap_lag`]).
+    pub fn reap(&mut self, qp: QueuePairId, max: usize, out: &mut Vec<NvmeCompletion>) -> usize {
         let Some(q) = self.queues.get_mut(qp) else {
-            return Vec::new();
+            return 0;
         };
-        let mut out = Vec::new();
-        while out.len() < max {
-            match q.cq.pop() {
-                Some(c) => {
-                    q.outstanding -= 1;
-                    out.push(c);
-                }
-                None => break,
-            }
+        let mut n = 0;
+        while n < max {
+            let Some(c) = q.cq.pop() else { break };
+            q.outstanding -= 1;
+            self.stats.write_cqes += u64::from(c.kind != CmdKind::Read);
+            out.push(c);
+            n += 1;
         }
-        if !out.is_empty() {
-            self.stats.irqs += 1;
-            self.stats.cqes += out.len() as u64;
-            self.stats.write_cqes += out
-                .iter()
-                .filter(|c| !matches!(c.kind, CmdKind::Read))
-                .count() as u64;
-        }
-        out
+        self.stats.irqs += u64::from(n > 0);
+        self.stats.cqes += n as u64;
+        n
     }
 
-    /// Like [`NvmeDevice::reap`], but also accounts the doorbell→reap
-    /// gap of each drained CQE at host-visible time `now` (the polled /
-    /// interrupt reaper's entry point).
-    pub fn reap_at(&mut self, now: Nanos, qp: QueuePairId, max: usize) -> Vec<NvmeCompletion> {
-        let out = self.reap(qp, max);
-        for c in &out {
-            self.stats.reap_lag_ns += now.saturating_sub(c.rang_at);
+    /// Hands a read payload buffer back for reuse by a later read.
+    /// Pass only buffers that arrived in [`NvmeCompletion::data`] or
+    /// came from [`NvmeDevice::take_buffer`]: the pool then never
+    /// outgrows the peak number of read buffers alive at once.
+    pub fn recycle(&mut self, buf: Vec<u8>) {
+        if buf.capacity() > 0 {
+            self.free_bufs.push(buf);
         }
-        out
+    }
+
+    /// A recycled buffer with stale contents, or an empty one when the
+    /// pool is dry — what a read is serviced into, and what a host-side
+    /// copy standing in for a read (a page-cache hit) should fill, so
+    /// that it can come back through [`NvmeDevice::recycle`] like one.
+    pub fn take_buffer(&mut self) -> Vec<u8> {
+        self.free_bufs.pop().unwrap_or_default()
     }
 
     /// Records one poll-loop iteration that found the CQ empty.
@@ -368,10 +384,13 @@ impl NvmeDevice {
         self.stats.cq_backlog_hwm = self.stats.cq_backlog_hwm.max(backlog as u64);
     }
 
-    /// Folds an externally measured doorbell→reap gap (e.g. measured at
-    /// the fabric initiator) into [`DeviceStats::reap_lag_ns`].
-    pub fn note_reap_lag(&mut self, lag: Nanos) {
-        self.stats.reap_lag_ns += lag;
+    /// Folds the doorbell→reap gap of CQEs reaped at host-visible time
+    /// `now` into [`DeviceStats::reap_lag_ns`]. Called where the host
+    /// observes the gap: the local reaper, or the fabric initiator (the
+    /// target's own eager drain happens at service time).
+    pub fn note_reap_lag(&mut self, now: Nanos, reaped: &[NvmeCompletion]) {
+        let lag = reaped.iter().map(|c| now.saturating_sub(c.rang_at));
+        self.stats.reap_lag_ns = lag.fold(self.stats.reap_lag_ns, Nanos::saturating_add);
     }
 
     fn service(&mut self, now: Nanos, qp: QueuePairId, cmd: NvmeCommand) -> NvmeCompletion {
@@ -387,7 +406,13 @@ impl NvmeDevice {
             NvmeOp::Read { slba, nlb } => {
                 self.stats.reads += 1;
                 let d = self.profile.read_latency.sample(&mut self.rng);
-                (CmdKind::Read, d, self.store.read(*slba, *nlb))
+                // A recycled buffer may be longer or shorter than this
+                // read: `resize` fixes the length and `read_into`
+                // overwrites every byte of it, holes included.
+                let mut data = self.take_buffer();
+                data.resize(*nlb as usize * SECTOR_SIZE, 0);
+                self.store.read_into(*slba, &mut data);
+                (CmdKind::Read, d, data)
             }
             NvmeOp::Write { slba, data } => {
                 self.stats.writes += 1;
@@ -445,8 +470,8 @@ impl NvmeDevice {
             *c = 0;
         }
         for q in &mut self.queues {
-            q.sq.drain_all();
-            q.cq.drain_all();
+            while q.sq.pop().is_some() {}
+            while q.cq.pop().is_some() {}
             q.inflight.clear();
             q.outstanding = 0;
         }
@@ -499,7 +524,13 @@ mod tests {
         let times = d.ring_doorbell(now, 0).expect("doorbell");
         let t = *times.last().expect("serviced");
         d.post_ready(t, 0);
-        d.reap(0, usize::MAX).pop().expect("cqe")
+        reap_all(d).pop().expect("cqe")
+    }
+
+    fn reap_all(d: &mut NvmeDevice) -> Vec<NvmeCompletion> {
+        let mut out = Vec::new();
+        d.reap(0, usize::MAX, &mut out);
+        out
     }
 
     #[test]
@@ -539,13 +570,13 @@ mod tests {
             d.submit(0, read_cmd(i, i)).expect("enqueue");
         }
         let times = d.ring_doorbell(0, 0).expect("doorbell");
-        assert_eq!(times, vec![500, 500, 1_000]);
+        assert_eq!(times, [500, 500, 1_000]);
         // Nothing is visible before its completion instant.
         assert_eq!(d.post_ready(499, 0), 0);
         assert_eq!(d.queues[0].cq.len(), 0);
         // The two channel-parallel completions post together...
         assert_eq!(d.post_ready(500, 0), 2);
-        let first = d.reap(0, usize::MAX);
+        let first = reap_all(&mut d);
         assert_eq!(
             first.iter().map(|c| c.cid).collect::<Vec<_>>(),
             vec![0, 1],
@@ -553,7 +584,7 @@ mod tests {
         );
         // ...and the queued third posts at its own instant.
         assert_eq!(d.post_ready(1_000, 0), 1);
-        assert_eq!(d.reap(0, usize::MAX)[0].cid, 2);
+        assert_eq!(reap_all(&mut d)[0].cid, 2);
     }
 
     #[test]
@@ -588,7 +619,7 @@ mod tests {
             "no tag free before a reap"
         );
         d.post_ready(1_000, 0);
-        let reaped = d.reap(0, usize::MAX);
+        let reaped = reap_all(&mut d);
         assert_eq!(reaped.len(), 7);
         assert_eq!(d.outstanding(0), 0);
         d.submit(0, read_cmd(8, 0))
@@ -675,7 +706,7 @@ mod tests {
         }
         d.ring_doorbell(0, 0).expect("doorbell");
         d.post_ready(500, 0);
-        let cqes = d.reap(0, usize::MAX);
+        let cqes = reap_all(&mut d);
         assert_eq!(cqes.len(), 4);
         let s = d.stats();
         assert_eq!(s.irqs, 1, "one interrupt served four completions");
@@ -706,11 +737,15 @@ mod tests {
         assert_eq!(d.stats().cq_backlog_hwm, 2, "two CQEs sat un-reaped");
         // Reap the pair late, at t=700: lag = 700ns each from the t=0
         // doorbell.
-        assert_eq!(d.reap_at(700, 0, usize::MAX).len(), 2);
+        let pair = reap_all(&mut d);
+        assert_eq!(pair.len(), 2);
+        d.note_reap_lag(700, &pair);
         assert_eq!(d.stats().reap_lag_ns, 1_400);
         d.post_ready(1_000, 0);
         assert_eq!(d.stats().cq_backlog_hwm, 2, "hwm is sticky");
-        assert_eq!(d.reap_at(1_000, 0, usize::MAX).len(), 1);
+        let third = reap_all(&mut d);
+        assert_eq!(third.len(), 1);
+        d.note_reap_lag(1_000, &third);
         assert_eq!(d.stats().reap_lag_ns, 2_400);
         d.record_empty_poll();
         d.note_cq_backlog(9);
@@ -721,6 +756,54 @@ mod tests {
         let s = d.stats();
         assert_eq!((s.empty_polls, s.cq_backlog_hwm, s.reap_lag_ns), (0, 0, 0));
         assert_eq!(s, DeviceStats::default());
+    }
+
+    #[test]
+    fn recycled_read_buffers_are_reused_and_expose_nothing() {
+        let mut d = dev(100, 1);
+        d.store_mut().write(0, &[0xEEu8; 8 * SECTOR_SIZE]);
+        let big = submit_ring_reap(
+            &mut d,
+            0,
+            NvmeCommand {
+                cid: 1,
+                op: NvmeOp::Read { slba: 0, nlb: 8 },
+            },
+        );
+        assert_eq!(big.data, vec![0xEEu8; 8 * SECTOR_SIZE]);
+        let addr = big.data.as_ptr();
+        d.recycle(big.data);
+        d.recycle(Vec::new()); // nothing to reuse: not pooled
+        assert_eq!(d.free_bufs.len(), 1);
+        // A shorter read of a never-written sector out of the same
+        // buffer: right length, all zeroes, no 0xEE tail.
+        let hole = submit_ring_reap(&mut d, 0, read_cmd(2, 100));
+        assert_eq!(hole.data.as_ptr(), addr, "the pooled buffer was reused");
+        assert_eq!(hole.data, vec![0u8; SECTOR_SIZE]);
+        // And a longer one grows it back to the full range.
+        d.recycle(hole.data);
+        let again = submit_ring_reap(
+            &mut d,
+            0,
+            NvmeCommand {
+                cid: 3,
+                op: NvmeOp::Read { slba: 6, nlb: 3 },
+            },
+        );
+        let mut want = vec![0xEEu8; 2 * SECTOR_SIZE];
+        want.extend_from_slice(&[0u8; SECTOR_SIZE]);
+        assert_eq!(again.data, want);
+        assert!(d.free_bufs.is_empty());
+    }
+
+    #[test]
+    fn doorbell_on_an_empty_sq_services_nothing() {
+        let mut d = dev(100, 1);
+        d.submit(0, read_cmd(1, 0)).expect("submit");
+        assert_eq!(d.ring_doorbell(0, 0).expect("doorbell").len(), 1);
+        assert!(d.ring_doorbell(5, 0).expect("doorbell").is_empty());
+        assert_eq!(d.stats().doorbells, 2);
+        assert_eq!(d.outstanding(0), 1);
     }
 
     #[test]

@@ -68,15 +68,6 @@ impl<T> Ring<T> {
         self.head = (self.head + 1) % self.slots.len();
         v
     }
-
-    /// Drains all queued entries in FIFO order.
-    pub fn drain_all(&mut self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(v) = self.pop() {
-            out.push(v);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -127,16 +118,6 @@ mod tests {
         assert_eq!(r.len(), 2);
         r.pop();
         assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn drain_all_empties() {
-        let mut r = Ring::new(8);
-        for i in 0..5 {
-            r.push(i).expect("push");
-        }
-        assert_eq!(r.drain_all(), vec![0, 1, 2, 3, 4]);
-        assert!(r.is_empty());
     }
 
     #[test]

@@ -23,6 +23,17 @@
 //! ([`Transport::response_capsule`]) crosses back — the BPF-oF
 //! round-trip elision this refactor exists to measure.
 //!
+//! # Borrowed batches
+//!
+//! [`Transport::ring_doorbell`] and [`Transport::reap`] hand their
+//! batches out by borrow: the transport owns the buffers, keeps their
+//! capacity from call to call, and empties each at the start of the
+//! next call of the same method — so a steady-state submit/reap cycle
+//! allocates nothing. A caller that needs a batch across another call
+//! takes it (`mem::take`/`mem::swap`/`drain`) or copies it (`to_vec`).
+//! Read payloads a caller leaves in a reaped batch go back to the
+//! device's buffer pool at the next reap ([`NvmeDevice::recycle`]).
+//!
 //! # Multi-initiator contention
 //!
 //! With [`FabricConfig::initiators`] > 1 the target is shared: every
@@ -59,9 +70,7 @@
 //! counted in `bytes_rx` but add no modelled latency (the return
 //! direction is calibrated into the sampled wire distribution).
 
-use std::collections::HashMap;
-
-use bpfstor_sim::{LatencyDist, Nanos, SimRng};
+use bpfstor_sim::{IdMap, LatencyDist, Nanos, SimRng};
 
 use crate::device::{NvmeCommand, NvmeCompletion, NvmeDevice, NvmeOp, QueueError};
 use crate::QueuePairId;
@@ -380,12 +389,12 @@ pub trait Transport {
 
     /// Rings the doorbell at `now`: everything queued on `qp` is put in
     /// motion. Returns the host-visible completion instants (for the
-    /// interrupt timer).
+    /// interrupt timer), valid until the next ring.
     ///
     /// # Errors
     ///
     /// [`QueueError::NoSuchQueue`] for bad ids.
-    fn ring_doorbell(&mut self, now: Nanos, qp: QueuePairId) -> Result<Vec<Nanos>, QueueError>;
+    fn ring_doorbell(&mut self, now: Nanos, qp: QueuePairId) -> Result<&[Nanos], QueueError>;
 
     /// Posts every completion whose host-visible instant has passed onto
     /// the host completion queue; returns how many were posted.
@@ -394,8 +403,11 @@ pub trait Transport {
     /// Drains up to `max` posted completions at host-visible time `now`
     /// (the IRQ handler's or poller's reap), freeing their
     /// slots/credits and accounting each CQE's doorbell→reap gap in
-    /// [`crate::DeviceStats::reap_lag_ns`].
-    fn reap(&mut self, now: Nanos, qp: QueuePairId, max: usize) -> Vec<NvmeCompletion>;
+    /// [`crate::DeviceStats::reap_lag_ns`]. The batch is the
+    /// transport's: take what you keep, the rest is emptied (read
+    /// payloads back to the device's pool) at the start of the next
+    /// reap.
+    fn reap(&mut self, now: Nanos, qp: QueuePairId, max: usize) -> &mut Vec<NvmeCompletion>;
 
     /// Puts a terminal pushdown response capsule for `initiator` on the
     /// wire at `now`: returns `(host arrival instant, wire nanoseconds)`
@@ -424,12 +436,25 @@ pub trait Transport {
 /// PCIe pass-through: the pre-transport dispatch path, unchanged.
 pub struct LocalTransport {
     dev: NvmeDevice,
+    /// The last reaped batch.
+    reaped: Vec<NvmeCompletion>,
 }
 
 impl LocalTransport {
     /// Wraps a device.
     pub fn new(dev: NvmeDevice) -> Self {
-        LocalTransport { dev }
+        LocalTransport {
+            dev,
+            reaped: Vec::new(),
+        }
+    }
+}
+
+/// Empties the previous reap's batch, handing any read payloads the
+/// host left in it back to the device.
+fn recycle_batch(dev: &mut NvmeDevice, batch: &mut Vec<NvmeCompletion>) {
+    for c in batch.drain(..) {
+        dev.recycle(c.data);
     }
 }
 
@@ -464,7 +489,7 @@ impl Transport for LocalTransport {
         self.dev.submit(qp, cmd)
     }
 
-    fn ring_doorbell(&mut self, now: Nanos, qp: QueuePairId) -> Result<Vec<Nanos>, QueueError> {
+    fn ring_doorbell(&mut self, now: Nanos, qp: QueuePairId) -> Result<&[Nanos], QueueError> {
         self.dev.ring_doorbell(now, qp)
     }
 
@@ -472,8 +497,11 @@ impl Transport for LocalTransport {
         self.dev.post_ready(now, qp)
     }
 
-    fn reap(&mut self, now: Nanos, qp: QueuePairId, max: usize) -> Vec<NvmeCompletion> {
-        self.dev.reap_at(now, qp, max)
+    fn reap(&mut self, now: Nanos, qp: QueuePairId, max: usize) -> &mut Vec<NvmeCompletion> {
+        recycle_batch(&mut self.dev, &mut self.reaped);
+        self.dev.reap(qp, max, &mut self.reaped);
+        self.dev.note_reap_lag(now, &self.reaped);
+        &mut self.reaped
     }
 
     fn response_capsule(&mut self, _now: Nanos, _initiator: u32) -> Option<(Nanos, Nanos)> {
@@ -539,10 +567,30 @@ pub struct FabricTransport {
     queues: Vec<InitiatorQueue>,
     inits: Vec<InitState>,
     /// cid → owning initiator, for commands in flight.
-    init_of: HashMap<u64, usize>,
+    init_of: IdMap<u64, usize>,
     /// Instant the target's admission server frees up (admission mode).
     admit_free_at: Nanos,
     stats: FabricStats,
+    /// The last reaped batch.
+    reaped: Vec<NvmeCompletion>,
+    /// Per-doorbell scratch, empty between rings (kept for capacity).
+    bell: BellScratch,
+}
+
+/// What one doorbell ring works through; every buffer is drained by the
+/// end of the ring except `times`, which the caller borrows.
+#[derive(Default)]
+struct BellScratch {
+    /// cid → (outbound wire ns, response crosses back, initiator).
+    meta: IdMap<u64, (Nanos, bool, usize)>,
+    /// Capsules that crossed the wire: (arrival, initiator, command).
+    crossed: Vec<(Nanos, usize, NvmeCommand)>,
+    /// Commands in the order they hit the target rings.
+    arrivals: Vec<(Nanos, NvmeCommand)>,
+    /// The target's CQEs, drained eagerly.
+    target_cqes: Vec<NvmeCompletion>,
+    /// Host-visible completion instants of the batch.
+    times: Vec<Nanos>,
 }
 
 /// Command-capsule size: fixed header plus any in-capsule data payload.
@@ -583,9 +631,11 @@ impl FabricTransport {
             rng,
             queues,
             inits,
-            init_of: HashMap::new(),
+            init_of: IdMap::default(),
             admit_free_at: 0,
             stats: FabricStats::default(),
+            reaped: Vec::new(),
+            bell: BellScratch::default(),
         }
     }
 
@@ -656,13 +706,14 @@ impl FabricTransport {
     /// Runs one doorbell batch's command capsules through the
     /// target-side admission server: a serial server (`admit_ns` per
     /// capsule) releasing queued capsules by weighted round-robin
-    /// between initiators. Returns `(admit instant, command)` in
-    /// admission order. Entries are `(wire arrival, initiator, cmd)`.
+    /// between initiators. Moves every `(wire arrival, initiator, cmd)`
+    /// of `waiting` onto `out` as `(admit instant, cmd)` in admission
+    /// order.
     fn admit(
         &mut self,
-        mut waiting: Vec<(Nanos, usize, NvmeCommand)>,
-    ) -> Vec<(Nanos, NvmeCommand)> {
-        let mut out = Vec::with_capacity(waiting.len());
+        waiting: &mut Vec<(Nanos, usize, NvmeCommand)>,
+        out: &mut Vec<(Nanos, NvmeCommand)>,
+    ) {
         while !waiting.is_empty() {
             let earliest = waiting.iter().map(|(at, ..)| *at).min().expect("nonempty");
             let t = self.admit_free_at.max(earliest);
@@ -682,7 +733,6 @@ impl FabricTransport {
             self.admit_free_at = t + self.cfg.admit_ns;
             out.push((t, cmd));
         }
-        out
     }
 }
 
@@ -759,27 +809,28 @@ impl Transport for FabricTransport {
         Ok(())
     }
 
-    fn ring_doorbell(&mut self, now: Nanos, qp: QueuePairId) -> Result<Vec<Nanos>, QueueError> {
+    fn ring_doorbell(&mut self, now: Nanos, qp: QueuePairId) -> Result<&[Nanos], QueueError> {
         if qp >= self.queues.len() {
             return Err(QueueError::NoSuchQueue);
         }
-        let batch = std::mem::take(&mut self.queues[qp].sq);
-        if batch.is_empty() {
-            return Ok(Vec::new());
+        self.bell.times.clear();
+        if self.queues[qp].sq.is_empty() {
+            return Ok(&self.bell.times);
         }
+        // The scratch leaves `self` for the ring (the wire and admission
+        // models below borrow all of it) and returns drained.
+        let mut bell = std::mem::take(&mut self.bell);
+        let mut sq = std::mem::take(&mut self.queues[qp].sq);
         // Each command capsule crosses the wire on its own (NVMe-oF has
         // no doorbells on the fabric); jitter may reorder a batch, so
         // capsules hit the target's rings in arrival order.
-        let mut meta: HashMap<u64, (Nanos, bool, usize)> = HashMap::new(); // cid → (outbound, returns, init)
-        let mut direct: Vec<(Nanos, NvmeCommand)> = Vec::new();
-        let mut crossed: Vec<(Nanos, usize, NvmeCommand)> = Vec::new();
-        for (cmd, class, init) in batch {
+        for (cmd, class, init) in sq.drain(..) {
             match class {
                 SubmitClass::TargetLocal => {
                     // Already on the target: no wire, no admission.
                     self.stats.target_local += 1;
-                    meta.insert(cmd.cid, (0, false, init));
-                    direct.push((now, cmd));
+                    bell.meta.insert(cmd.cid, (0, false, init));
+                    bell.arrivals.push((now, cmd));
                 }
                 SubmitClass::Host | SubmitClass::PushdownStart => {
                     self.stats.capsules_sent += 1;
@@ -791,22 +842,23 @@ impl Transport for FabricTransport {
                         is.bytes_tx += bytes;
                     }
                     let outbound = self.crossing(true, bytes.saturating_sub(CMD_CAPSULE_HDR), init);
-                    meta.insert(
+                    bell.meta.insert(
                         cmd.cid,
                         (outbound, matches!(class, SubmitClass::Host), init),
                     );
-                    crossed.push((now + outbound, init, cmd));
+                    bell.crossed.push((now + outbound, init, cmd));
                 }
             }
         }
-        let mut arrivals: Vec<(Nanos, NvmeCommand)> = direct;
+        self.queues[qp].sq = sq;
         if self.cfg.admit_ns == 0 {
-            arrivals.extend(crossed.into_iter().map(|(at, _, cmd)| (at, cmd)));
+            let crossed = bell.crossed.drain(..);
+            bell.arrivals.extend(crossed.map(|(at, _, cmd)| (at, cmd)));
         } else {
-            arrivals.extend(self.admit(crossed));
+            self.admit(&mut bell.crossed, &mut bell.arrivals);
         }
-        arrivals.sort_by_key(|(at, _)| *at);
-        for (arrive, cmd) in arrivals {
+        bell.arrivals.sort_by_key(|(at, _)| *at);
+        for (arrive, cmd) in bell.arrivals.drain(..) {
             self.dev
                 .submit(qp, cmd)
                 .expect("initiator window never exceeds target ring capacity");
@@ -819,9 +871,9 @@ impl Transport for FabricTransport {
         // instants (response capsules pay the return wire; target-side
         // pushdown completions stay at their local instants).
         self.dev.post_ready(Nanos::MAX, qp);
-        let mut times = Vec::new();
-        for mut c in self.dev.reap(qp, usize::MAX) {
-            let (outbound, returns, init) = meta.get(&c.cid).copied().unwrap_or((0, true, 0));
+        self.dev.reap(qp, usize::MAX, &mut bell.target_cqes);
+        for mut c in bell.target_cqes.drain(..) {
+            let (outbound, returns, init) = bell.meta.get(&c.cid).copied().unwrap_or((0, true, 0));
             let back = if returns {
                 self.stats.responses += 1;
                 self.inits[init].stats.responses += 1;
@@ -832,11 +884,13 @@ impl Transport for FabricTransport {
             };
             c.fabric_ns = outbound + back;
             c.complete_at += back;
-            times.push(c.complete_at);
+            bell.times.push(c.complete_at);
             self.queues[qp].pending.push(c);
         }
+        bell.meta.clear();
         self.queues[qp].pending.sort_by_key(|c| c.complete_at);
-        Ok(times)
+        self.bell = bell;
+        Ok(&self.bell.times)
     }
 
     fn post_ready(&mut self, now: Nanos, qp: QueuePairId) -> usize {
@@ -846,21 +900,21 @@ impl Transport for FabricTransport {
         // `pending` is only appended to in ring_doorbell, which leaves
         // it sorted by host-visible instant.
         let take = q.pending.partition_point(|c| c.complete_at <= now);
-        let mut posted: Vec<NvmeCompletion> = q.pending.drain(..take).collect();
-        q.ready.append(&mut posted);
+        q.ready.extend(q.pending.drain(..take));
         let backlog = q.ready.len();
         self.dev.note_cq_backlog(backlog);
         take
     }
 
-    fn reap(&mut self, now: Nanos, qp: QueuePairId, max: usize) -> Vec<NvmeCompletion> {
+    fn reap(&mut self, now: Nanos, qp: QueuePairId, max: usize) -> &mut Vec<NvmeCompletion> {
+        recycle_batch(&mut self.dev, &mut self.reaped);
         let Some(q) = self.queues.get_mut(qp) else {
-            return Vec::new();
+            return &mut self.reaped;
         };
         let take = q.ready.len().min(max);
-        let out: Vec<NvmeCompletion> = q.ready.drain(..take).collect();
-        q.outstanding -= out.len();
-        for c in &out {
+        self.reaped.extend(q.ready.drain(..take));
+        q.outstanding -= take;
+        for c in &self.reaped {
             if let Some(idx) = self.init_of.remove(&c.cid) {
                 self.inits[idx].outstanding = self.inits[idx].outstanding.saturating_sub(1);
             }
@@ -868,12 +922,8 @@ impl Transport for FabricTransport {
         // The initiator is where the host observes the gap: the target's
         // eager drain in `ring_doorbell` reaps at service time, so the
         // meaningful doorbell→reap lag is measured here.
-        let lag: Nanos = out
-            .iter()
-            .map(|c| now.saturating_sub(c.rang_at))
-            .fold(0, Nanos::saturating_add);
-        self.dev.note_reap_lag(lag);
-        out
+        self.dev.note_reap_lag(now, &self.reaped);
+        &mut self.reaped
     }
 
     fn response_capsule(&mut self, now: Nanos, initiator: u32) -> Option<(Nanos, Nanos)> {
@@ -998,7 +1048,9 @@ mod tests {
         let at = *tt.last().expect("times");
         assert_eq!(t.post_ready(at, 0), d.post_ready(at, 0));
         let tc = t.reap(at, 0, usize::MAX);
-        let dc = d.reap_at(at, 0, usize::MAX);
+        let mut dc = Vec::new();
+        d.reap(0, usize::MAX, &mut dc);
+        d.note_reap_lag(at, &dc);
         assert_eq!(tc.len(), dc.len());
         for (a, b) in tc.iter().zip(&dc) {
             assert_eq!(
@@ -1010,6 +1062,48 @@ mod tests {
         assert_eq!(t.fabric_stats(), FabricStats::default());
         assert!(t.initiator_stats().is_empty());
         assert!(t.response_capsule(0, 0).is_none());
+    }
+
+    /// The borrowed-batch contract, on both transports: a reap's batch
+    /// is gone at the next reap whether or not the caller drained it
+    /// (its read payloads back in the device's pool), and a doorbell
+    /// with nothing queued returns an empty slice.
+    #[test]
+    fn batches_are_borrowed_until_the_next_call() {
+        let local: Box<dyn Transport> = Box::new(LocalTransport::new(dev(8)));
+        let remote: Box<dyn Transport> = Box::new(fabric(1_000));
+        for mut t in [local, remote] {
+            let (mut at, mut payloads) = (0, Vec::new());
+            for cid in [1, 2, 3] {
+                t.submit(0, read_cmd(cid), SubmitClass::Host, 0)
+                    .expect("submit");
+                at = *t.ring_doorbell(at, 0).expect("bell").last().expect("one");
+                t.post_ready(at, 0);
+                let batch = t.reap(at, 0, usize::MAX);
+                let cids: Vec<u64> = batch.iter().map(|c| c.cid).collect();
+                assert_eq!(cids, [cid], "only this reap's batch");
+                payloads.push(batch[0].data.as_ptr());
+            }
+            // Read 3 was serviced after reap 2 emptied batch 1.
+            assert_eq!(payloads[2], payloads[0], "a left-behind payload is reused");
+            assert!(t.ring_doorbell(at, 0).expect("bell").is_empty());
+            assert!(t.reap(at, 0, usize::MAX).is_empty());
+            assert_eq!(t.outstanding(0), 0);
+        }
+    }
+
+    #[test]
+    fn empty_doorbell_keeps_the_fabric_sq_buffer() {
+        let mut t = fabric(1_000);
+        for cid in 0..4 {
+            t.submit(0, read_cmd(cid), SubmitClass::Host, 0)
+                .expect("submit");
+        }
+        assert_eq!(t.ring_doorbell(0, 0).expect("bell").len(), 4);
+        let cap = t.queues[0].sq.capacity();
+        assert!(cap >= 4);
+        assert!(t.ring_doorbell(10, 0).expect("bell").is_empty());
+        assert_eq!(t.queues[0].sq.capacity(), cap);
     }
 
     #[test]
@@ -1167,7 +1261,7 @@ mod tests {
             "write capsule hauls its payload; read capsule is a header"
         );
         t.post_ready(Nanos::MAX, 0);
-        let cqes = t.reap(Nanos::MAX, 0, usize::MAX);
+        let cqes = std::mem::take(t.reap(Nanos::MAX, 0, usize::MAX));
         assert_eq!(cqes.len(), 2);
         let s = t.fabric_stats();
         let read_payload: u64 = cqes.iter().map(|c| c.data.len() as u64).sum();
@@ -1242,7 +1336,7 @@ mod tests {
         t.submit(0, read_cmd(11), SubmitClass::Host, 0).expect("i0");
         t.submit(0, read_cmd(20), SubmitClass::Host, 1).expect("i1");
         t.submit(0, read_cmd(21), SubmitClass::Host, 1).expect("i1");
-        let mut times = t.ring_doorbell(0, 0).expect("bell");
+        let mut times = t.ring_doorbell(0, 0).expect("bell").to_vec();
         times.sort_unstable();
         // All arrive at 1_000; admissions at 1_000..=4_000.
         assert_eq!(

@@ -14,9 +14,10 @@
 //! "a new hook in the file system triggers an invalidation call to the
 //! NVMe layer").
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use bpfstor_device::{SectorStore, SECTOR_SIZE};
+use bpfstor_sim::IdMap;
 
 use crate::alloc::BlockAllocator;
 use crate::extent::Extent;
@@ -97,7 +98,7 @@ pub struct FsStats {
 #[derive(Debug, Clone)]
 pub struct ExtFs {
     alloc: BlockAllocator,
-    inodes: HashMap<u64, Inode>,
+    inodes: IdMap<u64, Inode>,
     dir: BTreeMap<String, u64>,
     next_ino: u64,
     journal: Journal,
@@ -114,7 +115,7 @@ impl ExtFs {
     pub fn mkfs(nblocks: u64) -> Self {
         ExtFs {
             alloc: BlockAllocator::new(nblocks),
-            inodes: HashMap::new(),
+            inodes: IdMap::default(),
             dir: BTreeMap::new(),
             next_ino: 1,
             journal: Journal::new(),

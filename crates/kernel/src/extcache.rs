@@ -19,9 +19,8 @@
 //! the driver can detect granularity mismatches (§4: requests straddling
 //! extents fall back to the BIO path).
 
-use std::collections::HashMap;
-
 use bpfstor_fs::Extent;
+use bpfstor_sim::IdMap;
 
 /// Counters for the extent-cache ablation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -45,7 +44,7 @@ struct Entry {
 /// The soft-state cache, keyed by inode.
 #[derive(Debug, Default)]
 pub struct ExtentCache {
-    entries: HashMap<u64, Entry>,
+    entries: IdMap<u64, Entry>,
     stats: ExtCacheStats,
 }
 

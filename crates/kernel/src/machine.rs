@@ -66,8 +66,40 @@
 //!
 //! Every chain ends in `deliver`, which owns the local-vs-capsule
 //! decision; every device command goes through `submit_segments`.
-
-use std::collections::{HashMap, HashSet};
+//!
+//! # Buffer ownership
+//!
+//! A recycled hop allocates nothing because every buffer it touches
+//! has exactly one owner at each event, and goes back where it came
+//! from when it is dead:
+//!
+//! - **A read's payload** is the device's until the CQE is reaped: it
+//!   services the read into a buffer from its pool
+//!   (`NvmeDevice::take_buffer`). `on_cqe` moves it into the op's
+//!   segment slot and, with the last segment, into `Op::data` (extra
+//!   segments are copied onto the first and handed back at once). The
+//!   hook, or the application's `user_step`, reads it there. It is dead
+//!   the moment the op issues its next read — `submit_read` hands it
+//!   back (`NvmeDevice::recycle`) before anything else, so the next hop
+//!   is serviced into the same bytes — or when the chain ends
+//!   (`free_op`). A page-cache hit fills a pool buffer the same way, so
+//!   no other kind of buffer ever enters the pool.
+//! - **A terminal status takes the buffer it reports**
+//!   (`Pass`/`SplitFallback` take `Op::data`, `Emitted` takes the emit
+//!   buffer): the driver borrows the outcome in `chain_done`, and
+//!   `on_delivered` puts the buffer back into the op before freeing it.
+//! - **Scratch, emit buffer and segment slots** (`ChainBufs`) belong to
+//!   the op for the life of the chain; `free_op` parks them in
+//!   `Spares::chains`, `alloc_op` hands them to the next op —
+//!   whichever tenant's — and `start_chain` zeroes the scratch and
+//!   empties the emit buffer before the chain sees them.
+//! - **Batches** — the reap batch and a first hop's translated read
+//!   segments — live in `Spares` between events; the reap batch is
+//!   swapped with the transport's own at each reap (its
+//!   borrowed-batch contract).
+//!
+//! Nothing here is sized by a constant: every pool holds at most what
+//! was alive at once at the busiest instant.
 
 use bpfstor_device::device::{NvmeCommand, NvmeOp};
 use bpfstor_device::{
@@ -75,7 +107,7 @@ use bpfstor_device::{
     SECTOR_SIZE,
 };
 use bpfstor_fs::{ExtFs, ExtentEvent, FsError, PageCache};
-use bpfstor_sim::{Cores, EventQueue, Histogram, Nanos, SimRng};
+use bpfstor_sim::{Cores, EventQueue, Histogram, IdMap, IdSet, Nanos, SimRng};
 use bpfstor_vm::{
     action, compile, verify_bounded, CompiledProg, ExecEngine, ExecEnv, MapSet, Program,
     ResourceBudget, RunCtx, Vm, DEFAULT_INSN_BUDGET, EMIT_MAX, SCRATCH_SIZE,
@@ -185,9 +217,21 @@ struct Install {
 /// attached (running at the hook).
 #[derive(Default)]
 struct ProgTable {
-    progs: HashMap<u32, Install>,
+    /// Indexed by [`ProgHandle::slot`]; an unloaded slot is never reused.
+    progs: Vec<Option<Install>>,
     attached: Option<u32>,
-    next_slot: u32,
+}
+
+impl ProgTable {
+    fn get_mut(&mut self, slot: u32) -> Option<&mut Install> {
+        self.progs.get_mut(slot as usize)?.as_mut()
+    }
+}
+
+/// One open descriptor: what it names and the programs loaded on it.
+struct Desc {
+    st: FdState,
+    progs: ProgTable,
 }
 
 #[derive(Debug)]
@@ -303,6 +347,30 @@ struct FabricState {
     capsule_joined: bool,
 }
 
+/// The per-chain buffers a finished chain passes to the next one.
+#[derive(Default)]
+struct ChainBufs {
+    /// The program's scratch area, zeroed at every chain start.
+    scratch: Vec<u8>,
+    emitted: Vec<u8>,
+    /// Per-segment read buffers of the in-flight device request; CQEs
+    /// may land out of order across channels, so each fills its slot.
+    /// All `None` between requests.
+    seg_data: Vec<Option<Vec<u8>>>,
+}
+
+/// Buffers the per-I/O path reuses, kept only for their capacity.
+#[derive(Default)]
+struct Spares {
+    /// The reap batch being worked through (swapped with the
+    /// transport's at each reap).
+    cqes: Vec<NvmeCompletion>,
+    /// A first hop's translated read segments.
+    read_segs: Vec<NvmeOp>,
+    /// Buffers of finished ops (never more than were in flight at once).
+    chains: Vec<ChainBufs>,
+}
+
 struct Op {
     thread: usize,
     fd: Fd,
@@ -329,13 +397,12 @@ struct Op {
     /// verification-time budget covers the same whole-chain worst case).
     insns_used: u64,
     ios: u32,
+    /// The last completed read's payload (module docs, "Buffer
+    /// ownership").
     data: Vec<u8>,
-    scratch: Vec<u8>,
-    emitted: Vec<u8>,
+    /// Outlives the chain: `free_op` parks it for `alloc_op` to hand on.
+    bufs: ChainBufs,
     status: Option<ChainStatus>,
-    /// Per-segment read buffers of the in-flight device request; CQEs
-    /// may land out of order across channels, so each fills its slot.
-    seg_data: Vec<Option<Vec<u8>>>,
     /// Segments of the current device request still in flight.
     segs_pending: u32,
     /// When the current device request was submitted (queueing delay is
@@ -383,10 +450,8 @@ impl Op {
             insns_used: 0,
             ios: 0,
             data: Vec::new(),
-            scratch: Vec::new(),
-            emitted: Vec::new(),
+            bufs: ChainBufs::default(),
             status: None,
-            seg_data: Vec::new(),
             segs_pending: 0,
             submitted_at: 0,
             phys_target: None,
@@ -467,7 +532,7 @@ struct RunState {
     /// per-tenant views are its column and row sums.
     resub: Vec<Vec<u64>>,
     /// In-flight command id → (op slot, segment index).
-    cid_map: HashMap<u64, (usize, usize)>,
+    cid_map: IdMap<u64, (usize, usize)>,
     /// Monotone counter salting the per-chain RNG forks of the uring
     /// path, so every SQE in a batch draws an independent stream.
     rng_streams: u64,
@@ -517,15 +582,15 @@ pub struct Machine {
     extcache: ExtentCache,
     costs: LayerCosts,
     rng: SimRng,
-    fds: HashMap<Fd, FdState>,
+    fds: IdMap<Fd, Desc>,
     next_fd: Fd,
-    installs: HashMap<Fd, ProgTable>,
     /// Deliberately never reset: token ids stay unique across runs of
     /// one machine, so driver state keyed by token id can never collide
     /// with a stale entry from an earlier run.
     next_chain_id: u64,
     ops: Vec<Option<Op>>,
     free_ops: Vec<usize>,
+    spares: Spares,
     threads: Vec<ThreadState>,
     /// The completion-reaping state machine: per-queue-pair pending
     /// instants, armed timers, adaptive coalescing, hybrid scheduling.
@@ -541,7 +606,7 @@ pub struct Machine {
     /// (default off: FIFO, bit-for-bit the single-tenant behaviour).
     fair_reap: bool,
     mutations: Vec<Mutation>,
-    aborting_inos: HashSet<u64>,
+    aborting_inos: IdSet<u64>,
     resubmit_bound: u32,
     /// Engine executing hook programs ([`MachineConfig::exec_engine`]).
     exec_engine: ExecEngine,
@@ -596,12 +661,12 @@ impl Machine {
             extcache: ExtentCache::new(),
             costs: cfg.costs,
             rng,
-            fds: HashMap::new(),
+            fds: IdMap::default(),
             next_fd: 3,
-            installs: HashMap::new(),
             next_chain_id: 0,
             ops: Vec::new(),
             free_ops: Vec::new(),
+            spares: Spares::default(),
             threads: Vec::new(),
             // A zero aggregation threshold is clamped to one ("fire
             // immediately"): a depth that can never be reached would
@@ -617,7 +682,7 @@ impl Machine {
             fair: FairSched::new(nr_queues),
             fair_reap: false,
             mutations: Vec::new(),
-            aborting_inos: HashSet::new(),
+            aborting_inos: IdSet::default(),
             resubmit_bound: cfg.resubmit_bound,
             exec_engine: cfg.exec_engine,
             exec_clock: cfg.exec_clock,
@@ -678,14 +743,13 @@ impl Machine {
         let ino = self.fs.open(name).map_err(|_| KernelError::NoSuchFile)?;
         let fd = self.next_fd;
         self.next_fd += 1;
-        self.fds.insert(
-            fd,
-            FdState {
-                ino,
-                o_direct,
-                tenant,
-            },
-        );
+        let st = FdState {
+            ino,
+            o_direct,
+            tenant,
+        };
+        let progs = ProgTable::default();
+        self.fds.insert(fd, Desc { st, progs });
         Ok(fd)
     }
 
@@ -750,7 +814,7 @@ impl Machine {
         prog: Program,
         flags: u32,
     ) -> Result<ProgHandle, KernelError> {
-        let st = *self.fds.get(&fd).ok_or(KernelError::BadFd(fd))?;
+        let st = self.fds.get(&fd).ok_or(KernelError::BadFd(fd))?.st;
         let budget = self.tenants[st.tenant as usize]
             .insn_budget
             .map(|max_insns| ResourceBudget {
@@ -768,18 +832,14 @@ impl Machine {
             ExecEngine::Compiled => compile(&prog).ok(),
             ExecEngine::Interp => None,
         };
-        let table = self.installs.entry(fd).or_default();
-        let slot = table.next_slot;
-        table.next_slot += 1;
-        table.progs.insert(
-            slot,
-            Install {
-                prog,
-                maps,
-                flags,
-                compiled,
-            },
-        );
+        let table = &mut self.fds.get_mut(&fd).expect("checked above").progs;
+        let slot = table.progs.len() as u32;
+        table.progs.push(Some(Install {
+            prog,
+            maps,
+            flags,
+            compiled,
+        }));
         table.attached = Some(slot);
         Ok(ProgHandle { fd, slot })
     }
@@ -792,16 +852,16 @@ impl Machine {
     ///
     /// [`KernelError::BadHandle`] for unknown/unloaded handles.
     pub fn attach(&mut self, handle: ProgHandle) -> Result<(), KernelError> {
-        let st = *self
+        let desc = self
             .fds
-            .get(&handle.fd)
+            .get_mut(&handle.fd)
             .ok_or(KernelError::BadFd(handle.fd))?;
-        let table = self.table_mut(handle)?;
-        if !table.progs.contains_key(&handle.slot) {
+        if desc.progs.get_mut(handle.slot).is_none() {
             return Err(KernelError::BadHandle(handle));
         }
-        table.attached = Some(handle.slot);
-        self.snapshot_extents(st.ino)
+        desc.progs.attached = Some(handle.slot);
+        let ino = desc.st.ino;
+        self.snapshot_extents(ino)
     }
 
     /// Detaches the program from its descriptor's hook; the program
@@ -829,7 +889,8 @@ impl Machine {
     /// [`KernelError::BadHandle`] for unknown handles.
     pub fn unload(&mut self, handle: ProgHandle) -> Result<(), KernelError> {
         let table = self.table_mut(handle)?;
-        if table.progs.remove(&handle.slot).is_none() {
+        let loaded = table.progs.get_mut(handle.slot as usize);
+        if loaded.and_then(Option::take).is_none() {
             return Err(KernelError::BadHandle(handle));
         }
         if table.attached == Some(handle.slot) {
@@ -839,15 +900,15 @@ impl Machine {
     }
 
     fn table_mut(&mut self, handle: ProgHandle) -> Result<&mut ProgTable, KernelError> {
-        self.installs
-            .get_mut(&handle.fd)
+        let desc = self.fds.get_mut(&handle.fd);
+        desc.map(|d| &mut d.progs)
             .ok_or(KernelError::BadHandle(handle))
     }
 
     /// The handle of the program currently attached to `fd`, if any.
     pub fn attached(&self, fd: Fd) -> Option<ProgHandle> {
-        let table = self.installs.get(&fd)?;
-        table.attached.map(|slot| ProgHandle { fd, slot })
+        let attached = self.fds.get(&fd)?.progs.attached;
+        attached.map(|slot| ProgHandle { fd, slot })
     }
 
     /// Pushes a fresh extent snapshot for `ino` to the NVMe layer.
@@ -866,20 +927,16 @@ impl Machine {
     ///
     /// [`KernelError::NotInstalled`] when no program is attached.
     pub fn rearm(&mut self, fd: Fd) -> Result<(), KernelError> {
-        let st = *self.fds.get(&fd).ok_or(KernelError::BadFd(fd))?;
-        if self.attached(fd).is_none() {
+        let desc = self.fds.get(&fd).ok_or(KernelError::BadFd(fd))?;
+        if desc.progs.attached.is_none() {
             return Err(KernelError::NotInstalled);
         }
-        self.snapshot_extents(st.ino)
+        self.snapshot_extents(desc.st.ino)
     }
 
     /// Reads back a program's map value after a run (for stats maps).
     pub fn map_value(&mut self, handle: ProgHandle, map_id: u32, key: &[u8]) -> Option<Vec<u8>> {
-        let install = self
-            .installs
-            .get_mut(&handle.fd)?
-            .progs
-            .get_mut(&handle.slot)?;
+        let install = self.fds.get_mut(&handle.fd)?.progs.get_mut(handle.slot)?;
         install
             .maps
             .lookup(map_id, key)
@@ -913,7 +970,7 @@ impl Machine {
 
     /// Resolves an fd to its inode (test helper).
     pub fn ino_of(&self, fd: Fd) -> Option<u64> {
-        self.fds.get(&fd).map(|s| s.ino)
+        self.fds.get(&fd).map(|d| d.st.ino)
     }
 
     /// §4 fairness accounting: chained NVMe resubmissions per thread in
@@ -1051,7 +1108,8 @@ impl Machine {
     /// A reusable internal descriptor for by-inode synchronous I/O.
     fn sync_fd(&mut self, ino: u64) -> Fd {
         const SYNC_FD: Fd = u32::MAX;
-        self.fds.insert(SYNC_FD, FdState::kernel(ino));
+        let (st, progs) = (FdState::kernel(ino), ProgTable::default());
+        self.fds.insert(SYNC_FD, Desc { st, progs });
         SYNC_FD
     }
 
@@ -1403,7 +1461,10 @@ impl Machine {
 
     // --- Op slab --------------------------------------------------------------
 
-    fn alloc_op(&mut self, op: Op) -> usize {
+    /// Slots an op, with the per-chain buffers of some finished one:
+    /// `free_op` parks them, so there are never more than ops at once.
+    fn alloc_op(&mut self, mut op: Op) -> usize {
+        op.bufs = self.spares.chains.pop().unwrap_or_default();
         if let Some(i) = self.free_ops.pop() {
             self.ops[i] = Some(op);
             i
@@ -1413,8 +1474,12 @@ impl Machine {
         }
     }
 
+    /// Retires a finished op: its last read buffer goes back to the
+    /// device, its per-chain buffers to the next chain.
     fn free_op(&mut self, id: usize) {
-        self.ops[id] = None;
+        let op = self.ops[id].take().expect("op exists");
+        self.transport.device_mut().recycle(op.data);
+        self.spares.chains.push(op.bufs);
         self.free_ops.push(id);
     }
 
@@ -1473,16 +1538,21 @@ impl Machine {
                 w.data,
             ),
         };
-        let st = self.fds.get(&start.fd).copied()?;
+        let st = self.fds.get(&start.fd)?.st;
         let token = self.next_token(st.tenant, start.arg);
         let mut op = Op::new(thread, start.fd, st, kind, mode, origin, token);
-        op.scratch = vec![0u8; SCRATCH_SIZE];
-        op.scratch[..8].copy_from_slice(&start.arg.to_le_bytes());
         (op.first_off, op.file_off, op.len) = (start.file_off, start.file_off, start.len);
         op.attempts = attempts;
         op.wr.data = wr_data;
         op.fab.pushdown = self.fabric && mode == DispatchMode::DriverHook;
         let id = self.alloc_op(op);
+        // No chain may read what another left in its scratch area or
+        // its emit buffer.
+        let bufs = &mut self.ops[id].as_mut().expect("just slotted").bufs;
+        bufs.emitted.clear();
+        bufs.scratch.clear();
+        bufs.scratch.resize(SCRATCH_SIZE, 0);
+        bufs.scratch[..8].copy_from_slice(&start.arg.to_le_bytes());
         if origin == Origin::Sync {
             self.sync_submit(id, kind != OpKind::Read);
         }
@@ -1559,7 +1629,8 @@ impl Machine {
         self.admission.admit(qp, tenant, n);
         let op = self.ops[id].as_mut().expect("op");
         op.segs_pending = n as u32;
-        op.seg_data = (0..n).map(|_| None).collect();
+        op.bufs.seg_data.clear();
+        op.bufs.seg_data.resize_with(n, || None);
         op.submitted_at = self.now;
         op.ios += n as u32;
         let ts = &mut self.run.tstats[t];
@@ -1689,10 +1760,15 @@ impl Machine {
         let ino = op.ino;
         let nblocks = (op.len as u64).div_ceil(SECTOR_SIZE as u64).max(1);
         let lb = op.file_off / SECTOR_SIZE as u64;
+        // The previous hop's payload is dead once the next read is
+        // issued: back it goes, for this very read to be serviced into.
+        let dev = self.transport.device_mut();
+        dev.recycle(std::mem::take(&mut op.data));
         // Buffered path: a whole-request page-cache hit skips the device
         // (and its queues) entirely.
         if !op.o_direct && op.phys_target.is_none() {
-            let mut assembled = Vec::with_capacity((nblocks as usize) * SECTOR_SIZE);
+            let mut assembled = dev.take_buffer();
+            assembled.clear();
             let complete = (lb..lb + nblocks).all(|b| {
                 self.pagecache
                     .get((ino, b))
@@ -1707,8 +1783,8 @@ impl Machine {
                 self.events.push(end, Ev::CacheHit { op: id });
                 return;
             }
+            dev.recycle(assembled);
         }
-        let mut segments = Vec::new();
         if let Some((phys, snap_gen)) = op.phys_target {
             // Recycled hop: submit to the snapshot's physical target.
             // If the file's extents changed under the snapshot (its
@@ -1719,29 +1795,33 @@ impl Machine {
             if !self.extcache.is_armed(ino) || live_gen != Some(snap_gen) {
                 return self.fail(id, ChainStatus::Invalidated, 0);
             }
-            segments.push(NvmeOp::Read {
-                slba: phys,
-                nlb: nblocks as u32,
+            let (slba, nlb) = (phys, nblocks as u32);
+            return self.submit_segments(id, 1, |op| {
+                op.recycled = op.phys_target.take().is_some();
+                std::iter::once(NvmeOp::Read { slba, nlb })
             });
-        } else {
-            // Translate logical blocks to physical segments via the FS.
-            let (mut cur, end) = (lb, lb + nblocks);
-            while let Ok(Some((slba, run))) = self.fs.map(ino, cur) {
-                let nlb = (end - cur).min(run) as u32;
-                segments.push(NvmeOp::Read { slba, nlb });
-                cur += nlb as u64;
-                if cur == end {
-                    break;
-                }
-            }
-            if cur < end {
-                return self.fail(id, ChainStatus::IoError, 0);
+        }
+        // Translate logical blocks to physical segments via the FS.
+        let mut segments = std::mem::take(&mut self.spares.read_segs);
+        segments.clear();
+        let (mut cur, end) = (lb, lb + nblocks);
+        while let Ok(Some((slba, run))) = self.fs.map(ino, cur) {
+            let nlb = (end - cur).min(run) as u32;
+            segments.push(NvmeOp::Read { slba, nlb });
+            cur += nlb as u64;
+            if cur == end {
+                break;
             }
         }
-        self.submit_segments(id, segments.len(), |op| {
-            op.recycled = op.phys_target.take().is_some();
-            segments.into_iter()
-        });
+        if cur == end {
+            self.submit_segments(id, segments.len(), |op| {
+                op.recycled = false;
+                segments.drain(..)
+            });
+        } else {
+            self.fail(id, ChainStatus::IoError, 0);
+        }
+        self.spares.read_segs = segments;
     }
 
     /// The driver's doorbell MMIO write: the device batch-services the
@@ -1764,7 +1844,7 @@ impl Machine {
         if times.is_empty() {
             return;
         }
-        self.reaper.note_doorbell(qp, &times);
+        self.reaper.note_doorbell(qp, times);
         let depth = self.transport.outstanding(qp);
         self.run.load_peak[qp] = self.run.load_peak[qp].max(depth);
         self.arm_reap(qp);
@@ -1799,8 +1879,11 @@ impl Machine {
     /// the hybrid scheduler. Returns how many CQEs were drained.
     fn reap_qp(&mut self, qp: usize, via: ReapKind) -> usize {
         self.transport.post_ready(self.now, qp);
-        let cqes = self.transport.reap(self.now, qp, usize::MAX);
-        let cqes = self.fair_order(qp, cqes);
+        // The batch is the transport's until its next reap; trade it
+        // for the (empty) one worked through last time.
+        let mut cqes = std::mem::take(&mut self.spares.cqes);
+        std::mem::swap(&mut cqes, self.transport.reap(self.now, qp, usize::MAX));
+        self.fair_order(qp, &mut cqes);
         let reaped = cqes.len();
         if via == ReapKind::Interrupt && reaped > 0 {
             // One interrupt entry is charged no matter how many CQEs it
@@ -1812,9 +1895,10 @@ impl Machine {
             self.run.trace.irqs += 1;
             self.reaper.charge_irq(cost);
         }
-        for c in cqes {
+        for c in cqes.drain(..) {
             self.on_cqe(c);
         }
+        self.spares.cqes = cqes;
         // One hybrid-scheduler load sample: the peak doorbell-time
         // depth since the last productive reap (floored by what this
         // reap drained plus the residue). The peak resets only on
@@ -1823,7 +1907,7 @@ impl Machine {
         let load = self.run.load_peak[qp].max(self.transport.outstanding(qp) + reaped);
         if reaped > 0 {
             // Freed queue slots un-park stalled submissions.
-            for id in self.admission.drain_round_robin(qp) {
+            for &id in self.admission.drain_round_robin(qp) {
                 self.events.push(self.now, Ev::DevSubmit { op: id });
             }
             self.run.load_peak[qp] = 0;
@@ -1833,29 +1917,32 @@ impl Machine {
     }
 
     /// Applies weighted deficit-round-robin across tenants to one reap
-    /// batch. Identity (FIFO) unless fair reaping is enabled and the
-    /// batch holds more than one CQE; always a permutation of the
-    /// input, so exactly-once delivery is policy-independent.
-    fn fair_order(&mut self, qp: usize, cqes: Vec<NvmeCompletion>) -> Vec<NvmeCompletion> {
+    /// batch, in place. Identity (FIFO) unless fair reaping is enabled
+    /// and the batch holds more than one CQE; always a permutation of
+    /// the input, so exactly-once delivery is policy-independent.
+    fn fair_order(&mut self, qp: usize, cqes: &mut [NvmeCompletion]) {
         if !self.fair_reap || cqes.len() <= 1 {
-            return cqes;
+            return;
         }
-        let tenants: Vec<u32> = cqes
-            .iter()
-            .map(|c| {
-                self.run
-                    .cid_map
-                    .get(&c.cid)
-                    .and_then(|&(id, _)| self.ops[id].as_ref())
-                    .map_or(DEFAULT_TENANT, |op| op.tenant)
-            })
-            .collect();
-        let order = self.fair.order(qp, &tenants);
-        let mut slots: Vec<Option<NvmeCompletion>> = cqes.into_iter().map(Some).collect();
-        order
-            .into_iter()
-            .map(|i| slots[i].take().expect("DRR order is a permutation"))
-            .collect()
+        let (cid_map, ops) = (&self.run.cid_map, &self.ops);
+        let tenant_of = |c: &NvmeCompletion| {
+            let op = cid_map.get(&c.cid).and_then(|&(id, _)| ops[id].as_ref());
+            op.map_or(DEFAULT_TENANT, |op| op.tenant)
+        };
+        // `order[i]` is the batch index served `i`-th. Walk each cycle
+        // of the permutation, swapping the wanted CQE into place and
+        // marking the slot settled (`order[i] == i`).
+        let order = self.fair.order(qp, cqes.iter().map(tenant_of));
+        for i in 0..order.len() {
+            let mut at = i;
+            while order[at] != i {
+                let from = order[at];
+                cqes.swap(at, from);
+                order[at] = at;
+                at = from;
+            }
+            order[at] = at;
+        }
     }
 
     /// The completion interrupt.
@@ -1917,7 +2004,7 @@ impl Machine {
             .complete_at
             .saturating_sub(op.submitted_at)
             .saturating_sub(wire);
-        op.seg_data[seg] = Some(c.data);
+        op.bufs.seg_data[seg] = Some(c.data);
         op.segs_pending -= 1;
         let qp = op.thread % self.transport.nr_queues();
         self.admission.complete(qp, op.tenant);
@@ -1941,10 +2028,12 @@ impl Machine {
             return;
         }
         let op = self.ops[id].as_mut().expect("op");
-        let mut segs = op.seg_data.drain(..);
+        let mut segs = op.bufs.seg_data.iter_mut().map(Option::take);
         let mut data = segs.next().flatten().expect("all segments completed");
         for d in segs {
-            data.extend_from_slice(&d.expect("all segments completed"));
+            let d = d.expect("all segments completed");
+            data.extend_from_slice(&d);
+            self.transport.device_mut().recycle(d);
         }
         op.data = data;
         // Buffered reads warm the host page cache — except target-
@@ -2209,10 +2298,8 @@ impl Machine {
             .insn_budget
             .map(|b| b.saturating_sub(op.insns_used))
             .unwrap_or(DEFAULT_INSN_BUDGET);
-        let install = self
-            .installs
-            .get_mut(&op.fd)
-            .and_then(|t| t.attached.and_then(|slot| t.progs.get_mut(&slot)));
+        let table = self.fds.get_mut(&op.fd).map(|d| &mut d.progs);
+        let install = table.and_then(|t| t.get_mut(t.attached?));
         let (next, insns) = match install {
             None => {
                 op.status = Some(ChainStatus::VmError("no program attached".to_string()));
@@ -2222,14 +2309,14 @@ impl Machine {
                 let mut env = HookEnv {
                     resubmit_to: None,
                     resubmit_calls: 0,
-                    emitted: &mut op.emitted,
+                    emitted: &mut op.bufs.emitted,
                 };
                 let ctx = RunCtx {
                     data: &op.data,
                     file_off: op.file_off,
                     hop: op.hop,
                     flags: install.flags,
-                    scratch: &mut op.scratch,
+                    scratch: &mut op.bufs.scratch,
                 };
                 let t0 = self.exec_clock.as_ref().map(ExecClock::now);
                 let result = match &install.compiled {
@@ -2270,8 +2357,14 @@ impl Machine {
                             action::ACT_EMIT if calls > 0 => {
                                 vm_error("resubmit called but action is EMIT")
                             }
-                            action::ACT_EMIT => Some(ChainStatus::Emitted(op.emitted.clone())),
-                            action::ACT_PASS => Some(ChainStatus::Pass(op.data.clone())),
+                            // A terminal status takes the buffer it
+                            // reports; `on_delivered` puts it back.
+                            action::ACT_EMIT => {
+                                Some(ChainStatus::Emitted(std::mem::take(&mut op.bufs.emitted)))
+                            }
+                            action::ACT_PASS => {
+                                Some(ChainStatus::Pass(std::mem::take(&mut op.data)))
+                            }
                             action::ACT_HALT => Some(ChainStatus::Halted),
                             other => vm_error(&format!("unknown action {other}")),
                         };
@@ -2347,7 +2440,7 @@ impl Machine {
                 // Crosses a physical extent boundary: BIO-path
                 // fallback; the buffer goes back to the app.
                 op.file_off = target;
-                let data = op.data.clone();
+                let data = std::mem::take(&mut op.data);
                 let status = ChainStatus::SplitFallback {
                     file_off: target,
                     data,
@@ -2375,11 +2468,11 @@ impl Machine {
                     }
                     return;
                 }
-                UserNext::Done => op.status = Some(ChainStatus::Pass(op.data.clone())),
+                UserNext::Done => op.status = Some(ChainStatus::Pass(std::mem::take(&mut op.data))),
             }
         }
         // Chain is terminal.
-        let status = op.status.clone().unwrap_or(ChainStatus::IoError);
+        let status = op.status.take().unwrap_or(ChainStatus::IoError);
         let is_read = op.kind == OpKind::Read;
         let outcome = ChainOutcome {
             thread,
@@ -2413,6 +2506,14 @@ impl Machine {
             self.run.lat_read.record(outcome.latency);
         } else {
             self.run.lat_write.record(outcome.latency);
+        }
+        // The driver is done with the outcome: the buffer its status
+        // took returns to the op, and with the op to the pools.
+        let op = self.ops[id].as_mut().expect("op exists");
+        match outcome.status {
+            ChainStatus::Emitted(buf) => op.bufs.emitted = buf,
+            ChainStatus::Pass(buf) | ChainStatus::SplitFallback { data: buf, .. } => op.data = buf,
+            _ => {}
         }
         self.free_op(id);
         match origin {

@@ -34,6 +34,8 @@
 //! always had — event scheduling, CPU charging, and the reap itself —
 //! and consults the reaper for *when* and *by which mechanism*.
 
+use std::collections::VecDeque;
+
 use bpfstor_sim::Nanos;
 
 /// Which reaping mechanism is live on a queue pair right now.
@@ -511,6 +513,10 @@ pub(crate) struct FairSched {
     /// Per-queue-pair round-robin cursor (the tenant whose turn starts
     /// the next batch).
     cursor: Vec<usize>,
+    /// Per-tenant FIFO queues of batch indices; empty between batches.
+    queues: Vec<VecDeque<usize>>,
+    /// The last batch's service order (kept for capacity).
+    out: Vec<usize>,
 }
 
 impl FairSched {
@@ -519,6 +525,8 @@ impl FairSched {
             weights: vec![1],
             deficit: vec![vec![0]; nr_queues],
             cursor: vec![0; nr_queues],
+            queues: vec![VecDeque::new()],
+            out: Vec::new(),
         }
     }
 
@@ -527,6 +535,7 @@ impl FairSched {
     pub(crate) fn set_weight(&mut self, tenant: usize, weight: u64) {
         if self.weights.len() <= tenant {
             self.weights.resize(tenant + 1, 1);
+            self.queues.resize_with(tenant + 1, VecDeque::new);
             for d in &mut self.deficit {
                 d.resize(tenant + 1, 0);
             }
@@ -543,41 +552,44 @@ impl FairSched {
     }
 
     /// Computes the DRR service order for one reaped batch on `qp`:
-    /// `tenants[i]` is the owning tenant of the batch's `i`-th CQE (FIFO
-    /// order). Returns the indices of the batch in service order — a
-    /// permutation of `0..tenants.len()`.
-    pub(crate) fn order(&mut self, qp: usize, tenants: &[u32]) -> Vec<usize> {
-        let n = tenants.len();
-        if n <= 1 {
-            return (0..n).collect();
-        }
+    /// `tenants` yields the owning tenant of the batch's `i`-th CQE
+    /// (FIFO order). Returns the indices of the batch in service order
+    /// — a permutation of `0..n`, the caller's to consume until the
+    /// next batch.
+    pub(crate) fn order(&mut self, qp: usize, tenants: impl Iterator<Item = u32>) -> &mut [usize] {
         let nt = self.weights.len();
-        // Per-tenant FIFO queues of batch indices.
-        let mut queues: Vec<std::collections::VecDeque<usize>> =
-            vec![std::collections::VecDeque::new(); nt];
-        for (i, &t) in tenants.iter().enumerate() {
-            queues[(t as usize).min(nt - 1)].push_back(i);
+        let mut n = 0;
+        for t in tenants {
+            self.queues[(t as usize).min(nt - 1)].push_back(n);
+            n += 1;
         }
-        let mut out = Vec::with_capacity(n);
+        self.out.clear();
+        if n <= 1 {
+            // A lone CQE is its own order: no turn is spent on it.
+            self.out
+                .extend(self.queues.iter_mut().find_map(VecDeque::pop_front));
+            return &mut self.out;
+        }
         let mut t = self.cursor[qp] % nt;
-        while out.len() < n {
-            if !queues[t].is_empty() {
+        while self.out.len() < n {
+            let queue = &mut self.queues[t];
+            if !queue.is_empty() {
                 self.deficit[qp][t] = self.deficit[qp][t].saturating_add(self.weights[t]);
                 while self.deficit[qp][t] > 0 {
-                    let Some(i) = queues[t].pop_front() else {
+                    let Some(i) = queue.pop_front() else {
                         // Standard DRR: an emptied queue forfeits its
                         // leftover credits (no banking while absent).
                         self.deficit[qp][t] = 0;
                         break;
                     };
-                    out.push(i);
+                    self.out.push(i);
                     self.deficit[qp][t] -= 1;
                 }
             }
             t = (t + 1) % nt;
         }
         self.cursor[qp] = t;
-        out
+        &mut self.out
     }
 }
 
@@ -766,7 +778,7 @@ mod tests {
         f.set_weight(0, 1);
         f.set_weight(1, 1);
         let batch = [0u32, 0, 1, 0, 1, 1, 0, 1];
-        let order = f.order(0, &batch);
+        let order = f.order(0, batch.iter().copied()).to_vec();
         let mut seen = order.clone();
         seen.sort_unstable();
         assert_eq!(seen, (0..batch.len()).collect::<Vec<_>>());
@@ -786,7 +798,7 @@ mod tests {
         // 8 CQEs each, interleaved arrival. DRR must front-load tenant 0
         // three-to-one: among the first 8 served, 6 belong to tenant 0.
         let batch: Vec<u32> = (0..16).map(|i| i % 2).collect();
-        let order = f.order(0, &batch);
+        let order = f.order(0, batch.iter().copied());
         let t0_in_first_half = order[..8].iter().filter(|&&i| batch[i] == 0).count();
         assert_eq!(t0_in_first_half, 6, "weight 3:1 should serve 6:2");
     }
@@ -795,6 +807,8 @@ mod tests {
     fn fair_sched_single_tenant_is_fifo() {
         let mut f = FairSched::new(2);
         let batch = [0u32; 5];
-        assert_eq!(f.order(1, &batch), vec![0, 1, 2, 3, 4]);
+        assert_eq!(f.order(1, batch.into_iter()), [0, 1, 2, 3, 4]);
+        assert_eq!(f.order(1, [0u32].into_iter()), [0], "a lone CQE is served");
+        assert!(f.order(1, std::iter::empty()).is_empty());
     }
 }

@@ -188,6 +188,8 @@ pub(crate) struct SqAdmission {
     inflight: Vec<Vec<usize>>,
     /// Per-queue-pair tenant the next drain serves first.
     cursor: Vec<usize>,
+    /// The last drain's re-issue order (kept for capacity).
+    drained: Vec<usize>,
 }
 
 impl SqAdmission {
@@ -197,6 +199,7 @@ impl SqAdmission {
             parked: vec![vec![Vec::new()]; nr_queues],
             inflight: vec![vec![0]; nr_queues],
             cursor: vec![0; nr_queues],
+            drained: Vec::new(),
         }
     }
 
@@ -255,10 +258,11 @@ impl SqAdmission {
     /// tenant per round-robin pass, starting after the tenant served
     /// first by the previous non-empty drain, so no tenant's backlog
     /// starves behind another's. With a single tenant this is FIFO.
-    pub(crate) fn drain_round_robin(&mut self, qp: usize) -> Vec<usize> {
-        let queues = &mut self.parked[qp];
+    /// The order is valid until the next drain.
+    pub(crate) fn drain_round_robin(&mut self, qp: usize) -> &[usize] {
+        let (queues, out) = (&mut self.parked[qp], &mut self.drained);
+        out.clear();
         let total: usize = queues.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(total);
         if total == 0 {
             return out;
         }
@@ -318,18 +322,18 @@ mod tests {
         a.park(0, 1, 20);
         a.park(0, 2, 30);
         a.park(0, 2, 31);
-        assert_eq!(a.drain_round_robin(0), vec![10, 20, 30, 11, 31, 12]);
+        assert_eq!(a.drain_round_robin(0), [10, 20, 30, 11, 31, 12]);
         assert!(!a.has_parked(0));
-        assert_eq!(a.drain_round_robin(0), Vec::<usize>::new());
+        assert!(a.drain_round_robin(0).is_empty());
         // The next non-empty drain starts one tenant later; an empty
         // drain in between did not advance the cursor.
         for (tenant, id) in [(0, 40), (1, 50), (2, 60)] {
             a.park(0, tenant, id);
         }
-        assert_eq!(a.drain_round_robin(0), vec![50, 60, 40]);
+        assert_eq!(a.drain_round_robin(0), [50, 60, 40]);
         a.park(0, 0, 70);
         a.park(0, 2, 80);
-        assert_eq!(a.drain_round_robin(0), vec![80, 70]);
+        assert_eq!(a.drain_round_robin(0), [80, 70]);
     }
 
     #[test]
@@ -344,6 +348,6 @@ mod tests {
         assert!(a.can_admit(1, 1, 2, Some(2)), "in-flight counts cleared");
         a.park(0, 0, 1);
         a.park(0, 1, 2);
-        assert_eq!(a.drain_round_robin(0), vec![1, 2], "cursor back at 0");
+        assert_eq!(a.drain_round_robin(0), [1, 2], "cursor back at 0");
     }
 }

@@ -24,11 +24,14 @@
 //! - [`dist`]: latency distributions (constant, uniform, exponential,
 //!   log-normal, bimodal) used by device profiles,
 //! - [`cpu`]: an N-core run-to-completion CPU occupancy model,
-//! - [`stats`]: log-bucketed latency histograms.
+//! - [`stats`]: log-bucketed latency histograms,
+//! - [`ids`]: `IdMap`/`IdSet`, hash tables for the dense integer ids the
+//!   simulation mints (no SipHash, no per-process key).
 
 pub mod cpu;
 pub mod dist;
 pub mod events;
+pub mod ids;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -36,6 +39,7 @@ pub mod time;
 pub use cpu::{CoreId, Cores};
 pub use dist::LatencyDist;
 pub use events::EventQueue;
+pub use ids::{IdMap, IdSet};
 pub use rng::SimRng;
 pub use stats::Histogram;
 pub use time::{Nanos, MICROSECOND, MILLISECOND, SECOND};
