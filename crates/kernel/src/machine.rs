@@ -2291,7 +2291,7 @@ impl Machine {
     /// configured with; a program the compiler declined falls back to
     /// the interpreter and is counted in [`ExecSplit::fallbacks`].
     fn run_hook_program(&mut self, id: usize) -> (Option<u64>, u64) {
-        let mut op = self.ops[id].take().expect("op exists");
+        let op = self.ops[id].as_mut().expect("op exists");
         // The remaining budget follows the tenant's *current* limits,
         // so tightening them mid-stream binds running chains.
         let budget = self.tenants[op.tenant as usize]
@@ -2300,7 +2300,7 @@ impl Machine {
             .unwrap_or(DEFAULT_INSN_BUDGET);
         let table = self.fds.get_mut(&op.fd).map(|d| &mut d.progs);
         let install = table.and_then(|t| t.get_mut(t.attached?));
-        let (next, insns) = match install {
+        match install {
             None => {
                 op.status = Some(ChainStatus::VmError("no program attached".to_string()));
                 (None, 0)
@@ -2372,9 +2372,7 @@ impl Machine {
                     }
                 }
             }
-        };
-        self.ops[id] = Some(op);
-        (next, insns)
+        }
     }
 
     /// A read completed under a hook mode: run the program, then either

@@ -1,19 +1,24 @@
-//! The compilation tier: a threaded-dispatch template JIT.
+//! The compilation tier: a pre-decoded interpreter.
 //!
-//! [`compile`] walks the verifier's control-flow graph
-//! ([`crate::verifier::build_cfg`]) and lowers every basic block to a
-//! native Rust closure with its operands pre-decoded: register indices,
-//! sign/zero-extended immediates, access widths, and jump targets are
-//! all resolved at compile time, so the per-instruction interpreter
-//! dispatch (`fetch → decode → match`) disappears from the hot path.
-//! Runs of register-only ALU / endian / `ld_imm64` instructions fuse
-//! further into a single [`Micro`]-op vector retired as a batch — the
-//! superinstruction trick of threaded-code compilers — so the
-//! ALU-dominated bodies that pushdown filters and aggregations spend
-//! their cycles in pay neither a boxed-closure dispatch nor a budget
-//! check per instruction. There is no `unsafe` and no runtime code
-//! generation — the "code" is a vector of closures and micro-op runs
-//! threaded together by block index.
+//! [`compile`] lowers a program once to one flat array of small `Copy`
+//! [`Op`]s, one per instruction, and [`CompiledProg::run_budgeted`]
+//! executes it with a single `loop { match op.kind }`. Everything the
+//! interpreter works out per execution is resolved at compile time:
+//! register indices are validated, immediates sign-extended, shift
+//! amounts masked, an `ld_imm64` pair folded into one op, and jump
+//! targets turned into op indices. The access width and the hot 64-bit
+//! comparisons are part of the op's [`Kind`], so a load, a store or a
+//! compare-and-branch is *one* dispatch into code specialised for it,
+//! not a dispatch on the class followed by a second one on the width
+//! or the condition. Falling through is `index + 1`; a trailing
+//! [`Kind::Fell`] op stands one past the last instruction.
+//!
+//! Every op retires one instruction against the budget, in the
+//! interpreter's own fetch-then-charge order, so the two engines agree
+//! on the retired count at every trap without an argument about which
+//! effects of a batch were observable. There is no `unsafe`, no runtime
+//! code generation and no verifier fact in use: every memory access
+//! goes through the same checked primitives as the interpreter's.
 //!
 //! The contract with the interpreter is **observational equivalence**:
 //! for any program both engines accept, registers, scratch, map effects,
@@ -22,8 +27,8 @@
 //! testing — the simulated kernel charges `LayerCosts::bpf_exec(insns)`
 //! from them, so the simulation's cost model is bit-for-bit unchanged by
 //! the engine choice; only *measured host CPU* differs. The equivalence
-//! is enforced by sharing the interpreter's primitives ([`alu64`],
-//! [`read_mem`], [`call_helper`], ...) rather than reimplementing them,
+//! is enforced by sharing the interpreter's primitives ([`alu64_total`],
+//! [`read_mem_w`], [`call_helper`], ...) rather than reimplementing them,
 //! and locked by the differential proptest harness in `tests/props.rs`.
 //!
 //! Programs the compiler cannot lower are *declined*
@@ -35,17 +40,18 @@
 //! pairs, out-of-range jumps).
 
 use crate::insn::{
-    access_size, imm64_of, Insn, ALU_ADD, ALU_END, ALU_MOV, ALU_MUL, ALU_RSH, ALU_XOR, CLS_ALU,
-    CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LDX, CLS_ST, CLS_STX, JMP_CALL, JMP_EXIT, JMP_JA, MODE_MEM,
-    NUM_REGS, OP_LD_IMM64, REG_FP, SRC_X, STACK_SIZE,
+    access_size, imm64_of, Insn, ALU_ADD, ALU_END, ALU_LSH, ALU_MOV, ALU_MUL, ALU_RSH, ALU_XOR,
+    CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LDX, CLS_ST, CLS_STX, JMP_CALL, JMP_EXIT, JMP_JA,
+    JMP_JEQ, JMP_JGE, JMP_JGT, JMP_JLE, JMP_JLT, JMP_JNE, MODE_MEM, OP_LD_IMM64, REG_FP, SRC_X,
+    STACK_SIZE,
 };
 use crate::interp::{
     alu32, alu32_total, alu64, alu64_total, build_ctx_buf, call_helper, endian, endian_total,
-    flush_mapvals, jump_taken, load_le, read_mem, write_mem, ExecEnv, MapValSlot, RunCtx,
+    flush_mapvals, jump_taken, read_mem_w, write_mem_w, ExecEnv, MapValSlot, Mem, RunCtx,
     RunOutcome, Trap, CTX_BASE, DEFAULT_INSN_BUDGET, STACK_BASE,
 };
 use crate::maps::MapSet;
-use crate::program::{ctx_off, helper, Program};
+use crate::program::{helper, Program};
 use crate::verifier::{build_cfg, VerifyError};
 
 /// Which execution engine runs installed programs.
@@ -55,8 +61,8 @@ pub enum ExecEngine {
     /// fetch/decode dispatch with full runtime checking.
     #[default]
     Interp,
-    /// The template JIT in this module, with transparent interpreter
-    /// fallback for programs [`compile`] declines.
+    /// The pre-decoded op array of this module, with transparent
+    /// interpreter fallback for programs [`compile`] declines.
     Compiled,
 }
 
@@ -126,208 +132,99 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Mutable machine state threaded through the block closures; the
-/// compiled analogue of the interpreter loop's locals.
-struct ExecState<'a> {
-    reg: [u64; NUM_REGS],
-    stack: [u8; STACK_SIZE],
-    ctx_buf: [u8; ctx_off::SIZE as usize],
-    data: &'a [u8],
-    scratch: &'a mut [u8],
-    mapvals: Vec<MapValSlot>,
-    maps: &'a mut MapSet,
-    env: &'a mut (dyn ExecEnv + 'a),
-    retired: u64,
-    helper_calls: u64,
-    budget: u64,
-}
-
-impl ExecState<'_> {
-    /// Retires one instruction against the budget — the same
-    /// fetch-then-charge order as the interpreter, so budget traps land
-    /// on the identical retired count.
-    #[inline]
-    fn retire(&mut self) -> Result<(), Trap> {
-        self.retired += 1;
-        if self.retired > self.budget {
-            return Err(Trap::BudgetExceeded);
-        }
-        Ok(())
-    }
-
-    /// Retires a fused run of `n` instructions at once. The interpreter
-    /// traps somewhere inside such a run iff `retired + n > budget`,
-    /// which is exactly this check — and it fires *before* any of the
-    /// run's register effects, which are unobservable under a trap
-    /// (fused micro-ops never touch scratch, maps, or the env), so the
-    /// engines remain indistinguishable.
-    #[inline]
-    fn retire_n(&mut self, n: u64) -> Result<(), Trap> {
-        self.retired += n;
-        if self.retired > self.budget {
-            return Err(Trap::BudgetExceeded);
-        }
-        Ok(())
-    }
-}
-
-/// One pre-decoded instruction lowered to a closure.
-type StepFn = Box<dyn Fn(&mut ExecState<'_>) -> Result<(), Trap> + Send + Sync>;
-
-/// A register-only micro-op: the pre-decoded form of one ALU / endian /
-/// `ld_imm64` instruction. Every variant is *total* — the compile-time
-/// probe in [`micro_of`] admits only opcodes whose runtime semantics
-/// are defined on all inputs — so a run of them executes with no
-/// per-instruction `Result`, no budget check, and no boxed-closure
-/// dispatch. The hottest shapes get dedicated variants; the rest share
-/// the generic `alu*_total` arms.
-#[derive(Clone, Copy)]
-enum Micro {
-    /// `dst = imm` — also covers `ld_imm64`, which retires as one
-    /// instruction despite occupying two slots, same as the interpreter.
-    MovImm(usize, u64),
-    MovReg(usize, usize),
-    AddImm(usize, u64),
-    AddReg(usize, usize),
-    MulImm(usize, u64),
-    XorImm(usize, u64),
-    /// Shift amount pre-masked to `0..64` at lowering time.
-    RshImm(usize, u32),
-    Alu64Imm(u8, usize, u64),
-    Alu64Reg(u8, usize, usize),
-    Alu32Imm(u8, usize, u32),
-    Alu32Reg(u8, usize, usize),
-    End(u8, i32, usize),
-}
-
-impl Micro {
-    #[inline]
-    fn apply(&self, reg: &mut [u64; NUM_REGS]) {
-        match *self {
-            Micro::MovImm(d, v) => reg[d] = v,
-            Micro::MovReg(d, s) => reg[d] = reg[s],
-            Micro::AddImm(d, v) => reg[d] = reg[d].wrapping_add(v),
-            Micro::AddReg(d, s) => reg[d] = reg[d].wrapping_add(reg[s]),
-            Micro::MulImm(d, v) => reg[d] = reg[d].wrapping_mul(v),
-            Micro::XorImm(d, v) => reg[d] ^= v,
-            Micro::RshImm(d, v) => reg[d] >>= v,
-            Micro::Alu64Imm(c, d, v) => reg[d] = alu64_total(c, reg[d], v),
-            Micro::Alu64Reg(c, d, s) => reg[d] = alu64_total(c, reg[d], reg[s]),
-            Micro::Alu32Imm(c, d, v) => reg[d] = alu32_total(c, reg[d] as u32, v) as u64,
-            Micro::Alu32Reg(c, d, s) => {
-                reg[d] = alu32_total(c, reg[d] as u32, reg[s] as u32) as u64
-            }
-            Micro::End(op, w, d) => reg[d] = endian_total(op, w, reg[d]),
-        }
-    }
-}
-
-/// Lowers a fusible instruction to a [`Micro`], or `None` for anything
-/// that must go through [`lower_step`] (memory, helpers, unknown ALU
-/// codes — the latter so the decline carries the proper diagnostics).
-fn micro_of(insn: &Insn) -> Option<Micro> {
-    let op = insn.op;
-    let code = op & 0xf0;
-    let dst = insn.dst as usize;
-    let src = insn.src as usize;
-    match insn.class() {
-        CLS_ALU64 => {
-            alu64(op, 0, 1, 0).ok()?;
-            Some(if op & SRC_X != 0 {
-                match code {
-                    ALU_MOV => Micro::MovReg(dst, src),
-                    ALU_ADD => Micro::AddReg(dst, src),
-                    _ => Micro::Alu64Reg(code, dst, src),
-                }
-            } else {
-                let imm = insn.imm as i64 as u64;
-                match code {
-                    ALU_MOV => Micro::MovImm(dst, imm),
-                    ALU_ADD => Micro::AddImm(dst, imm),
-                    ALU_MUL => Micro::MulImm(dst, imm),
-                    ALU_XOR => Micro::XorImm(dst, imm),
-                    ALU_RSH => Micro::RshImm(dst, imm as u32 & 63),
-                    _ => Micro::Alu64Imm(code, dst, imm),
-                }
-            })
-        }
-        CLS_ALU => {
-            if code == ALU_END {
-                endian(op, insn.imm, 0, 0).ok()?;
-                return Some(Micro::End(op, insn.imm, dst));
-            }
-            alu32(op, 0, 1, 0).ok()?;
-            Some(if op & SRC_X != 0 {
-                Micro::Alu32Reg(code, dst, src)
-            } else {
-                Micro::Alu32Imm(code, dst, insn.imm as u32)
-            })
-        }
-        _ => None,
-    }
-}
-
-/// One pre-decoded body step: a boxed closure for a single fallible
-/// instruction, or a fused run of total micro-ops — the
-/// superinstruction trick of threaded-code compilers — retired as a
-/// batch (see [`ExecState::retire_n`] for why that is equivalent).
-enum Step {
-    One(StepFn),
-    Fused(Vec<Micro>),
-}
-
-/// How control leaves a block.
-enum BlockExit {
-    Jump(usize),
-    Ret(u64),
-}
-
-/// One lowered basic block: body steps plus a pre-decoded terminator.
-type BlockFn = Box<dyn Fn(&mut ExecState<'_>) -> Result<BlockExit, Trap> + Send + Sync>;
-
-/// A conditional jump's pre-extended right-hand operand.
-enum Operand {
-    Reg(usize),
-    Imm(u64),
-}
-
-enum Terminator {
-    /// Fall into the next block; consumes no instruction.
-    Goto(usize),
-    /// Run off the end of the program; consumes no instruction.
-    FellThrough,
-    /// Unconditional jump.
-    Ja(usize),
-    /// `exit`: flush map shadows and return `r0`.
+/// What one [`Op`] does. The access width, the comparison and the
+/// operand form (`Imm`: the op's `imm`; `Reg`: its `src` register) are
+/// part of the kind, so executing an op is one dispatch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    // 64-bit ALU: the hottest shapes, then every other defined opcode
+    // through `alu64_total`.
+    /// Also `ld_imm64`, which is one op (and retires as one
+    /// instruction) despite occupying two slots.
+    MovImm,
+    MovReg,
+    AddImm,
+    AddReg,
+    MulImm,
+    XorImm,
+    LshImm,
+    RshImm,
+    Alu64Imm,
+    Alu64Reg,
+    Alu32Imm,
+    Alu32Reg,
+    End,
+    // `dst = *(uW *)(src + off)`
+    Ld1,
+    Ld2,
+    Ld4,
+    Ld8,
+    // `*(uW *)(dst + off) = src`
+    St1,
+    St2,
+    St4,
+    St8,
+    // `*(uW *)(dst + off) = imm`
+    StImm1,
+    StImm2,
+    StImm4,
+    StImm8,
+    // The unsigned 64-bit comparisons bounds checks and searches are
+    // made of, then every other conditional jump through `jump_taken`.
+    JeqImm,
+    JeqReg,
+    JneImm,
+    JneReg,
+    JgtImm,
+    JgtReg,
+    JgeImm,
+    JgeReg,
+    JltImm,
+    JltReg,
+    JleImm,
+    JleReg,
+    Jcc,
+    Ja,
+    Call,
     Exit,
-    /// Conditional jump with both edges resolved to block indices
-    /// (`fall: None` when fallthrough leaves the program).
-    Cond {
-        pc: usize,
-        op: u8,
-        code: u8,
-        wide: bool,
-        dst: usize,
-        rhs: Operand,
-        taken: usize,
-        fall: Option<usize>,
-    },
+    /// One past the last instruction: control that reaches it fell off
+    /// the end of the program.
+    Fell,
 }
 
-/// A program lowered to threaded native closures; produced by
+/// One pre-decoded instruction. Everything the interpreter works out
+/// per execution — operand form, sign extension, width, where a jump
+/// lands — is resolved here once, at compile time.
+#[derive(Clone, Copy, Debug)]
+struct Op {
+    /// Sign-extended immediate, or the 64-bit value of an `ld_imm64`.
+    imm: u64,
+    /// Index of the op a taken jump continues at.
+    target: u32,
+    /// Slot of the source instruction, for trap payloads.
+    pc: u32,
+    /// Memory offset.
+    off: i16,
+    kind: Kind,
+    dst: u8,
+    src: u8,
+    /// The opcode byte, for the generic ALU, endian and jump kinds.
+    opcode: u8,
+}
+
+/// A program lowered to one flat array of pre-decoded ops; produced by
 /// [`compile`], executed with [`CompiledProg::run`] /
 /// [`CompiledProg::run_budgeted`].
+#[derive(Debug)]
 pub struct CompiledProg {
-    blocks: Vec<BlockFn>,
+    /// One op per instruction in program order, then a [`Kind::Fell`]:
+    /// falling through is `index + 1` everywhere.
+    ops: Vec<Op>,
 }
 
-impl std::fmt::Debug for CompiledProg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompiledProg")
-            .field("blocks", &self.blocks.len())
-            .finish()
-    }
-}
+/// The register file is padded to a power of two so that a masked
+/// index needs no bounds check; [`compile`] admits only `r0..=r10`.
+const REG_FILE: usize = 16;
 
 impl CompiledProg {
     /// Runs with the default instruction budget; the compiled
@@ -360,339 +257,329 @@ impl CompiledProg {
         env: &mut dyn ExecEnv,
     ) -> Result<RunOutcome, Trap> {
         let ctx_buf = build_ctx_buf(&ctx);
-        let mut st = ExecState {
-            reg: [0u64; NUM_REGS],
-            stack: [0u8; STACK_SIZE],
-            ctx_buf,
-            data: ctx.data,
-            scratch: ctx.scratch,
-            mapvals: Vec::new(),
-            maps,
-            env,
-            retired: 0,
-            helper_calls: 0,
-            budget,
-        };
-        st.reg[1] = CTX_BASE;
-        st.reg[REG_FP as usize] = STACK_BASE + STACK_SIZE as u64;
-        let mut block = 0usize;
-        loop {
-            match (self.blocks[block])(&mut st)? {
-                BlockExit::Jump(b) => block = b,
-                BlockExit::Ret(ret) => {
-                    return Ok(RunOutcome {
-                        ret,
-                        insns: st.retired,
-                        helper_calls: st.helper_calls,
-                    })
+        let RunCtx { data, scratch, .. } = ctx;
+        let mut reg = [0u64; REG_FILE];
+        let mut stack = [0u8; STACK_SIZE];
+        let mut mapvals: Vec<MapValSlot> = Vec::new();
+        reg[1] = CTX_BASE;
+        reg[REG_FP as usize] = STACK_BASE + STACK_SIZE as u64;
+        let mut retired: u64 = 0;
+        let mut helper_calls: u64 = 0;
+
+        macro_rules! r {
+            ($i:expr) => {
+                reg[$i as usize % REG_FILE]
+            };
+        }
+        macro_rules! mem {
+            () => {
+                Mem {
+                    ctx: &ctx_buf,
+                    data,
+                    scratch: &*scratch,
+                    stack: &stack,
+                    mapvals: &mapvals,
                 }
+            };
+        }
+
+        let mut at = 0usize;
+        loop {
+            let op = &self.ops[at];
+            // One instruction per op, charged as the interpreter
+            // charges it: after the fetch — so running off the end is
+            // found first, whatever is left of the budget — and before
+            // any effect.
+            retired += 1;
+            if retired > budget && op.kind != Kind::Fell {
+                return Err(Trap::BudgetExceeded);
             }
+            let pc = op.pc as usize;
+            let mut next = at + 1;
+            macro_rules! alu {
+                (|$d:ident, $s:ident| $e:expr) => {{
+                    let ($d, $s) = (r!(op.dst), op.imm);
+                    r!(op.dst) = $e;
+                }};
+                (reg |$d:ident, $s:ident| $e:expr) => {{
+                    let ($d, $s) = (r!(op.dst), r!(op.src));
+                    r!(op.dst) = $e;
+                }};
+            }
+            macro_rules! load {
+                ($w:literal) => {{
+                    let addr = r!(op.src).wrapping_add(op.off as i64 as u64);
+                    r!(op.dst) = read_mem_w::<$w>(&mem!(), addr, pc)?;
+                }};
+            }
+            macro_rules! store {
+                ($w:literal, $value:expr) => {{
+                    let addr = r!(op.dst).wrapping_add(op.off as i64 as u64);
+                    write_mem_w::<$w>(addr, $value, pc, scratch, &mut stack, &mut mapvals)?;
+                }};
+            }
+            macro_rules! jump_if {
+                ($taken:expr) => {
+                    if $taken {
+                        next = op.target as usize;
+                    }
+                };
+            }
+            match op.kind {
+                Kind::MovImm => r!(op.dst) = op.imm,
+                Kind::MovReg => r!(op.dst) = r!(op.src),
+                Kind::AddImm => alu!(|d, s| d.wrapping_add(s)),
+                Kind::AddReg => alu!(reg | d, s | d.wrapping_add(s)),
+                Kind::MulImm => alu!(|d, s| d.wrapping_mul(s)),
+                Kind::XorImm => alu!(|d, s| d ^ s),
+                // Shift amounts were masked to `0..64` when lowering.
+                Kind::LshImm => alu!(|d, s| d << s),
+                Kind::RshImm => alu!(|d, s| d >> s),
+                Kind::Alu64Imm => alu!(|d, s| alu64_total(op.opcode & 0xf0, d, s)),
+                Kind::Alu64Reg => alu!(reg | d, s | alu64_total(op.opcode & 0xf0, d, s)),
+                Kind::Alu32Imm => {
+                    alu!(|d, s| alu32_total(op.opcode & 0xf0, d as u32, s as u32) as u64)
+                }
+                Kind::Alu32Reg => {
+                    alu!(
+                        reg | d,
+                        s | alu32_total(op.opcode & 0xf0, d as u32, s as u32) as u64
+                    )
+                }
+                Kind::End => alu!(|d, s| endian_total(op.opcode, s as i32, d)),
+                Kind::Ld1 => load!(1),
+                Kind::Ld2 => load!(2),
+                Kind::Ld4 => load!(4),
+                Kind::Ld8 => load!(8),
+                Kind::St1 => store!(1, r!(op.src)),
+                Kind::St2 => store!(2, r!(op.src)),
+                Kind::St4 => store!(4, r!(op.src)),
+                Kind::St8 => store!(8, r!(op.src)),
+                Kind::StImm1 => store!(1, op.imm),
+                Kind::StImm2 => store!(2, op.imm),
+                Kind::StImm4 => store!(4, op.imm),
+                Kind::StImm8 => store!(8, op.imm),
+                Kind::JeqImm => jump_if!(r!(op.dst) == op.imm),
+                Kind::JeqReg => jump_if!(r!(op.dst) == r!(op.src)),
+                Kind::JneImm => jump_if!(r!(op.dst) != op.imm),
+                Kind::JneReg => jump_if!(r!(op.dst) != r!(op.src)),
+                Kind::JgtImm => jump_if!(r!(op.dst) > op.imm),
+                Kind::JgtReg => jump_if!(r!(op.dst) > r!(op.src)),
+                Kind::JgeImm => jump_if!(r!(op.dst) >= op.imm),
+                Kind::JgeReg => jump_if!(r!(op.dst) >= r!(op.src)),
+                Kind::JltImm => jump_if!(r!(op.dst) < op.imm),
+                Kind::JltReg => jump_if!(r!(op.dst) < r!(op.src)),
+                Kind::JleImm => jump_if!(r!(op.dst) <= op.imm),
+                Kind::JleReg => jump_if!(r!(op.dst) <= r!(op.src)),
+                Kind::Jcc => {
+                    let wide = op.opcode & 0x07 == CLS_JMP;
+                    let rhs = if op.opcode & SRC_X != 0 {
+                        r!(op.src)
+                    } else {
+                        op.imm
+                    };
+                    let (a, b) = if wide {
+                        (r!(op.dst), rhs)
+                    } else {
+                        (r!(op.dst) as u32 as u64, rhs as u32 as u64)
+                    };
+                    let taken = jump_taken(op.opcode & 0xf0, a, b, wide)
+                        .ok_or(Trap::IllegalInsn { pc, op: op.opcode })?;
+                    jump_if!(taken);
+                }
+                Kind::Ja => next = op.target as usize,
+                Kind::Call => {
+                    helper_calls += 1;
+                    r!(0) = call_helper(
+                        op.imm as i32,
+                        pc,
+                        [r!(1), r!(2), r!(3)],
+                        &ctx_buf,
+                        data,
+                        scratch,
+                        &stack,
+                        maps,
+                        &mut mapvals,
+                        env,
+                    )?;
+                    // Helper calls clobber the caller-saved argument
+                    // registers, as on real eBPF (and in the interpreter).
+                    reg[1..6].fill(0);
+                }
+                Kind::Exit => {
+                    flush_mapvals(maps, &mapvals)?;
+                    return Ok(RunOutcome {
+                        ret: r!(0),
+                        insns: retired,
+                        helper_calls,
+                    });
+                }
+                Kind::Fell => return Err(Trap::FellThrough),
+            }
+            at = next;
         }
     }
 }
 
-/// Lowers `prog` to native closures.
+/// Lowers `prog` to a flat op array.
 ///
 /// # Errors
 ///
 /// Declines ([`CompileError`]) any program containing a construct
-/// without a template; run such programs on the interpreter. Programs
+/// without an op kind; run such programs on the interpreter. Programs
 /// accepted by [`crate::verifier::verify`] always compile.
 pub fn compile(prog: &Program) -> Result<CompiledProg, CompileError> {
-    let cfg = build_cfg(prog).map_err(CompileError::Structure)?;
-    let n = prog.insns.len();
-    let block_of = |slot: usize| cfg.block_at[slot].expect("every slot is owned");
+    // Size, register indices, `ld_imm64` pairing, jump targets and jump
+    // opcodes: everything `lower` and the run loop take for granted.
+    build_cfg(prog).map_err(CompileError::Structure)?;
+    let insns = &prog.insns;
+    let slots = |insn: &Insn| if insn.op == OP_LD_IMM64 { 2 } else { 1 };
 
-    let flush = |steps: &mut Vec<Step>, pending: &mut Vec<Micro>| {
-        if !pending.is_empty() {
-            steps.push(Step::Fused(std::mem::take(pending)));
-        }
-    };
-    let mut blocks: Vec<BlockFn> = Vec::with_capacity(cfg.blocks.len());
-    for b in &cfg.blocks {
-        let mut steps: Vec<Step> = Vec::new();
-        let mut pending: Vec<Micro> = Vec::new();
-        let mut term: Option<Terminator> = None;
-        let mut pc = b.start;
-        while pc < b.end {
-            let insn = &prog.insns[pc];
-            let class = insn.class();
-            if (class == CLS_JMP || class == CLS_JMP32) && insn.op & 0xf0 != JMP_CALL {
-                term = Some(lower_terminator(prog, pc, n, &block_of)?);
-                pc += 1;
-            } else if insn.op == OP_LD_IMM64 {
-                // Pairing was validated by build_cfg.
-                let value = imm64_of(insn, &prog.insns[pc + 1]);
-                pending.push(Micro::MovImm(insn.dst as usize, value));
-                pc += 2;
-            } else if let Some(m) = micro_of(insn) {
-                pending.push(m);
-                pc += 1;
-            } else {
-                flush(&mut steps, &mut pending);
-                steps.push(Step::One(lower_step(insn, pc)?));
-                pc += 1;
-            }
-        }
-        flush(&mut steps, &mut pending);
-        let term = term.unwrap_or(if b.end < n {
-            Terminator::Goto(block_of(b.end))
-        } else {
-            Terminator::FellThrough
-        });
-        blocks.push(assemble_block(steps, term));
+    // An `ld_imm64` pair is one op, so jump targets are renumbered.
+    let mut op_at = vec![0u32; insns.len()];
+    let (mut pc, mut count) = (0, 0);
+    while pc < insns.len() {
+        op_at[pc] = count;
+        count += 1;
+        pc += slots(&insns[pc]);
     }
-    Ok(CompiledProg { blocks })
+
+    let mut ops = Vec::with_capacity(count as usize + 1);
+    let mut pc = 0;
+    while pc < insns.len() {
+        let insn = &insns[pc];
+        let mut op = Op {
+            imm: insn.imm as i64 as u64,
+            target: 0,
+            pc: pc as u32,
+            off: insn.off,
+            kind: kind_of(insn, pc)?,
+            dst: insn.dst,
+            src: insn.src,
+            opcode: insn.op,
+        };
+        if insn.op == OP_LD_IMM64 {
+            op.imm = imm64_of(insn, &insns[pc + 1]);
+        } else if matches!(op.kind, Kind::LshImm | Kind::RshImm) {
+            op.imm &= 63;
+        } else if matches!(insn.class(), CLS_JMP | CLS_JMP32)
+            && !matches!(op.kind, Kind::Call | Kind::Exit)
+        {
+            op.target = op_at[(pc as i64 + 1 + insn.off as i64) as usize];
+        }
+        ops.push(op);
+        pc += slots(insn);
+    }
+    ops.push(Op {
+        imm: 0,
+        target: 0,
+        pc: pc as u32,
+        off: 0,
+        kind: Kind::Fell,
+        dst: 0,
+        src: 0,
+        opcode: 0,
+    });
+    Ok(CompiledProg { ops })
 }
 
-fn assemble_block(steps: Vec<Step>, term: Terminator) -> BlockFn {
-    Box::new(move |st: &mut ExecState<'_>| {
-        for step in &steps {
-            match step {
-                Step::One(f) => {
-                    st.retire()?;
-                    f(st)?;
-                }
-                Step::Fused(ops) => {
-                    st.retire_n(ops.len() as u64)?;
-                    for m in ops {
-                        m.apply(&mut st.reg);
-                    }
-                }
-            }
-        }
-        match &term {
-            Terminator::Goto(b) => Ok(BlockExit::Jump(*b)),
-            Terminator::FellThrough => Err(Trap::FellThrough),
-            Terminator::Ja(b) => {
-                st.retire()?;
-                Ok(BlockExit::Jump(*b))
-            }
-            Terminator::Exit => {
-                st.retire()?;
-                flush_mapvals(st.maps, &mut st.mapvals)?;
-                Ok(BlockExit::Ret(st.reg[0]))
-            }
-            Terminator::Cond {
-                pc,
-                op,
-                code,
-                wide,
-                dst,
-                rhs,
-                taken,
-                fall,
-            } => {
-                st.retire()?;
-                let a = if *wide {
-                    st.reg[*dst]
-                } else {
-                    st.reg[*dst] as u32 as u64
-                };
-                let b = match rhs {
-                    Operand::Reg(s) => {
-                        if *wide {
-                            st.reg[*s]
-                        } else {
-                            st.reg[*s] as u32 as u64
-                        }
-                    }
-                    Operand::Imm(v) => *v,
-                };
-                let t =
-                    jump_taken(*code, a, b, *wide).ok_or(Trap::IllegalInsn { pc: *pc, op: *op })?;
-                if t {
-                    Ok(BlockExit::Jump(*taken))
-                } else {
-                    match fall {
-                        Some(f) => Ok(BlockExit::Jump(*f)),
-                        None => Err(Trap::FellThrough),
-                    }
-                }
-            }
-        }
-    })
-}
-
-fn lower_terminator(
-    prog: &Program,
-    pc: usize,
-    n: usize,
-    block_of: &impl Fn(usize) -> usize,
-) -> Result<Terminator, CompileError> {
-    let insn = &prog.insns[pc];
-    let code = insn.op & 0xf0;
-    // Jump targets were validated by build_cfg; recompute them here.
-    let dest = || (pc as i64 + 1 + insn.off as i64) as usize;
-    Ok(match code {
-        JMP_EXIT => Terminator::Exit,
-        JMP_JA => Terminator::Ja(block_of(dest())),
-        _ => {
-            let wide = insn.class() == CLS_JMP;
-            let rhs = if insn.op & SRC_X != 0 {
-                Operand::Reg(insn.src as usize)
-            } else if wide {
-                Operand::Imm(insn.imm as i64 as u64)
-            } else {
-                Operand::Imm(insn.imm as u32 as u64)
-            };
-            Terminator::Cond {
-                pc,
-                op: insn.op,
-                code,
-                wide,
-                dst: insn.dst as usize,
-                rhs,
-                taken: block_of(dest()),
-                fall: if pc + 1 < n {
-                    Some(block_of(pc + 1))
-                } else {
-                    None
-                },
-            }
-        }
-    })
-}
-
-fn lower_step(insn: &Insn, pc: usize) -> Result<StepFn, CompileError> {
+/// The op kind that executes `insn`, or the decline for an instruction
+/// that has none (the interpreter then reports it at runtime, with the
+/// trap it would raise).
+fn kind_of(insn: &Insn, pc: usize) -> Result<Kind, CompileError> {
     let op = insn.op;
-    let dst = insn.dst as usize;
-    let src = insn.src as usize;
-    match insn.class() {
-        // Every ALU / endian opcode with defined semantics was fused
-        // into a micro-op run by `micro_of`; only unknown codes and
-        // widths fall through to here, and those decline.
-        CLS_ALU64 => Err(CompileError::Unsupported {
-            pc,
-            what: "alu64 opcode",
-        }),
+    let code = op & 0xf0;
+    let by_reg = op & SRC_X != 0;
+    let unsupported = |what| Err(CompileError::Unsupported { pc, what });
+    let width = |kinds: [Kind; 4]| match access_size(op) {
+        1 => kinds[0],
+        2 => kinds[1],
+        4 => kinds[2],
+        _ => kinds[3],
+    };
+    Ok(match insn.class() {
+        _ if op == OP_LD_IMM64 => Kind::MovImm,
+        CLS_ALU64 => {
+            if alu64(op, 0, 1, 0).is_err() {
+                return unsupported("alu64 opcode");
+            }
+            match (code, by_reg) {
+                (ALU_MOV, false) => Kind::MovImm,
+                (ALU_MOV, true) => Kind::MovReg,
+                (ALU_ADD, false) => Kind::AddImm,
+                (ALU_ADD, true) => Kind::AddReg,
+                (ALU_MUL, false) => Kind::MulImm,
+                (ALU_XOR, false) => Kind::XorImm,
+                (ALU_LSH, false) => Kind::LshImm,
+                (ALU_RSH, false) => Kind::RshImm,
+                (_, false) => Kind::Alu64Imm,
+                (_, true) => Kind::Alu64Reg,
+            }
+        }
+        CLS_ALU if code == ALU_END => {
+            if endian(op, insn.imm, 0, 0).is_err() {
+                return unsupported("endian width");
+            }
+            Kind::End
+        }
         CLS_ALU => {
-            if op & 0xf0 == ALU_END {
-                return Err(CompileError::Unsupported {
-                    pc,
-                    what: "endian width",
-                });
+            if alu32(op, 0, 1, 0).is_err() {
+                return unsupported("alu32 opcode");
             }
-            Err(CompileError::Unsupported {
-                pc,
-                what: "alu32 opcode",
-            })
-        }
-        CLS_LDX => {
-            if op & 0x60 != MODE_MEM {
-                return Err(CompileError::Unsupported {
-                    pc,
-                    what: "ldx mode",
-                });
-            }
-            let size = access_size(op);
-            let off = insn.off as i64 as u64;
-            Ok(Box::new(move |st| {
-                let addr = st.reg[src].wrapping_add(off);
-                let bytes = read_mem(
-                    addr,
-                    size,
-                    pc,
-                    &st.ctx_buf,
-                    st.data,
-                    st.scratch,
-                    &st.stack,
-                    &st.mapvals,
-                )?;
-                st.reg[dst] = load_le(&bytes, size);
-                Ok(())
-            }))
-        }
-        CLS_STX | CLS_ST => {
-            if op & 0x60 != MODE_MEM {
-                return Err(CompileError::Unsupported {
-                    pc,
-                    what: "st mode",
-                });
-            }
-            let size = access_size(op);
-            let off = insn.off as i64 as u64;
-            Ok(if insn.class() == CLS_STX {
-                Box::new(move |st| {
-                    let addr = st.reg[dst].wrapping_add(off);
-                    let value = st.reg[src];
-                    write_mem(
-                        addr,
-                        size,
-                        value,
-                        pc,
-                        st.scratch,
-                        &mut st.stack,
-                        &mut st.mapvals,
-                    )
-                })
+            if by_reg {
+                Kind::Alu32Reg
             } else {
-                let value = insn.imm as i64 as u64;
-                Box::new(move |st| {
-                    let addr = st.reg[dst].wrapping_add(off);
-                    write_mem(
-                        addr,
-                        size,
-                        value,
-                        pc,
-                        st.scratch,
-                        &mut st.stack,
-                        &mut st.mapvals,
-                    )
-                })
-            })
-        }
-        CLS_JMP | CLS_JMP32 => {
-            // Only CALL reaches here; other jump codes are terminators.
-            let id = insn.imm;
-            if !matches!(
-                id,
-                helper::TRACE
-                    | helper::RESUBMIT
-                    | helper::EMIT
-                    | helper::MAP_LOOKUP
-                    | helper::MAP_UPDATE
-            ) {
-                return Err(CompileError::Unsupported {
-                    pc,
-                    what: "helper id",
-                });
+                Kind::Alu32Imm
             }
-            Ok(Box::new(move |st| {
-                st.helper_calls += 1;
-                call_helper(
-                    id,
-                    pc,
-                    &mut st.reg,
-                    &st.ctx_buf,
-                    st.data,
-                    st.scratch,
-                    &st.stack,
-                    st.maps,
-                    &mut st.mapvals,
-                    st.env,
-                )?;
-                // Helper calls clobber the caller-saved argument
-                // registers, as on real eBPF (and in the interpreter).
-                for r in st.reg.iter_mut().take(6).skip(1) {
-                    *r = 0;
-                }
-                Ok(())
-            }))
         }
-        _ => Err(CompileError::Unsupported {
-            pc,
-            what: "instruction class",
-        }),
-    }
+        CLS_LDX if op & 0x60 != MODE_MEM => return unsupported("ldx mode"),
+        CLS_LDX => width([Kind::Ld1, Kind::Ld2, Kind::Ld4, Kind::Ld8]),
+        CLS_STX | CLS_ST if op & 0x60 != MODE_MEM => return unsupported("st mode"),
+        CLS_STX => width([Kind::St1, Kind::St2, Kind::St4, Kind::St8]),
+        CLS_ST => width([Kind::StImm1, Kind::StImm2, Kind::StImm4, Kind::StImm8]),
+        CLS_JMP | CLS_JMP32 => match (code, by_reg) {
+            (JMP_CALL, _) => {
+                let known = [
+                    helper::TRACE,
+                    helper::RESUBMIT,
+                    helper::EMIT,
+                    helper::MAP_LOOKUP,
+                    helper::MAP_UPDATE,
+                ];
+                if !known.contains(&insn.imm) {
+                    return unsupported("helper id");
+                }
+                Kind::Call
+            }
+            (JMP_EXIT, _) => Kind::Exit,
+            (JMP_JA, _) => Kind::Ja,
+            _ if insn.class() == CLS_JMP32 => Kind::Jcc,
+            (JMP_JEQ, false) => Kind::JeqImm,
+            (JMP_JEQ, true) => Kind::JeqReg,
+            (JMP_JNE, false) => Kind::JneImm,
+            (JMP_JNE, true) => Kind::JneReg,
+            (JMP_JGT, false) => Kind::JgtImm,
+            (JMP_JGT, true) => Kind::JgtReg,
+            (JMP_JGE, false) => Kind::JgeImm,
+            (JMP_JGE, true) => Kind::JgeReg,
+            (JMP_JLT, false) => Kind::JltImm,
+            (JMP_JLT, true) => Kind::JltReg,
+            (JMP_JLE, false) => Kind::JleImm,
+            (JMP_JLE, true) => Kind::JleReg,
+            _ => Kind::Jcc,
+        },
+        _ => return unsupported("instruction class"),
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::asm::{Asm, Width};
-    use crate::interp::{RecordingEnv, Vm};
+    use crate::insn::{JMP_JSET, JMP_JSGE, JMP_JSGT, JMP_JSLE, JMP_JSLT};
+    use crate::interp::{RecordingEnv, Vm, DATA_BASE, MAPVAL_BASE, SCRATCH_BASE};
     use crate::maps::MapSpec;
+    use crate::program::ctx_off;
 
     fn asm(f: impl FnOnce(&mut Asm)) -> Program {
         let mut a = Asm::new();
@@ -700,9 +587,17 @@ mod tests {
         Program::new(a.finish().expect("assembles"))
     }
 
+    /// What both engines did with one program, once [`run_both_env`]
+    /// has checked that they did the same.
+    pub(crate) struct BothRan {
+        pub(crate) result: Result<RunOutcome, Trap>,
+        pub(crate) env: RecordingEnv,
+        pub(crate) scratch: [u8; 64],
+    }
+
     /// Runs `prog` on both engines under `budget` and asserts every
-    /// observable is identical; returns the (shared) outcome.
-    fn run_both(prog: &Program, data: &[u8], budget: u64) -> Result<RunOutcome, Trap> {
+    /// observable is identical.
+    pub(crate) fn run_both_env(prog: &Program, data: &[u8], budget: u64) -> BothRan {
         let mut scratch_i = [0u8; 64];
         let mut scratch_c = [0u8; 64];
         let mut maps_i = MapSet::instantiate(&prog.maps).expect("maps");
@@ -738,7 +633,325 @@ mod tests {
         assert_eq!(env_i.resubmits, env_c.resubmits, "resubmit drift");
         assert_eq!(env_i.emitted, env_c.emitted, "emit drift");
         assert_eq!(env_i.traces, env_c.traces, "trace drift");
-        interp
+        BothRan {
+            result: interp,
+            env: env_i,
+            scratch: scratch_i,
+        }
+    }
+
+    /// [`run_both_env`], for the tests that only look at the outcome.
+    fn run_both(prog: &Program, data: &[u8], budget: u64) -> Result<RunOutcome, Trap> {
+        run_both_env(prog, data, budget).result
+    }
+
+    /// The block the region tests run over.
+    pub(crate) const REGION_DATA: [u8; 11] = [
+        0xD0, 0xD1, 0xD2, 0xD3, 0xD4, 0xD5, 0xD6, 0xD7, 0xD8, 0xD9, 0xDA,
+    ];
+
+    /// One of the five memory regions as a program meets it: the
+    /// instructions that leave a pointer to its first byte in `r6`
+    /// (and a recognisable byte pattern in the writable ones), the
+    /// synthetic address of that byte, and the bytes a reader finds
+    /// under [`run_both_env`] over [`REGION_DATA`].
+    pub(crate) struct Region {
+        pub(crate) name: &'static str,
+        pub(crate) setup: fn(&mut Asm),
+        pub(crate) base: u64,
+        pub(crate) bytes: Vec<u8>,
+        pub(crate) writable: bool,
+    }
+
+    /// The maps [`regions`]' programs declare: an array whose value is
+    /// the map-value region, and a hash map for key-pointer arguments.
+    pub(crate) fn region_maps() -> Vec<MapSpec> {
+        vec![MapSpec::array(8, 2), MapSpec::hash(8, 8, 4)]
+    }
+
+    pub(crate) fn regions() -> Vec<Region> {
+        const PATTERN: i32 = 0x1122_3344;
+        let patterned = |len: usize| {
+            let mut bytes = vec![0u8; len];
+            bytes[..8].copy_from_slice(&(PATTERN as i64 as u64).to_le_bytes());
+            bytes
+        };
+        let ctx = build_ctx_buf(&RunCtx {
+            data: &REGION_DATA,
+            file_off: 0x1000,
+            hop: 2,
+            flags: 0xAB,
+            scratch: &mut [0u8; 64],
+        });
+        vec![
+            Region {
+                name: "ctx",
+                setup: |a| {
+                    a.mov64_reg(6, 1);
+                },
+                base: CTX_BASE,
+                bytes: ctx.to_vec(),
+                writable: false,
+            },
+            Region {
+                name: "data",
+                setup: |a| {
+                    a.ldx(Width::DW, 6, 1, ctx_off::DATA);
+                },
+                base: DATA_BASE,
+                bytes: REGION_DATA.to_vec(),
+                writable: false,
+            },
+            Region {
+                name: "scratch",
+                setup: |a| {
+                    a.ldx(Width::DW, 6, 1, ctx_off::SCRATCH)
+                        .st_imm(Width::DW, 6, 0, PATTERN);
+                },
+                base: SCRATCH_BASE,
+                bytes: patterned(64),
+                writable: true,
+            },
+            Region {
+                name: "stack",
+                setup: |a| {
+                    a.mov64_reg(6, 10)
+                        .add64_imm(6, -(STACK_SIZE as i32))
+                        .st_imm(Width::DW, 6, 0, PATTERN);
+                },
+                base: STACK_BASE,
+                bytes: patterned(STACK_SIZE),
+                writable: true,
+            },
+            Region {
+                name: "map value",
+                setup: |a| {
+                    // Array lookups always hit: slot 0 shadows map 0[1].
+                    a.st_imm(Width::W, 10, -4, 1)
+                        .mov64_imm(1, 0)
+                        .mov64_reg(2, 10)
+                        .add64_imm(2, -4)
+                        .call(helper::MAP_LOOKUP)
+                        .mov64_reg(6, 0)
+                        .st_imm(Width::DW, 6, 0, PATTERN);
+                },
+                base: MAPVAL_BASE,
+                bytes: patterned(8),
+                writable: true,
+            },
+        ]
+    }
+
+    /// `r9 = ctx` (a setup may call a helper, which clobbers `r1`),
+    /// `region.setup`, then `body`, then `r0 = 0; exit`. Returns the
+    /// program and the slot `body` started at.
+    pub(crate) fn region_program(region: &Region, body: impl FnOnce(&mut Asm)) -> (Program, usize) {
+        let mut a = Asm::new();
+        a.mov64_reg(9, 1);
+        (region.setup)(&mut a);
+        let at = a.len();
+        body(&mut a);
+        a.mov64_imm(0, 0).exit();
+        let insns = a.finish().expect("assembles");
+        (Program::with_maps(insns, region_maps()), at)
+    }
+
+    const WIDTHS: [(Width, usize); 4] =
+        [(Width::B, 1), (Width::H, 2), (Width::W, 4), (Width::DW, 8)];
+
+    #[test]
+    fn every_width_loads_up_to_the_last_byte_of_every_region_and_no_further() {
+        for region in regions() {
+            let len = region.bytes.len();
+            for (width, w) in WIDTHS {
+                let what = format!("{w}-byte load from {}", region.name);
+                // The last access that fits returns those bytes...
+                let (p, _) = region_program(&region, |a| {
+                    a.ldx(width, 7, 6, (len - w) as i16)
+                        .ldx(Width::DW, 8, 9, ctx_off::SCRATCH)
+                        .stx(Width::DW, 8, 56, 7);
+                });
+                let ran = run_both_env(&p, &REGION_DATA, DEFAULT_INSN_BUDGET);
+                ran.result
+                    .unwrap_or_else(|t| panic!("{what} at len - {w}: {t}"));
+                let mut expect = [0u8; 8];
+                expect[..w].copy_from_slice(&region.bytes[len - w..]);
+                assert_eq!(ran.scratch[56..], expect, "{what}: zero-extended LE value");
+                // ...and one byte further is out of bounds, by the
+                // access's own address and width.
+                let (p, at) = region_program(&region, |a| {
+                    a.ldx(width, 7, 6, (len - w + 1) as i16);
+                });
+                assert_eq!(
+                    run_both(&p, &REGION_DATA, DEFAULT_INSN_BUDGET),
+                    Err(Trap::OutOfBounds {
+                        addr: region.base + (len - w + 1) as u64,
+                        len: w,
+                        pc: at,
+                    }),
+                    "{what} at len - {w} + 1"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_width_stores_up_to_the_last_byte_of_the_writable_regions_only() {
+        const VALUE: u64 = 0x0807_0605_0403_0201;
+        for region in regions() {
+            let len = region.bytes.len();
+            for (width, w) in WIDTHS {
+                for imm in [false, true] {
+                    let what = format!(
+                        "{w}-byte {} to {}",
+                        if imm { "st" } else { "stx" },
+                        region.name
+                    );
+                    let store = |a: &mut Asm, off: usize| {
+                        if imm {
+                            a.st_imm(width, 6, off as i16, VALUE as i32);
+                        } else {
+                            a.ld_imm64(7, VALUE).stx(width, 6, off as i16, 7);
+                        }
+                    };
+                    let pc_of_store = |at: usize| if imm { at } else { at + 2 };
+                    if !region.writable {
+                        let (p, at) = region_program(&region, |a| store(a, 0));
+                        assert_eq!(
+                            run_both(&p, &REGION_DATA, DEFAULT_INSN_BUDGET),
+                            Err(Trap::WriteToReadOnly {
+                                addr: region.base,
+                                pc: pc_of_store(at),
+                            }),
+                            "{what}"
+                        );
+                        continue;
+                    }
+                    // The last store that fits lands, and only there:
+                    // read the region's last eight bytes back.
+                    let (p, _) = region_program(&region, |a| {
+                        a.st_imm(Width::DW, 6, (len - 8) as i16, 0);
+                        store(a, len - w);
+                        a.ldx(Width::DW, 7, 6, (len - 8) as i16)
+                            .ldx(Width::DW, 8, 9, ctx_off::SCRATCH)
+                            .stx(Width::DW, 8, 48, 7);
+                    });
+                    // (The read-back lands at scratch[48..56], clear of
+                    // scratch's own last eight bytes.)
+                    let ran = run_both_env(&p, &REGION_DATA, DEFAULT_INSN_BUDGET);
+                    ran.result
+                        .unwrap_or_else(|t| panic!("{what} at len - {w}: {t}"));
+                    let stored = if imm {
+                        VALUE as i32 as i64 as u64
+                    } else {
+                        VALUE
+                    };
+                    let mut expect = [0u8; 8];
+                    expect[8 - w..].copy_from_slice(&stored.to_le_bytes()[..w]);
+                    assert_eq!(ran.scratch[48..56], expect, "{what}: low bytes, LE");
+                    let (p, at) = region_program(&region, |a| store(a, len - w + 1));
+                    assert_eq!(
+                        run_both(&p, &REGION_DATA, DEFAULT_INSN_BUDGET),
+                        Err(Trap::OutOfBounds {
+                            addr: region.base + (len - w + 1) as u64,
+                            len: w,
+                            pc: pc_of_store(at),
+                        }),
+                        "{what} at len - {w} + 1"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_conditional_jump_takes_the_interpreters_edge() {
+        // (code, compares as signed, the comparison over operands
+        // widened to `i128` by the class's width and the code's sign).
+        type Compare = fn(i128, i128) -> bool;
+        let codes: [(u8, bool, Compare); 11] = [
+            (JMP_JEQ, false, |a, b| a == b),
+            (JMP_JNE, false, |a, b| a != b),
+            (JMP_JGT, false, |a, b| a > b),
+            (JMP_JGE, false, |a, b| a >= b),
+            (JMP_JLT, false, |a, b| a < b),
+            (JMP_JLE, false, |a, b| a <= b),
+            (JMP_JSET, false, |a, b| a & b != 0),
+            (JMP_JSGT, true, |a, b| a > b),
+            (JMP_JSGE, true, |a, b| a >= b),
+            (JMP_JSLT, true, |a, b| a < b),
+            (JMP_JSLE, true, |a, b| a <= b),
+        ];
+        // Equal, either side larger, and pairs whose order flips with
+        // signedness or with truncation to 32 bits.
+        let operands: [(u64, i32); 7] = [
+            (5, 5),
+            (4, 5),
+            (6, 5),
+            (u64::MAX, 5),
+            (5, -1),
+            (0x1_0000_0004, 5),
+            (0xFFFF_FFFF_8000_0000, i32::MIN),
+        ];
+        for (code, signed, compare) in codes {
+            for (lhs, rhs) in operands {
+                for class in [CLS_JMP, CLS_JMP32] {
+                    for by_reg in [false, true] {
+                        // r0 = 1 if the jump is taken, 2 if it falls through.
+                        let mut a = Asm::new();
+                        a.ld_imm64(2, lhs).mov64_imm(3, rhs);
+                        let mut insns = a.finish().expect("assembles");
+                        let src_bit = if by_reg { SRC_X } else { 0 };
+                        insns.push(Insn::new(class | code | src_bit, 2, 3, 2, rhs));
+                        let mut a = Asm::new();
+                        a.mov64_imm(0, 2).exit().mov64_imm(0, 1).exit();
+                        insns.extend(a.finish().expect("assembles"));
+                        let out =
+                            run_both(&Program::new(insns), &[], DEFAULT_INSN_BUDGET).expect("runs");
+                        let widen = |v: u64| match (class == CLS_JMP, signed) {
+                            (true, false) => v as i128,
+                            (true, true) => v as i64 as i128,
+                            (false, false) => v as u32 as i128,
+                            (false, true) => v as i32 as i128,
+                        };
+                        let taken = compare(widen(lhs), widen(rhs as i64 as u64));
+                        assert_eq!(
+                            out.ret,
+                            if taken { 1 } else { 2 },
+                            "code {code:#x} class {class} by_reg {by_reg}: {lhs:#x} vs {rhs}"
+                        );
+                        assert_eq!(out.insns, 5, "ld_imm64 retires once");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn jumps_land_right_across_an_ld_imm64() {
+        // Slots and ops number differently after a two-slot
+        // instruction: a taken edge over one, a fall-through into one,
+        // and a back-edge past one must all land on the interpreter's
+        // instruction.
+        let p = asm(|a| {
+            a.mov64_imm(0, 0)
+                .mov64_imm(2, 0)
+                .label("loop")
+                .ld_imm64(3, 0x1_0000_0001)
+                .add64_reg(0, 3)
+                .add64_imm(2, 1)
+                .jeq_imm(2, 3, "out")
+                .ld_imm64(4, 7)
+                .add64_reg(0, 4)
+                .ja("loop")
+                .label("out")
+                .ld_imm64(5, 0x10_0000_0000)
+                .add64_reg(0, 5)
+                .exit();
+        });
+        let out = run_both(&p, &[], DEFAULT_INSN_BUDGET).expect("runs");
+        assert_eq!(out.ret, 3 * 0x1_0000_0001 + 2 * 7 + 0x10_0000_0000);
+        assert_eq!(out.insns, 2 + 3 * 4 + 2 * 3 + 3);
     }
 
     #[test]
@@ -852,12 +1065,19 @@ mod tests {
             run_both(&runaway, &[], 100).unwrap_err(),
             Trap::BudgetExceeded
         );
-        // A budget landing exactly on a block boundary.
+        // A budget that runs out exactly at the exit.
         let p = asm(|a| {
             a.mov64_imm(0, 1).add64_imm(0, 1).exit();
         });
         assert_eq!(run_both(&p, &[], 2).unwrap_err(), Trap::BudgetExceeded);
         run_both(&p, &[], 3).expect("exactly enough budget");
+        // Running off the end is found at the fetch, before the charge:
+        // a budget spent to the last instruction does not mask it.
+        let p = asm(|a| {
+            a.mov64_imm(0, 1).add64_imm(0, 1);
+        });
+        assert_eq!(run_both(&p, &[], 2).unwrap_err(), Trap::FellThrough);
+        assert_eq!(run_both(&p, &[], 1).unwrap_err(), Trap::BudgetExceeded);
     }
 
     #[test]

@@ -312,42 +312,49 @@ impl Vm {
                     if op & 0x60 != MODE_MEM {
                         return Err(Trap::IllegalInsn { pc, op });
                     }
-                    let size = access_size(op);
                     let addr = reg[src].wrapping_add(insn.off as i64 as u64);
-                    let bytes = read_mem(
-                        addr,
-                        size,
-                        pc,
-                        &ctx_buf,
-                        ctx.data,
-                        ctx.scratch,
-                        &stack,
-                        &mapvals,
-                    )?;
-                    reg[dst] = load_le(&bytes, size);
+                    let mem = Mem {
+                        ctx: &ctx_buf,
+                        data: ctx.data,
+                        scratch: ctx.scratch,
+                        stack: &stack,
+                        mapvals: &mapvals,
+                    };
+                    // The opcode fixes the width: dispatch on it once.
+                    reg[dst] = match access_size(op) {
+                        1 => read_mem_w::<1>(&mem, addr, pc),
+                        2 => read_mem_w::<2>(&mem, addr, pc),
+                        4 => read_mem_w::<4>(&mem, addr, pc),
+                        _ => read_mem_w::<8>(&mem, addr, pc),
+                    }?;
                 }
                 CLS_STX | CLS_ST => {
                     if op & 0x60 != MODE_MEM {
                         return Err(Trap::IllegalInsn { pc, op });
                     }
-                    let size = access_size(op);
                     let addr = reg[dst].wrapping_add(insn.off as i64 as u64);
                     let value = if insn.class() == CLS_STX {
                         reg[src]
                     } else {
                         insn.imm as i64 as u64
                     };
-                    write_mem(addr, size, value, pc, ctx.scratch, &mut stack, &mut mapvals)?;
+                    let (scratch, stack) = (&mut *ctx.scratch, &mut stack);
+                    match access_size(op) {
+                        1 => write_mem_w::<1>(addr, value, pc, scratch, stack, &mut mapvals),
+                        2 => write_mem_w::<2>(addr, value, pc, scratch, stack, &mut mapvals),
+                        4 => write_mem_w::<4>(addr, value, pc, scratch, stack, &mut mapvals),
+                        _ => write_mem_w::<8>(addr, value, pc, scratch, stack, &mut mapvals),
+                    }?;
                 }
                 CLS_JMP | CLS_JMP32 => {
                     let code = op & 0xf0;
                     match code {
                         JMP_CALL => {
                             helper_calls += 1;
-                            call_helper(
+                            reg[0] = call_helper(
                                 insn.imm,
                                 pc,
-                                &mut reg,
+                                [reg[1], reg[2], reg[3]],
                                 &ctx_buf,
                                 ctx.data,
                                 ctx.scratch,
@@ -358,12 +365,10 @@ impl Vm {
                             )?;
                             // Helper calls clobber the caller-saved argument
                             // registers, as on real eBPF.
-                            for r in reg.iter_mut().take(6).skip(1) {
-                                *r = 0;
-                            }
+                            reg[1..6].fill(0);
                         }
                         JMP_EXIT => {
-                            flush_mapvals(maps, &mut mapvals)?;
+                            flush_mapvals(maps, &mapvals)?;
                             return Ok(RunOutcome {
                                 ret: reg[0],
                                 insns: retired,
@@ -409,7 +414,7 @@ impl Vm {
 
 /// Builds the synthetic context block the program reads through `r1`:
 /// the data/scratch pointers point into their synthetic regions so the
-/// bounds encoded here match what [`read_mem`]/[`write_mem`] enforce.
+/// bounds encoded here match what [`read_mem_w`]/[`write_mem_w`] enforce.
 /// Shared verbatim by the interpreter and the compiled engine.
 pub(crate) fn build_ctx_buf(ctx: &RunCtx<'_>) -> [u8; ctx_off::SIZE as usize] {
     let mut ctx_buf = [0u8; ctx_off::SIZE as usize];
@@ -433,40 +438,79 @@ pub(crate) fn build_ctx_buf(ctx: &RunCtx<'_>) -> [u8; ctx_off::SIZE as usize] {
     ctx_buf
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn read_mem(
-    addr: u64,
-    len: usize,
-    pc: usize,
-    ctx_buf: &[u8],
-    data: &[u8],
-    scratch: &[u8],
-    stack: &[u8],
-    mapvals: &[MapValSlot],
-) -> Result<[u8; 8], Trap> {
-    let oob = Trap::OutOfBounds { addr, len, pc };
-    let region = addr & REGION_MASK;
-    let slice: &[u8] = match region {
-        CTX_BASE => ctx_buf,
-        DATA_BASE => data,
-        SCRATCH_BASE => scratch,
-        STACK_BASE => stack,
-        MAPVAL_BASE => {
-            let slot = ((addr >> 32) & 0xFFF) as usize;
-            let sl = mapvals.get(slot).ok_or(oob.clone())?;
-            let off = (addr & 0xFFFF_FFFF) as usize;
-            return copy_checked(&sl.data, off, len).ok_or(oob);
-        }
-        _ => return Err(oob),
-    };
-    let off = (addr - region) as usize;
-    copy_checked(slice, off, len).ok_or(Trap::OutOfBounds { addr, len, pc })
+/// The five readable regions of one invocation, borrowed for the
+/// duration of one load or one helper call.
+pub(crate) struct Mem<'m> {
+    pub(crate) ctx: &'m [u8],
+    pub(crate) data: &'m [u8],
+    pub(crate) scratch: &'m [u8],
+    pub(crate) stack: &'m [u8],
+    pub(crate) mapvals: &'m [MapValSlot],
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn write_mem(
+impl<'m> Mem<'m> {
+    /// Decodes `addr` to the region it names and the offset within it.
+    /// Bits above the region nibble stay in the offset, so a stray high
+    /// bit lands far outside any region rather than aliasing into one.
+    #[inline(always)]
+    fn region(&self, addr: u64) -> Option<(&'m [u8], usize)> {
+        let region = addr & REGION_MASK;
+        let slice = match region {
+            CTX_BASE => self.ctx,
+            DATA_BASE => self.data,
+            SCRATCH_BASE => self.scratch,
+            STACK_BASE => self.stack,
+            MAPVAL_BASE => {
+                let slot = self.mapvals.get(mapval_slot(addr))?;
+                return Some((&slot.data, (addr & 0xFFFF_FFFF) as usize));
+            }
+            _ => return None,
+        };
+        Some((slice, (addr - region) as usize))
+    }
+
+    /// Borrows the `len` bytes a helper's pointer argument names. The
+    /// bytes must lie in one region; the trap names the first byte
+    /// that does not (a zero-length argument touches no byte and so
+    /// never traps, whatever `addr` is).
+    fn arg(&self, addr: u64, len: usize, pc: usize) -> Result<&'m [u8], Trap> {
+        let tail = self
+            .region(addr)
+            .and_then(|(slice, off)| slice.get(off..))
+            .unwrap_or(&[]);
+        tail.get(..len).ok_or(Trap::OutOfBounds {
+            addr: addr.wrapping_add(tail.len() as u64),
+            len: 1,
+            pc,
+        })
+    }
+}
+
+fn mapval_slot(addr: u64) -> usize {
+    ((addr >> 32) & 0xFFF) as usize
+}
+
+/// Loads `W` little-endian bytes at `addr`, zero-extended. `W` is the
+/// width the opcode fixes, so the copy below is a single move.
+#[inline(always)]
+pub(crate) fn read_mem_w<const W: usize>(mem: &Mem<'_>, addr: u64, pc: usize) -> Result<u64, Trap> {
+    let bytes = mem
+        .region(addr)
+        .and_then(|(slice, off)| slice.get(off..off.wrapping_add(W)));
+    match bytes {
+        Some(bytes) => {
+            let mut le = [0u8; 8];
+            le[..W].copy_from_slice(bytes);
+            Ok(u64::from_le_bytes(le))
+        }
+        None => Err(Trap::OutOfBounds { addr, len: W, pc }),
+    }
+}
+
+/// Stores the low `W` bytes of `value` at `addr`, little-endian.
+#[inline(always)]
+pub(crate) fn write_mem_w<const W: usize>(
     addr: u64,
-    len: usize,
     value: u64,
     pc: usize,
     scratch: &mut [u8],
@@ -474,64 +518,34 @@ pub(crate) fn write_mem(
     mapvals: &mut [MapValSlot],
 ) -> Result<(), Trap> {
     let region = addr & REGION_MASK;
-    let slice: &mut [u8] = match region {
+    let (slice, off) = match region {
         CTX_BASE | DATA_BASE => return Err(Trap::WriteToReadOnly { addr, pc }),
-        SCRATCH_BASE => scratch,
-        STACK_BASE => stack,
-        MAPVAL_BASE => {
-            let slot = ((addr >> 32) & 0xFFF) as usize;
-            let sl = mapvals
-                .get_mut(slot)
-                .ok_or(Trap::OutOfBounds { addr, len, pc })?;
-            let off = (addr & 0xFFFF_FFFF) as usize;
-            return store_checked(&mut sl.data, off, len, value).ok_or(Trap::OutOfBounds {
-                addr,
-                len,
-                pc,
-            });
-        }
-        _ => return Err(Trap::OutOfBounds { addr, len, pc }),
+        SCRATCH_BASE => (scratch, (addr - region) as usize),
+        STACK_BASE => (stack, (addr - region) as usize),
+        MAPVAL_BASE => match mapvals.get_mut(mapval_slot(addr)) {
+            Some(slot) => (&mut slot.data[..], (addr & 0xFFFF_FFFF) as usize),
+            None => return Err(Trap::OutOfBounds { addr, len: W, pc }),
+        },
+        _ => return Err(Trap::OutOfBounds { addr, len: W, pc }),
     };
-    let off = (addr - region) as usize;
-    store_checked(slice, off, len, value).ok_or(Trap::OutOfBounds { addr, len, pc })
-}
-
-/// Reads `len` bytes for a helper's pointer argument from any
-/// readable region.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn read_bytes(
-    addr: u64,
-    len: usize,
-    pc: usize,
-    ctx_buf: &[u8],
-    data: &[u8],
-    scratch: &[u8],
-    stack: &[u8],
-    mapvals: &[MapValSlot],
-) -> Result<Vec<u8>, Trap> {
-    let mut out = Vec::with_capacity(len);
-    // Byte-at-a-time is fine: helper keys/emits are small.
-    for i in 0..len {
-        let b = read_mem(
-            addr + i as u64,
-            1,
-            pc,
-            ctx_buf,
-            data,
-            scratch,
-            stack,
-            mapvals,
-        )?;
-        out.push(b[0]);
+    match slice.get_mut(off..off.wrapping_add(W)) {
+        Some(bytes) => {
+            bytes.copy_from_slice(&value.to_le_bytes()[..W]);
+            Ok(())
+        }
+        None => Err(Trap::OutOfBounds { addr, len: W, pc }),
     }
-    Ok(out)
 }
 
+/// Runs helper `id` over `args` (`r1..=r3`) and returns its `r0`.
+/// Pointer arguments are borrowed from their region, never
+/// copied: the `emit` body and the map operations read the program's
+/// memory in place.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn call_helper(
     id: i32,
     pc: usize,
-    reg: &mut [u64; NUM_REGS],
+    args: [u64; 3],
     ctx_buf: &[u8],
     data: &[u8],
     scratch: &[u8],
@@ -539,78 +553,63 @@ pub(crate) fn call_helper(
     maps: &mut MapSet,
     mapvals: &mut Vec<MapValSlot>,
     env: &mut dyn ExecEnv,
-) -> Result<(), Trap> {
-    match id {
+) -> Result<u64, Trap> {
+    let mem = Mem {
+        ctx: ctx_buf,
+        data,
+        scratch,
+        stack,
+        mapvals,
+    };
+    let [a1, a2, a3] = args;
+    Ok(match id {
         helper::TRACE => {
-            env.trace(reg[1]);
-            reg[0] = 0;
+            env.trace(a1);
+            0
         }
-        helper::RESUBMIT => {
-            reg[0] = env.resubmit(reg[1]) as u64;
-        }
-        helper::EMIT => {
-            let len = reg[2] as usize;
-            let bytes = read_bytes(reg[1], len, pc, ctx_buf, data, scratch, stack, mapvals)?;
-            reg[0] = env.emit(&bytes) as u64;
-        }
+        helper::RESUBMIT => env.resubmit(a1) as u64,
+        helper::EMIT => env.emit(mem.arg(a1, a2 as usize, pc)?) as u64,
         helper::MAP_LOOKUP => {
-            flush_mapvals(maps, mapvals)?;
-            let map_id = reg[1] as u32;
-            let key_size = maps.spec(map_id)?.key_size as usize;
-            let key = read_bytes(reg[2], key_size, pc, ctx_buf, data, scratch, stack, mapvals)?;
-            match maps.lookup(map_id, &key)? {
-                Some(value) => {
-                    let slot = mapvals.len();
-                    if slot >= 0x1000 {
+            flush_mapvals(maps, mem.mapvals)?;
+            let map_id = a1 as u32;
+            let key = mem.arg(a2, maps.spec(map_id)?.key_size as usize, pc)?;
+            // A hit shadows the value in a slot the program's loads and
+            // stores go to; the slot owns its key for the write-back.
+            let hit = maps.lookup(map_id, key)?.map(|value| MapValSlot {
+                map_id,
+                key: key.to_vec(),
+                data: value.to_vec(),
+            });
+            match hit {
+                Some(slot) => {
+                    let index = mapvals.len();
+                    if index >= 0x1000 {
                         return Err(Trap::Map(MapError::Full));
                     }
-                    mapvals.push(MapValSlot {
-                        map_id,
-                        key,
-                        data: value.to_vec(),
-                    });
-                    reg[0] = MAPVAL_BASE | ((slot as u64) << 32);
+                    mapvals.push(slot);
+                    MAPVAL_BASE | ((index as u64) << 32)
                 }
-                None => reg[0] = 0,
+                None => 0,
             }
         }
         helper::MAP_UPDATE => {
-            flush_mapvals(maps, mapvals)?;
-            let map_id = reg[1] as u32;
+            flush_mapvals(maps, mem.mapvals)?;
+            let map_id = a1 as u32;
             let spec = maps.spec(map_id)?;
-            let key = read_bytes(
-                reg[2],
-                spec.key_size as usize,
-                pc,
-                ctx_buf,
-                data,
-                scratch,
-                stack,
-                mapvals,
-            )?;
-            let value = read_bytes(
-                reg[3],
-                spec.value_size as usize,
-                pc,
-                ctx_buf,
-                data,
-                scratch,
-                stack,
-                mapvals,
-            )?;
-            maps.update(map_id, &key, &value)?;
-            reg[0] = 0;
+            let key = mem.arg(a2, spec.key_size as usize, pc)?;
+            let value = mem.arg(a3, spec.value_size as usize, pc)?;
+            maps.update(map_id, key, value)?;
+            0
         }
         _ => return Err(Trap::BadHelper { pc, id }),
-    }
-    Ok(())
+    })
 }
 
 /// Writes live map-value shadow buffers back into their maps so that
 /// later helper calls (and the application, after the run) observe the
 /// program's stores.
-pub(crate) fn flush_mapvals(maps: &mut MapSet, mapvals: &mut [MapValSlot]) -> Result<(), Trap> {
-    for sl in mapvals.iter() {
+pub(crate) fn flush_mapvals(maps: &mut MapSet, mapvals: &[MapValSlot]) -> Result<(), Trap> {
+    for sl in mapvals {
         maps.update(sl.map_id, &sl.key, &sl.data)?;
     }
     Ok(())
@@ -624,6 +623,7 @@ pub(crate) fn jump_target(pc: usize, off: i16, len: usize) -> Result<usize, Trap
     Ok(to as usize)
 }
 
+#[inline(always)]
 pub(crate) fn jump_taken(code: u8, a: u64, b: u64, wide: bool) -> Option<bool> {
     let (sa, sb) = if wide {
         (a as i64, b as i64)
@@ -649,7 +649,7 @@ pub(crate) fn jump_taken(code: u8, a: u64, b: u64, wide: bool) -> Option<bool> {
 /// The total ALU64 function over the *known* opcodes. Every known op is
 /// defined on all inputs (division by zero yields 0, modulo by zero
 /// leaves `lhs`, shift amounts are masked), so callers that have
-/// validated `code` — the fused blocks of the compiled tier — can apply
+/// validated `code` — the compiled tier, at compile time — can apply
 /// it without threading a `Result` through the hot loop. Unknown codes
 /// fall through to `lhs` (a no-op); [`alu64`] screens them out first.
 pub(crate) fn alu64_total(code: u8, lhs: u64, rhs: u64) -> u64 {
@@ -728,33 +728,6 @@ pub(crate) fn endian(op: u8, width: i32, v: u64, pc: usize) -> Result<u64, Trap>
         16 | 32 | 64 => Ok(endian_total(op, width, v)),
         _ => Err(Trap::IllegalInsn { pc, op }),
     }
-}
-
-fn copy_checked(slice: &[u8], off: usize, len: usize) -> Option<[u8; 8]> {
-    let end = off.checked_add(len)?;
-    if end > slice.len() {
-        return None;
-    }
-    let mut out = [0u8; 8];
-    out[..len].copy_from_slice(&slice[off..end]);
-    Some(out)
-}
-
-fn store_checked(slice: &mut [u8], off: usize, len: usize, value: u64) -> Option<()> {
-    let end = off.checked_add(len)?;
-    if end > slice.len() {
-        return None;
-    }
-    slice[off..end].copy_from_slice(&value.to_le_bytes()[..len]);
-    Some(())
-}
-
-pub(crate) fn load_le(bytes: &[u8; 8], len: usize) -> u64 {
-    let mut v = 0u64;
-    for i in (0..len).rev() {
-        v = (v << 8) | bytes[i] as u64;
-    }
-    v
 }
 
 fn write_u64(buf: &mut [u8], off: usize, v: u64) {
@@ -1149,6 +1122,69 @@ mod tests {
                 .expect("hit");
             assert_eq!(u64::from_le_bytes(v.try_into().expect("8B")), expected);
         }
+    }
+
+    /// The byte-at-a-time copy this replaced allocated `len` bytes up
+    /// front, so a hostile length aborted the process before the first
+    /// out-of-bounds byte could trap. Whatever the length, from every
+    /// region, both engines now return: the bytes when they are all
+    /// there, the address of the first one that is not otherwise.
+    #[test]
+    fn helper_pointer_arguments_trap_at_the_first_byte_outside_their_region() {
+        use crate::compile::tests::{region_program, regions, run_both_env, REGION_DATA};
+
+        for region in regions() {
+            let n = region.bytes.len();
+            let past_the_end = |pc| Trap::OutOfBounds {
+                addr: region.base + n as u64,
+                len: 1,
+                pc,
+            };
+            let lens = [
+                0,
+                1,
+                n as u64,
+                n as u64 + 1,
+                u32::MAX as u64,
+                i64::MAX as u64,
+            ];
+            for len in lens {
+                let (p, at) = region_program(&region, |a| {
+                    a.mov64_reg(1, 6).ld_imm64(2, len).call(helper::EMIT);
+                });
+                let ran = run_both_env(&p, &REGION_DATA, DEFAULT_INSN_BUDGET);
+                let what = format!("emit({}, {len})", region.name);
+                if len <= n as u64 {
+                    ran.result.unwrap_or_else(|t| panic!("{what}: {t}"));
+                    assert_eq!(ran.env.emitted, region.bytes[..len as usize], "{what}");
+                } else {
+                    assert_eq!(ran.result, Err(past_the_end(at + 3)), "{what}");
+                    assert!(ran.env.emitted.is_empty(), "{what}");
+                }
+            }
+            // A key one byte short of the region's end.
+            for id in [helper::MAP_LOOKUP, helper::MAP_UPDATE] {
+                let (p, at) = region_program(&region, |a| {
+                    a.mov64_reg(2, 6)
+                        .add64_imm(2, n as i32 - 7)
+                        .mov64_reg(3, 10)
+                        .add64_imm(3, -16)
+                        .mov64_imm(1, 1)
+                        .call(id);
+                });
+                let ran = run_both_env(&p, &REGION_DATA, DEFAULT_INSN_BUDGET);
+                let what = format!("helper {id} with a short key in {}", region.name);
+                assert_eq!(ran.result, Err(past_the_end(at + 5)), "{what}");
+            }
+        }
+
+        // No byte is touched for a zero length, so none can be out of
+        // bounds — even behind a pointer into no region at all.
+        let p = asm(|a| {
+            a.mov64_imm(1, 0).mov64_imm(2, 0).call(helper::EMIT).exit();
+        });
+        let ran = run_both_env(&p, &[], DEFAULT_INSN_BUDGET);
+        assert_eq!(ran.result.expect("runs").ret, 0, "emit accepted 0 bytes");
     }
 
     #[test]

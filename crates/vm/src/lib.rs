@@ -13,11 +13,11 @@
 //! - [`interp`]: a safe interpreter with instruction accounting, used by
 //!   the simulated kernel to both *execute* traversal logic over real
 //!   block bytes and *charge* its cost to the simulated clock;
-//! - [`compile`]: a threaded-dispatch template JIT lowering verified
-//!   programs' basic blocks to native closures, observationally
-//!   identical to the interpreter (same traps, same retired counts) but
-//!   cheaper per hop in real host CPU; declined programs fall back to
-//!   the interpreter;
+//! - [`compile`]: a compilation tier that pre-decodes a program once
+//!   into a flat array of width- and comparison-specialised ops run by
+//!   one dispatch loop, observationally identical to the interpreter
+//!   (same checks, same traps, same retired counts) but cheaper per hop
+//!   in real host CPU; declined programs fall back to the interpreter;
 //! - [`maps`]: array/hash maps for program↔application communication.
 //!
 //! # Examples

@@ -1,7 +1,7 @@
 //! Execution tiers: the same verified pushdown program run first by the
-//! interpreter, then by the compilation tier (a threaded-dispatch
-//! template JIT with superinstruction fusion — safe Rust closures, no
-//! runtime codegen).
+//! interpreter, then by the compilation tier (the program pre-decoded
+//! once into a flat array of specialised ops run by one dispatch loop —
+//! safe Rust, the interpreter's own checks, no runtime codegen).
 //!
 //! The contract this example demonstrates: *simulated* results are
 //! bit-identical across engines — the kernel charges `LayerCosts::
@@ -9,8 +9,9 @@
 //! on exactly — while the *measured* host CPU per hook invocation is
 //! sampled separately by an injected monotonic clock. The chase hook
 //! here is only a dozen instructions, so its per-hop cost is mostly
-//! fixed setup; the compute-heavy `jit_sweep` bench binary is where
-//! the compiled tier's ~2x win on ALU-dominated bodies shows up.
+//! fixed setup; the B-tree and SST hops of the `bpfstor-perf`
+//! benchmark (`vm.*_hop_ns`) and the compute-heavy `jit_sweep` bench
+//! binary are where the compiled tier's 1.4–1.6x win shows up.
 //!
 //! Run with:
 //!

@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bpfstor::core::{Chase, DispatchMode, PushdownSession};
+use bpfstor::core::{Btree, Chase, DispatchMode, PushdownSession, PushdownWorkload};
 use bpfstor::kernel::FabricConfig;
 use bpfstor::sim::{LatencyDist, MILLISECOND};
 
@@ -59,11 +59,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// What a chain reads: a pointer chase of so many hops (the program
+/// emits from scratch) or a B-tree lookup of that depth (it emits from
+/// its stack). Either way, one I/O per hop.
+enum Chain {
+    Chase(u64),
+    Btree(u32),
+}
+
 /// One closed loop the path serves: chain shape, dispatch mode, and
 /// whether an NVMe-oF fabric sits between the rings and the device.
 struct Loop {
     name: &'static str,
-    hops: u64,
+    chain: Chain,
     mode: DispatchMode,
     fabric: bool,
     /// Ceiling on marginal allocations per I/O.
@@ -73,7 +81,19 @@ struct Loop {
 /// Builds the loop's session from scratch, runs it to `until`, and
 /// returns `(allocations during the run, device I/Os)`.
 fn measure(l: &Loop, until: u64) -> (u64, u64) {
-    let mut b = PushdownSession::builder(Chase::hops(l.hops)).dispatch(l.mode);
+    match l.chain {
+        Chain::Chase(hops) => measure_workload(l, Chase::hops(hops), hops, until),
+        Chain::Btree(depth) => measure_workload(l, Btree::depth(depth), depth as u64, until),
+    }
+}
+
+fn measure_workload<W: PushdownWorkload>(
+    l: &Loop,
+    workload: W,
+    hops: u64,
+    until: u64,
+) -> (u64, u64) {
+    let mut b = PushdownSession::builder(workload).dispatch(l.mode);
     if l.fabric {
         b = b.fabric(FabricConfig {
             to_target: LatencyDist::Uniform(16_000, 24_000),
@@ -86,43 +106,53 @@ fn measure(l: &Loop, until: u64) -> (u64, u64) {
     let (report, stats) = s.run_closed_loop(4, until);
     let allocs = ALLOCS.with(Cell::get) - before;
     assert_eq!((stats.errors, stats.mismatches), (0, 0), "{}", l.name);
-    assert_eq!(report.ios, report.chains * l.hops, "{}", l.name);
+    assert_eq!(report.ios, report.chains * hops, "{}", l.name);
     (allocs, report.ios)
 }
 
 #[test]
 fn steady_state_io_path_does_not_allocate() {
     const T: u64 = 20 * MILLISECOND;
-    // The hook loops still allocate once per *chain* (the session
-    // decodes the emitted payload into an owned value): 1/8 per I/O.
-    // The single-read loops end in `Pass`, which lends the read buffer
-    // to the driver and takes it back: measured 0, bounded at the
-    // issue's 1.5 so that a decode of theirs would not trip it.
+    // The hook loops allocate nothing, per hop or per chain: the
+    // `emit` helper hands the kernel a borrow of the program's own
+    // memory (scratch for the chase, the stack for the B-tree) and the
+    // session decodes the payload in place. Measured 0; bounded at
+    // 0.01 so that one allocation per chain, at either chain length,
+    // trips it. The single-read loops end in `Pass`, which lends the read
+    // buffer to the driver and takes it back: measured 0, bounded at
+    // 1.5 so that a decode of theirs would not trip it.
     let loops = [
         Loop {
             name: "local driver-hook chase",
-            hops: 8,
+            chain: Chain::Chase(8),
             mode: DispatchMode::DriverHook,
             fabric: false,
-            bound: 0.5,
+            bound: 0.01,
+        },
+        Loop {
+            name: "local driver-hook btree",
+            chain: Chain::Btree(4),
+            mode: DispatchMode::DriverHook,
+            fabric: false,
+            bound: 0.01,
         },
         Loop {
             name: "fabric pushdown chase",
-            hops: 8,
+            chain: Chain::Chase(8),
             mode: DispatchMode::DriverHook,
             fabric: true,
-            bound: 0.5,
+            bound: 0.01,
         },
         Loop {
             name: "local user single read",
-            hops: 1,
+            chain: Chain::Chase(1),
             mode: DispatchMode::User,
             fabric: false,
             bound: 1.5,
         },
         Loop {
             name: "fabric remote single read",
-            hops: 1,
+            chain: Chain::Chase(1),
             mode: DispatchMode::Remote,
             fabric: true,
             bound: 1.5,

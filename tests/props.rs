@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use bpfstor::btree::tree::{build_pages, lookup, step_on_page, Step};
 use bpfstor::btree::{Node, FANOUT_MAX};
-use bpfstor::core::{btree_lookup_program, value_of};
+use bpfstor::core::{btree_lookup_program, value_of, Btree, Chase, PushdownWorkload, Scan, Sst};
 use bpfstor::device::{SectorStore, SECTOR_SIZE};
 use bpfstor::fs::alloc::{Run, GROUP_BLOCKS};
 use bpfstor::fs::{BlockAllocator, ExtFs, Extent, ExtentTree, JournalRecord};
@@ -15,7 +15,8 @@ use bpfstor::lsm::BLOCK;
 use bpfstor::sim::Histogram;
 use bpfstor::vm::insn::{decode, encode, Insn};
 use bpfstor::vm::{
-    action, compile, verify, Asm, MapSet, Program, RecordingEnv, RunCtx, Trap, Vm, Width,
+    action, compile, helper, verify, Asm, CompiledProg, MapSet, MapSpec, Program, RecordingEnv,
+    RunCtx, RunOutcome, Trap, Vm, Width, DEFAULT_INSN_BUDGET, SCRATCH_SIZE,
 };
 
 // --- VM: encode/decode ---------------------------------------------------------
@@ -137,12 +138,43 @@ proptest! {
 
 // --- Verifier soundness: accepted programs never trap ----------------------------
 
-/// A tiny generator of arbitrary-ish programs. Most are rejected by the
-/// verifier; the property only concerns the accepted ones.
+/// The four access widths, with their size in bytes.
+const WIDTHS: [(Width, i16); 4] = [(Width::B, 1), (Width::H, 2), (Width::W, 4), (Width::DW, 8)];
+
+fn width() -> impl Strategy<Value = Width> {
+    (0usize..4).prop_map(|i| WIDTHS[i].0)
+}
+
+/// Maps every generated program declares: an array (lookups always
+/// hit) and a hash map (they miss until the program updates it).
+fn arb_maps() -> Vec<MapSpec> {
+    vec![MapSpec::array(16, 2), MapSpec::hash(8, 16, 4)]
+}
+
+/// `r0..=r5 = 0`: what a fragment that called a helper (which clobbers
+/// `r1..=r5`) or branched leaves behind, so that the fragments after it
+/// still verify and the verifier's paths through it converge.
+fn zero_low_regs(a: &mut Asm) {
+    for r in 0..6 {
+        a.mov64_imm(r, 0);
+    }
+}
+
+/// A tiny generator of arbitrary-ish programs. Many are rejected by the
+/// verifier; the properties only concern the accepted ones.
+///
+/// Register discipline: the prologue saves the context pointer in `r6`
+/// and zeroes `r0` and `r2..=r5` (`r1` stays the context pointer until
+/// an ALU fragment overwrites it); the ALU fragments write `r0..=r5`
+/// only; the memory and helper
+/// fragments keep their pointers in `r7..=r9`, so a preceding ALU
+/// fragment cannot turn one into a scalar. Fragments are assembled on
+/// their own (labels are local) and concatenated: jumps are relative.
 fn arb_program() -> impl Strategy<Value = Program> {
+    use bpfstor::vm::ctx_off;
     let insn = prop_oneof![
         // ALU imm on r0-r5.
-        (0u8..6, any::<i32>(), 0usize..7).prop_map(|(dst, imm, which)| {
+        3 => (0u8..6, any::<i32>(), 0usize..7).prop_map(|(dst, imm, which)| {
             let mut a = Asm::new();
             match which {
                 0 => a.mov64_imm(dst, imm),
@@ -156,7 +188,7 @@ fn arb_program() -> impl Strategy<Value = Program> {
             a.finish().expect("fragment")
         }),
         // Reg-to-reg moves and arithmetic.
-        (0u8..6, 0u8..6, 0usize..3).prop_map(|(dst, src, which)| {
+        2 => (0u8..6, 0u8..6, 0usize..3).prop_map(|(dst, src, which)| {
             let mut a = Asm::new();
             match which {
                 0 => a.mov64_reg(dst, src),
@@ -166,28 +198,29 @@ fn arb_program() -> impl Strategy<Value = Program> {
             a.finish().expect("fragment")
         }),
         // Stack traffic.
-        (0u8..6, 1u8..=8).prop_map(|(reg, slot)| {
+        1 => (0u8..6, 1u8..=8).prop_map(|(reg, slot)| {
             let mut a = Asm::new();
             a.stx(Width::DW, 10, -8 * slot as i16, reg)
                 .ldx(Width::DW, reg, 10, -8 * slot as i16);
             a.finish().expect("fragment")
         }),
-        // Context loads.
-        (2u8..6, 0usize..3).prop_map(|(dst, which)| {
+        // Context loads through r1 (which an ALU fragment may have
+        // overwritten: the verifier must catch that).
+        1 => (2u8..6, 0usize..3).prop_map(|(dst, which)| {
             let mut a = Asm::new();
             match which {
-                0 => a.ldx(Width::DW, dst, 1, bpfstor::vm::ctx_off::DATA),
-                1 => a.ldx(Width::DW, dst, 1, bpfstor::vm::ctx_off::FILE_OFF),
-                _ => a.ldx(Width::W, dst, 1, bpfstor::vm::ctx_off::HOP),
+                0 => a.ldx(Width::DW, dst, 1, ctx_off::DATA),
+                1 => a.ldx(Width::DW, dst, 1, ctx_off::FILE_OFF),
+                _ => a.ldx(Width::W, dst, 1, ctx_off::HOP),
             };
             a.finish().expect("fragment")
         }),
         // Data access guarded by a bound check (sometimes mis-sized on
         // purpose: the verifier must catch those).
-        (0i16..24, 1usize..9).prop_map(|(off, proven)| {
+        1 => (0i16..24, 1usize..9).prop_map(|(off, proven)| {
             let mut a = Asm::new();
-            a.ldx(Width::DW, 2, 1, bpfstor::vm::ctx_off::DATA)
-                .ldx(Width::DW, 3, 1, bpfstor::vm::ctx_off::DATA_END)
+            a.ldx(Width::DW, 2, 1, ctx_off::DATA)
+                .ldx(Width::DW, 3, 1, ctx_off::DATA_END)
                 .mov64_reg(4, 2)
                 .add64_imm(4, proven as i32)
                 .jgt_reg(4, 3, "skip")
@@ -196,9 +229,180 @@ fn arb_program() -> impl Strategy<Value = Program> {
                 .mov64_imm(5, 0);
             a.finish().expect("fragment")
         }),
+        // Every width x every context field. Only a field's own width
+        // verifies, so that is what is drawn three times in four;
+        // scalars land in r0-r5, pointers in r7.
+        2 => (0usize..7, width(), 0usize..4, 0u8..6).prop_map(|(field, w, natural, dst)| {
+            const FIELDS: [(i16, Width, bool); 7] = [
+                (ctx_off::DATA, Width::DW, true),
+                (ctx_off::DATA_END, Width::DW, true),
+                (ctx_off::FILE_OFF, Width::DW, false),
+                (ctx_off::HOP, Width::W, false),
+                (ctx_off::FLAGS, Width::W, false),
+                (ctx_off::SCRATCH, Width::DW, true),
+                (ctx_off::SCRATCH_END, Width::DW, false),
+            ];
+            let (off, own, pointer) = FIELDS[field];
+            let mut a = Asm::new();
+            a.ldx(
+                if natural > 0 { own } else { w },
+                if pointer { 7 } else { dst },
+                6,
+                off,
+            );
+            a.finish().expect("fragment")
+        }),
+        // Every width x block data behind a `data_end` proof.
+        2 => (width(), 0i16..28, 12i32..33, 0u8..6).prop_map(|(w, off, proven, dst)| {
+            let mut a = Asm::new();
+            a.mov64_imm(dst, 0)
+                .ldx(Width::DW, 7, 6, ctx_off::DATA)
+                .ldx(Width::DW, 8, 6, ctx_off::DATA_END)
+                .mov64_reg(9, 7)
+                .add64_imm(9, proven)
+                .jgt_reg(9, 8, "short")
+                .ldx(w, dst, 7, off)
+                .label("short");
+            a.finish().expect("fragment")
+        }),
+        // Every width x scratch, store (register or immediate) then load.
+        2 => (width(), width(), 0i16..252, 0i16..252, any::<i32>(), any::<bool>(), 0u8..6)
+            .prop_map(|(sw, lw, soff, loff, imm, by_reg, dst)| {
+                let mut a = Asm::new();
+                a.ldx(Width::DW, 7, 6, ctx_off::SCRATCH);
+                if by_reg {
+                    a.mov64_imm(8, imm).lsh64_imm(8, 13).stx(sw, 7, soff, 8);
+                } else {
+                    a.st_imm(sw, 7, soff, imm);
+                }
+                a.ldx(lw, dst, 7, if by_reg { soff } else { loff });
+                a.finish().expect("fragment")
+            }),
+        // Every width x stack, likewise.
+        2 => (width(), width(), 1i16..80, 1i16..80, any::<i32>(), any::<bool>(), 0u8..6)
+            .prop_map(|(sw, lw, sback, lback, imm, by_reg, dst)| {
+                let mut a = Asm::new();
+                if by_reg {
+                    a.mov64_imm(8, imm).lsh64_imm(8, 29).stx(sw, 10, -sback, 8);
+                } else {
+                    a.st_imm(sw, 10, -sback, imm);
+                }
+                a.ldx(lw, dst, 10, if by_reg { -sback } else { -lback });
+                a.finish().expect("fragment")
+            }),
+        // Every width x a map value, after the null check: store, load
+        // back, and leave the loaded value in scratch where the
+        // differential test sees it. An update first makes the hash
+        // lookup hit; array index 2 is out of range (a `Trap::Map`).
+        2 => (0i32..2, 0i32..3, any::<bool>(), width(), width(), 0i16..16, any::<i32>())
+            .prop_map(|(map, key, update_first, sw, lw, off, imm)| {
+                let mut a = Asm::new();
+                a.st_imm(Width::DW, 10, -8, key);
+                if update_first {
+                    a.st_imm(Width::DW, 10, -24, imm)
+                        .st_imm(Width::DW, 10, -16, !imm)
+                        .mov64_imm(1, 1)
+                        .mov64_reg(2, 10)
+                        .add64_imm(2, -8)
+                        .mov64_reg(3, 10)
+                        .add64_imm(3, -24)
+                        .call(helper::MAP_UPDATE);
+                }
+                a.mov64_imm(1, map)
+                    .mov64_reg(2, 10)
+                    .add64_imm(2, -8)
+                    .call(helper::MAP_LOOKUP)
+                    .jeq_imm(0, 0, "null")
+                    .st_imm(sw, 0, off, imm)
+                    .ldx(lw, 7, 0, off)
+                    .ldx(Width::DW, 8, 6, ctx_off::SCRATCH)
+                    .stx(Width::DW, 8, 64, 7)
+                    .label("null")
+                    .mov64_imm(7, 0)
+                    .mov64_imm(8, 0);
+                zero_low_regs(&mut a);
+                a.finish().expect("fragment")
+            }),
+        // emit(ptr, len) from the stack and from scratch (lengths one
+        // or two past the end are the verifier's to catch).
+        2 => (any::<bool>(), 0i32..27, 0i32..252, any::<i32>()).prop_map(
+            |(from_stack, len, off, imm)| {
+                let mut a = Asm::new();
+                if from_stack {
+                    a.st_imm(Width::DW, 10, -24, imm)
+                        .st_imm(Width::W, 10, -12, !imm)
+                        .mov64_reg(1, 10)
+                        .add64_imm(1, -24);
+                } else {
+                    a.ldx(Width::DW, 1, 6, ctx_off::SCRATCH)
+                        .st_imm(Width::W, 1, 4, imm)
+                        .add64_imm(1, off);
+                }
+                a.mov64_imm(2, if from_stack { len } else { len.min(256 - off + 1) })
+                    .call(helper::EMIT);
+                zero_low_regs(&mut a);
+                a.finish().expect("fragment")
+            }
+        ),
+        // The B-tree search shape: a bounded loop over 8-byte keys in
+        // the block that stops at the first key the comparison picks
+        // out, leaving the index and the key in scratch. Keys are cut
+        // to three bits so that they meet the pivot often enough to
+        // tell `>` from `>=`.
+        2 => (1i32..5, 0u64..8, 0usize..12).prop_map(|(nkeys, pivot, cmp)| {
+            let mut a = Asm::new();
+            zero_low_regs(&mut a);
+            a.ldx(Width::DW, 7, 6, ctx_off::DATA)
+                .ldx(Width::DW, 8, 6, ctx_off::DATA_END)
+                .mov64_reg(9, 7)
+                .add64_imm(9, 8 * nkeys)
+                .jgt_reg(9, 8, "out")
+                .ld_imm64(9, pivot)
+                .label("loop")
+                .jge_imm(2, nkeys, "after")
+                .mov64_reg(4, 2)
+                .lsh64_imm(4, 3)
+                .mov64_reg(5, 7)
+                .add64_reg(5, 4)
+                .ldx(Width::DW, 4, 5, 0)
+                .and64_imm(4, 7);
+            let imm = pivot as i32;
+            match cmp {
+                0 => a.jgt_reg(4, 9, "after"),
+                1 => a.jge_reg(4, 9, "after"),
+                2 => a.jlt_reg(4, 9, "after"),
+                3 => a.jle_reg(4, 9, "after"),
+                4 => a.jeq_reg(4, 9, "after"),
+                5 => a.jne_reg(4, 9, "after"),
+                6 => a.jgt_imm(4, imm, "after"),
+                7 => a.jge_imm(4, imm, "after"),
+                8 => a.jlt_imm(4, imm, "after"),
+                9 => a.jle_imm(4, imm, "after"),
+                10 => a.jeq_imm(4, imm, "after"),
+                _ => a.jne_imm(4, imm, "after"),
+            };
+            a.mov64_reg(3, 2)
+                .add64_imm(2, 1)
+                .ja("loop")
+                .label("after")
+                .ldx(Width::DW, 8, 6, ctx_off::SCRATCH)
+                .stx(Width::DW, 8, 72, 3)
+                .stx(Width::DW, 8, 80, 4)
+                .label("out")
+                .mov64_imm(7, 0)
+                .mov64_imm(8, 0)
+                .mov64_imm(9, 0);
+            zero_low_regs(&mut a);
+            a.finish().expect("fragment")
+        }),
     ];
     (proptest::collection::vec(insn, 1..12)).prop_map(|frags| {
-        let mut insns = Vec::new();
+        let mut a = Asm::new();
+        a.mov64_reg(6, 1);
+        for r in [0, 2, 3, 4, 5] {
+            a.mov64_imm(r, 0);
+        }
+        let mut insns = a.finish().expect("prologue");
         for f in frags {
             insns.extend(f);
         }
@@ -206,8 +410,110 @@ fn arb_program() -> impl Strategy<Value = Program> {
         let mut a = Asm::new();
         a.mov64_imm(0, 0).exit();
         insns.extend(a.finish().expect("epilogue"));
-        Program::new(insns)
+        Program::with_maps(insns, arb_maps())
     })
+}
+
+/// The generator is only worth its properties if the verifier admits
+/// a fair share of what it draws, and the memory and helper fragments
+/// with it.
+#[test]
+fn arb_program_mostly_verifies() {
+    use proptest::test_runner::TestRng;
+    let strategy = arb_program();
+    let mut rng = TestRng::for_test("arb_program_mostly_verifies");
+    let (mut accepted, mut with_helper, mut with_loop) = (0, 0, 0);
+    for _ in 0..256 {
+        let prog = strategy.generate(&mut rng);
+        if verify(&prog).is_ok() {
+            accepted += 1;
+            let is_jmp = |i: &Insn| i.op & 0x07 == bpfstor::vm::insn::CLS_JMP;
+            with_helper += prog
+                .insns
+                .iter()
+                .any(|i| is_jmp(i) && i.op & 0xf0 == bpfstor::vm::insn::JMP_CALL)
+                as u32;
+            with_loop += prog.insns.iter().any(|i| is_jmp(i) && i.off < 0) as u32;
+        }
+    }
+    assert!(
+        accepted >= 64 && with_helper >= 16 && with_loop >= 16,
+        "of 256 programs {accepted} verified, {with_helper} of them with a helper call, \
+         {with_loop} with a loop"
+    );
+}
+
+/// What one invocation reads besides its scratch.
+#[derive(Clone, Copy)]
+struct Inputs<'a> {
+    data: &'a [u8],
+    file_off: u64,
+    hop: u32,
+    flags: u32,
+}
+
+/// Runs `prog` on the interpreter and, compiled, on the compiled
+/// engine, over the same inputs, the same initial `scratch` and fresh
+/// maps; asserts that nothing observable tells the two apart and
+/// returns what both did, leaving what both wrote in `scratch`.
+fn run_on_both_engines(
+    prog: &Program,
+    compiled: &CompiledProg,
+    budget: u64,
+    inputs: Inputs<'_>,
+    scratch: &mut [u8; SCRATCH_SIZE],
+) -> (Result<RunOutcome, Trap>, RecordingEnv) {
+    let Inputs {
+        data,
+        file_off,
+        hop,
+        flags,
+    } = inputs;
+    let mut maps_i = MapSet::instantiate(&prog.maps).expect("maps");
+    let mut maps_c = MapSet::instantiate(&prog.maps).expect("maps");
+    let mut env_i = RecordingEnv::default();
+    let mut env_c = RecordingEnv::default();
+    let mut scratch_c = *scratch;
+    let ri = Vm::with_budget(budget).run(
+        prog,
+        RunCtx {
+            data,
+            file_off,
+            hop,
+            flags,
+            scratch,
+        },
+        &mut maps_i,
+        &mut env_i,
+    );
+    let rc = compiled.run_budgeted(
+        budget,
+        RunCtx {
+            data,
+            file_off,
+            hop,
+            flags,
+            scratch: &mut scratch_c,
+        },
+        &mut maps_c,
+        &mut env_c,
+    );
+    // Return value, retired-instruction count (so simulated cost
+    // charging is engine-independent), helper calls, or the trap.
+    assert_eq!(&ri, &rc, "outcome");
+    assert_eq!(&scratch[..], &scratch_c[..], "scratch effects");
+    assert_eq!(&env_i.resubmits, &env_c.resubmits, "resubmits");
+    assert_eq!(&env_i.emitted, &env_c.emitted, "emitted");
+    assert_eq!(&env_i.traces, &env_c.traces, "traces");
+    for (id, spec) in prog.maps.iter().enumerate() {
+        for key in 0u64..4 {
+            let key = &key.to_le_bytes()[..spec.key_size as usize];
+            let vi = maps_i.lookup(id as u32, key).map(|v| v.map(|v| v.to_vec()));
+            let vc = maps_c.lookup(id as u32, key).map(|v| v.map(|v| v.to_vec()));
+            assert_eq!(vi, vc, "map {} after the run", id);
+        }
+    }
+    (ri, env_i)
 }
 
 proptest! {
@@ -252,7 +558,7 @@ proptest! {
     /// must be observationally identical to the interpreter: same
     /// return value, same retired-instruction count (so simulated cost
     /// charging is engine-independent), same helper effects, same
-    /// scratch bytes, same traps.
+    /// scratch bytes, same map contents, same traps.
     #[test]
     fn compiled_engine_matches_interpreter_on_verified_programs(
         prog in arb_program(),
@@ -262,92 +568,184 @@ proptest! {
     ) {
         if verify(&prog).is_ok() {
             let compiled = compile(&prog).expect("verified programs always compile");
-            let mut maps_i = MapSet::instantiate(&prog.maps).expect("maps");
-            let mut maps_c = MapSet::instantiate(&prog.maps).expect("maps");
-            let mut env_i = RecordingEnv::default();
-            let mut env_c = RecordingEnv::default();
-            let mut scratch_i = [0u8; 256];
-            let mut scratch_c = [0u8; 256];
-            let ri = Vm::new().run(
-                &prog,
-                RunCtx { data: &data, file_off, hop, flags: 0, scratch: &mut scratch_i },
-                &mut maps_i,
-                &mut env_i,
+            let inputs = Inputs { data: &data, file_off, hop, flags: 0 };
+            let _ = run_on_both_engines(
+                &prog, &compiled, DEFAULT_INSN_BUDGET, inputs, &mut [0u8; SCRATCH_SIZE],
             );
-            let rc = compiled.run(
-                RunCtx { data: &data, file_off, hop, flags: 0, scratch: &mut scratch_c },
-                &mut maps_c,
-                &mut env_c,
-            );
-            match (&ri, &rc) {
-                (Ok(oi), Ok(oc)) => {
-                    prop_assert_eq!(oi.ret, oc.ret, "return value");
-                    prop_assert_eq!(oi.insns, oc.insns, "retired-instruction count");
-                    prop_assert_eq!(oi.helper_calls, oc.helper_calls, "helper calls");
-                }
-                (Err(ti), Err(tc)) => prop_assert_eq!(ti, tc, "identical traps"),
-                other => prop_assert!(false, "engines diverged: {other:?}"),
-            }
-            prop_assert_eq!(&scratch_i[..], &scratch_c[..], "scratch effects");
-            prop_assert_eq!(&env_i.resubmits, &env_c.resubmits);
-            prop_assert_eq!(&env_i.emitted, &env_c.emitted);
-            prop_assert_eq!(&env_i.traces, &env_c.traces);
         }
     }
 }
 
+/// A helper call whose pointer argument starts up to sixteen bytes
+/// before the end of one of the five regions, with a length from
+/// nothing to `i64::MAX`: the byte-at-a-time copy these arguments used
+/// to go through allocated the length up front.
+fn helper_argument_program() -> impl Strategy<Value = Program> {
+    use bpfstor::vm::ctx_off;
+    let len = prop_oneof![
+        Just(0u64),
+        Just(1u64),
+        0u64..20,
+        Just(u32::MAX as u64),
+        Just(i64::MAX as u64),
+    ];
+    (0usize..5, 0i32..17, len, 0usize..3).prop_map(|(region, back, len, which)| {
+        let mut a = Asm::new();
+        // r6 = one past the region's last byte (for the block, whose
+        // length varies, that is `data_end`).
+        match region {
+            0 => a.mov64_reg(6, 1).add64_imm(6, ctx_off::SIZE as i32),
+            1 => a.ldx(Width::DW, 6, 1, ctx_off::DATA_END),
+            2 => a.ldx(Width::DW, 6, 1, ctx_off::SCRATCH_END),
+            3 => a.mov64_reg(6, 10),
+            _ => a
+                .st_imm(Width::W, 10, -4, 1)
+                .mov64_imm(1, 0)
+                .mov64_reg(2, 10)
+                .add64_imm(2, -4)
+                .call(helper::MAP_LOOKUP)
+                .mov64_reg(6, 0)
+                .add64_imm(6, 16),
+        };
+        a.add64_imm(6, -back);
+        match which {
+            0 => a.mov64_reg(1, 6).ld_imm64(2, len).call(helper::EMIT),
+            1 => a.mov64_imm(1, 1).mov64_reg(2, 6).call(helper::MAP_LOOKUP),
+            _ => a
+                .mov64_imm(1, 1)
+                .mov64_reg(2, 6)
+                .mov64_reg(3, 6)
+                .add64_imm(3, -8)
+                .call(helper::MAP_UPDATE),
+        };
+        a.mov64_imm(0, 0).exit();
+        Program::with_maps(a.finish().expect("assembles"), arb_maps())
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-    /// Wild instruction streams (unverified, usually trap-inducing):
-    /// when the compiler accepts one, both engines must produce the
-    /// same result — including the same runtime trap at the same
-    /// budget. When the compiler declines, the machine falls back to
-    /// the interpreter, which must still run without panicking.
+    /// Unverified programs, usually trap-inducing — wild instruction
+    /// streams, and helper calls with hostile pointer arguments: when
+    /// the compiler accepts one, both engines must produce the same
+    /// result — including the same runtime trap at the same budget.
+    /// When the compiler declines, the machine falls back to the
+    /// interpreter, which must still run without panicking.
     #[test]
     fn unverified_programs_trap_identically_or_fall_back(
-        ops in proptest::collection::vec(
-            (0u8..=255, 0u8..11, 0u8..11, any::<i16>(), any::<i32>()),
-            1..24
-        ),
+        prog in prop_oneof![
+            proptest::collection::vec(
+                (0u8..=255, 0u8..11, 0u8..11, any::<i16>(), any::<i32>()),
+                1..24
+            )
+            .prop_map(|ops| {
+                let insns = ops
+                    .into_iter()
+                    .map(|(op, dst, src, off, imm)| Insn::new(op, dst, src, off, imm))
+                    .collect();
+                Program::new(insns)
+            }),
+            helper_argument_program(),
+        ],
         data in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         const BUDGET: u64 = 10_000;
-        let insns: Vec<Insn> = ops
-            .into_iter()
-            .map(|(op, dst, src, off, imm)| Insn::new(op, dst, src, off, imm))
-            .collect();
-        let prog = Program::new(insns);
-        let mut maps_i = MapSet::instantiate(&prog.maps).expect("maps");
-        let mut env_i = RecordingEnv::default();
-        let mut scratch_i = [0u8; 256];
-        let ri = Vm::with_budget(BUDGET).run(
-            &prog,
-            RunCtx { data: &data, file_off: 0, hop: 0, flags: 0, scratch: &mut scratch_i },
-            &mut maps_i,
-            &mut env_i,
-        );
         match compile(&prog) {
-            Ok(cp) => {
-                let mut maps_c = MapSet::instantiate(&prog.maps).expect("maps");
-                let mut env_c = RecordingEnv::default();
-                let mut scratch_c = [0u8; 256];
-                let rc = cp.run_budgeted(
-                    BUDGET,
-                    RunCtx { data: &data, file_off: 0, hop: 0, flags: 0, scratch: &mut scratch_c },
-                    &mut maps_c,
-                    &mut env_c,
+            Ok(compiled) => {
+                let inputs = Inputs { data: &data, file_off: 0, hop: 0, flags: 0 };
+                let _ = run_on_both_engines(
+                    &prog, &compiled, BUDGET, inputs, &mut [0u8; SCRATCH_SIZE],
                 );
-                prop_assert_eq!(&ri, &rc, "engines agree on unverified programs");
-                prop_assert_eq!(&scratch_i[..], &scratch_c[..]);
-                prop_assert_eq!(&env_i.emitted, &env_c.emitted);
             }
             Err(_) => {
-                // Declined: interpreter fallback. The interpreter's
-                // result above already ran without panicking; nothing
-                // further to compare.
+                // Declined: interpreter fallback, which must return.
+                let mut scratch = [0u8; 256];
+                let _ = Vm::with_budget(BUDGET).run(
+                    &prog,
+                    RunCtx { data: &data, file_off: 0, hop: 0, flags: 0, scratch: &mut scratch },
+                    &mut MapSet::instantiate(&prog.maps).expect("maps"),
+                    &mut RecordingEnv::default(),
+                );
             }
         }
     }
+}
+
+/// The in-tree programs over the images their workloads build: every
+/// hop of every chain retires the same instructions, calls the same
+/// helpers and leaves the same scratch and the same output on both
+/// engines, and the chain ends in the output the workload expects.
+fn engines_agree_on<W: PushdownWorkload<Request = u64>>(mut workload: W, requests: &[u64]) {
+    let image = workload.build_image().expect("image builds");
+    let prog = workload.program();
+    verify(&prog).expect("in-tree programs verify");
+    let compiled = compile(&prog).expect("verified programs compile");
+    let flags = workload.install_flags();
+    let name = workload.name().to_string();
+    let (mut hops, mut emits) = (0u64, 0u64);
+    for req in requests {
+        let first = workload.first_read(req);
+        let len = first.len as usize;
+        let mut off = first.file_off;
+        let mut scratch = [0u8; SCRATCH_SIZE];
+        scratch[..8].copy_from_slice(&first.arg.to_le_bytes());
+        for hop in 0.. {
+            let inputs = Inputs {
+                data: &image[off as usize..off as usize + len],
+                file_off: off,
+                hop,
+                flags,
+            };
+            let what = format!("{name}: request {req}, hop {hop}");
+            let (out, env) =
+                run_on_both_engines(&prog, &compiled, DEFAULT_INSN_BUDGET, inputs, &mut scratch);
+            let out = out.unwrap_or_else(|t| panic!("{what}: {t}"));
+            hops += 1;
+            match out.ret {
+                action::ACT_RESUBMIT => off = env.resubmits[0],
+                action::ACT_EMIT => {
+                    emits += 1;
+                    assert!(!env.emitted.is_empty(), "{what}: emitted nothing");
+                    break;
+                }
+                action::ACT_HALT => break,
+                other => panic!("{what}: action {other}"),
+            }
+        }
+    }
+    assert!(
+        hops > requests.len() as u64 && emits > 0,
+        "{name}: {hops} hops and {emits} hits over {} requests",
+        requests.len()
+    );
+}
+
+#[test]
+fn in_tree_programs_run_identically_on_both_engines() {
+    let tree = Btree::depth(4);
+    let nkeys = tree.nkeys();
+    let keys: Vec<u64> = (0..48)
+        .map(|i| i * 7919 % nkeys)
+        .chain([nkeys, u64::MAX])
+        .collect();
+    engines_agree_on(tree, &keys);
+
+    let row = |first: u64, len: usize| {
+        let mut v = vec![0u8; len];
+        v[..8].copy_from_slice(&first.to_le_bytes());
+        v
+    };
+    let table: Vec<(u64, Vec<u8>)> = (0..600u64).map(|i| (i * 3, row(i * 31, 48))).collect();
+    // Hits (multiples of 3), misses between keys and past the last one.
+    let probes: Vec<u64> = (0..50u64).map(|i| i * 41 % 2_000).collect();
+    engines_agree_on(Sst::new(table, Vec::new()), &probes);
+
+    engines_agree_on(Chase::hops(8), &[0, 3 * BLOCK as u64]);
+
+    let rows: Vec<(u64, Vec<u8>)> = (0..400u64)
+        .map(|i| (i, row(i.wrapping_mul(2654435761) % 10_000, 24)))
+        .collect();
+    engines_agree_on(Scan::new(rows, Vec::new()), &[0, 5_000, 20_000]);
 }
 
 // --- B-tree: BPF program equals the native oracle --------------------------------
