@@ -65,8 +65,8 @@
 //! Capsules are sized from the command they carry
 //! ([`FabricStats::bytes_tx`] / [`FabricStats::bytes_rx`]): a write
 //! capsule hauls its in-capsule data payload across the wire and pays
-//! [`FabricConfig::wire_ns_per_kb`] of serialization per KiB, where a
-//! read command is a fixed-size header. Read *response* payloads are
+//! 320 ns of serialization per KiB (a 25 Gb/s link), where a read
+//! command is a fixed-size header. Read *response* payloads are
 //! counted in `bytes_rx` but add no modelled latency (the return
 //! direction is calibrated into the sampled wire distribution).
 
@@ -77,6 +77,9 @@ use crate::QueuePairId;
 
 /// Fixed NVMe-oF command-capsule header size in bytes (SQE + ICD header).
 const CMD_CAPSULE_HDR: u64 = 64;
+/// Serialization latency per KiB of in-capsule data payload (write
+/// capsules): a 25 Gb/s link. Read command capsules carry no payload.
+const WIRE_NS_PER_KB: Nanos = 320;
 /// Fixed response-capsule size in bytes (CQE).
 const RSP_CAPSULE_HDR: u64 = 16;
 /// Stride-scheduling constant for the weighted round-robin admission
@@ -137,10 +140,6 @@ pub struct FabricConfig {
     /// knee — the queue-depth-dependent congestion signal. Zero (the
     /// default) disables congestion.
     pub congestion_ns_per_capsule: Nanos,
-    /// Serialization latency per KiB of in-capsule data payload (write
-    /// capsules). The default 320 ns/KiB models a 25 Gb/s link; read
-    /// command capsules carry no payload and are unaffected.
-    pub wire_ns_per_kb: Nanos,
     /// Probability that one wire crossing is lost and must be
     /// retransmitted after [`FabricConfig::retransmit_timeout_ns`].
     /// Zero (the default) draws no randomness at all, preserving the
@@ -190,27 +189,10 @@ impl FabricConfig {
             admit_ns: 0,
             congestion_knee: 0,
             congestion_ns_per_capsule: 0,
-            wire_ns_per_kb: 320,
             loss_prob: 0.0,
             retransmit_timeout_ns: 100_000,
             dup_prob: 0.0,
         }
-    }
-
-    /// Overrides the in-flight-capsule window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero — a window that admits nothing would turn
-    /// every I/O into a silent error (the same contract as
-    /// `irq_coalescing`'s zero-depth rejection).
-    pub fn with_inflight_cap(mut self, cap: usize) -> Self {
-        assert!(
-            cap >= 1,
-            "inflight_cap 0 can never admit a capsule; use 1 for single-command windows"
-        );
-        self.inflight_cap = cap;
-        self
     }
 
     /// Sets the number of initiators sharing the target.
@@ -228,8 +210,9 @@ impl FabricConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `w` is zero (same contract as
-    /// [`FabricConfig::with_inflight_cap`]).
+    /// Panics if `w` is zero — a window that admits nothing would turn
+    /// every I/O into a silent error (the same contract as a zero
+    /// [`FabricConfig::inflight_cap`] at [`FabricTransport::new`]).
     pub fn with_initiator_window(mut self, w: usize) -> Self {
         assert!(
             w >= 1,
@@ -673,7 +656,7 @@ impl FabricTransport {
     /// in-capsule data hauled in this direction. A zero `loss_prob`
     /// draws exactly one sample, preserving loss-free RNG streams.
     fn crossing(&mut self, dist_to_target: bool, payload_bytes: u64, init: usize) -> Nanos {
-        let serialize = payload_bytes * self.cfg.wire_ns_per_kb / 1024;
+        let serialize = payload_bytes * WIRE_NS_PER_KB / 1024;
         let congest = self.congestion_penalty();
         let mut total = self.cfg.target_proc_ns + serialize + congest;
         loop {
@@ -1025,7 +1008,6 @@ mod tests {
             to_host: LatencyDist::Constant(one_way),
             target_proc_ns: 0,
             inflight_cap: 32,
-            wire_ns_per_kb: 0,
             ..FabricConfig::contention_defaults()
         }
     }
@@ -1161,7 +1143,11 @@ mod tests {
 
     #[test]
     fn capsule_window_backpressures_before_the_ring() {
-        let mut t = FabricTransport::new(dev(8), link(1_000).with_inflight_cap(2), SimRng::seed(2));
+        let cfg = FabricConfig {
+            inflight_cap: 2,
+            ..link(1_000)
+        };
+        let mut t = FabricTransport::new(dev(8), cfg, SimRng::seed(2));
         assert_eq!(t.queue_capacity(), 2, "window tighter than the ring");
         t.submit(0, read_cmd(1), SubmitClass::Host, 0).expect("one");
         t.submit(0, read_cmd(2), SubmitClass::Host, 0).expect("two");
@@ -1190,7 +1176,6 @@ mod tests {
             to_host: LatencyDist::Uniform(1_000, 50_000),
             target_proc_ns: 250,
             inflight_cap: 32,
-            wire_ns_per_kb: 0,
             ..FabricConfig::contention_defaults()
         };
         let mut t = FabricTransport::new(dev(8), cfg, SimRng::seed(99));
@@ -1232,12 +1217,6 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "inflight_cap 0 can never admit a capsule")]
-    fn zero_inflight_cap_panics_like_irq_coalescing_depth() {
-        let _ = FabricConfig::default().with_inflight_cap(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "inflight_cap 0 can never admit a capsule")]
     fn zero_inflight_cap_literal_panics_at_build() {
         let cfg = FabricConfig {
             inflight_cap: 0,
@@ -1270,15 +1249,13 @@ mod tests {
 
     #[test]
     fn payload_serialization_delays_write_capsules_only() {
-        let mut cfg = link(10_000);
-        cfg.wire_ns_per_kb = 1_024; // 1 ns per byte, exact arithmetic
-        let mut t = FabricTransport::new(dev(8), cfg, SimRng::seed(1));
+        let mut t = fabric(10_000);
         t.submit(0, write_cmd(1, 2_048), SubmitClass::Host, 0)
             .expect("submit");
         let times = t.ring_doorbell(0, 0).expect("bell");
         // Write service in the test device is SVC too; outbound crossing
-        // gains exactly the 2 KiB serialization.
-        assert_eq!(times, vec![10_000 + 2_048 + SVC + 10_000]);
+        // gains exactly the 2 KiB serialization at 320 ns/KiB.
+        assert_eq!(times, vec![10_000 + 640 + SVC + 10_000]);
         let mut t2 = fabric(10_000);
         t2.submit(0, read_cmd(1), SubmitClass::Host, 0)
             .expect("submit");

@@ -18,8 +18,55 @@
 //! while the completion side mostly ends I/O and wakes the waiter).
 //! Harness code recovers the exact Table 1 totals from these parts; see
 //! the `table1` bench.
+//!
+//! # The burst table
+//!
+//! The stack spends CPU in *bursts*: one run-to-completion job on one
+//! core. Every burst is itemised here, once, as `(layer, ns)`
+//! [`Item`]s; `Machine::charge` is the one consumer — it runs the
+//! burst's total on a core and books each item to its
+//! [`crate::LayerTrace`] bucket, so Σ CPU buckets == Σ core busy time
+//! holds by construction (and is asserted at the end of every run).
+//! Figure 2 — which layers a dependent hop still pays on each dispatch
+//! path — reads off the rows (`w`: a write replaces `fs_submit` by
+//! `wr_fs_submit` and adds `journal_log` in the journal bucket):
+//!
+//! | burst | crossing | syscall | fs | bio | drv | other |
+//! |---|---|---|---|---|---|---|
+//! | [`sync_issue`](LayerCosts::sync_issue) | `crossing_enter` | `syscall` | `fs_submit`ʷ | `bio_submit` | `drv_submit` | app `app_think` |
+//! | [`unwind`](LayerCosts::unwind) | `crossing_exit` | | `fs_complete` | `bio_complete` | `drv_complete` | |
+//! | [`syscall_hook_hop`](LayerCosts::syscall_hook_hop) | | `syscall` | `fs_complete + fs_submit` | `bio_complete + bio_submit` | `drv_complete + drv_submit` | bpf [`hook_run`](LayerCosts::hook_run) |
+//! | [`driver_hook_recycle`](LayerCosts::driver_hook_recycle) | | | | | `drv_complete + recycle_submit` | bpf `hook_run`, [`extent_lookup`](LayerCosts::extent_lookup) |
+//! | [`uring_enter`](LayerCosts::uring_enter), per batch | `crossing_enter` | | | | | app `app_think` per SQE asked |
+//! | … per accepted SQE | | `uring_sqe + uring_cqe` | `fs_submit`ʷ | `bio_submit` | `drv_submit` | |
+//! | [`uring_wake`](LayerCosts::uring_wake) | `crossing_exit` | | | | | |
+//! | [`rearm_ioctl`](LayerCosts::rearm_ioctl) | `crossing_enter + crossing_exit` | `syscall` | `fs_submit` | | | |
+//! | [`commit_record`](LayerCosts::commit_record) | | | | | `drv_submit` | journal `journal_commit` |
+//! | [`split_segments`](LayerCosts::split_segments), per extra segment | | | | `bio_submit + drv_submit` | | |
+//! | [`pagecache_hits`](LayerCosts::pagecache_hits), per block | | | `pagecache_hit` | | | |
+//! | [`ring_doorbell`](LayerCosts::ring_doorbell), per ring | | | | | `doorbell` | |
+//! | [`irq`](LayerCosts::irq), per interrupt, on the queue pair's core | | | | | `irq_entry` | |
+//! | [`poll_visit`](LayerCosts::poll_visit), on the queue pair's core | | | | | | poll `poll_loop` |
+//! | [`capsule_encode`](LayerCosts::capsule_encode), fabric only | | | | | | fabric `fab_encode` per capsule `+ fab_encode_per_kb` per KiB |
+//! | [`capsule_decode`](LayerCosts::capsule_decode), fabric only | | | | | | fabric `fab_decode` |
+//!
+//! A chain that ends at a hook pays what ran there (`hook_run`, and
+//! `extent_lookup` when the resubmission got as far as the extent
+//! cache) at the head of the burst that ends it: `unwind` on the host,
+//! `capsule_encode` on a fabric target. A terminal response capsule's
+//! `capsule_decode` rides at the head of the host's `unwind` likewise.
 
 use bpfstor_sim::Nanos;
+
+use crate::trace::Layer::{self, *};
+
+/// One line of a CPU burst: `ns` of work booked to `layer`'s bucket.
+pub type Item = (Layer, Nanos);
+
+/// `n` back-to-back repetitions of `row` inside one burst.
+fn times<const N: usize>(row: [Item; N], n: u64) -> [Item; N] {
+    row.map(|(layer, ns)| (layer, ns * n))
+}
 
 /// CPU costs charged by the simulated stack, all in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,11 +119,13 @@ pub struct LayerCosts {
     pub pagecache_hit: Nanos,
     /// File-system submission half of a `write` syscall *excluding* the
     /// journal record append: block allocation, extent-tree insert,
-    /// size update. Carved out of Table 1's ext4 submit row so
-    /// `wr_fs_submit + journal_log == fs_submit` — the per-I/O ext4
-    /// total is unchanged, but the journal share is visible in its own
-    /// trace bucket (the same carve PR 2 applied to the driver row's
-    /// doorbell and interrupt entry).
+    /// size update. Carved out of Table 1's ext4 submit row: at the
+    /// defaults `wr_fs_submit + journal_log == fs_submit`, so the
+    /// per-I/O ext4 total is unchanged but the journal share is visible
+    /// in its own trace bucket (the same carve PR 2 applied to the
+    /// driver row's doorbell and interrupt entry). Every write
+    /// submission — `write` syscall or io_uring SQE — pays these two
+    /// where a read pays `fs_submit` ([`LayerCosts::submit_walk`]).
     pub wr_fs_submit: Nanos,
     /// Appending the write's metadata records to the running journal
     /// transaction (jbd2 handle work). Charged per write submission.
@@ -170,35 +219,178 @@ impl LayerCosts {
         self.crossing() + self.syscall + self.fs_total() + self.bio_total() + self.drv_total()
     }
 
-    /// The full submission-side CPU burst of a synchronous read, up to
-    /// (but excluding) the doorbell ring.
-    pub fn sync_submit(&self) -> Nanos {
-        self.crossing_enter + self.syscall + self.fs_submit + self.bio_submit + self.drv_submit
-    }
-
-    /// The full completion-side CPU burst of a synchronous read, from
-    /// the CQE handler up (the per-interrupt entry cost is charged
-    /// separately, once per interrupt).
-    pub fn sync_complete(&self) -> Nanos {
-        self.drv_complete + self.bio_complete + self.fs_complete + self.crossing_exit
-    }
-
     /// Cost of one BPF invocation that retired `insns` instructions.
     pub fn bpf_exec(&self, insns: u64) -> Nanos {
         self.bpf_base + self.bpf_per_insn * insns
     }
 
-    /// The submission-side CPU burst of a synchronous `write`, up to
-    /// (but excluding) the doorbell ring: the ext4 half is split into
-    /// allocation/extent work and the journal record append, summing to
-    /// the same Table 1 ext4 submit share as a read.
-    pub fn sync_write_submit(&self) -> Nanos {
-        self.crossing_enter
-            + self.syscall
-            + self.wr_fs_submit
-            + self.journal_log
-            + self.bio_submit
-            + self.drv_submit
+    // --- The burst table (module docs) -------------------------------------
+
+    /// ext4 → bio → driver SQE build: the walk every fresh submission
+    /// pays below its dispatch layer. A write carves the ext4 half into
+    /// allocation and the journal record append; a read appends nothing.
+    pub fn submit_walk(&self, write: bool) -> [Item; 4] {
+        let (fs, journal) = if write {
+            (self.wr_fs_submit, self.journal_log)
+        } else {
+            (self.fs_submit, 0)
+        };
+        [
+            (Fs, fs),
+            (Journal, journal),
+            (Bio, self.bio_submit),
+            (Drv, self.drv_submit),
+        ]
+    }
+
+    /// A synchronous `read`/`write` on its way down: the application's
+    /// think time and the full submission walk, up to (but excluding)
+    /// the doorbell ring.
+    pub fn sync_issue(&self, write: bool) -> [Item; 7] {
+        let [fs, journal, bio, drv] = self.submit_walk(write);
+        [
+            (App, self.app_think),
+            (Crossing, self.crossing_enter),
+            (Syscall, self.syscall),
+            fs,
+            journal,
+            bio,
+            drv,
+        ]
+    }
+
+    /// A completion on its way up, from the CQE handler to the
+    /// application (the per-interrupt entry is [`LayerCosts::irq`]).
+    pub fn unwind(&self) -> [Item; 4] {
+        [
+            (Drv, self.drv_complete),
+            (Bio, self.bio_complete),
+            (Fs, self.fs_complete),
+            (Crossing, self.crossing_exit),
+        ]
+    }
+
+    /// One hook invocation that retired `insns` instructions.
+    pub fn hook_run(&self, insns: u64) -> Item {
+        (Bpf, self.bpf_exec(insns))
+    }
+
+    /// One NVMe-layer extent soft-state cache lookup, whatever it
+    /// returns.
+    pub fn extent_lookup(&self) -> Item {
+        (ExtentCache, self.extent_cache_lookup)
+    }
+
+    /// A dependent hop at the syscall hook: the completion climbs
+    /// driver → bio → ext4, the program runs, and the reissue walks
+    /// back down from the dispatch layer. Against the user path it
+    /// skips both boundary crossings and the application.
+    pub fn syscall_hook_hop(&self, insns: u64) -> [Item; 8] {
+        let [drv_up, bio_up, fs_up, _crossing_exit] = self.unwind();
+        let [fs, _journal, bio, drv] = self.submit_walk(false);
+        [
+            drv_up,
+            bio_up,
+            fs_up,
+            self.hook_run(insns),
+            (Syscall, self.syscall),
+            fs,
+            bio,
+            drv,
+        ]
+    }
+
+    /// A dependent hop at the driver hook: the program runs in the CQE
+    /// handler, the offset translates through the extent cache, and the
+    /// descriptor is recycled. It skips everything above the driver.
+    pub fn driver_hook_recycle(&self, insns: u64) -> [Item; 4] {
+        let [drv_up, ..] = self.unwind();
+        [
+            drv_up,
+            self.hook_run(insns),
+            self.extent_lookup(),
+            (Drv, self.recycle_submit),
+        ]
+    }
+
+    /// One `io_uring_enter`: the application prepared `asked` SQEs, one
+    /// crossing covers the batch, and each accepted SQE (`reads` +
+    /// `writes` of them) pays the uring dispatch around the same
+    /// [`LayerCosts::submit_walk`] a syscall would.
+    pub fn uring_enter(&self, asked: u64, reads: u64, writes: u64) -> impl Iterator<Item = Item> {
+        let sqe = |write| {
+            let [fs, journal, bio, drv] = self.submit_walk(write);
+            let dispatch = (Syscall, self.uring_sqe + self.uring_cqe);
+            [dispatch, fs, journal, bio, drv]
+        };
+        [
+            (App, self.app_think * asked),
+            (Crossing, self.crossing_enter),
+        ]
+        .into_iter()
+        .chain(times(sqe(false), reads))
+        .chain(times(sqe(true), writes))
+    }
+
+    /// The blocked `io_uring_enter` wakes once its batch has completed.
+    pub fn uring_wake(&self) -> [Item; 1] {
+        [(Crossing, self.crossing_exit)]
+    }
+
+    /// The rearm ioctl of a rearm-retry (§4): in and out of the kernel
+    /// around the file system's extent walk.
+    pub fn rearm_ioctl(&self) -> [Item; 4] {
+        [
+            (Crossing, self.crossing_enter),
+            (Syscall, self.syscall),
+            (Fs, self.fs_submit),
+            (Crossing, self.crossing_exit),
+        ]
+    }
+
+    /// Building a journal commit record and the SQE of its flush
+    /// barrier — once per fsync, or once per sealed transaction under
+    /// group commit.
+    pub fn commit_record(&self) -> [Item; 2] {
+        [(Journal, self.journal_commit), (Drv, self.drv_submit)]
+    }
+
+    /// The block layer splitting a request that straddles extents:
+    /// one more bio and SQE per segment beyond the first.
+    pub fn split_segments(&self, extra: u64) -> [Item; 1] {
+        [(Bio, (self.bio_submit + self.drv_submit) * extra)]
+    }
+
+    /// A buffered read served from `nblocks` cached pages.
+    pub fn pagecache_hits(&self, nblocks: u64) -> [Item; 1] {
+        [(Fs, self.pagecache_hit * nblocks)]
+    }
+
+    /// One doorbell MMIO write (SQEs enqueued together share it).
+    pub fn ring_doorbell(&self) -> [Item; 1] {
+        [(Drv, self.doorbell)]
+    }
+
+    /// One completion-interrupt entry (coalesced CQEs share it).
+    pub fn irq(&self) -> [Item; 1] {
+        [(Drv, self.irq_entry)]
+    }
+
+    /// One completion-poller visit, productive or not.
+    pub fn poll_visit(&self) -> [Item; 1] {
+        [(Poll, self.poll_loop)]
+    }
+
+    /// Fabric only: encoding `capsules` capsules that haul
+    /// `payload_bytes` of in-capsule data between them.
+    pub fn capsule_encode(&self, capsules: u64, payload_bytes: u64) -> [Item; 1] {
+        let copy = self.fab_encode_per_kb * payload_bytes / 1024;
+        [(Fabric, self.fab_encode * capsules + copy)]
+    }
+
+    /// Fabric only: decoding one received capsule.
+    pub fn capsule_decode(&self) -> [Item; 1] {
+        [(Fabric, self.fab_decode)]
     }
 }
 
@@ -223,25 +415,179 @@ mod tests {
         assert_eq!(c.software_total() + 3224, 6272, "Table 1 total 6.27us");
     }
 
+    fn total(burst: impl IntoIterator<Item = Item>) -> Nanos {
+        burst.into_iter().map(|(_, ns)| ns).sum()
+    }
+
+    /// Per-layer sums of a burst, in `Layer` declaration order.
+    fn by_layer(burst: impl IntoIterator<Item = Item>) -> [Nanos; 11] {
+        let mut sums = [0; 11];
+        for (layer, ns) in burst {
+            sums[layer as usize] += ns;
+        }
+        sums
+    }
+
+    /// Costs that are pairwise distinct powers of two, so a burst's
+    /// total names exactly the fields it is made of.
+    fn distinct() -> LayerCosts {
+        LayerCosts {
+            crossing_enter: 1 << 0,
+            crossing_exit: 1 << 1,
+            syscall: 1 << 2,
+            fs_submit: 1 << 3,
+            fs_complete: 1 << 4,
+            bio_submit: 1 << 5,
+            bio_complete: 1 << 6,
+            drv_submit: 1 << 7,
+            doorbell: 1 << 8,
+            irq_entry: 1 << 9,
+            drv_complete: 1 << 10,
+            app_think: 1 << 11,
+            bpf_base: 1 << 12,
+            bpf_per_insn: 1 << 13,
+            extent_cache_lookup: 1 << 14,
+            recycle_submit: 1 << 15,
+            uring_sqe: 1 << 16,
+            uring_cqe: 1 << 17,
+            pagecache_hit: 1 << 18,
+            wr_fs_submit: 1 << 19,
+            journal_log: 1 << 20,
+            journal_commit: 1 << 21,
+            fab_encode: 1 << 22,
+            fab_decode: 1 << 23,
+            fab_encode_per_kb: 1 << 24,
+            poll_loop: 1 << 25,
+        }
+    }
+
     #[test]
-    fn submit_complete_partition() {
-        // The synchronous bursts plus the separately charged doorbell
-        // and interrupt entry partition the software total exactly.
+    fn sync_read_bursts_partition_the_software_total() {
+        // Down, doorbell, interrupt entry, up: one synchronous read is
+        // Table 1's software rows plus the application, layer by layer.
         let c = LayerCosts::default();
-        assert_eq!(
-            c.sync_submit() + c.doorbell + c.irq_entry + c.sync_complete(),
-            c.software_total()
+        let io = by_layer(
+            (c.sync_issue(false).into_iter())
+                .chain(c.ring_doorbell())
+                .chain(c.irq())
+                .chain(c.unwind()),
         );
+        assert_eq!(io[Crossing as usize], c.crossing());
+        assert_eq!(io[Syscall as usize], c.syscall);
+        assert_eq!(io[Fs as usize], c.fs_total());
+        assert_eq!(io[Bio as usize], c.bio_total());
+        assert_eq!(io[Drv as usize], c.drv_total());
+        assert_eq!(io[App as usize], c.app_think);
+        assert_eq!(io.iter().sum::<Nanos>(), c.software_total() + c.app_think);
+        assert_eq!(c.software_total(), 3048);
     }
 
     #[test]
     fn write_submit_carve_preserves_ext4_total() {
         // The write path splits the ext4 submit row into allocation +
-        // journal append without changing the per-I/O total: the
-        // synchronous write burst equals the read burst.
+        // journal append without changing the per-I/O total at the
+        // defaults: a write submission costs what a read's does, on
+        // both submission paths, and differs only in those two items.
         let c = LayerCosts::default();
         assert_eq!(c.wr_fs_submit + c.journal_log, c.fs_submit);
-        assert_eq!(c.sync_write_submit(), c.sync_submit());
+        assert_eq!(total(c.sync_issue(true)), total(c.sync_issue(false)));
+        assert_eq!(total(c.uring_enter(0, 0, 1)), total(c.uring_enter(0, 1, 0)));
+        let c = distinct();
+        let carve = c.wr_fs_submit + c.journal_log - c.fs_submit;
+        assert_eq!(
+            total(c.sync_issue(true)) - total(c.sync_issue(false)),
+            carve
+        );
+        assert_eq!(
+            total(c.uring_enter(0, 0, 1)) - total(c.uring_enter(0, 1, 0)),
+            carve,
+            "a write SQE is priced from the same items as a write syscall"
+        );
+        let w = by_layer(c.sync_issue(true));
+        assert_eq!(
+            (w[Fs as usize], w[Journal as usize]),
+            (c.wr_fs_submit, c.journal_log)
+        );
+    }
+
+    #[test]
+    fn figure2_each_hook_skips_the_layers_above_it() {
+        let c = distinct();
+        let insns = 3;
+        // The user path pays everything, both ways.
+        let user = total(c.sync_issue(false)) + total(c.unwind());
+        // The syscall hook skips the crossings and the application.
+        assert_eq!(
+            total(c.syscall_hook_hop(insns)),
+            user - c.crossing() - c.app_think + c.bpf_exec(insns)
+        );
+        // The driver hook also skips the dispatch layer, ext4, bio and
+        // the SQE build; it pays the extent cache and the recycle.
+        assert_eq!(
+            total(c.driver_hook_recycle(insns)),
+            c.drv_complete + c.bpf_exec(insns) + c.extent_cache_lookup + c.recycle_submit
+        );
+        let hop = by_layer(c.driver_hook_recycle(insns));
+        assert_eq!(hop[Drv as usize], c.drv_complete + c.recycle_submit);
+        assert_eq!(hop[Bpf as usize], c.bpf_exec(insns));
+        assert_eq!(hop[ExtentCache as usize], c.extent_cache_lookup);
+        let hop = by_layer(c.syscall_hook_hop(insns));
+        assert_eq!(hop[Crossing as usize] + hop[App as usize], 0);
+        assert_eq!(hop[Syscall as usize], c.syscall);
+        assert_eq!(hop[Fs as usize], c.fs_total());
+        assert_eq!(hop[Bio as usize], c.bio_total());
+        assert_eq!(hop[Drv as usize], c.drv_complete + c.drv_submit);
+    }
+
+    #[test]
+    fn every_burst_is_made_of_exactly_its_fields() {
+        // Distinct powers of two: each total is the set of fields paid.
+        let c = distinct();
+        assert_eq!(
+            total(c.sync_issue(false)),
+            c.app_think + c.crossing_enter + c.syscall + c.fs_submit + c.bio_submit + c.drv_submit
+        );
+        assert_eq!(
+            total(c.unwind()),
+            c.drv_complete + c.bio_complete + c.fs_complete + c.crossing_exit
+        );
+        // A batch of 5 asked, 2 reads + 1 write accepted.
+        let batch = by_layer(c.uring_enter(5, 2, 1));
+        assert_eq!(batch[App as usize], 5 * c.app_think);
+        assert_eq!(batch[Crossing as usize], c.crossing_enter);
+        assert_eq!(batch[Syscall as usize], 3 * (c.uring_sqe + c.uring_cqe));
+        assert_eq!(batch[Fs as usize], 2 * c.fs_submit + c.wr_fs_submit);
+        assert_eq!(batch[Journal as usize], c.journal_log);
+        assert_eq!(batch[Bio as usize], 3 * c.bio_submit);
+        assert_eq!(batch[Drv as usize], 3 * c.drv_submit);
+        assert_eq!(c.uring_wake(), [(Crossing, c.crossing_exit)]);
+        assert_eq!(
+            by_layer(c.rearm_ioctl()),
+            by_layer([
+                (Crossing, c.crossing()),
+                (Syscall, c.syscall),
+                (Fs, c.fs_submit)
+            ])
+        );
+        assert_eq!(
+            c.commit_record(),
+            [(Journal, c.journal_commit), (Drv, c.drv_submit)]
+        );
+        assert_eq!(
+            c.split_segments(2),
+            [(Bio, 2 * (c.bio_submit + c.drv_submit))]
+        );
+        assert_eq!(c.pagecache_hits(3), [(Fs, 3 * c.pagecache_hit)]);
+        assert_eq!(c.ring_doorbell(), [(Drv, c.doorbell)]);
+        assert_eq!(c.irq(), [(Drv, c.irq_entry)]);
+        assert_eq!(c.poll_visit(), [(Poll, c.poll_loop)]);
+        assert_eq!(
+            c.capsule_encode(2, 4096),
+            [(Fabric, 2 * c.fab_encode + 4 * c.fab_encode_per_kb)]
+        );
+        assert_eq!(c.capsule_decode(), [(Fabric, c.fab_decode)]);
+        assert_eq!(c.hook_run(2), (Bpf, c.bpf_base + 2 * c.bpf_per_insn));
+        assert_eq!(c.extent_lookup(), (ExtentCache, c.extent_cache_lookup));
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! What runs where:
 //!
 //! - **submission** (app → syscall → ext4 → bio → driver) is one CPU
-//!   burst; costs follow [`crate::costs::LayerCosts`] (Table 1). The
+//!   burst; every burst is itemised in [`crate::costs`] (Table 1) and
+//!   spent through `Machine::charge`, which runs it on a core and
+//!   books it to the [`LayerTrace`] buckets in one step. The
 //!   driver enqueues commands on the device's per-queue-pair submission
 //!   ring and rings the doorbell once per batch ([`Ev::Doorbell`] —
 //!   SQEs submitted at the same instant share the MMIO write);
@@ -119,7 +121,7 @@ use crate::chain::{
 };
 use crate::commit::{Barrier, CommitLog, CommitStats, Request, Tick};
 use crate::config::{ExecClock, MachineConfig, PAGECACHE_BLOCKS};
-use crate::costs::LayerCosts;
+use crate::costs::{Item, LayerCosts};
 use crate::extcache::{ExtCacheStats, ExtentCache};
 use crate::reaper::{FairSched, ReapKind, Reaper};
 use crate::tenant::{SqAdmission, TenantBreakdown, TenantId, TenantLimits, DEFAULT_TENANT};
@@ -1158,55 +1160,29 @@ impl Machine {
             .ok_or_else(|| KernelError::Fs("one-shot chain never delivered".to_string()))
     }
 
-    // --- Charging helpers ---------------------------------------------------
+    // --- CPU accounting -----------------------------------------------------
 
-    fn charge(&mut self, cost: Nanos) -> Nanos {
-        self.cores.run(self.now, None, cost).end
-    }
-
-    /// Charges CPU time pinned to a specific core (MSI-X interrupt
-    /// affinity: the queue pair's interrupt handler runs on its owning
-    /// core, not on whichever core happens to be free).
-    fn charge_on(&mut self, core: usize, cost: Nanos) -> Nanos {
-        self.cores.run(self.now, Some(core), cost).end
-    }
-
-    /// Fabric only: the CPU cost of encoding `n` command capsules
-    /// carrying `payload_bytes` of in-capsule data on the submitting
-    /// side (write capsules haul their payload; read commands are
-    /// header-only). A no-op on the local transport.
-    fn charge_capsule_encode(&mut self, n: u64, payload_bytes: u64) {
-        if !self.fabric || n == 0 {
-            return;
+    /// Spends one CPU burst ([`crate::costs`]): runs its total as one
+    /// job starting no earlier than now — on `core` when pinned (MSI-X
+    /// affinity: a queue pair's interrupt handler and poller run on its
+    /// owning core), else on whichever core frees first — and books
+    /// each item to its layer's bucket. The only caller of
+    /// [`Cores::run`] and the only writer of a CPU bucket, so the
+    /// buckets sum to the cores' busy time (`finish_run` asserts it).
+    /// Returns the instant the burst ends.
+    fn charge(&mut self, core: Option<usize>, burst: impl IntoIterator<Item = Item>) -> Nanos {
+        let mut total = 0;
+        for (layer, ns) in burst {
+            *self.run.trace.bucket_mut(layer) += ns;
+            total += ns;
         }
-        let cost = self.costs.fab_encode * n + self.costs.fab_encode_per_kb * payload_bytes / 1024;
-        self.charge(cost);
-        self.run.trace.fabric += cost;
+        self.cores.run(self.now, core, total).end
     }
 
-    /// A synchronous request's app think + full submission burst (the
-    /// layer walk down to the driver) as one CPU job, after which the op
-    /// reaches the device path.
-    fn sync_submit(&mut self, id: usize, write: bool) {
-        let c = self.costs;
-        let submit = if write {
-            c.sync_write_submit()
-        } else {
-            c.sync_submit()
-        };
-        let end = self.charge(c.app_think + submit);
-        let t = &mut self.run.trace;
-        t.app += c.app_think;
-        t.crossing += c.crossing_enter;
-        t.syscall += c.syscall;
-        t.bio += c.bio_submit;
-        t.drv += c.drv_submit;
-        if write {
-            t.fs += c.wr_fs_submit;
-            t.journal += c.journal_log;
-        } else {
-            t.fs += c.fs_submit;
-        }
+    /// Spends `burst` as one CPU job, after which op `id` reaches the
+    /// device submission path ([`Ev::DevSubmit`]).
+    fn submit_after(&mut self, id: usize, burst: impl IntoIterator<Item = Item>) {
+        let end = self.charge(None, burst);
         self.events.push(end, Ev::DevSubmit { op: id });
     }
 
@@ -1220,35 +1196,31 @@ impl Machine {
             .is_some_and(|op| op.fab.pushdown && op.ios > 0)
     }
 
-    /// The host-side completion path up to the application: `extra`
-    /// plus the completion burst as one CPU job, then delivery. The
+    /// The host-side completion path up to the application: `head`
+    /// (what ran just before — a hook, a capsule decode, or nothing)
+    /// and the completion unwind as one CPU job, then delivery. The
     /// only place a terminal [`Ev::Delivered`] is scheduled.
-    fn unwind(&mut self, id: usize, extra: Nanos) {
-        let c = self.costs;
-        let end = self.charge(extra + c.sync_complete());
-        let t = &mut self.run.trace;
-        t.drv += c.drv_complete;
-        t.bio += c.bio_complete;
-        t.fs += c.fs_complete;
-        t.crossing += c.crossing_exit;
+    fn unwind(&mut self, id: usize, head: &[Item]) {
+        let burst = head.iter().copied().chain(self.costs.unwind());
+        let end = self.charge(None, burst);
         self.events.push(end, Ev::Delivered { op: id });
     }
 
-    /// Terminal hop of a chain after `extra` of final CPU work (the
-    /// hook's run, or nothing). A local chain unwinds the completion
-    /// stack directly. A target-resident chain's outcome returns as one
-    /// response capsule — the target does the work and encodes the
-    /// capsule, and the host unwinds when it arrives
+    /// Terminal hop of a chain; `hook` itemises the final CPU work that
+    /// ended it (the hook's run, or nothing). A local chain unwinds the
+    /// completion stack directly. A target-resident chain's outcome
+    /// returns as one response capsule — the target does the work and
+    /// encodes the capsule, and the host unwinds when it arrives
     /// ([`Ev::CapsuleRx`]); the arrival instant is returned so a
     /// grouped commit barrier can ack its other released fsyncs on the
     /// same capsule.
-    fn deliver(&mut self, id: usize, extra: Nanos) -> Option<Nanos> {
+    fn deliver(&mut self, id: usize, hook: &[Item]) -> Option<Nanos> {
         if !self.target_resident(id) {
-            self.unwind(id, extra);
+            self.unwind(id, hook);
             return None;
         }
-        let end = self.charge(extra + self.costs.fab_encode);
-        self.run.trace.fabric += self.costs.fab_encode;
+        let burst = hook.iter().copied().chain(self.costs.capsule_encode(1, 0));
+        let end = self.charge(None, burst);
         let initiator = self.ops[id].as_ref().expect("op").tenant;
         let (arrive, wire) = self
             .transport
@@ -1259,12 +1231,12 @@ impl Machine {
         Some(arrive)
     }
 
-    /// Ends the chain with `status` after `extra` of final CPU work
-    /// (over a fabric, a failure caught at the target returns as its
-    /// response capsule first).
-    fn fail(&mut self, id: usize, status: ChainStatus, extra: Nanos) {
+    /// Ends the chain with `status` after the final CPU work `hook`
+    /// itemises (over a fabric, a failure caught at the target returns
+    /// as its response capsule first).
+    fn fail(&mut self, id: usize, status: ChainStatus, hook: &[Item]) {
         self.ops[id].as_mut().expect("op").status = Some(status);
-        self.deliver(id, extra);
+        self.deliver(id, hook);
     }
 
     /// §4 fairness accounting: one chained kernel-side resubmission on
@@ -1367,8 +1339,19 @@ impl Machine {
         let (mut latency, mut fsync_latency) = (Histogram::new(), Histogram::new());
         let mut exec = ExecSplit::default();
         let mut commit = self.run.commit_log;
+        let mut trace = self.run.trace;
+        // The conservation law `charge` exists to keep: every CPU
+        // nanosecond a core ran is in exactly one layer bucket.
+        debug_assert_eq!(
+            trace.software(),
+            (0..self.cores.count()).map(|c| self.cores.busy_ns(c)).sum(),
+            "sum of CPU buckets != sum of core busy time"
+        );
         for (t, row) in self.run.tstats.iter_mut().zip(&self.run.resub) {
             t.resubmissions = row.iter().sum();
+            trace.ios += t.ios;
+            trace.write_ios += t.dev_writes + t.dev_flushes;
+            trace.device += t.device_ns;
             chains += t.chains;
             errors += t.errors;
             resubmissions += t.resubmissions;
@@ -1394,7 +1377,7 @@ impl Machine {
             device: self.transport.device().stats(),
             fabric: self.transport.fabric_stats(),
             fabric_initiators: self.transport.initiator_stats(),
-            trace: self.run.trace,
+            trace,
             extcache: self.extcache.stats(),
             resubmissions,
             rearm_retries: self.run.rearm_retries,
@@ -1450,13 +1433,9 @@ impl Machine {
         let Some(op) = self.ops[id].as_ref() else {
             return;
         };
-        let decode = if op.fab.capsule_joined {
-            0
-        } else {
-            self.costs.fab_decode
-        };
-        self.run.trace.fabric += decode;
-        self.unwind(id, decode);
+        let decode = self.costs.capsule_decode();
+        let joined = op.fab.capsule_joined;
+        self.unwind(id, if joined { &[] } else { &decode });
     }
 
     // --- Op slab --------------------------------------------------------------
@@ -1554,7 +1533,8 @@ impl Machine {
         bufs.scratch.resize(SCRATCH_SIZE, 0);
         bufs.scratch[..8].copy_from_slice(&start.arg.to_le_bytes());
         if origin == Origin::Sync {
-            self.sync_submit(id, kind != OpKind::Read);
+            // App think + the full layer walk down to the driver.
+            self.submit_after(id, self.costs.sync_issue(kind != OpKind::Read));
         }
         Some(id)
     }
@@ -1604,7 +1584,7 @@ impl Machine {
         // A request that can never fit the SQ is an I/O error (a real
         // driver would split it; the workloads never get near this).
         if n > self.transport.queue_capacity() {
-            return self.fail(id, ChainStatus::IoError, 0);
+            return self.fail(id, ChainStatus::IoError, &[]);
         }
         // Tenant SQ budget: a tenant at its per-qp slot budget parks in
         // its own queue without consuming shared slots.
@@ -1621,10 +1601,8 @@ impl Machine {
             return self.admission.park(qp, tenant, id);
         }
         // Extra bio/driver work for each split segment beyond the first.
-        let extra = (n as u64 - 1) * (self.costs.bio_submit + self.costs.drv_submit);
-        if extra > 0 {
-            self.charge(extra);
-            self.run.trace.bio += extra;
+        if n > 1 {
+            self.charge(None, self.costs.split_segments(n as u64 - 1));
         }
         self.admission.admit(qp, tenant, n);
         let op = self.ops[id].as_mut().expect("op");
@@ -1653,10 +1631,11 @@ impl Machine {
         }
         ts.ios += n as u64;
         ts.dev_reads += reads;
-        self.run.trace.ios += n as u64;
-        self.run.trace.write_ios += n as u64 - reads;
-        if class != SubmitClass::TargetLocal {
-            self.charge_capsule_encode(n as u64, payload);
+        // Over a fabric the submitting side encodes one command capsule
+        // per command (a write capsule hauls its payload; a read
+        // command is header-only).
+        if self.fabric && class != SubmitClass::TargetLocal {
+            self.charge(None, self.costs.capsule_encode(n as u64, payload));
         }
         if !self.run.doorbell_armed[qp] {
             self.run.doorbell_armed[qp] = true;
@@ -1701,7 +1680,7 @@ impl Machine {
                 }
             } else {
                 op.status = Some(ChainStatus::Written(0));
-                self.deliver(id, 0);
+                self.deliver(id, &[]);
             }
             return None;
         }
@@ -1711,7 +1690,7 @@ impl Machine {
         // up until the next mutation.
         self.apply_fs_events();
         let Ok(plan) = plan else {
-            self.fail(id, ChainStatus::IoError, 0);
+            self.fail(id, ChainStatus::IoError, &[]);
             return None;
         };
         let op = self.ops[id].as_mut().expect("op");
@@ -1777,9 +1756,7 @@ impl Machine {
             });
             if complete {
                 op.data = assembled;
-                let cost = self.costs.pagecache_hit * nblocks;
-                let end = self.charge(cost);
-                self.run.trace.fs += cost;
+                let end = self.charge(None, self.costs.pagecache_hits(nblocks));
                 self.events.push(end, Ev::CacheHit { op: id });
                 return;
             }
@@ -1793,7 +1770,7 @@ impl Machine {
             // rather than re-translated through live fs metadata.
             let live_gen = self.fs.generations(ino).ok().map(|(_, unmap)| unmap);
             if !self.extcache.is_armed(ino) || live_gen != Some(snap_gen) {
-                return self.fail(id, ChainStatus::Invalidated, 0);
+                return self.fail(id, ChainStatus::Invalidated, &[]);
             }
             let (slba, nlb) = (phys, nblocks as u32);
             return self.submit_segments(id, 1, |op| {
@@ -1819,7 +1796,7 @@ impl Machine {
                 segments.drain(..)
             });
         } else {
-            self.fail(id, ChainStatus::IoError, 0);
+            self.fail(id, ChainStatus::IoError, &[]);
         }
         self.spares.read_segs = segments;
     }
@@ -1830,9 +1807,7 @@ impl Machine {
     /// enqueued at the same instant share one ring (and one charge).
     fn on_doorbell(&mut self, qp: usize) {
         self.run.doorbell_armed[qp] = false;
-        let cost = self.costs.doorbell;
-        self.charge(cost);
-        self.run.trace.drv += cost;
+        self.charge(None, self.costs.ring_doorbell());
         self.run.trace.doorbells += 1;
         // The MMIO write is issued inline by the submitting path; the
         // charge accounts its CPU time but does not gate the device —
@@ -1889,11 +1864,9 @@ impl Machine {
             // One interrupt entry is charged no matter how many CQEs it
             // reaps — the coalescing win. MSI-X affinity: it lands on
             // the queue pair's owning core, not on whichever is idle.
-            let cost = self.costs.irq_entry;
-            self.charge_on(self.qp_core[qp], cost);
-            self.run.trace.drv += cost;
+            self.charge(Some(self.qp_core[qp]), self.costs.irq());
             self.run.trace.irqs += 1;
-            self.reaper.charge_irq(cost);
+            self.reaper.charge_irq(self.costs.irq_entry);
         }
         for c in cqes.drain(..) {
             self.on_cqe(c);
@@ -1962,12 +1935,10 @@ impl Machine {
         if !self.reaper.poll_due(self.now, qp) {
             return; // stale visit — the pair switched to interrupts
         }
-        let cost = self.costs.poll_loop;
-        let end = self.charge_on(self.qp_core[qp], cost);
-        self.run.trace.poll += cost;
+        let end = self.charge(Some(self.qp_core[qp]), self.costs.poll_visit());
         self.run.trace.polls += 1;
         let reaped = self.reap_qp(qp, ReapKind::Polled);
-        self.reaper.charge_poll(cost, reaped == 0);
+        self.reaper.charge_poll(self.costs.poll_loop, reaped == 0);
         if reaped == 0 {
             self.transport.device_mut().record_empty_poll();
         }
@@ -2011,7 +1982,6 @@ impl Machine {
         let ts = &mut self.run.tstats[op.tenant as usize];
         ts.cqes += 1;
         ts.device_ns += dev;
-        self.run.trace.device += dev;
         self.run.trace.fabric_wire += wire;
         // A shared barrier's flush time is re-split across the released
         // fsyncs' tenants at the barrier's completion.
@@ -2020,9 +1990,7 @@ impl Machine {
         if host_capsule {
             // Each host-class CQE arrived as a response capsule the
             // initiator must decode.
-            let dec = self.costs.fab_decode;
-            self.charge(dec);
-            self.run.trace.fabric += dec;
+            self.charge(None, self.costs.capsule_decode());
         }
         if !last {
             return;
@@ -2057,12 +2025,12 @@ impl Machine {
         };
         match (op.kind, op.mode) {
             (OpKind::Read, DispatchMode::User | DispatchMode::Remote) => {
-                self.deliver(id, 0);
+                self.deliver(id, &[]);
             }
             // Mid-chain invalidation: discard recycled I/O (§4). Over a
             // fabric the target detects it and returns an error capsule.
             (OpKind::Read, DispatchMode::DriverHook) if self.aborting_inos.contains(&op.ino) => {
-                self.fail(id, ChainStatus::Invalidated, 0)
+                self.fail(id, ChainStatus::Invalidated, &[])
             }
             (OpKind::Read, _) => self.run_hook(id),
             _ => self.on_write_device_done(id),
@@ -2084,7 +2052,7 @@ impl Machine {
                 // BoundExceeded with its journal transaction uncommitted
                 // (crash-before-fsync durability).
                 if hop + 1 >= self.bound_for(tenant) {
-                    return self.fail(id, ChainStatus::BoundExceeded, 0);
+                    return self.fail(id, ChainStatus::BoundExceeded, &[]);
                 }
                 self.ops[id].as_mut().expect("op").hop += 1;
                 self.note_resubmission(tenant, thread);
@@ -2094,7 +2062,7 @@ impl Machine {
                 // the flush itself are paid once per transaction by the
                 // seal, not per fsync.
                 if !self.enter_flush_phase(id) {
-                    self.charge_commit_and_submit(id);
+                    self.submit_after(id, self.costs.commit_record());
                 }
             }
             OpKind::WriteFlush if self.barrier.policy().is_grouped() => self.on_barrier_cqe(id),
@@ -2150,15 +2118,6 @@ impl Machine {
         true
     }
 
-    /// One commit-record build + driver submission, then the flush
-    /// barrier of op `id` enters the submission path.
-    fn charge_commit_and_submit(&mut self, id: usize) {
-        let end = self.charge(self.costs.journal_commit + self.costs.drv_submit);
-        self.run.trace.journal += self.costs.journal_commit;
-        self.run.trace.drv += self.costs.drv_submit;
-        self.events.push(end, Ev::DevSubmit { op: id });
-    }
-
     /// Seals the running journal transaction and puts its single flush
     /// barrier on the rings — one amortized commit-record build and
     /// driver submission for the whole transaction, the group-commit
@@ -2174,7 +2133,7 @@ impl Machine {
             self.alloc_op(Op::new(0, 0, st, kind, mode, Origin::Sync, token))
         });
         let leader = self.barrier.seal(sealed, self.now, internal);
-        self.charge_commit_and_submit(leader);
+        self.submit_after(leader, self.costs.commit_record());
     }
 
     /// The shared barrier's CQE: the sealed transaction commits, every
@@ -2275,7 +2234,7 @@ impl Machine {
                 self.events.push(arrive, Ev::CapsuleRx { op: id });
                 shared_ack
             }
-            _ => self.deliver(id, 0).or(shared_ack),
+            _ => self.deliver(id, &[]).or(shared_ack),
         }
     }
 
@@ -2384,40 +2343,32 @@ impl Machine {
     /// crossing.
     fn run_hook(&mut self, id: usize) {
         let (next, insns) = self.run_hook_program(id);
-        let bpf_cost = self.costs.bpf_exec(insns);
-        self.run.trace.bpf += bpf_cost;
+        let c = self.costs;
+        let ran @ (_, bpf_ns) = c.hook_run(insns);
         let op = self.ops[id].as_ref().expect("op");
         let (tenant, thread, ino) = (op.tenant, op.thread, op.ino);
         let bound = self.bound_for(tenant);
-        self.run.tstats[tenant as usize].bpf_ns += bpf_cost;
+        self.run.tstats[tenant as usize].bpf_ns += bpf_ns;
         let Some(target) = next else {
             // Terminal: the completion unwinds the full stack once
             // (over a fabric, after the response capsule lands).
-            self.deliver(id, bpf_cost);
+            self.deliver(id, &[ran]);
             return;
         };
         // §4 fairness: bound chained resubmissions per tenant.
         let op = self.ops[id].as_mut().expect("op");
         if op.hop + 1 >= bound {
-            return self.fail(id, ChainStatus::BoundExceeded, bpf_cost);
+            return self.fail(id, ChainStatus::BoundExceeded, &[ran]);
         }
-        let c = self.costs;
         if op.mode == DispatchMode::SyscallHook {
             op.file_off = target;
             op.hop += 1;
-            let unwind = c.drv_complete + c.bio_complete + c.fs_complete;
-            let resubmit = c.syscall + c.fs_submit + c.bio_submit + c.drv_submit;
-            let end = self.charge(unwind + bpf_cost + resubmit);
-            let t = &mut self.run.trace;
-            t.drv += c.drv_complete + c.drv_submit;
-            t.bio += c.bio_complete + c.bio_submit;
-            t.fs += c.fs_complete + c.fs_submit;
-            t.syscall += c.syscall;
-            self.events.push(end, Ev::DevSubmit { op: id });
-            return;
+            return self.submit_after(id, c.syscall_hook_hop(insns));
         }
         let nblocks = (op.len as u64).div_ceil(SECTOR_SIZE as u64).max(1);
-        self.run.trace.extent_cache += c.extent_cache_lookup;
+        // The lookup runs on the core whatever it returns: a hop that
+        // cannot recycle still pays it, at the head of its unwind.
+        let no_recycle = [ran, c.extent_lookup()];
         match self.extcache.lookup(ino, target / SECTOR_SIZE as u64) {
             Some((phys, run)) if run >= nblocks => {
                 // Carry the snapshot's physical target (and the
@@ -2429,10 +2380,7 @@ impl Machine {
                 op.phys_target = Some((phys, snap_gen));
                 op.hop += 1;
                 self.note_resubmission(tenant, thread);
-                let drv = c.drv_complete + c.recycle_submit;
-                let end = self.charge(drv + bpf_cost + c.extent_cache_lookup);
-                self.run.trace.drv += drv;
-                self.events.push(end, Ev::DevSubmit { op: id });
+                self.submit_after(id, c.driver_hook_recycle(insns));
             }
             Some(_) => {
                 // Crosses a physical extent boundary: BIO-path
@@ -2443,9 +2391,9 @@ impl Machine {
                     file_off: target,
                     data,
                 };
-                self.fail(id, status, bpf_cost);
+                self.fail(id, status, &no_recycle);
             }
-            None => self.fail(id, ChainStatus::ExtentMiss, bpf_cost),
+            None => self.fail(id, ChainStatus::ExtentMiss, &no_recycle),
         }
     }
 
@@ -2460,7 +2408,7 @@ impl Machine {
                     op.file_off = next_off;
                     op.hop += 1;
                     match origin {
-                        Origin::Sync => self.sync_submit(id, false),
+                        Origin::Sync => self.submit_after(id, self.costs.sync_issue(false)),
                         // Queue the continuation for the next enter.
                         Origin::Uring => self.uring_cqe_arrived(thread, PendingSub::Continue(id)),
                     }
@@ -2529,11 +2477,7 @@ impl Machine {
     fn restart_chain(&mut self, id: usize) -> bool {
         // The rearm ioctl itself: boundary crossings, syscall dispatch,
         // and the file system's extent walk.
-        let c = self.costs;
-        self.charge(c.crossing() + c.syscall + c.fs_submit);
-        self.run.trace.crossing += c.crossing();
-        self.run.trace.syscall += c.syscall;
-        self.run.trace.fs += c.fs_submit;
+        self.charge(None, self.costs.rearm_ioctl());
         let op = self.ops[id].as_ref().expect("op exists");
         let (thread, origin, mode) = (op.thread, op.origin, op.mode);
         let retry = RetrySpec {
@@ -2568,8 +2512,7 @@ impl Machine {
         ur.pending -= 1;
         if ur.pending == 0 {
             // The blocked io_uring_enter wakes: charge the exit crossing.
-            let end = self.charge(self.costs.crossing_exit);
-            self.run.trace.crossing += self.costs.crossing_exit;
+            let end = self.charge(None, self.costs.uring_wake());
             self.events.push(end, Ev::AppStart { thread });
         }
     }
@@ -2591,7 +2534,7 @@ impl Machine {
         let mode = driver.mode();
         let mut submitted: Vec<usize> = Vec::new();
         let mut n_writes: u64 = 0;
-        let mut app_work: Nanos = 0;
+        let mut asked: u64 = 0;
         for sub in queue {
             let started = match sub {
                 PendingSub::NewChain => {
@@ -2618,7 +2561,7 @@ impl Machine {
                     self.start_chain(thread, spec, mode, Origin::Uring, retry.attempts)
                 }
             };
-            app_work += self.costs.app_think;
+            asked += 1;
             submitted.extend(started);
         }
         if submitted.is_empty() {
@@ -2626,22 +2569,10 @@ impl Machine {
             return;
         }
         // One crossing for the whole batch; per-SQE kernel work covers
-        // the uring + fs + bio + driver submission of each request. The
-        // ext4 share of a write SQE splits into allocation + journal
-        // append (same total as a read SQE).
-        let c = self.costs;
+        // the uring + fs + bio + driver submission of each request.
         let n = submitted.len() as u64;
-        let n_reads = n - n_writes;
-        let per_sqe = c.uring_sqe + c.fs_submit + c.bio_submit + c.drv_submit + c.uring_cqe;
-        let end = self.charge(app_work + c.crossing_enter + per_sqe * n);
-        let t = &mut self.run.trace;
-        t.app += app_work;
-        t.crossing += c.crossing_enter;
-        t.syscall += (c.uring_sqe + c.uring_cqe) * n;
-        t.fs += c.fs_submit * n_reads + c.wr_fs_submit * n_writes;
-        t.journal += c.journal_log * n_writes;
-        t.bio += c.bio_submit * n;
-        t.drv += c.drv_submit * n;
+        let burst = self.costs.uring_enter(asked, n - n_writes, n_writes);
+        let end = self.charge(None, burst);
         for id in submitted {
             self.events.push(end, Ev::DevSubmit { op: id });
         }

@@ -85,12 +85,6 @@ impl Default for AdaptiveIrqConfig {
     }
 }
 
-impl AdaptiveIrqConfig {
-    fn budget_ns(&self) -> Nanos {
-        self.budget_us.saturating_mul(1_000)
-    }
-}
-
 /// Load-adaptive hybrid scheduler configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HybridConfig {
@@ -224,13 +218,33 @@ struct QpReap {
     dwell_left: u32,
 }
 
+/// What the configured [`ReapMode`] (and the two static coalescing
+/// knobs) asks of the reaper, normalised once so no method re-derives
+/// it from the mode.
+#[derive(Debug, Clone, Copy)]
+struct Policy {
+    /// Mechanism every queue pair starts a run on.
+    start: ReapKind,
+    /// Aggregation threshold a queue pair starts at (≥ 1) — and keeps,
+    /// unless `max_depth` lets the rate controller widen it.
+    start_depth: u32,
+    /// An armed interrupt fires at most this long after the first
+    /// pending CQE.
+    irq_budget_ns: Nanos,
+    /// Rate-adaptive coalescing: the threshold moves between
+    /// `start_depth` and this. `None`: the threshold is static.
+    max_depth: Option<u32>,
+    /// Gap between poller visits (≥ 1).
+    poll_interval_ns: Nanos,
+    /// Load-adaptive switching between the two mechanisms (only its
+    /// watermarks, window and dwell are read). `None`: a queue pair
+    /// stays on `start`.
+    hybrid: Option<HybridConfig>,
+}
+
 /// The completion-reaping state machine (see the module docs).
 pub struct Reaper {
-    mode: ReapMode,
-    /// Static coalescing budget (ns) for [`ReapMode::Interrupt`].
-    static_coalesce_ns: Nanos,
-    /// Static aggregation threshold for [`ReapMode::Interrupt`].
-    static_depth: u32,
+    policy: Policy,
     qps: Vec<QpReap>,
     stats: ReaperStats,
 }
@@ -242,10 +256,32 @@ impl Reaper {
     /// ("fire immediately"), mirroring the documented machine-level
     /// clamp.
     pub fn new(mode: ReapMode, nr_queues: usize, static_ns: Nanos, static_depth: u32) -> Self {
+        // What each mode turns on: rate-adaptive interrupt parameters
+        // (else the static knobs), a poller, load-driven switching. A
+        // pure poller never arms an interrupt, so its interrupt
+        // parameters are never read.
+        let (irq, poll, hybrid) = match mode {
+            ReapMode::Interrupt => (None, None, None),
+            ReapMode::AdaptiveIrq(c) => (Some(c), None, None),
+            ReapMode::Polled(p) => (None, Some(p), None),
+            ReapMode::Hybrid(c) => (Some(c.irq), Some(c.poll), Some(c)),
+        };
+        let start_depth = irq.map_or(static_depth, |c| c.min_depth).max(1);
+        let policy = Policy {
+            // The hybrid pair starts interrupt-driven and earns its
+            // poller under load.
+            start: match (poll, hybrid) {
+                (Some(_), None) => ReapKind::Polled,
+                _ => ReapKind::Interrupt,
+            },
+            start_depth,
+            irq_budget_ns: irq.map_or(static_ns, |c| c.budget_us.saturating_mul(1_000)),
+            max_depth: irq.map(|c| c.max_depth.max(start_depth)),
+            poll_interval_ns: poll.unwrap_or_default().interval_ns.max(1),
+            hybrid,
+        };
         let mut r = Reaper {
-            mode,
-            static_coalesce_ns: static_ns,
-            static_depth: static_depth.max(1),
+            policy,
             qps: Vec::new(),
             stats: ReaperStats::default(),
         };
@@ -254,26 +290,15 @@ impl Reaper {
     }
 
     fn fresh_qp(&self) -> QpReap {
-        let (active, depth) = match &self.mode {
-            ReapMode::Interrupt => (ReapKind::Interrupt, self.static_depth),
-            ReapMode::AdaptiveIrq(c) => (ReapKind::Interrupt, c.min_depth.max(1)),
-            ReapMode::Polled(_) => (ReapKind::Polled, 1),
-            // The hybrid pair starts interrupt-driven and earns its
-            // poller under load.
-            ReapMode::Hybrid(c) => (ReapKind::Interrupt, c.irq.min_depth.max(1)),
-        };
         QpReap {
             pending: Vec::new(),
             irq_at: None,
             poll_at: None,
-            active,
-            depth,
+            active: self.policy.start,
+            depth: self.policy.start_depth,
             avg_gap: 0,
             last_reap_at: 0,
-            window: match &self.mode {
-                ReapMode::Hybrid(c) => vec![0; c.window.max(1)],
-                _ => Vec::new(),
-            },
+            window: vec![0; self.policy.hybrid.map_or(0, |h| h.window.max(1))],
             window_pos: 0,
             window_len: 0,
             dwell_left: 0,
@@ -288,11 +313,6 @@ impl Reaper {
         self.stats = ReaperStats::default();
     }
 
-    /// The configured policy.
-    pub fn mode(&self) -> &ReapMode {
-        &self.mode
-    }
-
     /// The mechanism currently live on `qp`.
     pub fn active(&self, qp: usize) -> ReapKind {
         self.qps[qp].active
@@ -300,11 +320,7 @@ impl Reaper {
 
     /// The poll interval for `qp`'s poller (polled and hybrid modes).
     pub fn poll_interval(&self) -> Nanos {
-        match &self.mode {
-            ReapMode::Polled(p) => p.interval_ns.max(1),
-            ReapMode::Hybrid(c) => c.poll.interval_ns.max(1),
-            _ => PollConfig::default().interval_ns,
-        }
+        self.policy.poll_interval_ns
     }
 
     /// Accumulated statistics.
@@ -325,18 +341,12 @@ impl Reaper {
     /// Returns the fire instant when a new `Ev::IrqFire` must be pushed
     /// (an already-armed matching timer returns `None`).
     pub fn arm_irq(&mut self, qp: usize) -> Option<Nanos> {
-        let budget = match &self.mode {
-            ReapMode::Interrupt => self.static_coalesce_ns,
-            ReapMode::AdaptiveIrq(c) => c.budget_ns(),
-            ReapMode::Hybrid(c) => c.irq.budget_ns(),
-            ReapMode::Polled(_) => 0,
-        };
         let q = &mut self.qps[qp];
         let Some(&first) = q.pending.first() else {
             q.irq_at = None;
             return None;
         };
-        let by_time = first.saturating_add(budget);
+        let by_time = first.saturating_add(self.policy.irq_budget_ns);
         let fire = match q.pending.get(q.depth as usize - 1) {
             Some(&by_depth) => by_depth.min(by_time),
             None => by_time,
@@ -420,12 +430,10 @@ impl Reaper {
     /// threshold at `budget / gap` — sticky under load (a steady arrival
     /// rate holds the threshold wide), immediate delivery when idle.
     fn adapt_depth(&mut self, now: Nanos, qp: usize, reaped: usize) {
-        let (min_d, max_d, budget) = match &self.mode {
-            ReapMode::AdaptiveIrq(c) => (c.min_depth.max(1), c.max_depth, c.budget_ns()),
-            ReapMode::Hybrid(c) => (c.irq.min_depth.max(1), c.irq.max_depth, c.irq.budget_ns()),
-            _ => return,
+        let Some(max_d) = self.policy.max_depth else {
+            return;
         };
-        let max_d = max_d.max(min_d);
+        let (min_d, budget) = (self.policy.start_depth, self.policy.irq_budget_ns);
         let q = &mut self.qps[qp];
         let elapsed = now.saturating_sub(q.last_reap_at).max(1);
         q.last_reap_at = now;
@@ -448,9 +456,7 @@ impl Reaper {
     /// Hybrid scheduler: slide `load` into the window and switch
     /// mechanisms at the watermarks, honouring the dwell hysteresis.
     fn observe_load(&mut self, now: Nanos, qp: usize, load: usize) -> Option<ReapKind> {
-        let ReapMode::Hybrid(cfg) = &self.mode else {
-            return None;
-        };
+        let cfg = self.policy.hybrid?;
         let (high, low, dwell) = (cfg.high_watermark, cfg.low_watermark, cfg.dwell);
         let q = &mut self.qps[qp];
         let len = q.window.len();

@@ -2,9 +2,42 @@
 //!
 //! Every nanosecond the machine charges to a CPU or waits on the device
 //! is also attributed to a layer bucket here. The `table1` bench divides
-//! the buckets by the I/O count to print the paper's breakdown.
+//! the buckets by the I/O count to print the paper's breakdown. CPU
+//! buckets have one writer, `Machine::charge`; the counters that have a
+//! per-tenant twin (`ios`, `write_ios`, `device`) are summed from the
+//! tenants when the run's report is built.
 
 use bpfstor_sim::Nanos;
+
+/// The CPU buckets of [`LayerTrace`]: the fields [`LayerTrace::software`]
+/// sums. A CPU burst ([`crate::costs`]) is a list of `(Layer, ns)` items,
+/// and the machine books each item here as it runs the burst on a core,
+/// so the buckets and the cores' busy time cannot drift apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// [`LayerTrace::crossing`].
+    Crossing,
+    /// [`LayerTrace::syscall`].
+    Syscall,
+    /// [`LayerTrace::fs`].
+    Fs,
+    /// [`LayerTrace::bio`].
+    Bio,
+    /// [`LayerTrace::drv`].
+    Drv,
+    /// [`LayerTrace::app`].
+    App,
+    /// [`LayerTrace::bpf`].
+    Bpf,
+    /// [`LayerTrace::extent_cache`].
+    ExtentCache,
+    /// [`LayerTrace::journal`].
+    Journal,
+    /// [`LayerTrace::fabric`].
+    Fabric,
+    /// [`LayerTrace::poll`].
+    Poll,
+}
 
 /// Accumulated nanoseconds per layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,6 +89,23 @@ pub struct LayerTrace {
 }
 
 impl LayerTrace {
+    /// The bucket CPU time spent in `layer` is booked to.
+    pub(crate) fn bucket_mut(&mut self, layer: Layer) -> &mut Nanos {
+        match layer {
+            Layer::Crossing => &mut self.crossing,
+            Layer::Syscall => &mut self.syscall,
+            Layer::Fs => &mut self.fs,
+            Layer::Bio => &mut self.bio,
+            Layer::Drv => &mut self.drv,
+            Layer::App => &mut self.app,
+            Layer::Bpf => &mut self.bpf,
+            Layer::ExtentCache => &mut self.extent_cache,
+            Layer::Journal => &mut self.journal,
+            Layer::Fabric => &mut self.fabric,
+            Layer::Poll => &mut self.poll,
+        }
+    }
+
     /// Total software time (everything but the device and the wire).
     pub fn software(&self) -> Nanos {
         self.crossing
@@ -183,6 +233,44 @@ mod tests {
             ..LayerTrace::default()
         };
         assert_eq!(t.software(), 176, "wire time is a wait, not software");
+    }
+
+    #[test]
+    fn every_layer_has_its_own_bucket_and_software_sums_them_all() {
+        use Layer::*;
+        let layers = [
+            Crossing,
+            Syscall,
+            Fs,
+            Bio,
+            Drv,
+            App,
+            Bpf,
+            ExtentCache,
+            Journal,
+            Fabric,
+            Poll,
+        ];
+        let mut t = LayerTrace::default();
+        for (i, layer) in layers.into_iter().enumerate() {
+            *t.bucket_mut(layer) = 1 << i;
+        }
+        let buckets = [
+            t.crossing,
+            t.syscall,
+            t.fs,
+            t.bio,
+            t.drv,
+            t.app,
+            t.bpf,
+            t.extent_cache,
+            t.journal,
+            t.fabric,
+            t.poll,
+        ];
+        assert_eq!(buckets, std::array::from_fn(|i| 1 << i));
+        assert_eq!(t.software(), (1 << layers.len()) - 1);
+        assert_eq!((t.device, t.fabric_wire), (0, 0), "waits are not CPU");
     }
 
     #[test]

@@ -66,6 +66,8 @@ fn chase_program() -> Program {
 struct ChaseDriver {
     fd: Fd,
     mode: DispatchMode,
+    /// Bytes per read (one block unless a test widens it).
+    len: u32,
     max_chains: u64,
     issued: u64,
     outcomes: Vec<ChainOutcome>,
@@ -76,6 +78,7 @@ impl ChaseDriver {
         ChaseDriver {
             fd,
             mode,
+            len: SECTOR_SIZE as u32,
             max_chains,
             issued: 0,
             outcomes: Vec::new(),
@@ -96,7 +99,7 @@ impl ChainDriver for ChaseDriver {
         Some(ChainSpec::Read(ChainStart {
             fd: self.fd,
             file_off: 0,
-            len: SECTOR_SIZE as u32,
+            len: self.len,
             arg: 0,
         }))
     }
@@ -252,6 +255,79 @@ fn extent_miss_without_install_snapshot() {
     let report = m.run_closed_loop(1, SECOND, &mut d2);
     assert_eq!(report.errors, 0, "re-armed chains succeed");
     assert!(d2.outcomes.iter().all(|o| o.status.is_ok()));
+}
+
+/// Σ core busy time of the last run on a default (six-core) machine.
+fn core_busy(m: &Machine) -> Nanos {
+    (0..MachineConfig::default().cores)
+        .map(|c| m.core_busy_ns(c))
+        .sum()
+}
+
+#[test]
+fn a_hop_that_cannot_recycle_still_pays_its_extent_lookup() {
+    // The extent-cache lookup runs on the core whatever it returns, so
+    // a chain that ends SplitFallback or ExtentMiss is charged for it
+    // like one that recycles: the CPU buckets still sum to the cores'
+    // busy time, to the nanosecond.
+    let chains = 100;
+    let lookup = bpfstor_kernel::LayerCosts::default().extent_cache_lookup;
+
+    // 1 KiB hops over single-block extents: the first resubmission
+    // straddles two extents and falls back to the BIO path.
+    let mut m = Machine::new(MachineConfig::default());
+    let image = chain_file(8);
+    {
+        // Interleave allocation with a decoy file so every extent of
+        // chain.db is a single block.
+        let (fs, store) = m.fs_and_store();
+        let ino = fs.create("chain.db").expect("create");
+        let decoy = fs.create("decoy").expect("create decoy");
+        for (i, block) in image.chunks(SECTOR_SIZE).enumerate() {
+            let off = (i * SECTOR_SIZE) as u64;
+            fs.write(ino, off, block, store).expect("write");
+            fs.write(decoy, off, block, store).expect("write decoy");
+        }
+        fs.take_events();
+    }
+    let fd = m.open("chain.db", true).expect("open");
+    m.install(fd, chase_program(), 0).expect("install");
+    let mut d = ChaseDriver::new(fd, DispatchMode::DriverHook, chains);
+    d.len = 2 * SECTOR_SIZE as u32;
+    let report = m.run_closed_loop(1, SECOND, &mut d);
+    assert_eq!(d.outcomes.len() as u64, chains);
+    for o in &d.outcomes {
+        assert!(
+            matches!(o.status, ChainStatus::SplitFallback { file_off, .. } if file_off == 512),
+            "{:?}",
+            o.status
+        );
+    }
+    assert_eq!(report.trace.extent_cache, chains * lookup);
+    assert_eq!(report.trace.software(), core_busy(&m), "split fallback");
+
+    // A file grown after `install`: the snapshot is armed but ends at
+    // block 2, so the second resubmission misses.
+    let mut m = Machine::new(MachineConfig::default());
+    let ino = m
+        .create_file("chain.db", &image[..2 * SECTOR_SIZE])
+        .expect("create");
+    let fd = m.open("chain.db", true).expect("open");
+    m.install(fd, chase_program(), 0).expect("install");
+    let (fs, store) = m.fs_and_store();
+    let grown = &image[2 * SECTOR_SIZE..];
+    fs.write(ino, 2 * SECTOR_SIZE as u64, grown, store)
+        .expect("grow");
+    fs.take_events();
+    let mut d = ChaseDriver::new(fd, DispatchMode::DriverHook, chains);
+    let report = m.run_closed_loop(1, SECOND, &mut d);
+    assert_eq!(d.outcomes.len() as u64, chains);
+    for o in &d.outcomes {
+        assert_eq!((&o.status, o.ios), (&ChainStatus::ExtentMiss, 2));
+    }
+    // One lookup that recycled, one that missed, per chain.
+    assert_eq!(report.trace.extent_cache, chains * 2 * lookup);
+    assert_eq!(report.trace.software(), core_busy(&m), "extent miss");
 }
 
 #[test]
@@ -2171,6 +2247,13 @@ fn every_report_aggregate_is_the_sum_of_its_tenants() {
     assert_eq!(report.chains, sum(|t| t.chains));
     assert_eq!(report.errors, sum(|t| t.errors));
     assert_eq!(report.ios, sum(|t| t.ios));
+    assert_eq!(report.trace.ios, sum(|t| t.ios));
+    assert_eq!(
+        report.trace.write_ios,
+        sum(|t| t.dev_writes + t.dev_flushes)
+    );
+    assert_eq!(report.ios, sum(|t| t.dev_reads) + report.trace.write_ios);
+    assert_eq!(report.trace.device, sum(|t| t.device_ns));
     assert_eq!(report.device.cqes, sum(|t| t.cqes));
     assert_eq!(report.resubmissions, sum(|t| t.resubmissions));
     assert_eq!(report.commit.fsyncs, sum(|t| t.fsyncs));
@@ -2192,5 +2275,12 @@ fn every_report_aggregate_is_the_sum_of_its_tenants() {
     assert_eq!(report.commit.fsyncs, 40);
     assert!(report.commit.barrier_joins > 0, "some fsync rode a barrier");
     assert_eq!(report.exec.hops(), 12 * 4);
-    assert!(report.tenants.iter().all(|t| t.chains > 0 && t.cqes > 0));
+    assert!(report
+        .tenants
+        .iter()
+        .all(|t| t.chains > 0 && t.cqes > 0 && t.device_ns > 0));
+    assert!(
+        report.trace.write_ios > 40,
+        "data writes plus shared flushes"
+    );
 }
