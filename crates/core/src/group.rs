@@ -167,10 +167,11 @@ impl TenantGroup {
         }
     }
 
-    /// Adds a tenant: builds the workload's file on the shared machine,
-    /// opens it on the tenant's behalf, and (for hook modes) installs
-    /// the traversal program under the tenant's verification-time
-    /// resource bounds — a program whose verified worst case exceeds
+    /// Adds a tenant: builds the workload's file on the shared machine
+    /// and attaches the workload to it on the tenant's behalf
+    /// ([`Member::attach`]) — for hook modes that installs the traversal
+    /// program under the tenant's verification-time resource bounds, so
+    /// a program whose verified worst case exceeds
     /// [`TenantLimits::insn_budget`] is rejected here, before it ever
     /// runs.
     ///
@@ -203,31 +204,20 @@ impl TenantGroup {
         }
         let file_name = format!("{}-t{}.img", workload.name(), tenant);
         self.machine.create_file(&file_name, &image)?;
-        let hooked = matches!(
-            self.mode,
-            DispatchMode::SyscallHook | DispatchMode::DriverHook
-        );
-        let fd = self
-            .machine
-            .open_for(tenant, &file_name, true)
-            .and_then(|fd| {
-                if hooked {
-                    self.machine
-                        .install(fd, workload.program(), workload.install_flags())?;
-                }
-                Ok(fd)
-            })
-            .inspect_err(|_| {
-                self.machine
-                    .unlink_file(&file_name)
-                    .expect("the file was created above");
-            })?;
-        self.members.push(Box::new(Member::new(
+        let member = Member::attach(
+            &mut self.machine,
+            tenant,
+            &file_name,
             workload,
-            fd,
             self.mode,
             self.retry_budget,
-        )));
+        )
+        .inspect_err(|_| {
+            self.machine
+                .unlink_file(&file_name)
+                .expect("the file was created above");
+        })?;
+        self.members.push(Box::new(member));
         Ok(tenant)
     }
 
@@ -329,7 +319,7 @@ trait GroupMember: ChainDriver {
 
 impl<W: PushdownWorkload> GroupMember for Member<W> {
     fn stats(&self) -> SessionStats {
-        self.stats
+        Member::stats(self)
     }
 }
 

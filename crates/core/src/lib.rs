@@ -15,10 +15,15 @@
 //!   [`Scan`], [`Chase`];
 //! - [`progs`]: verified program generators — B-tree traversal, cold
 //!   SSTable get (stateful multi-hop chain), sequential
-//!   scan/filter/aggregate, and a generic pointer chase;
-//! - [`driver`]: the low-level [`SstGetDriver`], programmed directly
-//!   against the kernel's `ChainDriver` trait, for tables an LSM tree
-//!   wrote onto an existing machine.
+//!   scan/filter/aggregate, and a generic pointer chase.
+//!
+//! [`session`] is also the only code that attaches a workload to a
+//! machine: [`Member::attach`] opens the file for a tenant, installs
+//! the program when the dispatch mode runs one, and returns the
+//! `ChainDriver` adapter sessions and tenant groups themselves run.
+//! Code that brings its own [`Machine`](bpfstor_kernel::Machine) and
+//! file — a table an `LsmTree` flushed through the rings — calls it
+//! directly; that is the whole low-level path.
 //!
 //! # Examples
 //!
@@ -36,7 +41,6 @@
 //! assert_eq!(hit.ios, 3, "depth-3 tree costs three I/Os");
 //! ```
 
-pub mod driver;
 pub mod group;
 pub mod lsm_io;
 pub mod progs;
@@ -50,7 +54,6 @@ pub use bpfstor_kernel::{
     ReapMode, ReaperStats, RunReport, TransportConfig, WriteStart,
 };
 pub use bpfstor_kernel::{TenantBreakdown, TenantId, TenantLimits, DEFAULT_TENANT};
-pub use driver::{value_of, SstGetDriver};
 pub use group::{TenantGroup, TenantGroupBuilder};
 pub use lsm_io::MachineLsmIo;
 pub use progs::{
@@ -58,7 +61,9 @@ pub use progs::{
     scan_aggregate_program, sst_get_program, stats_slot, ScanResult,
 };
 pub use session::{
-    LookupOutcome, OpSpec, PushdownSession, PushdownWorkload, ReadSpec, SessionBuilder,
+    LookupOutcome, Member, OpSpec, PushdownSession, PushdownWorkload, ReadSpec, SessionBuilder,
     SessionError, SessionStats, Verdict, WriteSpec,
 };
-pub use workloads::{Btree, Chase, MixRequest, Scan, Sst, YcsbMix, CHASE_END, CHASE_PAYLOAD};
+pub use workloads::{
+    value_of, Btree, Chase, MixRequest, Scan, Sst, YcsbMix, CHASE_END, CHASE_PAYLOAD,
+};

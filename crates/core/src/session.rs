@@ -20,6 +20,14 @@
 //! re-armed (the install ioctl reruns) and retried up to a configurable
 //! budget, without the caller ever seeing the failure.
 //!
+//! Both live in [`Member`], the `ChainDriver` adapter between a workload
+//! and the kernel, and [`Member::attach`] is the only code that attaches
+//! one: open for a tenant, install when the dispatch mode runs a
+//! program, wrap. A session and a [`TenantGroup`](crate::TenantGroup)
+//! create their file and call it; code with a machine and a file of its
+//! own (a table an `LsmTree` flushed) calls it directly and runs the
+//! member itself.
+//!
 //! [`lookup`]: PushdownSession::lookup
 //! [`run_closed_loop`]: PushdownSession::run_closed_loop
 //! [`run_uring`]: PushdownSession::run_uring
@@ -27,7 +35,8 @@
 use bpfstor_kernel::{
     ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainStatus, ChainToken, ChainVerdict,
     CommitPolicy, DispatchMode, ExecEngine, FabricConfig, Fd, KernelError, Machine, MachineConfig,
-    Mutation, ProgHandle, ReapMode, RunReport, TransportConfig, UserNext, WriteStart,
+    Mutation, ProgHandle, ReapMode, RunReport, TenantId, TransportConfig, UserNext, WriteStart,
+    DEFAULT_TENANT,
 };
 use bpfstor_sim::{Nanos, SimRng, SECOND};
 use bpfstor_vm::Program;
@@ -242,7 +251,6 @@ pub struct SessionBuilder<W> {
     workload: W,
     mode: DispatchMode,
     config: MachineConfig,
-    file_name: Option<String>,
     retry_budget: u32,
 }
 
@@ -348,12 +356,6 @@ impl<W: PushdownWorkload> SessionBuilder<W> {
         self.transport(TransportConfig::Fabric(config))
     }
 
-    /// Overrides the on-disk file name (default: `<workload>.img`).
-    pub fn file_name(mut self, name: impl Into<String>) -> Self {
-        self.file_name = Some(name.into());
-        self
-    }
-
     /// Sets how many times a chain that fails with
     /// [`ChainStatus::ExtentMiss`] / [`ChainStatus::Invalidated`] is
     /// automatically re-armed and retried (default: 2; 0 disables).
@@ -362,34 +364,28 @@ impl<W: PushdownWorkload> SessionBuilder<W> {
         self
     }
 
-    /// Builds the machine and the workload's file, and (for hook modes)
-    /// installs the traversal program via the ioctl.
+    /// Builds the machine and the workload's file (`<workload>.img`),
+    /// and attaches the workload to it ([`Member::attach`]).
     ///
     /// # Errors
     ///
     /// Workload image failures and kernel/verifier rejections.
     pub fn build(mut self) -> Result<PushdownSession<W>, SessionError> {
         let image = self.workload.build_image()?;
-        let file_name = self
-            .file_name
-            .unwrap_or_else(|| format!("{}.img", self.workload.name()));
+        let file_name = format!("{}.img", self.workload.name());
         let mut machine = Machine::new(self.config);
         machine.create_file(&file_name, &image)?;
-        let fd = machine.open(&file_name, true)?;
-        // Only the hook modes run a program; User and Remote traverse
-        // natively from the application.
-        let handle = if matches!(
+        let member = Member::attach(
+            &mut machine,
+            DEFAULT_TENANT,
+            &file_name,
+            self.workload,
             self.mode,
-            DispatchMode::SyscallHook | DispatchMode::DriverHook
-        ) {
-            Some(machine.install(fd, self.workload.program(), self.workload.install_flags())?)
-        } else {
-            None
-        };
+            self.retry_budget,
+        )?;
         Ok(PushdownSession {
             machine,
-            member: Member::new(self.workload, fd, self.mode, self.retry_budget),
-            handle,
+            member,
             file_name,
             stats: SessionStats::default(),
         })
@@ -416,7 +412,6 @@ pub struct LookupOutcome<O> {
 pub struct PushdownSession<W: PushdownWorkload> {
     machine: Machine,
     member: Member<W>,
-    handle: Option<ProgHandle>,
     file_name: String,
     stats: SessionStats,
 }
@@ -429,7 +424,6 @@ impl<W: PushdownWorkload> PushdownSession<W> {
             workload,
             mode: DispatchMode::DriverHook,
             config: MachineConfig::default(),
-            file_name: None,
             retry_budget: 2,
         }
     }
@@ -447,7 +441,7 @@ impl<W: PushdownWorkload> PushdownSession<W> {
     /// The installed program's handle (`None` in
     /// [`DispatchMode::User`]).
     pub fn handle(&self) -> Option<ProgHandle> {
-        self.handle
+        self.member.handle
     }
 
     /// The workload's on-disk file name.
@@ -622,14 +616,18 @@ struct OneShot<W: PushdownWorkload> {
 
 /// One attached workload as the kernel drives it: the [`ChainDriver`]
 /// adapter translating kernel callbacks into workload calls and
-/// applying the rearm-and-retry policy. A [`PushdownSession`] owns one;
-/// a [`crate::TenantGroup`] owns one per tenant.
-pub(crate) struct Member<W: PushdownWorkload> {
+/// applying the rearm-and-retry policy. A [`PushdownSession`] owns one
+/// and a [`crate::TenantGroup`] one per tenant; code that brings its own
+/// [`Machine`] and file — a table an `LsmTree` flushed through the
+/// rings, say — attaches one itself and hands it to
+/// [`Machine::run_closed_loop`] / [`Machine::run_uring`].
+pub struct Member<W: PushdownWorkload> {
     workload: W,
     fd: Fd,
+    handle: Option<ProgHandle>,
     mode: DispatchMode,
     retry_budget: u32,
-    pub(crate) stats: SessionStats,
+    stats: SessionStats,
     /// Set for the duration of a [`PushdownSession::lookup`]; `None`
     /// draws from the workload's request stream and records no terminal
     /// chain, which spares benchmark runs the (possibly block-sized)
@@ -638,16 +636,56 @@ pub(crate) struct Member<W: PushdownWorkload> {
 }
 
 impl<W: PushdownWorkload> Member<W> {
-    /// A member drawing from its workload's request stream.
-    pub(crate) fn new(workload: W, fd: Fd, mode: DispatchMode, retry_budget: u32) -> Self {
-        Member {
+    /// Attaches `workload` to the existing file `file_name` of
+    /// `machine`: opens it on `tenant`'s behalf, installs the
+    /// workload's traversal program via the ioctl when `mode` runs one
+    /// (under the tenant's verification-time bounds), and wraps the
+    /// workload in the adapter. The workload must already know the
+    /// file's geometry, i.e. its
+    /// [`build_image`](PushdownWorkload::build_image) has run and the
+    /// file holds those bytes. Chains that end
+    /// [`rearmable`](ChainStatus::is_rearmable) are re-armed and
+    /// restarted up to `retry_budget` times each.
+    ///
+    /// # Errors
+    ///
+    /// A missing file and kernel/verifier rejections.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unregistered tenant.
+    pub fn attach(
+        machine: &mut Machine,
+        tenant: TenantId,
+        file_name: &str,
+        workload: W,
+        mode: DispatchMode,
+        retry_budget: u32,
+    ) -> Result<Self, SessionError> {
+        let fd = machine.open_for(tenant, file_name, true)?;
+        // Only the hook modes run a program; User and Remote traverse
+        // natively from the application.
+        let handle = match mode {
+            DispatchMode::SyscallHook | DispatchMode::DriverHook => {
+                Some(machine.install(fd, workload.program(), workload.install_flags())?)
+            }
+            DispatchMode::User | DispatchMode::Remote => None,
+        };
+        Ok(Member {
             workload,
             fd,
+            handle,
             mode,
             retry_budget,
             stats: SessionStats::default(),
             one_shot: None,
-        }
+        })
+    }
+
+    /// Counters over every chain the member has settled (a
+    /// [`PushdownSession`] restarts them with each run).
+    pub fn stats(&self) -> SessionStats {
+        self.stats
     }
 }
 

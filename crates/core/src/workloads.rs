@@ -4,8 +4,9 @@
 //!
 //! Each bundles (a) the on-disk image builder, (b) the verified BPF
 //! traversal program, (c) the native user-path stepper — per-chain state
-//! keyed by [`ChainToken::id`], never by the lookup key — and (d) the
-//! result decoder and correctness check. The same
+//! in one [`IdMap`] keyed by [`ChainToken::id`], never by the lookup
+//! key, whose value says whether the chain is still walking or has its
+//! result — and (d) the result decoder and correctness check. The same
 //! [`PushdownSession`](crate::PushdownSession) surface then drives any
 //! of them in any [`DispatchMode`](bpfstor_kernel::DispatchMode).
 
@@ -14,14 +15,13 @@ use std::collections::HashMap;
 use bpfstor_btree::tree::{build_pages, shape_for_depth, step_on_page, Step, TreeInfo};
 use bpfstor_btree::{Node, PAGE_SIZE};
 use bpfstor_kernel::{ChainStatus, ChainToken, UserNext};
-use bpfstor_lsm::sstable::Footer;
+use bpfstor_lsm::sstable::{ColdGet, ColdStep, Footer};
 use bpfstor_lsm::{data_block_entries, BLOCK};
-use bpfstor_sim::SimRng;
+use bpfstor_sim::{IdMap, SimRng};
 use bpfstor_vm::Program;
 
 use bpfstor_workload::{KeyDist, Op, OpMix, YcsbGen};
 
-use crate::driver::{sst_native_step, value_of, SstStage, SstWalk};
 use crate::progs::{
     btree_lookup_program, pointer_chase_program, scan_aggregate_program, sst_get_program,
     ScanResult,
@@ -29,6 +29,12 @@ use crate::progs::{
 use crate::session::{OpSpec, PushdownWorkload, ReadSpec, SessionError, Verdict, WriteSpec};
 
 // --- B-tree -----------------------------------------------------------------
+
+/// The canonical value stored for `key` in generated B-trees: checking
+/// lookups needs no lookup table.
+pub fn value_of(key: u64) -> u64 {
+    key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xB7EE
+}
 
 /// B-tree point lookups over a generated tree of the given depth — the
 /// paper's §3 headline workload. Keys are `0..nkeys` with values from
@@ -177,6 +183,14 @@ impl PushdownWorkload for Btree {
 
 // --- SSTable cold get -------------------------------------------------------
 
+/// Where one native cold get is: between two block reads, or complete
+/// and waiting for `decode` to collect its value.
+#[derive(Debug, Clone)]
+enum SstChain {
+    Walking(ColdGet),
+    Finished(Option<Vec<u8>>),
+}
+
 /// Cold SSTable point gets (footer → index block(s) → data block) over a
 /// generated fixed-value-size table — the LSM offload of §4.
 #[derive(Debug, Clone)]
@@ -187,11 +201,7 @@ pub struct Sst {
     issued: u64,
     value_size: u32,
     footer_off: u64,
-    state: HashMap<u64, SstStage>,
-    pending: HashMap<u64, Option<Vec<u8>>>,
-    /// Values returned per completed chain `(key, value-if-found)`, in
-    /// completion order — for cross-mode comparisons.
-    pub results: Vec<(u64, Option<Vec<u8>>)>,
+    chains: IdMap<u64, SstChain>,
 }
 
 impl Sst {
@@ -217,9 +227,7 @@ impl Sst {
             issued: 0,
             value_size,
             footer_off: 0,
-            state: HashMap::new(),
-            pending: HashMap::new(),
-            results: Vec::new(),
+            chains: IdMap::default(),
         }
     }
 
@@ -231,13 +239,15 @@ impl Sst {
 
     /// The expected value for `key`.
     pub fn expected(&self, key: u64) -> Option<Vec<u8>> {
-        self.entries
-            .binary_search_by_key(&key, |(k, _)| *k)
-            .ok()
-            .map(|i| self.entries[i].1.clone())
+        self.value(key).cloned()
     }
 
-    /// Byte offset of the footer block (valid after the session built).
+    fn value(&self, key: u64) -> Option<&Vec<u8>> {
+        let at = self.entries.binary_search_by_key(&key, |(k, _)| *k);
+        at.ok().map(|i| &self.entries[i].1)
+    }
+
+    /// Byte offset of the footer block (valid once `build_image` ran).
     pub fn footer_off(&self) -> u64 {
         self.footer_off
     }
@@ -282,19 +292,19 @@ impl PushdownWorkload for Sst {
     }
 
     fn user_step(&mut self, token: &ChainToken, data: &[u8]) -> UserNext {
-        // The walk itself is shared with `SstGetDriver`; this workload
-        // only owns the token-keyed stage/result maps.
-        match sst_native_step(self.state.get(&token.id).copied(), token.arg, data) {
-            SstWalk::Continue(next_off, stage) => {
-                self.state.insert(token.id, stage);
-                UserNext::Continue(next_off)
-            }
-            SstWalk::Finished(found) => {
-                self.state.remove(&token.id);
-                self.pending.insert(token.id, found);
-                UserNext::Done
+        // The walk itself is `bpfstor_lsm`'s; this workload only owns
+        // the token-keyed table of where each chain stands.
+        let chain = self
+            .chains
+            .entry(token.id)
+            .or_insert(SstChain::Walking(ColdGet::Footer));
+        if let SstChain::Walking(stage) = chain {
+            match stage.step(token.arg, data) {
+                ColdStep::Read(next_off) => return UserNext::Continue(next_off),
+                ColdStep::Done(found) => *chain = SstChain::Finished(found),
             }
         }
+        UserNext::Done
     }
 
     fn decode(
@@ -302,26 +312,20 @@ impl PushdownWorkload for Sst {
         token: &ChainToken,
         status: &ChainStatus,
     ) -> Result<Option<Vec<u8>>, SessionError> {
-        self.state.remove(&token.id);
-        let found = match status {
-            ChainStatus::Emitted(v) => Some(v.clone()),
-            ChainStatus::Halted => None,
-            ChainStatus::Pass(_) => self.pending.remove(&token.id).flatten(),
-            other => {
-                return Err(SessionError::Decode(format!("unexpected status {other:?}")));
-            }
-        };
-        self.results.push((token.arg, found.clone()));
-        Ok(found)
+        let chain = self.chains.remove(&token.id);
+        match status {
+            ChainStatus::Emitted(v) => Ok(Some(v.clone())),
+            ChainStatus::Halted => Ok(None),
+            ChainStatus::Pass(_) => Ok(match chain {
+                Some(SstChain::Finished(found)) => found,
+                _ => None,
+            }),
+            other => Err(SessionError::Decode(format!("unexpected status {other:?}"))),
+        }
     }
 
     fn check(&self, token: &ChainToken, out: Option<&Vec<u8>>) -> Verdict {
-        let expected = self
-            .entries
-            .binary_search_by_key(&token.arg, |(k, _)| *k)
-            .ok()
-            .map(|i| &self.entries[i].1);
-        if out == expected {
+        if out == self.value(token.arg) {
             Verdict::Ok
         } else {
             Verdict::Mismatch
@@ -329,19 +333,18 @@ impl PushdownWorkload for Sst {
     }
 
     fn release(&mut self, token: &ChainToken) {
-        self.state.remove(&token.id);
-        self.pending.remove(&token.id);
+        self.chains.remove(&token.id);
     }
 }
 
 // --- Scan / filter / aggregate ----------------------------------------------
 
-/// Native per-chain scan state, keyed by [`ChainToken::id`].
+/// Where one native scan is, keyed by [`ChainToken::id`]: walking while
+/// data blocks remain, finished — `so_far` is the result — at zero.
 #[derive(Debug, Clone, Copy)]
-struct ScanState {
+struct ScanChain {
     remaining: u32,
-    sum: u64,
-    count: u64,
+    so_far: ScanResult,
 }
 
 /// Whole-table scan with kernel-side filtering and aggregation: `SELECT
@@ -355,8 +358,7 @@ pub struct Scan {
     issued: u64,
     value_size: u32,
     data_blocks: u32,
-    state: HashMap<u64, ScanState>,
-    pending: HashMap<u64, ScanResult>,
+    chains: IdMap<u64, ScanChain>,
     /// Expected aggregates precomputed for the workload's own
     /// thresholds, so `check` does not rescan the table per chain.
     expected_cache: HashMap<u64, ScanResult>,
@@ -386,8 +388,7 @@ impl Scan {
             issued: 0,
             value_size,
             data_blocks: 0,
-            state: HashMap::new(),
-            pending: HashMap::new(),
+            chains: IdMap::default(),
             expected_cache: HashMap::new(),
         };
         scan.expected_cache = thresholds.iter().map(|&t| (t, scan.expected(t))).collect();
@@ -466,31 +467,24 @@ impl PushdownWorkload for Scan {
 
     fn user_step(&mut self, token: &ChainToken, data: &[u8]) -> UserNext {
         let threshold = token.arg;
-        let st = self.state.entry(token.id).or_insert(ScanState {
+        let chain = self.chains.entry(token.id).or_insert(ScanChain {
             remaining: self.data_blocks,
-            sum: 0,
-            count: 0,
+            so_far: ScanResult { sum: 0, count: 0 },
         });
         if let Ok(entries) = data_block_entries(data) {
             for (_, v) in entries {
                 let field = u64::from_le_bytes(v[..8].try_into().expect("8B"));
                 if field >= threshold {
-                    st.sum += field;
-                    st.count += 1;
+                    chain.so_far.sum += field;
+                    chain.so_far.count += 1;
                 }
             }
         }
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            let result = ScanResult {
-                sum: st.sum,
-                count: st.count,
-            };
-            self.state.remove(&token.id);
-            self.pending.insert(token.id, result);
+        chain.remaining -= 1;
+        if chain.remaining == 0 {
             UserNext::Done
         } else {
-            let next_block = (self.data_blocks - st.remaining) as u64;
+            let next_block = (self.data_blocks - chain.remaining) as u64;
             UserNext::Continue(next_block * BLOCK as u64)
         }
     }
@@ -500,16 +494,18 @@ impl PushdownWorkload for Scan {
         token: &ChainToken,
         status: &ChainStatus,
     ) -> Result<Option<ScanResult>, SessionError> {
-        self.state.remove(&token.id);
+        let chain = self.chains.remove(&token.id);
         match status {
             ChainStatus::Emitted(bytes) => ScanResult::parse(bytes)
                 .map(Some)
                 .ok_or_else(|| SessionError::Decode("malformed 16-byte aggregate".into())),
-            ChainStatus::Pass(_) => self
-                .pending
-                .remove(&token.id)
-                .map(Some)
-                .ok_or_else(|| SessionError::Decode("native scan left no aggregate".into())),
+            ChainStatus::Pass(_) => match chain {
+                Some(ScanChain {
+                    remaining: 0,
+                    so_far,
+                }) => Ok(Some(so_far)),
+                _ => Err(SessionError::Decode("native scan left no aggregate".into())),
+            },
             other => Err(SessionError::Decode(format!("unexpected status {other:?}"))),
         }
     }
@@ -526,8 +522,7 @@ impl PushdownWorkload for Scan {
     }
 
     fn release(&mut self, token: &ChainToken) {
-        self.state.remove(&token.id);
-        self.pending.remove(&token.id);
+        self.chains.remove(&token.id);
     }
 }
 

@@ -6,10 +6,11 @@
 //! NVMe-layer extent cache viable. This crate provides:
 //!
 //! - [`bloom`]: bloom filters for point-lookup pruning;
-//! - [`sstable`]: the 512-byte-block SSTable format, with the cold
-//!   lookup chain (footer → index block → data block) factored into
-//!   step functions that double as the oracle for the BPF offload
-//!   programs in `bpfstor-core`;
+//! - [`sstable`]: the 512-byte-block SSTable format and the only code
+//!   that parses it, with the cold lookup chain (footer → index
+//!   block(s) → data block) as one stepper, [`ColdGet`], that is both
+//!   the native walk and the oracle for the BPF offload program in
+//!   `bpfstor-core`;
 //! - [`lsm`]: memtable + levels + size-tiered compaction over
 //!   `bpfstor-fs`, whose unlink-based lifecycle generates exactly the
 //!   unmap-event pattern the §4 extent-stability experiment measures.
@@ -23,6 +24,6 @@ pub use bloom::Bloom;
 pub use io::{DirectIo, LsmIo};
 pub use lsm::{LsmConfig, LsmError, LsmStats, LsmTree, TableHandle};
 pub use sstable::{
-    build_image, data_block_entries, data_block_search, index_block_search, step_data, step_footer,
-    step_index, Footer, SstError, SstLookup, BLOCK, MAX_VALUE, SST_MAGIC,
+    build_image, data_block_entries, data_block_search, index_block_search, ColdGet, ColdStep,
+    Footer, SstError, BLOCK, MAX_VALUE, SST_MAGIC,
 };

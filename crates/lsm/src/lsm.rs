@@ -18,7 +18,9 @@ use bpfstor_fs::FsError;
 
 use crate::bloom::Bloom;
 use crate::io::LsmIo;
-use crate::sstable::{build_image, data_block_entries, data_block_search, Footer, SstError, BLOCK};
+use crate::sstable::{
+    build_image, data_block_entries, data_block_search, index_entries, Footer, SstError, BLOCK,
+};
 
 /// Tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -108,18 +110,14 @@ impl TableHandle {
         }
         let footer_bytes = io.read(ino, (nblocks - 1) * BLOCK as u64, BLOCK)?;
         let footer = Footer::decode(&footer_bytes)?;
+        if footer.total_blocks() > nblocks {
+            return Err(SstError::Corrupt("table shorter than its footer claims").into());
+        }
         // Index blocks.
         let mut index = Vec::new();
         for ib in 0..footer.index_blocks {
             let off = (footer.data_blocks as u64 + ib as u64) * BLOCK as u64;
-            let block = io.read(ino, off, BLOCK)?;
-            let n = u16::from_le_bytes([block[0], block[1]]) as usize;
-            for i in 0..n {
-                let at = 2 + i * 12;
-                let first = u64::from_le_bytes(block[at..at + 8].try_into().expect("8B"));
-                let blk = u32::from_le_bytes(block[at + 8..at + 12].try_into().expect("4B"));
-                index.push((first, blk));
-            }
+            index.extend(index_entries(&io.read(ino, off, BLOCK)?)?);
         }
         // Bloom blocks.
         let mut bloom_bytes = Vec::new();
@@ -128,12 +126,7 @@ impl TableHandle {
                 (footer.data_blocks as u64 + footer.index_blocks as u64 + bb as u64) * BLOCK as u64;
             bloom_bytes.extend(io.read(ino, off, BLOCK)?);
         }
-        let words: Vec<u64> = bloom_bytes
-            .chunks(8)
-            .take(footer.bloom_bits.div_ceil(64) as usize)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8B")))
-            .collect();
-        let bloom = Bloom::from_parts(words, footer.bloom_bits, footer.bloom_k);
+        let bloom = footer.bloom(&bloom_bytes)?;
         Ok(TableHandle {
             name: name.to_string(),
             ino,
@@ -551,6 +544,40 @@ mod tests {
             lsm.put(&mut io, 1, Vec::new()).unwrap_err(),
             LsmError::EmptyValue
         );
+    }
+
+    #[test]
+    fn malformed_tables_are_errors_at_open_never_panics() {
+        let entries: Vec<(u64, Vec<u8>)> = (0..600u64).map(|i| (i * 3, vec![7; 48])).collect();
+        let image = build_image(&entries).expect("image");
+        let footer = Footer::decode(&image[image.len() - BLOCK..]).expect("footer");
+        let (mut fs, mut store, _) = setup();
+        let mut io = DirectIo::new(&mut fs, &mut store);
+        let mut open = |name: &str, bytes: &[u8]| {
+            let ino = io.create(name).expect("create");
+            io.write(ino, 0, bytes).expect("write");
+            TableHandle::open(&mut io, name).map(|t| t.index.len())
+        };
+        assert_eq!(open("intact", &image), Ok(footer.data_blocks as usize));
+
+        // The first index block's count reads 0xFFFF: 2 + 65 535 * 12
+        // bytes of entries do not fit a block.
+        let mut bad_index = image.clone();
+        let at = footer.data_blocks as usize * BLOCK;
+        bad_index[at..at + BLOCK].fill(0);
+        bad_index[at..at + 2].copy_from_slice(&[0xFF, 0xFF]);
+        assert_eq!(
+            open("bad-index", &bad_index),
+            Err(SstError::Corrupt("index count overflows block").into())
+        );
+
+        // Truncated from the front, the footer names blocks the file
+        // does not have: reads past its end come back short.
+        for (name, keep) in [("footer-only", 1), ("no-data", 4)] {
+            let tail = &image[image.len() - keep * BLOCK..];
+            let err = open(name, tail).expect_err("truncated");
+            assert!(matches!(err, LsmError::Sst(SstError::Corrupt(_))), "{err}");
+        }
     }
 
     #[test]

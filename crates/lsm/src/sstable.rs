@@ -16,9 +16,15 @@
 //! ```
 //!
 //! A *cold* lookup (nothing cached) therefore chains
-//! footer → index block → data block — exactly the dependent-I/O
+//! footer → index block(s) → data block — exactly the dependent-I/O
 //! pattern the paper offloads; `bpfstor-core` generates the BPF chain
-//! and [`SstLookup`] is the shared oracle for each step.
+//! and [`ColdGet`], the native walk, is the shared oracle for it.
+//!
+//! This module is the only Rust that reads a block's bytes. One checked
+//! parser per block kind (`index_entries`, `data_entries`) serves the
+//! searches, the warm [`TableHandle`](crate::TableHandle) and the cold
+//! stepper alike, so a malformed block is an [`SstError`] (a miss, for a
+//! cold get) at every reader and a panic at none.
 
 use bpfstor_device::SECTOR_SIZE;
 
@@ -259,6 +265,26 @@ impl Footer {
         self.data_blocks as u64 + self.index_blocks as u64 + self.bloom_blocks as u64 + 1
     }
 
+    /// Rebuilds the bloom filter from the bytes of the table's bloom
+    /// blocks.
+    ///
+    /// # Errors
+    ///
+    /// [`SstError::Corrupt`] if the footer claims more filter bits than
+    /// `bloom_bytes` holds, or none.
+    pub(crate) fn bloom(&self, bloom_bytes: &[u8]) -> Result<Bloom, SstError> {
+        let nwords = self.bloom_bits.div_ceil(64);
+        if nwords == 0 || nwords > (bloom_bytes.len() / 8) as u64 {
+            return Err(SstError::Corrupt("bloom filter shorter than its bit count"));
+        }
+        let words = bloom_bytes
+            .chunks_exact(8)
+            .take(nwords as usize)
+            .map(|c| get_u64(c, 0))
+            .collect();
+        Ok(Bloom::from_parts(words, self.bloom_bits, self.bloom_k))
+    }
+
     /// Parses a footer block.
     ///
     /// # Errors
@@ -292,118 +318,174 @@ fn get_u64(b: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"))
 }
 
+/// The checked parser of an *index block*: a `u16` count, then that
+/// many 12-byte `(first_key u64, block u32)` entries.
+pub(crate) fn index_entries(
+    block: &[u8],
+) -> Result<impl ExactSizeIterator<Item = (u64, u32)> + '_, SstError> {
+    let (count, rest) = block
+        .split_first_chunk::<2>()
+        .ok_or(SstError::Corrupt("short index block"))?;
+    let entries = rest
+        .get(..u16::from_le_bytes(*count) as usize * 12)
+        .ok_or(SstError::Corrupt("index count overflows block"))?;
+    Ok(entries
+        .chunks_exact(12)
+        .map(|e| (get_u64(e, 0), get_u32(e, 8))))
+}
+
 /// Searches one *index block* for `key`: returns the data block number
 /// of the last entry with `first_key <= key`, or `None` if the key
 /// precedes every entry (it may still be in an earlier index block).
 pub fn index_block_search(block: &[u8], key: u64) -> Result<Option<u32>, SstError> {
-    if block.len() < 2 {
-        return Err(SstError::Corrupt("short index block"));
-    }
-    let n = u16::from_le_bytes([block[0], block[1]]) as usize;
-    if 2 + n * 12 > block.len() {
-        return Err(SstError::Corrupt("index count overflows block"));
-    }
-    let mut best = None;
-    for i in 0..n {
-        let at = 2 + i * 12;
-        let first = get_u64(block, at);
-        if first > key {
-            break;
-        }
-        best = Some(get_u32(block, at + 8));
-    }
-    Ok(best)
+    Ok(index_entries(block)?
+        .take_while(|(first, _)| *first <= key)
+        .last()
+        .map(|(_, data_block)| data_block))
+}
+
+/// The checked parser of a *data block*: a `u16` count, then that many
+/// packed `(key u64, vlen u16, value)` entries. Yields an error in place
+/// of an entry that would run past the block.
+fn data_entries(
+    block: &[u8],
+) -> Result<impl ExactSizeIterator<Item = Result<(u64, &[u8]), SstError>>, SstError> {
+    let (count, mut rest) = block
+        .split_first_chunk::<2>()
+        .ok_or(SstError::Corrupt("short data block"))?;
+    Ok((0..u16::from_le_bytes(*count)).map(move |_| {
+        let (head, tail) = rest
+            .split_first_chunk::<10>()
+            .ok_or(SstError::Corrupt("entry overflows block"))?;
+        let vlen = u16::from_le_bytes([head[8], head[9]]) as usize;
+        let (value, tail) = tail
+            .split_at_checked(vlen)
+            .ok_or(SstError::Corrupt("value overflows block"))?;
+        rest = tail;
+        Ok((get_u64(head, 0), value))
+    }))
 }
 
 /// Scans one *data block* for `key`, returning the value if present.
 pub fn data_block_search(block: &[u8], key: u64) -> Result<Option<Vec<u8>>, SstError> {
-    if block.len() < 2 {
-        return Err(SstError::Corrupt("short data block"));
-    }
-    let n = u16::from_le_bytes([block[0], block[1]]) as usize;
-    let mut at = 2;
-    for _ in 0..n {
-        if at + 10 > block.len() {
-            return Err(SstError::Corrupt("entry overflows block"));
-        }
-        let k = get_u64(block, at);
-        let vlen = u16::from_le_bytes([block[at + 8], block[at + 9]]) as usize;
-        if at + 10 + vlen > block.len() {
-            return Err(SstError::Corrupt("value overflows block"));
-        }
+    for entry in data_entries(block)? {
+        let (k, value) = entry?;
         if k == key {
-            return Ok(Some(block[at + 10..at + 10 + vlen].to_vec()));
+            return Ok(Some(value.to_vec()));
         }
         if k > key {
-            return Ok(None);
+            break;
         }
-        at += 10 + vlen;
     }
     Ok(None)
 }
 
 /// Iterates every `(key, value)` of a data block.
 pub fn data_block_entries(block: &[u8]) -> Result<Vec<(u64, Vec<u8>)>, SstError> {
-    if block.len() < 2 {
-        return Err(SstError::Corrupt("short data block"));
-    }
-    let n = u16::from_le_bytes([block[0], block[1]]) as usize;
-    let mut at = 2;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        if at + 10 > block.len() {
-            return Err(SstError::Corrupt("entry overflows block"));
-        }
-        let k = get_u64(block, at);
-        let vlen = u16::from_le_bytes([block[at + 8], block[at + 9]]) as usize;
-        if at + 10 + vlen > block.len() {
-            return Err(SstError::Corrupt("value overflows block"));
-        }
-        out.push((k, block[at + 10..at + 10 + vlen].to_vec()));
-        at += 10 + vlen;
+    let entries = data_entries(block)?;
+    // The count is input: no entry is shorter than its 10-byte header.
+    let mut out = Vec::with_capacity(entries.len().min(block.len() / 10));
+    for entry in entries {
+        let (k, value) = entry?;
+        out.push((k, value.to_vec()));
     }
     Ok(out)
 }
 
-/// The three dependent steps of a cold SSTable lookup, used as the
-/// oracle for the BPF chain generated in `bpfstor-core`.
+/// Where a cold get stands between two dependent block reads: the
+/// native walk of the footer → index block(s) → data block chain, and
+/// the oracle for the BPF chain generated in `bpfstor-core`. A chain
+/// starts at [`ColdGet::Footer`] on the table's last block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColdGet {
+    /// The block read is the footer.
+    Footer,
+    /// The block read is an index block.
+    Index {
+        /// Index blocks not yet visited (including this one).
+        remaining: u32,
+        /// Byte offset of this index block.
+        cursor: u64,
+        /// Data-block byte offset carried from the previous index
+        /// block: where the key lives if it precedes this one.
+        candidate: Option<u64>,
+    },
+    /// The block read is the data block that owns the key's range.
+    Data,
+}
+
+/// What one [`ColdGet::step`] decided.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SstLookup {
-    /// Read this file byte offset next.
-    Next(u64),
-    /// Value found.
-    Found(Vec<u8>),
-    /// Key definitely absent.
-    Missing,
+pub enum ColdStep {
+    /// Read the block at this file byte offset next (the stage has
+    /// advanced to match).
+    Read(u64),
+    /// The get is complete: the value, if the key is present.
+    Done(Option<Vec<u8>>),
 }
 
-/// Cold-lookup step on the footer block of a file with `file_blocks`
-/// total blocks: decide which index block to fetch.
-pub fn step_footer(footer_block: &[u8], key: u64) -> Result<SstLookup, SstError> {
-    let f = Footer::decode(footer_block)?;
-    if key < f.min_key || key > f.max_key {
-        return Ok(SstLookup::Missing);
+impl ColdGet {
+    /// One step over the completed `block`. A block the checked parsers
+    /// reject ends the get as a miss, exactly like a bad footer.
+    pub fn step(&mut self, key: u64, block: &[u8]) -> ColdStep {
+        self.try_step(key, block).unwrap_or(ColdStep::Done(None))
     }
-    // Without in-memory state we start at the first index block; the
-    // index step advances through at most `index_blocks` blocks.
-    let first_index_block = f.data_blocks as u64;
-    Ok(SstLookup::Next(first_index_block * BLOCK as u64))
-}
 
-/// Cold-lookup step on an index block.
-pub fn step_index(index_block: &[u8], key: u64) -> Result<SstLookup, SstError> {
-    match index_block_search(index_block, key)? {
-        Some(data_block) => Ok(SstLookup::Next(data_block as u64 * BLOCK as u64)),
-        None => Ok(SstLookup::Missing),
+    fn try_step(&mut self, key: u64, block: &[u8]) -> Result<ColdStep, SstError> {
+        let data_at = |block_no: u32| block_no as u64 * BLOCK as u64;
+        let (next, stage) = match *self {
+            ColdGet::Footer => {
+                let f = Footer::decode(block)?;
+                if key < f.min_key || key > f.max_key {
+                    return Ok(ColdStep::Done(None));
+                }
+                // Without in-memory state the walk starts at the first
+                // index block and advances through at most all of them.
+                let cursor = data_at(f.data_blocks);
+                let stage = ColdGet::Index {
+                    remaining: f.index_blocks,
+                    cursor,
+                    candidate: None,
+                };
+                (cursor, stage)
+            }
+            ColdGet::Index {
+                remaining,
+                cursor,
+                candidate,
+            } => {
+                let entries = index_entries(block)?;
+                let n = entries.len();
+                let best = entries
+                    .enumerate()
+                    .take_while(|(_, (first, _))| *first <= key)
+                    .last();
+                match best {
+                    // The key precedes this block: the previous block's
+                    // last entry (the candidate) owns it, if any.
+                    None => match candidate {
+                        Some(off) => (off, ColdGet::Data),
+                        None => return Ok(ColdStep::Done(None)),
+                    },
+                    // The key may live in a later index block; remember
+                    // this candidate and walk on.
+                    Some((i, (_, data_block))) if i + 1 == n && remaining > 1 => {
+                        let next = cursor + BLOCK as u64;
+                        let stage = ColdGet::Index {
+                            remaining: remaining - 1,
+                            cursor: next,
+                            candidate: Some(data_at(data_block)),
+                        };
+                        (next, stage)
+                    }
+                    Some((_, (_, data_block))) => (data_at(data_block), ColdGet::Data),
+                }
+            }
+            ColdGet::Data => return Ok(ColdStep::Done(data_block_search(block, key)?)),
+        };
+        *self = stage;
+        Ok(ColdStep::Read(next))
     }
-}
-
-/// Cold-lookup step on a data block.
-pub fn step_data(data_block: &[u8], key: u64) -> Result<SstLookup, SstError> {
-    Ok(match data_block_search(data_block, key)? {
-        Some(v) => SstLookup::Found(v),
-        None => SstLookup::Missing,
-    })
 }
 
 #[cfg(test)]
@@ -432,63 +514,111 @@ mod tests {
         assert_eq!(f.max_key, 198);
     }
 
+    /// Walks a cold get over the raw image hop by hop, as the User path
+    /// does: the value, and how many blocks were read.
+    fn cold_get(image: &[u8], key: u64) -> (Option<Vec<u8>>, u32) {
+        let mut off = image.len() - BLOCK;
+        let mut stage = ColdGet::Footer;
+        for hops in 1..=16 {
+            match stage.step(key, &image[off..off + BLOCK]) {
+                ColdStep::Read(next) => off = next as usize,
+                ColdStep::Done(found) => return (found, hops),
+            }
+        }
+        panic!("runaway cold get for key {key}");
+    }
+
     #[test]
     fn every_key_found_via_cold_steps() {
         let entries = sample(200);
         let image = build_image(&entries).expect("build");
-        let bs = blocks(&image);
-        let nblocks = bs.len() as u64;
         for (key, value) in &entries {
-            // footer step
-            let step = step_footer(bs[(nblocks - 1) as usize], *key).expect("footer step");
-            let SstLookup::Next(mut off) = step else {
-                panic!("in-range key must continue: {step:?}");
-            };
-            // index step(s): walk forward if the key is in a later block.
-            let mut result = None;
-            for _hop in 0..8 {
-                let blk = bs[(off / BLOCK as u64) as usize];
-                let step = if result.is_none() {
-                    step_index(blk, *key).expect("index step")
-                } else {
-                    break;
-                };
-                match step {
-                    SstLookup::Next(data_off) => {
-                        let dblk = bs[(data_off / BLOCK as u64) as usize];
-                        result = Some(step_data(dblk, *key).expect("data step"));
-                    }
-                    SstLookup::Missing => {
-                        result = Some(SstLookup::Missing);
-                    }
-                    SstLookup::Found(_) => unreachable!(),
-                }
-                off += BLOCK as u64;
-            }
-            assert_eq!(result, Some(SstLookup::Found(value.clone())), "key {key}");
+            assert_eq!(
+                cold_get(&image, *key),
+                (Some(value.clone()), 3),
+                "key {key}"
+            );
         }
     }
 
     #[test]
-    fn absent_keys_are_missing() {
-        let entries = sample(100);
+    fn cold_get_walks_later_index_blocks_with_the_candidate_carried() {
+        // ~34 entries per data block and 42 index entries per index
+        // block: 2 000 entries need a second index block.
+        let entries = sample(2_000);
         let image = build_image(&entries).expect("build");
         let bs = blocks(&image);
         let f = Footer::decode(bs[bs.len() - 1]).expect("footer");
-        // Odd keys are absent.
+        assert_eq!(f.index_blocks, 2);
+        let first_index: Vec<_> = index_entries(bs[f.data_blocks as usize])
+            .expect("index")
+            .collect();
+        let (boundary_first, boundary_block) = *first_index.last().expect("full block");
+        for (key, value) in &entries {
+            // Keys from the first index block's last entry on cannot be
+            // placed without looking at the second one: the last data
+            // block of the first is reached through the carried
+            // candidate, the rest through the second block's entries.
+            let hops = if *key >= boundary_first { 4 } else { 3 };
+            assert_eq!(
+                cold_get(&image, *key),
+                (Some(value.clone()), hops),
+                "key {key}"
+            );
+        }
+        let owned_by_candidate = data_block_entries(bs[boundary_block as usize])
+            .expect("data")
+            .len();
+        assert!(
+            owned_by_candidate > 1,
+            "the carry decides more than one key"
+        );
+    }
+
+    #[test]
+    fn absent_keys_are_missing() {
+        let image = build_image(&sample(100)).expect("build");
+        // Odd keys are absent: footer, index and data are all read.
         for key in [1u64, 77, 151] {
-            let first_index = f.data_blocks as usize;
-            let data = match step_index(bs[first_index], key).expect("index") {
-                SstLookup::Next(off) => bs[(off / BLOCK as u64) as usize],
-                other => panic!("{other:?}"),
-            };
-            assert_eq!(step_data(data, key).expect("data"), SstLookup::Missing);
+            assert_eq!(cold_get(&image, key), (None, 3), "key {key}");
         }
         // Out-of-range keys cut off at the footer.
-        assert_eq!(
-            step_footer(bs[bs.len() - 1], 10_000).expect("footer"),
-            SstLookup::Missing
-        );
+        assert_eq!(cold_get(&image, 10_000), (None, 1));
+    }
+
+    #[test]
+    fn malformed_blocks_are_errors_for_the_searches_and_misses_for_a_cold_get() {
+        // An index block whose count reads 0xFFFF: 2 + 65 535 * 12 bytes
+        // of entries do not fit 512.
+        let mut bad_index = vec![0u8; BLOCK];
+        bad_index[..2].copy_from_slice(&[0xFF, 0xFF]);
+        let overflow = SstError::Corrupt("index count overflows block");
+        assert_eq!(index_block_search(&bad_index, 598), Err(overflow.clone()));
+        assert_eq!(index_entries(&bad_index).err(), Some(overflow));
+        let mut stage = ColdGet::Index {
+            remaining: 1,
+            cursor: 0,
+            candidate: Some(0),
+        };
+        assert_eq!(stage.step(598, &bad_index), ColdStep::Done(None));
+
+        // A data block whose second entry claims a value past the end.
+        let mut bad_data = vec![0u8; BLOCK];
+        bad_data[..2].copy_from_slice(&2u16.to_le_bytes());
+        bad_data[2..10].copy_from_slice(&1u64.to_le_bytes());
+        bad_data[10..12].copy_from_slice(&4u16.to_le_bytes());
+        bad_data[16..24].copy_from_slice(&9u64.to_le_bytes());
+        bad_data[24..26].copy_from_slice(&600u16.to_le_bytes());
+        let overflow = SstError::Corrupt("value overflows block");
+        assert_eq!(data_block_search(&bad_data, 1), Ok(Some(vec![0u8; 4])));
+        assert_eq!(data_block_search(&bad_data, 9), Err(overflow.clone()));
+        assert_eq!(data_block_entries(&bad_data), Err(overflow));
+        assert_eq!(ColdGet::Data.step(9, &bad_data), ColdStep::Done(None));
+
+        // Blocks too short to hold a count.
+        for mut stage in [ColdGet::Footer, ColdGet::Data, stage] {
+            assert_eq!(stage.step(1, &[7]), ColdStep::Done(None), "{stage:?}");
+        }
     }
 
     #[test]
@@ -497,17 +627,9 @@ mod tests {
         let image = build_image(&entries).expect("build");
         let bs = blocks(&image);
         let f = Footer::decode(bs[bs.len() - 1]).expect("footer");
-        let start = (f.data_blocks + f.index_blocks) as usize;
-        let mut bytes = Vec::new();
-        for b in &bs[start..start + f.bloom_blocks as usize] {
-            bytes.extend_from_slice(b);
-        }
-        let words: Vec<u64> = bytes
-            .chunks(8)
-            .take((f.bloom_bits.div_ceil(64)) as usize)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8B")))
-            .collect();
-        let bloom = Bloom::from_parts(words, f.bloom_bits, f.bloom_k);
+        let start = (f.data_blocks + f.index_blocks) as usize * BLOCK;
+        let bytes = &image[start..start + f.bloom_blocks as usize * BLOCK];
+        let bloom = f.bloom(bytes).expect("bloom");
         for (k, _) in &entries {
             assert!(bloom.may_contain(*k));
         }

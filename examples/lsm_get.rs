@@ -2,22 +2,25 @@
 //!
 //! A *cold* get (no index cached in user space) needs three dependent
 //! reads: footer → index block → data block. This example exercises both
-//! layers of the API over a table flushed by a real `LsmTree`:
+//! layers of the API:
 //!
-//! 1. the **low-level** path — `SstGetDriver` programmed directly
-//!    against the kernel's `ChainDriver` trait (per-chain state keyed by
-//!    the kernel-minted `ChainToken`), driving a table file the LSM
-//!    wrote inside the machine;
+//! 1. the **low-level** path — `Member::attach`, the one function that
+//!    attaches a workload to a machine (open, install when the mode
+//!    runs a program, wrap in the `ChainDriver` adapter sessions
+//!    themselves run), called on a table a real `LsmTree` flushed
+//!    through the machine's rings;
 //! 2. the **high-level** path — a `PushdownSession` over the `Sst`
-//!    workload, where install/rearm/retry are the library's problem.
+//!    workload, which creates the file and calls the same function.
 //!
 //! ```sh
 //! cargo run --release --example lsm_get
 //! ```
 
-use bpfstor::core::{sst_get_program, DispatchMode, PushdownSession, Sst, SstGetDriver};
+use bpfstor::core::{
+    DispatchMode, MachineLsmIo, Member, PushdownSession, PushdownWorkload, Sst, DEFAULT_TENANT,
+};
 use bpfstor::kernel::{Machine, MachineConfig};
-use bpfstor::lsm::{DirectIo, LsmConfig, LsmTree, BLOCK};
+use bpfstor::lsm::{LsmConfig, LsmIo, LsmTree};
 use bpfstor::sim::time::pretty;
 use bpfstor::sim::SECOND;
 
@@ -33,79 +36,70 @@ fn main() {
     println!("bpfstor LSM example — cold SSTable gets via the driver hook\n");
 
     // Build an LSM tree with fixed-size values (the BPF parser needs a
-    // uniform stride), flush everything into SSTables.
+    // uniform stride) and flush everything into SSTables — journaled
+    // writes through the SQ/CQ rings, an fsync barrier per table.
     let mut machine = Machine::new(MachineConfig::default());
-    let (fs, store) = machine.fs_and_store();
-    let mut io = DirectIo::new(fs, store);
     let mut lsm = LsmTree::new(LsmConfig::default());
+    let mut io = MachineLsmIo::new(&mut machine);
     for key in 0..2_000u64 {
         lsm.put(&mut io, key * 2, value_for(key * 2)).expect("put");
     }
     lsm.flush(&mut io).expect("flush");
 
-    // Pick the largest live table and compute its footer offset.
+    // Pick the largest live table and read it back: the workload learns
+    // the table from the table itself.
     let table = lsm
         .levels()
         .iter()
         .flatten()
         .max_by_key(|t| t.footer.nkeys)
         .expect("at least one table");
-    let name = table.name.clone();
-    let footer_off = (table.file_blocks() - 1) * BLOCK as u64;
-    let (min_key, max_key, nkeys) = (
-        table.footer.min_key,
-        table.footer.max_key,
+    let entries = table.read_all(&mut io).expect("read back");
+    assert!(entries.iter().all(|(k, v)| *v == value_for(*k)));
+    let (min_key, max_key) = (table.footer.min_key, table.footer.max_key);
+    println!(
+        "table {}: {} keys in [{min_key}, {max_key}], {} blocks",
+        table.name,
         table.footer.nkeys,
+        table.file_blocks()
     );
-    println!("table {name}: {nkeys} keys in [{min_key}, {max_key}], footer at byte {footer_off}");
 
-    // Probe a mix of present and absent keys; expectations from the
-    // canonical value function.
+    // Probe a mix of present and absent keys.
     let keys: Vec<u64> = (0..64u64)
         .map(|i| min_key + i * ((max_key - min_key) / 64).max(1) / 2 * 2)
         .chain([min_key, max_key, max_key + 11])
         .collect();
-    let expect: Vec<Option<Vec<u8>>> = keys
-        .iter()
-        .map(|k| {
-            if *k >= min_key && *k <= max_key && *k % 2 == 0 {
-                Some(value_for(*k))
-            } else {
-                None
-            }
-        })
-        .collect();
 
-    // --- Low-level path: ChainDriver against the LSM's own file. ------
-    for mode in [DispatchMode::User, DispatchMode::DriverHook] {
-        let fd = machine.open(&name, true).expect("open");
-        if mode != DispatchMode::User {
-            let handle = machine
-                .install(fd, sst_get_program(VALUE_SIZE as u32), 0)
-                .expect("install");
-            assert_eq!(machine.attached(fd), Some(handle));
-        }
-        let mut d = SstGetDriver::new(fd, mode, footer_off, keys.clone(), expect.clone());
-        let report = machine.run_closed_loop(1, SECOND, &mut d);
+    // --- Low-level path: attach to the LSM's own file. ----------------
+    for mode in DispatchMode::ALL {
+        let mut sst = Sst::new(entries.clone(), keys.clone());
+        // `build_image` is how a workload learns its geometry (here:
+        // where the footer is); the flush wrote exactly these bytes.
+        let image = sst.build_image().expect("image");
+        let mut io = MachineLsmIo::new(&mut machine);
+        let on_disk = io.read(table.ino, 0, image.len()).expect("read");
+        assert_eq!(on_disk, image, "the flushed table is the workload's image");
+
+        let mut member = Member::attach(&mut machine, DEFAULT_TENANT, &table.name, sst, mode, 2)
+            .expect("attach");
+        let report = machine.run_closed_loop(1, SECOND, &mut member);
+        let stats = member.stats();
         println!(
             "{:<28} {} gets: {} hits, {} misses, {} mismatches, mean latency {}",
             mode.label(),
-            d.stats.completed,
-            d.stats.hits,
-            d.stats.misses,
-            d.stats.mismatches,
+            stats.completed,
+            stats.hits,
+            stats.misses,
+            stats.mismatches,
             pretty(report.mean_latency() as u64),
         );
-        assert_eq!(d.stats.mismatches, 0, "offload must agree with native");
-        assert_eq!(d.stats.errors, 0);
+        assert_eq!(stats.completed, keys.len() as u64);
+        assert_eq!(stats.mismatches, 0, "offload must agree with native");
+        assert_eq!(stats.errors, 0);
     }
 
     // --- High-level path: the same cold gets through a session. -------
-    let entries: Vec<(u64, Vec<u8>)> = (min_key..=max_key)
-        .filter(|k| k % 2 == 0)
-        .map(|k| (k, value_for(k)))
-        .collect();
-    let mut session = PushdownSession::builder(Sst::new(entries, keys.clone()))
+    let mut session = PushdownSession::builder(Sst::new(entries, keys))
         .dispatch(DispatchMode::DriverHook)
         .build()
         .expect("session construction");

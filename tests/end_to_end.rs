@@ -151,22 +151,24 @@ fn all_dispatch_modes_agree_on_btree_lookups() {
 #[test]
 fn all_dispatch_modes_agree_on_sst_gets() {
     let (entries, probes) = sst_fixture();
-    let mut verdicts: Vec<Vec<(u64, Option<Vec<u8>>)>> = Vec::new();
+    let mut results: Vec<Vec<(bool, Option<Vec<u8>>)>> = Vec::new();
     for mode in DispatchMode::ALL {
-        let mut s = PushdownSession::builder(Sst::new(entries.clone(), probes.clone()))
+        let mut s = PushdownSession::builder(Sst::new(entries.clone(), Vec::new()))
             .dispatch(mode)
             .build()
             .expect("session");
-        let (report, stats) = s.run_closed_loop(1, SECOND);
-        assert_eq!(stats.mismatches, 0, "{mode:?}");
-        assert_eq!(stats.errors, 0, "{mode:?}");
-        assert_eq!(report.errors, 0);
-        let mut sorted = s.workload().results.clone();
-        sorted.sort_by_key(|(k, _)| *k);
-        verdicts.push(sorted);
+        let mut out = Vec::new();
+        for &key in &probes {
+            // Absent and out-of-range probes are misses, not errors.
+            let hit = s.lookup(key).expect("get");
+            out.push((hit.found, hit.output));
+        }
+        results.push(out);
     }
-    assert_eq!(verdicts[0], verdicts[1], "native vs syscall-hook gets");
-    assert_eq!(verdicts[0], verdicts[2], "native vs driver-hook gets");
+    assert!(results[0].iter().any(|(found, _)| *found));
+    assert!(results[0].iter().any(|(found, _)| !*found));
+    assert_eq!(results[0], results[1], "native vs syscall-hook gets");
+    assert_eq!(results[0], results[2], "native vs driver-hook gets");
 }
 
 #[test]
@@ -316,45 +318,57 @@ fn scan_survives_relocation_through_auto_retry() {
 
 #[test]
 fn sst_same_key_on_two_concurrent_chains_does_not_collide() {
-    // Regression: SstGetDriver used to key its user-path state machine
+    // Regression: the native cold get used to key its per-chain state
     // on the lookup key, so two in-flight chains for the same key
     // corrupted each other's stage (the second chain parsed its footer
     // block as an index block). Tokens key the state now.
-    use bpfstor::core::SstGetDriver;
-    use bpfstor::kernel::MachineConfig;
-    use bpfstor::lsm::sstable::{build_image, Footer};
+    let (entries, _) = sst_fixture();
+    let present = entries[17].0;
+    // The same key issued on two chains that fly concurrently (uring
+    // batch 2), plus a second pair for good measure.
+    let mut s = PushdownSession::builder(Sst::new(entries, vec![present; 4]))
+        .dispatch(DispatchMode::User)
+        .build()
+        .expect("session");
+    let (report, stats) = s.run_uring(1, 2, SECOND);
+    assert_eq!(stats.completed, 4);
+    assert_eq!(stats.hits, 4);
+    assert_eq!(
+        stats.mismatches, 0,
+        "concurrent same-key chains must not share state"
+    );
+    assert_eq!(stats.errors, 0);
+    assert_eq!(report.errors, 0);
+}
+
+#[test]
+fn malformed_index_block_on_the_user_path_is_a_miss_not_a_panic() {
+    // Regression: the native index step sliced as many 12-byte entries
+    // as the block's count field claimed. A count of 0xFFFF read past
+    // the 512-byte block and panicked the application thread.
+    use bpfstor::core::{ChainStatus, ChainToken, PushdownWorkload};
+    use bpfstor::kernel::{UserNext, DEFAULT_TENANT};
     use bpfstor::lsm::BLOCK;
 
     let (entries, _) = sst_fixture();
-    let image = build_image(&entries).expect("image");
-    let footer = Footer::decode(&image[image.len() - BLOCK..]).expect("footer");
-    let footer_off = (footer.total_blocks() - 1) * BLOCK as u64;
-
-    let present = entries[17].0;
-    let expect_value = entries[17].1.clone();
-    // The same key issued on two chains that fly concurrently (uring
-    // batch 2), plus a second pair for good measure.
-    let keys = vec![present, present, present, present];
-    let expect = vec![
-        Some(expect_value.clone()),
-        Some(expect_value.clone()),
-        Some(expect_value.clone()),
-        Some(expect_value),
-    ];
-
-    let mut m = Machine::new(MachineConfig::default());
-    m.create_file("t.sst", &image).expect("create");
-    let fd = m.open("t.sst", true).expect("open");
-    let mut d = SstGetDriver::new(fd, DispatchMode::User, footer_off, keys, expect);
-    let report = m.run_uring(1, 2, SECOND, &mut d);
-    assert_eq!(d.stats.completed, 4);
-    assert_eq!(
-        d.stats.mismatches, 0,
-        "concurrent same-key chains must not share state: {:?}",
-        d.results
-    );
-    assert_eq!(d.stats.errors, 0);
-    assert_eq!(report.errors, 0);
+    let mut sst = Sst::new(entries, Vec::new());
+    let image = sst.build_image().expect("image");
+    let token = ChainToken {
+        id: 1,
+        tenant: DEFAULT_TENANT,
+        arg: 598,
+        issued: 0,
+    };
+    let footer = &image[sst.footer_off() as usize..];
+    let UserNext::Continue(index_off) = sst.user_step(&token, footer) else {
+        panic!("key 598 is within the table's range");
+    };
+    assert_eq!(index_off % BLOCK as u64, 0);
+    let mut bad_index = [0u8; BLOCK];
+    bad_index[..2].copy_from_slice(&[0xFF, 0xFF]);
+    assert_eq!(sst.user_step(&token, &bad_index), UserNext::Done);
+    let delivered = ChainStatus::Pass(bad_index.to_vec());
+    assert_eq!(sst.decode(&token, &delivered), Ok(None));
 }
 
 // --- Program handles ----------------------------------------------------------
@@ -686,13 +700,9 @@ mod write_mixes {
 
 mod lsm_end_to_end {
     use super::*;
-    use bpfstor::core::{sst_get_program, MachineLsmIo, SstGetDriver};
-    use bpfstor::kernel::{
-        ChainDriver, ChainOutcome, ChainSpec, ChainVerdict, Machine, MachineConfig, Mutation,
-        UserNext,
-    };
-    use bpfstor::lsm::{LsmConfig, LsmTree, BLOCK};
-    use bpfstor::sim::SimRng;
+    use bpfstor::core::{MachineLsmIo, Member, PushdownWorkload};
+    use bpfstor::kernel::{MachineConfig, Mutation, DEFAULT_TENANT};
+    use bpfstor::lsm::{LsmConfig, LsmIo, LsmTree, TableHandle};
 
     const VS: usize = 64;
 
@@ -702,32 +712,29 @@ mod lsm_end_to_end {
         v
     }
 
-    /// Delegating driver that applies the §4 rearm-and-retry protocol on
-    /// top of `SstGetDriver` (the kernel reruns the snapshot ioctl and
-    /// restarts the chain).
-    struct RetrySst(SstGetDriver);
-
-    impl ChainDriver for RetrySst {
-        fn mode(&self) -> DispatchMode {
-            self.0.mode
-        }
-        fn next_op(&mut self, t: usize, rng: &mut SimRng) -> Option<ChainSpec> {
-            self.0.next_op(t, rng)
-        }
-        fn user_step(
-            &mut self,
-            t: usize,
-            token: &bpfstor::kernel::ChainToken,
-            data: &[u8],
-        ) -> UserNext {
-            self.0.user_step(t, token, data)
-        }
-        fn chain_done(&mut self, t: usize, outcome: &ChainOutcome) -> ChainVerdict {
-            if outcome.status.is_rearmable() && outcome.attempts < 3 {
-                return ChainVerdict::RearmRetry;
-            }
-            self.0.chain_done(t, outcome)
-        }
+    /// Attaches a cold-get workload to a table the `LsmTree` flushed
+    /// onto `m`, the way a session attaches to the file it created. The
+    /// workload learns the table from the table itself — every entry
+    /// read back through the rings — and the image it builds from them
+    /// must be, byte for byte, what the flush put on disk.
+    fn attach_to_table(
+        m: &mut Machine,
+        table: &TableHandle,
+        probes: Vec<u64>,
+        mode: DispatchMode,
+        retry_budget: u32,
+    ) -> Member<Sst> {
+        let mut io = MachineLsmIo::new(m);
+        let entries = table.read_all(&mut io).expect("read back");
+        assert!(entries.iter().all(|(k, v)| *v == value_for(*k)));
+        let mut sst = Sst::new(entries, probes);
+        let image = sst.build_image().expect("image");
+        assert_eq!(
+            io.read(table.ino, 0, image.len()).expect("read"),
+            image,
+            "the flushed table is the image the workload describes"
+        );
+        Member::attach(m, DEFAULT_TENANT, &table.name, sst, mode, retry_budget).expect("attach")
     }
 
     /// The cold-SSTable-get workload, truly end to end: inserts buffer
@@ -766,45 +773,38 @@ mod lsm_end_to_end {
             .flatten()
             .max_by_key(|t| t.footer.nkeys)
             .expect("a live table");
-        let name = table.name.clone();
-        let footer_off = (table.file_blocks() - 1) * BLOCK as u64;
         let (min_key, max_key) = (table.footer.min_key, table.footer.max_key);
         let keys: Vec<u64> = (0..60u64)
             .map(|i| min_key + (i * (max_key - min_key) / 60) / 2 * 2)
             .chain([max_key + 7])
             .collect();
-        let expect: Vec<Option<Vec<u8>>> = keys
-            .iter()
-            .map(|k| {
-                if *k >= min_key && *k <= max_key && *k % 2 == 0 {
-                    Some(value_for(*k))
-                } else {
-                    None
-                }
-            })
-            .collect();
+        // Every even key of the table's range was inserted.
+        let in_table = |k: &&u64| **k <= max_key && k.is_multiple_of(2);
+        let hits = keys.iter().filter(in_table).count() as u64;
         for mode in DispatchMode::ALL {
-            let fd = m.open(&name, true).expect("open");
-            if mode != DispatchMode::User {
-                m.install(fd, sst_get_program(VS as u32), 0)
-                    .expect("install");
-            }
-            let mut d = SstGetDriver::new(fd, mode, footer_off, keys.clone(), expect.clone());
+            let mut d = attach_to_table(&mut m, table, keys.clone(), mode, 0);
             let report = m.run_closed_loop(1, SECOND, &mut d);
-            assert_eq!(d.stats.completed, keys.len() as u64, "{mode:?}");
+            let stats = d.stats();
+            assert_eq!(stats.completed, keys.len() as u64, "{mode:?}");
             assert_eq!(
-                d.stats.mismatches, 0,
+                stats.mismatches, 0,
                 "{mode:?}: pushdown over a freshly flushed table agrees with the oracle"
             );
-            assert_eq!(d.stats.errors, 0, "{mode:?}");
-            assert!(d.stats.hits > 0 && d.stats.misses > 0, "{mode:?}");
+            assert_eq!(stats.errors, 0, "{mode:?}");
+            assert_eq!(
+                (stats.hits, stats.misses),
+                (hits, keys.len() as u64 - hits),
+                "{mode:?}"
+            );
+            assert!(hits > 0 && hits < keys.len() as u64);
             assert_eq!(report.errors, 0, "{mode:?}");
         }
     }
 
     /// Mid-run extent remap on a freshly written SSTable: the relocation
     /// invalidates the NVMe-layer snapshot while driver-hook chains are
-    /// in flight; the rearm-and-retry machinery (PR 1) restarts them and
+    /// in flight; the adapter's rearm-and-retry policy (the kernel
+    /// reruns the snapshot ioctl and restarts the chain) absorbs it and
     /// every lookup still completes correctly.
     #[test]
     fn mid_run_remap_of_fresh_sstable_exercises_rearm_retry() {
@@ -821,30 +821,17 @@ mod lsm_end_to_end {
             lsm.flush(&mut io).expect("flush");
         }
         let table = &lsm.levels()[0][0];
-        let name = table.name.clone();
-        let footer_off = (table.file_blocks() - 1) * BLOCK as u64;
         let keys: Vec<u64> = (0..400u64).map(|i| (i * 13) % 800).collect();
-        let expect: Vec<Option<Vec<u8>>> = keys.iter().map(|k| Some(value_for(*k))).collect();
-        let fd = m.open(&name, true).expect("open");
-        m.install(fd, sst_get_program(VS as u32), 0)
-            .expect("install");
+        let mut d = attach_to_table(&mut m, table, keys.clone(), DispatchMode::DriverHook, 3);
         // Defragment the table's extents shortly into the run.
-        let at = m.now + 100_000;
-        m.schedule_mutation(at, Mutation::Relocate { name });
-        let mut d = RetrySst(SstGetDriver::new(
-            fd,
-            DispatchMode::DriverHook,
-            footer_off,
-            keys.clone(),
-            expect,
-        ));
+        let name = table.name.clone();
+        m.schedule_mutation(m.now + 100_000, Mutation::Relocate { name });
         let report = m.run_closed_loop(2, SECOND, &mut d);
-        assert_eq!(d.0.stats.completed, keys.len() as u64);
-        assert_eq!(
-            d.0.stats.mismatches, 0,
-            "relocated blocks still decode right"
-        );
-        assert_eq!(d.0.stats.errors, 0, "retry absorbed every invalidation");
+        let stats = d.stats();
+        assert_eq!(stats.completed, keys.len() as u64);
+        assert_eq!(stats.hits, keys.len() as u64);
+        assert_eq!(stats.mismatches, 0, "relocated blocks still decode right");
+        assert_eq!(stats.errors, 0, "retry absorbed every invalidation");
         assert!(
             report.rearm_retries > 0,
             "the remap really hit in-flight chains"

@@ -6,11 +6,16 @@ use proptest::prelude::*;
 
 use bpfstor::btree::tree::{build_pages, lookup, step_on_page, Step};
 use bpfstor::btree::{Node, FANOUT_MAX};
-use bpfstor::core::{btree_lookup_program, value_of, Btree, Chase, PushdownWorkload, Scan, Sst};
+use bpfstor::core::{
+    btree_lookup_program, sst_get_program, value_of, Btree, Chase, PushdownWorkload, Scan, Sst,
+};
 use bpfstor::device::{SectorStore, SECTOR_SIZE};
 use bpfstor::fs::alloc::{Run, GROUP_BLOCKS};
 use bpfstor::fs::{BlockAllocator, ExtFs, Extent, ExtentTree, JournalRecord};
-use bpfstor::lsm::sstable::{build_image, data_block_entries, Footer};
+use bpfstor::lsm::sstable::{
+    build_image, data_block_entries, data_block_search, index_block_search, ColdGet, ColdStep,
+    Footer, SST_MAGIC,
+};
 use bpfstor::lsm::BLOCK;
 use bpfstor::sim::Histogram;
 use bpfstor::vm::insn::{decode, encode, Insn};
@@ -929,6 +934,150 @@ proptest! {
             all.extend(data_block_entries(&image[b * BLOCK..(b + 1) * BLOCK]).expect("block"));
         }
         prop_assert_eq!(all, entries);
+    }
+}
+
+// --- SSTable cold get: BPF chain equals the native stepper ---------------------------------
+
+/// Follows one cold get over `image`, footer first: the offsets read,
+/// and the value if the key is present. `hop` is handed each block with
+/// its hop number and offset, and says what the walker under test does
+/// next.
+fn walk_cold_get(
+    image: &[u8],
+    mut hop: impl FnMut(u32, u64, &[u8]) -> ColdStep,
+) -> (Vec<u64>, Option<Vec<u8>>) {
+    let mut visited = vec![(image.len() - BLOCK) as u64];
+    loop {
+        let off = *visited.last().expect("starts at the footer");
+        let block = &image[off as usize..off as usize + BLOCK];
+        match hop(visited.len() as u32 - 1, off, block) {
+            ColdStep::Read(next) => visited.push(next),
+            ColdStep::Done(found) => return (visited, found),
+        }
+        assert!(visited.len() <= image.len() / BLOCK, "runaway chain");
+    }
+}
+
+/// One hop of the get as the kernel runs it: `prog` on the interpreter
+/// over one block, the scratch area carried between hops.
+fn bpf_hop(
+    prog: &Program,
+    scratch: &mut [u8; SCRATCH_SIZE],
+    hop: u32,
+    off: u64,
+    data: &[u8],
+) -> ColdStep {
+    let mut maps = MapSet::instantiate(&prog.maps).expect("maps");
+    let mut env = RecordingEnv::default();
+    let ctx = RunCtx {
+        data,
+        file_off: off,
+        hop,
+        flags: 0,
+        scratch,
+    };
+    let out = Vm::new()
+        .run(prog, ctx, &mut maps, &mut env)
+        .expect("never traps on a well-formed table");
+    match out.ret {
+        action::ACT_RESUBMIT => ColdStep::Read(env.resubmits[0]),
+        action::ACT_EMIT => ColdStep::Done(Some(env.emitted)),
+        action::ACT_HALT => ColdStep::Done(None),
+        other => panic!("hop {hop} at {off}: action {other}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Hop for hop, on tables of one to ~29 index blocks: present keys,
+    /// keys absent between two present ones, keys outside the table's
+    /// range, and both sides of every index-block boundary — the keys
+    /// the candidate carried across index blocks decides.
+    #[test]
+    fn bpf_sst_get_matches_native(
+        n in 1u64..=1_200,
+        value_size in 1usize..=255,
+        base in 0u64..1_000,
+        stride in 1u64..5,
+        draws in proptest::collection::vec(any::<u64>(), 16),
+    ) {
+        let entries: Vec<(u64, Vec<u8>)> = (0..n)
+            .map(|i| (base + i * stride, vec![(i % 251) as u8 + 1; value_size]))
+            .collect();
+        let image = build_image(&entries).expect("build");
+        let footer = Footer::decode(&image[image.len() - BLOCK..]).expect("footer");
+        let prog = sst_get_program(value_size as u32);
+
+        // Entries one index block covers: 42 twelve-byte index entries,
+        // each a data block of as many entries as fit.
+        let per_index_block = (BLOCK - 2) / 12 * ((BLOCK - 2) / (10 + value_size));
+        prop_assert_eq!(footer.index_blocks as usize, entries.len().div_ceil(per_index_block));
+        let boundaries = (per_index_block..entries.len())
+            .step_by(per_index_block)
+            .flat_map(|first| [entries[first - 1].0, entries[first].0]);
+        let past_the_end = base + n * stride + 50;
+        let probes: Vec<u64> = draws
+            .iter()
+            .map(|d| d % past_the_end)
+            .chain(boundaries)
+            .chain([base, base + (n - 1) * stride, past_the_end])
+            .collect();
+        for key in probes {
+            let mut stage = ColdGet::Footer;
+            let native = walk_cold_get(&image, |_, _, block| stage.step(key, block));
+            let expected = entries
+                .binary_search_by_key(&key, |(k, _)| *k)
+                .ok()
+                .map(|i| entries[i].1.clone());
+            prop_assert_eq!(&native.1, &expected, "native result, key {}", key);
+            let mut scratch = [0u8; SCRATCH_SIZE];
+            scratch[..8].copy_from_slice(&key.to_le_bytes());
+            let bpf = walk_cold_get(&image, |hop, off, block| {
+                bpf_hop(&prog, &mut scratch, hop, off, block)
+            });
+            prop_assert_eq!(bpf, native, "key {}", key);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Whatever a block holds — and however short it is — every stage of
+    /// the cold get and every checked search returns; none panics. The
+    /// shapes steer random bytes past the first check: a plausible
+    /// entry count, or a footer's magic.
+    #[test]
+    fn sst_readers_never_panic_on_arbitrary_blocks(
+        mut block in proptest::collection::vec(any::<u8>(), 0..=BLOCK),
+        shape in 0u8..3,
+        count in 0u16..64,
+        key in any::<u64>(),
+        remaining in 0u32..4,
+        candidate in 0u64..3,
+    ) {
+        match shape {
+            1 if block.len() >= 2 => block[..2].copy_from_slice(&count.to_le_bytes()),
+            2 if block.len() >= 4 => block[..4].copy_from_slice(&SST_MAGIC.to_le_bytes()),
+            _ => {}
+        }
+        let index = ColdGet::Index {
+            remaining,
+            cursor: BLOCK as u64,
+            candidate: candidate.checked_sub(1).map(|b| b * BLOCK as u64),
+        };
+        for mut stage in [ColdGet::Footer, index, ColdGet::Data] {
+            if let ColdStep::Read(next) = stage.step(key, &block) {
+                prop_assert_eq!(next % BLOCK as u64, 0);
+                prop_assert_ne!(stage, ColdGet::Footer);
+            }
+        }
+        let found = data_block_search(&block, key);
+        prop_assert_eq!(ColdGet::Data.step(key, &block), ColdStep::Done(found.ok().flatten()));
+        if let Ok(entries) = data_block_entries(&block) {
+            prop_assert!(entries.len() <= block.len() / 10);
+        }
+        let _ = index_block_search(&block, key);
     }
 }
 
