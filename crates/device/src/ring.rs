@@ -3,14 +3,22 @@
 //! Submission and completion queues are circular arrays; the producer
 //! advances `tail`, the consumer advances `head`, and the queue is full
 //! when `tail + 1 == head` (mod size), i.e. one slot is sacrificed, as
-//! in the NVMe specification.
+//! in the NVMe specification. The array is allocated at its full size
+//! up front, so it never regrows, but a slot is only written when the
+//! tail first reaches it: a deep ring that stays shallow costs nothing
+//! to set up.
 
 /// A bounded FIFO ring.
 #[derive(Debug, Clone)]
 pub struct Ring<T> {
+    /// The slots the tail has reached so far, at most `size` of them.
     slots: Vec<Option<T>>,
-    head: usize,
-    tail: usize,
+    // NVMe queues hold at most 64 Ki entries, so `u32` indices lose
+    // nothing, and the three of them fit the two words `head` and
+    // `tail` took when the slot array's length was the size.
+    size: u32,
+    head: u32,
+    tail: u32,
 }
 
 impl<T> Ring<T> {
@@ -19,19 +27,30 @@ impl<T> Ring<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `size < 2`.
+    /// Panics if `size < 2` (or does not fit a `u32`).
     pub fn new(size: usize) -> Self {
         assert!(size >= 2, "ring needs at least two slots");
         Ring {
-            slots: (0..size).map(|_| None).collect(),
+            slots: Vec::with_capacity(size),
+            size: u32::try_from(size).expect("ring size fits a u32"),
             head: 0,
             tail: 0,
         }
     }
 
+    /// The slot after `i`, going round.
+    fn next(&self, i: u32) -> u32 {
+        (i + 1) % self.size
+    }
+
     /// Number of queued entries.
     pub fn len(&self) -> usize {
-        (self.tail + self.slots.len() - self.head) % self.slots.len()
+        let queued = if self.tail >= self.head {
+            self.tail - self.head
+        } else {
+            self.size - self.head + self.tail
+        };
+        queued as usize
     }
 
     /// True if no entries are queued.
@@ -41,12 +60,12 @@ impl<T> Ring<T> {
 
     /// True if one more push would be rejected.
     pub fn is_full(&self) -> bool {
-        (self.tail + 1) % self.slots.len() == self.head
+        self.next(self.tail) == self.head
     }
 
     /// Usable capacity (`size - 1`).
     pub fn capacity(&self) -> usize {
-        self.slots.len() - 1
+        self.size as usize - 1
     }
 
     /// Enqueues an entry; returns it back if the ring is full.
@@ -54,8 +73,12 @@ impl<T> Ring<T> {
         if self.is_full() {
             return Err(v);
         }
-        self.slots[self.tail] = Some(v);
-        self.tail = (self.tail + 1) % self.slots.len();
+        match self.slots.get_mut(self.tail as usize) {
+            Some(slot) => *slot = Some(v),
+            // First time round: within the capacity asked for in `new`.
+            None => self.slots.push(Some(v)),
+        }
+        self.tail = self.next(self.tail);
         Ok(())
     }
 
@@ -64,8 +87,8 @@ impl<T> Ring<T> {
         if self.is_empty() {
             return None;
         }
-        let v = self.slots[self.head].take();
-        self.head = (self.head + 1) % self.slots.len();
+        let v = self.slots[self.head as usize].take();
+        self.head = self.next(self.head);
         v
     }
 }

@@ -481,6 +481,72 @@ fn tenant_insn_budget_binds_at_runtime() {
 }
 
 #[test]
+fn a_program_admitted_at_its_verified_worst_case_never_exceeds_it() {
+    // A diamond whose long arm (40 instructions, the fall-through side)
+    // joins a state the short arm reached first: the longest path is
+    // 4 + 42 + 51 = 97 instructions, of which a verifier that counts
+    // only what it walked sees the short arm's 56.
+    let mut a = Asm::new();
+    a.ldx(Width::W, 2, 1, ctx_off::HOP)
+        .mov64_imm(0, 0)
+        .mov64_imm(1, 0)
+        .jeq_imm(2, 7, "short");
+    for _ in 0..40 {
+        a.mov64_imm(0, 0);
+    }
+    a.mov64_imm(2, 0)
+        .ja("join")
+        .label("short")
+        .mov64_imm(2, 0)
+        .label("join");
+    for _ in 0..50 {
+        a.mov64_imm(0, action::ACT_PASS as i32);
+    }
+    a.exit();
+    let prog = Program::new(a.finish().expect("assembles"));
+    let max_path = bpfstor_vm::verify(&prog).expect("verifies").max_path as u64;
+
+    // One hop per chain, so the tenant's budget is the worst case of
+    // one invocation and nothing pads the product.
+    let machine_with = |insn_budget: u64| {
+        let mut m = Machine::new(MachineConfig::default());
+        m.create_file("chain.db", &chain_file(2)).expect("create");
+        let tenant = m.register_tenant(TenantLimits {
+            resubmit_bound: Some(1),
+            insn_budget: Some(insn_budget),
+            ..TenantLimits::default()
+        });
+        let fd = m.open_for(tenant, "chain.db", true).expect("open");
+        (m, fd)
+    };
+
+    // What the verifier admits at its own figure runs within it: every
+    // chain takes the long arm (hop 0) and completes.
+    let (mut m, fd) = machine_with(max_path);
+    m.install(fd, prog.clone(), 0)
+        .expect("the verified worst case fits the budget");
+    let mut d = ChaseDriver::new(fd, DispatchMode::DriverHook, 4);
+    let report = m.run_closed_loop(1, SECOND, &mut d);
+    let statuses: Vec<&ChainStatus> = d.outcomes.iter().map(|o| &o.status).collect();
+    assert_eq!(report.errors, 0, "{statuses:?}");
+    assert_eq!(statuses.len(), 4);
+    assert!(
+        statuses.iter().all(|s| matches!(s, ChainStatus::Pass(_))),
+        "{statuses:?}"
+    );
+
+    // One instruction less and it is rejected at install.
+    let (mut m, fd) = machine_with(max_path - 1);
+    match m.install(fd, prog, 0) {
+        Err(KernelError::Verifier(e)) => assert!(
+            e.contains(&format!("worst_case: {max_path}")),
+            "rejected for its budget: {e}"
+        ),
+        other => panic!("admitted over budget: {other:?}"),
+    }
+}
+
+#[test]
 fn exec_split_counts_hops_and_engines_match() {
     // The same chase run under both engines: identical chains, IOs,
     // outcomes, and simulated BPF charge; the measured split attributes

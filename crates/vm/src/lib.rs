@@ -77,3 +77,11 @@ pub use program::{action, ctx_off, helper, Program, EMIT_MAX, SCRATCH_SIZE};
 pub use verifier::{
     build_cfg, verify, verify_bounded, BasicBlock, Cfg, ResourceBudget, VerifiedStats, VerifyError,
 };
+
+// The unit tests draw from the same generator as the integration
+// suites (`tests/arb`), which has to name this crate from outside.
+#[cfg(test)]
+extern crate self as bpfstor_vm;
+#[cfg(test)]
+#[path = "../tests/arb/mod.rs"]
+mod arb;

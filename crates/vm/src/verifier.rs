@@ -21,13 +21,49 @@
 //! length (`data_len_min`), which is exactly the `if (p + N > data_end)
 //! goto out;` idiom of XDP programs.
 //!
+//! One state is stepped in place down each path, a conditional jump
+//! leaving its other side on a stack. States are remembered only where
+//! control flow *joins* — slots with more than one way in, which every
+//! loop and every diamond passes through — each `(pc, state)` interned
+//! once and compared whole on a hit (the hash only picks a bucket).
+//! Reaching an interned state that is still on the current path is the
+//! unbounded loop of point 3; reaching one whose subtree is finished
+//! ends the path there, and the longest path *below* that state, kept
+//! with it, counts as if it had been walked again. That is what makes
+//! [`VerifiedStats::max_path`] the longest instruction path through the
+//! program rather than the longest the walk happened to take — the
+//! figure [`verify_bounded`] holds against a tenant's budget, so that a
+//! long arm joining a state a short arm reached first still counts:
+//!
+//! ```
+//! use bpfstor_vm::asm::{Asm, Width};
+//! use bpfstor_vm::program::{ctx_off, Program};
+//! use bpfstor_vm::verifier::verify;
+//!
+//! let mut a = Asm::new();
+//! a.ldx(Width::W, 2, 1, ctx_off::HOP)
+//!     .mov64_imm(0, 0)
+//!     .jeq_imm(2, 7, "short"); // the taken side is walked first
+//! for _ in 0..40 {
+//!     a.mov64_imm(0, 0);
+//! }
+//! a.mov64_imm(2, 0)
+//!     .ja("join")
+//!     .label("short")
+//!     .mov64_imm(2, 0)
+//!     .label("join") // both arms arrive in the same state
+//!     .exit();
+//! let stats = verify(&Program::new(a.finish().unwrap())).unwrap();
+//! // 3 + 1 + 1 instructions were walked through the join, then 3 + 42
+//! // up to it; the longest path is the second arm's and the `exit`.
+//! assert_eq!(stats.max_path, 3 + 42 + 1);
+//! ```
+//!
 //! Soundness over completeness: anything the analysis cannot prove is
 //! rejected. The interpreter re-checks everything at runtime, which lets
 //! the property tests assert the key theorem: **verified programs never
 //! trap** (see `tests/` and the proptest suite).
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 use crate::insn::{
@@ -42,8 +78,9 @@ use crate::program::{ctx_off, helper, Program, EMIT_MAX, SCRATCH_SIZE};
 
 /// Maximum program length in slots (matches BPF_MAXINSNS ballpark).
 pub const MAX_SLOTS: usize = 4096;
-/// Maximum abstract states explored before declaring the program too
-/// complex (the analogue of the Linux verifier's 1M-insn budget).
+/// Maximum instructions analysed, over all paths, before declaring the
+/// program too complex (the analogue of the Linux verifier's 1M-insn
+/// budget).
 pub const STATE_BUDGET: usize = 200_000;
 /// Largest scalar that may be added to a pointer (keeps offset intervals
 /// far away from overflow).
@@ -105,9 +142,9 @@ pub enum VerifyErrorKind {
     /// `exit` with a non-scalar (pointer-leaking) or uninitialised `r0`.
     BadReturn,
     /// A back-edge re-entered an identical abstract state: the loop
-    /// cannot be bounded.
+    /// cannot be bounded. Reported at the join where the walk noticed.
     UnboundedLoop,
-    /// State budget exhausted.
+    /// [`STATE_BUDGET`] exhausted.
     TooComplex,
     /// Access to a possibly-NULL map value without a null check.
     PossiblyNull,
@@ -133,9 +170,13 @@ impl std::error::Error for VerifyError {}
 /// Statistics about a successful verification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifiedStats {
-    /// Abstract states explored.
+    /// Instructions analysed, one abstract state each: what
+    /// [`STATE_BUDGET`] bounds. A path that reaches a join in a state
+    /// already explored from there stops counting at the join.
     pub states: usize,
-    /// Longest path (in slots) analysed.
+    /// The longest path through the program, in instructions (an
+    /// `ld_imm64` is one): no execution of the program retires more.
+    /// This is the guarantee [`ResourceBudget`] relies on.
     pub max_path: usize,
 }
 
@@ -196,20 +237,6 @@ impl State {
             data_len_min: 0,
         }
     }
-
-    fn fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.hash(&mut h);
-        h.finish()
-    }
-}
-
-struct Analyzer<'p> {
-    prog: &'p Program,
-    second_slot: Vec<bool>,
-    visited: HashSet<(usize, u64)>,
-    states: usize,
-    max_path: usize,
 }
 
 /// Verifies a program, returning exploration statistics on success.
@@ -230,50 +257,7 @@ struct Analyzer<'p> {
 /// assert!(verify(&Program::new(a.finish().unwrap())).is_ok());
 /// ```
 pub fn verify(prog: &Program) -> Result<VerifiedStats, VerifyError> {
-    let n = prog.insns.len();
-    if n == 0 || n > MAX_SLOTS {
-        return Err(VerifyError {
-            pc: 0,
-            kind: VerifyErrorKind::BadProgramSize,
-        });
-    }
-    // Structural pass: mark ld_imm64 second slots, check registers.
-    let mut second_slot = vec![false; n];
-    let mut i = 0;
-    while i < n {
-        let insn = &prog.insns[i];
-        if insn.dst as usize >= NUM_REGS || insn.src as usize >= NUM_REGS {
-            return Err(VerifyError {
-                pc: i,
-                kind: VerifyErrorKind::BadRegister,
-            });
-        }
-        if insn.op == OP_LD_IMM64 {
-            if i + 1 >= n || prog.insns[i + 1].op != 0 {
-                return Err(VerifyError {
-                    pc: i,
-                    kind: VerifyErrorKind::IllegalInsn,
-                });
-            }
-            second_slot[i + 1] = true;
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-
-    let mut an = Analyzer {
-        prog,
-        second_slot,
-        visited: HashSet::new(),
-        states: 0,
-        max_path: 0,
-    };
-    an.run()?;
-    Ok(VerifiedStats {
-        states: an.states,
-        max_path: an.max_path,
-    })
+    Analyzer::new(prog)?.explore(hash_at)
 }
 
 /// A tenant's verification-time resource budget: the worst case a chain
@@ -342,6 +326,43 @@ pub fn verify_bounded(
     Ok(stats)
 }
 
+/// The structural checks [`verify`] and [`build_cfg`] share — program
+/// size, register indices, `ld_imm64` pairing — returning which slots
+/// are the second half of an `ld_imm64`.
+fn second_slots(prog: &Program) -> Result<Vec<bool>, VerifyError> {
+    let n = prog.insns.len();
+    if n == 0 || n > MAX_SLOTS {
+        return Err(VerifyError {
+            pc: 0,
+            kind: VerifyErrorKind::BadProgramSize,
+        });
+    }
+    let mut second_slot = vec![false; n];
+    let mut i = 0;
+    while i < n {
+        let insn = &prog.insns[i];
+        if insn.dst as usize >= NUM_REGS || insn.src as usize >= NUM_REGS {
+            return Err(VerifyError {
+                pc: i,
+                kind: VerifyErrorKind::BadRegister,
+            });
+        }
+        if insn.op == OP_LD_IMM64 {
+            if i + 1 >= n || prog.insns[i + 1].op != 0 {
+                return Err(VerifyError {
+                    pc: i,
+                    kind: VerifyErrorKind::IllegalInsn,
+                });
+            }
+            second_slot[i + 1] = true;
+            i += 2;
+        } else {
+            i += 1;
+        }
+    }
+    Ok(second_slot)
+}
+
 /// One straight-line run of slots `[start, end)`: control enters only at
 /// `start` and leaves only after the last instruction (a jump, `exit`,
 /// or a fall into the next block).
@@ -384,35 +405,7 @@ pub struct Cfg {
 /// structural pass produces.
 pub fn build_cfg(prog: &Program) -> Result<Cfg, VerifyError> {
     let n = prog.insns.len();
-    if n == 0 || n > MAX_SLOTS {
-        return Err(VerifyError {
-            pc: 0,
-            kind: VerifyErrorKind::BadProgramSize,
-        });
-    }
-    let mut second_slot = vec![false; n];
-    let mut i = 0;
-    while i < n {
-        let insn = &prog.insns[i];
-        if insn.dst as usize >= NUM_REGS || insn.src as usize >= NUM_REGS {
-            return Err(VerifyError {
-                pc: i,
-                kind: VerifyErrorKind::BadRegister,
-            });
-        }
-        if insn.op == OP_LD_IMM64 {
-            if i + 1 >= n || prog.insns[i + 1].op != 0 {
-                return Err(VerifyError {
-                    pc: i,
-                    kind: VerifyErrorKind::IllegalInsn,
-                });
-            }
-            second_slot[i + 1] = true;
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
+    let second_slot = second_slots(prog)?;
 
     let jump_dest = |pc: usize| -> Result<usize, VerifyError> {
         let to = pc as i64 + 1 + prog.insns[pc].off as i64;
@@ -525,88 +518,324 @@ pub fn build_cfg(prog: &Program) -> Result<Cfg, VerifyError> {
     Ok(Cfg { blocks, block_at })
 }
 
-struct Frame {
-    key: (usize, u64),
-    succs: Vec<(usize, State)>,
-    next: usize,
+/// Marks the slots where control flow joins: those with more than one
+/// way in, the program entry counting as one. Loops and diamonds both
+/// pass through such a slot — a cycle with a single way into each of
+/// its slots could not be entered — so these are the only places the
+/// exploration has to remember what it has seen.
+///
+/// Over-approximates on purpose: a malformed jump in code that is never
+/// reached marks what it can and is otherwise ignored, so [`verify`]
+/// stays as blind to unreachable code as the walk itself is.
+fn joins(prog: &Program, second_slot: &[bool]) -> Vec<bool> {
+    let n = prog.insns.len();
+    let mut ways_in = vec![0u8; n];
+    ways_in[0] = 1;
+    let mut edge = |to: i64| {
+        if let Some(w) = usize::try_from(to).ok().and_then(|to| ways_in.get_mut(to)) {
+            *w = w.saturating_add(1);
+        }
+    };
+    for (pc, insn) in prog.insns.iter().enumerate() {
+        if second_slot[pc] {
+            continue;
+        }
+        let class = insn.class();
+        if class == CLS_JMP || class == CLS_JMP32 {
+            match insn.op & 0xf0 {
+                JMP_EXIT => continue,
+                JMP_CALL => {}
+                code => {
+                    edge(pc as i64 + 1 + insn.off as i64);
+                    if code == JMP_JA {
+                        continue;
+                    }
+                }
+            }
+        }
+        edge(pc as i64 + if insn.op == OP_LD_IMM64 { 2 } else { 1 });
+    }
+    ways_in.into_iter().map(|w| w > 1).collect()
+}
+
+/// Word-at-a-time multiply-rotate hasher for the derived `Hash` of
+/// [`State`]. Nothing depends on its quality but time: the interner
+/// compares whole states, the hash only picks the bucket.
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, w: u32) {
+        self.write_u64(w as u64);
+    }
+
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
+    }
+}
+
+fn hash_at(pc: usize, state: &State) -> u64 {
+    let mut h = WordHasher(pc as u64);
+    state.hash(&mut h);
+    h.finish()
+}
+
+/// An abstract state seen at a join, and what is known of the paths
+/// below it.
+struct Interned {
+    state: State,
+    hash: u64,
+    pc: u32,
+    /// [`ON_PATH`] while the subtree below is being explored; after
+    /// that, the longest instruction path from here to an `exit`.
+    below: u32,
+}
+
+const ON_PATH: u32 = u32::MAX;
+
+/// What [`Interner::intern`] found.
+enum Seen {
+    /// First visit: the caller explores below it and reports back
+    /// through [`Interner::finish`].
+    New(u32),
+    /// The state is an ancestor on the path being walked.
+    OnPath,
+    /// Fully explored before; the longest path below it.
+    Finished(usize),
+}
+
+/// Every `(pc, state)` reached at a join, each stored once. A hit
+/// compares the whole key, so a hash collision costs a comparison and
+/// never merges two states.
+struct Interner {
+    hash: fn(usize, &State) -> u64,
+    /// Fixed-capacity chunks: growing never copies a stored state, and
+    /// a small program never pays for more than a few.
+    chunks: Vec<Vec<Interned>>,
+    len: usize,
+    /// Open-addressing index into the arena, a power of two long and at
+    /// most half full: 0 is empty, `i + 1` names entry `i`.
+    slots: Vec<u32>,
+}
+
+impl Interner {
+    const CHUNK: usize = 8;
+
+    fn new(hash: fn(usize, &State) -> u64) -> Interner {
+        Interner {
+            hash,
+            chunks: Vec::new(),
+            len: 0,
+            slots: vec![0; 64],
+        }
+    }
+
+    fn entry(&mut self, id: u32) -> &mut Interned {
+        &mut self.chunks[id as usize / Self::CHUNK][id as usize % Self::CHUNK]
+    }
+
+    /// The slot `hash` starts probing at: its top bits, which the
+    /// multiply mixes best.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    fn intern(&mut self, pc: usize, state: &State) -> Seen {
+        let hash = (self.hash)(pc, state);
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(hash);
+        while self.slots[at] != 0 {
+            let e = self.entry(self.slots[at] - 1);
+            if e.hash == hash && e.pc as usize == pc && e.state == *state {
+                return match e.below {
+                    ON_PATH => Seen::OnPath,
+                    below => Seen::Finished(below as usize),
+                };
+            }
+            at = (at + 1) & mask;
+        }
+        let id = self.len as u32;
+        if self.len.is_multiple_of(Self::CHUNK) {
+            self.chunks.push(Vec::with_capacity(Self::CHUNK));
+        }
+        self.chunks.last_mut().expect("pushed").push(Interned {
+            state: state.clone(),
+            hash,
+            pc: pc as u32,
+            below: ON_PATH,
+        });
+        self.len += 1;
+        self.slots[at] = id + 1;
+        if self.len * 2 > self.slots.len() {
+            self.grow();
+        }
+        Seen::New(id)
+    }
+
+    fn grow(&mut self) {
+        self.slots = vec![0; self.slots.len() * 2];
+        let mask = self.slots.len() - 1;
+        for id in 0..self.len as u32 {
+            let hash = self.entry(id).hash;
+            let mut at = self.home(hash);
+            while self.slots[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = id + 1;
+        }
+    }
+
+    /// The subtree below `id` is explored: it leaves the path, and later
+    /// hits on it continue `below` instructions at most.
+    fn finish(&mut self, id: u32, below: usize) {
+        self.entry(id).below = below as u32;
+    }
+}
+
+/// What an analysed instruction does with control; the state it was
+/// handed has become its successor's.
+// The fork's state moves into a `Frame` and back out by value; boxing
+// it would put an allocation on every conditional jump.
+#[allow(clippy::large_enum_variant)]
+enum Flow {
+    /// Continues at this slot.
+    To(usize),
+    /// The path ends: `exit`, or a conditional jump with neither side
+    /// feasible.
+    End,
+    /// A conditional jump with both sides feasible: the taken side
+    /// continues at this slot in the stepped state, the fall-through
+    /// side after the jump in the state carried here.
+    Fork(usize, State),
+}
+
+/// What the walk comes back to once the path it is on has ended.
+#[allow(clippy::large_enum_variant)]
+enum Frame {
+    /// The other side of a conditional jump, not yet walked; `depth`
+    /// instructions lead up to `pc`.
+    Fork {
+        pc: usize,
+        state: State,
+        depth: usize,
+    },
+    /// An interned state whose subtree is being walked, entered `depth`
+    /// instructions in; `outer` is the longest path seen before it.
+    Join { id: u32, depth: usize, outer: usize },
+}
+
+/// The per-instruction checks over one structurally valid program.
+struct Analyzer<'p> {
+    prog: &'p Program,
+    second_slot: Vec<bool>,
 }
 
 impl<'p> Analyzer<'p> {
-    /// Iterative depth-first exploration. An explicit frame stack stands
-    /// in for recursion so the host stack cannot overflow on
-    /// budget-bounded explorations; `on_path` mirrors the stack for O(1)
-    /// cycle (unbounded-loop) detection.
-    fn run(&mut self) -> Result<(), VerifyError> {
-        let mut stack: Vec<Frame> = Vec::new();
-        let mut on_path: HashSet<(usize, u64)> = HashSet::new();
-        self.enter(0, State::initial(), &mut stack, &mut on_path)?;
-        while let Some(top) = stack.last_mut() {
-            if top.next < top.succs.len() {
-                let (pc, state) = top.succs[top.next].clone();
-                top.next += 1;
-                self.enter(pc, state, &mut stack, &mut on_path)?;
-            } else {
-                let f = stack.pop().expect("non-empty");
-                on_path.remove(&f.key);
-            }
-        }
-        Ok(())
+    fn new(prog: &'p Program) -> Result<Self, VerifyError> {
+        let second_slot = second_slots(prog)?;
+        Ok(Analyzer { prog, second_slot })
     }
 
-    fn enter(
-        &mut self,
-        pc: usize,
-        state: State,
-        stack: &mut Vec<Frame>,
-        on_path: &mut HashSet<(usize, u64)>,
-    ) -> Result<(), VerifyError> {
-        if pc >= self.prog.insns.len() {
-            return Err(VerifyError {
-                pc: pc.saturating_sub(1),
-                kind: VerifyErrorKind::FallsOffEnd,
-            });
-        }
-        if self.second_slot[pc] {
-            return Err(VerifyError {
-                pc,
-                kind: VerifyErrorKind::BadJumpTarget,
-            });
-        }
-        let key = (pc, state.fingerprint());
-        if self.visited.contains(&key) {
-            // Re-reaching a fully-explored state is fine unless it closes
-            // a cycle on the *current* path, which would be an unbounded
-            // loop (no abstract progress between iterations).
-            if on_path.contains(&key) {
-                return Err(VerifyError {
-                    pc,
-                    kind: VerifyErrorKind::UnboundedLoop,
-                });
+    /// The depth-first walk of the module docs, interning with `hash`
+    /// (which only picks the bucket: any function gives the same
+    /// answer, and the tests pin that with a constant one). An explicit
+    /// frame stack stands in for recursion so the host stack cannot
+    /// overflow on budget-bounded explorations.
+    fn explore(&self, hash: fn(usize, &State) -> u64) -> Result<VerifiedStats, VerifyError> {
+        let joins = joins(self.prog, &self.second_slot);
+        let mut seen = Interner::new(hash);
+        let mut frames: Vec<Frame> = Vec::new();
+        let mut state = State::initial();
+        let (mut pc, mut depth, mut states) = (0, 0, 0);
+        // Longest path that has ended below the innermost open join
+        // (below the entry, outside any), counted from the entry.
+        let mut longest = 0;
+        loop {
+            let ended = loop {
+                if pc >= self.prog.insns.len() {
+                    return Err(VerifyError {
+                        pc: pc.saturating_sub(1),
+                        kind: VerifyErrorKind::FallsOffEnd,
+                    });
+                }
+                if joins[pc] {
+                    match seen.intern(pc, &state) {
+                        Seen::New(id) => {
+                            let outer = std::mem::take(&mut longest);
+                            frames.push(Frame::Join { id, depth, outer });
+                        }
+                        Seen::OnPath => {
+                            return Err(VerifyError {
+                                pc,
+                                kind: VerifyErrorKind::UnboundedLoop,
+                            })
+                        }
+                        Seen::Finished(below) => break depth + below,
+                    }
+                }
+                states += 1;
+                if states > STATE_BUDGET {
+                    return Err(VerifyError {
+                        pc,
+                        kind: VerifyErrorKind::TooComplex,
+                    });
+                }
+                depth += 1;
+                match self.step(pc, &mut state)? {
+                    Flow::To(next) => pc = next,
+                    Flow::End => break depth,
+                    Flow::Fork(taken, fall) => {
+                        frames.push(Frame::Fork {
+                            pc: pc + 1,
+                            state: fall,
+                            depth,
+                        });
+                        pc = taken;
+                    }
+                }
+            };
+            longest = longest.max(ended);
+            loop {
+                match frames.pop() {
+                    None => {
+                        return Ok(VerifiedStats {
+                            states,
+                            max_path: longest,
+                        })
+                    }
+                    Some(Frame::Join { id, depth, outer }) => {
+                        seen.finish(id, longest - depth);
+                        longest = longest.max(outer);
+                    }
+                    Some(Frame::Fork {
+                        pc: at,
+                        state: fall,
+                        depth: before,
+                    }) => {
+                        (pc, state, depth) = (at, fall, before);
+                        break;
+                    }
+                }
             }
-            return Ok(());
         }
-        self.states += 1;
-        if self.states > STATE_BUDGET {
-            return Err(VerifyError {
-                pc,
-                kind: VerifyErrorKind::TooComplex,
-            });
-        }
-        self.visited.insert(key);
-        let succs = self.step(pc, state)?;
-        on_path.insert(key);
-        stack.push(Frame {
-            key,
-            succs,
-            next: 0,
-        });
-        self.max_path = self.max_path.max(stack.len());
-        Ok(())
     }
 
-    /// Analyses one instruction, returning the successor (pc, state)
-    /// pairs (empty for `exit`).
-    fn step(&mut self, pc: usize, mut state: State) -> Result<Vec<(usize, State)>, VerifyError> {
+    /// Analyses the instruction at `pc`, turning `state` into the state
+    /// after it.
+    fn step(&self, pc: usize, state: &mut State) -> Result<Flow, VerifyError> {
         let insn = self.prog.insns[pc];
         let err = |kind| VerifyError { pc, kind };
         let cls = insn.class();
@@ -615,7 +844,7 @@ impl<'p> Analyzer<'p> {
                 self.check_writable(pc, insn.dst)?;
                 let code = insn.op & 0xf0;
                 if code == ALU_END {
-                    let d = self.read_reg(pc, &state, insn.dst)?;
+                    let d = self.read_reg(pc, state, insn.dst)?;
                     if d.is_pointer() {
                         return Err(err(VerifyErrorKind::BadPointerArithmetic {
                             what: "endianness op on pointer".to_string(),
@@ -625,10 +854,10 @@ impl<'p> Analyzer<'p> {
                         return Err(err(VerifyErrorKind::IllegalInsn));
                     }
                     state.regs[insn.dst as usize] = Reg::scalar_unknown();
-                    return Ok(vec![(pc + 1, state)]);
+                    return Ok(Flow::To(pc + 1));
                 }
                 let rhs = if insn.op & SRC_X != 0 {
-                    self.read_reg(pc, &state, insn.src)?.clone()
+                    self.read_reg(pc, state, insn.src)?.clone()
                 } else if cls == CLS_ALU64 {
                     Reg::scalar_const(insn.imm as i64 as u64)
                 } else {
@@ -638,11 +867,11 @@ impl<'p> Analyzer<'p> {
                 let lhs = if code == ALU_MOV {
                     Reg::scalar_const(0) // Unused; MOV overwrites.
                 } else {
-                    self.read_reg(pc, &state, insn.dst)?.clone()
+                    self.read_reg(pc, state, insn.dst)?.clone()
                 };
                 let out = alu_result(pc, cls, code, &lhs, &rhs)?;
                 state.regs[insn.dst as usize] = out;
-                Ok(vec![(pc + 1, state)])
+                Ok(Flow::To(pc + 1))
             }
             CLS_LD => {
                 if insn.op != OP_LD_IMM64 {
@@ -652,7 +881,7 @@ impl<'p> Analyzer<'p> {
                 let hi = self.prog.insns[pc + 1];
                 let v = crate::insn::imm64_of(&insn, &hi);
                 state.regs[insn.dst as usize] = Reg::scalar_const(v);
-                Ok(vec![(pc + 2, state)])
+                Ok(Flow::To(pc + 2))
             }
             CLS_LDX => {
                 if insn.op & 0x60 != MODE_MEM {
@@ -660,10 +889,10 @@ impl<'p> Analyzer<'p> {
                 }
                 self.check_writable(pc, insn.dst)?;
                 let size = access_size(insn.op);
-                let base = self.read_reg(pc, &state, insn.src)?.clone();
-                let loaded = self.check_load(pc, &state, &base, insn.off, size)?;
+                let base = self.read_reg(pc, state, insn.src)?.clone();
+                let loaded = self.check_load(pc, state, &base, insn.off, size)?;
                 state.regs[insn.dst as usize] = loaded;
-                Ok(vec![(pc + 1, state)])
+                Ok(Flow::To(pc + 1))
             }
             CLS_STX | CLS_ST => {
                 if insn.op & 0x60 != MODE_MEM {
@@ -672,35 +901,35 @@ impl<'p> Analyzer<'p> {
                 let size = access_size(insn.op);
                 if cls == CLS_STX {
                     // The stored value must be initialised.
-                    self.read_reg(pc, &state, insn.src)?;
+                    self.read_reg(pc, state, insn.src)?;
                 }
-                let base = self.read_reg(pc, &state, insn.dst)?.clone();
-                self.check_store(pc, &state, &base, insn.off, size)?;
-                Ok(vec![(pc + 1, state)])
+                let base = self.read_reg(pc, state, insn.dst)?.clone();
+                self.check_store(pc, state, &base, insn.off, size)?;
+                Ok(Flow::To(pc + 1))
             }
             CLS_JMP | CLS_JMP32 => {
                 let code = insn.op & 0xf0;
                 match code {
                     JMP_EXIT => match state.regs[0] {
-                        Reg::Scalar { .. } => Ok(vec![]),
+                        Reg::Scalar { .. } => Ok(Flow::End),
                         _ => Err(err(VerifyErrorKind::BadReturn)),
                     },
                     JMP_CALL => {
-                        self.check_helper(pc, &mut state)?;
-                        Ok(vec![(pc + 1, state)])
+                        self.check_helper(pc, state)?;
+                        Ok(Flow::To(pc + 1))
                     }
                     JMP_JA => {
                         if cls == CLS_JMP32 {
                             return Err(err(VerifyErrorKind::IllegalInsn));
                         }
                         let t = self.jump_target(pc, insn.off)?;
-                        Ok(vec![(t, state)])
+                        Ok(Flow::To(t))
                     }
                     _ => {
                         let t = self.jump_target(pc, insn.off)?;
-                        let dst = self.read_reg(pc, &state, insn.dst)?.clone();
+                        let dst = self.read_reg(pc, state, insn.dst)?.clone();
                         let rhs = if insn.op & SRC_X != 0 {
-                            self.read_reg(pc, &state, insn.src)?.clone()
+                            self.read_reg(pc, state, insn.src)?.clone()
                         } else {
                             Reg::scalar_const(insn.imm as i64 as u64)
                         };
@@ -708,7 +937,7 @@ impl<'p> Analyzer<'p> {
                             pc,
                             cls == CLS_JMP32,
                             code,
-                            &state,
+                            state,
                             insn.dst,
                             if insn.op & SRC_X != 0 {
                                 Some(insn.src)
@@ -718,14 +947,21 @@ impl<'p> Analyzer<'p> {
                             &dst,
                             &rhs,
                         )?;
-                        let mut succs = Vec::with_capacity(2);
-                        if let Some(s) = taken {
-                            succs.push((t, s));
-                        }
-                        if let Some(s) = fall {
-                            succs.push((pc + 1, s));
-                        }
-                        Ok(succs)
+                        Ok(match (taken, fall) {
+                            (Some(taken), Some(fall)) => {
+                                *state = taken;
+                                Flow::Fork(t, fall)
+                            }
+                            (Some(taken), None) => {
+                                *state = taken;
+                                Flow::To(t)
+                            }
+                            (None, Some(fall)) => {
+                                *state = fall;
+                                Flow::To(pc + 1)
+                            }
+                            (None, None) => Flow::End,
+                        })
                     }
                 }
             }
@@ -901,7 +1137,8 @@ impl<'p> Analyzer<'p> {
     }
 
     fn map_spec(&self, pc: usize, id: u32) -> Result<MapSpec, VerifyError> {
-        self.prog.maps.get(id as usize).copied().ok_or(VerifyError {
+        let spec = self.prog.maps.get(id as usize).copied();
+        spec.ok_or_else(|| VerifyError {
             pc,
             kind: VerifyErrorKind::BadHelperCall {
                 what: format!("map id {id} not declared"),
@@ -1557,16 +1794,109 @@ fn refine_unsigned(
     }
 }
 
+/// The exploration this module used before it walked blocks, as the
+/// reference [`verify`] is tested against: one frame and one remembered
+/// `(pc, state)` per instruction, a revisit pruned wherever it happens —
+/// on equality of whole states, not of their hashes — and `max_path` the
+/// deepest the frame stack got, which is why it misses a long arm that
+/// joins a state the short arm explored first.
+#[cfg(test)]
+fn verify_slowly(prog: &Program) -> Result<VerifiedStats, VerifyError> {
+    use std::collections::HashMap;
+
+    struct Frame {
+        key: (usize, State),
+        succs: std::vec::IntoIter<(usize, State)>,
+    }
+    let an = Analyzer::new(prog)?;
+    let err = |pc, kind| Err(VerifyError { pc, kind });
+    // Every state entered; `true` while it is on the path.
+    let mut visited: HashMap<(usize, State), bool> = HashMap::new();
+    let mut stack: Vec<Frame> = Vec::new();
+    let mut enter = Some((0, State::initial()));
+    let mut max_path = 0;
+    loop {
+        if let Some(key @ (pc, _)) = enter.take() {
+            if pc >= prog.insns.len() {
+                return err(pc.saturating_sub(1), VerifyErrorKind::FallsOffEnd);
+            }
+            match visited.get(&key) {
+                Some(true) => return err(pc, VerifyErrorKind::UnboundedLoop),
+                Some(false) => {}
+                None if visited.len() == STATE_BUDGET => {
+                    return err(pc, VerifyErrorKind::TooComplex)
+                }
+                None => {
+                    let mut after = key.1.clone();
+                    let succs = match an.step(pc, &mut after)? {
+                        Flow::To(next) => vec![(next, after)],
+                        Flow::End => vec![],
+                        Flow::Fork(taken, fall) => vec![(taken, after), (pc + 1, fall)],
+                    };
+                    visited.insert(key.clone(), true);
+                    stack.push(Frame {
+                        key,
+                        succs: succs.into_iter(),
+                    });
+                    max_path = max_path.max(stack.len());
+                }
+            }
+        }
+        let Some(top) = stack.last_mut() else {
+            return Ok(VerifiedStats {
+                states: visited.len(),
+                max_path,
+            });
+        };
+        enter = top.succs.next();
+        if enter.is_none() {
+            visited.insert(stack.pop().expect("non-empty").key, false);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::{Asm, Width};
-    use crate::maps::MapSpec;
+    use crate::interp::{RecordingEnv, RunCtx, Trap, Vm};
+    use crate::maps::{MapSet, MapSpec};
+    use proptest::prelude::*;
+
+    /// [`verify`], after checking it against the oracle: the same
+    /// verdict for the same reason, and a longest path no shorter than
+    /// the deepest one the oracle walked. Only the two rejections that
+    /// depend on *where* a revisit is noticed may name another slot (the
+    /// oracle notices at the instruction, `verify` at the next join), and
+    /// without a join the two walks are the same walk.
+    fn verify_against_oracle(prog: &Program) -> Result<VerifiedStats, VerifyError> {
+        let (new, old) = (verify(prog), verify_slowly(prog));
+        match (&new, &old) {
+            (Ok(new), Ok(old)) => {
+                assert!(new.max_path >= old.max_path, "{new:?} vs {old:?}");
+                let joins = joins(prog, &second_slots(prog).expect("verified"));
+                if !joins.contains(&true) {
+                    assert_eq!(new, old, "no join, so nothing to prune");
+                }
+            }
+            (Err(new), Err(old)) => {
+                assert_eq!(new.kind, old.kind, "at {} vs {}", new.pc, old.pc);
+                let moves = matches!(
+                    new.kind,
+                    VerifyErrorKind::UnboundedLoop | VerifyErrorKind::TooComplex
+                );
+                assert!(moves || new.pc == old.pc, "{new:?} vs {old:?}");
+            }
+            _ => panic!("verify says {new:?}, the oracle {old:?}"),
+        }
+        new
+    }
 
     fn check(f: impl FnOnce(&mut Asm)) -> Result<VerifiedStats, VerifyError> {
         check_maps(f, vec![])
     }
 
+    /// Every program these tests assemble goes past the oracle too.
     fn check_maps(
         f: impl FnOnce(&mut Asm),
         maps: Vec<MapSpec>,
@@ -1574,7 +1904,7 @@ mod tests {
         let mut a = Asm::new();
         f(&mut a);
         let prog = Program::with_maps(a.finish().expect("assembles"), maps);
-        verify(&prog)
+        verify_against_oracle(&prog)
     }
 
     #[test]
@@ -2115,6 +2445,173 @@ mod tests {
         .expect("accepted");
         assert!(stats.states >= 2);
         assert!(stats.max_path >= 2);
+    }
+
+    /// A diamond keyed on the hop count: `long` instructions down one
+    /// arm, three down the other (one, where the long arm is the taken
+    /// one), both arms leaving the same state at the join, and fifty
+    /// instructions and an `exit` after it. Hop 7 takes the jump.
+    fn diamond(long: usize, long_arm_taken: bool) -> Program {
+        let mut a = Asm::new();
+        a.ldx(Width::W, 2, 1, ctx_off::HOP)
+            .mov64_imm(0, 0)
+            .mov64_imm(1, 0)
+            .jeq_imm(2, 7, "taken");
+        let long_arm = |a: &mut Asm| {
+            for _ in 0..long {
+                a.mov64_imm(0, 0);
+            }
+        };
+        if long_arm_taken {
+            a.mov64_imm(2, 0).ja("join").label("taken");
+            long_arm(&mut a);
+            a.mov64_imm(2, 0);
+        } else {
+            long_arm(&mut a);
+            a.mov64_imm(2, 0).ja("join").label("taken").mov64_imm(2, 0);
+        }
+        a.label("join");
+        for _ in 0..50 {
+            a.mov64_imm(0, 0);
+        }
+        a.exit();
+        Program::new(a.finish().expect("assembles"))
+    }
+
+    /// Instructions `prog` retires at `hop` under an instruction budget.
+    fn retired(prog: &Program, hop: u32, budget: u64) -> Result<u64, Trap> {
+        let ctx = RunCtx {
+            data: &[],
+            file_off: 0,
+            hop,
+            flags: 0,
+            scratch: &mut [0u8; SCRATCH_SIZE],
+        };
+        let mut maps = MapSet::instantiate(&prog.maps).expect("maps");
+        Vm::with_budget(budget)
+            .run(prog, ctx, &mut maps, &mut RecordingEnv::default())
+            .map(|out| out.insns)
+    }
+
+    #[test]
+    fn max_path_counts_the_long_arm_of_a_diamond_walked_second() {
+        // The taken arm is walked first: 4 + 1 + 51 instructions. The
+        // fall-through arm then reaches the join in a state the walk has
+        // finished with, 46 instructions in, and the 51 below the join
+        // count from there: 97. (Counting only what was walked, as the
+        // deepest-stack measure did, reports 56 — and a tenant budget of
+        // 56 then admits a program that retires 97.)
+        let prog = diamond(40, false);
+        assert_eq!(prog.insns.len(), 98);
+        let stats = verify_against_oracle(&prog).expect("verifies");
+        assert_eq!(verify_slowly(&prog).expect("verifies").max_path, 56);
+        assert_eq!(stats.max_path, 97);
+        assert_eq!(retired(&prog, 1, 97), Ok(97));
+        assert_eq!(retired(&prog, 1, 96), Err(Trap::BudgetExceeded));
+        assert_eq!(retired(&prog, 7, 97), Ok(56));
+
+        let budget = |max_insns| {
+            Some(ResourceBudget {
+                chain_depth: 1,
+                max_insns,
+            })
+        };
+        assert_eq!(verify_bounded(&prog, budget(97)), Ok(stats));
+        assert_eq!(
+            verify_bounded(&prog, budget(96)).unwrap_err().kind,
+            VerifyErrorKind::BudgetExceeded {
+                worst_case: 97,
+                budget: 96
+            }
+        );
+    }
+
+    #[test]
+    fn max_path_counts_the_long_arm_of_a_diamond_walked_first() {
+        // The mirror: the long arm is the taken one, so every
+        // instruction of the longest path is walked.
+        let prog = diamond(40, true);
+        let stats = verify_against_oracle(&prog).expect("verifies");
+        assert_eq!(stats.max_path, 4 + 40 + 1 + 51);
+        assert_eq!(verify_slowly(&prog).expect("verifies").max_path, 96);
+        assert_eq!(retired(&prog, 7, 96), Ok(96));
+        assert_eq!(retired(&prog, 1, 96), Ok(4 + 2 + 51));
+    }
+
+    #[test]
+    fn max_path_adds_up_across_nested_joins() {
+        // Three diamonds in a row, each with its long arm walked second:
+        // the longest path takes all three, through two joins that were
+        // themselves finished by a hit on the next.
+        let mut a = Asm::new();
+        a.ldx(Width::W, 2, 1, ctx_off::HOP).mov64_imm(0, 0);
+        for (i, long) in [7, 11, 13].into_iter().enumerate() {
+            let (short, join) = (format!("short{i}"), format!("join{i}"));
+            a.jset_imm(2, 1 << i, &short);
+            for _ in 0..long {
+                a.mov64_imm(0, 0);
+            }
+            a.ja(&join).label(&short).label(&join);
+        }
+        a.exit();
+        let prog = Program::new(a.finish().expect("assembles"));
+        let stats = verify_against_oracle(&prog).expect("verifies");
+        assert_eq!(stats.max_path, 2 + (2 + 7) + (2 + 11) + (2 + 13) + 1);
+        assert_eq!(retired(&prog, 0, 40), Ok(40));
+        assert_eq!(retired(&prog, 7, 40), Ok(2 + 3 + 1));
+    }
+
+    /// The four in-tree programs (`bpfstor-core` builds on the plain
+    /// build of this crate, so its `Program` is re-made as this build's).
+    fn in_tree_programs() -> [(&'static str, Program); 4] {
+        use bpfstor_core::progs;
+        [
+            ("btree", progs::btree_lookup_program()),
+            ("sst", progs::sst_get_program(48)),
+            ("chase", progs::pointer_chase_program()),
+            ("scan", progs::scan_aggregate_program(24)),
+        ]
+        .map(|(name, p)| {
+            assert!(p.maps.is_empty());
+            let insns = p.insns.iter();
+            let insns = insns.map(|i| crate::insn::Insn::new(i.op, i.dst, i.src, i.off, i.imm));
+            (name, Program::new(insns.collect()))
+        })
+    }
+
+    #[test]
+    fn in_tree_programs_agree_with_the_oracle() {
+        // The longest paths, which the tenant budget multiplies, beside
+        // the deepest the oracle walked.
+        let max_paths = [(343, 341), (459, 456), (14, 14), (248, 245)];
+        for ((name, prog), (longest, walked)) in in_tree_programs().into_iter().zip(max_paths) {
+            let stats = verify_against_oracle(&prog).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(stats.max_path, longest, "{name}");
+            let oracle = verify_slowly(&prog).expect("agreed");
+            assert_eq!(oracle.max_path, walked, "{name}");
+        }
+    }
+
+    #[test]
+    fn the_hash_only_picks_the_bucket() {
+        // With every state in one bucket the interner still tells them
+        // apart (it compares them), so nothing changes but the time.
+        let in_tree = in_tree_programs().map(|(_, prog)| prog);
+        for prog in in_tree
+            .iter()
+            .chain(&[diamond(40, false), diamond(40, true)])
+        {
+            let one_bucket = Analyzer::new(prog).and_then(|an| an.explore(|_, _| 0));
+            assert_eq!(one_bucket, verify(prog));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn verify_agrees_with_the_oracle(prog in crate::arb::arb_program()) {
+            let _ = verify_against_oracle(&prog);
+        }
     }
 
     #[test]

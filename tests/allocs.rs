@@ -9,47 +9,71 @@
 //! warm-up cancel and what is left is allocations per I/O in the second
 //! half. (The benchmark package has its own counter; it is not part of
 //! tier 1 and cannot gate it.)
+//!
+//! Set-up has one cost worth pinning the same way: verification, which
+//! every install pays. Its heap calls and its transient peak of live
+//! bytes are counted outright, not marginally.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bpfstor::core::{Btree, Chase, DispatchMode, PushdownSession, PushdownWorkload};
+use bpfstor::core::{
+    btree_lookup_program, btree_lookup_program_with_stats, sst_get_program, Btree, Chase,
+    DispatchMode, PushdownSession, PushdownWorkload,
+};
 use bpfstor::kernel::FabricConfig;
 use bpfstor::sim::{LatencyDist, MILLISECOND};
+use bpfstor::vm::verify;
 
 thread_local! {
-    // A `const`-initialised `Cell` needs no lazy set-up and no
-    // destructor, so the allocator may touch it. Per thread: the test
-    // harness's other threads do not disturb the count.
+    // `const`-initialised `Cell`s need no lazy set-up and no
+    // destructor, so the allocator may touch them. Per thread: the test
+    // harness's other threads do not disturb the counts.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<usize> = const { Cell::new(0) };
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+/// One heap call that leaves `bytes` more live.
+fn grew(bytes: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    let live = LIVE.with(|c| c.replace(c.get() + bytes)) + bytes;
+    PEAK.with(|c| c.set(c.get().max(live)));
+}
+
+fn shrank(bytes: usize) {
+    // Saturating: a block allocated on another thread may be freed here.
+    LIVE.with(|c| c.set(c.get().saturating_sub(bytes)));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the bookkeeping touches one thread-local
-// `Cell` and never allocates.
+// the `GlobalAlloc` contract; the bookkeeping touches thread-local
+// `Cell`s and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        grew(layout.size());
         // SAFETY: `layout` is the caller's, passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        grew(layout.size());
         // SAFETY: `layout` is the caller's, passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        shrank(layout.size());
+        grew(new_size);
         // SAFETY: `ptr`/`layout` came from this allocator, i.e. from
         // `System`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
         // SAFETY: `ptr` was returned by this allocator for `layout`,
         // i.e. by `System`.
         unsafe { System.dealloc(ptr, layout) }
@@ -180,5 +204,44 @@ fn steady_state_io_path_does_not_allocate() {
         );
         // No per-process hash key on the path: a repeat counts the same.
         assert_eq!(measure(l, T), (a1, i1), "{}: repeat run", l.name);
+    }
+}
+
+/// Runs `f`, returning its result with the heap calls it made and the
+/// most bytes it held live at once above what was live before it.
+fn heap_use<R>(f: impl FnOnce() -> R) -> (R, u64, usize) {
+    let (calls, live) = (ALLOCS.with(Cell::get), LIVE.with(Cell::get));
+    PEAK.with(|c| c.set(live));
+    let out = f();
+    let peak = PEAK.with(Cell::get) - live;
+    (out, ALLOCS.with(Cell::get) - calls, peak)
+}
+
+#[test]
+fn verification_stays_off_the_heap() {
+    // The verifier steps one state in place and remembers states only
+    // where control flow joins, in small chunks: well under one heap
+    // call per ten analysed instructions (a walk that clones and hashes
+    // a state per instruction makes about one each: 1 476 and 2 239),
+    // and no more bytes held at once than such a walk holds — the third
+    // column, measured on it — because a session's peak of live memory
+    // can be at install time.
+    let programs = [
+        ("btree", btree_lookup_program(), 182_978),
+        ("sst", sst_get_program(48), 268_923),
+        // With map helper calls, whose checks must not allocate either.
+        ("btree+stats", btree_lookup_program_with_stats(), 241_465),
+    ];
+    for (name, prog, old_peak) in programs {
+        let (stats, calls, peak) = heap_use(|| verify(&prog).expect("verifies"));
+        println!("{name}: {stats:?}, {calls} heap calls, {peak} B at peak");
+        assert!(
+            calls * 10 < stats.states as u64,
+            "{name}: {calls} heap calls for {} analysed instructions",
+            stats.states
+        );
+        assert!(peak <= old_peak, "{name}: {peak} B live at once");
+        let again = heap_use(|| verify(&prog).expect("verifies"));
+        assert_eq!(again, (stats, calls, peak), "{name}: repeat run");
     }
 }

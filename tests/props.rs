@@ -20,8 +20,8 @@ use bpfstor::lsm::BLOCK;
 use bpfstor::sim::Histogram;
 use bpfstor::vm::insn::{decode, encode, Insn};
 use bpfstor::vm::{
-    action, compile, helper, verify, Asm, CompiledProg, MapSet, MapSpec, Program, RecordingEnv,
-    RunCtx, RunOutcome, Trap, Vm, Width, DEFAULT_INSN_BUDGET, SCRATCH_SIZE,
+    action, compile, helper, verify, Asm, CompiledProg, MapSet, Program, RecordingEnv, RunCtx,
+    RunOutcome, Trap, Vm, Width, DEFAULT_INSN_BUDGET, SCRATCH_SIZE,
 };
 
 // --- VM: encode/decode ---------------------------------------------------------
@@ -143,281 +143,9 @@ proptest! {
 
 // --- Verifier soundness: accepted programs never trap ----------------------------
 
-/// The four access widths, with their size in bytes.
-const WIDTHS: [(Width, i16); 4] = [(Width::B, 1), (Width::H, 2), (Width::W, 4), (Width::DW, 8)];
-
-fn width() -> impl Strategy<Value = Width> {
-    (0usize..4).prop_map(|i| WIDTHS[i].0)
-}
-
-/// Maps every generated program declares: an array (lookups always
-/// hit) and a hash map (they miss until the program updates it).
-fn arb_maps() -> Vec<MapSpec> {
-    vec![MapSpec::array(16, 2), MapSpec::hash(8, 16, 4)]
-}
-
-/// `r0..=r5 = 0`: what a fragment that called a helper (which clobbers
-/// `r1..=r5`) or branched leaves behind, so that the fragments after it
-/// still verify and the verifier's paths through it converge.
-fn zero_low_regs(a: &mut Asm) {
-    for r in 0..6 {
-        a.mov64_imm(r, 0);
-    }
-}
-
-/// A tiny generator of arbitrary-ish programs. Many are rejected by the
-/// verifier; the properties only concern the accepted ones.
-///
-/// Register discipline: the prologue saves the context pointer in `r6`
-/// and zeroes `r0` and `r2..=r5` (`r1` stays the context pointer until
-/// an ALU fragment overwrites it); the ALU fragments write `r0..=r5`
-/// only; the memory and helper
-/// fragments keep their pointers in `r7..=r9`, so a preceding ALU
-/// fragment cannot turn one into a scalar. Fragments are assembled on
-/// their own (labels are local) and concatenated: jumps are relative.
-fn arb_program() -> impl Strategy<Value = Program> {
-    use bpfstor::vm::ctx_off;
-    let insn = prop_oneof![
-        // ALU imm on r0-r5.
-        3 => (0u8..6, any::<i32>(), 0usize..7).prop_map(|(dst, imm, which)| {
-            let mut a = Asm::new();
-            match which {
-                0 => a.mov64_imm(dst, imm),
-                1 => a.add64_imm(dst, imm),
-                2 => a.mul64_imm(dst, imm),
-                3 => a.and64_imm(dst, imm),
-                4 => a.rsh64_imm(dst, (imm & 63).abs()),
-                5 => a.xor64_imm(dst, imm),
-                _ => a.or64_imm(dst, imm),
-            };
-            a.finish().expect("fragment")
-        }),
-        // Reg-to-reg moves and arithmetic.
-        2 => (0u8..6, 0u8..6, 0usize..3).prop_map(|(dst, src, which)| {
-            let mut a = Asm::new();
-            match which {
-                0 => a.mov64_reg(dst, src),
-                1 => a.add64_reg(dst, src),
-                _ => a.sub64_reg(dst, src),
-            };
-            a.finish().expect("fragment")
-        }),
-        // Stack traffic.
-        1 => (0u8..6, 1u8..=8).prop_map(|(reg, slot)| {
-            let mut a = Asm::new();
-            a.stx(Width::DW, 10, -8 * slot as i16, reg)
-                .ldx(Width::DW, reg, 10, -8 * slot as i16);
-            a.finish().expect("fragment")
-        }),
-        // Context loads through r1 (which an ALU fragment may have
-        // overwritten: the verifier must catch that).
-        1 => (2u8..6, 0usize..3).prop_map(|(dst, which)| {
-            let mut a = Asm::new();
-            match which {
-                0 => a.ldx(Width::DW, dst, 1, ctx_off::DATA),
-                1 => a.ldx(Width::DW, dst, 1, ctx_off::FILE_OFF),
-                _ => a.ldx(Width::W, dst, 1, ctx_off::HOP),
-            };
-            a.finish().expect("fragment")
-        }),
-        // Data access guarded by a bound check (sometimes mis-sized on
-        // purpose: the verifier must catch those).
-        1 => (0i16..24, 1usize..9).prop_map(|(off, proven)| {
-            let mut a = Asm::new();
-            a.ldx(Width::DW, 2, 1, ctx_off::DATA)
-                .ldx(Width::DW, 3, 1, ctx_off::DATA_END)
-                .mov64_reg(4, 2)
-                .add64_imm(4, proven as i32)
-                .jgt_reg(4, 3, "skip")
-                .ldx(Width::B, 5, 2, off)
-                .label("skip")
-                .mov64_imm(5, 0);
-            a.finish().expect("fragment")
-        }),
-        // Every width x every context field. Only a field's own width
-        // verifies, so that is what is drawn three times in four;
-        // scalars land in r0-r5, pointers in r7.
-        2 => (0usize..7, width(), 0usize..4, 0u8..6).prop_map(|(field, w, natural, dst)| {
-            const FIELDS: [(i16, Width, bool); 7] = [
-                (ctx_off::DATA, Width::DW, true),
-                (ctx_off::DATA_END, Width::DW, true),
-                (ctx_off::FILE_OFF, Width::DW, false),
-                (ctx_off::HOP, Width::W, false),
-                (ctx_off::FLAGS, Width::W, false),
-                (ctx_off::SCRATCH, Width::DW, true),
-                (ctx_off::SCRATCH_END, Width::DW, false),
-            ];
-            let (off, own, pointer) = FIELDS[field];
-            let mut a = Asm::new();
-            a.ldx(
-                if natural > 0 { own } else { w },
-                if pointer { 7 } else { dst },
-                6,
-                off,
-            );
-            a.finish().expect("fragment")
-        }),
-        // Every width x block data behind a `data_end` proof.
-        2 => (width(), 0i16..28, 12i32..33, 0u8..6).prop_map(|(w, off, proven, dst)| {
-            let mut a = Asm::new();
-            a.mov64_imm(dst, 0)
-                .ldx(Width::DW, 7, 6, ctx_off::DATA)
-                .ldx(Width::DW, 8, 6, ctx_off::DATA_END)
-                .mov64_reg(9, 7)
-                .add64_imm(9, proven)
-                .jgt_reg(9, 8, "short")
-                .ldx(w, dst, 7, off)
-                .label("short");
-            a.finish().expect("fragment")
-        }),
-        // Every width x scratch, store (register or immediate) then load.
-        2 => (width(), width(), 0i16..252, 0i16..252, any::<i32>(), any::<bool>(), 0u8..6)
-            .prop_map(|(sw, lw, soff, loff, imm, by_reg, dst)| {
-                let mut a = Asm::new();
-                a.ldx(Width::DW, 7, 6, ctx_off::SCRATCH);
-                if by_reg {
-                    a.mov64_imm(8, imm).lsh64_imm(8, 13).stx(sw, 7, soff, 8);
-                } else {
-                    a.st_imm(sw, 7, soff, imm);
-                }
-                a.ldx(lw, dst, 7, if by_reg { soff } else { loff });
-                a.finish().expect("fragment")
-            }),
-        // Every width x stack, likewise.
-        2 => (width(), width(), 1i16..80, 1i16..80, any::<i32>(), any::<bool>(), 0u8..6)
-            .prop_map(|(sw, lw, sback, lback, imm, by_reg, dst)| {
-                let mut a = Asm::new();
-                if by_reg {
-                    a.mov64_imm(8, imm).lsh64_imm(8, 29).stx(sw, 10, -sback, 8);
-                } else {
-                    a.st_imm(sw, 10, -sback, imm);
-                }
-                a.ldx(lw, dst, 10, if by_reg { -sback } else { -lback });
-                a.finish().expect("fragment")
-            }),
-        // Every width x a map value, after the null check: store, load
-        // back, and leave the loaded value in scratch where the
-        // differential test sees it. An update first makes the hash
-        // lookup hit; array index 2 is out of range (a `Trap::Map`).
-        2 => (0i32..2, 0i32..3, any::<bool>(), width(), width(), 0i16..16, any::<i32>())
-            .prop_map(|(map, key, update_first, sw, lw, off, imm)| {
-                let mut a = Asm::new();
-                a.st_imm(Width::DW, 10, -8, key);
-                if update_first {
-                    a.st_imm(Width::DW, 10, -24, imm)
-                        .st_imm(Width::DW, 10, -16, !imm)
-                        .mov64_imm(1, 1)
-                        .mov64_reg(2, 10)
-                        .add64_imm(2, -8)
-                        .mov64_reg(3, 10)
-                        .add64_imm(3, -24)
-                        .call(helper::MAP_UPDATE);
-                }
-                a.mov64_imm(1, map)
-                    .mov64_reg(2, 10)
-                    .add64_imm(2, -8)
-                    .call(helper::MAP_LOOKUP)
-                    .jeq_imm(0, 0, "null")
-                    .st_imm(sw, 0, off, imm)
-                    .ldx(lw, 7, 0, off)
-                    .ldx(Width::DW, 8, 6, ctx_off::SCRATCH)
-                    .stx(Width::DW, 8, 64, 7)
-                    .label("null")
-                    .mov64_imm(7, 0)
-                    .mov64_imm(8, 0);
-                zero_low_regs(&mut a);
-                a.finish().expect("fragment")
-            }),
-        // emit(ptr, len) from the stack and from scratch (lengths one
-        // or two past the end are the verifier's to catch).
-        2 => (any::<bool>(), 0i32..27, 0i32..252, any::<i32>()).prop_map(
-            |(from_stack, len, off, imm)| {
-                let mut a = Asm::new();
-                if from_stack {
-                    a.st_imm(Width::DW, 10, -24, imm)
-                        .st_imm(Width::W, 10, -12, !imm)
-                        .mov64_reg(1, 10)
-                        .add64_imm(1, -24);
-                } else {
-                    a.ldx(Width::DW, 1, 6, ctx_off::SCRATCH)
-                        .st_imm(Width::W, 1, 4, imm)
-                        .add64_imm(1, off);
-                }
-                a.mov64_imm(2, if from_stack { len } else { len.min(256 - off + 1) })
-                    .call(helper::EMIT);
-                zero_low_regs(&mut a);
-                a.finish().expect("fragment")
-            }
-        ),
-        // The B-tree search shape: a bounded loop over 8-byte keys in
-        // the block that stops at the first key the comparison picks
-        // out, leaving the index and the key in scratch. Keys are cut
-        // to three bits so that they meet the pivot often enough to
-        // tell `>` from `>=`.
-        2 => (1i32..5, 0u64..8, 0usize..12).prop_map(|(nkeys, pivot, cmp)| {
-            let mut a = Asm::new();
-            zero_low_regs(&mut a);
-            a.ldx(Width::DW, 7, 6, ctx_off::DATA)
-                .ldx(Width::DW, 8, 6, ctx_off::DATA_END)
-                .mov64_reg(9, 7)
-                .add64_imm(9, 8 * nkeys)
-                .jgt_reg(9, 8, "out")
-                .ld_imm64(9, pivot)
-                .label("loop")
-                .jge_imm(2, nkeys, "after")
-                .mov64_reg(4, 2)
-                .lsh64_imm(4, 3)
-                .mov64_reg(5, 7)
-                .add64_reg(5, 4)
-                .ldx(Width::DW, 4, 5, 0)
-                .and64_imm(4, 7);
-            let imm = pivot as i32;
-            match cmp {
-                0 => a.jgt_reg(4, 9, "after"),
-                1 => a.jge_reg(4, 9, "after"),
-                2 => a.jlt_reg(4, 9, "after"),
-                3 => a.jle_reg(4, 9, "after"),
-                4 => a.jeq_reg(4, 9, "after"),
-                5 => a.jne_reg(4, 9, "after"),
-                6 => a.jgt_imm(4, imm, "after"),
-                7 => a.jge_imm(4, imm, "after"),
-                8 => a.jlt_imm(4, imm, "after"),
-                9 => a.jle_imm(4, imm, "after"),
-                10 => a.jeq_imm(4, imm, "after"),
-                _ => a.jne_imm(4, imm, "after"),
-            };
-            a.mov64_reg(3, 2)
-                .add64_imm(2, 1)
-                .ja("loop")
-                .label("after")
-                .ldx(Width::DW, 8, 6, ctx_off::SCRATCH)
-                .stx(Width::DW, 8, 72, 3)
-                .stx(Width::DW, 8, 80, 4)
-                .label("out")
-                .mov64_imm(7, 0)
-                .mov64_imm(8, 0)
-                .mov64_imm(9, 0);
-            zero_low_regs(&mut a);
-            a.finish().expect("fragment")
-        }),
-    ];
-    (proptest::collection::vec(insn, 1..12)).prop_map(|frags| {
-        let mut a = Asm::new();
-        a.mov64_reg(6, 1);
-        for r in [0, 2, 3, 4, 5] {
-            a.mov64_imm(r, 0);
-        }
-        let mut insns = a.finish().expect("prologue");
-        for f in frags {
-            insns.extend(f);
-        }
-        // Epilogue: r0 = 0; exit.
-        let mut a = Asm::new();
-        a.mov64_imm(0, 0).exit();
-        insns.extend(a.finish().expect("epilogue"));
-        Program::with_maps(insns, arb_maps())
-    })
-}
+#[path = "../crates/vm/tests/arb/mod.rs"]
+mod arb;
+use arb::{arb_maps, arb_program};
 
 /// The generator is only worth its properties if the verifier admits
 /// a fair share of what it draws, and the memory and helper fragments
@@ -553,6 +281,32 @@ proptest! {
             );
         }
     }
+
+    /// `max_path` is what a tenant's instruction budget is checked
+    /// against at install, so it has to bound every run: given exactly
+    /// that budget, neither engine retires more or runs out, on any
+    /// input. (The property above runs under the default budget and
+    /// cannot see this.)
+    #[test]
+    fn verified_programs_fit_their_verified_path(
+        prog in arb_program(),
+        data in proptest::collection::vec(any::<u8>(), 0..64),
+        file_off in any::<u64>(),
+        hop in any::<u32>(),
+    ) {
+        if let Ok(stats) = verify(&prog) {
+            let max_path = stats.max_path as u64;
+            let compiled = compile(&prog).expect("verified programs always compile");
+            let inputs = Inputs { data: &data, file_off, hop, flags: 0 };
+            let (result, _) = run_on_both_engines(
+                &prog, &compiled, max_path, inputs, &mut [0u8; SCRATCH_SIZE],
+            );
+            prop_assert!(
+                !matches!(result, Err(Trap::BudgetExceeded)),
+                "ran past its verified longest path of {max_path}"
+            );
+        }
+    }
 }
 
 // --- Engine differential: compiled execution is observationally identical --------
@@ -677,13 +431,14 @@ proptest! {
 }
 
 /// The in-tree programs over the images their workloads build: every
-/// hop of every chain retires the same instructions, calls the same
-/// helpers and leaves the same scratch and the same output on both
-/// engines, and the chain ends in the output the workload expects.
+/// hop of every chain retires the same instructions — no more than the
+/// verifier's longest path — calls the same helpers and leaves the same
+/// scratch and the same output on both engines, and the chain ends in
+/// the output the workload expects.
 fn engines_agree_on<W: PushdownWorkload<Request = u64>>(mut workload: W, requests: &[u64]) {
     let image = workload.build_image().expect("image builds");
     let prog = workload.program();
-    verify(&prog).expect("in-tree programs verify");
+    let max_path = verify(&prog).expect("in-tree programs verify").max_path as u64;
     let compiled = compile(&prog).expect("verified programs compile");
     let flags = workload.install_flags();
     let name = workload.name().to_string();
@@ -705,6 +460,7 @@ fn engines_agree_on<W: PushdownWorkload<Request = u64>>(mut workload: W, request
             let (out, env) =
                 run_on_both_engines(&prog, &compiled, DEFAULT_INSN_BUDGET, inputs, &mut scratch);
             let out = out.unwrap_or_else(|t| panic!("{what}: {t}"));
+            assert!(out.insns <= max_path, "{what}: {} > {max_path}", out.insns);
             hops += 1;
             match out.ret {
                 action::ACT_RESUBMIT => off = env.resubmits[0],
