@@ -3,7 +3,7 @@
 //! [registry](crate::registry).
 //!
 //! ```text
-//! bench <name> [--quick] [--seed <N>] [--engine <interp|compiled>]
+//! bench <name> [--quick] [--seed <N>]
 //! bench ablations [extent-cache|bpf-cost|resubmit-bound|split-fallback]... [--quick]
 //! bench list
 //! bench all [--quick]
@@ -12,15 +12,11 @@
 //! - `--quick`: reduced durations/counts;
 //! - `--seed <N>` (or `--seed=N`): override the experiment's default
 //!   RNG seed — decimal or `0x`-prefixed hex; only the sweeps take one;
-//! - `--engine <interp|compiled>` (or `--engine=...`): select the hook
-//!   execution engine, overriding `BPFSTOR_ENGINE` and the default;
 //! - `all`: every fixed-seed experiment (the paper's tables and
 //!   figures, the stability measurements and the ablations), then the
 //!   calibration shape checks; exits 1 if a shape drifted.
 
 use std::process::ExitCode;
-
-use bpfstor_kernel::ExecEngine;
 
 use crate::experiments::{shape_checks, Scale};
 use crate::registry::{self, Experiment, Part, EXPERIMENTS};
@@ -32,8 +28,6 @@ pub struct SweepArgs {
     pub quick: bool,
     /// `--seed <N>` override, if passed.
     pub seed: Option<u64>,
-    /// `--engine <interp|compiled>` override, if passed.
-    pub engine: Option<ExecEngine>,
 }
 
 impl SweepArgs {
@@ -58,8 +52,8 @@ pub enum Command {
 pub fn usage() -> String {
     let names: Vec<_> = EXPERIMENTS.iter().map(|e| e.name).collect();
     format!(
-        "usage: bench <name>|list|all [--quick] [--seed <N>] [--engine <interp|compiled>]\n\
-         flags: --quick, --seed <N> (decimal or 0x hex, sweeps only), --engine <interp|compiled>\n\
+        "usage: bench <name>|list|all [--quick] [--seed <N>]\n\
+         flags: --quick, --seed <N> (decimal or 0x hex, sweeps only)\n\
          names: {}",
         names.join(", ")
     )
@@ -94,7 +88,6 @@ pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<(Command, Sw
         match flag {
             "--quick" if inline.is_none() => out.quick = true,
             "--seed" => out.seed = Some(parse_seed(&value()?)?),
-            "--engine" => out.engine = Some(parse_engine(&value()?)?),
             _ => return Err(format!("unknown argument {arg:?}")),
         }
     }
@@ -121,14 +114,10 @@ pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<(Command, Sw
                 .collect(),
         ),
         None if name == "all" => Command::All,
-        None if out.quick || out.engine.is_some() => return Err("list takes no flags".into()),
+        None if out.quick => return Err("list takes no flags".into()),
         None => Command::List,
     };
     Ok((command, out))
-}
-
-fn parse_engine(v: &str) -> Result<ExecEngine, String> {
-    ExecEngine::parse(v).ok_or_else(|| format!("--engine wants 'interp' or 'compiled', got {v:?}"))
 }
 
 fn parse_seed(v: &str) -> Result<u64, String> {
@@ -157,11 +146,10 @@ fn emit<'a>(tables: impl IntoIterator<Item = &'a Part>, args: SweepArgs) {
     }
 }
 
-/// The `bench` binary: parses the process arguments, applies `--engine`
-/// (as the `BPFSTOR_ENGINE` default every machine built afterwards
-/// reads) and runs the command. A bad argument prints the problem and
-/// the usage, and exits with status 2 — a sweep silently running on the
-/// wrong seed or scale is worse than no sweep.
+/// The `bench` binary: parses the process arguments and runs the
+/// command. A bad argument prints the problem and the usage, and exits
+/// with status 2 — a sweep silently running on the wrong seed or scale
+/// is worse than no sweep.
 pub fn main() -> ExitCode {
     let (command, args) = match parse_from(std::env::args().skip(1)) {
         Ok(parsed) => parsed,
@@ -170,9 +158,6 @@ pub fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some(engine) = args.engine {
-        std::env::set_var("BPFSTOR_ENGINE", engine.label());
-    }
     match command {
         Command::List => print!("{}", list()),
         Command::Run(tables) => emit(tables, args),
@@ -228,20 +213,9 @@ mod tests {
             Some(0x3117)
         );
         assert_eq!(flags(&[]).expect("parses").seed, None);
-    }
-
-    #[test]
-    fn engine_parses_both_tiers() {
-        let engine = |args: &[&str]| flags(args).expect("parses").engine;
-        assert_eq!(engine(&["--engine=compiled"]), Some(ExecEngine::Compiled));
-        assert_eq!(engine(&["--engine", "interp"]), Some(ExecEngine::Interp));
-        assert_eq!(engine(&["--engine", "jit"]), Some(ExecEngine::Compiled));
-        let args = flags(&["--quick", "--engine=interp", "--seed", "7"]).expect("parses");
+        let args = flags(&["--quick", "--seed", "7"]).expect("parses");
         assert!(args.quick && args.scale().quick);
-        assert_eq!(
-            (args.seed, args.engine),
-            (Some(7), Some(ExecEngine::Interp))
-        );
+        assert_eq!(args.seed, Some(7));
     }
 
     #[test]
@@ -277,7 +251,13 @@ mod tests {
         assert!(err.contains("--seed needs a value"), "{err}");
         assert!(flags(&["--seed", "seven"]).is_err());
         assert!(flags(&["--seed=0xZZ"]).is_err());
-        assert!(flags(&["--engine=turbo"]).is_err());
+        // `--engine` went with the second engine: a flag like any other
+        // the parser does not know.
+        for gone in [&["--engine=compiled"][..], &["--engine", "interp"]] {
+            let err = flags(gone).expect_err("unknown flag");
+            assert!(err.contains("unknown argument \"--engine"), "{err}");
+        }
+        assert!(!usage().contains("--engine"));
     }
 
     #[test]
@@ -298,7 +278,7 @@ mod tests {
         // The usage printed with each of these names the flags and
         // every experiment.
         let usage = usage();
-        for flag in ["--quick", "--seed", "--engine"] {
+        for flag in ["--quick", "--seed"] {
             assert!(usage.contains(flag), "{usage}");
         }
         for e in EXPERIMENTS {

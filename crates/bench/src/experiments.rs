@@ -1604,177 +1604,3 @@ pub fn shape_checks(scale: Scale) -> Vec<(String, bool)> {
 
     checks
 }
-
-// --- JIT sweep (compiled vs interpreted hook execution) -------------------------
-
-/// A compute-heavy pointer-chase program: per hop, `rounds` unrolled
-/// mixing steps over the file offset before reading the next-hop
-/// pointer. The ALU body dominates execution, so the per-hop host-CPU
-/// gap between the engines is well above clock noise.
-fn compute_chase_program(rounds: usize) -> bpfstor_vm::Program {
-    use bpfstor_vm::{action, ctx_off, helper, Asm, Program, Width};
-    let mut a = Asm::new();
-    a.ldx(Width::DW, 6, 1, ctx_off::DATA)
-        .ldx(Width::DW, 7, 1, ctx_off::DATA_END)
-        .mov64_reg(8, 6)
-        .add64_imm(8, 16)
-        .jgt_reg(8, 7, "halt")
-        .ldx(Width::DW, 0, 1, ctx_off::FILE_OFF);
-    for i in 0..rounds {
-        // FNV-style mixing, all ALU64: the hot shape pushdown filters
-        // and aggregations spend their cycles in.
-        a.mul64_imm(0, 0x0100_0193)
-            .xor64_imm(0, 0x5BD1 ^ i as i32)
-            .mov64_reg(9, 0)
-            .rsh64_imm(9, 17)
-            .add64_reg(0, 9);
-    }
-    a.stx(Width::DW, 10, -8, 0) // keep the result observable
-        .ldx(Width::DW, 2, 6, 0) // next offset or sentinel
-        .ld_imm64(3, u64::MAX)
-        .jeq_reg(2, 3, "emit")
-        .mov64_reg(1, 2)
-        .call(helper::RESUBMIT)
-        .mov64_imm(0, action::ACT_RESUBMIT as i32)
-        .exit()
-        .label("emit")
-        .mov64_reg(1, 6)
-        .add64_imm(1, 8)
-        .mov64_imm(2, 8)
-        .call(helper::EMIT)
-        .mov64_imm(0, action::ACT_EMIT as i32)
-        .exit()
-        .label("halt")
-        .mov64_imm(0, action::ACT_HALT as i32)
-        .exit();
-    Program::new(a.finish().expect("assembles"))
-}
-
-/// A file of `depth` blocks where block `i` points at block `i+1` and
-/// the last block holds the `u64::MAX` sentinel.
-fn chain_file_blocks(depth: usize) -> Vec<u8> {
-    let mut data = vec![0u8; depth * SECTOR_SIZE];
-    for i in 0..depth {
-        let at = i * SECTOR_SIZE;
-        let next = if i + 1 < depth {
-            ((i + 1) * SECTOR_SIZE) as u64
-        } else {
-            u64::MAX
-        };
-        data[at..at + 8].copy_from_slice(&next.to_le_bytes());
-    }
-    data
-}
-
-/// JIT sweep: the same compute-heavy driver-hook chase run under both
-/// execution engines across chain depths. Simulated behaviour must not
-/// drift at all — identical chains, IOs, errors, and `trace.bpf`
-/// charge (retired-instruction counts are engine-independent) — while
-/// the *measured* host CPU per hop, sampled by an injected monotonic
-/// clock, must favour the compiled tier at depth ≥ 4.
-///
-/// `seed` overrides the canonical seed the CSVs were calibrated on
-/// (`None` keeps it).
-pub fn jit_sweep(scale: Scale, seed: Option<u64>) -> Table {
-    use bpfstor_kernel::{ExecClock, ExecEngine};
-
-    let seed = seed.unwrap_or(0x317);
-    let chains: u64 = if scale.quick { 200 } else { 1_000 };
-    const ROUNDS: usize = 300; // ~1.5k ALU insns per hop
-    let mut t = Table::new(
-        "JIT sweep — measured host CPU per hook invocation, interp vs compiled",
-        &[
-            "depth",
-            "hops",
-            "interp ns/hop",
-            "compiled ns/hop",
-            "speedup",
-            "sim bpf drift",
-        ],
-    );
-    let run = |depth: usize, engine: ExecEngine| -> RunReport {
-        let t0 = std::time::Instant::now();
-        let mut m = Machine::new(MachineConfig {
-            seed,
-            exec_engine: engine,
-            exec_clock: Some(ExecClock::new(move || t0.elapsed().as_nanos() as u64)),
-            ..MachineConfig::default()
-        });
-        m.create_file("chain.db", &chain_file_blocks(depth))
-            .expect("create");
-        let fd = m.open("chain.db", true).expect("open");
-        m.install(fd, compute_chase_program(ROUNDS), 0)
-            .expect("install verifies");
-        let mut d = crate::drivers::ChaseFallbackDriver::new(
-            fd,
-            DispatchMode::DriverHook,
-            SECTOR_SIZE as u32,
-            chains,
-        );
-        let report = m.run_closed_loop(1, HUGE, &mut d);
-        assert_eq!(d.completed, chains, "every chase completes");
-        assert_eq!(d.errors, 0);
-        report
-    };
-    // The host clock is noisy; run each engine a few times per depth
-    // and keep the fastest — the minimum estimator, which also absorbs
-    // first-run warmup (page faults, cold branch predictors). The
-    // simulation is deterministic, so repeats double as a check that
-    // the simulated figures cannot drift run to run.
-    const REPEATS: usize = 3;
-    let best = |depth: usize, engine: ExecEngine| -> (RunReport, f64) {
-        let mut min = f64::INFINITY;
-        let mut first: Option<RunReport> = None;
-        for _ in 0..REPEATS {
-            let r = run(depth, engine);
-            let ns = match engine {
-                ExecEngine::Interp => r.exec.interp_ns_per_hop(),
-                ExecEngine::Compiled => r.exec.compiled_ns_per_hop(),
-            };
-            min = min.min(ns);
-            if let Some(f) = &first {
-                assert_eq!(f.trace.bpf, r.trace.bpf, "simulation must be deterministic");
-                assert_eq!(f.sim_time, r.sim_time, "simulation must be deterministic");
-            }
-            first.get_or_insert(r);
-        }
-        (first.expect("REPEATS > 0"), min)
-    };
-    for depth in [1usize, 2, 4, 8] {
-        let (ri, interp) = best(depth, ExecEngine::Interp);
-        let (rc, compiled) = best(depth, ExecEngine::Compiled);
-        // Zero behavioural drift: the engines retire identical
-        // instruction streams, so every simulated figure matches.
-        assert_eq!(ri.chains, rc.chains, "depth {depth}: chain drift");
-        assert_eq!(ri.ios, rc.ios, "depth {depth}: IO drift");
-        assert_eq!(ri.errors, rc.errors);
-        assert_eq!(
-            ri.trace.bpf, rc.trace.bpf,
-            "depth {depth}: simulated BPF charge must be engine-independent"
-        );
-        assert_eq!(ri.sim_time, rc.sim_time, "depth {depth}: timeline drift");
-        let hops = chains * depth as u64;
-        assert_eq!(ri.exec.interp_hops, hops);
-        assert_eq!(rc.exec.compiled_hops, hops);
-        assert_eq!(rc.exec.fallbacks, 0, "verified programs always compile");
-        if depth >= 4 {
-            assert!(
-                compiled < interp,
-                "depth {depth}: compiled tier must beat the interpreter \
-                 ({compiled:.0} vs {interp:.0} ns/hop)"
-            );
-        }
-        t.row(vec![
-            depth.to_string(),
-            hops.to_string(),
-            format!("{interp:.0}"),
-            format!("{compiled:.0}"),
-            ratio(interp / compiled.max(1.0)),
-            "0".to_string(),
-        ]);
-    }
-    t.note("ns/hop is measured host CPU (injected monotonic clock), not simulated time");
-    t.note("each figure is the minimum over 3 runs — the noise-robust estimator");
-    t.note("simulated totals (chains, IOs, trace.bpf, sim_time) are asserted bit-identical");
-    t
-}

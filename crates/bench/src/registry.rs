@@ -7,8 +7,8 @@ use bpfstor_core::DispatchMode;
 use crate::experiments::{
     ablation_bpf_cost, ablation_extent_cache, ablation_resubmit_bound, ablation_split_fallback,
     extent_stability, fabric_contention, fabric_sweep, fig1, fig3_throughput, fig3c, fig3d,
-    group_commit_study, jit_sweep, lsm_stability, queue_sweep, reap_sweep, table1, tenant_sweep,
-    write_mix, Scale,
+    group_commit_study, lsm_stability, queue_sweep, reap_sweep, table1, tenant_sweep, write_mix,
+    Scale,
 };
 use crate::report::Table;
 
@@ -135,13 +135,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         subsets: &[],
         tables: &[("tenant_sweep", tenant_sweep)],
     },
-    Experiment {
-        name: "jit_sweep",
-        about: "Compiled vs interpreted hooks: identical simulation, host ns per hop by chain depth",
-        seeded: true,
-        subsets: &[],
-        tables: &[("jit_sweep", jit_sweep)],
-    },
 ];
 
 /// Looks an experiment up by name.
@@ -174,7 +167,6 @@ mod tests {
             "fig3b",
             "fig3c",
             "fig3d",
-            "jit_sweep",
             "queue_sweep",
             "table1",
             "tenant_sweep",

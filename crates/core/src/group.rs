@@ -38,7 +38,7 @@
 
 use bpfstor_kernel::{
     ChainDriver, ChainOutcome, ChainSpec, ChainToken, ChainVerdict, CommitPolicy, DispatchMode,
-    ExecEngine, FabricConfig, Machine, MachineConfig, ReapMode, RunReport, TenantId, TenantLimits,
+    FabricConfig, Machine, MachineConfig, ReapMode, RunReport, TenantId, TenantLimits,
     TransportConfig, UserNext,
 };
 use bpfstor_sim::{Nanos, SimRng};
@@ -71,14 +71,6 @@ impl TenantGroupBuilder {
     /// Overrides the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Selects the hook execution engine for every tenant's programs
-    /// (interpreter or compiled tier). Observable behaviour and
-    /// simulated costs are identical across engines.
-    pub fn engine(mut self, engine: ExecEngine) -> Self {
-        self.config.exec_engine = engine;
         self
     }
 

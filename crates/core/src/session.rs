@@ -273,10 +273,11 @@ impl<W: PushdownWorkload> SessionBuilder<W> {
         self
     }
 
-    /// Selects the hook execution engine: the interpreter (the default,
-    /// unless `BPFSTOR_ENGINE` says otherwise) or the compiled tier.
-    /// Observable behaviour and simulated costs are identical; only
-    /// real host CPU per hop differs ([`RunReport::exec`]).
+    /// Selects the hook execution engine: the compiled tier (the
+    /// default) or the interpreter it is checked against, for a test or
+    /// benchmark that wants the oracle. Observable behaviour and
+    /// simulated costs are identical; only real host CPU per hop differs
+    /// ([`RunReport::exec`]).
     pub fn engine(mut self, engine: ExecEngine) -> Self {
         self.config.exec_engine = engine;
         self

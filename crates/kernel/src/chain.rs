@@ -364,8 +364,8 @@ pub struct RunReport {
     /// aggregate view.
     pub tenants: Vec<crate::tenant::TenantBreakdown>,
     /// Measured host-CPU execution-engine split across all hook
-    /// invocations of the run (per-engine hops, real nanoseconds when a
-    /// [`crate::ExecClock`] is injected, and interpreter fallbacks).
+    /// invocations of the run (per-engine hops, and real nanoseconds
+    /// when a [`crate::ExecClock`] is injected).
     /// The *simulated* BPF charge stays in `trace.bpf` and is
     /// bit-for-bit identical across engines.
     pub exec: ExecSplit,

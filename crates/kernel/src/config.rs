@@ -71,19 +71,17 @@ pub struct MachineConfig {
     /// queue pair `q`. `None` gives the identity mapping (`qp % cores`),
     /// which matches the per-thread queue-pair layout.
     pub qp_affinity: Option<Vec<usize>>,
-    /// Which engine executes hook programs: the interpreter or the
-    /// template-JIT compiled tier. Compiled execution is observably
+    /// Which engine executes hook programs: the compiled tier (the
+    /// default) or, for a test or benchmark that names it, the
+    /// interpreter it is checked against. The two are observably
     /// identical (same traps, same retired-instruction counts — so
     /// [`LayerCosts::bpf_exec`] simulated charging is bit-for-bit
-    /// unchanged) but cheaper in real host CPU; programs the compiler
-    /// declines transparently fall back to the interpreter. The default
-    /// honours the `BPFSTOR_ENGINE` environment variable
-    /// ([`ExecEngine::from_env`]), interpreter when unset.
+    /// unchanged); only host CPU differs.
     pub exec_engine: ExecEngine,
     /// Optional monotonic host clock sampled around each hook
     /// invocation to fill [`crate::RunReport::exec`] with *measured*
     /// per-engine nanoseconds. `None` (the default) skips sampling:
-    /// hop and fallback counters still move, the `_ns` fields stay 0.
+    /// hop counters still move, the `_ns` fields stay 0.
     pub exec_clock: Option<ExecClock>,
     /// When the journal's running transaction seals and pays its flush
     /// barrier: per-fsync (the default — one barrier per fsyncing
@@ -106,7 +104,7 @@ impl Default for MachineConfig {
             reap_mode: ReapMode::Interrupt,
             transport: TransportConfig::Local,
             qp_affinity: None,
-            exec_engine: ExecEngine::from_env(),
+            exec_engine: ExecEngine::default(),
             exec_clock: None,
             commit_policy: CommitPolicy::PerFsync,
         }

@@ -111,8 +111,8 @@ use bpfstor_device::{
 use bpfstor_fs::{ExtFs, ExtentEvent, FsError, PageCache};
 use bpfstor_sim::{Cores, EventQueue, Histogram, IdMap, IdSet, Nanos, SimRng};
 use bpfstor_vm::{
-    action, compile, verify_bounded, CompiledProg, ExecEngine, ExecEnv, MapSet, Program,
-    ResourceBudget, RunCtx, Vm, DEFAULT_INSN_BUDGET, EMIT_MAX, SCRATCH_SIZE,
+    action, admit, CompiledProg, ExecEngine, ExecEnv, MapSet, Program, ResourceBudget, RunCtx, Vm,
+    DEFAULT_INSN_BUDGET, EMIT_MAX, SCRATCH_SIZE,
 };
 
 use crate::chain::{
@@ -208,10 +208,8 @@ struct Install {
     prog: Program,
     maps: MapSet,
     flags: u32,
-    /// The template-JIT lowering, built once at install when the
-    /// machine's engine is [`ExecEngine::Compiled`]. `None` means the
-    /// compiler declined (or the engine is the interpreter): hops run
-    /// interpreted and, under the compiled engine, count as fallbacks.
+    /// The lowering of `prog`, built once at install; `None` only on a
+    /// machine whose engine is [`ExecEngine::Interp`].
     compiled: Option<CompiledProg>,
 }
 
@@ -823,15 +821,14 @@ impl Machine {
                 chain_depth: self.bound_for(st.tenant) as u64,
                 max_insns,
             });
-        verify_bounded(&prog, budget).map_err(|e| KernelError::Verifier(e.to_string()))?;
+        let verified = admit(&prog, budget).map_err(|e| KernelError::Verifier(e.to_string()))?;
         let maps =
             MapSet::instantiate(&prog.maps).map_err(|e| KernelError::Verifier(e.to_string()))?;
         self.snapshot_extents(st.ino)?;
-        // Lower to the compiled tier up front (install is untimed, like
-        // a real JIT running at load). A decline is not an error — the
-        // hop path falls back to the interpreter and counts it.
+        // Lower what was verified, up front (install is untimed, like a
+        // real JIT running at load).
         let compiled = match self.exec_engine {
-            ExecEngine::Compiled => compile(&prog).ok(),
+            ExecEngine::Compiled => Some(verified.compile()),
             ExecEngine::Interp => None,
         };
         let table = &mut self.fds.get_mut(&fd).expect("checked above").progs;
@@ -2247,8 +2244,7 @@ impl Machine {
     /// budget (its `insn_budget` minus instructions retired by the
     /// chain's earlier hops) — the runtime backstop behind the
     /// verification-time check — and on the engine the machine was
-    /// configured with; a program the compiler declined falls back to
-    /// the interpreter and is counted in [`ExecSplit::fallbacks`].
+    /// configured with.
     fn run_hook_program(&mut self, id: usize) -> (Option<u64>, u64) {
         let op = self.ops[id].as_mut().expect("op exists");
         // The remaining budget follows the tenant's *current* limits,
@@ -2295,9 +2291,6 @@ impl Machine {
                 } else {
                     exec.interp_hops += 1;
                     exec.interp_ns += elapsed;
-                    if self.exec_engine == ExecEngine::Compiled {
-                        exec.fallbacks += 1;
-                    }
                 }
                 let (target, calls) = (env.resubmit_to, env.resubmit_calls);
                 let vm_error = |msg: &str| Some(ChainStatus::VmError(msg.to_string()));

@@ -169,9 +169,9 @@ pub struct ExecSplit {
     pub compiled_hops: u64,
     /// Measured host nanoseconds across compiled hops.
     pub compiled_ns: u64,
-    /// Hops that ran under [`bpfstor_vm::ExecEngine::Compiled`] but
-    /// fell back to the interpreter because compilation declined the
-    /// program (these are also counted in `interp_hops`).
+    /// Always 0: a verified program compiles, so no hop falls back to
+    /// the interpreter. Nothing writes the field; it stays until the
+    /// benchmark stops reading it (ROADMAP item 1).
     pub fallbacks: u64,
 }
 
@@ -205,7 +205,6 @@ impl ExecSplit {
         self.interp_ns += other.interp_ns;
         self.compiled_hops += other.compiled_hops;
         self.compiled_ns += other.compiled_ns;
-        self.fallbacks += other.fallbacks;
     }
 }
 
@@ -301,7 +300,7 @@ mod tests {
             interp_ns: 400,
             compiled_hops: 2,
             compiled_ns: 50,
-            fallbacks: 1,
+            ..ExecSplit::default()
         };
         let b = ExecSplit {
             interp_hops: 1,
@@ -311,7 +310,6 @@ mod tests {
         total.absorb(&a);
         total.absorb(&b);
         assert_eq!(total.hops(), 7);
-        assert_eq!(total.fallbacks, 1);
         assert!((total.interp_ns_per_hop() - 100.0).abs() < 1e-9);
         assert!((total.compiled_ns_per_hop() - 25.0).abs() < 1e-9);
     }

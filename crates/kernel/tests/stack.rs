@@ -578,7 +578,11 @@ fn exec_split_counts_hops_and_engines_match() {
     assert_eq!(ri.exec.compiled_hops, 0);
     assert_eq!(rc.exec.compiled_hops, 32);
     assert_eq!(rc.exec.interp_hops, 0);
-    assert_eq!(rc.exec.fallbacks, 0, "verified programs always compile");
+    assert_eq!(
+        (ri.exec.fallbacks, rc.exec.fallbacks),
+        (0, 0),
+        "what install admits it lowers: no hop falls back"
+    );
     // No clock injected: hop counters move, nanoseconds stay zero.
     assert_eq!(ri.exec.interp_ns + rc.exec.compiled_ns, 0);
     // Per-tenant split mirrors the machine total on one tenant.
@@ -597,6 +601,36 @@ fn unverifiable_program_rejected_at_install() {
     let fd = m.open("f", true).expect("open");
     let err = m.install(fd, prog, 0).unwrap_err();
     assert!(matches!(err, bpfstor_kernel::KernelError::Verifier(_)));
+
+    // An undefined opcode is refused wherever it stands. On the only
+    // path, this one used to install and end every chain in `VmError:
+    // illegal insn 0xe7 at pc 2`; behind a branch the abstract state
+    // prunes, it installed and ran interpreted under the compiled
+    // engine (`exec.fallbacks > 0`), the compiler having declined it.
+    use bpfstor_vm::insn::Insn;
+    let (mov_imm, jeq_imm, undefined, exit) = (0xb7, 0x15, 0xe7, 0x95);
+    let reachable = vec![
+        Insn::new(mov_imm, 0, 0, 0, 0),
+        Insn::new(mov_imm, 2, 0, 0, 1),
+        Insn::new(undefined, 0, 2, 0, 0),
+        Insn::new(exit, 0, 0, 0, 0),
+    ];
+    let pruned = vec![
+        Insn::new(mov_imm, 1, 0, 0, 0),
+        Insn::new(mov_imm, 0, 0, 0, 0),
+        Insn::new(jeq_imm, 1, 0, 1, 0),
+        Insn::new(undefined, 0, 0, 0, 0),
+        Insn::new(exit, 0, 0, 0, 0),
+    ];
+    for (insns, at) in [
+        (reachable, "pc 2: IllegalInsn"),
+        (pruned, "pc 3: IllegalInsn"),
+    ] {
+        match m.install(fd, Program::new(insns), 0) {
+            Err(KernelError::Verifier(why)) => assert!(why.contains(at), "{why}"),
+            other => panic!("installed an undefined opcode: {other:?}"),
+        }
+    }
 }
 
 #[test]

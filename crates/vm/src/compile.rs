@@ -31,61 +31,47 @@
 //! [`read_mem_w`], [`call_helper`], ...) rather than reimplementing them,
 //! and locked by the differential proptest harness in `tests/props.rs`.
 //!
-//! Programs the compiler cannot lower are *declined*
-//! ([`CompileError`]) rather than miscompiled; callers fall back to the
-//! interpreter, which reproduces the exact runtime trap the declined
-//! construct would have produced. Every program the full verifier
-//! admits compiles — declines only occur for hand-built unverified
-//! programs (unknown opcodes, bad helper ids, malformed `ld_imm64`
-//! pairs, out-of-range jumps).
+//! Lowering is total. Whether an instruction is legal is decided once,
+//! over every slot, by the verifier's structural pass
+//! ([`crate::verifier`]); [`Verified::compile`] lowers what [`admit`]
+//! let in and has nothing to decline, so every program the verifier
+//! admits compiles, and what runs is what was verified. [`compile`] is
+//! the same for a caller with an unverified program — the differential
+//! tests, which want runtime traps: it runs that pass and no more (dead
+//! code, which [`crate::verifier::verify`] refuses as policy, lowers
+//! like any other) and returns its error.
+//!
+//! [`admit`]: crate::verifier::admit
 
 use crate::insn::{
     access_size, imm64_of, Insn, ALU_ADD, ALU_END, ALU_LSH, ALU_MOV, ALU_MUL, ALU_RSH, ALU_XOR,
-    CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LDX, CLS_ST, CLS_STX, JMP_CALL, JMP_EXIT, JMP_JA,
-    JMP_JEQ, JMP_JGE, JMP_JGT, JMP_JLE, JMP_JLT, JMP_JNE, MODE_MEM, OP_LD_IMM64, REG_FP, SRC_X,
+    CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LD, CLS_LDX, CLS_ST, CLS_STX, JMP_CALL, JMP_EXIT,
+    JMP_JA, JMP_JEQ, JMP_JGE, JMP_JGT, JMP_JLE, JMP_JLT, JMP_JNE, OP_LD_IMM64, REG_FP, SRC_X,
     STACK_SIZE,
 };
 use crate::interp::{
-    alu32, alu32_total, alu64, alu64_total, build_ctx_buf, call_helper, endian, endian_total,
-    flush_mapvals, jump_taken, read_mem_w, write_mem_w, ExecEnv, MapValSlot, Mem, RunCtx,
-    RunOutcome, Trap, CTX_BASE, DEFAULT_INSN_BUDGET, STACK_BASE,
+    alu32_total, alu64_total, build_ctx_buf, call_helper, endian_total, flush_mapvals, jump_taken,
+    read_mem_w, write_mem_w, ExecEnv, MapValSlot, Mem, RunCtx, RunOutcome, Trap, CTX_BASE,
+    DEFAULT_INSN_BUDGET, STACK_BASE,
 };
 use crate::maps::MapSet;
-use crate::program::{helper, Program};
-use crate::verifier::{build_cfg, VerifyError};
+use crate::program::Program;
+use crate::verifier::{Edge, Structure, Verified, VerifyError};
 
 /// Which execution engine runs installed programs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
     /// The interpreter (`crates/vm/src/interp.rs`): per-instruction
-    /// fetch/decode dispatch with full runtime checking.
-    #[default]
+    /// fetch/decode dispatch with full runtime checking. The oracle the
+    /// compiled tier is tested against; a machine runs it only when its
+    /// configuration names it.
     Interp,
-    /// The pre-decoded op array of this module, with transparent
-    /// interpreter fallback for programs [`compile`] declines.
+    /// The pre-decoded op array of this module.
+    #[default]
     Compiled,
 }
 
 impl ExecEngine {
-    /// Parses an engine name as used by `--engine` and `BPFSTOR_ENGINE`.
-    pub fn parse(s: &str) -> Option<ExecEngine> {
-        match s.to_ascii_lowercase().as_str() {
-            "interp" | "interpreter" => Some(ExecEngine::Interp),
-            "compiled" | "jit" => Some(ExecEngine::Compiled),
-            _ => None,
-        }
-    }
-
-    /// Engine selection from the `BPFSTOR_ENGINE` environment variable
-    /// (`interp` | `compiled`); defaults to the interpreter. This is how
-    /// the test suite runs unmodified under either engine.
-    pub fn from_env() -> ExecEngine {
-        std::env::var("BPFSTOR_ENGINE")
-            .ok()
-            .and_then(|v| ExecEngine::parse(&v))
-            .unwrap_or_default()
-    }
-
     /// Short stable name (`"interp"` / `"compiled"`) for reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -100,37 +86,6 @@ impl std::fmt::Display for ExecEngine {
         f.write_str(self.label())
     }
 }
-
-/// Why [`compile`] declined a program. A decline is not an error in the
-/// execution pipeline — the caller runs the interpreter instead, which
-/// reproduces the exact trap the unsupported construct would raise.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CompileError {
-    /// The structural CFG pass rejected the program (bad size,
-    /// registers, `ld_imm64` pairing, jump targets, unknown jump codes).
-    Structure(VerifyError),
-    /// An instruction has no template (unknown opcode, helper id, or
-    /// endianness width).
-    Unsupported {
-        /// Slot of the instruction.
-        pc: usize,
-        /// What was unsupported.
-        what: &'static str,
-    },
-}
-
-impl std::fmt::Display for CompileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CompileError::Structure(e) => write!(f, "compile declined: {e}"),
-            CompileError::Unsupported { pc, what } => {
-                write!(f, "compile declined: unsupported {what} at pc {pc}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
 
 /// What one [`Op`] does. The access width, the comparison and the
 /// operand form (`Imm`: the op's `imm`; `Reg`: its `src` register) are
@@ -383,9 +338,9 @@ impl CompiledProg {
                     } else {
                         (r!(op.dst) as u32 as u64, rhs as u32 as u64)
                     };
-                    let taken = jump_taken(op.opcode & 0xf0, a, b, wide)
-                        .ok_or(Trap::IllegalInsn { pc, op: op.opcode })?;
-                    jump_if!(taken);
+                    // Total, like `alu64_total`: the structural pass
+                    // admits no code `jump_taken` does not define.
+                    jump_if!(jump_taken(op.opcode & 0xf0, a, b, wide).unwrap_or(false));
                 }
                 Kind::Ja => next = op.target as usize,
                 Kind::Call => {
@@ -421,39 +376,44 @@ impl CompiledProg {
     }
 }
 
-/// Lowers `prog` to a flat op array.
+/// Lowers an unverified `prog` to a flat op array.
 ///
 /// # Errors
 ///
-/// Declines ([`CompileError`]) any program containing a construct
-/// without an op kind; run such programs on the interpreter. Programs
-/// accepted by [`crate::verifier::verify`] always compile.
-pub fn compile(prog: &Program) -> Result<CompiledProg, CompileError> {
-    // Size, register indices, `ld_imm64` pairing, jump targets and jump
-    // opcodes: everything `lower` and the run loop take for granted.
-    build_cfg(prog).map_err(CompileError::Structure)?;
-    let insns = &prog.insns;
-    let slots = |insn: &Insn| if insn.op == OP_LD_IMM64 { 2 } else { 1 };
+/// The structural pass's, exactly as [`crate::verifier::verify`]
+/// reports it: an undefined opcode, register or helper id, a bad jump.
+pub fn compile(prog: &Program) -> Result<CompiledProg, VerifyError> {
+    Ok(lower(&Structure::of(prog)?))
+}
+
+impl Verified<'_> {
+    /// Lowers the verified program to a flat op array.
+    pub fn compile(&self) -> CompiledProg {
+        lower(&self.structure)
+    }
+}
+
+fn lower(s: &Structure<'_>) -> CompiledProg {
+    let insns = &s.prog.insns;
+    let starts = |pc: &usize| s.edges[*pc] != Edge::Hi;
 
     // An `ld_imm64` pair is one op, so jump targets are renumbered.
     let mut op_at = vec![0u32; insns.len()];
-    let (mut pc, mut count) = (0, 0);
-    while pc < insns.len() {
+    let mut count = 0;
+    for pc in (0..insns.len()).filter(starts) {
         op_at[pc] = count;
         count += 1;
-        pc += slots(&insns[pc]);
     }
 
     let mut ops = Vec::with_capacity(count as usize + 1);
-    let mut pc = 0;
-    while pc < insns.len() {
+    for pc in (0..insns.len()).filter(starts) {
         let insn = &insns[pc];
         let mut op = Op {
             imm: insn.imm as i64 as u64,
             target: 0,
             pc: pc as u32,
             off: insn.off,
-            kind: kind_of(insn, pc)?,
+            kind: kind_of(insn),
             dst: insn.dst,
             src: insn.src,
             opcode: insn.op,
@@ -462,98 +422,63 @@ pub fn compile(prog: &Program) -> Result<CompiledProg, CompileError> {
             op.imm = imm64_of(insn, &insns[pc + 1]);
         } else if matches!(op.kind, Kind::LshImm | Kind::RshImm) {
             op.imm &= 63;
-        } else if matches!(insn.class(), CLS_JMP | CLS_JMP32)
-            && !matches!(op.kind, Kind::Call | Kind::Exit)
-        {
-            op.target = op_at[(pc as i64 + 1 + insn.off as i64) as usize];
+        } else if matches!(s.edges[pc], Edge::Jump | Edge::Branch) {
+            op.target = op_at[s.target(pc)];
         }
         ops.push(op);
-        pc += slots(insn);
     }
     ops.push(Op {
         imm: 0,
         target: 0,
-        pc: pc as u32,
+        pc: insns.len() as u32,
         off: 0,
         kind: Kind::Fell,
         dst: 0,
         src: 0,
         opcode: 0,
     });
-    Ok(CompiledProg { ops })
+    CompiledProg { ops }
 }
 
-/// The op kind that executes `insn`, or the decline for an instruction
-/// that has none (the interpreter then reports it at runtime, with the
-/// trap it would raise).
-fn kind_of(insn: &Insn, pc: usize) -> Result<Kind, CompileError> {
+/// The op kind that executes `insn`, which the structural pass found
+/// legal: every opcode it admits has one.
+fn kind_of(insn: &Insn) -> Kind {
     let op = insn.op;
     let code = op & 0xf0;
     let by_reg = op & SRC_X != 0;
-    let unsupported = |what| Err(CompileError::Unsupported { pc, what });
     let width = |kinds: [Kind; 4]| match access_size(op) {
         1 => kinds[0],
         2 => kinds[1],
         4 => kinds[2],
         _ => kinds[3],
     };
-    Ok(match insn.class() {
-        _ if op == OP_LD_IMM64 => Kind::MovImm,
-        CLS_ALU64 => {
-            if alu64(op, 0, 1, 0).is_err() {
-                return unsupported("alu64 opcode");
-            }
-            match (code, by_reg) {
-                (ALU_MOV, false) => Kind::MovImm,
-                (ALU_MOV, true) => Kind::MovReg,
-                (ALU_ADD, false) => Kind::AddImm,
-                (ALU_ADD, true) => Kind::AddReg,
-                (ALU_MUL, false) => Kind::MulImm,
-                (ALU_XOR, false) => Kind::XorImm,
-                (ALU_LSH, false) => Kind::LshImm,
-                (ALU_RSH, false) => Kind::RshImm,
-                (_, false) => Kind::Alu64Imm,
-                (_, true) => Kind::Alu64Reg,
-            }
-        }
-        CLS_ALU if code == ALU_END => {
-            if endian(op, insn.imm, 0, 0).is_err() {
-                return unsupported("endian width");
-            }
-            Kind::End
-        }
-        CLS_ALU => {
-            if alu32(op, 0, 1, 0).is_err() {
-                return unsupported("alu32 opcode");
-            }
-            if by_reg {
-                Kind::Alu32Reg
-            } else {
-                Kind::Alu32Imm
-            }
-        }
-        CLS_LDX if op & 0x60 != MODE_MEM => return unsupported("ldx mode"),
+    match insn.class() {
+        // `ld_imm64`, the one legal instruction of its class.
+        CLS_LD => Kind::MovImm,
+        CLS_ALU64 => match (code, by_reg) {
+            (ALU_MOV, false) => Kind::MovImm,
+            (ALU_MOV, true) => Kind::MovReg,
+            (ALU_ADD, false) => Kind::AddImm,
+            (ALU_ADD, true) => Kind::AddReg,
+            (ALU_MUL, false) => Kind::MulImm,
+            (ALU_XOR, false) => Kind::XorImm,
+            (ALU_LSH, false) => Kind::LshImm,
+            (ALU_RSH, false) => Kind::RshImm,
+            (_, false) => Kind::Alu64Imm,
+            (_, true) => Kind::Alu64Reg,
+        },
+        CLS_ALU if code == ALU_END => Kind::End,
+        CLS_ALU if by_reg => Kind::Alu32Reg,
+        CLS_ALU => Kind::Alu32Imm,
         CLS_LDX => width([Kind::Ld1, Kind::Ld2, Kind::Ld4, Kind::Ld8]),
-        CLS_STX | CLS_ST if op & 0x60 != MODE_MEM => return unsupported("st mode"),
         CLS_STX => width([Kind::St1, Kind::St2, Kind::St4, Kind::St8]),
         CLS_ST => width([Kind::StImm1, Kind::StImm2, Kind::StImm4, Kind::StImm8]),
-        CLS_JMP | CLS_JMP32 => match (code, by_reg) {
-            (JMP_CALL, _) => {
-                let known = [
-                    helper::TRACE,
-                    helper::RESUBMIT,
-                    helper::EMIT,
-                    helper::MAP_LOOKUP,
-                    helper::MAP_UPDATE,
-                ];
-                if !known.contains(&insn.imm) {
-                    return unsupported("helper id");
-                }
-                Kind::Call
-            }
+        // CLS_JMP | CLS_JMP32
+        class => match (code, by_reg) {
+            (JMP_CALL, _) => Kind::Call,
             (JMP_EXIT, _) => Kind::Exit,
             (JMP_JA, _) => Kind::Ja,
-            _ if insn.class() == CLS_JMP32 => Kind::Jcc,
+            _ if class == CLS_JMP32 => Kind::Jcc,
             (JMP_JEQ, false) => Kind::JeqImm,
             (JMP_JEQ, true) => Kind::JeqReg,
             (JMP_JNE, false) => Kind::JneImm,
@@ -568,8 +493,7 @@ fn kind_of(insn: &Insn, pc: usize) -> Result<Kind, CompileError> {
             (JMP_JLE, true) => Kind::JleReg,
             _ => Kind::Jcc,
         },
-        _ => return unsupported("instruction class"),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -579,7 +503,8 @@ pub(crate) mod tests {
     use crate::insn::{JMP_JSET, JMP_JSGE, JMP_JSGT, JMP_JSLE, JMP_JSLT};
     use crate::interp::{RecordingEnv, Vm, DATA_BASE, MAPVAL_BASE, SCRATCH_BASE};
     use crate::maps::MapSpec;
-    use crate::program::ctx_off;
+    use crate::program::{ctx_off, helper};
+    use crate::verifier::VerifyErrorKind;
 
     fn asm(f: impl FnOnce(&mut Asm)) -> Program {
         let mut a = Asm::new();
@@ -1125,72 +1050,57 @@ pub(crate) mod tests {
 
     #[test]
     fn declines_route_to_interpreter() {
-        // Unknown helper id: compile declines; interpreter traps.
-        let p = asm(|a| {
-            a.call(999).exit();
-        });
-        assert!(matches!(
-            compile(&p),
-            Err(CompileError::Unsupported {
-                pc: 0,
-                what: "helper id"
-            })
-        ));
-        let mut scratch = [0u8; 8];
-        let err = Vm::new()
-            .run(
-                &p,
+        // What `compile` declines of an unverified program is exactly
+        // what `verify` rejects it for, and the interpreter — the
+        // oracle — traps on the same construct when it gets there.
+        let declined = |p: &Program| {
+            let err = compile(p).expect_err("declined");
+            assert_eq!(crate::verifier::verify(p).unwrap_err(), err);
+            let trap = Vm::new().run(
+                p,
                 RunCtx {
                     data: &[],
                     file_off: 0,
                     hop: 0,
                     flags: 0,
-                    scratch: &mut scratch,
+                    scratch: &mut [0u8; 8],
                 },
                 &mut MapSet::instantiate(&p.maps).expect("maps"),
                 &mut RecordingEnv::default(),
-            )
-            .unwrap_err();
-        assert_eq!(err, Trap::BadHelper { pc: 0, id: 999 });
-
-        // Bad register index: structural decline.
-        let p = Program::new(vec![Insn::new(CLS_ALU64 | ALU_MOV, 12, 0, 0, 0)]);
-        assert!(matches!(compile(&p), Err(CompileError::Structure(_))));
-
-        // Empty program: structural decline (interp would trap
-        // FellThrough).
-        assert!(matches!(
-            compile(&Program::new(vec![])),
-            Err(CompileError::Structure(_))
-        ));
-    }
-
-    #[test]
-    fn verified_programs_always_compile() {
+            );
+            (err.pc, err.kind, trap.unwrap_err())
+        };
         let p = asm(|a| {
-            a.ldx(Width::DW, 2, 1, ctx_off::DATA)
-                .ldx(Width::DW, 3, 1, ctx_off::DATA_END)
-                .mov64_reg(4, 2)
-                .add64_imm(4, 8)
-                .jle_reg(4, 3, "ok")
-                .mov64_imm(0, 0)
-                .exit()
-                .label("ok")
-                .ldx(Width::DW, 0, 2, 0)
-                .exit();
+            a.call(999).exit();
         });
-        crate::verifier::verify(&p).expect("verifies");
-        compile(&p).expect("verified programs compile");
-        run_both(&p, &[7u8; 16], DEFAULT_INSN_BUDGET).expect("runs");
+        assert_eq!(
+            declined(&p),
+            (
+                0,
+                VerifyErrorKind::UnknownHelper { id: 999 },
+                Trap::BadHelper { pc: 0, id: 999 }
+            )
+        );
+        let p = Program::new(vec![Insn::new(CLS_ALU64 | ALU_MOV, 12, 0, 0, 0)]);
+        assert_eq!(
+            declined(&p),
+            (0, VerifyErrorKind::BadRegister, Trap::BadRegister { pc: 0 })
+        );
+        let p = Program::new(vec![Insn::new(CLS_ALU64 | 0xe0, 0, 0, 0, 0)]);
+        let illegal = Trap::IllegalInsn { pc: 0, op: 0xe7 };
+        assert_eq!(declined(&p), (0, VerifyErrorKind::IllegalInsn, illegal));
+        let p = Program::new(vec![Insn::new(CLS_JMP | JMP_JA, 0, 0, 7, 0)]);
+        let bad_jump = Trap::BadJump { pc: 0, to: 8 };
+        assert_eq!(declined(&p), (0, VerifyErrorKind::BadJumpTarget, bad_jump));
+        assert_eq!(
+            declined(&Program::new(vec![])),
+            (0, VerifyErrorKind::BadProgramSize, Trap::FellThrough)
+        );
     }
 
     #[test]
     fn engine_parse_and_labels() {
-        assert_eq!(ExecEngine::parse("interp"), Some(ExecEngine::Interp));
-        assert_eq!(ExecEngine::parse("COMPILED"), Some(ExecEngine::Compiled));
-        assert_eq!(ExecEngine::parse("jit"), Some(ExecEngine::Compiled));
-        assert_eq!(ExecEngine::parse("nope"), None);
-        assert_eq!(ExecEngine::default(), ExecEngine::Interp);
+        assert_eq!(ExecEngine::default(), ExecEngine::Compiled);
         assert_eq!(ExecEngine::Compiled.label(), "compiled");
         assert_eq!(ExecEngine::Interp.to_string(), "interp");
     }

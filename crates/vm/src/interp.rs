@@ -648,8 +648,9 @@ pub(crate) fn jump_taken(code: u8, a: u64, b: u64, wide: bool) -> Option<bool> {
 
 /// The total ALU64 function over the *known* opcodes. Every known op is
 /// defined on all inputs (division by zero yields 0, modulo by zero
-/// leaves `lhs`, shift amounts are masked), so callers that have
-/// validated `code` — the compiled tier, at compile time — can apply
+/// leaves `lhs`, shift amounts are masked), so a caller whose `code`
+/// is validated — the compiled tier, which lowers only what the
+/// verifier's structural pass admitted — can apply
 /// it without threading a `Result` through the hot loop. Unknown codes
 /// fall through to `lhs` (a no-op); [`alu64`] screens them out first.
 pub(crate) fn alu64_total(code: u8, lhs: u64, rhs: u64) -> u64 {

@@ -17,7 +17,8 @@
 //!   into a flat array of width- and comparison-specialised ops run by
 //!   one dispatch loop, observationally identical to the interpreter
 //!   (same checks, same traps, same retired counts) but cheaper per hop
-//!   in real host CPU; declined programs fall back to the interpreter;
+//!   in real host CPU; it lowers what the verifier admitted and
+//!   declines none of it;
 //! - [`maps`]: array/hash maps for program↔application communication.
 //!
 //! # Examples
@@ -70,12 +71,13 @@ pub mod program;
 pub mod verifier;
 
 pub use asm::{Asm, Width};
-pub use compile::{compile, CompileError, CompiledProg, ExecEngine};
+pub use compile::{compile, CompiledProg, ExecEngine};
 pub use interp::{ExecEnv, RecordingEnv, RunCtx, RunOutcome, Trap, Vm, DEFAULT_INSN_BUDGET};
 pub use maps::{MapKind, MapSet, MapSpec};
 pub use program::{action, ctx_off, helper, Program, EMIT_MAX, SCRATCH_SIZE};
 pub use verifier::{
-    build_cfg, verify, verify_bounded, BasicBlock, Cfg, ResourceBudget, VerifiedStats, VerifyError,
+    admit, build_cfg, verify, verify_bounded, BasicBlock, Cfg, ResourceBudget, Verified,
+    VerifiedStats, VerifyError,
 };
 
 // The unit tests draw from the same generator as the integration

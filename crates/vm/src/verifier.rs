@@ -14,7 +14,23 @@
 //!    constants referring to declared maps, emit lengths must be
 //!    statically bounded within the source region, ...).
 //!
-//! The analysis is a depth-first symbolic execution over an abstract
+//! Verification is one pipeline of three stages, each with its own
+//! kind of answer:
+//!
+//! - **legality** (`Structure::of`): whatever can be decided without
+//!   abstract state, over *every* slot, reachable or not — program size,
+//!   register indices, a defined opcode, a known helper id, `ld_imm64`
+//!   pairing, jump targets. It is the only place that decides them: the
+//!   exploration, [`build_cfg`] and the compiler ([`mod@crate::compile`])
+//!   all start from its result, so what one of them accepts the others
+//!   do, and lowering a verified program cannot fail;
+//! - **reachability**, which is policy rather than legality: an
+//!   instruction no path from the entry reaches is refused
+//!   ([`VerifyErrorKind::UnreachableCode`]) instead of being left
+//!   unanalysed. Only [`verify`] applies it;
+//! - **exploration**, the proofs above.
+//!
+//! The exploration is a depth-first symbolic execution over an abstract
 //! state: each register is `Uninit`, a `[umin, umax]` scalar interval,
 //! or a typed pointer with a constant-interval offset. Bounds checks
 //! against `ctx->data_end` refine a per-state lower bound on the block
@@ -67,8 +83,8 @@
 use std::hash::{Hash, Hasher};
 
 use crate::insn::{
-    access_size, ALU_ADD, ALU_AND, ALU_ARSH, ALU_DIV, ALU_END, ALU_LSH, ALU_MOD, ALU_MOV, ALU_MUL,
-    ALU_NEG, ALU_OR, ALU_RSH, ALU_SUB, ALU_XOR, CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LD,
+    access_size, Insn, ALU_ADD, ALU_AND, ALU_ARSH, ALU_DIV, ALU_END, ALU_LSH, ALU_MOD, ALU_MOV,
+    ALU_MUL, ALU_NEG, ALU_OR, ALU_RSH, ALU_SUB, ALU_XOR, CLS_ALU, CLS_ALU64, CLS_JMP32, CLS_LD,
     CLS_LDX, CLS_ST, CLS_STX, JMP_CALL, JMP_EXIT, JMP_JA, JMP_JEQ, JMP_JGE, JMP_JGT, JMP_JLE,
     JMP_JLT, JMP_JNE, JMP_JSET, JMP_JSGE, JMP_JSGT, JMP_JSLE, JMP_JSLT, MODE_MEM, NUM_REGS,
     OP_LD_IMM64, REG_FP, SRC_X, STACK_SIZE,
@@ -106,6 +122,9 @@ pub enum VerifyErrorKind {
     BadRegister,
     /// Jump to a slot outside the program or into an `ld_imm64` pair.
     BadJumpTarget,
+    /// No path from the entry reaches the instruction at `pc`, the first
+    /// such: dead code is refused rather than left unanalysed.
+    UnreachableCode,
     /// Control flow can fall off the end of the instruction stream.
     FallsOffEnd,
     /// A register was read before being written.
@@ -243,7 +262,9 @@ impl State {
 ///
 /// # Errors
 ///
-/// Returns a [`VerifyError`] describing the first violation found.
+/// Returns a [`VerifyError`] describing the first violation found: of
+/// the structural pass over every slot, then the first instruction no
+/// path reaches, then the first the walk meets.
 ///
 /// # Examples
 ///
@@ -257,7 +278,7 @@ impl State {
 /// assert!(verify(&Program::new(a.finish().unwrap())).is_ok());
 /// ```
 pub fn verify(prog: &Program) -> Result<VerifiedStats, VerifyError> {
-    Analyzer::new(prog)?.explore(hash_at)
+    verify_bounded(prog, None)
 }
 
 /// A tenant's verification-time resource budget: the worst case a chain
@@ -310,7 +331,28 @@ pub fn verify_bounded(
     prog: &Program,
     budget: Option<ResourceBudget>,
 ) -> Result<VerifiedStats, VerifyError> {
-    let stats = verify(prog)?;
+    admit(prog, budget).map(|verified| verified.stats)
+}
+
+/// A program [`admit`] let in, with what the structural pass learnt of
+/// it: the token [`Verified::compile`] lowers, so that what runs is what
+/// was verified and lowering has nothing left to decline.
+#[derive(Debug)]
+pub struct Verified<'p> {
+    pub(crate) structure: Structure<'p>,
+    /// What the exploration found.
+    pub stats: VerifiedStats,
+}
+
+/// [`verify_bounded`], keeping the structure for the compiler: the one
+/// call an installer makes.
+///
+/// # Errors
+///
+/// Everything [`verify_bounded`] rejects.
+pub fn admit(prog: &Program, budget: Option<ResourceBudget>) -> Result<Verified<'_>, VerifyError> {
+    let structure = Structure::of(prog)?;
+    let stats = structure.explore(hash_at)?;
     if let Some(b) = budget {
         let worst_case = (stats.max_path as u64).saturating_mul(b.chain_depth.max(1));
         if worst_case > b.max_insns {
@@ -323,44 +365,186 @@ pub fn verify_bounded(
             });
         }
     }
-    Ok(stats)
+    Ok(Verified { structure, stats })
 }
 
-/// The structural checks [`verify`] and [`build_cfg`] share — program
-/// size, register indices, `ld_imm64` pairing — returning which slots
-/// are the second half of an `ld_imm64`.
-fn second_slots(prog: &Program) -> Result<Vec<bool>, VerifyError> {
-    let n = prog.insns.len();
-    if n == 0 || n > MAX_SLOTS {
-        return Err(VerifyError {
-            pc: 0,
-            kind: VerifyErrorKind::BadProgramSize,
-        });
+/// Where control goes after a slot: all the structural pass keeps of an
+/// instruction once it has found it legal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Edge {
+    /// The second half of an `ld_imm64`: no instruction starts here.
+    Hi,
+    /// On to the next instruction.
+    Fall,
+    /// `exit`.
+    Exit,
+    /// `ja`: on to its [`Structure::target`].
+    Jump,
+    /// A conditional jump: its [`Structure::target`] if taken, the next
+    /// instruction if not.
+    Branch,
+}
+
+/// A program every slot of which — reachable or not — is a defined
+/// instruction: the one answer to "is this instruction legal?", which
+/// [`verify`] explores, [`build_cfg`] cuts into blocks and
+/// [`mod@crate::compile`] lowers, none of them asking again.
+#[derive(Debug)]
+pub(crate) struct Structure<'p> {
+    pub(crate) prog: &'p Program,
+    /// One per slot.
+    pub(crate) edges: Vec<Edge>,
+}
+
+/// The ALU codes both widths define; `ALU_END` is the 32-bit class's.
+const ALU_CODES: [u8; 13] = [
+    ALU_ADD, ALU_SUB, ALU_MUL, ALU_DIV, ALU_OR, ALU_AND, ALU_LSH, ALU_RSH, ALU_NEG, ALU_MOD,
+    ALU_XOR, ALU_MOV, ALU_ARSH,
+];
+/// The conditional jumps, in both widths.
+const JCC_CODES: [u8; 11] = [
+    JMP_JEQ, JMP_JNE, JMP_JGT, JMP_JGE, JMP_JLT, JMP_JLE, JMP_JSET, JMP_JSGT, JMP_JSGE, JMP_JSLT,
+    JMP_JSLE,
+];
+/// The helpers a `call` may name.
+const HELPERS: [i32; 5] = [
+    helper::TRACE,
+    helper::RESUBMIT,
+    helper::EMIT,
+    helper::MAP_LOOKUP,
+    helper::MAP_UPDATE,
+];
+
+/// Decides the slot at `pc` on its own: register indices (`r10` is
+/// never written), a defined opcode for its class, a known helper id,
+/// an `ld_imm64` with its second half, a jump that lands in the program.
+fn edge_of(insns: &[Insn], pc: usize) -> Result<Edge, VerifyErrorKind> {
+    use VerifyErrorKind::{BadJumpTarget, BadRegister, IllegalInsn, UnknownHelper};
+    let insn = &insns[pc];
+    let (class, code) = (insn.class(), insn.op & 0xf0);
+    let writes_dst = matches!(class, CLS_ALU64 | CLS_ALU | CLS_LD | CLS_LDX);
+    if insn.dst as usize >= NUM_REGS
+        || insn.src as usize >= NUM_REGS
+        || (writes_dst && insn.dst == REG_FP)
+    {
+        return Err(BadRegister);
     }
-    let mut second_slot = vec![false; n];
-    let mut i = 0;
-    while i < n {
-        let insn = &prog.insns[i];
-        if insn.dst as usize >= NUM_REGS || insn.src as usize >= NUM_REGS {
+    let falls = |legal: bool| {
+        if legal {
+            Ok(Edge::Fall)
+        } else {
+            Err(IllegalInsn)
+        }
+    };
+    match class {
+        CLS_ALU if code == ALU_END => falls(matches!(insn.imm, 16 | 32 | 64)),
+        CLS_ALU64 | CLS_ALU => falls(ALU_CODES.contains(&code)),
+        CLS_LD => falls(insn.op == OP_LD_IMM64 && insns.get(pc + 1).is_some_and(|hi| hi.op == 0)),
+        CLS_LDX | CLS_ST | CLS_STX => falls(insn.op & 0x60 == MODE_MEM),
+        _ if code == JMP_EXIT => Ok(Edge::Exit),
+        _ if code == JMP_CALL && HELPERS.contains(&insn.imm) => Ok(Edge::Fall),
+        _ if code == JMP_CALL => Err(UnknownHelper { id: insn.imm }),
+        // There is no `ja` among the 32-bit jumps.
+        _ if code == JMP_JA && class == CLS_JMP32 => Err(IllegalInsn),
+        _ if code != JMP_JA && !JCC_CODES.contains(&code) => Err(IllegalInsn),
+        _ if !(0..insns.len() as i64).contains(&(pc as i64 + 1 + insn.off as i64)) => {
+            Err(BadJumpTarget)
+        }
+        _ if code == JMP_JA => Ok(Edge::Jump),
+        _ => Ok(Edge::Branch),
+    }
+}
+
+impl<'p> Structure<'p> {
+    /// The structural pass: everything that can be decided without
+    /// abstract state, over every slot. Program size, then
+    /// [`edge_of`] each instruction, then no jump into the second half
+    /// of an `ld_imm64`.
+    pub(crate) fn of(prog: &'p Program) -> Result<Self, VerifyError> {
+        let n = prog.insns.len();
+        if n == 0 || n > MAX_SLOTS {
             return Err(VerifyError {
-                pc: i,
-                kind: VerifyErrorKind::BadRegister,
+                pc: 0,
+                kind: VerifyErrorKind::BadProgramSize,
             });
         }
-        if insn.op == OP_LD_IMM64 {
-            if i + 1 >= n || prog.insns[i + 1].op != 0 {
-                return Err(VerifyError {
-                    pc: i,
-                    kind: VerifyErrorKind::IllegalInsn,
-                });
-            }
-            second_slot[i + 1] = true;
-            i += 2;
-        } else {
-            i += 1;
+        let edges = vec![Edge::Hi; n];
+        let mut s = Structure { prog, edges };
+        let mut pc = 0;
+        while pc < n {
+            s.edges[pc] = edge_of(&prog.insns, pc).map_err(|kind| VerifyError { pc, kind })?;
+            pc = s.after(pc);
+        }
+        let into_pair = |&pc: &usize| {
+            matches!(s.edges[pc], Edge::Jump | Edge::Branch) && s.edges[s.target(pc)] == Edge::Hi
+        };
+        match (0..n).find(into_pair) {
+            Some(pc) => Err(VerifyError {
+                pc,
+                kind: VerifyErrorKind::BadJumpTarget,
+            }),
+            None => Ok(s),
         }
     }
-    Ok(second_slot)
+
+    /// Where the jump at `pc` lands: in the program, at an instruction.
+    pub(crate) fn target(&self, pc: usize) -> usize {
+        (pc as i64 + 1 + self.prog.insns[pc].off as i64) as usize
+    }
+
+    /// The slot after the instruction at `pc`: the program's length
+    /// after its last.
+    pub(crate) fn after(&self, pc: usize) -> usize {
+        if self.prog.insns[pc].op == OP_LD_IMM64 {
+            pc + 2
+        } else {
+            pc + 1
+        }
+    }
+
+    /// Where the instruction at `pc` can continue, the taken side of a
+    /// jump first; running off the end of the program is nowhere.
+    fn succs(&self, pc: usize) -> impl Iterator<Item = usize> {
+        let (taken, fall) = match self.edges[pc] {
+            Edge::Hi | Edge::Exit => (None, None),
+            Edge::Fall => (None, Some(self.after(pc))),
+            Edge::Jump => (Some(self.target(pc)), None),
+            Edge::Branch => (Some(self.target(pc)), Some(pc + 1)),
+        };
+        let n = self.edges.len();
+        taken.into_iter().chain(fall).filter(move |&to| to < n)
+    }
+
+    /// Counts the ways into each slot from the code the entry reaches
+    /// (the entry itself is one) and — policy, where [`Structure::of`]
+    /// is legality — rejects a program with an instruction no path
+    /// reaches. A slot with more than one way in is where control flow
+    /// *joins*: loops and diamonds both pass through one (a cycle with a
+    /// single way into each of its slots could not be entered), so these
+    /// are the only places the exploration has to remember what it has
+    /// seen.
+    fn ways_in(&self) -> Result<Vec<u8>, VerifyError> {
+        let n = self.edges.len();
+        let mut ways = vec![0u8; n];
+        ways[0] = 1;
+        let mut work = Vec::with_capacity(n);
+        work.push(0);
+        while let Some(pc) = work.pop() {
+            for to in self.succs(pc) {
+                if ways[to] == 0 {
+                    work.push(to);
+                }
+                ways[to] = ways[to].saturating_add(1);
+            }
+        }
+        match (0..n).find(|&pc| ways[pc] == 0 && self.edges[pc] != Edge::Hi) {
+            Some(pc) => Err(VerifyError {
+                pc,
+                kind: VerifyErrorKind::UnreachableCode,
+            }),
+            None => Ok(ways),
+        }
+    }
 }
 
 /// One straight-line run of slots `[start, end)`: control enters only at
@@ -378,8 +562,7 @@ pub struct BasicBlock {
     pub succs: Vec<usize>,
 }
 
-/// The control-flow graph of a structurally valid program, as used by
-/// the compilation tier ([`crate::compile`]).
+/// The control-flow graph of a structurally valid program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cfg {
     /// Blocks in program order; block 0 is the entry.
@@ -392,170 +575,55 @@ pub struct Cfg {
 
 /// Builds the control-flow graph over `prog`'s instruction slots.
 ///
-/// This runs only the *structural* checks (program size, register
-/// ranges, `ld_imm64` pairing, jump-target validity, known jump
-/// opcodes) — it does **not** prove memory safety or termination; use
-/// [`verify`] for that. The split exists because the compiler wants the
-/// block structure of programs the full verifier has already admitted,
-/// while tests want CFGs of deliberately unsafe programs.
+/// This runs only the structural pass — it does **not** prove memory
+/// safety or termination, and dead code gets its blocks like any other;
+/// use [`verify`] for that. Tests want CFGs of deliberately unsafe
+/// programs.
 ///
 /// # Errors
 ///
-/// Returns the same [`VerifyError`] categories the full verifier's
-/// structural pass produces.
+/// What the structural pass rejects, as [`verify`] reports it.
 pub fn build_cfg(prog: &Program) -> Result<Cfg, VerifyError> {
-    let n = prog.insns.len();
-    let second_slot = second_slots(prog)?;
-
-    let jump_dest = |pc: usize| -> Result<usize, VerifyError> {
-        let to = pc as i64 + 1 + prog.insns[pc].off as i64;
-        if to < 0 || to as usize >= n || second_slot[to as usize] {
-            return Err(VerifyError {
-                pc,
-                kind: VerifyErrorKind::BadJumpTarget,
-            });
-        }
-        Ok(to as usize)
-    };
-
+    let s = Structure::of(prog)?;
+    let n = s.edges.len();
     // Leaders: the entry, every jump target, and every slot after a
-    // control-flow instruction.
-    let mut leader = vec![false; n];
+    // jump or an `exit` (`n` stands for the end of the program).
+    let mut leader = vec![false; n + 1];
     leader[0] = true;
-    for (pc, insn) in prog.insns.iter().enumerate() {
-        if second_slot[pc] {
-            continue;
-        }
-        let class = insn.class();
-        if class != CLS_JMP && class != CLS_JMP32 {
-            continue;
-        }
-        match insn.op & 0xf0 {
-            JMP_CALL => {}
-            JMP_EXIT => {
-                if pc + 1 < n {
-                    leader[pc + 1] = true;
-                }
-            }
-            JMP_JA | JMP_JEQ | JMP_JNE | JMP_JGT | JMP_JGE | JMP_JLT | JMP_JLE | JMP_JSET
-            | JMP_JSGT | JMP_JSGE | JMP_JSLT | JMP_JSLE => {
-                leader[jump_dest(pc)?] = true;
-                if pc + 1 < n {
-                    leader[pc + 1] = true;
-                }
-            }
-            _ => {
-                return Err(VerifyError {
-                    pc,
-                    kind: VerifyErrorKind::IllegalInsn,
-                })
+    for (pc, edge) in s.edges.iter().enumerate() {
+        match *edge {
+            Edge::Hi | Edge::Fall => {}
+            Edge::Exit => leader[pc + 1] = true,
+            Edge::Jump | Edge::Branch => {
+                leader[s.target(pc)] = true;
+                leader[pc + 1] = true;
             }
         }
     }
-
-    let mut blocks: Vec<BasicBlock> = Vec::new();
+    // Every block starts at a leader, so a slot's block is the number of
+    // leaders up to it.
+    let mut count = 0;
+    let block_at: Vec<Option<usize>> = (0..n)
+        .map(|pc| {
+            count += leader[pc] as usize;
+            Some(count - 1)
+        })
+        .collect();
+    let mut blocks = Vec::with_capacity(count);
     let mut start = 0;
-    let mut pc = 0;
-    while pc < n {
-        let insn = &prog.insns[pc];
-        let next = if insn.op == OP_LD_IMM64 {
-            pc + 2
-        } else {
-            pc + 1
-        };
-        let class = insn.class();
-        let is_term = (class == CLS_JMP || class == CLS_JMP32) && insn.op & 0xf0 != JMP_CALL;
-        if is_term || next >= n || leader[next] {
+    for pc in (0..n).filter(|&pc| s.edges[pc] != Edge::Hi) {
+        let end = s.after(pc);
+        if end == n || leader[end] {
+            let succs = s.succs(pc).map(|to| block_at[to].expect("covered"));
             blocks.push(BasicBlock {
                 start,
-                end: next,
-                succs: Vec::new(),
+                end,
+                succs: succs.collect(),
             });
-            start = next;
-        }
-        pc = next;
-    }
-
-    let mut block_at = vec![None; n];
-    for (idx, b) in blocks.iter().enumerate() {
-        for owner in &mut block_at[b.start..b.end] {
-            *owner = Some(idx);
+            start = end;
         }
     }
-
-    let mut all_succs = Vec::with_capacity(blocks.len());
-    for b in &blocks {
-        let (b_start, b_end) = (b.start, b.end);
-        let last = if b_end - 1 > b_start && second_slot[b_end - 1] {
-            b_end - 2
-        } else {
-            b_end - 1
-        };
-        let insn = &prog.insns[last];
-        let class = insn.class();
-        let code = insn.op & 0xf0;
-        let mut succs = Vec::new();
-        if (class == CLS_JMP || class == CLS_JMP32) && code != JMP_CALL {
-            match code {
-                JMP_EXIT => {}
-                JMP_JA => succs.push(block_at[jump_dest(last)?].expect("covered")),
-                _ => {
-                    succs.push(block_at[jump_dest(last)?].expect("covered"));
-                    if b_end < n {
-                        succs.push(block_at[b_end].expect("covered"));
-                    }
-                }
-            }
-        } else if b_end < n {
-            succs.push(block_at[b_end].expect("covered"));
-        }
-        all_succs.push(succs);
-    }
-    for (b, succs) in blocks.iter_mut().zip(all_succs) {
-        b.succs = succs;
-    }
-
     Ok(Cfg { blocks, block_at })
-}
-
-/// Marks the slots where control flow joins: those with more than one
-/// way in, the program entry counting as one. Loops and diamonds both
-/// pass through such a slot — a cycle with a single way into each of
-/// its slots could not be entered — so these are the only places the
-/// exploration has to remember what it has seen.
-///
-/// Over-approximates on purpose: a malformed jump in code that is never
-/// reached marks what it can and is otherwise ignored, so [`verify`]
-/// stays as blind to unreachable code as the walk itself is.
-fn joins(prog: &Program, second_slot: &[bool]) -> Vec<bool> {
-    let n = prog.insns.len();
-    let mut ways_in = vec![0u8; n];
-    ways_in[0] = 1;
-    let mut edge = |to: i64| {
-        if let Some(w) = usize::try_from(to).ok().and_then(|to| ways_in.get_mut(to)) {
-            *w = w.saturating_add(1);
-        }
-    };
-    for (pc, insn) in prog.insns.iter().enumerate() {
-        if second_slot[pc] {
-            continue;
-        }
-        let class = insn.class();
-        if class == CLS_JMP || class == CLS_JMP32 {
-            match insn.op & 0xf0 {
-                JMP_EXIT => continue,
-                JMP_CALL => {}
-                code => {
-                    edge(pc as i64 + 1 + insn.off as i64);
-                    if code == JMP_JA {
-                        continue;
-                    }
-                }
-            }
-        }
-        edge(pc as i64 + if insn.op == OP_LD_IMM64 { 2 } else { 1 });
-    }
-    ways_in.into_iter().map(|w| w > 1).collect()
 }
 
 /// Word-at-a-time multiply-rotate hasher for the derived `Hash` of
@@ -737,25 +805,14 @@ enum Frame {
     Join { id: u32, depth: usize, outer: usize },
 }
 
-/// The per-instruction checks over one structurally valid program.
-struct Analyzer<'p> {
-    prog: &'p Program,
-    second_slot: Vec<bool>,
-}
-
-impl<'p> Analyzer<'p> {
-    fn new(prog: &'p Program) -> Result<Self, VerifyError> {
-        let second_slot = second_slots(prog)?;
-        Ok(Analyzer { prog, second_slot })
-    }
-
+impl Structure<'_> {
     /// The depth-first walk of the module docs, interning with `hash`
     /// (which only picks the bucket: any function gives the same
     /// answer, and the tests pin that with a constant one). An explicit
     /// frame stack stands in for recursion so the host stack cannot
     /// overflow on budget-bounded explorations.
     fn explore(&self, hash: fn(usize, &State) -> u64) -> Result<VerifiedStats, VerifyError> {
-        let joins = joins(self.prog, &self.second_slot);
+        let ways_in = self.ways_in()?;
         let mut seen = Interner::new(hash);
         let mut frames: Vec<Frame> = Vec::new();
         let mut state = State::initial();
@@ -771,7 +828,7 @@ impl<'p> Analyzer<'p> {
                         kind: VerifyErrorKind::FallsOffEnd,
                     });
                 }
-                if joins[pc] {
+                if ways_in[pc] > 1 {
                     match seen.intern(pc, &state) {
                         Seen::New(id) => {
                             let outer = std::mem::take(&mut longest);
@@ -834,14 +891,13 @@ impl<'p> Analyzer<'p> {
     }
 
     /// Analyses the instruction at `pc`, turning `state` into the state
-    /// after it.
+    /// after it. What the structural pass settled is not asked again.
     fn step(&self, pc: usize, state: &mut State) -> Result<Flow, VerifyError> {
         let insn = self.prog.insns[pc];
         let err = |kind| VerifyError { pc, kind };
         let cls = insn.class();
         match cls {
             CLS_ALU64 | CLS_ALU => {
-                self.check_writable(pc, insn.dst)?;
                 let code = insn.op & 0xf0;
                 if code == ALU_END {
                     let d = self.read_reg(pc, state, insn.dst)?;
@@ -849,9 +905,6 @@ impl<'p> Analyzer<'p> {
                         return Err(err(VerifyErrorKind::BadPointerArithmetic {
                             what: "endianness op on pointer".to_string(),
                         }));
-                    }
-                    if !matches!(insn.imm, 16 | 32 | 64) {
-                        return Err(err(VerifyErrorKind::IllegalInsn));
                     }
                     state.regs[insn.dst as usize] = Reg::scalar_unknown();
                     return Ok(Flow::To(pc + 1));
@@ -874,20 +927,11 @@ impl<'p> Analyzer<'p> {
                 Ok(Flow::To(pc + 1))
             }
             CLS_LD => {
-                if insn.op != OP_LD_IMM64 {
-                    return Err(err(VerifyErrorKind::IllegalInsn));
-                }
-                self.check_writable(pc, insn.dst)?;
-                let hi = self.prog.insns[pc + 1];
-                let v = crate::insn::imm64_of(&insn, &hi);
+                let v = crate::insn::imm64_of(&insn, &self.prog.insns[pc + 1]);
                 state.regs[insn.dst as usize] = Reg::scalar_const(v);
                 Ok(Flow::To(pc + 2))
             }
             CLS_LDX => {
-                if insn.op & 0x60 != MODE_MEM {
-                    return Err(err(VerifyErrorKind::IllegalInsn));
-                }
-                self.check_writable(pc, insn.dst)?;
                 let size = access_size(insn.op);
                 let base = self.read_reg(pc, state, insn.src)?.clone();
                 let loaded = self.check_load(pc, state, &base, insn.off, size)?;
@@ -895,9 +939,6 @@ impl<'p> Analyzer<'p> {
                 Ok(Flow::To(pc + 1))
             }
             CLS_STX | CLS_ST => {
-                if insn.op & 0x60 != MODE_MEM {
-                    return Err(err(VerifyErrorKind::IllegalInsn));
-                }
                 let size = access_size(insn.op);
                 if cls == CLS_STX {
                     // The stored value must be initialised.
@@ -907,87 +948,57 @@ impl<'p> Analyzer<'p> {
                 self.check_store(pc, state, &base, insn.off, size)?;
                 Ok(Flow::To(pc + 1))
             }
-            CLS_JMP | CLS_JMP32 => {
-                let code = insn.op & 0xf0;
-                match code {
-                    JMP_EXIT => match state.regs[0] {
-                        Reg::Scalar { .. } => Ok(Flow::End),
-                        _ => Err(err(VerifyErrorKind::BadReturn)),
-                    },
-                    JMP_CALL => {
-                        self.check_helper(pc, state)?;
-                        Ok(Flow::To(pc + 1))
-                    }
-                    JMP_JA => {
-                        if cls == CLS_JMP32 {
-                            return Err(err(VerifyErrorKind::IllegalInsn));
-                        }
-                        let t = self.jump_target(pc, insn.off)?;
-                        Ok(Flow::To(t))
-                    }
-                    _ => {
-                        let t = self.jump_target(pc, insn.off)?;
-                        let dst = self.read_reg(pc, state, insn.dst)?.clone();
-                        let rhs = if insn.op & SRC_X != 0 {
-                            self.read_reg(pc, state, insn.src)?.clone()
-                        } else {
-                            Reg::scalar_const(insn.imm as i64 as u64)
-                        };
-                        let (taken, fall) = branch_states(
-                            pc,
-                            cls == CLS_JMP32,
-                            code,
-                            state,
-                            insn.dst,
-                            if insn.op & SRC_X != 0 {
-                                Some(insn.src)
-                            } else {
-                                None
-                            },
-                            &dst,
-                            &rhs,
-                        )?;
-                        Ok(match (taken, fall) {
-                            (Some(taken), Some(fall)) => {
-                                *state = taken;
-                                Flow::Fork(t, fall)
-                            }
-                            (Some(taken), None) => {
-                                *state = taken;
-                                Flow::To(t)
-                            }
-                            (None, Some(fall)) => {
-                                *state = fall;
-                                Flow::To(pc + 1)
-                            }
-                            (None, None) => Flow::End,
-                        })
-                    }
+            _ => match self.edges[pc] {
+                Edge::Hi => unreachable!("no edge leads into an ld_imm64"),
+                Edge::Exit => match state.regs[0] {
+                    Reg::Scalar { .. } => Ok(Flow::End),
+                    _ => Err(err(VerifyErrorKind::BadReturn)),
+                },
+                Edge::Fall => {
+                    self.check_helper(pc, state)?;
+                    Ok(Flow::To(pc + 1))
                 }
-            }
-            _ => Err(err(VerifyErrorKind::IllegalInsn)),
+                Edge::Jump => Ok(Flow::To(self.target(pc))),
+                Edge::Branch => {
+                    let t = self.target(pc);
+                    let dst = self.read_reg(pc, state, insn.dst)?.clone();
+                    let rhs = if insn.op & SRC_X != 0 {
+                        self.read_reg(pc, state, insn.src)?.clone()
+                    } else {
+                        Reg::scalar_const(insn.imm as i64 as u64)
+                    };
+                    let (taken, fall) = branch_states(
+                        pc,
+                        cls == CLS_JMP32,
+                        insn.op & 0xf0,
+                        state,
+                        insn.dst,
+                        if insn.op & SRC_X != 0 {
+                            Some(insn.src)
+                        } else {
+                            None
+                        },
+                        &dst,
+                        &rhs,
+                    )?;
+                    Ok(match (taken, fall) {
+                        (Some(taken), Some(fall)) => {
+                            *state = taken;
+                            Flow::Fork(t, fall)
+                        }
+                        (Some(taken), None) => {
+                            *state = taken;
+                            Flow::To(t)
+                        }
+                        (None, Some(fall)) => {
+                            *state = fall;
+                            Flow::To(pc + 1)
+                        }
+                        (None, None) => Flow::End,
+                    })
+                }
+            },
         }
-    }
-
-    fn jump_target(&self, pc: usize, off: i16) -> Result<usize, VerifyError> {
-        let t = pc as i64 + 1 + off as i64;
-        if t < 0 || t as usize >= self.prog.insns.len() || self.second_slot[t as usize] {
-            return Err(VerifyError {
-                pc,
-                kind: VerifyErrorKind::BadJumpTarget,
-            });
-        }
-        Ok(t as usize)
-    }
-
-    fn check_writable(&self, pc: usize, reg: u8) -> Result<(), VerifyError> {
-        if reg == REG_FP {
-            return Err(VerifyError {
-                pc,
-                kind: VerifyErrorKind::BadRegister,
-            });
-        }
-        Ok(())
     }
 
     fn read_reg<'s>(&self, pc: usize, state: &'s State, reg: u8) -> Result<&'s Reg, VerifyError> {
@@ -1245,12 +1256,7 @@ impl<'p> Analyzer<'p> {
                     Reg::NullOrMapValue { id: umin as u32 }
                 }
             }
-            other => {
-                return Err(VerifyError {
-                    pc,
-                    kind: VerifyErrorKind::UnknownHelper { id: other },
-                })
-            }
+            id => unreachable!("the structural pass knows no helper {id}"),
         };
         state.regs[0] = ret;
         for r in 1..=5 {
@@ -1808,7 +1814,8 @@ fn verify_slowly(prog: &Program) -> Result<VerifiedStats, VerifyError> {
         key: (usize, State),
         succs: std::vec::IntoIter<(usize, State)>,
     }
-    let an = Analyzer::new(prog)?;
+    let an = Structure::of(prog)?;
+    an.ways_in()?;
     let err = |pc, kind| Err(VerifyError { pc, kind });
     // Every state entered; `true` while it is on the path.
     let mut visited: HashMap<(usize, State), bool> = HashMap::new();
@@ -1859,6 +1866,7 @@ fn verify_slowly(prog: &Program) -> Result<VerifiedStats, VerifyError> {
 mod tests {
     use super::*;
     use crate::asm::{Asm, Width};
+    use crate::insn::CLS_JMP;
     use crate::interp::{RecordingEnv, RunCtx, Trap, Vm};
     use crate::maps::{MapSet, MapSpec};
     use proptest::prelude::*;
@@ -1874,8 +1882,8 @@ mod tests {
         match (&new, &old) {
             (Ok(new), Ok(old)) => {
                 assert!(new.max_path >= old.max_path, "{new:?} vs {old:?}");
-                let joins = joins(prog, &second_slots(prog).expect("verified"));
-                if !joins.contains(&true) {
+                let ways_in = Structure::of(prog).and_then(|s| s.ways_in());
+                if ways_in.expect("verified").iter().all(|&w| w == 1) {
                     assert_eq!(new, old, "no join, so nothing to prune");
                 }
             }
@@ -2391,7 +2399,6 @@ mod tests {
     #[test]
     fn jump_into_ld_imm64_pair_rejected() {
         // Hand-build: jump lands on the hi slot of ld_imm64.
-        use crate::insn::{Insn, CLS_JMP, JMP_EXIT, JMP_JA};
         let [lo, hi] = Insn::ld_imm64(2, 42);
         let prog = Program::new(vec![
             Insn::new(CLS_JMP | JMP_JA, 0, 0, 1, 0), // jumps to slot 2 (hi)
@@ -2561,6 +2568,133 @@ mod tests {
         assert_eq!(retired(&prog, 7, 40), Ok(2 + 3 + 1));
     }
 
+    /// `r0 = 0; r2 = 1; <op> r0, r2 (off 0, imm); r0 = 0; exit`: one
+    /// instruction of any opcode on the only path, between scalars.
+    fn around(op: u8, imm: i32) -> Program {
+        let mov = |dst, imm| Insn::new(CLS_ALU64 | ALU_MOV, dst, 0, 0, imm);
+        let exit = Insn::new(CLS_JMP | JMP_EXIT, 0, 0, 0, 0);
+        Program::new(vec![
+            mov(0, 0),
+            mov(2, 1),
+            Insn::new(op, 0, 2, 0, imm),
+            mov(0, 0),
+            exit,
+        ])
+    }
+
+    #[test]
+    fn a_reachable_undefined_alu_opcode_is_rejected() {
+        // The abstract ALU ends in `_ => any scalar`, and nothing before
+        // it asked whether the code was defined: these verified, and the
+        // interpreter trapped at pc 2. Codes 0xe0 and 0xf0 in both
+        // widths and operand forms; a byte swap in the 64-bit class.
+        let undefined = [0xe7, 0xef, 0xf7, 0xff, 0xe4, 0xec, 0xf4, 0xfc]
+            .map(|op| (op, 1))
+            .into_iter()
+            .chain([(0xd7, 16), (0xdf, 64)]);
+        for (op, imm) in undefined {
+            let prog = around(op, imm);
+            let err = verify_against_oracle(&prog).expect_err("undefined");
+            assert_eq!((err.pc, err.kind), (2, VerifyErrorKind::IllegalInsn));
+            assert_eq!(retired(&prog, 0, 5), Err(Trap::IllegalInsn { pc: 2, op }));
+        }
+    }
+
+    #[test]
+    fn the_pass_admits_no_opcode_the_interpreter_traps_on() {
+        // The pass's opcode table against the oracle's, exhaustively and
+        // in one direction (the pass may refuse what the interpreter
+        // would run: `ja` in `JMP32`). `compile` takes the pass's word.
+        let mut verified = 0;
+        for op in 0..=u8::MAX {
+            for imm in [1, 16] {
+                let prog = around(op, imm);
+                let legal = Structure::of(&prog).is_ok();
+                assert_eq!(crate::compile(&prog).is_ok(), legal, "op {op:#04x}");
+                verified += verify(&prog).is_ok() as u32;
+                if legal {
+                    let ran = retired(&prog, 0, 5);
+                    let refused = matches!(
+                        ran,
+                        Err(Trap::IllegalInsn { .. }
+                            | Trap::BadRegister { .. }
+                            | Trap::BadJump { .. }
+                            | Trap::BadHelper { .. })
+                    );
+                    assert!(!refused, "op {op:#04x} imm {imm}: {ran:?}");
+                }
+            }
+        }
+        assert!(verified >= 100, "only {verified} of 512 verified");
+        // The refusal the interpreter would have run.
+        let err = verify(&around(CLS_JMP32 | JMP_JA, 1)).expect_err("no 32-bit ja");
+        assert_eq!((err.pc, err.kind), (2, VerifyErrorKind::IllegalInsn));
+        assert_eq!(retired(&around(CLS_JMP32 | JMP_JA, 1), 0, 5), Ok(5));
+    }
+
+    #[test]
+    fn an_illegal_slot_is_rejected_where_no_path_reaches_it() {
+        // The walk never met these, so `verify` admitted what `compile`
+        // then declined: after `exit`, and on the side of a branch the
+        // abstract state prunes.
+        use VerifyErrorKind::{BadJumpTarget, IllegalInsn, UnknownHelper};
+        let mov = |dst, imm| Insn::new(CLS_ALU64 | ALU_MOV, dst, 0, 0, imm);
+        let exit = Insn::new(CLS_JMP | JMP_EXIT, 0, 0, 0, 0);
+        let after_exit = |tail: &[Insn]| [&[mov(0, 0), exit], tail].concat();
+        let pruned = vec![
+            mov(1, 0),
+            mov(0, 0),
+            Insn::new(CLS_JMP | JMP_JEQ, 1, 0, 1, 0),
+            Insn::new(0xe7, 0, 0, 0, 0),
+            exit,
+        ];
+        let witnesses = [
+            (
+                after_exit(&[Insn::new(CLS_JMP | JMP_JA, 0, 0, 100, 0)]),
+                2,
+                BadJumpTarget,
+            ),
+            (after_exit(&[Insn::new(0xff, 0, 0, 0, 0)]), 2, IllegalInsn),
+            (
+                after_exit(&[Insn::new(CLS_JMP | JMP_CALL, 0, 0, 0, 9999), exit]),
+                2,
+                UnknownHelper { id: 9999 },
+            ),
+            (pruned, 3, IllegalInsn),
+        ];
+        for (insns, pc, kind) in witnesses {
+            let prog = Program::new(insns);
+            let err = verify_against_oracle(&prog).expect_err("illegal slot");
+            assert_eq!((err.pc, &err.kind), (pc, &kind));
+            assert_eq!(crate::compile(&prog).unwrap_err(), err);
+            assert_eq!(build_cfg(&prog).unwrap_err(), err);
+        }
+    }
+
+    #[test]
+    fn dead_code_is_rejected_however_well_formed() {
+        let dead = |blocks: usize, tail: fn(&mut Asm)| {
+            let mut a = Asm::new();
+            a.mov64_imm(0, 0).exit();
+            tail(&mut a);
+            let prog = Program::new(a.finish().expect("assembles"));
+            let err = verify_against_oracle(&prog).expect_err("dead code");
+            assert_eq!((err.pc, err.kind), (2, VerifyErrorKind::UnreachableCode));
+            // Policy, not legality: the other two users of the
+            // structural pass take the program.
+            crate::compile(&prog).expect("every slot is legal");
+            assert_eq!(build_cfg(&prog).expect("legal").blocks.len(), blocks);
+        };
+        dead(2, |a| {
+            a.mov64_imm(0, 1).exit();
+        });
+        // Named at the instruction, not at the second half it ends in;
+        // and a cycle among dead slots is as dead.
+        dead(3, |a| {
+            a.ld_imm64(0, 5).label("spin").ja("spin");
+        });
+    }
+
     /// The four in-tree programs (`bpfstor-core` builds on the plain
     /// build of this crate, so its `Program` is re-made as this build's).
     fn in_tree_programs() -> [(&'static str, Program); 4] {
@@ -2601,7 +2735,7 @@ mod tests {
             .iter()
             .chain(&[diamond(40, false), diamond(40, true)])
         {
-            let one_bucket = Analyzer::new(prog).and_then(|an| an.explore(|_, _| 0));
+            let one_bucket = Structure::of(prog).and_then(|s| s.explore(|_, _| 0));
             assert_eq!(one_bucket, verify(prog));
         }
     }

@@ -311,28 +311,82 @@ proptest! {
 
 // --- Engine differential: compiled execution is observationally identical --------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-    /// Every verified program must compile, and the compiled engine
-    /// must be observationally identical to the interpreter: same
-    /// return value, same retired-instruction count (so simulated cost
-    /// charging is engine-independent), same helper effects, same
-    /// scratch bytes, same map contents, same traps.
-    #[test]
-    fn compiled_engine_matches_interpreter_on_verified_programs(
-        prog in arb_program(),
-        data in proptest::collection::vec(any::<u8>(), 0..64),
-        file_off in any::<u64>(),
-        hop in any::<u32>(),
-    ) {
-        if verify(&prog).is_ok() {
-            let compiled = compile(&prog).expect("verified programs always compile");
-            let inputs = Inputs { data: &data, file_off, hop, flags: 0 };
-            let _ = run_on_both_engines(
-                &prog, &compiled, DEFAULT_INSN_BUDGET, inputs, &mut [0u8; SCRATCH_SIZE],
-            );
+/// Wild instruction streams: any opcode byte, in-range registers, any
+/// offset and immediate.
+fn wild_insns(len: impl Into<proptest::collection::SizeRange>) -> impl Strategy<Value = Vec<Insn>> {
+    let slot = (0u8..=255, 0u8..11, 0u8..11, any::<i16>(), any::<i32>());
+    proptest::collection::vec(slot, len).prop_map(|slots| {
+        let insn = |(op, dst, src, off, imm)| Insn::new(op, dst, src, off, imm);
+        slots.into_iter().map(insn).collect()
+    })
+}
+
+/// Every verified program must compile, and the compiled engine must
+/// be observationally identical to the interpreter: same return value,
+/// same retired-instruction count (so simulated cost charging is
+/// engine-independent), same helper effects, same scratch bytes, same
+/// map contents, same traps. Over a generator that can reach where the
+/// two accept sets used to differ: `arb_program()` with up to three
+/// wild slots spliced in anywhere, after the last `exit` included
+/// (`arb_program()` alone never draws a malformed slot), and wild
+/// streams on their own.
+#[test]
+fn every_verified_program_compiles() {
+    use proptest::test_runner::TestRng;
+    let wild_at = (wild_insns(0..4), any::<u64>());
+    let spliced = (arb_program(), wild_at).prop_map(|(mut prog, (wild, at))| {
+        let spliced = !wild.is_empty();
+        for (i, insn) in wild.into_iter().enumerate() {
+            let at = (at >> (16 * i)) as usize % (prog.insns.len() + 1);
+            prog.insns.insert(at, insn);
+        }
+        (prog, spliced)
+    });
+    let stream = wild_insns(1..24).prop_map(|insns| (Program::new(insns), true));
+    let programs = prop_oneof![3 => spliced, 1 => stream];
+    let inputs = (
+        proptest::collection::vec(any::<u8>(), 0..64),
+        any::<u64>(),
+        any::<u32>(),
+    );
+    let mut rng = TestRng::for_test("every_verified_program_compiles");
+    let (cases, mut verified, mut verified_wild, mut structural) = (2048, 0, 0, 0);
+    for _ in 0..cases {
+        let (prog, wild) = programs.generate(&mut rng);
+        let (data, file_off, hop) = inputs.generate(&mut rng);
+        match (verify(&prog), compile(&prog)) {
+            (Ok(_), Err(e)) => panic!("verified, and compile declines it: {e}\n{prog:?}"),
+            (Ok(_), Ok(compiled)) => {
+                verified += 1;
+                verified_wild += wild as u32;
+                let inputs = Inputs {
+                    data: &data,
+                    file_off,
+                    hop,
+                    flags: 0,
+                };
+                let mut scratch = [0u8; SCRATCH_SIZE];
+                let _ = run_on_both_engines(
+                    &prog,
+                    &compiled,
+                    DEFAULT_INSN_BUDGET,
+                    inputs,
+                    &mut scratch,
+                );
+            }
+            // What `compile` declines, `verify` rejected for that reason.
+            (Err(v), Err(c)) => {
+                structural += 1;
+                assert_eq!(v, c, "{prog:?}");
+            }
+            (Err(_), Ok(_)) => {}
         }
     }
+    println!(
+        "of {cases} programs {verified} verified, {verified_wild} of them with a wild slot; \
+         {structural} were structurally illegal"
+    );
+    assert!(verified >= 128 && verified_wild > 0 && structural >= 128);
 }
 
 /// A helper call whose pointer argument starts up to sixteen bytes
@@ -388,22 +442,12 @@ proptest! {
     /// streams, and helper calls with hostile pointer arguments: when
     /// the compiler accepts one, both engines must produce the same
     /// result — including the same runtime trap at the same budget.
-    /// When the compiler declines, the machine falls back to the
-    /// interpreter, which must still run without panicking.
+    /// When the compiler declines (as the verifier would have), the
+    /// interpreter must still run it without panicking.
     #[test]
     fn unverified_programs_trap_identically_or_fall_back(
         prog in prop_oneof![
-            proptest::collection::vec(
-                (0u8..=255, 0u8..11, 0u8..11, any::<i16>(), any::<i32>()),
-                1..24
-            )
-            .prop_map(|ops| {
-                let insns = ops
-                    .into_iter()
-                    .map(|(op, dst, src, off, imm)| Insn::new(op, dst, src, off, imm))
-                    .collect();
-                Program::new(insns)
-            }),
+            wild_insns(1..24).prop_map(Program::new),
             helper_argument_program(),
         ],
         data in proptest::collection::vec(any::<u8>(), 0..64),
@@ -417,7 +461,7 @@ proptest! {
                 );
             }
             Err(_) => {
-                // Declined: interpreter fallback, which must return.
+                // Declined: the interpreter must still return.
                 let mut scratch = [0u8; 256];
                 let _ = Vm::with_budget(BUDGET).run(
                     &prog,
