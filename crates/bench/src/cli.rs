@@ -12,14 +12,19 @@
 //! - `--quick`: reduced durations/counts;
 //! - `--seed <N>` (or `--seed=N`): override the experiment's default
 //!   RNG seed — decimal or `0x`-prefixed hex; only the sweeps take one;
-//! - `all`: every fixed-seed experiment (the paper's tables and
-//!   figures, the stability measurements and the ablations), then the
-//!   calibration shape checks; exits 1 if a shape drifted.
+//! - `all`: every table of every experiment, at its default seed, and
+//!   the whole claims ledger as `results/claims.csv`.
+//!
+//! Every run ends with the [ledger](crate::claims) rows of the tables
+//! it ran and exits 1 if one is outside its range (or a CSV could not
+//! be written).
 
 use std::process::ExitCode;
 
-use crate::experiments::{shape_checks, Scale};
+use crate::claims::{self, CLAIMS};
+use crate::experiments::Scale;
 use crate::registry::{self, Experiment, Part, EXPERIMENTS};
+use crate::report::Table;
 
 /// Parsed flags.
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,12 +46,19 @@ impl SweepArgs {
 pub enum Command {
     /// `bench list`.
     List,
-    /// `bench all`.
-    All,
     /// `bench <name> [subset]...`: the experiment's tables to run, in
-    /// registry order (all of them when no subset is named).
-    Run(Vec<&'static Part>),
+    /// registry order (all of them when no subset is named); `bench
+    /// all`: every table, and `whole` — the ledger is written too.
+    Run {
+        /// The tables, in print order.
+        tables: Vec<&'static Part>,
+        /// Every claim is judged, so [`LEDGER_CSV`] is written.
+        whole: bool,
+    },
 }
+
+/// The csv name `bench all` writes the ledger under.
+pub const LEDGER_CSV: &str = "claims";
 
 /// The usage message: the flags and every valid name.
 pub fn usage() -> String {
@@ -107,13 +119,17 @@ pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<(Command, Sw
         return Err(format!("{name} takes no --seed"));
     }
     let command = match experiment {
-        Some(e) => Command::Run(
-            (0..e.tables.len())
+        Some(e) => Command::Run {
+            tables: (0..e.tables.len())
                 .filter(|i| named.is_empty() || named.contains(i))
                 .map(|i| &e.tables[i])
                 .collect(),
-        ),
-        None if name == "all" => Command::All,
+            whole: false,
+        },
+        None if name == "all" => Command::Run {
+            tables: registry::every_table().collect(),
+            whole: true,
+        },
         None if out.quick => return Err("list takes no flags".into()),
         None => Command::List,
     };
@@ -134,16 +150,43 @@ pub fn list() -> String {
     EXPERIMENTS.iter().map(line).collect()
 }
 
-/// Runs each table, prints it and drops its CSV under `results/`.
-fn emit<'a>(tables: impl IntoIterator<Item = &'a Part>, args: SweepArgs) {
-    for (csv, table) in tables {
-        let t = table(args.scale(), args.seed);
-        t.print();
-        match t.write_csv(csv) {
-            Ok(p) => println!("csv: {}", p.display()),
-            Err(e) => eprintln!("csv write failed: {e}"),
-        }
+/// Prints a table and drops its CSV under `results/`; whether the
+/// write succeeded.
+fn put(table: &Table, csv: &str) -> bool {
+    table.print();
+    let written = table.write_csv(csv);
+    match &written {
+        Ok(p) => println!("csv: {}", p.display()),
+        Err(e) => eprintln!("error: {csv}.csv not written: {e}"),
     }
+    written.is_ok()
+}
+
+/// The exit status of a run: 1 if a ledger row failed or a CSV is
+/// missing, so a script cannot take a partial run for a good one.
+fn status(failed: &[String], written: bool) -> u8 {
+    for key in failed {
+        eprintln!("error: claim {key} is outside its range (or was not recorded)");
+    }
+    u8::from(!failed.is_empty() || !written)
+}
+
+/// Runs and puts each table, then the ledger rows of what ran.
+fn run(tables: &[&'static Part], whole: bool, args: SweepArgs) -> u8 {
+    let mut written = true;
+    let mut ran = Vec::new();
+    for part in tables {
+        let t = registry::run(part, args.scale(), args.seed);
+        written &= put(&t, part.0);
+        ran.push((part.0, t));
+    }
+    let ledger = claims::ledger(CLAIMS, &ran);
+    if whole {
+        written &= put(&ledger.table, LEDGER_CSV);
+    } else if !ledger.table.rows.is_empty() {
+        ledger.table.print();
+    }
+    status(&ledger.failed, written)
 }
 
 /// The `bench` binary: parses the process arguments and runs the
@@ -159,28 +202,12 @@ pub fn main() -> ExitCode {
         }
     };
     match command {
-        Command::List => print!("{}", list()),
-        Command::Run(tables) => emit(tables, args),
-        Command::All => {
-            for e in EXPERIMENTS.iter().filter(|e| !e.seeded) {
-                emit(e.tables, args);
-            }
-            println!("\n=== calibration shape checks ===");
-            let mut failed = 0;
-            for (desc, ok) in shape_checks(args.scale()) {
-                println!("  [{}] {desc}", if ok { "ok" } else { "FAIL" });
-                if !ok {
-                    failed += 1;
-                }
-            }
-            if failed > 0 {
-                eprintln!("{failed} shape check(s) failed — calibration drifted");
-                return ExitCode::FAILURE;
-            }
-            println!("all shapes hold");
+        Command::List => {
+            print!("{}", list());
+            ExitCode::SUCCESS
         }
+        Command::Run { tables, whole } => ExitCode::from(run(&tables, whole, args)),
     }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -199,7 +226,7 @@ mod tests {
     /// `--quick` and the csv names of the tables an invocation runs.
     fn tables(args: &[&str]) -> Result<(bool, Vec<&'static str>), String> {
         let (command, flags) = parse(args)?;
-        let Command::Run(tables) = command else {
+        let Command::Run { tables, .. } = command else {
             return Err(format!("{args:?} is not an experiment run"));
         };
         Ok((flags.quick, tables.iter().map(|(csv, _)| *csv).collect()))
@@ -298,6 +325,33 @@ mod tests {
             assert!(listing.lines().any(|l| l == line), "list lacks {}", e.name);
         }
         assert!(matches!(parse(&["list"]), Ok((Command::List, _))));
-        assert!(matches!(parse(&["all", "--quick"]), Ok((Command::All, _))));
+    }
+
+    #[test]
+    fn all_runs_every_table_of_every_entry_and_writes_the_ledger() {
+        let (quick, csvs) = tables(&["all", "--quick"]).expect("all is a run");
+        assert!(quick);
+        let every: Vec<_> = EXPERIMENTS.iter().flat_map(|e| e.tables).collect();
+        assert_eq!(csvs, every.iter().map(|(csv, _)| *csv).collect::<Vec<_>>());
+        assert_eq!(
+            csvs.len(),
+            19,
+            "the seeded sweeps run at their default seeds"
+        );
+        assert!(
+            !csvs.contains(&LEDGER_CSV),
+            "the ledger has a csv of its own"
+        );
+        for (args, is_whole) in [(&["all"][..], true), (&["fig1"], false)] {
+            let (command, _) = parse(args).expect("parses");
+            assert!(matches!(command, Command::Run { whole, .. } if whole == is_whole));
+        }
+    }
+
+    #[test]
+    fn a_failed_claim_or_an_unwritten_csv_is_a_failed_run() {
+        assert_eq!(status(&[], true), 0);
+        assert_eq!(status(&["fig3b.max_gain".to_string()], true), 1);
+        assert_eq!(status(&[], false), 1, "a CSV that could not be written");
     }
 }

@@ -4,9 +4,11 @@
 //! there is a regenerating harness, run by name through the one `bench`
 //! binary (`bench list` prints the index; [`registry::EXPERIMENTS`] is
 //! the table behind it, [`experiments`] the functions and what each
-//! asserts). `bench all` regenerates every fixed-seed artifact and runs
-//! the calibration shape checks.
+//! asserts). `bench all` regenerates every one of them and judges the
+//! [claims ledger](claims): each number of the paper this repository
+//! has on file, the value reproduced, and the range it must stay in.
 
+pub mod claims;
 pub mod cli;
 pub mod drivers;
 pub mod experiments;

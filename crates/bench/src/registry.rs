@@ -1,9 +1,11 @@
 //! The experiment registry: every table and figure the `bench` binary
-//! regenerates, by name. What each experiment asserts is documented on
-//! its function in [`crate::experiments`].
+//! regenerates, by name. What each experiment measures and asserts is
+//! documented on its function in [`crate::experiments`]; what its
+//! measures are held to, in [`crate::claims`].
 
 use bpfstor_core::DispatchMode;
 
+use crate::claims;
 use crate::experiments::{
     ablation_bpf_cost, ablation_extent_cache, ablation_resubmit_bound, ablation_split_fallback,
     extent_stability, fabric_contention, fabric_sweep, fig1, fig3_throughput, fig3c, fig3d,
@@ -142,6 +144,18 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.name == name)
 }
 
+/// Every table of every experiment, in registry order.
+pub fn every_table() -> impl Iterator<Item = &'static Part> {
+    EXPERIMENTS.iter().flat_map(|e| e.tables)
+}
+
+/// Runs one table, with the paper's wording for its claims as notes.
+pub fn run((csv, table): &Part, scale: Scale, seed: Option<u64>) -> Table {
+    let mut t = table(scale, seed);
+    claims::annotate(csv, &mut t);
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashSet;
@@ -152,10 +166,7 @@ mod tests {
     fn names_and_csv_names_are_unique_and_the_old_binaries_resolve() {
         let names: HashSet<_> = EXPERIMENTS.iter().map(|e| e.name).collect();
         assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate experiment name");
-        let csvs: Vec<_> = EXPERIMENTS
-            .iter()
-            .flat_map(|e| e.tables.iter().map(|(csv, _)| *csv))
-            .collect();
+        let csvs: Vec<_> = every_table().map(|(csv, _)| *csv).collect();
         let distinct: HashSet<_> = csvs.iter().collect();
         assert_eq!(distinct.len(), csvs.len(), "two tables share a csv name");
         for old_binary in [

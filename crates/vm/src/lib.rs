@@ -76,8 +76,7 @@ pub use interp::{ExecEnv, RecordingEnv, RunCtx, RunOutcome, Trap, Vm, DEFAULT_IN
 pub use maps::{MapKind, MapSet, MapSpec};
 pub use program::{action, ctx_off, helper, Program, EMIT_MAX, SCRATCH_SIZE};
 pub use verifier::{
-    admit, build_cfg, verify, verify_bounded, BasicBlock, Cfg, ResourceBudget, Verified,
-    VerifiedStats, VerifyError,
+    admit, verify, verify_bounded, ResourceBudget, Verified, VerifiedStats, VerifyError,
 };
 
 // The unit tests draw from the same generator as the integration

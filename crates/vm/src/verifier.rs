@@ -21,9 +21,9 @@
 //!   abstract state, over *every* slot, reachable or not — program size,
 //!   register indices, a defined opcode, a known helper id, `ld_imm64`
 //!   pairing, jump targets. It is the only place that decides them: the
-//!   exploration, [`build_cfg`] and the compiler ([`mod@crate::compile`])
-//!   all start from its result, so what one of them accepts the others
-//!   do, and lowering a verified program cannot fail;
+//!   exploration and the compiler ([`mod@crate::compile`]) both start
+//!   from its result, so what one of them accepts the other does, and
+//!   lowering a verified program cannot fail;
 //! - **reachability**, which is policy rather than legality: an
 //!   instruction no path from the entry reaches is refused
 //!   ([`VerifyErrorKind::UnreachableCode`]) instead of being left
@@ -387,8 +387,8 @@ pub(crate) enum Edge {
 
 /// A program every slot of which — reachable or not — is a defined
 /// instruction: the one answer to "is this instruction legal?", which
-/// [`verify`] explores, [`build_cfg`] cuts into blocks and
-/// [`mod@crate::compile`] lowers, none of them asking again.
+/// [`verify`] explores and [`mod@crate::compile`] lowers, neither of
+/// them asking again.
 #[derive(Debug)]
 pub(crate) struct Structure<'p> {
     pub(crate) prog: &'p Program,
@@ -545,85 +545,6 @@ impl<'p> Structure<'p> {
             None => Ok(ways),
         }
     }
-}
-
-/// One straight-line run of slots `[start, end)`: control enters only at
-/// `start` and leaves only after the last instruction (a jump, `exit`,
-/// or a fall into the next block).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BasicBlock {
-    /// First slot of the block.
-    pub start: usize,
-    /// One past the last slot (an `ld_imm64` pair counts both slots).
-    pub end: usize,
-    /// Successor block indices: empty for `exit` (and for a block that
-    /// runs off the end of the program), one for unconditional edges,
-    /// taken-then-fallthrough for conditional jumps.
-    pub succs: Vec<usize>,
-}
-
-/// The control-flow graph of a structurally valid program.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cfg {
-    /// Blocks in program order; block 0 is the entry.
-    pub blocks: Vec<BasicBlock>,
-    /// Owning block index per slot (every slot belongs to exactly one
-    /// block, so the entries are always `Some`; the `Option` keeps
-    /// lookups total for hand-built indices).
-    pub block_at: Vec<Option<usize>>,
-}
-
-/// Builds the control-flow graph over `prog`'s instruction slots.
-///
-/// This runs only the structural pass — it does **not** prove memory
-/// safety or termination, and dead code gets its blocks like any other;
-/// use [`verify`] for that. Tests want CFGs of deliberately unsafe
-/// programs.
-///
-/// # Errors
-///
-/// What the structural pass rejects, as [`verify`] reports it.
-pub fn build_cfg(prog: &Program) -> Result<Cfg, VerifyError> {
-    let s = Structure::of(prog)?;
-    let n = s.edges.len();
-    // Leaders: the entry, every jump target, and every slot after a
-    // jump or an `exit` (`n` stands for the end of the program).
-    let mut leader = vec![false; n + 1];
-    leader[0] = true;
-    for (pc, edge) in s.edges.iter().enumerate() {
-        match *edge {
-            Edge::Hi | Edge::Fall => {}
-            Edge::Exit => leader[pc + 1] = true,
-            Edge::Jump | Edge::Branch => {
-                leader[s.target(pc)] = true;
-                leader[pc + 1] = true;
-            }
-        }
-    }
-    // Every block starts at a leader, so a slot's block is the number of
-    // leaders up to it.
-    let mut count = 0;
-    let block_at: Vec<Option<usize>> = (0..n)
-        .map(|pc| {
-            count += leader[pc] as usize;
-            Some(count - 1)
-        })
-        .collect();
-    let mut blocks = Vec::with_capacity(count);
-    let mut start = 0;
-    for pc in (0..n).filter(|&pc| s.edges[pc] != Edge::Hi) {
-        let end = s.after(pc);
-        if end == n || leader[end] {
-            let succs = s.succs(pc).map(|to| block_at[to].expect("covered"));
-            blocks.push(BasicBlock {
-                start,
-                end,
-                succs: succs.collect(),
-            });
-            start = end;
-        }
-    }
-    Ok(Cfg { blocks, block_at })
 }
 
 /// Word-at-a-time multiply-rotate hasher for the derived `Hash` of
@@ -2667,30 +2588,28 @@ mod tests {
             let err = verify_against_oracle(&prog).expect_err("illegal slot");
             assert_eq!((err.pc, &err.kind), (pc, &kind));
             assert_eq!(crate::compile(&prog).unwrap_err(), err);
-            assert_eq!(build_cfg(&prog).unwrap_err(), err);
         }
     }
 
     #[test]
     fn dead_code_is_rejected_however_well_formed() {
-        let dead = |blocks: usize, tail: fn(&mut Asm)| {
+        let dead = |tail: fn(&mut Asm)| {
             let mut a = Asm::new();
             a.mov64_imm(0, 0).exit();
             tail(&mut a);
             let prog = Program::new(a.finish().expect("assembles"));
             let err = verify_against_oracle(&prog).expect_err("dead code");
             assert_eq!((err.pc, err.kind), (2, VerifyErrorKind::UnreachableCode));
-            // Policy, not legality: the other two users of the
-            // structural pass take the program.
+            // Policy, not legality: the other user of the structural
+            // pass takes the program.
             crate::compile(&prog).expect("every slot is legal");
-            assert_eq!(build_cfg(&prog).expect("legal").blocks.len(), blocks);
         };
-        dead(2, |a| {
+        dead(|a| {
             a.mov64_imm(0, 1).exit();
         });
         // Named at the instruction, not at the second half it ends in;
         // and a cycle among dead slots is as dead.
-        dead(3, |a| {
+        dead(|a| {
             a.ld_imm64(0, 5).label("spin").ja("spin");
         });
     }
@@ -2746,64 +2665,5 @@ mod tests {
         fn verify_agrees_with_the_oracle(prog in crate::arb::arb_program()) {
             let _ = verify_against_oracle(&prog);
         }
-    }
-
-    #[test]
-    fn cfg_blocks_and_successors() {
-        let mut a = Asm::new();
-        a.mov64_imm(0, 0) // slot 0: block 0
-            .jeq_imm(0, 0, "t") // slot 1: block 0 terminator
-            .mov64_imm(0, 1) // slot 2: block 1 (falls into block 2)
-            .label("t")
-            .exit(); // slot 3: block 2
-        let p = Program::new(a.finish().expect("assembles"));
-        let cfg = build_cfg(&p).expect("cfg");
-        assert_eq!(cfg.blocks.len(), 3);
-        assert_eq!((cfg.blocks[0].start, cfg.blocks[0].end), (0, 2));
-        assert_eq!(cfg.blocks[0].succs, vec![2, 1], "taken then fallthrough");
-        assert_eq!(cfg.blocks[1].succs, vec![2]);
-        assert_eq!(cfg.blocks[2].succs, Vec::<usize>::new());
-        assert_eq!(cfg.block_at, vec![Some(0), Some(0), Some(1), Some(2)]);
-    }
-
-    #[test]
-    fn cfg_keeps_ld_imm64_pairs_whole() {
-        let mut a = Asm::new();
-        a.ld_imm64(0, u64::MAX).exit();
-        let p = Program::new(a.finish().expect("assembles"));
-        let cfg = build_cfg(&p).expect("cfg");
-        assert_eq!(cfg.blocks.len(), 1, "straight-line code is one block");
-        assert_eq!((cfg.blocks[0].start, cfg.blocks[0].end), (0, 3));
-        assert_eq!(cfg.block_at, vec![Some(0), Some(0), Some(0)]);
-    }
-
-    #[test]
-    fn cfg_rejects_jump_into_ld_imm64_pair() {
-        use crate::insn::Insn;
-        let insns = vec![
-            Insn {
-                op: CLS_JMP | JMP_JA,
-                dst: 0,
-                src: 0,
-                off: 1, // into slot 2, the pair's second half
-                imm: 0,
-            },
-            Insn {
-                op: OP_LD_IMM64,
-                dst: 0,
-                src: 0,
-                off: 0,
-                imm: 0,
-            },
-            Insn {
-                op: 0,
-                dst: 0,
-                src: 0,
-                off: 0,
-                imm: 0,
-            },
-        ];
-        let err = build_cfg(&Program::new(insns)).unwrap_err();
-        assert_eq!(err.kind, VerifyErrorKind::BadJumpTarget);
     }
 }
