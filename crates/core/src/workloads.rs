@@ -739,8 +739,7 @@ impl PushdownWorkload for YcsbMix {
 
 // --- Pointer chase ----------------------------------------------------------
 
-/// Sentinel marking the final block of a chase chain.
-pub const CHASE_END: u64 = u64::MAX;
+pub use crate::progs::chase::CHASE_END;
 
 /// The canonical payload stored in a chase chain's final block.
 pub const CHASE_PAYLOAD: u64 = 0xABAD_1DEA_F00D_CAFE;

@@ -284,6 +284,13 @@ pub trait ChainDriver {
 
     /// The next operation for `thread` — a read chain or a journaled
     /// write — or `None` to stop that thread.
+    ///
+    /// An operation that names a descriptor which is not open fails at
+    /// once, the same from [`crate::Machine::run_closed_loop`] and
+    /// [`crate::Machine::run_uring`]: [`ChainDriver::chain_done`] sees
+    /// [`ChainStatus::IoError`] with no I/Os and a token minted for the
+    /// default tenant, [`RunReport::errors`] counts it, no CPU is
+    /// charged, and the thread is asked for its next operation.
     fn next_op(&mut self, thread: usize, rng: &mut SimRng) -> Option<ChainSpec>;
 
     /// User-mode only: one application step over a completed block.
@@ -301,8 +308,10 @@ pub trait ChainDriver {
     }
 }
 
-/// Aggregate results of a run.
-#[derive(Debug, Clone)]
+/// Aggregate results of a run. Two reports are equal when every
+/// counter, histogram bucket and per-tenant row is: the equality the
+/// determinism and bit-for-bit tests assert.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Simulated time the run covered.
     pub sim_time: Nanos,

@@ -462,6 +462,16 @@ impl Op {
     }
 }
 
+/// A spec's argument and whether it is a write: what is left to say of
+/// a chain once [`Machine::start_chain`] has consumed its spec and
+/// found no descriptor.
+fn arg_and_class(spec: &ChainSpec) -> (u64, bool) {
+    match spec {
+        ChainSpec::Read(s) => (s.arg, false),
+        ChainSpec::Write(w) => (w.arg, true),
+    }
+}
+
 /// A chain queued for re-issue after a rearm-retry verdict.
 #[derive(Debug, Clone, Copy)]
 struct RetrySpec {
@@ -1490,9 +1500,18 @@ impl Machine {
             return;
         };
         let mode = driver.mode();
-        self.start_chain(thread, spec, mode, Origin::Sync, 0);
+        let (arg, is_write) = arg_and_class(&spec);
+        if self
+            .start_chain(thread, spec, mode, Origin::Sync, 0)
+            .is_none()
+        {
+            self.fail_unopened(thread, arg, is_write, driver);
+            self.events.push(self.now, Ev::AppStart { thread });
+        }
     }
 
+    /// Starts a chain; `None` when it names a descriptor that is not
+    /// open (see [`Machine::fail_unopened`]).
     fn start_chain(
         &mut self,
         thread: usize,
@@ -1534,6 +1553,52 @@ impl Machine {
             self.submit_after(id, self.costs.sync_issue(kind != OpKind::Read));
         }
         Some(id)
+    }
+
+    /// A chain whose opening operation names a descriptor that is not
+    /// open is over before it starts, as an I/O error like any other:
+    /// the driver's `chain_done` sees [`ChainStatus::IoError`] with no
+    /// I/Os, the report counts the chain and the error, and the caller
+    /// moves the thread on to its next operation. No CPU is charged
+    /// (there is no file to walk toward) and the token is minted for
+    /// the default tenant (there is no descriptor to name another).
+    #[cold]
+    #[inline(never)]
+    fn fail_unopened(
+        &mut self,
+        thread: usize,
+        arg: u64,
+        is_write: bool,
+        driver: &mut dyn ChainDriver,
+    ) {
+        let outcome = ChainOutcome {
+            thread,
+            token: self.next_token(DEFAULT_TENANT, arg),
+            status: ChainStatus::IoError,
+            ios: 0,
+            attempts: 0,
+            latency: 0,
+        };
+        // Nothing a re-arm repairs: whatever the verdict, it is final.
+        driver.chain_done(thread, &outcome);
+        self.count_chain(DEFAULT_TENANT as usize, &outcome, !is_write);
+    }
+
+    /// Books a finished chain: its tenant's completion and error
+    /// counts and the latency histograms.
+    #[inline(always)]
+    fn count_chain(&mut self, tenant: usize, outcome: &ChainOutcome, is_read: bool) {
+        let ts = &mut self.run.tstats[tenant];
+        ts.chains += 1;
+        if !outcome.status.is_ok() {
+            ts.errors += 1;
+        }
+        ts.latency.record(outcome.latency);
+        if is_read {
+            self.run.lat_read.record(outcome.latency);
+        } else {
+            self.run.lat_write.record(outcome.latency);
+        }
     }
 
     /// Issues the op's current target to the device. A queue pair at
@@ -2435,17 +2500,7 @@ impl Machine {
         {
             return;
         }
-        let ts = &mut self.run.tstats[tenant];
-        ts.chains += 1;
-        if !outcome.status.is_ok() {
-            ts.errors += 1;
-        }
-        ts.latency.record(outcome.latency);
-        if is_read {
-            self.run.lat_read.record(outcome.latency);
-        } else {
-            self.run.lat_write.record(outcome.latency);
-        }
+        self.count_chain(tenant, &outcome, is_read);
         // The driver is done with the outcome: the buffer its status
         // took returns to the op, and with the op to the pools.
         let op = self.ops[id].as_mut().expect("op exists");
@@ -2527,10 +2582,11 @@ impl Machine {
         let mode = driver.mode();
         let mut submitted: Vec<usize> = Vec::new();
         let mut n_writes: u64 = 0;
-        let mut asked: u64 = 0;
         for sub in queue {
             let started = match sub {
-                PendingSub::NewChain => {
+                // The slot takes the driver's next operation that names
+                // an open descriptor; the ones before it fail here.
+                PendingSub::NewChain => loop {
                     // Each SQE in a batch gets its own stream: salt the
                     // fork with a monotone sequence number, not the
                     // (batch-constant) completed-chain counter.
@@ -2538,23 +2594,23 @@ impl Machine {
                     self.run.rng_streams += 1;
                     let mut rng = self.rng.fork(thread as u64 * 6151 + stream);
                     let Some(spec) = driver.next_op(thread, &mut rng) else {
-                        continue;
+                        break None;
                     };
-                    let is_write = matches!(spec, ChainSpec::Write(_));
-                    let id = self.start_chain(thread, spec, mode, Origin::Uring, 0);
-                    // Count the class only for accepted SQEs, or
-                    // `n_reads = submitted - n_writes` underflows when
-                    // a write spec names a bad fd.
-                    n_writes += u64::from(is_write && id.is_some());
-                    id
-                }
+                    let (arg, is_write) = arg_and_class(&spec);
+                    match self.start_chain(thread, spec, mode, Origin::Uring, 0) {
+                        Some(id) => {
+                            n_writes += u64::from(is_write);
+                            break Some(id);
+                        }
+                        None => self.fail_unopened(thread, arg, is_write, driver),
+                    }
+                },
                 PendingSub::Continue(id) => Some(id),
                 PendingSub::Retry(retry) => {
                     let spec = ChainSpec::Read(retry.start);
                     self.start_chain(thread, spec, mode, Origin::Uring, retry.attempts)
                 }
             };
-            asked += 1;
             submitted.extend(started);
         }
         if submitted.is_empty() {
@@ -2564,7 +2620,7 @@ impl Machine {
         // One crossing for the whole batch; per-SQE kernel work covers
         // the uring + fs + bio + driver submission of each request.
         let n = submitted.len() as u64;
-        let burst = self.costs.uring_enter(asked, n - n_writes, n_writes);
+        let burst = self.costs.uring_enter(n, n - n_writes, n_writes);
         let end = self.charge(None, burst);
         for id in submitted {
             self.events.push(end, Ev::DevSubmit { op: id });

@@ -4,7 +4,7 @@
 //! The paper's baseline stack is interrupt-driven, but its kernel-bypass
 //! comparison point (SPDK-style polling) reaps completion queues from a
 //! dedicated poller loop and never takes an interrupt. This module makes
-//! that axis a per-machine policy with three selectable modes:
+//! that axis a per-machine policy with four selectable modes:
 //!
 //! - [`ReapMode::Interrupt`] — the classic path: a (statically
 //!   configured) coalescing timer arms an interrupt per queue pair, the

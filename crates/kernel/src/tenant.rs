@@ -90,7 +90,7 @@ impl TenantLimits {
 /// Per-tenant slice of a run's results — one entry per registered
 /// tenant in [`crate::RunReport::tenants`]. The existing top-level
 /// report fields remain the aggregate view across all tenants.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantBreakdown {
     /// The tenant these counters describe.
     pub tenant: TenantId,

@@ -1,0 +1,330 @@
+// --- Transport-abstracted dispatch: fabric, affinity, write fairness --------
+
+#[test]
+fn zero_latency_fabric_matches_local_user_path() {
+    // With a zero-cost wire and zero capsule CPU, remote dispatch over
+    // the fabric transport must reproduce the local user path exactly —
+    // the refactor's "LocalTransport is byte-for-byte" guarantee, probed
+    // from the other side. (Field by field, not report == report: the
+    // fabric run's capsule counters legitimately differ.)
+    let (mut local, mut dl) = setup_with(MachineConfig::default(), 8, DispatchMode::User);
+    let rl = local.run_closed_loop(1, SECOND, &mut dl);
+    let mut cfg = fabric_cfg(0);
+    cfg.costs.fab_encode = 0;
+    cfg.costs.fab_decode = 0;
+    let (mut fab, mut df) = setup_with(cfg, 8, DispatchMode::Remote);
+    let rf = fab.run_closed_loop(1, SECOND, &mut df);
+    assert_eq!(rl.chains, rf.chains);
+    assert_eq!(rl.ios, rf.ios);
+    assert_eq!(
+        rl.mean_latency().to_bits(),
+        rf.mean_latency().to_bits(),
+        "zero-latency fabric must not perturb timing"
+    );
+    assert_eq!(rf.trace.fabric_wire, 0);
+}
+
+#[test]
+fn remote_dispatch_pays_a_round_trip_per_dependent_hop() {
+    const ONE_WAY: Nanos = 50_000;
+    const HOPS: u64 = 8;
+    let (mut local, mut dl) =
+        setup_with(MachineConfig::default(), HOPS as usize, DispatchMode::User);
+    let rl = local.run_closed_loop(1, SECOND, &mut dl);
+    let (mut fab, mut df) = setup_with(fabric_cfg(ONE_WAY), HOPS as usize, DispatchMode::Remote);
+    let rf = fab.run_closed_loop(1, SECOND, &mut df);
+    let added = rf.mean_latency() - rl.mean_latency();
+    let rtt = (2 * ONE_WAY) as f64;
+    assert!(
+        added >= HOPS as f64 * rtt * 0.999,
+        "every dependent hop crosses the fabric: added {added} < {HOPS} RTTs"
+    );
+    assert!(
+        added <= HOPS as f64 * rtt + 60_000.0,
+        "remote baseline should add little beyond the wire: {added}"
+    );
+    // One command capsule and one response capsule per hop.
+    let stats = rf.fabric;
+    assert_eq!(stats.capsules_sent, rf.ios);
+    assert_eq!(stats.responses, rf.ios);
+    assert_eq!(stats.target_local, 0);
+    assert_eq!(rf.trace.fabric_wire, 2 * ONE_WAY * rf.ios);
+}
+
+#[test]
+fn pushdown_over_fabric_pays_one_round_trip_per_chain() {
+    const ONE_WAY: Nanos = 50_000;
+    const HOPS: usize = 8;
+    let (mut local, mut dl) = setup_with(MachineConfig::default(), HOPS, DispatchMode::DriverHook);
+    let rl = local.run_closed_loop(1, SECOND, &mut dl);
+    let (mut pd, mut dp) = setup_with(fabric_cfg(ONE_WAY), HOPS, DispatchMode::DriverHook);
+    let rp = pd.run_closed_loop(1, SECOND, &mut dp);
+    // The offloaded result is still byte-correct after crossing back.
+    for o in &dp.outcomes {
+        match &o.status {
+            ChainStatus::Emitted(v) => {
+                assert_eq!(
+                    u64::from_le_bytes(v[..8].try_into().expect("8B")),
+                    CHAIN_VALUE
+                );
+            }
+            other => panic!("pushdown chain failed: {other:?}"),
+        }
+    }
+    let added = rp.mean_latency() - rl.mean_latency();
+    let rtt = (2 * ONE_WAY) as f64;
+    assert!(
+        added >= rtt * 0.999,
+        "the chain crosses at least once: added {added}"
+    );
+    assert!(
+        added <= 1.5 * rtt,
+        "dependent hops must stay target-side: added {added} vs one RTT {rtt}"
+    );
+    // One command capsule in, (HOPS-1) target-local recycles, one
+    // response capsule out — per chain.
+    let chains = rp.chains;
+    let stats = rp.fabric;
+    assert_eq!(stats.capsules_sent, chains);
+    assert_eq!(stats.responses, chains);
+    assert_eq!(stats.target_local, (HOPS as u64 - 1) * chains);
+
+    // And the BPF-oF headline: the no-pushdown remote baseline is
+    // O(depth) RTTs slower than pushdown on the same fabric.
+    let (mut nopd, mut dn) = setup_with(fabric_cfg(ONE_WAY), HOPS, DispatchMode::Remote);
+    let rn = nopd.run_closed_loop(1, SECOND, &mut dn);
+    assert!(
+        rn.mean_latency() - rp.mean_latency() >= (HOPS as f64 - 1.0) * rtt * 0.999,
+        "pushdown must elide {} of {} round trips",
+        HOPS - 1,
+        HOPS
+    );
+}
+
+#[test]
+fn fabric_capsule_window_backpressures_and_recovers() {
+    // A window of 2 capsules under an 8-deep ring: uring keeps 8 SQEs
+    // in flight, so submissions stall on the window, park, and retry —
+    // every chain still completes exactly once.
+    let mut cfg = fabric_cfg(10_000);
+    if let TransportConfig::Fabric(fc) = &mut cfg.transport {
+        fc.inflight_cap = 2;
+    }
+    let (mut m, mut d) = setup_with(cfg, 4, DispatchMode::Remote);
+    d.state.count = 24;
+    let report = m.run_uring(1, 8, SECOND, &mut d);
+    assert_eq!(d.outcomes.len(), 24);
+    assert!(d.outcomes.iter().all(|o| o.status.is_ok()));
+    assert_eq!(report.errors, 0);
+    assert!(
+        report.fabric.capsule_stalls > 0,
+        "the 2-capsule window must bind under 8 in-flight SQEs"
+    );
+    assert!(report.fabric.max_inflight <= 2);
+}
+
+#[test]
+fn write_flush_chase_meters_the_fairness_budget() {
+    // resubmit_bound 1 permits no kernel-side dependent resubmission:
+    // the fsync flush chase (data CQEs → flush barrier) must trip it.
+    let cfg = MachineConfig {
+        resubmit_bound: 1,
+        ..MachineConfig::default()
+    };
+    let (mut m, fd) = machine_with(cfg, "wal.db", &[0u8; 4 * SECTOR_SIZE], None);
+    let ino = m.ino_of(fd).expect("ino");
+    let err = m
+        .write_file(ino, 0, &vec![7u8; SECTOR_SIZE], true)
+        .expect_err("fsync write chains a dependent flush");
+    assert!(
+        format!("{err}").contains("BoundExceeded"),
+        "wrong failure: {err}"
+    );
+    // A data-only write has no dependent hop and still completes...
+    m.write_file(ino, 0, &vec![8u8; SECTOR_SIZE], false)
+        .expect("no chase, no bound");
+    // ...and a pure fsync's barrier is the chain's first device op,
+    // not a resubmission.
+    m.write_file(ino, 0, &[], true)
+        .expect("pure fsync is hop 0");
+}
+
+#[test]
+fn write_chains_count_in_resubmission_accounting() {
+    let (mut m, fd) = machine_with(
+        MachineConfig::default(),
+        "wal.db",
+        &[0u8; 4 * SECTOR_SIZE],
+        None,
+    );
+    // Three fsynced writes of the same block.
+    let mut d = Script::new(DispatchMode::User, fd, |&mut fd, issued, _, _| {
+        (issued < 3).then(|| write(fd, 0, vec![3u8; SECTOR_SIZE], true, 0))
+    });
+    let report = m.run_closed_loop(1, SECOND, &mut d);
+    assert_eq!(report.chains, 3);
+    assert_eq!(report.errors, 0);
+    assert_eq!(
+        report.resubmissions, 3,
+        "each fsync write's flush chase is one metered resubmission"
+    );
+    assert_eq!(m.resubmission_accounting(), &[3]);
+}
+
+#[test]
+fn irq_charge_lands_on_the_owning_core() {
+    let run = |affinity: Vec<usize>| -> (Nanos, u64) {
+        let mut cfg = MachineConfig {
+            cores: 2,
+            ..MachineConfig::default()
+        };
+        // Make the interrupt charge dominate so placement is visible.
+        cfg.costs.irq_entry = 50_000;
+        cfg.qp_affinity = Some(affinity);
+        let (mut m, mut d) = setup_with(cfg, 1, DispatchMode::User);
+        d.state.count = 20;
+        let r = m.run_closed_loop(1, SECOND, &mut d);
+        (m.core_busy_ns(1), r.trace.irqs)
+    };
+    let (busy1_pinned, irqs) = run(vec![1, 1]);
+    assert!(irqs >= 20, "one interrupt per uncoalesced chain");
+    assert!(
+        busy1_pinned >= irqs * 50_000,
+        "pinned interrupts must land on core 1: busy {busy1_pinned}, irqs {irqs}"
+    );
+    let (busy1_away, irqs_away) = run(vec![0, 0]);
+    assert!(
+        busy1_away < irqs_away * 50_000,
+        "with affinity on core 0, core 1 sees only incidental work: busy {busy1_away}"
+    );
+    // The default mapping is the identity qp→core layout.
+    let m = machine(MachineConfig::default());
+    assert_eq!(m.qp_core(0), Some(0));
+    assert_eq!(m.qp_core(5), Some(5));
+    assert_eq!(m.qp_core(99), None);
+}
+
+#[test]
+fn buffered_pushdown_never_warms_the_host_cache_with_target_data() {
+    // Regression: a target-resident completion's data never reached the
+    // host, so it must not populate the host page cache — otherwise a
+    // later chain "hits" locally and skips its command capsule, an
+    // impossible traffic pattern.
+    let (mut m, _) = setup_with(fabric_cfg(10_000), 4, DispatchMode::User);
+    let fd = m.open("chain.db", false).expect("buffered open");
+    m.install(fd, chase_program(), 0).expect("install");
+    let mut d = chase(fd, DispatchMode::DriverHook, 3);
+    let report = m.run_closed_loop(1, SECOND, &mut d);
+    assert_eq!(d.outcomes.len(), 3);
+    assert!(d.outcomes.iter().all(|o| o.status.is_ok()));
+    assert_eq!(
+        report.fabric.capsules_sent, 3,
+        "every chain must cross the wire exactly once"
+    );
+    assert_eq!(report.fabric.responses, 3);
+}
+
+#[test]
+fn write_pushdown_crosses_once_and_commits_on_the_target() {
+    // Write pushdown: the data capsule crosses once (carrying its
+    // payload), the fsync flush chase recycles target-side, and only
+    // the commit acknowledgement returns. The no-pushdown path pays a
+    // full round trip per phase.
+    const ONE_WAY: Nanos = 20_000;
+    const WRITES: u64 = 8;
+    // 512 B of in-capsule payload at the 320 ns/KiB default link rate.
+    const SER: Nanos = SECTOR_SIZE as u64 * 320 / 1024;
+    let run = |mode: DispatchMode| {
+        let (mut m, fd) = log_machine(fabric_cfg(ONE_WAY), "wal.db");
+        let mut d = writes(fd, SECTOR_SIZE, WRITES, 1);
+        d.mode = mode;
+        let r = m.run_closed_loop(1, SECOND, &mut d);
+        assert_eq!(d.outcomes.len(), WRITES as usize);
+        for o in &d.outcomes {
+            assert!(
+                matches!(o.status, ChainStatus::Written(n) if n as usize == SECTOR_SIZE),
+                "unexpected status {:?}",
+                o.status
+            );
+        }
+        assert_eq!(r.errors, 0);
+        r
+    };
+    let pd = run(DispatchMode::DriverHook);
+    // Per chain: one data capsule in, the flush recycled target-side,
+    // one commit-ack capsule out.
+    assert_eq!(pd.fabric.capsules_sent, WRITES);
+    assert_eq!(
+        pd.fabric.target_local, WRITES,
+        "flush chases stay target-side"
+    );
+    assert_eq!(pd.fabric.responses, WRITES);
+    assert_eq!(
+        pd.fabric.bytes_tx,
+        WRITES * (64 + SECTOR_SIZE as u64),
+        "write capsules haul their payload"
+    );
+    assert_eq!(
+        pd.trace.fabric_wire,
+        WRITES * (2 * ONE_WAY + SER),
+        "one serialized round trip per chain"
+    );
+    // §4 metering still sees the flush chase as a dependent
+    // resubmission even though it never crossed the wire.
+    assert_eq!(pd.resubmissions, WRITES);
+    assert_eq!(pd.fabric_initiators.len(), 1);
+    assert_eq!(pd.fabric_initiators[0].capsules_sent, WRITES);
+    // No-pushdown: both the data phase and the flush barrier pay the
+    // full round trip.
+    let host = run(DispatchMode::User);
+    assert_eq!(host.fabric.target_local, 0);
+    assert_eq!(host.fabric.capsules_sent, 2 * WRITES);
+    assert_eq!(
+        host.trace.fabric_wire,
+        WRITES * (4 * ONE_WAY + SER),
+        "two round trips per chain without pushdown"
+    );
+    assert!(
+        pd.write_latency.mean() < host.write_latency.mean(),
+        "pushdown elides a round trip per fsync write: {} vs {}",
+        pd.write_latency.mean(),
+        host.write_latency.mean()
+    );
+}
+
+#[test]
+fn grouped_barrier_acks_pushdown_fsyncs_with_one_capsule() {
+    // Under group commit, one shared flush barrier releases many
+    // pushdown fsyncs — and ONE response capsule acks them all.
+    const WRITERS: usize = 8;
+    const WRITES: u64 = 24;
+    let mut cfg = fabric_cfg(20_000);
+    cfg.commit_policy = CommitPolicy::Group {
+        max_wait_us: 50,
+        max_handles: 8,
+    };
+    let (mut m, fd) = log_machine(cfg, "wal.db");
+    let mut d = writes(fd, SECTOR_SIZE, WRITES, 1);
+    d.mode = DispatchMode::DriverHook;
+    let r = m.run_closed_loop(WRITERS, SECOND, &mut d);
+    assert_eq!(d.outcomes.len(), WRITES as usize);
+    assert!(d.outcomes.iter().all(|o| o.status.is_ok()));
+    assert_eq!(r.errors, 0);
+    assert_eq!(r.commit.fsyncs, WRITES, "every write fsynced");
+    assert!(
+        r.commit.commits < WRITES,
+        "concurrent fsyncs must share barriers: {} commits",
+        r.commit.commits
+    );
+    // Every chain's data phase crossed once; each shared barrier came
+    // back as exactly one acknowledgement capsule.
+    assert_eq!(r.fabric.capsules_sent, WRITES);
+    assert_eq!(
+        r.fabric.responses, r.commit.commits,
+        "one return capsule per barrier, not per fsync"
+    );
+    assert_eq!(
+        r.fabric.target_local, r.commit.commits,
+        "one target-side flush per barrier"
+    );
+}

@@ -1,0 +1,135 @@
+// --- Tenants: per-tenant bounds, and aggregates that reconcile ------------------
+
+#[test]
+fn resubmission_bound_is_per_tenant() {
+    // Two tenants share the machine, one deep pointer chase each on its
+    // own thread. Tenant B carries a §4 override of 2 dependent
+    // submissions; the machine default (64) covers tenant A. B's chain
+    // must abort with BoundExceeded without charging — or aborting —
+    // A's chain, and the (tenant, thread) accounting matrix must keep
+    // the two ledgers apart.
+    let cfg = MachineConfig {
+        resubmit_bound: 64,
+        ..MachineConfig::default()
+    };
+    let image = chain_file(8);
+    let (mut m, fd_a) = machine_with(cfg, "a.db", &image, Some(chase_program()));
+    m.create_file("b.db", &image).expect("create b");
+    let tenant_b = m.register_tenant(TenantLimits {
+        resubmit_bound: Some(2),
+        ..TenantLimits::default()
+    });
+    let fd_b = m.open_for(tenant_b, "b.db", true).expect("open b");
+    m.install(fd_b, chase_program(), 0).expect("install b");
+
+    // One chase per thread, each of its own tenant's file.
+    let state = ([fd_a, fd_b], [false; 2]);
+    let mut d = Script::new(
+        DispatchMode::DriverHook,
+        state,
+        |(fds, issued), _, thread, _| {
+            let first = !std::mem::replace(&mut issued[thread], true);
+            first.then(|| read(fds[thread], 0, SECTOR_SIZE as u32, 0))
+        },
+    );
+    let report = m.run_closed_loop(2, SECOND, &mut d);
+
+    assert_eq!(d.outcomes.len(), 2);
+    for o in &d.outcomes {
+        match o.token.tenant {
+            DEFAULT_TENANT => assert!(
+                o.status.is_ok(),
+                "tenant A's 8-hop chase fits the default bound: {:?}",
+                o.status
+            ),
+            t if t == tenant_b => assert_eq!(
+                o.status,
+                ChainStatus::BoundExceeded,
+                "tenant B's override of 2 must trip on the same workload"
+            ),
+            t => panic!("unexpected tenant {t}"),
+        }
+    }
+    // A full chase resubmits hops-1 = 7 times on thread 0; B is cut off
+    // after its single allowed resubmission on thread 1. Each tenant's
+    // row only extends to the highest thread that charged it.
+    assert_eq!(m.resubmission_accounting_for(DEFAULT_TENANT), &[7]);
+    assert_eq!(m.resubmission_accounting_for(tenant_b), &[0, 1]);
+    // The per-thread view every §4 test predates still sums the tenants.
+    assert_eq!(m.resubmission_accounting(), &[7, 1]);
+    assert_eq!(report.tenants[DEFAULT_TENANT as usize].resubmissions, 7);
+    assert_eq!(report.tenants[tenant_b as usize].resubmissions, 1);
+    assert_eq!(report.tenants[tenant_b as usize].errors, 1);
+    assert_eq!(report.tenants[DEFAULT_TENANT as usize].errors, 0);
+}
+
+#[test]
+fn every_report_aggregate_is_the_sum_of_its_tenants() {
+    // Two tenants, mixed work: the default tenant chases a 6-block
+    // chain under a §4 bound of 4 (every chain ends BoundExceeded after
+    // three recycled hops); tenant B fsyncs every write from four
+    // threads into shared group-commit barriers.
+    let cfg = MachineConfig {
+        commit_policy: CommitPolicy::Group {
+            max_wait_us: 30,
+            max_handles: 2,
+        },
+        ..MachineConfig::default()
+    };
+    let (mut m, mut reader) = setup_with(cfg, 6, DispatchMode::DriverHook);
+    reader.state.count = 12;
+    m.set_tenant_limits(
+        DEFAULT_TENANT,
+        TenantLimits {
+            resubmit_bound: Some(4),
+            ..TenantLimits::default()
+        },
+    );
+    let tenant_b = m.register_tenant(TenantLimits::weighted(2));
+    m.create_file("wal.db", &[]).expect("create");
+    let wfd = m.open_for(tenant_b, "wal.db", true).expect("open");
+    let mut d = mixed(reader.state, writes(wfd, SECTOR_SIZE, 40, 1).state);
+    let report = m.run_closed_loop(5, SECOND, &mut d);
+
+    let sum = |f: fn(&TenantBreakdown) -> u64| -> u64 { report.tenants.iter().map(f).sum() };
+    assert_eq!(report.tenants.len(), 2);
+    assert_eq!(report.chains, sum(|t| t.chains));
+    assert_eq!(report.errors, sum(|t| t.errors));
+    assert_eq!(report.ios, sum(|t| t.ios));
+    assert_eq!(report.trace.ios, sum(|t| t.ios));
+    assert_eq!(
+        report.trace.write_ios,
+        sum(|t| t.dev_writes + t.dev_flushes)
+    );
+    assert_eq!(report.ios, sum(|t| t.dev_reads) + report.trace.write_ios);
+    assert_eq!(report.trace.device, sum(|t| t.device_ns));
+    assert_eq!(report.device.cqes, sum(|t| t.cqes));
+    assert_eq!(report.resubmissions, sum(|t| t.resubmissions));
+    assert_eq!(report.commit.fsyncs, sum(|t| t.fsyncs));
+    assert_eq!(report.commit.barrier_joins, sum(|t| t.barrier_joins));
+    assert_eq!(report.latency.count(), sum(|t| t.latency.count()));
+    assert_eq!(
+        report.fsync_latency.count(),
+        sum(|t| t.fsync_latency.count())
+    );
+    let mut exec = ExecSplit::default();
+    for t in &report.tenants {
+        exec.absorb(&t.exec);
+    }
+    assert_eq!(report.exec, exec);
+    // The run moved every one of those counters, on both tenants where
+    // both can: nothing above is 0 == 0.
+    assert_eq!((report.chains, report.errors), (12 + 40, 12));
+    assert_eq!(report.resubmissions, 12 * 3 + 40);
+    assert_eq!(report.commit.fsyncs, 40);
+    assert!(report.commit.barrier_joins > 0, "some fsync rode a barrier");
+    assert_eq!(report.exec.hops(), 12 * 4);
+    assert!(report
+        .tenants
+        .iter()
+        .all(|t| t.chains > 0 && t.cqes > 0 && t.device_ns > 0));
+    assert!(
+        report.trace.write_ios > 40,
+        "data writes plus shared flushes"
+    );
+}

@@ -1,0 +1,370 @@
+// --- The journaled write path through the rings ------------------------------
+
+/// A machine under `cfg` holding the empty file `name`.
+fn log_machine(cfg: MachineConfig, name: &str) -> (Machine, Fd) {
+    machine_with(cfg, name, &[], None)
+}
+
+#[test]
+fn write_chains_ride_the_rings_and_land_on_the_store() {
+    let (mut m, fd) = log_machine(MachineConfig::default(), "log.db");
+    let mut d = writes(fd, SECTOR_SIZE, 16, 4);
+    let report = m.run_closed_loop(1, SECOND, &mut d);
+    assert_eq!(d.outcomes.len(), 16);
+    for o in &d.outcomes {
+        assert!(
+            matches!(o.status, ChainStatus::Written(n) if n as usize == SECTOR_SIZE),
+            "unexpected status {:?}",
+            o.status
+        );
+    }
+    // The data went through the device as real write commands...
+    assert_eq!(report.device.writes, 16, "one write command per block");
+    assert_eq!(report.device.flushes, 4, "every 4th write carried fsync");
+    assert!(report.device.write_doorbells > 0, "writes rang doorbells");
+    assert!(report.device.write_cqes >= 20, "write + flush CQEs reaped");
+    assert_eq!(report.errors, 0);
+    // ...and the bytes are really on the store, through the fs mapping.
+    let ino = m.ino_of(fd).expect("ino");
+    let (fs, store) = m.fs_and_store();
+    for i in 0..16u64 {
+        let got = fs
+            .read(ino, i * SECTOR_SIZE as u64, SECTOR_SIZE, store)
+            .expect("read");
+        assert_eq!(got, vec![Writes::fill(i); SECTOR_SIZE], "block {i}");
+    }
+    // Write latency is tracked in its own histogram.
+    assert_eq!(report.write_latency.count(), 16);
+    assert_eq!(report.read_latency.count(), 0);
+    assert_eq!(report.latency.count(), 16);
+}
+
+#[test]
+fn fsync_commits_the_journal_unfsynced_writes_stay_pending() {
+    let (mut m, fd) = log_machine(MachineConfig::default(), "wal.db");
+    let ino = m.ino_of(fd).expect("ino");
+    // Un-fsynced runtime write: metadata records stay in the open
+    // transaction — not crash-durable yet.
+    m.write_file(ino, 0, &vec![7u8; SECTOR_SIZE], false)
+        .expect("write");
+    let j = m.fs().journal();
+    assert!(j.in_transaction(), "runtime write leaves the txn open");
+    assert!(
+        j.len() > j.committed_records().len(),
+        "records pending, not committed"
+    );
+    // The fsync barrier commits them.
+    m.write_file(ino, 0, &[], true).expect("fsync");
+    let j = m.fs().journal();
+    assert!(!j.in_transaction());
+    assert_eq!(j.len(), j.committed_records().len(), "all records durable");
+}
+
+#[test]
+fn group_commit_shares_one_barrier_across_concurrent_fsyncs() {
+    let writers = 8;
+    let cfg = MachineConfig {
+        commit_policy: CommitPolicy::Group {
+            max_wait_us: 50,
+            max_handles: writers as u32,
+        },
+        ..MachineConfig::default()
+    };
+    let (mut m, fd) = log_machine(cfg, "wal.db");
+    // Every write fsyncs; eight closed-loop writers pile into shared
+    // transactions.
+    let mut d = writes(fd, SECTOR_SIZE, 32, 1);
+    let report = m.run_closed_loop(writers, SECOND, &mut d);
+    assert_eq!(d.outcomes.len(), 32);
+    for o in &d.outcomes {
+        assert!(matches!(o.status, ChainStatus::Written(_)));
+    }
+    let commit = report.commit;
+    assert_eq!(commit.fsyncs, 32);
+    assert!(
+        commit.commits < commit.fsyncs,
+        "barriers must be shared: {} commits for {} fsyncs",
+        commit.commits,
+        commit.fsyncs
+    );
+    assert_eq!(
+        report.device.flushes, commit.commits,
+        "one device flush per committed transaction"
+    );
+    assert!(
+        commit.max_handles >= 2,
+        "at least one transaction carried multiple handles"
+    );
+    assert!(commit.flushes_per_fsync() < 1.0);
+    // Everything fsynced is durable once the run drains.
+    let j = m.fs().journal();
+    assert_eq!(j.len(), j.committed_records().len());
+    // Fsync latency is measured issue-to-barrier-CQE, once per fsync.
+    assert_eq!(report.fsync_latency.count(), 32);
+}
+
+#[test]
+fn writeback_timer_flushes_unfsynced_journal_records() {
+    let cfg = MachineConfig {
+        commit_policy: CommitPolicy::Writeback {
+            flush_interval_us: 100,
+        },
+        ..MachineConfig::default()
+    };
+    let (mut m, fd) = log_machine(cfg, "wal.db");
+    // No application fsync at all: only the background timer commits.
+    let mut d = writes(fd, SECTOR_SIZE, 12, 0);
+    let report = m.run_closed_loop(2, SECOND, &mut d);
+    assert_eq!(d.outcomes.len(), 12);
+    let commit = report.commit;
+    assert_eq!(commit.fsyncs, 0, "nothing fsynced");
+    assert!(
+        commit.writeback_flushes >= 1,
+        "the timer sealed the journal dirt"
+    );
+    let j = m.fs().journal();
+    assert_eq!(
+        j.len(),
+        j.committed_records().len(),
+        "background flush drained the journal before the run ended"
+    );
+    // No fsync means no fsync latency samples.
+    assert_eq!(report.fsync_latency.count(), 0);
+}
+
+#[test]
+fn fsync_write_pays_data_then_flush_ordering() {
+    let (mut m, fd) = log_machine(MachineConfig::default(), "f.db");
+    let ino = m.ino_of(fd).expect("ino");
+    let o_plain = m
+        .write_file(ino, 0, &vec![1u8; SECTOR_SIZE], false)
+        .expect("plain write");
+    let o_fsync = m
+        .write_file(ino, SECTOR_SIZE as u64, &vec![2u8; SECTOR_SIZE], true)
+        .expect("fsync write");
+    assert_eq!(o_plain.ios, 1, "data command only");
+    assert_eq!(o_fsync.ios, 2, "data command + flush barrier");
+    assert!(
+        o_fsync.latency > o_plain.latency,
+        "the ordered flush serializes behind the data CQE: {} !> {}",
+        o_fsync.latency,
+        o_plain.latency
+    );
+    let st = m.device_stats();
+    assert_eq!(st.writes, 2);
+    assert_eq!(st.flushes, 1);
+}
+
+#[test]
+fn write_backpressure_parks_and_retries_until_done() {
+    // A two-slot ring (capacity 1) under a uring batch of 8 writers:
+    // submissions must park on the full SQ and retry after interrupts
+    // free slots — every write still completes, none are dropped.
+    let (mut m, fd) = log_machine(ring_depth(2), "log.db");
+    let mut d = writes(fd, SECTOR_SIZE, 32, 0);
+    let report = m.run_uring(1, 8, SECOND, &mut d);
+    assert_eq!(d.outcomes.len(), 32, "no write lost to backpressure");
+    assert!(
+        d.outcomes
+            .iter()
+            .all(|o| matches!(o.status, ChainStatus::Written(_))),
+        "all delivered as written"
+    );
+    assert!(
+        report.device.rejected > 0,
+        "the one-slot ring must have parked submissions"
+    );
+    assert_eq!(report.device.writes, 32);
+    assert_eq!(report.errors, 0);
+}
+
+#[test]
+fn multi_block_write_merges_into_contiguous_segments() {
+    // A fresh file's sequential allocation is contiguous, so an 8-block
+    // write should reach the device as ONE write command.
+    let (mut m, fd) = log_machine(MachineConfig::default(), "big.db");
+    let ino = m.ino_of(fd).expect("ino");
+    let payload: Vec<u8> = (0..8 * SECTOR_SIZE).map(|i| (i % 253) as u8).collect();
+    let outcome = m.write_file(ino, 0, &payload, false).expect("write");
+    assert_eq!(outcome.ios, 1, "bio-style merge into one command");
+    let st = m.device_stats();
+    assert_eq!(st.writes, 1);
+    let (fs, store) = m.fs_and_store();
+    assert_eq!(
+        fs.read(ino, 0, payload.len(), store).expect("read"),
+        payload
+    );
+}
+
+#[test]
+fn unaligned_write_read_modify_writes_the_edges() {
+    let image = vec![0xAAu8; 2 * SECTOR_SIZE];
+    let (mut m, fd) = machine_with(MachineConfig::default(), "rmw.db", &image, None);
+    let ino = m.ino_of(fd).expect("ino");
+    m.write_file(ino, 100, b"hello world", false)
+        .expect("write");
+    let (fs, store) = m.fs_and_store();
+    let back = fs.read(ino, 98, 15, store).expect("read");
+    assert_eq!(&back[2..13], b"hello world");
+    assert_eq!(back[0], 0xAA, "surrounding bytes preserved");
+}
+
+#[test]
+fn writes_invalidate_cached_pages() {
+    // A buffered reader warms the page cache; a runtime write to the
+    // same blocks must invalidate them so the next read sees new bytes.
+    let image = vec![1u8; SECTOR_SIZE];
+    let (mut m, _) = machine_with(MachineConfig::default(), "page.db", &image, None);
+    let fd = m.open("page.db", false).expect("open buffered");
+    let ino = m.ino_of(fd).expect("ino");
+    let mut d = reads(fd, DispatchMode::User, 1);
+    m.run_closed_loop(1, SECOND, &mut d);
+    assert_eq!(passed(&d)[0], image, "cache warmed with v1");
+    m.write_file(ino, 0, &vec![2u8; SECTOR_SIZE], true)
+        .expect("write");
+    let mut d = reads(fd, DispatchMode::User, 1);
+    m.run_closed_loop(1, SECOND, &mut d);
+    assert_eq!(
+        passed(&d)[0],
+        vec![2u8; SECTOR_SIZE],
+        "stale cached page must not survive the write"
+    );
+}
+
+#[test]
+fn mixed_read_write_chains_share_queue_slots() {
+    // Interleave reads and writes on one thread's queue pair and check
+    // both classes complete, with per-class histograms partitioning the
+    // total.
+    let image = vec![5u8; 8 * SECTOR_SIZE];
+    let (mut m, fd) = machine_with(MachineConfig::default(), "mix.db", &image, None);
+    let mut d = Script::new(DispatchMode::User, fd, |&mut fd, issued, _, _| {
+        let left = 39u64.checked_sub(issued)?;
+        Some(if issued.is_multiple_of(2) {
+            read(fd, 0, SECTOR_SIZE as u32, 0)
+        } else {
+            let file_off = (8 + left) * SECTOR_SIZE as u64;
+            write(fd, file_off, vec![9u8; SECTOR_SIZE], false, 0)
+        })
+    });
+    let report = m.run_closed_loop(2, SECOND, &mut d);
+    let written = |o: &&ChainOutcome| matches!(o.status, ChainStatus::Written(_));
+    let nwrites = d.outcomes.iter().filter(written).count();
+    assert_eq!(d.outcomes.len() - nwrites, 20);
+    assert_eq!(nwrites, 20);
+    assert_eq!(report.read_latency.count(), 20);
+    assert_eq!(report.write_latency.count(), 20);
+    assert_eq!(report.latency.count(), 40);
+    assert!(report.device.write_doorbells > 0);
+    assert!(report.device.reads >= 20 && report.device.writes == 20);
+    assert_eq!(report.errors, 0);
+}
+
+#[test]
+fn read_file_handles_unaligned_ranges_spanning_blocks() {
+    // Regression: the request must be sized from (off % block) + len,
+    // or an unaligned read spanning a block boundary comes back short.
+    let image: Vec<u8> = (0..4 * SECTOR_SIZE).map(|i| (i % 251) as u8).collect();
+    let (mut m, fd) = machine_with(MachineConfig::default(), "u.db", &image, None);
+    let ino = m.ino_of(fd).expect("ino");
+    let got = m.read_file(ino, 100, SECTOR_SIZE).expect("read");
+    assert_eq!(got.len(), SECTOR_SIZE, "full length, not truncated");
+    assert_eq!(got, &image[100..100 + SECTOR_SIZE]);
+    let tail = m
+        .read_file(ino, 3 * SECTOR_SIZE as u64 + 500, 12)
+        .expect("tail");
+    assert_eq!(tail, &image[3 * SECTOR_SIZE + 500..3 * SECTOR_SIZE + 512]);
+}
+
+#[test]
+fn one_shot_io_leaves_future_mutations_for_the_next_run() {
+    // Regression: write_file/read_file between runs must not consume a
+    // mutation scheduled for a later simulated instant.
+    let (mut m, fd) = machine_with(MachineConfig::default(), "data.db", &chain_file(4), None);
+    let ino = m.ino_of(fd).expect("ino");
+    m.create_file("scratch.db", &[]).expect("create scratch");
+    let scratch = m.fs().open("scratch.db").expect("open");
+    // Schedule a relocation far in the future, then do preload I/O.
+    m.schedule_mutation(
+        1_000 * SECOND,
+        Mutation::Relocate {
+            name: "data.db".to_string(),
+        },
+    );
+    let (gen_before, _) = m.fs().generations(ino).expect("gens");
+    m.write_file(scratch, 0, &vec![1u8; SECTOR_SIZE], true)
+        .expect("preload write");
+    let (gen_after, _) = m.fs().generations(ino).expect("gens");
+    assert_eq!(
+        gen_before, gen_after,
+        "the future relocation must not fire during preload I/O"
+    );
+}
+
+#[test]
+fn an_unopened_fd_fails_the_chain_the_same_from_both_origins() {
+    // A chain that names a descriptor nobody opened is an I/O error the
+    // driver hears of and the report counts — and the thread moves on.
+    // (The blocking path used to wedge its thread on the first one:
+    // three issued, two done, `errors: 0`. The uring path dropped the
+    // SQE and carried on; before that, a write SQE naming a bad fd
+    // skewed the batch's read/write accounting into a u64 underflow.)
+    let run = |uring: bool| {
+        let (mut m, good_fd) =
+            machine_with(MachineConfig::default(), "ok.db", &chain_file(1), None);
+        // Alternate a bogus-fd write with a valid read.
+        let mut d = Script::new(DispatchMode::User, good_fd, |&mut good_fd, issued, _, _| {
+            (issued < 8).then(|| {
+                if issued.is_multiple_of(2) {
+                    write(9999, 0, vec![1u8; SECTOR_SIZE], false, issued)
+                } else {
+                    read(good_fd, 0, SECTOR_SIZE as u32, issued)
+                }
+            })
+        });
+        let report = if uring {
+            m.run_uring(1, 4, SECOND, &mut d)
+        } else {
+            m.run_closed_loop(1, SECOND, &mut d)
+        };
+        (report, d, core_busy(&m, CORES))
+    };
+    let (sync, uring) = (run(false), run(true));
+    for (what, (report, d, busy)) in [("closed loop", &sync), ("uring", &uring)] {
+        assert!(report.chains > 0, "{what}: valid reads still complete");
+        assert_eq!(
+            report.device.writes, 0,
+            "{what}: bad-fd writes never reach the device"
+        );
+        assert_eq!(
+            (d.issued, d.outcomes.len()),
+            (8, 8),
+            "{what}: every chain is heard of"
+        );
+        assert_eq!(
+            (report.chains, report.errors, report.ios),
+            (8, 4, 4),
+            "{what}"
+        );
+        for o in &d.outcomes {
+            if o.arg().is_multiple_of(2) {
+                assert_eq!((&o.status, o.ios), (&ChainStatus::IoError, 0), "{what}");
+                assert_eq!((o.token.tenant, o.latency), (DEFAULT_TENANT, 0), "{what}");
+            } else {
+                assert!(
+                    matches!(o.status, ChainStatus::Pass(_)),
+                    "{what}: {:?}",
+                    o.status
+                );
+            }
+        }
+        assert_eq!(report.write_latency.count(), 4, "{what}: counted as writes");
+        assert_eq!(report.trace.journal, 0, "{what}: and priced as nothing");
+        assert_eq!(report.trace.software(), *busy, "{what}: conserves");
+    }
+    // No CPU is charged for a chain that never started: the blocking
+    // run costs exactly what its four reads cost alone.
+    let (mut m, fd) = machine_with(MachineConfig::default(), "ok.db", &chain_file(1), None);
+    let alone = m.run_closed_loop(1, SECOND, &mut reads(fd, DispatchMode::User, 4));
+    assert_eq!(sync.0.trace.software(), alone.trace.software());
+}

@@ -27,7 +27,7 @@ const BUCKETS: usize = 64 * SUBBUCKETS;
 /// let p50 = h.quantile(0.5);
 /// assert!((450..=550).contains(&p50), "p50={p50}");
 /// ```
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct Histogram {
     counts: Vec<u64>,
     n: u64,

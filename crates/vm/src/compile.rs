@@ -1049,7 +1049,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn declines_route_to_interpreter() {
+    fn what_compile_declines_verify_rejects_and_the_interpreter_traps_on() {
         // What `compile` declines of an unverified program is exactly
         // what `verify` rejects it for, and the interpreter — the
         // oracle — traps on the same construct when it gets there.
@@ -1099,7 +1099,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn engine_parse_and_labels() {
+    fn engine_default_and_labels() {
         assert_eq!(ExecEngine::default(), ExecEngine::Compiled);
         assert_eq!(ExecEngine::Compiled.label(), "compiled");
         assert_eq!(ExecEngine::Interp.to_string(), "interp");

@@ -10,19 +10,15 @@ use bpfstor::core::{
 use bpfstor::kernel::{Machine, ProgHandle};
 use bpfstor::sim::{MILLISECOND, SECOND};
 
+#[path = "../crates/kernel/tests/support/mod.rs"]
+mod support;
+use support::{exact_link, kv_entries, machine};
+
 /// A small SSTable probe set: 600 entries with 48-byte values, probed by
 /// a mix of present and absent keys.
 fn sst_fixture() -> (Vec<(u64, Vec<u8>)>, Vec<u64>) {
-    const VS: usize = 48;
-    let entries: Vec<(u64, Vec<u8>)> = (0..600u64)
-        .map(|i| {
-            let mut v = vec![0u8; VS];
-            v[..8].copy_from_slice(&(i * 31).to_le_bytes());
-            (i * 3, v)
-        })
-        .collect();
     let probes: Vec<u64> = (0..50u64).map(|i| i * 41 % 2_000).collect();
-    (entries, probes)
+    (kv_entries(600), probes)
 }
 
 /// Fixed-width scan rows with a pseudo-random "price" column.
@@ -546,318 +542,24 @@ fn all_reap_modes_complete_the_same_lookups() {
 }
 
 // --- The journaled write path: mixed read/write workloads ---------------------
+// --- The journaled write path: mixed read/write workloads ---------------------
 
-mod write_mixes {
-    use super::*;
-    use bpfstor::core::YcsbMix;
-    use bpfstor::workload::OpMix;
-
-    fn mix_entries() -> Vec<(u64, Vec<u8>)> {
-        (0..600u64)
-            .map(|i| {
-                let mut v = vec![0u8; 48];
-                v[..8].copy_from_slice(&(i * 31).to_le_bytes());
-                (i * 3, v)
-            })
-            .collect()
-    }
-
-    /// The acceptance scenario: the paper's 40r/40u/20i TokuDB mix runs
-    /// end to end in ALL THREE dispatch modes, with writes really going
-    /// through the rings (nonzero write doorbells and write CQEs) and
-    /// every read still checking out against the table.
-    #[test]
-    fn tokudb_40_40_20_runs_in_all_three_modes() {
-        for mode in DispatchMode::ALL {
-            let mut s = PushdownSession::builder(
-                YcsbMix::new(mix_entries(), OpMix::paper_tokudb(), 0x40_40_20).max_chains(300),
-            )
-            .dispatch(mode)
-            .build()
-            .expect("session");
-            let (report, stats) = s.run_closed_loop(4, SECOND);
-            assert_eq!(stats.completed, 300, "{mode:?}");
-            assert_eq!(
-                stats.mismatches, 0,
-                "{mode:?}: reads stay correct under writes"
-            );
-            assert_eq!(stats.errors, 0, "{mode:?}");
-            assert!(stats.writes > 0, "{mode:?}: the mix produced writes");
-            assert!(
-                (0.5..0.7).contains(&(stats.writes as f64 / 300.0)),
-                "{mode:?}: ~60% of a 40/40/20 mix is writes, got {}",
-                stats.writes
-            );
-            assert!(
-                report.device.write_doorbells > 0,
-                "{mode:?}: write submissions rang doorbells"
-            );
-            assert!(
-                report.device.write_cqes > 0,
-                "{mode:?}: write completions were reaped"
-            );
-            assert!(report.device.flushes > 0, "{mode:?}: fsyncs hit the device");
-            assert_eq!(
-                report.write_latency.count(),
-                stats.writes,
-                "{mode:?}: every write chain recorded write latency"
-            );
-            assert_eq!(report.errors, 0, "{mode:?}");
-        }
-    }
-
-    /// YCSB-A (50/50) and YCSB-B (95/5) complete through both submission
-    /// paths (sync closed-loop and io_uring batches) in every mode.
-    #[test]
-    fn ycsb_a_and_b_run_sync_and_uring_in_all_modes() {
-        for mix in [OpMix::ycsb_a(), OpMix::ycsb_b()] {
-            for mode in DispatchMode::ALL {
-                for uring in [false, true] {
-                    let mut s = PushdownSession::builder(
-                        YcsbMix::new(mix_entries(), mix, 0xAB).max_chains(160),
-                    )
-                    .dispatch(mode)
-                    .build()
-                    .expect("session");
-                    let (report, stats) = if uring {
-                        s.run_uring(2, 4, SECOND)
-                    } else {
-                        s.run_closed_loop(2, SECOND)
-                    };
-                    assert_eq!(stats.completed, 160, "{mix:?} {mode:?} uring={uring}");
-                    assert_eq!(stats.mismatches, 0, "{mix:?} {mode:?} uring={uring}");
-                    assert_eq!(stats.errors, 0, "{mix:?} {mode:?} uring={uring}");
-                    assert!(stats.writes > 0, "{mix:?} {mode:?} uring={uring}");
-                    assert!(
-                        report.device.write_cqes > 0,
-                        "{mix:?} {mode:?} uring={uring}"
-                    );
-                    assert_eq!(
-                        stats.writes + stats.hits + stats.misses,
-                        160,
-                        "{mix:?} {mode:?} uring={uring}: chains partition into reads and writes"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Writes contending for SQ slots must cost readers tail latency:
-    /// at the same queue depth, the write-heavy mix's p99 READ latency
-    /// is strictly above the read-only mix's, in every dispatch mode.
-    #[test]
-    fn write_heavy_mix_raises_read_p99_at_same_queue_depth() {
-        let run = |mode: DispatchMode, mix: OpMix| {
-            let mut s =
-                PushdownSession::builder(YcsbMix::new(mix_entries(), mix, 77).max_chains(400))
-                    .dispatch(mode)
-                    .queue_depth(8)
-                    .build()
-                    .expect("session");
-            let (report, stats) = s.run_closed_loop(4, SECOND);
-            assert_eq!(stats.mismatches, 0);
-            assert_eq!(stats.errors, 0);
-            assert!(report.read_latency.count() > 0, "reads recorded");
-            report.read_latency.quantile(0.99)
-        };
-        for mode in DispatchMode::ALL {
-            let read_only = run(mode, OpMix::ycsb_c());
-            let write_heavy = run(mode, OpMix::paper_tokudb());
-            assert!(
-                write_heavy > read_only,
-                "{mode:?}: p99 read latency must rise under writes: {write_heavy} !> {read_only}"
-            );
-        }
-    }
-
-    /// The session's direct write surface: bytes through the rings, an
-    /// fsync barrier, and the journal committed.
-    #[test]
-    fn session_write_surface_journals_through_the_rings() {
-        let mut s = PushdownSession::builder(Btree::depth(3))
-            .dispatch(DispatchMode::DriverHook)
-            .build()
-            .expect("session");
-        let before = s.machine().device_stats();
-        let (lat, ios) = s.write(1 << 20, &vec![0x5Au8; 1024], true).expect("write");
-        assert!(lat > 0);
-        assert_eq!(ios, 2, "one merged 2-block write command + flush");
-        let after = s.machine().device_stats();
-        assert_eq!(after.writes - before.writes, 1);
-        assert_eq!(after.flushes - before.flushes, 1);
-        assert!(after.write_doorbells > before.write_doorbells);
-        let j = s.machine().fs().journal();
-        assert!(!j.in_transaction(), "fsync committed the txn");
-        assert_eq!(s.stats().writes, 1);
-        assert_eq!(s.stats().bytes_written, 1024);
-        // Reads on the same session still work afterwards.
-        let hit = s.lookup(1).expect("lookup");
-        assert!(hit.found);
-    }
-}
+#[path = "end_to_end/write_mixes.rs"]
+mod write_mixes;
 
 // --- LSM end to end: flush/compaction through the rings, pushdown reads -------
 
-mod lsm_end_to_end {
-    use super::*;
-    use bpfstor::core::{MachineLsmIo, Member, PushdownWorkload};
-    use bpfstor::kernel::{MachineConfig, Mutation, DEFAULT_TENANT};
-    use bpfstor::lsm::{LsmConfig, LsmIo, LsmTree, TableHandle};
-
-    const VS: usize = 64;
-
-    fn value_for(key: u64) -> Vec<u8> {
-        let mut v = vec![0u8; VS];
-        v[..8].copy_from_slice(&key.wrapping_mul(0xBEEF17).to_le_bytes());
-        v
-    }
-
-    /// Attaches a cold-get workload to a table the `LsmTree` flushed
-    /// onto `m`, the way a session attaches to the file it created. The
-    /// workload learns the table from the table itself — every entry
-    /// read back through the rings — and the image it builds from them
-    /// must be, byte for byte, what the flush put on disk.
-    fn attach_to_table(
-        m: &mut Machine,
-        table: &TableHandle,
-        probes: Vec<u64>,
-        mode: DispatchMode,
-        retry_budget: u32,
-    ) -> Member<Sst> {
-        let mut io = MachineLsmIo::new(m);
-        let entries = table.read_all(&mut io).expect("read back");
-        assert!(entries.iter().all(|(k, v)| *v == value_for(*k)));
-        let mut sst = Sst::new(entries, probes);
-        let image = sst.build_image().expect("image");
-        assert_eq!(
-            io.read(table.ino, 0, image.len()).expect("read"),
-            image,
-            "the flushed table is the image the workload describes"
-        );
-        Member::attach(m, DEFAULT_TENANT, &table.name, sst, mode, retry_budget).expect("attach")
-    }
-
-    /// The cold-SSTable-get workload, truly end to end: inserts buffer
-    /// in the memtable, flushes write SSTables through the SQ/CQ rings
-    /// (journaled, fsync-barriered), compactions read and rewrite
-    /// tables through the same rings — and then pushdown reads run
-    /// against the freshly written tables in all three dispatch modes.
-    #[test]
-    fn inserts_flush_then_pushdown_reads_in_all_modes() {
-        let mut m = Machine::new(MachineConfig::default());
-        let mut lsm = LsmTree::new(LsmConfig {
-            memtable_limit: 8 * 1024,
-            level_trigger: 3,
-        });
-        {
-            let mut io = MachineLsmIo::new(&mut m);
-            for key in 0..1_500u64 {
-                lsm.put(&mut io, key * 2, value_for(key * 2)).expect("put");
-            }
-            lsm.flush(&mut io).expect("flush");
-        }
-        let st = m.device_stats();
-        assert!(st.writes > 0, "flush images went through the rings");
-        assert!(st.flushes > 0, "every table was fsync-barriered");
-        assert!(st.write_doorbells > 0 && st.write_cqes > 0);
-        assert!(lsm.stats().compactions > 0, "enough tables to compact");
-        assert!(
-            st.reads > 0,
-            "table opens + compaction inputs were timed ring reads"
-        );
-
-        // Pick the biggest live table and probe it cold in every mode.
-        let table = lsm
-            .levels()
-            .iter()
-            .flatten()
-            .max_by_key(|t| t.footer.nkeys)
-            .expect("a live table");
-        let (min_key, max_key) = (table.footer.min_key, table.footer.max_key);
-        let keys: Vec<u64> = (0..60u64)
-            .map(|i| min_key + (i * (max_key - min_key) / 60) / 2 * 2)
-            .chain([max_key + 7])
-            .collect();
-        // Every even key of the table's range was inserted.
-        let in_table = |k: &&u64| **k <= max_key && k.is_multiple_of(2);
-        let hits = keys.iter().filter(in_table).count() as u64;
-        for mode in DispatchMode::ALL {
-            let mut d = attach_to_table(&mut m, table, keys.clone(), mode, 0);
-            let report = m.run_closed_loop(1, SECOND, &mut d);
-            let stats = d.stats();
-            assert_eq!(stats.completed, keys.len() as u64, "{mode:?}");
-            assert_eq!(
-                stats.mismatches, 0,
-                "{mode:?}: pushdown over a freshly flushed table agrees with the oracle"
-            );
-            assert_eq!(stats.errors, 0, "{mode:?}");
-            assert_eq!(
-                (stats.hits, stats.misses),
-                (hits, keys.len() as u64 - hits),
-                "{mode:?}"
-            );
-            assert!(hits > 0 && hits < keys.len() as u64);
-            assert_eq!(report.errors, 0, "{mode:?}");
-        }
-    }
-
-    /// Mid-run extent remap on a freshly written SSTable: the relocation
-    /// invalidates the NVMe-layer snapshot while driver-hook chains are
-    /// in flight; the adapter's rearm-and-retry policy (the kernel
-    /// reruns the snapshot ioctl and restarts the chain) absorbs it and
-    /// every lookup still completes correctly.
-    #[test]
-    fn mid_run_remap_of_fresh_sstable_exercises_rearm_retry() {
-        let mut m = Machine::new(MachineConfig::default());
-        let mut lsm = LsmTree::new(LsmConfig {
-            memtable_limit: 64 * 1024,
-            level_trigger: 8,
-        });
-        {
-            let mut io = MachineLsmIo::new(&mut m);
-            for key in 0..800u64 {
-                lsm.put(&mut io, key, value_for(key)).expect("put");
-            }
-            lsm.flush(&mut io).expect("flush");
-        }
-        let table = &lsm.levels()[0][0];
-        let keys: Vec<u64> = (0..400u64).map(|i| (i * 13) % 800).collect();
-        let mut d = attach_to_table(&mut m, table, keys.clone(), DispatchMode::DriverHook, 3);
-        // Defragment the table's extents shortly into the run.
-        let name = table.name.clone();
-        m.schedule_mutation(m.now + 100_000, Mutation::Relocate { name });
-        let report = m.run_closed_loop(2, SECOND, &mut d);
-        let stats = d.stats();
-        assert_eq!(stats.completed, keys.len() as u64);
-        assert_eq!(stats.hits, keys.len() as u64);
-        assert_eq!(stats.mismatches, 0, "relocated blocks still decode right");
-        assert_eq!(stats.errors, 0, "retry absorbed every invalidation");
-        assert!(
-            report.rearm_retries > 0,
-            "the remap really hit in-flight chains"
-        );
-    }
-}
+#[path = "end_to_end/lsm_end_to_end.rs"]
+mod lsm_end_to_end;
 
 // --- Pushdown over fabric (NVMe-oF-style remote queues) ---------------------
-
-/// A fixed-latency fabric link for deterministic latency arithmetic.
-fn test_link(one_way: u64) -> bpfstor::kernel::FabricConfig {
-    bpfstor::kernel::FabricConfig {
-        to_target: bpfstor::sim::LatencyDist::Constant(one_way),
-        to_host: bpfstor::sim::LatencyDist::Constant(one_way),
-        target_proc_ns: 0,
-        inflight_cap: 32,
-        ..bpfstor::kernel::FabricConfig::contention_defaults()
-    }
-}
 
 #[test]
 fn remote_modes_stay_correct_on_every_workload() {
     for mode in [DispatchMode::Remote, DispatchMode::DriverHook] {
         let mut s = PushdownSession::builder(Btree::depth(4).max_chains(20))
             .dispatch(mode)
-            .fabric(test_link(8_000))
+            .fabric(exact_link(8_000))
             .build()
             .expect("btree session");
         let (report, stats) = s.run_closed_loop(2, SECOND);
@@ -869,7 +571,7 @@ fn remote_modes_stay_correct_on_every_workload() {
 
         let mut s = PushdownSession::builder(Chase::hops(6).max_chains(12))
             .dispatch(mode)
-            .fabric(test_link(8_000))
+            .fabric(exact_link(8_000))
             .build()
             .expect("chase session");
         let (report, stats) = s.run_uring(1, 4, SECOND);
@@ -885,7 +587,7 @@ fn fabric_lookup_returns_the_same_value_as_local() {
         let mut b = PushdownSession::builder(Btree::depth(3));
         b = b.dispatch(mode);
         if fabric {
-            b = b.fabric(test_link(5_000));
+            b = b.fabric(exact_link(5_000));
         }
         let mut s = b.build().expect("session");
         let out = s.lookup(42).expect("lookup");
@@ -904,7 +606,7 @@ fn pushdown_elides_fabric_round_trips_on_dependency_chains() {
     let mean = |mode: DispatchMode| {
         let mut s = PushdownSession::builder(Chase::hops(HOPS).max_chains(10))
             .dispatch(mode)
-            .fabric(test_link(ONE_WAY))
+            .fabric(exact_link(ONE_WAY))
             .build()
             .expect("session");
         let (report, stats) = s.run_closed_loop(1, SECOND);
@@ -929,7 +631,7 @@ fn fabric_pushdown_survives_relocation_through_auto_retry() {
     // re-arms, and the retried chains succeed.
     let mut s = PushdownSession::builder(Chase::hops(5).max_chains(40))
         .dispatch(DispatchMode::DriverHook)
-        .fabric(test_link(6_000))
+        .fabric(exact_link(6_000))
         .retry_budget(3)
         .build()
         .expect("session");
@@ -943,98 +645,5 @@ fn fabric_pushdown_survives_relocation_through_auto_retry() {
 
 // --- Tenant groups -------------------------------------------------------------
 
-mod tenant_groups {
-    use super::*;
-    use bpfstor::core::{TenantGroup, TenantLimits};
-
-    #[test]
-    fn single_tenant_group_equals_standalone_session_bit_for_bit() {
-        // Same machine config and seed, one tenant with default limits:
-        // the first tenant is the kernel's default tenant, so the group
-        // must not perturb a single simulated nanosecond.
-        const SEED: u64 = 0x7E4A;
-        const UNTIL: u64 = 4 * MILLISECOND;
-        for mode in [DispatchMode::DriverHook, DispatchMode::User] {
-            for uring in [false, true] {
-                let mut group = TenantGroup::builder().dispatch(mode).seed(SEED).build();
-                group
-                    .add_tenant(Btree::depth(3), TenantLimits::default())
-                    .expect("lone tenant");
-                let mut session = PushdownSession::builder(Btree::depth(3))
-                    .dispatch(mode)
-                    .seed(SEED)
-                    .build()
-                    .expect("session");
-                let (grouped, (standalone, stats)) = if uring {
-                    (
-                        group.run_uring(&[2], 4, UNTIL),
-                        session.run_uring(2, 4, UNTIL),
-                    )
-                } else {
-                    (
-                        group.run_closed_loop(&[2], UNTIL),
-                        session.run_closed_loop(2, UNTIL),
-                    )
-                };
-                let what = format!("{mode:?}, uring {uring}");
-                assert!(standalone.chains > 0, "{what}: the run does work");
-                assert_eq!(
-                    (grouped.chains, grouped.ios, grouped.sim_time),
-                    (standalone.chains, standalone.ios, standalone.sim_time),
-                    "{what}"
-                );
-                assert_eq!(grouped.trace, standalone.trace, "{what}: layer trace");
-                assert_eq!(grouped.device, standalone.device, "{what}: device stats");
-                for q in [0.5, 0.99] {
-                    assert_eq!(
-                        grouped.latency.quantile(q),
-                        standalone.latency.quantile(q),
-                        "{what}: latency quantile {q}"
-                    );
-                }
-                assert_eq!(group.stats(0), stats, "{what}: session statistics");
-            }
-        }
-    }
-
-    #[test]
-    fn rejected_tenant_leaves_the_group_usable() {
-        let mut group = TenantGroup::builder().build();
-        let first = group
-            .add_tenant(Btree::depth(3), TenantLimits::default())
-            .expect("first tenant");
-        // A depth-3 traversal cannot fit a 4-instruction budget: the
-        // verifier rejects it after the kernel has minted a tenant id.
-        let tight = TenantLimits {
-            insn_budget: Some(4),
-            ..TenantLimits::default()
-        };
-        let rejection = group
-            .add_tenant(Btree::depth(3), tight)
-            .expect_err("over-budget program is rejected at install");
-        assert!(format!("{rejection:?}").contains("BudgetExceeded"));
-        assert_eq!(group.tenant_count(), 1, "a rejected tenant is not attached");
-
-        let second = group
-            .add_tenant(Btree::depth(3), TenantLimits::default())
-            .expect("the group still accepts tenants");
-        assert_eq!(group.tenant_count(), 2);
-        // One thread count per attached tenant; the accepted tenant's id
-        // indexes the report, the group's stats and completion routing.
-        let report = group.run_closed_loop(&[1, 1], 2 * MILLISECOND);
-        assert_eq!(report.errors, 0);
-        for id in [first, second] {
-            let breakdown = &report.tenants[id as usize];
-            assert_eq!(breakdown.tenant, id);
-            assert!(breakdown.chains > 0, "tenant {id} ran");
-            let stats = group.stats(id);
-            assert_eq!(stats.completed, breakdown.chains, "tenant {id}");
-            assert_eq!(stats.mismatches + stats.errors, 0, "tenant {id}");
-        }
-        assert_eq!(
-            report.tenants.iter().map(|t| t.chains).sum::<u64>(),
-            report.chains,
-            "no chain is charged to a tenant that was never attached"
-        );
-    }
-}
+#[path = "end_to_end/tenant_groups.rs"]
+mod tenant_groups;

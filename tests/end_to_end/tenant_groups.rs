@@ -1,0 +1,82 @@
+//! Tenant groups.
+
+use super::*;
+use bpfstor::core::{TenantGroup, TenantLimits};
+
+#[test]
+fn single_tenant_group_equals_standalone_session_bit_for_bit() {
+    // Same machine config and seed, one tenant with default limits:
+    // the first tenant is the kernel's default tenant, so the group
+    // must not perturb a single simulated nanosecond.
+    const SEED: u64 = 0x7E4A;
+    const UNTIL: u64 = 4 * MILLISECOND;
+    for mode in [DispatchMode::DriverHook, DispatchMode::User] {
+        for uring in [false, true] {
+            let mut group = TenantGroup::builder().dispatch(mode).seed(SEED).build();
+            group
+                .add_tenant(Btree::depth(3), TenantLimits::default())
+                .expect("lone tenant");
+            let mut session = PushdownSession::builder(Btree::depth(3))
+                .dispatch(mode)
+                .seed(SEED)
+                .build()
+                .expect("session");
+            let (grouped, (standalone, stats)) = if uring {
+                (
+                    group.run_uring(&[2], 4, UNTIL),
+                    session.run_uring(2, 4, UNTIL),
+                )
+            } else {
+                (
+                    group.run_closed_loop(&[2], UNTIL),
+                    session.run_closed_loop(2, UNTIL),
+                )
+            };
+            let what = format!("{mode:?}, uring {uring}");
+            assert!(standalone.chains > 0, "{what}: the run does work");
+            assert_eq!(grouped, standalone, "{what}");
+            assert_eq!(group.stats(0), stats, "{what}: session statistics");
+        }
+    }
+}
+
+#[test]
+fn rejected_tenant_leaves_the_group_usable() {
+    let mut group = TenantGroup::builder().build();
+    let first = group
+        .add_tenant(Btree::depth(3), TenantLimits::default())
+        .expect("first tenant");
+    // A depth-3 traversal cannot fit a 4-instruction budget: the
+    // verifier rejects it after the kernel has minted a tenant id.
+    let tight = TenantLimits {
+        insn_budget: Some(4),
+        ..TenantLimits::default()
+    };
+    let rejection = group
+        .add_tenant(Btree::depth(3), tight)
+        .expect_err("over-budget program is rejected at install");
+    assert!(format!("{rejection:?}").contains("BudgetExceeded"));
+    assert_eq!(group.tenant_count(), 1, "a rejected tenant is not attached");
+
+    let second = group
+        .add_tenant(Btree::depth(3), TenantLimits::default())
+        .expect("the group still accepts tenants");
+    assert_eq!(group.tenant_count(), 2);
+    // One thread count per attached tenant; the accepted tenant's id
+    // indexes the report, the group's stats and completion routing.
+    let report = group.run_closed_loop(&[1, 1], 2 * MILLISECOND);
+    assert_eq!(report.errors, 0);
+    for id in [first, second] {
+        let breakdown = &report.tenants[id as usize];
+        assert_eq!(breakdown.tenant, id);
+        assert!(breakdown.chains > 0, "tenant {id} ran");
+        let stats = group.stats(id);
+        assert_eq!(stats.completed, breakdown.chains, "tenant {id}");
+        assert_eq!(stats.mismatches + stats.errors, 0, "tenant {id}");
+    }
+    assert_eq!(
+        report.tenants.iter().map(|t| t.chains).sum::<u64>(),
+        report.chains,
+        "no chain is charged to a tenant that was never attached"
+    );
+}

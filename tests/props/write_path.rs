@@ -1,0 +1,216 @@
+// --- Extent-granular write path vs the per-bit / per-sector / per-block code it replaced ---
+
+/// One to three block groups, word-aligned and not.
+const ALLOC_SIZES: [u64; 10] = [
+    1,
+    63,
+    64,
+    65,
+    200,
+    GROUP_BLOCKS,
+    GROUP_BLOCKS + 1,
+    GROUP_BLOCKS + 70,
+    2 * GROUP_BLOCKS + 33,
+    3 * GROUP_BLOCKS,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn wordwise_allocator_matches_the_bitwise_one(
+        size in 0usize..ALLOC_SIZES.len(),
+        ops in proptest::collection::vec((0u8..8, any::<u64>(), any::<u64>()), 1..80)
+    ) {
+        let nblocks = ALLOC_SIZES[size];
+        let mut word = BlockAllocator::new(nblocks);
+        let mut bit = BitAllocator::new(nblocks);
+        let mut live: Vec<Run> = Vec::new();
+        for (kind, a, b) in ops {
+            match kind {
+                // Allocate: short runs, runs that can swallow a group
+                // (so the device fills and pass 2 has to wrap), goals
+                // anywhere up to past the end.
+                0..=4 => {
+                    let want = 1 + a % if kind < 3 { 40 } else { nblocks + 5 };
+                    let goal = b % (nblocks + 200);
+                    let got = word.alloc(want, goal);
+                    prop_assert_eq!(got, bit.alloc(want, goal), "alloc({}, {})", want, goal);
+                    live.extend(got);
+                }
+                // Release a random slice of a live run.
+                5 | 6 => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let run = live.swap_remove((a % live.len() as u64) as usize);
+                    let skip = b % run.len;
+                    let len = 1 + (b >> 32) % (run.len - skip);
+                    word.release(run.start + skip, len);
+                    bit.release(run.start + skip, len);
+                    for (start, len) in [(run.start, skip), (run.start + skip + len, run.len - skip - len)] {
+                        if len > 0 {
+                            live.push(Run { start, len });
+                        }
+                    }
+                }
+                // Reserve (replay's path) wherever the range is free.
+                _ => {
+                    let start = a % nblocks;
+                    let len = 1 + b % (nblocks - start).min(150);
+                    if bit.all_free(start, len) {
+                        word.reserve(start, len);
+                        bit.reserve(start, len);
+                        live.push(Run { start, len });
+                    }
+                }
+            }
+            prop_assert_eq!(word.used(), bit.used);
+            prop_assert_eq!(word.free(), nblocks - bit.used);
+            prop_assert_eq!(word.free_fragments(), bit.free_fragments());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn chunked_store_matches_the_per_sector_map(
+        ops in proptest::collection::vec((0u8..4, 0u64..150, 1u32..50, any::<u8>()), 1..60)
+    ) {
+        // LBAs 0..200 cross a dozen chunk boundaries and the longer
+        // ranges cover whole chunks.
+        let mut store = SectorStore::new();
+        let mut oracle = SectorMap::default();
+        for (kind, slba, nlb, fill) in ops {
+            match kind {
+                0 | 1 => {
+                    let data: Vec<u8> = (0..nlb as usize * SECTOR_SIZE)
+                        .map(|i| fill.wrapping_add((i / 7) as u8) | 1)
+                        .collect();
+                    store.write(slba, &data);
+                    oracle.write(slba, &data);
+                }
+                2 => {
+                    store.discard(slba, nlb);
+                    oracle.discard(slba, nlb);
+                }
+                _ => {
+                    // A partial write framed by the stored edges.
+                    let head = fill as usize * 2;
+                    let src = vec![fill | 1; (nlb as usize * 37).min(3 * SECTOR_SIZE)];
+                    let mut want = oracle.read(slba, ((head + src.len()).div_ceil(SECTOR_SIZE)) as u32);
+                    want[head..head + src.len()].copy_from_slice(&src);
+                    prop_assert_eq!(store.read_modify(slba, head, &src), want);
+                }
+            }
+            // Every op is followed by reads around and across it.
+            let from = slba.saturating_sub(3);
+            let want = oracle.read(from, nlb + 6);
+            prop_assert_eq!(store.read(from, nlb + 6), want.clone());
+            let mut out = vec![0xEEu8; want.len()];
+            store.read_into(from, &mut out);
+            prop_assert_eq!(out, want);
+        }
+    }
+}
+
+/// One step of the write-path differential.
+#[derive(Debug, Clone)]
+enum WriteOp {
+    /// `blocks` blocks at the file's end, `skip` blocks further on when
+    /// leaving a hole, through entry point `via`.
+    Append {
+        file: usize,
+        blocks: u64,
+        skip: u64,
+        via: u8,
+    },
+    /// Somewhere inside (or straddling the end of) the file, byte-
+    /// unaligned when `delta != 0`.
+    Overwrite {
+        file: usize,
+        at: u64,
+        blocks: u64,
+        delta: u64,
+        via: u8,
+    },
+    /// Two back-to-back multi-block appends reaching the file system in
+    /// swapped order — concurrent writers' submissions (the benchmark's
+    /// `plan_write_ooo` shape).
+    Swapped {
+        file: usize,
+        blocks: u64,
+    },
+    Truncate {
+        file: usize,
+        blocks: u64,
+    },
+}
+
+fn write_op_strategy() -> impl Strategy<Value = WriteOp> {
+    prop_oneof![
+        4 => (0usize..3, 1u64..24, 0u64..4, 0u8..3)
+            .prop_map(|(file, blocks, skip, via)| WriteOp::Append { file, blocks, skip: skip.saturating_sub(2), via }),
+        3 => (0usize..3, 0u64..60, 1u64..16, 0u64..3, 0u8..3)
+            .prop_map(|(file, at, blocks, delta, via)| WriteOp::Overwrite { file, at, blocks, delta: delta * 100, via }),
+        2 => (0usize..3, 2u64..12).prop_map(|(file, blocks)| WriteOp::Swapped { file, blocks }),
+        1 => (0usize..3, 0u64..40).prop_map(|(file, blocks)| WriteOp::Truncate { file, blocks }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+    #[test]
+    fn run_granular_write_path_matches_block_at_a_time(
+        two_groups in any::<bool>(),
+        ops in proptest::collection::vec(write_op_strategy(), 1..40)
+    ) {
+        const BS: u64 = Lockstep::BS;
+        let mut both = Lockstep::new(two_groups);
+        both.check();
+        for op in ops {
+            match op {
+                WriteOp::Append { file, blocks, skip, via } => {
+                    let off = (both.end_block(file) + skip) * BS;
+                    both.write_range(file, off, blocks * BS, via);
+                }
+                WriteOp::Overwrite { file, at, blocks, delta, via } => {
+                    both.write_range(file, at * BS + delta, blocks * BS - delta, via);
+                }
+                WriteOp::Swapped { file, blocks } => {
+                    let off = both.end_block(file) * BS;
+                    both.write_range(file, off + blocks * BS, blocks * BS, 1);
+                    both.write_range(file, off, blocks * BS, 1);
+                }
+                WriteOp::Truncate { file, blocks } => both.truncate(file, blocks * BS),
+            }
+            both.check();
+        }
+    }
+
+    #[test]
+    fn contiguous_append_logs_one_extent_and_one_size(
+        appends in proptest::collection::vec(1u64..200, 1..12)
+    ) {
+        let mut fs = ExtFs::mkfs(1 << 14);
+        let mut store = SectorStore::new();
+        let ino = fs.create("log").expect("create");
+        let mut end = 0u64;
+        for blocks in appends {
+            let before = fs.journal().len();
+            let segments = fs.plan_write(ino, end * 512, (blocks * 512) as usize, &mut store).expect("room");
+            fs.commit_journal();
+            prop_assert_eq!(segments, vec![(end, blocks)]);
+            let extent = Extent { logical: end, physical: end, len: blocks };
+            end += blocks;
+            prop_assert_eq!(
+                &fs.journal().committed_records()[before..],
+                &[
+                    JournalRecord::MapExtent { ino, extent },
+                    JournalRecord::SetSize { ino, size: end * 512 },
+                ][..]
+            );
+            prop_assert_eq!(fs.extents_snapshot(ino).expect("extents").len(), 1);
+        }
+    }
+}
