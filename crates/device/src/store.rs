@@ -11,8 +11,10 @@
 //! `lba / CHUNK_SECTORS`, so a ranged read, write or discard costs one
 //! `memcpy`/`fill` per chunk it overlaps and a dense image costs its
 //! own bytes plus one pointer per chunk. The file system allocates
-//! physical blocks first-fit from block 0, which keeps written LBAs —
-//! and therefore the table — dense.
+//! goal-directed — a file's next run starts where its last one ended,
+//! else first-fit from the goal's block group (`fs/src/alloc.rs`) —
+//! over a device that fills from block 0, which keeps written LBAs,
+//! and therefore the table, dense.
 
 /// Logical block (sector) size in bytes. The paper's experiments use
 /// 512 B reads, so one B-tree node = one sector = one NVMe command.

@@ -303,21 +303,43 @@ impl ExtFs {
         len: usize,
         store: &mut SectorStore,
     ) -> Result<Vec<(u64, u64)>, FsError> {
+        let mut segments = Vec::new();
+        self.plan_write_into(ino, off, len, store, &mut segments)?;
+        Ok(segments)
+    }
+
+    /// [`ExtFs::plan_write`] into a vector the caller keeps for its
+    /// capacity: `segments` is emptied, then holds the plan. On an
+    /// error it holds what was mapped up to the failure — those blocks
+    /// stay allocated in the open transaction, but the write is not
+    /// planned and the caller should discard them.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExtFs::plan_write`].
+    pub fn plan_write_into(
+        &mut self,
+        ino: u64,
+        off: u64,
+        len: usize,
+        store: &mut SectorStore,
+        segments: &mut Vec<(u64, u64)>,
+    ) -> Result<(), FsError> {
+        segments.clear();
         self.inode(ino)?;
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         self.journal.join_running();
         let bs = BLOCK_SIZE as u64;
         let end = off + len as u64;
-        let mut segments = Vec::new();
-        self.map_range(ino, off / bs, end.div_ceil(bs), store, &mut segments)?;
+        self.map_range(ino, off / bs, end.div_ceil(bs), store, segments)?;
         let inode = self.inode_mut(ino)?;
         if end > inode.size {
             inode.size = end;
             self.journal.log(JournalRecord::SetSize { ino, size: end });
         }
-        Ok(segments)
+        Ok(())
     }
 
     /// Commits the open journal transaction (the kernel calls this when

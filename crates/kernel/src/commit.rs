@@ -230,6 +230,9 @@ pub(crate) struct Barrier {
     in_flight: Option<InFlight>,
     /// Fsyncs awaiting the next seal (the group-commit window).
     window: Vec<usize>,
+    /// The last released waiter list, emptied ([`Barrier::retire`]):
+    /// the next seal makes it the window, so neither list regrows.
+    retired: Vec<usize>,
     /// Seal again as soon as the in-flight barrier's CQE lands.
     window_due: bool,
     /// Whether a live seal timer is outstanding.
@@ -249,6 +252,7 @@ impl Barrier {
             policy,
             in_flight: None,
             window: Vec::new(),
+            retired: Vec::new(),
             window_due: false,
             timer_armed: false,
             seal_epoch: 0,
@@ -334,7 +338,7 @@ impl Barrier {
         self.seal_epoch += 1;
         self.timer_armed = false;
         self.window_due = false;
-        let waiters = std::mem::take(&mut self.window);
+        let waiters = std::mem::replace(&mut self.window, std::mem::take(&mut self.retired));
         debug_assert_eq!(internal.is_some(), waiters.is_empty());
         let leader = internal.unwrap_or_else(|| waiters[0]);
         self.in_flight = Some(InFlight {
@@ -373,6 +377,13 @@ impl Barrier {
             flush_dev_ns: f.flush_dev_ns,
             seal_next,
         }
+    }
+
+    /// Takes back a released waiter list ([`Release::ids`]) once the
+    /// machine has completed its fsyncs, for its capacity.
+    pub(crate) fn retire(&mut self, mut ids: Vec<usize>) {
+        ids.clear();
+        self.retired = ids;
     }
 
     /// A live seal timer fired: true to seal now; otherwise the seal

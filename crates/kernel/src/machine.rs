@@ -56,7 +56,7 @@
 //! | `Ev` | handler | consults |
 //! |---|---|---|
 //! | `AppStart` | `on_app_start` → `start_chain`, or `uring_enter` | the [`ChainDriver`], `rng` |
-//! | `DevSubmit` | `on_dev_submit` → `submit_read` / `submit_write_data` / flush → `submit_segments` | `fs`, page cache, `SqAdmission`, the [`Transport`] |
+//! | `DevSubmit` | `on_dev_submit` → `submit_read` / `submit_write_data` (→ `plan_write` once) / flush → `submit_segments` | `fs`, page cache, `SqAdmission`, the [`Transport`] |
 //! | `CacheHit` | `on_device_done` | the attached program (`run_hook`) |
 //! | `Doorbell` | `on_doorbell` | [`Transport`], [`Reaper`] |
 //! | `IrqFire`, `Poll` | `on_irq_fire`, `on_poll` → `reap_qp` → `on_cqe` → `on_device_done` | [`Reaper`], `FairSched`, `SqAdmission`, `Barrier` |
@@ -95,10 +95,36 @@
 //!   `Spares::chains`, `alloc_op` hands them to the next op —
 //!   whichever tenant's — and `start_chain` zeroes the scratch and
 //!   empties the emit buffer before the chain sees them.
-//! - **Batches** — the reap batch and a first hop's translated read
-//!   segments — live in `Spares` between events; the reap batch is
-//!   swapped with the transport's own at each reap (its
-//!   borrowed-batch contract).
+//! - **Batches** — the reap batch, one request's commands, the ops of
+//!   one `io_uring_enter` — live in `Spares` between events; the reap
+//!   batch is swapped with the transport's own at each reap (its
+//!   borrowed-batch contract), and a uring thread's queue of pending
+//!   submissions is drained and handed back to it.
+//!
+//! A journaled write keeps the same rule, so what it allocates is what
+//! its data costs — the record and the store chunks it fills:
+//!
+//! - **The record** is the driver's allocation (`WriteStart::data`). It
+//!   is the op's (`WriteState::data`) from `start_chain` through
+//!   planning and any parking, and leaves it once, at admission:
+//!   `Op::cut_write` moves it whole into the single `NvmeOp::Write` of a
+//!   sector-aligned one-run write, or copies it out run by run between
+//!   the stored edge sectors (`SectorStore::read_modify`). The device
+//!   copies a command's payload into the store at the doorbell and
+//!   drops it; a write that fails before admission drops it with the op.
+//! - **The planned runs** (`ChainBufs::runs`, plain `(start, sectors)`
+//!   pairs) are written by `ExtFs::plan_write_into` on the first
+//!   `DevSubmit`, stay with a parked op — so a retry neither allocates
+//!   nor journals again — and are emptied by `cut_write`; `free_op`
+//!   empties them on every other way out, so a pooled `ChainBufs`
+//!   never holds a plan.
+//! - **The commands** exist only inside `submit_segments`: cut into
+//!   `Spares::cmds` after the admission checks and drained onto the
+//!   rings in the same call. Nothing that carries payload bytes is
+//!   pooled between events (`free_op` asserts it).
+//! - **The commit window** and the waiter list of the barrier in flight
+//!   swap roles at each seal: `Barrier::seal` takes the list the last
+//!   release handed back (`Barrier::retire`) as the new window.
 //!
 //! Nothing here is sized by a constant: every pool holds at most what
 //! was alive at once at the busiest instant.
@@ -315,11 +341,9 @@ enum OpKind {
 /// The write-only part of an [`Op`] (all defaults on a read chain).
 #[derive(Default)]
 struct WriteState {
-    /// The chain's payload before submission planning.
+    /// The chain's payload, the op's from the chain's start until its
+    /// request is admitted to the rings (`cut_write`).
     data: Vec<u8>,
-    /// Planned `Write` commands, built once at first submission and
-    /// preserved across backpressure parking.
-    segments: Option<Vec<NvmeOp>>,
     /// Logical block range of the write (page-cache coherence).
     lb: u64,
     nblocks: u64,
@@ -357,6 +381,10 @@ struct ChainBufs {
     /// may land out of order across channels, so each fills its slot.
     /// All `None` between requests.
     seg_data: Vec<Option<Vec<u8>>>,
+    /// The physical `(start, sectors)` runs a write was planned onto:
+    /// filled by its first submission attempt, kept while it is parked,
+    /// emptied when its commands are cut. Empty on every other op.
+    runs: Vec<(u64, u64)>,
 }
 
 /// Buffers the per-I/O path reuses, kept only for their capacity.
@@ -365,8 +393,13 @@ struct Spares {
     /// The reap batch being worked through (swapped with the
     /// transport's at each reap).
     cqes: Vec<NvmeCompletion>,
-    /// A first hop's translated read segments.
-    read_segs: Vec<NvmeOp>,
+    /// One request's commands on their way to the rings — a first
+    /// hop's translated read segments, or an admitted write's payload
+    /// cut into `Write`s. Empty between events, so no payload byte
+    /// waits here for another chain.
+    cmds: Vec<NvmeOp>,
+    /// The ops one `io_uring_enter` started.
+    submitted: Vec<usize>,
     /// Buffers of finished ops (never more than were in flight at once).
     chains: Vec<ChainBufs>,
 }
@@ -459,6 +492,35 @@ impl Op {
             wr: WriteState::default(),
             fab: FabricState::default(),
         }
+    }
+
+    /// Cuts the admitted write's payload into one `Write` command per
+    /// planned run (like the bio layer merging adjacent blocks),
+    /// read-modify-writing the partial edge sectors from `store`, and
+    /// forgets the plan: from here the bytes are the commands'.
+    fn cut_write(&mut self, store: &SectorStore, cmds: &mut Vec<NvmeOp>) {
+        let head = (self.file_off % SECTOR_SIZE as u64) as usize;
+        match self.bufs.runs[..] {
+            // Whole sectors into one run: the payload is the command's.
+            [(slba, _)] if head == 0 && self.wr.data.len().is_multiple_of(SECTOR_SIZE) => {
+                let data = std::mem::take(&mut self.wr.data);
+                cmds.push(NvmeOp::Write { slba, data });
+            }
+            _ => {
+                let mut rest = &self.wr.data[..];
+                let mut head = head;
+                for &(slba, run) in &self.bufs.runs {
+                    let (src, tail) =
+                        rest.split_at(rest.len().min(run as usize * SECTOR_SIZE - head));
+                    let data = store.read_modify(slba, head, src);
+                    cmds.push(NvmeOp::Write { slba, data });
+                    (rest, head) = (tail, 0);
+                }
+                debug_assert!(rest.is_empty(), "plan covers range");
+                self.wr.data = Vec::new();
+            }
+        }
+        self.bufs.runs.clear();
     }
 }
 
@@ -1461,10 +1523,17 @@ impl Machine {
     }
 
     /// Retires a finished op: its last read buffer goes back to the
-    /// device, its per-chain buffers to the next chain.
+    /// device, its per-chain buffers to the next chain. A write that
+    /// failed before admission drops its payload here, with the op,
+    /// and its plan is forgotten.
     fn free_op(&mut self, id: usize) {
-        let op = self.ops[id].take().expect("op exists");
+        let mut op = self.ops[id].take().expect("op exists");
+        debug_assert!(
+            self.spares.cmds.is_empty(),
+            "a planned command outlived its submission"
+        );
         self.transport.device_mut().recycle(op.data);
+        op.bufs.runs.clear();
         self.spares.chains.push(op.bufs);
         self.free_ops.push(id);
     }
@@ -1612,7 +1681,9 @@ impl Machine {
             OpKind::Read => self.submit_read(id),
             OpKind::WriteData { fsync } => self.submit_write_data(id, fsync),
             // The fsync flush barrier; its CQE commits the journal.
-            OpKind::WriteFlush => self.submit_segments(id, 1, |_| std::iter::once(NvmeOp::Flush)),
+            OpKind::WriteFlush => {
+                self.submit_segments(id, 1, |_, _| std::iter::once(NvmeOp::Flush))
+            }
         }
     }
 
@@ -1621,13 +1692,14 @@ impl Machine {
     /// writes and flush barriers (application or writeback) all share.
     /// The request must fit the tenant's SQ slot budget and the queue
     /// pair as a whole, or the op parks until the next reap frees
-    /// slots; `cmds` is only called (to take the commands out of the
-    /// op) once the request is admitted, so a parked op keeps its plan.
+    /// slots; `cmds` is only called (to make the commands from the op,
+    /// over the stored bytes as they are at admission) once the request
+    /// is admitted, so a parked op keeps its payload and its plan.
     fn submit_segments<I: Iterator<Item = NvmeOp>>(
         &mut self,
         id: usize,
         n: usize,
-        cmds: impl FnOnce(&mut Op) -> I,
+        cmds: impl FnOnce(&mut Op, &SectorStore) -> I,
     ) {
         let op = self.ops[id].as_ref().expect("op");
         let (tenant, t) = (op.tenant, op.tenant as usize);
@@ -1675,7 +1747,7 @@ impl Machine {
         op.ios += n as u32;
         let ts = &mut self.run.tstats[t];
         let (mut reads, mut payload) = (0, 0);
-        for (seg, cmd) in cmds(op).enumerate() {
+        for (seg, cmd) in cmds(op, self.transport.device().store()).enumerate() {
             match &cmd {
                 NvmeOp::Read { .. } => reads += 1,
                 NvmeOp::Write { data, .. } => {
@@ -1708,27 +1780,30 @@ impl Machine {
     /// Submits a write chain's payload as `Write` commands, planning it
     /// on the first attempt: the data rides the same SQ/CQ rings as
     /// reads — paying queueing delay, the shared doorbell, and the
-    /// coalesced interrupt.
+    /// coalesced interrupt. One command per planned run, cut from the
+    /// payload only once the request is admitted.
     fn submit_write_data(&mut self, id: usize, fsync: bool) {
-        let planned = self.ops[id].as_ref().expect("op").wr.segments.as_ref();
-        let Some(n) = planned.map(Vec::len).or_else(|| self.plan_write(id, fsync)) else {
+        // A write back from parking still holds its first attempt's plan.
+        let parked = !self.ops[id].as_ref().expect("op").bufs.runs.is_empty();
+        if !parked && !self.plan_write(id, fsync) {
             return;
-        };
-        self.submit_segments(id, n, |op| {
-            op.wr.segments.take().expect("planned").into_iter()
+        }
+        let n = self.ops[id].as_ref().expect("op").bufs.runs.len();
+        let mut cmds = std::mem::take(&mut self.spares.cmds);
+        self.submit_segments(id, n, |op, store| {
+            op.cut_write(store, &mut cmds);
+            cmds.drain(..)
         });
+        self.spares.cmds = cmds;
     }
 
     /// First attempt of a write chain: the file system performs the
-    /// metadata half (allocation, journal records, size) and the
-    /// payload is cut into one `Write` command per physically
-    /// contiguous run (like the bio layer merging adjacent blocks),
-    /// read-modify-writing the partial edge blocks from the current
-    /// stored bytes. The plan survives backpressure parking (no double
-    /// allocation). Returns the number of commands planned, or `None`
-    /// when there is nothing to submit: an empty write completed (or
-    /// became a pure fsync), or planning failed the chain.
-    fn plan_write(&mut self, id: usize, fsync: bool) -> Option<usize> {
+    /// metadata half (allocation, journal records, size) and leaves the
+    /// physically contiguous runs the payload goes to in the op. The
+    /// plan survives backpressure parking (no double allocation).
+    /// Returns `false` when there is nothing to submit: an empty write
+    /// completed (or became a pure fsync), or planning failed the chain.
+    fn plan_write(&mut self, id: usize, fsync: bool) -> bool {
         let op = self.ops[id].as_mut().expect("op");
         let (ino, file_off, len) = (op.ino, op.file_off, op.wr.data.len());
         if len == 0 {
@@ -1744,50 +1819,27 @@ impl Machine {
                 op.status = Some(ChainStatus::Written(0));
                 self.deliver(id, &[]);
             }
-            return None;
+            return false;
         }
         let store = self.transport.device_mut().store_mut();
-        let plan = self.fs.plan_write(ino, file_off, len, store);
+        let planned = self
+            .fs
+            .plan_write_into(ino, file_off, len, store, &mut op.bufs.runs);
         // The plan's `Mapped` events are consumed now rather than piling
         // up until the next mutation.
         self.apply_fs_events();
-        let Ok(plan) = plan else {
+        if planned.is_err() {
             self.fail(id, ChainStatus::IoError, &[]);
-            return None;
-        };
+            return false;
+        }
         let op = self.ops[id].as_mut().expect("op");
-        let store = self.transport.device_mut().store();
         let bs = SECTOR_SIZE as u64;
-        let head = (file_off % bs) as usize;
-        let segments = match plan[..] {
-            // Whole sectors into one run: the payload is the command's.
-            [(slba, _)] if head == 0 && len.is_multiple_of(SECTOR_SIZE) => {
-                let data = std::mem::take(&mut op.wr.data);
-                vec![NvmeOp::Write { slba, data }]
-            }
-            _ => {
-                let mut rest = &op.wr.data[..];
-                let mut head = head;
-                let mut segments = Vec::with_capacity(plan.len());
-                for &(slba, run) in &plan {
-                    let (src, tail) =
-                        rest.split_at(rest.len().min(run as usize * SECTOR_SIZE - head));
-                    let data = store.read_modify(slba, head, src);
-                    segments.push(NvmeOp::Write { slba, data });
-                    (rest, head) = (tail, 0);
-                }
-                debug_assert!(rest.is_empty(), "plan covers range");
-                op.wr.data = Vec::new();
-                segments
-            }
-        };
         op.wr.lb = file_off / bs;
         op.wr.nblocks = (file_off + len as u64 - 1) / bs - op.wr.lb + 1;
-        op.wr.segments = Some(segments);
         // The plan just logged this write's journal records: any seal
         // at or past this point covers them.
         op.wr.journal_end = self.fs.journal_len();
-        Some(plan.len())
+        true
     }
 
     /// Translates and submits a read. First hops and user-path reissues
@@ -1835,14 +1887,13 @@ impl Machine {
                 return self.fail(id, ChainStatus::Invalidated, &[]);
             }
             let (slba, nlb) = (phys, nblocks as u32);
-            return self.submit_segments(id, 1, |op| {
+            return self.submit_segments(id, 1, |op, _| {
                 op.recycled = op.phys_target.take().is_some();
                 std::iter::once(NvmeOp::Read { slba, nlb })
             });
         }
         // Translate logical blocks to physical segments via the FS.
-        let mut segments = std::mem::take(&mut self.spares.read_segs);
-        segments.clear();
+        let mut segments = std::mem::take(&mut self.spares.cmds);
         let (mut cur, end) = (lb, lb + nblocks);
         while let Ok(Some((slba, run))) = self.fs.map(ino, cur) {
             let nlb = (end - cur).min(run) as u32;
@@ -1853,14 +1904,16 @@ impl Machine {
             }
         }
         if cur == end {
-            self.submit_segments(id, segments.len(), |op| {
+            self.submit_segments(id, segments.len(), |op, _| {
                 op.recycled = false;
                 segments.drain(..)
             });
         } else {
             self.fail(id, ChainStatus::IoError, &[]);
         }
-        self.spares.read_segs = segments;
+        // A parked read translates again when it is retried.
+        segments.clear();
+        self.spares.cmds = segments;
     }
 
     /// The driver's doorbell MMIO write: the device batch-services the
@@ -2229,10 +2282,11 @@ impl Machine {
         // One return capsule acks every target-resident fsync this
         // barrier releases: the first release sends it, the rest join.
         let mut ack = None;
-        for j in rel.ids {
+        for &j in &rel.ids {
             self.record_fsync_latency(j);
             ack = self.complete_write(j, ack);
         }
+        self.barrier.retire(rel.ids);
         // jbd2-style chaining: fsyncs that arrived too late for this
         // transaction seal the next one right away.
         if rel.seal_next {
@@ -2578,11 +2632,12 @@ impl Machine {
             // First enter of the run: fill the queue with fresh chains.
             ur.queue.extend((0..ur.batch).map(|_| PendingSub::NewChain));
         }
-        let queue = std::mem::take(&mut ur.queue);
+        // Drained and handed back: the batch's completions refill it.
+        let mut queue = std::mem::take(&mut ur.queue);
         let mode = driver.mode();
-        let mut submitted: Vec<usize> = Vec::new();
+        let mut submitted = std::mem::take(&mut self.spares.submitted);
         let mut n_writes: u64 = 0;
-        for sub in queue {
+        for sub in queue.drain(..) {
             let started = match sub {
                 // The slot takes the driver's next operation that names
                 // an open descriptor; the ones before it fail here.
@@ -2613,19 +2668,22 @@ impl Machine {
             };
             submitted.extend(started);
         }
+        let ur = self.threads[thread].uring.as_mut().expect("uring");
+        ur.queue = queue;
+        ur.pending = submitted.len() as u32;
         if submitted.is_empty() {
             self.threads[thread].stopped = true;
-            return;
+        } else {
+            // One crossing for the whole batch; per-SQE kernel work covers
+            // the uring + fs + bio + driver submission of each request.
+            let n = submitted.len() as u64;
+            let burst = self.costs.uring_enter(n, n - n_writes, n_writes);
+            let end = self.charge(None, burst);
+            for id in submitted.drain(..) {
+                self.events.push(end, Ev::DevSubmit { op: id });
+            }
         }
-        // One crossing for the whole batch; per-SQE kernel work covers
-        // the uring + fs + bio + driver submission of each request.
-        let n = submitted.len() as u64;
-        let burst = self.costs.uring_enter(n, n - n_writes, n_writes);
-        let end = self.charge(None, burst);
-        for id in submitted {
-            self.events.push(end, Ev::DevSubmit { op: id });
-        }
-        self.threads[thread].uring.as_mut().expect("uring").pending = n as u32;
+        self.spares.submitted = submitted;
     }
 
     fn on_mutate(&mut self, idx: usize) {

@@ -157,25 +157,73 @@ fn fsync_write_pays_data_then_flush_ordering() {
 
 #[test]
 fn write_backpressure_parks_and_retries_until_done() {
-    // A two-slot ring (capacity 1) under a uring batch of 8 writers:
-    // submissions must park on the full SQ and retry after interrupts
-    // free slots — every write still completes, none are dropped.
-    let (mut m, fd) = log_machine(ring_depth(2), "log.db");
-    let mut d = writes(fd, SECTOR_SIZE, 32, 0);
-    let report = m.run_uring(1, 8, SECOND, &mut d);
-    assert_eq!(d.outcomes.len(), 32, "no write lost to backpressure");
-    assert!(
-        d.outcomes
-            .iter()
-            .all(|o| matches!(o.status, ChainStatus::Written(_))),
-        "all delivered as written"
+    // A uring batch of 8 writers into (a) a two-slot ring (capacity 1)
+    // and (b) a tenant budget of one SQ slot: submissions must park —
+    // on the full SQ, on the budget — and retry after interrupts free
+    // slots. Every write still completes, none are dropped.
+    let run = |cfg: MachineConfig, sq_slots: Option<usize>| {
+        let (mut m, fd) = log_machine(cfg, "log.db");
+        m.set_tenant_limits(
+            DEFAULT_TENANT,
+            TenantLimits {
+                sq_slots,
+                ..TenantLimits::default()
+            },
+        );
+        let mut d = writes(fd, SECTOR_SIZE, 32, 0);
+        let report = m.run_uring(1, 8, SECOND, &mut d);
+        assert_eq!(d.outcomes.len(), 32, "no write lost to backpressure");
+        assert!(
+            d.outcomes
+                .iter()
+                .all(|o| matches!(o.status, ChainStatus::Written(_))),
+            "all delivered as written"
+        );
+        assert_eq!(report.errors, 0);
+        (m, fd, report)
+    };
+    let (open_m, open_fd, open) = run(MachineConfig::default(), None);
+    assert_eq!(
+        (open.device.rejected, open.tenants[0].sq_parks),
+        (0, 0),
+        "the reference run never parks"
     );
-    assert!(
-        report.device.rejected > 0,
-        "the one-slot ring must have parked submissions"
-    );
-    assert_eq!(report.device.writes, 32);
-    assert_eq!(report.errors, 0);
+    assert_eq!(open.device.writes, 32);
+    let ino = open_m.ino_of(open_fd).expect("ino");
+    let parked_runs = [
+        ("full SQ", run(ring_depth(2), None)),
+        ("tenant budget", run(MachineConfig::default(), Some(1))),
+    ];
+    for (what, (mut m, fd, report)) in parked_runs {
+        assert!(
+            report.device.rejected + report.tenants[0].sq_parks > 0,
+            "{what}: submissions must have parked"
+        );
+        // A write is planned on its first attempt and keeps that plan
+        // while parked: no second allocation, no second journal record,
+        // and the commands that finally go out are the un-parked run's.
+        assert_eq!(m.ino_of(fd), Some(ino), "{what}");
+        let (fs, reference) = (m.fs(), open_m.fs());
+        assert_eq!(fs.journal_len(), reference.journal_len(), "{what}");
+        assert_eq!(fs.stats(), reference.stats(), "{what}: blocks allocated");
+        assert_eq!(
+            fs.extents_snapshot(ino).expect("extents"),
+            reference.extents_snapshot(ino).expect("extents"),
+            "{what}: where the runs went"
+        );
+        assert_eq!(
+            (report.device.writes, report.ios),
+            (open.device.writes, open.ios),
+            "{what}: commands submitted"
+        );
+        let (fs, store) = m.fs_and_store();
+        for i in 0..32u64 {
+            let got = fs
+                .read(ino, i * SECTOR_SIZE as u64, SECTOR_SIZE, store)
+                .expect("read");
+            assert_eq!(got, vec![Writes::fill(i); SECTOR_SIZE], "{what}: block {i}");
+        }
+    }
 }
 
 #[test]

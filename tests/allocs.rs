@@ -10,6 +10,13 @@
 //! half. (The benchmark package has its own counter; it is not part of
 //! tier 1 and cannot gate it.)
 //!
+//! A journaled write keeps what the data itself costs and nothing else:
+//! the record the workload hands in (an owned `Vec`, the trait's shape)
+//! and one store chunk per 16 sectors that land. Its plan, its
+//! commands, the uring batch and the commit window are kept for their
+//! capacity (machine.rs, "Buffer ownership"), and the write loops below
+//! measure that the same marginal way, per write chain.
+//!
 //! Set-up has one cost worth pinning the same way: verification, which
 //! every install pays. Its heap calls and its transient peak of live
 //! bytes are counted outright, not marginally.
@@ -19,11 +26,16 @@ use std::cell::Cell;
 
 use bpfstor::core::{
     btree_lookup_program, btree_lookup_program_with_stats, sst_get_program, Btree, Chase,
-    DispatchMode, PushdownSession, PushdownWorkload,
+    CommitPolicy, DispatchMode, PushdownSession, PushdownWorkload, SessionStats, TenantGroup,
+    TenantLimits, YcsbMix,
 };
 use bpfstor::kernel::FabricConfig;
 use bpfstor::sim::{LatencyDist, MILLISECOND};
 use bpfstor::vm::verify;
+use bpfstor::workload::OpMix;
+
+#[path = "../crates/kernel/tests/support/mod.rs"]
+mod support;
 
 thread_local! {
     // `const`-initialised `Cell`s need no lazy set-up and no
@@ -204,6 +216,164 @@ fn steady_state_io_path_does_not_allocate() {
         );
         // No per-process hash key on the path: a repeat counts the same.
         assert_eq!(measure(l, T), (a1, i1), "{}: repeat run", l.name);
+    }
+}
+
+/// Updates and inserts only: every chain is a log append.
+const APPENDS: OpMix = OpMix {
+    read: 0,
+    update: 80,
+    insert: 20,
+    scan: 0,
+};
+
+/// `mix` over a 600-entry table (512 B records, fsync every 8th write
+/// unless overridden).
+fn ycsb(mix: OpMix) -> YcsbMix {
+    YcsbMix::new(support::kv_entries(600), mix, 7)
+}
+
+/// One write loop: a name, the store chunks a write chain's record
+/// fills (sectors written / 16), and the run from scratch to `until`
+/// that returns `(allocations during the run, write chains completed)`.
+struct WriteLoop {
+    name: &'static str,
+    chunks_per_chain: f64,
+    run: fn(u64) -> (u64, u64),
+}
+
+/// Builds a session, runs it, and returns `(allocations during the run
+/// that are the write path's to answer for, write chains completed)`.
+/// A get that hits costs one allocation of its own — `Sst::decode`
+/// returns the value owned — so hits are taken off the count.
+fn measure_writes<S>(
+    build: impl FnOnce() -> S,
+    run: impl FnOnce(&mut S) -> Vec<SessionStats>,
+) -> (u64, u64) {
+    let mut s = build();
+    let before = ALLOCS.with(Cell::get);
+    let stats = run(&mut s);
+    let allocs = ALLOCS.with(Cell::get) - before;
+    let sum = |f: fn(&SessionStats) -> u64| stats.iter().map(f).sum::<u64>();
+    assert_eq!((sum(|s| s.errors), sum(|s| s.mismatches)), (0, 0));
+    (allocs - sum(|s| s.hits), sum(|s| s.writes))
+}
+
+fn sync_appends(until: u64) -> (u64, u64) {
+    measure_writes(
+        || {
+            PushdownSession::builder(ycsb(APPENDS).fsync_every(8))
+                .dispatch(DispatchMode::User)
+                .build()
+                .expect("session")
+        },
+        |s| vec![s.run_closed_loop(4, until).1],
+    )
+}
+
+fn uring_mix(until: u64) -> (u64, u64) {
+    measure_writes(
+        || {
+            PushdownSession::builder(ycsb(OpMix::paper_tokudb()))
+                .dispatch(DispatchMode::DriverHook)
+                .queue_depth(64)
+                .commit_policy(CommitPolicy::PerFsync)
+                .build()
+                .expect("session")
+        },
+        |s| vec![s.run_uring(2, 16, until).1],
+    )
+}
+
+fn tenant_storm(until: u64) -> (u64, u64) {
+    measure_writes(
+        || {
+            let mut g = TenantGroup::builder()
+                .queue_depth(16)
+                .commit_policy(CommitPolicy::Group {
+                    max_wait_us: 20,
+                    max_handles: 16,
+                })
+                .build();
+            for _ in 0..2 {
+                let storm = ycsb(APPENDS).write_size(4096).fsync_every(4);
+                g.add_tenant(storm, TenantLimits::default())
+                    .expect("tenant");
+            }
+            g
+        },
+        |g| {
+            g.run_closed_loop(&[3, 3], until);
+            vec![g.stats(0), g.stats(1)]
+        },
+    )
+}
+
+fn fabric_pushdown_appends(until: u64) -> (u64, u64) {
+    measure_writes(
+        || {
+            PushdownSession::builder(ycsb(APPENDS))
+                .dispatch(DispatchMode::DriverHook)
+                .fabric(FabricConfig::symmetric(20_000, 4_000))
+                .build()
+                .expect("session")
+        },
+        |s| vec![s.run_closed_loop(4, until).1],
+    )
+}
+
+#[test]
+fn steady_state_write_path_allocates_only_what_the_data_costs() {
+    const T: u64 = 20 * MILLISECOND;
+    // Per write chain: the record (1) and the chunks it fills. The
+    // slack of 0.01 is for the journal's and the tables' amortised
+    // doublings; one stray vector per chain — a plan, a command list —
+    // reads 1.0 over and trips it. The mix's read chains run the SST
+    // hook, which allocates nothing before `decode`.
+    let loops = [
+        WriteLoop {
+            name: "local sync 512 B appends, fsync every 8th",
+            chunks_per_chain: 1.0 / 16.0,
+            run: sync_appends,
+        },
+        WriteLoop {
+            name: "uring batch-16 40r/40u/20i, per-fsync commit",
+            chunks_per_chain: 1.0 / 16.0,
+            run: uring_mix,
+        },
+        WriteLoop {
+            name: "two-tenant 4 KiB storm, group commit",
+            chunks_per_chain: 8.0 / 16.0,
+            run: tenant_storm,
+        },
+        WriteLoop {
+            name: "fabric write pushdown",
+            chunks_per_chain: 1.0 / 16.0,
+            run: fabric_pushdown_appends,
+        },
+    ];
+    for l in &loops {
+        let (a1, w1) = (l.run)(T);
+        let (a2, w2) = (l.run)(2 * T);
+        assert!(
+            w1 >= 200 && w2 >= 2 * w1 - 64,
+            "{}: {w1} then {w2} write chains",
+            l.name
+        );
+        let per_chain = (a2 as f64 - a1 as f64) / (w2 - w1) as f64;
+        let bound = 1.0 + l.chunks_per_chain + 0.01;
+        println!(
+            "{}: {a1} allocs / {w1} write chains to T, {a2} / {w2} to 2T: \
+             {per_chain:.4} per write chain (bound {bound:.4})",
+            l.name
+        );
+        assert!(
+            per_chain <= bound,
+            "{}: {per_chain:.4} allocations per steady-state write chain (bound {bound:.4}): \
+             {a1} allocs / {w1} chains to T, {a2} / {w2} to 2T",
+            l.name
+        );
+        assert_eq!((l.run)(T), (a1, w1), "{}: repeat run", l.name);
     }
 }
 

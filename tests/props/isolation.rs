@@ -10,9 +10,49 @@ const ISO_SPAN: u64 = (ISO_BLOCKS - 8) * SECTOR_SIZE as u64;
 /// Bytes of scratch past the 8-byte argument.
 const ISO_SCRATCH_TAIL: usize = SCRATCH_SIZE - 8;
 
+/// Past the read span each file has a write region: one slot of
+/// `ISO_SLOT` blocks per planned chain, preallocated in pieces that
+/// alternate between the two files, so that a slot's blocks are its
+/// own and some slots straddle two physical runs.
+const ISO_SLOT: u64 = 4;
+const ISO_SLOTS: u64 = 60;
+const ISO_PIECE: u64 = 6;
+/// Small enough that one oversized write finds the device full.
+const ISO_FS_BLOCKS: u64 = 2048;
+
 /// One planned chain: `(tenant, sectors per read, start block, stride
 /// in blocks, hops, end with ACT_PASS instead of ACT_EMIT)`.
 type IsoChain = (usize, u32, u64, u64, u64, bool);
+
+/// One planned write chain, into the slot of its plan index: `(tenant,
+/// byte offset in the slot, length, fsync)`.
+type IsoWrite = (usize, usize, usize, bool);
+
+/// A length past the slot marks the write that cannot be planned: it
+/// goes past the preallocated region and asks for more blocks than the
+/// device has.
+fn iso_no_room(w: &IsoWrite) -> bool {
+    w.2 > ISO_SLOT_BYTES
+}
+
+#[derive(Debug, Clone, Copy)]
+enum IsoOp {
+    Read(IsoChain),
+    Write(IsoWrite),
+}
+
+const ISO_SLOT_BYTES: usize = ISO_SLOT as usize * SECTOR_SIZE;
+
+/// Byte `pos` of the payload of the write planned at index `i`: never
+/// zero, and different from every other chain's at the same place in
+/// its slot.
+fn iso_fill(i: usize, pos: usize) -> u8 {
+    1 + ((i * 37 + pos) % 250) as u8
+}
+
+fn iso_slot_off(i: usize) -> u64 {
+    (ISO_BLOCKS + i as u64 * ISO_SLOT) * SECTOR_SIZE as u64
+}
 
 fn iso_arg(c: &IsoChain) -> u64 {
     let &(_, _, _, stride, hops, pass) = c;
@@ -81,7 +121,9 @@ fn iso_program() -> Program {
 struct Iso {
     fds: [Fd; 2],
     model: [Vec<u8>; 2],
-    plan: Vec<IsoChain>,
+    plan: Vec<IsoOp>,
+    /// Plan indices of the writes that came back `Written`.
+    written: Vec<usize>,
     /// token id → (offset of the read in flight, its hop).
     live: std::collections::HashMap<u64, (u64, u64)>,
     violations: Vec<String>,
@@ -106,14 +148,35 @@ impl Iso {
     }
 
     fn next(&mut self, issued: u64, _thread: usize, _rng: &mut SimRng) -> Option<ChainSpec> {
-        let c = self.plan.get(issued as usize)?;
-        let (off, len) = (c.2 * SECTOR_SIZE as u64, c.1 * SECTOR_SIZE as u32);
         // The plan index rides in the argument's top half.
-        Some(read(self.fds[c.0], off, len, iso_arg(c) | issued << 32))
+        Some(match self.plan.get(issued as usize)? {
+            IsoOp::Read(c) => {
+                let (off, len) = (c.2 * SECTOR_SIZE as u64, c.1 * SECTOR_SIZE as u32);
+                read(self.fds[c.0], off, len, iso_arg(c) | issued << 32)
+            }
+            IsoOp::Write(w) => {
+                let (i, &(t, head, len, fsync)) = (issued as usize, w);
+                let data = (0..len).map(|pos| iso_fill(i, pos)).collect();
+                let off = if iso_no_room(w) {
+                    iso_slot_off(ISO_SLOTS as usize)
+                } else {
+                    iso_slot_off(i) + head as u64
+                };
+                write(self.fds[t], off, data, fsync, issued << 32)
+            }
+        })
+    }
+
+    /// The read chain planned at the index `arg` carries.
+    fn read_at(&self, arg: u64) -> IsoChain {
+        match self.plan[(arg >> 32) as usize] {
+            IsoOp::Read(c) => c,
+            IsoOp::Write(w) => panic!("write {w:?} stepped as a read"),
+        }
     }
 
     fn step(&mut self, token: &ChainToken, data: &[u8]) -> UserNext {
-        let c = self.plan[(token.arg >> 32) as usize];
+        let c = self.read_at(token.arg);
         let first = (c.2 * SECTOR_SIZE as u64, 0);
         let (off, hop) = *self.live.entry(token.id).or_insert(first);
         self.expect_block("user hop", &c, off, data);
@@ -127,7 +190,18 @@ impl Iso {
     }
 
     fn done(&mut self, outcome: &ChainOutcome) -> ChainVerdict {
-        let c = self.plan[(outcome.token.arg >> 32) as usize];
+        let i = (outcome.token.arg >> 32) as usize;
+        if let IsoOp::Write(w) = self.plan[i] {
+            match outcome.status {
+                ChainStatus::Written(n) if n as usize == w.2 && !iso_no_room(&w) => {
+                    self.written.push(i)
+                }
+                ChainStatus::IoError if iso_no_room(&w) => {}
+                ref other => self.violations.push(format!("write {w:?} ended {other:?}")),
+            }
+            return ChainVerdict::Done;
+        }
+        let c = self.read_at(outcome.token.arg);
         let last = Iso::off_at(&c, c.4 - 1);
         match &outcome.status {
             ChainStatus::Pass(data) => self.expect_block("pass", &c, last, data),
@@ -169,14 +243,33 @@ proptest! {
     /// and a hole reads as zeroes, not as the last tenant's data), and
     /// every chain finds its scratch area zeroed past the argument
     /// although each one leaves a pattern behind.
+    ///
+    /// Write chains run between them, each into a slot of its own: whole
+    /// sectors into one run (the payload becomes the command), unaligned
+    /// ranges and slots that straddle two runs (read-modify-written,
+    /// one command per run), a write the device has no room for (its
+    /// plan fails), and — `tight`: one queue pair, one SQ slot per
+    /// tenant — writes that park with their plan and are cut when they
+    /// are admitted. A write's plan, its commands and the batch they
+    /// ride in are pooled like the read buffers; afterwards every stored
+    /// sector of every slot holds its own chain's bytes and zeroes, and
+    /// nothing else.
     #[test]
     fn recycled_buffers_never_leak_between_chains_or_tenants(
         chains in proptest::collection::vec(
             (0usize..2, 0usize..3, 0u64..ISO_BLOCKS - 8, 1u64..ISO_BLOCKS, 1u64..6, any::<bool>()),
-            8..60
+            8..ISO_SLOTS as usize
+        ),
+        // Per chain: what it is (0-5 a read, 6-7 an aligned write, 8-10
+        // an unaligned one, 11 the write that finds no space) and, for
+        // a write, its offset in the slot and its length.
+        kinds in proptest::collection::vec(
+            (0u8..12, 0usize..ISO_SLOT_BYTES, 1usize..=ISO_SLOT_BYTES),
+            ISO_SLOTS as usize
         ),
         hook in any::<bool>(),
         fabric in any::<bool>(),
+        tight in any::<bool>(),
         threads in 1usize..4,
         seed in any::<u64>(),
     ) {
@@ -185,17 +278,28 @@ proptest! {
         } else {
             TransportConfig::Local
         };
-        let mut m = machine(MachineConfig { cores: 2, seed, transport, ..MachineConfig::default() });
-        let tenant_b = m.register_tenant(TenantLimits::default());
-        let mut fds = [0; 2];
+        let cores = if tight { 1 } else { 2 };
+        let mut m = machine(MachineConfig {
+            cores,
+            seed,
+            transport,
+            fs_blocks: ISO_FS_BLOCKS,
+            ..MachineConfig::default()
+        });
+        let limits = TenantLimits { sq_slots: tight.then_some(1), ..TenantLimits::default() };
+        m.set_tenant_limits(0, limits);
+        let tenant_b = m.register_tenant(limits);
+        let files = [("a.db", 0), ("b.db", tenant_b)];
+        let mut inos = [0; 2];
         let mut model = [Vec::new(), Vec::new()];
-        for (t, (name, tenant)) in [("a.db", 0), ("b.db", tenant_b)].into_iter().enumerate() {
+        for (t, (name, _)) in files.into_iter().enumerate() {
             // Every written byte is nonzero and differs between the
             // files, so a leaked byte can never pass for the right one.
             let image: Vec<u8> = (0..ISO_WRITTEN as usize * SECTOR_SIZE)
                 .map(|i| 1 + ((i / SECTOR_SIZE * 7 + i + 100 * t) % 250) as u8)
                 .collect();
             let ino = m.create_file(name, &image).expect("create");
+            inos[t] = ino;
             let (fs, store) = m.fs_and_store();
             fs.fallocate(ino, ISO_WRITTEN, ISO_BLOCKS - ISO_WRITTEN, store).expect("fallocate");
             // TRIM two written blocks: zeroes inside a live chunk.
@@ -205,14 +309,30 @@ proptest! {
                 let (phys, _) = fs.map(ino, lb).expect("inode").expect("mapped");
                 model[t].extend(store.read(phys, 1));
             }
-            fds[t] = m.open_for(tenant, name, true).expect("open");
-            m.install(fds[t], iso_program(), 0).expect("program verifies");
         }
         prop_assert!(model[0][ISO_WRITTEN as usize * SECTOR_SIZE..].iter().all(|&b| b == 0));
+        // The write regions, piece by piece, a's and b's interleaved.
+        let (fs, store) = m.fs_and_store();
+        for lb in (ISO_BLOCKS..ISO_BLOCKS + ISO_SLOTS * ISO_SLOT).step_by(ISO_PIECE as usize) {
+            for ino in inos {
+                fs.fallocate(ino, lb, ISO_PIECE, store).expect("fallocate");
+            }
+        }
+        let fds = files.map(|(name, tenant)| {
+            let fd = m.open_for(tenant, name, true).expect("open");
+            m.install(fd, iso_program(), 0).expect("program verifies");
+            fd
+        });
 
-        let plan: Vec<IsoChain> = chains
+        let plan: Vec<IsoOp> = chains
             .iter()
-            .map(|&(t, n, start, stride, hops, pass)| (t, [1, 3, 8][n], start, stride, hops, pass))
+            .zip(&kinds)
+            .map(|(&(t, n, start, stride, hops, pass), &(kind, head, len))| match kind {
+                0..=5 => IsoOp::Read((t, [1, 3, 8][n], start, stride, hops, pass)),
+                6..=7 => IsoOp::Write((t, 0, len.next_multiple_of(SECTOR_SIZE), pass)),
+                8..=10 => IsoOp::Write((t, head, len.min(ISO_SLOT_BYTES - head), pass)),
+                _ => IsoOp::Write((t, 0, ISO_FS_BLOCKS as usize * SECTOR_SIZE, pass)),
+            })
             .collect();
         let mode = match (hook, fabric) {
             (true, _) => DispatchMode::DriverHook,
@@ -223,6 +343,7 @@ proptest! {
             fds,
             model,
             plan,
+            written: Vec::new(),
             live: std::collections::HashMap::new(),
             violations: Vec::new(),
         };
@@ -233,5 +354,34 @@ proptest! {
         prop_assert_eq!(driver.outcomes.len(), planned, "every planned chain finished");
         prop_assert_eq!(report.chains as usize, planned);
         prop_assert!(driver.state.violations.is_empty(), "{:#?}", driver.state.violations);
+
+        // What the slots must hold now: each delivered write's bytes
+        // where it put them, zeroes everywhere else.
+        let slots_bytes = ISO_SLOTS as usize * ISO_SLOT_BYTES;
+        let mut want = [vec![0u8; slots_bytes], vec![0u8; slots_bytes]];
+        for &i in &driver.state.written {
+            let IsoOp::Write((t, head, len, _)) = driver.state.plan[i] else { unreachable!() };
+            let at = i * ISO_SLOT_BYTES + head;
+            want[t][at..at + len].iter_mut().enumerate().for_each(|(pos, b)| *b = iso_fill(i, pos));
+        }
+        let failed = driver.state.plan.iter().any(|op| matches!(op, IsoOp::Write(w) if iso_no_room(w)));
+        let (fs, store) = m.fs_and_store();
+        for (t, ino) in inos.into_iter().enumerate() {
+            let mut got = Vec::with_capacity(slots_bytes);
+            for lb in ISO_BLOCKS..ISO_BLOCKS + ISO_SLOTS * ISO_SLOT {
+                let (phys, _) = fs.map(ino, lb).expect("inode").expect("mapped");
+                got.extend(store.read(phys, 1));
+            }
+            let at = got.iter().zip(&want[t]).position(|(a, b)| a != b);
+            prop_assert_eq!(at, None, "file {}: first foreign byte, slot {:?}", t, at.map(|a| a / ISO_SLOT_BYTES));
+            // The blocks a failed plan mapped on its way to `NoSpace`
+            // stay mapped and read as zeroes; it stored nothing.
+            let mut lb = ISO_BLOCKS + ISO_SLOTS * ISO_SLOT;
+            while let Some((phys, run)) = fs.map(ino, lb).expect("inode") {
+                prop_assert!(store.read(phys, run as u32).iter().all(|&b| b == 0), "file {}: block {}", t, lb);
+                lb += run;
+            }
+            prop_assert!(failed || lb == ISO_BLOCKS + ISO_SLOTS * ISO_SLOT);
+        }
     }
 }
