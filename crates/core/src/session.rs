@@ -663,7 +663,7 @@ impl<W: PushdownWorkload> Member<W> {
         mode: DispatchMode,
         retry_budget: u32,
     ) -> Result<Self, SessionError> {
-        let fd = machine.open_for(tenant, file_name, true)?;
+        let fd = machine.open_for(tenant, file_name)?;
         // Only the hook modes run a program; User and Remote traverse
         // natively from the application.
         let handle = match mode {

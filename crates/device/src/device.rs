@@ -356,9 +356,9 @@ impl NvmeDevice {
     }
 
     /// Hands a read payload buffer back for reuse by a later read.
-    /// Pass only buffers that arrived in [`NvmeCompletion::data`] or
-    /// came from [`NvmeDevice::take_buffer`]: the pool then never
-    /// outgrows the peak number of read buffers alive at once.
+    /// Pass only buffers that arrived in [`NvmeCompletion::data`]: the
+    /// pool then never outgrows the peak number of read buffers alive
+    /// at once.
     pub fn recycle(&mut self, buf: Vec<u8>) {
         if buf.capacity() > 0 {
             self.free_bufs.push(buf);
@@ -366,10 +366,8 @@ impl NvmeDevice {
     }
 
     /// A recycled buffer with stale contents, or an empty one when the
-    /// pool is dry — what a read is serviced into, and what a host-side
-    /// copy standing in for a read (a page-cache hit) should fill, so
-    /// that it can come back through [`NvmeDevice::recycle`] like one.
-    pub fn take_buffer(&mut self) -> Vec<u8> {
+    /// pool is dry — what a read is serviced into.
+    fn take_buffer(&mut self) -> Vec<u8> {
         self.free_bufs.pop().unwrap_or_default()
     }
 

@@ -11,7 +11,8 @@
 //! - [`extent`]: sorted extent trees with merge/split/unmap;
 //! - [`inode`]: per-file metadata with extent-change generations;
 //! - [`journal`]: transaction journal with crash/replay (jbd2-lite);
-//! - [`pagecache`]: LRU block cache for the buffered-I/O baseline;
+//! - [`pagecache`]: LRU block cache, kept only for the benchmark's
+//!   micro-timing (the kernel is `O_DIRECT`-only);
 //! - [`fs`]: the [`fs::ExtFs`] facade and the [`fs::ExtentEvent`]
 //!   notification stream consumed by the simulated NVMe driver.
 //!

@@ -1,10 +1,10 @@
 //! A block-granular LRU page cache.
 //!
 //! The paper's design deliberately *bypasses* the kernel page cache for
-//! BPF traversals (§4 Caching: applications manage their own caches).
-//! The cache still exists in the stack for two reasons: the baseline
-//! non-O_DIRECT path needs it to be faithful, and the caching ablation
-//! measures what BPF traversals give up by skipping it.
+//! BPF traversals (§4 Caching: applications manage their own caches),
+//! and the simulated kernel opens every descriptor `O_DIRECT`: no
+//! library crate uses this type. It is kept only for the benchmark's
+//! micro-timing of a cache hit (`fs.pagecache_get_ns` in `benchmarks/`).
 
 use std::collections::HashMap;
 

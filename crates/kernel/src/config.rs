@@ -33,9 +33,6 @@ impl std::fmt::Debug for ExecClock {
     }
 }
 
-/// Page-cache capacity in blocks (buffered I/O only).
-pub(crate) const PAGECACHE_BLOCKS: usize = 4096;
-
 /// Machine construction parameters.
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
@@ -66,11 +63,6 @@ pub struct MachineConfig {
     /// The ring→device hop: PCIe pass-through (the default) or an
     /// NVMe-oF initiator/target pair over a modelled network.
     pub transport: TransportConfig,
-    /// Explicit queue-pair→core interrupt affinity (MSI-X vector
-    /// steering): entry `q` names the core whose IRQ handler serves
-    /// queue pair `q`. `None` gives the identity mapping (`qp % cores`),
-    /// which matches the per-thread queue-pair layout.
-    pub qp_affinity: Option<Vec<usize>>,
     /// Which engine executes hook programs: the compiled tier (the
     /// default) or, for a test or benchmark that names it, the
     /// interpreter it is checked against. The two are observably
@@ -103,7 +95,6 @@ impl Default for MachineConfig {
             irq_coalesce_depth: 1,
             reap_mode: ReapMode::Interrupt,
             transport: TransportConfig::Local,
-            qp_affinity: None,
             exec_engine: ExecEngine::default(),
             exec_clock: None,
             commit_policy: CommitPolicy::PerFsync,

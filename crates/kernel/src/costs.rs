@@ -37,13 +37,12 @@
 //! | [`unwind`](LayerCosts::unwind) | `crossing_exit` | | `fs_complete` | `bio_complete` | `drv_complete` | |
 //! | [`syscall_hook_hop`](LayerCosts::syscall_hook_hop) | | `syscall` | `fs_complete + fs_submit` | `bio_complete + bio_submit` | `drv_complete + drv_submit` | bpf [`hook_run`](LayerCosts::hook_run) |
 //! | [`driver_hook_recycle`](LayerCosts::driver_hook_recycle) | | | | | `drv_complete + recycle_submit` | bpf `hook_run`, [`extent_lookup`](LayerCosts::extent_lookup) |
-//! | [`uring_enter`](LayerCosts::uring_enter), per batch | `crossing_enter` | | | | | app `app_think` per SQE asked |
-//! | … per accepted SQE | | `uring_sqe + uring_cqe` | `fs_submit`ʷ | `bio_submit` | `drv_submit` | |
+//! | [`uring_enter`](LayerCosts::uring_enter), per batch | `crossing_enter` | | | | | app `app_think` per SQE |
+//! | … per SQE | | `uring_sqe + uring_cqe` | `fs_submit`ʷ | `bio_submit` | `drv_submit` | |
 //! | [`uring_wake`](LayerCosts::uring_wake) | `crossing_exit` | | | | | |
 //! | [`rearm_ioctl`](LayerCosts::rearm_ioctl) | `crossing_enter + crossing_exit` | `syscall` | `fs_submit` | | | |
 //! | [`commit_record`](LayerCosts::commit_record) | | | | | `drv_submit` | journal `journal_commit` |
 //! | [`split_segments`](LayerCosts::split_segments), per extra segment | | | | `bio_submit + drv_submit` | | |
-//! | [`pagecache_hits`](LayerCosts::pagecache_hits), per block | | | `pagecache_hit` | | | |
 //! | [`ring_doorbell`](LayerCosts::ring_doorbell), per ring | | | | | `doorbell` | |
 //! | [`irq`](LayerCosts::irq), per interrupt, on the queue pair's core | | | | | `irq_entry` | |
 //! | [`poll_visit`](LayerCosts::poll_visit), on the queue pair's core | | | | | | poll `poll_loop` |
@@ -115,8 +114,6 @@ pub struct LayerCosts {
     pub uring_sqe: Nanos,
     /// io_uring per-CQE reap cost.
     pub uring_cqe: Nanos,
-    /// Page-cache hit service cost (buffered reads only).
-    pub pagecache_hit: Nanos,
     /// File-system submission half of a `write` syscall *excluding* the
     /// journal record append: block allocation, extent-tree insert,
     /// size update. Carved out of Table 1's ext4 submit row: at the
@@ -178,7 +175,6 @@ impl Default for LayerCosts {
             recycle_submit: 44,
             uring_sqe: 160,
             uring_cqe: 70,
-            pagecache_hit: 250,
             wr_fs_submit: 1269,
             journal_log: 135,
             journal_commit: 250,
@@ -313,18 +309,18 @@ impl LayerCosts {
         ]
     }
 
-    /// One `io_uring_enter`: the application prepared `asked` SQEs, one
-    /// crossing covers the batch, and each accepted SQE (`reads` +
-    /// `writes` of them) pays the uring dispatch around the same
-    /// [`LayerCosts::submit_walk`] a syscall would.
-    pub fn uring_enter(&self, asked: u64, reads: u64, writes: u64) -> impl Iterator<Item = Item> {
+    /// One `io_uring_enter` of `reads` + `writes` SQEs: the application
+    /// prepared each, one crossing covers the batch, and each pays the
+    /// uring dispatch around the same [`LayerCosts::submit_walk`] a
+    /// syscall would.
+    pub fn uring_enter(&self, reads: u64, writes: u64) -> impl Iterator<Item = Item> {
         let sqe = |write| {
             let [fs, journal, bio, drv] = self.submit_walk(write);
             let dispatch = (Syscall, self.uring_sqe + self.uring_cqe);
             [dispatch, fs, journal, bio, drv]
         };
         [
-            (App, self.app_think * asked),
+            (App, self.app_think * (reads + writes)),
             (Crossing, self.crossing_enter),
         ]
         .into_iter()
@@ -359,11 +355,6 @@ impl LayerCosts {
     /// one more bio and SQE per segment beyond the first.
     pub fn split_segments(&self, extra: u64) -> [Item; 1] {
         [(Bio, (self.bio_submit + self.drv_submit) * extra)]
-    }
-
-    /// A buffered read served from `nblocks` cached pages.
-    pub fn pagecache_hits(&self, nblocks: u64) -> [Item; 1] {
-        [(Fs, self.pagecache_hit * nblocks)]
     }
 
     /// One doorbell MMIO write (SQEs enqueued together share it).
@@ -450,14 +441,13 @@ mod tests {
             recycle_submit: 1 << 15,
             uring_sqe: 1 << 16,
             uring_cqe: 1 << 17,
-            pagecache_hit: 1 << 18,
-            wr_fs_submit: 1 << 19,
-            journal_log: 1 << 20,
-            journal_commit: 1 << 21,
-            fab_encode: 1 << 22,
-            fab_decode: 1 << 23,
-            fab_encode_per_kb: 1 << 24,
-            poll_loop: 1 << 25,
+            wr_fs_submit: 1 << 18,
+            journal_log: 1 << 19,
+            journal_commit: 1 << 20,
+            fab_encode: 1 << 21,
+            fab_decode: 1 << 22,
+            fab_encode_per_kb: 1 << 23,
+            poll_loop: 1 << 24,
         }
     }
 
@@ -491,7 +481,7 @@ mod tests {
         let c = LayerCosts::default();
         assert_eq!(c.wr_fs_submit + c.journal_log, c.fs_submit);
         assert_eq!(total(c.sync_issue(true)), total(c.sync_issue(false)));
-        assert_eq!(total(c.uring_enter(0, 0, 1)), total(c.uring_enter(0, 1, 0)));
+        assert_eq!(total(c.uring_enter(0, 1)), total(c.uring_enter(1, 0)));
         let c = distinct();
         let carve = c.wr_fs_submit + c.journal_log - c.fs_submit;
         assert_eq!(
@@ -499,7 +489,7 @@ mod tests {
             carve
         );
         assert_eq!(
-            total(c.uring_enter(0, 0, 1)) - total(c.uring_enter(0, 1, 0)),
+            total(c.uring_enter(0, 1)) - total(c.uring_enter(1, 0)),
             carve,
             "a write SQE is priced from the same items as a write syscall"
         );
@@ -551,9 +541,9 @@ mod tests {
             total(c.unwind()),
             c.drv_complete + c.bio_complete + c.fs_complete + c.crossing_exit
         );
-        // A batch of 5 asked, 2 reads + 1 write accepted.
-        let batch = by_layer(c.uring_enter(5, 2, 1));
-        assert_eq!(batch[App as usize], 5 * c.app_think);
+        // A batch of 2 reads + 1 write.
+        let batch = by_layer(c.uring_enter(2, 1));
+        assert_eq!(batch[App as usize], 3 * c.app_think);
         assert_eq!(batch[Crossing as usize], c.crossing_enter);
         assert_eq!(batch[Syscall as usize], 3 * (c.uring_sqe + c.uring_cqe));
         assert_eq!(batch[Fs as usize], 2 * c.fs_submit + c.wr_fs_submit);
@@ -577,7 +567,6 @@ mod tests {
             c.split_segments(2),
             [(Bio, 2 * (c.bio_submit + c.drv_submit))]
         );
-        assert_eq!(c.pagecache_hits(3), [(Fs, 3 * c.pagecache_hit)]);
         assert_eq!(c.ring_doorbell(), [(Drv, c.doorbell)]);
         assert_eq!(c.irq(), [(Drv, c.irq_entry)]);
         assert_eq!(c.poll_visit(), [(Poll, c.poll_loop)]);

@@ -8,7 +8,8 @@
 //! service times. Real bytes flow end to end: completions carry the
 //! stored block contents, BPF programs execute on them in the verifier-
 //! backed VM, and harnesses check that offloaded lookups return exactly
-//! the values written.
+//! the values written. Every descriptor is direct (`O_DIRECT`, Table
+//! 1's setting): there is no page cache, every read reaches the device.
 //!
 //! What runs where:
 //!
@@ -56,8 +57,7 @@
 //! | `Ev` | handler | consults |
 //! |---|---|---|
 //! | `AppStart` | `on_app_start` → `start_chain`, or `uring_enter` | the [`ChainDriver`], `rng` |
-//! | `DevSubmit` | `on_dev_submit` → `submit_read` / `submit_write_data` (→ `plan_write` once) / flush → `submit_segments` | `fs`, page cache, `SqAdmission`, the [`Transport`] |
-//! | `CacheHit` | `on_device_done` | the attached program (`run_hook`) |
+//! | `DevSubmit` | `on_dev_submit` → `submit_read` / `submit_write_data` (→ `plan_write` once) / flush → `submit_segments` | `fs`, `SqAdmission`, the [`Transport`] |
 //! | `Doorbell` | `on_doorbell` | [`Transport`], [`Reaper`] |
 //! | `IrqFire`, `Poll` | `on_irq_fire`, `on_poll` → `reap_qp` → `on_cqe` → `on_device_done` | [`Reaper`], `FairSched`, `SqAdmission`, `Barrier` |
 //! | `Delivered` | `on_delivered` (→ `restart_chain`) | the [`ChainDriver`] |
@@ -84,8 +84,7 @@
 //!   the moment the op issues its next read — `submit_read` hands it
 //!   back (`NvmeDevice::recycle`) before anything else, so the next hop
 //!   is serviced into the same bytes — or when the chain ends
-//!   (`free_op`). A page-cache hit fills a pool buffer the same way, so
-//!   no other kind of buffer ever enters the pool.
+//!   (`free_op`).
 //! - **A terminal status takes the buffer it reports**
 //!   (`Pass`/`SplitFallback` take `Op::data`, `Emitted` takes the emit
 //!   buffer): the driver borrows the outcome in `chain_done`, and
@@ -134,7 +133,7 @@ use bpfstor_device::{
     DeviceStats, NvmeCompletion, NvmeDevice, SectorStore, SubmitClass, Transport, TransportConfig,
     SECTOR_SIZE,
 };
-use bpfstor_fs::{ExtFs, ExtentEvent, FsError, PageCache};
+use bpfstor_fs::{ExtFs, ExtentEvent, FsError};
 use bpfstor_sim::{Cores, EventQueue, Histogram, IdMap, IdSet, Nanos, SimRng};
 use bpfstor_vm::{
     action, admit, CompiledProg, ExecEngine, ExecEnv, MapSet, Program, ResourceBudget, RunCtx, Vm,
@@ -146,7 +145,7 @@ use crate::chain::{
     DispatchMode, Fd, ProgHandle, RunReport, UserNext, WriteStart,
 };
 use crate::commit::{Barrier, CommitLog, CommitStats, Request, Tick};
-use crate::config::{ExecClock, MachineConfig, PAGECACHE_BLOCKS};
+use crate::config::{ExecClock, MachineConfig};
 use crate::costs::{Item, LayerCosts};
 use crate::extcache::{ExtCacheStats, ExtentCache};
 use crate::reaper::{FairSched, ReapKind, Reaper};
@@ -168,6 +167,8 @@ pub enum KernelError {
     NotInstalled,
     /// File-system failure.
     Fs(String),
+    /// A buffered (non-`O_DIRECT`) open: only direct I/O is modelled.
+    Buffered,
 }
 
 impl std::fmt::Display for KernelError {
@@ -181,6 +182,7 @@ impl std::fmt::Display for KernelError {
             KernelError::Verifier(e) => write!(f, "verifier rejected program: {e}"),
             KernelError::NotInstalled => write!(f, "no program attached to fd"),
             KernelError::Fs(e) => write!(f, "fs: {e}"),
+            KernelError::Buffered => write!(f, "buffered I/O is not modelled: open with O_DIRECT"),
         }
     }
 }
@@ -202,29 +204,19 @@ pub enum Mutation {
         /// File name.
         name: String,
     },
-    /// Truncate the file to a byte size.
-    Truncate {
-        /// File name.
-        name: String,
-        /// New size.
-        size: u64,
-    },
 }
 
 #[derive(Debug, Clone, Copy)]
 struct FdState {
     ino: u64,
-    o_direct: bool,
     tenant: TenantId,
 }
 
 impl FdState {
-    /// A kernel-internal descriptor: direct I/O on behalf of the
-    /// default tenant.
+    /// A kernel-internal descriptor, on behalf of the default tenant.
     fn kernel(ino: u64) -> Self {
         FdState {
             ino,
-            o_direct: true,
             tenant: DEFAULT_TENANT,
         }
     }
@@ -266,11 +258,6 @@ enum Ev {
         thread: usize,
     },
     DevSubmit {
-        op: usize,
-    },
-    /// Page-cache hit: the request completes without touching the
-    /// device (or its queues).
-    CacheHit {
         op: usize,
     },
     /// The driver rings a queue pair's doorbell: the device batch-
@@ -344,9 +331,6 @@ struct WriteState {
     /// The chain's payload, the op's from the chain's start until its
     /// request is admitted to the rings (`cut_write`).
     data: Vec<u8>,
-    /// Logical block range of the write (page-cache coherence).
-    lb: u64,
-    nblocks: u64,
     /// Journal length right after this write's records were logged: the
     /// seal horizon its fsync needs durable. An fsync may park on an
     /// in-flight barrier only when the sealed transaction's end covers
@@ -411,7 +395,6 @@ struct Op {
     /// per-tenant budget, bound, and counter keys on.
     tenant: TenantId,
     ino: u64,
-    o_direct: bool,
     kind: OpKind,
     mode: DispatchMode,
     origin: Origin,
@@ -445,9 +428,6 @@ struct Op {
     /// unmap generation)` from the extent-cache translation to the
     /// submission — the NVMe layer never consults live fs metadata.
     phys_target: Option<(u64, u64)>,
-    /// Whether the current device request is a recycled hop (bypasses
-    /// the page cache entirely).
-    recycled: bool,
     wr: WriteState,
     fab: FabricState,
 }
@@ -470,7 +450,6 @@ impl Op {
             fd,
             tenant: st.tenant,
             ino: st.ino,
-            o_direct: st.o_direct,
             kind,
             mode,
             origin,
@@ -488,7 +467,6 @@ impl Op {
             segs_pending: 0,
             submitted_at: 0,
             phys_target: None,
-            recycled: false,
             wr: WriteState::default(),
             fab: FabricState::default(),
         }
@@ -650,7 +628,6 @@ pub struct Machine {
     /// Queue-pair→core interrupt affinity (MSI-X steering).
     qp_core: Vec<usize>,
     fs: ExtFs,
-    pagecache: PageCache,
     extcache: ExtentCache,
     costs: LayerCosts,
     rng: SimRng,
@@ -692,11 +669,6 @@ pub struct Machine {
 
 impl Machine {
     /// Builds a machine from its configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an explicit [`MachineConfig::qp_affinity`] map does not
-    /// name one in-range core per queue pair.
     pub fn new(cfg: MachineConfig) -> Self {
         let mut rng = SimRng::seed(cfg.seed);
         let dev_rng = rng.fork(1);
@@ -709,17 +681,7 @@ impl Machine {
             TransportConfig::Local => cfg.transport.build(device, SimRng::seed(0)),
             TransportConfig::Fabric(_) => cfg.transport.build(device, rng.fork(2)),
         };
-        let qp_core: Vec<usize> = match cfg.qp_affinity {
-            Some(map) => {
-                assert_eq!(map.len(), nr_queues, "one affinity entry per queue pair");
-                assert!(
-                    map.iter().all(|&c| c < cfg.cores),
-                    "affinity core out of range"
-                );
-                map
-            }
-            None => (0..nr_queues).map(|q| q % cfg.cores.max(1)).collect(),
-        };
+        let qp_core = (0..nr_queues).map(|q| q % cfg.cores.max(1)).collect();
         let tenants = vec![TenantLimits::default()];
         Machine {
             now: 0,
@@ -729,7 +691,6 @@ impl Machine {
             transport,
             qp_core,
             fs: ExtFs::mkfs(cfg.fs_blocks),
-            pagecache: PageCache::new(PAGECACHE_BLOCKS, SECTOR_SIZE),
             extcache: ExtentCache::new(),
             costs: cfg.costs,
             rng,
@@ -780,19 +741,24 @@ impl Machine {
         Ok(ino)
     }
 
-    /// Opens a file for the default tenant, returning a descriptor.
+    /// Opens a file `O_DIRECT` for the default tenant, returning a
+    /// descriptor. `o_direct` must be `true`.
     ///
     /// # Errors
     ///
+    /// [`KernelError::Buffered`] for `o_direct: false`, opening nothing;
     /// [`KernelError::NoSuchFile`] when absent.
     pub fn open(&mut self, name: &str, o_direct: bool) -> Result<Fd, KernelError> {
-        self.open_for(DEFAULT_TENANT, name, o_direct)
+        if !o_direct {
+            return Err(KernelError::Buffered);
+        }
+        self.open_for(DEFAULT_TENANT, name)
     }
 
-    /// Opens a file on behalf of `tenant`. Every chain issued on the
-    /// descriptor is charged to that tenant: its SQ slot budget, its
-    /// resubmission bound, its fair-reaping weight, and its slice of the
-    /// run report.
+    /// Opens a file `O_DIRECT` on behalf of `tenant`. Every chain issued
+    /// on the descriptor is charged to that tenant: its SQ slot budget,
+    /// its resubmission bound, its fair-reaping weight, and its slice of
+    /// the run report.
     ///
     /// # Panics
     ///
@@ -802,12 +768,7 @@ impl Machine {
     /// # Errors
     ///
     /// [`KernelError::NoSuchFile`] when absent.
-    pub fn open_for(
-        &mut self,
-        tenant: TenantId,
-        name: &str,
-        o_direct: bool,
-    ) -> Result<Fd, KernelError> {
+    pub fn open_for(&mut self, tenant: TenantId, name: &str) -> Result<Fd, KernelError> {
         assert!(
             (tenant as usize) < self.tenants.len(),
             "tenant {tenant} not registered"
@@ -815,11 +776,7 @@ impl Machine {
         let ino = self.fs.open(name).map_err(|_| KernelError::NoSuchFile)?;
         let fd = self.next_fd;
         self.next_fd += 1;
-        let st = FdState {
-            ino,
-            o_direct,
-            tenant,
-        };
+        let st = FdState { ino, tenant };
         let progs = ProgTable::default();
         self.fds.insert(fd, Desc { st, progs });
         Ok(fd)
@@ -1154,8 +1111,8 @@ impl Machine {
     }
 
     /// Control-plane unlink that also propagates the unmap events to the
-    /// NVMe-layer caches (extent snapshot, page cache), exactly like a
-    /// scheduled mutation would.
+    /// NVMe-layer extent snapshot, exactly like a scheduled mutation
+    /// would.
     ///
     /// # Errors
     ///
@@ -1171,7 +1128,6 @@ impl Machine {
             if let ExtentEvent::Unmapped { ino, .. } = ev {
                 self.extcache.invalidate(ino);
                 self.aborting_inos.insert(ino);
-                self.pagecache.invalidate_inode(ino);
             }
         }
     }
@@ -1257,8 +1213,8 @@ impl Machine {
 
     /// True when the chain's outcome lives on the NVMe-oF target and
     /// must return as a response capsule: a pushdown-over-fabric chain
-    /// that actually reached the device (a host page-cache hit never
-    /// leaves the initiator).
+    /// that actually reached the device (one that failed before its
+    /// first command never left the initiator).
     fn target_resident(&self, id: usize) -> bool {
         self.ops[id]
             .as_ref()
@@ -1480,7 +1436,6 @@ impl Machine {
         match ev {
             Ev::AppStart { thread } => self.on_app_start(thread, driver),
             Ev::DevSubmit { op } => self.on_dev_submit(op),
-            Ev::CacheHit { op } => self.on_device_done(op),
             Ev::Doorbell { qp } => self.on_doorbell(qp),
             Ev::IrqFire { qp } => self.on_irq_fire(qp),
             Ev::Poll { qp } => self.on_poll(qp),
@@ -1833,9 +1788,6 @@ impl Machine {
             return false;
         }
         let op = self.ops[id].as_mut().expect("op");
-        let bs = SECTOR_SIZE as u64;
-        op.wr.lb = file_off / bs;
-        op.wr.nblocks = (file_off + len as u64 - 1) / bs - op.wr.lb + 1;
         // The plan just logged this write's journal records: any seal
         // at or past this point covers them.
         op.wr.journal_end = self.fs.journal_len();
@@ -1855,27 +1807,9 @@ impl Machine {
         let lb = op.file_off / SECTOR_SIZE as u64;
         // The previous hop's payload is dead once the next read is
         // issued: back it goes, for this very read to be serviced into.
-        let dev = self.transport.device_mut();
-        dev.recycle(std::mem::take(&mut op.data));
-        // Buffered path: a whole-request page-cache hit skips the device
-        // (and its queues) entirely.
-        if !op.o_direct && op.phys_target.is_none() {
-            let mut assembled = dev.take_buffer();
-            assembled.clear();
-            let complete = (lb..lb + nblocks).all(|b| {
-                self.pagecache
-                    .get((ino, b))
-                    .map(|block| assembled.extend_from_slice(block))
-                    .is_some()
-            });
-            if complete {
-                op.data = assembled;
-                let end = self.charge(None, self.costs.pagecache_hits(nblocks));
-                self.events.push(end, Ev::CacheHit { op: id });
-                return;
-            }
-            dev.recycle(assembled);
-        }
+        self.transport
+            .device_mut()
+            .recycle(std::mem::take(&mut op.data));
         if let Some((phys, snap_gen)) = op.phys_target {
             // Recycled hop: submit to the snapshot's physical target.
             // If the file's extents changed under the snapshot (its
@@ -1888,7 +1822,7 @@ impl Machine {
             }
             let (slba, nlb) = (phys, nblocks as u32);
             return self.submit_segments(id, 1, |op, _| {
-                op.recycled = op.phys_target.take().is_some();
+                op.phys_target = None;
                 std::iter::once(NvmeOp::Read { slba, nlb })
             });
         }
@@ -1904,10 +1838,7 @@ impl Machine {
             }
         }
         if cur == end {
-            self.submit_segments(id, segments.len(), |op, _| {
-                op.recycled = false;
-                segments.drain(..)
-            });
+            self.submit_segments(id, segments.len(), |_, _| segments.drain(..));
         } else {
             self.fail(id, ChainStatus::IoError, &[]);
         }
@@ -2073,9 +2004,7 @@ impl Machine {
     }
 
     /// One reaped CQE: fill the op's segment slot; when the last
-    /// segment lands, assemble the buffer, warm the page cache (per
-    /// block, buffered non-recycled requests only), and run the
-    /// completion path.
+    /// segment lands, assemble the buffer and run the completion path.
     fn on_cqe(&mut self, c: NvmeCompletion) {
         let Some((id, seg)) = self.run.cid_map.remove(&c.cid) else {
             return;
@@ -2119,21 +2048,11 @@ impl Machine {
             self.transport.device_mut().recycle(d);
         }
         op.data = data;
-        // Buffered reads warm the host page cache — except target-
-        // resident pushdown completions, whose data lives on the NVMe-oF
-        // target and never reached the host.
-        if op.kind == OpKind::Read && !op.o_direct && !op.recycled && !op.fab.pushdown {
-            let lb = op.file_off / SECTOR_SIZE as u64;
-            for (b, block) in (lb..).zip(op.data.chunks_exact(SECTOR_SIZE)) {
-                self.pagecache.insert((op.ino, b), block);
-            }
-        }
         self.on_device_done(id);
     }
 
-    /// The op's device request (or page-cache hit) finished: a write
-    /// moves to its next phase; a read ends at the application or runs
-    /// its hook.
+    /// The op's device request finished: a write moves to its next
+    /// phase; a read ends at the application or runs its hook.
     fn on_device_done(&mut self, id: usize) {
         let Some(op) = self.ops[id].as_ref() else {
             return;
@@ -2330,20 +2249,15 @@ impl Machine {
     }
 
     /// A write chain is durable as far as it asked to be: set its
-    /// status, keep the page cache coherent, and deliver. `shared_ack`
-    /// is the arrival instant of the response capsule an earlier
-    /// release of the same barrier already sent: a target-resident
-    /// fsync rides that capsule ([`FabricState::capsule_joined`])
-    /// instead of sending its own. Returns the capsule later releases
-    /// may ride.
+    /// status and deliver. `shared_ack` is the arrival instant of the
+    /// response capsule an earlier release of the same barrier already
+    /// sent: a target-resident fsync rides that capsule
+    /// ([`FabricState::capsule_joined`]) instead of sending its own.
+    /// Returns the capsule later releases may ride.
     fn complete_write(&mut self, id: usize, shared_ack: Option<Nanos>) -> Option<Nanos> {
         let resident = self.target_resident(id);
         let op = self.ops[id].as_mut().expect("op");
         op.status = Some(ChainStatus::Written(op.len));
-        // Drop any cached copies of the written blocks so buffered
-        // readers refetch the new bytes.
-        self.pagecache
-            .invalidate_range(op.ino, op.wr.lb, op.wr.nblocks);
         match shared_ack {
             Some(arrive) if resident => {
                 op.fab.capsule_joined = true;
@@ -2677,7 +2591,7 @@ impl Machine {
             // One crossing for the whole batch; per-SQE kernel work covers
             // the uring + fs + bio + driver submission of each request.
             let n = submitted.len() as u64;
-            let burst = self.costs.uring_enter(n, n - n_writes, n_writes);
+            let burst = self.costs.uring_enter(n - n_writes, n_writes);
             let end = self.charge(None, burst);
             for id in submitted.drain(..) {
                 self.events.push(end, Ev::DevSubmit { op: id });
@@ -2688,17 +2602,9 @@ impl Machine {
 
     fn on_mutate(&mut self, idx: usize) {
         let store = self.transport.device_mut().store_mut();
-        match &self.mutations[idx] {
-            Mutation::Relocate { name } => {
-                if let Ok(ino) = self.fs.open(name) {
-                    let _ = self.fs.relocate(ino, store);
-                }
-            }
-            Mutation::Truncate { name, size } => {
-                if let Ok(ino) = self.fs.open(name) {
-                    let _ = self.fs.truncate(ino, *size, store);
-                }
-            }
+        let Mutation::Relocate { name } = &self.mutations[idx];
+        if let Ok(ino) = self.fs.open(name) {
+            let _ = self.fs.relocate(ino, store);
         }
         // The §4 invalidation hook: unmap events kill the NVMe-layer
         // snapshot and doom in-flight recycled I/Os on that inode.

@@ -310,14 +310,15 @@ fn multithreaded_throughput_scales_then_saturates() {
 }
 
 #[test]
-fn buffered_reads_hit_page_cache() {
-    let (mut m, _) = setup(1, DispatchMode::User);
-    let fd = m.open("chain.db", false).expect("open buffered");
-    let mut d = chase(fd, DispatchMode::User, 50);
-    let report = m.run_closed_loop(1, SECOND, &mut d);
-    // First read misses; the other 49 hit the cache and skip the device.
-    assert_eq!(report.ios, 1, "only the first read reaches the device");
-    assert!(report.mean_latency() < 6272.0, "cache hits are fast");
+fn a_buffered_open_is_refused_and_opens_nothing() {
+    // The kernel models O_DIRECT only: `open(name, false)` must not hand
+    // back a descriptor that would silently read direct.
+    let (mut m, fd) = machine_with(MachineConfig::default(), "c.db", &chain_file(1), None);
+    let err = m.open("c.db", false).expect_err("buffered open");
+    assert_eq!(err, KernelError::Buffered);
+    assert!(err.to_string().contains("O_DIRECT"), "{err}");
+    assert_eq!(m.ino_of(fd + 1), None, "no descriptor was opened");
+    assert_eq!(m.open("c.db", true), Ok(fd + 1), "nor numbered");
 }
 
 #[test]

@@ -173,55 +173,45 @@ fn write_chains_count_in_resubmission_accounting() {
 
 #[test]
 fn irq_charge_lands_on_the_owning_core() {
-    let run = |affinity: Vec<usize>| -> (Nanos, u64) {
+    // Two cores, two queue pairs: thread `t` submits on queue pair `t`,
+    // whose interrupts the default `qp % cores` mapping steers to core
+    // `t`. Only `issuer` issues chains.
+    let run = |issuer: usize| -> ([Nanos; 2], u64) {
         let mut cfg = MachineConfig {
             cores: 2,
             ..MachineConfig::default()
         };
         // Make the interrupt charge dominate so placement is visible.
         cfg.costs.irq_entry = 50_000;
-        cfg.qp_affinity = Some(affinity);
-        let (mut m, mut d) = setup_with(cfg, 1, DispatchMode::User);
-        d.state.count = 20;
-        let r = m.run_closed_loop(1, SECOND, &mut d);
-        (m.core_busy_ns(1), r.trace.irqs)
+        let (mut m, fd) = machine_with(cfg, "chain.db", &chain_file(1), None);
+        let mut d = Script::new(
+            DispatchMode::User,
+            (fd, issuer),
+            |&mut (fd, issuer), issued, thread, _| {
+                (thread == issuer && issued < 20).then(|| read(fd, 0, SECTOR_SIZE as u32, 0))
+            },
+        );
+        let r = m.run_closed_loop(2, SECOND, &mut d);
+        assert_eq!(d.outcomes.len(), 20);
+        ([m.core_busy_ns(0), m.core_busy_ns(1)], r.trace.irqs)
     };
-    let (busy1_pinned, irqs) = run(vec![1, 1]);
-    assert!(irqs >= 20, "one interrupt per uncoalesced chain");
-    assert!(
-        busy1_pinned >= irqs * 50_000,
-        "pinned interrupts must land on core 1: busy {busy1_pinned}, irqs {irqs}"
-    );
-    let (busy1_away, irqs_away) = run(vec![0, 0]);
-    assert!(
-        busy1_away < irqs_away * 50_000,
-        "with affinity on core 0, core 1 sees only incidental work: busy {busy1_away}"
-    );
+    for issuer in [0, 1] {
+        let (busy, irqs) = run(issuer);
+        assert!(irqs >= 20, "one interrupt per uncoalesced chain");
+        assert!(
+            busy[issuer] >= irqs * 50_000,
+            "queue pair {issuer}'s interrupts must land on core {issuer}: busy {busy:?}, irqs {irqs}"
+        );
+        assert!(
+            busy[1 - issuer] < irqs * 50_000,
+            "the other core sees only incidental work: busy {busy:?}, irqs {irqs}"
+        );
+    }
     // The default mapping is the identity qp→core layout.
     let m = machine(MachineConfig::default());
     assert_eq!(m.qp_core(0), Some(0));
     assert_eq!(m.qp_core(5), Some(5));
     assert_eq!(m.qp_core(99), None);
-}
-
-#[test]
-fn buffered_pushdown_never_warms_the_host_cache_with_target_data() {
-    // Regression: a target-resident completion's data never reached the
-    // host, so it must not populate the host page cache — otherwise a
-    // later chain "hits" locally and skips its command capsule, an
-    // impossible traffic pattern.
-    let (mut m, _) = setup_with(fabric_cfg(10_000), 4, DispatchMode::User);
-    let fd = m.open("chain.db", false).expect("buffered open");
-    m.install(fd, chase_program(), 0).expect("install");
-    let mut d = chase(fd, DispatchMode::DriverHook, 3);
-    let report = m.run_closed_loop(1, SECOND, &mut d);
-    assert_eq!(d.outcomes.len(), 3);
-    assert!(d.outcomes.iter().all(|o| o.status.is_ok()));
-    assert_eq!(
-        report.fabric.capsules_sent, 3,
-        "every chain must cross the wire exactly once"
-    );
-    assert_eq!(report.fabric.responses, 3);
 }
 
 #[test]

@@ -27,7 +27,7 @@ fn tenant_insn_budget_binds_at_runtime() {
         Some(chase_program()),
     );
     let tenant = m.register_tenant(TenantLimits::default());
-    let fd = m.open_for(tenant, "chain.db", true).expect("open");
+    let fd = m.open_for(tenant, "chain.db").expect("open");
     m.install(fd, chase_program(), 0)
         .expect("install under permissive limits");
     m.set_tenant_limits(
@@ -91,7 +91,7 @@ fn a_program_admitted_at_its_verified_worst_case_never_exceeds_it() {
             insn_budget: Some(insn_budget),
             ..TenantLimits::default()
         });
-        let fd = m.open_for(tenant, "chain.db", true).expect("open");
+        let fd = m.open_for(tenant, "chain.db").expect("open");
         (m, fd)
     };
 

@@ -19,7 +19,7 @@ fn resubmission_bound_is_per_tenant() {
         resubmit_bound: Some(2),
         ..TenantLimits::default()
     });
-    let fd_b = m.open_for(tenant_b, "b.db", true).expect("open b");
+    let fd_b = m.open_for(tenant_b, "b.db").expect("open b");
     m.install(fd_b, chase_program(), 0).expect("install b");
 
     // One chase per thread, each of its own tenant's file.
@@ -87,7 +87,7 @@ fn every_report_aggregate_is_the_sum_of_its_tenants() {
     );
     let tenant_b = m.register_tenant(TenantLimits::weighted(2));
     m.create_file("wal.db", &[]).expect("create");
-    let wfd = m.open_for(tenant_b, "wal.db", true).expect("open");
+    let wfd = m.open_for(tenant_b, "wal.db").expect("open");
     let mut d = mixed(reader.state, writes(wfd, SECTOR_SIZE, 40, 1).state);
     let report = m.run_closed_loop(5, SECOND, &mut d);
 

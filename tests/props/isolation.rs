@@ -319,7 +319,7 @@ proptest! {
             }
         }
         let fds = files.map(|(name, tenant)| {
-            let fd = m.open_for(tenant, name, true).expect("open");
+            let fd = m.open_for(tenant, name).expect("open");
             m.install(fd, iso_program(), 0).expect("program verifies");
             fd
         });
