@@ -78,9 +78,10 @@ impl TenantGroupBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `depth < 2` (one slot is reserved).
+    /// Panics if `depth < 2` (one slot is reserved) or `depth` is past
+    /// NVMe's 65,536 ([`bpfstor_device::MAX_QUEUE_DEPTH`]).
     pub fn queue_depth(mut self, depth: usize) -> Self {
-        assert!(depth >= 2, "NVMe rings need at least two slots");
+        bpfstor_device::check_queue_depth(depth);
         self.config.profile.queue_depth = depth;
         self
     }

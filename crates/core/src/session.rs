@@ -291,9 +291,11 @@ impl<W: PushdownWorkload> SessionBuilder<W> {
     /// # Panics
     ///
     /// Panics if `depth < 2` (one slot is reserved, per the NVMe
-    /// full/empty disambiguation).
+    /// full/empty disambiguation) or `depth` is past NVMe's 65,536
+    /// ([`bpfstor_device::MAX_QUEUE_DEPTH`]). Any depth in between costs
+    /// host memory only for the entries actually queued.
     pub fn queue_depth(mut self, depth: usize) -> Self {
-        assert!(depth >= 2, "NVMe rings need at least two slots");
+        bpfstor_device::check_queue_depth(depth);
         self.config.profile.queue_depth = depth;
         self
     }

@@ -162,6 +162,10 @@ pub struct DeviceStats {
     pub reap_lag_ns: Nanos,
 }
 
+/// One submission/completion queue pair. Its rings admit `queue_depth -
+/// 1` entries each but hold host memory only for the entries queued
+/// (`ring.rs`): six 4,096-deep pairs cost what the deepest backlog they
+/// ever carried costs, not 4,096 slots each.
 struct QueuePair {
     sq: Ring<NvmeCommand>,
     cq: Ring<NvmeCompletion>,
@@ -195,7 +199,10 @@ impl NvmeDevice {
     ///
     /// # Panics
     ///
-    /// Panics if `nr_queues == 0`.
+    /// Panics if `nr_queues == 0`, or if `profile.queue_depth` is not a
+    /// queue size NVMe allows (every ring checks it:
+    /// [`crate::check_queue_depth`]) — the check a `MachineConfig`
+    /// written as a struct literal reaches.
     pub fn new(profile: DeviceProfile, nr_queues: usize, rng: SimRng) -> Self {
         assert!(nr_queues > 0, "need at least one queue pair");
         let queues = (0..nr_queues)
@@ -599,6 +606,16 @@ mod tests {
             Err(QueueError::SubmissionFull)
         );
         assert_eq!(d.stats().rejected, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "past NVMe's limit of 65536 slots (MQES)")]
+    fn a_profile_deeper_than_mqes_is_refused() {
+        let profile = DeviceProfile {
+            queue_depth: crate::MAX_QUEUE_DEPTH + 1,
+            ..fixed_profile(100, 1)
+        };
+        NvmeDevice::new(profile, 1, SimRng::seed(1));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   SSTables), so completions carry genuine data for BPF programs to
 //!   parse;
 //! - [`ring::Ring`] implements the submission/completion queue pairs with
-//!   real head/tail wrap semantics;
+//!   real head/tail wrap semantics, its slot array sized by the entries
+//!   queued rather than by the declared depth;
 //! - [`device::NvmeDevice`] batch-services queued commands when the
 //!   doorbell rings, overlapping them across parallel channels with
 //!   service times drawn from the profile's latency distribution;
@@ -30,7 +31,7 @@ pub use device::{
     CmdKind, DeviceStats, NvmeCommand, NvmeCompletion, NvmeDevice, NvmeOp, QueueError, QueuePairId,
 };
 pub use profile::{DeviceClass, DeviceProfile};
-pub use ring::Ring;
+pub use ring::{check_queue_depth, Ring, MAX_QUEUE_DEPTH};
 pub use store::{SectorStore, SECTOR_SIZE};
 pub use transport::{
     FabricConfig, FabricStats, FabricTransport, InitiatorStats, LocalTransport, SubmitClass,

@@ -55,7 +55,9 @@ pub struct DeviceProfile {
     /// Independent internal channels (dies/planes/actuators): commands on
     /// different channels overlap fully.
     pub channels: usize,
-    /// Submission/completion queue depth per queue pair.
+    /// Submission/completion queue depth per queue pair: 2 to
+    /// [`crate::MAX_QUEUE_DEPTH`] slots. Host memory follows the entries
+    /// queued, not this depth.
     pub queue_depth: usize,
 }
 

@@ -1,24 +1,52 @@
-//! Fixed-capacity ring buffers with NVMe head/tail semantics.
+//! Bounded ring buffers with NVMe head/tail semantics, paid for by
+//! occupancy.
 //!
 //! Submission and completion queues are circular arrays; the producer
-//! advances `tail`, the consumer advances `head`, and the queue is full
-//! when `tail + 1 == head` (mod size), i.e. one slot is sacrificed, as
-//! in the NVMe specification. The array is allocated at its full size
-//! up front, so it never regrows, but a slot is only written when the
-//! tail first reaches it: a deep ring that stays shallow costs nothing
-//! to set up.
+//! advances `tail`, the consumer advances `head`, and a queue of `size`
+//! slots holds at most `size - 1` entries — one slot is sacrificed, as
+//! in the NVMe specification, so that full and empty differ.
+//!
+//! `size` is the depth the device declares, and it fixes only that
+//! capacity: host memory goes to the entries actually queued. The slot
+//! array starts at `min(size, 64)` slots (rounded up to a power of two)
+//! and doubles only when the queued entries fill it, so it never grows
+//! past `size.next_power_of_two()` and a 4,096-deep ring that never
+//! holds more than a few entries keeps its first 64 slots.
+//!
+//! `head` and `tail` are free-running 16-bit counters: `tail - head`
+//! (wrapping) is the number of entries queued, and an entry's slot is
+//! its counter masked by the array's length. NVMe caps a queue at
+//! [`MAX_QUEUE_DEPTH`] slots, so 16 bits lose nothing, and every
+//! power-of-two array up to that length divides the counters' period,
+//! so an entry keeps its slot when a counter wraps.
+
+/// The deepest queue NVMe allows: MQES, the controller's "maximum queue
+/// entries supported", is a 0's based 16-bit field.
+pub const MAX_QUEUE_DEPTH: usize = 1 << 16;
+
+/// The slot array a ring starts with, at most.
+const FIRST_SLOTS: usize = 64;
+
+/// Panics unless `depth` is a queue size NVMe allows: two slots at least
+/// (one is sacrificed), [`MAX_QUEUE_DEPTH`] at most.
+pub fn check_queue_depth(depth: usize) {
+    assert!(depth >= 2, "NVMe rings need at least two slots");
+    assert!(
+        depth <= MAX_QUEUE_DEPTH,
+        "queue depth {depth} is past NVMe's limit of {MAX_QUEUE_DEPTH} slots (MQES)"
+    );
+}
 
 /// A bounded FIFO ring.
 #[derive(Debug, Clone)]
 pub struct Ring<T> {
-    /// The slots the tail has reached so far, at most `size` of them.
-    slots: Vec<Option<T>>,
-    // NVMe queues hold at most 64 Ki entries, so `u32` indices lose
-    // nothing, and the three of them fit the two words `head` and
-    // `tail` took when the slot array's length was the size.
-    size: u32,
-    head: u32,
-    tail: u32,
+    /// A power of two long; the entry at counter `i` is in slot
+    /// `i & (len - 1)`.
+    slots: Box<[Option<T>]>,
+    /// Entries the ring admits (`size - 1`).
+    cap: u16,
+    head: u16,
+    tail: u16,
 }
 
 impl<T> Ring<T> {
@@ -27,30 +55,26 @@ impl<T> Ring<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `size < 2` (or does not fit a `u32`).
+    /// Panics if `size` is not a queue size NVMe allows
+    /// ([`check_queue_depth`]).
     pub fn new(size: usize) -> Self {
-        assert!(size >= 2, "ring needs at least two slots");
+        check_queue_depth(size);
         Ring {
-            slots: Vec::with_capacity(size),
-            size: u32::try_from(size).expect("ring size fits a u32"),
+            slots: empty_slots(size.min(FIRST_SLOTS).next_power_of_two()),
+            cap: (size - 1) as u16,
             head: 0,
             tail: 0,
         }
     }
 
-    /// The slot after `i`, going round.
-    fn next(&self, i: u32) -> u32 {
-        (i + 1) % self.size
+    /// The slot of the entry at counter `i`.
+    fn slot(&self, i: u16) -> usize {
+        usize::from(i) & (self.slots.len() - 1)
     }
 
     /// Number of queued entries.
     pub fn len(&self) -> usize {
-        let queued = if self.tail >= self.head {
-            self.tail - self.head
-        } else {
-            self.size - self.head + self.tail
-        };
-        queued as usize
+        usize::from(self.tail.wrapping_sub(self.head))
     }
 
     /// True if no entries are queued.
@@ -60,12 +84,12 @@ impl<T> Ring<T> {
 
     /// True if one more push would be rejected.
     pub fn is_full(&self) -> bool {
-        self.next(self.tail) == self.head
+        self.len() == self.capacity()
     }
 
     /// Usable capacity (`size - 1`).
     pub fn capacity(&self) -> usize {
-        self.size as usize - 1
+        usize::from(self.cap)
     }
 
     /// Enqueues an entry; returns it back if the ring is full.
@@ -73,12 +97,12 @@ impl<T> Ring<T> {
         if self.is_full() {
             return Err(v);
         }
-        match self.slots.get_mut(self.tail as usize) {
-            Some(slot) => *slot = Some(v),
-            // First time round: within the capacity asked for in `new`.
-            None => self.slots.push(Some(v)),
+        if self.len() == self.slots.len() {
+            self.grow();
         }
-        self.tail = self.next(self.tail);
+        let i = self.slot(self.tail);
+        self.slots[i] = Some(v);
+        self.tail = self.tail.wrapping_add(1);
         Ok(())
     }
 
@@ -87,10 +111,31 @@ impl<T> Ring<T> {
         if self.is_empty() {
             return None;
         }
-        let v = self.slots[self.head as usize].take();
-        self.head = self.next(self.head);
+        let i = self.slot(self.head);
+        let v = self.slots[i].take();
+        self.head = self.head.wrapping_add(1);
         v
     }
+
+    /// Doubles the slot array, moving each queued entry to its counter's
+    /// slot in the new one.
+    #[cold]
+    fn grow(&mut self) {
+        let bigger = empty_slots(2 * self.slots.len());
+        let mut old = std::mem::replace(&mut self.slots, bigger);
+        let old_mask = old.len() - 1;
+        // Counted from `head`, not walked up to `tail`: `tail` may have
+        // wrapped below `head`.
+        for k in 0..self.tail.wrapping_sub(self.head) {
+            let i = self.head.wrapping_add(k);
+            let to = self.slot(i);
+            self.slots[to] = old[usize::from(i) & old_mask].take();
+        }
+    }
+}
+
+fn empty_slots<T>(n: usize) -> Box<[Option<T>]> {
+    std::iter::repeat_with(|| None).take(n).collect()
 }
 
 #[cfg(test)]
@@ -144,8 +189,42 @@ mod tests {
     }
 
     #[test]
+    fn slots_follow_occupancy_not_depth() {
+        // A shallow ring is its own size, rounded up to a power of two.
+        assert_eq!(Ring::<u8>::new(3).slots.len(), 4);
+        assert_eq!(Ring::<u8>::new(16).slots.len(), 16);
+        // A deep one starts at 64 slots and keeps them while it stays
+        // shallow, through many trips round.
+        let mut r = Ring::new(4096);
+        for i in 0..10_000u32 {
+            r.push(i).expect("room");
+            assert_eq!(r.pop(), Some(i));
+        }
+        assert_eq!(r.slots.len(), 64);
+        // Filled, it doubles to the depth and no further.
+        for i in 0..4095 {
+            r.push(i).expect("room");
+        }
+        assert!(r.is_full());
+        assert_eq!(r.slots.len(), 4096);
+        assert!((0..4095).all(|i| r.pop() == Some(i)));
+        // A depth that is not a power of two grows past it once.
+        let mut r = Ring::new(100);
+        for i in 0..99 {
+            r.push(i).expect("room");
+        }
+        assert_eq!(r.slots.len(), 128);
+    }
+
+    #[test]
     #[should_panic(expected = "at least two")]
     fn tiny_ring_rejected() {
         Ring::<u8>::new(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "past NVMe's limit of 65536 slots (MQES)")]
+    fn ring_deeper_than_mqes_rejected() {
+        Ring::<u8>::new(MAX_QUEUE_DEPTH + 1);
     }
 }

@@ -13,6 +13,15 @@
 //! O(words crossed) whether the goal is free or the first-fit pass has
 //! to skip a full group; `tests/props.rs` holds the bit-at-a-time
 //! allocator this one is checked against.
+//!
+//! The bitmap is sized by use, not by the device: it holds the words up
+//! to the highest one ever set, and every block past its end reads as
+//! free. Goal-directed allocation over a device that fills from block 0
+//! keeps written blocks dense (the argument `device/src/store.rs` makes
+//! for its chunk table), so a 2 GiB file system holding a few hundred
+//! KiB of files costs a few hundred bytes of bitmap, not 512 KiB. A
+//! search for a used block stops at the grown end instead of walking
+//! words that are all zero.
 
 /// Blocks per block group (ext4 uses 32768 × 4 KiB; we scale down for
 /// 512 B blocks but keep the structure).
@@ -21,6 +30,8 @@ pub const GROUP_BLOCKS: u64 = 8192;
 /// A bitmap allocator over a flat block space.
 #[derive(Debug, Clone)]
 pub struct BlockAllocator {
+    /// Bitmap words up to the highest one ever set; the blocks past
+    /// them are free.
     bits: Vec<u64>,
     nblocks: u64,
     used: u64,
@@ -36,7 +47,8 @@ pub struct Run {
 }
 
 impl BlockAllocator {
-    /// Creates an allocator over `nblocks` free blocks.
+    /// Creates an allocator over `nblocks` free blocks. It holds no
+    /// bitmap until the first allocation.
     ///
     /// # Panics
     ///
@@ -44,7 +56,7 @@ impl BlockAllocator {
     pub fn new(nblocks: u64) -> Self {
         assert!(nblocks > 0, "empty device");
         BlockAllocator {
-            bits: vec![0u64; nblocks.div_ceil(64) as usize],
+            bits: Vec::new(),
             nblocks,
             used: 0,
         }
@@ -65,13 +77,34 @@ impl BlockAllocator {
         self.nblocks - self.used
     }
 
+    /// The first block past the bitmap: it and every block after it
+    /// are free.
+    fn grown_end(&self) -> u64 {
+        self.bits.len() as u64 * 64
+    }
+
     /// First block in `[from, to)` whose bit equals `used`.
     fn first_in(&self, from: u64, to: u64, used: bool) -> Option<u64> {
         let flip = if used { 0 } else { !0 };
-        word_masks(from, to).find_map(|(w, mask)| {
+        let end = self.grown_end();
+        let within = word_masks(from, to.min(end)).find_map(|(w, mask)| {
             let hit = (self.bits[w] ^ flip) & mask;
             (hit != 0).then(|| w as u64 * 64 + u64::from(hit.trailing_zeros()))
-        })
+        });
+        // Past the bitmap every block is free.
+        within.or_else(|| (!used && from.max(end) < to).then(|| from.max(end)))
+    }
+
+    /// Marks `[start, start + len)` used, growing the bitmap to cover it.
+    fn set(&mut self, start: u64, len: u64) {
+        let words = (start + len).div_ceil(64) as usize;
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
+        }
+        for (w, mask) in word_masks(start, start + len) {
+            self.bits[w] |= mask;
+        }
+        self.used += len;
     }
 
     /// Allocates up to `want` contiguous blocks, preferring to start at
@@ -87,8 +120,8 @@ impl BlockAllocator {
         // Pass 1: a run starting exactly at `goal`. Pass 2: first fit
         // scanning from the goal's block group start, then wrapping.
         let group_start = goal - goal % GROUP_BLOCKS;
-        let goal_free = self.bits[(goal / 64) as usize] >> (goal % 64) & 1 == 0;
-        let start = if goal_free {
+        let goal_word = self.bits.get((goal / 64) as usize).copied().unwrap_or(0);
+        let start = if goal_word >> (goal % 64) & 1 == 0 {
             goal
         } else {
             self.first_in(group_start, self.nblocks, false)
@@ -96,10 +129,7 @@ impl BlockAllocator {
         };
         let end = start.saturating_add(want).min(self.nblocks);
         let len = self.first_in(start, end, true).unwrap_or(end) - start;
-        for (w, mask) in word_masks(start, start + len) {
-            self.bits[w] |= mask;
-        }
-        self.used += len;
+        self.set(start, len);
         Some(Run { start, len })
     }
 
@@ -128,10 +158,7 @@ impl BlockAllocator {
             None,
             "reserve of used block"
         );
-        for (w, mask) in word_masks(start, start + len) {
-            self.bits[w] |= mask;
-        }
-        self.used += len;
+        self.set(start, len);
     }
 
     /// Counts the free runs (a fragmentation measure used by the split-
@@ -139,14 +166,17 @@ impl BlockAllocator {
     pub fn free_fragments(&self) -> u64 {
         // A free run starts at every free block whose predecessor is
         // used (or absent); `prev_free` carries bit 63 across words.
+        let end = self.grown_end();
         let mut frags = 0;
         let mut prev_free = 0;
-        for (w, mask) in word_masks(0, self.nblocks) {
+        for (w, mask) in word_masks(0, self.nblocks.min(end)) {
             let free = !self.bits[w] & mask;
             frags += u64::from((free & !(free << 1 | prev_free)).count_ones());
             prev_free = free >> 63;
         }
-        frags
+        // The free tail past the bitmap is one run more, unless the
+        // bitmap's last block was free and it continues that one.
+        frags + u64::from(end < self.nblocks && prev_free == 0)
     }
 }
 
@@ -250,5 +280,49 @@ mod tests {
         let mut a = BlockAllocator::new(16);
         let r = a.alloc(1, 10_000).expect("alloc");
         assert_eq!(r.start, 15);
+    }
+
+    #[test]
+    fn a_large_device_holds_no_bitmap_until_used() {
+        let mut a = BlockAllocator::new(1 << 22);
+        assert_eq!(a.bits.capacity(), 0);
+        assert_eq!((a.free(), a.free_fragments()), (1 << 22, 1));
+        a.alloc(8, 0).expect("alloc");
+        assert_eq!(a.bits.len(), 1, "one word covers the first 64 blocks");
+    }
+
+    #[test]
+    fn a_goal_past_the_grown_end_is_allocated_at_the_goal() {
+        let mut a = BlockAllocator::new(1 << 22);
+        a.alloc(8, 0).expect("alloc");
+        let far = 1_000_000;
+        assert_eq!(
+            a.alloc(16, far),
+            Some(Run {
+                start: far,
+                len: 16
+            })
+        );
+        assert_eq!(a.bits.len() as u64, (far + 16).div_ceil(64));
+        assert_eq!(a.free_fragments(), 2, "the gap and the tail");
+        a.release(far, 16);
+        assert_eq!(a.alloc(4, 8), Some(Run { start: 8, len: 4 }));
+    }
+
+    #[test]
+    fn first_fit_runs_into_the_unmaterialised_tail_then_wraps() {
+        let mut a = BlockAllocator::new(2 * GROUP_BLOCKS + 100);
+        a.reserve(GROUP_BLOCKS, GROUP_BLOCKS);
+        assert_eq!(a.grown_end(), 2 * GROUP_BLOCKS);
+        // The goal's group is used up to the bitmap's end: first fit
+        // goes on into the free blocks past it...
+        let tail = Run {
+            start: 2 * GROUP_BLOCKS,
+            len: 100,
+        };
+        assert_eq!(a.alloc(150, GROUP_BLOCKS + 5), Some(tail));
+        // ...and, with those used too, wraps to the device's start.
+        assert_eq!(a.alloc(4, GROUP_BLOCKS + 5), Some(Run { start: 0, len: 4 }));
+        assert_eq!(a.free_fragments(), 1);
     }
 }

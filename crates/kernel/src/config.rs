@@ -44,7 +44,9 @@ pub struct MachineConfig {
     pub costs: LayerCosts,
     /// RNG seed (device latencies, workload forks).
     pub seed: u64,
-    /// File-system size in 512 B blocks.
+    /// File-system size in 512 B blocks. The block bitmap grows with
+    /// the blocks written, so a large file system costs no host memory
+    /// until it is used.
     pub fs_blocks: u64,
     /// NVMe-layer chained-resubmission bound (§4 fairness counter).
     pub resubmit_bound: u32,

@@ -96,6 +96,14 @@ fn tiny_queue_depth_backpressures_instead_of_panicking() {
 }
 
 #[test]
+#[should_panic(expected = "past NVMe's limit of 65536 slots (MQES)")]
+fn a_config_deeper_than_mqes_is_refused_at_construction() {
+    // A struct-literal config never meets the session builders' check;
+    // the device's rings make it.
+    let _ = machine(ring_depth(65_537));
+}
+
+#[test]
 fn uring_iops_grows_monotonically_with_queue_depth() {
     // With 32 SQEs in flight on one queue pair, the SQ depth is the
     // effective device parallelism: IOPS must grow monotonically as the

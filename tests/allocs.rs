@@ -17,9 +17,11 @@
 //! capacity (machine.rs, "Buffer ownership"), and the write loops below
 //! measure that the same marginal way, per write chain.
 //!
-//! Set-up has one cost worth pinning the same way: verification, which
-//! every install pays. Its heap calls and its transient peak of live
-//! bytes are counted outright, not marginally.
+//! Set-up has two costs worth pinning the same way, counted outright,
+//! not marginally: verification, which every install pays (its heap
+//! calls and its transient peak of live bytes), and the machine itself,
+//! which holds host memory for what it uses, not for the queue depth and
+//! file-system size it declares.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -29,7 +31,7 @@ use bpfstor::core::{
     CommitPolicy, DispatchMode, PushdownSession, PushdownWorkload, SessionStats, TenantGroup,
     TenantLimits, YcsbMix,
 };
-use bpfstor::kernel::FabricConfig;
+use bpfstor::kernel::{FabricConfig, MachineConfig};
 use bpfstor::sim::{LatencyDist, MILLISECOND};
 use bpfstor::vm::verify;
 use bpfstor::workload::OpMix;
@@ -413,5 +415,37 @@ fn verification_stays_off_the_heap() {
         assert!(peak <= old_peak, "{name}: {peak} B live at once");
         let again = heap_use(|| verify(&prog).expect("verifies"));
         assert_eq!(again, (stats, calls, peak), "{name}: repeat run");
+    }
+}
+
+/// Bytes a machine under `cfg` holds once built.
+fn footprint(cfg: MachineConfig) -> usize {
+    let before = LIVE.with(Cell::get);
+    let m = support::machine(cfg);
+    let held = LIVE.with(Cell::get) - before;
+    drop(m);
+    held
+}
+
+#[test]
+fn a_machine_holds_what_it_uses_not_what_it_declares() {
+    // The default machine declares six 4,096-deep queue pairs and a
+    // 2 GiB file system. Its rings start at 64 slots and its block
+    // bitmap is empty until a block is written; allocated at their
+    // declared sizes they would hold 3.5 MB, and ~47 MB at depth 65,536.
+    let held = footprint(MachineConfig::default());
+    println!("default machine: {held} B live once built");
+    assert!(held <= 128 << 10, "default machine holds {held} B");
+    for depth in [64, 4096, 65_536] {
+        let mut cfg = MachineConfig::default();
+        cfg.profile.queue_depth = depth;
+        assert_eq!(footprint(cfg), held, "queue depth {depth}");
+    }
+    for fs_blocks in [1 << 14, 1 << 22] {
+        let cfg = MachineConfig {
+            fs_blocks,
+            ..MachineConfig::default()
+        };
+        assert_eq!(footprint(cfg), held, "{fs_blocks} fs blocks");
     }
 }

@@ -513,6 +513,12 @@ fn zero_coalescing_depth_is_rejected_loudly() {
 }
 
 #[test]
+#[should_panic(expected = "past NVMe's limit of 65536 slots (MQES)")]
+fn a_session_deeper_than_mqes_is_rejected_loudly() {
+    let _ = PushdownSession::builder(Btree::depth(3)).queue_depth(65_537);
+}
+
+#[test]
 fn all_reap_modes_complete_the_same_lookups() {
     use bpfstor::core::ReapMode;
     let run = |mode: ReapMode| {

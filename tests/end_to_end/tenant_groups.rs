@@ -80,3 +80,9 @@ fn rejected_tenant_leaves_the_group_usable() {
         "no chain is charged to a tenant that was never attached"
     );
 }
+
+#[test]
+#[should_panic(expected = "past NVMe's limit of 65536 slots (MQES)")]
+fn a_group_deeper_than_mqes_is_rejected_loudly() {
+    let _ = TenantGroup::builder().queue_depth(65_537);
+}

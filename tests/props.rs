@@ -14,7 +14,7 @@ use bpfstor::btree::{Node, FANOUT_MAX};
 use bpfstor::core::{
     btree_lookup_program, sst_get_program, value_of, Btree, Chase, PushdownWorkload, Scan, Sst,
 };
-use bpfstor::device::{SectorStore, SECTOR_SIZE};
+use bpfstor::device::{Ring, SectorStore, SECTOR_SIZE};
 use bpfstor::fs::alloc::{Run, GROUP_BLOCKS};
 use bpfstor::fs::{BlockAllocator, ExtFs, Extent, ExtentTree, JournalRecord};
 use bpfstor::kernel::{

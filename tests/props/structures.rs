@@ -265,6 +265,61 @@ proptest! {
     }
 }
 
+// --- NVMe ring vs a capped VecDeque ---------------------------------------------------------
+
+/// Depths either side of the ring's first 64 slots, shallow and deep.
+const RING_SIZES: [usize; 8] = [2, 3, 4, 63, 64, 65, 100, 4096];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    /// The ring against a `VecDeque` capped at `size - 1`, over bursts of
+    /// pushes and pops that fill it, so that its slot array doubles
+    /// while the queued entries wrap round the array's end. First come
+    /// `lead` empty trips round the ring — or, with `wrap`, so many that
+    /// the 16-bit head and tail counters wrap during the bursts, the
+    /// tail below the head while the array regrows.
+    #[test]
+    fn ring_matches_a_capped_vecdeque(
+        size in 0usize..RING_SIZES.len(),
+        lead in 0u32..200,
+        wrap in any::<bool>(),
+        bursts in proptest::collection::vec((any::<u16>(), any::<u16>()), 1..16),
+    ) {
+        let size = RING_SIZES[size];
+        let mut ring = Ring::new(size);
+        let mut oracle = std::collections::VecDeque::new();
+        for i in 0..if wrap { (1 << 16) - lead } else { lead } {
+            ring.push(i).expect("empty");
+            prop_assert_eq!(ring.pop(), Some(i));
+        }
+        let mut next = 0u32;
+        for (pushes, pops) in bursts {
+            // Up to one past the capacity: the last pushes are refused.
+            for _ in 0..usize::from(pushes) % (size + 2) {
+                let admitted = oracle.len() < size - 1;
+                prop_assert_eq!(ring.is_full(), !admitted);
+                if admitted {
+                    prop_assert_eq!(ring.push(next), Ok(()));
+                    oracle.push_back(next);
+                } else {
+                    prop_assert_eq!(ring.push(next), Err(next));
+                }
+                prop_assert_eq!(ring.len(), oracle.len());
+                next += 1;
+            }
+            for _ in 0..usize::from(pops) % (size + 2) {
+                prop_assert_eq!(ring.pop(), oracle.pop_front());
+                prop_assert_eq!((ring.len(), ring.is_empty()), (oracle.len(), oracle.is_empty()));
+            }
+        }
+        prop_assert_eq!(ring.capacity(), size - 1);
+        while let Some(v) = oracle.pop_front() {
+            prop_assert_eq!(ring.pop(), Some(v));
+        }
+        prop_assert_eq!(ring.pop(), None);
+    }
+}
+
 // --- Histogram quantiles vs exact reference -----------------------------------------------
 
 proptest! {

@@ -1,7 +1,9 @@
 // --- Extent-granular write path vs the per-bit / per-sector / per-block code it replaced ---
 
-/// One to three block groups, word-aligned and not.
-const ALLOC_SIZES: [u64; 10] = [
+/// One to three block groups, word-aligned and not, and one device far
+/// larger than anything the ops allocate, so that goals, reserves and
+/// the fragment count land past the bitmap's grown end.
+const ALLOC_SIZES: [u64; 11] = [
     1,
     63,
     64,
@@ -12,6 +14,7 @@ const ALLOC_SIZES: [u64; 10] = [
     GROUP_BLOCKS + 70,
     2 * GROUP_BLOCKS + 33,
     3 * GROUP_BLOCKS,
+    16 * GROUP_BLOCKS + 5,
 ];
 
 proptest! {
@@ -19,6 +22,7 @@ proptest! {
     #[test]
     fn wordwise_allocator_matches_the_bitwise_one(
         size in 0usize..ALLOC_SIZES.len(),
+        from_start in any::<bool>(),
         ops in proptest::collection::vec((0u8..8, any::<u64>(), any::<u64>()), 1..80)
     ) {
         let nblocks = ALLOC_SIZES[size];
@@ -29,10 +33,15 @@ proptest! {
             match kind {
                 // Allocate: short runs, runs that can swallow a group
                 // (so the device fills and pass 2 has to wrap), goals
-                // anywhere up to past the end.
+                // anywhere up to past the end. Or, `from_start`, whole
+                // words first-fit from block 0: the used blocks fill the
+                // bitmap's words, so first fit runs on past its end.
                 0..=4 => {
-                    let want = 1 + a % if kind < 3 { 40 } else { nblocks + 5 };
-                    let goal = b % (nblocks + 200);
+                    let (want, goal) = if from_start {
+                        (64 * (1 + a % 3), 0)
+                    } else {
+                        (1 + a % if kind < 3 { 40 } else { nblocks + 5 }, b % (nblocks + 200))
+                    };
                     let got = word.alloc(want, goal);
                     prop_assert_eq!(got, bit.alloc(want, goal), "alloc({}, {})", want, goal);
                     live.extend(got);
