@@ -625,8 +625,6 @@ pub struct Machine {
     transport: Box<dyn Transport>,
     /// Cached `transport.is_fabric()` (hot paths branch on it).
     fabric: bool,
-    /// Queue-pair→core interrupt affinity (MSI-X steering).
-    qp_core: Vec<usize>,
     fs: ExtFs,
     extcache: ExtentCache,
     costs: LayerCosts,
@@ -681,7 +679,6 @@ impl Machine {
             TransportConfig::Local => cfg.transport.build(device, SimRng::seed(0)),
             TransportConfig::Fabric(_) => cfg.transport.build(device, rng.fork(2)),
         };
-        let qp_core = (0..nr_queues).map(|q| q % cfg.cores.max(1)).collect();
         let tenants = vec![TenantLimits::default()];
         Machine {
             now: 0,
@@ -689,7 +686,6 @@ impl Machine {
             cores: Cores::new(cfg.cores),
             fabric: transport.is_fabric(),
             transport,
-            qp_core,
             fs: ExtFs::mkfs(cfg.fs_blocks),
             extcache: ExtentCache::new(),
             costs: cfg.costs,
@@ -701,15 +697,11 @@ impl Machine {
             free_ops: Vec::new(),
             spares: Spares::default(),
             threads: Vec::new(),
-            // A zero aggregation threshold is clamped to one ("fire
-            // immediately"): a depth that can never be reached would
-            // silently disable depth-based firing. The session builder
-            // rejects 0 outright so misconfiguration is loud.
             reaper: Reaper::new(
                 cfg.reap_mode.clone(),
                 nr_queues,
                 cfg.irq_coalesce_us.saturating_mul(1_000),
-                cfg.irq_coalesce_depth.max(1),
+                cfg.irq_coalesce_depth,
             ),
             admission: SqAdmission::new(nr_queues),
             fair: FairSched::new(nr_queues),
@@ -1032,9 +1024,10 @@ impl Machine {
     }
 
     /// The core whose interrupt handler serves queue pair `qp` (MSI-X
-    /// affinity), or `None` for an unknown queue pair.
+    /// affinity), or `None` for an unknown queue pair. There is one
+    /// queue pair per core, and queue pair `q` is core `q`'s.
     pub fn qp_core(&self, qp: usize) -> Option<usize> {
-        self.qp_core.get(qp).copied()
+        (qp < self.transport.nr_queues()).then_some(qp)
     }
 
     /// Busy nanoseconds accumulated on `core` in the current/last run
@@ -1909,8 +1902,9 @@ impl Machine {
         if via == ReapKind::Interrupt && reaped > 0 {
             // One interrupt entry is charged no matter how many CQEs it
             // reaps — the coalescing win. MSI-X affinity: it lands on
-            // the queue pair's owning core, not on whichever is idle.
-            self.charge(Some(self.qp_core[qp]), self.costs.irq());
+            // the queue pair's owning core (core `qp`), not on whichever
+            // is idle.
+            self.charge(Some(qp), self.costs.irq());
             self.run.trace.irqs += 1;
             self.reaper.charge_irq(self.costs.irq_entry);
         }
@@ -1981,7 +1975,7 @@ impl Machine {
         if !self.reaper.poll_due(self.now, qp) {
             return; // stale visit — the pair switched to interrupts
         }
-        let end = self.charge(Some(self.qp_core[qp]), self.costs.poll_visit());
+        let end = self.charge(Some(qp), self.costs.poll_visit());
         self.run.trace.polls += 1;
         let reaped = self.reap_qp(qp, ReapKind::Polled);
         self.reaper.charge_poll(self.costs.poll_loop, reaped == 0);

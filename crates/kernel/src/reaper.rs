@@ -253,8 +253,9 @@ impl Reaper {
     /// Builds the reaper for `nr_queues` queue pairs. `static_ns` /
     /// `static_depth` are the legacy coalescing knobs, used only by
     /// [`ReapMode::Interrupt`]. A zero `static_depth` is clamped to one
-    /// ("fire immediately"), mirroring the documented machine-level
-    /// clamp.
+    /// ("fire immediately"): a depth that can never be reached would
+    /// silently disable depth-based firing. The session builder rejects
+    /// 0 outright so misconfiguration is loud.
     pub fn new(mode: ReapMode, nr_queues: usize, static_ns: Nanos, static_depth: u32) -> Self {
         // What each mode turns on: rate-adaptive interrupt parameters
         // (else the static knobs), a poller, load-driven switching. A

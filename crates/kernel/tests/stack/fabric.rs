@@ -174,8 +174,8 @@ fn write_chains_count_in_resubmission_accounting() {
 #[test]
 fn irq_charge_lands_on_the_owning_core() {
     // Two cores, two queue pairs: thread `t` submits on queue pair `t`,
-    // whose interrupts the default `qp % cores` mapping steers to core
-    // `t`. Only `issuer` issues chains.
+    // whose interrupts steer to core `t` (one queue pair per core).
+    // Only `issuer` issues chains.
     let run = |issuer: usize| -> ([Nanos; 2], u64) {
         let mut cfg = MachineConfig {
             cores: 2,

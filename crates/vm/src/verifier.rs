@@ -32,7 +32,11 @@
 //!
 //! The exploration is a depth-first symbolic execution over an abstract
 //! state: each register is `Uninit`, a `[umin, umax]` scalar interval,
-//! or a typed pointer with a constant-interval offset. Bounds checks
+//! a pointer into the context at a constant offset, `data_end`, a
+//! possibly-null map value, or a region — block data, scratch, stack or
+//! a map value — plus an offset interval, which every access, helper
+//! argument and comparison checks against the one bounds table
+//! (`Structure::bounds`). Bounds checks
 //! against `ctx->data_end` refine a per-state lower bound on the block
 //! length (`data_len_min`), which is exactly the `if (p + N > data_end)
 //! goto out;` idiom of XDP programs.
@@ -199,17 +203,38 @@ pub struct VerifiedStats {
     pub max_path: usize,
 }
 
+/// The memory a [`Reg::Ptr`] points into. How far it reaches is
+/// [`Structure::bounds`]'s to say.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Region {
+    /// The block, read-only, up to the length proven on the path.
+    Data,
+    Scratch,
+    Stack,
+    /// The value of the map with this id.
+    MapValue(u32),
+}
+
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Reg {
     Uninit,
-    Scalar { umin: u64, umax: u64 },
-    PtrCtx { off: i64 },
-    PtrData { omin: i64, omax: i64 },
+    Scalar {
+        umin: u64,
+        umax: u64,
+    },
+    PtrCtx {
+        off: i64,
+    },
     PtrDataEnd,
-    PtrScratch { omin: i64, omax: i64 },
-    PtrStack { omin: i64, omax: i64 },
-    PtrMapValue { id: u32, omin: i64, omax: i64 },
-    NullOrMapValue { id: u32 },
+    /// `region`'s base plus an offset in `[omin, omax]`.
+    Ptr {
+        region: Region,
+        omin: i64,
+        omax: i64,
+    },
+    NullOrMapValue {
+        id: u32,
+    },
 }
 
 impl Reg {
@@ -224,17 +249,17 @@ impl Reg {
         Reg::Scalar { umin: v, umax: v }
     }
 
+    /// A pointer to the start of `region`.
+    fn base(region: Region) -> Reg {
+        Reg::Ptr {
+            region,
+            omin: 0,
+            omax: 0,
+        }
+    }
+
     fn is_pointer(&self) -> bool {
-        matches!(
-            self,
-            Reg::PtrCtx { .. }
-                | Reg::PtrData { .. }
-                | Reg::PtrDataEnd
-                | Reg::PtrScratch { .. }
-                | Reg::PtrStack { .. }
-                | Reg::PtrMapValue { .. }
-                | Reg::NullOrMapValue { .. }
-        )
+        !matches!(self, Reg::Uninit | Reg::Scalar { .. })
     }
 }
 
@@ -250,7 +275,7 @@ impl State {
     fn initial() -> State {
         let mut regs: [Reg; NUM_REGS] = std::array::from_fn(|_| Reg::Uninit);
         regs[1] = Reg::PtrCtx { off: 0 };
-        regs[REG_FP as usize] = Reg::PtrStack { omin: 0, omax: 0 };
+        regs[REG_FP as usize] = Reg::base(Region::Stack);
         State {
             regs,
             data_len_min: 0,
@@ -830,12 +855,12 @@ impl Structure<'_> {
                     state.regs[insn.dst as usize] = Reg::scalar_unknown();
                     return Ok(Flow::To(pc + 1));
                 }
+                // Sign-extended: a 32-bit op reads only its low half
+                // (`alu_result`), which is the immediate.
                 let rhs = if insn.op & SRC_X != 0 {
                     self.read_reg(pc, state, insn.src)?.clone()
-                } else if cls == CLS_ALU64 {
-                    Reg::scalar_const(insn.imm as i64 as u64)
                 } else {
-                    Reg::scalar_const(insn.imm as u32 as u64)
+                    Reg::scalar_const(insn.imm as i64 as u64)
                 };
                 // NEG reads only dst.
                 let lhs = if code == ALU_MOV {
@@ -854,8 +879,8 @@ impl Structure<'_> {
             }
             CLS_LDX => {
                 let size = access_size(insn.op);
-                let base = self.read_reg(pc, state, insn.src)?.clone();
-                let loaded = self.check_load(pc, state, &base, insn.off, size)?;
+                let base = self.read_reg(pc, state, insn.src)?;
+                let loaded = self.check_access(pc, state, base, insn.off, size, false)?;
                 state.regs[insn.dst as usize] = loaded;
                 Ok(Flow::To(pc + 1))
             }
@@ -865,8 +890,8 @@ impl Structure<'_> {
                     // The stored value must be initialised.
                     self.read_reg(pc, state, insn.src)?;
                 }
-                let base = self.read_reg(pc, state, insn.dst)?.clone();
-                self.check_store(pc, state, &base, insn.off, size)?;
+                let base = self.read_reg(pc, state, insn.dst)?;
+                self.check_access(pc, state, base, insn.off, size, true)?;
                 Ok(Flow::To(pc + 1))
             }
             _ => match self.edges[pc] {
@@ -933,21 +958,30 @@ impl Structure<'_> {
         Ok(r)
     }
 
-    /// Validates a load and returns the abstract type of the loaded value.
-    fn check_load(
+    /// Validates a load (or, with `store`, a store) of `size` bytes at
+    /// `base + off`, returning the abstract type of the loaded value.
+    fn check_access(
         &self,
         pc: usize,
         state: &State,
         base: &Reg,
         off: i16,
         size: usize,
+        store: bool,
     ) -> Result<Reg, VerifyError> {
         let err = |kind| VerifyError { pc, kind };
+        let oob = |what: String| err(VerifyErrorKind::OutOfBounds { what });
         match base {
+            Reg::PtrCtx { .. }
+            | Reg::PtrDataEnd
+            | Reg::Ptr {
+                region: Region::Data,
+                ..
+            } if store => Err(err(VerifyErrorKind::ReadOnly)),
             Reg::PtrCtx { off: base_off } => {
                 let field = base_off + off as i64;
                 let ty = match (field, size) {
-                    (o, 8) if o == ctx_off::DATA as i64 => Reg::PtrData { omin: 0, omax: 0 },
+                    (o, 8) if o == ctx_off::DATA as i64 => Reg::base(Region::Data),
                     (o, 8) if o == ctx_off::DATA_END as i64 => Reg::PtrDataEnd,
                     (o, 8) if o == ctx_off::FILE_OFF as i64 => Reg::scalar_unknown(),
                     (o, 4) if o == ctx_off::HOP as i64 => Reg::Scalar {
@@ -958,114 +992,47 @@ impl Structure<'_> {
                         umin: 0,
                         umax: u32::MAX as u64,
                     },
-                    (o, 8) if o == ctx_off::SCRATCH as i64 => Reg::PtrScratch { omin: 0, omax: 0 },
+                    (o, 8) if o == ctx_off::SCRATCH as i64 => Reg::base(Region::Scratch),
                     (o, 8) if o == ctx_off::SCRATCH_END as i64 => Reg::scalar_unknown(),
                     _ => {
-                        return Err(err(VerifyErrorKind::OutOfBounds {
-                            what: format!(
-                                "ctx load at offset {field} width {size} does not match a field"
-                            ),
-                        }))
+                        return Err(oob(format!(
+                            "ctx load at offset {field} width {size} does not match a field"
+                        )))
                     }
                 };
                 Ok(ty)
             }
-            Reg::PtrData { omin, omax } => {
-                let lo = omin + off as i64;
-                let hi = omax + off as i64 + size as i64;
-                if lo < 0 || hi > state.data_len_min {
-                    return Err(err(VerifyErrorKind::OutOfBounds {
-                        what: format!(
-                            "data access [{lo}, {hi}) exceeds proven bound {}",
-                            state.data_len_min
-                        ),
-                    }));
+            Reg::Ptr { region, omin, omax } => {
+                let (lo, hi, name) = self.bounds(pc, state, *region)?;
+                let (a, b) = (omin + off as i64, omax + off as i64 + size as i64);
+                if a < lo || b > hi {
+                    return Err(oob(format!(
+                        "{name} access [{a}, {b}) outside [{lo}, {hi})"
+                    )));
                 }
                 Ok(Reg::scalar_unknown())
             }
-            Reg::PtrScratch { omin, omax } => {
-                check_static(
-                    pc,
-                    *omin,
-                    *omax,
-                    off,
-                    size,
-                    0,
-                    SCRATCH_SIZE as i64,
-                    "scratch",
-                )?;
-                Ok(Reg::scalar_unknown())
-            }
-            Reg::PtrStack { omin, omax } => {
-                check_static(
-                    pc,
-                    *omin,
-                    *omax,
-                    off,
-                    size,
-                    -(STACK_SIZE as i64),
-                    0,
-                    "stack",
-                )?;
-                Ok(Reg::scalar_unknown())
-            }
-            Reg::PtrMapValue { id, omin, omax } => {
-                let vsize = self.map_spec(pc, *id)?.value_size as i64;
-                check_static(pc, *omin, *omax, off, size, 0, vsize, "map value")?;
-                Ok(Reg::scalar_unknown())
-            }
             Reg::NullOrMapValue { .. } => Err(err(VerifyErrorKind::PossiblyNull)),
-            Reg::PtrDataEnd => Err(err(VerifyErrorKind::OutOfBounds {
-                what: "load through data_end".to_string(),
-            })),
-            Reg::Scalar { .. } | Reg::Uninit => Err(err(VerifyErrorKind::OutOfBounds {
-                what: "load through non-pointer".to_string(),
-            })),
+            Reg::PtrDataEnd => Err(oob("load through data_end".to_string())),
+            Reg::Scalar { .. } | Reg::Uninit => Err(oob("access through non-pointer".to_string())),
         }
     }
 
-    fn check_store(
+    /// Where `region` reaches on this path, as offsets from its base:
+    /// `[lo, hi)`, and its name for an error. The only place that knows
+    /// a region's extent: loads, stores and helper arguments all ask it.
+    fn bounds(
         &self,
         pc: usize,
-        _state: &State,
-        base: &Reg,
-        off: i16,
-        size: usize,
-    ) -> Result<(), VerifyError> {
-        let err = |kind| VerifyError { pc, kind };
-        match base {
-            Reg::PtrCtx { .. } | Reg::PtrData { .. } | Reg::PtrDataEnd => {
-                Err(err(VerifyErrorKind::ReadOnly))
-            }
-            Reg::PtrScratch { omin, omax } => check_static(
-                pc,
-                *omin,
-                *omax,
-                off,
-                size,
-                0,
-                SCRATCH_SIZE as i64,
-                "scratch",
-            ),
-            Reg::PtrStack { omin, omax } => check_static(
-                pc,
-                *omin,
-                *omax,
-                off,
-                size,
-                -(STACK_SIZE as i64),
-                0,
-                "stack",
-            ),
-            Reg::PtrMapValue { id, omin, omax } => {
-                let vsize = self.map_spec(pc, *id)?.value_size as i64;
-                check_static(pc, *omin, *omax, off, size, 0, vsize, "map value")
-            }
-            Reg::NullOrMapValue { .. } => Err(err(VerifyErrorKind::PossiblyNull)),
-            Reg::Scalar { .. } | Reg::Uninit => Err(err(VerifyErrorKind::OutOfBounds {
-                what: "store through non-pointer".to_string(),
-            })),
-        }
+        state: &State,
+        region: Region,
+    ) -> Result<(i64, i64, &'static str), VerifyError> {
+        Ok(match region {
+            Region::Data => (0, state.data_len_min, "data"),
+            Region::Scratch => (0, SCRATCH_SIZE as i64, "scratch"),
+            Region::Stack => (-(STACK_SIZE as i64), 0, "stack"),
+            Region::MapValue(id) => (0, self.map_spec(pc, id)?.value_size as i64, "map value"),
+        })
     }
 
     fn map_spec(&self, pc: usize, id: u32) -> Result<MapSpec, VerifyError> {
@@ -1095,34 +1062,14 @@ impl Structure<'_> {
         if len > EMIT_MAX as u64 {
             return Err(err(format!("{what}: length {len} exceeds {EMIT_MAX}")));
         }
-        let len = len as i64;
         match ptr {
-            Reg::PtrData { omin, omax } => {
-                if *omin < 0 || omax + len > state.data_len_min {
+            Reg::Ptr { region, omin, omax } => {
+                let (lo, hi, name) = self.bounds(pc, state, *region)?;
+                let end = omax + len as i64;
+                if *omin < lo || end > hi {
                     return Err(err(format!(
-                        "{what}: data range [{omin}, {}) unproven (bound {})",
-                        omax + len,
-                        state.data_len_min
+                        "{what}: {name} range [{omin}, {end}) outside [{lo}, {hi})"
                     )));
-                }
-                Ok(())
-            }
-            Reg::PtrScratch { omin, omax } => {
-                if *omin < 0 || omax + len > SCRATCH_SIZE as i64 {
-                    return Err(err(format!("{what}: scratch range out of bounds")));
-                }
-                Ok(())
-            }
-            Reg::PtrStack { omin, omax } => {
-                if *omin < -(STACK_SIZE as i64) || omax + len > 0 {
-                    return Err(err(format!("{what}: stack range out of bounds")));
-                }
-                Ok(())
-            }
-            Reg::PtrMapValue { id, omin, omax } => {
-                let vsize = self.map_spec(pc, *id)?.value_size as i64;
-                if *omin < 0 || omax + len > vsize {
-                    return Err(err(format!("{what}: map value range out of bounds")));
                 }
                 Ok(())
             }
@@ -1187,30 +1134,6 @@ impl Structure<'_> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn check_static(
-    pc: usize,
-    omin: i64,
-    omax: i64,
-    off: i16,
-    size: usize,
-    lo: i64,
-    hi: i64,
-    what: &str,
-) -> Result<(), VerifyError> {
-    let a = omin + off as i64;
-    let b = omax + off as i64 + size as i64;
-    if a < lo || b > hi {
-        return Err(VerifyError {
-            pc,
-            kind: VerifyErrorKind::OutOfBounds {
-                what: format!("{what} access [{a}, {b}) outside [{lo}, {hi})"),
-            },
-        });
-    }
-    Ok(())
-}
-
 fn scalar_interval(r: &Reg) -> Option<(u64, u64)> {
     match r {
         Reg::Scalar { umin, umax } => Some((*umin, *umax)),
@@ -1226,46 +1149,43 @@ fn alu_result(pc: usize, cls: u8, code: u8, lhs: &Reg, rhs: &Reg) -> Result<Reg,
             what: what.to_string(),
         },
     };
-    // MOV copies the operand type wholesale (64-bit only; 32-bit MOV of a
-    // pointer would truncate it).
-    if code == ALU_MOV {
-        return if cls == CLS_ALU64 {
-            Ok(rhs.clone())
-        } else if rhs.is_pointer() {
-            Err(err_arith("32-bit mov of a pointer"))
-        } else {
-            let (lo, hi) = scalar_interval(rhs).expect("non-pointer");
-            Ok(clamp32(lo, hi))
-        };
+    let is32 = cls == CLS_ALU;
+    // MOV copies the operand type wholesale (64-bit only; a 32-bit MOV
+    // of a pointer would truncate it).
+    if code == ALU_MOV && !is32 {
+        return Ok(rhs.clone());
     }
-
     let lp = lhs.is_pointer();
     let rp = rhs.is_pointer();
-    if (lp || rp) && cls == CLS_ALU {
+    if (lp || rp) && is32 {
         return Err(err_arith("32-bit arithmetic on pointer"));
     }
     match (lp, rp) {
         (false, false) => {
-            let (a, b) = scalar_interval(lhs).expect("scalar");
-            let (c, d) = scalar_interval(rhs).expect("scalar");
+            let (mut a, mut b) = scalar_interval(lhs).expect("scalar");
+            let (mut c, mut d) = scalar_interval(rhs).expect("scalar");
+            if is32 {
+                // A 32-bit op reads the low halves of its operands.
+                ((a, b), (c, d)) = (low32(a, b), low32(c, d));
+            }
             if matches!(code, ALU_DIV | ALU_MOD) && c == 0 && d == 0 {
                 return Err(VerifyError {
                     pc,
                     kind: VerifyErrorKind::DivByZero,
                 });
             }
-            let (lo, hi) = scalar_alu(code, a, b, c, d, cls == CLS_ALU);
-            Ok(if cls == CLS_ALU {
-                clamp32(lo, hi)
-            } else {
-                Reg::Scalar { umin: lo, umax: hi }
-            })
+            let (mut lo, mut hi) = scalar_alu(code, a, b, c, d, is32);
+            if is32 {
+                // ... and writes the low half of its result.
+                (lo, hi) = low32(lo, hi);
+            }
+            Ok(Reg::Scalar { umin: lo, umax: hi })
         }
-        (true, false) => ptr_offset(pc, lhs, rhs, code, false),
+        (true, false) => ptr_offset(pc, lhs, rhs, code),
         (false, true) => {
             // scalar + ptr is commutative; everything else is rejected.
             if code == ALU_ADD {
-                ptr_offset(pc, rhs, lhs, code, false)
+                ptr_offset(pc, rhs, lhs, code)
             } else {
                 Err(err_arith("scalar op pointer"))
             }
@@ -1281,38 +1201,31 @@ fn alu_result(pc: usize, cls: u8, code: u8, lhs: &Reg, rhs: &Reg) -> Result<Reg,
     }
 }
 
-fn clamp32(lo: u64, hi: u64) -> Reg {
-    if lo > u32::MAX as u64 || hi > u32::MAX as u64 {
-        Reg::Scalar {
-            umin: 0,
-            umax: u32::MAX as u64,
-        }
+/// The low halves of the values in `[lo, hi]`: exact for a constant,
+/// every 32-bit value for an interval that reaches past them.
+fn low32(lo: u64, hi: u64) -> (u64, u64) {
+    if lo == hi {
+        (lo as u32 as u64, lo as u32 as u64)
+    } else if hi > u32::MAX as u64 {
+        (0, u32::MAX as u64)
     } else {
-        Reg::Scalar { umin: lo, umax: hi }
+        (lo, hi)
     }
 }
 
+/// Whether `a - b` is a distance: two pointers into one region, or the
+/// block and its end.
 fn same_region(a: &Reg, b: &Reg) -> bool {
-    matches!(
-        (a, b),
-        (Reg::PtrData { .. }, Reg::PtrData { .. })
-            | (Reg::PtrScratch { .. }, Reg::PtrScratch { .. })
-            | (Reg::PtrStack { .. }, Reg::PtrStack { .. })
-            | (Reg::PtrData { .. }, Reg::PtrDataEnd)
-            | (Reg::PtrDataEnd, Reg::PtrData { .. })
-    ) || matches!(
-        (a, b),
-        (Reg::PtrMapValue { id: x, .. }, Reg::PtrMapValue { id: y, .. }) if x == y
-    )
+    match (a, b) {
+        (Reg::Ptr { region: x, .. }, Reg::Ptr { region: y, .. }) => x == y,
+        (Reg::Ptr { region, .. }, Reg::PtrDataEnd) | (Reg::PtrDataEnd, Reg::Ptr { region, .. }) => {
+            *region == Region::Data
+        }
+        _ => false,
+    }
 }
 
-fn ptr_offset(
-    pc: usize,
-    ptr: &Reg,
-    scalar: &Reg,
-    code: u8,
-    _swap: bool,
-) -> Result<Reg, VerifyError> {
+fn ptr_offset(pc: usize, ptr: &Reg, scalar: &Reg, code: u8) -> Result<Reg, VerifyError> {
     let err_arith = |what: &str| VerifyError {
         pc,
         kind: VerifyErrorKind::BadPointerArithmetic {
@@ -1341,18 +1254,6 @@ fn ptr_offset(
             (-(smax as i64), -(smin as i64))
         }
     };
-    let shift = |omin: i64, omax: i64| -> Result<(i64, i64), VerifyError> {
-        let a = omin
-            .checked_add(dmin)
-            .ok_or_else(|| err_arith("offset overflow"))?;
-        let b = omax
-            .checked_add(dmax)
-            .ok_or_else(|| err_arith("offset overflow"))?;
-        if a.abs() > (1 << 31) || b.abs() > (1 << 31) {
-            return Err(err_arith("offset out of modelled range"));
-        }
-        Ok((a, b))
-    };
     Ok(match ptr {
         Reg::PtrCtx { off } => {
             if dmin != dmax {
@@ -1360,24 +1261,17 @@ fn ptr_offset(
             }
             Reg::PtrCtx { off: off + dmin }
         }
-        Reg::PtrData { omin, omax } => {
-            let (a, b) = shift(*omin, *omax)?;
-            Reg::PtrData { omin: a, omax: b }
-        }
-        Reg::PtrScratch { omin, omax } => {
-            let (a, b) = shift(*omin, *omax)?;
-            Reg::PtrScratch { omin: a, omax: b }
-        }
-        Reg::PtrStack { omin, omax } => {
-            let (a, b) = shift(*omin, *omax)?;
-            Reg::PtrStack { omin: a, omax: b }
-        }
-        Reg::PtrMapValue { id, omin, omax } => {
-            let (a, b) = shift(*omin, *omax)?;
-            Reg::PtrMapValue {
-                id: *id,
-                omin: a,
-                omax: b,
+        Reg::Ptr { region, omin, omax } => {
+            let overflow = || err_arith("offset overflow");
+            let omin = omin.checked_add(dmin).ok_or_else(overflow)?;
+            let omax = omax.checked_add(dmax).ok_or_else(overflow)?;
+            if omin.abs() > (1 << 31) || omax.abs() > (1 << 31) {
+                return Err(err_arith("offset out of modelled range"));
+            }
+            Reg::Ptr {
+                region: *region,
+                omin,
+                omax,
             }
         }
         Reg::PtrDataEnd => return Err(err_arith("arithmetic on data_end")),
@@ -1396,6 +1290,7 @@ fn scalar_alu(code: u8, a: u64, b: u64, c: u64, d: u64, is32: bool) -> (u64, u64
     let full = (0u64, u64::MAX);
     let konst = a == b && c == d;
     match code {
+        ALU_MOV => (c, d),
         ALU_ADD => match a.checked_add(c).zip(b.checked_add(d)) {
             Some((lo, hi)) => (lo, hi),
             None => full,
@@ -1522,11 +1417,7 @@ fn branch_states(
             };
             let ptr_state = {
                 let mut s = state.clone();
-                s.regs[dst_idx as usize] = Reg::PtrMapValue {
-                    id: *id,
-                    omin: 0,
-                    omax: 0,
-                };
+                s.regs[dst_idx as usize] = Reg::base(Region::MapValue(*id));
                 s
             };
             return Ok(if code == JMP_JEQ {
@@ -1540,8 +1431,12 @@ fn branch_states(
 
     // Pointer vs data_end (either side): refine data_len_min.
     let data_end_cmp = match (dst, rhs) {
-        (Reg::PtrData { omin, .. }, Reg::PtrDataEnd) => Some((*omin, false)),
-        (Reg::PtrDataEnd, Reg::PtrData { omin, .. }) => Some((*omin, true)),
+        (Reg::Ptr { region, omin, .. }, Reg::PtrDataEnd) if *region == Region::Data => {
+            Some((*omin, false))
+        }
+        (Reg::PtrDataEnd, Reg::Ptr { region, omin, .. }) if *region == Region::Data => {
+            Some((*omin, true))
+        }
         _ => None,
     };
     if let Some((p_omin, swapped)) = data_end_cmp {
@@ -1565,26 +1460,32 @@ fn branch_states(
 
     // Same-region pointer comparisons: compare offset intervals.
     if dst.is_pointer() || rhs.is_pointer() {
-        if !same_region(dst, rhs) {
+        let (
+            Reg::Ptr { region, omin, omax },
+            Reg::Ptr {
+                omin: c, omax: d, ..
+            },
+        ) = (dst, rhs)
+        else {
+            return Err(err(VerifyErrorKind::BadComparison));
+        };
+        if !same_region(dst, rhs) || is32 {
             return Err(err(VerifyErrorKind::BadComparison));
         }
-        if is32 {
-            return Err(err(VerifyErrorKind::BadComparison));
-        }
-        let (a, b) = ptr_interval(dst);
-        let (c, d) = ptr_interval(rhs);
-        let (t_dst, f_dst) = refine_unsigned(code, a as u64, b as u64, c as u64, d as u64);
-        let taken = t_dst.map(|(lo, hi)| {
-            let mut s = state.clone();
-            s.regs[dst_idx as usize] = with_ptr_interval(dst, lo as i64, hi as i64);
-            s
-        });
-        let fall = f_dst.map(|(lo, hi)| {
-            let mut s = state.clone();
-            s.regs[dst_idx as usize] = with_ptr_interval(dst, lo as i64, hi as i64);
-            s
-        });
-        return Ok((taken, fall));
+        let (a, b, c, d) = (*omin as u64, *omax as u64, *c as u64, *d as u64);
+        let (t_dst, f_dst) = refine_unsigned(code, a, b, c, d);
+        let refined = |iv: Option<(u64, u64)>| {
+            iv.map(|(lo, hi)| {
+                let mut s = state.clone();
+                s.regs[dst_idx as usize] = Reg::Ptr {
+                    region: *region,
+                    omin: lo as i64,
+                    omax: hi as i64,
+                };
+                s
+            })
+        };
+        return Ok((refined(t_dst), refined(f_dst)));
     }
 
     // Scalar vs scalar.
@@ -1620,30 +1521,6 @@ fn branch_states(
         }
     }
     Ok((taken, fall))
-}
-
-fn ptr_interval(r: &Reg) -> (i64, i64) {
-    match r {
-        Reg::PtrData { omin, omax }
-        | Reg::PtrScratch { omin, omax }
-        | Reg::PtrStack { omin, omax }
-        | Reg::PtrMapValue { omin, omax, .. } => (*omin, *omax),
-        _ => (0, 0),
-    }
-}
-
-fn with_ptr_interval(r: &Reg, omin: i64, omax: i64) -> Reg {
-    match r {
-        Reg::PtrData { .. } => Reg::PtrData { omin, omax },
-        Reg::PtrScratch { .. } => Reg::PtrScratch { omin, omax },
-        Reg::PtrStack { .. } => Reg::PtrStack { omin, omax },
-        Reg::PtrMapValue { id, .. } => Reg::PtrMapValue {
-            id: *id,
-            omin,
-            omax,
-        },
-        other => other.clone(),
-    }
 }
 
 /// Flips a comparison so `a CMP b` becomes `b CMP' a`.
@@ -2154,6 +2031,68 @@ mod tests {
         assert_eq!(err.kind, VerifyErrorKind::DivByZero);
     }
 
+    /// `r2 = 0x1_0000_0008; <code>32 r2, imm; r2 -= sub`, then eight
+    /// bytes read at `data + r2` behind an eight-byte `data_end` proof.
+    fn alu32_witness(code: u8, imm: i32, sub: u64) -> Program {
+        let mut a = Asm::new();
+        a.ld_imm64(2, 0x1_0000_0008);
+        let mut insns = a.finish().expect("assembles");
+        insns.push(Insn::new(CLS_ALU | code, 2, 0, 0, imm));
+        let mut a = Asm::new();
+        a.ld_imm64(6, sub)
+            .sub64_reg(2, 6)
+            .ldx(Width::DW, 7, 1, ctx_off::DATA)
+            .ldx(Width::DW, 8, 1, ctx_off::DATA_END)
+            .mov64_reg(9, 7)
+            .add64_imm(9, 8)
+            .jgt_reg(9, 8, "out")
+            .mov64_reg(3, 7)
+            .add64_reg(3, 2)
+            .ldx(Width::DW, 0, 3, 0)
+            .exit()
+            .label("out")
+            .mov64_imm(0, 0)
+            .exit();
+        insns.extend(a.finish().expect("assembles"));
+        Program::new(insns)
+    }
+
+    #[test]
+    fn a_32_bit_op_reads_the_low_halves_of_its_operands() {
+        // The 64-bit interval went through the op and only the result
+        // was clamped: `rsh32` and `div32` made 0x8000_0004 of r2 and
+        // `mod32` 10, so the subtraction left it 0 and `data + r2` was
+        // admitted. At runtime the op reads the low half, 8: r2 is
+        // `4 - 0x8000_0004` (`8 - 10`) and the load traps.
+        let witnesses = [
+            (ALU_RSH, 1, 0x8000_0004),
+            (ALU_DIV, 2, 0x8000_0004),
+            (ALU_MOD, 0x7fff_ffff, 10),
+        ];
+        for (code, imm, sub) in witnesses {
+            let prog = alu32_witness(code, imm, sub);
+            let err = verify_against_oracle(&prog).expect_err("an unbounded delta");
+            assert_eq!(err.pc, 12, "{code:#x}: at `r3 += r2`");
+            assert!(
+                matches!(err.kind, VerifyErrorKind::BadPointerArithmetic { .. }),
+                "{code:#x}: {err:?}"
+            );
+            let ctx = RunCtx {
+                data: &[0; 8],
+                file_off: 0,
+                hop: 0,
+                flags: 0,
+                scratch: &mut [0u8; SCRATCH_SIZE],
+            };
+            let mut maps = MapSet::instantiate(&[]).expect("no maps");
+            let ran = Vm::new().run(&prog, ctx, &mut maps, &mut RecordingEnv::default());
+            assert!(
+                matches!(ran, Err(Trap::OutOfBounds { pc: 13, .. })),
+                "{ran:?}"
+            );
+        }
+    }
+
     #[test]
     fn helper_unknown_rejected() {
         let err = check(|a| {
@@ -2236,6 +2175,54 @@ mod tests {
                 .exit();
         })
         .expect("accepted");
+    }
+
+    #[test]
+    fn a_helper_reads_nothing_below_a_region() {
+        // Two bytes from one byte under the start of scratch and of the
+        // stack: the range ends in bounds, it starts outside them.
+        let starts: [fn(&mut Asm); 2] = [
+            |a| {
+                a.ldx(Width::DW, 1, 1, ctx_off::SCRATCH).add64_imm(1, -1);
+            },
+            |a| {
+                a.mov64_reg(1, 10).add64_imm(1, -(STACK_SIZE as i32) - 1);
+            },
+        ];
+        for start in starts {
+            let err = check(|a| {
+                start(a);
+                a.mov64_imm(2, 2).call(helper::EMIT).mov64_imm(0, 0).exit();
+            })
+            .unwrap_err();
+            assert!(
+                matches!(err.kind, VerifyErrorKind::BadHelperCall { .. }),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn pointers_into_two_maps_do_not_compare() {
+        // Each map's value is a region of its own: ordering a pointer
+        // into one against a pointer into the other bounds neither.
+        let err = check_maps(
+            |a| {
+                a.st_imm(Width::W, 10, -4, 0);
+                for (map, reg) in [(0, 6), (1, 7)] {
+                    a.mov64_imm(1, map)
+                        .mov64_reg(2, 10)
+                        .add64_imm(2, -4)
+                        .call(helper::MAP_LOOKUP)
+                        .jeq_imm(0, 0, "miss")
+                        .mov64_reg(reg, 0);
+                }
+                a.jgt_reg(6, 7, "miss").label("miss").mov64_imm(0, 0).exit();
+            },
+            vec![MapSpec::array(8, 4), MapSpec::array(8, 4)],
+        )
+        .unwrap_err();
+        assert_eq!(err.kind, VerifyErrorKind::BadComparison);
     }
 
     #[test]
@@ -2657,6 +2644,58 @@ mod tests {
             let one_bucket = Structure::of(prog).and_then(|s| s.explore(|_, _| 0));
             assert_eq!(one_bucket, verify(prog));
         }
+    }
+
+    #[test]
+    fn a_state_is_eleven_registers_of_24_bytes_and_a_length() {
+        // What the walk copies at every fork and the interner stores at
+        // every join. The widest register, a region and two offsets,
+        // keeps the 24 bytes the four per-region pointer kinds took.
+        assert_eq!(std::mem::size_of::<Reg>(), 24);
+        assert_eq!(std::mem::size_of::<State>(), 272);
+    }
+
+    /// A rejection's kind without the free text of its `what`.
+    fn kind_name(kind: &VerifyErrorKind) -> String {
+        use VerifyErrorKind::{BadHelperCall, BadPointerArithmetic, OutOfBounds};
+        match kind {
+            OutOfBounds { .. } => "OutOfBounds".to_string(),
+            BadPointerArithmetic { .. } => "BadPointerArithmetic".to_string(),
+            BadHelperCall { .. } => "BadHelperCall".to_string(),
+            kind => format!("{kind:?}"),
+        }
+    }
+
+    #[test]
+    fn verification_outcomes_are_pinned() {
+        // Every verdict over the in-tree programs and 4 000 drawn ones —
+        // accepted with how many states and how long a path, or rejected
+        // where and why — folded into one FNV-1a digest. A change to the
+        // abstract domain that moves any of them moves the digest;
+        // `verify_agrees_with_the_oracle` cannot see one, because the
+        // oracle steps with the same `step`.
+        use proptest::test_runner::TestRng;
+        let strategy = crate::arb::arb_program();
+        let drawn = (0..4000).map(|seed| strategy.generate(&mut TestRng::seed(seed)));
+        let in_tree = in_tree_programs().map(|(_, prog)| prog);
+        let (mut digest, mut accepted) = (0xcbf2_9ce4_8422_2325u64, 0);
+        for prog in in_tree.into_iter().chain(drawn) {
+            let outcome = match verify(&prog) {
+                Ok(stats) => {
+                    accepted += 1;
+                    format!("ok {} {}\n", stats.states, stats.max_path)
+                }
+                Err(e) => format!("err {} {}\n", e.pc, kind_name(&e.kind)),
+            };
+            for b in outcome.bytes() {
+                digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            (accepted, digest),
+            (1331, 0xd075_831a_5692_0e24),
+            "{digest:#018x}"
+        );
     }
 
     proptest! {

@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 
+use bpfstor_vm::insn::{Insn, ALU_ARSH, ALU_DIV, ALU_MOD, ALU_RSH, CLS_ALU, SRC_X};
 use bpfstor_vm::{ctx_off, helper, Asm, MapSpec, Program, Width};
 
 /// The four access widths, with their size in bytes.
@@ -13,6 +14,48 @@ const WIDTHS: [(Width, i16); 4] = [(Width::B, 1), (Width::H, 2), (Width::W, 4), 
 
 fn width() -> impl Strategy<Value = Width> {
     (0usize..4).prop_map(|i| WIDTHS[i].0)
+}
+
+/// A `u32` of any magnitude: its bit length is what is uniform.
+fn magnitude() -> impl Strategy<Value = u32> {
+    (any::<u32>(), 0u32..32).prop_map(|(v, shift)| v >> shift)
+}
+
+/// A 32-bit ALU code. Half the time one of the four whose result a
+/// verifier reading whole registers gets wrong — the right shifts,
+/// division and modulo carry high bits down — and half the time any of
+/// the thirteen below `ALU_END`.
+fn alu32_code() -> impl Strategy<Value = u8> {
+    let wrong_whole = [ALU_RSH, ALU_ARSH, ALU_DIV, ALU_MOD];
+    prop_oneof![
+        (0u8..13).prop_map(|i| i << 4),
+        (0usize..4).prop_map(move |i| wrong_whole[i]),
+    ]
+}
+
+/// Where [`load_through`] reads: the block (`true`) or scratch, the
+/// width, the offset, the block bytes proven, the destination.
+type IndexedLoad = (bool, Width, i16, i32, u8);
+
+fn indexed_load() -> impl Strategy<Value = IndexedLoad> {
+    (any::<bool>(), width(), 0i16..16, 8i32..33, 0u8..6)
+}
+
+/// `r7 = data` (behind a `data_end` proof) or `scratch`; `r7 += idx`;
+/// a load through `r7`.
+fn load_through(idx: u8, (into_data, w, off, proven, dst): IndexedLoad) -> Vec<Insn> {
+    let mut a = Asm::new();
+    if into_data {
+        a.ldx(Width::DW, 7, 6, ctx_off::DATA)
+            .ldx(Width::DW, 8, 6, ctx_off::DATA_END)
+            .mov64_reg(9, 7)
+            .add64_imm(9, proven)
+            .jgt_reg(9, 8, "short");
+    } else {
+        a.ldx(Width::DW, 7, 6, ctx_off::SCRATCH);
+    }
+    a.add64_reg(7, idx).ldx(w, dst, 7, off).label("short");
+    a.finish().expect("fragment")
 }
 
 /// Maps every generated program declares: an array (lookups always
@@ -264,6 +307,33 @@ pub fn arb_program() -> impl Strategy<Value = Program> {
             zero_low_regs(&mut a);
             a.finish().expect("fragment")
         }),
+        // A 32-bit ALU op, every code by immediate and by register, on
+        // registers just loaded with constants above `u32::MAX` (the
+        // divisor's low half of any magnitude), of which it reads the
+        // low halves only; half the time the result then indexes
+        // memory.
+        3 => (
+            (0u8..6, 0u8..6, alu32_code(), any::<bool>(), magnitude()),
+            (1u64..4, any::<u32>(), 1u64..4, magnitude()),
+            (any::<bool>(), indexed_load()),
+        )
+            .prop_map(|((dst, src, code, by_reg, imm), (dh, dl, sh, sl), (index, load))| {
+                let mut a = Asm::new();
+                a.ld_imm64(dst, dh << 32 | dl as u64);
+                if by_reg {
+                    a.ld_imm64(src, sh << 32 | sl as u64);
+                }
+                let mut insns = a.finish().expect("fragment");
+                let (src, form) = if by_reg { (src, SRC_X) } else { (0, 0) };
+                insns.push(Insn::new(CLS_ALU | form | code, dst, src, 0, imm as i32));
+                if index {
+                    insns.extend(load_through(dst, load));
+                }
+                insns
+            }),
+        // A scalar register added to a pointer into the block or
+        // scratch, then read through.
+        2 => (0u8..6, indexed_load()).prop_map(|(idx, load)| load_through(idx, load)),
     ];
     (proptest::collection::vec(insn, 1..12)).prop_map(|frags| {
         let mut a = Asm::new();
