@@ -18,7 +18,7 @@
 //! to the highest one ever set, and every block past its end reads as
 //! free. Goal-directed allocation over a device that fills from block 0
 //! keeps written blocks dense (the argument `device/src/store.rs` makes
-//! for its chunk table), so a 2 GiB file system holding a few hundred
+//! for its sector index), so a 2 GiB file system holding a few hundred
 //! KiB of files costs a few hundred bytes of bitmap, not 512 KiB. A
 //! search for a used block stops at the grown end instead of walking
 //! words that are all zero.

@@ -101,7 +101,8 @@
 //!   submissions is drained and handed back to it.
 //!
 //! A journaled write keeps the same rule, so what it allocates is what
-//! its data costs — the record and the store chunks it fills:
+//! its data costs — the record and the store pages its non-zero sectors
+//! fill (an all-zero sector is a hole and costs nothing):
 //!
 //! - **The record** is the driver's allocation (`WriteStart::data`). It
 //!   is the op's (`WriteState::data`) from `start_chain` through

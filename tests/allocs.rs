@@ -12,7 +12,8 @@
 //!
 //! A journaled write keeps what the data itself costs and nothing else:
 //! the record the workload hands in (an owned `Vec`, the trait's shape)
-//! and one store chunk per 16 sectors that land. Its plan, its
+//! and one store page per 16 non-zero sectors that land (an all-zero
+//! sector is a hole and costs nothing). Its plan, its
 //! commands, the uring batch and the commit window are kept for their
 //! capacity (machine.rs, "Buffer ownership"), and the write loops below
 //! measure that the same marginal way, per write chain.
@@ -235,12 +236,13 @@ fn ycsb(mix: OpMix) -> YcsbMix {
     YcsbMix::new(support::kv_entries(600), mix, 7)
 }
 
-/// One write loop: a name, the store chunks a write chain's record
-/// fills (sectors written / 16), and the run from scratch to `until`
-/// that returns `(allocations during the run, write chains completed)`.
+/// One write loop: a name, the store pages a write chain's record
+/// fills (non-zero sectors written / 16), and the run from scratch to
+/// `until` that returns `(allocations during the run, write chains
+/// completed)`.
 struct WriteLoop {
     name: &'static str,
-    chunks_per_chain: f64,
+    pages_per_chain: f64,
     run: fn(u64) -> (u64, u64),
 }
 
@@ -327,7 +329,7 @@ fn fabric_pushdown_appends(until: u64) -> (u64, u64) {
 #[test]
 fn steady_state_write_path_allocates_only_what_the_data_costs() {
     const T: u64 = 20 * MILLISECOND;
-    // Per write chain: the record (1) and the chunks it fills. The
+    // Per write chain: the record (1) and the pages it fills. The
     // slack of 0.01 is for the journal's and the tables' amortised
     // doublings; one stray vector per chain — a plan, a command list —
     // reads 1.0 over and trips it. The mix's read chains run the SST
@@ -335,22 +337,23 @@ fn steady_state_write_path_allocates_only_what_the_data_costs() {
     let loops = [
         WriteLoop {
             name: "local sync 512 B appends, fsync every 8th",
-            chunks_per_chain: 1.0 / 16.0,
+            pages_per_chain: 1.0 / 16.0,
             run: sync_appends,
         },
         WriteLoop {
             name: "uring batch-16 40r/40u/20i, per-fsync commit",
-            chunks_per_chain: 1.0 / 16.0,
+            pages_per_chain: 1.0 / 16.0,
             run: uring_mix,
         },
         WriteLoop {
             name: "two-tenant 4 KiB storm, group commit",
-            chunks_per_chain: 8.0 / 16.0,
+            // An 8-byte key and zeroes: one non-zero sector of eight.
+            pages_per_chain: 1.0 / 16.0,
             run: tenant_storm,
         },
         WriteLoop {
             name: "fabric write pushdown",
-            chunks_per_chain: 1.0 / 16.0,
+            pages_per_chain: 1.0 / 16.0,
             run: fabric_pushdown_appends,
         },
     ];
@@ -363,7 +366,7 @@ fn steady_state_write_path_allocates_only_what_the_data_costs() {
             l.name
         );
         let per_chain = (a2 as f64 - a1 as f64) / (w2 - w1) as f64;
-        let bound = 1.0 + l.chunks_per_chain + 0.01;
+        let bound = 1.0 + l.pages_per_chain + 0.01;
         println!(
             "{}: {a1} allocs / {w1} write chains to T, {a2} / {w2} to 2T: \
              {per_chain:.4} per write chain (bound {bound:.4})",

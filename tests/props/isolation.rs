@@ -1,8 +1,8 @@
 // --- Buffer recycling: no chain ever reads another chain's bytes ---------------
 
 /// Blocks per isolation-test file: `ISO_WRITTEN` carry a per-file
-/// pattern, the rest are fallocated and never written (so at least one
-/// whole store chunk behind them is absent).
+/// pattern, the rest are fallocated and never written (so the store
+/// holds no sector behind them: every one is a hole).
 const ISO_BLOCKS: u64 = 72;
 const ISO_WRITTEN: u64 = 40;
 /// Chains wrap inside this many bytes, so an 8-sector read always fits.

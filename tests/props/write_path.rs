@@ -83,23 +83,31 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
-    fn chunked_store_matches_the_per_sector_map(
-        ops in proptest::collection::vec((0u8..4, 0u64..150, 1u32..50, any::<u8>()), 1..60)
+    fn sector_store_matches_the_per_sector_map(
+        ops in proptest::collection::vec((0u8..5, 0u64..150, 1u32..50, any::<u8>(), any::<u64>()), 1..60)
     ) {
-        // LBAs 0..200 cross a dozen chunk boundaries and the longer
-        // ranges cover whole chunks.
+        // LBAs 0..200, ranges up to 49 sectors: a store of up to a dozen
+        // pages whose slots are freed and reused out of LBA order.
         let mut store = SectorStore::new();
         let mut oracle = SectorMap::default();
-        for (kind, slba, nlb, fill) in ops {
+        for (kind, slba, nlb, fill, zeros) in ops {
             match kind {
-                0 | 1 => {
+                0..=2 => {
+                    // Sector `j` is all zero where bit `j % 64` of
+                    // `zeros` is set, and every sector is for kind 2: a
+                    // hole stays one, a stored sector becomes one. The
+                    // other sectors have zero bytes too, but not only.
+                    let zeros = if kind == 2 { u64::MAX } else { zeros };
                     let data: Vec<u8> = (0..nlb as usize * SECTOR_SIZE)
-                        .map(|i| fill.wrapping_add((i / 7) as u8) | 1)
+                        .map(|i| {
+                            let zero = zeros >> (i / SECTOR_SIZE % 64) & 1 == 1;
+                            if zero { 0 } else { fill.wrapping_add((i / 7) as u8) }
+                        })
                         .collect();
                     store.write(slba, &data);
                     oracle.write(slba, &data);
                 }
-                2 => {
+                3 => {
                     store.discard(slba, nlb);
                     oracle.discard(slba, nlb);
                 }
