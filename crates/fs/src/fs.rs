@@ -143,6 +143,7 @@ impl ExtFs {
             ino,
             name: name.to_string(),
         });
+        self.end_op();
         Ok(ino)
     }
 
@@ -162,13 +163,12 @@ impl ExtFs {
     /// [`FsError::NotFound`] if absent.
     pub fn unlink(&mut self, name: &str) -> Result<(), FsError> {
         let ino = self.open(name)?;
-        self.journal.begin();
         self.truncate_blocks(ino, 0)?;
         self.journal.log(JournalRecord::Unlink {
             ino,
             name: name.to_string(),
         });
-        self.journal.commit();
+        self.end_op();
         self.dir.remove(name);
         self.inodes.remove(&ino);
         Ok(())
@@ -223,8 +223,8 @@ impl ExtFs {
     /// # Errors
     ///
     /// [`FsError::NoSpace`] if allocation fails mid-write (already-
-    /// written bytes stay written, as on a real FS; the journal
-    /// transaction still commits the allocations that succeeded).
+    /// written bytes stay written, as on a real FS; the allocations that
+    /// succeeded are journaled like a whole write's).
     pub fn write(
         &mut self,
         ino: u64,
@@ -236,10 +236,6 @@ impl ExtFs {
             return Ok(());
         }
         self.inode(ino)?;
-        // Joins an already-open transaction (runtime writes awaiting an
-        // fsync barrier) instead of committing it early.
-        let nested = self.journal.in_transaction();
-        self.journal.begin();
         let bs = BLOCK_SIZE as u64;
         let mut segments = Vec::new();
         let failure = self
@@ -272,9 +268,7 @@ impl ExtFs {
             inode.size = pos;
             self.journal.log(JournalRecord::SetSize { ino, size: pos });
         }
-        if !nested {
-            self.journal.commit();
-        }
+        self.end_op();
         match failure {
             Some(e) => Err(e),
             None => Ok(()),
@@ -287,15 +281,16 @@ impl ExtFs {
     /// the caller (the simulated kernel routes it through the NVMe
     /// submission rings as real `Write` commands).
     ///
-    /// The journal transaction is left **open**: the records become
-    /// crash-durable only when [`ExtFs::commit_journal`] runs, which the
-    /// kernel calls when the fsync flush barrier completes on the device
-    /// — ext4's ordered-mode contract.
+    /// The write joins the running transaction as a handle and its
+    /// records stay there: they become crash-durable only when a seal
+    /// that covers them ([`ExtFs::seal_journal`]) commits at its flush
+    /// barrier's CQE ([`ExtFs::commit_journal_sealed`]) — ext4's
+    /// ordered-mode contract.
     ///
     /// # Errors
     ///
     /// [`FsError::NoSpace`] when allocation fails (segments planned so
-    /// far are returned in the open transaction, as on a real FS).
+    /// far are returned in the running transaction, as on a real FS).
     pub fn plan_write(
         &mut self,
         ino: u64,
@@ -311,7 +306,7 @@ impl ExtFs {
     /// [`ExtFs::plan_write`] into a vector the caller keeps for its
     /// capacity: `segments` is emptied, then holds the plan. On an
     /// error it holds what was mapped up to the failure — those blocks
-    /// stay allocated in the open transaction, but the write is not
+    /// stay allocated in the running transaction, but the write is not
     /// planned and the caller should discard them.
     ///
     /// # Errors
@@ -342,16 +337,15 @@ impl ExtFs {
         Ok(())
     }
 
-    /// Commits the open journal transaction (the kernel calls this when
-    /// the fsync flush barrier completes on the device). A no-op when
-    /// nothing is pending. Returns the writer handles the transaction
-    /// carried.
+    /// Seals and commits the running journal transaction at once, for
+    /// a caller with no barrier to wait for. A no-op when nothing is
+    /// pending. Returns the writer handles the transaction carried.
     pub fn commit_journal(&mut self) -> usize {
         self.journal.commit()
     }
 
-    /// Seals the running journal transaction for a group commit: the
-    /// record range freezes, the caller issues one flush barrier, and
+    /// Seals the running journal transaction: the record range freezes,
+    /// the caller issues one flush barrier, and
     /// [`ExtFs::commit_journal_sealed`] runs on its CQE. Writers
     /// arriving in between keep logging into a fresh running
     /// transaction.
@@ -359,10 +353,9 @@ impl ExtFs {
         self.journal.seal()
     }
 
-    /// Makes the sealed transaction durable (the shared barrier's CQE
-    /// arrived).
-    pub fn commit_journal_sealed(&mut self) {
-        self.journal.commit_sealed();
+    /// Makes a sealed transaction durable (its barrier's CQE arrived).
+    pub fn commit_journal_sealed(&mut self, txn: SealedTxn) {
+        self.journal.commit_sealed(txn);
     }
 
     /// Total journal records (committed + pending) — the seal horizon a
@@ -371,11 +364,24 @@ impl ExtFs {
         self.journal.len()
     }
 
-    /// True while the journal holds records that are not yet
-    /// crash-durable (open running transaction or a seal awaiting its
-    /// barrier) — what a background writeback flush would persist.
+    /// True while a runtime writer has joined the running transaction
+    /// (even one that logged nothing, an in-place overwrite) or the
+    /// journal holds records that are not yet crash-durable — what a
+    /// background writeback flush would persist.
     pub fn journal_dirty(&self) -> bool {
-        self.journal.in_transaction() || self.journal.committing_end().is_some()
+        let j = &self.journal;
+        j.running_handles() > 0 || j.len() > j.committed_records().len()
+    }
+
+    /// The one durability rule every metadata operation ends in: with
+    /// no runtime writer in the running transaction and no seal
+    /// outstanding, nothing waits on a barrier, so the operation commits
+    /// now; otherwise its records ride the next barrier with the
+    /// writers' (as jbd2 does), and commit points stay in seal order.
+    fn end_op(&mut self) {
+        if self.journal.running_handles() == 0 && !self.journal.seal_outstanding() {
+            self.journal.commit();
+        }
     }
 
     /// Reads `len` bytes at offset `off` (zero-filled over holes; short
@@ -494,12 +500,8 @@ impl ExtFs {
         store: &mut SectorStore,
     ) -> Result<usize, FsError> {
         self.inode(ino)?;
-        let nested = self.journal.in_transaction();
-        self.journal.begin();
-        // Mid-allocation failure must still commit what was logged (the
-        // blocks allocated so far stay allocated, as in `write`) — an
-        // early return would leave the transaction open and silently
-        // disable durability for every later operation.
+        // A mid-allocation failure still journals what was logged (the
+        // blocks allocated so far stay allocated, as in `write`).
         let created = self.map_range(ino, lb_start, lb_start + blocks, store, &mut Vec::new());
         if created.is_ok() {
             let inode = self.inode_mut(ino)?;
@@ -512,9 +514,7 @@ impl ExtFs {
                 });
             }
         }
-        if !nested {
-            self.journal.commit();
-        }
+        self.end_op();
         created
     }
 
@@ -528,16 +528,7 @@ impl ExtFs {
         store: &mut SectorStore,
     ) -> Result<(), FsError> {
         let bs = BLOCK_SIZE as u64;
-        let nested = self.journal.in_transaction();
-        self.journal.begin();
-        if let Err(e) = self.truncate_blocks(ino, new_size.div_ceil(bs)) {
-            // Close the transaction before surfacing the failure — an
-            // open txn would swallow every later implicit commit.
-            if !nested {
-                self.journal.commit();
-            }
-            return Err(e);
-        }
+        self.truncate_blocks(ino, new_size.div_ceil(bs))?;
         let inode = self.inode_mut(ino)?;
         let shrunk = new_size < inode.size;
         inode.size = inode.size.min(new_size);
@@ -556,9 +547,7 @@ impl ExtFs {
             ino,
             size: final_size,
         });
-        if !nested {
-            self.journal.commit();
-        }
+        self.end_op();
         Ok(())
     }
 
@@ -608,7 +597,6 @@ impl ExtFs {
         if snapshot.is_empty() {
             return Ok(());
         }
-        self.journal.begin();
         for old in snapshot {
             // Copy data out, free, reallocate elsewhere, copy back.
             let data = store.read(old.physical, old.len as u32);
@@ -659,7 +647,7 @@ impl ExtFs {
                 goal = run.start + run.len;
             }
         }
-        self.journal.commit();
+        self.end_op();
         Ok(())
     }
 
@@ -686,15 +674,11 @@ impl ExtFs {
         &self.journal
     }
 
-    /// Simulates a crash followed by journal replay into a fresh
-    /// metadata plane. Returns the recovered file system.
-    pub fn crash_and_recover(mut self, nblocks: u64) -> ExtFs {
-        self.journal.crash();
-        let mut fresh = ExtFs::mkfs(nblocks);
-        for rec in self.journal.committed_records() {
-            fresh.apply(rec);
-        }
-        fresh
+    /// Simulates a crash after every record reached the log, followed
+    /// by journal replay into a fresh metadata plane: what was committed
+    /// survives. Returns the recovered file system.
+    pub fn crash_and_recover(self, nblocks: u64) -> ExtFs {
+        self.crash_and_recover_at(nblocks, usize::MAX)
     }
 
     /// Simulates a crash after exactly `persisted` journal records
@@ -928,9 +912,9 @@ mod tests {
 
     #[test]
     fn failed_ops_do_not_wedge_the_journal_open() {
-        // Regression: an error path that returned after begin() without
-        // commit() left the transaction open forever, silently making
-        // every later metadata op non-durable.
+        // Regression: an error path that returned before committing left
+        // the transaction open forever, silently making every later
+        // metadata op non-durable.
         let mut fs = ExtFs::mkfs(4);
         let mut store = SectorStore::new();
         let ino = fs.create("f").expect("create");
@@ -938,25 +922,55 @@ mod tests {
             fs.fallocate(ino, 0, 100, &mut store).unwrap_err(),
             FsError::NoSpace
         );
-        assert!(!fs.journal().in_transaction(), "fallocate failure commits");
+        assert!(!fs.journal_dirty(), "fallocate failure commits");
         assert_eq!(
             fs.write(ino, 0, &vec![1u8; BLOCK_SIZE * 8], &mut store)
                 .unwrap_err(),
             FsError::NoSpace
         );
-        assert!(!fs.journal().in_transaction(), "write failure commits");
+        assert!(!fs.journal_dirty(), "write failure commits");
         assert_eq!(
             fs.truncate(99, 0, &mut store).unwrap_err(),
             FsError::BadInode(99)
         );
-        assert!(!fs.journal().in_transaction(), "truncate failure commits");
+        assert!(!fs.journal_dirty(), "truncate failure commits");
         // Later single-op durability still works.
         fs.create("g").expect("create");
         assert_eq!(
             fs.journal().len(),
             fs.journal().committed_records().len(),
-            "implicit commits function again"
+            "metadata ops commit again"
         );
+    }
+
+    #[test]
+    fn metadata_ops_ride_the_barrier_of_a_runtime_writer() {
+        let (mut fs, mut store) = setup();
+        let log = fs.create("log").expect("create");
+        let other = fs.create("other").expect("create");
+        fs.write(other, 0, &vec![3u8; BLOCK_SIZE * 2], &mut store)
+            .expect("write");
+        assert!(!fs.journal_dirty(), "alone, a metadata op commits at once");
+        // A runtime writer joins the running transaction...
+        fs.plan_write(log, 0, BLOCK_SIZE, &mut store).expect("plan");
+        let durable = fs.journal().committed_records().len();
+        // ...so a relocation waits for the writer's barrier instead of
+        // committing the writer's records ahead of its data.
+        fs.relocate(other, &mut store).expect("relocate");
+        assert_eq!(fs.journal().committed_records().len(), durable);
+        let sealed = fs.seal_journal();
+        assert_eq!(sealed.handles, 1);
+        // With the seal outstanding and no writer left, an op still
+        // waits: committing now would make the sealed records durable
+        // before their barrier.
+        fs.truncate(other, 0, &mut store).expect("truncate");
+        assert_eq!(fs.journal().committed_records().len(), durable);
+        fs.commit_journal_sealed(sealed);
+        assert_eq!(fs.journal().committed_records().len(), sealed.end);
+        assert!(fs.journal_dirty(), "the truncate rides the next barrier");
+        fs.create("later").expect("create");
+        assert!(!fs.journal_dirty(), "and the next idle op commits it");
+        assert_eq!(fs.journal().commit_points().len(), 5);
     }
 
     #[test]

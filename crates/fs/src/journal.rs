@@ -5,6 +5,13 @@
 //! rather than block images — enough to rebuild the inode table, the
 //! directory, and every extent tree, which is what the recovery tests
 //! exercise.
+//!
+//! A record becomes durable one way only: [`Journal::log`] appends it to
+//! the running transaction, [`Journal::seal`] freezes everything logged
+//! since the previous seal into a [`SealedTxn`], and
+//! [`Journal::commit_sealed`] — the flush barrier's CQE — makes it
+//! durable. [`Journal::commit`] is the two steps back to back, for a
+//! caller with no barrier to wait for.
 
 use crate::extent::Extent;
 
@@ -59,7 +66,7 @@ pub enum JournalRecord {
 pub struct SealedTxn {
     /// Record count at the seal point (the commit block's position).
     pub end: usize,
-    /// Records this transaction carries (past the previous commit).
+    /// Records this transaction carries (past the previous seal).
     pub records: usize,
     /// Handles that joined the running transaction before the seal.
     pub handles: usize,
@@ -67,27 +74,27 @@ pub struct SealedTxn {
 
 /// An append-only journal with transaction boundaries.
 ///
-/// The jbd2-style split: at most one *running* transaction accepts new
-/// handles ([`Journal::begin`] / [`Journal::join_running`]) while at
-/// most one *committing* transaction ([`Journal::seal`]) waits for its
-/// flush barrier. Handles arriving during a commit keep logging into
-/// the running transaction; [`Journal::commit_sealed`] makes only the
-/// sealed prefix durable.
+/// The jbd2-style split: one *running* transaction takes new records
+/// and handles ([`Journal::join_running`]) while any number of sealed
+/// ones ([`Journal::seal`]) wait for their flush barriers. Each
+/// [`Journal::commit_sealed`] moves the durable point forward to its
+/// seal point, never back, so commit points stay strictly ascending
+/// whatever order the barriers complete in.
 #[derive(Debug, Clone, Default)]
 pub struct Journal {
     records: Vec<JournalRecord>,
     /// Records up to this index are committed (crash-durable).
     committed: usize,
-    /// Record count after each committed transaction, ascending — the
-    /// on-disk commit-block positions a crash can land between.
+    /// Record count after each committed transaction, strictly
+    /// ascending — the on-disk commit-block positions a crash can land
+    /// between.
     commit_points: Vec<usize>,
-    /// Open-transaction flag.
-    in_txn: bool,
     /// Handles that joined the running transaction via
     /// [`Journal::join_running`].
     running_handles: usize,
-    /// Seal point of the committing transaction, if a seal is in flight.
-    committing: Option<usize>,
+    /// Record count at the latest seal: the running transaction is
+    /// everything past it.
+    sealed: usize,
     txns: u64,
 }
 
@@ -97,25 +104,9 @@ impl Journal {
         Journal::default()
     }
 
-    /// Opens a transaction; records appended before [`Journal::commit`]
-    /// are lost on a simulated crash. Calling `begin` while a
-    /// transaction is already open joins it (nested metadata updates
-    /// commit together, as in jbd2 handle nesting).
-    pub fn begin(&mut self) {
-        self.in_txn = true;
-    }
-
-    /// True while a transaction is open (records logged now are not yet
-    /// crash-durable).
-    pub fn in_transaction(&self) -> bool {
-        self.in_txn
-    }
-
-    /// Joins the running transaction as one committing handle: opens it
-    /// if needed and counts the handle toward the next seal's
-    /// [`SealedTxn::handles`].
+    /// Joins the running transaction as one committing handle: counts
+    /// it toward the next seal's [`SealedTxn::handles`].
     pub fn join_running(&mut self) {
-        self.in_txn = true;
         self.running_handles += 1;
     }
 
@@ -124,95 +115,62 @@ impl Journal {
         self.running_handles
     }
 
-    /// Seal point of the committing transaction, if one is in flight.
-    pub fn committing_end(&self) -> Option<usize> {
-        self.committing
+    /// True while some sealed transaction's records are not yet durable
+    /// (its barrier, or an earlier one, is still in flight).
+    pub fn seal_outstanding(&self) -> bool {
+        self.sealed > self.committed
     }
 
-    /// Seals the running transaction for commit: freezes its record
-    /// range and hands back the [`SealedTxn`] the flush barrier will
-    /// make durable via [`Journal::commit_sealed`]. New handles start a
-    /// fresh running transaction. An empty seal (no records past the
-    /// last commit) is returned but never becomes a transaction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sealed transaction is already waiting for its
-    /// barrier — the caller serializes commits (one barrier in flight).
+    /// Seals the running transaction for commit: freezes the records
+    /// logged since the previous seal and hands back the [`SealedTxn`]
+    /// the flush barrier will make durable via
+    /// [`Journal::commit_sealed`]. New handles start a fresh running
+    /// transaction. Earlier seals may still be outstanding.
     pub fn seal(&mut self) -> SealedTxn {
-        assert!(
-            self.committing.is_none(),
-            "journal: seal while a committing transaction is in flight"
-        );
         let end = self.records.len();
         let sealed = SealedTxn {
             end,
-            records: end - self.committed,
+            records: end - self.sealed,
             handles: self.running_handles,
         };
         self.running_handles = 0;
-        self.in_txn = false;
-        if end > self.committed {
-            self.committing = Some(end);
-        }
+        self.sealed = end;
         sealed
     }
 
-    /// Makes the sealed transaction durable (the flush barrier's CQE
-    /// arrived): records up to the seal point commit; anything logged
-    /// after it stays in the running transaction. No-op if the seal was
-    /// empty.
-    pub fn commit_sealed(&mut self) {
-        if let Some(end) = self.committing.take() {
-            debug_assert!(end > self.committed);
-            self.committed = end;
-            self.commit_points.push(end);
+    /// Makes a sealed transaction durable (its flush barrier's CQE
+    /// arrived): records up to its seal point commit unless a later
+    /// seal already committed them; anything logged after it stays in
+    /// the running transaction. A seal that adds nothing past the
+    /// durable point never becomes a transaction.
+    pub fn commit_sealed(&mut self, txn: SealedTxn) {
+        if txn.end > self.committed {
+            self.committed = txn.end;
+            self.commit_points.push(txn.end);
             self.txns += 1;
         }
     }
 
-    /// Appends a record to the open transaction (or as an implicit
-    /// single-record transaction when none is open).
+    /// Appends a record to the running transaction.
     pub fn log(&mut self, rec: JournalRecord) {
-        let implicit = !self.in_txn;
         self.records.push(rec);
-        if implicit {
-            self.committed = self.records.len();
-            self.commit_points.push(self.committed);
-            self.txns += 1;
-        }
     }
 
-    /// Commits the open transaction in one step (seal + barrier CQE
-    /// collapsed — the per-fsync path). Returns the handles the
-    /// transaction carried.
+    /// Seals the running transaction and commits it at once (no
+    /// barrier to wait for). Returns the handles it carried.
     pub fn commit(&mut self) -> usize {
-        let handles = self.running_handles;
-        self.running_handles = 0;
-        self.in_txn = false;
-        if self.records.len() > self.committed {
-            self.committed = self.records.len();
-            self.commit_points.push(self.committed);
-            self.txns += 1;
-        }
-        handles
-    }
-
-    /// Simulates a crash: uncommitted records vanish — including a
-    /// sealed transaction still waiting for its barrier (every joined
-    /// handle is lost atomically).
-    pub fn crash(&mut self) {
-        self.records.truncate(self.committed);
-        self.in_txn = false;
-        self.running_handles = 0;
-        self.committing = None;
+        let txn = self.seal();
+        self.commit_sealed(txn);
+        txn.handles
     }
 
     /// Simulates a crash after exactly `persisted` records reached the
     /// log: everything past the last commit block at or before that
     /// point vanishes — a torn transaction is discarded whole, never
-    /// half-applied. The last durable commit block is found by binary
-    /// search (`commit_points` is ascending by construction).
+    /// half-applied, and a sealed one still waiting for its barrier
+    /// loses every joined handle atomically. The last durable commit
+    /// block is found by binary search (`commit_points` is ascending by
+    /// construction).
     pub fn crash_at(&mut self, persisted: usize) {
         let idx = self.commit_points.partition_point(|&p| p <= persisted);
         let durable = if idx == 0 {
@@ -223,9 +181,8 @@ impl Journal {
         self.records.truncate(durable);
         self.committed = durable;
         self.commit_points.truncate(idx);
-        self.in_txn = false;
         self.running_handles = 0;
-        self.committing = None;
+        self.sealed = durable;
     }
 
     /// Record counts at each committed transaction boundary, ascending.
@@ -263,9 +220,13 @@ mod tests {
     }
 
     #[test]
-    fn implicit_transactions_commit_immediately() {
+    fn log_only_appends_to_the_running_transaction() {
         let mut j = Journal::new();
         j.log(rec(1));
+        assert_eq!(j.len(), 1);
+        assert_eq!(j.committed_records().len(), 0, "nothing commits in log");
+        assert_eq!(j.transactions(), 0);
+        j.commit();
         assert_eq!(j.committed_records().len(), 1);
         assert_eq!(j.transactions(), 1);
     }
@@ -273,7 +234,6 @@ mod tests {
     #[test]
     fn explicit_transaction_commits_atomically() {
         let mut j = Journal::new();
-        j.begin();
         j.log(rec(1));
         j.log(rec(2));
         assert_eq!(j.committed_records().len(), 0, "not yet committed");
@@ -286,9 +246,9 @@ mod tests {
     fn crash_discards_uncommitted() {
         let mut j = Journal::new();
         j.log(rec(1));
-        j.begin();
+        j.commit();
         j.log(rec(2));
-        j.crash();
+        j.crash_at(j.len());
         assert_eq!(j.committed_records().len(), 1);
         assert_eq!(j.len(), 1, "uncommitted record physically dropped");
     }
@@ -296,8 +256,8 @@ mod tests {
     #[test]
     fn crash_at_discards_torn_transactions_whole() {
         let mut j = Journal::new();
-        j.log(rec(1)); // txn 1: one record
-        j.begin();
+        j.log(rec(1));
+        j.commit(); // txn 1: one record
         j.log(rec(2));
         j.log(rec(3));
         j.commit(); // txn 2: two records
@@ -312,7 +272,6 @@ mod tests {
     #[test]
     fn crash_at_keeps_fully_persisted_transactions() {
         let mut j = Journal::new();
-        j.begin();
         j.log(rec(1));
         j.log(rec(2));
         j.commit();
@@ -325,7 +284,6 @@ mod tests {
     #[test]
     fn empty_commit_is_not_a_transaction() {
         let mut j = Journal::new();
-        j.begin();
         j.commit();
         assert_eq!(j.transactions(), 0);
         assert!(j.commit_points().is_empty());
@@ -337,17 +295,17 @@ mod tests {
         // to len lands the binary search on exactly that boundary, and
         // points strictly between commits (simulated by a torn trailing
         // txn) roll back to the last durable one.
-        let mut j = Journal::new();
-        for i in 0..512 {
-            j.log(rec(i));
-        }
-        assert_eq!(j.commit_points().len(), 512);
-        for persisted in (0..=512).rev() {
-            let mut crashed = Journal::new();
+        let single = || {
+            let mut j = Journal::new();
             for i in 0..512 {
-                crashed.log(rec(i));
+                j.log(rec(i));
+                j.commit();
             }
-            crashed.begin();
+            j
+        };
+        assert_eq!(single().commit_points().len(), 512);
+        for persisted in (0..=512).rev() {
+            let mut crashed = single();
             crashed.log(rec(999)); // torn: on the log, never committed
             crashed.crash_at(persisted);
             assert_eq!(crashed.committed_records().len(), persisted);
@@ -358,7 +316,6 @@ mod tests {
         // the previous boundary (partition_point lands between points).
         let mut j = Journal::new();
         for t in 0..64 {
-            j.begin();
             j.log(rec(t));
             j.log(rec(t));
             j.log(rec(t));
@@ -386,22 +343,47 @@ mod tests {
                 handles: 2
             }
         );
-        assert_eq!(j.committing_end(), Some(2));
+        assert!(j.seal_outstanding());
         assert_eq!(j.committed_records().len(), 0, "sealed, not durable yet");
         // A handle arriving mid-commit joins the NEXT running txn.
         j.join_running();
         j.log(rec(3));
-        j.commit_sealed();
+        j.commit_sealed(sealed);
         assert_eq!(j.committed_records().len(), 2, "seal point, not tail");
         assert_eq!(j.commit_points(), &[2]);
-        assert_eq!(j.running_handles(), 1);
-        assert!(j.in_transaction(), "late handle keeps a running txn open");
+        assert_eq!(j.running_handles(), 1, "the late handle keeps running");
+        assert!(!j.seal_outstanding());
+    }
+
+    #[test]
+    fn overlapping_seals_commit_in_any_order_and_never_move_back() {
+        let mut j = Journal::new();
+        j.log(rec(1));
+        let first = j.seal();
+        j.log(rec(2));
+        j.log(rec(3));
+        let second = j.seal();
+        assert_eq!(
+            (first.records, second.records),
+            (1, 2),
+            "from the last seal"
+        );
+        // The later barrier lands first: both seals' records are durable.
+        j.commit_sealed(second);
+        assert_eq!(j.committed_records().len(), 3);
+        assert!(!j.seal_outstanding());
+        // The earlier one lands after it and moves nothing backwards.
+        j.commit_sealed(first);
+        assert_eq!(j.committed_records().len(), 3);
+        assert_eq!(j.commit_points(), &[3]);
+        assert_eq!(j.transactions(), 1);
     }
 
     #[test]
     fn crash_before_barrier_loses_all_joined_handles_atomically() {
         let mut j = Journal::new();
-        j.log(rec(0)); // txn 1, durable
+        j.log(rec(0));
+        j.commit(); // txn 1, durable
         j.join_running();
         j.log(rec(1));
         j.join_running();
@@ -409,9 +391,9 @@ mod tests {
         let sealed = j.seal();
         assert_eq!(sealed.handles, 2);
         // Crash in the seal→CQE window: both handles vanish together.
-        j.crash();
+        j.crash_at(j.len());
         assert_eq!(j.committed_records().len(), 1);
-        assert_eq!(j.committing_end(), None);
+        assert!(!j.seal_outstanding());
         assert_eq!(j.running_handles(), 0);
     }
 
@@ -421,8 +403,8 @@ mod tests {
         j.join_running();
         let sealed = j.seal();
         assert_eq!(sealed.records, 0);
-        assert_eq!(j.committing_end(), None);
-        j.commit_sealed();
+        assert!(!j.seal_outstanding());
+        j.commit_sealed(sealed);
         assert_eq!(j.transactions(), 0);
     }
 
@@ -440,7 +422,6 @@ mod tests {
     #[test]
     fn records_preserved_in_order() {
         let mut j = Journal::new();
-        j.begin();
         j.log(JournalRecord::Create {
             ino: 1,
             name: "a".to_string(),

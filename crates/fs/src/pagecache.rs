@@ -177,29 +177,6 @@ impl PageCache {
             false
         }
     }
-
-    /// Drops the cached blocks `[lb, lb + n)` of an inode (the write
-    /// path); returns how many were cached. Free on an empty cache.
-    pub fn invalidate_range(&mut self, ino: u64, lb: u64, n: u64) -> usize {
-        if self.map.is_empty() {
-            return 0;
-        }
-        (lb..lb + n).filter(|&b| self.invalidate((ino, b))).count()
-    }
-
-    /// Drops every cached block of an inode (truncate/unlink path).
-    pub fn invalidate_inode(&mut self, ino: u64) -> usize {
-        let keys: Vec<PageKey> = self
-            .map
-            .keys()
-            .filter(|(i, _)| *i == ino)
-            .copied()
-            .collect();
-        for k in &keys {
-            self.invalidate(*k);
-        }
-        keys.len()
-    }
 }
 
 #[cfg(test)]
@@ -250,8 +227,7 @@ mod tests {
         c.insert((2, 0), &block(3));
         assert!(c.invalidate((1, 0)));
         assert!(!c.invalidate((1, 0)), "second invalidate misses");
-        assert_eq!(c.invalidate_inode(1), 1);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.len(), 2);
         assert!(c.get((2, 0)).is_some());
     }
 

@@ -1,11 +1,13 @@
 //! Journal commit policies: per-fsync barriers, jbd2-style group
 //! commit, and background writeback.
 //!
-//! The write path's dominant residual overhead is the fsync flush
-//! barrier: under [`CommitPolicy::PerFsync`] every fsyncing chain pays
-//! its own `journal_commit` CPU burst plus a device flush round trip,
-//! so write IOPS flatline as writer count grows. The alternatives
-//! amortize that barrier:
+//! Every policy makes metadata durable the same way: a seal freezes the
+//! running journal transaction, one flush barrier goes to the device,
+//! and the barrier's CQE commits the sealed transaction. They differ in
+//! when they seal. Under [`CommitPolicy::PerFsync`] every fsyncing
+//! chain seals at its own request and pays its own `journal_commit` CPU
+//! burst plus a device flush round trip, so write IOPS flatline as
+//! writer count grows. The alternatives amortize that barrier:
 //!
 //! - [`CommitPolicy::Group`] defers sealing the running transaction up
 //!   to a timer/size bound so more concurrent fsyncs join it, then
@@ -16,10 +18,12 @@
 //!   flush interval of acknowledged-but-unsynced data (fsync still
 //!   forces a seal and keeps its durability contract).
 //!
-//! The grouped policies' state machine — who waits in the window, who
-//! rides the in-flight barrier, when the next seal is due — is
-//! `Barrier`: it takes op ids and `now`, returns actions, and never
-//! sees the machine's event queue, cores or cost table.
+//! The state machine — who waits in the window, who rides an in-flight
+//! barrier, when the next seal is due — is `Barrier`: it takes op ids
+//! and `now`, returns actions, and never sees the machine's event
+//! queue, cores or cost table. Per-fsync barriers never wait and never
+//! join, so several may be in flight side by side; the grouped
+//! policies keep at most one.
 //!
 //! Every commit is summarized in a [`CommitStats`] and aggregated into
 //! the run's [`CommitLog`] ([`RunReport::commit`]); the headline
@@ -34,8 +38,9 @@ use bpfstor_sim::Nanos;
 /// barrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommitPolicy {
-    /// Every fsync seals and flushes immediately — one barrier per
-    /// fsyncing chain, today's behaviour, bit-for-bit. The default.
+    /// Every fsync seals what was logged before it and flushes
+    /// immediately — one barrier per fsyncing chain, never shared. The
+    /// default.
     #[default]
     PerFsync,
     /// Group commit: the first fsync arms a seal timer and waits; the
@@ -62,14 +67,6 @@ pub enum CommitPolicy {
         /// Background flush period, in microseconds.
         flush_interval_us: u64,
     },
-}
-
-impl CommitPolicy {
-    /// True for the policies that share barriers (anything but
-    /// [`CommitPolicy::PerFsync`]).
-    pub fn is_grouped(&self) -> bool {
-        !matches!(self, CommitPolicy::PerFsync)
-    }
 }
 
 /// One committed transaction, as the barrier's CQE saw it.
@@ -195,7 +192,9 @@ pub(crate) struct Release {
     /// Fsyncs to complete, leader first. A background barrier's
     /// internal leader is not among them.
     pub ids: Vec<usize>,
-    /// The committed transaction.
+    /// The transaction the barrier makes durable.
+    pub txn: SealedTxn,
+    /// What the commit log records of it.
     pub stats: CommitStats,
     /// Sealed by the writeback timer rather than an application fsync.
     pub background: bool,
@@ -220,19 +219,22 @@ struct InFlight {
     background: bool,
 }
 
-/// The group-commit barrier state machine shared by every fsyncing
-/// chain under a grouped [`CommitPolicy`]: which fsyncs wait in the
-/// window, which ride the in-flight barrier, and when the next seal is
-/// due. Inputs are op ids and `now`; outputs are actions — the machine
-/// owns the journal, the event queue and every charge.
+/// The barrier state machine shared by every fsyncing chain: which
+/// fsyncs wait in the window, which ride an in-flight barrier, and when
+/// the next seal is due. Inputs are op ids and `now`; outputs are
+/// actions — the machine owns the journal, the event queue and every
+/// charge.
 pub(crate) struct Barrier {
     policy: CommitPolicy,
-    in_flight: Option<InFlight>,
+    /// Sealed transactions awaiting their CQEs, keyed by leader: at
+    /// most one under the grouped policies, one per fsync in flight
+    /// under [`CommitPolicy::PerFsync`].
+    in_flight: Vec<InFlight>,
     /// Fsyncs awaiting the next seal (the group-commit window).
     window: Vec<usize>,
-    /// The last released waiter list, emptied ([`Barrier::retire`]):
-    /// the next seal makes it the window, so neither list regrows.
-    retired: Vec<usize>,
+    /// Released waiter lists, emptied ([`Barrier::retire`]): each seal
+    /// takes one as the next window, so no list regrows.
+    retired: Vec<Vec<usize>>,
     /// Seal again as soon as the in-flight barrier's CQE lands.
     window_due: bool,
     /// Whether a live seal timer is outstanding.
@@ -250,7 +252,7 @@ impl Barrier {
     pub(crate) fn new(policy: CommitPolicy) -> Self {
         Barrier {
             policy,
-            in_flight: None,
+            in_flight: Vec::new(),
             window: Vec::new(),
             retired: Vec::new(),
             window_due: false,
@@ -261,16 +263,12 @@ impl Barrier {
         }
     }
 
-    pub(crate) fn policy(&self) -> CommitPolicy {
-        self.policy
-    }
-
     /// Per-run reset. A run never starts with a barrier in flight
     /// (every prior chain delivered), so only the timers reset — and
     /// their epochs are bumped, not zeroed, which kills any timer event
     /// an earlier run or one-shot left in the queue.
     pub(crate) fn reset(&mut self) {
-        debug_assert!(self.in_flight.is_none() && self.window.is_empty());
+        debug_assert!(self.in_flight.is_empty() && self.window.is_empty());
         self.seal_epoch += 1;
         self.timer_armed = false;
         self.window_due = false;
@@ -288,11 +286,14 @@ impl Barrier {
         epoch != self.wb_epoch
     }
 
-    /// Routes one fsync whose records end at `journal_end`: park on the
-    /// in-flight barrier when its sealed transaction covers them, else
-    /// join the window awaiting the next seal.
+    /// Routes one fsync whose records end at `journal_end`: under a
+    /// grouped policy, park on the in-flight barrier when its sealed
+    /// transaction covers them, else join the window awaiting the next
+    /// seal; under [`CommitPolicy::PerFsync`], seal now.
     pub(crate) fn request(&mut self, id: usize, journal_end: usize, now: Nanos) -> Request {
-        if let Some(f) = self.in_flight.as_mut() {
+        // Per-fsync barriers are never shared, so never joined.
+        let grouped = self.policy != CommitPolicy::PerFsync;
+        if let Some(f) = self.in_flight.first_mut().filter(|_| grouped) {
             if journal_end <= f.txn.end {
                 f.waiters.push(id);
                 return Request::Join;
@@ -321,10 +322,9 @@ impl Barrier {
                     }
                 }
             }
-            // Writeback batches opportunistically (joins + chaining)
-            // but an explicit fsync never waits for company.
-            CommitPolicy::Writeback { .. } => Request::SealNow,
-            CommitPolicy::PerFsync => unreachable!("per-fsync never windows"),
+            // Neither waits for company: writeback batches only
+            // opportunistically (joins + chaining), per-fsync never.
+            CommitPolicy::Writeback { .. } | CommitPolicy::PerFsync => Request::SealNow,
         }
     }
 
@@ -334,14 +334,18 @@ impl Barrier {
     /// `internal` — a kernel op the caller allocated — for a background
     /// seal with nobody waiting.
     pub(crate) fn seal(&mut self, txn: SealedTxn, now: Nanos, internal: Option<usize>) -> usize {
-        debug_assert!(self.in_flight.is_none(), "one barrier in flight");
+        debug_assert!(
+            self.in_flight.is_empty() || self.policy == CommitPolicy::PerFsync,
+            "one grouped barrier in flight"
+        );
         self.seal_epoch += 1;
         self.timer_armed = false;
         self.window_due = false;
-        let waiters = std::mem::replace(&mut self.window, std::mem::take(&mut self.retired));
+        let next = self.retired.pop().unwrap_or_default();
+        let waiters = std::mem::replace(&mut self.window, next);
         debug_assert_eq!(internal.is_some(), waiters.is_empty());
         let leader = internal.unwrap_or_else(|| waiters[0]);
-        self.in_flight = Some(InFlight {
+        self.in_flight.push(InFlight {
             leader,
             waiters,
             txn,
@@ -353,21 +357,25 @@ impl Barrier {
     }
 
     /// Notes the device time of op `id`'s just-reaped command when that
-    /// op leads the in-flight barrier (its flush's CQE).
+    /// op leads an in-flight barrier (its flush's CQE).
     pub(crate) fn note_device_time(&mut self, id: usize, ns: Nanos) {
-        if let Some(f) = self.in_flight.as_mut().filter(|f| f.leader == id) {
+        if let Some(f) = self.in_flight.iter_mut().find(|f| f.leader == id) {
             f.flush_dev_ns = ns;
         }
     }
 
-    /// The barrier's CQE: the sealed transaction is durable and every
-    /// parked fsync releases at once.
-    pub(crate) fn on_cqe(&mut self, now: Nanos) -> Release {
-        let f = self.in_flight.take().expect("a barrier is in flight");
+    /// The CQE of the barrier `leader` carries: its sealed transaction
+    /// is durable and every fsync parked on it releases at once.
+    pub(crate) fn on_cqe(&mut self, leader: usize, now: Nanos) -> Release {
+        let at = self.in_flight.iter().position(|f| f.leader == leader);
+        let f = self
+            .in_flight
+            .swap_remove(at.expect("its barrier is in flight"));
         let seal_next = self.window_due && !self.window.is_empty();
         self.window_due = seal_next;
         Release {
             ids: f.waiters,
+            txn: f.txn,
             stats: CommitStats {
                 handles: f.txn.handles,
                 records: f.txn.records,
@@ -383,14 +391,14 @@ impl Barrier {
     /// machine has completed its fsyncs, for its capacity.
     pub(crate) fn retire(&mut self, mut ids: Vec<usize>) {
         ids.clear();
-        self.retired = ids;
+        self.retired.push(ids);
     }
 
     /// A live seal timer fired: true to seal now; otherwise the seal
     /// defers to the in-flight barrier's CQE (or the window is empty).
     pub(crate) fn on_seal_timer(&mut self) -> bool {
         self.timer_armed = false;
-        if self.in_flight.is_some() {
+        if !self.in_flight.is_empty() {
             self.window_due = true;
             return false;
         }
@@ -418,7 +426,7 @@ impl Barrier {
     /// journal holds records that are not yet durable.
     pub(crate) fn on_writeback_tick(&mut self, now: Nanos, journal_dirty: bool) -> Tick {
         self.wb_armed = false;
-        if self.in_flight.is_some() {
+        if !self.in_flight.is_empty() {
             return match self.arm_writeback(now) {
                 Some((at, epoch)) => Tick::Rearm { at, epoch },
                 None => Tick::Idle,
@@ -443,16 +451,6 @@ mod tests {
     #[test]
     fn default_policy_is_per_fsync() {
         assert_eq!(CommitPolicy::default(), CommitPolicy::PerFsync);
-        assert!(!CommitPolicy::PerFsync.is_grouped());
-        assert!(CommitPolicy::Group {
-            max_wait_us: 50,
-            max_handles: 8
-        }
-        .is_grouped());
-        assert!(CommitPolicy::Writeback {
-            flush_interval_us: 500
-        }
-        .is_grouped());
     }
 
     #[test]
@@ -537,7 +535,7 @@ mod barrier_tests {
         assert_eq!(b.request(4, 7, 220), Request::Window);
         b.note_device_time(2, 999); // not the leader: ignored
         b.note_device_time(1, 5_000);
-        let rel = b.on_cqe(900);
+        let rel = b.on_cqe(1, 900);
         assert_eq!(rel.ids, vec![1, 2, 3]);
         assert_eq!(
             rel.stats,
@@ -551,7 +549,7 @@ mod barrier_tests {
         assert!(!rel.background);
         assert!(rel.seal_next, "op 4 chains a seal at the CQE");
         assert_eq!(b.seal(txn(7), 900, None), 4);
-        let rel = b.on_cqe(1_000);
+        let rel = b.on_cqe(4, 1_000);
         assert_eq!(rel.ids, vec![4]);
         assert!(!rel.seal_next);
     }
@@ -579,7 +577,7 @@ mod barrier_tests {
         // A seal supersedes the armed timer...
         b.seal(txn(1), 10, None);
         assert!(b.seal_timer_stale(epoch));
-        b.on_cqe(20);
+        b.on_cqe(1, 20);
         // ...and so does a run reset, for both timers.
         let mut wb = Barrier::new(CommitPolicy::Writeback {
             flush_interval_us: 500,
@@ -599,7 +597,7 @@ mod barrier_tests {
         b.seal(txn(3), 0, None);
         assert!(matches!(b.request(4, 4, 1), Request::Window));
         assert!(!b.on_seal_timer());
-        assert!(b.on_cqe(5).seal_next);
+        assert!(b.on_cqe(1, 5).seal_next);
     }
 
     #[test]
@@ -624,8 +622,34 @@ mod barrier_tests {
         );
         // A covered fsync may still ride the background barrier.
         assert_eq!(b.request(7, 2, 160_000), Request::Join);
-        let rel = b.on_cqe(180_000);
+        let rel = b.on_cqe(42, 180_000);
         assert!(rel.background);
         assert_eq!(rel.ids, vec![7], "the internal leader is not released");
+    }
+
+    #[test]
+    fn per_fsync_barriers_seal_at_each_request_and_fly_side_by_side() {
+        let mut b = Barrier::new(CommitPolicy::PerFsync);
+        // Never windows, never joins: each fsync seals and leads its own.
+        assert_eq!(b.request(1, 4, 0), Request::SealNow);
+        assert_eq!(b.seal(txn(4), 0, None), 1);
+        assert_eq!(b.request(2, 4, 10), Request::SealNow, "covered, no join");
+        assert_eq!(b.seal(txn(4), 10, None), 2);
+        b.note_device_time(2, 300);
+        // The later barrier may land first; each releases only its own.
+        let rel = b.on_cqe(2, 500);
+        assert_eq!((rel.ids.as_slice(), rel.flush_dev_ns), (&[2][..], 300));
+        assert_eq!(rel.stats.barrier_ns, 490);
+        assert!(!rel.seal_next);
+        b.retire(rel.ids);
+        let rel = b.on_cqe(1, 600);
+        assert_eq!(rel.ids, vec![1]);
+        b.retire(rel.ids);
+        // Released lists come back as windows: nothing regrows.
+        assert_eq!(b.retired.len(), 2, "both lists kept for their capacity");
+        assert_eq!(b.request(3, 5, 700), Request::SealNow);
+        b.seal(txn(5), 700, None);
+        assert_eq!(b.retired.len(), 1);
+        assert!(b.window.is_empty() && b.window.capacity() > 0);
     }
 }

@@ -59,15 +59,20 @@
 //! | `AppStart` | `on_app_start` → `start_chain`, or `uring_enter` | the [`ChainDriver`], `rng` |
 //! | `DevSubmit` | `on_dev_submit` → `submit_read` / `submit_write_data` (→ `plan_write` once) / flush → `submit_segments` | `fs`, `SqAdmission`, the [`Transport`] |
 //! | `Doorbell` | `on_doorbell` | [`Transport`], [`Reaper`] |
-//! | `IrqFire`, `Poll` | `on_irq_fire`, `on_poll` → `reap_qp` → `on_cqe` → `on_device_done` | [`Reaper`], `FairSched`, `SqAdmission`, `Barrier` |
+//! | `IrqFire`, `Poll` | `on_irq_fire`, `on_poll` → `reap_qp` → `on_cqe` → `on_device_done` (a data CQE → `enter_flush_phase`, a flush CQE → `on_barrier_cqe`) | [`Reaper`], `FairSched`, `SqAdmission`, `Barrier` |
 //! | `Delivered` | `on_delivered` (→ `restart_chain`) | the [`ChainDriver`] |
 //! | `CapsuleRx` | `on_capsule_rx` → `unwind` | costs only |
 //! | `Mutate` | `on_mutate` | `fs`, [`ExtentCache`] |
-//! | `CommitSeal` | `on_commit_seal` → `seal_and_issue` | `Barrier` |
-//! | `WritebackTick` | `on_writeback_tick` → `seal_and_issue` | `Barrier`, `fs` |
+//! | `CommitSeal` (`Group` only) | `on_commit_seal` → `seal_and_issue` | `Barrier` |
+//! | `WritebackTick` (`Writeback` only) | `on_writeback_tick` → `seal_and_issue` | `Barrier`, `fs` |
 //!
 //! Every chain ends in `deliver`, which owns the local-vs-capsule
 //! decision; every device command goes through `submit_segments`.
+//! Every journal commit is a seal in `seal_and_issue` and a flush CQE
+//! in `on_barrier_cqe`, whatever the [`crate::CommitPolicy`]: the
+//! policy only decides when `Barrier` asks for the seal (`PerFsync`: at
+//! each fsync's request, from `enter_flush_phase`; the two timers
+//! serve the grouped policies).
 //!
 //! # Buffer ownership
 //!
@@ -122,9 +127,11 @@
 //!   `Spares::cmds` after the admission checks and drained onto the
 //!   rings in the same call. Nothing that carries payload bytes is
 //!   pooled between events (`free_op` asserts it).
-//! - **The commit window** and the waiter list of the barrier in flight
-//!   swap roles at each seal: `Barrier::seal` takes the list the last
-//!   release handed back (`Barrier::retire`) as the new window.
+//! - **The commit window** and the waiter lists of the barriers in
+//!   flight swap roles at each seal: `Barrier::seal` takes a list an
+//!   earlier release handed back (`Barrier::retire`) as the new window,
+//!   so concurrent per-fsync barriers reuse as many lists as were ever
+//!   in flight at once.
 //!
 //! Nothing here is sized by a constant: every pool holds at most what
 //! was alive at once at the busiest instant.
@@ -145,7 +152,7 @@ use crate::chain::{
     ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainStatus, ChainToken, ChainVerdict,
     DispatchMode, Fd, ProgHandle, RunReport, UserNext, WriteStart,
 };
-use crate::commit::{Barrier, CommitLog, CommitStats, Request, Tick};
+use crate::commit::{Barrier, CommitLog, Request, Tick};
 use crate::config::{ExecClock, MachineConfig};
 use crate::costs::{Item, LayerCosts};
 use crate::extcache::{ExtCacheStats, ExtentCache};
@@ -321,8 +328,8 @@ enum OpKind {
         /// Chase the data CQEs with a flush barrier + journal commit.
         fsync: bool,
     },
-    /// The fsync flush barrier is on the rings; its CQE commits the
-    /// journal transaction.
+    /// The fsync waits for, or carries, a flush barrier; the barrier's
+    /// CQE commits the sealed journal transaction.
     WriteFlush,
 }
 
@@ -1761,9 +1768,7 @@ impl Machine {
                 // not just its own (absent) records; it skips straight
                 // to the flush barrier.
                 op.wr.journal_end = self.fs.journal_len();
-                if !self.enter_flush_phase(id) {
-                    self.on_dev_submit(id);
-                }
+                self.enter_flush_phase(id);
             } else {
                 op.status = Some(ChainStatus::Written(0));
                 self.deliver(id, &[]);
@@ -2087,30 +2092,11 @@ impl Machine {
                 self.note_resubmission(tenant, thread);
                 // Ordered journal commit: the commit record + flush
                 // barrier go to the device only after the data CQEs.
-                // Under a shared barrier the journal_commit build and
-                // the flush itself are paid once per transaction by the
-                // seal, not per fsync.
-                if !self.enter_flush_phase(id) {
-                    self.submit_after(id, self.costs.commit_record());
-                }
+                // The journal_commit build and the flush itself are paid
+                // once per seal, not per fsync.
+                self.enter_flush_phase(id);
             }
-            OpKind::WriteFlush if self.barrier.policy().is_grouped() => self.on_barrier_cqe(id),
-            OpKind::WriteFlush => {
-                // The barrier is durable: the journal transaction
-                // commits, then the completion path unwinds. The
-                // commit log and fsync-latency histogram are pure
-                // observation here — one commit per fsync.
-                let committed_before = self.fs.journal().committed_records().len();
-                let handles = self.fs.commit_journal();
-                let records = self.fs.journal().committed_records().len() - committed_before;
-                let barrier_ns = self.record_fsync_latency(id);
-                self.run.commit_log.absorb(CommitStats {
-                    handles,
-                    records,
-                    barrier_ns,
-                });
-                self.complete_write(id, None);
-            }
+            OpKind::WriteFlush => self.on_barrier_cqe(id),
             OpKind::WriteData { fsync: false } => {
                 // Under writeback, an un-fsynced write (re-)arms the
                 // background flush tick.
@@ -2123,37 +2109,32 @@ impl Machine {
         }
     }
 
-    /// Flips a write chain to its flush phase and counts the fsync.
-    /// Returns `true` when a grouped [`crate::CommitPolicy`] took the fsync
-    /// over: it parks on the in-flight barrier if that barrier's sealed
-    /// transaction already covers its records, else joins the window
-    /// awaiting the next seal. `false` leaves the caller to issue the
-    /// chain's own flush.
-    fn enter_flush_phase(&mut self, id: usize) -> bool {
+    /// Flips a write chain to its flush phase, counts the fsync and
+    /// hands it to the [`crate::CommitPolicy`]: it parks on an in-flight
+    /// barrier whose sealed transaction already covers its records,
+    /// joins the window awaiting the next seal, or seals now.
+    fn enter_flush_phase(&mut self, id: usize) {
         let op = self.ops[id].as_mut().expect("op");
         op.kind = OpKind::WriteFlush;
         op.wr.fsync_from = self.now;
         let ts = &mut self.run.tstats[op.tenant as usize];
         ts.fsyncs += 1;
-        if !self.barrier.policy().is_grouped() {
-            return false;
-        }
         match self.barrier.request(id, op.wr.journal_end, self.now) {
             Request::Join => ts.barrier_joins += 1,
             Request::Window => {}
             Request::SealNow => self.seal_and_issue(false),
             Request::ArmTimer { at, epoch } => self.events.push(at, Ev::CommitSeal { epoch }),
         }
-        true
     }
 
     /// Seals the running journal transaction and puts its single flush
-    /// barrier on the rings — one amortized commit-record build and
-    /// driver submission for the whole transaction, the group-commit
-    /// win. The first windowed fsync leads; a `background` seal (no
-    /// fsync waiting) gets a synthetic kernel op instead, which rides
-    /// the rings like any flush but is freed silently at the barrier's
-    /// CQE — no delivery, no chain counted.
+    /// barrier on the rings — one commit-record build and driver
+    /// submission for the whole transaction, which the grouped policies
+    /// amortize over every fsync it carries. The first windowed fsync
+    /// leads; a `background` seal (no fsync waiting) gets a synthetic
+    /// kernel op instead, which rides the rings like any flush but is
+    /// freed silently at the barrier's CQE — no delivery, no chain
+    /// counted.
     fn seal_and_issue(&mut self, background: bool) {
         let sealed = self.fs.seal_journal();
         let internal = background.then(|| {
@@ -2165,13 +2146,13 @@ impl Machine {
         self.submit_after(leader, self.costs.commit_record());
     }
 
-    /// The shared barrier's CQE: the sealed transaction commits, every
-    /// parked fsync releases at once, the flush's device time re-splits
-    /// evenly across their tenants, and the next seal chains
-    /// immediately if fsyncs queued up behind the barrier.
+    /// The CQE of the barrier op `id` leads: its sealed transaction
+    /// commits, every parked fsync releases at once, the flush's device
+    /// time re-splits evenly across their tenants, and the next seal
+    /// chains immediately if fsyncs queued up behind the barrier.
     fn on_barrier_cqe(&mut self, id: usize) {
-        self.fs.commit_journal_sealed();
-        let rel = self.barrier.on_cqe(self.now);
+        let rel = self.barrier.on_cqe(id, self.now);
+        self.fs.commit_journal_sealed(rel.txn);
         self.run.commit_log.absorb(rel.stats);
         // Per-tenant §4-style accounting for the shared barrier: the
         // flush's device time was billed to the leader's tenant at its
@@ -2208,14 +2189,13 @@ impl Machine {
         }
     }
 
-    /// Records (and returns) the fsync-issue-to-barrier-CQE latency.
-    fn record_fsync_latency(&mut self, id: usize) -> Nanos {
+    /// Records the fsync-issue-to-barrier-CQE latency.
+    fn record_fsync_latency(&mut self, id: usize) {
         let op = self.ops[id].as_ref().expect("op");
         let lat = self.now.saturating_sub(op.wr.fsync_from);
         self.run.tstats[op.tenant as usize]
             .fsync_latency
             .record(lat);
-        lat
     }
 
     /// The group-commit window timer: seal now, or defer to the

@@ -47,16 +47,16 @@ fn fsync_commits_the_journal_unfsynced_writes_stay_pending() {
     // transaction — not crash-durable yet.
     m.write_file(ino, 0, &vec![7u8; SECTOR_SIZE], false)
         .expect("write");
+    assert!(m.fs().journal_dirty(), "runtime write leaves the txn open");
     let j = m.fs().journal();
-    assert!(j.in_transaction(), "runtime write leaves the txn open");
     assert!(
         j.len() > j.committed_records().len(),
         "records pending, not committed"
     );
     // The fsync barrier commits them.
     m.write_file(ino, 0, &[], true).expect("fsync");
+    assert!(!m.fs().journal_dirty());
     let j = m.fs().journal();
-    assert!(!j.in_transaction());
     assert_eq!(j.len(), j.committed_records().len(), "all records durable");
 }
 
@@ -130,6 +130,63 @@ fn writeback_timer_flushes_unfsynced_journal_records() {
     );
     // No fsync means no fsync latency samples.
     assert_eq!(report.fsync_latency.count(), 0);
+}
+
+#[test]
+fn a_relocation_amid_fsyncing_writers_keeps_every_commit_in_seal_order() {
+    // A relocation is a metadata op of its own. Landing while writers
+    // have joined the running transaction or a barrier is in flight, it
+    // rides the writers' next barrier; it used to commit on the spot,
+    // ahead of the in-flight seal, whose CQE then moved the durable
+    // point backwards.
+    const NBLOCKS: u64 = 1 << 14;
+    const WRITES: u64 = 24;
+    let policies = [
+        CommitPolicy::PerFsync,
+        CommitPolicy::Group {
+            max_wait_us: 20,
+            max_handles: 4,
+        },
+        CommitPolicy::Writeback {
+            flush_interval_us: 50,
+        },
+    ];
+    for policy in policies {
+        for at in (0..200).map(|us| us * 1_000) {
+            let cfg = MachineConfig {
+                commit_policy: policy,
+                fs_blocks: NBLOCKS,
+                ..MachineConfig::default()
+            };
+            let (mut m, fd) = log_machine(cfg, "wal.db");
+            m.create_file("other.db", &chain_file(8)).expect("create");
+            let name = "other.db".to_string();
+            m.schedule_mutation(at, Mutation::Relocate { name });
+            let mut d = writes(fd, SECTOR_SIZE, WRITES, 1);
+            m.run_closed_loop(4, SECOND, &mut d);
+            let written = |o: &ChainOutcome| matches!(o.status, ChainStatus::Written(_));
+            assert!(d.outcomes.iter().all(written), "{policy:?} at {at} ns");
+            assert_eq!(d.outcomes.len() as u64, WRITES, "{policy:?} at {at} ns");
+            let points = m.fs().journal().commit_points();
+            assert!(
+                points.windows(2).all(|w| w[0] < w[1]),
+                "{policy:?} at {at} ns: commit points {points:?}"
+            );
+            // Every write was fsynced: a crash after the run keeps them all.
+            let ino = m.ino_of(fd).expect("ino");
+            let (fs, store) = m.fs_and_store();
+            let recovered = fs.clone().crash_and_recover(NBLOCKS);
+            for i in 0..WRITES {
+                let off = i * SECTOR_SIZE as u64;
+                let got = recovered.read(ino, off, SECTOR_SIZE, store).expect("read");
+                assert_eq!(
+                    got,
+                    vec![Writes::fill(i); SECTOR_SIZE],
+                    "{policy:?} at {at} ns"
+                );
+            }
+        }
+    }
 }
 
 #[test]

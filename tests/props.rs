@@ -19,14 +19,15 @@ use bpfstor::fs::alloc::{Run, GROUP_BLOCKS};
 use bpfstor::fs::{BlockAllocator, ExtFs, Extent, ExtentTree, JournalRecord};
 use bpfstor::kernel::{
     ChainOutcome, ChainSpec, ChainStatus, ChainToken, ChainVerdict, CommitPolicy, DispatchMode,
-    FabricConfig, Fd, Machine, MachineConfig, RunReport, TenantLimits, TransportConfig, UserNext,
+    FabricConfig, Fd, Machine, MachineConfig, Mutation, RunReport, TenantLimits, TransportConfig,
+    UserNext,
 };
 use bpfstor::lsm::sstable::{
     build_image, data_block_entries, data_block_search, index_block_search, ColdGet, ColdStep,
     Footer, SST_MAGIC,
 };
 use bpfstor::lsm::BLOCK;
-use bpfstor::sim::{Histogram, SimRng, SECOND};
+use bpfstor::sim::{Histogram, Nanos, SimRng, SECOND};
 use bpfstor::vm::insn::{decode, encode, Insn};
 use bpfstor::vm::{
     action, compile, ctx_off, helper, verify, Asm, CompiledProg, MapSet, Program, RecordingEnv,

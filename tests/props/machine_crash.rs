@@ -3,8 +3,9 @@
 /// Runs `writers` concurrent closed-loop writers of `writes` sector
 /// writes under `policy` (every `fsync_every`-th one fsynced, 0 =
 /// never; with `final_fsync`, one trailing pure fsync so that
-/// everything logged is durable when the run drains) and returns the
-/// drained machine.
+/// everything logged is durable when the run drains) while the
+/// 8-block file `other.db` is relocated at `relocate_at`, and returns
+/// the drained machine.
 fn run_crash_writers(
     policy: CommitPolicy,
     writers: usize,
@@ -12,6 +13,7 @@ fn run_crash_writers(
     fsync_every: u64,
     final_fsync: bool,
     seed: u64,
+    relocate_at: Nanos,
 ) -> (Machine, RunReport) {
     let (local, user) = (TransportConfig::Local, DispatchMode::User);
     run_crash_writers_on(
@@ -23,12 +25,13 @@ fn run_crash_writers(
         seed,
         local,
         user,
+        Some(relocate_at),
     )
 }
 
 /// [`run_crash_writers`] over an arbitrary transport and dispatch mode
 /// (the fabric variants put the fsync flush barrier on the far side of
-/// the wire).
+/// the wire), relocating `other.db` only when `relocate_at` says when.
 #[allow(clippy::too_many_arguments)]
 fn run_crash_writers_on(
     policy: CommitPolicy,
@@ -39,6 +42,7 @@ fn run_crash_writers_on(
     seed: u64,
     transport: TransportConfig,
     mode: DispatchMode,
+    relocate_at: Option<Nanos>,
 ) -> (Machine, RunReport) {
     let cfg = MachineConfig {
         commit_policy: policy,
@@ -50,6 +54,12 @@ fn run_crash_writers_on(
         ..MachineConfig::default()
     };
     let (mut m, fd) = machine_with(cfg, "wal.db", &[], None);
+    if let Some(at) = relocate_at {
+        m.create_file("other.db", &support::chain_file(8))
+            .expect("create");
+        let name = "other.db".to_string();
+        m.schedule_mutation(at, Mutation::Relocate { name });
+    }
     let mut d = support::writes(fd, SECTOR_SIZE, writes, fsync_every);
     (d.mode, d.state.final_fsync) = (mode, final_fsync);
     let report = m.run_closed_loop(writers, SECOND, &mut d);
@@ -67,10 +77,11 @@ proptest! {
     /// The machine-level crash-consistency property, and the first
     /// place a group-commit regression shows (`cargo test --test props
     /// machine_crash` runs it alone): random writer interleavings under
-    /// `PerFsync`, `CommitPolicy::Group` and `Writeback`, crashed at
-    /// every record and barrier boundary — joined handles commit
-    /// atomically, and writeback never makes un-fsynced data durable
-    /// ahead of its journal records.
+    /// `PerFsync`, `CommitPolicy::Group` and `Writeback`, with a second
+    /// file relocated mid-run, crashed at every record and barrier
+    /// boundary — joined handles commit atomically, the relocation's
+    /// records commit in seal order with them, and writeback never
+    /// makes un-fsynced data durable ahead of its journal records.
     #[test]
     fn machine_crash_at_any_boundary_recovers_a_txn_prefix_under_every_policy(
         writers in 1usize..5,
@@ -78,21 +89,34 @@ proptest! {
         fsync_every in 1u64..4,
         max_wait_us in 5u64..60,
         seed in 0u64..1_000,
+        relocate_at_us in 0u64..150,
     ) {
         const NBLOCKS: u64 = 1 << 14;
+        let relocate_at = relocate_at_us * 1_000;
         let policies = [
             CommitPolicy::PerFsync,
             CommitPolicy::Group { max_wait_us, max_handles: writers as u32 },
             CommitPolicy::Writeback { flush_interval_us: 100 },
         ];
         for policy in policies {
-            let (m, report) = run_crash_writers(policy, writers, writes, fsync_every, true, seed);
+            let (mut m, report) =
+                run_crash_writers(policy, writers, writes, fsync_every, true, seed, relocate_at);
+            // Durability: the trailing pure fsync saw every write's
+            // records, so a crash keeps all of wal.db under all policies.
+            let wal = m.fs().open("wal.db").expect("wal.db");
+            let recovered = m.fs().clone().crash_and_recover(NBLOCKS);
+            prop_assert_eq!(
+                (recovered.file_size(wal), recovered.extents_snapshot(wal)),
+                (m.fs().file_size(wal), m.fs().extents_snapshot(wal)),
+                "{:?}: final fsync must commit every write", policy
+            );
+            // A relocation that landed behind that fsync's seal rides the
+            // next barrier: one more fsync makes it durable too.
+            m.write_file(wal, 0, &[], true).expect("fsync");
             let j = m.fs().journal();
-            // Durability: the trailing pure fsync saw every record, so
-            // the drained journal is fully committed under all policies.
             prop_assert_eq!(
                 j.len(), j.committed_records().len(),
-                "{:?}: final fsync must commit everything logged", policy
+                "{:?}: the last fsync commits everything logged", policy
             );
             // Sharing never mints extra barriers; per-fsync never shares.
             let commit = report.commit;
@@ -139,7 +163,7 @@ proptest! {
         // metadata exactly).
         let (m, report) = run_crash_writers(
             CommitPolicy::Writeback { flush_interval_us: 50 },
-            writers, writes, 0, false, seed,
+            writers, writes, 0, false, seed, relocate_at,
         );
         let j = m.fs().journal();
         prop_assert_eq!(j.len(), j.committed_records().len(), "writeback drains the journal");
@@ -151,7 +175,8 @@ proptest! {
         );
         // Per-fsync with no fsyncs leaves the records pending: a crash
         // loses them, which is exactly the contract writeback tightens.
-        let (m, _) = run_crash_writers(CommitPolicy::PerFsync, writers, writes, 0, false, seed);
+        let (m, _) =
+            run_crash_writers(CommitPolicy::PerFsync, writers, writes, 0, false, seed, relocate_at);
         let j = m.fs().journal();
         prop_assert!(j.len() > j.committed_records().len(), "no fsync, nothing durable");
     }
@@ -190,7 +215,7 @@ proptest! {
         for policy in policies {
             for mode in [DispatchMode::User, DispatchMode::DriverHook] {
                 let (m, report) = run_crash_writers_on(
-                    policy, writers, writes, fsync_every, true, seed, link(), mode,
+                    policy, writers, writes, fsync_every, true, seed, link(), mode, None,
                 );
                 let j = m.fs().journal();
                 prop_assert_eq!(

@@ -188,7 +188,7 @@ impl Lockstep {
             self.fs.free_blocks(),
             self.nblocks - self.reference.alloc.used
         );
-        assert!(!self.fs.journal().in_transaction());
+        assert!(!self.fs.journal_dirty());
         let recovered = self.fs.clone().crash_and_recover(self.nblocks);
         assert_eq!(fs_meta(&recovered), fs_meta(&self.fs));
     }
