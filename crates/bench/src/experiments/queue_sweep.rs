@@ -139,7 +139,7 @@ pub fn reap_sweep(scale: Scale, seed: Option<u64>) -> Table {
             iops(report.iops),
             us(report.mean_latency()),
             format!("{cpu_per_io:.0}"),
-            format!("{:.0}%", report.reaper.cpu_split().0 * 100.0),
+            format!("{:.0}%", report.cpu_split().0 * 100.0),
             report.trace.irqs.to_string(),
             report.trace.polls.to_string(),
             report.reaper.mode_transitions.to_string(),

@@ -155,7 +155,9 @@ pub struct DeviceStats {
     /// a polled reaper burns these).
     pub empty_polls: u64,
     /// High-water mark of CQEs posted and waiting to be reaped on any
-    /// queue pair — the hybrid scheduler's load signal.
+    /// queue pair. An observation only: the hybrid scheduler's load
+    /// signal is the kernel's own, the peak in-flight depth seen at
+    /// doorbell time (`RunState::load_peak` in `bpfstor_kernel`).
     pub cq_backlog_hwm: u64,
     /// Total doorbell→reap gap summed over reaped CQEs (mean reap
     /// latency is `reap_lag_ns / cqes`).

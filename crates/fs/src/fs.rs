@@ -14,6 +14,7 @@
 //! "a new hook in the file system triggers an invalidation call to the
 //! NVMe layer").
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use bpfstor_device::{SectorStore, SECTOR_SIZE};
@@ -237,32 +238,18 @@ impl ExtFs {
         }
         self.inode(ino)?;
         let bs = BLOCK_SIZE as u64;
+        let (lb, end) = (off / bs, (off + data.len() as u64).div_ceil(bs));
         let mut segments = Vec::new();
-        let failure = self
-            .map_range(
-                ino,
-                off / bs,
-                (off + data.len() as u64).div_ceil(bs),
-                store,
-                &mut segments,
-            )
-            .err();
-        // One store write per physically contiguous run; a partial
-        // first or last block is read-modify-written.
-        let mut pos = off;
-        let mut remaining = data;
-        for (phys, run) in segments {
-            let head = (pos % bs) as usize;
-            let take = remaining.len().min(run as usize * BLOCK_SIZE - head);
-            let (src, rest) = remaining.split_at(take);
-            if head == 0 && take.is_multiple_of(BLOCK_SIZE) {
-                store.write(phys, src);
-            } else {
-                store.write(phys, &store.read_modify(phys, head, src));
-            }
-            pos += take as u64;
-            remaining = rest;
+        let failure = self.map_range(ino, lb, end, store, &mut segments).err();
+        // One store write per physically contiguous run (the images are
+        // cut before any lands: the edges are read from the store).
+        let head = (off % bs) as usize;
+        let images: Vec<_> = cut_runs(data, head, &segments, store).collect();
+        for (phys, image) in images {
+            store.write(phys, &image);
         }
+        let mapped: u64 = segments.iter().map(|&(_, n)| n).sum();
+        let pos = off + (data.len() as u64).min((mapped * bs).saturating_sub(head as u64));
         let inode = self.inode_mut(ino)?;
         if pos > inode.size {
             inode.size = pos;
@@ -417,6 +404,36 @@ impl ExtFs {
         Ok(out)
     }
 
+    /// Translates the logical blocks `[lb, end)` into the physical
+    /// `(start, blocks)` runs that hold them now, in logical order,
+    /// physically adjacent ones merged: the lookup half of
+    /// [`ExtFs::plan_write_into`], and the translation the kernel makes
+    /// of every request it admits. `runs` is emptied first.
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::BadInode`], or [`FsError::Invalid`] when a block of the
+    /// range is not mapped (`runs` then holds the runs before it).
+    pub fn map_runs(
+        &self,
+        ino: u64,
+        mut lb: u64,
+        end: u64,
+        runs: &mut Vec<(u64, u64)>,
+    ) -> Result<(), FsError> {
+        runs.clear();
+        let extents = &self.inode(ino)?.extents;
+        while lb < end {
+            let (phys, run) = extents
+                .lookup(lb)
+                .ok_or(FsError::Invalid("unmapped block"))?;
+            let len = run.min(end - lb);
+            push_run(runs, phys, len);
+            lb += len;
+        }
+        Ok(())
+    }
+
     /// Maps the logical blocks `[lb, end)`, allocating a run for every
     /// unmapped gap, and appends the physical `(start, blocks)` segments
     /// to `segments` in logical order, physically adjacent ones merged.
@@ -440,10 +457,7 @@ impl ExtFs {
                     (extent.physical, extent.len)
                 }
             };
-            match segments.last_mut() {
-                Some((start, n)) if *start + *n == phys => *n += len,
-                _ => segments.push((phys, len)),
-            }
+            push_run(segments, phys, len);
             lb += len;
         }
         Ok(allocated)
@@ -735,6 +749,41 @@ impl ExtFs {
     }
 }
 
+/// Appends `len` blocks at `phys` to `runs`, extending the last run when
+/// they continue it physically.
+fn push_run(runs: &mut Vec<(u64, u64)>, phys: u64, len: u64) {
+    match runs.last_mut() {
+        Some((start, n)) if *start + *n == phys => *n += len,
+        _ => runs.push((phys, len)),
+    }
+}
+
+/// The one run splitter: cuts a payload that starts `head` bytes into
+/// the first block of `runs` into the whole-block image of each physical
+/// run, in order. A piece that covers its blocks exactly is borrowed
+/// from `data`; one with a partial first or last block is framed by the
+/// stored bytes of that block, read from `store` as it is now
+/// ([`SectorStore::read_modify`]).
+pub fn cut_runs<'d, 'r, 's>(
+    data: &'d [u8],
+    head: usize,
+    runs: &'r [(u64, u64)],
+    store: &'s SectorStore,
+) -> impl Iterator<Item = (u64, Cow<'d, [u8]>)> + use<'d, 'r, 's> {
+    let (mut rest, mut head) = (data, head);
+    runs.iter().map(move |&(start, blocks)| {
+        let take = rest.len().min(blocks as usize * BLOCK_SIZE - head);
+        let (piece, tail) = rest.split_at(take);
+        let image = if head == 0 && take.is_multiple_of(BLOCK_SIZE) {
+            Cow::Borrowed(piece)
+        } else {
+            Cow::Owned(store.read_modify(start, head, piece))
+        };
+        (rest, head) = (tail, 0);
+        (start, image)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -823,6 +872,34 @@ mod tests {
         assert_eq!(phys2, phys0 + 2);
         assert_eq!(run2, 2);
         assert!(fs.map(ino, 100).expect("map").is_none());
+    }
+
+    #[test]
+    fn map_runs_finds_the_runs_a_plan_made_and_refuses_holes() {
+        let (mut fs, mut store) = setup();
+        let ino = fs.create("f").expect("create");
+        let bs = BLOCK_SIZE as u64;
+        // Block 4 first, then blocks 0..8 around it: the plan merges
+        // what is physically adjacent, and so does the translation.
+        fs.plan_write(ino, 4 * bs, BLOCK_SIZE, &mut store)
+            .expect("plan");
+        let planned = fs
+            .plan_write(ino, 0, 8 * BLOCK_SIZE, &mut store)
+            .expect("plan");
+        let mut runs = vec![(0, 1)];
+        fs.map_runs(ino, 0, 8, &mut runs).expect("mapped");
+        assert_eq!(runs, planned);
+        // After a relocation the same range translates to where the file
+        // is now.
+        fs.relocate(ino, &mut store).expect("relocate");
+        fs.map_runs(ino, 0, 8, &mut runs).expect("mapped");
+        assert_ne!(runs, planned);
+        assert_eq!(runs[0].0, fs.map(ino, 0).expect("map").expect("mapped").0);
+        assert_eq!(runs.iter().map(|&(_, n)| n).sum::<u64>(), 8);
+        // A hole refuses the range and leaves the runs before it.
+        let err = fs.map_runs(ino, 6, 10, &mut runs).unwrap_err();
+        assert_eq!(err, FsError::Invalid("unmapped block"));
+        assert_eq!(runs.iter().map(|&(_, n)| n).sum::<u64>(), 2);
     }
 
     #[test]

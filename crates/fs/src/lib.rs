@@ -29,7 +29,7 @@ pub mod pagecache;
 
 pub use alloc::BlockAllocator;
 pub use extent::{Extent, ExtentTree};
-pub use fs::{ExtFs, ExtentEvent, FsError, FsStats, BLOCK_SIZE};
+pub use fs::{cut_runs, ExtFs, ExtentEvent, FsError, FsStats, BLOCK_SIZE};
 pub use inode::Inode;
 pub use journal::{Journal, JournalRecord, SealedTxn};
 pub use pagecache::{CacheStats, PageCache};

@@ -363,9 +363,10 @@ pub struct RunReport {
     /// Chains restarted through [`ChainVerdict::RearmRetry`] (each
     /// restart reran the install ioctl's extent snapshot).
     pub rearm_retries: u64,
-    /// Completion-reaping counters for this run: poll visits, poll-CPU
-    /// vs IRQ-CPU split, adaptive-coalescing depth movement, and the
-    /// hybrid scheduler's mode-transition timeline.
+    /// Completion-reaping decisions for this run: interrupt-entry CPU,
+    /// adaptive-coalescing depth movement, and the hybrid scheduler's
+    /// mode-transition timeline (poll visits and interrupts are
+    /// [`LayerTrace`] counters).
     pub reaper: ReaperStats,
     /// Per-tenant breakdown, one entry per registered tenant (a
     /// single-tenant machine has exactly one, mirroring the aggregate).
@@ -391,6 +392,19 @@ impl RunReport {
     /// Mean chain latency in nanoseconds.
     pub fn mean_latency(&self) -> f64 {
         self.latency.mean()
+    }
+
+    /// The poller loops' CPU (`trace.poll`) against the interrupt
+    /// entries' (`reaper.irq_cpu_ns`), as fractions of their sum: the
+    /// polling-vs-interrupt CPU trade. Returns `(poll_share, irq_share)`;
+    /// `(0, 0)` when neither was charged.
+    pub fn cpu_split(&self) -> (f64, f64) {
+        let (poll, irq) = (self.trace.poll as f64, self.reaper.irq_cpu_ns as f64);
+        let total = poll + irq;
+        if total == 0.0 {
+            return (0.0, 0.0);
+        }
+        (poll / total, irq / total)
     }
 
     /// The breakdown for one tenant, if it was registered.

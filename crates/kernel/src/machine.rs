@@ -57,7 +57,7 @@
 //! | `Ev` | handler | consults |
 //! |---|---|---|
 //! | `AppStart` | `on_app_start` → `start_chain`, or `uring_enter` | the [`ChainDriver`], `rng` |
-//! | `DevSubmit` | `on_dev_submit` → `submit_read` / `submit_write_data` (→ `plan_write` once) / flush → `submit_segments` | `fs`, `SqAdmission`, the [`Transport`] |
+//! | `DevSubmit` | `on_dev_submit`, at every attempt: a flush as it is; else (a write's first attempt → `plan_write`) → `translate` → `submit_segments` → `Op::cut` | `fs`, [`ExtentCache`], `SqAdmission`, the [`Transport`] |
 //! | `Doorbell` | `on_doorbell` | [`Transport`], [`Reaper`] |
 //! | `IrqFire`, `Poll` | `on_irq_fire`, `on_poll` → `reap_qp` → `on_cqe` → `on_device_done` (a data CQE → `enter_flush_phase`, a flush CQE → `on_barrier_cqe`) | [`Reaper`], `FairSched`, `SqAdmission`, `Barrier` |
 //! | `Delivered` | `on_delivered` (→ `restart_chain`) | the [`ChainDriver`] |
@@ -67,7 +67,8 @@
 //! | `WritebackTick` (`Writeback` only) | `on_writeback_tick` → `seal_and_issue` | `Barrier`, `fs` |
 //!
 //! Every chain ends in `deliver`, which owns the local-vs-capsule
-//! decision; every device command goes through `submit_segments`.
+//! decision; every device command goes through `on_dev_submit` and
+//! `submit_segments`.
 //! Every journal commit is a seal in `seal_and_issue` and a flush CQE
 //! in `on_barrier_cqe`, whatever the [`crate::CommitPolicy`]: the
 //! policy only decides when `Barrier` asks for the seal (`PerFsync`: at
@@ -86,7 +87,7 @@
 //!   segment slot and, with the last segment, into `Op::data` (extra
 //!   segments are copied onto the first and handed back at once). The
 //!   hook, or the application's `user_step`, reads it there. It is dead
-//!   the moment the op issues its next read — `submit_read` hands it
+//!   the moment the op issues its next read — `on_dev_submit` hands it
 //!   back (`NvmeDevice::recycle`) before anything else, so the next hop
 //!   is serviced into the same bytes — or when the chain ends
 //!   (`free_op`).
@@ -99,11 +100,17 @@
 //!   `Spares::chains`, `alloc_op` hands them to the next op —
 //!   whichever tenant's — and `start_chain` zeroes the scratch and
 //!   empties the emit buffer before the chain sees them.
-//! - **Batches** — the reap batch, one request's commands, the ops of
-//!   one `io_uring_enter` — live in `Spares` between events; the reap
-//!   batch is swapped with the transport's own at each reap (its
-//!   borrowed-batch contract), and a uring thread's queue of pending
-//!   submissions is drained and handed back to it.
+//! - **The runs** of a request (`Spares::runs`, plain `(start, sectors)`
+//!   pairs) are one attempt's scratch, never an op's: `translate` writes
+//!   them at every `DevSubmit` — the file system's translation
+//!   (`ExtFs::map_runs`), reads and writes alike, or a recycled hop's
+//!   snapshot target — and `Op::cut` makes the commands from them. A
+//!   request that parks keeps none of them: its retry translates afresh.
+//! - **Batches** — the reap batch, one request's runs and a write's
+//!   commands, the ops of one `io_uring_enter` — live in `Spares`
+//!   between events; the reap batch is swapped with the transport's own
+//!   at each reap (its borrowed-batch contract), and a uring thread's
+//!   queue of pending submissions is drained and handed back to it.
 //!
 //! A journaled write keeps the same rule, so what it allocates is what
 //! its data costs — the record and the store pages its non-zero sectors
@@ -112,21 +119,22 @@
 //! - **The record** is the driver's allocation (`WriteStart::data`). It
 //!   is the op's (`WriteState::data`) from `start_chain` through
 //!   planning and any parking, and leaves it once, at admission:
-//!   `Op::cut_write` moves it whole into the single `NvmeOp::Write` of a
+//!   `Op::cut` moves it whole into the single `NvmeOp::Write` of a
 //!   sector-aligned one-run write, or copies it out run by run between
-//!   the stored edge sectors (`SectorStore::read_modify`). The device
+//!   the stored edge sectors (`bpfstor_fs::cut_runs`). The device
 //!   copies a command's payload into the store at the doorbell and
 //!   drops it; a write that fails before admission drops it with the op.
-//! - **The planned runs** (`ChainBufs::runs`, plain `(start, sectors)`
-//!   pairs) are written by `ExtFs::plan_write_into` on the first
-//!   `DevSubmit`, stay with a parked op — so a retry neither allocates
-//!   nor journals again — and are emptied by `cut_write`; `free_op`
-//!   empties them on every other way out, so a pooled `ChainBufs`
-//!   never holds a plan.
+//! - **The plan** (`ExtFs::plan_write_into`: allocation, journal
+//!   records, a handle in the running transaction) is made on the first
+//!   attempt only, so a retry neither allocates nor journals again. The
+//!   write is still translated at every attempt, so one that parked
+//!   across a relocation of its file goes where the file is now, never
+//!   to the blocks the file gave up.
 //! - **The commands** exist only inside `submit_segments`: cut into
 //!   `Spares::cmds` after the admission checks and drained onto the
-//!   rings in the same call. Nothing that carries payload bytes is
-//!   pooled between events (`free_op` asserts it).
+//!   rings in the same call (a read's are made from its runs as they
+//!   go). Nothing that carries payload bytes is pooled between events
+//!   (`free_op` asserts it).
 //! - **The commit window** and the waiter lists of the barriers in
 //!   flight swap roles at each seal: `Barrier::seal` takes a list an
 //!   earlier release handed back (`Barrier::retire`) as the new window,
@@ -141,7 +149,7 @@ use bpfstor_device::{
     DeviceStats, NvmeCompletion, NvmeDevice, SectorStore, SubmitClass, Transport, TransportConfig,
     SECTOR_SIZE,
 };
-use bpfstor_fs::{ExtFs, ExtentEvent, FsError};
+use bpfstor_fs::{cut_runs, ExtFs, ExtentEvent, FsError};
 use bpfstor_sim::{Cores, EventQueue, Histogram, IdMap, IdSet, Nanos, SimRng};
 use bpfstor_vm::{
     action, admit, CompiledProg, ExecEngine, ExecEnv, MapSet, Program, ResourceBudget, RunCtx, Vm,
@@ -337,13 +345,14 @@ enum OpKind {
 #[derive(Default)]
 struct WriteState {
     /// The chain's payload, the op's from the chain's start until its
-    /// request is admitted to the rings (`cut_write`).
+    /// request is admitted to the rings (`Op::cut`).
     data: Vec<u8>,
     /// Journal length right after this write's records were logged: the
     /// seal horizon its fsync needs durable. An fsync may park on an
     /// in-flight barrier only when the sealed transaction's end covers
-    /// this point.
-    journal_end: usize,
+    /// this point. `None` until the write is planned, which happens
+    /// once, at its first submission attempt.
+    journal_end: Option<usize>,
     /// Instant the chain's fsync requested its barrier (data CQEs
     /// already back) — the start of the fsync-latency measurement.
     fsync_from: Nanos,
@@ -373,10 +382,6 @@ struct ChainBufs {
     /// may land out of order across channels, so each fills its slot.
     /// All `None` between requests.
     seg_data: Vec<Option<Vec<u8>>>,
-    /// The physical `(start, sectors)` runs a write was planned onto:
-    /// filled by its first submission attempt, kept while it is parked,
-    /// emptied when its commands are cut. Empty on every other op.
-    runs: Vec<(u64, u64)>,
 }
 
 /// Buffers the per-I/O path reuses, kept only for their capacity.
@@ -385,10 +390,14 @@ struct Spares {
     /// The reap batch being worked through (swapped with the
     /// transport's at each reap).
     cqes: Vec<NvmeCompletion>,
-    /// One request's commands on their way to the rings — a first
-    /// hop's translated read segments, or an admitted write's payload
-    /// cut into `Write`s. Empty between events, so no payload byte
-    /// waits here for another chain.
+    /// The physical `(start, sectors)` runs of the request being
+    /// submitted — its file-system translation, or a recycled hop's
+    /// snapshot target: the scratch of one attempt, never an op's, so
+    /// a retry translates afresh.
+    runs: Vec<(u64, u64)>,
+    /// An admitted write's payload cut into `Write`s on its way to the
+    /// rings. Empty between events, so no payload byte waits here for
+    /// another chain.
     cmds: Vec<NvmeOp>,
     /// The ops one `io_uring_enter` started.
     submitted: Vec<usize>,
@@ -480,33 +489,54 @@ impl Op {
         }
     }
 
-    /// Cuts the admitted write's payload into one `Write` command per
-    /// planned run (like the bio layer merging adjacent blocks),
-    /// read-modify-writing the partial edge sectors from `store`, and
-    /// forgets the plan: from here the bytes are the commands'.
-    fn cut_write(&mut self, store: &SectorStore, cmds: &mut Vec<NvmeOp>) {
+    /// The logical blocks `[lb, end)` of the current request: a read
+    /// covers whole blocks from the one holding its offset (at least
+    /// one), a write the blocks its payload touches.
+    fn blocks(&self) -> (u64, u64) {
+        let (bs, len) = (SECTOR_SIZE as u64, self.len as u64);
+        let lb = self.file_off / bs;
+        match self.kind {
+            OpKind::Read => (lb, lb + len.div_ceil(bs).max(1)),
+            _ => (lb, (self.file_off + len).div_ceil(bs)),
+        }
+    }
+
+    /// The commands of the admitted request over `runs`, the physical
+    /// runs it was translated onto (like the bio layer merging adjacent
+    /// blocks): a read gets one `Read` per run, made as the commands are
+    /// submitted; a write's payload is split across the runs by
+    /// [`cut_runs`] — or moved whole into the one command of a
+    /// sector-aligned single-run write — into `cmds` first, since its
+    /// edge sectors are read from `store`. From here a write's bytes are
+    /// the commands', and a recycled hop's snapshot target is spent.
+    fn cut<'a>(
+        &mut self,
+        runs: &'a [(u64, u64)],
+        store: &SectorStore,
+        cmds: &'a mut Vec<NvmeOp>,
+    ) -> impl Iterator<Item = NvmeOp> + use<'a> {
+        self.phys_target = None;
         let head = (self.file_off % SECTOR_SIZE as u64) as usize;
-        match self.bufs.runs[..] {
+        let reads = match (self.kind, runs) {
+            (OpKind::Read, _) => runs,
             // Whole sectors into one run: the payload is the command's.
-            [(slba, _)] if head == 0 && self.wr.data.len().is_multiple_of(SECTOR_SIZE) => {
+            (_, &[(slba, _)]) if head == 0 && self.wr.data.len().is_multiple_of(SECTOR_SIZE) => {
                 let data = std::mem::take(&mut self.wr.data);
                 cmds.push(NvmeOp::Write { slba, data });
+                &[]
             }
             _ => {
-                let mut rest = &self.wr.data[..];
-                let mut head = head;
-                for &(slba, run) in &self.bufs.runs {
-                    let (src, tail) =
-                        rest.split_at(rest.len().min(run as usize * SECTOR_SIZE - head));
-                    let data = store.read_modify(slba, head, src);
-                    cmds.push(NvmeOp::Write { slba, data });
-                    (rest, head) = (tail, 0);
-                }
-                debug_assert!(rest.is_empty(), "plan covers range");
+                let images = cut_runs(&self.wr.data, head, runs, store);
+                cmds.extend(images.map(|(slba, image)| NvmeOp::Write {
+                    slba,
+                    data: image.into_owned(),
+                }));
                 self.wr.data = Vec::new();
+                &[]
             }
-        }
-        self.bufs.runs.clear();
+        };
+        let read = |&(slba, n): &(u64, u64)| NvmeOp::Read { slba, nlb: n as _ };
+        reads.iter().map(read).chain(cmds.drain(..))
     }
 }
 
@@ -1480,16 +1510,14 @@ impl Machine {
 
     /// Retires a finished op: its last read buffer goes back to the
     /// device, its per-chain buffers to the next chain. A write that
-    /// failed before admission drops its payload here, with the op,
-    /// and its plan is forgotten.
+    /// failed before admission drops its payload here, with the op.
     fn free_op(&mut self, id: usize) {
-        let mut op = self.ops[id].take().expect("op exists");
+        let op = self.ops[id].take().expect("op exists");
         debug_assert!(
             self.spares.cmds.is_empty(),
-            "a planned command outlived its submission"
+            "a cut command outlived its submission"
         );
         self.transport.device_mut().recycle(op.data);
-        op.bufs.runs.clear();
         self.spares.chains.push(op.bufs);
         self.free_ops.push(id);
     }
@@ -1626,21 +1654,68 @@ impl Machine {
         }
     }
 
-    /// Issues the op's current target to the device. A queue pair at
-    /// capacity parks the op until the next completion interrupt frees
-    /// slots (EBUSY-style backpressure).
+    /// Issues the op's current request to the device: the one path from
+    /// an op to the rings, taken again by every retry of a request that
+    /// parked on backpressure. A flush barrier goes out as it is, and a
+    /// recycled driver-hook hop to its snapshot target. Every other
+    /// request — a chain's first read, a reissued hop, a journaled write
+    /// (planned once, on its first attempt) — is translated through the
+    /// file system at each attempt, so one that parked across a
+    /// relocation goes where its file is now.
     fn on_dev_submit(&mut self, id: usize) {
-        let Some(op) = self.ops[id].as_ref() else {
+        let Some(op) = self.ops[id].as_mut() else {
             return;
         };
         match op.kind {
-            OpKind::Read => self.submit_read(id),
-            OpKind::WriteData { fsync } => self.submit_write_data(id, fsync),
             // The fsync flush barrier; its CQE commits the journal.
             OpKind::WriteFlush => {
-                self.submit_segments(id, 1, |_, _| std::iter::once(NvmeOp::Flush))
+                return self.submit_segments(id, 1, |_, _| std::iter::once(NvmeOp::Flush));
+            }
+            // The previous hop's payload is dead once the next read is
+            // issued: back it goes, for this very read to be serviced into.
+            OpKind::Read => self
+                .transport
+                .device_mut()
+                .recycle(std::mem::take(&mut op.data)),
+            OpKind::WriteData { fsync } => {
+                if op.wr.journal_end.is_none() && !self.plan_write(id, fsync) {
+                    return;
+                }
             }
         }
+        let mut runs = std::mem::take(&mut self.spares.runs);
+        let mut cmds = std::mem::take(&mut self.spares.cmds);
+        match self.translate(id, &mut runs) {
+            Ok(()) => {
+                self.submit_segments(id, runs.len(), |op, store| op.cut(&runs, store, &mut cmds))
+            }
+            Err(status) => self.fail(id, status, &[]),
+        }
+        (self.spares.runs, self.spares.cmds) = (runs, cmds);
+    }
+
+    /// The physical runs of op `id`'s current request, into `runs`: the
+    /// one translation of every request that is not a flush, made at
+    /// each attempt to admit it. A recycled hop goes to its snapshot
+    /// target and never consults live fs metadata: if the file's extents
+    /// changed under the snapshot (its unmap generation moved, or the
+    /// entry died), the descriptor is discarded — §4's invalidation
+    /// semantics — rather than re-translated. Anything else is the file
+    /// system's translation of the request's blocks as they are now.
+    fn translate(&self, id: usize, runs: &mut Vec<(u64, u64)>) -> Result<(), ChainStatus> {
+        let op = self.ops[id].as_ref().expect("op");
+        let (lb, end) = op.blocks();
+        let Some((slba, snap_gen)) = op.phys_target else {
+            let mapped = self.fs.map_runs(op.ino, lb, end, runs);
+            return mapped.map_err(|_| ChainStatus::IoError);
+        };
+        let live_gen = self.fs.generations(op.ino).ok().map(|(_, unmap)| unmap);
+        if !self.extcache.is_armed(op.ino) || live_gen != Some(snap_gen) {
+            return Err(ChainStatus::Invalidated);
+        }
+        runs.clear();
+        runs.push((slba, end - lb));
+        Ok(())
     }
 
     /// Puts the `n` commands of the op's current device request on its
@@ -1650,7 +1725,7 @@ impl Machine {
     /// pair as a whole, or the op parks until the next reap frees
     /// slots; `cmds` is only called (to make the commands from the op,
     /// over the stored bytes as they are at admission) once the request
-    /// is admitted, so a parked op keeps its payload and its plan.
+    /// is admitted, so a parked op keeps its payload.
     fn submit_segments<I: Iterator<Item = NvmeOp>>(
         &mut self,
         id: usize,
@@ -1733,32 +1808,12 @@ impl Machine {
         }
     }
 
-    /// Submits a write chain's payload as `Write` commands, planning it
-    /// on the first attempt: the data rides the same SQ/CQ rings as
-    /// reads — paying queueing delay, the shared doorbell, and the
-    /// coalesced interrupt. One command per planned run, cut from the
-    /// payload only once the request is admitted.
-    fn submit_write_data(&mut self, id: usize, fsync: bool) {
-        // A write back from parking still holds its first attempt's plan.
-        let parked = !self.ops[id].as_ref().expect("op").bufs.runs.is_empty();
-        if !parked && !self.plan_write(id, fsync) {
-            return;
-        }
-        let n = self.ops[id].as_ref().expect("op").bufs.runs.len();
-        let mut cmds = std::mem::take(&mut self.spares.cmds);
-        self.submit_segments(id, n, |op, store| {
-            op.cut_write(store, &mut cmds);
-            cmds.drain(..)
-        });
-        self.spares.cmds = cmds;
-    }
-
     /// First attempt of a write chain: the file system performs the
-    /// metadata half (allocation, journal records, size) and leaves the
-    /// physically contiguous runs the payload goes to in the op. The
-    /// plan survives backpressure parking (no double allocation).
-    /// Returns `false` when there is nothing to submit: an empty write
-    /// completed (or became a pure fsync), or planning failed the chain.
+    /// metadata half (allocation, journal records, size) — once, however
+    /// often the request parks — and the write joins the running
+    /// transaction. Returns `false` when there is nothing to submit: an
+    /// empty write completed (or became a pure fsync), or planning
+    /// failed the chain.
     fn plan_write(&mut self, id: usize, fsync: bool) -> bool {
         let op = self.ops[id].as_mut().expect("op");
         let (ino, file_off, len) = (op.ino, op.file_off, op.wr.data.len());
@@ -1767,7 +1822,7 @@ impl Machine {
                 // A pure fsync wants everything logged so far durable,
                 // not just its own (absent) records; it skips straight
                 // to the flush barrier.
-                op.wr.journal_end = self.fs.journal_len();
+                op.wr.journal_end = Some(self.fs.journal_len());
                 self.enter_flush_phase(id);
             } else {
                 op.status = Some(ChainStatus::Written(0));
@@ -1776,9 +1831,8 @@ impl Machine {
             return false;
         }
         let store = self.transport.device_mut().store_mut();
-        let planned = self
-            .fs
-            .plan_write_into(ino, file_off, len, store, &mut op.bufs.runs);
+        let runs = &mut self.spares.runs;
+        let planned = self.fs.plan_write_into(ino, file_off, len, store, runs);
         // The plan's `Mapped` events are consumed now rather than piling
         // up until the next mutation.
         self.apply_fs_events();
@@ -1789,61 +1843,8 @@ impl Machine {
         let op = self.ops[id].as_mut().expect("op");
         // The plan just logged this write's journal records: any seal
         // at or past this point covers them.
-        op.wr.journal_end = self.fs.journal_len();
+        op.wr.journal_end = Some(self.fs.journal_len());
         true
-    }
-
-    /// Translates and submits a read. First hops and user-path reissues
-    /// translate through live FS metadata (the normal submission path
-    /// did this work inside `fs_submit` cost); recycled driver-hook
-    /// hops carry the extent-snapshot's physical target and *never*
-    /// consult the FS — a snapshot that went stale aborts the chain
-    /// instead of silently healing.
-    fn submit_read(&mut self, id: usize) {
-        let op = self.ops[id].as_mut().expect("op");
-        let ino = op.ino;
-        let nblocks = (op.len as u64).div_ceil(SECTOR_SIZE as u64).max(1);
-        let lb = op.file_off / SECTOR_SIZE as u64;
-        // The previous hop's payload is dead once the next read is
-        // issued: back it goes, for this very read to be serviced into.
-        self.transport
-            .device_mut()
-            .recycle(std::mem::take(&mut op.data));
-        if let Some((phys, snap_gen)) = op.phys_target {
-            // Recycled hop: submit to the snapshot's physical target.
-            // If the file's extents changed under the snapshot (its
-            // unmap generation moved, or the entry died), the recycled
-            // descriptor is discarded — §4's invalidation semantics —
-            // rather than re-translated through live fs metadata.
-            let live_gen = self.fs.generations(ino).ok().map(|(_, unmap)| unmap);
-            if !self.extcache.is_armed(ino) || live_gen != Some(snap_gen) {
-                return self.fail(id, ChainStatus::Invalidated, &[]);
-            }
-            let (slba, nlb) = (phys, nblocks as u32);
-            return self.submit_segments(id, 1, |op, _| {
-                op.phys_target = None;
-                std::iter::once(NvmeOp::Read { slba, nlb })
-            });
-        }
-        // Translate logical blocks to physical segments via the FS.
-        let mut segments = std::mem::take(&mut self.spares.cmds);
-        let (mut cur, end) = (lb, lb + nblocks);
-        while let Ok(Some((slba, run))) = self.fs.map(ino, cur) {
-            let nlb = (end - cur).min(run) as u32;
-            segments.push(NvmeOp::Read { slba, nlb });
-            cur += nlb as u64;
-            if cur == end {
-                break;
-            }
-        }
-        if cur == end {
-            self.submit_segments(id, segments.len(), |_, _| segments.drain(..));
-        } else {
-            self.fail(id, ChainStatus::IoError, &[]);
-        }
-        // A parked read translates again when it is retried.
-        segments.clear();
-        self.spares.cmds = segments;
     }
 
     /// The driver's doorbell MMIO write: the device batch-services the
@@ -1983,9 +1984,7 @@ impl Machine {
         }
         let end = self.charge(Some(qp), self.costs.poll_visit());
         self.run.trace.polls += 1;
-        let reaped = self.reap_qp(qp, ReapKind::Polled);
-        self.reaper.charge_poll(self.costs.poll_loop, reaped == 0);
-        if reaped == 0 {
+        if self.reap_qp(qp, ReapKind::Polled) == 0 {
             self.transport.device_mut().record_empty_poll();
         }
         match self.reaper.active(qp) {
@@ -2119,7 +2118,8 @@ impl Machine {
         op.wr.fsync_from = self.now;
         let ts = &mut self.run.tstats[op.tenant as usize];
         ts.fsyncs += 1;
-        match self.barrier.request(id, op.wr.journal_end, self.now) {
+        let journal_end = op.wr.journal_end.expect("an fsync follows its plan");
+        match self.barrier.request(id, journal_end, self.now) {
             Request::Join => ts.barrier_joins += 1,
             Request::Window => {}
             Request::SealNow => self.seal_and_issue(false),

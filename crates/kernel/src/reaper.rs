@@ -146,18 +146,15 @@ pub struct ModeTransition {
 /// Timeline entries kept per run (the count keeps going past the cap).
 const TRANSITION_LOG_CAP: usize = 256;
 
-/// Per-run reaping statistics (reported in `RunReport::reaper`).
+/// Per-run reaping statistics (reported in `RunReport::reaper`): what
+/// the reaper decided. What the mechanisms did is counted where it
+/// happened — poll visits and interrupts in `LayerTrace::polls`/`irqs`,
+/// the poll loop's CPU in `LayerTrace::poll`, idle visits in
+/// `DeviceStats::empty_polls`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReaperStats {
-    /// Poll-loop visits (productive or not).
-    pub polls: u64,
-    /// Visits that found the CQ empty.
-    pub empty_polls: u64,
-    /// CPU nanoseconds burned by the poller loops.
-    pub poll_cpu_ns: Nanos,
-    /// Interrupt entries taken.
-    pub irqs: u64,
-    /// CPU nanoseconds spent in interrupt entries.
+    /// CPU nanoseconds spent in interrupt entries (`LayerTrace::drv`
+    /// holds them among the rest of the driver's work).
     pub irq_cpu_ns: Nanos,
     /// Hybrid mode switches (total, across queue pairs).
     pub mode_transitions: u64,
@@ -169,22 +166,6 @@ pub struct ReaperStats {
     pub depth_narrows: u64,
     /// Widest aggregation threshold the controller reached.
     pub depth_hwm: u32,
-}
-
-impl ReaperStats {
-    /// Poll-CPU vs IRQ-CPU spent per reaped mechanism, as fractions of
-    /// their sum (the polling-vs-interrupt CPU trade). Returns
-    /// `(poll_share, irq_share)`; `(0, 0)` when neither charged.
-    pub fn cpu_split(&self) -> (f64, f64) {
-        let total = (self.poll_cpu_ns + self.irq_cpu_ns) as f64;
-        if total == 0.0 {
-            return (0.0, 0.0);
-        }
-        (
-            self.poll_cpu_ns as f64 / total,
-            self.irq_cpu_ns as f64 / total,
-        )
-    }
 }
 
 /// Per-queue-pair reaping state.
@@ -394,17 +375,7 @@ impl Reaper {
 
     /// Accounts one interrupt entry's CPU charge.
     pub fn charge_irq(&mut self, cost: Nanos) {
-        self.stats.irqs += 1;
         self.stats.irq_cpu_ns += cost;
-    }
-
-    /// Accounts one poll visit's CPU charge.
-    pub fn charge_poll(&mut self, cost: Nanos, empty: bool) {
-        self.stats.polls += 1;
-        self.stats.poll_cpu_ns += cost;
-        if empty {
-            self.stats.empty_polls += 1;
-        }
     }
 
     /// Digests one reap: drops elapsed pending instants, feeds the
@@ -764,19 +735,6 @@ mod tests {
         assert_eq!(r.stats(), &ReaperStats::default());
         assert_eq!(r.active(1), ReapKind::Interrupt);
         assert!(r.qps[1].pending.is_empty());
-    }
-
-    #[test]
-    fn cpu_split_reports_the_trade() {
-        let mut r = Reaper::new(ReapMode::Interrupt, 1, 0, 1);
-        assert_eq!(r.stats().cpu_split(), (0.0, 0.0));
-        r.charge_poll(300, true);
-        r.charge_irq(100);
-        let (p, i) = r.stats().cpu_split();
-        assert!((p - 0.75).abs() < 1e-9 && (i - 0.25).abs() < 1e-9);
-        assert_eq!(r.stats().empty_polls, 1);
-        assert_eq!(r.stats().polls, 1);
-        assert_eq!(r.stats().irqs, 1);
     }
 
     #[test]

@@ -13,22 +13,23 @@ fn run_reap_mode(reap_mode: ReapMode, batch: u32) -> RunReport {
 fn polled_mode_reaps_without_interrupts() {
     let polled = run_reap_mode(ReapMode::Polled(PollConfig::default()), 16);
     assert_eq!(polled.trace.irqs, 0, "a polled stack never takes an IRQ");
-    assert_eq!(polled.reaper.irqs, 0);
+    assert_eq!(polled.reaper.irq_cpu_ns, 0);
     assert!(polled.trace.polls > 0, "the poller visited the CQ");
-    assert_eq!(polled.reaper.polls, polled.trace.polls);
     assert!(
         polled.device.empty_polls > 0,
         "a ~3.2us device serviced by a 250ns poller burns idle visits"
     );
     assert_eq!(
-        polled.reaper.empty_polls, polled.device.empty_polls,
-        "kernel and device agree on the idle-poll count"
+        polled.device.irqs,
+        polled.trace.polls - polled.device.empty_polls,
+        "kernel and device agree on the productive visits"
     );
     assert_eq!(
-        polled.trace.poll, polled.reaper.poll_cpu_ns,
+        polled.trace.poll,
+        polled.trace.polls * LayerCosts::default().poll_loop,
         "every poll visit's CPU lands in the poll bucket"
     );
-    assert_eq!(polled.reaper.cpu_split(), (1.0, 0.0));
+    assert_eq!(polled.cpu_split(), (1.0, 0.0));
     // Same completions as the interrupt path, delivered by polling.
     let irq = run_reap_mode(ReapMode::Interrupt, 16);
     assert_eq!(polled.device.cqes, irq.device.cqes);
@@ -105,14 +106,34 @@ fn hybrid_switches_to_polling_under_load_and_stays_interrupt_when_light() {
         heavy.reaper.transitions.len(),
         "the timeline logs every switch"
     );
-    assert!(heavy.reaper.polls > 0, "the poller ran after the switch");
+    assert!(heavy.trace.polls > 0, "the poller ran after the switch");
     let light = run_reap_mode(ReapMode::Hybrid(HybridConfig::default()), 1);
     assert_eq!(
         light.reaper.mode_transitions, 0,
         "a single chain in flight never leaves interrupt mode"
     );
-    assert_eq!(light.reaper.polls, 0);
+    assert_eq!(light.trace.polls, 0);
     assert_eq!(light.trace.irqs, light.device.cqes);
+}
+
+#[test]
+fn cpu_split_weighs_poll_cpu_against_interrupt_cpu() {
+    // The trade the hybrid scheduler navigates, read off the run: the
+    // poll bucket against the interrupt entries' CPU.
+    let irq = run_reap_mode(ReapMode::Interrupt, 16);
+    let irq_entry = LayerCosts::default().irq_entry;
+    assert_eq!(irq.reaper.irq_cpu_ns, irq.trace.irqs * irq_entry);
+    assert_eq!(irq.cpu_split(), (0.0, 1.0));
+    let hybrid = run_reap_mode(ReapMode::Hybrid(HybridConfig::default()), 32);
+    let (poll_share, irq_share) = hybrid.cpu_split();
+    assert!(poll_share > 0.0 && irq_share > 0.0, "both mechanisms ran");
+    let total = (hybrid.trace.poll + hybrid.reaper.irq_cpu_ns) as f64;
+    assert_eq!(poll_share, hybrid.trace.poll as f64 / total);
+    assert_eq!(irq_share, hybrid.reaper.irq_cpu_ns as f64 / total);
+    // A run that reaped nothing charged neither.
+    let (mut m, fd) = machine_with(MachineConfig::default(), "idle.db", &chain_file(1), None);
+    let idle = m.run_closed_loop(1, SECOND, &mut reads(fd, DispatchMode::User, 0));
+    assert_eq!(idle.cpu_split(), (0.0, 0.0));
 }
 
 #[test]

@@ -190,6 +190,72 @@ fn a_relocation_amid_fsyncing_writers_keeps_every_commit_in_seal_order() {
 }
 
 #[test]
+fn a_parked_write_lands_where_its_relocated_file_is_now() {
+    // A write is planned once, on its first attempt, but translated
+    // through the file system each time it is admitted. One that parks
+    // on backpressure while its own file is relocated must go to the
+    // blocks the file holds now: with its first attempt's runs it would
+    // land on blocks the relocation freed, and read back lost. Four
+    // worlds park writes: a one-slot ring, a one-slot tenant budget, and
+    // a one-capsule fabric window from the host and under pushdown.
+    const WRITES: u64 = 48;
+    let fabric = |mode| {
+        let mut link = exact_link(5_000);
+        link.inflight_cap = 1;
+        let cfg = MachineConfig {
+            transport: TransportConfig::Fabric(link),
+            ..MachineConfig::default()
+        };
+        (cfg, None, mode)
+    };
+    let one_slot = TenantLimits {
+        sq_slots: Some(1),
+        ..TenantLimits::default()
+    };
+    let worlds = [
+        ("one-slot ring", (ring_depth(2), None, DispatchMode::User)),
+        (
+            "one-slot tenant budget",
+            (MachineConfig::default(), Some(one_slot), DispatchMode::User),
+        ),
+        ("fabric, one capsule", fabric(DispatchMode::User)),
+        ("fabric write pushdown", fabric(DispatchMode::DriverHook)),
+    ];
+    for (what, (cfg, limits, mode)) in worlds {
+        let (mut lost, mut parks) = (0, 0);
+        for at in (0..400).map(|i| i * 500) {
+            let cfg = MachineConfig {
+                cores: 1,
+                ..cfg.clone()
+            };
+            let (mut m, fd) = log_machine(cfg, "wal.db");
+            if let Some(limits) = limits {
+                m.set_tenant_limits(DEFAULT_TENANT, limits);
+            }
+            let name = "wal.db".to_string();
+            m.schedule_mutation(at, Mutation::Relocate { name });
+            let mut d = writes(fd, SECTOR_SIZE, WRITES, 0);
+            d.mode = mode;
+            let report = m.run_closed_loop(4, SECOND, &mut d);
+            let written = |o: &ChainOutcome| matches!(o.status, ChainStatus::Written(_));
+            assert!(d.outcomes.iter().all(written), "{what} at {at} ns");
+            assert_eq!(d.outcomes.len() as u64, WRITES, "{what} at {at} ns");
+            parks += report.device.rejected + report.tenants[0].sq_parks;
+            let ino = m.ino_of(fd).expect("ino");
+            let (fs, store) = m.fs_and_store();
+            lost += (0..WRITES)
+                .filter(|&i| {
+                    let got = fs.read(ino, i * SECTOR_SIZE as u64, SECTOR_SIZE, store);
+                    got.expect("read") != vec![Writes::fill(i); SECTOR_SIZE]
+                })
+                .count();
+        }
+        assert!(parks > 0, "{what}: writes must have parked");
+        assert_eq!(lost, 0, "{what}: writes lost to a relocation");
+    }
+}
+
+#[test]
 fn fsync_write_pays_data_then_flush_ordering() {
     let (mut m, fd) = log_machine(MachineConfig::default(), "f.db");
     let ino = m.ino_of(fd).expect("ino");
@@ -256,9 +322,10 @@ fn write_backpressure_parks_and_retries_until_done() {
             report.device.rejected + report.tenants[0].sq_parks > 0,
             "{what}: submissions must have parked"
         );
-        // A write is planned on its first attempt and keeps that plan
-        // while parked: no second allocation, no second journal record,
-        // and the commands that finally go out are the un-parked run's.
+        // A write is planned once, on its first attempt: no second
+        // allocation, no second journal record. Translated again when it
+        // is admitted, it finds the runs it was planned onto (nothing
+        // moved), so the commands that go out are the un-parked run's.
         assert_eq!(m.ino_of(fd), Some(ino), "{what}");
         let (fs, reference) = (m.fs(), open_m.fs());
         assert_eq!(fs.journal_len(), reference.journal_len(), "{what}");

@@ -63,13 +63,13 @@ fn main() {
             .expect("session");
         let (report, stats) = session.run_uring(1, batch, 10 * MILLISECOND);
         assert_eq!(stats.mismatches, 0);
-        let (poll_share, irq_share) = report.reaper.cpu_split();
+        let (poll_share, irq_share) = report.cpu_split();
         println!(
             "  batch={batch:<3} {:>9.0} IOPS  switches={:<3} polls={:<6} irqs={:<5} \
              reap CPU {:.0}% poll / {:.0}% irq",
             report.iops,
             report.reaper.mode_transitions,
-            report.reaper.polls,
+            report.trace.polls,
             report.trace.irqs,
             poll_share * 100.0,
             irq_share * 100.0,

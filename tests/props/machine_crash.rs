@@ -1,11 +1,12 @@
 // --- Machine crash consistency under every commit policy --------------------------
 
 /// Runs `writers` concurrent closed-loop writers of `writes` sector
-/// writes under `policy` (every `fsync_every`-th one fsynced, 0 =
-/// never; with `final_fsync`, one trailing pure fsync so that
-/// everything logged is durable when the run drains) while the
-/// 8-block file `other.db` is relocated at `relocate_at`, and returns
-/// the drained machine.
+/// writes to `wal.db` under `policy` (every `fsync_every`-th one
+/// fsynced, 0 = never; with `final_fsync`, one trailing pure fsync so
+/// that everything logged is durable when the run drains) on one core
+/// whose ring holds one command, so writes park, while the 8-block file
+/// `other.db` is relocated at `relocate_at[0]` and `wal.db` itself at
+/// `relocate_at[1]`, and returns the drained machine.
 fn run_crash_writers(
     policy: CommitPolicy,
     writers: usize,
@@ -13,51 +14,60 @@ fn run_crash_writers(
     fsync_every: u64,
     final_fsync: bool,
     seed: u64,
-    relocate_at: Nanos,
+    relocate_at: [Nanos; 2],
 ) -> (Machine, RunReport) {
-    let (local, user) = (TransportConfig::Local, DispatchMode::User);
+    let mut cfg = MachineConfig {
+        cores: 1,
+        ..crash_cfg(policy, seed, TransportConfig::Local)
+    };
+    cfg.profile.queue_depth = 2;
+    let [other, wal] = relocate_at;
+    let relocations = [("other.db", other), ("wal.db", wal)];
+    let mode = DispatchMode::User;
     run_crash_writers_on(
-        policy,
+        cfg,
         writers,
         writes,
         fsync_every,
         final_fsync,
-        seed,
-        local,
-        user,
-        Some(relocate_at),
+        mode,
+        &relocations,
     )
 }
 
-/// [`run_crash_writers`] over an arbitrary transport and dispatch mode
+/// A machine whose file system matches the crash-replay target, so
+/// free-space accounting lines up between live and recovered metadata.
+fn crash_cfg(policy: CommitPolicy, seed: u64, transport: TransportConfig) -> MachineConfig {
+    MachineConfig {
+        commit_policy: policy,
+        seed,
+        transport,
+        fs_blocks: 1 << 14,
+        ..MachineConfig::default()
+    }
+}
+
+/// [`run_crash_writers`] on a machine under `cfg` in dispatch `mode`
 /// (the fabric variants put the fsync flush barrier on the far side of
-/// the wire), relocating `other.db` only when `relocate_at` says when.
-#[allow(clippy::too_many_arguments)]
+/// the wire), relocating each named file at its instant (`other.db` is
+/// created for the purpose). Every write completes and, after the run,
+/// reads back live wherever its file was moved.
 fn run_crash_writers_on(
-    policy: CommitPolicy,
+    cfg: MachineConfig,
     writers: usize,
     writes: u64,
     fsync_every: u64,
     final_fsync: bool,
-    seed: u64,
-    transport: TransportConfig,
     mode: DispatchMode,
-    relocate_at: Option<Nanos>,
+    relocations: &[(&str, Nanos)],
 ) -> (Machine, RunReport) {
-    let cfg = MachineConfig {
-        commit_policy: policy,
-        seed,
-        transport,
-        // Match the crash-replay target so free-space accounting lines
-        // up between live and recovered metadata.
-        fs_blocks: 1 << 14,
-        ..MachineConfig::default()
-    };
     let (mut m, fd) = machine_with(cfg, "wal.db", &[], None);
-    if let Some(at) = relocate_at {
+    if !relocations.is_empty() {
         m.create_file("other.db", &support::chain_file(8))
             .expect("create");
-        let name = "other.db".to_string();
+    }
+    for &(name, at) in relocations {
+        let name = name.to_string();
         m.schedule_mutation(at, Mutation::Relocate { name });
     }
     let mut d = support::writes(fd, SECTOR_SIZE, writes, fsync_every);
@@ -69,6 +79,13 @@ fn run_crash_writers_on(
         "write chains must complete cleanly"
     );
     assert_eq!(d.outcomes.len() as u64, writes + u64::from(final_fsync));
+    let ino = m.ino_of(fd).expect("ino");
+    let (fs, store) = m.fs_and_store();
+    for i in 0..writes {
+        let got = fs.read(ino, i * SECTOR_SIZE as u64, SECTOR_SIZE, store);
+        let want = vec![support::Writes::fill(i); SECTOR_SIZE];
+        assert_eq!(got.expect("read"), want, "write {i} must read back live");
+    }
     (m, report)
 }
 
@@ -77,11 +94,13 @@ proptest! {
     /// The machine-level crash-consistency property, and the first
     /// place a group-commit regression shows (`cargo test --test props
     /// machine_crash` runs it alone): random writer interleavings under
-    /// `PerFsync`, `CommitPolicy::Group` and `Writeback`, with a second
-    /// file relocated mid-run, crashed at every record and barrier
-    /// boundary — joined handles commit atomically, the relocation's
-    /// records commit in seal order with them, and writeback never
-    /// makes un-fsynced data durable ahead of its journal records.
+    /// `PerFsync`, `CommitPolicy::Group` and `Writeback`, on a one-slot
+    /// ring where writes park, with a second file and the written file
+    /// itself relocated mid-run, crashed at every record and barrier
+    /// boundary — joined handles commit atomically, the relocations'
+    /// records commit in seal order with them, writeback never makes
+    /// un-fsynced data durable ahead of its journal records, and every
+    /// write reads back live after the run.
     #[test]
     fn machine_crash_at_any_boundary_recovers_a_txn_prefix_under_every_policy(
         writers in 1usize..5,
@@ -90,9 +109,10 @@ proptest! {
         max_wait_us in 5u64..60,
         seed in 0u64..1_000,
         relocate_at_us in 0u64..150,
+        relocate_wal_at_us in 0u64..150,
     ) {
         const NBLOCKS: u64 = 1 << 14;
-        let relocate_at = relocate_at_us * 1_000;
+        let relocate_at = [relocate_at_us * 1_000, relocate_wal_at_us * 1_000];
         let policies = [
             CommitPolicy::PerFsync,
             CommitPolicy::Group { max_wait_us, max_handles: writers as u32 },
@@ -102,16 +122,23 @@ proptest! {
             let (mut m, report) =
                 run_crash_writers(policy, writers, writes, fsync_every, true, seed, relocate_at);
             // Durability: the trailing pure fsync saw every write's
-            // records, so a crash keeps all of wal.db under all policies.
+            // records, so a crash keeps all of wal.db under all policies
+            // (where its blocks are may be a later relocation's to
+            // commit).
             let wal = m.fs().open("wal.db").expect("wal.db");
             let recovered = m.fs().clone().crash_and_recover(NBLOCKS);
+            let mapped = |fs: &ExtFs| {
+                let extents = fs.extents_snapshot(wal).expect("extents");
+                extents.iter().map(|e| e.len).sum::<u64>()
+            };
             prop_assert_eq!(
-                (recovered.file_size(wal), recovered.extents_snapshot(wal)),
-                (m.fs().file_size(wal), m.fs().extents_snapshot(wal)),
+                (recovered.file_size(wal), mapped(&recovered)),
+                (m.fs().file_size(wal), mapped(m.fs())),
                 "{:?}: final fsync must commit every write", policy
             );
             // A relocation that landed behind that fsync's seal rides the
-            // next barrier: one more fsync makes it durable too.
+            // next barrier: one more fsync makes it durable too (the
+            // crash sweep below replays to the live metadata exactly).
             m.write_file(wal, 0, &[], true).expect("fsync");
             let j = m.fs().journal();
             prop_assert_eq!(
@@ -214,9 +241,9 @@ proptest! {
         ];
         for policy in policies {
             for mode in [DispatchMode::User, DispatchMode::DriverHook] {
-                let (m, report) = run_crash_writers_on(
-                    policy, writers, writes, fsync_every, true, seed, link(), mode, None,
-                );
+                let cfg = crash_cfg(policy, seed, link());
+                let (m, report) =
+                    run_crash_writers_on(cfg, writers, writes, fsync_every, true, mode, &[]);
                 let j = m.fs().journal();
                 prop_assert_eq!(
                     j.len(), j.committed_records().len(),
