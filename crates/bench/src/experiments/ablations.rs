@@ -162,7 +162,7 @@ pub fn ablation_split_fallback(scale: Scale) -> Table {
                 fs.write(ino_b, (i * SECTOR_SIZE) as u64, &[0u8; SECTOR_SIZE], store)
                     .expect("write b");
             }
-            fs.take_events();
+            fs.drain_events();
         } else {
             m.create_file("chain.db", &image).expect("create");
         }

@@ -38,7 +38,7 @@ pub fn extent_stability(scale: Scale) -> Table {
     // Initial 32 MiB index.
     fs.fallocate(ino, 0, (32 << 20) / SECTOR_SIZE as u64, &mut store)
         .expect("fallocate");
-    fs.take_events();
+    fs.drain_events();
 
     let append_interval = batch_bytes / (insert_rate * row_bytes);
     let mut events: Vec<(f64, bool)> = Vec::new(); // (time, unmapping?)
@@ -54,7 +54,7 @@ pub fn extent_stability(scale: Scale) -> Table {
             fs.fallocate(ino, appended_blocks, nblocks, &mut store)
                 .expect("append");
             appended_blocks += nblocks;
-            for ev in fs.take_events() {
+            for ev in fs.drain_events() {
                 events.push((t_next_append, matches!(ev, ExtentEvent::Unmapped { .. })));
             }
             t_next_append += append_interval;
@@ -74,7 +74,7 @@ pub fn extent_stability(scale: Scale) -> Table {
             fs.fallocate(ino, appended_blocks, nblocks, &mut store)
                 .expect("gc rewrite");
             appended_blocks += nblocks;
-            for ev in fs.take_events() {
+            for ev in fs.drain_events() {
                 events.push((t_next_gc, matches!(ev, ExtentEvent::Unmapped { .. })));
             }
             t_next_gc += gc_interval_s;

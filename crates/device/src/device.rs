@@ -201,12 +201,16 @@ impl NvmeDevice {
     ///
     /// # Panics
     ///
-    /// Panics if `nr_queues == 0`, or if `profile.queue_depth` is not a
-    /// queue size NVMe allows (every ring checks it:
-    /// [`crate::check_queue_depth`]) — the check a `MachineConfig`
-    /// written as a struct literal reaches.
+    /// Panics if `nr_queues == 0`, if `profile.channels == 0`, or if
+    /// `profile.queue_depth` is not a queue size NVMe allows (every ring
+    /// checks it: [`crate::check_queue_depth`]) — the checks a
+    /// `MachineConfig` written as a struct literal reaches.
     pub fn new(profile: DeviceProfile, nr_queues: usize, rng: SimRng) -> Self {
         assert!(nr_queues > 0, "need at least one queue pair");
+        assert!(
+            profile.channels > 0,
+            "channels 0 can never serve a command; a device needs at least one channel"
+        );
         let queues = (0..nr_queues)
             .map(|_| QueuePair {
                 sq: Ring::new(profile.queue_depth),

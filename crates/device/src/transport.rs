@@ -245,12 +245,31 @@ impl FabricConfig {
 
     /// Enables probabilistic capsule loss with timeout/retransmit and
     /// duplicate-delivery suppression.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loss_prob` is outside `[0, 1)` or `dup_prob` outside
+    /// `[0, 1]` (NaN included).
     pub fn with_loss(mut self, loss_prob: f64, timeout_ns: Nanos, dup_prob: f64) -> Self {
+        check_loss(loss_prob, dup_prob);
         self.loss_prob = loss_prob;
         self.retransmit_timeout_ns = timeout_ns.max(1);
         self.dup_prob = dup_prob;
         self
     }
+}
+
+/// A crossing lost with probability 1 is retransmitted forever, so a
+/// fabric that loses every capsule hangs on the first one.
+fn check_loss(loss_prob: f64, dup_prob: f64) {
+    assert!(
+        (0.0..1.0).contains(&loss_prob),
+        "loss_prob {loss_prob} must be in [0, 1): a crossing that is always lost is retransmitted forever"
+    );
+    assert!(
+        (0.0..=1.0).contains(&dup_prob),
+        "dup_prob {dup_prob} must be in [0, 1]"
+    );
 }
 
 impl Default for FabricConfig {
@@ -593,7 +612,8 @@ impl FabricTransport {
     ///
     /// Panics if `cfg.inflight_cap`, `cfg.initiators`, or a configured
     /// `cfg.initiator_window` is zero — windows that admit nothing turn
-    /// every I/O into a silent error.
+    /// every I/O into a silent error — or if `cfg.loss_prob` or
+    /// `cfg.dup_prob` is out of range ([`FabricConfig::with_loss`]).
     pub fn new(dev: NvmeDevice, cfg: FabricConfig, rng: SimRng) -> Self {
         assert!(
             cfg.inflight_cap >= 1,
@@ -604,6 +624,7 @@ impl FabricTransport {
             cfg.initiator_window != Some(0),
             "initiator_window 0 can never admit a capsule; use 1 for single-command windows"
         );
+        check_loss(cfg.loss_prob, cfg.dup_prob);
         let queues = (0..dev.nr_queues())
             .map(|_| InitiatorQueue::default())
             .collect();
@@ -1223,6 +1244,48 @@ mod tests {
             ..FabricConfig::default()
         };
         let _ = FabricTransport::new(dev(8), cfg, SimRng::seed(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "loss_prob 1 must be in [0, 1)")]
+    fn certain_loss_panics_at_with_loss() {
+        let _ = FabricConfig::default().with_loss(1.0, 50_000, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "loss_prob NaN must be in [0, 1)")]
+    fn nan_loss_prob_literal_panics_at_build() {
+        let cfg = FabricConfig {
+            loss_prob: f64::NAN,
+            ..FabricConfig::default()
+        };
+        let _ = FabricTransport::new(dev(8), cfg, SimRng::seed(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "dup_prob 1.5 must be in [0, 1]")]
+    fn dup_prob_above_one_panics_at_with_loss() {
+        let _ = FabricConfig::default().with_loss(0.1, 50_000, 1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "dup_prob -0.5 must be in [0, 1]")]
+    fn negative_dup_prob_literal_panics_at_build() {
+        let cfg = FabricConfig {
+            dup_prob: -0.5,
+            ..FabricConfig::default()
+        };
+        let _ = FabricTransport::new(dev(8), cfg, SimRng::seed(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "channels 0 can never serve a command")]
+    fn zero_channel_device_panics_at_build() {
+        let profile = DeviceProfile {
+            channels: 0,
+            ..dev(8).profile().clone()
+        };
+        let _ = NvmeDevice::new(profile, 1, SimRng::seed(7));
     }
 
     #[test]

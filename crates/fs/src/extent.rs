@@ -190,6 +190,15 @@ impl ExtentTree {
     }
 }
 
+impl From<Vec<Extent>> for ExtentTree {
+    /// Adopts a [`ExtentTree::snapshot`]: extents in logical order, none
+    /// overlapping.
+    fn from(exts: Vec<Extent>) -> Self {
+        debug_assert!(exts.windows(2).all(|w| w[0].logical_end() <= w[1].logical));
+        ExtentTree { exts }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,6 +7,15 @@
 //! separately. This split keeps the FS logic synchronous and testable
 //! while the kernel stack decides what each access costs.
 //!
+//! Every metadata change is a [`JournalRecord`], and one function,
+//! `ExtFs::apply`, carries it out: live = apply + log, replay = apply.
+//! A live operation makes its placement decisions (allocation, data
+//! copies), builds the record, applies it and logs it; crash recovery
+//! applies the committed records to a fresh file system. What a record
+//! changes — directory, inode table, extent trees, both generation
+//! counters, freed blocks, [`FsStats`] and extent events — is therefore
+//! the same on both paths.
+//!
 //! The piece the paper adds is the **extent-change notification hook**:
 //! every operation that maps or unmaps blocks appends an
 //! [`ExtentEvent`]; the simulated NVMe layer consumes these to keep its
@@ -137,10 +146,7 @@ impl ExtFs {
             return Err(FsError::Exists);
         }
         let ino = self.next_ino;
-        self.next_ino += 1;
-        self.inodes.insert(ino, Inode::new(ino));
-        self.dir.insert(name.to_string(), ino);
-        self.journal.log(JournalRecord::Create {
+        self.record(JournalRecord::Create {
             ino,
             name: name.to_string(),
         });
@@ -165,13 +171,11 @@ impl ExtFs {
     pub fn unlink(&mut self, name: &str) -> Result<(), FsError> {
         let ino = self.open(name)?;
         self.truncate_blocks(ino, 0)?;
-        self.journal.log(JournalRecord::Unlink {
+        self.record(JournalRecord::Unlink {
             ino,
             name: name.to_string(),
         });
         self.end_op();
-        self.dir.remove(name);
-        self.inodes.remove(&ino);
         Ok(())
     }
 
@@ -184,10 +188,6 @@ impl ExtFs {
 
     fn inode(&self, ino: u64) -> Result<&Inode, FsError> {
         self.inodes.get(&ino).ok_or(FsError::BadInode(ino))
-    }
-
-    fn inode_mut(&mut self, ino: u64) -> Result<&mut Inode, FsError> {
-        self.inodes.get_mut(&ino).ok_or(FsError::BadInode(ino))
     }
 
     /// File size in bytes.
@@ -250,11 +250,7 @@ impl ExtFs {
         }
         let mapped: u64 = segments.iter().map(|&(_, n)| n).sum();
         let pos = off + (data.len() as u64).min((mapped * bs).saturating_sub(head as u64));
-        let inode = self.inode_mut(ino)?;
-        if pos > inode.size {
-            inode.size = pos;
-            self.journal.log(JournalRecord::SetSize { ino, size: pos });
-        }
+        self.grow(ino, pos);
         self.end_op();
         match failure {
             Some(e) => Err(e),
@@ -316,11 +312,7 @@ impl ExtFs {
         let bs = BLOCK_SIZE as u64;
         let end = off + len as u64;
         self.map_range(ino, off / bs, end.div_ceil(bs), store, segments)?;
-        let inode = self.inode_mut(ino)?;
-        if end > inode.size {
-            inode.size = end;
-            self.journal.log(JournalRecord::SetSize { ino, size: end });
-        }
+        self.grow(ino, end);
         Ok(())
     }
 
@@ -493,13 +485,7 @@ impl ExtFs {
             physical: run.start,
             len: run.len,
         };
-        let inode = self.inode_mut(ino)?;
-        inode.extents.insert(extent);
-        inode.generation += run.len;
-        self.stats.extent_changes += run.len;
-        self.stats.blocks_allocated += run.len;
-        self.journal.log(JournalRecord::MapExtent { ino, extent });
-        self.events.push(ExtentEvent::Mapped { ino, extent });
+        self.record(JournalRecord::MapExtent { ino, extent });
         Ok(extent)
     }
 
@@ -518,15 +504,7 @@ impl ExtFs {
         // blocks allocated so far stay allocated, as in `write`).
         let created = self.map_range(ino, lb_start, lb_start + blocks, store, &mut Vec::new());
         if created.is_ok() {
-            let inode = self.inode_mut(ino)?;
-            let new_size = inode.size.max((lb_start + blocks) * BLOCK_SIZE as u64);
-            if new_size > inode.size {
-                inode.size = new_size;
-                self.journal.log(JournalRecord::SetSize {
-                    ino,
-                    size: new_size,
-                });
-            }
+            self.grow(ino, (lb_start + blocks) * BLOCK_SIZE as u64);
         }
         self.end_op();
         created
@@ -543,11 +521,8 @@ impl ExtFs {
     ) -> Result<(), FsError> {
         let bs = BLOCK_SIZE as u64;
         self.truncate_blocks(ino, new_size.div_ceil(bs))?;
-        let inode = self.inode_mut(ino)?;
-        let shrunk = new_size < inode.size;
-        inode.size = inode.size.min(new_size);
-        let final_size = inode.size;
-        if shrunk && !new_size.is_multiple_of(bs) {
+        let size = self.inode(ino)?.size;
+        if new_size < size && !new_size.is_multiple_of(bs) {
             if let Some((phys, _)) = self.inode(ino)?.extents.lookup(new_size / bs) {
                 let keep = (new_size % bs) as usize;
                 let mut buf = store.read(phys, 1);
@@ -557,49 +532,25 @@ impl ExtFs {
         }
         // Journal the size the inode actually ends at (truncate never
         // extends here), so replay converges with the live state.
-        self.journal.log(JournalRecord::SetSize {
+        self.record(JournalRecord::SetSize {
             ino,
-            size: final_size,
+            size: size.min(new_size),
         });
         self.end_op();
         Ok(())
     }
 
+    /// Unmaps every block at or past `keep_blocks`: one `UnmapRange`.
     fn truncate_blocks(&mut self, ino: u64, keep_blocks: u64) -> Result<(), FsError> {
-        let inode = self.inode_mut(ino)?;
-        let last = inode
-            .extents
-            .iter()
-            .last()
-            .map(|e| e.logical_end())
-            .unwrap_or(0);
-        if last <= keep_blocks {
-            return Ok(());
-        }
-        let removed = inode.extents.remove_range(keep_blocks, last - keep_blocks);
-        if removed.is_empty() {
-            return Ok(());
-        }
-        inode.generation += 1;
-        inode.unmap_generation += 1;
-        self.stats.extent_changes += 1;
-        self.stats.unmap_changes += 1;
-        let mut freed = 0;
-        for e in &removed {
-            self.alloc.release(e.physical, e.len);
-            freed += e.len;
-            self.events.push(ExtentEvent::Unmapped {
+        let last = self.inode(ino)?.extents.iter().last();
+        let last = last.map_or(0, |e| e.logical_end());
+        if last > keep_blocks {
+            self.record(JournalRecord::UnmapRange {
                 ino,
-                logical: e.logical,
-                len: e.len,
+                logical: keep_blocks,
+                len: last - keep_blocks,
             });
         }
-        self.stats.blocks_freed += freed;
-        self.journal.log(JournalRecord::UnmapRange {
-            ino,
-            logical: keep_blocks,
-            len: last - keep_blocks,
-        });
         Ok(())
     }
 
@@ -607,58 +558,29 @@ impl ExtFs {
     /// defragmenter or COW filesystem would do). Guaranteed to fire
     /// unmap events — used to exercise the invalidation path.
     pub fn relocate(&mut self, ino: u64, store: &mut SectorStore) -> Result<(), FsError> {
-        let snapshot = self.inode(ino)?.extents.snapshot();
-        if snapshot.is_empty() {
-            return Ok(());
-        }
-        for old in snapshot {
-            // Copy data out, free, reallocate elsewhere, copy back.
+        for old in self.inode(ino)?.extents.snapshot() {
+            // Copy data out, unmap, reallocate away from the old
+            // position, copy back.
             let data = store.read(old.physical, old.len as u32);
-            let inode = self.inode_mut(ino)?;
-            inode.extents.remove_range(old.logical, old.len);
-            inode.generation += 1;
-            inode.unmap_generation += 1;
-            self.alloc.release(old.physical, old.len);
-            self.stats.extent_changes += 1;
-            self.stats.unmap_changes += 1;
-            self.stats.blocks_freed += old.len;
-            self.events.push(ExtentEvent::Unmapped {
+            self.record(JournalRecord::UnmapRange {
                 ino,
                 logical: old.logical,
                 len: old.len,
             });
-            self.journal.log(JournalRecord::UnmapRange {
-                ino,
-                logical: old.logical,
-                len: old.len,
-            });
-            // Reallocate starting away from the old position.
-            let mut lb = old.logical;
-            let mut left = old.len;
-            let mut src_off = 0usize;
+            let (mut rest, mut logical) = (&data[..], old.logical);
             let mut goal = (old.physical + 4096) % self.alloc.capacity();
-            while left > 0 {
+            while !rest.is_empty() {
+                let left = (rest.len() / BLOCK_SIZE) as u64;
                 let run = self.alloc.alloc(left, goal).ok_or(FsError::NoSpace)?;
+                let (piece, tail) = rest.split_at(run.len as usize * BLOCK_SIZE);
+                store.write(run.start, piece);
                 let extent = Extent {
-                    logical: lb,
+                    logical,
                     physical: run.start,
                     len: run.len,
                 };
-                store.write(
-                    run.start,
-                    &data[src_off..src_off + (run.len as usize) * BLOCK_SIZE],
-                );
-                let inode = self.inode_mut(ino)?;
-                inode.extents.insert(extent);
-                inode.generation += 1;
-                self.stats.extent_changes += 1;
-                self.stats.blocks_allocated += run.len;
-                self.journal.log(JournalRecord::MapExtent { ino, extent });
-                self.events.push(ExtentEvent::Mapped { ino, extent });
-                lb += run.len;
-                left -= run.len;
-                src_off += (run.len as usize) * BLOCK_SIZE;
-                goal = run.start + run.len;
+                self.record(JournalRecord::MapExtent { ino, extent });
+                (rest, logical, goal) = (tail, logical + run.len, run.start + run.len);
             }
         }
         self.end_op();
@@ -667,12 +589,7 @@ impl ExtFs {
 
     // --- Introspection -----------------------------------------------------
 
-    /// Drains pending extent events (consumed by the NVMe layer).
-    pub fn take_events(&mut self) -> Vec<ExtentEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// [`ExtFs::take_events`] for a consumer on the per-I/O path: the
+    /// Drains pending extent events (consumed by the NVMe layer); the
     /// queue keeps its buffer.
     pub fn drain_events(&mut self) -> std::vec::Drain<'_, ExtentEvent> {
         self.events.drain(..)
@@ -703,41 +620,79 @@ impl ExtFs {
         self.journal.crash_at(persisted);
         let mut fresh = ExtFs::mkfs(nblocks);
         for rec in self.journal.committed_records() {
+            // A live map's blocks were taken by `alloc` before its record
+            // was applied; replay takes them here.
+            if let JournalRecord::MapExtent { extent, .. } = rec {
+                fresh.alloc.reserve(extent.physical, extent.len);
+            }
             fresh.apply(rec);
         }
+        fresh.events.clear();
         fresh
     }
 
+    /// How a live operation changes metadata: apply the record, then
+    /// move it into the running transaction.
+    fn record(&mut self, rec: JournalRecord) {
+        self.apply(&rec);
+        self.journal.log(rec);
+    }
+
+    /// Extends the file to `size` bytes if it is shorter (a `SetSize`).
+    fn grow(&mut self, ino: u64, size: u64) {
+        if self.inodes.get(&ino).is_some_and(|i| size > i.size) {
+            self.record(JournalRecord::SetSize { ino, size });
+        }
+    }
+
+    /// The one function that changes file-system metadata — inode
+    /// table, directory, extent trees, generations, allocator releases,
+    /// counters and extent events — for live operations
+    /// ([`ExtFs::record`]) and crash replay alike, so replay reproduces
+    /// the live metadata by construction. The counters advance per block
+    /// mapped and per range unmapped.
     fn apply(&mut self, rec: &JournalRecord) {
-        match rec {
-            JournalRecord::Create { ino, name } => {
-                self.inodes.insert(*ino, Inode::new(*ino));
-                self.dir.insert(name.clone(), *ino);
+        match *rec {
+            JournalRecord::Create { ino, ref name } => {
+                self.inodes.insert(ino, Inode::new(ino));
+                self.dir.insert(name.clone(), ino);
                 self.next_ino = self.next_ino.max(ino + 1);
             }
-            JournalRecord::Unlink { ino, name } => {
+            JournalRecord::Unlink { ino, ref name } => {
                 self.dir.remove(name);
-                self.inodes.remove(ino);
+                self.inodes.remove(&ino);
             }
             JournalRecord::SetSize { ino, size } => {
-                if let Some(i) = self.inodes.get_mut(ino) {
-                    i.size = *size;
+                if let Some(inode) = self.inodes.get_mut(&ino) {
+                    inode.size = size;
                 }
             }
             JournalRecord::MapExtent { ino, extent } => {
-                if let Some(i) = self.inodes.get_mut(ino) {
-                    i.extents.insert(*extent);
-                    i.generation += 1;
-                    self.alloc.reserve(extent.physical, extent.len);
-                }
+                let Some(inode) = self.inodes.get_mut(&ino) else {
+                    return;
+                };
+                inode.extents.insert(extent);
+                inode.generation += extent.len;
+                self.stats.extent_changes += extent.len;
+                self.stats.blocks_allocated += extent.len;
+                self.events.push(ExtentEvent::Mapped { ino, extent });
             }
             JournalRecord::UnmapRange { ino, logical, len } => {
-                if let Some(i) = self.inodes.get_mut(ino) {
-                    for e in i.extents.remove_range(*logical, *len) {
-                        self.alloc.release(e.physical, e.len);
-                    }
-                    i.generation += 1;
-                    i.unmap_generation += 1;
+                let Some(inode) = self.inodes.get_mut(&ino) else {
+                    return;
+                };
+                inode.generation += 1;
+                inode.unmap_generation += 1;
+                self.stats.extent_changes += 1;
+                self.stats.unmap_changes += 1;
+                for e in inode.extents.remove_range(logical, len) {
+                    self.alloc.release(e.physical, e.len);
+                    self.stats.blocks_freed += e.len;
+                    self.events.push(ExtentEvent::Unmapped {
+                        ino,
+                        logical: e.logical,
+                        len: e.len,
+                    });
                 }
             }
         }
@@ -851,13 +806,13 @@ mod tests {
         let ino = fs.create("btree").expect("create");
         fs.write(ino, 0, &vec![1u8; BLOCK_SIZE * 8], &mut store)
             .expect("init");
-        fs.take_events();
+        fs.drain_events();
         let (gen0, _) = fs.generations(ino).expect("gen");
         fs.write(ino, BLOCK_SIZE as u64, &vec![2u8; BLOCK_SIZE], &mut store)
             .expect("overwrite");
         let (gen1, _) = fs.generations(ino).expect("gen");
         assert_eq!(gen0, gen1, "in-place overwrite is extent-stable");
-        assert!(fs.take_events().is_empty());
+        assert_eq!(fs.drain_events().count(), 0);
     }
 
     #[test]
@@ -908,12 +863,12 @@ mod tests {
         let ino = fs.create("f").expect("create");
         fs.write(ino, 0, &vec![0u8; BLOCK_SIZE * 2], &mut store)
             .expect("write");
-        let evs = fs.take_events();
-        assert!(evs.iter().all(|e| matches!(e, ExtentEvent::Mapped { .. })));
+        assert!(fs
+            .drain_events()
+            .all(|e| matches!(e, ExtentEvent::Mapped { .. })));
         fs.truncate(ino, 0, &mut store).expect("truncate");
-        let evs = fs.take_events();
         assert!(
-            evs.iter()
+            fs.drain_events()
                 .any(|e| matches!(e, ExtentEvent::Unmapped { .. })),
             "truncate fires unmap"
         );
@@ -939,7 +894,7 @@ mod tests {
         let data: Vec<u8> = (0..BLOCK_SIZE * 4).map(|i| (i % 251) as u8).collect();
         fs.write(ino, 0, &data, &mut store).expect("write");
         let (old_phys, _) = fs.map(ino, 0).expect("map").expect("mapped");
-        fs.take_events();
+        fs.drain_events();
         fs.relocate(ino, &mut store).expect("relocate");
         let (new_phys, _) = fs.map(ino, 0).expect("map").expect("mapped");
         assert_ne!(old_phys, new_phys, "blocks moved");
@@ -949,8 +904,7 @@ mod tests {
             "data preserved"
         );
         assert!(fs
-            .take_events()
-            .iter()
+            .drain_events()
             .any(|e| matches!(e, ExtentEvent::Unmapped { .. })));
     }
 
@@ -1073,6 +1027,50 @@ mod tests {
                 .expect("read"),
             vec![7u8; BLOCK_SIZE]
         );
+    }
+
+    #[test]
+    fn full_replay_reproduces_generations_counters_and_free_space() {
+        let (mut fs, mut store) = setup();
+        let a = fs.create("a").expect("create");
+        let b = fs.create("b").expect("create");
+        let bs = BLOCK_SIZE as u64;
+        // Multi-block runs: the counters advance per block mapped.
+        fs.write(a, 0, &vec![1u8; BLOCK_SIZE * 6], &mut store)
+            .expect("write");
+        fs.write(b, 0, &vec![2u8; BLOCK_SIZE * 3], &mut store)
+            .expect("write");
+        fs.write(a, 6 * bs, &vec![3u8; BLOCK_SIZE * 2], &mut store)
+            .expect("append");
+        assert_eq!(fs.extents_snapshot(a).expect("snap").len(), 2);
+        assert_eq!(fs.generations(a).expect("gen"), (8, 0));
+        // One range unmapped over two extents, then every block moved.
+        fs.truncate(a, 5 * bs - 100, &mut store).expect("truncate");
+        fs.relocate(a, &mut store).expect("relocate");
+        fs.relocate(b, &mut store).expect("relocate");
+        assert_eq!(fs.generations(a).expect("gen"), (8 + 1 + 1 + 5, 2));
+        assert_eq!(
+            fs.stats(),
+            FsStats {
+                extent_changes: 8 + 3 + 1 + (1 + 5) + (1 + 3),
+                unmap_changes: 3,
+                blocks_allocated: 8 + 3 + 5 + 3,
+                blocks_freed: 3 + 5 + 3,
+            }
+        );
+        assert!(!fs.journal_dirty());
+        let mut recovered = fs.clone().crash_and_recover(65_536);
+        assert_eq!(recovered.readdir(), fs.readdir());
+        for ino in [a, b] {
+            let meta = |fs: &ExtFs| {
+                let extents = fs.extents_snapshot(ino).expect("snap");
+                (extents, fs.file_size(ino), fs.generations(ino))
+            };
+            assert_eq!(meta(&recovered), meta(&fs));
+        }
+        assert_eq!(recovered.stats(), fs.stats());
+        assert_eq!(recovered.free_blocks(), fs.free_blocks());
+        assert_eq!(recovered.drain_events().count(), 0, "replay fires nothing");
     }
 
     #[test]

@@ -2,9 +2,10 @@
 
 use crate::extent::ExtentTree;
 
-/// A file's metadata: size, extent mappings, and a generation counter
-/// bumped on every extent change (the NVMe extent cache uses it to
-/// detect stale snapshots).
+/// A file's metadata: size, extent mappings, and two generation
+/// counters — one bumped on every extent change, one only on unmaps
+/// (the NVMe extent cache compares `unmap_generation` to detect stale
+/// snapshots).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Inode {
     /// Inode number.
@@ -13,7 +14,8 @@ pub struct Inode {
     pub size: u64,
     /// Logical→physical mappings.
     pub extents: ExtentTree,
-    /// Incremented whenever `extents` changes in any way.
+    /// Incremented whenever `extents` changes: by the blocks a map adds,
+    /// by one per unmapped range.
     pub generation: u64,
     /// Incremented only when blocks are *unmapped* (the invalidation-
     /// relevant events of §4).

@@ -2,9 +2,12 @@
 //!
 //! Metadata mutations are grouped into transactions; a crash replays
 //! only committed transactions. The journal records logical operations
-//! rather than block images — enough to rebuild the inode table, the
-//! directory, and every extent tree, which is what the recovery tests
-//! exercise.
+//! rather than block images, and a [`JournalRecord`] *is* the metadata
+//! change: the file system carries out every record with one function,
+//! live = apply + log, replay = apply. So replaying the committed
+//! records rebuilds exactly what the live operations built — inode
+//! table, directory, extent trees, generations, free space and activity
+//! counters.
 //!
 //! A record becomes durable one way only: [`Journal::log`] appends it to
 //! the running transaction, [`Journal::seal`] freezes everything logged

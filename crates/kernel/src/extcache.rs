@@ -7,19 +7,21 @@
 //!
 //! - the install ioctl snapshots the file's extents into the cache
 //!   (together with the inode's unmap generation);
-//! - tagged resubmissions translate file offsets with a binary search
-//!   over the snapshot — no file-system call, no locks;
+//! - tagged resubmissions translate file offsets with the file
+//!   system's own extent search over the snapshot — no file-system
+//!   call, no locks;
 //! - when the file system unmaps any block of the file it fires an
-//!   invalidation (see `bpfstor-fs`'s extent events); the cache entry
-//!   dies, in-flight recycled I/Os are aborted, and the application must
-//!   re-arm via the ioctl — the paper's "heavy-handed but simple"
-//!   choice, kept deliberately.
+//!   invalidation (see `bpfstor-fs`'s extent events); the snapshot dies
+//!   and leaves a tombstone, in-flight recycled I/Os of the inode are
+//!   aborted while it stands, and the application must re-arm via the
+//!   ioctl — the paper's "heavy-handed but simple" choice, kept
+//!   deliberately.
 //!
 //! Lookups also return how many blocks remain physically contiguous so
 //! the driver can detect granularity mismatches (§4: requests straddling
 //! extents fall back to the BIO path).
 
-use bpfstor_fs::Extent;
+use bpfstor_fs::{Extent, ExtentTree};
 use bpfstor_sim::IdMap;
 
 /// Counters for the extent-cache ablation.
@@ -35,10 +37,15 @@ pub struct ExtCacheStats {
     pub installs: u64,
 }
 
+/// What the cache holds for an inode: its snapshot, or the tombstone an
+/// invalidation leaves until the next install.
 #[derive(Debug, Clone)]
-struct Entry {
-    extents: Vec<Extent>,
-    unmap_generation: u64,
+enum Entry {
+    Armed {
+        extents: ExtentTree,
+        unmap_generation: u64,
+    },
+    Aborting,
 }
 
 /// The soft-state cache, keyed by inode.
@@ -57,23 +64,33 @@ impl ExtentCache {
     /// Installs (or refreshes) the snapshot for `ino`.
     pub fn install(&mut self, ino: u64, extents: Vec<Extent>, unmap_generation: u64) {
         self.stats.installs += 1;
-        self.entries.insert(
-            ino,
-            Entry {
-                extents,
-                unmap_generation,
-            },
-        );
+        let extents = ExtentTree::from(extents);
+        let entry = Entry::Armed {
+            extents,
+            unmap_generation,
+        };
+        self.entries.insert(ino, entry);
     }
 
     /// True if `ino` currently has a valid snapshot.
     pub fn is_armed(&self, ino: u64) -> bool {
-        self.entries.contains_key(&ino)
+        self.generation(ino).is_some()
+    }
+
+    /// True from an invalidation of `ino` until its next install: its
+    /// in-flight recycled I/Os must be aborted.
+    pub fn aborting(&self, ino: u64) -> bool {
+        matches!(self.entries.get(&ino), Some(Entry::Aborting))
     }
 
     /// The unmap generation the snapshot was taken at.
     pub fn generation(&self, ino: u64) -> Option<u64> {
-        self.entries.get(&ino).map(|e| e.unmap_generation)
+        match self.entries.get(&ino)? {
+            Entry::Armed {
+                unmap_generation, ..
+            } => Some(*unmap_generation),
+            Entry::Aborting => None,
+        }
     }
 
     /// Translates a logical block to `(physical block, contiguous run)`.
@@ -81,30 +98,24 @@ impl ExtentCache {
     /// `None` means the cache cannot serve the translation (no snapshot
     /// or a hole): the driver must abort the offloaded chain.
     pub fn lookup(&mut self, ino: u64, logical_block: u64) -> Option<(u64, u64)> {
-        let Some(entry) = self.entries.get(&ino) else {
-            self.stats.misses += 1;
-            return None;
+        let found = match self.entries.get(&ino) {
+            Some(Entry::Armed { extents, .. }) => extents.lookup(logical_block),
+            _ => None,
         };
-        let idx = entry
-            .extents
-            .partition_point(|e| e.logical_end() <= logical_block);
-        match entry.extents.get(idx) {
-            Some(e) if e.contains(logical_block) => {
-                self.stats.hits += 1;
-                let delta = logical_block - e.logical;
-                Some((e.physical + delta, e.len - delta))
-            }
-            _ => {
-                self.stats.misses += 1;
-                None
-            }
+        match found {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
         }
+        found
     }
 
-    /// Drops the snapshot for `ino` (file-system unmap hook). Returns
-    /// whether an entry existed.
+    /// Replaces the snapshot for `ino` with a tombstone (file-system
+    /// unmap hook), armed or not. Returns whether a snapshot existed.
     pub fn invalidate(&mut self, ino: u64) -> bool {
-        let hit = self.entries.remove(&ino).is_some();
+        let hit = matches!(
+            self.entries.insert(ino, Entry::Aborting),
+            Some(Entry::Armed { .. })
+        );
         if hit {
             self.stats.invalidations += 1;
         }
@@ -164,8 +175,15 @@ mod tests {
         assert_eq!(c.generation(5), Some(3));
         assert!(c.invalidate(5));
         assert!(!c.is_armed(5));
+        assert!(c.aborting(5));
         assert_eq!(c.lookup(5, 0), None);
         assert!(!c.invalidate(5), "second invalidate is a no-op");
+        assert_eq!(c.stats().invalidations, 1);
+        // A never-armed inode gets a tombstone too; an install clears it.
+        assert!(!c.invalidate(6));
+        assert!(c.aborting(6));
+        c.install(6, vec![ext(0, 3000, 2)], 1);
+        assert!(!c.aborting(6) && c.is_armed(6));
         assert_eq!(c.stats().invalidations, 1);
     }
 

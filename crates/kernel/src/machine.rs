@@ -150,7 +150,7 @@ use bpfstor_device::{
     SECTOR_SIZE,
 };
 use bpfstor_fs::{cut_runs, ExtFs, ExtentEvent, FsError};
-use bpfstor_sim::{Cores, EventQueue, Histogram, IdMap, IdSet, Nanos, SimRng};
+use bpfstor_sim::{Cores, EventQueue, Histogram, IdMap, Nanos, SimRng};
 use bpfstor_vm::{
     action, admit, CompiledProg, ExecEngine, ExecEnv, MapSet, Program, ResourceBudget, RunCtx, Vm,
     DEFAULT_INSN_BUDGET, EMIT_MAX, SCRATCH_SIZE,
@@ -691,7 +691,6 @@ pub struct Machine {
     /// (default off: FIFO, bit-for-bit the single-tenant behaviour).
     fair_reap: bool,
     mutations: Vec<Mutation>,
-    aborting_inos: IdSet<u64>,
     resubmit_bound: u32,
     /// Engine executing hook programs ([`MachineConfig::exec_engine`]).
     exec_engine: ExecEngine,
@@ -745,7 +744,6 @@ impl Machine {
             fair: FairSched::new(nr_queues),
             fair_reap: false,
             mutations: Vec::new(),
-            aborting_inos: IdSet::default(),
             resubmit_bound: cfg.resubmit_bound,
             exec_engine: cfg.exec_engine,
             exec_clock: cfg.exec_clock,
@@ -767,7 +765,7 @@ impl Machine {
         let ino = self.fs.create(name)?;
         let store = self.transport.device_mut().store_mut();
         self.fs.write(ino, 0, data, store)?;
-        self.fs.take_events();
+        self.fs.drain_events();
         Ok(ino)
     }
 
@@ -974,7 +972,6 @@ impl Machine {
         let (_, unmap_gen) = self.fs.generations(ino)?;
         let snapshot = self.fs.extents_snapshot(ino)?;
         self.extcache.install(ino, snapshot, unmap_gen);
-        self.aborting_inos.remove(&ino);
         Ok(())
     }
 
@@ -1158,7 +1155,6 @@ impl Machine {
         for ev in self.fs.drain_events() {
             if let ExtentEvent::Unmapped { ino, .. } = ev {
                 self.extcache.invalidate(ino);
-                self.aborting_inos.insert(ino);
             }
         }
     }
@@ -2062,7 +2058,7 @@ impl Machine {
             }
             // Mid-chain invalidation: discard recycled I/O (§4). Over a
             // fabric the target detects it and returns an error capsule.
-            (OpKind::Read, DispatchMode::DriverHook) if self.aborting_inos.contains(&op.ino) => {
+            (OpKind::Read, DispatchMode::DriverHook) if self.extcache.aborting(op.ino) => {
                 self.fail(id, ChainStatus::Invalidated, &[])
             }
             (OpKind::Read, _) => self.run_hook(id),

@@ -151,7 +151,7 @@ fn a_hop_that_cannot_recycle_still_pays_its_extent_lookup() {
             fs.write(ino, off, block, store).expect("write");
             fs.write(decoy, off, block, store).expect("write decoy");
         }
-        fs.take_events();
+        fs.drain_events();
     }
     let fd = m.open("chain.db", true).expect("open");
     m.install(fd, chase_program(), 0).expect("install");
@@ -186,7 +186,7 @@ fn a_hop_that_cannot_recycle_still_pays_its_extent_lookup() {
     let grown = &image[2 * SECTOR_SIZE..];
     fs.write(ino, 2 * SECTOR_SIZE as u64, grown, store)
         .expect("grow");
-    fs.take_events();
+    fs.drain_events();
     let mut d = chase(fd, DispatchMode::DriverHook, chains);
     let report = m.run_closed_loop(1, SECOND, &mut d);
     assert_eq!(d.outcomes.len() as u64, chains);

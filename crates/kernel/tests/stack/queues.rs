@@ -173,7 +173,7 @@ fn stale_snapshot_aborts_instead_of_healing_through_live_fs() {
         // the snapshot pushed at install time is now silently stale.
         let (fs, store) = m.fs_and_store();
         fs.relocate(ino, store).expect("relocate");
-        let _ = fs.take_events();
+        fs.drain_events();
     }
     let report = m.run_closed_loop(1, SECOND, &mut d);
     assert_eq!(d.outcomes.len(), 1);

@@ -3,7 +3,7 @@
 //! made fast — and the metadata snapshot every crash property compares
 //! two file systems by.
 
-use bpfstor::fs::{ExtFs, Extent};
+use bpfstor::fs::{ExtFs, Extent, FsStats};
 
 mod bit_allocator;
 mod blockwise_fs;
@@ -14,28 +14,40 @@ pub use blockwise_fs::Lockstep;
 pub use sector_map::SectorMap;
 
 /// Everything journal replay must reproduce: directory, sizes, extents,
-/// and the allocator's free-space accounting.
+/// both generation counters of every file, the activity counters, and
+/// the allocator's free-space accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FsMeta {
-    files: Vec<(String, u64, u64, Vec<Extent>)>,
+    files: Vec<FileMeta>,
+    stats: FsStats,
     free: u64,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct FileMeta {
+    name: String,
+    ino: u64,
+    size: u64,
+    extents: Vec<Extent>,
+    /// `(any, unmap-only)` extent-change generations.
+    generations: (u64, u64),
 }
 
 pub fn fs_meta(fs: &ExtFs) -> FsMeta {
     let files = fs
         .readdir()
         .into_iter()
-        .map(|(name, ino)| {
-            (
-                name,
-                ino,
-                fs.file_size(ino).expect("size"),
-                fs.extents_snapshot(ino).expect("extents"),
-            )
+        .map(|(name, ino)| FileMeta {
+            name,
+            ino,
+            size: fs.file_size(ino).expect("size"),
+            extents: fs.extents_snapshot(ino).expect("extents"),
+            generations: fs.generations(ino).expect("generations"),
         })
         .collect();
     FsMeta {
         files,
+        stats: fs.stats(),
         free: fs.free_blocks(),
     }
 }
