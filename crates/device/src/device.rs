@@ -10,6 +10,11 @@
 //! CQ with [`NvmeDevice::reap`]. The kernel decides *when* the
 //! interrupt fires (coalescing is host policy, not device policy).
 //!
+//! A queue pair is the one record of what it holds, on either
+//! transport: a fabric target adds each response's return crossing to
+//! its completion while it is still in flight, and the host posts and
+//! reaps the same rings it would locally.
+//!
 //! The steady-state path allocates nothing: the doorbell services
 //! straight off the SQ ring, completion instants and reaped CQEs land in
 //! buffers that keep their capacity, and a read's payload is filled into
@@ -137,15 +142,17 @@ pub struct DeviceStats {
     pub busy_ns: Nanos,
     /// Submissions rejected because the queue pair was at capacity.
     pub rejected: u64,
-    /// Doorbell rings observed.
+    /// Doorbell rings observed. On a fabric the target rings its own
+    /// doorbell once per arriving command capsule.
     pub doorbells: u64,
     /// Doorbell rings whose batch carried at least one write or flush
     /// command (the write path's MMIO footprint).
     pub write_doorbells: u64,
-    /// Non-empty reap batches drained from the CQ. In interrupt mode
-    /// every batch is one completion interrupt; in polled mode this
-    /// counts productive polls instead (the kernel's `LayerTrace::irqs`
-    /// is the authoritative hardware-interrupt count).
+    /// Non-empty reap batches the host drained from the CQ, on either
+    /// transport. In interrupt mode every batch is one completion
+    /// interrupt; in polled mode this counts productive polls instead
+    /// (the kernel's `LayerTrace::irqs` is the authoritative
+    /// hardware-interrupt count).
     pub irqs: u64,
     /// Completion-queue entries reaped.
     pub cqes: u64,
@@ -154,10 +161,11 @@ pub struct DeviceStats {
     /// Poll-loop iterations that found the completion queue empty (only
     /// a polled reaper burns these).
     pub empty_polls: u64,
-    /// High-water mark of CQEs posted and waiting to be reaped on any
-    /// queue pair. An observation only: the hybrid scheduler's load
-    /// signal is the kernel's own, the peak in-flight depth seen at
-    /// doorbell time (`RunState::load_peak` in `bpfstor_kernel`).
+    /// High-water mark of CQEs posted and waiting for the host's reap
+    /// on any queue pair, on either transport. An observation only: the
+    /// hybrid scheduler's load signal is the kernel's own, the peak
+    /// in-flight depth seen at doorbell time (`RunState::load_peak` in
+    /// `bpfstor_kernel`).
     pub cq_backlog_hwm: u64,
     /// Total doorbell→reap gap summed over reaped CQEs (mean reap
     /// latency is `reap_lag_ns / cqes`).
@@ -347,6 +355,26 @@ impl NvmeDevice {
         take
     }
 
+    /// Hands `f` the last `n` completions serviced on `qp`, in
+    /// completion order (service order on ties), before any of them is
+    /// posted: call it before the next [`NvmeDevice::post_ready`]. A
+    /// transport adds its own time to each here (a fabric's response
+    /// crossing); the CQ posts them at the instants they leave with.
+    pub(crate) fn retime_newest(
+        &mut self,
+        qp: QueuePairId,
+        n: usize,
+        f: impl FnMut(&mut NvmeCompletion),
+    ) {
+        let Some(q) = self.queues.get_mut(qp) else {
+            return;
+        };
+        let from = q.inflight.len() - n;
+        let newest = &mut q.inflight[from..];
+        newest.sort_by_key(|c| c.complete_at);
+        newest.iter_mut().for_each(f);
+    }
+
     /// Drains up to `max` entries from the completion ring onto the end
     /// of `out` (the IRQ handler's reap loop), freeing their queue
     /// slots. Returns how many were drained. The doorbell→reap gap is
@@ -389,16 +417,9 @@ impl NvmeDevice {
         self.stats.empty_polls += 1;
     }
 
-    /// Folds an externally observed completion backlog (e.g. the fabric
-    /// initiator's ready list) into the high-water mark.
-    pub fn note_cq_backlog(&mut self, backlog: usize) {
-        self.stats.cq_backlog_hwm = self.stats.cq_backlog_hwm.max(backlog as u64);
-    }
-
     /// Folds the doorbell→reap gap of CQEs reaped at host-visible time
-    /// `now` into [`DeviceStats::reap_lag_ns`]. Called where the host
-    /// observes the gap: the local reaper, or the fabric initiator (the
-    /// target's own eager drain happens at service time).
+    /// `now` into [`DeviceStats::reap_lag_ns`]. Called by the host's
+    /// reap, on either transport.
     pub fn note_reap_lag(&mut self, now: Nanos, reaped: &[NvmeCompletion]) {
         let lag = reaped.iter().map(|c| now.saturating_sub(c.rang_at));
         self.stats.reap_lag_ns = lag.fold(self.stats.reap_lag_ns, Nanos::saturating_add);
@@ -769,9 +790,7 @@ mod tests {
         d.note_reap_lag(1_000, &third);
         assert_eq!(d.stats().reap_lag_ns, 2_400);
         d.record_empty_poll();
-        d.note_cq_backlog(9);
         assert_eq!(d.stats().empty_polls, 1);
-        assert_eq!(d.stats().cq_backlog_hwm, 9, "external backlog folds in");
         // reset_timing clears the load signal with the rest of the stats.
         d.reset_timing();
         let s = d.stats();

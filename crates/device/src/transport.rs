@@ -14,7 +14,12 @@
 //!   before the target's local SQ/CQ rings service it, and each
 //!   completion returns as a response capsule over the same wire. An
 //!   in-flight-capsule window provides credit-style flow control with
-//!   its own backpressure, independent of the target ring depth.
+//!   its own backpressure, independent of the target ring depth. Past
+//!   the initiator's submission queue, the target's rings are the only
+//!   record of a queue pair: each completion waits on the device, at
+//!   its host-visible instant, until the host posts and reaps it — so
+//!   [`NvmeDevice::stats`] counts the host's reaps and backlog on both
+//!   transports.
 //!
 //! The transport also understands *pushdown* submissions
 //! ([`SubmitClass`]): a chain whose BPF program runs target-side crosses
@@ -452,12 +457,22 @@ impl LocalTransport {
     }
 }
 
-/// Empties the previous reap's batch, handing any read payloads the
-/// host left in it back to the device.
-fn recycle_batch(dev: &mut NvmeDevice, batch: &mut Vec<NvmeCompletion>) {
+/// The host's reap on either transport: empties the previous reap's
+/// `batch` (any read payloads the host left in it go back to the
+/// device), drains up to `max` CQEs of `qp` into it, and accounts their
+/// doorbell→reap gap at host-visible time `now`.
+fn host_reap(
+    dev: &mut NvmeDevice,
+    batch: &mut Vec<NvmeCompletion>,
+    now: Nanos,
+    qp: QueuePairId,
+    max: usize,
+) {
     for c in batch.drain(..) {
         dev.recycle(c.data);
     }
+    dev.reap(qp, max, batch);
+    dev.note_reap_lag(now, batch);
 }
 
 impl Transport for LocalTransport {
@@ -500,9 +515,7 @@ impl Transport for LocalTransport {
     }
 
     fn reap(&mut self, now: Nanos, qp: QueuePairId, max: usize) -> &mut Vec<NvmeCompletion> {
-        recycle_batch(&mut self.dev, &mut self.reaped);
-        self.dev.reap(qp, max, &mut self.reaped);
-        self.dev.note_reap_lag(now, &self.reaped);
+        host_reap(&mut self.dev, &mut self.reaped, now, qp, max);
         &mut self.reaped
     }
 
@@ -535,20 +548,6 @@ impl Transport for LocalTransport {
     }
 }
 
-/// Per-queue-pair initiator-side state.
-#[derive(Default)]
-struct InitiatorQueue {
-    /// Commands enqueued by the host, awaiting the next doorbell.
-    sq: Vec<(NvmeCommand, SubmitClass, usize)>,
-    /// Completions back at the host whose instant has not passed yet,
-    /// kept sorted by host-visible `complete_at`.
-    pending: Vec<NvmeCompletion>,
-    /// Posted completions ready for the IRQ handler.
-    ready: Vec<NvmeCompletion>,
-    /// Admitted and not yet host-reaped (the capsule credit budget).
-    outstanding: usize,
-}
-
 /// Per-initiator connection state.
 #[derive(Default)]
 struct InitState {
@@ -559,20 +558,33 @@ struct InitState {
     stats: InitiatorStats,
 }
 
+/// The network between initiators and target: its configuration, its
+/// randomness, and what crossed it.
+struct Wire {
+    cfg: FabricConfig,
+    rng: SimRng,
+    stats: FabricStats,
+}
+
 /// NVMe-oF initiator(s)/target: command capsules cross a modelled
 /// network, the target's real SQ/CQ rings service them, responses cross
 /// back. Deterministic given the construction RNG.
+///
+/// A queue pair's state past the initiator's submission queue is the
+/// target device's: its rings hold every admitted command until the
+/// host reaps it, so [`Transport::outstanding`], [`Transport::post_ready`]
+/// and [`Transport::reap`] read the device as they do locally.
 pub struct FabricTransport {
     dev: NvmeDevice,
-    cfg: FabricConfig,
-    rng: SimRng,
-    queues: Vec<InitiatorQueue>,
+    wire: Wire,
+    /// Per queue pair: `(command, class, initiator)` enqueued by the
+    /// host, awaiting the next doorbell.
+    sq: Vec<Vec<(NvmeCommand, SubmitClass, usize)>>,
     inits: Vec<InitState>,
     /// cid → owning initiator, for commands in flight.
     init_of: IdMap<u64, usize>,
     /// Instant the target's admission server frees up (admission mode).
     admit_free_at: Nanos,
-    stats: FabricStats,
     /// The last reaped batch.
     reaped: Vec<NvmeCompletion>,
     /// Per-doorbell scratch, empty between rings (kept for capacity).
@@ -589,8 +601,6 @@ struct BellScratch {
     crossed: Vec<(Nanos, usize, NvmeCommand)>,
     /// Commands in the order they hit the target rings.
     arrivals: Vec<(Nanos, NvmeCommand)>,
-    /// The target's CQEs, drained eagerly.
-    target_cqes: Vec<NvmeCompletion>,
     /// Host-visible completion instants of the batch.
     times: Vec<Nanos>,
 }
@@ -602,6 +612,64 @@ fn capsule_bytes(op: &NvmeOp) -> u64 {
             NvmeOp::Write { data, .. } => data.len() as u64,
             NvmeOp::Read { .. } | NvmeOp::Flush => 0,
         }
+}
+
+impl Wire {
+    /// One wire crossing: fixed target-side processing, a sampled
+    /// one-way latency, payload serialization, congestion over the
+    /// `held` capsules the target holds, and (when configured) loss with
+    /// timeout/retransmit. `payload_bytes` is the in-capsule data hauled
+    /// in this direction. A zero `loss_prob` draws exactly one sample,
+    /// preserving loss-free RNG streams.
+    fn cross(
+        &mut self,
+        to_target: bool,
+        payload_bytes: u64,
+        held: usize,
+        init: &mut InitiatorStats,
+    ) -> Nanos {
+        let cfg = &self.cfg;
+        // Queue-depth-dependent congestion: added one-way latency once
+        // the target holds more capsules than the knee tolerates.
+        let congest =
+            cfg.congestion_ns_per_capsule * held.saturating_sub(cfg.congestion_knee) as u64;
+        let mut total = cfg.target_proc_ns + payload_bytes * WIRE_NS_PER_KB / 1024 + congest;
+        loop {
+            let dist = if to_target {
+                &cfg.to_target
+            } else {
+                &cfg.to_host
+            };
+            let wire = dist.sample(&mut self.rng);
+            if cfg.loss_prob > 0.0 && self.rng.chance(cfg.loss_prob) {
+                // Lost: wait out the timeout, then retransmit (the
+                // retransmitted copy re-samples the wire). A "lost"
+                // original that was merely late also arrives and is
+                // dropped by the target's command-id dedup.
+                self.stats.lost += 1;
+                self.stats.retransmits += 1;
+                init.retransmits += 1;
+                total += cfg.retransmit_timeout_ns.max(1);
+                if cfg.dup_prob > 0.0 && self.rng.chance(cfg.dup_prob) {
+                    self.stats.dups_suppressed += 1;
+                }
+                continue;
+            }
+            total += wire;
+            break;
+        }
+        self.stats.wire_ns += total;
+        total
+    }
+
+    /// A response capsule of `payload_bytes` read data returning to the
+    /// initiator behind `init`: counted, then crossed.
+    fn respond(&mut self, payload_bytes: u64, held: usize, init: &mut InitiatorStats) -> Nanos {
+        self.stats.responses += 1;
+        init.responses += 1;
+        self.stats.bytes_rx += RSP_CAPSULE_HDR + payload_bytes;
+        self.cross(false, 0, held, init)
+    }
 }
 
 impl FabricTransport {
@@ -625,19 +693,19 @@ impl FabricTransport {
             "initiator_window 0 can never admit a capsule; use 1 for single-command windows"
         );
         check_loss(cfg.loss_prob, cfg.dup_prob);
-        let queues = (0..dev.nr_queues())
-            .map(|_| InitiatorQueue::default())
-            .collect();
+        let sq = (0..dev.nr_queues()).map(|_| Vec::new()).collect();
         let inits = (0..cfg.initiators).map(|_| InitState::default()).collect();
         FabricTransport {
             dev,
-            cfg,
-            rng,
-            queues,
+            wire: Wire {
+                cfg,
+                rng,
+                stats: FabricStats::default(),
+            },
+            sq,
             inits,
             init_of: IdMap::default(),
             admit_free_at: 0,
-            stats: FabricStats::default(),
             reaped: Vec::new(),
             bell: BellScratch::default(),
         }
@@ -651,7 +719,8 @@ impl FabricTransport {
     /// weight 1).
     fn weight(&self, init: usize) -> u64 {
         u64::from(
-            self.cfg
+            self.wire
+                .cfg
                 .initiator_weights
                 .get(init)
                 .copied()
@@ -660,51 +729,14 @@ impl FabricTransport {
         )
     }
 
-    /// Queue-depth-dependent congestion: added one-way latency once the
-    /// target holds more capsules than the knee tolerates.
-    fn congestion_penalty(&self) -> Nanos {
-        if self.cfg.congestion_ns_per_capsule == 0 {
+    /// Capsules the target holds: every queue pair's commands, from the
+    /// initiator's submission queue to the host's reap (the congestion
+    /// signal, so not counted when congestion is off).
+    fn held(&self) -> usize {
+        if self.wire.cfg.congestion_ns_per_capsule == 0 {
             return 0;
         }
-        let inflight: usize = self.queues.iter().map(|q| q.outstanding).sum();
-        self.cfg.congestion_ns_per_capsule
-            * inflight.saturating_sub(self.cfg.congestion_knee) as u64
-    }
-
-    /// One wire crossing: fixed target-side processing, a sampled
-    /// one-way latency, payload serialization, congestion, and (when
-    /// configured) loss with timeout/retransmit. `payload_bytes` is the
-    /// in-capsule data hauled in this direction. A zero `loss_prob`
-    /// draws exactly one sample, preserving loss-free RNG streams.
-    fn crossing(&mut self, dist_to_target: bool, payload_bytes: u64, init: usize) -> Nanos {
-        let serialize = payload_bytes * WIRE_NS_PER_KB / 1024;
-        let congest = self.congestion_penalty();
-        let mut total = self.cfg.target_proc_ns + serialize + congest;
-        loop {
-            let wire = if dist_to_target {
-                self.cfg.to_target.sample(&mut self.rng)
-            } else {
-                self.cfg.to_host.sample(&mut self.rng)
-            };
-            if self.cfg.loss_prob > 0.0 && self.rng.chance(self.cfg.loss_prob) {
-                // Lost: wait out the timeout, then retransmit (the
-                // retransmitted copy re-samples the wire). A "lost"
-                // original that was merely late also arrives and is
-                // dropped by the target's command-id dedup.
-                self.stats.lost += 1;
-                self.stats.retransmits += 1;
-                self.inits[init].stats.retransmits += 1;
-                total += self.cfg.retransmit_timeout_ns.max(1);
-                if self.cfg.dup_prob > 0.0 && self.rng.chance(self.cfg.dup_prob) {
-                    self.stats.dups_suppressed += 1;
-                }
-                continue;
-            }
-            total += wire;
-            break;
-        }
-        self.stats.wire_ns += total;
-        total
+        (0..self.sq.len()).map(|qp| self.outstanding(qp)).sum()
     }
 
     /// Runs one doorbell batch's command capsules through the
@@ -733,8 +765,8 @@ impl FabricTransport {
                 .expect("at least the earliest arrival qualifies");
             let (arrive, init, cmd) = waiting.remove(pick);
             self.inits[init].wrr_pass += WRR_STRIDE / self.weight(init);
-            self.stats.admit_wait_ns += t.saturating_sub(arrive);
-            self.admit_free_at = t + self.cfg.admit_ns;
+            self.wire.stats.admit_wait_ns += t.saturating_sub(arrive);
+            self.admit_free_at = t + self.wire.cfg.admit_ns;
             out.push((t, cmd));
         }
     }
@@ -746,18 +778,17 @@ impl Transport for FabricTransport {
     }
 
     fn queue_capacity(&self) -> usize {
-        self.dev.queue_capacity().min(self.cfg.inflight_cap)
+        self.dev.queue_capacity().min(self.wire.cfg.inflight_cap)
     }
 
     fn outstanding(&self, qp: QueuePairId) -> usize {
-        self.queues.get(qp).map_or(0, |q| q.outstanding)
+        self.sq
+            .get(qp)
+            .map_or(0, |sq| sq.len() + self.dev.outstanding(qp))
     }
 
     fn can_accept(&self, qp: QueuePairId, n: usize, initiator: u32, class: SubmitClass) -> bool {
-        let Some(q) = self.queues.get(qp) else {
-            return false;
-        };
-        if q.outstanding + n > self.queue_capacity() {
+        if qp >= self.sq.len() || self.outstanding(qp) + n > self.queue_capacity() {
             return false;
         }
         // Target-local submissions never cross the wire, so they hold
@@ -765,7 +796,7 @@ impl Transport for FabricTransport {
         if class == SubmitClass::TargetLocal {
             return true;
         }
-        match self.cfg.initiator_window {
+        match self.wire.cfg.initiator_window {
             Some(w) => self.inits[self.init_idx(initiator)].outstanding + n <= w,
             None => true,
         }
@@ -774,9 +805,9 @@ impl Transport for FabricTransport {
     fn record_rejection(&mut self, initiator: u32) {
         // Attribute the stall to a capsule window when one is the
         // binding constraint (the ring alone would have accepted).
-        if self.cfg.inflight_cap < self.dev.queue_capacity() || self.cfg.initiator_window.is_some()
-        {
-            self.stats.capsule_stalls += 1;
+        let cfg = &self.wire.cfg;
+        if cfg.inflight_cap < self.dev.queue_capacity() || cfg.initiator_window.is_some() {
+            self.wire.stats.capsule_stalls += 1;
             let idx = self.init_idx(initiator);
             self.inits[idx].stats.capsule_stalls += 1;
         }
@@ -790,41 +821,42 @@ impl Transport for FabricTransport {
         class: SubmitClass,
         initiator: u32,
     ) -> Result<(), QueueError> {
-        let cap = self.queue_capacity();
         let idx = self.init_idx(initiator);
-        if self.queues.get(qp).is_none() {
+        if qp >= self.sq.len() {
             return Err(QueueError::NoSuchQueue);
         }
         let holds_credit = class != SubmitClass::TargetLocal;
         let window_full = holds_credit
-            && matches!(self.cfg.initiator_window, Some(w) if self.inits[idx].outstanding >= w);
-        if self.queues[qp].outstanding >= cap || window_full {
+            && matches!(self.wire.cfg.initiator_window, Some(w) if self.inits[idx].outstanding >= w);
+        if self.outstanding(qp) >= self.queue_capacity() || window_full {
             self.record_rejection(initiator);
             return Err(QueueError::SubmissionFull);
         }
-        let q = &mut self.queues[qp];
-        q.outstanding += 1;
-        self.stats.max_inflight = self.stats.max_inflight.max(q.outstanding);
         if holds_credit {
             self.inits[idx].outstanding += 1;
             self.init_of.insert(cmd.cid, idx);
         }
-        q.sq.push((cmd, class, idx));
+        self.sq[qp].push((cmd, class, idx));
+        let inflight = self.outstanding(qp);
+        self.wire.stats.max_inflight = self.wire.stats.max_inflight.max(inflight);
         Ok(())
     }
 
     fn ring_doorbell(&mut self, now: Nanos, qp: QueuePairId) -> Result<&[Nanos], QueueError> {
-        if qp >= self.queues.len() {
+        if qp >= self.sq.len() {
             return Err(QueueError::NoSuchQueue);
         }
         self.bell.times.clear();
-        if self.queues[qp].sq.is_empty() {
+        if self.sq[qp].is_empty() {
             return Ok(&self.bell.times);
         }
+        // Congestion reads what the target held when the doorbell rang,
+        // for every crossing of this ring.
+        let held = self.held();
         // The scratch leaves `self` for the ring (the wire and admission
         // models below borrow all of it) and returns drained.
         let mut bell = std::mem::take(&mut self.bell);
-        let mut sq = std::mem::take(&mut self.queues[qp].sq);
+        let mut sq = std::mem::take(&mut self.sq[qp]);
         // Each command capsule crosses the wire on its own (NVMe-oF has
         // no doorbells on the fabric); jitter may reorder a batch, so
         // capsules hit the target's rings in arrival order.
@@ -832,36 +864,34 @@ impl Transport for FabricTransport {
             match class {
                 SubmitClass::TargetLocal => {
                     // Already on the target: no wire, no admission.
-                    self.stats.target_local += 1;
+                    self.wire.stats.target_local += 1;
                     bell.meta.insert(cmd.cid, (0, false, init));
                     bell.arrivals.push((now, cmd));
                 }
                 SubmitClass::Host | SubmitClass::PushdownStart => {
-                    self.stats.capsules_sent += 1;
                     let bytes = capsule_bytes(&cmd.op);
-                    self.stats.bytes_tx += bytes;
-                    {
-                        let is = &mut self.inits[init].stats;
-                        is.capsules_sent += 1;
-                        is.bytes_tx += bytes;
-                    }
-                    let outbound = self.crossing(true, bytes.saturating_sub(CMD_CAPSULE_HDR), init);
-                    bell.meta.insert(
-                        cmd.cid,
-                        (outbound, matches!(class, SubmitClass::Host), init),
-                    );
+                    let is = &mut self.inits[init].stats;
+                    is.capsules_sent += 1;
+                    is.bytes_tx += bytes;
+                    self.wire.stats.capsules_sent += 1;
+                    self.wire.stats.bytes_tx += bytes;
+                    let payload = bytes.saturating_sub(CMD_CAPSULE_HDR);
+                    let outbound = self.wire.cross(true, payload, held, is);
+                    let returns = class == SubmitClass::Host;
+                    bell.meta.insert(cmd.cid, (outbound, returns, init));
                     bell.crossed.push((now + outbound, init, cmd));
                 }
             }
         }
-        self.queues[qp].sq = sq;
-        if self.cfg.admit_ns == 0 {
+        self.sq[qp] = sq;
+        if self.wire.cfg.admit_ns == 0 {
             let crossed = bell.crossed.drain(..);
             bell.arrivals.extend(crossed.map(|(at, _, cmd)| (at, cmd)));
         } else {
             self.admit(&mut bell.crossed, &mut bell.arrivals);
         }
         bell.arrivals.sort_by_key(|(at, _)| *at);
+        let arrived = bell.arrivals.len();
         for (arrive, cmd) in bell.arrivals.drain(..) {
             self.dev
                 .submit(qp, cmd)
@@ -870,72 +900,48 @@ impl Transport for FabricTransport {
                 .ring_doorbell(arrive, qp)
                 .expect("queue pair exists");
         }
-        // The target's service instants are fixed at its doorbell: drain
-        // its completion ring eagerly and compute the host-visible
-        // instants (response capsules pay the return wire; target-side
-        // pushdown completions stay at their local instants).
-        self.dev.post_ready(Nanos::MAX, qp);
-        self.dev.reap(qp, usize::MAX, &mut bell.target_cqes);
-        for mut c in bell.target_cqes.drain(..) {
+        // The target's service instants are fixed at its doorbell, so
+        // each response capsule crosses back while its completion is
+        // still in flight on the target: the device posts it at its
+        // host-visible instant (target-side pushdown completions stay
+        // at their local instants).
+        self.dev.retime_newest(qp, arrived, |c| {
             let (outbound, returns, init) = bell.meta.get(&c.cid).copied().unwrap_or((0, true, 0));
             let back = if returns {
-                self.stats.responses += 1;
-                self.inits[init].stats.responses += 1;
-                self.stats.bytes_rx += RSP_CAPSULE_HDR + c.data.len() as u64;
-                self.crossing(false, 0, init)
+                let is = &mut self.inits[init].stats;
+                self.wire.respond(c.data.len() as u64, held, is)
             } else {
                 0
             };
             c.fabric_ns = outbound + back;
             c.complete_at += back;
             bell.times.push(c.complete_at);
-            self.queues[qp].pending.push(c);
-        }
+        });
         bell.meta.clear();
-        self.queues[qp].pending.sort_by_key(|c| c.complete_at);
         self.bell = bell;
         Ok(&self.bell.times)
     }
 
     fn post_ready(&mut self, now: Nanos, qp: QueuePairId) -> usize {
-        let Some(q) = self.queues.get_mut(qp) else {
-            return 0;
-        };
-        // `pending` is only appended to in ring_doorbell, which leaves
-        // it sorted by host-visible instant.
-        let take = q.pending.partition_point(|c| c.complete_at <= now);
-        q.ready.extend(q.pending.drain(..take));
-        let backlog = q.ready.len();
-        self.dev.note_cq_backlog(backlog);
-        take
+        self.dev.post_ready(now, qp)
     }
 
     fn reap(&mut self, now: Nanos, qp: QueuePairId, max: usize) -> &mut Vec<NvmeCompletion> {
-        recycle_batch(&mut self.dev, &mut self.reaped);
-        let Some(q) = self.queues.get_mut(qp) else {
-            return &mut self.reaped;
-        };
-        let take = q.ready.len().min(max);
-        self.reaped.extend(q.ready.drain(..take));
-        q.outstanding -= take;
+        host_reap(&mut self.dev, &mut self.reaped, now, qp, max);
+        // Capsule credits free at the host's reap, not at the target's
+        // completion.
         for c in &self.reaped {
             if let Some(idx) = self.init_of.remove(&c.cid) {
                 self.inits[idx].outstanding = self.inits[idx].outstanding.saturating_sub(1);
             }
         }
-        // The initiator is where the host observes the gap: the target's
-        // eager drain in `ring_doorbell` reaps at service time, so the
-        // meaningful doorbell→reap lag is measured here.
-        self.dev.note_reap_lag(now, &self.reaped);
         &mut self.reaped
     }
 
     fn response_capsule(&mut self, now: Nanos, initiator: u32) -> Option<(Nanos, Nanos)> {
         let idx = self.init_idx(initiator);
-        self.stats.responses += 1;
-        self.inits[idx].stats.responses += 1;
-        self.stats.bytes_rx += RSP_CAPSULE_HDR;
-        let wire = self.crossing(false, 0, idx);
+        let held = self.held();
+        let wire = self.wire.respond(0, held, &mut self.inits[idx].stats);
         Some((now + wire, wire))
     }
 
@@ -944,7 +950,7 @@ impl Transport for FabricTransport {
     }
 
     fn fabric_stats(&self) -> FabricStats {
-        self.stats
+        self.wire.stats
     }
 
     fn initiator_stats(&self) -> Vec<InitiatorStats> {
@@ -961,18 +967,15 @@ impl Transport for FabricTransport {
 
     fn reset_timing(&mut self) {
         self.dev.reset_timing();
-        for q in &mut self.queues {
-            q.sq.clear();
-            q.pending.clear();
-            q.ready.clear();
-            q.outstanding = 0;
+        for sq in &mut self.sq {
+            sq.clear();
         }
         for i in &mut self.inits {
             *i = InitState::default();
         }
         self.init_of.clear();
         self.admit_free_at = 0;
-        self.stats = FabricStats::default();
+        self.wire.stats = FabricStats::default();
     }
 }
 
@@ -1103,10 +1106,36 @@ mod tests {
                 .expect("submit");
         }
         assert_eq!(t.ring_doorbell(0, 0).expect("bell").len(), 4);
-        let cap = t.queues[0].sq.capacity();
+        let cap = t.sq[0].capacity();
         assert!(cap >= 4);
         assert!(t.ring_doorbell(10, 0).expect("bell").is_empty());
-        assert_eq!(t.queues[0].sq.capacity(), cap);
+        assert_eq!(t.sq[0].capacity(), cap);
+    }
+
+    /// A fabric queue pair's completions wait on the target's rings for
+    /// the host: two doorbells reap nothing, one host reap is one reap.
+    #[test]
+    fn fabric_completions_wait_on_the_target_rings_for_the_host_reap() {
+        let mut t = fabric(1_000);
+        let mut last = 0;
+        for (cid, at) in [(1, 0), (2, 500)] {
+            t.submit(0, read_cmd(cid), SubmitClass::Host, 0)
+                .expect("submit");
+            last = *t.ring_doorbell(at, 0).expect("bell").last().expect("one");
+        }
+        let s = t.device().stats();
+        assert_eq!(
+            (s.doorbells, s.cqes, s.irqs),
+            (2, 0, 0),
+            "nothing reaped yet"
+        );
+        assert_eq!(t.outstanding(0), 2);
+        assert_eq!(t.post_ready(last, 0), 2);
+        assert_eq!(t.device().stats().cq_backlog_hwm, 2, "the host's backlog");
+        assert_eq!(t.reap(last, 0, usize::MAX).len(), 2);
+        let s = t.device().stats();
+        assert_eq!((s.cqes, s.irqs), (2, 1), "one host reap");
+        assert_eq!(t.outstanding(0), 0);
     }
 
     #[test]

@@ -1413,6 +1413,26 @@ impl Machine {
             commit.fsyncs += t.fsyncs;
             commit.barrier_joins += t.barrier_joins;
         }
+        // The queue pair's laws, on both transports: every command the
+        // device serviced was reaped once by the host, for one tenant,
+        // and every device reap was an interrupt or a productive poll.
+        let device = self.transport.device().stats();
+        let tenant_cqes: u64 = self.run.tstats.iter().map(|t| t.cqes).sum();
+        debug_assert_eq!(
+            [device.cqes, tenant_cqes, trace.ios],
+            [self.run.ios; 3],
+            "device, tenant and trace CQEs != ios"
+        );
+        debug_assert_eq!(
+            device.reads + device.writes + device.flushes,
+            self.run.ios,
+            "device commands != ios"
+        );
+        debug_assert_eq!(
+            device.irqs + device.empty_polls,
+            trace.irqs + trace.polls,
+            "device reaps != interrupts + productive polls"
+        );
         RunReport {
             sim_time,
             chains,
@@ -1426,7 +1446,7 @@ impl Machine {
             fsync_latency,
             cpu_util: self.cores.utilization(sim_time),
             device_util: self.transport.device().utilization(sim_time),
-            device: self.transport.device().stats(),
+            device,
             fabric: self.transport.fabric_stats(),
             fabric_initiators: self.transport.initiator_stats(),
             trace,

@@ -52,7 +52,7 @@ pub enum ReapKind {
 pub struct PollConfig {
     /// Gap between poll-loop visits to a queue pair. Each visit costs
     /// `LayerCosts::poll_loop` on the owning core, so the idle duty
-    /// cycle is `poll_loop / interval_ns`.
+    /// cycle is `poll_loop / interval_ns`. At least 1.
     pub interval_ns: Nanos,
 }
 
@@ -68,7 +68,7 @@ impl Default for PollConfig {
 pub struct AdaptiveIrqConfig {
     /// Lower bound on the aggregation threshold (≥ 1).
     pub min_depth: u32,
-    /// Upper bound on the aggregation threshold.
+    /// Upper bound on the aggregation threshold (≥ `min_depth`).
     pub max_depth: u32,
     /// Latency budget in microseconds: a pending CQE fires an interrupt
     /// at most this long after it is posted, whatever the threshold.
@@ -95,9 +95,10 @@ pub struct HybridConfig {
     /// Switch to polling when the windowed mean in-flight depth reaches
     /// this many commands.
     pub high_watermark: usize,
-    /// Switch back to interrupts when it falls to this many or fewer.
+    /// Switch back to interrupts when it falls to this many or fewer
+    /// (below `high_watermark`).
     pub low_watermark: usize,
-    /// Sliding-window length in reap-time load samples.
+    /// Sliding-window length in reap-time load samples (≥ 1).
     pub window: usize,
     /// Hysteresis: samples to ignore after a transition before the next
     /// switch is allowed (keeps the scheduler from flapping).
@@ -237,6 +238,13 @@ impl Reaper {
     /// ("fire immediately"): a depth that can never be reached would
     /// silently disable depth-based firing. The session builder rejects
     /// 0 outright so misconfiguration is loud.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a mode that cannot run as written: a zero
+    /// [`PollConfig::interval_ns`] or [`HybridConfig::window`], a
+    /// [`HybridConfig::low_watermark`] not below `high_watermark`, a zero
+    /// [`AdaptiveIrqConfig::min_depth`], or a `max_depth` below it.
     pub fn new(mode: ReapMode, nr_queues: usize, static_ns: Nanos, static_depth: u32) -> Self {
         // What each mode turns on: rate-adaptive interrupt parameters
         // (else the static knobs), a poller, load-driven switching. A
@@ -248,7 +256,37 @@ impl Reaper {
             ReapMode::Polled(p) => (None, Some(p), None),
             ReapMode::Hybrid(c) => (Some(c.irq), Some(c.poll), Some(c)),
         };
-        let start_depth = irq.map_or(static_depth, |c| c.min_depth).max(1);
+        if let Some(c) = irq {
+            assert!(
+                c.min_depth >= 1,
+                "min_depth 0 can never fire; use 1 to fire per CQE"
+            );
+            assert!(
+                c.max_depth >= c.min_depth,
+                "max_depth {} is below min_depth {}",
+                c.max_depth,
+                c.min_depth
+            );
+        }
+        if let Some(p) = poll {
+            assert!(
+                p.interval_ns >= 1,
+                "interval_ns 0 polls without end; use 1 or more"
+            );
+        }
+        if let Some(h) = hybrid {
+            assert!(
+                h.window >= 1,
+                "window 0 holds no load sample; use 1 or more"
+            );
+            assert!(
+                h.low_watermark < h.high_watermark,
+                "low_watermark {} must be below high_watermark {}: the scheduler would flap",
+                h.low_watermark,
+                h.high_watermark
+            );
+        }
+        let start_depth = irq.map_or(static_depth.max(1), |c| c.min_depth);
         let policy = Policy {
             // The hybrid pair starts interrupt-driven and earns its
             // poller under load.
@@ -258,8 +296,8 @@ impl Reaper {
             },
             start_depth,
             irq_budget_ns: irq.map_or(static_ns, |c| c.budget_us.saturating_mul(1_000)),
-            max_depth: irq.map(|c| c.max_depth.max(start_depth)),
-            poll_interval_ns: poll.unwrap_or_default().interval_ns.max(1),
+            max_depth: irq.map(|c| c.max_depth),
+            poll_interval_ns: poll.unwrap_or_default().interval_ns,
             hybrid,
         };
         let mut r = Reaper {
@@ -280,7 +318,7 @@ impl Reaper {
             depth: self.policy.start_depth,
             avg_gap: 0,
             last_reap_at: 0,
-            window: vec![0; self.policy.hybrid.map_or(0, |h| h.window.max(1))],
+            window: vec![0; self.policy.hybrid.map_or(0, |h| h.window)],
             window_pos: 0,
             window_len: 0,
             dwell_left: 0,
@@ -443,7 +481,7 @@ impl Reaper {
         // watermark of 4 trips on sustained ~4-deep pressure instead of
         // being defeated by integer truncation.
         let sum = q.window[..].iter().take(q.window_len).sum::<usize>();
-        let n = q.window_len.max(1);
+        let n = q.window_len;
         let avg = (sum + n / 2) / n;
         let to = match q.active {
             ReapKind::Interrupt if avg >= high => ReapKind::Polled,
@@ -607,6 +645,54 @@ mod tests {
         let mut r = Reaper::new(ReapMode::Interrupt, 1, 0, 0);
         r.note_doorbell(0, &[500]);
         assert_eq!(r.arm_irq(0), Some(500), "depth 0 behaves like depth 1");
+    }
+
+    #[test]
+    #[should_panic(expected = "interval_ns 0 polls without end")]
+    fn zero_poll_interval_panics() {
+        Reaper::new(ReapMode::Polled(PollConfig { interval_ns: 0 }), 1, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "window 0 holds no load sample")]
+    fn zero_hybrid_window_panics() {
+        let cfg = HybridConfig {
+            window: 0,
+            ..HybridConfig::default()
+        };
+        Reaper::new(ReapMode::Hybrid(cfg), 1, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "low_watermark 4 must be below high_watermark 4")]
+    fn hybrid_watermarks_that_do_not_straddle_panic() {
+        let cfg = HybridConfig {
+            low_watermark: 4,
+            high_watermark: 4,
+            ..HybridConfig::default()
+        };
+        Reaper::new(ReapMode::Hybrid(cfg), 1, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "min_depth 0 can never fire")]
+    fn zero_adaptive_min_depth_panics() {
+        let cfg = AdaptiveIrqConfig {
+            min_depth: 0,
+            ..AdaptiveIrqConfig::default()
+        };
+        Reaper::new(ReapMode::AdaptiveIrq(cfg), 1, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_depth 2 is below min_depth 4")]
+    fn adaptive_max_depth_below_min_depth_panics() {
+        let cfg = AdaptiveIrqConfig {
+            min_depth: 4,
+            max_depth: 2,
+            budget_us: 8,
+        };
+        Reaper::new(ReapMode::AdaptiveIrq(cfg), 1, 0, 1);
     }
 
     #[test]

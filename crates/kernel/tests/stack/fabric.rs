@@ -124,6 +124,49 @@ fn fabric_capsule_window_backpressures_and_recovers() {
 }
 
 #[test]
+fn queue_pair_counters_reconcile_on_both_transports() {
+    // `RunReport::device` counts the host's side of the queue pair on
+    // either transport: every CQE reaped once for one tenant, every
+    // device reap one interrupt or one productive poll — coalesced,
+    // per-CQE or polled, with or without pushdown.
+    let coalesced = |transport| MachineConfig {
+        transport,
+        irq_coalesce_us: 8,
+        irq_coalesce_depth: 8,
+        ..MachineConfig::default()
+    };
+    let local = coalesced(TransportConfig::Local);
+    let fabric = coalesced(TransportConfig::Fabric(exact_link(20_000)));
+    let per_cqe = fabric_cfg(20_000);
+    let polled = MachineConfig {
+        reap_mode: ReapMode::Polled(PollConfig::default()),
+        ..fabric_cfg(20_000)
+    };
+    let worlds = [
+        ("local, coalesced", local, DispatchMode::User),
+        ("fabric, coalesced", fabric, DispatchMode::Remote),
+        ("fabric, per CQE", per_cqe, DispatchMode::DriverHook),
+        ("fabric, polled", polled, DispatchMode::Remote),
+    ];
+    for (world, cfg, mode) in worlds {
+        let (mut m, mut d) = setup_with(cfg, 4, mode);
+        d.state.count = 64;
+        let r = m.run_uring(1, 16, SECOND, &mut d);
+        assert_eq!(d.outcomes.len(), 64, "{world}");
+        assert!(d.outcomes.iter().all(|o| o.status.is_ok()), "{world}");
+        let dev = r.device;
+        let tenant_cqes: u64 = r.tenants.iter().map(|t| t.cqes).sum();
+        assert_eq!([dev.cqes, tenant_cqes, r.trace.ios], [r.ios; 3], "{world}");
+        assert_eq!(dev.reads + dev.writes + dev.flushes, r.ios, "{world}");
+        assert_eq!(
+            dev.irqs,
+            r.trace.irqs + r.trace.polls - dev.empty_polls,
+            "{world}: device reaps vs kernel interrupts + productive polls"
+        );
+    }
+}
+
+#[test]
 fn write_flush_chase_meters_the_fairness_budget() {
     // resubmit_bound 1 permits no kernel-side dependent resubmission:
     // the fsync flush chase (data CQEs → flush barrier) must trip it.
