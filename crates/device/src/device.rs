@@ -163,9 +163,8 @@ pub struct DeviceStats {
     pub empty_polls: u64,
     /// High-water mark of CQEs posted and waiting for the host's reap
     /// on any queue pair, on either transport. An observation only: the
-    /// hybrid scheduler's load signal is the kernel's own, the peak
-    /// in-flight depth seen at doorbell time (`RunState::load_peak` in
-    /// `bpfstor_kernel`).
+    /// hybrid scheduler's load signal is the kernel reaper's own, the
+    /// peak in-flight depth seen at doorbell time.
     pub cq_backlog_hwm: u64,
     /// Total doorbell→reap gap summed over reaped CQEs (mean reap
     /// latency is `reap_lag_ns / cqes`).
@@ -353,6 +352,16 @@ impl NvmeDevice {
         let backlog = q.cq.len() as u64;
         self.stats.cq_backlog_hwm = self.stats.cq_backlog_hwm.max(backlog);
         take
+    }
+
+    /// The instant `qp`'s `k`-th in-flight completion posts, counting in
+    /// the order [`NvmeDevice::post_ready`] posts them (completion order,
+    /// service order on ties); `None` past the in-flight count. On a
+    /// fabric the instant already carries the response crossing.
+    pub fn due(&mut self, qp: QueuePairId, k: usize) -> Option<Nanos> {
+        let q = self.queues.get_mut(qp)?;
+        q.inflight.sort_by_key(|c| c.complete_at);
+        q.inflight.get(k).map(|c| c.complete_at)
     }
 
     /// Hands `f` the last `n` completions serviced on `qp`, in
@@ -597,12 +606,33 @@ mod tests {
 
     #[test]
     fn doorbell_batches_and_cq_posts_in_time_order() {
-        let mut d = dev(500, 2);
+        // Reads take 500 ns, writes 100 ns: a write serviced after the
+        // reads can complete before the last of them.
+        let profile = DeviceProfile {
+            write_latency: LatencyDist::Constant(100),
+            ..fixed_profile(500, 2)
+        };
+        let mut d = NvmeDevice::new(profile, 1, SimRng::seed(1));
         for i in 0..3 {
             d.submit(0, read_cmd(i, i)).expect("enqueue");
         }
         let times = d.ring_doorbell(0, 0).expect("doorbell");
         assert_eq!(times, [500, 500, 1_000]);
+        let write = NvmeOp::Write {
+            slba: 9,
+            data: vec![0u8; SECTOR_SIZE],
+        };
+        d.submit(0, NvmeCommand { cid: 3, op: write })
+            .expect("enqueue");
+        // Channel 1 frees at 500: the write completes at 600, between
+        // the tied reads and the third.
+        assert_eq!(d.ring_doorbell(0, 0).expect("doorbell"), [600]);
+        let due: Vec<_> = (0..5).map(|k| d.due(0, k)).collect();
+        assert_eq!(
+            due,
+            [Some(500), Some(500), Some(600), Some(1_000), None],
+            "completion order; nothing past the in-flight count"
+        );
         // Nothing is visible before its completion instant.
         assert_eq!(d.post_ready(499, 0), 0);
         assert_eq!(d.queues[0].cq.len(), 0);
@@ -614,9 +644,15 @@ mod tests {
             vec![0, 1],
             "ties keep service order"
         );
-        // ...and the queued third posts at its own instant.
-        assert_eq!(d.post_ready(1_000, 0), 1);
-        assert_eq!(reap_all(&mut d)[0].cid, 2);
+        // ...and the in-flight list now starts at the first unposted one.
+        assert_eq!(
+            (d.due(0, 0), d.due(0, 1), d.due(0, 2)),
+            (Some(600), Some(1_000), None)
+        );
+        assert_eq!(d.post_ready(1_000, 0), 2);
+        let rest = reap_all(&mut d);
+        assert_eq!(rest.iter().map(|c| c.cid).collect::<Vec<_>>(), vec![3, 2]);
+        assert_eq!(d.due(0, 0), None);
     }
 
     #[test]

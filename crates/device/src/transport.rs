@@ -1098,6 +1098,33 @@ mod tests {
         }
     }
 
+    /// On a jittered fabric a doorbell's instants come back in the
+    /// target's completion order, each with its own response crossing:
+    /// the device's in-flight list yields the same instants, sorted.
+    #[test]
+    fn due_on_a_fabric_carries_the_response_crossing() {
+        let cfg = FabricConfig::symmetric(2_000, 1_500);
+        let mut t = FabricTransport::new(dev(8), cfg, SimRng::seed(3));
+        for cid in 0..6 {
+            t.submit(0, read_cmd(cid), SubmitClass::Host, 0)
+                .expect("submit");
+        }
+        let mut times = t.ring_doorbell(0, 0).expect("bell").to_vec();
+        // A crossing is at least 500 ns of target processing plus 500 ns
+        // of wire, each way.
+        assert!(
+            times.iter().all(|&at| at >= SVC + 2 * 1_000),
+            "every instant crossed out and back: {times:?}"
+        );
+        assert!(!times.is_sorted(), "jitter reorders the responses");
+        times.sort_unstable();
+        let due: Vec<_> = (0..=times.len())
+            .map(|k| t.device_mut().due(0, k))
+            .collect();
+        let want: Vec<_> = times.iter().copied().map(Some).chain([None]).collect();
+        assert_eq!(due, want);
+    }
+
     #[test]
     fn empty_doorbell_keeps_the_fabric_sq_buffer() {
         let mut t = fabric(1_000);

@@ -59,7 +59,7 @@
 //! | `AppStart` | `on_app_start` → `start_chain`, or `uring_enter` | the [`ChainDriver`], `rng` |
 //! | `DevSubmit` | `on_dev_submit`, at every attempt: a flush as it is; else (a write's first attempt → `plan_write`) → `translate` → `submit_segments` → `Op::cut` | `fs`, [`ExtentCache`], `SqAdmission`, the [`Transport`] |
 //! | `Doorbell` | `on_doorbell` | [`Transport`], [`Reaper`] |
-//! | `IrqFire`, `Poll` | `on_irq_fire`, `on_poll` → `reap_qp` → `on_cqe` → `on_device_done` (a data CQE → `enter_flush_phase`, a flush CQE → `on_barrier_cqe`) | [`Reaper`], `FairSched`, `SqAdmission`, `Barrier` |
+//! | `IrqFire`, `Poll` | `on_irq_fire`, `on_poll` → `reap_qp` → (`fair_order`) → `on_cqe` (the command id is the request's tag) → `on_device_done` (a data CQE → `enter_flush_phase`, a flush CQE → `on_barrier_cqe`) | [`Reaper`] (an interrupt arms on the device's in-flight completions), `FairSched` (weights from `tenants`), `SqAdmission`, `Barrier` |
 //! | `Delivered` | `on_delivered` (→ `restart_chain`) | the [`ChainDriver`] |
 //! | `CapsuleRx` | `on_capsule_rx` → `unwind` | costs only |
 //! | `Mutate` | `on_mutate` | `fs`, [`ExtentCache`] |
@@ -540,6 +540,18 @@ impl Op {
     }
 }
 
+/// A command's id is its request's tag, as the NVMe command id is the
+/// blk-mq tag: the op's slot and the segment's index. An op has one
+/// request in flight at a time, so no two in-flight commands share one.
+fn tag(op: usize, seg: usize) -> u64 {
+    (op as u64) << 32 | seg as u64
+}
+
+/// The op slot and segment index a command id names ([`tag`]).
+fn untag(cid: u64) -> (usize, usize) {
+    ((cid >> 32) as usize, cid as u32 as usize)
+}
+
 /// A spec's argument and whether it is a write: what is left to say of
 /// a chain once [`Machine::start_chain`] has consumed its spec and
 /// found no descriptor.
@@ -611,7 +623,7 @@ struct RunState {
     trace: LayerTrace,
     lat_read: Histogram,
     lat_write: Histogram,
-    /// Device commands submitted — also the command-id allocator.
+    /// Device commands submitted.
     ios: u64,
     rearm_retries: u64,
     /// Per-tenant counters (index = tenant id).
@@ -619,19 +631,12 @@ struct RunState {
     /// §4 resubmissions keyed `[tenant][thread]`; the per-thread and
     /// per-tenant views are its column and row sums.
     resub: Vec<Vec<u64>>,
-    /// In-flight command id → (op slot, segment index).
-    cid_map: IdMap<u64, (usize, usize)>,
     /// Monotone counter salting the per-chain RNG forks of the uring
     /// path, so every SQE in a batch draws an independent stream.
     rng_streams: u64,
     /// Per-queue-pair: is a doorbell event already scheduled? Submits
     /// that land at the same instant share one MMIO write.
     doorbell_armed: Vec<bool>,
-    /// Peak in-flight depth seen at doorbell time since the last
-    /// productive reap: the hybrid scheduler's load signal. Sampling
-    /// the instantaneous residue at reap time instead would read a
-    /// promptly-polled queue as idle and a coalesced one as busy.
-    load_peak: Vec<usize>,
     /// Commits absorbed so far (`fsyncs` and `barrier_joins` are filled
     /// from the tenants at the end of the run).
     commit_log: CommitLog,
@@ -643,11 +648,10 @@ impl RunState {
             until,
             tstats: (0..)
                 .zip(tenants)
-                .map(|(t, l)| TenantBreakdown::fresh(t, l.weight.max(1)))
+                .map(|(t, l)| TenantBreakdown::fresh(t, l.weight))
                 .collect(),
             resub: vec![Vec::new(); tenants.len()],
             doorbell_armed: vec![false; nr_queues],
-            load_peak: vec![0; nr_queues],
             ..RunState::default()
         }
     }
@@ -677,15 +681,15 @@ pub struct Machine {
     free_ops: Vec<usize>,
     spares: Spares,
     threads: Vec<ThreadState>,
-    /// The completion-reaping state machine: per-queue-pair pending
-    /// instants, armed timers, adaptive coalescing, hybrid scheduling.
+    /// The completion-reaping state machine: per-queue-pair armed
+    /// timers, adaptive coalescing, hybrid scheduling.
     reaper: Reaper,
     /// Tenant SQ slot budgets and the submissions parked on them (or on
     /// device backpressure).
     admission: SqAdmission,
     /// Registered tenants; index = [`TenantId`]. Tenant 0 always exists.
     tenants: Vec<TenantLimits>,
-    /// Deficit-round-robin state for weighted fair reaping.
+    /// Weighted fair reaping's per-queue-pair cursors.
     fair: FairSched,
     /// Whether reap batches are reordered by the fair scheduler
     /// (default off: FIFO, bit-for-bit the single-tenant behaviour).
@@ -813,15 +817,20 @@ impl Machine {
     /// Registers a tenant with its resource limits, returning its id.
     /// Tenant 0 (default limits) exists from construction; re-limiting
     /// it goes through [`Machine::set_tenant_limits`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero [`TenantLimits::weight`].
     pub fn register_tenant(&mut self, limits: TenantLimits) -> TenantId {
         let id = self.tenants.len() as TenantId;
-        self.tenants.push(limits);
+        let default = TenantLimits::default();
+        self.tenants.push(default);
         self.run
             .tstats
-            .push(TenantBreakdown::fresh(id, limits.weight.max(1)));
+            .push(TenantBreakdown::fresh(id, default.weight));
         self.run.resub.push(Vec::new());
         self.admission.add_tenant();
-        self.fair.set_weight(id as usize, limits.weight);
+        self.set_tenant_limits(id, limits);
         id
     }
 
@@ -830,13 +839,18 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics on an unregistered tenant.
+    /// Panics on an unregistered tenant or a zero
+    /// [`TenantLimits::weight`].
     pub fn set_tenant_limits(&mut self, tenant: TenantId, limits: TenantLimits) {
         let t = tenant as usize;
         assert!(t < self.tenants.len(), "tenant {tenant} not registered");
+        // A tenant whose turns bank no credit would never be reaped.
+        assert!(
+            limits.weight >= 1,
+            "TenantLimits::weight 0 never earns a reap turn"
+        );
         self.tenants[t] = limits;
-        self.run.tstats[t].weight = limits.weight.max(1);
-        self.fair.set_weight(t, limits.weight);
+        self.run.tstats[t].weight = limits.weight;
     }
 
     /// Number of registered tenants (≥ 1: tenant 0 always exists).
@@ -1433,6 +1447,37 @@ impl Machine {
             trace.irqs + trace.polls,
             "device reaps != interrupts + productive polls"
         );
+        // The wire's laws (all zero locally): every command crossed as a
+        // capsule or was already on the target, the initiators split
+        // the fabric's counters between them, and every lost crossing
+        // was retransmitted.
+        let (fabric, inits) = (
+            self.transport.fabric_stats(),
+            self.transport.initiator_stats(),
+        );
+        debug_assert_eq!(
+            fabric.capsules_sent + fabric.target_local,
+            if self.fabric { self.run.ios } else { 0 },
+            "capsules sent + target-local != ios"
+        );
+        debug_assert_eq!(
+            inits.iter().fold([0; 5], |s, i| [
+                s[0] + i.capsules_sent,
+                s[1] + i.responses,
+                s[2] + i.retransmits,
+                s[3] + i.bytes_tx,
+                s[4] + i.capsule_stalls,
+            ]),
+            [
+                fabric.capsules_sent,
+                fabric.responses,
+                fabric.retransmits,
+                fabric.bytes_tx,
+                fabric.capsule_stalls,
+            ],
+            "Σ initiator capsules, responses, retransmits, bytes, stalls != the fabric's"
+        );
+        debug_assert_eq!(fabric.lost, fabric.retransmits, "lost != retransmitted");
         RunReport {
             sim_time,
             chains,
@@ -1447,8 +1492,8 @@ impl Machine {
             cpu_util: self.cores.utilization(sim_time),
             device_util: self.transport.device().utilization(sim_time),
             device,
-            fabric: self.transport.fabric_stats(),
-            fabric_initiators: self.transport.initiator_stats(),
+            fabric,
+            fabric_initiators: inits,
             trace,
             extcache: self.extcache.stats(),
             resubmissions,
@@ -1529,6 +1574,7 @@ impl Machine {
     /// failed before admission drops its payload here, with the op.
     fn free_op(&mut self, id: usize) {
         let op = self.ops[id].take().expect("op exists");
+        debug_assert_eq!(op.segs_pending, 0, "an op retired under its in-flight tags");
         debug_assert!(
             self.spares.cmds.is_empty(),
             "a cut command outlived its submission"
@@ -1803,9 +1849,8 @@ impl Machine {
                 }
                 NvmeOp::Flush => ts.dev_flushes += 1,
             }
-            let cid = self.run.ios;
             self.run.ios += 1;
-            self.run.cid_map.insert(cid, (id, seg));
+            let cid = tag(id, seg);
             self.transport
                 .submit(qp, NvmeCommand { cid, op: cmd }, class, tenant)
                 .expect("capacity checked above");
@@ -1881,20 +1926,20 @@ impl Machine {
         if times.is_empty() {
             return;
         }
-        self.reaper.note_doorbell(qp, times);
-        let depth = self.transport.outstanding(qp);
-        self.run.load_peak[qp] = self.run.load_peak[qp].max(depth);
+        self.reaper
+            .note_doorbell(qp, self.transport.outstanding(qp));
         self.arm_reap(qp);
     }
 
     /// Arms whichever reaping mechanism is live on `qp`: the coalescing
-    /// interrupt timer from its pending completion instants, or the
-    /// next poller visit (pollers park on an idle queue pair; the next
-    /// doorbell wakes them).
+    /// interrupt timer from the device's in-flight completion instants,
+    /// or the next poller visit (pollers park on an idle queue pair;
+    /// the next doorbell wakes them).
     fn arm_reap(&mut self, qp: usize) {
         match self.reaper.active(qp) {
             ReapKind::Interrupt => {
-                if let Some(fire) = self.reaper.arm_irq(qp) {
+                let dev = self.transport.device_mut();
+                if let Some(fire) = self.reaper.arm_irq(qp, |k| dev.due(qp, k)) {
                     self.events.push(fire, Ev::IrqFire { qp });
                 }
             }
@@ -1935,20 +1980,14 @@ impl Machine {
             self.on_cqe(c);
         }
         self.spares.cqes = cqes;
-        // One hybrid-scheduler load sample: the peak doorbell-time
-        // depth since the last productive reap (floored by what this
-        // reap drained plus the residue). The peak resets only on
-        // productive reaps so idle poll visits re-observe recent
-        // pressure instead of reporting a spurious lull.
-        let load = self.run.load_peak[qp].max(self.transport.outstanding(qp) + reaped);
+        let residue = self.transport.outstanding(qp);
         if reaped > 0 {
             // Freed queue slots un-park stalled submissions.
             for &id in self.admission.drain_round_robin(qp) {
                 self.events.push(self.now, Ev::DevSubmit { op: id });
             }
-            self.run.load_peak[qp] = 0;
         }
-        self.reaper.note_reap(self.now, qp, reaped, load, via);
+        self.reaper.note_reap(self.now, qp, reaped, residue, via);
         reaped
     }
 
@@ -1960,15 +1999,20 @@ impl Machine {
         if !self.fair_reap || cqes.len() <= 1 {
             return;
         }
-        let (cid_map, ops) = (&self.run.cid_map, &self.ops);
+        let (ops, tenants) = (&self.ops, &self.tenants);
         let tenant_of = |c: &NvmeCompletion| {
-            let op = cid_map.get(&c.cid).and_then(|&(id, _)| ops[id].as_ref());
-            op.map_or(DEFAULT_TENANT, |op| op.tenant)
+            let op = ops[untag(c.cid).0]
+                .as_ref()
+                .expect("a CQE's tag names a live op");
+            let t = op.tenant as usize;
+            (t, tenants[t].weight)
         };
         // `order[i]` is the batch index served `i`-th. Walk each cycle
         // of the permutation, swapping the wanted CQE into place and
         // marking the slot settled (`order[i] == i`).
-        let order = self.fair.order(qp, cqes.iter().map(tenant_of));
+        let order = self
+            .fair
+            .order(qp, tenants.len(), cqes.iter().map(tenant_of));
         for i in 0..order.len() {
             let mut at = i;
             while order[at] != i {
@@ -2021,12 +2065,8 @@ impl Machine {
     /// One reaped CQE: fill the op's segment slot; when the last
     /// segment lands, assemble the buffer and run the completion path.
     fn on_cqe(&mut self, c: NvmeCompletion) {
-        let Some((id, seg)) = self.run.cid_map.remove(&c.cid) else {
-            return;
-        };
-        let Some(op) = self.ops[id].as_mut() else {
-            return;
-        };
+        let (id, seg) = untag(c.cid);
+        let op = self.ops[id].as_mut().expect("a CQE's tag names a live op");
         // Time on the wire (fabric only) is accounted apart from the
         // device bucket so Table 1's device row stays a device row.
         let wire = c.fabric_ns;

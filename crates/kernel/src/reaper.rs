@@ -28,13 +28,14 @@
 //!   [`HybridConfig::low_watermark`]. A dwell counter enforces
 //!   hysteresis so the pair cannot flap on every sample.
 //!
-//! The [`Reaper`] owns the per-queue-pair state machine (pending
-//! completion instants, armed timers, adaptive depth, the hybrid
-//! window); the [`Machine`](crate::machine::Machine) keeps what it
-//! always had — event scheduling, CPU charging, and the reap itself —
-//! and consults the reaper for *when* and *by which mechanism*.
-
-use std::collections::VecDeque;
+//! The [`Reaper`] owns the per-queue-pair state machine (armed
+//! timers, adaptive depth, the hybrid load signal and window); the
+//! [`Machine`](crate::machine::Machine) keeps what it always had —
+//! event scheduling, CPU charging, and the reap itself — and consults
+//! the reaper for *when* and *by which mechanism*. The reaper keeps no
+//! copy of the queue pair: an interrupt timer arms on the device's
+//! in-flight completion instants
+//! ([`NvmeDevice::due`](bpfstor_device::NvmeDevice::due)).
 
 use bpfstor_sim::Nanos;
 
@@ -172,9 +173,6 @@ pub struct ReaperStats {
 /// Per-queue-pair reaping state.
 #[derive(Debug)]
 struct QpReap {
-    /// Completion instants of serviced commands not yet reaped, sorted
-    /// ascending (the driver learns them when it rings the doorbell).
-    pending: Vec<Nanos>,
     /// The armed interrupt timer; `Ev::IrqFire` events that do not match
     /// are stale and ignored.
     irq_at: Option<Nanos>,
@@ -190,6 +188,11 @@ struct QpReap {
     avg_gap: Nanos,
     /// Instant of the last productive interrupt reap (EWMA clock).
     last_reap_at: Nanos,
+    /// Peak in-flight depth seen at doorbell time since the last
+    /// productive reap: the hybrid scheduler's load signal. Sampling
+    /// the instantaneous residue at reap time instead would read a
+    /// promptly-polled queue as idle and a coalesced one as busy.
+    load_peak: usize,
     /// Sliding window of in-flight depth samples (hybrid only).
     window: Vec<usize>,
     /// Next slot to overwrite in `window`.
@@ -211,7 +214,7 @@ struct Policy {
     /// unless `max_depth` lets the rate controller widen it.
     start_depth: u32,
     /// An armed interrupt fires at most this long after the first
-    /// pending CQE.
+    /// in-flight completion posts.
     irq_budget_ns: Nanos,
     /// Rate-adaptive coalescing: the threshold moves between
     /// `start_depth` and this. `None`: the threshold is static.
@@ -311,13 +314,13 @@ impl Reaper {
 
     fn fresh_qp(&self) -> QpReap {
         QpReap {
-            pending: Vec::new(),
             irq_at: None,
             poll_at: None,
             active: self.policy.start,
             depth: self.policy.start_depth,
             avg_gap: 0,
             last_reap_at: 0,
+            load_peak: 0,
             window: vec![0; self.policy.hybrid.map_or(0, |h| h.window)],
             window_pos: 0,
             window_len: 0,
@@ -348,27 +351,33 @@ impl Reaper {
         &self.stats
     }
 
-    /// Records completion instants learned at a doorbell ring.
-    pub fn note_doorbell(&mut self, qp: usize, times: &[Nanos]) {
+    /// Records the in-flight `depth` of `qp` after a doorbell ring (the
+    /// hybrid scheduler's load signal keeps its peak).
+    pub fn note_doorbell(&mut self, qp: usize, depth: usize) {
         let q = &mut self.qps[qp];
-        q.pending.extend_from_slice(times);
-        q.pending.sort_unstable();
+        q.load_peak = q.load_peak.max(depth);
     }
 
-    /// (Re-)arms the interrupt timer for `qp` from its pending instants:
-    /// the interrupt fires when the aggregation threshold is reached, or
-    /// the coalescing budget after the first CQE, whichever is earlier.
-    /// Returns the fire instant when a new `Ev::IrqFire` must be pushed
-    /// (an already-armed matching timer returns `None`).
-    pub fn arm_irq(&mut self, qp: usize) -> Option<Nanos> {
+    /// (Re-)arms the interrupt timer for `qp` from its in-flight
+    /// completions, `due(k)` being the instant the `k`-th of them posts
+    /// (in posting order; `None` past the last): the interrupt fires
+    /// when the aggregation threshold is reached, or the coalescing
+    /// budget after the first CQE, whichever is earlier. Returns the
+    /// fire instant when a new `Ev::IrqFire` must be pushed (an
+    /// already-armed matching timer returns `None`).
+    pub fn arm_irq(
+        &mut self,
+        qp: usize,
+        mut due: impl FnMut(usize) -> Option<Nanos>,
+    ) -> Option<Nanos> {
         let q = &mut self.qps[qp];
-        let Some(&first) = q.pending.first() else {
+        let Some(first) = due(0) else {
             q.irq_at = None;
             return None;
         };
         let by_time = first.saturating_add(self.policy.irq_budget_ns);
-        let fire = match q.pending.get(q.depth as usize - 1) {
-            Some(&by_depth) => by_depth.min(by_time),
+        let fire = match due(q.depth as usize - 1) {
+            Some(by_depth) => by_depth.min(by_time),
             None => by_time,
         };
         if q.irq_at == Some(fire) {
@@ -416,24 +425,31 @@ impl Reaper {
         self.stats.irq_cpu_ns += cost;
     }
 
-    /// Digests one reap: drops elapsed pending instants, feeds the
-    /// adaptive-coalescing controller (`reaped` CQEs drained at `now`
-    /// via `via`), and runs the hybrid scheduler on the observed
-    /// in-flight `load`. Returns the mechanism switched *to* when the
-    /// scheduler transitions, so the caller can arm it.
+    /// Digests one reap of `reaped` CQEs drained at `now` via `via`,
+    /// `residue` commands left outstanding: feeds the
+    /// adaptive-coalescing controller, and runs the hybrid scheduler on
+    /// one load sample — the peak doorbell-time depth since the last
+    /// productive reap, floored by what this reap drained plus the
+    /// residue. The peak resets only on productive reaps, so idle poll
+    /// visits re-observe recent pressure instead of reporting a
+    /// spurious lull.
     pub fn note_reap(
         &mut self,
         now: Nanos,
         qp: usize,
         reaped: usize,
-        load: usize,
+        residue: usize,
         via: ReapKind,
-    ) -> Option<ReapKind> {
-        self.qps[qp].pending.retain(|&t| t > now);
-        if reaped > 0 && via == ReapKind::Interrupt {
-            self.adapt_depth(now, qp, reaped);
+    ) {
+        let q = &mut self.qps[qp];
+        let load = q.load_peak.max(residue + reaped);
+        if reaped > 0 {
+            q.load_peak = 0;
+            if via == ReapKind::Interrupt {
+                self.adapt_depth(now, qp, reaped);
+            }
         }
-        self.observe_load(now, qp, load)
+        self.observe_load(now, qp, load);
     }
 
     /// Rate feedback: EWMA the per-CQE gap and retarget the aggregation
@@ -465,8 +481,10 @@ impl Reaper {
 
     /// Hybrid scheduler: slide `load` into the window and switch
     /// mechanisms at the watermarks, honouring the dwell hysteresis.
-    fn observe_load(&mut self, now: Nanos, qp: usize, load: usize) -> Option<ReapKind> {
-        let cfg = self.policy.hybrid?;
+    fn observe_load(&mut self, now: Nanos, qp: usize, load: usize) {
+        let Some(cfg) = self.policy.hybrid else {
+            return;
+        };
         let (high, low, dwell) = (cfg.high_watermark, cfg.low_watermark, cfg.dwell);
         let q = &mut self.qps[qp];
         let len = q.window.len();
@@ -475,7 +493,7 @@ impl Reaper {
         q.window_len = (q.window_len + 1).min(len);
         if q.dwell_left > 0 {
             q.dwell_left -= 1;
-            return None;
+            return;
         }
         // Rounded mean: a window mixing 3s and 4s reads as 4, so a
         // watermark of 4 trips on sustained ~4-deep pressure instead of
@@ -486,7 +504,7 @@ impl Reaper {
         let to = match q.active {
             ReapKind::Interrupt if avg >= high => ReapKind::Polled,
             ReapKind::Polled if avg <= low => ReapKind::Interrupt,
-            _ => return None,
+            _ => return,
         };
         q.active = to;
         // Timers of the abandoned mechanism die on the due-guards.
@@ -499,7 +517,6 @@ impl Reaper {
                 .transitions
                 .push(ModeTransition { at: now, qp, to });
         }
-        Some(to)
     }
 }
 
@@ -510,27 +527,31 @@ impl Reaper {
 /// tenants sharing the queue pair, FIFO order lets one tenant's
 /// completion storm push every other tenant's completions to the back of
 /// every batch. `FairSched` reorders each batch deficit-round-robin:
-/// tenants take turns, each turn banks `weight` credits, and servicing
-/// one CQE spends one credit — so a weight-4 tenant drains four CQEs per
-/// round to a weight-1 tenant's one, while FIFO order is preserved
-/// *within* each tenant. Deficits and the round-robin cursor persist
-/// across batches per queue pair, so fairness holds over the run, not
-/// just inside one interrupt.
+/// tenants take turns from a per-queue-pair cursor, each turn banks
+/// `weight` credits, and servicing one CQE spends one credit — so a
+/// weight-4 tenant drains four CQEs per round to a weight-1 tenant's
+/// one, while FIFO order is preserved *within* each tenant.
+///
+/// A CQE costs one whole credit and an emptied queue forfeits what is
+/// left, so every turn ends with its tenant's deficit at zero: the turn
+/// that serves a tenant's `j`-th CQE of the batch is its `j / weight`-th.
+/// The service order is therefore a sort by `(j / weight, (tenant −
+/// cursor) mod tenants, j)`, and the next batch's cursor is one past the
+/// tenant served last. Only the cursor persists across batches.
 ///
 /// The schedule is a pure permutation of the batch — every CQE is
 /// serviced exactly once, fair or not — which is what keeps the
 /// exactly-once completion property independent of the policy.
 #[derive(Debug, Clone)]
 pub(crate) struct FairSched {
-    /// Per-tenant weights (quantum per DRR turn), indexed by tenant id.
-    weights: Vec<u64>,
-    /// Per-queue-pair, per-tenant banked credits.
-    deficit: Vec<Vec<u64>>,
     /// Per-queue-pair round-robin cursor (the tenant whose turn starts
     /// the next batch).
     cursor: Vec<usize>,
-    /// Per-tenant FIFO queues of batch indices; empty between batches.
-    queues: Vec<VecDeque<usize>>,
+    /// Per-tenant CQEs seen so far in the batch being ordered.
+    seen: Vec<u64>,
+    /// The batch's sort keys: (turn, tenant's place after the cursor,
+    /// batch index).
+    keys: Vec<(u64, usize, usize)>,
     /// The last batch's service order (kept for capacity).
     out: Vec<usize>,
 }
@@ -538,73 +559,45 @@ pub(crate) struct FairSched {
 impl FairSched {
     pub(crate) fn new(nr_queues: usize) -> Self {
         FairSched {
-            weights: vec![1],
-            deficit: vec![vec![0]; nr_queues],
             cursor: vec![0; nr_queues],
-            queues: vec![VecDeque::new()],
+            seen: Vec::new(),
+            keys: Vec::new(),
             out: Vec::new(),
         }
     }
 
-    /// Registers (or re-weights) a tenant. Weights are clamped to ≥ 1 so
-    /// no tenant can be starved outright.
-    pub(crate) fn set_weight(&mut self, tenant: usize, weight: u64) {
-        if self.weights.len() <= tenant {
-            self.weights.resize(tenant + 1, 1);
-            self.queues.resize_with(tenant + 1, VecDeque::new);
-            for d in &mut self.deficit {
-                d.resize(tenant + 1, 0);
-            }
-        }
-        self.weights[tenant] = weight.max(1);
-    }
-
-    /// Clears banked deficits and cursors (run boundary).
+    /// Clears the cursors (run boundary).
     pub(crate) fn reset(&mut self) {
-        for d in &mut self.deficit {
-            d.fill(0);
-        }
         self.cursor.fill(0);
     }
 
-    /// Computes the DRR service order for one reaped batch on `qp`:
-    /// `tenants` yields the owning tenant of the batch's `i`-th CQE
-    /// (FIFO order). Returns the indices of the batch in service order
-    /// — a permutation of `0..n`, the caller's to consume until the
-    /// next batch.
-    pub(crate) fn order(&mut self, qp: usize, tenants: impl Iterator<Item = u32>) -> &mut [usize] {
-        let nt = self.weights.len();
-        let mut n = 0;
-        for t in tenants {
-            self.queues[(t as usize).min(nt - 1)].push_back(n);
-            n += 1;
+    /// Computes the DRR service order for one reaped batch on `qp` over
+    /// `nt` tenants: `cqes` yields the owning tenant and its weight (≥ 1)
+    /// for the batch's `i`-th CQE (FIFO order). Returns the indices of
+    /// the batch in service order — a permutation of `0..n`, the
+    /// caller's to consume until the next batch.
+    pub(crate) fn order(
+        &mut self,
+        qp: usize,
+        nt: usize,
+        cqes: impl Iterator<Item = (usize, u64)>,
+    ) -> &mut [usize] {
+        let c = self.cursor[qp] % nt;
+        self.seen.clear();
+        self.seen.resize(nt, 0);
+        self.keys.clear();
+        for (i, (t, weight)) in cqes.enumerate() {
+            let j = self.seen[t];
+            self.seen[t] += 1;
+            self.keys.push((j / weight, (t + nt - c) % nt, i));
         }
+        self.keys.sort_unstable();
         self.out.clear();
-        if n <= 1 {
-            // A lone CQE is its own order: no turn is spent on it.
-            self.out
-                .extend(self.queues.iter_mut().find_map(VecDeque::pop_front));
-            return &mut self.out;
+        self.out.extend(self.keys.iter().map(|&(_, _, i)| i));
+        // A lone CQE is its own order: no turn is spent on it.
+        if let [_, .., (_, last, _)] = self.keys[..] {
+            self.cursor[qp] = (c + last + 1) % nt;
         }
-        let mut t = self.cursor[qp] % nt;
-        while self.out.len() < n {
-            let queue = &mut self.queues[t];
-            if !queue.is_empty() {
-                self.deficit[qp][t] = self.deficit[qp][t].saturating_add(self.weights[t]);
-                while self.deficit[qp][t] > 0 {
-                    let Some(i) = queue.pop_front() else {
-                        // Standard DRR: an emptied queue forfeits its
-                        // leftover credits (no banking while absent).
-                        self.deficit[qp][t] = 0;
-                        break;
-                    };
-                    self.out.push(i);
-                    self.deficit[qp][t] -= 1;
-                }
-            }
-            t = (t + 1) % nt;
-        }
-        self.cursor[qp] = t;
         &mut self.out
     }
 }
@@ -626,25 +619,38 @@ mod tests {
         )
     }
 
+    /// A queue pair's in-flight completion instants, in posting order.
+    fn due(inflight: &[Nanos]) -> impl FnMut(usize) -> Option<Nanos> + '_ {
+        |k| inflight.get(k).copied()
+    }
+
     #[test]
     fn static_interrupt_matches_legacy_schedule() {
         let mut r = Reaper::new(ReapMode::Interrupt, 1, 8_000, 4);
-        r.note_doorbell(0, &[1_000, 2_000, 3_000, 3_500, 9_000]);
+        let inflight = [1_000, 2_000, 3_000, 3_500, 9_000];
         // Depth 4 is reached at 3_500, inside the 1_000 + 8_000 budget.
-        assert_eq!(r.arm_irq(0), Some(3_500));
-        assert_eq!(r.arm_irq(0), None, "same instant: already armed");
+        assert_eq!(r.arm_irq(0, due(&inflight)), Some(3_500));
+        assert_eq!(
+            r.arm_irq(0, due(&inflight)),
+            None,
+            "same instant: already armed"
+        );
         assert!(!r.irq_due(3_000, 0), "stale guard");
         assert!(r.irq_due(3_500, 0));
-        assert_eq!(r.note_reap(3_500, 0, 4, 0, ReapKind::Interrupt), None);
+        r.note_reap(3_500, 0, 4, 1, ReapKind::Interrupt);
         // One straggler left: the budget, not the depth, now binds.
-        assert_eq!(r.arm_irq(0), Some(17_000));
+        assert_eq!(r.arm_irq(0, due(&inflight[4..])), Some(17_000));
+        assert_eq!(r.arm_irq(0, due(&[])), None, "nothing in flight");
     }
 
     #[test]
     fn zero_static_depth_clamps_to_immediate() {
         let mut r = Reaper::new(ReapMode::Interrupt, 1, 0, 0);
-        r.note_doorbell(0, &[500]);
-        assert_eq!(r.arm_irq(0), Some(500), "depth 0 behaves like depth 1");
+        assert_eq!(
+            r.arm_irq(0, due(&[500])),
+            Some(500),
+            "depth 0 behaves like depth 1"
+        );
     }
 
     #[test]
@@ -750,38 +756,54 @@ mod tests {
         let mut r = Reaper::new(ReapMode::Hybrid(cfg), 1, 0, 1);
         assert_eq!(r.active(0), ReapKind::Interrupt, "starts interrupt-driven");
         // Light load: no switch.
-        assert_eq!(r.note_reap(1_000, 0, 1, 1, ReapKind::Interrupt), None);
-        // Sustained heavy load trips the high watermark.
-        let mut switched = None;
-        for i in 0..4 {
-            switched = r.note_reap(2_000 + i, 0, 1, 16, ReapKind::Interrupt);
-            if switched.is_some() {
-                break;
-            }
-        }
-        assert_eq!(switched, Some(ReapKind::Polled));
+        r.note_reap(1_000, 0, 1, 0, ReapKind::Interrupt);
+        assert_eq!(r.active(0), ReapKind::Interrupt);
+        // Heavy load (one drained, 15 left) trips the high watermark:
+        // the window's rounded mean of 1 and 16 is 9.
+        r.note_reap(2_000, 0, 1, 15, ReapKind::Interrupt);
         assert_eq!(r.active(0), ReapKind::Polled);
         assert_eq!(r.stats().mode_transitions, 1);
         assert_eq!(r.stats().transitions[0].to, ReapKind::Polled);
-        // Dwell: three idle samples are ignored before the next switch.
+        // Dwell: three samples are ignored before the next switch, idle
+        // or not.
         for i in 0..3 {
-            assert_eq!(
-                r.note_reap(3_000 + i, 0, 1, 0, ReapKind::Polled),
-                None,
-                "hysteresis holds"
-            );
+            r.note_reap(3_000 + i, 0, 0, 0, ReapKind::Polled);
+            assert_eq!(r.active(0), ReapKind::Polled, "hysteresis holds");
         }
         // Once the dwell expires and the window has drained low, it
         // returns to interrupts.
-        let mut back = None;
         for i in 0..4 {
-            back = r.note_reap(4_000 + i, 0, 1, 0, ReapKind::Polled);
-            if back.is_some() {
-                break;
-            }
+            r.note_reap(4_000 + i, 0, 0, 0, ReapKind::Polled);
         }
-        assert_eq!(back, Some(ReapKind::Interrupt));
+        assert_eq!(r.active(0), ReapKind::Interrupt);
         assert_eq!(r.stats().mode_transitions, 2);
+    }
+
+    #[test]
+    fn hybrid_load_is_the_doorbell_peak_until_a_productive_reap() {
+        let cfg = HybridConfig {
+            high_watermark: 4,
+            low_watermark: 1,
+            window: 1,
+            dwell: 0,
+            ..HybridConfig::default()
+        };
+        let mut r = Reaper::new(ReapMode::Hybrid(cfg), 1, 0, 1);
+        // A 6-deep doorbell whose reap finds one CQE and nothing left:
+        // the load is the peak, not what the reap saw.
+        r.note_doorbell(0, 6);
+        r.note_doorbell(0, 2);
+        r.note_reap(100, 0, 1, 0, ReapKind::Interrupt);
+        assert_eq!(r.active(0), ReapKind::Polled, "the peak is the load");
+        // An empty visit re-observes the peak...
+        r.note_doorbell(0, 5);
+        r.note_reap(200, 0, 0, 1, ReapKind::Polled);
+        assert_eq!(r.active(0), ReapKind::Polled, "5, not the residue 1");
+        r.note_reap(300, 0, 1, 0, ReapKind::Polled);
+        assert_eq!(r.active(0), ReapKind::Polled);
+        // ...and a productive reap resets it.
+        r.note_reap(400, 0, 0, 0, ReapKind::Polled);
+        assert_eq!(r.active(0), ReapKind::Interrupt);
     }
 
     #[test]
@@ -794,46 +816,46 @@ mod tests {
             ..HybridConfig::default()
         };
         let mut r = Reaper::new(ReapMode::Hybrid(cfg), 1, 0, 1);
-        r.note_doorbell(0, &[5_000]);
-        let fire = r.arm_irq(0).expect("armed");
-        assert_eq!(
-            r.note_reap(1_000, 0, 0, 4, ReapKind::Interrupt),
-            Some(ReapKind::Polled)
-        );
+        let fire = r.arm_irq(0, due(&[5_000])).expect("armed");
+        r.note_reap(1_000, 0, 0, 4, ReapKind::Interrupt);
+        assert_eq!(r.active(0), ReapKind::Polled);
         assert!(!r.irq_due(fire, 0), "abandoned interrupt is stale");
         let visit = r.arm_poll(0, 1_250).expect("poller armed");
-        assert_eq!(
-            r.note_reap(1_250, 0, 0, 0, ReapKind::Polled),
-            Some(ReapKind::Interrupt)
-        );
+        r.note_reap(1_250, 0, 0, 0, ReapKind::Polled);
+        assert_eq!(r.active(0), ReapKind::Interrupt);
         assert!(!r.poll_due(visit, 0), "abandoned poll visit is stale");
     }
 
     #[test]
     fn reset_restores_fresh_state() {
         let mut r = Reaper::new(ReapMode::Hybrid(HybridConfig::default()), 2, 0, 1);
-        r.note_doorbell(1, &[10]);
         for _ in 0..16 {
             r.note_reap(100, 1, 1, 100, ReapKind::Interrupt);
         }
+        r.note_doorbell(1, 10);
         assert!(r.stats().mode_transitions > 0);
         r.reset();
         assert_eq!(r.stats(), &ReaperStats::default());
         assert_eq!(r.active(1), ReapKind::Interrupt);
-        assert!(r.qps[1].pending.is_empty());
+        assert_eq!(r.qps[1].load_peak, 0);
+    }
+
+    /// Orders `batch` (the owning tenant of each CQE, FIFO) on `qp` with
+    /// the tenants' `weights`.
+    fn fair(f: &mut FairSched, qp: usize, weights: &[u64], batch: &[usize]) -> Vec<usize> {
+        let cqes = batch.iter().map(|&t| (t, weights[t]));
+        f.order(qp, weights.len(), cqes).to_vec()
     }
 
     #[test]
     fn fair_sched_is_a_permutation_and_preserves_per_tenant_fifo() {
         let mut f = FairSched::new(1);
-        f.set_weight(0, 1);
-        f.set_weight(1, 1);
-        let batch = [0u32, 0, 1, 0, 1, 1, 0, 1];
-        let order = f.order(0, batch.iter().copied()).to_vec();
+        let batch = [0, 0, 1, 0, 1, 1, 0, 1];
+        let order = fair(&mut f, 0, &[1, 1], &batch);
         let mut seen = order.clone();
         seen.sort_unstable();
         assert_eq!(seen, (0..batch.len()).collect::<Vec<_>>());
-        for t in [0u32, 1] {
+        for t in [0, 1] {
             let served: Vec<usize> = order.iter().copied().filter(|&i| batch[i] == t).collect();
             let mut sorted = served.clone();
             sorted.sort_unstable();
@@ -844,12 +866,10 @@ mod tests {
     #[test]
     fn fair_sched_splits_service_by_weight() {
         let mut f = FairSched::new(1);
-        f.set_weight(0, 3);
-        f.set_weight(1, 1);
         // 8 CQEs each, interleaved arrival. DRR must front-load tenant 0
         // three-to-one: among the first 8 served, 6 belong to tenant 0.
-        let batch: Vec<u32> = (0..16).map(|i| i % 2).collect();
-        let order = f.order(0, batch.iter().copied());
+        let batch: Vec<usize> = (0..16).map(|i| i % 2).collect();
+        let order = fair(&mut f, 0, &[3, 1], &batch);
         let t0_in_first_half = order[..8].iter().filter(|&&i| batch[i] == 0).count();
         assert_eq!(t0_in_first_half, 6, "weight 3:1 should serve 6:2");
     }
@@ -857,9 +877,82 @@ mod tests {
     #[test]
     fn fair_sched_single_tenant_is_fifo() {
         let mut f = FairSched::new(2);
-        let batch = [0u32; 5];
-        assert_eq!(f.order(1, batch.into_iter()), [0, 1, 2, 3, 4]);
-        assert_eq!(f.order(1, [0u32].into_iter()), [0], "a lone CQE is served");
-        assert!(f.order(1, std::iter::empty()).is_empty());
+        assert_eq!(fair(&mut f, 1, &[1], &[0; 5]), [0, 1, 2, 3, 4]);
+        assert_eq!(fair(&mut f, 1, &[1], &[0]), [0], "a lone CQE is served");
+        assert!(fair(&mut f, 1, &[1], &[]).is_empty());
+    }
+
+    /// Deficit round robin as the textbook states it, turn by turn: the
+    /// oracle the sort in [`FairSched::order`] is checked against. Its
+    /// deficits persist across batches, as a DRR's may.
+    struct Drr {
+        weights: Vec<u64>,
+        /// Per-queue-pair, per-tenant deficits (banked credits).
+        banked: Vec<Vec<u64>>,
+        cursor: Vec<usize>,
+    }
+
+    impl Drr {
+        fn order(&mut self, qp: usize, batch: &[usize]) -> Vec<usize> {
+            let nt = self.weights.len();
+            let mut queues = vec![std::collections::VecDeque::new(); nt];
+            for (i, &t) in batch.iter().enumerate() {
+                queues[t].push_back(i);
+            }
+            let mut out = Vec::new();
+            if batch.len() <= 1 {
+                out.extend(queues.iter_mut().find_map(|q| q.pop_front()));
+                return out;
+            }
+            let mut t = self.cursor[qp] % nt;
+            while out.len() < batch.len() {
+                let queue = &mut queues[t];
+                if !queue.is_empty() {
+                    let deficit = &mut self.banked[qp][t];
+                    *deficit += self.weights[t];
+                    while *deficit > 0 {
+                        let Some(i) = queue.pop_front() else {
+                            // An emptied queue forfeits its leftover
+                            // credits.
+                            *deficit = 0;
+                            break;
+                        };
+                        out.push(i);
+                        *deficit -= 1;
+                    }
+                }
+                t = (t + 1) % nt;
+            }
+            self.cursor[qp] = t;
+            out
+        }
+    }
+
+    /// The sort is the DRR: over random worlds of tenants, weights,
+    /// queue pairs and batches, both serve every batch in the same order
+    /// and leave the same cursor, and the DRR's deficits are all zero
+    /// between batches — the fact that lets the sort keep none.
+    #[test]
+    fn fair_sched_sort_is_the_drr_oracle() {
+        let mut rng = bpfstor_sim::SimRng::seed(0xD22);
+        for _ in 0..3_000 {
+            let nt = 1 + rng.index(5);
+            let nq = 1 + rng.index(3);
+            let weights: Vec<u64> = (0..nt).map(|_| rng.range(1, 10)).collect();
+            let mut f = FairSched::new(nq);
+            let mut drr = Drr {
+                weights: weights.clone(),
+                banked: vec![vec![0; nt]; nq],
+                cursor: vec![0; nq],
+            };
+            for _ in 0..40 {
+                let qp = rng.index(nq);
+                let len = rng.index(22);
+                let batch: Vec<usize> = (0..len).map(|_| rng.index(nt)).collect();
+                assert_eq!(fair(&mut f, qp, &weights, &batch), drr.order(qp, &batch));
+                assert_eq!(f.cursor, drr.cursor);
+                assert!(drr.banked.iter().flatten().all(|&d| d == 0));
+            }
+        }
     }
 }

@@ -47,7 +47,9 @@ pub struct TenantLimits {
     /// Fair-reaping weight (deficit-round-robin quantum). Relative: a
     /// weight-4 tenant is serviced four CQEs for every one of a
     /// weight-1 tenant when both have completions pending. Ignored
-    /// until [`crate::Machine::set_fair_reap`] enables fair reaping.
+    /// until [`crate::Machine::set_fair_reap`] enables fair reaping. At
+    /// least 1: [`crate::Machine::register_tenant`] and
+    /// [`crate::Machine::set_tenant_limits`] refuse 0.
     pub weight: u64,
     /// Per-queue-pair submission-slot budget: at most this many of the
     /// tenant's commands in flight per queue pair. `None` = unlimited
@@ -81,7 +83,7 @@ impl TenantLimits {
     /// Shorthand for a weight-only tenant (no budgets).
     pub fn weighted(weight: u64) -> Self {
         TenantLimits {
-            weight: weight.max(1),
+            weight,
             ..TenantLimits::default()
         }
     }

@@ -11,9 +11,9 @@ mod support;
 use bpfstor_device::SECTOR_SIZE;
 use bpfstor_kernel::{
     AdaptiveIrqConfig, ChainOutcome, ChainStatus, ChainVerdict, CommitPolicy, DispatchMode,
-    ExecSplit, Fd, HybridConfig, KernelError, LayerCosts, Machine, MachineConfig, Mutation,
-    PollConfig, ReapKind, ReapMode, RunReport, TenantBreakdown, TenantLimits, TransportConfig,
-    DEFAULT_TENANT,
+    ExecSplit, Fd, HybridConfig, InitiatorStats, KernelError, LayerCosts, Machine, MachineConfig,
+    Mutation, PollConfig, ReapKind, ReapMode, RunReport, TenantBreakdown, TenantLimits,
+    TransportConfig, DEFAULT_TENANT,
 };
 use bpfstor_sim::{Nanos, MILLISECOND, SECOND};
 use bpfstor_vm::{action, ctx_off, Asm, Program, Width};

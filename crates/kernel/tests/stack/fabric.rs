@@ -128,7 +128,10 @@ fn queue_pair_counters_reconcile_on_both_transports() {
     // `RunReport::device` counts the host's side of the queue pair on
     // either transport: every CQE reaped once for one tenant, every
     // device reap one interrupt or one productive poll — coalesced,
-    // per-CQE or polled, with or without pushdown.
+    // per-CQE or polled, with or without pushdown, over a clean wire or
+    // a lossy one. And the wire's own: every command crossed once or
+    // was already on the target, the initiators' counters sum to the
+    // fabric's, and every loss was retransmitted.
     let coalesced = |transport| MachineConfig {
         transport,
         irq_coalesce_us: 8,
@@ -142,13 +145,16 @@ fn queue_pair_counters_reconcile_on_both_transports() {
         reap_mode: ReapMode::Polled(PollConfig::default()),
         ..fabric_cfg(20_000)
     };
+    let lossy = TransportConfig::Fabric(exact_link(20_000).with_loss(0.02, 50_000, 0.25));
     let worlds = [
         ("local, coalesced", local, DispatchMode::User),
         ("fabric, coalesced", fabric, DispatchMode::Remote),
         ("fabric, per CQE", per_cqe, DispatchMode::DriverHook),
         ("fabric, polled", polled, DispatchMode::Remote),
+        ("fabric, lossy", coalesced(lossy), DispatchMode::Remote),
     ];
     for (world, cfg, mode) in worlds {
+        let on_fabric = cfg.transport != TransportConfig::Local;
         let (mut m, mut d) = setup_with(cfg, 4, mode);
         d.state.count = 64;
         let r = m.run_uring(1, 16, SECOND, &mut d);
@@ -163,6 +169,33 @@ fn queue_pair_counters_reconcile_on_both_transports() {
             r.trace.irqs + r.trace.polls - dev.empty_polls,
             "{world}: device reaps vs kernel interrupts + productive polls"
         );
+        let f = r.fabric;
+        let crossed = f.capsules_sent + f.target_local;
+        assert_eq!(crossed, if on_fabric { r.ios } else { 0 }, "{world}");
+        let inits = &r.fabric_initiators;
+        assert_eq!(inits.len(), usize::from(on_fabric), "{world}");
+        let sum = |field: fn(&InitiatorStats) -> u64| inits.iter().map(field).sum::<u64>();
+        assert_eq!(
+            [
+                sum(|i| i.capsules_sent),
+                sum(|i| i.responses),
+                sum(|i| i.retransmits),
+                sum(|i| i.bytes_tx),
+                sum(|i| i.capsule_stalls),
+            ],
+            [
+                f.capsules_sent,
+                f.responses,
+                f.retransmits,
+                f.bytes_tx,
+                f.capsule_stalls
+            ],
+            "{world}: initiators vs fabric"
+        );
+        assert_eq!(f.lost, f.retransmits, "{world}");
+        if world == "fabric, lossy" {
+            assert!(f.lost > 0, "the lossy wire lost nothing");
+        }
     }
 }
 

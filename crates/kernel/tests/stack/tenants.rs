@@ -133,3 +133,24 @@ fn every_report_aggregate_is_the_sum_of_its_tenants() {
         "data writes plus shared flushes"
     );
 }
+
+#[test]
+#[should_panic(expected = "TenantLimits::weight 0 never earns a reap turn")]
+fn registering_a_zero_weight_tenant_panics() {
+    let mut m = machine(MachineConfig::default());
+    m.register_tenant(TenantLimits::weighted(0));
+}
+
+#[test]
+#[should_panic(expected = "TenantLimits::weight 0 never earns a reap turn")]
+fn re_weighting_a_tenant_to_zero_panics() {
+    let mut m = machine(MachineConfig::default());
+    let t = m.register_tenant(TenantLimits::weighted(3));
+    m.set_tenant_limits(
+        t,
+        TenantLimits {
+            weight: 0,
+            ..TenantLimits::default()
+        },
+    );
+}
