@@ -1,52 +1,145 @@
 //! Sparse sector-addressed backing store.
 //!
-//! Devices are thin-provisioned, and the unit of thinness is the sector:
-//! a sector holds host memory only while its bytes are not all zero.
-//! A sector never written, overwritten with zeroes or discarded is a
-//! *hole* and reads as zeroes (as a freshly formatted namespace would).
-//! So the benchmarks can build deep B-trees whose *address space* is
-//! large, and a log of zero-padded records costs only its non-zero
-//! sectors, while the host memory footprint stays proportional to the
-//! non-zero bytes actually stored.
+//! Devices are thin-provisioned, and the unit of thinness is the 64-byte
+//! line: a sector holds host memory for its bytes up to its last
+//! non-zero line, rounded up to one of four slot classes — 64, 128, 256
+//! or 512 B. A sector never written, overwritten with zeroes or
+//! discarded is a *hole* and reads as zeroes (as a freshly formatted
+//! namespace would). So the benchmarks can build deep B-trees whose
+//! *address space* is large, and a log of zero-padded records costs one
+//! line per record, while the host memory footprint stays proportional
+//! to the non-zero bytes actually stored.
 //!
 //! An index (`slots`, 4 bytes per LBA up to the highest non-zero LBA
-//! written) maps each sector to a slot in a slab of fixed
-//! [`PAGE_SECTORS`]-sector pages. A write checks each sector: an
-//! all-zero one becomes a hole and gives its slot, if it had one, to a
-//! free list; any other overwrites its own slot or takes a free one,
-//! and the slab grows by a page when no slot is free. A discard frees
-//! slots; a read copies each slot or fills zeroes. A dense image costs
-//! its own bytes plus 4 bytes of index per sector and one pointer per
-//! page. The file system allocates goal-directed — a file's next run
-//! starts where its last one ended, else first-fit from the goal's
-//! block group (`fs/src/alloc.rs`) — over a device that fills from
-//! block 0, which keeps written LBAs, and therefore the index, dense.
+//! written) maps each sector to its class and a slot in that class's
+//! slab of fixed 8 KiB pages. A write finds each sector's last non-zero
+//! line, scanning from the end: an all-zero sector becomes a hole and
+//! gives its slot, if it had one, back to its class; any other
+//! overwrites its own slot if its class is unchanged, and otherwise
+//! gives the old slot back and takes one of the new class — a slot
+//! given back if there is one, else the next from the slab's bump
+//! cursor, which adds a page when the last is full. A discard gives
+//! slots back; a read copies a slot's bytes and fills the rest of the
+//! sector, or all of a hole, with zeroes. A dense image costs its own
+//! bytes plus 4 bytes of index per sector and one pointer per page. The
+//! file system allocates goal-directed — a file's next run starts where
+//! its last one ended, else first-fit from the goal's block group
+//! (`fs/src/alloc.rs`) — over a device that fills from block 0, which
+//! keeps written LBAs, and therefore the index, dense.
 
 /// Logical block (sector) size in bytes. The paper's experiments use
 /// 512 B reads, so one B-tree node = one sector = one NVMe command.
 pub const SECTOR_SIZE: usize = 512;
 
-/// Sectors per slab page. 8 KiB measured fastest on the write-heavy
-/// benchmark workloads (docs/PERF.md §"Chunk size" has the sweep): it is
-/// small enough that glibc keeps a dropped image's pages on its free
-/// lists for the next image, where 16 KiB and larger blocks are trimmed
-/// from the heap and every page of the next image faults in again.
-const PAGE_SECTORS: usize = 16;
-const PAGE_BYTES: usize = PAGE_SECTORS * SECTOR_SIZE;
+/// The unit a stored sector is cut to: its bytes up to its last
+/// non-zero line are kept, the zeroes after them are not.
+const LINE: usize = 64;
+
+/// Slot classes: class `c` holds `LINE << c` bytes, so the last holds a
+/// whole sector.
+const CLASSES: usize = 4;
+const _: () = assert!(LINE << (CLASSES - 1) == SECTOR_SIZE);
+
+/// Slab page size. 8 KiB measured fastest on the write-heavy benchmark
+/// workloads (docs/PERF.md §"Chunk size" has the sweep): it is small
+/// enough that glibc keeps a dropped image's pages on its free lists for
+/// the next image, where 16 KiB and larger blocks are trimmed from the
+/// heap and every page of the next image faults in again.
+const PAGE_BYTES: usize = 8 << 10;
+
+/// log2 of the slots a page of class 0 holds; class `c` holds half as
+/// many as class `c - 1`.
+const PAGE_LINES_LOG2: u32 = (PAGE_BYTES / LINE).trailing_zeros();
+
+/// Slots a class may hold: an index entry keeps `slot + 1` above the
+/// class's 2 bits, and 0 is a hole.
+const MAX_SLOTS: u32 = (1 << 30) - 1;
 
 type Page = Box<[u8; PAGE_BYTES]>;
 
 /// A sparse array of 512-byte sectors.
 #[derive(Debug, Default)]
 pub struct SectorStore {
-    /// `slots[lba]`: 0 is a hole, `n` is the sector in slot `n - 1`.
-    /// Past the end is a hole too.
+    /// `slots[lba]`: 0 is a hole, anything else is an [`entry`]. Past
+    /// the end is a hole too.
     slots: Vec<u32>,
-    /// The slab: slot `s` is sector `s % PAGE_SECTORS` of
-    /// `pages[s / PAGE_SECTORS]`.
+    /// `slabs[c]` holds the sectors of class `c`.
+    slabs: [Slab; CLASSES],
+}
+
+/// The slots of one class, `LINE << class` bytes each, cut from fixed
+/// pages in order.
+#[derive(Debug, Default)]
+struct Slab {
     pages: Vec<Page>,
-    /// The slots of the slab that hold no sector, taken from the top.
+    /// The bump cursor: slots below it have been handed out.
+    next: u32,
+    /// Slots handed out and given back, taken before the cursor moves.
+    /// Empty, and unallocated, while the class only grows.
     free: Vec<u32>,
+}
+
+impl Slab {
+    /// A slot of `class` for a new sector: one given back, else the
+    /// next from the cursor, adding a page when the last is full.
+    fn take(&mut self, class: usize) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            return slot;
+        }
+        let slot = self.next;
+        if place(slot, class).0 == self.pages.len() {
+            let zeroed = vec![0u8; PAGE_BYTES].into_boxed_slice();
+            self.pages.push(zeroed.try_into().expect("PAGE_BYTES long"));
+        }
+        self.next += 1;
+        slot
+    }
+
+    /// The bytes of slot `slot` of `class`.
+    fn bytes(&self, slot: u32, class: usize) -> &[u8] {
+        let (page, at) = place(slot, class);
+        &self.pages[page][at]
+    }
+
+    fn bytes_mut(&mut self, slot: u32, class: usize) -> &mut [u8] {
+        let (page, at) = place(slot, class);
+        &mut self.pages[page][at]
+    }
+}
+
+/// Where slot `slot` of `class` lives: its page, and its bytes in the
+/// page.
+fn place(slot: u32, class: usize) -> (usize, std::ops::Range<usize>) {
+    let per_page_log2 = PAGE_LINES_LOG2 - class as u32;
+    let at = ((slot & ((1 << per_page_log2) - 1)) as usize) * (LINE << class);
+    ((slot >> per_page_log2) as usize, at..at + (LINE << class))
+}
+
+/// The index entry of slot `slot` of `class`.
+///
+/// # Panics
+///
+/// Panics if `slot` is not below [`MAX_SLOTS`]: the entry has no room
+/// for it.
+fn entry(slot: u32, class: usize) -> u32 {
+    assert!(
+        slot < MAX_SLOTS,
+        "SectorStore: class {class} ({} B slots) is full at {MAX_SLOTS} slots",
+        LINE << class
+    );
+    (slot + 1) << 2 | class as u32
+}
+
+/// The class a sector is stored in — the least whose slot holds its
+/// bytes up to its last non-zero line — or `None` if it is all zero.
+/// Lines are checked from the end, so a sector whose last line is not
+/// zero costs one check, and each check is an OR over the line, which
+/// vectorises.
+fn class_of(sector: &[u8]) -> Option<usize> {
+    let last = sector
+        .chunks_exact(LINE)
+        .rposition(|line| line.iter().fold(0, |acc, &b| acc | b) != 0)?;
+    Some((last + 1).next_power_of_two().trailing_zeros() as usize)
 }
 
 fn assert_whole_sectors(bytes: usize, what: &str) {
@@ -56,30 +149,16 @@ fn assert_whole_sectors(bytes: usize, what: &str) {
     );
 }
 
-/// Where slot `slot` lives: its page, and its bytes in the page.
-fn place(slot: u32) -> (usize, std::ops::Range<usize>) {
-    let slot = slot as usize;
-    let at = slot % PAGE_SECTORS * SECTOR_SIZE;
-    (slot / PAGE_SECTORS, at..at + SECTOR_SIZE)
-}
-
-/// Whether a sector's bytes are all zero: an OR over 64-byte blocks,
-/// which vectorises, stopping at the first block that is not zero.
-fn is_zero(sector: &[u8]) -> bool {
-    sector
-        .chunks_exact(64)
-        .all(|block| block.iter().fold(0, |acc, &b| acc | b) == 0)
-}
-
 impl SectorStore {
     /// Creates an empty (all-zero) store.
     pub fn new() -> Self {
         SectorStore::default()
     }
 
-    /// The slot holding sector `lba`, or `None` for a hole.
-    fn slot(&self, lba: u64) -> Option<u32> {
-        self.slots.get(usize::try_from(lba).ok()?)?.checked_sub(1)
+    /// The slot and class holding sector `lba`, or `None` for a hole.
+    fn slot(&self, lba: u64) -> Option<(u32, usize)> {
+        let entry = *self.slots.get(usize::try_from(lba).ok()?)?;
+        Some(((entry >> 2).checked_sub(1)?, (entry & 3) as usize))
     }
 
     /// Reads `nlb` sectors starting at `slba` into a fresh buffer.
@@ -99,9 +178,10 @@ impl SectorStore {
         assert_whole_sectors(out.len(), "read");
         for (lba, dst) in (slba..).zip(out.chunks_exact_mut(SECTOR_SIZE)) {
             match self.slot(lba) {
-                Some(slot) => {
-                    let (page, bytes) = place(slot);
-                    dst.copy_from_slice(&self.pages[page][bytes]);
+                Some((slot, class)) => {
+                    let (kept, zeroes) = dst.split_at_mut(LINE << class);
+                    kept.copy_from_slice(self.slabs[class].bytes(slot, class));
+                    zeroes.fill(0);
                 }
                 None => dst.fill(0),
             }
@@ -142,51 +222,42 @@ impl SectorStore {
     pub fn write(&mut self, slba: u64, data: &[u8]) {
         assert_whole_sectors(data.len(), "write");
         for (lba, src) in (slba..).zip(data.chunks_exact(SECTOR_SIZE)) {
-            if is_zero(src) {
+            let Some(class) = class_of(src) else {
                 self.punch(lba);
                 continue;
-            }
+            };
             let idx = usize::try_from(lba).expect("LBA within the address space");
             if idx >= self.slots.len() {
                 self.slots.resize(idx + 1, 0);
             }
-            let slot = match self.slots[idx] {
-                0 => {
-                    let slot = self.take_slot();
-                    self.slots[idx] = slot + 1;
+            let slot = match self.slot(lba) {
+                Some((slot, held)) if held == class => slot,
+                held => {
+                    if let Some((old, held)) = held {
+                        self.slabs[held].free.push(old);
+                    }
+                    let slot = self.slabs[class].take(class);
+                    self.slots[idx] = entry(slot, class);
                     slot
                 }
-                n => n - 1,
             };
-            let (page, bytes) = place(slot);
-            self.pages[page][bytes].copy_from_slice(src);
+            self.slabs[class]
+                .bytes_mut(slot, class)
+                .copy_from_slice(&src[..LINE << class]);
         }
     }
 
-    /// A free slot, growing the slab by a page when none is.
-    fn take_slot(&mut self) -> u32 {
-        if self.free.is_empty() {
-            let first = self.pages.len() * PAGE_SECTORS;
-            let end = u32::try_from(first + PAGE_SECTORS).expect("under 2^32 stored sectors");
-            let zeroed = vec![0u8; PAGE_BYTES].into_boxed_slice();
-            self.pages.push(zeroed.try_into().expect("PAGE_BYTES long"));
-            // Highest first, so the page fills from its first slot.
-            self.free.extend((end - PAGE_SECTORS as u32..end).rev());
-        }
-        self.free.pop().expect("a page of free slots")
-    }
-
-    /// Makes sector `lba` a hole, freeing its slot if it had one.
+    /// Makes sector `lba` a hole, giving its slot back if it had one.
     fn punch(&mut self, lba: u64) {
-        if let Some(slot) = self.slot(lba) {
+        if let Some((slot, class)) = self.slot(lba) {
             self.slots[lba as usize] = 0;
-            self.free.push(slot);
+            self.slabs[class].free.push(slot);
         }
     }
 
     /// Discards (TRIMs) `nlb` sectors starting at `slba`, returning them
-    /// to the all-zero thin-provisioned state and their slots to the
-    /// free list.
+    /// to the all-zero thin-provisioned state and their slots to their
+    /// classes.
     pub fn discard(&mut self, slba: u64, nlb: u32) {
         let end = slba.saturating_add(nlb.into()).min(self.slots.len() as u64);
         for lba in slba..end {
@@ -199,13 +270,21 @@ impl SectorStore {
 mod tests {
     use super::*;
 
+    /// Whole sectors a page holds: the class of a sector whose last
+    /// line is not zero.
+    const PAGE_SECTORS: usize = PAGE_BYTES / SECTOR_SIZE;
+    const WHOLE: usize = CLASSES - 1;
+
     impl SectorStore {
-        /// Live heap the store holds: the index, the free list, the
-        /// page table and the pages.
+        /// Live heap the store holds: the index, and each class's free
+        /// list, page table and pages.
         fn heap_bytes(&self) -> usize {
-            (self.slots.capacity() + self.free.capacity()) * size_of::<u32>()
-                + self.pages.capacity() * size_of::<Page>()
-                + self.pages.len() * PAGE_BYTES
+            let slabs = self.slabs.iter().map(|slab| {
+                slab.free.capacity() * size_of::<u32>()
+                    + slab.pages.capacity() * size_of::<Page>()
+                    + slab.pages.len() * PAGE_BYTES
+            });
+            self.slots.capacity() * size_of::<u32>() + slabs.sum::<usize>()
         }
     }
 
@@ -234,14 +313,14 @@ mod tests {
 
     #[test]
     fn ranges_straddle_chunk_boundaries() {
-        // The 16 sectors of a page are a chunk of slots, not of LBAs:
+        // The 16 whole sectors of a page are a chunk of slots, not of LBAs:
         // fill the first page to one short, so the range lands across it.
         let mut s = SectorStore::new();
         let slba = PAGE_SECTORS as u64 - 1;
         s.write(0, &vec![9u8; (PAGE_SECTORS - 1) * SECTOR_SIZE]);
         let data: Vec<u8> = (0..3 * SECTOR_SIZE).map(|i| (i % 17) as u8 + 1).collect();
         s.write(slba, &data);
-        assert_eq!(s.pages.len(), 2);
+        assert_eq!(s.slabs[WHOLE].pages.len(), 2);
         assert_eq!(s.read(slba, 3), data);
         let mut out = vec![0xFFu8; 5 * SECTOR_SIZE];
         s.read_into(slba - 1, &mut out);
@@ -276,7 +355,7 @@ mod tests {
         last[SECTOR_SIZE - 1] = 1;
         s.write(3, &last);
         assert_eq!(s.read(3, 1), last);
-        assert_eq!(s.pages.len(), 1);
+        assert_eq!(s.slabs[WHOLE].pages.len(), 1);
     }
 
     #[test]
@@ -289,10 +368,14 @@ mod tests {
         assert_eq!(s.read(3, 4)[SECTOR_SIZE..3 * SECTOR_SIZE], mixed);
         assert_eq!(
             (s.slot(4), s.slot(5)),
-            (None, Some(1)),
+            (None, Some((1, WHOLE))),
             "overwritten in place"
         );
-        assert_eq!(s.free.last(), Some(&0), "the zeroed sector's slot is free");
+        assert_eq!(
+            s.slabs[WHOLE].free.last(),
+            Some(&0),
+            "the zeroed sector's slot is free"
+        );
     }
 
     #[test]
@@ -300,7 +383,7 @@ mod tests {
         const N: u64 = 3 * PAGE_SECTORS as u64;
         let mut s = SectorStore::new();
         s.write(0, &[1u8; N as usize * SECTOR_SIZE]);
-        let pages = s.pages.len();
+        let pages = s.slabs[WHOLE].pages.len();
         assert_eq!(pages, 3);
         s.write(0, &[0u8; (N / 2) as usize * SECTOR_SIZE]);
         s.discard(N / 2, (N - N / 2) as u32);
@@ -308,12 +391,87 @@ mod tests {
         for lba in (N..3 * N).step_by(2) {
             s.write(lba, &[lba as u8 | 1; SECTOR_SIZE]);
         }
-        assert_eq!(s.pages.len(), pages, "N non-zero writes added a page");
+        assert_eq!(
+            s.slabs[WHOLE].pages.len(),
+            pages,
+            "N non-zero writes added a page"
+        );
         for lba in (N..3 * N).step_by(2) {
             assert_eq!(s.read(lba, 2)[..SECTOR_SIZE], [lba as u8 | 1; SECTOR_SIZE]);
         }
         s.write(3 * N, &[2u8; SECTOR_SIZE]);
-        assert_eq!(s.pages.len(), pages + 1, "the N + 1st needs a page");
+        assert_eq!(
+            s.slabs[WHOLE].pages.len(),
+            pages + 1,
+            "the N + 1st needs a page"
+        );
+    }
+
+    #[test]
+    fn a_sector_is_kept_to_its_last_nonzero_line() {
+        let boundaries = [
+            (0, 0),
+            (63, 0),
+            (64, 1),
+            (127, 1),
+            (128, 2),
+            (255, 2),
+            (256, 3),
+            (511, 3),
+        ];
+        for (last, class) in boundaries {
+            let mut sector = [0u8; SECTOR_SIZE];
+            sector[last] = 0xC3;
+            assert_eq!(class_of(&sector), Some(class), "last non-zero byte {last}");
+            let mut s = SectorStore::new();
+            s.write(2, &sector);
+            assert_eq!(s.slot(2), Some((0, class)), "last non-zero byte {last}");
+            let mut out = [0xEEu8; SECTOR_SIZE];
+            s.read_into(2, &mut out);
+            assert_eq!(out, sector, "past the slot the sector reads zero");
+        }
+        assert_eq!(class_of(&[0u8; SECTOR_SIZE]), None);
+    }
+
+    #[test]
+    fn a_class_change_frees_the_old_slot_for_reuse_before_a_page_is_added() {
+        // A key sector — 8 bytes and zeroes — is kept in a 64 B slot.
+        let key = |lba: u64| {
+            let mut sector = [0u8; SECTOR_SIZE];
+            sector[..8].copy_from_slice(&(lba + 1).to_le_bytes());
+            sector
+        };
+        let per_page = (PAGE_BYTES / LINE) as u64;
+        let mut s = SectorStore::new();
+        for lba in 0..per_page {
+            s.write(lba, &key(lba));
+        }
+        assert_eq!(s.slabs[0].pages.len(), 1, "one page holds {per_page} keys");
+        // Up a class: a byte at 300 moves sector 5 to a whole slot.
+        let mut wide = key(5);
+        wide[300] = 1;
+        s.write(5, &wide);
+        assert_eq!(s.slot(5), Some((0, WHOLE)));
+        assert_eq!(s.slabs[0].free, [5], "the line it left is free");
+        s.write(1_000, &key(1_000));
+        assert_eq!(s.slot(1_000), Some((5, 0)), "and taken by the next key");
+        assert_eq!(s.slabs[0].pages.len(), 1);
+        // Down a class: the whole slot is freed, and with no line free
+        // the class adds a page.
+        s.write(5, &key(5));
+        assert_eq!(s.slabs[WHOLE].free, [0]);
+        assert_eq!(s.slot(5), Some((per_page as u32, 0)));
+        assert_eq!(s.slabs[0].pages.len(), 2);
+        for lba in (0..per_page).chain([1_000]) {
+            assert_eq!(s.read(lba, 1), key(lba), "sector {lba}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is full at 1073741823 slots")]
+    fn an_index_entry_past_its_bits_panics() {
+        assert_eq!(entry(MAX_SLOTS - 1, WHOLE), u32::MAX);
+        entry(MAX_SLOTS, 0);
     }
 
     #[test]
@@ -357,8 +515,9 @@ mod tests {
     #[test]
     fn zero_padded_records_cost_their_nonzero_sectors() {
         // `tenant_noisy`'s log: 4 KiB records, an 8-byte key and zeroes,
-        // appended back to back. Each costs its first sector and eight
-        // index entries, not the 4 KiB it spans.
+        // appended back to back. Each costs the first line of its first
+        // sector and eight index entries, not the 4 KiB it spans, and an
+        // append-only log gives no slot back, so it holds no free list.
         const RECORDS: usize = 1_000;
         const RECORD: usize = 8 * SECTOR_SIZE;
         let mut s = SectorStore::new();
@@ -369,12 +528,13 @@ mod tests {
         }
         let slack = (s.slots.capacity() - s.slots.len()) * size_of::<u32>();
         let index = RECORD / SECTOR_SIZE * size_of::<u32>();
-        let bound = RECORDS * (SECTOR_SIZE + index) + PAGE_BYTES + slack;
+        let bound = RECORDS * (LINE + index) + PAGE_BYTES + slack;
         assert!(
             s.heap_bytes() <= bound,
             "{} B for {RECORDS} records (bound {bound})",
             s.heap_bytes()
         );
+        assert!(s.slabs.iter().all(|slab| slab.free.capacity() == 0));
         assert_eq!(s.read(8 * 999, 8)[..8], 1000u64.to_le_bytes());
     }
 

@@ -781,6 +781,26 @@ mod tests {
     }
 
     #[test]
+    fn read_modify_writes_over_a_short_stored_sector() {
+        // The store keeps a sector to its last non-zero 64-byte line: 8
+        // bytes at 0 are one line, 8 more at 300 widen the sector to a
+        // whole one, and zeroing them narrows it again. Each write reads
+        // the stored sector for its edges and must keep every byte.
+        let (mut fs, mut store) = setup();
+        let ino = fs.create("f").expect("create");
+        let mut want = [0u8; BLOCK_SIZE];
+        for (off, bytes) in [(0, [0x5Au8; 8]), (300, [0xA5; 8]), (300, [0; 8])] {
+            fs.write(ino, off, &bytes, &mut store).expect("write");
+            want[off as usize..off as usize + 8].copy_from_slice(&bytes);
+            let size = fs.file_size(ino).expect("size") as usize;
+            let back = fs.read(ino, 0, BLOCK_SIZE, &mut store).expect("read");
+            assert_eq!(back, want[..size], "file after the write at {off}");
+            let (phys, _) = fs.map(ino, 0).expect("map").expect("mapped");
+            assert_eq!(store.read(phys, 1), want, "sector after the write at {off}");
+        }
+    }
+
+    #[test]
     fn sequential_append_yields_single_extent() {
         let (mut fs, mut store) = setup();
         let ino = fs.create("sstable").expect("create");

@@ -80,14 +80,18 @@ proptest! {
     }
 }
 
+/// Where a sector's last non-zero byte moves it to another slot class
+/// of the store (64, 128, 256 or 512 B), from both sides.
+const CLASS_EDGES: [usize; 7] = [63, 64, 127, 128, 255, 256, 511];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
     fn sector_store_matches_the_per_sector_map(
-        ops in proptest::collection::vec((0u8..5, 0u64..150, 1u32..50, any::<u8>(), any::<u64>()), 1..60)
+        ops in proptest::collection::vec((0u8..6, 0u64..150, 1u32..50, any::<u8>(), any::<u64>()), 1..60)
     ) {
         // LBAs 0..200, ranges up to 49 sectors: a store of up to a dozen
-        // pages whose slots are freed and reused out of LBA order.
+        // pages a class whose slots are freed and reused out of LBA order.
         let mut store = SectorStore::new();
         let mut oracle = SectorMap::default();
         for (kind, slba, nlb, fill, zeros) in ops {
@@ -110,6 +114,38 @@ proptest! {
                 3 => {
                     store.discard(slba, nlb);
                     oracle.discard(slba, nlb);
+                }
+                4 => {
+                    // Sector `j`'s last non-zero byte sits at a slot
+                    // class boundary drawn from `zeros`; the sectors are
+                    // then overwritten two boundaries up or down, which
+                    // moves each one a class up or down.
+                    let picks: Vec<usize> = (0..nlb as usize)
+                        .map(|j| (zeros >> (j % 21 * 3) & 7) as usize % CLASS_EDGES.len())
+                        .collect();
+                    for moved in [false, true] {
+                        let data: Vec<u8> = picks
+                            .iter()
+                            .enumerate()
+                            .flat_map(|(j, &k)| {
+                                let up = k < 2 || (k + 2 < CLASS_EDGES.len() && fill >> (j % 8) & 1 == 1);
+                                let k = match (moved, up) {
+                                    (false, _) => k,
+                                    (true, true) => k + 2,
+                                    (true, false) => k - 2,
+                                };
+                                let last = CLASS_EDGES[k];
+                                (0..SECTOR_SIZE).map(move |i| match i {
+                                    _ if i == last => fill | 1,
+                                    _ if i < last => fill.wrapping_add((i / 7) as u8),
+                                    _ => 0,
+                                })
+                            })
+                            .collect();
+                        store.write(slba, &data);
+                        oracle.write(slba, &data);
+                        prop_assert_eq!(store.read(slba, nlb), data);
+                    }
                 }
                 _ => {
                     // A partial write framed by the stored edges.
