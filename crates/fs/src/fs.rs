@@ -8,13 +8,15 @@
 //! while the kernel stack decides what each access costs.
 //!
 //! Every metadata change is a [`JournalRecord`], and one function,
-//! `ExtFs::apply`, carries it out: live = apply + log, replay = apply.
-//! A live operation makes its placement decisions (allocation, data
-//! copies), builds the record, applies it and logs it; crash recovery
-//! applies the committed records to a fresh file system. What a record
-//! changes — directory, inode table, extent trees, both generation
-//! counters, freed blocks, [`FsStats`] and extent events — is therefore
-//! the same on both paths.
+//! `MetaPlane::apply`, carries it out: live = apply + log, replay =
+//! apply. A live operation makes its placement decisions (allocation,
+//! data copies), builds the record, applies it and logs it. A checkpoint
+//! applies the committed records to a recovery image — metadata of the
+//! same type — and drops them from the journal; crash recovery applies
+//! the committed records still retained to a copy of that image. What a
+//! record changes — directory, inode table, extent trees, both
+//! generation counters, freed blocks, [`FsStats`] and extent events — is
+//! therefore the same on every path.
 //!
 //! The piece the paper adds is the **extent-change notification hook**:
 //! every operation that maps or unmaps blocks appends an
@@ -32,7 +34,7 @@ use bpfstor_sim::IdMap;
 use crate::alloc::BlockAllocator;
 use crate::extent::Extent;
 use crate::inode::Inode;
-use crate::journal::{Journal, JournalRecord, SealedTxn};
+use crate::journal::{Journal, JournalRecord, SealedTxn, CHECKPOINT_RECORDS};
 
 /// File-system block size; equal to the device sector size so one block
 /// maps to one NVMe logical block (as in the paper's 512 B experiments).
@@ -104,16 +106,29 @@ pub struct FsStats {
     pub blocks_freed: u64,
 }
 
-/// The extent file system (metadata plane).
+/// Everything a journal record changes: the live metadata and the
+/// recovery image are both one of these, and [`MetaPlane::apply`] is the
+/// only code that edits either.
 #[derive(Debug, Clone)]
-pub struct ExtFs {
+struct MetaPlane {
     alloc: BlockAllocator,
     inodes: IdMap<u64, Inode>,
     dir: BTreeMap<String, u64>,
     next_ino: u64,
-    journal: Journal,
     events: Vec<ExtentEvent>,
     stats: FsStats,
+}
+
+/// The extent file system (metadata plane).
+///
+/// Beside the live metadata it keeps a recovery image: the metadata as
+/// of the journal's checkpoint ([`Journal::base`]), which a crash
+/// replays the retained committed records on top of.
+#[derive(Debug, Clone)]
+pub struct ExtFs {
+    meta: MetaPlane,
+    journal: Journal,
+    image: MetaPlane,
 }
 
 impl ExtFs {
@@ -123,14 +138,18 @@ impl ExtFs {
     ///
     /// Panics if `nblocks == 0`.
     pub fn mkfs(nblocks: u64) -> Self {
-        ExtFs {
+        let meta = MetaPlane {
             alloc: BlockAllocator::new(nblocks),
             inodes: IdMap::default(),
             dir: BTreeMap::new(),
             next_ino: 1,
-            journal: Journal::new(),
             events: Vec::new(),
             stats: FsStats::default(),
+        };
+        ExtFs {
+            image: meta.clone(),
+            meta,
+            journal: Journal::new(),
         }
     }
 
@@ -142,10 +161,10 @@ impl ExtFs {
     ///
     /// [`FsError::Exists`] if the name is taken.
     pub fn create(&mut self, name: &str) -> Result<u64, FsError> {
-        if self.dir.contains_key(name) {
+        if self.meta.dir.contains_key(name) {
             return Err(FsError::Exists);
         }
-        let ino = self.next_ino;
+        let ino = self.meta.next_ino;
         self.record(JournalRecord::Create {
             ino,
             name: name.to_string(),
@@ -160,7 +179,7 @@ impl ExtFs {
     ///
     /// [`FsError::NotFound`] if absent.
     pub fn open(&self, name: &str) -> Result<u64, FsError> {
-        self.dir.get(name).copied().ok_or(FsError::NotFound)
+        self.meta.dir.get(name).copied().ok_or(FsError::NotFound)
     }
 
     /// Removes a file, freeing all its blocks (fires unmap events).
@@ -181,13 +200,13 @@ impl ExtFs {
 
     /// Lists directory entries in name order.
     pub fn readdir(&self) -> Vec<(String, u64)> {
-        self.dir.iter().map(|(n, &i)| (n.clone(), i)).collect()
+        self.meta.dir.iter().map(|(n, &i)| (n.clone(), i)).collect()
     }
 
     // --- Data path ----------------------------------------------------------
 
     fn inode(&self, ino: u64) -> Result<&Inode, FsError> {
-        self.inodes.get(&ino).ok_or(FsError::BadInode(ino))
+        self.meta.inodes.get(&ino).ok_or(FsError::BadInode(ino))
     }
 
     /// File size in bytes.
@@ -320,7 +339,9 @@ impl ExtFs {
     /// a caller with no barrier to wait for. A no-op when nothing is
     /// pending. Returns the writer handles the transaction carried.
     pub fn commit_journal(&mut self) -> usize {
-        self.journal.commit()
+        let handles = self.journal.commit();
+        self.checkpoint_if_due();
+        handles
     }
 
     /// Seals the running journal transaction: the record range freezes,
@@ -335,10 +356,12 @@ impl ExtFs {
     /// Makes a sealed transaction durable (its barrier's CQE arrived).
     pub fn commit_journal_sealed(&mut self, txn: SealedTxn) {
         self.journal.commit_sealed(txn);
+        self.checkpoint_if_due();
     }
 
-    /// Total journal records (committed + pending) — the seal horizon a
-    /// submitting writer's records fall under.
+    /// Journal records logged since mkfs (checkpointed, committed and
+    /// pending) — the seal horizon a submitting writer's records fall
+    /// under.
     pub fn journal_len(&self) -> usize {
         self.journal.len()
     }
@@ -348,8 +371,22 @@ impl ExtFs {
     /// journal holds records that are not yet crash-durable — what a
     /// background writeback flush would persist.
     pub fn journal_dirty(&self) -> bool {
-        let j = &self.journal;
-        j.running_handles() > 0 || j.len() > j.committed_records().len()
+        self.journal.dirty()
+    }
+
+    /// Checkpoints the journal (`jbd2_log_do_checkpoint`): applies every
+    /// committed record to the recovery image and drops it from the log.
+    /// Running and sealed records stay. Every commit runs this once
+    /// [`CHECKPOINT_RECORDS`] committed records are retained.
+    pub fn checkpoint(&mut self) {
+        self.image.replay(self.journal.checkpoint().as_slice());
+    }
+
+    /// The trigger every commit path ends in.
+    fn checkpoint_if_due(&mut self) {
+        if self.journal.committed_records().len() >= CHECKPOINT_RECORDS {
+            self.checkpoint();
+        }
     }
 
     /// The one durability rule every metadata operation ends in: with
@@ -359,7 +396,7 @@ impl ExtFs {
     /// writers' (as jbd2 does), and commit points stay in seal order.
     fn end_op(&mut self) {
         if self.journal.running_handles() == 0 && !self.journal.seal_outstanding() {
-            self.journal.commit();
+            self.commit_journal();
         }
     }
 
@@ -476,7 +513,7 @@ impl ExtFs {
             .map_or(0, |(phys, _)| phys + 1);
         let gap = extents.next_mapped(lb).map_or(u64::MAX, |next| next - lb);
         let want = want.min(gap).min(u32::MAX.into());
-        let run = self.alloc.alloc(want, goal).ok_or(FsError::NoSpace)?;
+        let run = self.meta.alloc.alloc(want, goal).ok_or(FsError::NoSpace)?;
         // Fresh blocks must read as zeros: the physical sectors may hold
         // a deleted file's bytes, which a real FS never exposes.
         store.discard(run.start, run.len as u32);
@@ -568,10 +605,10 @@ impl ExtFs {
                 len: old.len,
             });
             let (mut rest, mut logical) = (&data[..], old.logical);
-            let mut goal = (old.physical + 4096) % self.alloc.capacity();
+            let mut goal = (old.physical + 4096) % self.meta.alloc.capacity();
             while !rest.is_empty() {
                 let left = (rest.len() / BLOCK_SIZE) as u64;
-                let run = self.alloc.alloc(left, goal).ok_or(FsError::NoSpace)?;
+                let run = self.meta.alloc.alloc(left, goal).ok_or(FsError::NoSpace)?;
                 let (piece, tail) = rest.split_at(run.len as usize * BLOCK_SIZE);
                 store.write(run.start, piece);
                 let extent = Extent {
@@ -592,12 +629,12 @@ impl ExtFs {
     /// Drains pending extent events (consumed by the NVMe layer); the
     /// queue keeps its buffer.
     pub fn drain_events(&mut self) -> std::vec::Drain<'_, ExtentEvent> {
-        self.events.drain(..)
+        self.meta.events.drain(..)
     }
 
     /// Activity counters.
     pub fn stats(&self) -> FsStats {
-        self.stats
+        self.meta.stats
     }
 
     /// The journal (inspection and crash-recovery tests).
@@ -606,50 +643,57 @@ impl ExtFs {
     }
 
     /// Simulates a crash after every record reached the log, followed
-    /// by journal replay into a fresh metadata plane: what was committed
-    /// survives. Returns the recovered file system.
-    pub fn crash_and_recover(self, nblocks: u64) -> ExtFs {
-        self.crash_and_recover_at(nblocks, usize::MAX)
+    /// by journal replay: what was committed survives. Returns the
+    /// recovered file system.
+    pub fn crash_and_recover(self) -> ExtFs {
+        self.crash_and_recover_at(usize::MAX)
     }
 
     /// Simulates a crash after exactly `persisted` journal records
-    /// reached the log (see [`crate::Journal::crash_at`]) and replays
-    /// into a fresh metadata plane: the recovered state is some prefix
-    /// of committed transactions, never a torn one.
-    pub fn crash_and_recover_at(mut self, nblocks: u64, persisted: usize) -> ExtFs {
+    /// (counted since mkfs) reached the log (see
+    /// [`crate::Journal::crash_at`]) and replays the retained committed
+    /// records onto a copy of the recovery image: the recovered state is
+    /// some prefix of committed transactions, never a torn one. The
+    /// recovered file system keeps the image and the retained records.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `persisted` is below the journal's checkpoint
+    /// ([`crate::Journal::base`]).
+    pub fn crash_and_recover_at(mut self, persisted: usize) -> ExtFs {
         self.journal.crash_at(persisted);
-        let mut fresh = ExtFs::mkfs(nblocks);
-        for rec in self.journal.committed_records() {
-            // A live map's blocks were taken by `alloc` before its record
-            // was applied; replay takes them here.
-            if let JournalRecord::MapExtent { extent, .. } = rec {
-                fresh.alloc.reserve(extent.physical, extent.len);
-            }
-            fresh.apply(rec);
-        }
-        fresh.events.clear();
-        fresh
+        let mut meta = self.image.clone();
+        meta.replay(self.journal.committed_records());
+        ExtFs { meta, ..self }
     }
 
     /// How a live operation changes metadata: apply the record, then
     /// move it into the running transaction.
     fn record(&mut self, rec: JournalRecord) {
-        self.apply(&rec);
+        self.meta.apply(&rec);
         self.journal.log(rec);
     }
 
     /// Extends the file to `size` bytes if it is shorter (a `SetSize`).
     fn grow(&mut self, ino: u64, size: u64) {
-        if self.inodes.get(&ino).is_some_and(|i| size > i.size) {
+        if self.meta.inodes.get(&ino).is_some_and(|i| size > i.size) {
             self.record(JournalRecord::SetSize { ino, size });
         }
     }
 
+    /// Free blocks remaining.
+    pub fn free_blocks(&self) -> u64 {
+        self.meta.alloc.free()
+    }
+}
+
+impl MetaPlane {
     /// The one function that changes file-system metadata — inode
     /// table, directory, extent trees, generations, allocator releases,
     /// counters and extent events — for live operations
-    /// ([`ExtFs::record`]) and crash replay alike, so replay reproduces
-    /// the live metadata by construction. The counters advance per block
+    /// ([`ExtFs::record`]), checkpoints and crash replay
+    /// ([`MetaPlane::replay`]) alike, so replay reproduces the live
+    /// metadata by construction. The counters advance per block
     /// mapped and per range unmapped.
     fn apply(&mut self, rec: &JournalRecord) {
         match *rec {
@@ -698,9 +742,20 @@ impl ExtFs {
         }
     }
 
-    /// Free blocks remaining.
-    pub fn free_blocks(&self) -> u64 {
-        self.alloc.free()
+    /// Applies committed records in order — crash replay and a
+    /// checkpoint alike — and drops each extent event as it is queued:
+    /// nothing downstream caches what a replay maps, and the queue stays
+    /// one record's events long however many records are replayed.
+    fn replay(&mut self, records: &[JournalRecord]) {
+        for rec in records {
+            // A live map's blocks were taken by `alloc` before its record
+            // was applied; replay takes them here.
+            if let JournalRecord::MapExtent { extent, .. } = rec {
+                self.alloc.reserve(extent.physical, extent.len);
+            }
+            self.apply(rec);
+            self.events.clear();
+        }
     }
 }
 
@@ -989,7 +1044,7 @@ mod tests {
         fs.create("g").expect("create");
         assert_eq!(
             fs.journal().len(),
-            fs.journal().committed_records().len(),
+            fs.journal().committed(),
             "metadata ops commit again"
         );
     }
@@ -1032,7 +1087,7 @@ mod tests {
             .expect("write");
         let extents_before = fs.extents_snapshot(ino).expect("snap");
         let size_before = fs.file_size(ino).expect("size");
-        let recovered = fs.crash_and_recover(65_536);
+        let recovered = fs.crash_and_recover();
         let ino2 = recovered.open("persisted").expect("open");
         assert_eq!(ino2, ino);
         assert_eq!(
@@ -1079,7 +1134,7 @@ mod tests {
             }
         );
         assert!(!fs.journal_dirty());
-        let mut recovered = fs.clone().crash_and_recover(65_536);
+        let mut recovered = fs.clone().crash_and_recover();
         assert_eq!(recovered.readdir(), fs.readdir());
         for ino in [a, b] {
             let meta = |fs: &ExtFs| {
@@ -1102,7 +1157,7 @@ mod tests {
         let ino = fs.open("a").expect("open");
         fs.write(ino, 0, &vec![1u8; BLOCK_SIZE], &mut store)
             .expect("write");
-        let recovered = fs.crash_and_recover(65_536);
+        let recovered = fs.crash_and_recover();
         assert!(recovered.open("a").is_ok(), "committed create survives");
     }
 
@@ -1113,5 +1168,115 @@ mod tests {
         fs.create("a").expect("create");
         let names: Vec<String> = fs.readdir().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["a".to_string(), "b".to_string()]);
+    }
+
+    #[test]
+    fn a_checkpoint_moves_the_committed_prefix_into_the_image() {
+        let (mut fs, mut store) = setup();
+        let a = fs.create("a").expect("create");
+        fs.write(a, 0, &vec![1u8; BLOCK_SIZE * 4], &mut store)
+            .expect("write");
+        fs.relocate(a, &mut store).expect("relocate");
+        // A runtime writer's records are sealed, not yet durable.
+        let b = fs.create("b").expect("create");
+        fs.plan_write(b, 0, BLOCK_SIZE * 2, &mut store)
+            .expect("plan");
+        let sealed = fs.seal_journal();
+        let committed = fs.journal().committed();
+        let uncheckpointed = fs.clone();
+        fs.checkpoint();
+        assert_eq!(fs.journal().base(), committed);
+        assert!(fs.journal().committed_records().is_empty());
+        assert!(fs.journal_dirty(), "the sealed write is still pending");
+        assert!(fs.image.events.is_empty(), "the image queues no events");
+        assert_eq!(
+            fs.image.stats,
+            uncheckpointed.clone().crash_and_recover().stats()
+        );
+        fs.commit_journal_sealed(sealed);
+        assert!(!fs.journal_dirty(), "an absolute length, not the window's");
+        // Recovery from the image lands where a full-log replay does,
+        // at the checkpoint and past it.
+        let mut full = uncheckpointed;
+        full.commit_journal_sealed(sealed);
+        let meta = |fs: ExtFs| {
+            let files: Vec<_> = fs
+                .readdir()
+                .into_iter()
+                .map(|(n, i)| {
+                    (
+                        n,
+                        fs.extents_snapshot(i),
+                        fs.generations(i),
+                        fs.file_size(i),
+                    )
+                })
+                .collect();
+            (files, fs.stats(), fs.free_blocks())
+        };
+        for k in [committed, sealed.end] {
+            let recovered = fs.clone().crash_and_recover_at(k);
+            assert_eq!(
+                meta(recovered),
+                meta(full.clone().crash_and_recover_at(k)),
+                "{k}"
+            );
+        }
+        assert_eq!(meta(fs.clone().crash_and_recover()), meta(fs.clone()));
+        // Sixteen maps, then one checkpoint, then another: the image's
+        // event queue never holds more than one record's events.
+        for i in 0..16 {
+            fs.fallocate(a, 100 + 2 * i, 1, &mut store)
+                .expect("fallocate");
+        }
+        for _ in 0..2 {
+            fs.relocate(a, &mut store).expect("relocate");
+            fs.checkpoint();
+            assert!(fs.image.events.is_empty());
+            assert!(fs.image.events.capacity() <= 4, "one record's events");
+        }
+    }
+
+    #[test]
+    fn every_commit_path_checkpoints_past_the_trigger() {
+        let (mut fs, mut store) = setup();
+        let ino = fs.create("log").expect("create");
+        let bs = BLOCK_SIZE as u64;
+        // Appends of one block log a map and a size: two records each.
+        let mut end = 0;
+        let mut append = |fs: &mut ExtFs| {
+            fs.plan_write(ino, end * bs, BLOCK_SIZE, &mut store)
+                .expect("plan");
+            end += 1;
+        };
+        while fs.journal().committed() < CHECKPOINT_RECORDS - 2 {
+            append(&mut fs);
+            fs.commit_journal();
+        }
+        assert_eq!(fs.journal().base(), 0);
+        append(&mut fs);
+        let sealed = fs.seal_journal();
+        append(&mut fs);
+        fs.commit_journal_sealed(sealed);
+        assert_eq!(fs.journal().base(), sealed.end, "at the durable point");
+        assert!(fs.journal_dirty(), "the running append stays pending");
+        fs.commit_journal();
+        assert!(!fs.journal_dirty());
+        while fs.journal().committed() - fs.journal().base() < CHECKPOINT_RECORDS - 1 {
+            fs.create(&format!("f{}", fs.journal().len()))
+                .expect("create");
+        }
+        let before = fs.journal().base();
+        fs.create("last").expect("create");
+        assert_eq!(
+            fs.journal().base(),
+            before + CHECKPOINT_RECORDS,
+            "end_op's commit"
+        );
+        assert_eq!(fs.file_size(ino).expect("size"), end * bs);
+        let recovered = fs.clone().crash_and_recover();
+        assert_eq!(recovered.extents_snapshot(ino), fs.extents_snapshot(ino));
+        assert_eq!(recovered.readdir(), fs.readdir());
+        assert_eq!(recovered.free_blocks(), fs.free_blocks());
     }
 }

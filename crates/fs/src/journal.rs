@@ -15,6 +15,15 @@
 //! [`Journal::commit_sealed`] — the flush barrier's CQE — makes it
 //! durable. [`Journal::commit`] is the two steps back to back, for a
 //! caller with no barrier to wait for.
+//!
+//! The log is checkpointed, not append-only: [`Journal::checkpoint`]
+//! hands the committed prefix to the file system's recovery image and
+//! drops it, and the journal keeps only the records past it — what a
+//! crash could still need. Every index the journal speaks in counts
+//! records since mkfs ([`Journal::len`], [`Journal::committed`],
+//! [`Journal::commit_points`], [`SealedTxn::end`]); only
+//! [`Journal::committed_records`] is the retained window, starting at
+//! [`Journal::base`].
 
 use crate::extent::Extent;
 
@@ -60,6 +69,11 @@ pub enum JournalRecord {
     },
 }
 
+/// The committed records a commit lets the journal retain before it
+/// checkpoints them (jbd2's "log space low"): 8192 records, ~0.33 MB
+/// of log.
+pub const CHECKPOINT_RECORDS: usize = 8192;
+
 /// A sealed transaction: the running transaction frozen at a commit
 /// request, waiting for its flush barrier's CQE. Between
 /// [`Journal::seal`] and [`Journal::commit_sealed`] the records up to
@@ -75,22 +89,28 @@ pub struct SealedTxn {
     pub handles: usize,
 }
 
-/// An append-only journal with transaction boundaries.
+/// A checkpointed journal with transaction boundaries.
 ///
 /// The jbd2-style split: one *running* transaction takes new records
 /// and handles ([`Journal::join_running`]) while any number of sealed
 /// ones ([`Journal::seal`]) wait for their flush barriers. Each
 /// [`Journal::commit_sealed`] moves the durable point forward to its
 /// seal point, never back, so commit points stay strictly ascending
-/// whatever order the barriers complete in.
+/// whatever order the barriers complete in. [`Journal::checkpoint`]
+/// drops everything up to the durable point; the indices stay absolute
+/// (records since mkfs), and the retained records start at `base`.
 #[derive(Debug, Clone, Default)]
 pub struct Journal {
+    /// The records from `base` on: `records[i]` is record `base + i`.
     records: Vec<JournalRecord>,
+    /// Records before this index were checkpointed and dropped; it is
+    /// a commit point (or 0).
+    base: usize,
     /// Records up to this index are committed (crash-durable).
     committed: usize,
-    /// Record count after each committed transaction, strictly
-    /// ascending — the on-disk commit-block positions a crash can land
-    /// between.
+    /// Record count after each committed transaction past `base`,
+    /// strictly ascending — the on-disk commit-block positions a crash
+    /// can land between.
     commit_points: Vec<usize>,
     /// Handles that joined the running transaction via
     /// [`Journal::join_running`].
@@ -124,13 +144,19 @@ impl Journal {
         self.sealed > self.committed
     }
 
+    /// True while a handle has joined the running transaction or some
+    /// record is not yet crash-durable.
+    pub fn dirty(&self) -> bool {
+        self.running_handles > 0 || self.len() > self.committed
+    }
+
     /// Seals the running transaction for commit: freezes the records
     /// logged since the previous seal and hands back the [`SealedTxn`]
     /// the flush barrier will make durable via
     /// [`Journal::commit_sealed`]. New handles start a fresh running
     /// transaction. Earlier seals may still be outstanding.
     pub fn seal(&mut self) -> SealedTxn {
-        let end = self.records.len();
+        let end = self.len();
         let sealed = SealedTxn {
             end,
             records: end - self.sealed,
@@ -167,35 +193,70 @@ impl Journal {
         txn.handles
     }
 
+    /// Checkpoints the log: moves `base` up to the durable point and
+    /// hands back the committed records it drops, oldest first, for the
+    /// caller to apply to its recovery image. The durable point is
+    /// always a seal end, so no outstanding seal is split; running and
+    /// sealed records stay.
+    pub fn checkpoint(&mut self) -> std::vec::Drain<'_, JournalRecord> {
+        let done = self.committed - self.base;
+        self.base = self.committed;
+        // Every commit point is at or below the durable point.
+        self.commit_points.clear();
+        self.records.drain(..done)
+    }
+
     /// Simulates a crash after exactly `persisted` records reached the
     /// log: everything past the last commit block at or before that
     /// point vanishes — a torn transaction is discarded whole, never
     /// half-applied, and a sealed one still waiting for its barrier
     /// loses every joined handle atomically. The last durable commit
     /// block is found by binary search (`commit_points` is ascending by
-    /// construction).
+    /// construction); before the first retained one it is `base`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `persisted` is below [`Journal::base`]: a checkpointed
+    /// prefix is durable by definition.
     pub fn crash_at(&mut self, persisted: usize) {
+        assert!(
+            persisted >= self.base,
+            "crash_at({persisted}) below the checkpoint at record {}: a checkpointed prefix is durable",
+            self.base
+        );
         let idx = self.commit_points.partition_point(|&p| p <= persisted);
-        let durable = if idx == 0 {
-            0
-        } else {
-            self.commit_points[idx - 1]
+        let durable = match idx {
+            0 => self.base,
+            _ => self.commit_points[idx - 1],
         };
-        self.records.truncate(durable);
+        self.records.truncate(durable - self.base);
         self.committed = durable;
         self.commit_points.truncate(idx);
         self.running_handles = 0;
         self.sealed = durable;
     }
 
-    /// Record counts at each committed transaction boundary, ascending.
+    /// Record counts at each committed transaction boundary past
+    /// [`Journal::base`], ascending.
     pub fn commit_points(&self) -> &[usize] {
         &self.commit_points
     }
 
-    /// Committed records, oldest first (the replay input).
+    /// The committed records past [`Journal::base`], oldest first (the
+    /// replay input on top of the recovery image).
     pub fn committed_records(&self) -> &[JournalRecord] {
-        &self.records[..self.committed]
+        &self.records[..self.committed - self.base]
+    }
+
+    /// Records committed since mkfs.
+    pub fn committed(&self) -> usize {
+        self.committed
+    }
+
+    /// Records checkpointed and dropped since mkfs: the first retained
+    /// record's index.
+    pub fn base(&self) -> usize {
+        self.base
     }
 
     /// Total committed transactions.
@@ -203,14 +264,14 @@ impl Journal {
         self.txns
     }
 
-    /// Total records (committed + pending).
+    /// Records logged since mkfs (checkpointed, committed and pending).
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.base + self.records.len()
     }
 
-    /// True if the journal holds no records.
+    /// True if no record was ever logged (or a crash lost them all).
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 }
 
@@ -437,5 +498,77 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn checkpoint_with_a_seal_outstanding_drops_only_up_to_committed() {
+        let mut j = Journal::new();
+        j.log(rec(1));
+        j.log(rec(2));
+        j.commit(); // durable at 2
+        j.join_running();
+        j.log(rec(3));
+        let sealed = j.seal(); // committing: 2..3
+        j.log(rec(4)); // running: 3..4
+        let dropped: Vec<_> = j.checkpoint().collect();
+        assert_eq!(dropped, [rec(1), rec(2)], "the committed prefix, in order");
+        assert_eq!((j.base(), j.committed(), j.len()), (2, 2, 4));
+        assert!(j.committed_records().is_empty());
+        assert!(j.seal_outstanding() && j.dirty());
+        // The seal's barrier lands after the checkpoint: its record
+        // commits, the running one does not.
+        j.commit_sealed(sealed);
+        assert_eq!(j.committed_records(), [rec(3)]);
+        assert_eq!(j.commit_points(), &[3]);
+        // A crash in the running transaction keeps the sealed record.
+        j.crash_at(j.len());
+        assert_eq!((j.base(), j.committed(), j.len()), (2, 3, 3));
+        assert_eq!(j.committed_records(), [rec(3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "below the checkpoint at record 2")]
+    fn crash_at_below_the_checkpoint_is_refused() {
+        let mut j = Journal::new();
+        j.log(rec(1));
+        j.log(rec(2));
+        j.commit();
+        j.checkpoint();
+        j.crash_at(1);
+    }
+
+    #[test]
+    fn len_and_commit_points_stay_absolute_across_a_checkpoint() {
+        let mut j = Journal::new();
+        for i in 0..3 {
+            j.log(rec(i));
+            j.commit();
+        }
+        assert_eq!(j.checkpoint().len(), 3);
+        assert_eq!((j.base(), j.len(), j.committed()), (3, 3, 3));
+        assert!(j.commit_points().is_empty() && !j.is_empty());
+        assert!(!j.dirty(), "nothing pending after a checkpoint");
+        j.log(rec(3));
+        assert!(j.dirty());
+        j.commit();
+        j.log(rec(4));
+        j.log(rec(5));
+        let sealed = j.seal();
+        assert_eq!(sealed.end, 6, "a seal point counts from mkfs");
+        j.commit_sealed(sealed);
+        assert_eq!(j.commit_points(), &[4, 6]);
+        assert_eq!(j.committed_records(), [rec(3), rec(4), rec(5)]);
+        assert!(!j.dirty());
+        assert_eq!(j.transactions(), 5);
+        // A crash between retained points rolls back to one; at the
+        // base, to the checkpoint itself.
+        j.crash_at(5);
+        assert_eq!((j.len(), j.committed_records().len()), (4, 1));
+        j.crash_at(3);
+        assert_eq!((j.len(), j.committed()), (3, 3));
+        assert!(j.committed_records().is_empty() && j.commit_points().is_empty());
+        // A second checkpoint with nothing new drops nothing.
+        assert_eq!(j.checkpoint().len(), 0);
+        assert_eq!(j.base(), 3);
     }
 }

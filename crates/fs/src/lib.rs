@@ -10,7 +10,8 @@
 //!   keeps appends contiguous so index files stay extent-stable);
 //! - [`extent`]: sorted extent trees with merge/split/unmap;
 //! - [`inode`]: per-file metadata with extent-change generations;
-//! - [`journal`]: transaction journal with crash/replay (jbd2-lite);
+//! - [`journal`]: checkpointed transaction journal with crash/replay
+//!   (jbd2-lite);
 //! - [`pagecache`]: LRU block cache, kept only for the benchmark's
 //!   micro-timing (the kernel is `O_DIRECT`-only);
 //! - [`fs`]: the [`fs::ExtFs`] facade and the [`fs::ExtentEvent`]
@@ -31,5 +32,5 @@ pub use alloc::BlockAllocator;
 pub use extent::{Extent, ExtentTree};
 pub use fs::{cut_runs, ExtFs, ExtentEvent, FsError, FsStats, BLOCK_SIZE};
 pub use inode::Inode;
-pub use journal::{Journal, JournalRecord, SealedTxn};
+pub use journal::{Journal, JournalRecord, SealedTxn, CHECKPOINT_RECORDS};
 pub use pagecache::{CacheStats, PageCache};

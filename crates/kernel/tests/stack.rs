@@ -9,6 +9,7 @@
 mod support;
 
 use bpfstor_device::SECTOR_SIZE;
+use bpfstor_fs::CHECKPOINT_RECORDS;
 use bpfstor_kernel::{
     AdaptiveIrqConfig, ChainOutcome, ChainStatus, ChainVerdict, CommitPolicy, DispatchMode,
     ExecSplit, Fd, HybridConfig, InitiatorStats, KernelError, LayerCosts, Machine, MachineConfig,

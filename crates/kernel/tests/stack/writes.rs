@@ -49,15 +49,12 @@ fn fsync_commits_the_journal_unfsynced_writes_stay_pending() {
         .expect("write");
     assert!(m.fs().journal_dirty(), "runtime write leaves the txn open");
     let j = m.fs().journal();
-    assert!(
-        j.len() > j.committed_records().len(),
-        "records pending, not committed"
-    );
+    assert!(j.len() > j.committed(), "records pending, not committed");
     // The fsync barrier commits them.
     m.write_file(ino, 0, &[], true).expect("fsync");
     assert!(!m.fs().journal_dirty());
     let j = m.fs().journal();
-    assert_eq!(j.len(), j.committed_records().len(), "all records durable");
+    assert_eq!(j.len(), j.committed(), "all records durable");
 }
 
 #[test]
@@ -98,7 +95,7 @@ fn group_commit_shares_one_barrier_across_concurrent_fsyncs() {
     assert!(commit.flushes_per_fsync() < 1.0);
     // Everything fsynced is durable once the run drains.
     let j = m.fs().journal();
-    assert_eq!(j.len(), j.committed_records().len());
+    assert_eq!(j.len(), j.committed());
     // Fsync latency is measured issue-to-barrier-CQE, once per fsync.
     assert_eq!(report.fsync_latency.count(), 32);
 }
@@ -125,7 +122,7 @@ fn writeback_timer_flushes_unfsynced_journal_records() {
     let j = m.fs().journal();
     assert_eq!(
         j.len(),
-        j.committed_records().len(),
+        j.committed(),
         "background flush drained the journal before the run ended"
     );
     // No fsync means no fsync latency samples.
@@ -139,7 +136,6 @@ fn a_relocation_amid_fsyncing_writers_keeps_every_commit_in_seal_order() {
     // rides the writers' next barrier; it used to commit on the spot,
     // ahead of the in-flight seal, whose CQE then moved the durable
     // point backwards.
-    const NBLOCKS: u64 = 1 << 14;
     const WRITES: u64 = 24;
     let policies = [
         CommitPolicy::PerFsync,
@@ -155,7 +151,6 @@ fn a_relocation_amid_fsyncing_writers_keeps_every_commit_in_seal_order() {
         for at in (0..200).map(|us| us * 1_000) {
             let cfg = MachineConfig {
                 commit_policy: policy,
-                fs_blocks: NBLOCKS,
                 ..MachineConfig::default()
             };
             let (mut m, fd) = log_machine(cfg, "wal.db");
@@ -175,7 +170,7 @@ fn a_relocation_amid_fsyncing_writers_keeps_every_commit_in_seal_order() {
             // Every write was fsynced: a crash after the run keeps them all.
             let ino = m.ino_of(fd).expect("ino");
             let (fs, store) = m.fs_and_store();
-            let recovered = fs.clone().crash_and_recover(NBLOCKS);
+            let recovered = fs.clone().crash_and_recover();
             for i in 0..WRITES {
                 let off = i * SECTOR_SIZE as u64;
                 let got = recovered.read(ino, off, SECTOR_SIZE, store).expect("read");
@@ -186,6 +181,78 @@ fn a_relocation_amid_fsyncing_writers_keeps_every_commit_in_seal_order() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn a_long_journaled_world_checkpoints_and_recovers_from_its_image() {
+    // Each append logs a map and a size, so past CHECKPOINT_RECORDS / 2
+    // appends the commit paths checkpoint on their own: the journal
+    // retains fewer committed records than the trigger, reads clean
+    // once everything is durable, and a crash — at the end or right at
+    // the checkpoint — recovers from the image.
+    const WRITES: u64 = (CHECKPOINT_RECORDS as u64) / 2 + 200;
+    let policies = [
+        (
+            CommitPolicy::Group {
+                max_wait_us: 20,
+                max_handles: 4,
+            },
+            4,
+        ),
+        (
+            CommitPolicy::Writeback {
+                flush_interval_us: 50,
+            },
+            0,
+        ),
+    ];
+    for (policy, fsync_every) in policies {
+        let cfg = MachineConfig {
+            commit_policy: policy,
+            ..MachineConfig::default()
+        };
+        let (mut m, fd) = log_machine(cfg, "wal.db");
+        let mut d = writes(fd, SECTOR_SIZE, WRITES, fsync_every);
+        d.state.final_fsync = true;
+        m.run_closed_loop(4, SECOND, &mut d);
+        let written = |o: &ChainOutcome| matches!(o.status, ChainStatus::Written(_));
+        assert!(d.outcomes.iter().all(written), "{policy:?}");
+        assert_eq!(d.outcomes.len() as u64, WRITES + 1, "{policy:?}");
+        assert!(
+            !m.fs().journal_dirty(),
+            "{policy:?}: the last fsync drained it"
+        );
+        let j = m.fs().journal();
+        let base = j.base();
+        assert!(base > 0, "{policy:?}: the commit paths checkpointed");
+        assert_eq!(j.len(), j.committed(), "{policy:?}");
+        assert!(
+            j.committed_records().len() < CHECKPOINT_RECORDS,
+            "{policy:?}"
+        );
+        let ino = m.ino_of(fd).expect("ino");
+        let (fs, store) = m.fs_and_store();
+        let recovered = fs.clone().crash_and_recover();
+        assert_eq!(recovered.extents_snapshot(ino), fs.extents_snapshot(ino));
+        assert_eq!(recovered.free_blocks(), fs.free_blocks(), "{policy:?}");
+        for i in 0..WRITES {
+            let off = i * SECTOR_SIZE as u64;
+            let got = recovered.read(ino, off, SECTOR_SIZE, store).expect("read");
+            assert_eq!(
+                got,
+                vec![Writes::fill(i); SECTOR_SIZE],
+                "{policy:?}: write {i}"
+            );
+        }
+        // A crash right at the checkpoint recovers the image alone: part
+        // of the file, not all of it.
+        let at_base = fs.clone().crash_and_recover_at(base);
+        let size = at_base.file_size(ino).expect("size");
+        assert!(
+            size > 0 && size < fs.file_size(ino).expect("size"),
+            "{policy:?}"
+        );
     }
 }
 

@@ -34,6 +34,7 @@ use bpfstor::core::{
     CommitPolicy, DispatchMode, PushdownSession, PushdownWorkload, SessionStats, TenantGroup,
     TenantLimits, YcsbMix,
 };
+use bpfstor::fs::CHECKPOINT_RECORDS;
 use bpfstor::kernel::{FabricConfig, MachineConfig};
 use bpfstor::sim::{LatencyDist, MILLISECOND};
 use bpfstor::vm::verify;
@@ -383,6 +384,32 @@ fn steady_state_write_path_allocates_only_what_the_data_costs() {
         );
         assert_eq!((l.run)(T), (a1, w1), "{}: repeat run", l.name);
     }
+}
+
+#[test]
+fn a_long_journaled_write_world_keeps_only_what_recovery_needs() {
+    // Commits checkpoint the journal's committed prefix into the
+    // recovery image, so however long a write world runs, the journal
+    // retains fewer than `CHECKPOINT_RECORDS` committed records beside
+    // the ones still outstanding (an append-only log held every record
+    // since mkfs: 59 % of `ycsb_write_mix`'s peak).
+    let mut s = PushdownSession::builder(ycsb(APPENDS).fsync_every(8))
+        .dispatch(DispatchMode::User)
+        .build()
+        .expect("session");
+    s.run_closed_loop(4, 40 * MILLISECOND);
+    let j = s.machine().fs().journal();
+    let (retained, outstanding) = (j.len() - j.base(), j.len() - j.committed());
+    println!(
+        "{} records logged, {} checkpointed, {retained} retained, {outstanding} outstanding",
+        j.len(),
+        j.base()
+    );
+    assert!(j.base() >= 2 * CHECKPOINT_RECORDS, "{} records", j.len());
+    assert!(
+        retained < CHECKPOINT_RECORDS + outstanding,
+        "{retained} records retained, {outstanding} outstanding"
+    );
 }
 
 /// Runs `f`, returning its result with the heap calls it made and the

@@ -35,14 +35,12 @@ fn run_crash_writers(
     )
 }
 
-/// A machine whose file system matches the crash-replay target, so
-/// free-space accounting lines up between live and recovered metadata.
+/// A machine under `policy`, `seed` and `transport`.
 fn crash_cfg(policy: CommitPolicy, seed: u64, transport: TransportConfig) -> MachineConfig {
     MachineConfig {
         commit_policy: policy,
         seed,
         transport,
-        fs_blocks: 1 << 14,
         ..MachineConfig::default()
     }
 }
@@ -111,7 +109,6 @@ proptest! {
         relocate_at_us in 0u64..150,
         relocate_wal_at_us in 0u64..150,
     ) {
-        const NBLOCKS: u64 = 1 << 14;
         let relocate_at = [relocate_at_us * 1_000, relocate_wal_at_us * 1_000];
         let policies = [
             CommitPolicy::PerFsync,
@@ -126,7 +123,7 @@ proptest! {
             // (where its blocks are may be a later relocation's to
             // commit).
             let wal = m.fs().open("wal.db").expect("wal.db");
-            let recovered = m.fs().clone().crash_and_recover(NBLOCKS);
+            let recovered = m.fs().clone().crash_and_recover();
             let mapped = |fs: &ExtFs| {
                 let extents = fs.extents_snapshot(wal).expect("extents");
                 extents.iter().map(|e| e.len).sum::<u64>()
@@ -142,7 +139,7 @@ proptest! {
             m.write_file(wal, 0, &[], true).expect("fsync");
             let j = m.fs().journal();
             prop_assert_eq!(
-                j.len(), j.committed_records().len(),
+                j.len(), j.committed(),
                 "{:?}: the last fsync commits everything logged", policy
             );
             // Sharing never mints extra barriers; per-fsync never shares.
@@ -164,7 +161,7 @@ proptest! {
             let total = j.len();
             let commit_points: Vec<usize> = j.commit_points().to_vec();
             let live = fs_meta(m.fs());
-            let at = |k: usize| fs_meta(&m.fs().clone().crash_and_recover_at(NBLOCKS, k));
+            let at = |k: usize| fs_meta(&m.fs().clone().crash_and_recover_at(k));
             prop_assert_eq!(
                 at(total), live.clone(),
                 "{:?}: full-log replay must reproduce the live metadata", policy
@@ -193,11 +190,11 @@ proptest! {
             writers, writes, 0, false, seed, relocate_at,
         );
         let j = m.fs().journal();
-        prop_assert_eq!(j.len(), j.committed_records().len(), "writeback drains the journal");
+        prop_assert_eq!(j.len(), j.committed(), "writeback drains the journal");
         prop_assert!(report.commit.writeback_flushes >= 1, "the timer did the flushing");
         prop_assert_eq!(report.commit.fsyncs, 0);
         prop_assert_eq!(
-            fs_meta(&m.fs().clone().crash_and_recover_at(NBLOCKS, j.len())),
+            fs_meta(&m.fs().clone().crash_and_recover_at(j.len())),
             fs_meta(m.fs())
         );
         // Per-fsync with no fsyncs leaves the records pending: a crash
@@ -205,7 +202,7 @@ proptest! {
         let (m, _) =
             run_crash_writers(CommitPolicy::PerFsync, writers, writes, 0, false, seed, relocate_at);
         let j = m.fs().journal();
-        prop_assert!(j.len() > j.committed_records().len(), "no fsync, nothing durable");
+        prop_assert!(j.len() > j.committed(), "no fsync, nothing durable");
     }
 }
 
@@ -225,7 +222,6 @@ proptest! {
         max_wait_us in 5u64..60,
         seed in 0u64..1_000,
     ) {
-        const NBLOCKS: u64 = 1 << 14;
         let link = || {
             TransportConfig::Fabric(
                 FabricConfig::symmetric(20_000, 4_000)
@@ -246,7 +242,7 @@ proptest! {
                     run_crash_writers_on(cfg, writers, writes, fsync_every, true, mode, &[]);
                 let j = m.fs().journal();
                 prop_assert_eq!(
-                    j.len(), j.committed_records().len(),
+                    j.len(), j.committed(),
                     "{:?}/{:?}: the trailing fsync commits everything logged",
                     policy, mode
                 );
@@ -266,7 +262,7 @@ proptest! {
                 let total = j.len();
                 let commit_points: Vec<usize> = j.commit_points().to_vec();
                 let live = fs_meta(m.fs());
-                let at = |k: usize| fs_meta(&m.fs().clone().crash_and_recover_at(NBLOCKS, k));
+                let at = |k: usize| fs_meta(&m.fs().clone().crash_and_recover_at(k));
                 prop_assert_eq!(
                     at(total), live.clone(),
                     "{:?}/{:?}: full-log replay reproduces the live metadata", policy, mode

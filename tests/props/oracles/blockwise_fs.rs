@@ -189,7 +189,7 @@ impl Lockstep {
             self.nblocks - self.reference.alloc.used
         );
         assert!(!self.fs.journal_dirty());
-        let recovered = self.fs.clone().crash_and_recover(self.nblocks);
+        let recovered = self.fs.clone().crash_and_recover();
         assert_eq!(fs_meta(&recovered), fs_meta(&self.fs));
     }
 }

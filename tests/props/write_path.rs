@@ -256,8 +256,9 @@ proptest! {
             prop_assert_eq!(segments, vec![(end, blocks)]);
             let extent = Extent { logical: end, physical: end, len: blocks };
             end += blocks;
+            let j = fs.journal();
             prop_assert_eq!(
-                &fs.journal().committed_records()[before..],
+                &j.committed_records()[before - j.base()..],
                 &[
                     JournalRecord::MapExtent { ino, extent },
                     JournalRecord::SetSize { ino, size: end * 512 },
