@@ -340,13 +340,20 @@ pub struct RunReport {
     pub fsync_latency: Histogram,
     /// CPU utilization over the run.
     pub cpu_util: f64,
+    /// Σ busy time of the machine's cores over the run: what
+    /// [`Law::CpuBuckets`] holds `trace`'s CPU buckets to.
+    pub cpu_busy_ns: Nanos,
     /// Device channel utilization over the run.
     pub device_util: f64,
     /// Per-layer time accounting.
     pub trace: LayerTrace,
     /// Device counters for this run: doorbell rings, interrupts fired,
-    /// CQEs reaped, and submissions rejected by queue backpressure. On
-    /// a fabric transport these are target-side counters.
+    /// CQEs reaped, and submissions rejected by queue backpressure. They
+    /// count the host's side of the queue pair on either transport: on
+    /// a fabric the target's rings hold each command from its capsule's
+    /// arrival to the host's reap, so `irqs` and `cq_backlog_hwm` are
+    /// the host's reaps and backlog, and `doorbells` is one target
+    /// doorbell per arriving command capsule.
     pub device: DeviceStats,
     /// Fabric counters for this run: capsules each way, wire time,
     /// window stalls. All zero on the local transport.
@@ -388,7 +395,87 @@ pub struct RunReport {
     pub commit: crate::commit::CommitLog,
 }
 
+/// One conservation law of a run, as [`RunReport::audit`] checks it
+/// (left side == right side, term for term). Each holds on every run,
+/// on both transports, in every reap mode and under every commit policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Law {
+    /// Every CPU nanosecond a core ran is in exactly one layer bucket:
+    /// `trace.software()` == `cpu_busy_ns`.
+    CpuBuckets,
+    /// Every command was reaped once, for one tenant: `device.cqes`, Σ
+    /// tenant `cqes`, `trace.ios` == `ios` each.
+    DeviceCqes,
+    /// `device.reads + writes + flushes` == `ios`.
+    DeviceCommands,
+    /// Every device reap was an interrupt or a productive poll:
+    /// `device.irqs + empty_polls` == `trace.irqs + polls`.
+    DeviceReaps,
+    /// Every command crossed as a capsule or was already on the target:
+    /// `fabric.capsules_sent + target_local` == `ios` on a fabric, 0
+    /// locally.
+    WireCrossings,
+    /// Σ initiator `capsules_sent`, `responses`, `retransmits`,
+    /// `bytes_tx`, `capsule_stalls` == the same fields of `fabric`.
+    WireInitiators,
+    /// `fabric.lost` == `fabric.retransmits`.
+    WireLostIsRetransmitted,
+}
+
+/// A law a run broke, with both its sides in the order [`Law`] lists
+/// their terms.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Broken {
+    /// The law broken.
+    pub law: Law,
+    /// Its left side.
+    pub lhs: Vec<u64>,
+    /// Its right side.
+    pub rhs: Vec<u64>,
+}
+
 impl RunReport {
+    /// Checks every [`Law`] over this report: `Ok` when each holds,
+    /// else every broken one with both its sides. Each law is written
+    /// here and nowhere else; [`crate::Machine`] panics on a run whose
+    /// report fails it, in every build. Allocates nothing when every
+    /// law holds.
+    pub fn audit(&self) -> Result<(), Vec<Broken>> {
+        let (d, t, f, ios) = (&self.device, &self.trace, &self.fabric, self.ios);
+        let tenant_cqes: u64 = self.tenants.iter().map(|t| t.cqes).sum();
+        let sum = |term: fn(&InitiatorStats) -> u64| self.fabric_initiators.iter().map(term).sum();
+        // Every fabric has an initiator; a local machine has none.
+        let on_fabric = u64::from(!self.fabric_initiators.is_empty());
+        // Laid out by hand as the table it is: law, left side, right side.
+        #[rustfmt::skip]
+        let laws: [(Law, &[u64], &[u64]); 7] = [
+            (Law::CpuBuckets, &[t.software()], &[self.cpu_busy_ns]),
+            (Law::DeviceCqes, &[d.cqes, tenant_cqes, t.ios], &[ios; 3]),
+            (Law::DeviceCommands, &[d.reads + d.writes + d.flushes], &[ios]),
+            (Law::DeviceReaps, &[d.irqs + d.empty_polls], &[t.irqs + t.polls]),
+            (Law::WireCrossings, &[f.capsules_sent + f.target_local], &[ios * on_fabric]),
+            (Law::WireInitiators,
+                &[sum(|i| i.capsules_sent), sum(|i| i.responses), sum(|i| i.retransmits),
+                    sum(|i| i.bytes_tx), sum(|i| i.capsule_stalls)],
+                &[f.capsules_sent, f.responses, f.retransmits, f.bytes_tx, f.capsule_stalls]),
+            (Law::WireLostIsRetransmitted, &[f.lost], &[f.retransmits]),
+        ];
+        let broken: Vec<Broken> = laws
+            .into_iter()
+            .filter(|(_, lhs, rhs)| lhs != rhs)
+            .map(|(law, lhs, rhs)| Broken {
+                law,
+                lhs: lhs.to_vec(),
+                rhs: rhs.to_vec(),
+            })
+            .collect();
+        if broken.is_empty() {
+            Ok(())
+        } else {
+            Err(broken)
+        }
+    }
+
     /// Mean chain latency in nanoseconds.
     pub fn mean_latency(&self) -> f64 {
         self.latency.mean()

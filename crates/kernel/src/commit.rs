@@ -55,7 +55,8 @@ pub enum CommitPolicy {
         max_wait_us: u64,
         /// Seal early once this many fsyncs have joined the window.
         /// `1` degenerates to per-fsync timing (still one barrier per
-        /// seal, but nothing waits).
+        /// seal, but nothing waits); `0` is refused when the machine is
+        /// built.
         max_handles: u32,
     },
     /// Group commit plus background writeback: un-fsynced journal
@@ -64,7 +65,8 @@ pub enum CommitPolicy {
     /// application fsync. Explicit fsyncs still force a seal (with no
     /// added wait) and block until their barrier's CQE.
     Writeback {
-        /// Background flush period, in microseconds.
+        /// Background flush period, in microseconds; `0` is refused
+        /// when the machine is built.
         flush_interval_us: u64,
     },
 }
@@ -250,6 +252,15 @@ pub(crate) struct Barrier {
 
 impl Barrier {
     pub(crate) fn new(policy: CommitPolicy) -> Self {
+        match policy {
+            CommitPolicy::Group { max_handles: 0, .. } => {
+                panic!("CommitPolicy::Group max_handles 0 admits no fsync to a transaction")
+            }
+            CommitPolicy::Writeback {
+                flush_interval_us: 0,
+            } => panic!("CommitPolicy::Writeback flush_interval_us 0 ticks without time passing"),
+            _ => {}
+        }
         Barrier {
             policy,
             in_flight: Vec::new(),
@@ -310,7 +321,7 @@ impl Barrier {
                 max_wait_us,
                 max_handles,
             } => {
-                if self.window.len() >= max_handles.max(1) as usize {
+                if self.window.len() >= max_handles as usize {
                     Request::SealNow
                 } else if self.timer_armed {
                     Request::Window
@@ -416,10 +427,7 @@ impl Barrier {
             return None;
         }
         self.wb_armed = true;
-        Some((
-            now + flush_interval_us.saturating_mul(1_000).max(1),
-            self.wb_epoch,
-        ))
+        Some((now + flush_interval_us.saturating_mul(1_000), self.wb_epoch))
     }
 
     /// A live writeback tick fired; `journal_dirty` says whether the

@@ -33,8 +33,8 @@ pub mod trace;
 pub use bpfstor_device::{FabricConfig, FabricStats, InitiatorStats, TransportConfig};
 pub use bpfstor_vm::ExecEngine;
 pub use chain::{
-    ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainStatus, ChainToken, ChainVerdict,
-    DispatchMode, Fd, ProgHandle, RunReport, UserNext, WriteStart,
+    Broken, ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainStatus, ChainToken,
+    ChainVerdict, DispatchMode, Fd, Law, ProgHandle, RunReport, UserNext, WriteStart,
 };
 pub use commit::{CommitLog, CommitPolicy, CommitStats};
 pub use config::{ExecClock, MachineConfig};

@@ -711,7 +711,8 @@ impl Machine {
     pub fn new(cfg: MachineConfig) -> Self {
         let mut rng = SimRng::seed(cfg.seed);
         let dev_rng = rng.fork(1);
-        let nr_queues = cfg.cores.max(1);
+        let cores = Cores::new(cfg.cores);
+        let nr_queues = cfg.cores;
         let device = NvmeDevice::new(cfg.profile, nr_queues, dev_rng);
         // The local path must not consume parent randomness beyond the
         // device fork, so existing seeds reproduce bit-for-bit; only a
@@ -724,7 +725,7 @@ impl Machine {
         Machine {
             now: 0,
             events: EventQueue::new(),
-            cores: Cores::new(cfg.cores),
+            cores,
             fabric: transport.is_fabric(),
             transport,
             fs: ExtFs::mkfs(cfg.fs_blocks),
@@ -1234,7 +1235,7 @@ impl Machine {
     /// owning core), else on whichever core frees first — and books
     /// each item to its layer's bucket. The only caller of
     /// [`Cores::run`] and the only writer of a CPU bucket, so the
-    /// buckets sum to the cores' busy time (`finish_run` asserts it).
+    /// buckets sum to the cores' busy time ([`crate::Law::CpuBuckets`]).
     /// Returns the instant the burst ends.
     fn charge(&mut self, core: Option<usize>, burst: impl IntoIterator<Item = Item>) -> Nanos {
         let mut total = 0;
@@ -1396,8 +1397,10 @@ impl Machine {
         self.run = RunState::new(until, self.transport.nr_queues(), &self.tenants);
     }
 
-    /// Builds the report. Every aggregate that has a per-tenant twin is
-    /// the sum over [`RunReport::tenants`], here and nowhere else.
+    /// Builds the report and panics if it breaks a law
+    /// ([`RunReport::audit`]). Every aggregate that has a per-tenant
+    /// twin is the sum over [`RunReport::tenants`], here and nowhere
+    /// else.
     fn finish_run(&mut self) -> RunReport {
         let sim_time = self.now.max(1);
         let secs = sim_time as f64 / 1e9;
@@ -1406,13 +1409,6 @@ impl Machine {
         let mut exec = ExecSplit::default();
         let mut commit = self.run.commit_log;
         let mut trace = self.run.trace;
-        // The conservation law `charge` exists to keep: every CPU
-        // nanosecond a core ran is in exactly one layer bucket.
-        debug_assert_eq!(
-            trace.software(),
-            (0..self.cores.count()).map(|c| self.cores.busy_ns(c)).sum(),
-            "sum of CPU buckets != sum of core busy time"
-        );
         for (t, row) in self.run.tstats.iter_mut().zip(&self.run.resub) {
             t.resubmissions = row.iter().sum();
             trace.ios += t.ios;
@@ -1427,58 +1423,7 @@ impl Machine {
             commit.fsyncs += t.fsyncs;
             commit.barrier_joins += t.barrier_joins;
         }
-        // The queue pair's laws, on both transports: every command the
-        // device serviced was reaped once by the host, for one tenant,
-        // and every device reap was an interrupt or a productive poll.
-        let device = self.transport.device().stats();
-        let tenant_cqes: u64 = self.run.tstats.iter().map(|t| t.cqes).sum();
-        debug_assert_eq!(
-            [device.cqes, tenant_cqes, trace.ios],
-            [self.run.ios; 3],
-            "device, tenant and trace CQEs != ios"
-        );
-        debug_assert_eq!(
-            device.reads + device.writes + device.flushes,
-            self.run.ios,
-            "device commands != ios"
-        );
-        debug_assert_eq!(
-            device.irqs + device.empty_polls,
-            trace.irqs + trace.polls,
-            "device reaps != interrupts + productive polls"
-        );
-        // The wire's laws (all zero locally): every command crossed as a
-        // capsule or was already on the target, the initiators split
-        // the fabric's counters between them, and every lost crossing
-        // was retransmitted.
-        let (fabric, inits) = (
-            self.transport.fabric_stats(),
-            self.transport.initiator_stats(),
-        );
-        debug_assert_eq!(
-            fabric.capsules_sent + fabric.target_local,
-            if self.fabric { self.run.ios } else { 0 },
-            "capsules sent + target-local != ios"
-        );
-        debug_assert_eq!(
-            inits.iter().fold([0; 5], |s, i| [
-                s[0] + i.capsules_sent,
-                s[1] + i.responses,
-                s[2] + i.retransmits,
-                s[3] + i.bytes_tx,
-                s[4] + i.capsule_stalls,
-            ]),
-            [
-                fabric.capsules_sent,
-                fabric.responses,
-                fabric.retransmits,
-                fabric.bytes_tx,
-                fabric.capsule_stalls,
-            ],
-            "Σ initiator capsules, responses, retransmits, bytes, stalls != the fabric's"
-        );
-        debug_assert_eq!(fabric.lost, fabric.retransmits, "lost != retransmitted");
-        RunReport {
+        let report = RunReport {
             sim_time,
             chains,
             ios: self.run.ios,
@@ -1490,10 +1435,11 @@ impl Machine {
             write_latency: self.run.lat_write.clone(),
             fsync_latency,
             cpu_util: self.cores.utilization(sim_time),
+            cpu_busy_ns: (0..self.cores.count()).map(|c| self.cores.busy_ns(c)).sum(),
             device_util: self.transport.device().utilization(sim_time),
-            device,
-            fabric,
-            fabric_initiators: inits,
+            device: self.transport.device().stats(),
+            fabric: self.transport.fabric_stats(),
+            fabric_initiators: self.transport.initiator_stats(),
             trace,
             extcache: self.extcache.stats(),
             resubmissions,
@@ -1502,7 +1448,12 @@ impl Machine {
             tenants: self.run.tstats.clone(),
             exec,
             commit,
+        };
+        // In every build: O(tenants + initiators) once per run.
+        if let Err(broken) = report.audit() {
+            panic!("the run broke its conservation laws: {broken:?}");
         }
+        report
     }
 
     /// The one event-loop body: pop, drop a superseded commit timer
@@ -2220,7 +2171,7 @@ impl Machine {
             let total = rel.flush_dev_ns;
             let share = total / rel.ids.len() as u64;
             let ts = &mut self.run.tstats;
-            ts[tenant_of(id)].device_ns = ts[tenant_of(id)].device_ns.saturating_sub(total);
+            ts[tenant_of(id)].device_ns -= total;
             ts[tenant_of(rel.ids[0])].device_ns += total - share * rel.ids.len() as u64;
             for &j in &rel.ids {
                 ts[tenant_of(j)].device_ns += share;
@@ -2640,5 +2591,22 @@ impl Machine {
         // The §4 invalidation hook: unmap events kill the NVMe-layer
         // snapshot and doom in-flight recycled I/Os on that inode.
         self.apply_fs_events();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A report that breaks a law never leaves `finish_run`, in any
+    /// build (`--release` runs the half debug builds cannot show): an
+    /// I/O counted that no device serviced and no tenant reaped.
+    #[test]
+    #[should_panic(expected = "DeviceCqes")]
+    fn finish_run_refuses_a_broken_law() {
+        let mut m = Machine::new(MachineConfig::default());
+        m.begin_run(bpfstor_sim::SECOND);
+        m.run.ios = 1;
+        m.finish_run();
     }
 }

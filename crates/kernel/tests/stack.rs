@@ -11,16 +11,16 @@ mod support;
 use bpfstor_device::SECTOR_SIZE;
 use bpfstor_fs::CHECKPOINT_RECORDS;
 use bpfstor_kernel::{
-    AdaptiveIrqConfig, ChainOutcome, ChainStatus, ChainVerdict, CommitPolicy, DispatchMode,
-    ExecSplit, Fd, HybridConfig, InitiatorStats, KernelError, LayerCosts, Machine, MachineConfig,
-    Mutation, PollConfig, ReapKind, ReapMode, RunReport, TenantBreakdown, TenantLimits,
-    TransportConfig, DEFAULT_TENANT,
+    AdaptiveIrqConfig, Broken, ChainOutcome, ChainStatus, ChainVerdict, CommitPolicy, DispatchMode,
+    ExecSplit, FabricConfig, Fd, HybridConfig, KernelError, Law, LayerCosts, Machine,
+    MachineConfig, Mutation, PollConfig, ReapKind, ReapMode, RunReport, TenantBreakdown,
+    TenantLimits, TransportConfig, DEFAULT_TENANT,
 };
 use bpfstor_sim::{Nanos, MILLISECOND, SECOND};
 use bpfstor_vm::{action, ctx_off, Asm, Program, Width};
 use support::{
-    chain_file, chase, chase_program, chase_step, core_busy, exact_link, machine, machine_with,
-    read, reads, write, writes, Reads, Script, Writes, CHAIN_VALUE,
+    chain_file, chase, chase_program, chase_step, exact_link, machine, machine_with, read, reads,
+    write, writes, Reads, Script, Writes, CHAIN_VALUE,
 };
 
 /// A machine under `cfg` holding `chain.db` (`n_blocks` of
@@ -69,9 +69,6 @@ fn mixed(reads: Reads, writes: Writes) -> Script<Mixed> {
         Some(op)
     })
 }
-
-/// The cores of a default machine.
-const CORES: usize = 6;
 
 include!("stack/dispatch.rs");
 include!("stack/programs.rs");

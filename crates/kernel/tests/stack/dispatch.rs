@@ -167,11 +167,7 @@ fn a_hop_that_cannot_recycle_still_pays_its_extent_lookup() {
         );
     }
     assert_eq!(report.trace.extent_cache, chains * lookup);
-    assert_eq!(
-        report.trace.software(),
-        core_busy(&m, CORES),
-        "split fallback"
-    );
+    assert_eq!(report.audit(), Ok(()), "split fallback");
 
     // A file grown after `install`: the snapshot is armed but ends at
     // block 2, so the second resubmission misses.
@@ -195,7 +191,7 @@ fn a_hop_that_cannot_recycle_still_pays_its_extent_lookup() {
     }
     // One lookup that recycled, one that missed, per chain.
     assert_eq!(report.trace.extent_cache, chains * 2 * lookup);
-    assert_eq!(report.trace.software(), core_busy(&m, CORES), "extent miss");
+    assert_eq!(report.audit(), Ok(()), "extent miss");
 }
 
 #[test]

@@ -126,12 +126,9 @@ fn fabric_capsule_window_backpressures_and_recovers() {
 #[test]
 fn queue_pair_counters_reconcile_on_both_transports() {
     // `RunReport::device` counts the host's side of the queue pair on
-    // either transport: every CQE reaped once for one tenant, every
-    // device reap one interrupt or one productive poll — coalesced,
-    // per-CQE or polled, with or without pushdown, over a clean wire or
-    // a lossy one. And the wire's own: every command crossed once or
-    // was already on the target, the initiators' counters sum to the
-    // fabric's, and every loss was retransmitted.
+    // either transport, so every law of `RunReport::audit` holds —
+    // coalesced, per-CQE or polled, with or without pushdown, over a
+    // clean wire or a lossy one whose 8-capsule window binds.
     let coalesced = |transport| MachineConfig {
         transport,
         irq_coalesce_us: 8,
@@ -145,13 +142,20 @@ fn queue_pair_counters_reconcile_on_both_transports() {
         reap_mode: ReapMode::Polled(PollConfig::default()),
         ..fabric_cfg(20_000)
     };
-    let lossy = TransportConfig::Fabric(exact_link(20_000).with_loss(0.02, 50_000, 0.25));
+    let lossy = FabricConfig {
+        inflight_cap: 8,
+        ..exact_link(20_000).with_loss(0.02, 50_000, 0.25)
+    };
     let worlds = [
         ("local, coalesced", local, DispatchMode::User),
         ("fabric, coalesced", fabric, DispatchMode::Remote),
         ("fabric, per CQE", per_cqe, DispatchMode::DriverHook),
         ("fabric, polled", polled, DispatchMode::Remote),
-        ("fabric, lossy", coalesced(lossy), DispatchMode::Remote),
+        (
+            "fabric, lossy",
+            coalesced(TransportConfig::Fabric(lossy)),
+            DispatchMode::Remote,
+        ),
     ];
     for (world, cfg, mode) in worlds {
         let on_fabric = cfg.transport != TransportConfig::Local;
@@ -160,42 +164,50 @@ fn queue_pair_counters_reconcile_on_both_transports() {
         let r = m.run_uring(1, 16, SECOND, &mut d);
         assert_eq!(d.outcomes.len(), 64, "{world}");
         assert!(d.outcomes.iter().all(|o| o.status.is_ok()), "{world}");
-        let dev = r.device;
-        let tenant_cqes: u64 = r.tenants.iter().map(|t| t.cqes).sum();
-        assert_eq!([dev.cqes, tenant_cqes, r.trace.ios], [r.ios; 3], "{world}");
-        assert_eq!(dev.reads + dev.writes + dev.flushes, r.ios, "{world}");
-        assert_eq!(
-            dev.irqs,
-            r.trace.irqs + r.trace.polls - dev.empty_polls,
-            "{world}: device reaps vs kernel interrupts + productive polls"
-        );
-        let f = r.fabric;
-        let crossed = f.capsules_sent + f.target_local;
-        assert_eq!(crossed, if on_fabric { r.ios } else { 0 }, "{world}");
-        let inits = &r.fabric_initiators;
-        assert_eq!(inits.len(), usize::from(on_fabric), "{world}");
-        let sum = |field: fn(&InitiatorStats) -> u64| inits.iter().map(field).sum::<u64>();
-        assert_eq!(
-            [
-                sum(|i| i.capsules_sent),
-                sum(|i| i.responses),
-                sum(|i| i.retransmits),
-                sum(|i| i.bytes_tx),
-                sum(|i| i.capsule_stalls),
-            ],
-            [
-                f.capsules_sent,
-                f.responses,
-                f.retransmits,
-                f.bytes_tx,
-                f.capsule_stalls
-            ],
-            "{world}: initiators vs fabric"
-        );
-        assert_eq!(f.lost, f.retransmits, "{world}");
+        assert_eq!(r.fabric_initiators.len(), usize::from(on_fabric), "{world}");
+        assert_eq!(r.audit(), Ok(()), "{world}");
         if world == "fabric, lossy" {
-            assert!(f.lost > 0, "the lossy wire lost nothing");
+            assert!(r.fabric.lost > 0, "the lossy wire lost nothing");
+            audit_names_the_law_a_term_breaks(&r);
         }
+    }
+}
+
+/// One more on one term of one side of a law breaks that law and no
+/// other, and `audit` names it. Every side is non-zero here, so no law
+/// is checked as 0 == 0.
+fn audit_names_the_law_a_term_breaks(r: &RunReport) {
+    type Term = fn(&mut RunReport) -> &mut u64;
+    let terms: [(Law, Term); 12] = [
+        (Law::CpuBuckets, |r| &mut r.trace.fs),
+        (Law::CpuBuckets, |r| &mut r.cpu_busy_ns),
+        (Law::DeviceCqes, |r| &mut r.device.cqes),
+        (Law::DeviceCqes, |r| &mut r.tenants[0].cqes),
+        (Law::DeviceCqes, |r| &mut r.trace.ios),
+        (Law::DeviceCommands, |r| &mut r.device.reads),
+        (Law::DeviceReaps, |r| &mut r.device.irqs),
+        (Law::DeviceReaps, |r| &mut r.trace.irqs),
+        (Law::WireCrossings, |r| &mut r.fabric.target_local),
+        (Law::WireInitiators, |r| {
+            &mut r.fabric_initiators[0].capsule_stalls
+        }),
+        (Law::WireInitiators, |r| &mut r.fabric.bytes_tx),
+        (Law::WireLostIsRetransmitted, |r| &mut r.fabric.lost),
+    ];
+    for (i, (law, term)) in terms.into_iter().enumerate() {
+        let mut nudged = r.clone();
+        *term(&mut nudged) += 1;
+        let broken = nudged.audit().expect_err("a nudged term breaks its law");
+        assert_eq!(
+            broken.iter().map(|b| b.law).collect::<Vec<_>>(),
+            [law],
+            "term {i}"
+        );
+        let Broken { lhs, rhs, .. } = &broken[0];
+        assert!(
+            !lhs.contains(&0) && !rhs.contains(&0),
+            "{law:?} checked a zero side: {lhs:?} vs {rhs:?}"
+        );
     }
 }
 

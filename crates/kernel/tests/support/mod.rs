@@ -120,11 +120,6 @@ pub fn machine_with(
     (m, fd)
 }
 
-/// Σ busy time of the machine's `cores` cores over its last run.
-pub fn core_busy(m: &Machine, cores: usize) -> Nanos {
-    (0..cores).map(|c| m.core_busy_ns(c)).sum()
-}
-
 // --- The scripted driver -------------------------------------------------------
 
 /// The test suites' [`ChainDriver`]: three plain functions over a

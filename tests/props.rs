@@ -43,7 +43,7 @@ mod support;
 
 use arb::{arb_maps, arb_program};
 use oracles::{fs_meta, BitAllocator, FsMeta, Lockstep, SectorMap};
-use support::{core_busy, kv_entries, machine, machine_with, read, write, Script};
+use support::{kv_entries, machine, machine_with, read, write, Script};
 
 include!("props/vm.rs");
 include!("props/structures.rs");
