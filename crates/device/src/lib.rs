@@ -8,9 +8,9 @@
 //!
 //! - a sparse [`store::SectorStore`] holds real bytes (B-tree nodes,
 //!   SSTables), so completions carry genuine data for BPF programs to
-//!   parse; it is thin to the 64-byte line, keeping each sector's bytes
-//!   up to its last non-zero line in one of four slot classes (64, 128,
-//!   256 or 512 B);
+//!   parse; it is thin to the 8-byte word, keeping each sector's bytes
+//!   up to its last non-zero word in one of seven slot classes (8, 16,
+//!   32, 64, 128, 256 or 512 B);
 //! - [`ring::Ring`] implements the submission/completion queue pairs with
 //!   real head/tail wrap semantics, its slot array sized by the entries
 //!   queued rather than by the declared depth;

@@ -1,43 +1,52 @@
 //! Sparse sector-addressed backing store.
 //!
-//! Devices are thin-provisioned, and the unit of thinness is the 64-byte
-//! line: a sector holds host memory for its bytes up to its last
-//! non-zero line, rounded up to one of four slot classes — 64, 128, 256
-//! or 512 B. A sector never written, overwritten with zeroes or
-//! discarded is a *hole* and reads as zeroes (as a freshly formatted
-//! namespace would). So the benchmarks can build deep B-trees whose
-//! *address space* is large, and a log of zero-padded records costs one
-//! line per record, while the host memory footprint stays proportional
-//! to the non-zero bytes actually stored.
+//! Devices are thin-provisioned, and the unit of thinness is the 8-byte
+//! word: a sector holds host memory for its bytes up to its last
+//! non-zero word, rounded up to one of seven slot classes — 8, 16, 32,
+//! 64, 128, 256 or 512 B. A sector never written, overwritten with
+//! zeroes or discarded is a *hole* and reads as zeroes (as a freshly
+//! formatted namespace would). So the benchmarks can build deep B-trees
+//! whose *address space* is large, and a log of records that are an
+//! 8-byte key and zeroes costs one word per record, while the host
+//! memory footprint stays proportional to the non-zero bytes actually
+//! stored.
 //!
 //! An index (`slots`, 4 bytes per LBA up to the highest non-zero LBA
 //! written) maps each sector to its class and a slot in that class's
-//! slab of fixed 8 KiB pages. A write finds each sector's last non-zero
-//! line, scanning from the end: an all-zero sector becomes a hole and
-//! gives its slot, if it had one, back to its class; any other
-//! overwrites its own slot if its class is unchanged, and otherwise
-//! gives the old slot back and takes one of the new class — a slot
-//! given back if there is one, else the next from the slab's bump
-//! cursor, which adds a page when the last is full. A discard gives
-//! slots back; a read copies a slot's bytes and fills the rest of the
-//! sector, or all of a hole, with zeroes. A dense image costs its own
-//! bytes plus 4 bytes of index per sector and one pointer per page. The
-//! file system allocates goal-directed — a file's next run starts where
-//! its last one ended, else first-fit from the goal's block group
-//! (`fs/src/alloc.rs`) — over a device that fills from block 0, which
-//! keeps written LBAs, and therefore the index, dense.
+//! slab of 8 KiB pages. A write finds each sector's last non-zero word,
+//! scanning from the end: an all-zero sector becomes a hole and gives
+//! its slot, if it had one, back to its class; any other overwrites its
+//! own slot if its class is unchanged, and otherwise gives the old slot
+//! back and takes one of the new class — a slot given back if there is
+//! one, else the next from the slab's bump cursor, which adds a page
+//! when the last is full. A slab's first page starts one slot long and
+//! doubles as it fills, so a small image spread over several classes
+//! does not hold a whole page of each; every later page is allocated
+//! whole. A discard gives slots back; a read copies a slot's bytes and
+//! fills the rest of the sector, or all of a hole, with zeroes. A dense
+//! image costs its own bytes plus 4 bytes of index per sector and a
+//! two-word pointer per page. The file system allocates goal-directed — a file's
+//! next run starts where its last one ended, else first-fit from the
+//! goal's block group (`fs/src/alloc.rs`) — over a device that fills
+//! from block 0, which keeps written LBAs, and therefore the index,
+//! dense.
 
 /// Logical block (sector) size in bytes. The paper's experiments use
 /// 512 B reads, so one B-tree node = one sector = one NVMe command.
 pub const SECTOR_SIZE: usize = 512;
 
 /// The unit a stored sector is cut to: its bytes up to its last
-/// non-zero line are kept, the zeroes after them are not.
-const LINE: usize = 64;
+/// non-zero word are kept, the zeroes after them are not.
+const LINE: usize = 8;
+
+/// The unit [`class_of`] scans a sector in first: an OR over 64 bytes
+/// vectorises, so finding the last non-zero one costs a few wide ORs
+/// before the last non-zero word is looked for inside it.
+const SCAN: usize = 64;
 
 /// Slot classes: class `c` holds `LINE << c` bytes, so the last holds a
 /// whole sector.
-const CLASSES: usize = 4;
+const CLASSES: usize = 7;
 const _: () = assert!(LINE << (CLASSES - 1) == SECTOR_SIZE);
 
 /// Slab page size. 8 KiB measured fastest on the write-heavy benchmark
@@ -51,11 +60,16 @@ const PAGE_BYTES: usize = 8 << 10;
 /// many as class `c - 1`.
 const PAGE_LINES_LOG2: u32 = (PAGE_BYTES / LINE).trailing_zeros();
 
-/// Slots a class may hold: an index entry keeps `slot + 1` above the
-/// class's 2 bits, and 0 is a hole.
-const MAX_SLOTS: u32 = (1 << 30) - 1;
+/// Bits of an index entry that hold the class.
+const CLASS_BITS: u32 = 3;
+const _: () = assert!(CLASSES <= 1 << CLASS_BITS);
 
-type Page = Box<[u8; PAGE_BYTES]>;
+/// Slots a class may hold: an index entry keeps `slot + 1` above the
+/// class's bits, and 0 is a hole.
+const MAX_SLOTS: u32 = (1 << (32 - CLASS_BITS)) - 1;
+
+/// `PAGE_BYTES` long, but for a slab's first page while it fills.
+type Page = Box<[u8]>;
 
 /// A sparse array of 512-byte sectors.
 #[derive(Debug, Default)]
@@ -67,8 +81,8 @@ pub struct SectorStore {
     slabs: [Slab; CLASSES],
 }
 
-/// The slots of one class, `LINE << class` bytes each, cut from fixed
-/// pages in order.
+/// The slots of one class, `LINE << class` bytes each, cut from pages
+/// in order.
 #[derive(Debug, Default)]
 struct Slab {
     pages: Vec<Page>,
@@ -81,15 +95,27 @@ struct Slab {
 
 impl Slab {
     /// A slot of `class` for a new sector: one given back, else the
-    /// next from the cursor, adding a page when the last is full.
+    /// next from the cursor. The first page starts one slot long and
+    /// doubles each time it fills until it is `PAGE_BYTES` long; every
+    /// later page is added whole.
     fn take(&mut self, class: usize) -> u32 {
         if let Some(slot) = self.free.pop() {
             return slot;
         }
         let slot = self.next;
-        if place(slot, class).0 == self.pages.len() {
-            let zeroed = vec![0u8; PAGE_BYTES].into_boxed_slice();
-            self.pages.push(zeroed.try_into().expect("PAGE_BYTES long"));
+        let (page, at) = place(slot, class);
+        match self.pages.get_mut(page) {
+            None => {
+                let len = if page == 0 { at.end } else { PAGE_BYTES };
+                self.pages.push(vec![0u8; len].into_boxed_slice());
+            }
+            // Only the first page is ever short.
+            Some(first) if first.len() < at.end => {
+                let mut grown = std::mem::take(first).into_vec();
+                grown.resize(2 * grown.len(), 0);
+                *first = grown.into_boxed_slice();
+            }
+            Some(_) => {}
         }
         self.next += 1;
         slot
@@ -127,18 +153,24 @@ fn entry(slot: u32, class: usize) -> u32 {
         "SectorStore: class {class} ({} B slots) is full at {MAX_SLOTS} slots",
         LINE << class
     );
-    (slot + 1) << 2 | class as u32
+    (slot + 1) << CLASS_BITS | class as u32
 }
 
 /// The class a sector is stored in — the least whose slot holds its
-/// bytes up to its last non-zero line — or `None` if it is all zero.
-/// Lines are checked from the end, so a sector whose last line is not
-/// zero costs one check, and each check is an OR over the line, which
-/// vectorises.
+/// bytes up to its last non-zero word — or `None` if it is all zero.
+/// The last non-zero [`SCAN`]-byte span is found first, checking from
+/// the end with an OR over each span, which vectorises, so a sector
+/// whose last span is not zero costs one check; then the last non-zero
+/// word inside that span.
 fn class_of(sector: &[u8]) -> Option<usize> {
-    let last = sector
+    let span = sector
+        .chunks_exact(SCAN)
+        .rposition(|span| span.iter().fold(0, |acc, &b| acc | b) != 0)?;
+    let word = sector[span * SCAN..(span + 1) * SCAN]
         .chunks_exact(LINE)
-        .rposition(|line| line.iter().fold(0, |acc, &b| acc | b) != 0)?;
+        .rposition(|word| u64::from_ne_bytes(word.try_into().expect("LINE long")) != 0)
+        .expect("a non-zero span has a non-zero word");
+    let last = span * (SCAN / LINE) + word;
     Some((last + 1).next_power_of_two().trailing_zeros() as usize)
 }
 
@@ -158,7 +190,8 @@ impl SectorStore {
     /// The slot and class holding sector `lba`, or `None` for a hole.
     fn slot(&self, lba: u64) -> Option<(u32, usize)> {
         let entry = *self.slots.get(usize::try_from(lba).ok()?)?;
-        Some(((entry >> 2).checked_sub(1)?, (entry & 3) as usize))
+        let class = (entry & ((1 << CLASS_BITS) - 1)) as usize;
+        Some(((entry >> CLASS_BITS).checked_sub(1)?, class))
     }
 
     /// Reads `nlb` sectors starting at `slba` into a fresh buffer.
@@ -271,7 +304,7 @@ mod tests {
     use super::*;
 
     /// Whole sectors a page holds: the class of a sector whose last
-    /// line is not zero.
+    /// word is not zero.
     const PAGE_SECTORS: usize = PAGE_BYTES / SECTOR_SIZE;
     const WHOLE: usize = CLASSES - 1;
 
@@ -282,7 +315,7 @@ mod tests {
             let slabs = self.slabs.iter().map(|slab| {
                 slab.free.capacity() * size_of::<u32>()
                     + slab.pages.capacity() * size_of::<Page>()
-                    + slab.pages.len() * PAGE_BYTES
+                    + slab.pages.iter().map(|page| page.len()).sum::<usize>()
             });
             self.slots.capacity() * size_of::<u32>() + slabs.sum::<usize>()
         }
@@ -411,13 +444,19 @@ mod tests {
     fn a_sector_is_kept_to_its_last_nonzero_line() {
         let boundaries = [
             (0, 0),
-            (63, 0),
-            (64, 1),
-            (127, 1),
-            (128, 2),
-            (255, 2),
-            (256, 3),
-            (511, 3),
+            (7, 0),
+            (8, 1),
+            (15, 1),
+            (16, 2),
+            (31, 2),
+            (32, 3),
+            (63, 3),
+            (64, 4),
+            (127, 4),
+            (128, 5),
+            (255, 5),
+            (256, 6),
+            (511, 6),
         ];
         for (last, class) in boundaries {
             let mut sector = [0u8; SECTOR_SIZE];
@@ -435,7 +474,7 @@ mod tests {
 
     #[test]
     fn a_class_change_frees_the_old_slot_for_reuse_before_a_page_is_added() {
-        // A key sector — 8 bytes and zeroes — is kept in a 64 B slot.
+        // A key sector — 8 bytes and zeroes — is kept in an 8 B slot.
         let key = |lba: u64| {
             let mut sector = [0u8; SECTOR_SIZE];
             sector[..8].copy_from_slice(&(lba + 1).to_le_bytes());
@@ -452,25 +491,69 @@ mod tests {
         wide[300] = 1;
         s.write(5, &wide);
         assert_eq!(s.slot(5), Some((0, WHOLE)));
-        assert_eq!(s.slabs[0].free, [5], "the line it left is free");
-        s.write(1_000, &key(1_000));
-        assert_eq!(s.slot(1_000), Some((5, 0)), "and taken by the next key");
+        assert_eq!(s.slabs[0].free, [5], "the word it left is free");
+        let next = per_page + 1_000;
+        s.write(next, &key(next));
+        assert_eq!(s.slot(next), Some((5, 0)), "and taken by the next key");
         assert_eq!(s.slabs[0].pages.len(), 1);
-        // Down a class: the whole slot is freed, and with no line free
+        // Down a class: the whole slot is freed, and with no word free
         // the class adds a page.
         s.write(5, &key(5));
         assert_eq!(s.slabs[WHOLE].free, [0]);
         assert_eq!(s.slot(5), Some((per_page as u32, 0)));
         assert_eq!(s.slabs[0].pages.len(), 2);
-        for lba in (0..per_page).chain([1_000]) {
+        for lba in (0..per_page).chain([next]) {
             assert_eq!(s.read(lba, 1), key(lba), "sector {lba}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "is full at 1073741823 slots")]
+    fn a_small_image_over_several_classes_holds_under_a_page() {
+        // `fabric_chase`'s image: seven sectors that are an 8-byte
+        // pointer and zeroes, and a sentinel with bytes at 8..16. Each
+        // class's first page is as long as its slots, not 8 KiB.
+        let mut s = SectorStore::new();
+        let mut want = Vec::new();
+        for lba in 0..8u64 {
+            let mut sector = [0u8; SECTOR_SIZE];
+            let at = if lba == 7 { 8 } else { 0 };
+            sector[at..at + 8].copy_from_slice(&(lba + 1).to_le_bytes());
+            s.write(lba, &sector);
+            want.extend_from_slice(&sector);
+        }
+        assert_eq!((s.slot(6), s.slot(7)), (Some((6, 0)), Some((0, 1))));
+        assert!(s.heap_bytes() < 1 << 10, "{} B", s.heap_bytes());
+        assert_eq!(s.read(0, 8), want);
+    }
+
+    #[test]
+    fn a_first_page_doubles_to_page_bytes_and_later_pages_are_whole() {
+        // Sector `lba` is one word of `lba + 1` and zeroes: an 8 B slot.
+        let word = |lba: u64| {
+            let mut sector = [0u8; SECTOR_SIZE];
+            sector[..LINE].copy_from_slice(&(lba + 1).to_le_bytes());
+            sector
+        };
+        let per_page = (PAGE_BYTES / LINE) as u64;
+        let mut s = SectorStore::new();
+        for lba in 0..per_page {
+            s.write(lba, &word(lba));
+            let held = (lba as usize + 1) * LINE;
+            assert_eq!(s.slabs[0].pages.len(), 1);
+            assert_eq!(s.slabs[0].pages[0].len(), held.next_power_of_two());
+        }
+        s.write(per_page, &word(per_page));
+        let lens: Vec<usize> = s.slabs[0].pages.iter().map(|page| page.len()).collect();
+        assert_eq!(lens, [PAGE_BYTES, PAGE_BYTES], "the second page is whole");
+        for lba in 0..=per_page {
+            assert_eq!(s.read(lba, 1), word(lba), "sector {lba}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is full at 536870911 slots")]
     fn an_index_entry_past_its_bits_panics() {
-        assert_eq!(entry(MAX_SLOTS - 1, WHOLE), u32::MAX);
+        assert_eq!(entry(MAX_SLOTS - 1, WHOLE), u32::MAX - 1);
         entry(MAX_SLOTS, 0);
     }
 
@@ -515,7 +598,7 @@ mod tests {
     #[test]
     fn zero_padded_records_cost_their_nonzero_sectors() {
         // `tenant_noisy`'s log: 4 KiB records, an 8-byte key and zeroes,
-        // appended back to back. Each costs the first line of its first
+        // appended back to back. Each costs the first word of its first
         // sector and eight index entries, not the 4 KiB it spans, and an
         // append-only log gives no slot back, so it holds no free list.
         const RECORDS: usize = 1_000;

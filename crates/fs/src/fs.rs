@@ -837,8 +837,8 @@ mod tests {
 
     #[test]
     fn read_modify_writes_over_a_short_stored_sector() {
-        // The store keeps a sector to its last non-zero 64-byte line: 8
-        // bytes at 0 are one line, 8 more at 300 widen the sector to a
+        // The store keeps a sector to its last non-zero 8-byte word: 8
+        // bytes at 0 are one word, 8 more at 300 widen the sector to a
         // whole one, and zeroing them narrows it again. Each write reads
         // the stored sector for its edges and must keep every byte.
         let (mut fs, mut store) = setup();

@@ -12,9 +12,9 @@
 //!
 //! A journaled write keeps what the data itself costs and nothing else:
 //! the record the workload hands in (an owned `Vec`, the trait's shape)
-//! and one store page per 128 non-zero sectors that land, when each is
-//! zero past its first 64-byte line (the store keeps a sector to its
-//! last non-zero line; an all-zero sector is a hole and costs nothing).
+//! and one store page per 1024 non-zero sectors that land, when each is
+//! zero past its first 8-byte word (the store keeps a sector to its
+//! last non-zero word; an all-zero sector is a hole and costs nothing).
 //! Its plan, its
 //! commands, the uring batch and the commit window are kept for their
 //! capacity (machine.rs, "Buffer ownership"), and the write loops below
@@ -240,8 +240,8 @@ fn ycsb(mix: OpMix) -> YcsbMix {
 }
 
 /// One write loop: a name, the store pages a write chain's record
-/// fills (non-zero sectors written / 128: each is an 8-byte key and
-/// zeroes, kept in a 64 B slot), and the run from scratch to
+/// fills (non-zero sectors written / 1024: each is an 8-byte key and
+/// zeroes, kept in an 8 B slot), and the run from scratch to
 /// `until` that returns `(allocations during the run, write chains
 /// completed)`.
 struct WriteLoop {
@@ -341,23 +341,23 @@ fn steady_state_write_path_allocates_only_what_the_data_costs() {
     let loops = [
         WriteLoop {
             name: "local sync 512 B appends, fsync every 8th",
-            pages_per_chain: 1.0 / 128.0,
+            pages_per_chain: 1.0 / 1024.0,
             run: sync_appends,
         },
         WriteLoop {
             name: "uring batch-16 40r/40u/20i, per-fsync commit",
-            pages_per_chain: 1.0 / 128.0,
+            pages_per_chain: 1.0 / 1024.0,
             run: uring_mix,
         },
         WriteLoop {
             name: "two-tenant 4 KiB storm, group commit",
             // An 8-byte key and zeroes: one non-zero sector of eight.
-            pages_per_chain: 1.0 / 128.0,
+            pages_per_chain: 1.0 / 1024.0,
             run: tenant_storm,
         },
         WriteLoop {
             name: "fabric write pushdown",
-            pages_per_chain: 1.0 / 128.0,
+            pages_per_chain: 1.0 / 1024.0,
             run: fabric_pushdown_appends,
         },
     ];

@@ -81,8 +81,8 @@ proptest! {
 }
 
 /// Where a sector's last non-zero byte moves it to another slot class
-/// of the store (64, 128, 256 or 512 B), from both sides.
-const CLASS_EDGES: [usize; 7] = [63, 64, 127, 128, 255, 256, 511];
+/// of the store (8, 16, 32, 64, 128, 256 or 512 B), from both sides.
+const CLASS_EDGES: [usize; 13] = [7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255, 256, 511];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -90,8 +90,10 @@ proptest! {
     fn sector_store_matches_the_per_sector_map(
         ops in proptest::collection::vec((0u8..6, 0u64..150, 1u32..50, any::<u8>(), any::<u64>()), 1..60)
     ) {
-        // LBAs 0..200, ranges up to 49 sectors: a store of up to a dozen
-        // pages a class whose slots are freed and reused out of LBA order.
+        // LBAs 0..200, ranges up to 49 sectors: a store whose slots are
+        // freed and reused out of LBA order, the small classes inside
+        // their first page as it doubles, the whole-sector class over up
+        // to a dozen pages.
         let mut store = SectorStore::new();
         let mut oracle = SectorMap::default();
         for (kind, slba, nlb, fill, zeros) in ops {
@@ -117,11 +119,12 @@ proptest! {
                 }
                 4 => {
                     // Sector `j`'s last non-zero byte sits at a slot
-                    // class boundary drawn from `zeros`; the sectors are
-                    // then overwritten two boundaries up or down, which
-                    // moves each one a class up or down.
+                    // class boundary drawn from 4 bits of `zeros`, any
+                    // of the 13; the sectors are then overwritten two
+                    // boundaries up or down, which moves each one a
+                    // class up or down.
                     let picks: Vec<usize> = (0..nlb as usize)
-                        .map(|j| (zeros >> (j % 21 * 3) & 7) as usize % CLASS_EDGES.len())
+                        .map(|j| (zeros >> (j % 16 * 4) & 15) as usize % CLASS_EDGES.len())
                         .collect();
                     for moved in [false, true] {
                         let data: Vec<u8> = picks
