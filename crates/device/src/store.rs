@@ -11,9 +11,17 @@
 //! memory footprint stays proportional to the non-zero bytes actually
 //! stored.
 //!
-//! An index (`slots`, 4 bytes per LBA up to the highest non-zero LBA
-//! written) maps each sector to its class and a slot in that class's
-//! slab of 8 KiB pages. A write finds each sector's last non-zero word,
+//! The index is a vector of 64-LBA leaves, one per 64 LBAs up to the
+//! highest non-zero LBA written. A leaf holds a bitmap of which of its
+//! sectors are stored and the slot of a packed array of their 4-byte
+//! [`entry`]s — each a class and a slot in that class's slab of 8 KiB
+//! pages — in LBA order, so a sector's entry sits at the count of
+//! stored sectors below it in the leaf. A hole costs its bit. The array
+//! lives in the store's own slabs, in the least class that holds it
+//! (8 B for one or two entries, … 256 B for 33 to 64): an insert or a
+//! removal shifts the entries above it in place, and moves the array
+//! once when its count crosses a power of two; an emptied leaf gives
+//! its slot back. A write finds each sector's last non-zero word,
 //! scanning from the end: an all-zero sector becomes a hole and gives
 //! its slot, if it had one, back to its class; any other overwrites its
 //! own slot if its class is unchanged, and otherwise gives the old slot
@@ -22,14 +30,15 @@
 //! when the last is full. A slab's first page starts one slot long and
 //! doubles as it fills, so a small image spread over several classes
 //! does not hold a whole page of each; every later page is allocated
-//! whole. A discard gives slots back; a read copies a slot's bytes and
-//! fills the rest of the sector, or all of a hole, with zeroes. A dense
-//! image costs its own bytes plus 4 bytes of index per sector and a
-//! two-word pointer per page. The file system allocates goal-directed — a file's
-//! next run starts where its last one ended, else first-fit from the
-//! goal's block group (`fs/src/alloc.rs`) — over a device that fills
-//! from block 0, which keeps written LBAs, and therefore the index,
-//! dense.
+//! whole. A discard gives slots back; a read resolves a leaf once per
+//! run of sectors inside it, copies each slot's bytes and fills the
+//! rest of the sector, or all of a hole, with zeroes. A dense image
+//! costs its own bytes plus 4 bytes of entry per sector, 16 bytes of
+//! leaf per 64 sectors and a two-word pointer per page. The file system
+//! allocates goal-directed — a file's next run starts where its last
+//! one ended, else first-fit from the goal's block group
+//! (`fs/src/alloc.rs`) — over a device that fills from block 0, which
+//! keeps written LBAs, and therefore the leaves, dense.
 
 /// Logical block (sector) size in bytes. The paper's experiments use
 /// 512 B reads, so one B-tree node = one sector = one NVMe command.
@@ -65,8 +74,16 @@ const CLASS_BITS: u32 = 3;
 const _: () = assert!(CLASSES <= 1 << CLASS_BITS);
 
 /// Slots a class may hold: an index entry keeps `slot + 1` above the
-/// class's bits, and 0 is a hole.
+/// class's bits, so no entry is 0.
 const MAX_SLOTS: u32 = (1 << (32 - CLASS_BITS)) - 1;
+
+/// LBAs a leaf covers: one bit each of its `present` word.
+const LEAF: u64 = u64::BITS as u64;
+
+/// Bytes an index entry takes in a leaf's array; a full leaf's array
+/// fits a slot.
+const ENTRY: usize = size_of::<u32>();
+const _: () = assert!(LEAF as usize * ENTRY <= SECTOR_SIZE);
 
 /// `PAGE_BYTES` long, but for a slab's first page while it fills.
 type Page = Box<[u8]>;
@@ -74,11 +91,22 @@ type Page = Box<[u8]>;
 /// A sparse array of 512-byte sectors.
 #[derive(Debug, Default)]
 pub struct SectorStore {
-    /// `slots[lba]`: 0 is a hole, anything else is an [`entry`]. Past
-    /// the end is a hole too.
-    slots: Vec<u32>,
-    /// `slabs[c]` holds the sectors of class `c`.
+    /// `leaves[i]` indexes sectors `LEAF * i` to `LEAF * i + 63`. Past
+    /// the end every sector is a hole.
+    leaves: Vec<Leaf>,
+    /// `slabs[c]` holds the sectors of class `c`, and the leaves'
+    /// arrays of class `c`.
     slabs: [Slab; CLASSES],
+}
+
+/// The index of 64 LBAs.
+#[derive(Debug, Default, Clone, Copy)]
+struct Leaf {
+    /// Bit `i` is set if sector `i` of the leaf is stored.
+    present: u64,
+    /// The slot, in class [`array_class`] of the present count, of the
+    /// present sectors' entries in LBA order; none while `present` is 0.
+    array: u32,
 }
 
 /// The slots of one class, `LINE << class` bytes each, cut from pages
@@ -156,6 +184,43 @@ fn entry(slot: u32, class: usize) -> u32 {
     (slot + 1) << CLASS_BITS | class as u32
 }
 
+/// The slot and class of an [`entry`].
+fn unpack(entry: u32) -> (u32, usize) {
+    (
+        (entry >> CLASS_BITS) - 1,
+        (entry & ((1 << CLASS_BITS) - 1)) as usize,
+    )
+}
+
+/// The class of a leaf's array of `count` entries: the least that holds
+/// them.
+fn array_class(count: usize) -> usize {
+    (count * ENTRY)
+        .div_ceil(LINE)
+        .next_power_of_two()
+        .trailing_zeros() as usize
+}
+
+/// Where sector `bit` of a leaf with `present` sectors has its entry in
+/// the array: the count of present sectors below it.
+fn rank(present: u64, bit: u32) -> usize {
+    (present & ((1 << bit) - 1)).count_ones() as usize
+}
+
+/// Entry `rank` of an array.
+fn entry_at(array: &[u8], rank: usize) -> u32 {
+    u32::from_ne_bytes(
+        array[rank * ENTRY..][..ENTRY]
+            .try_into()
+            .expect("ENTRY long"),
+    )
+}
+
+/// Sets entry `rank` of an array.
+fn set_entry_at(array: &mut [u8], rank: usize, entry: u32) {
+    array[rank * ENTRY..][..ENTRY].copy_from_slice(&entry.to_ne_bytes());
+}
+
 /// The class a sector is stored in — the least whose slot holds its
 /// bytes up to its last non-zero word — or `None` if it is all zero.
 /// The last non-zero [`SCAN`]-byte span is found first, checking from
@@ -187,11 +252,17 @@ impl SectorStore {
         SectorStore::default()
     }
 
-    /// The slot and class holding sector `lba`, or `None` for a hole.
-    fn slot(&self, lba: u64) -> Option<(u32, usize)> {
-        let entry = *self.slots.get(usize::try_from(lba).ok()?)?;
-        let class = (entry & ((1 << CLASS_BITS) - 1)) as usize;
-        Some(((entry >> CLASS_BITS).checked_sub(1)?, class))
+    /// The bytes of `leaf`'s array, or `None` if the leaf is empty.
+    fn array(&self, leaf: Leaf) -> Option<&[u8]> {
+        let class = array_class(leaf.present.count_ones() as usize);
+        (leaf.present != 0).then(|| self.slabs[class].bytes(leaf.array, class))
+    }
+
+    /// The leaf holding sector `lba` and the sector's bit in it, if the
+    /// sector is stored.
+    fn stored(&self, lba: u64) -> Option<(usize, u32)> {
+        let (leaf, bit) = (usize::try_from(lba / LEAF).ok()?, (lba % LEAF) as u32);
+        (self.leaves.get(leaf)?.present >> bit & 1 == 1).then_some((leaf, bit))
     }
 
     /// Reads `nlb` sectors starting at `slba` into a fresh buffer.
@@ -209,14 +280,34 @@ impl SectorStore {
     /// Panics if `out.len()` is not a multiple of [`SECTOR_SIZE`].
     pub fn read_into(&self, slba: u64, out: &mut [u8]) {
         assert_whole_sectors(out.len(), "read");
-        for (lba, dst) in (slba..).zip(out.chunks_exact_mut(SECTOR_SIZE)) {
-            match self.slot(lba) {
-                Some((slot, class)) => {
-                    let (kept, zeroes) = dst.split_at_mut(LINE << class);
-                    kept.copy_from_slice(self.slabs[class].bytes(slot, class));
-                    zeroes.fill(0);
+        // One run of sectors per leaf: up to the first leaf's end, then
+        // whole leaves.
+        let head = out.len().min((LEAF - slba % LEAF) as usize * SECTOR_SIZE);
+        let (head, rest) = out.split_at_mut(head);
+        let mut lba = slba;
+        for run in std::iter::once(head).chain(rest.chunks_mut(LEAF as usize * SECTOR_SIZE)) {
+            let leaf = usize::try_from(lba / LEAF)
+                .ok()
+                .and_then(|leaf| self.leaves.get(leaf))
+                .copied()
+                .unwrap_or_default();
+            let first = (lba % LEAF) as u32;
+            lba = lba.wrapping_add((run.len() / SECTOR_SIZE) as u64);
+            let Some(array) = self.array(leaf) else {
+                run.fill(0);
+                continue;
+            };
+            let mut at = rank(leaf.present, first);
+            for (bit, dst) in (first..).zip(run.chunks_exact_mut(SECTOR_SIZE)) {
+                if leaf.present >> bit & 1 == 0 {
+                    dst.fill(0);
+                    continue;
                 }
-                None => dst.fill(0),
+                let (slot, class) = unpack(entry_at(array, at));
+                at += 1;
+                let (kept, zeroes) = dst.split_at_mut(LINE << class);
+                kept.copy_from_slice(self.slabs[class].bytes(slot, class));
+                zeroes.fill(0);
             }
         }
     }
@@ -255,23 +346,19 @@ impl SectorStore {
     pub fn write(&mut self, slba: u64, data: &[u8]) {
         assert_whole_sectors(data.len(), "write");
         for (lba, src) in (slba..).zip(data.chunks_exact(SECTOR_SIZE)) {
-            let Some(class) = class_of(src) else {
-                self.punch(lba);
-                continue;
-            };
-            let idx = usize::try_from(lba).expect("LBA within the address space");
-            if idx >= self.slots.len() {
-                self.slots.resize(idx + 1, 0);
-            }
-            let slot = match self.slot(lba) {
-                Some((slot, held)) if held == class => slot,
-                held => {
-                    if let Some((old, held)) = held {
-                        self.slabs[held].free.push(old);
-                    }
+            // A zero sector over a hole — seven of every eight of a
+            // zero-padded 4 KiB record — costs a bit test and no call.
+            let (class, slot) = match (class_of(src), self.stored(lba)) {
+                (None, None) => continue,
+                (None, Some((leaf, bit))) => {
+                    self.remove(leaf, bit);
+                    continue;
+                }
+                (Some(class), Some((leaf, bit))) => (class, self.retake(leaf, bit, class)),
+                (Some(class), None) => {
                     let slot = self.slabs[class].take(class);
-                    self.slots[idx] = entry(slot, class);
-                    slot
+                    self.insert(lba, entry(slot, class));
+                    (class, slot)
                 }
             };
             self.slabs[class]
@@ -280,21 +367,111 @@ impl SectorStore {
         }
     }
 
-    /// Makes sector `lba` a hole, giving its slot back if it had one.
-    fn punch(&mut self, lba: u64) {
-        if let Some((slot, class)) = self.slot(lba) {
-            self.slots[lba as usize] = 0;
-            self.slabs[class].free.push(slot);
+    /// The slot of `class` for stored sector `bit` of `leaf`: its own
+    /// if its class is unchanged, else a new one, its old slot given
+    /// back.
+    fn retake(&mut self, leaf: usize, bit: u32, class: usize) -> u32 {
+        let Leaf { present, array } = self.leaves[leaf];
+        let (at, held) = (
+            rank(present, bit),
+            array_class(present.count_ones() as usize),
+        );
+        let (old, old_class) = unpack(entry_at(self.slabs[held].bytes(array, held), at));
+        if old_class == class {
+            return old;
         }
+        self.slabs[old_class].free.push(old);
+        let slot = self.slabs[class].take(class);
+        set_entry_at(
+            self.slabs[held].bytes_mut(array, held),
+            at,
+            entry(slot, class),
+        );
+        slot
+    }
+
+    /// Adds `entry` for hole `lba` to its leaf's array.
+    fn insert(&mut self, lba: u64, entry: u32) {
+        let leaf = usize::try_from(lba / LEAF).expect("LBA within the address space");
+        if leaf >= self.leaves.len() {
+            self.leaves.resize(leaf + 1, Leaf::default());
+        }
+        let bit = (lba % LEAF) as u32;
+        let Leaf { present, array } = self.leaves[leaf];
+        let (count, at) = (present.count_ones() as usize, rank(present, bit));
+        self.leaves[leaf] = Leaf {
+            present: present | 1 << bit,
+            array: self.reshape(array, count, at, Some(entry)),
+        };
+    }
+
+    /// Makes stored sector `bit` of `leaf` a hole, giving its slot back
+    /// and taking its entry out of the leaf's array.
+    fn remove(&mut self, leaf: usize, bit: u32) {
+        let Leaf { present, array } = self.leaves[leaf];
+        let (count, at) = (present.count_ones() as usize, rank(present, bit));
+        let held = array_class(count);
+        let (slot, class) = unpack(entry_at(self.slabs[held].bytes(array, held), at));
+        self.slabs[class].free.push(slot);
+        self.leaves[leaf] = Leaf {
+            present: present & !(1 << bit),
+            array: self.reshape(array, count, at, None),
+        };
+    }
+
+    /// Puts `insert` in slot `array`, a leaf's array of `count`
+    /// entries, as entry `at`, or without one takes entry `at` out, and
+    /// returns the array's slot. The entries above `at` shift in place
+    /// while the class is still the least that holds them; else all are
+    /// moved once to the class that is, and the old slot is given back,
+    /// as an emptied array's is. A first entry takes a slot.
+    fn reshape(&mut self, array: u32, count: usize, at: usize, insert: Option<u32>) -> u32 {
+        // The entries above `at`, and where they go.
+        let (after, above, to) = match insert {
+            Some(_) => (count + 1, at..count, at + 1),
+            None => (count - 1, at + 1..count, at),
+        };
+        let (held, class) = (array_class(count), array_class(after));
+        let (above, to) = (above.start * ENTRY..above.end * ENTRY, to * ENTRY);
+        let (array, bytes) = if count == 0 {
+            let array = self.slabs[class].take(class);
+            (array, self.slabs[class].bytes_mut(array, class))
+        } else if after == 0 {
+            self.slabs[held].free.push(array);
+            return 0;
+        } else if held == class {
+            let bytes = self.slabs[class].bytes_mut(array, class);
+            bytes.copy_within(above, to);
+            (array, bytes)
+        } else {
+            let moved = self.slabs[class].take(class);
+            let [old, new] = self
+                .slabs
+                .get_disjoint_mut([held, class])
+                .expect("an array moves between two classes");
+            let (from, into) = (old.bytes(array, held), new.bytes_mut(moved, class));
+            into[..at * ENTRY].copy_from_slice(&from[..at * ENTRY]);
+            into[to..][..above.len()].copy_from_slice(&from[above]);
+            old.free.push(array);
+            (moved, into)
+        };
+        if let Some(entry) = insert {
+            set_entry_at(bytes, at, entry);
+        }
+        array
     }
 
     /// Discards (TRIMs) `nlb` sectors starting at `slba`, returning them
     /// to the all-zero thin-provisioned state and their slots to their
     /// classes.
     pub fn discard(&mut self, slba: u64, nlb: u32) {
-        let end = slba.saturating_add(nlb.into()).min(self.slots.len() as u64);
+        let end = slba
+            .saturating_add(nlb.into())
+            .min(self.leaves.len() as u64 * LEAF);
         for lba in slba..end {
-            self.punch(lba);
+            if let Some((leaf, bit)) = self.stored(lba) {
+                self.remove(leaf, bit);
+            }
         }
     }
 }
@@ -309,15 +486,25 @@ mod tests {
     const WHOLE: usize = CLASSES - 1;
 
     impl SectorStore {
-        /// Live heap the store holds: the index, and each class's free
-        /// list, page table and pages.
+        /// Live heap the store holds: the leaves, and each class's free
+        /// list, page table and pages (the leaves' arrays among them).
         fn heap_bytes(&self) -> usize {
             let slabs = self.slabs.iter().map(|slab| {
                 slab.free.capacity() * size_of::<u32>()
                     + slab.pages.capacity() * size_of::<Page>()
                     + slab.pages.iter().map(|page| page.len()).sum::<usize>()
             });
-            self.slots.capacity() * size_of::<u32>() + slabs.sum::<usize>()
+            self.leaves.capacity() * size_of::<Leaf>() + slabs.sum::<usize>()
+        }
+
+        /// The slot and class holding sector `lba`, or `None` for a hole.
+        fn slot(&self, lba: u64) -> Option<(u32, usize)> {
+            let (leaf, bit) = self.stored(lba)?;
+            let leaf = self.leaves[leaf];
+            let array = self
+                .array(leaf)
+                .expect("a stored sector's leaf has an array");
+            Some(unpack(entry_at(array, rank(leaf.present, bit))))
         }
     }
 
@@ -492,19 +679,77 @@ mod tests {
         s.write(5, &wide);
         assert_eq!(s.slot(5), Some((0, WHOLE)));
         assert_eq!(s.slabs[0].free, [5], "the word it left is free");
+        // The next key, in a leaf of its own, takes that word before the
+        // cursor moves; only its leaf's array (one entry, an 8 B slot)
+        // takes the cursor's next slot, the first of a second page.
         let next = per_page + 1_000;
         s.write(next, &key(next));
         assert_eq!(s.slot(next), Some((5, 0)), "and taken by the next key");
-        assert_eq!(s.slabs[0].pages.len(), 1);
+        assert_eq!(s.slabs[0].next, per_page as u32 + 1);
         // Down a class: the whole slot is freed, and with no word free
-        // the class adds a page.
+        // the key takes the cursor's next slot.
         s.write(5, &key(5));
         assert_eq!(s.slabs[WHOLE].free, [0]);
-        assert_eq!(s.slot(5), Some((per_page as u32, 0)));
+        assert_eq!(s.slot(5), Some((per_page as u32 + 1, 0)));
         assert_eq!(s.slabs[0].pages.len(), 2);
         for lba in (0..per_page).chain([next]) {
             assert_eq!(s.read(lba, 1), key(lba), "sector {lba}");
         }
+    }
+
+    #[test]
+    fn a_leaf_keeps_its_entries_in_the_least_class_that_holds_them() {
+        // Whole sectors, so classes below `WHOLE` hold only the leaf's
+        // array; each sector's bytes are its LBA's.
+        let sector = |lba: u64| [lba as u8 + 1; SECTOR_SIZE];
+        let in_use = |s: &SectorStore| -> Vec<u32> {
+            let held = |slab: &Slab| slab.next - slab.free.len() as u32;
+            s.slabs[..WHOLE].iter().map(held).collect()
+        };
+        // One slot, in the least class holding `count` 4 B entries.
+        let least = |count: usize| -> Vec<u32> {
+            let class = (0..WHOLE).find(|&c| LINE << c >= count * 4);
+            (0..WHOLE)
+                .map(|c| u32::from(count > 0 && Some(c) == class))
+                .collect()
+        };
+        let check = |s: &SectorStore, stored: u64, count: usize| {
+            assert_eq!(in_use(s), least(count), "{count} entries");
+            assert_eq!(s.leaves[0].present, stored);
+            let want: Vec<u8> = (0..LEAF)
+                .flat_map(|lba| match stored >> lba & 1 {
+                    1 => sector(lba),
+                    _ => [0; SECTOR_SIZE],
+                })
+                .collect();
+            assert_eq!(s.read(0, LEAF as u32), want, "{count} entries");
+        };
+        let mut s = SectorStore::new();
+        let mut stored = 0u64;
+        // 37 and 23 are odd, so each order steps through all 64 LBAs.
+        for (count, lba) in (1..).zip((0..LEAF).map(|i| i * 37 % LEAF)) {
+            s.write(lba, &sector(lba));
+            stored |= 1 << lba;
+            check(&s, stored, count);
+        }
+        let mut last = None;
+        for (count, lba) in (0..LEAF as usize)
+            .rev()
+            .zip((0..LEAF).map(|i| (i * 23 + 5) % LEAF))
+        {
+            last = Some(s.leaves[0].array);
+            s.write(lba, &[0u8; SECTOR_SIZE]);
+            stored &= !(1 << lba);
+            check(&s, stored, count);
+        }
+        // The next leaf's first array is the 8 B slot the first one gave
+        // back: the cursor does not move.
+        let cursor = s.slabs[0].next;
+        s.write(LEAF, &sector(LEAF));
+        assert_eq!((Some(s.leaves[1].array), s.slabs[0].next), (last, cursor));
+        let mut want = vec![0u8; 2 * LEAF as usize * SECTOR_SIZE];
+        want[LEAF as usize * SECTOR_SIZE..][..SECTOR_SIZE].copy_from_slice(&sector(LEAF));
+        assert_eq!(s.read(0, 2 * LEAF as u32), want);
     }
 
     #[test]
@@ -536,12 +781,18 @@ mod tests {
         };
         let per_page = (PAGE_BYTES / LINE) as u64;
         let mut s = SectorStore::new();
+        // A leaf's array of one or two entries is an 8 B slot too: the
+        // cursor runs one ahead of the words from a leaf's first word
+        // until its fourth takes the slot the array left at its third.
+        // At 64 words each the arrays are 256 B.
         for lba in 0..per_page {
             s.write(lba, &word(lba));
-            let held = (lba as usize + 1) * LINE;
+            let held = s.slabs[0].next as usize * LINE;
+            assert!(held <= PAGE_BYTES, "sector {lba}");
             assert_eq!(s.slabs[0].pages.len(), 1);
             assert_eq!(s.slabs[0].pages[0].len(), held.next_power_of_two());
         }
+        assert_eq!(s.slabs[0].next, per_page as u32);
         s.write(per_page, &word(per_page));
         let lens: Vec<usize> = s.slabs[0].pages.iter().map(|page| page.len()).collect();
         assert_eq!(lens, [PAGE_BYTES, PAGE_BYTES], "the second page is whole");
@@ -582,14 +833,15 @@ mod tests {
     #[test]
     fn dense_image_costs_no_more_than_the_per_sector_map_did() {
         // `device.store_bytes_per_sector` read 534 B with one boxed
-        // sector per hash-map entry.
+        // sector per hash-map entry. A dense image costs its bytes, a
+        // 4 B entry and a share of a 16 B leaf and of a page pointer.
         const SECTORS: u64 = 200_000;
         let mut s = SectorStore::new();
         for slba in 0..SECTORS {
             s.write(slba, &[0xA5u8; SECTOR_SIZE]);
         }
         assert!(
-            s.heap_bytes() as u64 <= 534 * SECTORS,
+            s.heap_bytes() as u64 <= 520 * SECTORS,
             "{} B for {SECTORS} sectors",
             s.heap_bytes()
         );
@@ -599,9 +851,11 @@ mod tests {
     fn zero_padded_records_cost_their_nonzero_sectors() {
         // `tenant_noisy`'s log: 4 KiB records, an 8-byte key and zeroes,
         // appended back to back. Each costs the first word of its first
-        // sector and eight index entries, not the 4 KiB it spans, and an
-        // append-only log gives no slot back, so it holds no free list.
-        const RECORDS: usize = 1_000;
+        // sector, one 4 B entry in its leaf's array and an eighth of a
+        // 16 B leaf — its seven zero sectors a bit each — not the 4 KiB
+        // it spans: under 16 B, with the leaves' doubling slack, plus
+        // a partly filled page per class.
+        const RECORDS: usize = 20_000;
         const RECORD: usize = 8 * SECTOR_SIZE;
         let mut s = SectorStore::new();
         let mut record = [0u8; RECORD];
@@ -609,16 +863,20 @@ mod tests {
             record[..8].copy_from_slice(&(key as u64 + 1).to_le_bytes());
             s.write((key * RECORD / SECTOR_SIZE) as u64, &record);
         }
-        let slack = (s.slots.capacity() - s.slots.len()) * size_of::<u32>();
-        let index = RECORD / SECTOR_SIZE * size_of::<u32>();
-        let bound = RECORDS * (LINE + index) + PAGE_BYTES + slack;
+        let bound = RECORDS * 16 + CLASSES * PAGE_BYTES;
         assert!(
             s.heap_bytes() <= bound,
             "{} B for {RECORDS} records (bound {bound})",
             s.heap_bytes()
         );
-        assert!(s.slabs.iter().all(|slab| slab.free.capacity() == 0));
-        assert_eq!(s.read(8 * 999, 8)[..8], 1000u64.to_le_bytes());
+        // An append-only log gives no key's slot back. A leaf's array
+        // moves up from 8 B to 16 B at its third key, and 16 B to 32 B
+        // at its fifth: the 8 B slot it leaves is the next key's, and
+        // the 16 B one the next leaf's, so only the last leaf's is free.
+        let free: Vec<usize> = s.slabs.iter().map(|slab| slab.free.len()).collect();
+        assert_eq!(free, [0, 1, 0, 0, 0, 0, 0]);
+        let last = RECORDS as u64 - 1;
+        assert_eq!(s.read(8 * last, 8)[..8], RECORDS.to_le_bytes());
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! the record the workload hands in (an owned `Vec`, the trait's shape)
 //! and one store page per 1024 non-zero sectors that land, when each is
 //! zero past its first 8-byte word (the store keeps a sector to its
-//! last non-zero word; an all-zero sector is a hole and costs nothing).
-//! Its plan, its
+//! last non-zero word; an all-zero sector is a hole and costs a bit of
+//! the index). Each sector's 4-byte index entry adds a page per 2048,
+//! inside the loops' 0.01 slack. Its plan, its
 //! commands, the uring batch and the commit window are kept for their
 //! capacity (machine.rs, "Buffer ownership"), and the write loops below
 //! measure that the same marginal way, per write chain.

@@ -88,12 +88,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
     fn sector_store_matches_the_per_sector_map(
-        ops in proptest::collection::vec((0u8..6, 0u64..150, 1u32..50, any::<u8>(), any::<u64>()), 1..60)
+        ops in proptest::collection::vec((0u8..7, 0u64..400, 1u32..50, any::<u8>(), any::<u64>()), 1..60)
     ) {
-        // LBAs 0..200, ranges up to 49 sectors: a store whose slots are
-        // freed and reused out of LBA order, the small classes inside
-        // their first page as it doubles, the whole-sector class over up
-        // to a dozen pages.
+        // LBAs 0..450, seven 64-LBA leaves, ranges up to 49 sectors that
+        // cross leaves: a store whose slots are freed and reused out of
+        // LBA order, the small classes inside their first page as it
+        // doubles, the whole-sector class over up to 28 pages.
         let mut store = SectorStore::new();
         let mut oracle = SectorMap::default();
         for (kind, slba, nlb, fill, zeros) in ops {
@@ -148,6 +148,36 @@ proptest! {
                         store.write(slba, &data);
                         oracle.write(slba, &data);
                         prop_assert_eq!(store.read(slba, nlb), data);
+                    }
+                }
+                5 => {
+                    // Each sector of the aligned leaf holding `slba`,
+                    // written singly in an order drawn from `zeros`,
+                    // then zeroed in another: an empty leaf's array
+                    // moves through every class up, then down to none.
+                    // The leaf is read whole every eighth step.
+                    let leaf = slba / 64 * 64;
+                    let order = |bits: u64| {
+                        let (step, start) = ((bits | 1) % 64, (bits >> 6) % 64);
+                        (0..64).map(move |i| leaf + (step * i + start) % 64)
+                    };
+                    for (i, lba) in order(zeros).enumerate() {
+                        let last = CLASS_EDGES[(lba as usize + fill as usize) % CLASS_EDGES.len()];
+                        let mut sector = [0u8; SECTOR_SIZE];
+                        sector[..=last].fill(fill.wrapping_add(lba as u8) | 1);
+                        store.write(lba, &sector);
+                        oracle.write(lba, &sector);
+                        prop_assert_eq!(store.read(lba, 1), sector.to_vec());
+                        if i % 8 == 7 {
+                            prop_assert_eq!(store.read(leaf, 64), oracle.read(leaf, 64));
+                        }
+                    }
+                    for (i, lba) in order(zeros >> 12).enumerate() {
+                        store.write(lba, &[0u8; SECTOR_SIZE]);
+                        oracle.write(lba, &[0u8; SECTOR_SIZE]);
+                        if i % 8 == 7 {
+                            prop_assert_eq!(store.read(leaf, 64), oracle.read(leaf, 64));
+                        }
                     }
                 }
                 _ => {
