@@ -1,7 +1,7 @@
 //! The NVMe queue model under load: ring depth and interrupt coalescing
 //! (`queue_sweep`), and how completions are reaped (`reap_sweep`).
 
-use bpfstor_core::{Btree, DispatchMode, PushdownSession, ReapMode};
+use bpfstor_core::{Btree, DispatchMode, PushdownSession, ReapMode, RunReport};
 
 use super::Scale;
 use crate::report::{iops, us, Table};
@@ -9,8 +9,13 @@ use crate::report::{iops, us, Table};
 /// Queue-depth × interrupt-coalescing sweep: with 32 SQEs in flight on
 /// one queue pair (io_uring, Figure 3d's setup), the NVMe ring depth is
 /// the effective device parallelism, and the coalescing knobs trade
-/// completion latency against per-CQE interrupt cost. IOPS must vary
-/// monotonically along both axes in every dispatch mode.
+/// completion latency against per-CQE interrupt cost. In every dispatch
+/// mode IOPS must grow with ring depth, and a deeper coalescing
+/// threshold must take fewer interrupts per I/O. IOPS along the
+/// coalescing axis is not ordered: an interrupt's entry cost sits on
+/// the reap path before any CQE it reaps, so saving entries can
+/// outweigh the deferral (docs/PERF.md, "Deferring interrupts can raise
+/// IOPS").
 ///
 /// `seed` overrides the canonical seed the CSVs were calibrated on
 /// (`None` keeps it).
@@ -30,7 +35,7 @@ pub fn queue_sweep(scale: Scale, seed: Option<u64>) -> Table {
         ],
     );
     let mut run =
-        |mode: DispatchMode, qd: usize, coalesce_us: u64, irq_depth: u32, label: String| -> f64 {
+        |mode: DispatchMode, qd: usize, coalesce_us: u64, irq_depth: u32, label: String| {
             let mut session = PushdownSession::builder(Btree::depth(4))
                 .dispatch(mode)
                 .queue_depth(qd)
@@ -49,33 +54,35 @@ pub fn queue_sweep(scale: Scale, seed: Option<u64>) -> Table {
                 report.device.doorbells.to_string(),
                 report.device.rejected.to_string(),
             ]);
-            report.iops
+            report
         };
+    let irqs_per_io = |r: &RunReport| r.device.irqs as f64 / r.ios as f64;
     for mode in DispatchMode::ALL {
         // Axis 1: ring depth, interrupts uncoalesced.
-        let mut prev = 0.0;
+        let (mut prev, mut irqs) = (0.0, 0.0);
         for qd in [2usize, 8, 64] {
-            let got = run(mode, qd, 0, 1, format!("qd={qd}"));
+            let report = run(mode, qd, 0, 1, format!("qd={qd}"));
+            let got = report.iops;
             assert!(
                 got >= prev,
                 "{}: IOPS must grow with queue depth (qd={qd}: {got:.0} after {prev:.0})",
                 mode.label()
             );
-            prev = got;
+            (prev, irqs) = (got, irqs_per_io(&report));
         }
         // Axis 2: coalescing depth at full ring, 8us time budget. The
         // depth-1 point is the qd=64 run above — a depth-1 threshold
         // fires on the first pending CQE regardless of the budget — so
-        // it seeds the monotonicity chain instead of being re-run.
+        // it seeds the chain instead of being re-run.
         for irq_depth in [4u32, 16] {
-            let got = run(mode, 64, 8, irq_depth, format!("irq={irq_depth}"));
+            let got = irqs_per_io(&run(mode, 64, 8, irq_depth, format!("irq={irq_depth}")));
             assert!(
-                got <= prev * 1.001,
-                "{}: deferring interrupts cannot raise closed-loop IOPS \
-                 (irq={irq_depth}: {got:.0} after {prev:.0})",
+                got < irqs,
+                "{}: a deeper coalescing threshold must take fewer interrupts per I/O \
+                 (irq={irq_depth}: {got:.4} after {irqs:.4})",
                 mode.label()
             );
-            prev = got;
+            irqs = got;
         }
     }
     t.note("queue depth gates device parallelism: IOPS grows monotonically with it");

@@ -377,7 +377,12 @@ impl ExtFs {
     /// Checkpoints the journal (`jbd2_log_do_checkpoint`): applies every
     /// committed record to the recovery image and drops it from the log.
     /// Running and sealed records stay. Every commit runs this once
-    /// [`CHECKPOINT_RECORDS`] committed records are retained.
+    /// [`CHECKPOINT_RECORDS`] committed records are retained, so however
+    /// long the file system runs, the log holds fewer committed records
+    /// than that beside what is outstanding. A crash below the
+    /// checkpoint is not simulated ([`ExtFs::crash_and_recover_at`]
+    /// panics there), so a test that crashes at every record from 0
+    /// keeps its world below the trigger.
     pub fn checkpoint(&mut self) {
         self.image.replay(self.journal.checkpoint().as_slice());
     }

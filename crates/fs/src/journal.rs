@@ -70,9 +70,13 @@ pub enum JournalRecord {
 }
 
 /// The committed records a commit lets the journal retain before it
-/// checkpoints them (jbd2's "log space low"): 8192 records, ~0.33 MB
-/// of log.
-pub const CHECKPOINT_RECORDS: usize = 8192;
+/// checkpoints them (jbd2's "log space low"): 256 records, ~10 KB of
+/// log. No checkpoint I/O or log-space stall is modelled, so the value
+/// only sets the crash-sweep horizon: a test that crashes an
+/// [`crate::ExtFs`] at every record from 0 must keep its world below
+/// it, since a crash below [`Journal::base`] panics in
+/// [`Journal::crash_at`]. The largest such world is 77 records.
+pub const CHECKPOINT_RECORDS: usize = 256;
 
 /// A sealed transaction: the running transaction frozen at a commit
 /// request, waiting for its flush barrier's CQE. Between

@@ -393,16 +393,24 @@ fn a_long_journaled_write_world_keeps_only_what_recovery_needs() {
     // recovery image, so however long a write world runs, the journal
     // retains fewer than `CHECKPOINT_RECORDS` committed records beside
     // the ones still outstanding (an append-only log held every record
-    // since mkfs: 59 % of `ycsb_write_mix`'s peak).
-    let mut s = PushdownSession::builder(ycsb(APPENDS).fsync_every(8))
-        .dispatch(DispatchMode::User)
-        .build()
-        .expect("session");
-    s.run_closed_loop(4, 40 * MILLISECOND);
+    // since mkfs: 59 % of `ycsb_write_mix`'s peak). The whole world,
+    // session build included, peaks at 512 794 B with a 256-record
+    // trigger; the bound adds 64 KiB, which the 16 384-slot `Vec`
+    // (0.66 MB) an 8192-record trigger grows cannot fit under: that
+    // world peaked at 1 155 610 B.
+    let (s, _, peak) = heap_use(|| {
+        let mut s = PushdownSession::builder(ycsb(APPENDS).fsync_every(8))
+            .dispatch(DispatchMode::User)
+            .build()
+            .expect("session");
+        s.run_closed_loop(4, 40 * MILLISECOND);
+        s
+    });
     let j = s.machine().fs().journal();
     let (retained, outstanding) = (j.len() - j.base(), j.len() - j.committed());
     println!(
-        "{} records logged, {} checkpointed, {retained} retained, {outstanding} outstanding",
+        "{} records logged, {} checkpointed, {retained} retained, {outstanding} outstanding, \
+         {peak} B at peak",
         j.len(),
         j.base()
     );
@@ -410,6 +418,10 @@ fn a_long_journaled_write_world_keeps_only_what_recovery_needs() {
     assert!(
         retained < CHECKPOINT_RECORDS + outstanding,
         "{retained} records retained, {outstanding} outstanding"
+    );
+    assert!(
+        peak <= 512_794 + (64 << 10),
+        "{peak} B live at peak, bound 512 794 + 64 KiB"
     );
 }
 

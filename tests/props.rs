@@ -16,7 +16,7 @@ use bpfstor::core::{
 };
 use bpfstor::device::{Ring, SectorStore, SECTOR_SIZE};
 use bpfstor::fs::alloc::{Run, GROUP_BLOCKS};
-use bpfstor::fs::{BlockAllocator, ExtFs, Extent, ExtentTree, JournalRecord};
+use bpfstor::fs::{BlockAllocator, ExtFs, Extent, ExtentTree, JournalRecord, CHECKPOINT_RECORDS};
 use bpfstor::kernel::{
     ChainOutcome, ChainSpec, ChainStatus, ChainToken, ChainVerdict, CommitPolicy, DispatchMode,
     FabricConfig, Fd, Machine, MachineConfig, Mutation, RunReport, TenantLimits, TransportConfig,

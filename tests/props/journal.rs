@@ -96,6 +96,11 @@ proptest! {
     ) {
         let (reference, snaps) = replay_ops(&ops);
         let total_records = reference.journal().len();
+        prop_assert_eq!(
+            reference.journal().base(), 0,
+            "a sweep from record 0 needs its {}-record world below CHECKPOINT_RECORDS ({})",
+            total_records, CHECKPOINT_RECORDS
+        );
         let commit_points: Vec<usize> = reference.journal().commit_points().to_vec();
         prop_assert_eq!(
             total_records,

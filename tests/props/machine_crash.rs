@@ -159,6 +159,11 @@ proptest! {
             // joined handle's records atomically, a durable one loses
             // none.
             let total = j.len();
+            prop_assert_eq!(
+                j.base(), 0,
+                "{:?}: a sweep from record 0 needs its {}-record world below \
+                 CHECKPOINT_RECORDS ({})", policy, total, CHECKPOINT_RECORDS
+            );
             let commit_points: Vec<usize> = j.commit_points().to_vec();
             let live = fs_meta(m.fs());
             let at = |k: usize| fs_meta(&m.fs().clone().crash_and_recover_at(k));
@@ -260,6 +265,11 @@ proptest! {
                     );
                 }
                 let total = j.len();
+                prop_assert_eq!(
+                    j.base(), 0,
+                    "{:?}/{:?}: a sweep from record 0 needs its {}-record world below \
+                     CHECKPOINT_RECORDS ({})", policy, mode, total, CHECKPOINT_RECORDS
+                );
                 let commit_points: Vec<usize> = j.commit_points().to_vec();
                 let live = fs_meta(m.fs());
                 let at = |k: usize| fs_meta(&m.fs().clone().crash_and_recover_at(k));
