@@ -13,32 +13,42 @@
 //!
 //! The index is a vector of 64-LBA leaves, one per 64 LBAs up to the
 //! highest non-zero LBA written. A leaf holds a bitmap of which of its
-//! sectors are stored and the slot of a packed array of their 4-byte
-//! [`entry`]s — each a class and a slot in that class's slab of 8 KiB
-//! pages — in LBA order, so a sector's entry sits at the count of
-//! stored sectors below it in the leaf. A hole costs its bit. The array
-//! lives in the store's own slabs, in the least class that holds it
-//! (8 B for one or two entries, … 256 B for 33 to 64): an insert or a
-//! removal shifts the entries above it in place, and moves the array
-//! once when its count crosses a power of two; an emptied leaf gives
-//! its slot back. A write finds each sector's last non-zero word,
-//! scanning from the end: an all-zero sector becomes a hole and gives
-//! its slot, if it had one, back to its class; any other overwrites its
-//! own slot if its class is unchanged, and otherwise gives the old slot
-//! back and takes one of the new class — a slot given back if there is
-//! one, else the next from the slab's bump cursor, which adds a page
-//! when the last is full. A slab's first page starts one slot long and
-//! doubles as it fills, so a small image spread over several classes
-//! does not hold a whole page of each; every later page is allocated
-//! whole. A discard gives slots back; a read resolves a leaf once per
-//! run of sectors inside it, copies each slot's bytes and fills the
-//! rest of the sector, or all of a hole, with zeroes. A dense image
-//! costs its own bytes plus 4 bytes of entry per sector, 16 bytes of
-//! leaf per 64 sectors and a two-word pointer per page. The file system
-//! allocates goal-directed — a file's next run starts where its last
-//! one ended, else first-fit from the goal's block group
-//! (`fs/src/alloc.rs`) — over a device that fills from block 0, which
-//! keeps written LBAs, and therefore the leaves, dense.
+//! sectors are stored and where their 4-byte [`entry`]s — each a class
+//! and a slot in that class's slab of 8 KiB pages — are, in LBA order,
+//! so a sector's entry is the one at its rank, the count of stored
+//! sectors below it in the leaf. A hole costs its bit. A leaf is a
+//! *run* while its sectors' slots are consecutive in one class: it
+//! keeps the first entry, the entry at rank `i` is that slot plus `i`,
+//! and it holds no array. An empty leaf's first sector starts a run; an
+//! insert keeps it only if it extends the run at the top with the slot
+//! after its last, or at the bottom with the slot before its first, and
+//! a removal only at either end. Any other insert or removal, or a
+//! class change, expands the leaf once into a packed array of its
+//! entries, and the leaf stays one until it empties. The array lives in
+//! the store's own slabs, in the least class that holds it (8 B for one
+//! or two entries, … 256 B for 33 to 64): an insert or a removal shifts
+//! the entries above it in place, and moves the array once when its
+//! count crosses a power of two; an emptied leaf gives its slot back. A
+//! write finds each sector's last non-zero word, scanning from the end:
+//! an all-zero sector becomes a hole and gives its slot, if it had one,
+//! back to its class; any other overwrites its own slot if its class is
+//! unchanged, and otherwise gives the old slot back and takes one of
+//! the new class — a slot given back if there is one, else the next
+//! from the slab's bump cursor, which adds a page when the last is
+//! full. A slab's first page starts one slot long and doubles as it
+//! fills, so a small image spread over several classes does not hold a
+//! whole page of each; every later page is allocated whole. A discard
+//! gives slots back; a read resolves a leaf once per run of sectors
+//! inside it — a run leaf by arithmetic, without an array read — copies
+//! each slot's bytes and fills the rest of the sector, or all of a
+//! hole, with zeroes. A dense image written in LBA order takes
+//! consecutive slots, so its leaves are runs: it costs its own bytes,
+//! 16 bytes of leaf per 64 sectors and a two-word pointer per page,
+//! 513.6 B a whole sector as measured (517.7 B with a 4-byte entry per
+//! sector). The file system allocates goal-directed — a file's next run
+//! starts where its last one ended, else first-fit from the goal's
+//! block group (`fs/src/alloc.rs`) — over a device that fills from
+//! block 0, which keeps written LBAs, and therefore the leaves, dense.
 
 /// Logical block (sector) size in bytes. The paper's experiments use
 /// 512 B reads, so one B-tree node = one sector = one NVMe command.
@@ -104,9 +114,13 @@ pub struct SectorStore {
 struct Leaf {
     /// Bit `i` is set if sector `i` of the leaf is stored.
     present: u64,
-    /// The slot, in class [`array_class`] of the present count, of the
-    /// present sectors' entries in LBA order; none while `present` is 0.
+    /// In a run leaf, the first present sector's entry; else the slot,
+    /// in class [`array_class`] of the present count, of the present
+    /// sectors' entries in LBA order. Meaningless while `present` is 0.
     array: u32,
+    /// The present sectors' slots are one run in one class: the `i`-th
+    /// present sector's is the first's plus `i`, and no array is held.
+    run: bool,
 }
 
 /// The slots of one class, `LINE << class` bytes each, cut from pages
@@ -207,6 +221,12 @@ fn rank(present: u64, bit: u32) -> usize {
     (present & ((1 << bit) - 1)).count_ones() as usize
 }
 
+/// Entry `rank` of a run whose first entry is `first`: the slot `rank`
+/// on, in the same class.
+fn run_entry(first: u32, rank: usize) -> u32 {
+    first.wrapping_add((rank as u32) << CLASS_BITS)
+}
+
 /// Entry `rank` of an array.
 fn entry_at(array: &[u8], rank: usize) -> u32 {
     u32::from_ne_bytes(
@@ -252,10 +272,19 @@ impl SectorStore {
         SectorStore::default()
     }
 
-    /// The bytes of `leaf`'s array, or `None` if the leaf is empty.
+    /// The bytes of `leaf`'s array, or `None` if the leaf is empty or a
+    /// run.
     fn array(&self, leaf: Leaf) -> Option<&[u8]> {
         let class = array_class(leaf.present.count_ones() as usize);
-        (leaf.present != 0).then(|| self.slabs[class].bytes(leaf.array, class))
+        (leaf.present != 0 && !leaf.run).then(|| self.slabs[class].bytes(leaf.array, class))
+    }
+
+    /// The entry of present sector `rank` of a non-empty leaf.
+    fn entry_of(&self, leaf: Leaf, rank: usize) -> u32 {
+        match self.array(leaf) {
+            Some(array) => entry_at(array, rank),
+            None => run_entry(leaf.array, rank),
+        }
     }
 
     /// The leaf holding sector `lba` and the sector's bit in it, if the
@@ -293,17 +322,21 @@ impl SectorStore {
                 .unwrap_or_default();
             let first = (lba % LEAF) as u32;
             lba = lba.wrapping_add((run.len() / SECTOR_SIZE) as u64);
-            let Some(array) = self.array(leaf) else {
+            if leaf.present == 0 {
                 run.fill(0);
                 continue;
-            };
+            }
+            let array = self.array(leaf);
             let mut at = rank(leaf.present, first);
             for (bit, dst) in (first..).zip(run.chunks_exact_mut(SECTOR_SIZE)) {
                 if leaf.present >> bit & 1 == 0 {
                     dst.fill(0);
                     continue;
                 }
-                let (slot, class) = unpack(entry_at(array, at));
+                let (slot, class) = unpack(match array {
+                    Some(array) => entry_at(array, at),
+                    None => run_entry(leaf.array, at),
+                });
                 at += 1;
                 let (kept, zeroes) = dst.split_at_mut(LINE << class);
                 kept.copy_from_slice(self.slabs[class].bytes(slot, class));
@@ -369,62 +402,102 @@ impl SectorStore {
 
     /// The slot of `class` for stored sector `bit` of `leaf`: its own
     /// if its class is unchanged, else a new one, its old slot given
-    /// back.
+    /// back. A class change expands a run leaf.
     fn retake(&mut self, leaf: usize, bit: u32, class: usize) -> u32 {
-        let Leaf { present, array } = self.leaves[leaf];
-        let (at, held) = (
-            rank(present, bit),
-            array_class(present.count_ones() as usize),
-        );
-        let (old, old_class) = unpack(entry_at(self.slabs[held].bytes(array, held), at));
+        let Leaf {
+            present,
+            array,
+            run,
+        } = self.leaves[leaf];
+        let (count, at) = (present.count_ones() as usize, rank(present, bit));
+        let (old, old_class) = unpack(self.entry_of(self.leaves[leaf], at));
         if old_class == class {
             return old;
         }
         self.slabs[old_class].free.push(old);
         let slot = self.slabs[class].take(class);
-        set_entry_at(
-            self.slabs[held].bytes_mut(array, held),
-            at,
-            entry(slot, class),
-        );
+        if run {
+            self.leaves[leaf].array =
+                self.expand(array, count, at, count, Some(entry(slot, class)));
+            self.leaves[leaf].run = false;
+        } else {
+            let held = array_class(count);
+            set_entry_at(
+                self.slabs[held].bytes_mut(array, held),
+                at,
+                entry(slot, class),
+            );
+        }
         slot
     }
 
-    /// Adds `entry` for hole `lba` to its leaf's array.
+    /// Adds `entry` for hole `lba` to its leaf. An empty leaf's first
+    /// entry starts a run; a run stays one only if `entry` extends it
+    /// at either end, else it is expanded.
     fn insert(&mut self, lba: u64, entry: u32) {
         let leaf = usize::try_from(lba / LEAF).expect("LBA within the address space");
         if leaf >= self.leaves.len() {
             self.leaves.resize(leaf + 1, Leaf::default());
         }
         let bit = (lba % LEAF) as u32;
-        let Leaf { present, array } = self.leaves[leaf];
+        let Leaf {
+            present,
+            array,
+            run,
+        } = self.leaves[leaf];
         let (count, at) = (present.count_ones() as usize, rank(present, bit));
+        let (array, run) = if present == 0 {
+            (entry, true)
+        } else if !run {
+            (self.reshape(array, count, at, Some(entry)), false)
+        } else if at == count && entry == run_entry(array, count) {
+            (array, true)
+        } else if at == 0 && run_entry(entry, 1) == array {
+            (entry, true)
+        } else {
+            (self.expand(array, count, at, count + 1, Some(entry)), false)
+        };
         self.leaves[leaf] = Leaf {
             present: present | 1 << bit,
-            array: self.reshape(array, count, at, Some(entry)),
+            array,
+            run,
         };
     }
 
     /// Makes stored sector `bit` of `leaf` a hole, giving its slot back
-    /// and taking its entry out of the leaf's array.
+    /// and taking its entry out of the leaf. A run stays one if the
+    /// sector is its first or last, else it is expanded.
     fn remove(&mut self, leaf: usize, bit: u32) {
-        let Leaf { present, array } = self.leaves[leaf];
+        let Leaf {
+            present,
+            array,
+            run,
+        } = self.leaves[leaf];
         let (count, at) = (present.count_ones() as usize, rank(present, bit));
-        let held = array_class(count);
-        let (slot, class) = unpack(entry_at(self.slabs[held].bytes(array, held), at));
+        let (slot, class) = unpack(self.entry_of(self.leaves[leaf], at));
         self.slabs[class].free.push(slot);
+        let (array, run) = if !run {
+            (self.reshape(array, count, at, None), false)
+        } else if at == 0 {
+            (run_entry(array, 1), true)
+        } else if at == count - 1 {
+            (array, true)
+        } else {
+            (self.expand(array, count, at, count - 1, None), false)
+        };
         self.leaves[leaf] = Leaf {
             present: present & !(1 << bit),
-            array: self.reshape(array, count, at, None),
+            array,
+            run,
         };
     }
 
-    /// Puts `insert` in slot `array`, a leaf's array of `count`
+    /// Puts `insert` in slot `array`, a leaf's array of `count` > 0
     /// entries, as entry `at`, or without one takes entry `at` out, and
     /// returns the array's slot. The entries above `at` shift in place
     /// while the class is still the least that holds them; else all are
     /// moved once to the class that is, and the old slot is given back,
-    /// as an emptied array's is. A first entry takes a slot.
+    /// as an emptied array's is.
     fn reshape(&mut self, array: u32, count: usize, at: usize, insert: Option<u32>) -> u32 {
         // The entries above `at`, and where they go.
         let (after, above, to) = match insert {
@@ -433,10 +506,7 @@ impl SectorStore {
         };
         let (held, class) = (array_class(count), array_class(after));
         let (above, to) = (above.start * ENTRY..above.end * ENTRY, to * ENTRY);
-        let (array, bytes) = if count == 0 {
-            let array = self.slabs[class].take(class);
-            (array, self.slabs[class].bytes_mut(array, class))
-        } else if after == 0 {
+        let (array, bytes) = if after == 0 {
             self.slabs[held].free.push(array);
             return 0;
         } else if held == class {
@@ -457,6 +527,33 @@ impl SectorStore {
         };
         if let Some(entry) = insert {
             set_entry_at(bytes, at, entry);
+        }
+        array
+    }
+
+    /// Writes a run leaf's `count` entries from `first` out as an array
+    /// of `after` entries, in the least class that holds them, and
+    /// returns its slot: entry `at` is `edit` — put in if `after` is
+    /// `count + 1`, put in place of the run's if `after` is `count` — or
+    /// taken out if `edit` is `None`.
+    fn expand(
+        &mut self,
+        first: u32,
+        count: usize,
+        at: usize,
+        after: usize,
+        edit: Option<u32>,
+    ) -> u32 {
+        let class = array_class(after);
+        let array = self.slabs[class].take(class);
+        let bytes = self.slabs[class].bytes_mut(array, class);
+        for k in 0..after {
+            let entry = match edit {
+                Some(entry) if k == at => entry,
+                _ if k < at => run_entry(first, k),
+                _ => run_entry(first, k + count - after),
+            };
+            set_entry_at(bytes, k, entry);
         }
         array
     }
@@ -501,10 +598,7 @@ mod tests {
         fn slot(&self, lba: u64) -> Option<(u32, usize)> {
             let (leaf, bit) = self.stored(lba)?;
             let leaf = self.leaves[leaf];
-            let array = self
-                .array(leaf)
-                .expect("a stored sector's leaf has an array");
-            Some(unpack(entry_at(array, rank(leaf.present, bit))))
+            Some(unpack(self.entry_of(leaf, rank(leaf.present, bit))))
         }
     }
 
@@ -512,6 +606,12 @@ mod tests {
     fn unwritten_sectors_read_zero() {
         let s = SectorStore::new();
         assert_eq!(s.read(42, 2), vec![0u8; 1024]);
+    }
+
+    #[test]
+    fn a_leaf_is_sixteen_bytes() {
+        // The run flag sits in the padding after `array`.
+        assert_eq!(size_of::<Leaf>(), 16);
     }
 
     #[test]
@@ -680,17 +780,18 @@ mod tests {
         assert_eq!(s.slot(5), Some((0, WHOLE)));
         assert_eq!(s.slabs[0].free, [5], "the word it left is free");
         // The next key, in a leaf of its own, takes that word before the
-        // cursor moves; only its leaf's array (one entry, an 8 B slot)
-        // takes the cursor's next slot, the first of a second page.
+        // cursor moves; its leaf starts a run and holds no array, so the
+        // cursor does not move at all.
         let next = per_page + 1_000;
         s.write(next, &key(next));
         assert_eq!(s.slot(next), Some((5, 0)), "and taken by the next key");
-        assert_eq!(s.slabs[0].next, per_page as u32 + 1);
+        assert_eq!(s.slabs[0].next, per_page as u32);
         // Down a class: the whole slot is freed, and with no word free
-        // the key takes the cursor's next slot.
+        // the key takes the cursor's next slot, the first of a second
+        // page.
         s.write(5, &key(5));
         assert_eq!(s.slabs[WHOLE].free, [0]);
-        assert_eq!(s.slot(5), Some((per_page as u32 + 1, 0)));
+        assert_eq!(s.slot(5), Some((per_page as u32, 0)));
         assert_eq!(s.slabs[0].pages.len(), 2);
         for lba in (0..per_page).chain([next]) {
             assert_eq!(s.read(lba, 1), key(lba), "sector {lba}");
@@ -706,15 +807,17 @@ mod tests {
             let held = |slab: &Slab| slab.next - slab.free.len() as u32;
             s.slabs[..WHOLE].iter().map(held).collect()
         };
-        // One slot, in the least class holding `count` 4 B entries.
-        let least = |count: usize| -> Vec<u32> {
+        // One slot, in the least class holding `count` 4 B entries, or
+        // none for a run.
+        let least = |count: usize, run: bool| -> Vec<u32> {
             let class = (0..WHOLE).find(|&c| LINE << c >= count * 4);
             (0..WHOLE)
-                .map(|c| u32::from(count > 0 && Some(c) == class))
+                .map(|c| u32::from(count > 0 && !run && Some(c) == class))
                 .collect()
         };
-        let check = |s: &SectorStore, stored: u64, count: usize| {
-            assert_eq!(in_use(s), least(count), "{count} entries");
+        let check = |s: &SectorStore, stored: u64, count: usize, run: bool| {
+            assert_eq!(s.leaves[0].run, run, "{count} entries");
+            assert_eq!(in_use(s), least(count, run), "{count} entries");
             assert_eq!(s.leaves[0].present, stored);
             let want: Vec<u8> = (0..LEAF)
                 .flat_map(|lba| match stored >> lba & 1 {
@@ -727,29 +830,146 @@ mod tests {
         let mut s = SectorStore::new();
         let mut stored = 0u64;
         // 37 and 23 are odd, so each order steps through all 64 LBAs.
+        // LBAs 0 and 37 take whole slots 0 and 1, a run; LBA 10 lands
+        // between them and expands the leaf, for good.
         for (count, lba) in (1..).zip((0..LEAF).map(|i| i * 37 % LEAF)) {
             s.write(lba, &sector(lba));
             stored |= 1 << lba;
-            check(&s, stored, count);
+            check(&s, stored, count, count <= 2);
         }
-        let mut last = None;
+        let mut last = 0;
         for (count, lba) in (0..LEAF as usize)
             .rev()
             .zip((0..LEAF).map(|i| (i * 23 + 5) % LEAF))
         {
-            last = Some(s.leaves[0].array);
+            last = s.leaves[0].array;
             s.write(lba, &[0u8; SECTOR_SIZE]);
             stored &= !(1 << lba);
-            check(&s, stored, count);
+            check(&s, stored, count, false);
         }
-        // The next leaf's first array is the 8 B slot the first one gave
-        // back: the cursor does not move.
+        // The emptied leaf gave its last array, an 8 B slot, back. The
+        // next leaf's first sector starts a run and takes no array: the
+        // slot stays free and the cursor does not move.
         let cursor = s.slabs[0].next;
         s.write(LEAF, &sector(LEAF));
-        assert_eq!((Some(s.leaves[1].array), s.slabs[0].next), (last, cursor));
+        assert!(s.leaves[1].run);
+        assert_eq!(
+            (&s.slabs[0].free[..], s.slabs[0].next),
+            (&[last][..], cursor)
+        );
         let mut want = vec![0u8; 2 * LEAF as usize * SECTOR_SIZE];
         want[LEAF as usize * SECTOR_SIZE..][..SECTOR_SIZE].copy_from_slice(&sector(LEAF));
         assert_eq!(s.read(0, 2 * LEAF as u32), want);
+    }
+
+    #[test]
+    fn an_ascending_run_of_a_leaf_holds_no_array_slot() {
+        // 64 keys, each an 8 B slot, written one at a time up the leaf:
+        // class 0 holds the 64 keys and nothing else.
+        let mut s = SectorStore::new();
+        let mut want = Vec::new();
+        for lba in 0..LEAF {
+            let mut sector = [0u8; SECTOR_SIZE];
+            sector[..8].copy_from_slice(&(lba + 1).to_le_bytes());
+            s.write(lba, &sector);
+            want.extend_from_slice(&sector);
+        }
+        assert!(s.leaves[0].run);
+        assert_eq!(s.leaves[0].present, u64::MAX);
+        assert_eq!((s.slabs[0].next, s.slabs[0].free.len()), (LEAF as u32, 0));
+        assert_eq!(s.slot(LEAF - 1), Some((LEAF as u32 - 1, 0)));
+        assert_eq!(s.read(0, LEAF as u32), want);
+    }
+
+    #[test]
+    fn breaking_a_run_expands_it_once_into_the_least_class() {
+        // A run of 20 whole sectors at the even LBAs 2..=40, whole slots
+        // 0 to 19. Each break leaves one array slot, in the least class
+        // for the count after it, and no slot taken and given back on the
+        // way; the leaf then stays expanded.
+        let sector = |lba: u64| [lba as u8 + 1; SECTOR_SIZE];
+        let mut key = [0u8; SECTOR_SIZE];
+        key[0] = 0xCC;
+        enum Break {
+            /// A whole sector at the LBA, after one in the next leaf took
+            /// the run's next slot.
+            Insert(u64),
+            /// The sector at the LBA moves down to an 8 B slot.
+            Shrink(u64),
+            Discard(u64),
+        }
+        for (how, count) in [
+            (Break::Insert(0), 21),
+            (Break::Insert(50), 21),
+            (Break::Insert(5), 21),
+            (Break::Shrink(2), 20),
+            (Break::Shrink(40), 20),
+            (Break::Shrink(20), 20),
+            (Break::Discard(20), 19),
+        ] {
+            let mut s = SectorStore::new();
+            for lba in (2..=40).step_by(2) {
+                s.write(lba, &sector(lba));
+            }
+            assert!(s.leaves[0].run);
+            let mut want = s.read(0, LEAF as u32);
+            let (lba, now) = match how {
+                Break::Insert(lba) => {
+                    s.write(LEAF, &sector(LEAF));
+                    (lba, sector(lba))
+                }
+                Break::Shrink(lba) => (lba, key),
+                Break::Discard(lba) => (lba, [0; SECTOR_SIZE]),
+            };
+            match how {
+                Break::Discard(_) => s.discard(lba, 1),
+                _ => s.write(lba, &now),
+            }
+            want[lba as usize * SECTOR_SIZE..][..SECTOR_SIZE].copy_from_slice(&now);
+            let leaf = s.leaves[0];
+            assert!(!leaf.run, "LBA {lba}");
+            assert_eq!(leaf.present.count_ones(), count, "LBA {lba}");
+            // The arrays' classes: one slot in the least, none freed.
+            // A shrunk sector's 8 B slot is class 0's.
+            let keys = u32::from(matches!(how, Break::Shrink(_)));
+            let held: Vec<(u32, usize)> = s.slabs[1..WHOLE]
+                .iter()
+                .map(|slab| (slab.next, slab.free.len()))
+                .collect();
+            let mut least = vec![(0, 0); WHOLE - 1];
+            least[array_class(count as usize) - 1] = (1, 0);
+            assert_eq!(held, least, "LBA {lba}");
+            assert_eq!((s.slabs[0].next, s.slabs[0].free.len()), (keys, 0));
+            assert_eq!(s.read(0, LEAF as u32), want, "LBA {lba}");
+            // An append at the expanded leaf's top does not re-form a run.
+            s.write(LEAF - 1, &sector(LEAF - 1));
+            assert!(!s.leaves[0].run, "LBA {lba}");
+        }
+    }
+
+    #[test]
+    fn a_prepend_below_a_run_stays_a_run() {
+        // Whole sectors at LBAs 10..20 take slots 0 to 9. Discarding the
+        // bottom one keeps the run, now from slot 1, and gives slot 0
+        // back; a sector below then takes slot 0, the run's first − 1.
+        let sector = |lba: u64| [lba as u8 + 1; SECTOR_SIZE];
+        let mut s = SectorStore::new();
+        let mut want = vec![0u8; LEAF as usize * SECTOR_SIZE];
+        for lba in 10..20 {
+            s.write(lba, &sector(lba));
+            want[lba as usize * SECTOR_SIZE..][..SECTOR_SIZE].copy_from_slice(&sector(lba));
+        }
+        s.discard(10, 1);
+        want[10 * SECTOR_SIZE..][..SECTOR_SIZE].fill(0);
+        assert!(s.leaves[0].run);
+        assert_eq!(s.slot(11), Some((1, WHOLE)));
+        s.write(3, &sector(3));
+        want[3 * SECTOR_SIZE..][..SECTOR_SIZE].copy_from_slice(&sector(3));
+        assert!(s.leaves[0].run);
+        assert_eq!(s.slot(3), Some((0, WHOLE)));
+        assert_eq!(s.slabs[WHOLE].next, 10);
+        assert!(s.slabs[..WHOLE].iter().all(|slab| slab.next == 0));
+        assert_eq!(s.read(0, LEAF as u32), want);
     }
 
     #[test]
@@ -781,14 +1001,12 @@ mod tests {
         };
         let per_page = (PAGE_BYTES / LINE) as u64;
         let mut s = SectorStore::new();
-        // A leaf's array of one or two entries is an 8 B slot too: the
-        // cursor runs one ahead of the words from a leaf's first word
-        // until its fourth takes the slot the array left at its third.
-        // At 64 words each the arrays are 256 B.
+        // Ascending words take ascending slots, so every leaf is a run
+        // and holds no array: the cursor counts the words.
         for lba in 0..per_page {
             s.write(lba, &word(lba));
             let held = s.slabs[0].next as usize * LINE;
-            assert!(held <= PAGE_BYTES, "sector {lba}");
+            assert_eq!(held, (lba as usize + 1) * LINE, "sector {lba}");
             assert_eq!(s.slabs[0].pages.len(), 1);
             assert_eq!(s.slabs[0].pages[0].len(), held.next_power_of_two());
         }
@@ -833,15 +1051,18 @@ mod tests {
     #[test]
     fn dense_image_costs_no_more_than_the_per_sector_map_did() {
         // `device.store_bytes_per_sector` read 534 B with one boxed
-        // sector per hash-map entry. A dense image costs its bytes, a
-        // 4 B entry and a share of a 16 B leaf and of a page pointer.
+        // sector per hash-map entry, and 517.7 B with a 4 B entry per
+        // sector in its leaf's array. A dense image's leaves are runs,
+        // so it costs its bytes and a share of a 16 B leaf and of a page
+        // pointer: 513.6 B.
         const SECTORS: u64 = 200_000;
         let mut s = SectorStore::new();
         for slba in 0..SECTORS {
             s.write(slba, &[0xA5u8; SECTOR_SIZE]);
         }
+        assert!(s.leaves.iter().all(|leaf| leaf.run));
         assert!(
-            s.heap_bytes() as u64 <= 520 * SECTORS,
+            s.heap_bytes() as u64 <= 514 * SECTORS,
             "{} B for {SECTORS} sectors",
             s.heap_bytes()
         );
@@ -851,10 +1072,10 @@ mod tests {
     fn zero_padded_records_cost_their_nonzero_sectors() {
         // `tenant_noisy`'s log: 4 KiB records, an 8-byte key and zeroes,
         // appended back to back. Each costs the first word of its first
-        // sector, one 4 B entry in its leaf's array and an eighth of a
-        // 16 B leaf — its seven zero sectors a bit each — not the 4 KiB
-        // it spans: under 16 B, with the leaves' doubling slack, plus
-        // a partly filled page per class.
+        // sector and an eighth of a 16 B leaf — its seven zero sectors a
+        // bit each, and no entry, for its leaf is a run — not the 4 KiB
+        // it spans: under 12 B, with the leaves' doubling slack, plus a
+        // partly filled page per class.
         const RECORDS: usize = 20_000;
         const RECORD: usize = 8 * SECTOR_SIZE;
         let mut s = SectorStore::new();
@@ -863,18 +1084,18 @@ mod tests {
             record[..8].copy_from_slice(&(key as u64 + 1).to_le_bytes());
             s.write((key * RECORD / SECTOR_SIZE) as u64, &record);
         }
-        let bound = RECORDS * 16 + CLASSES * PAGE_BYTES;
+        let bound = RECORDS * 12 + CLASSES * PAGE_BYTES;
         assert!(
             s.heap_bytes() <= bound,
             "{} B for {RECORDS} records (bound {bound})",
             s.heap_bytes()
         );
-        // An append-only log gives no key's slot back. A leaf's array
-        // moves up from 8 B to 16 B at its third key, and 16 B to 32 B
-        // at its fifth: the 8 B slot it leaves is the next key's, and
-        // the 16 B one the next leaf's, so only the last leaf's is free.
+        // An append-only log gives no slot back: the keys take class 0's
+        // slots in order, so every leaf stays a run and holds no array.
         let free: Vec<usize> = s.slabs.iter().map(|slab| slab.free.len()).collect();
-        assert_eq!(free, [0, 1, 0, 0, 0, 0, 0]);
+        assert_eq!(free, [0; CLASSES]);
+        assert!(s.leaves.iter().all(|leaf| leaf.run));
+        assert_eq!(s.slabs[0].next, RECORDS as u32);
         let last = RECORDS as u64 - 1;
         assert_eq!(s.read(8 * last, 8)[..8], RECORDS.to_le_bytes());
     }

@@ -15,8 +15,9 @@
 //! and one store page per 1024 non-zero sectors that land, when each is
 //! zero past its first 8-byte word (the store keeps a sector to its
 //! last non-zero word; an all-zero sector is a hole and costs a bit of
-//! the index). Each sector's 4-byte index entry adds a page per 2048,
-//! inside the loops' 0.01 slack. Its plan, its
+//! the index). An appended log's sectors take consecutive slots, so
+//! each of its 64-LBA index leaves is a run that holds no array of
+//! entries. Its plan, its
 //! commands, the uring batch and the commit window are kept for their
 //! capacity (machine.rs, "Buffer ownership"), and the write loops below
 //! measure that the same marginal way, per write chain.
@@ -394,10 +395,11 @@ fn a_long_journaled_write_world_keeps_only_what_recovery_needs() {
     // retains fewer than `CHECKPOINT_RECORDS` committed records beside
     // the ones still outstanding (an append-only log held every record
     // since mkfs: 59 % of `ycsb_write_mix`'s peak). The whole world,
-    // session build included, peaks at 512 794 B with a 256-record
-    // trigger; the bound adds 64 KiB, which the 16 384-slot `Vec`
-    // (0.66 MB) an 8192-record trigger grows cannot fit under: that
-    // world peaked at 1 155 610 B.
+    // session build included, peaks at 430 970 B with a 256-record
+    // trigger and run leaves in the store's index; the bound adds
+    // 64 KiB. The 16 384-slot `Vec` (0.66 MB) an 8192-record trigger
+    // grows cannot fit under it (that world peaked at 1 155 610 B), nor
+    // can a 4 B index entry per stored sector (512 794 B).
     let (s, _, peak) = heap_use(|| {
         let mut s = PushdownSession::builder(ycsb(APPENDS).fsync_every(8))
             .dispatch(DispatchMode::User)
@@ -420,8 +422,8 @@ fn a_long_journaled_write_world_keeps_only_what_recovery_needs() {
         "{retained} records retained, {outstanding} outstanding"
     );
     assert!(
-        peak <= 512_794 + (64 << 10),
-        "{peak} B live at peak, bound 512 794 + 64 KiB"
+        peak <= 430_970 + (64 << 10),
+        "{peak} B live at peak, bound 430 970 + 64 KiB"
     );
 }
 

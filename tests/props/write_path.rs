@@ -88,12 +88,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
     fn sector_store_matches_the_per_sector_map(
-        ops in proptest::collection::vec((0u8..7, 0u64..400, 1u32..50, any::<u8>(), any::<u64>()), 1..60)
+        ops in proptest::collection::vec((0u8..8, 0u64..400, 1u32..50, any::<u8>(), any::<u64>()), 1..60)
     ) {
         // LBAs 0..450, seven 64-LBA leaves, ranges up to 49 sectors that
         // cross leaves: a store whose slots are freed and reused out of
         // LBA order, the small classes inside their first page as it
-        // doubles, the whole-sector class over up to 28 pages.
+        // doubles, the whole-sector class over up to 28 pages. Above
+        // them, one leaf per `slba` for runs (kind 7).
         let mut store = SectorStore::new();
         let mut oracle = SectorMap::default();
         for (kind, slba, nlb, fill, zeros) in ops {
@@ -178,6 +179,52 @@ proptest! {
                         if i % 8 == 7 {
                             prop_assert_eq!(store.read(leaf, 64), oracle.read(leaf, 64));
                         }
+                    }
+                }
+                7 => {
+                    // The leaf `512 + 64 * slba`, empty unless an earlier
+                    // kind 7 drew the same `slba`, written as one
+                    // ascending run: 64 sectors whose last non-zero byte
+                    // is one class edge, drawn from `fill`. The run is
+                    // then broken at its bottom, its top and a middle
+                    // LBA drawn from `zeros` — each by zeroing, a class
+                    // change (two edges up or down, as kind 4 does) or a
+                    // discard, drawn from `zeros` — and the sector is
+                    // written back. The leaf is read whole after each
+                    // step.
+                    let leaf = 512 + 64 * slba;
+                    let edge = fill as usize % CLASS_EDGES.len();
+                    let sector = |lba: u64, edge: usize| {
+                        let mut sector = vec![0u8; SECTOR_SIZE];
+                        sector[..=CLASS_EDGES[edge]].fill(fill.wrapping_add(lba as u8) | 1);
+                        sector
+                    };
+                    let run: Vec<u8> = (leaf..leaf + 64).flat_map(|lba| sector(lba, edge)).collect();
+                    store.write(leaf, &run);
+                    oracle.write(leaf, &run);
+                    prop_assert_eq!(store.read(leaf, 64), oracle.read(leaf, 64));
+                    let middle = leaf + 1 + zeros % 62;
+                    for (step, lba) in [leaf, leaf + 63, middle].into_iter().enumerate() {
+                        match (zeros >> (8 + 2 * step) & 3) % 3 {
+                            0 => {
+                                store.write(lba, &[0u8; SECTOR_SIZE]);
+                                oracle.write(lba, &[0u8; SECTOR_SIZE]);
+                            }
+                            1 => {
+                                let up = edge < 2 || (edge + 2 < CLASS_EDGES.len() && fill >> step & 1 == 1);
+                                let moved = sector(lba, if up { edge + 2 } else { edge - 2 });
+                                store.write(lba, &moved);
+                                oracle.write(lba, &moved);
+                            }
+                            _ => {
+                                store.discard(lba, 1);
+                                oracle.discard(lba, 1);
+                            }
+                        }
+                        prop_assert_eq!(store.read(leaf, 64), oracle.read(leaf, 64), "broken at {}", lba);
+                        store.write(lba, &sector(lba, edge));
+                        oracle.write(lba, &sector(lba, edge));
+                        prop_assert_eq!(store.read(leaf, 64), oracle.read(leaf, 64), "written back at {}", lba);
                     }
                 }
                 _ => {
