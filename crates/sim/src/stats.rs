@@ -1,20 +1,23 @@
 //! Latency histograms.
 //!
 //! Harnesses record per-request latencies into a [`Histogram`]
-//! (log-bucketed, constant memory, ~1.6% relative bucket error).
+//! (log-bucketed, ~1.6% relative bucket error, 128 B per octave between
+//! the smallest and largest value recorded and nothing while empty).
 
 use crate::time::Nanos;
 
 /// Number of sub-buckets per power of two; 16 gives ≤ ~3.1% width and
 /// ~1.6% expected quantile error, plenty for latency reporting.
 const SUBBUCKETS: usize = 16;
-/// 64 octaves × 16 sub-buckets covers 1ns..u64::MAX.
-const BUCKETS: usize = 64 * SUBBUCKETS;
 
 /// Log-bucketed latency histogram over nanosecond values.
 ///
 /// Values are grouped into buckets of relative width 2^(1/16); quantiles
-/// are answered from bucket midpoints. Memory use is constant (8 KiB).
+/// are answered from bucket midpoints. Counts are kept for whole
+/// octaves only, from the smallest recorded value's octave to the
+/// largest's: 128 B per octave spanned, no heap while empty. The held
+/// range is a function of the minimum and maximum alone, so two
+/// histograms of the same values compare equal however they were built.
 ///
 /// # Examples
 ///
@@ -29,7 +32,10 @@ const BUCKETS: usize = 64 * SUBBUCKETS;
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct Histogram {
+    /// Counts of buckets `first..first + counts.len()`, whole octaves.
     counts: Vec<u64>,
+    /// Bucket index of `counts[0]` (0 while empty).
+    first: usize,
     n: u64,
     sum: u128,
     min: Nanos,
@@ -83,7 +89,8 @@ impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Histogram {
-            counts: vec![0; BUCKETS],
+            counts: Vec::new(),
+            first: 0,
             n: 0,
             sum: 0,
             min: Nanos::MAX,
@@ -93,7 +100,11 @@ impl Histogram {
 
     /// Records one value.
     pub fn record(&mut self, v: Nanos) {
-        self.counts[bucket_of(v)] += 1;
+        let b = bucket_of(v);
+        if !self.holds(b, b) {
+            self.cover(b, b);
+        }
+        self.counts[b - self.first] += 1;
         self.n += 1;
         self.sum += v as u128;
         self.min = self.min.min(v);
@@ -143,7 +154,7 @@ impl Histogram {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= target {
-                return bucket_midpoint(i).clamp(self.min, self.max);
+                return bucket_midpoint(self.first + i).clamp(self.min, self.max);
             }
         }
         self.max
@@ -151,7 +162,15 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+        if other.counts.is_empty() {
+            return;
+        }
+        let last = other.first + other.counts.len() - 1;
+        if !self.holds(other.first, last) {
+            self.cover(other.first, last);
+        }
+        let at = other.first - self.first;
+        for (a, b) in self.counts[at..].iter_mut().zip(&other.counts) {
             *a += b;
         }
         self.n += other.n;
@@ -159,12 +178,36 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
+
+    /// Whether buckets `lo..=hi` are inside the held range.
+    fn holds(&self, lo: usize, hi: usize) -> bool {
+        lo >= self.first && hi < self.first + self.counts.len()
+    }
+
+    /// Widens the held range, in one allocation, to the whole octaves
+    /// spanning it and buckets `lo..=hi`.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        let (mut from, mut to) = (lo - lo % SUBBUCKETS, hi - hi % SUBBUCKETS + SUBBUCKETS);
+        if !self.counts.is_empty() {
+            from = from.min(self.first);
+            to = to.max(self.first + self.counts.len());
+        }
+        let mut counts = vec![0; to - from];
+        // Saturating: an empty histogram's `first` is 0 and it copies nothing.
+        let at = self.first.saturating_sub(from);
+        counts[at..at + self.counts.len()].copy_from_slice(&self.counts);
+        self.counts = counts;
+        self.first = from;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+
+    /// 64 octaves × 16 sub-buckets covers 1ns..u64::MAX.
+    const BUCKETS: usize = 64 * SUBBUCKETS;
 
     #[test]
     fn histogram_small_values_exact() {
@@ -212,6 +255,45 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), 100);
         assert_eq!(a.max(), 1_000_000);
+    }
+
+    #[test]
+    fn merging_empty_into_empty_stays_empty_and_off_the_heap() {
+        let mut a = Histogram::new();
+        a.merge(&Histogram::new());
+        assert_eq!(a, Histogram::new());
+        assert_eq!((a.counts.capacity(), a.count(), a.quantile(0.5)), (0, 0, 0));
+    }
+
+    #[test]
+    fn merging_disjoint_ranges_covers_both() {
+        let (mut a, mut b) = (Histogram::new(), Histogram::new());
+        a.record(3);
+        b.record(1 << 40);
+        let mut whole = Histogram::new();
+        whole.record(1 << 40);
+        whole.record(3);
+        a.merge(&b);
+        assert_eq!(a, whole);
+        // Octaves 0 (values below 16) through 40.
+        assert_eq!((a.first, a.counts.len()), (0, 41 * SUBBUCKETS));
+        assert_eq!((a.quantile(0.5), a.quantile(1.0)), (3, 1 << 40));
+        // Into a histogram that holds only the upper octave: the same
+        // range, wherever the values came from.
+        b.merge(&a);
+        whole.record(1 << 40);
+        assert_eq!(b, whole);
+    }
+
+    #[test]
+    fn histogram_holds_whole_octaves_from_min_to_max() {
+        let mut h = Histogram::new();
+        h.record(1_000);
+        assert_eq!((h.first, h.counts.len()), (9 * SUBBUCKETS, SUBBUCKETS));
+        h.record(1_023);
+        assert_eq!(h.counts.len(), SUBBUCKETS);
+        h.record(100);
+        assert_eq!((h.first, h.counts.len()), (6 * SUBBUCKETS, 4 * SUBBUCKETS));
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //! not marginally: verification, which every install pays (its heap
 //! calls and its transient peak of live bytes), and the machine itself,
 //! which holds host memory for what it uses, not for the queue depth and
-//! file-system size it declares.
+//! file-system size it declares — down to its latency histograms, which
+//! hold only the octaves their values span.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -38,7 +39,7 @@ use bpfstor::core::{
 };
 use bpfstor::fs::CHECKPOINT_RECORDS;
 use bpfstor::kernel::{FabricConfig, MachineConfig};
-use bpfstor::sim::{LatencyDist, MILLISECOND};
+use bpfstor::sim::{Histogram, LatencyDist, MILLISECOND};
 use bpfstor::vm::verify;
 use bpfstor::workload::OpMix;
 
@@ -395,11 +396,13 @@ fn a_long_journaled_write_world_keeps_only_what_recovery_needs() {
     // retains fewer than `CHECKPOINT_RECORDS` committed records beside
     // the ones still outstanding (an append-only log held every record
     // since mkfs: 59 % of `ycsb_write_mix`'s peak). The whole world,
-    // session build included, peaks at 430 970 B with a 256-record
-    // trigger and run leaves in the store's index; the bound adds
-    // 64 KiB. The 16 384-slot `Vec` (0.66 MB) an 8192-record trigger
-    // grows cannot fit under it (that world peaked at 1 155 610 B), nor
-    // can a 4 B index entry per stored sector (512 794 B).
+    // session build included, peaks at 351 546 B with a 256-record
+    // trigger, run leaves in the store's index and latency histograms
+    // that hold only the octaves they saw; the bound adds 64 KiB. The
+    // 16 384-slot `Vec` (0.66 MB) an 8192-record trigger grows cannot
+    // fit under it (that world peaked at 1 155 610 B), nor can a 4 B
+    // index entry per stored sector (512 794 B), nor 8 KiB histograms
+    // (430 970 B).
     let (s, _, peak) = heap_use(|| {
         let mut s = PushdownSession::builder(ycsb(APPENDS).fsync_every(8))
             .dispatch(DispatchMode::User)
@@ -422,8 +425,8 @@ fn a_long_journaled_write_world_keeps_only_what_recovery_needs() {
         "{retained} records retained, {outstanding} outstanding"
     );
     assert!(
-        peak <= 430_970 + (64 << 10),
-        "{peak} B live at peak, bound 430 970 + 64 KiB"
+        peak <= 351_546 + (64 << 10),
+        "{peak} B live at peak, bound 351 546 + 64 KiB"
     );
 }
 
@@ -481,9 +484,11 @@ fn a_machine_holds_what_it_uses_not_what_it_declares() {
     // 2 GiB file system. Its rings start at 64 slots and its block
     // bitmap is empty until a block is written; allocated at their
     // declared sizes they would hold 3.5 MB, and ~47 MB at depth 65,536.
+    // Its latency histograms hold nothing until they record: it is
+    // 49 206 B, and four empty 8 KiB tables made it 81 942 B.
     let held = footprint(MachineConfig::default());
     println!("default machine: {held} B live once built");
-    assert!(held <= 128 << 10, "default machine holds {held} B");
+    assert!(held <= 64 << 10, "default machine holds {held} B");
     for depth in [64, 4096, 65_536] {
         let mut cfg = MachineConfig::default();
         cfg.profile.queue_depth = depth;
@@ -496,4 +501,33 @@ fn a_machine_holds_what_it_uses_not_what_it_declares() {
         };
         assert_eq!(footprint(cfg), held, "{fs_blocks} fs blocks");
     }
+}
+
+#[test]
+fn a_histogram_holds_only_the_octaves_it_saw() {
+    // Empty, it holds no heap at all.
+    let (h, calls, peak) = heap_use(Histogram::new);
+    assert_eq!((calls, peak), (0, 0), "an empty histogram");
+    // Values from one octave (1024..2048 ns): its 16 buckets, 128 B.
+    let (h, calls, peak) = heap_use(move || {
+        let mut h = h;
+        for v in [1_024, 1_500, 2_047] {
+            h.record(v);
+        }
+        h
+    });
+    assert_eq!((calls, peak), (1, 128), "one octave");
+    // A warm record inside the held range makes no heap call; one below
+    // it widens the range once, to the hull of both octaves.
+    let (mut h, calls, _) = heap_use(move || {
+        let mut h = h;
+        for v in 1_024..2_048 {
+            h.record(v);
+        }
+        h
+    });
+    assert_eq!(calls, 0, "warm records");
+    let (_, calls, _) = heap_use(|| h.record(600));
+    assert_eq!(calls, 1, "a record one octave below");
+    assert_eq!(h.quantile(0.0), 600);
 }

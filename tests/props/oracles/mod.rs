@@ -8,10 +8,12 @@ use bpfstor::fs::{ExtFs, Extent, FsStats};
 mod bit_allocator;
 mod blockwise_fs;
 mod sector_map;
+mod table_histogram;
 
 pub use bit_allocator::BitAllocator;
 pub use blockwise_fs::Lockstep;
 pub use sector_map::SectorMap;
+pub use table_histogram::TableHistogram;
 
 /// Everything journal replay must reproduce: directory, sizes, extents,
 /// both generation counters of every file, the activity counters, and

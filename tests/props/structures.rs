@@ -322,14 +322,54 @@ proptest! {
 
 // --- Histogram quantiles vs exact reference -----------------------------------------------
 
+/// Values anywhere in `0..=u64::MAX`, each octave about as likely as
+/// the next, always with 0, a value under 16 and `u64::MAX` among them.
+fn any_octave_values() -> impl Strategy<Value = Vec<u64>> {
+    let value = prop_oneof![
+        0u64..16,
+        (any::<u64>(), 0u32..64).prop_map(|(v, shift)| v >> shift),
+    ];
+    proptest::collection::vec(value, 100..2_000).prop_map(|mut values| {
+        values.extend([0, 7, u64::MAX]);
+        values
+    })
+}
+
 proptest! {
     #[test]
     fn histogram_quantiles_are_accurate(
-        mut values in proptest::collection::vec(1u64..10_000_000, 100..2_000)
+        mut values in prop_oneof![
+            proptest::collection::vec(1u64..10_000_000, 100..2_000),
+            any_octave_values(),
+        ],
+        split in any::<usize>(),
+        seed in any::<u64>(),
     ) {
         let mut h = Histogram::new();
         for v in &values {
             h.record(*v);
+        }
+        // The same values in two shuffled parts, merged: the same
+        // histogram, layout included, and every statistic equal to the
+        // fixed 1024-bucket table's.
+        let mut shuffled = values.clone();
+        let mut rng = SimRng::seed(seed);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.index(i + 1));
+        }
+        let (left, right) = shuffled.split_at(split % (shuffled.len() + 1));
+        let (mut merged, mut part) = (Histogram::new(), Histogram::new());
+        left.iter().for_each(|&v| merged.record(v));
+        right.iter().for_each(|&v| part.record(v));
+        merged.merge(&part);
+        prop_assert_eq!(&merged, &h);
+        let table = oracles::TableHistogram::of(&values);
+        prop_assert_eq!(
+            (h.count(), h.mean(), h.min(), h.max()),
+            (table.count(), table.mean(), table.min(), table.max())
+        );
+        for q in [0.0f64, 0.1, 0.5, 0.9, 0.99, 1.0] {
+            prop_assert_eq!(h.quantile(q), table.quantile(q), "q={}", q);
         }
         values.sort_unstable();
         for q in [0.1f64, 0.5, 0.9, 0.99] {
