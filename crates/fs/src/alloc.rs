@@ -77,6 +77,13 @@ impl BlockAllocator {
         self.nblocks - self.used
     }
 
+    /// How many of the blocks `[start, start + len)` are used.
+    pub(crate) fn marked(&self, start: u64, len: u64) -> u64 {
+        let to = (start + len).min(self.grown_end());
+        let ones = |(w, mask): (usize, u64)| u64::from((self.bits[w] & mask).count_ones());
+        word_masks(start, to).map(ones).sum()
+    }
+
     /// The first block past the bitmap: it and every block after it
     /// are free.
     fn grown_end(&self) -> u64 {
@@ -140,24 +147,21 @@ impl BlockAllocator {
     /// Panics (in debug builds) on double-free, which would indicate
     /// metadata corruption.
     pub fn release(&mut self, start: u64, len: u64) {
-        debug_assert_eq!(
-            self.first_in(start, start + len, false),
-            None,
-            "double free of block"
-        );
+        debug_assert_eq!(self.marked(start, len), len, "double free of block");
         for (w, mask) in word_masks(start, start + len) {
             self.bits[w] &= !mask;
         }
         self.used -= len;
     }
 
-    /// Marks a run as allocated during mkfs/replay (must be free).
+    /// Marks a run as allocated for the ownership derivation, which
+    /// rebuilds an allocator from the extent trees (must be free).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block of the run is used: two extents map it.
     pub fn reserve(&mut self, start: u64, len: u64) {
-        assert_eq!(
-            self.first_in(start, start + len, true),
-            None,
-            "reserve of used block"
-        );
+        assert_eq!(self.marked(start, len), 0, "reserve of used block");
         self.set(start, len);
     }
 
@@ -226,7 +230,7 @@ mod tests {
     #[test]
     fn shorter_run_when_goal_area_fragmented() {
         let mut a = BlockAllocator::new(1024);
-        a.reserve(4, 1); // hole of 4 blocks at 0..4
+        a.alloc(1, 4).expect("alloc"); // hole of 4 blocks at 0..4
         let r = a.alloc(16, 0).expect("alloc");
         assert_eq!(r, Run { start: 0, len: 4 }, "partial run returned");
     }
@@ -234,7 +238,7 @@ mod tests {
     #[test]
     fn skips_used_goal() {
         let mut a = BlockAllocator::new(1024);
-        a.reserve(0, 10);
+        a.alloc(10, 0).expect("alloc");
         let r = a.alloc(4, 0).expect("alloc");
         assert_eq!(r.start, 10);
     }
@@ -242,7 +246,7 @@ mod tests {
     #[test]
     fn wraps_scan_and_fails_when_full() {
         let mut a = BlockAllocator::new(64);
-        a.reserve(0, 64);
+        a.alloc(64, 0).expect("alloc");
         assert!(a.alloc(1, 0).is_none());
         a.release(63, 1);
         let r = a.alloc(1, 0).expect("alloc");
@@ -263,9 +267,9 @@ mod tests {
     fn fragmentation_counter() {
         let mut a = BlockAllocator::new(64);
         assert_eq!(a.free_fragments(), 1);
-        a.reserve(10, 10);
+        a.alloc(10, 10).expect("alloc");
         assert_eq!(a.free_fragments(), 2);
-        a.reserve(40, 10);
+        a.alloc(10, 40).expect("alloc");
         assert_eq!(a.free_fragments(), 3);
     }
 
@@ -305,6 +309,8 @@ mod tests {
         );
         assert_eq!(a.bits.len() as u64, (far + 16).div_ceil(64));
         assert_eq!(a.free_fragments(), 2, "the gap and the tail");
+        // Counted across the gap and past the grown end.
+        assert_eq!(a.marked(4, far + 1_000), 4 + 16);
         a.release(far, 16);
         assert_eq!(a.alloc(4, 8), Some(Run { start: 8, len: 4 }));
     }
@@ -312,7 +318,7 @@ mod tests {
     #[test]
     fn first_fit_runs_into_the_unmaterialised_tail_then_wraps() {
         let mut a = BlockAllocator::new(2 * GROUP_BLOCKS + 100);
-        a.reserve(GROUP_BLOCKS, GROUP_BLOCKS);
+        a.alloc(GROUP_BLOCKS, GROUP_BLOCKS).expect("alloc");
         assert_eq!(a.grown_end(), 2 * GROUP_BLOCKS);
         // The goal's group is used up to the bitmap's end: first fit
         // goes on into the free blocks past it...

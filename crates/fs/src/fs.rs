@@ -9,14 +9,17 @@
 //!
 //! Every metadata change is a [`JournalRecord`], and one function,
 //! `MetaPlane::apply`, carries it out: live = apply + log, replay =
-//! apply. A live operation makes its placement decisions (allocation,
-//! data copies), builds the record, applies it and logs it. A checkpoint
-//! applies the committed records to a recovery image — metadata of the
-//! same type — and drops them from the journal; crash recovery applies
-//! the committed records still retained to a copy of that image. What a
-//! record changes — directory, inode table, extent trees, both
-//! generation counters, freed blocks, [`FsStats`] and extent events — is
-//! therefore the same on every path.
+//! apply. `apply` changes what recovery keeps — directory, inode table,
+//! extent trees, both generation counters and [`FsStats`] — and nothing
+//! else. A live operation makes its placement decisions (allocation,
+//! data copies), builds the record, applies it and logs it; then it
+//! releases the blocks the record unmapped and queues its extent
+//! events, which are live-only. A checkpoint applies the committed
+//! records to a recovery image — metadata of the same type — and drops
+//! them from the journal; crash recovery applies the committed records
+//! still retained to a copy of that image. Block ownership is not kept
+//! twice: the allocator beside the live metadata is the one record of
+//! it, and recovery and [`ExtFs::fsck`] derive it from the extent trees.
 //!
 //! The piece the paper adds is the **extent-change notification hook**:
 //! every operation that maps or unmaps blocks appends an
@@ -106,27 +109,71 @@ pub struct FsStats {
     pub blocks_freed: u64,
 }
 
-/// Everything a journal record changes: the live metadata and the
-/// recovery image are both one of these, and [`MetaPlane::apply`] is the
-/// only code that edits either.
+/// Block ownership as the extent trees and the allocator each tell it
+/// ([`ExtFs::ownership`]). The two agree when all three counts are
+/// equal.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BlockOwnership {
+    /// Blocks mapped, summed over every extent of every inode.
+    pub mapped: u64,
+    /// How many of those blocks the allocator marks used.
+    pub marked: u64,
+    /// Blocks the allocator marks used.
+    pub used: u64,
+}
+
+/// A disagreement [`ExtFs::fsck`] found between the extent trees and the
+/// allocator, with the counts that show it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FsckError {
+    /// A mapped block the allocator holds free: a mapped run was
+    /// released, or never taken.
+    Unmarked(BlockOwnership),
+    /// More blocks mapped than the allocator holds used, each of them
+    /// marked: a block is mapped twice.
+    DoublyMapped(BlockOwnership),
+    /// More blocks used than mapped: a bit no extent owns has leaked.
+    Leaked(BlockOwnership),
+}
+
+impl std::fmt::Display for FsckError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (what, o) = match self {
+            FsckError::Unmarked(o) => ("a mapped block is free", o),
+            FsckError::DoublyMapped(o) => ("a block is mapped twice", o),
+            FsckError::Leaked(o) => ("a used block is mapped by no file", o),
+        };
+        let (mapped, marked, used) = (o.mapped, o.marked, o.used);
+        write!(f, "{what}: {mapped} mapped, {marked} marked, {used} used")
+    }
+}
+
+impl std::error::Error for FsckError {}
+
+/// What a journal record changes and recovery keeps: the live metadata
+/// and the recovery image are both one of these, and
+/// [`MetaPlane::apply`] is the only code that edits either. Which
+/// blocks are used is not kept here; it follows from the extent trees
+/// ([`MetaPlane::extents`]).
 #[derive(Debug, Clone)]
 struct MetaPlane {
-    alloc: BlockAllocator,
     inodes: IdMap<u64, Inode>,
     dir: BTreeMap<String, u64>,
     next_ino: u64,
-    events: Vec<ExtentEvent>,
     stats: FsStats,
 }
 
 /// The extent file system (metadata plane).
 ///
-/// Beside the live metadata it keeps a recovery image: the metadata as
-/// of the journal's checkpoint ([`Journal::base`]), which a crash
-/// replays the retained committed records on top of.
+/// Beside the live metadata it keeps the block allocator and the extent
+/// event queue, one of each, and a recovery image: the metadata as of
+/// the journal's checkpoint ([`Journal::base`]), which a crash replays
+/// the retained committed records on top of.
 #[derive(Debug, Clone)]
 pub struct ExtFs {
     meta: MetaPlane,
+    alloc: BlockAllocator,
+    events: Vec<ExtentEvent>,
     journal: Journal,
     image: MetaPlane,
 }
@@ -139,16 +186,16 @@ impl ExtFs {
     /// Panics if `nblocks == 0`.
     pub fn mkfs(nblocks: u64) -> Self {
         let meta = MetaPlane {
-            alloc: BlockAllocator::new(nblocks),
             inodes: IdMap::default(),
             dir: BTreeMap::new(),
             next_ino: 1,
-            events: Vec::new(),
             stats: FsStats::default(),
         };
         ExtFs {
             image: meta.clone(),
             meta,
+            alloc: BlockAllocator::new(nblocks),
+            events: Vec::new(),
             journal: Journal::new(),
         }
     }
@@ -271,10 +318,7 @@ impl ExtFs {
         let pos = off + (data.len() as u64).min((mapped * bs).saturating_sub(head as u64));
         self.grow(ino, pos);
         self.end_op();
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        failure.map_or(Ok(()), Err)
     }
 
     /// Plans a *runtime* write for device submission: performs the
@@ -518,7 +562,7 @@ impl ExtFs {
             .map_or(0, |(phys, _)| phys + 1);
         let gap = extents.next_mapped(lb).map_or(u64::MAX, |next| next - lb);
         let want = want.min(gap).min(u32::MAX.into());
-        let run = self.meta.alloc.alloc(want, goal).ok_or(FsError::NoSpace)?;
+        let run = self.alloc.alloc(want, goal).ok_or(FsError::NoSpace)?;
         // Fresh blocks must read as zeros: the physical sectors may hold
         // a deleted file's bytes, which a real FS never exposes.
         store.discard(run.start, run.len as u32);
@@ -610,10 +654,10 @@ impl ExtFs {
                 len: old.len,
             });
             let (mut rest, mut logical) = (&data[..], old.logical);
-            let mut goal = (old.physical + 4096) % self.meta.alloc.capacity();
+            let mut goal = (old.physical + 4096) % self.alloc.capacity();
             while !rest.is_empty() {
                 let left = (rest.len() / BLOCK_SIZE) as u64;
-                let run = self.meta.alloc.alloc(left, goal).ok_or(FsError::NoSpace)?;
+                let run = self.alloc.alloc(left, goal).ok_or(FsError::NoSpace)?;
                 let (piece, tail) = rest.split_at(run.len as usize * BLOCK_SIZE);
                 store.write(run.start, piece);
                 let extent = Extent {
@@ -634,7 +678,7 @@ impl ExtFs {
     /// Drains pending extent events (consumed by the NVMe layer); the
     /// queue keeps its buffer.
     pub fn drain_events(&mut self) -> std::vec::Drain<'_, ExtentEvent> {
-        self.meta.events.drain(..)
+        self.events.drain(..)
     }
 
     /// Activity counters.
@@ -658,24 +702,76 @@ impl ExtFs {
     /// (counted since mkfs) reached the log (see
     /// [`crate::Journal::crash_at`]) and replays the retained committed
     /// records onto a copy of the recovery image: the recovered state is
-    /// some prefix of committed transactions, never a torn one. The
-    /// recovered file system keeps the image and the retained records.
+    /// some prefix of committed transactions, never a torn one. Its
+    /// allocator is derived from the recovered extent trees, and it
+    /// queues no extent events. The recovered file system keeps the
+    /// image and the retained records.
     ///
     /// # Panics
     ///
     /// Panics if `persisted` is below the journal's checkpoint
-    /// ([`crate::Journal::base`]).
+    /// ([`crate::Journal::base`]), or if two recovered extents map one
+    /// block.
     pub fn crash_and_recover_at(mut self, persisted: usize) -> ExtFs {
         self.journal.crash_at(persisted);
-        let mut meta = self.image.clone();
-        meta.replay(self.journal.committed_records());
-        ExtFs { meta, ..self }
+        self.meta = self.image.clone();
+        self.meta.replay(self.journal.committed_records());
+        self.alloc = BlockAllocator::new(self.alloc.capacity());
+        for e in self.meta.extents() {
+            self.alloc.reserve(e.physical, e.len);
+        }
+        self.events.clear();
+        self
     }
 
-    /// How a live operation changes metadata: apply the record, then
-    /// move it into the running transaction.
+    /// Block ownership by the extent trees beside the allocator's count,
+    /// from one walk of every extent. Allocates nothing.
+    pub fn ownership(&self) -> BlockOwnership {
+        let mut o = BlockOwnership::default();
+        for e in self.meta.extents() {
+            o.mapped += e.len;
+            o.marked += self.alloc.marked(e.physical, e.len);
+        }
+        o.used = self.alloc.used();
+        o
+    }
+
+    /// Checks the allocator against the extent trees: every mapped
+    /// block is marked used, and the blocks mapped add up to the blocks
+    /// used, so a released mapped run, a block mapped twice and a leaked
+    /// bit each show. Allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// The [`FsckError`] that names the disagreement.
+    pub fn fsck(&self) -> Result<(), FsckError> {
+        let o = self.ownership();
+        if o.marked < o.mapped {
+            Err(FsckError::Unmarked(o))
+        } else if o.mapped > o.used {
+            Err(FsckError::DoublyMapped(o))
+        } else if o.used > o.mapped {
+            Err(FsckError::Leaked(o))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// How a live operation changes metadata: apply the record, release
+    /// the blocks it unmapped and queue its extent events, then move it
+    /// into the running transaction.
     fn record(&mut self, rec: JournalRecord) {
-        self.meta.apply(&rec);
+        let unmapped = self.meta.apply(&rec);
+        if let JournalRecord::MapExtent { ino, extent } = rec {
+            self.events.push(ExtentEvent::Mapped { ino, extent });
+        } else if let JournalRecord::UnmapRange { ino, .. } = rec {
+            for e in unmapped {
+                self.alloc.release(e.physical, e.len);
+                let (logical, len) = (e.logical, e.len);
+                self.events
+                    .push(ExtentEvent::Unmapped { ino, logical, len });
+            }
+        }
         self.journal.log(rec);
     }
 
@@ -688,19 +784,19 @@ impl ExtFs {
 
     /// Free blocks remaining.
     pub fn free_blocks(&self) -> u64 {
-        self.meta.alloc.free()
+        self.alloc.free()
     }
 }
 
 impl MetaPlane {
-    /// The one function that changes file-system metadata — inode
-    /// table, directory, extent trees, generations, allocator releases,
-    /// counters and extent events — for live operations
-    /// ([`ExtFs::record`]), checkpoints and crash replay
-    /// ([`MetaPlane::replay`]) alike, so replay reproduces the live
-    /// metadata by construction. The counters advance per block
-    /// mapped and per range unmapped.
-    fn apply(&mut self, rec: &JournalRecord) {
+    /// The one function that changes what a record changes and recovery
+    /// keeps — inode table, directory, extent trees, generations and
+    /// counters — for live operations ([`ExtFs::record`]), checkpoints
+    /// and crash replay ([`MetaPlane::replay`]) alike, so replay
+    /// reproduces the live metadata by construction. The counters
+    /// advance per block mapped and per range unmapped. Returns the
+    /// extents an `UnmapRange` removed, none for any other record.
+    fn apply(&mut self, rec: &JournalRecord) -> Vec<Extent> {
         match *rec {
             JournalRecord::Create { ino, ref name } => {
                 self.inodes.insert(ino, Inode::new(ino));
@@ -717,50 +813,40 @@ impl MetaPlane {
                 }
             }
             JournalRecord::MapExtent { ino, extent } => {
-                let Some(inode) = self.inodes.get_mut(&ino) else {
-                    return;
-                };
-                inode.extents.insert(extent);
-                inode.generation += extent.len;
-                self.stats.extent_changes += extent.len;
-                self.stats.blocks_allocated += extent.len;
-                self.events.push(ExtentEvent::Mapped { ino, extent });
+                if let Some(inode) = self.inodes.get_mut(&ino) {
+                    inode.extents.insert(extent);
+                    inode.generation += extent.len;
+                    self.stats.extent_changes += extent.len;
+                    self.stats.blocks_allocated += extent.len;
+                }
             }
             JournalRecord::UnmapRange { ino, logical, len } => {
-                let Some(inode) = self.inodes.get_mut(&ino) else {
-                    return;
-                };
-                inode.generation += 1;
-                inode.unmap_generation += 1;
-                self.stats.extent_changes += 1;
-                self.stats.unmap_changes += 1;
-                for e in inode.extents.remove_range(logical, len) {
-                    self.alloc.release(e.physical, e.len);
-                    self.stats.blocks_freed += e.len;
-                    self.events.push(ExtentEvent::Unmapped {
-                        ino,
-                        logical: e.logical,
-                        len: e.len,
-                    });
+                if let Some(inode) = self.inodes.get_mut(&ino) {
+                    inode.generation += 1;
+                    inode.unmap_generation += 1;
+                    self.stats.extent_changes += 1;
+                    self.stats.unmap_changes += 1;
+                    let removed = inode.extents.remove_range(logical, len);
+                    self.stats.blocks_freed += removed.iter().map(|e| e.len).sum::<u64>();
+                    return removed;
                 }
             }
         }
+        Vec::new()
     }
 
-    /// Applies committed records in order — crash replay and a
-    /// checkpoint alike — and drops each extent event as it is queued:
-    /// nothing downstream caches what a replay maps, and the queue stays
-    /// one record's events long however many records are replayed.
+    /// Applies committed records in order: a checkpoint and crash replay
+    /// alike.
     fn replay(&mut self, records: &[JournalRecord]) {
         for rec in records {
-            // A live map's blocks were taken by `alloc` before its record
-            // was applied; replay takes them here.
-            if let JournalRecord::MapExtent { extent, .. } = rec {
-                self.alloc.reserve(extent.physical, extent.len);
-            }
             self.apply(rec);
-            self.events.clear();
         }
+    }
+
+    /// Every extent of every inode: the one walk block ownership is
+    /// derived by, for a recovered allocator and for [`ExtFs::fsck`].
+    fn extents(&self) -> impl Iterator<Item = &Extent> {
+        self.inodes.values().flat_map(|inode| inode.extents.iter())
     }
 }
 
@@ -1193,7 +1279,6 @@ mod tests {
         assert_eq!(fs.journal().base(), committed);
         assert!(fs.journal().committed_records().is_empty());
         assert!(fs.journal_dirty(), "the sealed write is still pending");
-        assert!(fs.image.events.is_empty(), "the image queues no events");
         assert_eq!(
             fs.image.stats,
             uncheckpointed.clone().crash_and_recover().stats()
@@ -1228,18 +1313,87 @@ mod tests {
             );
         }
         assert_eq!(meta(fs.clone().crash_and_recover()), meta(fs.clone()));
-        // Sixteen maps, then one checkpoint, then another: the image's
-        // event queue never holds more than one record's events.
-        for i in 0..16 {
-            fs.fallocate(a, 100 + 2 * i, 1, &mut store)
-                .expect("fallocate");
+        // A crash at every record of either world recovers an allocator
+        // that owns exactly the recovered extents' blocks.
+        for world in [&fs, &full] {
+            for k in world.journal().base()..=world.journal().len() {
+                let mut recovered = world.clone().crash_and_recover_at(k);
+                assert_eq!(recovered.fsck(), Ok(()), "{k}");
+                assert_eq!(recovered.drain_events().count(), 0, "{k}");
+            }
         }
-        for _ in 0..2 {
-            fs.relocate(a, &mut store).expect("relocate");
-            fs.checkpoint();
-            assert!(fs.image.events.is_empty());
-            assert!(fs.image.events.capacity() <= 4, "one record's events");
-        }
+    }
+
+    #[test]
+    fn fsck_is_clean_after_every_operation_kind() {
+        let (mut fs, mut store) = setup();
+        let clean = |fs: &ExtFs, what: &str| {
+            assert_eq!(fs.fsck(), Ok(()), "after {what}");
+            fs.ownership().used
+        };
+        assert_eq!(clean(&fs, "mkfs"), 0);
+        let a = fs.create("a").expect("create");
+        let b = fs.create("b").expect("create");
+        fs.write(a, 0, &vec![1u8; BLOCK_SIZE * 6], &mut store)
+            .expect("write");
+        assert_eq!(clean(&fs, "write"), 6);
+        fs.fallocate(b, 4, 8, &mut store).expect("fallocate");
+        fs.fallocate(b, 0, 16, &mut store)
+            .expect("fallocate around");
+        assert_eq!(clean(&fs, "fallocate"), 6 + 16);
+        fs.plan_write(a, 6 * BLOCK_SIZE as u64, BLOCK_SIZE * 2, &mut store)
+            .expect("plan");
+        let sealed = fs.seal_journal();
+        assert_eq!(clean(&fs, "plan_write"), 8 + 16);
+        fs.commit_journal_sealed(sealed);
+        fs.truncate(a, 3 * BLOCK_SIZE as u64 - 7, &mut store)
+            .expect("truncate");
+        assert_eq!(clean(&fs, "truncate"), 3 + 16);
+        fs.relocate(b, &mut store).expect("relocate");
+        assert_eq!(clean(&fs, "relocate"), 3 + 16);
+        fs.checkpoint();
+        clean(&fs, "checkpoint");
+        fs.unlink("b").expect("unlink");
+        assert_eq!(clean(&fs, "unlink"), 3);
+        // A write that finds the device full keeps what it mapped.
+        let mut small = ExtFs::mkfs(4);
+        let c = small.create("c").expect("create");
+        let full = small.write(c, 0, &vec![1u8; BLOCK_SIZE * 8], &mut store);
+        assert_eq!(full, Err(FsError::NoSpace));
+        assert_eq!(clean(&small, "a write past the device's end"), 4);
+    }
+
+    #[test]
+    fn fsck_names_a_stray_bit_a_released_mapped_run_and_a_block_mapped_twice() {
+        let (mut fs, mut store) = setup();
+        let a = fs.create("a").expect("create");
+        fs.write(a, 0, &vec![1u8; BLOCK_SIZE * 4], &mut store)
+            .expect("write");
+        let (phys, run) = fs.map(a, 0).expect("map").expect("mapped");
+        let counts = |mapped, marked, used| BlockOwnership {
+            mapped,
+            marked,
+            used,
+        };
+        // A bit no extent owns.
+        let mut leaked = fs.clone();
+        leaked.alloc.alloc(1, 1_000).expect("stray bit");
+        assert_eq!(leaked.fsck(), Err(FsckError::Leaked(counts(4, 4, 5))));
+        // A mapped run handed back to the allocator.
+        let mut released = fs.clone();
+        released.alloc.release(phys, run);
+        let unmarked = FsckError::Unmarked(counts(4, 0, 0));
+        assert_eq!(released.fsck(), Err(unmarked));
+        // A second file mapping the first one's block.
+        let b = fs.create("b").expect("create");
+        let inode = fs.meta.inodes.get_mut(&b).expect("inode");
+        inode.extents.insert(Extent {
+            logical: 0,
+            physical: phys + 1,
+            len: 1,
+        });
+        let twice = FsckError::DoublyMapped(counts(5, 5, 4));
+        assert_eq!(fs.fsck(), Err(twice));
     }
 
     #[test]

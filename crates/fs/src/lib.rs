@@ -30,7 +30,9 @@ pub mod pagecache;
 
 pub use alloc::BlockAllocator;
 pub use extent::{Extent, ExtentTree};
-pub use fs::{cut_runs, ExtFs, ExtentEvent, FsError, FsStats, BLOCK_SIZE};
+pub use fs::{
+    cut_runs, BlockOwnership, ExtFs, ExtentEvent, FsError, FsStats, FsckError, BLOCK_SIZE,
+};
 pub use inode::Inode;
 pub use journal::{Journal, JournalRecord, SealedTxn, CHECKPOINT_RECORDS};
 pub use pagecache::{CacheStats, PageCache};

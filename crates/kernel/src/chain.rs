@@ -22,6 +22,7 @@
 //! [`crate::Machine::install`]).
 
 use bpfstor_device::{DeviceStats, FabricStats, InitiatorStats};
+use bpfstor_fs::BlockOwnership;
 use bpfstor_sim::{Histogram, Nanos, SimRng};
 
 use crate::extcache::ExtCacheStats;
@@ -393,6 +394,10 @@ pub struct RunReport {
     /// [`crate::CommitPolicy::PerFsync`] this is pure observation — one
     /// commit per fsync.
     pub commit: crate::commit::CommitLog,
+    /// Block ownership at the run's end, by the file system's extent
+    /// trees and by its allocator ([`bpfstor_fs::ExtFs::ownership`]):
+    /// what [`Law::BlockOwnership`] holds equal.
+    pub blocks: BlockOwnership,
 }
 
 /// One conservation law of a run, as [`RunReport::audit`] checks it
@@ -420,6 +425,9 @@ pub enum Law {
     WireInitiators,
     /// `fabric.lost` == `fabric.retransmits`.
     WireLostIsRetransmitted,
+    /// Every mapped block is the allocator's, once:
+    /// `blocks.mapped`, `blocks.marked` == `blocks.used` each.
+    BlockOwnership,
 }
 
 /// A law a run broke, with both its sides in the order [`Law`] lists
@@ -442,13 +450,14 @@ impl RunReport {
     /// law holds.
     pub fn audit(&self) -> Result<(), Vec<Broken>> {
         let (d, t, f, ios) = (&self.device, &self.trace, &self.fabric, self.ios);
+        let b = &self.blocks;
         let tenant_cqes: u64 = self.tenants.iter().map(|t| t.cqes).sum();
         let sum = |term: fn(&InitiatorStats) -> u64| self.fabric_initiators.iter().map(term).sum();
         // Every fabric has an initiator; a local machine has none.
         let on_fabric = u64::from(!self.fabric_initiators.is_empty());
         // Laid out by hand as the table it is: law, left side, right side.
         #[rustfmt::skip]
-        let laws: [(Law, &[u64], &[u64]); 7] = [
+        let laws: [(Law, &[u64], &[u64]); 8] = [
             (Law::CpuBuckets, &[t.software()], &[self.cpu_busy_ns]),
             (Law::DeviceCqes, &[d.cqes, tenant_cqes, t.ios], &[ios; 3]),
             (Law::DeviceCommands, &[d.reads + d.writes + d.flushes], &[ios]),
@@ -459,6 +468,7 @@ impl RunReport {
                     sum(|i| i.bytes_tx), sum(|i| i.capsule_stalls)],
                 &[f.capsules_sent, f.responses, f.retransmits, f.bytes_tx, f.capsule_stalls]),
             (Law::WireLostIsRetransmitted, &[f.lost], &[f.retransmits]),
+            (Law::BlockOwnership, &[b.mapped, b.marked], &[b.used; 2]),
         ];
         let broken: Vec<Broken> = laws
             .into_iter()

@@ -1448,8 +1448,9 @@ impl Machine {
             tenants: self.run.tstats.clone(),
             exec,
             commit,
+            blocks: self.fs.ownership(),
         };
-        // In every build: O(tenants + initiators) once per run.
+        // In every build: O(tenants + initiators + extents) once per run.
         if let Err(broken) = report.audit() {
             panic!("the run broke its conservation laws: {broken:?}");
         }

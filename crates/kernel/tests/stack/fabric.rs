@@ -178,7 +178,7 @@ fn queue_pair_counters_reconcile_on_both_transports() {
 /// is checked as 0 == 0.
 fn audit_names_the_law_a_term_breaks(r: &RunReport) {
     type Term = fn(&mut RunReport) -> &mut u64;
-    let terms: [(Law, Term); 12] = [
+    let terms: [(Law, Term); 15] = [
         (Law::CpuBuckets, |r| &mut r.trace.fs),
         (Law::CpuBuckets, |r| &mut r.cpu_busy_ns),
         (Law::DeviceCqes, |r| &mut r.device.cqes),
@@ -193,6 +193,9 @@ fn audit_names_the_law_a_term_breaks(r: &RunReport) {
         }),
         (Law::WireInitiators, |r| &mut r.fabric.bytes_tx),
         (Law::WireLostIsRetransmitted, |r| &mut r.fabric.lost),
+        (Law::BlockOwnership, |r| &mut r.blocks.mapped),
+        (Law::BlockOwnership, |r| &mut r.blocks.marked),
+        (Law::BlockOwnership, |r| &mut r.blocks.used),
     ];
     for (i, (law, term)) in terms.into_iter().enumerate() {
         let mut nudged = r.clone();

@@ -194,6 +194,7 @@ fn a_relocation_amid_fsyncing_writers_keeps_every_commit_in_seal_order() {
             let ino = m.ino_of(fd).expect("ino");
             let (fs, store) = m.fs_and_store();
             let recovered = fs.clone().crash_and_recover();
+            assert_eq!(recovered.fsck(), Ok(()), "{policy:?} at {at} ns");
             for i in 0..WRITES {
                 let off = i * SECTOR_SIZE as u64;
                 let got = recovered.read(ino, off, SECTOR_SIZE, store).expect("read");
@@ -257,6 +258,7 @@ fn a_long_journaled_world_checkpoints_and_recovers_from_its_image() {
         let ino = m.ino_of(fd).expect("ino");
         let (fs, store) = m.fs_and_store();
         let recovered = fs.clone().crash_and_recover();
+        assert_eq!(recovered.fsck(), Ok(()), "{policy:?}");
         assert_eq!(recovered.extents_snapshot(ino), fs.extents_snapshot(ino));
         assert_eq!(recovered.free_blocks(), fs.free_blocks(), "{policy:?}");
         for i in 0..WRITES {
@@ -271,6 +273,7 @@ fn a_long_journaled_world_checkpoints_and_recovers_from_its_image() {
         // A crash right at the checkpoint recovers the image alone: part
         // of the file, not all of it.
         let at_base = fs.clone().crash_and_recover_at(base);
+        assert_eq!(at_base.fsck(), Ok(()), "{policy:?}");
         let size = at_base.file_size(ino).expect("size");
         assert!(
             size > 0 && size < fs.file_size(ino).expect("size"),

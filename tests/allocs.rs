@@ -396,13 +396,14 @@ fn a_long_journaled_write_world_keeps_only_what_recovery_needs() {
     // retains fewer than `CHECKPOINT_RECORDS` committed records beside
     // the ones still outstanding (an append-only log held every record
     // since mkfs: 59 % of `ycsb_write_mix`'s peak). The whole world,
-    // session build included, peaks at 351 546 B with a 256-record
-    // trigger, run leaves in the store's index and latency histograms
-    // that hold only the octaves they saw; the bound adds 64 KiB. The
-    // 16 384-slot `Vec` (0.66 MB) an 8192-record trigger grows cannot
-    // fit under it (that world peaked at 1 155 610 B), nor can a 4 B
-    // index entry per stored sector (512 794 B), nor 8 KiB histograms
-    // (430 970 B).
+    // session build included, peaks at 347 290 B with a 256-record
+    // trigger, run leaves in the store's index, latency histograms
+    // that hold only the octaves they saw and a recovery image that
+    // keeps no block bitmap of its own; the bound adds 4 KiB. An image
+    // with its own bitmap cannot fit under it (351 546 B), nor can the
+    // 16 384-slot `Vec` (0.66 MB) an 8192-record trigger grows (that
+    // world peaked at 1 155 610 B), nor a 4 B index entry per stored
+    // sector (512 794 B), nor 8 KiB histograms (430 970 B).
     let (s, _, peak) = heap_use(|| {
         let mut s = PushdownSession::builder(ycsb(APPENDS).fsync_every(8))
             .dispatch(DispatchMode::User)
@@ -425,8 +426,8 @@ fn a_long_journaled_write_world_keeps_only_what_recovery_needs() {
         "{retained} records retained, {outstanding} outstanding"
     );
     assert!(
-        peak <= 351_546 + (64 << 10),
-        "{peak} B live at peak, bound 351 546 + 64 KiB"
+        peak <= 347_290 + (4 << 10),
+        "{peak} B live at peak, bound 347 290 + 4 KiB"
     );
 }
 

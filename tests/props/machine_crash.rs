@@ -124,6 +124,7 @@ proptest! {
             // commit).
             let wal = m.fs().open("wal.db").expect("wal.db");
             let recovered = m.fs().clone().crash_and_recover();
+            prop_assert_eq!(recovered.fsck(), Ok(()), "{:?}", policy);
             let mapped = |fs: &ExtFs| {
                 let extents = fs.extents_snapshot(wal).expect("extents");
                 extents.iter().map(|e| e.len).sum::<u64>()

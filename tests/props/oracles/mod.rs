@@ -35,7 +35,11 @@ struct FileMeta {
     generations: (u64, u64),
 }
 
+/// Snapshots `fs`'s metadata, first checking that its allocator owns
+/// exactly the blocks its extent trees map (`ExtFs::fsck`): every
+/// crash point a property compares is an ownership check too.
 pub fn fs_meta(fs: &ExtFs) -> FsMeta {
+    assert_eq!(fs.fsck(), Ok(()), "block ownership");
     let files = fs
         .readdir()
         .into_iter()
