@@ -28,6 +28,21 @@
 //! which holds host memory for what it uses, not for the queue depth and
 //! file-system size it declares — down to its latency histograms, which
 //! hold only the octaves their values span.
+//!
+//! Every number this suite measures is a row of `tests/host_exact.csv`
+//! (`world,metric,value`, integers only), and each test compares the
+//! rows of its worlds with the committed ones exactly: one heap call or
+//! one byte more fails tier 1, and so does a committed row that no test
+//! produces. The file's `git log -p` is the trajectory of every exact
+//! host number. A change that means to move a number recommits its
+//! rows: the failure names each row that moved, with its committed and
+//! produced values, and prints every row the world produced, to paste
+//! over that world's committed rows. The asserts beside the table are
+//! the structural facts no recommit may change: a warm hop allocates
+//! nothing, verification makes well under one heap call per ten
+//! analysed instructions, the journal retains less than one checkpoint
+//! trigger of committed records, a machine's footprint does not depend
+//! on the depth or size it declares, and a repeat run counts the same.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -40,7 +55,7 @@ use bpfstor::core::{
 use bpfstor::fs::CHECKPOINT_RECORDS;
 use bpfstor::kernel::{FabricConfig, MachineConfig};
 use bpfstor::sim::{Histogram, LatencyDist, MILLISECOND};
-use bpfstor::vm::verify;
+use bpfstor::vm::{verify, Program};
 use bpfstor::workload::OpMix;
 
 #[path = "../crates/kernel/tests/support/mod.rs"]
@@ -104,6 +119,54 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Where the exact host numbers are committed, and what it holds.
+const TABLE: &str = "tests/host_exact.csv";
+const COMMITTED: &str = include_str!("host_exact.csv");
+
+/// The world a `world,metric,value` row belongs to.
+fn world_of(row: &str) -> &str {
+    row.rsplitn(3, ',').last().unwrap_or(row)
+}
+
+/// What to tell whoever moved a number of `world`: each committed row
+/// of it that the produced rows do not reproduce, in order, beside what
+/// was produced, and the rows to paste over them. `None` when all agree.
+fn difference(committed: &str, world: &str, metrics: &[&str], values: &[u64]) -> Option<String> {
+    let want: Vec<&str> = committed.lines().filter(|r| world_of(r) == world).collect();
+    let row = |(m, v): (&&str, &u64)| format!("{world},{m},{v}");
+    let got: Vec<String> = metrics.iter().zip(values).map(row).collect();
+    let moved: Vec<String> = (0..want.len().max(got.len()))
+        .filter(|&i| want.get(i).copied() != got.get(i).map(String::as_str))
+        .map(|i| {
+            let committed = want.get(i).unwrap_or(&"<none>");
+            let produced = got.get(i).map_or("<none>", String::as_str);
+            format!("{TABLE}: committed {committed}, produced {produced}")
+        })
+        .collect();
+    let paste = got.join("\n");
+    (!moved.is_empty()).then(|| {
+        format!(
+            "{}\nif the numbers were meant to move, name what moved them and \
+             recommit {world:?}'s rows as produced:\n{paste}",
+            moved.join("\n")
+        )
+    })
+}
+
+/// Checks `world`'s rows against the committed table, exactly.
+fn check<const N: usize>(world: &str, metrics: [&str; N], values: [u64; N]) {
+    if let Some(report) = difference(COMMITTED, world, &metrics, &values) {
+        panic!("{report}");
+    }
+}
+
+/// The rows of a loop run from scratch to `T` and to `2T`: heap calls
+/// during the run and what it completed, device I/Os or write chains.
+const HOOK_ROWS: [&str; 4] = ["allocs_to_T", "ios_to_T", "allocs_to_2T", "ios_to_2T"];
+const WRITE_ROWS: [&str; 4] = ["allocs_to_T", "writes_to_T", "allocs_to_2T", "writes_to_2T"];
+/// A verification's rows: `VerifiedStats`, heap calls and peak bytes.
+const VERIFY_ROWS: [&str; 4] = ["states", "max_path", "heap_calls", "peak_bytes"];
+
 /// What a chain reads: a pointer chase of so many hops (the program
 /// emits from scratch) or a B-tree lookup of that depth (it emits from
 /// its stack). Either way, one I/O per hop.
@@ -112,21 +175,53 @@ enum Chain {
     Btree(u32),
 }
 
-/// One closed loop the path serves: chain shape, dispatch mode, and
-/// whether an NVMe-oF fabric sits between the rings and the device.
-struct Loop {
-    name: &'static str,
-    chain: Chain,
-    mode: DispatchMode,
-    fabric: bool,
-    /// Ceiling on marginal allocations per I/O.
-    bound: f64,
-}
+/// One closed loop the path serves: its name, chain shape, dispatch
+/// mode, and whether an NVMe-oF fabric sits between the rings and the
+/// device.
+struct Loop(&'static str, Chain, DispatchMode, bool);
+
+/// The hook loops allocate nothing, per hop or per chain: the `emit`
+/// helper hands the kernel a borrow of the program's own memory
+/// (scratch for the chase, the stack for the B-tree) and the session
+/// decodes the payload in place. The single-read loops end in `Pass`,
+/// which lends the read buffer to the driver and takes it back.
+const LOOPS: [Loop; 5] = [
+    Loop(
+        "local driver-hook chase",
+        Chain::Chase(8),
+        DispatchMode::DriverHook,
+        false,
+    ),
+    Loop(
+        "local driver-hook btree",
+        Chain::Btree(4),
+        DispatchMode::DriverHook,
+        false,
+    ),
+    Loop(
+        "fabric pushdown chase",
+        Chain::Chase(8),
+        DispatchMode::DriverHook,
+        true,
+    ),
+    Loop(
+        "local user single read",
+        Chain::Chase(1),
+        DispatchMode::User,
+        false,
+    ),
+    Loop(
+        "fabric remote single read",
+        Chain::Chase(1),
+        DispatchMode::Remote,
+        true,
+    ),
+];
 
 /// Builds the loop's session from scratch, runs it to `until`, and
 /// returns `(allocations during the run, device I/Os)`.
 fn measure(l: &Loop, until: u64) -> (u64, u64) {
-    match l.chain {
+    match l.1 {
         Chain::Chase(hops) => measure_workload(l, Chase::hops(hops), hops, until),
         Chain::Btree(depth) => measure_workload(l, Btree::depth(depth), depth as u64, until),
     }
@@ -138,8 +233,8 @@ fn measure_workload<W: PushdownWorkload>(
     hops: u64,
     until: u64,
 ) -> (u64, u64) {
-    let mut b = PushdownSession::builder(workload).dispatch(l.mode);
-    if l.fabric {
+    let mut b = PushdownSession::builder(workload).dispatch(l.2);
+    if l.3 {
         b = b.fabric(FabricConfig {
             to_target: LatencyDist::Uniform(16_000, 24_000),
             to_host: LatencyDist::Uniform(16_000, 24_000),
@@ -150,81 +245,20 @@ fn measure_workload<W: PushdownWorkload>(
     let before = ALLOCS.with(Cell::get);
     let (report, stats) = s.run_closed_loop(4, until);
     let allocs = ALLOCS.with(Cell::get) - before;
-    assert_eq!((stats.errors, stats.mismatches), (0, 0), "{}", l.name);
-    assert_eq!(report.ios, report.chains * hops, "{}", l.name);
+    assert_eq!((stats.errors, stats.mismatches), (0, 0), "{}", l.0);
+    assert_eq!(report.ios, report.chains * hops, "{}", l.0);
     (allocs, report.ios)
 }
 
 #[test]
 fn steady_state_io_path_does_not_allocate() {
     const T: u64 = 20 * MILLISECOND;
-    // The hook loops allocate nothing, per hop or per chain: the
-    // `emit` helper hands the kernel a borrow of the program's own
-    // memory (scratch for the chase, the stack for the B-tree) and the
-    // session decodes the payload in place. Measured 0; bounded at
-    // 0.01 so that one allocation per chain, at either chain length,
-    // trips it. The single-read loops end in `Pass`, which lends the read
-    // buffer to the driver and takes it back: measured 0, bounded at
-    // 1.5 so that a decode of theirs would not trip it.
-    let loops = [
-        Loop {
-            name: "local driver-hook chase",
-            chain: Chain::Chase(8),
-            mode: DispatchMode::DriverHook,
-            fabric: false,
-            bound: 0.01,
-        },
-        Loop {
-            name: "local driver-hook btree",
-            chain: Chain::Btree(4),
-            mode: DispatchMode::DriverHook,
-            fabric: false,
-            bound: 0.01,
-        },
-        Loop {
-            name: "fabric pushdown chase",
-            chain: Chain::Chase(8),
-            mode: DispatchMode::DriverHook,
-            fabric: true,
-            bound: 0.01,
-        },
-        Loop {
-            name: "local user single read",
-            chain: Chain::Chase(1),
-            mode: DispatchMode::User,
-            fabric: false,
-            bound: 1.5,
-        },
-        Loop {
-            name: "fabric remote single read",
-            chain: Chain::Chase(1),
-            mode: DispatchMode::Remote,
-            fabric: true,
-            bound: 1.5,
-        },
-    ];
-    for l in &loops {
-        let (a1, i1) = measure(l, T);
-        let (a2, i2) = measure(l, 2 * T);
-        assert!(
-            i1 >= 500 && i2 >= 2 * i1 - 64,
-            "{}: {i1} then {i2} I/Os",
-            l.name
-        );
-        let per_io = (a2 as f64 - a1 as f64) / (i2 - i1) as f64;
-        println!(
-            "{}: {a1} allocs / {i1} ios to T, {a2} / {i2} to 2T: {per_io:.3} per I/O",
-            l.name
-        );
-        assert!(
-            per_io <= l.bound,
-            "{}: {per_io:.3} allocations per steady-state I/O (bound {}): \
-             {a1} allocs / {i1} ios to T, {a2} / {i2} to 2T",
-            l.name,
-            l.bound
-        );
+    for l in &LOOPS {
+        let ((a1, i1), (a2, i2)) = (measure(l, T), measure(l, 2 * T));
+        assert_eq!(a2, a1, "{}: warm hops allocate", l.0);
         // No per-process hash key on the path: a repeat counts the same.
-        assert_eq!(measure(l, T), (a1, i1), "{}: repeat run", l.name);
+        assert_eq!(measure(l, T), (a1, i1), "{}: repeat run", l.0);
+        check(l.0, HOOK_ROWS, [a1, i1, a2, i2]);
     }
 }
 
@@ -240,17 +274,6 @@ const APPENDS: OpMix = OpMix {
 /// unless overridden).
 fn ycsb(mix: OpMix) -> YcsbMix {
     YcsbMix::new(support::kv_entries(600), mix, 7)
-}
-
-/// One write loop: a name, the store pages a write chain's record
-/// fills (non-zero sectors written / 1024: each is an 8-byte key and
-/// zeroes, kept in an 8 B slot), and the run from scratch to
-/// `until` that returns `(allocations during the run, write chains
-/// completed)`.
-struct WriteLoop {
-    name: &'static str,
-    pages_per_chain: f64,
-    run: fn(u64) -> (u64, u64),
 }
 
 /// Builds a session, runs it, and returns `(allocations during the run
@@ -333,77 +356,49 @@ fn fabric_pushdown_appends(until: u64) -> (u64, u64) {
     )
 }
 
+/// A write loop's run from scratch to `until`: `(allocations during
+/// the run, write chains completed)`.
+type WriteRun = fn(u64) -> (u64, u64);
+
+/// The write loops, by name. Per write chain, each costs the record (1)
+/// and the store pages it fills: one per 1024 non-zero sectors written,
+/// each an 8-byte key and zeroes kept in an 8 B slot. The mix's read
+/// chains run the SST hook, which allocates nothing before `decode`.
+const WRITE_LOOPS: [(&str, WriteRun); 4] = [
+    (
+        "local sync 512 B appends with fsync every 8th",
+        sync_appends,
+    ),
+    (
+        "uring batch-16 40r/40u/20i with per-fsync commit",
+        uring_mix,
+    ),
+    ("two-tenant 4 KiB storm with group commit", tenant_storm),
+    ("fabric write pushdown", fabric_pushdown_appends),
+];
+
 #[test]
 fn steady_state_write_path_allocates_only_what_the_data_costs() {
     const T: u64 = 20 * MILLISECOND;
-    // Per write chain: the record (1) and the pages it fills. The
-    // slack of 0.01 is for the journal's and the tables' amortised
-    // doublings; one stray vector per chain — a plan, a command list —
-    // reads 1.0 over and trips it. The mix's read chains run the SST
-    // hook, which allocates nothing before `decode`.
-    let loops = [
-        WriteLoop {
-            name: "local sync 512 B appends, fsync every 8th",
-            pages_per_chain: 1.0 / 1024.0,
-            run: sync_appends,
-        },
-        WriteLoop {
-            name: "uring batch-16 40r/40u/20i, per-fsync commit",
-            pages_per_chain: 1.0 / 1024.0,
-            run: uring_mix,
-        },
-        WriteLoop {
-            name: "two-tenant 4 KiB storm, group commit",
-            // An 8-byte key and zeroes: one non-zero sector of eight.
-            pages_per_chain: 1.0 / 1024.0,
-            run: tenant_storm,
-        },
-        WriteLoop {
-            name: "fabric write pushdown",
-            pages_per_chain: 1.0 / 1024.0,
-            run: fabric_pushdown_appends,
-        },
-    ];
-    for l in &loops {
-        let (a1, w1) = (l.run)(T);
-        let (a2, w2) = (l.run)(2 * T);
-        assert!(
-            w1 >= 200 && w2 >= 2 * w1 - 64,
-            "{}: {w1} then {w2} write chains",
-            l.name
-        );
-        let per_chain = (a2 as f64 - a1 as f64) / (w2 - w1) as f64;
-        let bound = 1.0 + l.pages_per_chain + 0.01;
-        println!(
-            "{}: {a1} allocs / {w1} write chains to T, {a2} / {w2} to 2T: \
-             {per_chain:.4} per write chain (bound {bound:.4})",
-            l.name
-        );
-        assert!(
-            per_chain <= bound,
-            "{}: {per_chain:.4} allocations per steady-state write chain (bound {bound:.4}): \
-             {a1} allocs / {w1} chains to T, {a2} / {w2} to 2T",
-            l.name
-        );
-        assert_eq!((l.run)(T), (a1, w1), "{}: repeat run", l.name);
+    for (name, run) in WRITE_LOOPS {
+        let ((a1, w1), (a2, w2)) = (run(T), run(2 * T));
+        assert_eq!(run(T), (a1, w1), "{name}: repeat run");
+        check(name, WRITE_ROWS, [a1, w1, a2, w2]);
     }
 }
+
+/// The world of the journaled-write test below, and its rows: records
+/// logged, checkpointed and retained, and peak bytes.
+const JOURNALED: &str = "long journaled write world";
+const JOURNAL_ROWS: [&str; 4] = ["logged", "checkpointed", "retained", "peak_bytes"];
 
 #[test]
 fn a_long_journaled_write_world_keeps_only_what_recovery_needs() {
     // Commits checkpoint the journal's committed prefix into the
     // recovery image, so however long a write world runs, the journal
     // retains fewer than `CHECKPOINT_RECORDS` committed records beside
-    // the ones still outstanding (an append-only log held every record
-    // since mkfs: 59 % of `ycsb_write_mix`'s peak). The whole world,
-    // session build included, peaks at 347 290 B with a 256-record
-    // trigger, run leaves in the store's index, latency histograms
-    // that hold only the octaves they saw and a recovery image that
-    // keeps no block bitmap of its own; the bound adds 4 KiB. An image
-    // with its own bitmap cannot fit under it (351 546 B), nor can the
-    // 16 384-slot `Vec` (0.66 MB) an 8192-record trigger grows (that
-    // world peaked at 1 155 610 B), nor a 4 B index entry per stored
-    // sector (512 794 B), nor 8 KiB histograms (430 970 B).
+    // the ones still outstanding. The table holds the whole world's
+    // peak, session build included.
     let (s, _, peak) = heap_use(|| {
         let mut s = PushdownSession::builder(ycsb(APPENDS).fsync_every(8))
             .dispatch(DispatchMode::User)
@@ -414,59 +409,56 @@ fn a_long_journaled_write_world_keeps_only_what_recovery_needs() {
     });
     let j = s.machine().fs().journal();
     let (retained, outstanding) = (j.len() - j.base(), j.len() - j.committed());
-    println!(
-        "{} records logged, {} checkpointed, {retained} retained, {outstanding} outstanding, \
-         {peak} B at peak",
-        j.len(),
-        j.base()
-    );
     assert!(j.base() >= 2 * CHECKPOINT_RECORDS, "{} records", j.len());
     assert!(
         retained < CHECKPOINT_RECORDS + outstanding,
         "{retained} records retained, {outstanding} outstanding"
     );
-    assert!(
-        peak <= 347_290 + (4 << 10),
-        "{peak} B live at peak, bound 347 290 + 4 KiB"
+    let (logged, checkpointed) = (j.len() as u64, j.base() as u64);
+    check(
+        JOURNALED,
+        JOURNAL_ROWS,
+        [logged, checkpointed, logged - checkpointed, peak],
     );
 }
 
 /// Runs `f`, returning its result with the heap calls it made and the
 /// most bytes it held live at once above what was live before it.
-fn heap_use<R>(f: impl FnOnce() -> R) -> (R, u64, usize) {
+fn heap_use<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
     let (calls, live) = (ALLOCS.with(Cell::get), LIVE.with(Cell::get));
     PEAK.with(|c| c.set(live));
     let out = f();
     let peak = PEAK.with(Cell::get) - live;
-    (out, ALLOCS.with(Cell::get) - calls, peak)
+    (out, ALLOCS.with(Cell::get) - calls, peak as u64)
 }
+
+/// Builds a program to verify.
+type Build = fn() -> Program;
+
+/// The verified programs, the last with map helper calls, whose
+/// checks must not allocate either.
+const PROGRAMS: [(&str, Build); 3] = [
+    ("verify btree", btree_lookup_program),
+    ("verify sst", || sst_get_program(48)),
+    ("verify btree+stats", btree_lookup_program_with_stats),
+];
 
 #[test]
 fn verification_stays_off_the_heap() {
     // The verifier steps one state in place and remembers states only
     // where control flow joins, in small chunks: well under one heap
     // call per ten analysed instructions (a walk that clones and hashes
-    // a state per instruction makes about one each: 1 476 and 2 239),
-    // and no more bytes held at once than such a walk holds — the third
-    // column, measured on it — because a session's peak of live memory
-    // can be at install time.
-    let programs = [
-        ("btree", btree_lookup_program(), 182_978),
-        ("sst", sst_get_program(48), 268_923),
-        // With map helper calls, whose checks must not allocate either.
-        ("btree+stats", btree_lookup_program_with_stats(), 241_465),
-    ];
-    for (name, prog, old_peak) in programs {
+    // a state per instruction makes about one each), and a transient
+    // peak the table holds, because a session's peak of live memory can
+    // be at install time.
+    for (name, program) in PROGRAMS {
+        let prog = program();
         let (stats, calls, peak) = heap_use(|| verify(&prog).expect("verifies"));
-        println!("{name}: {stats:?}, {calls} heap calls, {peak} B at peak");
-        assert!(
-            calls * 10 < stats.states as u64,
-            "{name}: {calls} heap calls for {} analysed instructions",
-            stats.states
-        );
-        assert!(peak <= old_peak, "{name}: {peak} B live at once");
+        let (states, max_path) = (stats.states as u64, stats.max_path as u64);
+        assert!(calls * 10 < states, "{name}: {calls} calls, {states}");
         let again = heap_use(|| verify(&prog).expect("verifies"));
         assert_eq!(again, (stats, calls, peak), "{name}: repeat run");
+        check(name, VERIFY_ROWS, [states, max_path, calls, peak]);
     }
 }
 
@@ -485,11 +477,8 @@ fn a_machine_holds_what_it_uses_not_what_it_declares() {
     // 2 GiB file system. Its rings start at 64 slots and its block
     // bitmap is empty until a block is written; allocated at their
     // declared sizes they would hold 3.5 MB, and ~47 MB at depth 65,536.
-    // Its latency histograms hold nothing until they record: it is
-    // 49 206 B, and four empty 8 KiB tables made it 81 942 B.
+    // Its latency histograms hold nothing until they record.
     let held = footprint(MachineConfig::default());
-    println!("default machine: {held} B live once built");
-    assert!(held <= 64 << 10, "default machine holds {held} B");
     for depth in [64, 4096, 65_536] {
         let mut cfg = MachineConfig::default();
         cfg.profile.queue_depth = depth;
@@ -502,6 +491,40 @@ fn a_machine_holds_what_it_uses_not_what_it_declares() {
         };
         assert_eq!(footprint(cfg), held, "{fs_blocks} fs blocks");
     }
+    check(MACHINE, ["bytes_held"], [held as u64]);
+}
+
+/// The world of the footprint test above.
+const MACHINE: &str = "default machine";
+
+#[test]
+fn every_committed_row_belongs_to_a_measured_world() {
+    let mut worlds = vec![JOURNALED, MACHINE];
+    worlds.extend(LOOPS.map(|l| l.0));
+    worlds.extend(WRITE_LOOPS.map(|l| l.0));
+    worlds.extend(PROGRAMS.map(|p| p.0));
+    let mut rows = COMMITTED.lines();
+    assert_eq!(rows.next(), Some("world,metric,value"), "{TABLE}'s header");
+    let orphans: Vec<&str> = rows.filter(|r| !worlds.contains(&world_of(r))).collect();
+    assert!(orphans.is_empty(), "no test produces {orphans:?}");
+}
+
+#[test]
+fn a_moved_number_is_reported_with_its_row_and_the_rows_to_recommit() {
+    let committed = "world,metric,value\nw,calls,3\nw,bytes,128\nww,calls,9\n";
+    let report = |world, values: &[u64]| {
+        difference(committed, world, &["calls", "bytes"], values).unwrap_or_default()
+    };
+    assert_eq!(report("w", &[3, 128]), "");
+    let moved = "tests/host_exact.csv: committed w,bytes,128, produced w,bytes,136\n\
+                 if the numbers were meant to move, name what moved them and recommit \
+                 \"w\"'s rows as produced:\nw,calls,3\nw,bytes,136";
+    assert_eq!(report("w", &[3, 136]), moved);
+    // A row only one side has reads `<none>` on the other.
+    assert!(report("w", &[3])
+        .starts_with("tests/host_exact.csv: committed w,bytes,128, produced <none>\n"));
+    assert!(report("ww", &[9, 1])
+        .starts_with("tests/host_exact.csv: committed <none>, produced ww,bytes,1\n"));
 }
 
 #[test]
