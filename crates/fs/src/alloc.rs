@@ -164,24 +164,6 @@ impl BlockAllocator {
         assert_eq!(self.marked(start, len), 0, "reserve of used block");
         self.set(start, len);
     }
-
-    /// Counts the free runs (a fragmentation measure used by the split-
-    /// fallback ablation).
-    pub fn free_fragments(&self) -> u64 {
-        // A free run starts at every free block whose predecessor is
-        // used (or absent); `prev_free` carries bit 63 across words.
-        let end = self.grown_end();
-        let mut frags = 0;
-        let mut prev_free = 0;
-        for (w, mask) in word_masks(0, self.nblocks.min(end)) {
-            let free = !self.bits[w] & mask;
-            frags += u64::from((free & !(free << 1 | prev_free)).count_ones());
-            prev_free = free >> 63;
-        }
-        // The free tail past the bitmap is one run more, unless the
-        // bitmap's last block was free and it continues that one.
-        frags + u64::from(end < self.nblocks && prev_free == 0)
-    }
 }
 
 /// Splits the block range `[from, to)` at bitmap-word boundaries:
@@ -264,16 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn fragmentation_counter() {
-        let mut a = BlockAllocator::new(64);
-        assert_eq!(a.free_fragments(), 1);
-        a.alloc(10, 10).expect("alloc");
-        assert_eq!(a.free_fragments(), 2);
-        a.alloc(10, 40).expect("alloc");
-        assert_eq!(a.free_fragments(), 3);
-    }
-
-    #[test]
     fn alloc_zero_rejected() {
         let mut a = BlockAllocator::new(16);
         assert!(a.alloc(0, 0).is_none());
@@ -290,7 +262,7 @@ mod tests {
     fn a_large_device_holds_no_bitmap_until_used() {
         let mut a = BlockAllocator::new(1 << 22);
         assert_eq!(a.bits.capacity(), 0);
-        assert_eq!((a.free(), a.free_fragments()), (1 << 22, 1));
+        assert_eq!(a.free(), 1 << 22);
         a.alloc(8, 0).expect("alloc");
         assert_eq!(a.bits.len(), 1, "one word covers the first 64 blocks");
     }
@@ -308,7 +280,6 @@ mod tests {
             })
         );
         assert_eq!(a.bits.len() as u64, (far + 16).div_ceil(64));
-        assert_eq!(a.free_fragments(), 2, "the gap and the tail");
         // Counted across the gap and past the grown end.
         assert_eq!(a.marked(4, far + 1_000), 4 + 16);
         a.release(far, 16);
@@ -329,6 +300,5 @@ mod tests {
         assert_eq!(a.alloc(150, GROUP_BLOCKS + 5), Some(tail));
         // ...and, with those used too, wraps to the device's start.
         assert_eq!(a.alloc(4, GROUP_BLOCKS + 5), Some(Run { start: 0, len: 4 }));
-        assert_eq!(a.free_fragments(), 1);
     }
 }

@@ -144,44 +144,37 @@ impl ExtentTree {
     /// runs that were released. Extents straddling the boundary are
     /// split.
     pub fn remove_range(&mut self, lb: u64, n: u64) -> Vec<Extent> {
-        if n == 0 {
+        let end = lb + n;
+        // The window of extents that overlap the range.
+        let lo = self.exts.partition_point(|e| e.logical_end() <= lb);
+        let hi = lo + self.exts[lo..].partition_point(|e| e.logical < end);
+        if n == 0 || lo == hi {
             return Vec::new();
         }
-        let end = lb + n;
-        let mut removed = Vec::new();
-        let mut out = Vec::with_capacity(self.exts.len());
-        for e in self.exts.drain(..) {
-            if e.logical_end() <= lb || e.logical >= end {
-                out.push(e);
-                continue;
-            }
-            // Leading fragment survives.
-            if e.logical < lb {
-                out.push(Extent {
-                    logical: e.logical,
-                    physical: e.physical,
-                    len: lb - e.logical,
-                });
-            }
-            // Middle fragment is removed.
-            let cut_lo = lb.max(e.logical);
-            let cut_hi = end.min(e.logical_end());
-            removed.push(Extent {
-                logical: cut_lo,
-                physical: e.physical + (cut_lo - e.logical),
-                len: cut_hi - cut_lo,
-            });
-            // Trailing fragment survives.
-            if e.logical_end() > end {
-                out.push(Extent {
-                    logical: end,
-                    physical: e.physical + (end - e.logical),
-                    len: e.logical_end() - end,
-                });
-            }
-        }
-        self.exts = out;
-        removed
+        // What survives of it: the head of its first extent and the tail
+        // of its last, spliced in where the window was.
+        let (first, last) = (self.exts[lo], self.exts[hi - 1]);
+        let head = Extent {
+            len: lb.saturating_sub(first.logical),
+            ..first
+        };
+        let tail = Extent {
+            logical: end,
+            physical: last.physical + (end - last.logical),
+            len: last.logical_end().saturating_sub(end),
+        };
+        let survivors = [head, tail].into_iter().filter(|e| e.len > 0);
+        self.exts
+            .splice(lo..hi, survivors)
+            .map(|e| {
+                let from = lb.max(e.logical);
+                Extent {
+                    logical: from,
+                    physical: e.physical + (from - e.logical),
+                    len: end.min(e.logical_end()) - from,
+                }
+            })
+            .collect()
     }
 
     /// Snapshot of all extents (what the ioctl pushes to the NVMe layer).

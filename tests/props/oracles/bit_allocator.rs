@@ -79,16 +79,4 @@ impl BitAllocator {
         }
         self.used += len;
     }
-
-    pub fn free_fragments(&self) -> u64 {
-        let mut frags = 0;
-        let mut in_free = false;
-        for &used in &self.bits {
-            if !used && !in_free {
-                frags += 1;
-            }
-            in_free = !used;
-        }
-        frags
-    }
 }

@@ -74,21 +74,39 @@ proptest! {
         let mut next_phys = 10_000u64;
         for (lb, len, remove) in ops {
             if remove {
-                tree.remove_range(lb, len);
-                for b in lb..lb + len {
-                    mapped.remove(&b);
-                }
+                let removed = tree.remove_range(lb, len);
+                // What comes back is what the oracle drops, block for
+                // block: same logical blocks, same physical addresses.
+                let dropped: Vec<(u64, u64)> =
+                    (lb..lb + len).filter_map(|b| Some((b, mapped.remove(&b)?))).collect();
+                let returned: Vec<(u64, u64)> = removed
+                    .iter()
+                    .flat_map(|e| (0..e.len).map(move |i| (e.logical + i, e.physical + i)))
+                    .collect();
+                prop_assert_eq!(removed.iter().map(|e| e.len).sum::<u64>(), dropped.len() as u64);
+                prop_assert!(removed.iter().all(|e| e.len > 0), "{:?}", removed);
+                prop_assert_eq!(returned, dropped);
             } else {
-                // Only insert blocks not currently mapped (the FS layer
-                // guarantees this; overlapping inserts panic by design).
-                for b in lb..lb + len {
-                    if let std::collections::btree_map::Entry::Vacant(e) = mapped.entry(b) {
-                        tree.insert(Extent { logical: b, physical: next_phys, len: 1 });
-                        e.insert(next_phys);
-                        next_phys += 2; // non-adjacent so merges stay rare
+                // Each unmapped run of the range goes in as one extent, so
+                // removals split extents at both ends (the FS layer never
+                // maps over a mapping; overlapping inserts panic by
+                // design). Every other op leaves a physical gap, so runs
+                // that meet logically merge only sometimes.
+                let mut b = lb;
+                while b < lb + len {
+                    let run = (b..lb + len).take_while(|x| !mapped.contains_key(x)).count() as u64;
+                    if run > 0 {
+                        tree.insert(Extent { logical: b, physical: next_phys, len: run });
+                        mapped.extend((0..run).map(|i| (b + i, next_phys + i)));
+                        next_phys += run + lb % 2;
                     }
+                    b += run.max(1);
                 }
             }
+            // The tree stays sorted, with no overlaps and no empty extents.
+            let snap = tree.snapshot();
+            prop_assert!(snap.iter().all(|e| e.len > 0), "{:?}", snap);
+            prop_assert!(snap.windows(2).all(|w| w[0].logical_end() <= w[1].logical), "{:?}", snap);
             // The tree agrees with the reference on every mapped block.
             prop_assert_eq!(tree.mapped_blocks(), mapped.len() as u64);
             for (b, p) in &mapped {

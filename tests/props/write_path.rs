@@ -2,7 +2,7 @@
 
 /// One to three block groups, word-aligned and not, and one device far
 /// larger than anything the ops allocate, so that goals, reserves and
-/// the fragment count land past the bitmap's grown end.
+/// the used and free counts land past the bitmap's grown end.
 const ALLOC_SIZES: [u64; 11] = [
     1,
     63,
@@ -75,7 +75,6 @@ proptest! {
             }
             prop_assert_eq!(word.used(), bit.used);
             prop_assert_eq!(word.free(), nblocks - bit.used);
-            prop_assert_eq!(word.free_fragments(), bit.free_fragments());
         }
     }
 }
