@@ -233,8 +233,9 @@ fn measure_workload<W: PushdownWorkload>(
     hops: u64,
     until: u64,
 ) -> (u64, u64) {
-    let mut b = PushdownSession::builder(workload).dispatch(l.2);
-    if l.3 {
+    let &Loop(name, _, mode, fabric) = l;
+    let mut b = PushdownSession::builder(workload).dispatch(mode);
+    if fabric {
         b = b.fabric(FabricConfig {
             to_target: LatencyDist::Uniform(16_000, 24_000),
             to_host: LatencyDist::Uniform(16_000, 24_000),
@@ -245,20 +246,20 @@ fn measure_workload<W: PushdownWorkload>(
     let before = ALLOCS.with(Cell::get);
     let (report, stats) = s.run_closed_loop(4, until);
     let allocs = ALLOCS.with(Cell::get) - before;
-    assert_eq!((stats.errors, stats.mismatches), (0, 0), "{}", l.0);
-    assert_eq!(report.ios, report.chains * hops, "{}", l.0);
+    assert_eq!((stats.errors, stats.mismatches), (0, 0), "{name}");
+    assert_eq!(report.ios, report.chains * hops, "{name}");
     (allocs, report.ios)
 }
 
 #[test]
 fn steady_state_io_path_does_not_allocate() {
     const T: u64 = 20 * MILLISECOND;
-    for l in &LOOPS {
+    for l @ &Loop(name, ..) in &LOOPS {
         let ((a1, i1), (a2, i2)) = (measure(l, T), measure(l, 2 * T));
-        assert_eq!(a2, a1, "{}: warm hops allocate", l.0);
+        assert_eq!(a2, a1, "{name}: warm hops allocate");
         // No per-process hash key on the path: a repeat counts the same.
-        assert_eq!(measure(l, T), (a1, i1), "{}: repeat run", l.0);
-        check(l.0, HOOK_ROWS, [a1, i1, a2, i2]);
+        assert_eq!(measure(l, T), (a1, i1), "{name}: repeat run");
+        check(name, HOOK_ROWS, [a1, i1, a2, i2]);
     }
 }
 

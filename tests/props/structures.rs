@@ -90,8 +90,9 @@ proptest! {
                 // Each unmapped run of the range goes in as one extent, so
                 // removals split extents at both ends (the FS layer never
                 // maps over a mapping; overlapping inserts panic by
-                // design). Every other op leaves a physical gap, so runs
-                // that meet logically merge only sometimes.
+                // design). An op at an odd `lb` leaves a physical gap
+                // after each run, so runs that meet logically merge only
+                // sometimes.
                 let mut b = lb;
                 while b < lb + len {
                     let run = (b..lb + len).take_while(|x| !mapped.contains_key(x)).count() as u64;
