@@ -37,100 +37,43 @@
 //! ```
 
 use bpfstor_kernel::{
-    ChainDriver, ChainOutcome, ChainSpec, ChainToken, ChainVerdict, CommitPolicy, DispatchMode,
-    FabricConfig, Machine, MachineConfig, ReapMode, RunReport, TenantId, TenantLimits,
-    TransportConfig, UserNext,
+    ChainDriver, ChainOutcome, ChainSpec, ChainToken, ChainVerdict, DispatchMode, Machine,
+    RunReport, TenantId, TenantLimits, UserNext,
 };
 use bpfstor_sim::{Nanos, SimRng};
 
-use crate::session::{Member, PushdownWorkload, SessionError, SessionStats};
+use crate::session::{Member, PushdownWorkload, SessionBuilder, SessionError, SessionStats};
 
-/// Builder for a [`TenantGroup`]; created via [`TenantGroup::builder`].
-#[derive(Debug, Clone)]
-pub struct TenantGroupBuilder {
-    config: MachineConfig,
-    mode: DispatchMode,
-    retry_budget: u32,
+/// What a [`TenantGroupBuilder`] holds beyond the shared machine's
+/// configuration.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GroupOptions {
     fair_reap: bool,
 }
 
+/// Builder for a [`TenantGroup`], created via [`TenantGroup::builder`]:
+/// the machine's setters are [`SessionBuilder`]'s.
+pub type TenantGroupBuilder = SessionBuilder<GroupOptions>;
+
 impl TenantGroupBuilder {
-    /// Sets the dispatch mode shared by every tenant (default:
-    /// [`DispatchMode::DriverHook`]).
-    pub fn dispatch(mut self, mode: DispatchMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Overrides the shared machine configuration.
-    pub fn machine_config(mut self, config: MachineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Overrides the RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Overrides the NVMe ring depth per shared queue pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth < 2` (one slot is reserved) or `depth` is past
-    /// NVMe's 65,536 ([`bpfstor_device::MAX_QUEUE_DEPTH`]).
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        bpfstor_device::check_queue_depth(depth);
-        self.config.profile.queue_depth = depth;
-        self
-    }
-
-    /// Sets the completion-delivery policy of the shared machine.
-    pub fn reap_mode(mut self, mode: ReapMode) -> Self {
-        self.config.reap_mode = mode;
-        self
-    }
-
-    /// Shorthand for an NVMe-oF fabric transport shared by the group:
-    /// every tenant becomes an initiator on the same target (its
-    /// submissions are attributed to its tenant id for per-initiator
-    /// credit windows, weighted admission, and the per-initiator
-    /// counters in [`RunReport::fabric_initiators`]).
-    ///
-    /// [`RunReport::fabric_initiators`]: bpfstor_kernel::RunReport::fabric_initiators
-    pub fn fabric(mut self, config: FabricConfig) -> Self {
-        self.config.transport = TransportConfig::Fabric(config);
-        self
-    }
-
-    /// Sets the shared machine's journal commit policy (default:
-    /// [`CommitPolicy::PerFsync`]). Under a grouped policy fsyncs from
-    /// *different tenants* share one flush barrier, with its device
-    /// time split across the joined tenants in the report.
-    pub fn commit_policy(mut self, policy: CommitPolicy) -> Self {
-        self.config.commit_policy = policy;
-        self
-    }
-
     /// Enables weighted fair reaping across tenants (default: off —
     /// FIFO, the bit-for-bit single-tenant order).
     pub fn fair_reap(mut self, on: bool) -> Self {
-        self.fair_reap = on;
-        self
-    }
-
-    /// Sets every tenant's rearm-and-retry budget (default: 2).
-    pub fn retry_budget(mut self, budget: u32) -> Self {
-        self.retry_budget = budget;
+        self.workload.fair_reap = on;
         self
     }
 
     /// Builds the shared machine; tenants attach afterwards with
-    /// [`TenantGroup::add_tenant`].
+    /// [`TenantGroup::add_tenant`]. The dispatch mode and retry budget
+    /// are every tenant's.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`bpfstor_kernel::MachineConfig::check`]'s refusal
+    /// ([`Machine::new`]).
     pub fn build(self) -> TenantGroup {
         let mut machine = Machine::new(self.config);
-        machine.set_fair_reap(self.fair_reap);
+        machine.set_fair_reap(self.workload.fair_reap);
         TenantGroup {
             machine,
             mode: self.mode,
@@ -152,12 +95,7 @@ impl TenantGroup {
     /// Starts building a group with the paper-testbed machine and
     /// driver-hook dispatch.
     pub fn builder() -> TenantGroupBuilder {
-        TenantGroupBuilder {
-            config: MachineConfig::default(),
-            mode: DispatchMode::DriverHook,
-            retry_budget: 2,
-            fair_reap: false,
-        }
+        SessionBuilder::new(GroupOptions::default())
     }
 
     /// Adds a tenant: builds the workload's file on the shared machine
@@ -178,7 +116,8 @@ impl TenantGroup {
     ///
     /// # Errors
     ///
-    /// Workload image failures and kernel/verifier rejections
+    /// [`SessionError::Config`] for limits [`TenantLimits::check`]
+    /// refuses, workload image failures and kernel/verifier rejections
     /// (including budget rejections).
     pub fn add_tenant<W: PushdownWorkload + 'static>(
         &mut self,
@@ -190,11 +129,12 @@ impl TenantGroup {
         // already hold the next id — tenant 0 exists from construction,
         // and a rejected attempt keeps the id it registered.
         let tenant = self.members.len() as TenantId;
-        if self.members.len() < self.machine.tenant_count() {
-            self.machine.set_tenant_limits(tenant, limits);
+        let limited = if self.members.len() < self.machine.tenant_count() {
+            self.machine.set_tenant_limits(tenant, limits)
         } else {
-            self.machine.register_tenant(limits);
-        }
+            self.machine.register_tenant(limits).map(|_| ())
+        };
+        limited.map_err(SessionError::Config)?;
         let file_name = format!("{}-t{}.img", workload.name(), tenant);
         self.machine.create_file(&file_name, &image)?;
         let member = Member::attach(

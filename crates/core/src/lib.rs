@@ -49,12 +49,12 @@ pub mod workloads;
 
 pub use bpfstor_kernel::{
     AdaptiveIrqConfig, ChainSpec, ChainStatus, ChainToken, ChainVerdict, CommitLog, CommitPolicy,
-    CommitStats, DispatchMode, ExecClock, ExecEngine, ExecSplit, FabricConfig, FabricStats,
-    HybridConfig, InitiatorStats, MachineConfig, ModeTransition, PollConfig, ProgHandle, ReapKind,
-    ReapMode, ReaperStats, RunReport, TransportConfig, WriteStart,
+    CommitStats, ConfigError, DispatchMode, ExecClock, ExecEngine, ExecSplit, FabricConfig,
+    FabricStats, HybridConfig, InitiatorStats, MachineConfig, ModeTransition, PollConfig,
+    ProgHandle, ReapKind, ReapMode, ReaperStats, RunReport, TransportConfig, WriteStart,
 };
 pub use bpfstor_kernel::{TenantBreakdown, TenantId, TenantLimits, DEFAULT_TENANT};
-pub use group::{TenantGroup, TenantGroupBuilder};
+pub use group::{GroupOptions, TenantGroup, TenantGroupBuilder};
 pub use lsm_io::MachineLsmIo;
 pub use progs::{
     btree_lookup_program, btree_lookup_program_with_stats, pointer_chase_program,

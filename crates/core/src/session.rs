@@ -34,9 +34,9 @@
 
 use bpfstor_kernel::{
     ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainStatus, ChainToken, ChainVerdict,
-    CommitPolicy, DispatchMode, ExecEngine, FabricConfig, Fd, KernelError, Machine, MachineConfig,
-    Mutation, ProgHandle, ReapMode, RunReport, TenantId, TransportConfig, UserNext, WriteStart,
-    DEFAULT_TENANT,
+    CommitPolicy, ConfigError, DispatchMode, ExecEngine, FabricConfig, Fd, KernelError, Machine,
+    MachineConfig, Mutation, ProgHandle, ReapMode, RunReport, TenantId, TransportConfig, UserNext,
+    WriteStart, DEFAULT_TENANT,
 };
 use bpfstor_sim::{Nanos, SimRng, SECOND};
 use bpfstor_vm::Program;
@@ -55,6 +55,9 @@ pub enum SessionError {
     Chain(ChainStatus),
     /// A decoded output contradicted the workload's expectation.
     Mismatch(String),
+    /// The machine's configuration or a tenant's limits broke a rule
+    /// ([`MachineConfig::check`]).
+    Config(ConfigError),
 }
 
 impl std::fmt::Display for SessionError {
@@ -65,6 +68,7 @@ impl std::fmt::Display for SessionError {
             SessionError::Decode(e) => write!(f, "decode: {e}"),
             SessionError::Chain(s) => write!(f, "chain failed: {s:?}"),
             SessionError::Mismatch(e) => write!(f, "mismatch: {e}"),
+            SessionError::Config(e) => write!(f, "config: {e}"),
         }
     }
 }
@@ -244,17 +248,32 @@ impl SessionStats {
     }
 }
 
-/// Builder for a [`PushdownSession`]; created via
-/// [`PushdownSession::builder`].
+/// Builder for a [`PushdownSession`], created via
+/// [`PushdownSession::builder`], and — holding [`crate::GroupOptions`] where a
+/// session holds its workload — for a [`crate::TenantGroup`]
+/// ([`crate::TenantGroupBuilder`]): the machine's setters are written
+/// once, and both builds check the configuration they set
+/// ([`MachineConfig::check`]).
 #[derive(Debug, Clone)]
 pub struct SessionBuilder<W> {
-    workload: W,
-    mode: DispatchMode,
-    config: MachineConfig,
-    retry_budget: u32,
+    pub(crate) workload: W,
+    pub(crate) mode: DispatchMode,
+    pub(crate) config: MachineConfig,
+    pub(crate) retry_budget: u32,
 }
 
-impl<W: PushdownWorkload> SessionBuilder<W> {
+impl<W> SessionBuilder<W> {
+    /// A builder around `workload` with the paper-testbed machine and
+    /// driver-hook dispatch.
+    pub(crate) fn new(workload: W) -> Self {
+        SessionBuilder {
+            workload,
+            mode: DispatchMode::DriverHook,
+            config: MachineConfig::default(),
+            retry_budget: 2,
+        }
+    }
+
     /// Sets the dispatch mode (default: [`DispatchMode::DriverHook`]).
     pub fn dispatch(mut self, mode: DispatchMode) -> Self {
         self.mode = mode;
@@ -286,16 +305,9 @@ impl<W: PushdownWorkload> SessionBuilder<W> {
     /// Overrides the NVMe submission/completion ring depth per queue
     /// pair (usable capacity is `depth - 1`). Shallow rings turn
     /// submission overload into EBUSY-style backpressure: requests park
-    /// and retry after the next completion interrupt.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth < 2` (one slot is reserved, per the NVMe
-    /// full/empty disambiguation) or `depth` is past NVMe's 65,536
-    /// ([`bpfstor_device::MAX_QUEUE_DEPTH`]). Any depth in between costs
+    /// and retry after the next completion interrupt. Any depth costs
     /// host memory only for the entries actually queued.
     pub fn queue_depth(mut self, depth: usize) -> Self {
-        bpfstor_device::check_queue_depth(depth);
         self.config.profile.queue_depth = depth;
         self
     }
@@ -306,17 +318,7 @@ impl<W: PushdownWorkload> SessionBuilder<W> {
     /// every completion. These knobs drive [`ReapMode::Interrupt`]
     /// only; the adaptive modes carry their own parameters (see
     /// [`SessionBuilder::reap_mode`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth == 0`: a threshold that can never be reached
-    /// would silently disable depth-based firing (use `1` to fire on
-    /// every completion).
     pub fn irq_coalescing(mut self, us: u64, depth: u32) -> Self {
-        assert!(
-            depth >= 1,
-            "irq_coalesce_depth 0 can never fire; use 1 for per-completion interrupts"
-        );
         self.config.irq_coalesce_us = us;
         self.config.irq_coalesce_depth = depth;
         self
@@ -336,7 +338,10 @@ impl<W: PushdownWorkload> SessionBuilder<W> {
     /// [`CommitPolicy::PerFsync`], one flush barrier per fsync):
     /// jbd2-style group commit shares one barrier across concurrent
     /// fsyncs, and writeback adds a background flush timer for
-    /// un-fsynced data. See [`bpfstor_kernel::commit`].
+    /// un-fsynced data. In a tenant group, fsyncs from different
+    /// tenants share one barrier under a grouped policy, its device time
+    /// split across the joined tenants in the report. See
+    /// [`bpfstor_kernel::commit`].
     pub fn commit_policy(mut self, policy: CommitPolicy) -> Self {
         self.config.commit_policy = policy;
         self
@@ -350,7 +355,10 @@ impl<W: PushdownWorkload> SessionBuilder<W> {
     }
 
     /// Shorthand for an NVMe-oF fabric transport: the workload's device
-    /// sits behind a modelled network. Combine with
+    /// sits behind a modelled network — a tenant group's tenants become
+    /// initiators on the same target (tenant ids double as initiator
+    /// ids, for per-initiator credit windows, weighted admission and
+    /// [`RunReport::fabric_initiators`]). Combine with
     /// [`DispatchMode::Remote`] for the no-pushdown baseline (every
     /// dependent hop pays a round trip) or [`DispatchMode::DriverHook`]
     /// for pushdown-over-fabric (the chain runs target-side and returns
@@ -366,14 +374,19 @@ impl<W: PushdownWorkload> SessionBuilder<W> {
         self.retry_budget = budget;
         self
     }
+}
 
+impl<W: PushdownWorkload> SessionBuilder<W> {
     /// Builds the machine and the workload's file (`<workload>.img`),
     /// and attaches the workload to it ([`Member::attach`]).
     ///
     /// # Errors
     ///
-    /// Workload image failures and kernel/verifier rejections.
+    /// [`SessionError::Config`] for a configuration
+    /// [`MachineConfig::check`] refuses, workload image failures and
+    /// kernel/verifier rejections.
     pub fn build(mut self) -> Result<PushdownSession<W>, SessionError> {
+        self.config.check().map_err(SessionError::Config)?;
         let image = self.workload.build_image()?;
         let file_name = format!("{}.img", self.workload.name());
         let mut machine = Machine::new(self.config);
@@ -423,12 +436,7 @@ impl<W: PushdownWorkload> PushdownSession<W> {
     /// Starts building a session around `workload` with the
     /// paper-testbed machine and driver-hook dispatch.
     pub fn builder(workload: W) -> SessionBuilder<W> {
-        SessionBuilder {
-            workload,
-            mode: DispatchMode::DriverHook,
-            config: MachineConfig::default(),
-            retry_budget: 2,
-        }
+        SessionBuilder::new(workload)
     }
 
     /// The dispatch mode this session was built for.

@@ -33,7 +33,7 @@
 //!   as EBUSY-style backpressure, exactly like a saturated hardware
 //!   queue.
 
-use bpfstor_sim::{Nanos, SimRng};
+use bpfstor_sim::{Cores, Nanos, SimRng};
 
 use crate::profile::DeviceProfile;
 use crate::ring::Ring;
@@ -204,20 +204,15 @@ pub struct NvmeDevice {
 }
 
 impl NvmeDevice {
-    /// Creates a device with `nr_queues` queue pairs.
+    /// Creates a device with `nr_queues` queue pairs, one per core.
     ///
     /// # Panics
     ///
-    /// Panics if `nr_queues == 0`, if `profile.channels == 0`, or if
-    /// `profile.queue_depth` is not a queue size NVMe allows (every ring
-    /// checks it: [`crate::check_queue_depth`]) — the checks a
-    /// `MachineConfig` written as a struct literal reaches.
+    /// Panics with the refusal of [`DeviceProfile::check`] or of the
+    /// core-count rule ([`Cores::check`]).
     pub fn new(profile: DeviceProfile, nr_queues: usize, rng: SimRng) -> Self {
-        assert!(nr_queues > 0, "need at least one queue pair");
-        assert!(
-            profile.channels > 0,
-            "channels 0 can never serve a command; a device needs at least one channel"
-        );
+        profile.check().unwrap_or_else(|e| panic!("{e}"));
+        Cores::check(nr_queues).unwrap_or_else(|e| panic!("{e}"));
         let queues = (0..nr_queues)
             .map(|_| QueuePair {
                 sq: Ring::new(profile.queue_depth),
@@ -672,7 +667,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "past NVMe's limit of 65536 slots (MQES)")]
+    #[should_panic(expected = "queue depth 65537: NVMe rings have 2 to 65536")]
     fn a_profile_deeper_than_mqes_is_refused() {
         let profile = DeviceProfile {
             queue_depth: crate::MAX_QUEUE_DEPTH + 1,

@@ -37,5 +37,60 @@ pub use ring::{check_queue_depth, Ring, MAX_QUEUE_DEPTH};
 pub use store::{SectorStore, SECTOR_SIZE};
 pub use transport::{
     FabricConfig, FabricStats, FabricTransport, InitiatorStats, LocalTransport, SubmitClass,
-    Transport, TransportConfig,
+    Transport, TransportConfig, MAX_INITIATORS, MAX_LOSS_PROB,
 };
+
+/// The most internal channels a device has. Real controllers have tens
+/// of channels and at most a few thousand dies; the bound keeps the
+/// channel table (8 B a channel, scanned per command) allocatable.
+pub const MAX_CHANNELS: usize = 1 << 16;
+
+/// A device or fabric configuration the device cannot run as written,
+/// one variant per rule ([`DeviceProfile::check`],
+/// [`crate::FabricConfig::check`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeviceConfigError {
+    /// `channels` outside 1 to [`MAX_CHANNELS`]: with none, no command
+    /// is ever served.
+    Channels(usize),
+    /// A queue depth outside 2 to [`MAX_QUEUE_DEPTH`]: one slot is
+    /// sacrificed to tell full from empty, and NVMe's MQES caps the
+    /// rest.
+    QueueDepth(usize),
+    /// `inflight_cap` 0: no capsule is ever admitted.
+    InflightCap,
+    /// `initiators` outside 1 to [`MAX_INITIATORS`].
+    Initiators(usize),
+    /// `initiator_window` of `Some(0)`: that initiator's capsules are
+    /// never admitted.
+    InitiatorWindow,
+    /// `initiator_weights[i]` is 0: initiator `i` earns no admission
+    /// turn.
+    InitiatorWeight(usize),
+    /// `loss_prob` outside `[0, MAX_LOSS_PROB]` (NaN included): a lost
+    /// crossing is sent again until a copy arrives, `1 / (1 - p)` times
+    /// on average.
+    LossProb,
+    /// `dup_prob` outside `[0, 1]` (NaN included).
+    DupProb,
+    /// `retransmit_timeout_ns` 0: a lost crossing is retransmitted
+    /// without time passing.
+    RetransmitTimeout,
+}
+
+impl std::fmt::Display for DeviceConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use DeviceConfigError::*;
+        match *self {
+            Channels(n) => write!(f, "channels {n}: a device has 1 to {MAX_CHANNELS}"),
+            QueueDepth(n) => write!(f, "queue depth {n}: NVMe rings have 2 to {MAX_QUEUE_DEPTH}"),
+            InflightCap => write!(f, "inflight_cap 0 can never admit a capsule"),
+            Initiators(n) => write!(f, "initiators {n}: a fabric has 1 to {MAX_INITIATORS}"),
+            InitiatorWindow => write!(f, "initiator_window 0 can never admit a capsule"),
+            InitiatorWeight(i) => write!(f, "initiator_weights[{i}] 0 earns no admission turn"),
+            LossProb => write!(f, "loss_prob must be in [0, {MAX_LOSS_PROB}]"),
+            DupProb => write!(f, "dup_prob must be in [0, 1]"),
+            RetransmitTimeout => write!(f, "retransmit_timeout_ns 0 retransmits at once"),
+        }
+    }
+}

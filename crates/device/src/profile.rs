@@ -6,7 +6,9 @@
 //! the *shape* matters for the reproduction: HDD milliseconds, NAND tens
 //! of microseconds, first-gen Optane ~10 µs, second-gen ~3 µs.
 
-use bpfstor_sim::{LatencyDist, Nanos, MICROSECOND, MILLISECOND};
+use bpfstor_sim::{ensure, LatencyDist, Nanos, MICROSECOND, MILLISECOND};
+
+use crate::{DeviceConfigError, MAX_CHANNELS};
 
 /// The four hardware classes of Figure 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,7 +55,7 @@ pub struct DeviceProfile {
     /// Per-command service time for 512 B writes.
     pub write_latency: LatencyDist,
     /// Independent internal channels (dies/planes/actuators): commands on
-    /// different channels overlap fully.
+    /// different channels overlap fully. 1 to [`MAX_CHANNELS`].
     pub channels: usize,
     /// Submission/completion queue depth per queue pair: 2 to
     /// [`crate::MAX_QUEUE_DEPTH`] slots. Host memory follows the entries
@@ -62,6 +64,14 @@ pub struct DeviceProfile {
 }
 
 impl DeviceProfile {
+    /// The profile's rules: its channel count and its queue depth
+    /// ([`crate::check_queue_depth`]).
+    pub fn check(&self) -> Result<(), DeviceConfigError> {
+        let channels = (1..=MAX_CHANNELS).contains(&self.channels);
+        ensure(channels, DeviceConfigError::Channels(self.channels))?;
+        crate::check_queue_depth(self.queue_depth)
+    }
+
     /// Seagate Exos X16: seek + rotational latency dominate. Mean random
     /// read ≈ 4.16 ms (~240 IOPS), a single actuator.
     pub fn hdd_exos_x16() -> Self {

@@ -20,6 +20,8 @@
 //! power-of-two array up to that length divides the counters' period,
 //! so an entry keeps its slot when a counter wraps.
 
+use crate::DeviceConfigError;
+
 /// The deepest queue NVMe allows: MQES, the controller's "maximum queue
 /// entries supported", is a 0's based 16-bit field.
 pub const MAX_QUEUE_DEPTH: usize = 1 << 16;
@@ -27,14 +29,11 @@ pub const MAX_QUEUE_DEPTH: usize = 1 << 16;
 /// The slot array a ring starts with, at most.
 const FIRST_SLOTS: usize = 64;
 
-/// Panics unless `depth` is a queue size NVMe allows: two slots at least
-/// (one is sacrificed), [`MAX_QUEUE_DEPTH`] at most.
-pub fn check_queue_depth(depth: usize) {
-    assert!(depth >= 2, "NVMe rings need at least two slots");
-    assert!(
-        depth <= MAX_QUEUE_DEPTH,
-        "queue depth {depth} is past NVMe's limit of {MAX_QUEUE_DEPTH} slots (MQES)"
-    );
+/// The queue-depth rule, written once: two slots at least (one is
+/// sacrificed), [`MAX_QUEUE_DEPTH`] at most.
+pub fn check_queue_depth(depth: usize) -> Result<(), DeviceConfigError> {
+    let allowed = (2..=MAX_QUEUE_DEPTH).contains(&depth);
+    bpfstor_sim::ensure(allowed, DeviceConfigError::QueueDepth(depth))
 }
 
 /// A bounded FIFO ring.
@@ -55,10 +54,9 @@ impl<T> Ring<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is not a queue size NVMe allows
-    /// ([`check_queue_depth`]).
+    /// Panics with [`check_queue_depth`]'s refusal.
     pub fn new(size: usize) -> Self {
-        check_queue_depth(size);
+        check_queue_depth(size).unwrap_or_else(|e| panic!("{e}"));
         Ring {
             slots: empty_slots(size.min(FIRST_SLOTS).next_power_of_two()),
             cap: (size - 1) as u16,
@@ -217,13 +215,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least two")]
+    #[should_panic(expected = "queue depth 1: NVMe rings have 2 to 65536")]
     fn tiny_ring_rejected() {
         Ring::<u8>::new(1);
     }
 
     #[test]
-    #[should_panic(expected = "past NVMe's limit of 65536 slots (MQES)")]
+    #[should_panic(expected = "queue depth 65537: NVMe rings have 2 to 65536")]
     fn ring_deeper_than_mqes_rejected() {
         Ring::<u8>::new(MAX_QUEUE_DEPTH + 1);
     }

@@ -75,9 +75,10 @@
 //! counted in `bytes_rx` but add no modelled latency (the return
 //! direction is calibrated into the sampled wire distribution).
 
-use bpfstor_sim::{IdMap, LatencyDist, Nanos, SimRng};
+use bpfstor_sim::{ensure, IdMap, LatencyDist, Nanos, SimRng};
 
 use crate::device::{NvmeCommand, NvmeCompletion, NvmeDevice, NvmeOp, QueueError};
+use crate::DeviceConfigError;
 use crate::QueuePairId;
 
 /// Fixed NVMe-oF command-capsule header size in bytes (SQE + ICD header).
@@ -90,6 +91,12 @@ const RSP_CAPSULE_HDR: u64 = 16;
 /// Stride-scheduling constant for the weighted round-robin admission
 /// pick (divided by the initiator's weight per admitted capsule).
 const WRR_STRIDE: u64 = 1 << 16;
+/// The most initiators a target serves: NVMe-oF gives each its own
+/// controller, and controller ids (CNTLID) stop below `0xFFF0`.
+pub const MAX_INITIATORS: usize = 0xFFF0;
+/// The highest [`FabricConfig::loss_prob`]: a crossing is sent
+/// `1 / (1 - loss_prob)` times on average, at most 100.
+pub const MAX_LOSS_PROB: f64 = 0.99;
 
 /// How a submission relates to the fabric (ignored by the local path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,15 +130,16 @@ pub struct FabricConfig {
     /// window. Submissions beyond it are rejected as backpressure,
     /// counted in [`FabricStats::capsule_stalls`].
     pub inflight_cap: usize,
-    /// Number of initiators sharing this target (default 1). Submissions
-    /// are attributed to `initiator % initiators`.
+    /// Number of initiators sharing this target (default 1): 1 to
+    /// [`MAX_INITIATORS`]. Submissions are attributed to
+    /// `initiator % initiators`.
     pub initiators: usize,
     /// Optional per-initiator in-flight-capsule budget across the whole
     /// connection, on top of the per-queue-pair window (default: none).
     pub initiator_window: Option<usize>,
-    /// Weighted round-robin admission weights, indexed by initiator;
-    /// missing or zero entries count as weight 1 (default: empty, i.e.
-    /// equal weights).
+    /// Weighted round-robin admission weights, indexed by initiator,
+    /// each at least 1; missing entries count as weight 1 (default:
+    /// empty, i.e. equal weights).
     pub initiator_weights: Vec<u32>,
     /// Target-side admission service time per arriving command capsule.
     /// Zero (the default) disables the admission queue entirely —
@@ -146,11 +154,11 @@ pub struct FabricConfig {
     /// default) disables congestion.
     pub congestion_ns_per_capsule: Nanos,
     /// Probability that one wire crossing is lost and must be
-    /// retransmitted after [`FabricConfig::retransmit_timeout_ns`].
-    /// Zero (the default) draws no randomness at all, preserving the
-    /// RNG stream of loss-free configurations.
+    /// retransmitted after [`FabricConfig::retransmit_timeout_ns`]: 0
+    /// to [`MAX_LOSS_PROB`]. Zero (the default) draws no randomness at
+    /// all, preserving the RNG stream of loss-free configurations.
     pub loss_prob: f64,
-    /// Retransmission timeout per lost crossing.
+    /// Retransmission timeout per lost crossing (at least 1 ns).
     pub retransmit_timeout_ns: Nanos,
     /// Probability that a retransmitted capsule's "lost" original was
     /// merely delayed: both copies arrive and the target suppresses the
@@ -201,28 +209,13 @@ impl FabricConfig {
     }
 
     /// Sets the number of initiators sharing the target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
     pub fn with_initiators(mut self, n: usize) -> Self {
-        assert!(n >= 1, "a fabric needs at least one initiator");
         self.initiators = n;
         self
     }
 
     /// Sets the per-initiator in-flight-capsule budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is zero — a window that admits nothing would turn
-    /// every I/O into a silent error (the same contract as a zero
-    /// [`FabricConfig::inflight_cap`] at [`FabricTransport::new`]).
     pub fn with_initiator_window(mut self, w: usize) -> Self {
-        assert!(
-            w >= 1,
-            "initiator_window 0 can never admit a capsule; use 1 for single-command windows"
-        );
         self.initiator_window = Some(w);
         self
     }
@@ -250,31 +243,26 @@ impl FabricConfig {
 
     /// Enables probabilistic capsule loss with timeout/retransmit and
     /// duplicate-delivery suppression.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loss_prob` is outside `[0, 1)` or `dup_prob` outside
-    /// `[0, 1]` (NaN included).
     pub fn with_loss(mut self, loss_prob: f64, timeout_ns: Nanos, dup_prob: f64) -> Self {
-        check_loss(loss_prob, dup_prob);
         self.loss_prob = loss_prob;
-        self.retransmit_timeout_ns = timeout_ns.max(1);
+        self.retransmit_timeout_ns = timeout_ns;
         self.dup_prob = dup_prob;
         self
     }
-}
 
-/// A crossing lost with probability 1 is retransmitted forever, so a
-/// fabric that loses every capsule hangs on the first one.
-fn check_loss(loss_prob: f64, dup_prob: f64) {
-    assert!(
-        (0.0..1.0).contains(&loss_prob),
-        "loss_prob {loss_prob} must be in [0, 1): a crossing that is always lost is retransmitted forever"
-    );
-    assert!(
-        (0.0..=1.0).contains(&dup_prob),
-        "dup_prob {dup_prob} must be in [0, 1]"
-    );
+    /// The fabric's rules, one [`DeviceConfigError`] variant each.
+    pub fn check(&self) -> Result<(), DeviceConfigError> {
+        use DeviceConfigError::*;
+        ensure(self.inflight_cap >= 1, InflightCap)?;
+        let initiators = (1..=MAX_INITIATORS).contains(&self.initiators);
+        ensure(initiators, Initiators(self.initiators))?;
+        ensure(self.initiator_window != Some(0), InitiatorWindow)?;
+        let zero_weight = self.initiator_weights.iter().position(|&w| w == 0);
+        zero_weight.map_or(Ok(()), |i| Err(InitiatorWeight(i)))?;
+        ensure((0.0..=MAX_LOSS_PROB).contains(&self.loss_prob), LossProb)?;
+        ensure((0.0..=1.0).contains(&self.dup_prob), DupProb)?;
+        ensure(self.retransmit_timeout_ns >= 1, RetransmitTimeout)
+    }
 }
 
 impl Default for FabricConfig {
@@ -356,17 +344,26 @@ pub struct InitiatorStats {
 ///
 /// `initiator` parameters attribute work to one of the fabric's
 /// initiators (per-initiator credit windows, weighted admission,
-/// per-initiator stats); the local transport ignores them.
+/// per-initiator stats); the local transport ignores them. Every method
+/// but the reap and the device accessors defaults to the local
+/// pass-through to [`Transport::device`]: [`LocalTransport`] is the
+/// defaults, and [`FabricTransport`] overrides what the wire changes.
 pub trait Transport {
     /// Number of queue pairs.
-    fn nr_queues(&self) -> usize;
+    fn nr_queues(&self) -> usize {
+        self.device().nr_queues()
+    }
 
     /// Usable outstanding-command slots per queue pair (the tighter of
     /// the ring capacity and any fabric credit window).
-    fn queue_capacity(&self) -> usize;
+    fn queue_capacity(&self) -> usize {
+        self.device().queue_capacity()
+    }
 
     /// Commands admitted on `qp` and not yet reaped by the host.
-    fn outstanding(&self, qp: QueuePairId) -> usize;
+    fn outstanding(&self, qp: QueuePairId) -> usize {
+        self.device().outstanding(qp)
+    }
 
     /// True when `qp` can admit `n` more commands from `initiator`
     /// right now. `class` matters on a fabric: per-initiator credit
@@ -374,11 +371,15 @@ pub trait Transport {
     /// [`SubmitClass::TargetLocal`] submissions (pushdown flush chases,
     /// target-side resubmissions) bypass the window and only contend
     /// for target ring slots.
-    fn can_accept(&self, qp: QueuePairId, n: usize, initiator: u32, class: SubmitClass) -> bool;
+    fn can_accept(&self, qp: QueuePairId, n: usize, _initiator: u32, _class: SubmitClass) -> bool {
+        self.device().can_accept(qp, n)
+    }
 
     /// Counts a submission the driver declined to attempt because
     /// [`Transport::can_accept`] said no.
-    fn record_rejection(&mut self, initiator: u32);
+    fn record_rejection(&mut self, _initiator: u32) {
+        self.device_mut().record_rejection();
+    }
 
     /// Enqueues a command from `initiator` without ringing the doorbell.
     ///
@@ -390,9 +391,11 @@ pub trait Transport {
         &mut self,
         qp: QueuePairId,
         cmd: NvmeCommand,
-        class: SubmitClass,
-        initiator: u32,
-    ) -> Result<(), QueueError>;
+        _class: SubmitClass,
+        _initiator: u32,
+    ) -> Result<(), QueueError> {
+        self.device_mut().submit(qp, cmd)
+    }
 
     /// Rings the doorbell at `now`: everything queued on `qp` is put in
     /// motion. Returns the host-visible completion instants (for the
@@ -401,11 +404,15 @@ pub trait Transport {
     /// # Errors
     ///
     /// [`QueueError::NoSuchQueue`] for bad ids.
-    fn ring_doorbell(&mut self, now: Nanos, qp: QueuePairId) -> Result<&[Nanos], QueueError>;
+    fn ring_doorbell(&mut self, now: Nanos, qp: QueuePairId) -> Result<&[Nanos], QueueError> {
+        self.device_mut().ring_doorbell(now, qp)
+    }
 
     /// Posts every completion whose host-visible instant has passed onto
     /// the host completion queue; returns how many were posted.
-    fn post_ready(&mut self, now: Nanos, qp: QueuePairId) -> usize;
+    fn post_ready(&mut self, now: Nanos, qp: QueuePairId) -> usize {
+        self.device_mut().post_ready(now, qp)
+    }
 
     /// Drains up to `max` posted completions at host-visible time `now`
     /// (the IRQ handler's or poller's reap), freeing their
@@ -419,16 +426,24 @@ pub trait Transport {
     /// Puts a terminal pushdown response capsule for `initiator` on the
     /// wire at `now`: returns `(host arrival instant, wire nanoseconds)`
     /// on a fabric, `None` on the local transport (nothing to cross).
-    fn response_capsule(&mut self, now: Nanos, initiator: u32) -> Option<(Nanos, Nanos)>;
+    fn response_capsule(&mut self, _now: Nanos, _initiator: u32) -> Option<(Nanos, Nanos)> {
+        None
+    }
 
     /// True for fabric transports.
-    fn is_fabric(&self) -> bool;
+    fn is_fabric(&self) -> bool {
+        false
+    }
 
     /// Fabric counters for the current run (zeroes on local).
-    fn fabric_stats(&self) -> FabricStats;
+    fn fabric_stats(&self) -> FabricStats {
+        FabricStats::default()
+    }
 
     /// Per-initiator fabric counters (empty on local).
-    fn initiator_stats(&self) -> Vec<InitiatorStats>;
+    fn initiator_stats(&self) -> Vec<InitiatorStats> {
+        Vec::new()
+    }
 
     /// The backing device (target-side on a fabric).
     fn device(&self) -> &NvmeDevice;
@@ -437,7 +452,9 @@ pub trait Transport {
     fn device_mut(&mut self) -> &mut NvmeDevice;
 
     /// Resets per-run timing/counter state (stored bytes untouched).
-    fn reset_timing(&mut self);
+    fn reset_timing(&mut self) {
+        self.device_mut().reset_timing();
+    }
 }
 
 /// PCIe pass-through: the pre-transport dispatch path, unchanged.
@@ -476,63 +493,9 @@ fn host_reap(
 }
 
 impl Transport for LocalTransport {
-    fn nr_queues(&self) -> usize {
-        self.dev.nr_queues()
-    }
-
-    fn queue_capacity(&self) -> usize {
-        self.dev.queue_capacity()
-    }
-
-    fn outstanding(&self, qp: QueuePairId) -> usize {
-        self.dev.outstanding(qp)
-    }
-
-    fn can_accept(&self, qp: QueuePairId, n: usize, _initiator: u32, _class: SubmitClass) -> bool {
-        self.dev.can_accept(qp, n)
-    }
-
-    fn record_rejection(&mut self, _initiator: u32) {
-        self.dev.record_rejection();
-    }
-
-    fn submit(
-        &mut self,
-        qp: QueuePairId,
-        cmd: NvmeCommand,
-        _class: SubmitClass,
-        _initiator: u32,
-    ) -> Result<(), QueueError> {
-        self.dev.submit(qp, cmd)
-    }
-
-    fn ring_doorbell(&mut self, now: Nanos, qp: QueuePairId) -> Result<&[Nanos], QueueError> {
-        self.dev.ring_doorbell(now, qp)
-    }
-
-    fn post_ready(&mut self, now: Nanos, qp: QueuePairId) -> usize {
-        self.dev.post_ready(now, qp)
-    }
-
     fn reap(&mut self, now: Nanos, qp: QueuePairId, max: usize) -> &mut Vec<NvmeCompletion> {
         host_reap(&mut self.dev, &mut self.reaped, now, qp, max);
         &mut self.reaped
-    }
-
-    fn response_capsule(&mut self, _now: Nanos, _initiator: u32) -> Option<(Nanos, Nanos)> {
-        None
-    }
-
-    fn is_fabric(&self) -> bool {
-        false
-    }
-
-    fn fabric_stats(&self) -> FabricStats {
-        FabricStats::default()
-    }
-
-    fn initiator_stats(&self) -> Vec<InitiatorStats> {
-        Vec::new()
     }
 
     fn device(&self) -> &NvmeDevice {
@@ -541,10 +504,6 @@ impl Transport for LocalTransport {
 
     fn device_mut(&mut self) -> &mut NvmeDevice {
         &mut self.dev
-    }
-
-    fn reset_timing(&mut self) {
-        self.dev.reset_timing();
     }
 }
 
@@ -649,7 +608,7 @@ impl Wire {
                 self.stats.lost += 1;
                 self.stats.retransmits += 1;
                 init.retransmits += 1;
-                total += cfg.retransmit_timeout_ns.max(1);
+                total += cfg.retransmit_timeout_ns;
                 if cfg.dup_prob > 0.0 && self.rng.chance(cfg.dup_prob) {
                     self.stats.dups_suppressed += 1;
                 }
@@ -678,21 +637,9 @@ impl FabricTransport {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.inflight_cap`, `cfg.initiators`, or a configured
-    /// `cfg.initiator_window` is zero — windows that admit nothing turn
-    /// every I/O into a silent error — or if `cfg.loss_prob` or
-    /// `cfg.dup_prob` is out of range ([`FabricConfig::with_loss`]).
+    /// Panics with [`FabricConfig::check`]'s refusal.
     pub fn new(dev: NvmeDevice, cfg: FabricConfig, rng: SimRng) -> Self {
-        assert!(
-            cfg.inflight_cap >= 1,
-            "inflight_cap 0 can never admit a capsule; use 1 for single-command windows"
-        );
-        assert!(cfg.initiators >= 1, "a fabric needs at least one initiator");
-        assert!(
-            cfg.initiator_window != Some(0),
-            "initiator_window 0 can never admit a capsule; use 1 for single-command windows"
-        );
-        check_loss(cfg.loss_prob, cfg.dup_prob);
+        cfg.check().unwrap_or_else(|e| panic!("{e}"));
         let sq = (0..dev.nr_queues()).map(|_| Vec::new()).collect();
         let inits = (0..cfg.initiators).map(|_| InitState::default()).collect();
         FabricTransport {
@@ -715,7 +662,7 @@ impl FabricTransport {
         initiator as usize % self.inits.len()
     }
 
-    /// The admission weight of one initiator (missing/zero entries are
+    /// The admission weight of one initiator (a missing entry is
     /// weight 1).
     fn weight(&self, init: usize) -> u64 {
         u64::from(
@@ -724,7 +671,6 @@ impl FabricTransport {
                 .initiator_weights
                 .get(init)
                 .copied()
-                .filter(|&w| w > 0)
                 .unwrap_or(1),
         )
     }
@@ -773,10 +719,6 @@ impl FabricTransport {
 }
 
 impl Transport for FabricTransport {
-    fn nr_queues(&self) -> usize {
-        self.dev.nr_queues()
-    }
-
     fn queue_capacity(&self) -> usize {
         self.dev.queue_capacity().min(self.wire.cfg.inflight_cap)
     }
@@ -920,10 +862,6 @@ impl Transport for FabricTransport {
         bell.meta.clear();
         self.bell = bell;
         Ok(&self.bell.times)
-    }
-
-    fn post_ready(&mut self, now: Nanos, qp: QueuePairId) -> usize {
-        self.dev.post_ready(now, qp)
     }
 
     fn reap(&mut self, now: Nanos, qp: QueuePairId, max: usize) -> &mut Vec<NvmeCompletion> {
@@ -1303,13 +1241,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "loss_prob 1 must be in [0, 1)")]
+    #[should_panic(expected = "value: LossProb")]
     fn certain_loss_panics_at_with_loss() {
-        let _ = FabricConfig::default().with_loss(1.0, 50_000, 0.0);
+        FabricConfig::default()
+            .with_loss(1.0, 50_000, 0.0)
+            .check()
+            .unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "loss_prob NaN must be in [0, 1)")]
+    #[should_panic(expected = "loss_prob must be in [0, 0.99]")]
     fn nan_loss_prob_literal_panics_at_build() {
         let cfg = FabricConfig {
             loss_prob: f64::NAN,
@@ -1319,13 +1260,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dup_prob 1.5 must be in [0, 1]")]
+    #[should_panic(expected = "value: DupProb")]
     fn dup_prob_above_one_panics_at_with_loss() {
-        let _ = FabricConfig::default().with_loss(0.1, 50_000, 1.5);
+        FabricConfig::default()
+            .with_loss(0.1, 50_000, 1.5)
+            .check()
+            .unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "dup_prob -0.5 must be in [0, 1]")]
+    #[should_panic(expected = "dup_prob must be in [0, 1]")]
     fn negative_dup_prob_literal_panics_at_build() {
         let cfg = FabricConfig {
             dup_prob: -0.5,
@@ -1335,7 +1279,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "channels 0 can never serve a command")]
+    #[should_panic(expected = "channels 0: a device has 1 to 65536")]
     fn zero_channel_device_panics_at_build() {
         let profile = DeviceProfile {
             channels: 0,

@@ -113,31 +113,29 @@ impl ExtentTree {
                 "extent overlap: {ext:?} vs {next:?}"
             );
         }
-        // Try merging with the predecessor.
-        let mut merged = ext;
-        let mut insert_at = idx;
-        if idx > 0 {
-            let prev = self.exts[idx - 1];
-            if prev.logical_end() == merged.logical && prev.physical + prev.len == merged.physical {
-                merged = Extent {
-                    logical: prev.logical,
-                    physical: prev.physical,
-                    len: prev.len + merged.len,
-                };
-                self.exts.remove(idx - 1);
-                insert_at = idx - 1;
+        // Merge in place with the predecessor and the successor it
+        // continues both logically and physically: the tail shifts at
+        // most once, for an insert that merges with neither or a merge
+        // that swallows the successor.
+        let joins = |a: &Extent, b: &Extent| {
+            a.logical_end() == b.logical && a.physical + a.len == b.physical
+        };
+        let prev = idx > 0 && joins(&self.exts[idx - 1], &ext);
+        let next = self.exts.get(idx).is_some_and(|next| joins(&ext, next));
+        match (prev, next) {
+            (true, true) => {
+                let next = self.exts.remove(idx);
+                self.exts[idx - 1].len += ext.len + next.len;
             }
-        }
-        // Try merging with the successor.
-        if insert_at < self.exts.len() {
-            let next = self.exts[insert_at];
-            if merged.logical_end() == next.logical && merged.physical + merged.len == next.physical
-            {
-                merged.len += next.len;
-                self.exts.remove(insert_at);
+            (true, false) => self.exts[idx - 1].len += ext.len,
+            (false, true) => {
+                self.exts[idx] = Extent {
+                    len: ext.len + self.exts[idx].len,
+                    ..ext
+                }
             }
+            (false, false) => self.exts.insert(idx, ext),
         }
-        self.exts.insert(insert_at, merged);
     }
 
     /// Unmaps the logical range `[lb, lb + n)`, returning the physical

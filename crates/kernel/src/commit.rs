@@ -55,8 +55,8 @@ pub enum CommitPolicy {
         max_wait_us: u64,
         /// Seal early once this many fsyncs have joined the window.
         /// `1` degenerates to per-fsync timing (still one barrier per
-        /// seal, but nothing waits); `0` is refused when the machine is
-        /// built.
+        /// seal, but nothing waits); `0` is refused
+        /// ([`crate::ConfigError::GroupMaxHandles`]).
         max_handles: u32,
     },
     /// Group commit plus background writeback: un-fsynced journal
@@ -66,7 +66,7 @@ pub enum CommitPolicy {
     /// added wait) and block until their barrier's CQE.
     Writeback {
         /// Background flush period, in microseconds; `0` is refused
-        /// when the machine is built.
+        /// ([`crate::ConfigError::WritebackInterval`]).
         flush_interval_us: u64,
     },
 }
@@ -226,6 +226,7 @@ struct InFlight {
 /// the next seal is due. Inputs are op ids and `now`; outputs are
 /// actions — the machine owns the journal, the event queue and every
 /// charge.
+#[derive(Default)]
 pub(crate) struct Barrier {
     policy: CommitPolicy,
     /// Sealed transactions awaiting their CQEs, keyed by leader: at
@@ -251,26 +252,12 @@ pub(crate) struct Barrier {
 }
 
 impl Barrier {
+    /// An idle barrier under a checked policy
+    /// ([`crate::MachineConfig::check`]).
     pub(crate) fn new(policy: CommitPolicy) -> Self {
-        match policy {
-            CommitPolicy::Group { max_handles: 0, .. } => {
-                panic!("CommitPolicy::Group max_handles 0 admits no fsync to a transaction")
-            }
-            CommitPolicy::Writeback {
-                flush_interval_us: 0,
-            } => panic!("CommitPolicy::Writeback flush_interval_us 0 ticks without time passing"),
-            _ => {}
-        }
         Barrier {
             policy,
-            in_flight: Vec::new(),
-            window: Vec::new(),
-            retired: Vec::new(),
-            window_due: false,
-            timer_armed: false,
-            seal_epoch: 0,
-            wb_armed: false,
-            wb_epoch: 0,
+            ..Barrier::default()
         }
     }
 

@@ -1,12 +1,15 @@
-//! Machine construction parameters ([`MachineConfig`]) and the
-//! injectable host clock ([`ExecClock`]).
+//! Machine construction parameters ([`MachineConfig`]), the one check
+//! of them ([`MachineConfig::check`], refusing by [`ConfigError`]), and
+//! the injectable host clock ([`ExecClock`]).
 
-use bpfstor_device::{DeviceProfile, TransportConfig};
+use bpfstor_device::{DeviceConfigError, DeviceProfile, TransportConfig};
+use bpfstor_sim::{ensure, CoreCountError, Cores};
 use bpfstor_vm::ExecEngine;
 
 use crate::commit::CommitPolicy;
 use crate::costs::LayerCosts;
-use crate::reaper::ReapMode;
+use crate::reaper::{ReapMode, MAX_HYBRID_WINDOW};
+use crate::tenant::TenantId;
 
 /// A monotonic host-CPU clock the harness injects to *measure* real
 /// per-hop execution time ([`MachineConfig::exec_clock`]). The machine
@@ -56,7 +59,8 @@ pub struct MachineConfig {
     pub irq_coalesce_us: u64,
     /// Interrupt-coalescing aggregation threshold: the interrupt fires
     /// as soon as this many CQEs are pending, even inside the time
-    /// budget. `1` (or `0`) disables depth-based coalescing.
+    /// budget. `1` disables depth-based coalescing; `0`, a threshold
+    /// never reached, is refused.
     pub irq_coalesce_depth: u32,
     /// Completion-delivery policy: static interrupts (the default, using
     /// the two coalescing knobs above), adaptive interrupts, dedicated
@@ -100,6 +104,104 @@ impl Default for MachineConfig {
             exec_engine: ExecEngine::default(),
             exec_clock: None,
             commit_policy: CommitPolicy::PerFsync,
+        }
+    }
+}
+
+/// A configuration that cannot run as written: one variant per rule of
+/// [`MachineConfig::check`], plus the tenant rules of
+/// [`crate::Machine::register_tenant`] and
+/// [`crate::Machine::set_tenant_limits`]. `docs/API.md` tables each
+/// rule, its variant and the test that refuses it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `cores` outside 1 to [`bpfstor_sim::MAX_CORES`] ([`Cores::check`]).
+    CoreCount(CoreCountError),
+    /// A device or fabric rule ([`DeviceProfile::check`],
+    /// [`bpfstor_device::FabricConfig::check`]).
+    Device(DeviceConfigError),
+    /// `fs_blocks` 0: a file system without a block.
+    FsBlocks,
+    /// `irq_coalesce_depth` 0: a threshold never reached.
+    IrqCoalesceDepth,
+    /// `(min_depth, max_depth)` of an [`crate::AdaptiveIrqConfig`], in
+    /// `AdaptiveIrq` or `Hybrid` mode, that is not a range of depths from
+    /// 1 up: a threshold of 0 never fires.
+    AdaptiveDepths(u32, u32),
+    /// A [`crate::PollConfig::interval_ns`] of 0, in `Polled` or `Hybrid`
+    /// mode: a poller that visits without time passing.
+    PollInterval,
+    /// A [`crate::HybridConfig::window`] outside 1 to
+    /// [`MAX_HYBRID_WINDOW`] load samples.
+    HybridWindow(usize),
+    /// `(low_watermark, high_watermark)` of a [`crate::HybridConfig`]
+    /// whose low mark is not below its high one: the scheduler flaps.
+    Watermarks(usize, usize),
+    /// `CommitPolicy::Group { max_handles: 0 }`: no fsync ever joins.
+    GroupMaxHandles,
+    /// `CommitPolicy::Writeback { flush_interval_us: 0 }`.
+    WritebackInterval,
+    /// A [`crate::TenantLimits::weight`] of 0: no reap turn is earned.
+    TenantWeight,
+    /// Limits set for a tenant that was never registered.
+    NoSuchTenant(TenantId),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use ConfigError::*;
+        match *self {
+            CoreCount(e) => write!(f, "{e}"),
+            Device(e) => write!(f, "{e}"),
+            FsBlocks => write!(f, "fs_blocks 0 holds no file"),
+            IrqCoalesceDepth => write!(f, "irq_coalesce_depth 0 can never fire; use 1"),
+            AdaptiveDepths(min, max) => write!(f, "depths {min}..={max}: need 1 <= min <= max"),
+            PollInterval => write!(f, "interval_ns 0 polls without end; use 1 or more"),
+            HybridWindow(n) => write!(f, "window {n} is outside 1 to {MAX_HYBRID_WINDOW}"),
+            Watermarks(low, high) => write!(f, "low_watermark {low} is not below {high}"),
+            GroupMaxHandles => write!(f, "CommitPolicy::Group max_handles 0 admits no fsync"),
+            WritebackInterval => write!(f, "CommitPolicy::Writeback flush_interval_us 0"),
+            TenantWeight => write!(f, "TenantLimits::weight 0 never earns a reap turn"),
+            NoSuchTenant(t) => write!(f, "tenant {t} not registered"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl MachineConfig {
+    /// Every rule a machine's configuration meets, each written once,
+    /// checked in field order: the first one broken is the refusal.
+    /// [`crate::Machine::new`] panics with it; the session builders
+    /// return it.
+    ///
+    /// # Errors
+    ///
+    /// The broken rule's [`ConfigError`].
+    pub fn check(&self) -> Result<(), ConfigError> {
+        use CommitPolicy::{Group, PerFsync, Writeback};
+        use ConfigError::*;
+        Cores::check(self.cores).map_err(CoreCount)?;
+        self.profile.check().map_err(Device)?;
+        ensure(self.fs_blocks >= 1, FsBlocks)?;
+        ensure(self.irq_coalesce_depth >= 1, IrqCoalesceDepth)?;
+        // A part the reap mode lacks meets its rules.
+        let (irq, poll, hybrid) = self.reap_mode.parts();
+        let (min, max) = irq.map_or((1, 1), |c| (c.min_depth, c.max_depth));
+        ensure(1 <= min && min <= max, AdaptiveDepths(min, max))?;
+        ensure(poll.is_none_or(|p| p.interval_ns >= 1), PollInterval)?;
+        let h = hybrid.unwrap_or_default();
+        let (window, low, high) = (h.window, h.low_watermark, h.high_watermark);
+        let windowed = (1..=MAX_HYBRID_WINDOW).contains(&window);
+        ensure(windowed, HybridWindow(window))?;
+        ensure(low < high, Watermarks(low, high))?;
+        if let TransportConfig::Fabric(fabric) = &self.transport {
+            fabric.check().map_err(Device)?;
+        }
+        match self.commit_policy {
+            Group { max_handles, .. } => ensure(max_handles >= 1, GroupMaxHandles),
+            Writeback { flush_interval_us } => ensure(flush_interval_us >= 1, WritebackInterval),
+            PerFsync => Ok(()),
         }
     }
 }

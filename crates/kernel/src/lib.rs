@@ -37,7 +37,7 @@ pub use chain::{
     ChainVerdict, DispatchMode, Fd, Law, ProgHandle, RunReport, UserNext, WriteStart,
 };
 pub use commit::{CommitLog, CommitPolicy, CommitStats};
-pub use config::{ExecClock, MachineConfig};
+pub use config::{ConfigError, ExecClock, MachineConfig};
 pub use costs::LayerCosts;
 pub use extcache::{ExtCacheStats, ExtentCache};
 pub use machine::{KernelError, Machine, Mutation};

@@ -150,7 +150,7 @@ use bpfstor_device::{
     SECTOR_SIZE,
 };
 use bpfstor_fs::{cut_runs, ExtFs, ExtentEvent, FsError};
-use bpfstor_sim::{Cores, EventQueue, Histogram, IdMap, Nanos, SimRng};
+use bpfstor_sim::{ensure, Cores, EventQueue, Histogram, IdMap, Nanos, SimRng};
 use bpfstor_vm::{
     action, admit, CompiledProg, ExecEngine, ExecEnv, MapSet, Program, ResourceBudget, RunCtx, Vm,
     DEFAULT_INSN_BUDGET, EMIT_MAX, SCRATCH_SIZE,
@@ -161,7 +161,7 @@ use crate::chain::{
     DispatchMode, Fd, ProgHandle, RunReport, UserNext, WriteStart,
 };
 use crate::commit::{Barrier, CommitLog, Request, Tick};
-use crate::config::{ExecClock, MachineConfig};
+use crate::config::{ConfigError, ExecClock, MachineConfig};
 use crate::costs::{Item, LayerCosts};
 use crate::extcache::{ExtCacheStats, ExtentCache};
 use crate::reaper::{FairSched, ReapKind, Reaper};
@@ -185,6 +185,8 @@ pub enum KernelError {
     Fs(String),
     /// A buffered (non-`O_DIRECT`) open: only direct I/O is modelled.
     Buffered,
+    /// An open on behalf of a tenant that was never registered.
+    NoSuchTenant(TenantId),
 }
 
 impl std::fmt::Display for KernelError {
@@ -199,6 +201,7 @@ impl std::fmt::Display for KernelError {
             KernelError::NotInstalled => write!(f, "no program attached to fd"),
             KernelError::Fs(e) => write!(f, "fs: {e}"),
             KernelError::Buffered => write!(f, "buffered I/O is not modelled: open with O_DIRECT"),
+            KernelError::NoSuchTenant(t) => write!(f, "tenant {t} not registered"),
         }
     }
 }
@@ -708,7 +711,13 @@ pub struct Machine {
 
 impl Machine {
     /// Builds a machine from its configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`MachineConfig::check`]'s refusal; a caller that
+    /// wants the [`ConfigError`] checks first.
     pub fn new(cfg: MachineConfig) -> Self {
+        cfg.check().unwrap_or_else(|e| panic!("{e}"));
         let mut rng = SimRng::seed(cfg.seed);
         let dev_rng = rng.fork(1);
         let cores = Cores::new(cfg.cores);
@@ -793,19 +802,14 @@ impl Machine {
     /// its resubmission bound, its fair-reaping weight, and its slice of
     /// the run report.
     ///
-    /// # Panics
-    ///
-    /// Panics on an unregistered tenant (register first with
-    /// [`Machine::register_tenant`]).
-    ///
     /// # Errors
     ///
-    /// [`KernelError::NoSuchFile`] when absent.
+    /// [`KernelError::NoSuchTenant`] for a tenant not registered with
+    /// [`Machine::register_tenant`]; [`KernelError::NoSuchFile`] when
+    /// absent.
     pub fn open_for(&mut self, tenant: TenantId, name: &str) -> Result<Fd, KernelError> {
-        assert!(
-            (tenant as usize) < self.tenants.len(),
-            "tenant {tenant} not registered"
-        );
+        let registered = (tenant as usize) < self.tenants.len();
+        ensure(registered, KernelError::NoSuchTenant(tenant))?;
         let ino = self.fs.open(name).map_err(|_| KernelError::NoSuchFile)?;
         let fd = self.next_fd;
         self.next_fd += 1;
@@ -819,39 +823,39 @@ impl Machine {
     /// Tenant 0 (default limits) exists from construction; re-limiting
     /// it goes through [`Machine::set_tenant_limits`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a zero [`TenantLimits::weight`].
-    pub fn register_tenant(&mut self, limits: TenantLimits) -> TenantId {
+    /// [`TenantLimits::check`]'s refusal, registering nothing.
+    pub fn register_tenant(&mut self, limits: TenantLimits) -> Result<TenantId, ConfigError> {
+        limits.check()?;
         let id = self.tenants.len() as TenantId;
-        let default = TenantLimits::default();
-        self.tenants.push(default);
+        self.tenants.push(limits);
         self.run
             .tstats
-            .push(TenantBreakdown::fresh(id, default.weight));
+            .push(TenantBreakdown::fresh(id, limits.weight));
         self.run.resub.push(Vec::new());
         self.admission.add_tenant();
-        self.set_tenant_limits(id, limits);
-        id
+        Ok(id)
     }
 
     /// Replaces a registered tenant's limits (e.g. re-weighting the
     /// default tenant before a fairness experiment).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an unregistered tenant or a zero
-    /// [`TenantLimits::weight`].
-    pub fn set_tenant_limits(&mut self, tenant: TenantId, limits: TenantLimits) {
+    /// [`ConfigError::NoSuchTenant`] for an unregistered tenant, or
+    /// [`TenantLimits::check`]'s refusal; either changes nothing.
+    pub fn set_tenant_limits(
+        &mut self,
+        tenant: TenantId,
+        limits: TenantLimits,
+    ) -> Result<(), ConfigError> {
         let t = tenant as usize;
-        assert!(t < self.tenants.len(), "tenant {tenant} not registered");
-        // A tenant whose turns bank no credit would never be reaped.
-        assert!(
-            limits.weight >= 1,
-            "TenantLimits::weight 0 never earns a reap turn"
-        );
+        ensure(t < self.tenants.len(), ConfigError::NoSuchTenant(tenant))?;
+        limits.check()?;
         self.tenants[t] = limits;
         self.run.tstats[t].weight = limits.weight;
+        Ok(())
     }
 
     /// Number of registered tenants (≥ 1: tenant 0 always exists).

@@ -40,9 +40,10 @@
 use bpfstor_sim::Nanos;
 
 /// Which reaping mechanism is live on a queue pair right now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReapKind {
     /// Completions are delivered by (coalesced) interrupts.
+    #[default]
     Interrupt,
     /// Completions are reaped by the per-core poller loop.
     Polled,
@@ -99,7 +100,8 @@ pub struct HybridConfig {
     /// Switch back to interrupts when it falls to this many or fewer
     /// (below `high_watermark`).
     pub low_watermark: usize,
-    /// Sliding-window length in reap-time load samples (≥ 1).
+    /// Sliding-window length in reap-time load samples: 1 to
+    /// [`MAX_HYBRID_WINDOW`].
     pub window: usize,
     /// Hysteresis: samples to ignore after a transition before the next
     /// switch is allowed (keeps the scheduler from flapping).
@@ -119,6 +121,11 @@ impl Default for HybridConfig {
     }
 }
 
+/// The longest [`HybridConfig::window`]. Each queue pair holds its own
+/// window, so at [`bpfstor_sim::MAX_CORES`] queue pairs the windows
+/// cost what the rings' first 64 slots do.
+pub const MAX_HYBRID_WINDOW: usize = 1024;
+
 /// The machine-wide completion-delivery policy.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum ReapMode {
@@ -132,6 +139,28 @@ pub enum ReapMode {
     Polled(PollConfig),
     /// Per-queue-pair switching between polling and interrupts by load.
     Hybrid(HybridConfig),
+}
+
+/// What a [`ReapMode`] turns on ([`ReapMode::parts`]).
+type ModeParts = (
+    Option<AdaptiveIrqConfig>,
+    Option<PollConfig>,
+    Option<HybridConfig>,
+);
+
+impl ReapMode {
+    /// What the mode turns on: rate-adaptive interrupt parameters (else
+    /// the static knobs), a poller, load-driven switching. A pure
+    /// poller never arms an interrupt, so its interrupt parameters are
+    /// never read.
+    pub(crate) fn parts(&self) -> ModeParts {
+        match *self {
+            ReapMode::Interrupt => (None, None, None),
+            ReapMode::AdaptiveIrq(c) => (Some(c), None, None),
+            ReapMode::Polled(p) => (None, Some(p), None),
+            ReapMode::Hybrid(c) => (Some(c.irq), Some(c.poll), Some(c)),
+        }
+    }
 }
 
 /// One hybrid-scheduler mode switch.
@@ -171,7 +200,7 @@ pub struct ReaperStats {
 }
 
 /// Per-queue-pair reaping state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct QpReap {
     /// The armed interrupt timer; `Ev::IrqFire` events that do not match
     /// are stale and ignored.
@@ -237,59 +266,10 @@ pub struct Reaper {
 impl Reaper {
     /// Builds the reaper for `nr_queues` queue pairs. `static_ns` /
     /// `static_depth` are the legacy coalescing knobs, used only by
-    /// [`ReapMode::Interrupt`]. A zero `static_depth` is clamped to one
-    /// ("fire immediately"): a depth that can never be reached would
-    /// silently disable depth-based firing. The session builder rejects
-    /// 0 outright so misconfiguration is loud.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a mode that cannot run as written: a zero
-    /// [`PollConfig::interval_ns`] or [`HybridConfig::window`], a
-    /// [`HybridConfig::low_watermark`] not below `high_watermark`, a zero
-    /// [`AdaptiveIrqConfig::min_depth`], or a `max_depth` below it.
+    /// [`ReapMode::Interrupt`]. The mode and the knobs are a checked
+    /// configuration's ([`crate::MachineConfig::check`]).
     pub fn new(mode: ReapMode, nr_queues: usize, static_ns: Nanos, static_depth: u32) -> Self {
-        // What each mode turns on: rate-adaptive interrupt parameters
-        // (else the static knobs), a poller, load-driven switching. A
-        // pure poller never arms an interrupt, so its interrupt
-        // parameters are never read.
-        let (irq, poll, hybrid) = match mode {
-            ReapMode::Interrupt => (None, None, None),
-            ReapMode::AdaptiveIrq(c) => (Some(c), None, None),
-            ReapMode::Polled(p) => (None, Some(p), None),
-            ReapMode::Hybrid(c) => (Some(c.irq), Some(c.poll), Some(c)),
-        };
-        if let Some(c) = irq {
-            assert!(
-                c.min_depth >= 1,
-                "min_depth 0 can never fire; use 1 to fire per CQE"
-            );
-            assert!(
-                c.max_depth >= c.min_depth,
-                "max_depth {} is below min_depth {}",
-                c.max_depth,
-                c.min_depth
-            );
-        }
-        if let Some(p) = poll {
-            assert!(
-                p.interval_ns >= 1,
-                "interval_ns 0 polls without end; use 1 or more"
-            );
-        }
-        if let Some(h) = hybrid {
-            assert!(
-                h.window >= 1,
-                "window 0 holds no load sample; use 1 or more"
-            );
-            assert!(
-                h.low_watermark < h.high_watermark,
-                "low_watermark {} must be below high_watermark {}: the scheduler would flap",
-                h.low_watermark,
-                h.high_watermark
-            );
-        }
-        let start_depth = irq.map_or(static_depth.max(1), |c| c.min_depth);
+        let (irq, poll, hybrid) = mode.parts();
         let policy = Policy {
             // The hybrid pair starts interrupt-driven and earns its
             // poller under load.
@@ -297,7 +277,7 @@ impl Reaper {
                 (Some(_), None) => ReapKind::Polled,
                 _ => ReapKind::Interrupt,
             },
-            start_depth,
+            start_depth: irq.map_or(static_depth, |c| c.min_depth),
             irq_budget_ns: irq.map_or(static_ns, |c| c.budget_us.saturating_mul(1_000)),
             max_depth: irq.map(|c| c.max_depth),
             poll_interval_ns: poll.unwrap_or_default().interval_ns,
@@ -314,17 +294,10 @@ impl Reaper {
 
     fn fresh_qp(&self) -> QpReap {
         QpReap {
-            irq_at: None,
-            poll_at: None,
             active: self.policy.start,
             depth: self.policy.start_depth,
-            avg_gap: 0,
-            last_reap_at: 0,
-            load_peak: 0,
             window: vec![0; self.policy.hybrid.map_or(0, |h| h.window)],
-            window_pos: 0,
-            window_len: 0,
-            dwell_left: 0,
+            ..QpReap::default()
         }
     }
 
@@ -605,6 +578,16 @@ impl FairSched {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ConfigError, MachineConfig};
+
+    /// The default machine under `reap_mode`, checked.
+    fn checked(reap_mode: ReapMode) -> Result<(), ConfigError> {
+        let cfg = MachineConfig {
+            reap_mode,
+            ..MachineConfig::default()
+        };
+        cfg.check()
+    }
 
     fn adaptive() -> Reaper {
         Reaper::new(
@@ -644,61 +627,62 @@ mod tests {
     }
 
     #[test]
-    fn zero_static_depth_clamps_to_immediate() {
-        let mut r = Reaper::new(ReapMode::Interrupt, 1, 0, 0);
-        assert_eq!(
-            r.arm_irq(0, due(&[500])),
-            Some(500),
-            "depth 0 behaves like depth 1"
-        );
+    fn a_zero_static_depth_is_refused() {
+        // A threshold never reached is refused, not read as 1: a
+        // "no coalescing" config would lie about itself.
+        let cfg = MachineConfig {
+            irq_coalesce_depth: 0,
+            ..MachineConfig::default()
+        };
+        assert_eq!(cfg.check(), Err(ConfigError::IrqCoalesceDepth));
     }
 
     #[test]
-    #[should_panic(expected = "interval_ns 0 polls without end")]
+    #[should_panic(expected = "value: PollInterval")]
     fn zero_poll_interval_panics() {
-        Reaper::new(ReapMode::Polled(PollConfig { interval_ns: 0 }), 1, 0, 1);
+        checked(ReapMode::Polled(PollConfig { interval_ns: 0 })).unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "window 0 holds no load sample")]
+    #[should_panic(expected = "value: HybridWindow(0)")]
     fn zero_hybrid_window_panics() {
         let cfg = HybridConfig {
             window: 0,
             ..HybridConfig::default()
         };
-        Reaper::new(ReapMode::Hybrid(cfg), 1, 0, 1);
+        checked(ReapMode::Hybrid(cfg)).unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "low_watermark 4 must be below high_watermark 4")]
+    #[should_panic(expected = "value: Watermarks(4, 4)")]
     fn hybrid_watermarks_that_do_not_straddle_panic() {
         let cfg = HybridConfig {
             low_watermark: 4,
             high_watermark: 4,
             ..HybridConfig::default()
         };
-        Reaper::new(ReapMode::Hybrid(cfg), 1, 0, 1);
+        checked(ReapMode::Hybrid(cfg)).unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "min_depth 0 can never fire")]
+    #[should_panic(expected = "value: AdaptiveDepths(0, 32)")]
     fn zero_adaptive_min_depth_panics() {
         let cfg = AdaptiveIrqConfig {
             min_depth: 0,
             ..AdaptiveIrqConfig::default()
         };
-        Reaper::new(ReapMode::AdaptiveIrq(cfg), 1, 0, 1);
+        checked(ReapMode::AdaptiveIrq(cfg)).unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "max_depth 2 is below min_depth 4")]
+    #[should_panic(expected = "value: AdaptiveDepths(4, 2)")]
     fn adaptive_max_depth_below_min_depth_panics() {
         let cfg = AdaptiveIrqConfig {
             min_depth: 4,
             max_depth: 2,
             budget_us: 8,
         };
-        Reaper::new(ReapMode::AdaptiveIrq(cfg), 1, 0, 1);
+        checked(ReapMode::AdaptiveIrq(cfg)).unwrap();
     }
 
     #[test]

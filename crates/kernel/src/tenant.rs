@@ -48,8 +48,7 @@ pub struct TenantLimits {
     /// weight-4 tenant is serviced four CQEs for every one of a
     /// weight-1 tenant when both have completions pending. Ignored
     /// until [`crate::Machine::set_fair_reap`] enables fair reaping. At
-    /// least 1: [`crate::Machine::register_tenant`] and
-    /// [`crate::Machine::set_tenant_limits`] refuse 0.
+    /// least 1 ([`TenantLimits::check`]).
     pub weight: u64,
     /// Per-queue-pair submission-slot budget: at most this many of the
     /// tenant's commands in flight per queue pair. `None` = unlimited
@@ -80,6 +79,16 @@ impl Default for TenantLimits {
 }
 
 impl TenantLimits {
+    /// The tenant rule, written once: a tenant whose turns bank no
+    /// credit would never be reaped, so its weight is at least 1.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::ConfigError::TenantWeight`] for a zero weight.
+    pub fn check(&self) -> Result<(), crate::ConfigError> {
+        bpfstor_sim::ensure(self.weight >= 1, crate::ConfigError::TenantWeight)
+    }
+
     /// Shorthand for a weight-only tenant (no budgets).
     pub fn weighted(weight: u64) -> Self {
         TenantLimits {

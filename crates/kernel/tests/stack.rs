@@ -8,11 +8,11 @@
 
 mod support;
 
-use bpfstor_device::SECTOR_SIZE;
+use bpfstor_device::{DeviceConfigError, SECTOR_SIZE};
 use bpfstor_fs::CHECKPOINT_RECORDS;
 use bpfstor_kernel::{
-    AdaptiveIrqConfig, Broken, ChainOutcome, ChainStatus, ChainVerdict, CommitPolicy, DispatchMode,
-    ExecSplit, FabricConfig, Fd, HybridConfig, KernelError, Law, LayerCosts, Machine,
+    AdaptiveIrqConfig, Broken, ChainOutcome, ChainStatus, ChainVerdict, CommitPolicy, ConfigError,
+    DispatchMode, ExecSplit, FabricConfig, Fd, HybridConfig, KernelError, Law, LayerCosts, Machine,
     MachineConfig, Mutation, PollConfig, ReapKind, ReapMode, RunReport, TenantBreakdown,
     TenantLimits, TransportConfig, DEFAULT_TENANT,
 };

@@ -26,17 +26,17 @@ fn tenant_insn_budget_binds_at_runtime() {
         &chain_file(8),
         Some(chase_program()),
     );
-    let tenant = m.register_tenant(TenantLimits::default());
+    let tenant = m
+        .register_tenant(TenantLimits::default())
+        .expect("weight 1");
     let fd = m.open_for(tenant, "chain.db").expect("open");
     m.install(fd, chase_program(), 0)
         .expect("install under permissive limits");
-    m.set_tenant_limits(
-        tenant,
-        TenantLimits {
-            insn_budget: Some(30),
-            ..TenantLimits::default()
-        },
-    );
+    let limits = TenantLimits {
+        insn_budget: Some(30),
+        ..TenantLimits::default()
+    };
+    m.set_tenant_limits(tenant, limits).expect("registered");
     let mut d = chase(fd, DispatchMode::DriverHook, 1);
     let report = m.run_closed_loop(1, SECOND, &mut d);
     assert_eq!(report.errors, 1);
@@ -86,11 +86,12 @@ fn a_program_admitted_at_its_verified_worst_case_never_exceeds_it() {
     // one invocation and nothing pads the product.
     let budgeted = |insn_budget: u64| {
         let (mut m, _) = machine_with(MachineConfig::default(), "chain.db", &chain_file(2), None);
-        let tenant = m.register_tenant(TenantLimits {
+        let limits = TenantLimits {
             resubmit_bound: Some(1),
             insn_budget: Some(insn_budget),
             ..TenantLimits::default()
-        });
+        };
+        let tenant = m.register_tenant(limits).expect("weight 1");
         let fd = m.open_for(tenant, "chain.db").expect("open");
         (m, fd)
     };

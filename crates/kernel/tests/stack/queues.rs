@@ -96,11 +96,14 @@ fn tiny_queue_depth_backpressures_instead_of_panicking() {
 }
 
 #[test]
-#[should_panic(expected = "past NVMe's limit of 65536 slots (MQES)")]
+#[should_panic(expected = "queue depth 65537: NVMe rings have 2 to 65536")]
 fn a_config_deeper_than_mqes_is_refused_at_construction() {
-    // A struct-literal config never meets the session builders' check;
-    // the device's rings make it.
-    let _ = machine(ring_depth(65_537));
+    // The one check refuses it by name, and `Machine::new` panics with
+    // its message.
+    let cfg = ring_depth(65_537);
+    let refusal = ConfigError::Device(DeviceConfigError::QueueDepth(65_537));
+    assert_eq!(cfg.check(), Err(refusal));
+    let _ = machine(cfg);
 }
 
 #[test]

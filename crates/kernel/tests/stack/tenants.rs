@@ -15,10 +15,11 @@ fn resubmission_bound_is_per_tenant() {
     let image = chain_file(8);
     let (mut m, fd_a) = machine_with(cfg, "a.db", &image, Some(chase_program()));
     m.create_file("b.db", &image).expect("create b");
-    let tenant_b = m.register_tenant(TenantLimits {
+    let limits = TenantLimits {
         resubmit_bound: Some(2),
         ..TenantLimits::default()
-    });
+    };
+    let tenant_b = m.register_tenant(limits).expect("weight 1");
     let fd_b = m.open_for(tenant_b, "b.db").expect("open b");
     m.install(fd_b, chase_program(), 0).expect("install b");
 
@@ -78,14 +79,15 @@ fn every_report_aggregate_is_the_sum_of_its_tenants() {
     };
     let (mut m, mut reader) = setup_with(cfg, 6, DispatchMode::DriverHook);
     reader.state.count = 12;
-    m.set_tenant_limits(
-        DEFAULT_TENANT,
-        TenantLimits {
-            resubmit_bound: Some(4),
-            ..TenantLimits::default()
-        },
-    );
-    let tenant_b = m.register_tenant(TenantLimits::weighted(2));
+    let limits = TenantLimits {
+        resubmit_bound: Some(4),
+        ..TenantLimits::default()
+    };
+    m.set_tenant_limits(DEFAULT_TENANT, limits)
+        .expect("tenant 0");
+    let tenant_b = m
+        .register_tenant(TenantLimits::weighted(2))
+        .expect("weight 2");
     m.create_file("wal.db", &[]).expect("create");
     let wfd = m.open_for(tenant_b, "wal.db").expect("open");
     let mut d = mixed(reader.state, writes(wfd, SECTOR_SIZE, 40, 1).state);
@@ -134,22 +136,28 @@ fn every_report_aggregate_is_the_sum_of_its_tenants() {
 }
 
 #[test]
-#[should_panic(expected = "TenantLimits::weight 0 never earns a reap turn")]
+#[should_panic(expected = "value: TenantWeight")]
 fn registering_a_zero_weight_tenant_panics() {
     let mut m = machine(MachineConfig::default());
-    m.register_tenant(TenantLimits::weighted(0));
+    m.register_tenant(TenantLimits::weighted(0)).unwrap();
 }
 
 #[test]
-#[should_panic(expected = "TenantLimits::weight 0 never earns a reap turn")]
+#[should_panic(expected = "value: TenantWeight")]
 fn re_weighting_a_tenant_to_zero_panics() {
     let mut m = machine(MachineConfig::default());
-    let t = m.register_tenant(TenantLimits::weighted(3));
-    m.set_tenant_limits(
-        t,
-        TenantLimits {
-            weight: 0,
-            ..TenantLimits::default()
-        },
-    );
+    let t = m
+        .register_tenant(TenantLimits::weighted(3))
+        .expect("weight 3");
+    let zero = TenantLimits {
+        weight: 0,
+        ..TenantLimits::default()
+    };
+    // Refused, it changes nothing; so is a tenant never registered.
+    assert_eq!(m.set_tenant_limits(t, zero), Err(ConfigError::TenantWeight));
+    assert_eq!(m.tenant_count(), 2);
+    let unknown = m.set_tenant_limits(9, TenantLimits::default());
+    assert_eq!(unknown, Err(ConfigError::NoSuchTenant(9)));
+    assert_eq!(m.open_for(9, "a"), Err(KernelError::NoSuchTenant(9)));
+    m.set_tenant_limits(t, zero).unwrap();
 }

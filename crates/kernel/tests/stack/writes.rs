@@ -130,7 +130,7 @@ fn writeback_timer_flushes_unfsynced_journal_records() {
 }
 
 #[test]
-#[should_panic(expected = "CommitPolicy::Group max_handles 0 admits no fsync to a transaction")]
+#[should_panic(expected = "CommitPolicy::Group max_handles 0 admits no fsync")]
 fn a_group_commit_of_zero_handles_panics() {
     machine(MachineConfig {
         commit_policy: CommitPolicy::Group {
@@ -142,7 +142,7 @@ fn a_group_commit_of_zero_handles_panics() {
 }
 
 #[test]
-#[should_panic(expected = "CommitPolicy::Writeback flush_interval_us 0 ticks without time passing")]
+#[should_panic(expected = "CommitPolicy::Writeback flush_interval_us 0")]
 fn a_writeback_interval_of_zero_panics() {
     machine(MachineConfig {
         commit_policy: CommitPolicy::Writeback {
@@ -323,7 +323,8 @@ fn a_parked_write_lands_where_its_relocated_file_is_now() {
             };
             let (mut m, fd) = log_machine(cfg, "wal.db");
             if let Some(limits) = limits {
-                m.set_tenant_limits(DEFAULT_TENANT, limits);
+                m.set_tenant_limits(DEFAULT_TENANT, limits)
+                    .expect("tenant 0");
             }
             let name = "wal.db".to_string();
             m.schedule_mutation(at, Mutation::Relocate { name });
@@ -379,13 +380,12 @@ fn write_backpressure_parks_and_retries_until_done() {
     // slots. Every write still completes, none are dropped.
     let run = |cfg: MachineConfig, sq_slots: Option<usize>| {
         let (mut m, fd) = log_machine(cfg, "log.db");
-        m.set_tenant_limits(
-            DEFAULT_TENANT,
-            TenantLimits {
-                sq_slots,
-                ..TenantLimits::default()
-            },
-        );
+        let limits = TenantLimits {
+            sq_slots,
+            ..TenantLimits::default()
+        };
+        m.set_tenant_limits(DEFAULT_TENANT, limits)
+            .expect("tenant 0");
         let mut d = writes(fd, SECTOR_SIZE, 32, 0);
         let report = m.run_uring(1, 8, SECOND, &mut d);
         assert_eq!(d.outcomes.len(), 32, "no write lost to backpressure");

@@ -36,6 +36,20 @@ pub struct Placement {
     pub end: Nanos,
 }
 
+/// The most cores a machine has: the kernel gives each core its own
+/// NVMe I/O queue pair, and NVMe has at most 65,535 of them.
+pub const MAX_CORES: usize = 65_535;
+
+/// A core count outside `1..=MAX_CORES` ([`Cores::check`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoreCountError(pub usize);
+
+impl std::fmt::Display for CoreCountError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} cores: a machine has 1 to {MAX_CORES}", self.0)
+    }
+}
+
 /// An N-core run-to-completion CPU model.
 ///
 /// # Examples
@@ -57,13 +71,19 @@ pub struct Cores {
 }
 
 impl Cores {
+    /// The core-count rule, written once: a pool has 1 to [`MAX_CORES`]
+    /// cores.
+    pub fn check(n: usize) -> Result<(), CoreCountError> {
+        crate::ensure((1..=MAX_CORES).contains(&n), CoreCountError(n))
+    }
+
     /// Creates `n` idle cores.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics with [`Cores::check`]'s refusal.
     pub fn new(n: usize) -> Self {
-        assert!(n > 0, "a machine needs at least one core");
+        Self::check(n).unwrap_or_else(|e| panic!("{e}"));
         Cores {
             free_at: vec![0; n],
             busy_ns: vec![0; n],
@@ -204,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one core")]
+    #[should_panic(expected = "0 cores: a machine has 1 to 65535")]
     fn zero_cores_rejected() {
         Cores::new(0);
     }

@@ -36,7 +36,12 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use cpu::{CoreId, Cores};
+pub use cpu::{CoreCountError, CoreId, Cores, MAX_CORES};
+
+/// One configuration rule: `Ok(())` when `allowed`, else `Err(refusal)`.
+pub fn ensure<E>(allowed: bool, refusal: E) -> Result<(), E> {
+    allowed.then_some(()).ok_or(refusal)
+}
 pub use dist::LatencyDist;
 pub use events::EventQueue;
 pub use ids::{IdMap, IdSet};

@@ -153,11 +153,14 @@ fn difference(committed: &str, world: &str, metrics: &[&str], values: &[u64]) ->
     })
 }
 
-/// Checks `world`'s rows against the committed table, exactly.
-fn check<const N: usize>(world: &str, metrics: [&str; N], values: [u64; N]) {
-    if let Some(report) = difference(COMMITTED, world, &metrics, &values) {
-        panic!("{report}");
-    }
+/// Checks each world's rows against the committed table, exactly, and
+/// panics once, naming every world of the test whose rows moved.
+fn check<'a, const N: usize>(worlds: impl IntoIterator<Item = (&'a str, [&'a str; N], [u64; N])>) {
+    let moved: Vec<String> = worlds
+        .into_iter()
+        .filter_map(|(world, metrics, values)| difference(COMMITTED, world, &metrics, &values))
+        .collect();
+    assert!(moved.is_empty(), "{}", moved.join("\n\n"));
 }
 
 /// The rows of a loop run from scratch to `T` and to `2T`: heap calls
@@ -254,13 +257,13 @@ fn measure_workload<W: PushdownWorkload>(
 #[test]
 fn steady_state_io_path_does_not_allocate() {
     const T: u64 = 20 * MILLISECOND;
-    for l @ &Loop(name, ..) in &LOOPS {
+    check(LOOPS.iter().map(|l @ &Loop(name, ..)| {
         let ((a1, i1), (a2, i2)) = (measure(l, T), measure(l, 2 * T));
         assert_eq!(a2, a1, "{name}: warm hops allocate");
         // No per-process hash key on the path: a repeat counts the same.
         assert_eq!(measure(l, T), (a1, i1), "{name}: repeat run");
-        check(name, HOOK_ROWS, [a1, i1, a2, i2]);
-    }
+        (name, HOOK_ROWS, [a1, i1, a2, i2])
+    }));
 }
 
 /// Updates and inserts only: every chain is a log append.
@@ -381,11 +384,11 @@ const WRITE_LOOPS: [(&str, WriteRun); 4] = [
 #[test]
 fn steady_state_write_path_allocates_only_what_the_data_costs() {
     const T: u64 = 20 * MILLISECOND;
-    for (name, run) in WRITE_LOOPS {
+    check(WRITE_LOOPS.map(|(name, run)| {
         let ((a1, w1), (a2, w2)) = (run(T), run(2 * T));
         assert_eq!(run(T), (a1, w1), "{name}: repeat run");
-        check(name, WRITE_ROWS, [a1, w1, a2, w2]);
-    }
+        (name, WRITE_ROWS, [a1, w1, a2, w2])
+    }));
 }
 
 /// The world of the journaled-write test below, and its rows: records
@@ -416,11 +419,8 @@ fn a_long_journaled_write_world_keeps_only_what_recovery_needs() {
         "{retained} records retained, {outstanding} outstanding"
     );
     let (logged, checkpointed) = (j.len() as u64, j.base() as u64);
-    check(
-        JOURNALED,
-        JOURNAL_ROWS,
-        [logged, checkpointed, logged - checkpointed, peak],
-    );
+    let rows = [logged, checkpointed, logged - checkpointed, peak];
+    check([(JOURNALED, JOURNAL_ROWS, rows)]);
 }
 
 /// Runs `f`, returning its result with the heap calls it made and the
@@ -452,15 +452,15 @@ fn verification_stays_off_the_heap() {
     // a state per instruction makes about one each), and a transient
     // peak the table holds, because a session's peak of live memory can
     // be at install time.
-    for (name, program) in PROGRAMS {
+    check(PROGRAMS.map(|(name, program)| {
         let prog = program();
         let (stats, calls, peak) = heap_use(|| verify(&prog).expect("verifies"));
         let (states, max_path) = (stats.states as u64, stats.max_path as u64);
         assert!(calls * 10 < states, "{name}: {calls} calls, {states}");
         let again = heap_use(|| verify(&prog).expect("verifies"));
         assert_eq!(again, (stats, calls, peak), "{name}: repeat run");
-        check(name, VERIFY_ROWS, [states, max_path, calls, peak]);
-    }
+        (name, VERIFY_ROWS, [states, max_path, calls, peak])
+    }));
 }
 
 /// Bytes a machine under `cfg` holds once built.
@@ -492,7 +492,7 @@ fn a_machine_holds_what_it_uses_not_what_it_declares() {
         };
         assert_eq!(footprint(cfg), held, "{fs_blocks} fs blocks");
     }
-    check(MACHINE, ["bytes_held"], [held as u64]);
+    check([(MACHINE, ["bytes_held"], [held as u64])]);
 }
 
 /// The world of the footprint test above.

@@ -505,17 +505,19 @@ fn session_queue_knobs_backpressure_and_coalescing() {
 }
 
 #[test]
-#[should_panic(expected = "irq_coalesce_depth 0 can never fire")]
+#[should_panic(expected = "value: Config(IrqCoalesceDepth)")]
 fn zero_coalescing_depth_is_rejected_loudly() {
     // Regression: depth 0 used to be silently clamped to 1 deep inside
     // the machine, making "no coalescing" configs lie about themselves.
-    let _ = PushdownSession::builder(Btree::depth(3)).irq_coalescing(8, 0);
+    let builder = PushdownSession::builder(Btree::depth(3)).irq_coalescing(8, 0);
+    builder.build().unwrap();
 }
 
 #[test]
-#[should_panic(expected = "past NVMe's limit of 65536 slots (MQES)")]
+#[should_panic(expected = "value: Config(Device(QueueDepth(65537)))")]
 fn a_session_deeper_than_mqes_is_rejected_loudly() {
-    let _ = PushdownSession::builder(Btree::depth(3)).queue_depth(65_537);
+    let builder = PushdownSession::builder(Btree::depth(3)).queue_depth(65_537);
+    builder.build().unwrap();
 }
 
 #[test]

@@ -82,7 +82,7 @@ fn rejected_tenant_leaves_the_group_usable() {
 }
 
 #[test]
-#[should_panic(expected = "past NVMe's limit of 65536 slots (MQES)")]
+#[should_panic(expected = "queue depth 65537: NVMe rings have 2 to 65536")]
 fn a_group_deeper_than_mqes_is_rejected_loudly() {
-    let _ = TenantGroup::builder().queue_depth(65_537);
+    let _ = TenantGroup::builder().queue_depth(65_537).build();
 }

@@ -14,20 +14,20 @@ use bpfstor::btree::{Node, FANOUT_MAX};
 use bpfstor::core::{
     btree_lookup_program, sst_get_program, value_of, Btree, Chase, PushdownWorkload, Scan, Sst,
 };
-use bpfstor::device::{Ring, SectorStore, SECTOR_SIZE};
+use bpfstor::device::{DeviceClass, Ring, SectorStore, SECTOR_SIZE};
 use bpfstor::fs::alloc::{Run, GROUP_BLOCKS};
 use bpfstor::fs::{BlockAllocator, ExtFs, Extent, ExtentTree, JournalRecord, CHECKPOINT_RECORDS};
 use bpfstor::kernel::{
-    ChainOutcome, ChainSpec, ChainStatus, ChainToken, ChainVerdict, CommitPolicy, DispatchMode,
-    FabricConfig, Fd, Machine, MachineConfig, Mutation, RunReport, TenantLimits, TransportConfig,
-    UserNext,
+    ChainOutcome, ChainSpec, ChainStatus, ChainToken, ChainVerdict, CommitPolicy, ConfigError,
+    DispatchMode, ExecEngine, FabricConfig, Fd, Machine, MachineConfig, Mutation, RunReport,
+    TenantLimits, TransportConfig, UserNext,
 };
 use bpfstor::lsm::sstable::{
     build_image, data_block_entries, data_block_search, index_block_search, ColdGet, ColdStep,
     Footer, SST_MAGIC,
 };
 use bpfstor::lsm::BLOCK;
-use bpfstor::sim::{Histogram, Nanos, SimRng, SECOND};
+use bpfstor::sim::{CoreCountError, Histogram, LatencyDist, Nanos, SimRng, SECOND};
 use bpfstor::vm::insn::{decode, encode, Insn};
 use bpfstor::vm::{
     action, compile, ctx_off, helper, verify, Asm, CompiledProg, MapSet, Program, RecordingEnv,
@@ -55,3 +55,4 @@ include!("props/rings_fabric.rs");
 include!("props/reaping_tenancy.rs");
 include!("props/isolation.rs");
 include!("props/conservation.rs");
+include!("props/config.rs");

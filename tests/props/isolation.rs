@@ -287,8 +287,8 @@ proptest! {
             ..MachineConfig::default()
         });
         let limits = TenantLimits { sq_slots: tight.then_some(1), ..TenantLimits::default() };
-        m.set_tenant_limits(0, limits);
-        let tenant_b = m.register_tenant(limits);
+        m.set_tenant_limits(0, limits).expect("tenant 0 exists");
+        let tenant_b = m.register_tenant(limits).expect("a positive weight");
         let files = [("a.db", 0), ("b.db", tenant_b)];
         let mut inos = [0; 2];
         let mut model = [Vec::new(), Vec::new()];
