@@ -38,7 +38,7 @@ impl ChainDriver for RandomReadDriver {
         DispatchMode::User
     }
 
-    fn next_op(&mut self, _thread: usize, rng: &mut SimRng) -> Option<ChainSpec> {
+    fn next_op(&mut self, _thread: usize, rng: &mut SimRng) -> Option<ChainSpec<'_>> {
         if self.issued >= self.max_chains {
             return None;
         }
@@ -112,7 +112,7 @@ impl ChainDriver for ChaseFallbackDriver {
         self.mode
     }
 
-    fn next_op(&mut self, _thread: usize, _rng: &mut SimRng) -> Option<ChainSpec> {
+    fn next_op(&mut self, _thread: usize, _rng: &mut SimRng) -> Option<ChainSpec<'_>> {
         if let Some(off) = self.pending.pop() {
             return Some(ChainSpec::Read(ChainStart {
                 fd: self.fd,

@@ -271,7 +271,7 @@ impl ChainDriver for GroupDriver<'_> {
         self.mode
     }
 
-    fn next_op(&mut self, thread: usize, rng: &mut SimRng) -> Option<ChainSpec> {
+    fn next_op(&mut self, thread: usize, rng: &mut SimRng) -> Option<ChainSpec<'_>> {
         let member = *self.thread_member.get(thread)?;
         self.members[member].next_op(thread, rng)
     }

@@ -97,12 +97,13 @@ pub struct ReadSpec {
 /// kernel's SQ/CQ rings as real `Write` commands, contending with reads
 /// for queue slots; `fsync` chases the data with an ordered flush
 /// barrier that commits the journal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteSpec {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WriteSpec<'a> {
     /// Byte offset of the write.
     pub file_off: u64,
-    /// The payload.
-    pub data: Vec<u8>,
+    /// The payload, lent by the workload: the kernel copies it as the
+    /// chain starts, so the workload may overwrite it for its next write.
+    pub data: &'a [u8],
     /// Commit the journal with a flush barrier after the data CQEs.
     pub fsync: bool,
     /// Per-chain argument, echoed in the chain's [`ChainToken`].
@@ -110,12 +111,12 @@ pub struct WriteSpec {
 }
 
 /// A request's opening operation, as described by a workload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OpSpec {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpSpec<'a> {
     /// A (possibly multi-hop) read chain.
     Read(ReadSpec),
     /// A journaled write through the rings.
-    Write(WriteSpec),
+    Write(WriteSpec<'a>),
 }
 
 /// A workload's judgement of one decoded output.
@@ -167,8 +168,9 @@ pub trait PushdownWorkload {
     /// workloads keep the default (delegate to
     /// [`PushdownWorkload::first_read`]); mixed read/write workloads
     /// override this to route update/insert requests through the
-    /// journaled write path.
-    fn first_op(&mut self, req: &Self::Request) -> OpSpec {
+    /// journaled write path. A write's payload may borrow the workload
+    /// itself: it is copied before the next call.
+    fn first_op(&mut self, req: &Self::Request) -> OpSpec<'_> {
         OpSpec::Read(self.first_read(req))
     }
 
@@ -705,7 +707,7 @@ impl<W: PushdownWorkload> ChainDriver for Member<W> {
         self.mode
     }
 
-    fn next_op(&mut self, _thread: usize, rng: &mut SimRng) -> Option<ChainSpec> {
+    fn next_op(&mut self, _thread: usize, rng: &mut SimRng) -> Option<ChainSpec<'_>> {
         let req = match &mut self.one_shot {
             Some(shot) => shot.request.take()?,
             None => self.workload.next_request(rng)?,

@@ -564,8 +564,10 @@ pub struct YcsbMix {
     /// Byte offset of the next log append (starts at the table image's
     /// end; valid after the session built).
     log_off: u64,
-    /// Bytes per appended record (rounded up to whole blocks on disk).
-    write_size: usize,
+    /// The record every append lends the kernel: zeroed, `write_size`
+    /// bytes (rounded up to whole blocks on disk), with the key in its
+    /// first bytes, rewritten for each write.
+    record: Vec<u8>,
     /// Every Nth write carries an fsync barrier (0 = never).
     fsync_every: u32,
     writes_issued: u64,
@@ -584,7 +586,7 @@ impl YcsbMix {
             seed,
             gen: None,
             log_off: 0,
-            write_size: 512,
+            record: vec![0; 512],
             fsync_every: 8,
             writes_issued: 0,
             max_chains: u64::MAX,
@@ -601,7 +603,7 @@ impl YcsbMix {
     /// Overrides the appended record size in bytes.
     pub fn write_size(mut self, bytes: usize) -> Self {
         assert!(bytes > 0, "records need at least one byte");
-        self.write_size = bytes;
+        self.record = vec![0; bytes];
         self
     }
 
@@ -627,11 +629,12 @@ impl YcsbMix {
         }
     }
 
-    fn record_bytes(&self, key: u64) -> Vec<u8> {
-        let mut rec = vec![0u8; self.write_size];
-        let n = rec.len().min(8);
-        rec[..n].copy_from_slice(&key.to_le_bytes()[..n]);
-        rec
+    /// The record of an append of `key`: only its key bytes change
+    /// between writes, the rest stays zero.
+    fn record_bytes(&mut self, key: u64) -> &[u8] {
+        let n = self.record.len().min(8);
+        self.record[..n].copy_from_slice(&key.to_le_bytes()[..n]);
+        &self.record
     }
 }
 
@@ -660,18 +663,18 @@ impl PushdownWorkload for YcsbMix {
             MixRequest::Get(key) => self.sst.first_read(key),
             MixRequest::Append { key, .. } => ReadSpec {
                 file_off: self.log_off,
-                len: self.write_size as u32,
+                len: self.record.len() as u32,
                 arg: *key,
             },
         }
     }
 
-    fn first_op(&mut self, req: &MixRequest) -> OpSpec {
+    fn first_op(&mut self, req: &MixRequest) -> OpSpec<'_> {
         match req {
             MixRequest::Get(key) => OpSpec::Read(self.sst.first_read(key)),
             MixRequest::Append { key, fsync } => {
                 let off = self.log_off;
-                let blocks = self.write_size.div_ceil(BLOCK) as u64;
+                let blocks = self.record.len().div_ceil(BLOCK) as u64;
                 self.log_off += blocks * BLOCK as u64;
                 OpSpec::Write(WriteSpec {
                     file_off: off,

@@ -197,9 +197,13 @@ pub struct NvmeDevice {
     stats: DeviceStats,
     /// Completion instants of the last doorbell's batch.
     times: Vec<Nanos>,
-    /// Read buffers handed back by the host, reused for later reads.
-    /// A buffer is only ever created when this pool is empty, so the
-    /// pool is bounded by the peak number of read buffers alive at once.
+    /// Payload buffers with stale contents, reused for every payload:
+    /// the host hands a read's back once it is done with it, and a
+    /// write's command gives its own back once the store holds the
+    /// bytes; the host makes a write's payload, and the images it cuts
+    /// from it, in buffers taken here. A buffer is only ever created
+    /// when this pool is empty, so the pool is bounded by the peak
+    /// number of read and write payloads alive at once.
     free_bufs: Vec<Vec<u8>>,
 }
 
@@ -400,10 +404,11 @@ impl NvmeDevice {
         n
     }
 
-    /// Hands a read payload buffer back for reuse by a later read.
-    /// Pass only buffers that arrived in [`NvmeCompletion::data`]: the
-    /// pool then never outgrows the peak number of read buffers alive
-    /// at once.
+    /// Hands a payload buffer back for reuse by a later read or write.
+    /// Pass only buffers that arrived in [`NvmeCompletion::data`] or
+    /// were taken from this pool ([`NvmeDevice::copy_in`],
+    /// [`NvmeDevice::write_image`]): the pool then never outgrows
+    /// the peak number of payload buffers alive at once.
     pub fn recycle(&mut self, buf: Vec<u8>) {
         if buf.capacity() > 0 {
             self.free_bufs.push(buf);
@@ -411,9 +416,30 @@ impl NvmeDevice {
     }
 
     /// A recycled buffer with stale contents, or an empty one when the
-    /// pool is dry — what a read is serviced into.
+    /// pool is dry — what a payload is put in.
     fn take_buffer(&mut self) -> Vec<u8> {
         self.free_bufs.pop().unwrap_or_default()
+    }
+
+    /// A pooled buffer of `len` bytes: `bytes` (no longer than `len`),
+    /// then zeroes. What the host makes a write's command payload of,
+    /// from the record's non-zero prefix.
+    pub fn copy_in(&mut self, bytes: &[u8], len: usize) -> Vec<u8> {
+        let mut buf = self.take_buffer();
+        buf.clear();
+        buf.extend_from_slice(bytes);
+        buf.resize(len, 0);
+        buf
+    }
+
+    /// A pooled buffer holding the whole-sector image a write of
+    /// `piece`, starting `head` bytes into sector `slba`, leaves behind
+    /// ([`SectorStore::read_modify_into`]): what the host cuts a write
+    /// that spans several runs, or partial sectors, into.
+    pub fn write_image(&mut self, slba: u64, head: usize, piece: &[u8]) -> Vec<u8> {
+        let mut image = self.take_buffer();
+        self.store.read_modify_into(slba, head, piece, &mut image);
+        image
     }
 
     /// Records one poll-loop iteration that found the CQ empty.
@@ -438,7 +464,7 @@ impl NvmeDevice {
             }
         }
         let start = self.channels[ch].max(now);
-        let (kind, dur, data) = match &cmd.op {
+        let (kind, dur, data) = match cmd.op {
             NvmeOp::Read { slba, nlb } => {
                 self.stats.reads += 1;
                 let d = self.profile.read_latency.sample(&mut self.rng);
@@ -446,14 +472,17 @@ impl NvmeDevice {
                 // read: `resize` fixes the length and `read_into`
                 // overwrites every byte of it, holes included.
                 let mut data = self.take_buffer();
-                data.resize(*nlb as usize * SECTOR_SIZE, 0);
-                self.store.read_into(*slba, &mut data);
+                data.resize(nlb as usize * SECTOR_SIZE, 0);
+                self.store.read_into(slba, &mut data);
                 (CmdKind::Read, d, data)
             }
             NvmeOp::Write { slba, data } => {
                 self.stats.writes += 1;
                 let d = self.profile.write_latency.sample(&mut self.rng);
-                self.store.write(*slba, data);
+                // The store holds the bytes now: the payload's buffer
+                // goes back for a later read or write.
+                self.store.write(slba, &data);
+                self.recycle(data);
                 (CmdKind::Write, d, Vec::new())
             }
             NvmeOp::Flush => {
@@ -865,6 +894,44 @@ mod tests {
         want.extend_from_slice(&[0u8; SECTOR_SIZE]);
         assert_eq!(again.data, want);
         assert!(d.free_bufs.is_empty());
+        d.recycle(again.data);
+        // A write's payload comes from the pool and goes back to it once
+        // the store holds the bytes: a later read of a hole is serviced
+        // into that very buffer and sees only zeroes.
+        let payload = d.copy_in(&[0x5A; 100], 2 * SECTOR_SIZE);
+        assert_eq!(payload[..100], [0x5A; 100]);
+        assert_eq!(payload[100..], [0u8; 2 * SECTOR_SIZE - 100]);
+        let addr = payload.as_ptr();
+        let write = NvmeOp::Write {
+            slba: 40,
+            data: payload,
+        };
+        submit_ring_reap(&mut d, 0, NvmeCommand { cid: 4, op: write });
+        assert_eq!(d.free_bufs.len(), 1, "the payload came back");
+        let hole = submit_ring_reap(&mut d, 0, read_cmd(5, 200));
+        assert_eq!(hole.data.as_ptr(), addr, "the payload's buffer was reused");
+        assert_eq!(hole.data, vec![0u8; SECTOR_SIZE]);
+        // The pool never holds more buffers than were alive at once:
+        // three payloads at a time, over and over, make three buffers.
+        d.recycle(hole.data);
+        for round in 0..4u64 {
+            let payloads: Vec<_> = (0..3).map(|_| d.copy_in(&[1], SECTOR_SIZE)).collect();
+            for (i, data) in payloads.into_iter().enumerate() {
+                let slba = 60 + 3 * round + i as u64;
+                d.submit(
+                    0,
+                    NvmeCommand {
+                        cid: 6 + i as u64,
+                        op: NvmeOp::Write { slba, data },
+                    },
+                )
+                .expect("submit");
+            }
+            d.ring_doorbell(0, 0).expect("doorbell");
+            assert_eq!(d.free_bufs.len(), 3, "round {round}");
+            d.post_ready(Nanos::MAX, 0);
+            assert_eq!(reap_all(&mut d).len(), 3);
+        }
     }
 
     #[test]

@@ -76,6 +76,9 @@ pub enum DeviceConfigError {
     /// `retransmit_timeout_ns` 0: a lost crossing is retransmitted
     /// without time passing.
     RetransmitTimeout,
+    /// The named latency or time field is longer than
+    /// [`bpfstor_sim::MAX_CONFIG_TIME`] (one simulated hour).
+    TooLong(&'static str),
 }
 
 impl std::fmt::Display for DeviceConfigError {
@@ -91,6 +94,7 @@ impl std::fmt::Display for DeviceConfigError {
             LossProb => write!(f, "loss_prob must be in [0, {MAX_LOSS_PROB}]"),
             DupProb => write!(f, "dup_prob must be in [0, 1]"),
             RetransmitTimeout => write!(f, "retransmit_timeout_ns 0 retransmits at once"),
+            TooLong(field) => write!(f, "{field} is longer than one simulated hour"),
         }
     }
 }

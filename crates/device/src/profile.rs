@@ -6,7 +6,7 @@
 //! the *shape* matters for the reproduction: HDD milliseconds, NAND tens
 //! of microseconds, first-gen Optane ~10 µs, second-gen ~3 µs.
 
-use bpfstor_sim::{ensure, LatencyDist, Nanos, MICROSECOND, MILLISECOND};
+use bpfstor_sim::{check_time, ensure, LatencyDist, Nanos, MICROSECOND, MILLISECOND};
 
 use crate::{DeviceConfigError, MAX_CHANNELS};
 
@@ -69,7 +69,11 @@ impl DeviceProfile {
     pub fn check(&self) -> Result<(), DeviceConfigError> {
         let channels = (1..=MAX_CHANNELS).contains(&self.channels);
         ensure(channels, DeviceConfigError::Channels(self.channels))?;
-        crate::check_queue_depth(self.queue_depth)
+        crate::check_queue_depth(self.queue_depth)?;
+        let read = self.read_latency.longest();
+        check_time(read, DeviceConfigError::TooLong("read_latency"))?;
+        let write = self.write_latency.longest();
+        check_time(write, DeviceConfigError::TooLong("write_latency"))
     }
 
     /// Seagate Exos X16: seek + rotational latency dominate. Mean random

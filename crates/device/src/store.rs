@@ -259,6 +259,22 @@ fn class_of(sector: &[u8]) -> Option<usize> {
     Some((last + 1).next_power_of_two().trailing_zeros() as usize)
 }
 
+/// `bytes` without their zero tail, to 64-byte granularity: up to the
+/// end of their last non-zero 64-byte span (empty if all are zero),
+/// found from the end with the vectorising OR a stored sector's class
+/// is found with.
+pub fn trim_zero_tail(bytes: &[u8]) -> &[u8] {
+    let mut spans = bytes.chunks_exact(SCAN);
+    if spans.remainder().iter().any(|&b| b != 0) {
+        return bytes;
+    }
+    let last = spans.rposition(|span| {
+        let span: &[u8; SCAN] = span.try_into().expect("SCAN long");
+        span.iter().fold(0, |acc, &b| acc | b) != 0
+    });
+    &bytes[..last.map_or(0, |span| (span + 1) * SCAN)]
+}
+
 fn assert_whole_sectors(bytes: usize, what: &str) {
     assert!(
         bytes.is_multiple_of(SECTOR_SIZE),
@@ -354,8 +370,21 @@ impl SectorStore {
     ///
     /// Panics if `head >= SECTOR_SIZE`.
     pub fn read_modify(&self, slba: u64, head: usize, src: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.read_modify_into(slba, head, src, &mut out);
+        out
+    }
+
+    /// [`SectorStore::read_modify`] into `out`, whatever it held: it is
+    /// cleared and grown at most once, to the image's length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `head >= SECTOR_SIZE`.
+    pub fn read_modify_into(&self, slba: u64, head: usize, src: &[u8], out: &mut Vec<u8>) {
         assert!(head < SECTOR_SIZE, "head {head} past the first sector");
-        let mut out = Vec::with_capacity((head + src.len()).next_multiple_of(SECTOR_SIZE));
+        out.clear();
+        out.reserve_exact((head + src.len()).next_multiple_of(SECTOR_SIZE));
         let mut edge = [0u8; SECTOR_SIZE];
         if head != 0 {
             self.read_into(slba, &mut edge);
@@ -367,7 +396,6 @@ impl SectorStore {
             self.read_into(slba + (out.len() / SECTOR_SIZE) as u64, &mut edge);
             out.extend_from_slice(&edge[tail..]);
         }
-        out
     }
 
     /// Writes `data` starting at `slba`.
@@ -1024,6 +1052,19 @@ mod tests {
     fn an_index_entry_past_its_bits_panics() {
         assert_eq!(entry(MAX_SLOTS - 1, WHOLE), u32::MAX - 1);
         entry(MAX_SLOTS, 0);
+    }
+
+    #[test]
+    fn a_trimmed_record_keeps_every_byte_to_its_last_non_zero_span() {
+        assert!(trim_zero_tail(&[0u8; 4096]).is_empty());
+        let mut rec = [0u8; 4096];
+        rec[..8].copy_from_slice(&7u64.to_le_bytes());
+        assert_eq!(trim_zero_tail(&rec), &rec[..64]);
+        rec[130] = 1;
+        assert_eq!(trim_zero_tail(&rec), &rec[..192]);
+        // A short last span is kept whole, up to the end.
+        assert_eq!(trim_zero_tail(&rec[..150]), &rec[..150]);
+        assert_eq!(trim_zero_tail(&[0, 0, 3]), &[0, 0, 3]);
     }
 
     #[test]

@@ -75,7 +75,7 @@
 //! counted in `bytes_rx` but add no modelled latency (the return
 //! direction is calibrated into the sampled wire distribution).
 
-use bpfstor_sim::{ensure, IdMap, LatencyDist, Nanos, SimRng};
+use bpfstor_sim::{check_time, ensure, IdMap, LatencyDist, Nanos, SimRng};
 
 use crate::device::{NvmeCommand, NvmeCompletion, NvmeDevice, NvmeOp, QueueError};
 use crate::DeviceConfigError;
@@ -261,7 +261,18 @@ impl FabricConfig {
         zero_weight.map_or(Ok(()), |i| Err(InitiatorWeight(i)))?;
         ensure((0.0..=MAX_LOSS_PROB).contains(&self.loss_prob), LossProb)?;
         ensure((0.0..=1.0).contains(&self.dup_prob), DupProb)?;
-        ensure(self.retransmit_timeout_ns >= 1, RetransmitTimeout)
+        ensure(self.retransmit_timeout_ns >= 1, RetransmitTimeout)?;
+        let times = [
+            ("to_target", self.to_target.longest()),
+            ("to_host", self.to_host.longest()),
+            ("target_proc_ns", self.target_proc_ns),
+            ("admit_ns", self.admit_ns),
+            ("congestion_ns_per_capsule", self.congestion_ns_per_capsule),
+            ("retransmit_timeout_ns", self.retransmit_timeout_ns),
+        ];
+        times
+            .into_iter()
+            .try_for_each(|(field, ns)| check_time(ns, TooLong(field)))
     }
 }
 

@@ -310,7 +310,16 @@ impl ExtFs {
         // One store write per physically contiguous run (the images are
         // cut before any lands: the edges are read from the store).
         let head = (off % bs) as usize;
-        let images: Vec<_> = cut_runs(data, head, &segments, store).collect();
+        let images: Vec<_> = cut_runs(data, head, &segments)
+            .map(|(phys, head, piece)| {
+                let image = if head == 0 && piece.len().is_multiple_of(BLOCK_SIZE) {
+                    Cow::Borrowed(piece)
+                } else {
+                    Cow::Owned(store.read_modify(phys, head, piece))
+                };
+                (phys, image)
+            })
+            .collect();
         for (phys, image) in images {
             store.write(phys, &image);
         }
@@ -860,28 +869,24 @@ fn push_run(runs: &mut Vec<(u64, u64)>, phys: u64, len: u64) {
 }
 
 /// The one run splitter: cuts a payload that starts `head` bytes into
-/// the first block of `runs` into the whole-block image of each physical
-/// run, in order. A piece that covers its blocks exactly is borrowed
-/// from `data`; one with a partial first or last block is framed by the
-/// stored bytes of that block, read from `store` as it is now
-/// ([`SectorStore::read_modify`]).
-pub fn cut_runs<'d, 'r, 's>(
+/// the first block of `runs` into one piece per physical run, in order,
+/// each with the run's first block and the piece's offset in it. A
+/// piece that covers its blocks exactly is its run's whole-block image;
+/// one with a partial first or last block is framed by the stored bytes
+/// of that block, read from the store as it is when the image is made
+/// ([`SectorStore::read_modify_into`]).
+pub fn cut_runs<'d, 'r>(
     data: &'d [u8],
     head: usize,
     runs: &'r [(u64, u64)],
-    store: &'s SectorStore,
-) -> impl Iterator<Item = (u64, Cow<'d, [u8]>)> + use<'d, 'r, 's> {
+) -> impl Iterator<Item = (u64, usize, &'d [u8])> + use<'d, 'r> {
     let (mut rest, mut head) = (data, head);
     runs.iter().map(move |&(start, blocks)| {
         let take = rest.len().min(blocks as usize * BLOCK_SIZE - head);
         let (piece, tail) = rest.split_at(take);
-        let image = if head == 0 && take.is_multiple_of(BLOCK_SIZE) {
-            Cow::Borrowed(piece)
-        } else {
-            Cow::Owned(store.read_modify(start, head, piece))
-        };
+        let cut = (start, head, piece);
         (rest, head) = (tail, 0);
-        (start, image)
+        cut
     })
 }
 

@@ -136,15 +136,19 @@ pub struct ChainStart {
 /// queueing delay, doorbells, and interrupts like any read), and an
 /// optional fsync commits the journal with an ordered flush barrier
 /// *after* the data CQEs return.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteStart {
+///
+/// The payload is lent, not given: the kernel copies it into a buffer
+/// of its own as the chain starts, so the driver may reuse the bytes
+/// for its next operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WriteStart<'a> {
     /// Target file descriptor.
     pub fd: Fd,
     /// Byte offset of the write.
     pub file_off: u64,
     /// The payload. Empty with `fsync: true` is a pure fsync (flush
     /// barrier + journal commit, no data write).
-    pub data: Vec<u8>,
+    pub data: &'a [u8],
     /// Commit the journal with a device flush once the data is on the
     /// rings' completion side (ext4 ordered-mode semantics). Without it
     /// the metadata stays in the open journal transaction — durable
@@ -156,12 +160,12 @@ pub struct WriteStart {
 
 /// The opening operation of a new chain: a (possibly multi-hop) read, or
 /// a journaled write.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChainSpec {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChainSpec<'a> {
     /// A read chain (the paper's dependent-I/O traversal).
     Read(ChainStart),
     /// A journaled write through the same SQ/CQ rings.
-    Write(WriteStart),
+    Write(WriteStart<'a>),
 }
 
 /// The application's decision after a hop in [`DispatchMode::User`].
@@ -284,7 +288,9 @@ pub trait ChainDriver {
     fn mode(&self) -> DispatchMode;
 
     /// The next operation for `thread` — a read chain or a journaled
-    /// write — or `None` to stop that thread.
+    /// write — or `None` to stop that thread. A write's payload is
+    /// borrowed from the driver only until the kernel has started the
+    /// chain (it copies the bytes), so one buffer can serve every write.
     ///
     /// An operation that names a descriptor which is not open fails at
     /// once, the same from [`crate::Machine::run_closed_loop`] and
@@ -292,7 +298,7 @@ pub trait ChainDriver {
     /// [`ChainStatus::IoError`] with no I/Os and a token minted for the
     /// default tenant, [`RunReport::errors`] counts it, no CPU is
     /// charged, and the thread is asked for its next operation.
-    fn next_op(&mut self, thread: usize, rng: &mut SimRng) -> Option<ChainSpec>;
+    fn next_op(&mut self, thread: usize, rng: &mut SimRng) -> Option<ChainSpec<'_>>;
 
     /// User-mode only: one application step over a completed block.
     /// `token` identifies the chain, so drivers can keep per-chain state

@@ -3,7 +3,7 @@
 //! the injectable host clock ([`ExecClock`]).
 
 use bpfstor_device::{DeviceConfigError, DeviceProfile, TransportConfig};
-use bpfstor_sim::{ensure, CoreCountError, Cores};
+use bpfstor_sim::{check_time, ensure, CoreCountError, Cores, MICROSECOND};
 use bpfstor_vm::ExecEngine;
 
 use crate::commit::CommitPolicy;
@@ -145,6 +145,10 @@ pub enum ConfigError {
     TenantWeight,
     /// Limits set for a tenant that was never registered.
     NoSuchTenant(TenantId),
+    /// The named cost, latency, timeout or interval is longer than
+    /// [`bpfstor_sim::MAX_CONFIG_TIME`] (one simulated hour): `now`
+    /// plus it must not overflow, however long the run.
+    TooLong(&'static str),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -163,6 +167,7 @@ impl std::fmt::Display for ConfigError {
             WritebackInterval => write!(f, "CommitPolicy::Writeback flush_interval_us 0"),
             TenantWeight => write!(f, "TenantLimits::weight 0 never earns a reap turn"),
             NoSuchTenant(t) => write!(f, "tenant {t} not registered"),
+            TooLong(field) => write!(f, "{field} is longer than one simulated hour"),
         }
     }
 }
@@ -183,13 +188,21 @@ impl MachineConfig {
         use ConfigError::*;
         Cores::check(self.cores).map_err(CoreCount)?;
         self.profile.check().map_err(Device)?;
+        for (field, ns) in self.costs.named() {
+            check_time(ns, TooLong(field))?;
+        }
         ensure(self.fs_blocks >= 1, FsBlocks)?;
+        check_time(us(self.irq_coalesce_us), TooLong("irq_coalesce_us"))?;
         ensure(self.irq_coalesce_depth >= 1, IrqCoalesceDepth)?;
         // A part the reap mode lacks meets its rules.
         let (irq, poll, hybrid) = self.reap_mode.parts();
         let (min, max) = irq.map_or((1, 1), |c| (c.min_depth, c.max_depth));
         ensure(1 <= min && min <= max, AdaptiveDepths(min, max))?;
+        let budget = irq.map_or(0, |c| us(c.budget_us));
+        check_time(budget, TooLong("budget_us"))?;
         ensure(poll.is_none_or(|p| p.interval_ns >= 1), PollInterval)?;
+        let interval = poll.map_or(1, |p| p.interval_ns);
+        check_time(interval, TooLong("interval_ns"))?;
         let h = hybrid.unwrap_or_default();
         let (window, low, high) = (h.window, h.low_watermark, h.high_watermark);
         let windowed = (1..=MAX_HYBRID_WINDOW).contains(&window);
@@ -199,9 +212,24 @@ impl MachineConfig {
             fabric.check().map_err(Device)?;
         }
         match self.commit_policy {
-            Group { max_handles, .. } => ensure(max_handles >= 1, GroupMaxHandles),
-            Writeback { flush_interval_us } => ensure(flush_interval_us >= 1, WritebackInterval),
+            Group {
+                max_handles,
+                max_wait_us,
+            } => {
+                ensure(max_handles >= 1, GroupMaxHandles)?;
+                check_time(us(max_wait_us), TooLong("max_wait_us"))
+            }
+            Writeback { flush_interval_us } => {
+                ensure(flush_interval_us >= 1, WritebackInterval)?;
+                check_time(us(flush_interval_us), TooLong("flush_interval_us"))
+            }
             PerFsync => Ok(()),
         }
     }
+}
+
+/// A microsecond field in nanoseconds (saturating: past
+/// [`bpfstor_sim::MAX_CONFIG_TIME`] either way).
+fn us(micros: u64) -> u64 {
+    micros.saturating_mul(MICROSECOND)
 }

@@ -187,6 +187,65 @@ impl Default for LayerCosts {
 }
 
 impl LayerCosts {
+    /// Every cost by its field name, in declaration order: what
+    /// [`crate::MachineConfig::check`] holds to the time rule.
+    pub fn named(&self) -> [(&'static str, Nanos); 25] {
+        let LayerCosts {
+            crossing_enter,
+            crossing_exit,
+            syscall,
+            fs_submit,
+            fs_complete,
+            bio_submit,
+            bio_complete,
+            drv_submit,
+            doorbell,
+            irq_entry,
+            drv_complete,
+            app_think,
+            bpf_base,
+            bpf_per_insn,
+            extent_cache_lookup,
+            recycle_submit,
+            uring_sqe,
+            uring_cqe,
+            wr_fs_submit,
+            journal_log,
+            journal_commit,
+            fab_encode,
+            fab_decode,
+            fab_encode_per_kb,
+            poll_loop,
+        } = *self;
+        [
+            ("costs.crossing_enter", crossing_enter),
+            ("costs.crossing_exit", crossing_exit),
+            ("costs.syscall", syscall),
+            ("costs.fs_submit", fs_submit),
+            ("costs.fs_complete", fs_complete),
+            ("costs.bio_submit", bio_submit),
+            ("costs.bio_complete", bio_complete),
+            ("costs.drv_submit", drv_submit),
+            ("costs.doorbell", doorbell),
+            ("costs.irq_entry", irq_entry),
+            ("costs.drv_complete", drv_complete),
+            ("costs.app_think", app_think),
+            ("costs.bpf_base", bpf_base),
+            ("costs.bpf_per_insn", bpf_per_insn),
+            ("costs.extent_cache_lookup", extent_cache_lookup),
+            ("costs.recycle_submit", recycle_submit),
+            ("costs.uring_sqe", uring_sqe),
+            ("costs.uring_cqe", uring_cqe),
+            ("costs.wr_fs_submit", wr_fs_submit),
+            ("costs.journal_log", journal_log),
+            ("costs.journal_commit", journal_commit),
+            ("costs.fab_encode", fab_encode),
+            ("costs.fab_decode", fab_decode),
+            ("costs.fab_encode_per_kb", fab_encode_per_kb),
+            ("costs.poll_loop", poll_loop),
+        ]
+    }
+
     /// Total boundary-crossing cost (Table 1 row 1).
     pub fn crossing(&self) -> Nanos {
         self.crossing_enter + self.crossing_exit

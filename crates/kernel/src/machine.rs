@@ -81,25 +81,27 @@
 //! has exactly one owner at each event, and goes back where it came
 //! from when it is dead:
 //!
+//! - **Payload buffers** are the device's pool's (`NvmeDevice::recycle`
+//!   hands one back): reads and writes draw from the one pool, so it
+//!   holds at most the peak number of payloads alive at once.
 //! - **A read's payload** is the device's until the CQE is reaped: it
-//!   services the read into a buffer from its pool
-//!   (`NvmeDevice::take_buffer`). `on_cqe` moves it into the op's
-//!   segment slot and, with the last segment, into `Op::data` (extra
-//!   segments are copied onto the first and handed back at once). The
-//!   hook, or the application's `user_step`, reads it there. It is dead
-//!   the moment the op issues its next read — `on_dev_submit` hands it
-//!   back (`NvmeDevice::recycle`) before anything else, so the next hop
-//!   is serviced into the same bytes — or when the chain ends
-//!   (`free_op`).
+//!   services the read into a pooled buffer. `on_cqe` moves it into the
+//!   op's segment slot and, with the last segment, into `Op::data`
+//!   (extra segments are copied onto the first and handed back at
+//!   once). The hook, or the application's `user_step`, reads it there.
+//!   It is dead the moment the op issues its next read — `on_dev_submit`
+//!   hands it back before anything else, so the next hop is serviced
+//!   into the same bytes — or when the chain ends (`free_op`).
 //! - **A terminal status takes the buffer it reports**
 //!   (`Pass`/`SplitFallback` take `Op::data`, `Emitted` takes the emit
 //!   buffer): the driver borrows the outcome in `chain_done`, and
 //!   `on_delivered` puts the buffer back into the op before freeing it.
-//! - **Scratch, emit buffer and segment slots** (`ChainBufs`) belong to
-//!   the op for the life of the chain; `free_op` parks them in
-//!   `Spares::chains`, `alloc_op` hands them to the next op —
-//!   whichever tenant's — and `start_chain` zeroes the scratch and
-//!   empties the emit buffer before the chain sees them.
+//! - **Scratch, emit buffer, segment slots and record copy**
+//!   (`ChainBufs`) belong to the op for the life of the chain;
+//!   `free_op` parks them in `Spares::chains`, `alloc_op` hands them to
+//!   the next op — whichever tenant's — and `start_chain` zeroes the
+//!   scratch, empties the emit buffer and overwrites the record copy
+//!   before the chain sees them.
 //! - **The runs** of a request (`Spares::runs`, plain `(start, sectors)`
 //!   pairs) are one attempt's scratch, never an op's: `translate` writes
 //!   them at every `DevSubmit` — the file system's translation
@@ -113,17 +115,23 @@
 //!   queue of pending submissions is drained and handed back to it.
 //!
 //! A journaled write keeps the same rule, so what it allocates is what
-//! its data costs — the record and the store pages its non-zero sectors
-//! fill (an all-zero sector is a hole and costs nothing):
+//! its data costs — the store pages its non-zero sectors fill (an
+//! all-zero sector is a hole and costs nothing):
 //!
-//! - **The record** is the driver's allocation (`WriteStart::data`). It
-//!   is the op's (`WriteState::data`) from `start_chain` through
-//!   planning and any parking, and leaves it once, at admission:
-//!   `Op::cut` moves it whole into the single `NvmeOp::Write` of a
-//!   sector-aligned one-run write, or copies it out run by run between
-//!   the stored edge sectors (`bpfstor_fs::cut_runs`). The device
-//!   copies a command's payload into the store at the doorbell and
-//!   drops it; a write that fails before admission drops it with the op.
+//! - **The record** is lent, not given: `WriteStart::data` borrows the
+//!   driver only until `start_chain`, which copies it — up to its last
+//!   non-zero 64-byte span: a zero tail costs nothing while the write
+//!   waits — into the op's `ChainBufs::record` once the descriptor is
+//!   known to be open, so a driver may lend one buffer for every write.
+//!   At admission `Op::cut` makes the payload of it, zero tail
+//!   restored, in a buffer from the device's pool; the payload moves
+//!   whole into the single `NvmeOp::Write` of a sector-aligned one-run
+//!   write, or is cut run by run (`bpfstor_fs::cut_runs`) into pooled
+//!   images framed by the stored edge sectors and handed back. The
+//!   device copies a command's payload into the store at the doorbell
+//!   and hands the buffer back to its pool. A write that fails before
+//!   admission made no payload; its record copy goes with its
+//!   `ChainBufs` to the next chain.
 //! - **The plan** (`ExtFs::plan_write_into`: allocation, journal
 //!   records, a handle in the running transaction) is made on the first
 //!   attempt only, so a retry neither allocates nor journals again. The
@@ -133,8 +141,9 @@
 //! - **The commands** exist only inside `submit_segments`: cut into
 //!   `Spares::cmds` after the admission checks and drained onto the
 //!   rings in the same call (a read's are made from its runs as they
-//!   go). Nothing that carries payload bytes is pooled between events
-//!   (`free_op` asserts it).
+//!   go). No command outlives its submission (`free_op` asserts it):
+//!   the only buffers pooled between events are the device's payload
+//!   buffers, stale and carrying no payload of any live request.
 //! - **The commit window** and the waiter lists of the barriers in
 //!   flight swap roles at each seal: `Barrier::seal` takes a list an
 //!   earlier release handed back (`Barrier::retire`) as the new window,
@@ -145,6 +154,7 @@
 //! was alive at once at the busiest instant.
 
 use bpfstor_device::device::{NvmeCommand, NvmeOp};
+use bpfstor_device::store::trim_zero_tail;
 use bpfstor_device::{
     DeviceStats, NvmeCompletion, NvmeDevice, SectorStore, SubmitClass, Transport, TransportConfig,
     SECTOR_SIZE,
@@ -347,9 +357,6 @@ enum OpKind {
 /// The write-only part of an [`Op`] (all defaults on a read chain).
 #[derive(Default)]
 struct WriteState {
-    /// The chain's payload, the op's from the chain's start until its
-    /// request is admitted to the rings (`Op::cut`).
-    data: Vec<u8>,
     /// Journal length right after this write's records were logged: the
     /// seal horizon its fsync needs durable. An fsync may park on an
     /// in-flight barrier only when the sealed transaction's end covers
@@ -385,6 +392,10 @@ struct ChainBufs {
     /// may land out of order across channels, so each fills its slot.
     /// All `None` between requests.
     seg_data: Vec<Option<Vec<u8>>>,
+    /// A write's lent record up to its last non-zero 64-byte span
+    /// (the rest, to `Op::len`, is zeroes), copied at the chain's start;
+    /// `Op::cut` makes the command's payload of it.
+    record: Vec<u8>,
 }
 
 /// Buffers the per-I/O path reuses, kept only for their capacity.
@@ -508,33 +519,40 @@ impl Op {
     /// runs it was translated onto (like the bio layer merging adjacent
     /// blocks): a read gets one `Read` per run, made as the commands are
     /// submitted; a write's payload is split across the runs by
-    /// [`cut_runs`] — or moved whole into the one command of a
-    /// sector-aligned single-run write — into `cmds` first, since its
-    /// edge sectors are read from `store`. From here a write's bytes are
-    /// the commands', and a recycled hop's snapshot target is spent.
+    /// [`cut_runs`] into buffers from `dev`'s pool — or moved whole into
+    /// the one command of a sector-aligned single-run write — into
+    /// `cmds` first, since its edge sectors are read from `dev`'s store.
+    /// From here a write's bytes are the commands', and a recycled hop's
+    /// snapshot target is spent.
     fn cut<'a>(
         &mut self,
         runs: &'a [(u64, u64)],
-        store: &SectorStore,
+        dev: &mut NvmeDevice,
         cmds: &'a mut Vec<NvmeOp>,
     ) -> impl Iterator<Item = NvmeOp> + use<'a> {
         self.phys_target = None;
         let head = (self.file_off % SECTOR_SIZE as u64) as usize;
-        let reads = match (self.kind, runs) {
-            (OpKind::Read, _) => runs,
-            // Whole sectors into one run: the payload is the command's.
-            (_, &[(slba, _)]) if head == 0 && self.wr.data.len().is_multiple_of(SECTOR_SIZE) => {
-                let data = std::mem::take(&mut self.wr.data);
-                cmds.push(NvmeOp::Write { slba, data });
-                &[]
-            }
+        let reads = match self.kind {
+            OpKind::Read => runs,
             _ => {
-                let images = cut_runs(&self.wr.data, head, runs, store);
-                cmds.extend(images.map(|(slba, image)| NvmeOp::Write {
-                    slba,
-                    data: image.into_owned(),
-                }));
-                self.wr.data = Vec::new();
+                // The record gets its zero tail back as it is admitted.
+                let payload = dev.copy_in(&self.bufs.record, self.len as usize);
+                match runs {
+                    // Whole sectors into one run: the payload is the command's.
+                    &[(slba, _)] if head == 0 && payload.len().is_multiple_of(SECTOR_SIZE) => {
+                        cmds.push(NvmeOp::Write {
+                            slba,
+                            data: payload,
+                        });
+                    }
+                    _ => {
+                        for (slba, head, piece) in cut_runs(&payload, head, runs) {
+                            let data = dev.write_image(slba, head, piece);
+                            cmds.push(NvmeOp::Write { slba, data });
+                        }
+                        dev.recycle(payload);
+                    }
+                }
                 &[]
             }
         };
@@ -558,7 +576,7 @@ fn untag(cid: u64) -> (usize, usize) {
 /// A spec's argument and whether it is a write: what is left to say of
 /// a chain once [`Machine::start_chain`] has consumed its spec and
 /// found no descriptor.
-fn arg_and_class(spec: &ChainSpec) -> (u64, bool) {
+fn arg_and_class(spec: &ChainSpec<'_>) -> (u64, bool) {
     match spec {
         ChainSpec::Read(s) => (s.arg, false),
         ChainSpec::Write(w) => (w.arg, true),
@@ -1115,7 +1133,7 @@ impl Machine {
         let spec = ChainSpec::Write(WriteStart {
             fd,
             file_off: off,
-            data: data.to_vec(),
+            data,
             fsync,
             arg: 0,
         });
@@ -1190,16 +1208,16 @@ impl Machine {
     /// the app event and drains the event queue with a driver that
     /// issues exactly this chain. Simulated time advances monotonically
     /// across calls; counters reset at the next `run_*`.
-    fn run_one_shot(&mut self, spec: ChainSpec) -> Result<ChainOutcome, KernelError> {
-        struct OneShot {
-            spec: Option<ChainSpec>,
+    fn run_one_shot(&mut self, spec: ChainSpec<'_>) -> Result<ChainOutcome, KernelError> {
+        struct OneShot<'a> {
+            spec: Option<ChainSpec<'a>>,
             out: Option<ChainOutcome>,
         }
-        impl ChainDriver for OneShot {
+        impl ChainDriver for OneShot<'_> {
             fn mode(&self) -> DispatchMode {
                 DispatchMode::User
             }
-            fn next_op(&mut self, _thread: usize, _rng: &mut SimRng) -> Option<ChainSpec> {
+            fn next_op(&mut self, _thread: usize, _rng: &mut SimRng) -> Option<ChainSpec<'_>> {
                 self.spec.take()
             }
             fn chain_done(&mut self, _thread: usize, outcome: &ChainOutcome) -> ChainVerdict {
@@ -1526,8 +1544,8 @@ impl Machine {
     }
 
     /// Retires a finished op: its last read buffer goes back to the
-    /// device, its per-chain buffers to the next chain. A write that
-    /// failed before admission drops its payload here, with the op.
+    /// device, its per-chain buffers — a write's record copy among them
+    /// — to the next chain.
     fn free_op(&mut self, id: usize) {
         let op = self.ops[id].take().expect("op exists");
         debug_assert_eq!(op.segs_pending, 0, "an op retired under its in-flight tags");
@@ -1566,11 +1584,11 @@ impl Machine {
             return;
         }
         let mut rng = self.rng.fork(thread as u64 * 7919 + self.chains_done());
+        let mode = driver.mode();
         let Some(spec) = driver.next_op(thread, &mut rng) else {
             self.threads[thread].stopped = true;
             return;
         };
-        let mode = driver.mode();
         let (arg, is_write) = arg_and_class(&spec);
         if self
             .start_chain(thread, spec, mode, Origin::Sync, 0)
@@ -1582,17 +1600,19 @@ impl Machine {
     }
 
     /// Starts a chain; `None` when it names a descriptor that is not
-    /// open (see [`Machine::fail_unopened`]).
+    /// open (see [`Machine::fail_unopened`]). A write's lent record is
+    /// copied into the op's chain buffers here, once the descriptor is
+    /// known to be open.
     fn start_chain(
         &mut self,
         thread: usize,
-        spec: ChainSpec,
+        spec: ChainSpec<'_>,
         mode: DispatchMode,
         origin: Origin,
         attempts: u32,
     ) -> Option<usize> {
-        let (start, kind, wr_data) = match spec {
-            ChainSpec::Read(s) => (s, OpKind::Read, Vec::new()),
+        let (start, kind, record) = match spec {
+            ChainSpec::Read(s) => (s, OpKind::Read, &[][..]),
             ChainSpec::Write(w) => (
                 ChainStart {
                     fd: w.fd,
@@ -1609,7 +1629,6 @@ impl Machine {
         let mut op = Op::new(thread, start.fd, st, kind, mode, origin, token);
         (op.first_off, op.file_off, op.len) = (start.file_off, start.file_off, start.len);
         op.attempts = attempts;
-        op.wr.data = wr_data;
         op.fab.pushdown = self.fabric && mode == DispatchMode::DriverHook;
         let id = self.alloc_op(op);
         // No chain may read what another left in its scratch area or
@@ -1619,6 +1638,10 @@ impl Machine {
         bufs.scratch.clear();
         bufs.scratch.resize(SCRATCH_SIZE, 0);
         bufs.scratch[..8].copy_from_slice(&start.arg.to_le_bytes());
+        // The record is lent only until now; its zero tail costs nothing
+        // until the write is admitted.
+        bufs.record.clear();
+        bufs.record.extend_from_slice(trim_zero_tail(record));
         if origin == Origin::Sync {
             // App think + the full layer walk down to the driver.
             self.submit_after(id, self.costs.sync_issue(kind != OpKind::Read));
@@ -1704,9 +1727,7 @@ impl Machine {
         let mut runs = std::mem::take(&mut self.spares.runs);
         let mut cmds = std::mem::take(&mut self.spares.cmds);
         match self.translate(id, &mut runs) {
-            Ok(()) => {
-                self.submit_segments(id, runs.len(), |op, store| op.cut(&runs, store, &mut cmds))
-            }
+            Ok(()) => self.submit_segments(id, runs.len(), |op, dev| op.cut(&runs, dev, &mut cmds)),
             Err(status) => self.fail(id, status, &[]),
         }
         (self.spares.runs, self.spares.cmds) = (runs, cmds);
@@ -1748,7 +1769,7 @@ impl Machine {
         &mut self,
         id: usize,
         n: usize,
-        cmds: impl FnOnce(&mut Op, &SectorStore) -> I,
+        cmds: impl FnOnce(&mut Op, &mut NvmeDevice) -> I,
     ) {
         let op = self.ops[id].as_ref().expect("op");
         let (tenant, t) = (op.tenant, op.tenant as usize);
@@ -1796,7 +1817,7 @@ impl Machine {
         op.ios += n as u32;
         let ts = &mut self.run.tstats[t];
         let (mut reads, mut payload) = (0, 0);
-        for (seg, cmd) in cmds(op, self.transport.device().store()).enumerate() {
+        for (seg, cmd) in cmds(op, self.transport.device_mut()).enumerate() {
             match &cmd {
                 NvmeOp::Read { .. } => reads += 1,
                 NvmeOp::Write { data, .. } => {
@@ -1833,7 +1854,7 @@ impl Machine {
     /// failed the chain.
     fn plan_write(&mut self, id: usize, fsync: bool) -> bool {
         let op = self.ops[id].as_mut().expect("op");
-        let (ino, file_off, len) = (op.ino, op.file_off, op.wr.data.len());
+        let (ino, file_off, len) = (op.ino, op.file_off, op.len as usize);
         if len == 0 {
             if fsync {
                 // A pure fsync wants everything logged so far durable,
@@ -1938,13 +1959,28 @@ impl Machine {
         self.spares.cqes = cqes;
         let residue = self.transport.outstanding(qp);
         if reaped > 0 {
-            // Freed queue slots un-park stalled submissions.
-            for &id in self.admission.drain_round_robin(qp) {
-                self.events.push(self.now, Ev::DevSubmit { op: id });
+            // Freed queue slots un-park stalled submissions. So do freed
+            // capsule credits: a fabric submission refused by its
+            // initiator's window (`FabricConfig::initiator_window`) may
+            // wait on a queue pair with nothing in flight, which no reap
+            // of its own will ever drain.
+            self.unpark(qp);
+            for q in (0..self.transport.nr_queues()).filter(|&q| q != qp) {
+                if self.transport.outstanding(q) == 0 && self.admission.has_parked(q) {
+                    self.unpark(q);
+                }
             }
         }
         self.reaper.note_reap(self.now, qp, reaped, residue, via);
         reaped
+    }
+
+    /// Re-issues every submission parked on `qp`, round-robin across
+    /// tenants.
+    fn unpark(&mut self, qp: usize) {
+        for &id in self.admission.drain_round_robin(qp) {
+            self.events.push(self.now, Ev::DevSubmit { op: id });
+        }
     }
 
     /// Applies weighted deficit-round-robin across tenants to one reap

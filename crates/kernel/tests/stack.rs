@@ -11,12 +11,12 @@ mod support;
 use bpfstor_device::{DeviceConfigError, SECTOR_SIZE};
 use bpfstor_fs::CHECKPOINT_RECORDS;
 use bpfstor_kernel::{
-    AdaptiveIrqConfig, Broken, ChainOutcome, ChainStatus, ChainVerdict, CommitPolicy, ConfigError,
-    DispatchMode, ExecSplit, FabricConfig, Fd, HybridConfig, KernelError, Law, LayerCosts, Machine,
-    MachineConfig, Mutation, PollConfig, ReapKind, ReapMode, RunReport, TenantBreakdown,
-    TenantLimits, TransportConfig, DEFAULT_TENANT,
+    AdaptiveIrqConfig, Broken, ChainOutcome, ChainSpec, ChainStatus, ChainVerdict, CommitPolicy,
+    ConfigError, DispatchMode, ExecSplit, FabricConfig, Fd, HybridConfig, KernelError, Law,
+    LayerCosts, Machine, MachineConfig, Mutation, PollConfig, ReapKind, ReapMode, RunReport,
+    TenantBreakdown, TenantLimits, TransportConfig, DEFAULT_TENANT,
 };
-use bpfstor_sim::{Nanos, MILLISECOND, SECOND};
+use bpfstor_sim::{Nanos, SimRng, MILLISECOND, SECOND};
 use bpfstor_vm::{action, ctx_off, Asm, Program, Width};
 use support::{
     chain_file, chase, chase_program, chase_step, exact_link, machine, machine_with, read, reads,

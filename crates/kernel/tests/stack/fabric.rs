@@ -250,7 +250,7 @@ fn write_chains_count_in_resubmission_accounting() {
     );
     // Three fsynced writes of the same block.
     let mut d = Script::new(DispatchMode::User, fd, |&mut fd, issued, _, _| {
-        (issued < 3).then(|| write(fd, 0, vec![3u8; SECTOR_SIZE], true, 0))
+        (issued < 3).then(|| write(fd, 0, &[3u8; SECTOR_SIZE], true, 0))
     });
     let report = m.run_closed_loop(1, SECOND, &mut d);
     assert_eq!(report.chains, 3);

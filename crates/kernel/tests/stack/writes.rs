@@ -443,6 +443,56 @@ fn write_backpressure_parks_and_retries_until_done() {
     }
 }
 
+/// Chain `i`'s record in [`one_lent_buffer_serves_every_write`]:
+/// non-zero for its first `i * 97 % len` bytes, zero after them.
+fn lent_record(i: u64, len: usize) -> impl Iterator<Item = u8> {
+    let nonzero = i as usize * 97 % len;
+    (0..len).map(move |p| if p < nonzero { Writes::fill(i) } else { 0 })
+}
+
+#[test]
+fn one_lent_buffer_serves_every_write() {
+    // The driver refills one buffer for every write, as `YcsbMix` does,
+    // and eight writes are issued before the first reaches the device:
+    // each chain's copy is its own. The records straddle sectors from an
+    // unaligned offset, and each is zero past its own length, so a
+    // pooled buffer's stale tail, or a neighbour's bytes, would show.
+    const LEN: usize = 2 * SECTOR_SIZE + 40;
+    const STRIDE: usize = 3 * SECTOR_SIZE;
+    const COUNT: u64 = 24;
+    struct Lender {
+        fd: Fd,
+        record: Vec<u8>,
+    }
+    fn next<'s>(s: &'s mut Lender, i: u64, _: usize, _: &mut SimRng) -> Option<ChainSpec<'s>> {
+        if i >= COUNT {
+            return None;
+        }
+        s.record.clear();
+        s.record.extend(lent_record(i, LEN));
+        let off = (i as usize * STRIDE + 17) as u64;
+        Some(write(s.fd, off, &s.record, i % 5 == 4, i))
+    }
+    let (mut m, fd) = log_machine(MachineConfig::default(), "log.db");
+    let state = Lender {
+        fd,
+        record: Vec::new(),
+    };
+    let mut d = Script::new(DispatchMode::User, state, next);
+    let report = m.run_uring(1, 8, SECOND, &mut d);
+    assert_eq!((d.outcomes.len() as u64, report.errors), (COUNT, 0));
+    let mut want = vec![0u8; COUNT as usize * STRIDE];
+    for i in 0..COUNT {
+        let at = i as usize * STRIDE + 17;
+        want.splice(at..at + LEN, lent_record(i, LEN));
+    }
+    let ino = m.ino_of(fd).expect("ino");
+    let (fs, store) = m.fs_and_store();
+    let got = fs.read(ino, 0, want.len(), store).expect("read");
+    let first = got.iter().zip(&want).position(|(a, b)| a != b);
+    assert_eq!(first, None, "the first byte that is not its chain's own");
+}
+
 #[test]
 fn multi_block_write_merges_into_contiguous_segments() {
     // A fresh file's sequential allocation is contiguous, so an 8-block
@@ -505,7 +555,7 @@ fn mixed_read_write_chains_share_queue_slots() {
             read(fd, 0, SECTOR_SIZE as u32, 0)
         } else {
             let file_off = (8 + left) * SECTOR_SIZE as u64;
-            write(fd, file_off, vec![9u8; SECTOR_SIZE], false, 0)
+            write(fd, file_off, &[9u8; SECTOR_SIZE], false, 0)
         })
     });
     let report = m.run_closed_loop(2, SECOND, &mut d);
@@ -577,7 +627,7 @@ fn an_unopened_fd_fails_the_chain_the_same_from_both_origins() {
         let mut d = Script::new(DispatchMode::User, good_fd, |&mut good_fd, issued, _, _| {
             (issued < 8).then(|| {
                 if issued.is_multiple_of(2) {
-                    write(9999, 0, vec![1u8; SECTOR_SIZE], false, issued)
+                    write(9999, 0, &[1u8; SECTOR_SIZE], false, issued)
                 } else {
                     read(good_fd, 0, SECTOR_SIZE as u32, issued)
                 }

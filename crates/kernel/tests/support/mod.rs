@@ -134,20 +134,20 @@ pub struct Script<S> {
     /// Each chain the script accepted (`done` said `Done`), in
     /// completion order.
     pub outcomes: Vec<ChainOutcome>,
-    /// The `issued`-th operation, asked by `thread`; `None` stops it.
-    pub next: fn(&mut S, issued: u64, thread: usize, &mut SimRng) -> Option<ChainSpec>,
+    /// The `issued`-th operation, asked by `thread`; `None` stops it. A
+    /// write's payload may borrow the state: the kernel copies it.
+    pub next: Next<S>,
     /// The application's step over a completed block (`User`/`Remote`).
     pub step: fn(&mut S, &ChainToken, &[u8]) -> UserNext,
     /// The verdict on a finished chain.
     pub done: fn(&mut S, &ChainOutcome) -> ChainVerdict,
 }
 
+/// A script's issuing function ([`Script::next`]).
+pub type Next<S> = for<'s> fn(&'s mut S, u64, usize, &mut SimRng) -> Option<ChainSpec<'s>>;
+
 impl<S> Script<S> {
-    pub fn new(
-        mode: DispatchMode,
-        state: S,
-        next: fn(&mut S, u64, usize, &mut SimRng) -> Option<ChainSpec>,
-    ) -> Self {
+    pub fn new(mode: DispatchMode, state: S, next: Next<S>) -> Self {
         Script {
             mode,
             state,
@@ -165,7 +165,7 @@ impl<S> ChainDriver for Script<S> {
         self.mode
     }
 
-    fn next_op(&mut self, thread: usize, rng: &mut SimRng) -> Option<ChainSpec> {
+    fn next_op(&mut self, thread: usize, rng: &mut SimRng) -> Option<ChainSpec<'_>> {
         let op = (self.next)(&mut self.state, self.issued, thread, rng)?;
         self.issued += 1;
         Some(op)
@@ -185,7 +185,7 @@ impl<S> ChainDriver for Script<S> {
 }
 
 /// A read chain's opening operation.
-pub fn read(fd: Fd, file_off: u64, len: u32, arg: u64) -> ChainSpec {
+pub fn read(fd: Fd, file_off: u64, len: u32, arg: u64) -> ChainSpec<'static> {
     ChainSpec::Read(ChainStart {
         fd,
         file_off,
@@ -195,7 +195,7 @@ pub fn read(fd: Fd, file_off: u64, len: u32, arg: u64) -> ChainSpec {
 }
 
 /// A journaled write chain (`data` empty with `fsync`: a pure fsync).
-pub fn write(fd: Fd, file_off: u64, data: Vec<u8>, fsync: bool, arg: u64) -> ChainSpec {
+pub fn write(fd: Fd, file_off: u64, data: &[u8], fsync: bool, arg: u64) -> ChainSpec<'_> {
     ChainSpec::Write(WriteStart {
         fd,
         file_off,
@@ -213,7 +213,12 @@ pub struct Reads {
 }
 
 impl Reads {
-    pub fn next(&mut self, issued: u64, _thread: usize, _rng: &mut SimRng) -> Option<ChainSpec> {
+    pub fn next(
+        &mut self,
+        issued: u64,
+        _thread: usize,
+        _rng: &mut SimRng,
+    ) -> Option<ChainSpec<'_>> {
         (issued < self.count).then(|| read(self.fd, 0, self.len, 0))
     }
 }
@@ -243,13 +248,16 @@ pub fn chase_step(data: &[u8]) -> UserNext {
 /// `count` journaled writes of `len` bytes at successive offsets, every
 /// `fsync_every`-th one fsynced (0 = never), then — with `final_fsync`
 /// — one pure fsync, so that everything logged is durable when the run
-/// drains.
+/// drains. Every write lends the same buffer, refilled for each, as
+/// `YcsbMix` lends its one record.
 pub struct Writes {
     pub fd: Fd,
     pub len: usize,
     pub count: u64,
     pub fsync_every: u64,
     pub final_fsync: bool,
+    /// The one buffer every write lends.
+    pub record: Vec<u8>,
 }
 
 impl Writes {
@@ -258,14 +266,15 @@ impl Writes {
         (i % 251) as u8 + 1
     }
 
-    pub fn next(&mut self, i: u64, _thread: usize, _rng: &mut SimRng) -> Option<ChainSpec> {
+    pub fn next(&mut self, i: u64, _thread: usize, _rng: &mut SimRng) -> Option<ChainSpec<'_>> {
         let (fd, len) = (self.fd, self.len);
         if i < self.count {
             let fsync = self.fsync_every != 0 && (i + 1).is_multiple_of(self.fsync_every);
-            let data = vec![Writes::fill(i); len];
-            return Some(write(fd, i * len as u64, data, fsync, i));
+            self.record.clear();
+            self.record.resize(len, Writes::fill(i));
+            return Some(write(fd, i * len as u64, &self.record, fsync, i));
         }
-        (self.final_fsync && i == self.count).then(|| write(fd, 0, Vec::new(), true, u64::MAX))
+        (self.final_fsync && i == self.count).then(|| write(fd, 0, &[], true, u64::MAX))
     }
 }
 
@@ -278,6 +287,7 @@ pub fn writes(fd: Fd, len: usize, count: u64, fsync_every: u64) -> Script<Writes
         count,
         fsync_every,
         final_fsync: false,
+        record: Vec::new(),
     };
     Script::new(DispatchMode::User, state, Writes::next)
 }

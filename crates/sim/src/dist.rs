@@ -40,6 +40,17 @@ pub enum LatencyDist {
 }
 
 impl LatencyDist {
+    /// Its longest time parameter: what [`crate::check_time`] holds to
+    /// [`crate::MAX_CONFIG_TIME`].
+    pub fn longest(&self) -> Nanos {
+        match self {
+            LatencyDist::Constant(t) | LatencyDist::Exponential(t) => *t,
+            LatencyDist::Uniform(lo, hi) => (*lo).max(*hi),
+            LatencyDist::LogNormal { median, .. } => *median,
+            LatencyDist::Bimodal { a, b, .. } => a.longest().max(b.longest()),
+        }
+    }
+
     /// Draws one sample.
     pub fn sample(&self, rng: &mut SimRng) -> Nanos {
         match self {

@@ -47,4 +47,4 @@ pub use events::EventQueue;
 pub use ids::{IdMap, IdSet};
 pub use rng::SimRng;
 pub use stats::Histogram;
-pub use time::{Nanos, MICROSECOND, MILLISECOND, SECOND};
+pub use time::{check_time, Nanos, MAX_CONFIG_TIME, MICROSECOND, MILLISECOND, SECOND};

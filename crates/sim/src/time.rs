@@ -14,6 +14,18 @@ pub const MILLISECOND: Nanos = 1_000_000;
 /// One second in [`Nanos`].
 pub const SECOND: Nanos = 1_000_000_000;
 
+/// The longest time a configuration may name — a cost, latency, timeout
+/// or interval: one simulated hour. An instant `now + t` then stays far
+/// from overflow however long a run lasts, and no device or link comes
+/// within orders of magnitude of it.
+pub const MAX_CONFIG_TIME: Nanos = 3_600 * SECOND;
+
+/// The one time rule of every configuration check: `ns` is at most
+/// [`MAX_CONFIG_TIME`], else the refusal `too_long` names the field.
+pub fn check_time<E>(ns: Nanos, too_long: E) -> Result<(), E> {
+    crate::ensure(ns <= MAX_CONFIG_TIME, too_long)
+}
+
 /// Formats a nanosecond quantity with an adaptive unit for human output.
 ///
 /// # Examples

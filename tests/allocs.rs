@@ -11,13 +11,15 @@
 //! tier 1 and cannot gate it.)
 //!
 //! A journaled write keeps what the data itself costs and nothing else:
-//! the record the workload hands in (an owned `Vec`, the trait's shape)
-//! and one store page per 1024 non-zero sectors that land, when each is
+//! one store page per 1024 non-zero sectors that land, when each is
 //! zero past its first 8-byte word (the store keeps a sector to its
 //! last non-zero word; an all-zero sector is a hole and costs a bit of
 //! the index). An appended log's sectors take consecutive slots, so
 //! each of its 64-LBA index leaves is a run that holds no array of
-//! entries. Its plan, its
+//! entries. The record is lent, not given: the workload keeps one
+//! buffer and the kernel copies it into a payload buffer from the
+//! device's pool, which the command hands back once the store holds
+//! the bytes. Its plan, its
 //! commands, the uring batch and the commit window are kept for their
 //! capacity (machine.rs, "Buffer ownership"), and the write loops below
 //! measure that the same marginal way, per write chain.
@@ -364,10 +366,12 @@ fn fabric_pushdown_appends(until: u64) -> (u64, u64) {
 /// the run, write chains completed)`.
 type WriteRun = fn(u64) -> (u64, u64);
 
-/// The write loops, by name. Per write chain, each costs the record (1)
-/// and the store pages it fills: one per 1024 non-zero sectors written,
-/// each an 8-byte key and zeroes kept in an 8 B slot. The mix's read
-/// chains run the SST hook, which allocates nothing before `decode`.
+/// The write loops, by name. Per write chain, each costs only the store
+/// pages it fills: one per 1024 non-zero sectors written, each an 8-byte
+/// key and zeroes kept in an 8 B slot. The record is the workload's one
+/// buffer, lent at each write and copied into a pooled payload buffer.
+/// The mix's read chains run the SST hook, which allocates nothing
+/// before `decode`.
 const WRITE_LOOPS: [(&str, WriteRun); 4] = [
     (
         "local sync 512 B appends with fsync every 8th",
@@ -387,6 +391,14 @@ fn steady_state_write_path_allocates_only_what_the_data_costs() {
     check(WRITE_LOOPS.map(|(name, run)| {
         let ((a1, w1), (a2, w2)) = (run(T), run(2 * T));
         assert_eq!(run(T), (a1, w1), "{name}: repeat run");
+        // Store pages only: a heap call per write chain (a record, a
+        // payload, a command's image) would make one per chain at least.
+        assert!(
+            a2 - a1 < w2 - w1,
+            "{name}: {} heap calls over {} write chains",
+            a2 - a1,
+            w2 - w1
+        );
         (name, WRITE_ROWS, [a1, w1, a2, w2])
     }));
 }

@@ -27,7 +27,9 @@ use bpfstor::lsm::sstable::{
     Footer, SST_MAGIC,
 };
 use bpfstor::lsm::BLOCK;
-use bpfstor::sim::{CoreCountError, Histogram, LatencyDist, Nanos, SimRng, SECOND};
+use bpfstor::sim::{
+    CoreCountError, Histogram, LatencyDist, Nanos, SimRng, MAX_CONFIG_TIME, SECOND,
+};
 use bpfstor::vm::insn::{decode, encode, Insn};
 use bpfstor::vm::{
     action, compile, ctx_off, helper, verify, Asm, CompiledProg, MapSet, Program, RecordingEnv,

@@ -66,7 +66,10 @@ const EDGE_ODDS: u64 = 32;
 /// A configuration with every field that has a rule drawn over its
 /// whole range, zeros and both sides of each bound included, and every
 /// cost and latency drawn up to the world's time scale (at most 1 s),
-/// with the dispatch mode its closed loop runs in.
+/// with the dispatch mode its closed loop runs in. One configuration in
+/// eight has one time field drawn at or past the one-hour bound
+/// (`MAX_CONFIG_TIME`): at it when the field is a cost the world pays
+/// once a chain, past it otherwise.
 ///
 /// Two couplings keep an accepted world's run short, and each is the
 /// cost of the world, not a rule. A poller visits, and a writeback timer
@@ -179,6 +182,22 @@ fn arb_config(d: &mut Draws) -> (MachineConfig, DispatchMode) {
         DispatchMode::Remote,
     ];
     let mode = modes[(d.word() % if on_fabric { 4 } else { 3 }) as usize];
+    let mut cfg = cfg;
+    if d.word().is_multiple_of(8) {
+        let past = [MAX_CONFIG_TIME + 1, u64::MAX][(d.word() % 2) as usize];
+        match d.word() % 6 {
+            // A chain pays its think time once: an hour of it runs.
+            0 => cfg.costs.app_think = MAX_CONFIG_TIME,
+            1 => cfg.costs.app_think = past,
+            2 => cfg.profile.write_latency = LatencyDist::Uniform(0, past),
+            3 => cfg.irq_coalesce_us = past / 1_000,
+            4 => cfg.reap_mode = ReapMode::Polled(PollConfig { interval_ns: past }),
+            _ => match &mut cfg.transport {
+                TransportConfig::Fabric(f) => f.retransmit_timeout_ns = past,
+                TransportConfig::Local => cfg.costs.syscall = past,
+            },
+        }
+    }
     (cfg, mode)
 }
 
@@ -211,7 +230,31 @@ fn predicted_refusal(cfg: &MachineConfig) -> Option<ConfigError> {
         !(2..=65_536).contains(&depth),
         Device(Dev::QueueDepth(depth)),
     );
+    // The one time rule: at most an hour, in field order.
+    let hour = 3_600 * SECOND;
+    let over = |ns: u64| ns > hour;
+    fn longest(l: &LatencyDist) -> u64 {
+        match l {
+            LatencyDist::Constant(t) | LatencyDist::Exponential(t) => *t,
+            LatencyDist::Uniform(lo, hi) => *lo.max(hi),
+            LatencyDist::LogNormal { median, .. } => *median,
+            LatencyDist::Bimodal { a, b, .. } => longest(a).max(longest(b)),
+        }
+    }
+    let us = |u: u64| u.saturating_mul(1_000);
+    refuse(
+        over(longest(&p.read_latency)),
+        Device(Dev::TooLong("read_latency")),
+    );
+    refuse(
+        over(longest(&p.write_latency)),
+        Device(Dev::TooLong("write_latency")),
+    );
+    for (field, ns) in cfg.costs.named() {
+        refuse(over(ns), TooLong(field));
+    }
     refuse(cfg.fs_blocks == 0, FsBlocks);
+    refuse(over(us(cfg.irq_coalesce_us)), TooLong("irq_coalesce_us"));
     refuse(cfg.irq_coalesce_depth == 0, IrqCoalesceDepth);
     let (irq, poll, hybrid) = match cfg.reap_mode {
         ReapMode::Interrupt => (None, None, None),
@@ -222,8 +265,13 @@ fn predicted_refusal(cfg: &MachineConfig) -> Option<ConfigError> {
     if let Some(c) = irq {
         let (min, max) = (c.min_depth, c.max_depth);
         refuse(min == 0 || max < min, AdaptiveDepths(min, max));
+        refuse(over(us(c.budget_us)), TooLong("budget_us"));
     }
     refuse(poll.is_some_and(|p| p.interval_ns == 0), PollInterval);
+    refuse(
+        poll.is_some_and(|p| over(p.interval_ns)),
+        TooLong("interval_ns"),
+    );
     if let Some(h) = hybrid {
         refuse(!(1..=1024).contains(&h.window), HybridWindow(h.window));
         let (low, high) = (h.low_watermark, h.high_watermark);
@@ -243,11 +291,29 @@ fn predicted_refusal(cfg: &MachineConfig) -> Option<ConfigError> {
         refuse(!(0.0..=0.99).contains(&f.loss_prob), Device(Dev::LossProb));
         refuse(!(0.0..=1.0).contains(&f.dup_prob), Device(Dev::DupProb));
         refuse(f.retransmit_timeout_ns == 0, Device(Dev::RetransmitTimeout));
+        let times = [
+            ("to_target", longest(&f.to_target)),
+            ("to_host", longest(&f.to_host)),
+            ("target_proc_ns", f.target_proc_ns),
+            ("admit_ns", f.admit_ns),
+            ("congestion_ns_per_capsule", f.congestion_ns_per_capsule),
+            ("retransmit_timeout_ns", f.retransmit_timeout_ns),
+        ];
+        for (field, ns) in times {
+            refuse(over(ns), Device(Dev::TooLong(field)));
+        }
     }
     match cfg.commit_policy {
-        CommitPolicy::Group { max_handles, .. } => refuse(max_handles == 0, GroupMaxHandles),
+        CommitPolicy::Group {
+            max_handles,
+            max_wait_us,
+        } => {
+            refuse(max_handles == 0, GroupMaxHandles);
+            refuse(over(us(max_wait_us)), TooLong("max_wait_us"));
+        }
         CommitPolicy::Writeback { flush_interval_us } => {
-            refuse(flush_interval_us == 0, WritebackInterval)
+            refuse(flush_interval_us == 0, WritebackInterval);
+            refuse(over(us(flush_interval_us)), TooLong("flush_interval_us"));
         }
         CommitPolicy::PerFsync => {}
     }
@@ -256,10 +322,8 @@ fn predicted_refusal(cfg: &MachineConfig) -> Option<ConfigError> {
 
 /// Runs a short closed loop on an accepted `cfg`: two threads share
 /// eight chains over a one-block file, reads (its chase, in `mode`)
-/// and appends, every other one fsynced. The run drains, and every
-/// conservation law holds. (That every chain issued also ends is not
-/// asserted: a submission parked on an initiator's credit window on an
-/// idle queue pair is never re-issued, a known fault of the reap path.)
+/// and appends, every other one fsynced. The run drains, every chain
+/// issued ends, and every conservation law holds.
 fn run_briefly(cfg: MachineConfig, mode: DispatchMode) {
     let hooked = matches!(mode, DispatchMode::SyscallHook | DispatchMode::DriverHook);
     let program = hooked.then(support::chase_program);
@@ -268,13 +332,14 @@ fn run_briefly(cfg: MachineConfig, mode: DispatchMode) {
         let append = SECTOR_SIZE as u64 * issued.div_ceil(2);
         (issued < 8).then(|| match issued % 2 {
             0 => read(fd, 0, SECTOR_SIZE as u32, 0),
-            _ => write(fd, append, vec![7; SECTOR_SIZE], issued % 4 == 1, 0),
+            _ => write(fd, append, &[7; SECTOR_SIZE], issued % 4 == 1, 0),
         })
     });
     d.step = |_, _, data| support::chase_step(data);
     let report = m.run_closed_loop(2, 1_000 * SECOND, &mut d);
     assert_eq!(report.audit(), Ok(()));
     assert!(d.issued >= 2, "each thread issues before the deadline");
+    assert_eq!(d.outcomes.len() as u64, d.issued, "every chain issued ends");
 }
 
 proptest! {
@@ -400,6 +465,29 @@ fn configs_found_one_at_a_time_are_refused_by_name() {
             CoreCount(CoreCountError(1 << 40)),
         ),
         (edited(|c| c.fs_blocks = 0), FsBlocks),
+        // Past an hour, a time overflowed `now + t`: a poll interval of
+        // `u64::MAX` panicked in `arm_reap` (a wrapped instant in
+        // release).
+        (
+            edited(|c| {
+                c.reap_mode = ReapMode::Polled(PollConfig {
+                    interval_ns: u64::MAX,
+                })
+            }),
+            TooLong("interval_ns"),
+        ),
+        (
+            edited(|c| c.costs.syscall = MAX_CONFIG_TIME + 1),
+            TooLong("costs.syscall"),
+        ),
+        (
+            edited(|c| c.profile.read_latency = LatencyDist::Constant(u64::MAX)),
+            Device(Dev::TooLong("read_latency")),
+        ),
+        (
+            on_link(|l| l.to_host = LatencyDist::Uniform(0, u64::MAX)),
+            Device(Dev::TooLong("to_host")),
+        ),
     ];
     for (cfg, refusal) in cases {
         assert_eq!(cfg.check(), Err(refusal), "{cfg:?}");

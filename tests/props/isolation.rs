@@ -127,6 +127,8 @@ struct Iso {
     /// token id → (offset of the read in flight, its hop).
     live: std::collections::HashMap<u64, (u64, u64)>,
     violations: Vec<String>,
+    /// The one buffer every write lends, refilled for each.
+    record: Vec<u8>,
 }
 
 impl Iso {
@@ -147,7 +149,7 @@ impl Iso {
         (0..hop).fold(c.2 * SECTOR_SIZE as u64, |off, _| iso_next_off(off, c.3))
     }
 
-    fn next(&mut self, issued: u64, _thread: usize, _rng: &mut SimRng) -> Option<ChainSpec> {
+    fn next(&mut self, issued: u64, _thread: usize, _rng: &mut SimRng) -> Option<ChainSpec<'_>> {
         // The plan index rides in the argument's top half.
         Some(match self.plan.get(issued as usize)? {
             IsoOp::Read(c) => {
@@ -156,13 +158,14 @@ impl Iso {
             }
             IsoOp::Write(w) => {
                 let (i, &(t, head, len, fsync)) = (issued as usize, w);
-                let data = (0..len).map(|pos| iso_fill(i, pos)).collect();
+                self.record.clear();
+                self.record.extend((0..len).map(|pos| iso_fill(i, pos)));
                 let off = if iso_no_room(w) {
                     iso_slot_off(ISO_SLOTS as usize)
                 } else {
                     iso_slot_off(i) + head as u64
                 };
-                write(self.fds[t], off, data, fsync, issued << 32)
+                write(self.fds[t], off, &self.record, fsync, issued << 32)
             }
         })
     }
@@ -346,6 +349,7 @@ proptest! {
             written: Vec::new(),
             live: std::collections::HashMap::new(),
             violations: Vec::new(),
+            record: Vec::new(),
         };
         let mut driver = Script::new(mode, state, Iso::next);
         (driver.step, driver.done) = (Iso::step, Iso::done);
