@@ -1,6 +1,6 @@
 //! The `bench` binary's command line: one parser, one dispatcher and
 //! one output style for every experiment in the
-//! [registry](crate::registry).
+//! [`registry`].
 //!
 //! ```text
 //! bench <name> [--quick] [--seed <N>]

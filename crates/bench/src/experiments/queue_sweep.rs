@@ -161,14 +161,14 @@ pub fn reap_sweep(scale: Scale, seed: Option<u64>) -> Table {
     let mut fixed: Vec<(Point, Point)> = Vec::new();
     for &b in &batches {
         let irq = run("interrupt", ReapMode::Interrupt, b);
-        let adaptive = run("adaptive-irq", ReapMode::AdaptiveIrq(Default::default()), b);
-        let polled = run("polled", ReapMode::Polled(Default::default()), b);
+        let adaptive = run("adaptive-irq", ReapMode::AdaptiveIrq, b);
+        let polled = run("polled", ReapMode::Polled, b);
         assert_eq!(irq.switches + adaptive.switches + polled.switches, 0);
         fixed.push((irq, polled));
     }
     let mut hybrid = Vec::new();
     for &b in &batches {
-        hybrid.push(run("hybrid", ReapMode::Hybrid(Default::default()), b));
+        hybrid.push(run("hybrid", ReapMode::Hybrid, b));
     }
     // Crossover, per the paper's polling-vs-interrupt trade: polling
     // wins throughput at the deepest batch, interrupts win CPU-per-IO

@@ -2,14 +2,14 @@
 //!
 //! This crate is deliverable (a): the user-facing library the paper
 //! sketches in §4 — "a library that provides a higher-level interface
-//! than BPF ... [containing] BPF functions to accelerate access and
+//! than BPF ... \[containing\] BPF functions to accelerate access and
 //! operations on popular data structures, such as B-trees and
 //! log-structured merge trees".
 //!
 //! - [`session`]: the workload-generic pushdown facade —
 //!   [`PushdownSession`] drives any [`PushdownWorkload`] through any
 //!   dispatch mode, handling program installation (typed
-//!   [`ProgHandle`](bpfstor_kernel::ProgHandle)s), extent re-arming, and
+//!   [`ProgHandle`]s), extent re-arming, and
 //!   automatic retry on invalidation;
 //! - [`workloads`]: the four in-tree workloads — [`Btree`], [`Sst`],
 //!   [`Scan`], [`Chase`];
@@ -48,10 +48,10 @@ pub mod session;
 pub mod workloads;
 
 pub use bpfstor_kernel::{
-    AdaptiveIrqConfig, ChainSpec, ChainStatus, ChainToken, ChainVerdict, CommitLog, CommitPolicy,
-    CommitStats, ConfigError, DispatchMode, ExecClock, ExecEngine, ExecSplit, FabricConfig,
-    FabricStats, HybridConfig, InitiatorStats, MachineConfig, ModeTransition, PollConfig,
-    ProgHandle, ReapKind, ReapMode, ReaperStats, RunReport, TransportConfig, WriteStart,
+    ChainSpec, ChainStatus, ChainToken, ChainVerdict, CommitLog, CommitPolicy, CommitStats,
+    ConfigError, DispatchMode, ExecClock, ExecEngine, ExecSplit, FabricConfig, FabricStats,
+    InitiatorStats, MachineConfig, ModeTransition, ProgHandle, ReapKind, ReapMode, ReaperStats,
+    RunReport, TransportConfig, WriteStart,
 };
 pub use bpfstor_kernel::{TenantBreakdown, TenantId, TenantLimits, DEFAULT_TENANT};
 pub use group::{GroupOptions, TenantGroup, TenantGroupBuilder};

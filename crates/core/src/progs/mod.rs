@@ -1,4 +1,4 @@
-//! BPF program generators — the paper's "library [of] BPF functions to
+//! BPF program generators — the paper's "library \[of\] BPF functions to
 //! accelerate access and operations on popular data structures" (§4).
 //!
 //! Each generator emits a verified-by-construction program for one

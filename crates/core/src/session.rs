@@ -318,7 +318,7 @@ impl<W> SessionBuilder<W> {
     /// once `depth` CQEs are pending, or `us` microseconds after the
     /// first, whichever comes first. `(0, 1)` — the default — fires on
     /// every completion. These knobs drive [`ReapMode::Interrupt`]
-    /// only; the adaptive modes carry their own parameters (see
+    /// only; the other modes run at the reaper's constants (see
     /// [`SessionBuilder::reap_mode`]).
     pub fn irq_coalescing(mut self, us: u64, depth: u32) -> Self {
         self.config.irq_coalesce_us = us;

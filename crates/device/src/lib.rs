@@ -37,7 +37,7 @@ pub use ring::{check_queue_depth, Ring, MAX_QUEUE_DEPTH};
 pub use store::{SectorStore, SECTOR_SIZE};
 pub use transport::{
     FabricConfig, FabricStats, FabricTransport, InitiatorStats, LocalTransport, SubmitClass,
-    Transport, TransportConfig, MAX_INITIATORS, MAX_LOSS_PROB,
+    Transport, TransportConfig, MAX_INITIATORS, MAX_LOSS_PROB, RETRANSMIT_TIMEOUT_NS,
 };
 
 /// The most internal channels a device has. Real controllers have tens
@@ -71,11 +71,6 @@ pub enum DeviceConfigError {
     /// crossing is sent again until a copy arrives, `1 / (1 - p)` times
     /// on average.
     LossProb,
-    /// `dup_prob` outside `[0, 1]` (NaN included).
-    DupProb,
-    /// `retransmit_timeout_ns` 0: a lost crossing is retransmitted
-    /// without time passing.
-    RetransmitTimeout,
     /// The named latency or time field is longer than
     /// [`bpfstor_sim::MAX_CONFIG_TIME`] (one simulated hour).
     TooLong(&'static str),
@@ -92,8 +87,6 @@ impl std::fmt::Display for DeviceConfigError {
             InitiatorWindow => write!(f, "initiator_window 0 can never admit a capsule"),
             InitiatorWeight(i) => write!(f, "initiator_weights[{i}] 0 earns no admission turn"),
             LossProb => write!(f, "loss_prob must be in [0, {MAX_LOSS_PROB}]"),
-            DupProb => write!(f, "dup_prob must be in [0, 1]"),
-            RetransmitTimeout => write!(f, "retransmit_timeout_ns 0 retransmits at once"),
             TooLong(field) => write!(f, "{field} is longer than one simulated hour"),
         }
     }

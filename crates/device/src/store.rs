@@ -13,7 +13,7 @@
 //!
 //! The index is a vector of 64-LBA leaves, one per 64 LBAs up to the
 //! highest non-zero LBA written. A leaf holds a bitmap of which of its
-//! sectors are stored and where their 4-byte [`entry`]s — each a class
+//! sectors are stored and where their 4-byte `entry`s — each a class
 //! and a slot in that class's slab of 8 KiB pages — are, in LBA order,
 //! so a sector's entry is the one at its rank, the count of stored
 //! sectors below it in the leaf. A hole costs its bit. A leaf is a

@@ -62,10 +62,8 @@
 //!   ([`FabricConfig::congestion_knee`] /
 //!   [`FabricConfig::congestion_ns_per_capsule`]), and each crossing may
 //!   be lost with [`FabricConfig::loss_prob`], paying
-//!   [`FabricConfig::retransmit_timeout_ns`] per retransmission; a
-//!   retransmitted capsule whose "lost" original was merely late is
-//!   delivered twice and suppressed by the target's command-id dedup
-//!   ([`FabricStats::dups_suppressed`]).
+//!   [`RETRANSMIT_TIMEOUT_NS`] per retransmission
+//!   ([`FabricStats::retransmits`]).
 //!
 //! Capsules are sized from the command they carry
 //! ([`FabricStats::bytes_tx`] / [`FabricStats::bytes_rx`]): a write
@@ -97,6 +95,8 @@ pub const MAX_INITIATORS: usize = 0xFFF0;
 /// The highest [`FabricConfig::loss_prob`]: a crossing is sent
 /// `1 / (1 - loss_prob)` times on average, at most 100.
 pub const MAX_LOSS_PROB: f64 = 0.99;
+/// What a lost crossing waits before its retransmission.
+pub const RETRANSMIT_TIMEOUT_NS: Nanos = 50_000;
 
 /// How a submission relates to the fabric (ignored by the local path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,17 +154,10 @@ pub struct FabricConfig {
     /// default) disables congestion.
     pub congestion_ns_per_capsule: Nanos,
     /// Probability that one wire crossing is lost and must be
-    /// retransmitted after [`FabricConfig::retransmit_timeout_ns`]: 0
-    /// to [`MAX_LOSS_PROB`]. Zero (the default) draws no randomness at
+    /// retransmitted after [`RETRANSMIT_TIMEOUT_NS`]: 0 to
+    /// [`MAX_LOSS_PROB`]. Zero (the default) draws no randomness at
     /// all, preserving the RNG stream of loss-free configurations.
     pub loss_prob: f64,
-    /// Retransmission timeout per lost crossing (at least 1 ns).
-    pub retransmit_timeout_ns: Nanos,
-    /// Probability that a retransmitted capsule's "lost" original was
-    /// merely delayed: both copies arrive and the target suppresses the
-    /// duplicate ([`FabricStats::dups_suppressed`]). Only drawn when a
-    /// retransmission actually happened.
-    pub dup_prob: f64,
 }
 
 impl FabricConfig {
@@ -203,8 +196,6 @@ impl FabricConfig {
             congestion_knee: 0,
             congestion_ns_per_capsule: 0,
             loss_prob: 0.0,
-            retransmit_timeout_ns: 100_000,
-            dup_prob: 0.0,
         }
     }
 
@@ -241,12 +232,10 @@ impl FabricConfig {
         self
     }
 
-    /// Enables probabilistic capsule loss with timeout/retransmit and
-    /// duplicate-delivery suppression.
-    pub fn with_loss(mut self, loss_prob: f64, timeout_ns: Nanos, dup_prob: f64) -> Self {
+    /// Enables probabilistic capsule loss: each crossing is lost with
+    /// `loss_prob` and retransmitted after [`RETRANSMIT_TIMEOUT_NS`].
+    pub fn with_loss(mut self, loss_prob: f64) -> Self {
         self.loss_prob = loss_prob;
-        self.retransmit_timeout_ns = timeout_ns;
-        self.dup_prob = dup_prob;
         self
     }
 
@@ -260,15 +249,12 @@ impl FabricConfig {
         let zero_weight = self.initiator_weights.iter().position(|&w| w == 0);
         zero_weight.map_or(Ok(()), |i| Err(InitiatorWeight(i)))?;
         ensure((0.0..=MAX_LOSS_PROB).contains(&self.loss_prob), LossProb)?;
-        ensure((0.0..=1.0).contains(&self.dup_prob), DupProb)?;
-        ensure(self.retransmit_timeout_ns >= 1, RetransmitTimeout)?;
         let times = [
             ("to_target", self.to_target.longest()),
             ("to_host", self.to_host.longest()),
             ("target_proc_ns", self.target_proc_ns),
             ("admit_ns", self.admit_ns),
             ("congestion_ns_per_capsule", self.congestion_ns_per_capsule),
-            ("retransmit_timeout_ns", self.retransmit_timeout_ns),
         ];
         times
             .into_iter()
@@ -317,14 +303,8 @@ pub struct FabricStats {
     pub bytes_tx: u64,
     /// Bytes of response capsules received (headers plus read payloads).
     pub bytes_rx: u64,
-    /// Wire crossings lost and retransmitted.
-    pub lost: u64,
-    /// Retransmissions sent (equals `lost`; kept separate so asymmetric
-    /// policies can diverge later).
+    /// Wire crossings lost, each sent again after the timeout.
     pub retransmits: u64,
-    /// Duplicate deliveries suppressed by the target's command-id dedup
-    /// (a retransmitted capsule whose original was late, not lost).
-    pub dups_suppressed: u64,
     /// Total time command capsules spent queued in target-side
     /// admission beyond their wire arrival.
     pub admit_wait_ns: Nanos,
@@ -613,16 +593,10 @@ impl Wire {
             let wire = dist.sample(&mut self.rng);
             if cfg.loss_prob > 0.0 && self.rng.chance(cfg.loss_prob) {
                 // Lost: wait out the timeout, then retransmit (the
-                // retransmitted copy re-samples the wire). A "lost"
-                // original that was merely late also arrives and is
-                // dropped by the target's command-id dedup.
-                self.stats.lost += 1;
+                // retransmitted copy re-samples the wire).
                 self.stats.retransmits += 1;
                 init.retransmits += 1;
-                total += cfg.retransmit_timeout_ns;
-                if cfg.dup_prob > 0.0 && self.rng.chance(cfg.dup_prob) {
-                    self.stats.dups_suppressed += 1;
-                }
+                total += RETRANSMIT_TIMEOUT_NS;
                 continue;
             }
             total += wire;
@@ -1254,10 +1228,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "value: LossProb")]
     fn certain_loss_panics_at_with_loss() {
-        FabricConfig::default()
-            .with_loss(1.0, 50_000, 0.0)
-            .check()
-            .unwrap();
+        FabricConfig::default().with_loss(1.0).check().unwrap();
     }
 
     #[test]
@@ -1271,19 +1242,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "value: DupProb")]
-    fn dup_prob_above_one_panics_at_with_loss() {
+    #[should_panic(expected = "value: LossProb")]
+    fn loss_prob_past_the_bound_panics_at_with_loss() {
         FabricConfig::default()
-            .with_loss(0.1, 50_000, 1.5)
+            .with_loss(f64::next_up(MAX_LOSS_PROB))
             .check()
             .unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "dup_prob must be in [0, 1]")]
-    fn negative_dup_prob_literal_panics_at_build() {
+    #[should_panic(expected = "loss_prob must be in [0, 0.99]")]
+    fn negative_loss_prob_literal_panics_at_build() {
         let cfg = FabricConfig {
-            dup_prob: -0.5,
+            loss_prob: -0.5,
             ..FabricConfig::default()
         };
         let _ = FabricTransport::new(dev(8), cfg, SimRng::seed(3));
@@ -1460,7 +1431,7 @@ mod tests {
 
     #[test]
     fn loss_retransmits_and_delivers_exactly_once() {
-        let cfg = link(1_000).with_loss(0.4, 50_000, 0.5);
+        let cfg = link(1_000).with_loss(0.4);
         let mut t = FabricTransport::new(dev(8), cfg, SimRng::seed(0xBEEF));
         for cid in 0..6 {
             t.submit(0, read_cmd(cid), SubmitClass::Host, 0)
@@ -1479,12 +1450,10 @@ mod tests {
             "exactly one CQE per SQE under loss"
         );
         let s = t.fabric_stats();
-        assert!(s.lost > 0, "0.4 loss over 12 crossings: {s:?}");
-        assert_eq!(s.retransmits, s.lost);
-        assert!(s.dups_suppressed <= s.retransmits);
+        assert!(s.retransmits > 0, "0.4 loss over 12 crossings: {s:?}");
         assert_eq!(t.initiator_stats()[0].retransmits, s.retransmits);
         assert!(
-            s.wire_ns >= s.lost * 50_000,
+            s.wire_ns >= s.retransmits * RETRANSMIT_TIMEOUT_NS,
             "each loss waits out the retransmit timeout"
         );
     }
@@ -1495,9 +1464,7 @@ mod tests {
         // disabled: same seed, with and without the (inactive) knobs,
         // identical instants.
         let mut plain = fabric(4_000);
-        let cfg = link(4_000)
-            .with_loss(0.0, 50_000, 0.0)
-            .with_congestion(4, 0);
+        let cfg = link(4_000).with_loss(0.0).with_congestion(4, 0);
         let mut armed = FabricTransport::new(dev(8), cfg, SimRng::seed(1));
         for cid in 0..5 {
             plain

@@ -324,6 +324,9 @@ pub struct RunReport {
     pub sim_time: Nanos,
     /// Chains completed.
     pub chains: u64,
+    /// Chains the drivers started (a re-armed retry is the same chain):
+    /// what [`Law::ChainsEnded`] holds `chains` to.
+    pub chains_started: u64,
     /// Device I/Os completed.
     pub ios: u64,
     /// Chains that ended with a non-OK status.
@@ -429,8 +432,8 @@ pub enum Law {
     /// Σ initiator `capsules_sent`, `responses`, `retransmits`,
     /// `bytes_tx`, `capsule_stalls` == the same fields of `fabric`.
     WireInitiators,
-    /// `fabric.lost` == `fabric.retransmits`.
-    WireLostIsRetransmitted,
+    /// Every chain a run started ended: `chains` == `chains_started`.
+    ChainsEnded,
     /// Every mapped block is the allocator's, once:
     /// `blocks.mapped`, `blocks.marked` == `blocks.used` each.
     BlockOwnership,
@@ -473,7 +476,7 @@ impl RunReport {
                 &[sum(|i| i.capsules_sent), sum(|i| i.responses), sum(|i| i.retransmits),
                     sum(|i| i.bytes_tx), sum(|i| i.capsule_stalls)],
                 &[f.capsules_sent, f.responses, f.retransmits, f.bytes_tx, f.capsule_stalls]),
-            (Law::WireLostIsRetransmitted, &[f.lost], &[f.retransmits]),
+            (Law::ChainsEnded, &[self.chains], &[self.chains_started]),
             (Law::BlockOwnership, &[b.mapped, b.marked], &[b.used; 2]),
         ];
         let broken: Vec<Broken> = laws

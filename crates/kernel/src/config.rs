@@ -8,7 +8,7 @@ use bpfstor_vm::ExecEngine;
 
 use crate::commit::CommitPolicy;
 use crate::costs::LayerCosts;
-use crate::reaper::{ReapMode, MAX_HYBRID_WINDOW};
+use crate::reaper::ReapMode;
 use crate::tenant::TenantId;
 
 /// A monotonic host-CPU clock the harness injects to *measure* real
@@ -124,19 +124,6 @@ pub enum ConfigError {
     FsBlocks,
     /// `irq_coalesce_depth` 0: a threshold never reached.
     IrqCoalesceDepth,
-    /// `(min_depth, max_depth)` of an [`crate::AdaptiveIrqConfig`], in
-    /// `AdaptiveIrq` or `Hybrid` mode, that is not a range of depths from
-    /// 1 up: a threshold of 0 never fires.
-    AdaptiveDepths(u32, u32),
-    /// A [`crate::PollConfig::interval_ns`] of 0, in `Polled` or `Hybrid`
-    /// mode: a poller that visits without time passing.
-    PollInterval,
-    /// A [`crate::HybridConfig::window`] outside 1 to
-    /// [`MAX_HYBRID_WINDOW`] load samples.
-    HybridWindow(usize),
-    /// `(low_watermark, high_watermark)` of a [`crate::HybridConfig`]
-    /// whose low mark is not below its high one: the scheduler flaps.
-    Watermarks(usize, usize),
     /// `CommitPolicy::Group { max_handles: 0 }`: no fsync ever joins.
     GroupMaxHandles,
     /// `CommitPolicy::Writeback { flush_interval_us: 0 }`.
@@ -159,10 +146,6 @@ impl std::fmt::Display for ConfigError {
             Device(e) => write!(f, "{e}"),
             FsBlocks => write!(f, "fs_blocks 0 holds no file"),
             IrqCoalesceDepth => write!(f, "irq_coalesce_depth 0 can never fire; use 1"),
-            AdaptiveDepths(min, max) => write!(f, "depths {min}..={max}: need 1 <= min <= max"),
-            PollInterval => write!(f, "interval_ns 0 polls without end; use 1 or more"),
-            HybridWindow(n) => write!(f, "window {n} is outside 1 to {MAX_HYBRID_WINDOW}"),
-            Watermarks(low, high) => write!(f, "low_watermark {low} is not below {high}"),
             GroupMaxHandles => write!(f, "CommitPolicy::Group max_handles 0 admits no fsync"),
             WritebackInterval => write!(f, "CommitPolicy::Writeback flush_interval_us 0"),
             TenantWeight => write!(f, "TenantLimits::weight 0 never earns a reap turn"),
@@ -194,20 +177,6 @@ impl MachineConfig {
         ensure(self.fs_blocks >= 1, FsBlocks)?;
         check_time(us(self.irq_coalesce_us), TooLong("irq_coalesce_us"))?;
         ensure(self.irq_coalesce_depth >= 1, IrqCoalesceDepth)?;
-        // A part the reap mode lacks meets its rules.
-        let (irq, poll, hybrid) = self.reap_mode.parts();
-        let (min, max) = irq.map_or((1, 1), |c| (c.min_depth, c.max_depth));
-        ensure(1 <= min && min <= max, AdaptiveDepths(min, max))?;
-        let budget = irq.map_or(0, |c| us(c.budget_us));
-        check_time(budget, TooLong("budget_us"))?;
-        ensure(poll.is_none_or(|p| p.interval_ns >= 1), PollInterval)?;
-        let interval = poll.map_or(1, |p| p.interval_ns);
-        check_time(interval, TooLong("interval_ns"))?;
-        let h = hybrid.unwrap_or_default();
-        let (window, low, high) = (h.window, h.low_watermark, h.high_watermark);
-        let windowed = (1..=MAX_HYBRID_WINDOW).contains(&window);
-        ensure(windowed, HybridWindow(window))?;
-        ensure(low < high, Watermarks(low, high))?;
         if let TransportConfig::Fabric(fabric) = &self.transport {
             fabric.check().map_err(Device)?;
         }

@@ -41,8 +41,6 @@ pub use config::{ConfigError, ExecClock, MachineConfig};
 pub use costs::LayerCosts;
 pub use extcache::{ExtCacheStats, ExtentCache};
 pub use machine::{KernelError, Machine, Mutation};
-pub use reaper::{
-    AdaptiveIrqConfig, HybridConfig, ModeTransition, PollConfig, ReapKind, ReapMode, ReaperStats,
-};
+pub use reaper::{ModeTransition, ReapKind, ReapMode, ReaperStats};
 pub use tenant::{TenantBreakdown, TenantId, TenantLimits, DEFAULT_TENANT};
 pub use trace::{ExecSplit, LayerTrace};

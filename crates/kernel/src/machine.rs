@@ -18,13 +18,13 @@
 //!   spent through `Machine::charge`, which runs it on a core and
 //!   books it to the [`LayerTrace`] buckets in one step. The
 //!   driver enqueues commands on the device's per-queue-pair submission
-//!   ring and rings the doorbell once per batch ([`Ev::Doorbell`] —
+//!   ring and rings the doorbell once per batch (`Ev::Doorbell` —
 //!   SQEs submitted at the same instant share the MMIO write);
 //! - **device** service occupies a device channel, no CPU; a full
 //!   submission queue is *backpressure*: the request parks and retries
 //!   after the next completion interrupt frees queue slots;
 //! - **completion** starts in the driver IRQ handler
-//!   ([`Ev::IrqFire`]), whose firing is governed by the interrupt-
+//!   (`Ev::IrqFire`), whose firing is governed by the interrupt-
 //!   coalescing knobs in [`MachineConfig`]: the interrupt is delayed
 //!   until `irq_coalesce_depth` CQEs are pending or `irq_coalesce_us`
 //!   has elapsed since the first, and one handler invocation reaps the
@@ -47,7 +47,7 @@
 //! and the device. Over a fabric, [`DispatchMode::Remote`] pays a round
 //! trip per dependent hop, while [`DispatchMode::DriverHook`] chains
 //! become *target-resident*: hops recycle on the target and only the
-//! terminal response capsule crosses back ([`Ev::CapsuleRx`]).
+//! terminal response capsule crosses back (`Ev::CapsuleRx`).
 //!
 //! # Event map
 //!
@@ -174,7 +174,7 @@ use crate::commit::{Barrier, CommitLog, Request, Tick};
 use crate::config::{ConfigError, ExecClock, MachineConfig};
 use crate::costs::{Item, LayerCosts};
 use crate::extcache::{ExtCacheStats, ExtentCache};
-use crate::reaper::{FairSched, ReapKind, Reaper};
+use crate::reaper::{FairSched, ReapKind, Reaper, POLL_INTERVAL_NS};
 use crate::tenant::{SqAdmission, TenantBreakdown, TenantId, TenantLimits, DEFAULT_TENANT};
 use crate::trace::{ExecSplit, LayerTrace};
 
@@ -646,6 +646,8 @@ struct RunState {
     lat_write: Histogram,
     /// Device commands submitted.
     ios: u64,
+    /// Chains the driver started ([`RunReport::chains_started`]).
+    chains_started: u64,
     rearm_retries: u64,
     /// Per-tenant counters (index = tenant id).
     tstats: Vec<TenantBreakdown>,
@@ -767,7 +769,7 @@ impl Machine {
             spares: Spares::default(),
             threads: Vec::new(),
             reaper: Reaper::new(
-                cfg.reap_mode.clone(),
+                cfg.reap_mode,
                 nr_queues,
                 cfg.irq_coalesce_us.saturating_mul(1_000),
                 cfg.irq_coalesce_depth,
@@ -1448,6 +1450,7 @@ impl Machine {
         let report = RunReport {
             sim_time,
             chains,
+            chains_started: self.run.chains_started,
             ios: self.run.ios,
             errors,
             iops: self.run.ios as f64 / secs,
@@ -1599,8 +1602,8 @@ impl Machine {
         }
     }
 
-    /// Starts a chain; `None` when it names a descriptor that is not
-    /// open (see [`Machine::fail_unopened`]). A write's lent record is
+    /// Starts a chain, counting it; `None` when it names a descriptor
+    /// that is not open (see [`Machine::fail_unopened`]). A write's lent record is
     /// copied into the op's chain buffers here, once the descriptor is
     /// known to be open.
     fn start_chain(
@@ -1611,6 +1614,8 @@ impl Machine {
         origin: Origin,
         attempts: u32,
     ) -> Option<usize> {
+        // A re-armed retry (`attempts > 0`) is the chain it retries.
+        self.run.chains_started += u64::from(attempts == 0);
         let (start, kind, record) = match spec {
             ChainSpec::Read(s) => (s, OpKind::Read, &[][..]),
             ChainSpec::Write(w) => (
@@ -1922,7 +1927,7 @@ impl Machine {
             }
             ReapKind::Polled => {
                 if self.transport.outstanding(qp) > 0 {
-                    let at = self.now + self.reaper.poll_interval();
+                    let at = self.now + POLL_INTERVAL_NS;
                     if let Some(at) = self.reaper.arm_poll(qp, at) {
                         self.events.push(at, Ev::Poll { qp });
                     }
@@ -2044,7 +2049,7 @@ impl Machine {
                 if self.transport.outstanding(qp) > 0 || self.admission.has_parked(qp) {
                     // Next visit no sooner than the loop body finishes
                     // on a contended core.
-                    let at = end.max(self.now + self.reaper.poll_interval());
+                    let at = end.max(self.now + POLL_INTERVAL_NS);
                     if let Some(at) = self.reaper.arm_poll(qp, at) {
                         self.events.push(at, Ev::Poll { qp });
                     }

@@ -4,29 +4,36 @@
 //! The paper's baseline stack is interrupt-driven, but its kernel-bypass
 //! comparison point (SPDK-style polling) reaps completion queues from a
 //! dedicated poller loop and never takes an interrupt. This module makes
-//! that axis a per-machine policy with four selectable modes:
+//! that axis a per-machine policy with four selectable modes, each run
+//! at this module's constants:
 //!
-//! - [`ReapMode::Interrupt`] — the classic path: a (statically
-//!   configured) coalescing timer arms an interrupt per queue pair, the
-//!   handler pays `irq_entry` on the queue pair's owning core and drains
-//!   the CQ. This is the pre-reaper behaviour, bit for bit.
-//! - [`ReapMode::AdaptiveIrq`] — interrupts whose aggregation threshold
-//!   follows the observed CQE arrival rate (NVMe coalescing feedback):
-//!   the reaper keeps an EWMA of the inter-completion gap and widens the
-//!   depth toward `budget / gap` under load, narrowing back to immediate
+//! | Mode | Mechanism | Constants |
+//! |---|---|---|
+//! | [`ReapMode::Interrupt`] | static coalescing | none: `MachineConfig::irq_coalesce_us` / `irq_coalesce_depth` |
+//! | [`ReapMode::AdaptiveIrq`] | rate-adaptive coalescing | depth [`ADAPTIVE_MIN_DEPTH`]..=[`ADAPTIVE_MAX_DEPTH`], budget [`ADAPTIVE_BUDGET_NS`] |
+//! | [`ReapMode::Polled`] | per-core poller | visit every [`POLL_INTERVAL_NS`] |
+//! | [`ReapMode::Hybrid`] | load-driven switching | both of the above, plus [`HYBRID_HIGH_WATERMARK`] / [`HYBRID_LOW_WATERMARK`], [`HYBRID_WINDOW`], [`HYBRID_DWELL`] |
+//!
+//! - `Interrupt` — the classic path: a (statically configured)
+//!   coalescing timer arms an interrupt per queue pair, the handler pays
+//!   `irq_entry` on the queue pair's owning core and drains the CQ. This
+//!   is the pre-reaper behaviour, bit for bit.
+//! - `AdaptiveIrq` — interrupts whose aggregation threshold follows the
+//!   observed CQE arrival rate (NVMe coalescing feedback): the reaper
+//!   keeps an EWMA of the inter-completion gap and widens the depth
+//!   toward `budget / gap` under load, narrowing back to immediate
 //!   delivery when the queue goes quiet.
-//! - [`ReapMode::Polled`] — no interrupts at all: a per-core poller
-//!   visits the queue pair every [`PollConfig::interval_ns`], paying the
-//!   poll-loop cost on the owning core whether or not the CQ has
-//!   anything (empty visits are counted in `DeviceStats::empty_polls`).
-//!   Completions are reaped within one poll interval of posting, at the
-//!   price of burned CPU while the device works.
-//! - [`ReapMode::Hybrid`] — a load-adaptive scheduler: each queue pair
-//!   starts interrupt-driven, and a sliding window of in-flight depth
-//!   observed at reap time switches it to polling past
-//!   [`HybridConfig::high_watermark`] and back below
-//!   [`HybridConfig::low_watermark`]. A dwell counter enforces
-//!   hysteresis so the pair cannot flap on every sample.
+//! - `Polled` — no interrupts at all: a per-core poller visits the queue
+//!   pair every poll interval, paying the poll-loop cost on the owning
+//!   core whether or not the CQ has anything (empty visits are counted
+//!   in `DeviceStats::empty_polls`). Completions are reaped within one
+//!   poll interval of posting, at the price of burned CPU while the
+//!   device works.
+//! - `Hybrid` — a load-adaptive scheduler: each queue pair starts
+//!   adaptive-interrupt-driven, and a sliding window of in-flight depth
+//!   observed at reap time switches it to polling at the high watermark
+//!   and back at the low one. A dwell counter enforces hysteresis so the
+//!   pair cannot flap on every sample.
 //!
 //! The [`Reaper`] owns the per-queue-pair state machine (armed
 //! timers, adaptive depth, the hybrid load signal and window); the
@@ -49,117 +56,58 @@ pub enum ReapKind {
     Polled,
 }
 
-/// Dedicated-poller configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PollConfig {
-    /// Gap between poll-loop visits to a queue pair. Each visit costs
-    /// `LayerCosts::poll_loop` on the owning core, so the idle duty
-    /// cycle is `poll_loop / interval_ns`. At least 1.
-    pub interval_ns: Nanos,
-}
+/// Gap between poller visits to a queue pair (polled and hybrid
+/// modes). Each visit costs `LayerCosts::poll_loop` on the owning core,
+/// so the idle duty cycle is `poll_loop / POLL_INTERVAL_NS`.
+pub const POLL_INTERVAL_NS: Nanos = 250;
 
-impl Default for PollConfig {
-    fn default() -> Self {
-        PollConfig { interval_ns: 250 }
-    }
-}
+/// The rate-adaptive aggregation threshold's floor (adaptive and
+/// hybrid modes): a quiet queue pair delivers every CQE at once.
+pub const ADAPTIVE_MIN_DEPTH: u32 = 1;
 
-/// Adaptive interrupt-coalescing configuration (NVMe aggregation
-/// threshold driven by the observed completion rate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveIrqConfig {
-    /// Lower bound on the aggregation threshold (≥ 1).
-    pub min_depth: u32,
-    /// Upper bound on the aggregation threshold (≥ `min_depth`).
-    pub max_depth: u32,
-    /// Latency budget in microseconds: a pending CQE fires an interrupt
-    /// at most this long after it is posted, whatever the threshold.
-    pub budget_us: u64,
-}
+/// The rate-adaptive aggregation threshold's ceiling.
+pub const ADAPTIVE_MAX_DEPTH: u32 = 32;
 
-impl Default for AdaptiveIrqConfig {
-    fn default() -> Self {
-        AdaptiveIrqConfig {
-            min_depth: 1,
-            max_depth: 32,
-            budget_us: 8,
-        }
-    }
-}
+/// Latency budget of an adaptive interrupt: a pending CQE fires one at
+/// most this long after it is posted, whatever the threshold.
+pub const ADAPTIVE_BUDGET_NS: Nanos = 8_000;
 
-/// Load-adaptive hybrid scheduler configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HybridConfig {
-    /// Poller parameters used while a queue pair is in polled mode.
-    pub poll: PollConfig,
-    /// Interrupt parameters used while a queue pair is interrupt-driven.
-    pub irq: AdaptiveIrqConfig,
-    /// Switch to polling when the windowed mean in-flight depth reaches
-    /// this many commands.
-    pub high_watermark: usize,
-    /// Switch back to interrupts when it falls to this many or fewer
-    /// (below `high_watermark`).
-    pub low_watermark: usize,
-    /// Sliding-window length in reap-time load samples: 1 to
-    /// [`MAX_HYBRID_WINDOW`].
-    pub window: usize,
-    /// Hysteresis: samples to ignore after a transition before the next
-    /// switch is allowed (keeps the scheduler from flapping).
-    pub dwell: u32,
-}
+/// The hybrid scheduler switches a queue pair to polling when the
+/// windowed mean in-flight depth reaches this many commands...
+pub const HYBRID_HIGH_WATERMARK: usize = 4;
 
-impl Default for HybridConfig {
-    fn default() -> Self {
-        HybridConfig {
-            poll: PollConfig::default(),
-            irq: AdaptiveIrqConfig::default(),
-            high_watermark: 4,
-            low_watermark: 1,
-            window: 16,
-            dwell: 8,
-        }
-    }
-}
+/// ...and back to interrupts when it falls to this many or fewer.
+pub const HYBRID_LOW_WATERMARK: usize = 1;
 
-/// The longest [`HybridConfig::window`]. Each queue pair holds its own
-/// window, so at [`bpfstor_sim::MAX_CORES`] queue pairs the windows
-/// cost what the rings' first 64 slots do.
-pub const MAX_HYBRID_WINDOW: usize = 1024;
+/// The hybrid scheduler's sliding window, in reap-time load samples.
+pub const HYBRID_WINDOW: usize = 16;
 
-/// The machine-wide completion-delivery policy.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Hysteresis: load samples the hybrid scheduler ignores after a switch
+/// before the next one is allowed (keeps a queue pair from flapping).
+pub const HYBRID_DWELL: u32 = 8;
+
+/// The machine-wide completion-delivery policy. Each mode runs at the
+/// constants above; only [`ReapMode::Interrupt`] reads the machine's
+/// two static coalescing knobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReapMode {
     /// Static interrupt coalescing from `MachineConfig::irq_coalesce_us`
     /// / `irq_coalesce_depth` (the pre-reaper default).
     #[default]
     Interrupt,
     /// Interrupts with a rate-adaptive aggregation threshold.
-    AdaptiveIrq(AdaptiveIrqConfig),
+    AdaptiveIrq,
     /// Dedicated per-core pollers, no interrupts.
-    Polled(PollConfig),
+    Polled,
     /// Per-queue-pair switching between polling and interrupts by load.
-    Hybrid(HybridConfig),
+    Hybrid,
 }
 
-/// What a [`ReapMode`] turns on ([`ReapMode::parts`]).
-type ModeParts = (
-    Option<AdaptiveIrqConfig>,
-    Option<PollConfig>,
-    Option<HybridConfig>,
-);
-
 impl ReapMode {
-    /// What the mode turns on: rate-adaptive interrupt parameters (else
-    /// the static knobs), a poller, load-driven switching. A pure
-    /// poller never arms an interrupt, so its interrupt parameters are
-    /// never read.
-    pub(crate) fn parts(&self) -> ModeParts {
-        match *self {
-            ReapMode::Interrupt => (None, None, None),
-            ReapMode::AdaptiveIrq(c) => (Some(c), None, None),
-            ReapMode::Polled(p) => (None, Some(p), None),
-            ReapMode::Hybrid(c) => (Some(c.irq), Some(c.poll), Some(c)),
-        }
+    /// The aggregation threshold follows the completion rate (else it
+    /// is the static knob).
+    fn adaptive(self) -> bool {
+        matches!(self, ReapMode::AdaptiveIrq | ReapMode::Hybrid)
     }
 }
 
@@ -189,7 +137,7 @@ pub struct ReaperStats {
     pub irq_cpu_ns: Nanos,
     /// Hybrid mode switches (total, across queue pairs).
     pub mode_transitions: u64,
-    /// Timeline of the first [`TRANSITION_LOG_CAP`] switches.
+    /// Timeline of the first 256 switches.
     pub transitions: Vec<ModeTransition>,
     /// Adaptive-coalescing threshold increases.
     pub depth_widens: u64,
@@ -222,43 +170,26 @@ struct QpReap {
     /// the instantaneous residue at reap time instead would read a
     /// promptly-polled queue as idle and a coalesced one as busy.
     load_peak: usize,
-    /// Sliding window of in-flight depth samples (hybrid only).
+    /// Sliding window of in-flight depth samples: [`HYBRID_WINDOW`]
+    /// long in hybrid mode, empty (no heap) otherwise.
     window: Vec<usize>,
     /// Next slot to overwrite in `window`.
     window_pos: usize,
-    /// Samples already in `window` (≤ its configured length).
+    /// Samples already in `window` (≤ its length).
     window_len: usize,
     /// Samples left to ignore before the next switch is allowed.
     dwell_left: u32,
 }
 
-/// What the configured [`ReapMode`] (and the two static coalescing
-/// knobs) asks of the reaper, normalised once so no method re-derives
-/// it from the mode.
-#[derive(Debug, Clone, Copy)]
-struct Policy {
-    /// Mechanism every queue pair starts a run on.
-    start: ReapKind,
+/// The completion-reaping state machine (see the module docs).
+pub struct Reaper {
+    mode: ReapMode,
     /// Aggregation threshold a queue pair starts at (≥ 1) — and keeps,
-    /// unless `max_depth` lets the rate controller widen it.
+    /// unless the mode is adaptive.
     start_depth: u32,
     /// An armed interrupt fires at most this long after the first
     /// in-flight completion posts.
     irq_budget_ns: Nanos,
-    /// Rate-adaptive coalescing: the threshold moves between
-    /// `start_depth` and this. `None`: the threshold is static.
-    max_depth: Option<u32>,
-    /// Gap between poller visits (≥ 1).
-    poll_interval_ns: Nanos,
-    /// Load-adaptive switching between the two mechanisms (only its
-    /// watermarks, window and dwell are read). `None`: a queue pair
-    /// stays on `start`.
-    hybrid: Option<HybridConfig>,
-}
-
-/// The completion-reaping state machine (see the module docs).
-pub struct Reaper {
-    policy: Policy,
     qps: Vec<QpReap>,
     stats: ReaperStats,
 }
@@ -269,22 +200,14 @@ impl Reaper {
     /// [`ReapMode::Interrupt`]. The mode and the knobs are a checked
     /// configuration's ([`crate::MachineConfig::check`]).
     pub fn new(mode: ReapMode, nr_queues: usize, static_ns: Nanos, static_depth: u32) -> Self {
-        let (irq, poll, hybrid) = mode.parts();
-        let policy = Policy {
-            // The hybrid pair starts interrupt-driven and earns its
-            // poller under load.
-            start: match (poll, hybrid) {
-                (Some(_), None) => ReapKind::Polled,
-                _ => ReapKind::Interrupt,
-            },
-            start_depth: irq.map_or(static_depth, |c| c.min_depth),
-            irq_budget_ns: irq.map_or(static_ns, |c| c.budget_us.saturating_mul(1_000)),
-            max_depth: irq.map(|c| c.max_depth),
-            poll_interval_ns: poll.unwrap_or_default().interval_ns,
-            hybrid,
+        let (start_depth, irq_budget_ns) = match mode.adaptive() {
+            true => (ADAPTIVE_MIN_DEPTH, ADAPTIVE_BUDGET_NS),
+            false => (static_depth, static_ns),
         };
         let mut r = Reaper {
-            policy,
+            mode,
+            start_depth,
+            irq_budget_ns,
             qps: Vec::new(),
             stats: ReaperStats::default(),
         };
@@ -293,10 +216,19 @@ impl Reaper {
     }
 
     fn fresh_qp(&self) -> QpReap {
+        let window = match self.mode {
+            ReapMode::Hybrid => HYBRID_WINDOW,
+            _ => 0,
+        };
         QpReap {
-            active: self.policy.start,
-            depth: self.policy.start_depth,
-            window: vec![0; self.policy.hybrid.map_or(0, |h| h.window)],
+            // The hybrid pair starts interrupt-driven and earns its
+            // poller under load.
+            active: match self.mode {
+                ReapMode::Polled => ReapKind::Polled,
+                _ => ReapKind::Interrupt,
+            },
+            depth: self.start_depth,
+            window: vec![0; window],
             ..QpReap::default()
         }
     }
@@ -312,11 +244,6 @@ impl Reaper {
     /// The mechanism currently live on `qp`.
     pub fn active(&self, qp: usize) -> ReapKind {
         self.qps[qp].active
-    }
-
-    /// The poll interval for `qp`'s poller (polled and hybrid modes).
-    pub fn poll_interval(&self) -> Nanos {
-        self.policy.poll_interval_ns
     }
 
     /// Accumulated statistics.
@@ -348,7 +275,7 @@ impl Reaper {
             q.irq_at = None;
             return None;
         };
-        let by_time = first.saturating_add(self.policy.irq_budget_ns);
+        let by_time = first.saturating_add(self.irq_budget_ns);
         let fire = match due(q.depth as usize - 1) {
             Some(by_depth) => by_depth.min(by_time),
             None => by_time,
@@ -429,10 +356,9 @@ impl Reaper {
     /// threshold at `budget / gap` — sticky under load (a steady arrival
     /// rate holds the threshold wide), immediate delivery when idle.
     fn adapt_depth(&mut self, now: Nanos, qp: usize, reaped: usize) {
-        let Some(max_d) = self.policy.max_depth else {
+        if !self.mode.adaptive() {
             return;
-        };
-        let (min_d, budget) = (self.policy.start_depth, self.policy.irq_budget_ns);
+        }
         let q = &mut self.qps[qp];
         let elapsed = now.saturating_sub(q.last_reap_at).max(1);
         q.last_reap_at = now;
@@ -442,7 +368,8 @@ impl Reaper {
         } else {
             (3 * q.avg_gap + gap) / 4
         };
-        let target = (budget / q.avg_gap).clamp(min_d as Nanos, max_d as Nanos) as u32;
+        let (min_d, max_d) = (ADAPTIVE_MIN_DEPTH as Nanos, ADAPTIVE_MAX_DEPTH as Nanos);
+        let target = (ADAPTIVE_BUDGET_NS / q.avg_gap).clamp(min_d, max_d) as u32;
         if target > q.depth {
             self.stats.depth_widens += 1;
         } else if target < q.depth {
@@ -455,10 +382,9 @@ impl Reaper {
     /// Hybrid scheduler: slide `load` into the window and switch
     /// mechanisms at the watermarks, honouring the dwell hysteresis.
     fn observe_load(&mut self, now: Nanos, qp: usize, load: usize) {
-        let Some(cfg) = self.policy.hybrid else {
+        if self.mode != ReapMode::Hybrid {
             return;
-        };
-        let (high, low, dwell) = (cfg.high_watermark, cfg.low_watermark, cfg.dwell);
+        }
         let q = &mut self.qps[qp];
         let len = q.window.len();
         q.window[q.window_pos] = load;
@@ -475,15 +401,15 @@ impl Reaper {
         let n = q.window_len;
         let avg = (sum + n / 2) / n;
         let to = match q.active {
-            ReapKind::Interrupt if avg >= high => ReapKind::Polled,
-            ReapKind::Polled if avg <= low => ReapKind::Interrupt,
+            ReapKind::Interrupt if avg >= HYBRID_HIGH_WATERMARK => ReapKind::Polled,
+            ReapKind::Polled if avg <= HYBRID_LOW_WATERMARK => ReapKind::Interrupt,
             _ => return,
         };
         q.active = to;
         // Timers of the abandoned mechanism die on the due-guards.
         q.irq_at = None;
         q.poll_at = None;
-        q.dwell_left = dwell;
+        q.dwell_left = HYBRID_DWELL;
         self.stats.mode_transitions += 1;
         if self.stats.transitions.len() < TRANSITION_LOG_CAP {
             self.stats
@@ -580,26 +506,8 @@ mod tests {
     use super::*;
     use crate::{ConfigError, MachineConfig};
 
-    /// The default machine under `reap_mode`, checked.
-    fn checked(reap_mode: ReapMode) -> Result<(), ConfigError> {
-        let cfg = MachineConfig {
-            reap_mode,
-            ..MachineConfig::default()
-        };
-        cfg.check()
-    }
-
     fn adaptive() -> Reaper {
-        Reaper::new(
-            ReapMode::AdaptiveIrq(AdaptiveIrqConfig {
-                min_depth: 1,
-                max_depth: 32,
-                budget_us: 8,
-            }),
-            1,
-            0,
-            1,
-        )
+        Reaper::new(ReapMode::AdaptiveIrq, 1, 0, 1)
     }
 
     /// A queue pair's in-flight completion instants, in posting order.
@@ -638,54 +546,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "value: PollInterval")]
-    fn zero_poll_interval_panics() {
-        checked(ReapMode::Polled(PollConfig { interval_ns: 0 })).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "value: HybridWindow(0)")]
-    fn zero_hybrid_window_panics() {
-        let cfg = HybridConfig {
-            window: 0,
-            ..HybridConfig::default()
-        };
-        checked(ReapMode::Hybrid(cfg)).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "value: Watermarks(4, 4)")]
-    fn hybrid_watermarks_that_do_not_straddle_panic() {
-        let cfg = HybridConfig {
-            low_watermark: 4,
-            high_watermark: 4,
-            ..HybridConfig::default()
-        };
-        checked(ReapMode::Hybrid(cfg)).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "value: AdaptiveDepths(0, 32)")]
-    fn zero_adaptive_min_depth_panics() {
-        let cfg = AdaptiveIrqConfig {
-            min_depth: 0,
-            ..AdaptiveIrqConfig::default()
-        };
-        checked(ReapMode::AdaptiveIrq(cfg)).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "value: AdaptiveDepths(4, 2)")]
-    fn adaptive_max_depth_below_min_depth_panics() {
-        let cfg = AdaptiveIrqConfig {
-            min_depth: 4,
-            max_depth: 2,
-            budget_us: 8,
-        };
-        checked(ReapMode::AdaptiveIrq(cfg)).unwrap();
-    }
-
-    #[test]
     fn adaptive_depth_widens_under_load_and_narrows_when_idle() {
         let mut r = adaptive();
         // A dense completion stream: 8 CQEs per microsecond-ish reap.
@@ -719,7 +579,7 @@ mod tests {
 
     #[test]
     fn poll_arm_is_level_triggered() {
-        let mut r = Reaper::new(ReapMode::Polled(PollConfig { interval_ns: 250 }), 1, 0, 1);
+        let mut r = Reaper::new(ReapMode::Polled, 1, 0, 1);
         assert_eq!(r.active(0), ReapKind::Polled);
         assert_eq!(r.arm_poll(0, 250), Some(250));
         assert_eq!(r.arm_poll(0, 300), None, "one visit armed at a time");
@@ -730,89 +590,72 @@ mod tests {
 
     #[test]
     fn hybrid_switches_at_watermarks_with_hysteresis() {
-        let cfg = HybridConfig {
-            high_watermark: 8,
-            low_watermark: 2,
-            window: 4,
-            dwell: 3,
-            ..HybridConfig::default()
-        };
-        let mut r = Reaper::new(ReapMode::Hybrid(cfg), 1, 0, 1);
+        let mut r = Reaper::new(ReapMode::Hybrid, 1, 0, 1);
         assert_eq!(r.active(0), ReapKind::Interrupt, "starts interrupt-driven");
         // Light load: no switch.
         r.note_reap(1_000, 0, 1, 0, ReapKind::Interrupt);
         assert_eq!(r.active(0), ReapKind::Interrupt);
-        // Heavy load (one drained, 15 left) trips the high watermark:
-        // the window's rounded mean of 1 and 16 is 9.
+        // Heavy load (one drained, 15 left) trips the high watermark of
+        // 4: the window's rounded mean of 1 and 16 is 9.
         r.note_reap(2_000, 0, 1, 15, ReapKind::Interrupt);
         assert_eq!(r.active(0), ReapKind::Polled);
         assert_eq!(r.stats().mode_transitions, 1);
         assert_eq!(r.stats().transitions[0].to, ReapKind::Polled);
-        // Dwell: three samples are ignored before the next switch, idle
+        // Dwell: eight samples are ignored before the next switch, idle
         // or not.
-        for i in 0..3 {
+        for i in 0..HYBRID_DWELL as u64 {
             r.note_reap(3_000 + i, 0, 0, 0, ReapKind::Polled);
             assert_eq!(r.active(0), ReapKind::Polled, "hysteresis holds");
         }
-        // Once the dwell expires and the window has drained low, it
-        // returns to interrupts.
-        for i in 0..4 {
-            r.note_reap(4_000 + i, 0, 0, 0, ReapKind::Polled);
-        }
+        // Once the dwell expires, the window must drain to the low
+        // watermark of 1: 17 over 11 samples rounds to 2, over 12 to 1.
+        r.note_reap(4_000, 0, 0, 0, ReapKind::Polled);
+        assert_eq!(r.active(0), ReapKind::Polled, "a mean of 2 is above 1");
+        r.note_reap(4_001, 0, 0, 0, ReapKind::Polled);
         assert_eq!(r.active(0), ReapKind::Interrupt);
         assert_eq!(r.stats().mode_transitions, 2);
     }
 
     #[test]
     fn hybrid_load_is_the_doorbell_peak_until_a_productive_reap() {
-        let cfg = HybridConfig {
-            high_watermark: 4,
-            low_watermark: 1,
-            window: 1,
-            dwell: 0,
-            ..HybridConfig::default()
-        };
-        let mut r = Reaper::new(ReapMode::Hybrid(cfg), 1, 0, 1);
+        let mut r = Reaper::new(ReapMode::Hybrid, 1, 0, 1);
+        let samples = |r: &Reaper| r.qps[0].window[..r.qps[0].window_len].to_vec();
         // A 6-deep doorbell whose reap finds one CQE and nothing left:
         // the load is the peak, not what the reap saw.
         r.note_doorbell(0, 6);
         r.note_doorbell(0, 2);
         r.note_reap(100, 0, 1, 0, ReapKind::Interrupt);
+        assert_eq!(samples(&r), [6]);
         assert_eq!(r.active(0), ReapKind::Polled, "the peak is the load");
         // An empty visit re-observes the peak...
         r.note_doorbell(0, 5);
         r.note_reap(200, 0, 0, 1, ReapKind::Polled);
-        assert_eq!(r.active(0), ReapKind::Polled, "5, not the residue 1");
+        assert_eq!(samples(&r), [6, 5], "5, not the residue 1");
         r.note_reap(300, 0, 1, 0, ReapKind::Polled);
-        assert_eq!(r.active(0), ReapKind::Polled);
         // ...and a productive reap resets it.
         r.note_reap(400, 0, 0, 0, ReapKind::Polled);
-        assert_eq!(r.active(0), ReapKind::Interrupt);
+        assert_eq!(samples(&r), [6, 5, 5, 0]);
     }
 
     #[test]
     fn transition_clears_stale_timers() {
-        let cfg = HybridConfig {
-            high_watermark: 1,
-            low_watermark: 0,
-            window: 1,
-            dwell: 0,
-            ..HybridConfig::default()
-        };
-        let mut r = Reaper::new(ReapMode::Hybrid(cfg), 1, 0, 1);
+        let mut r = Reaper::new(ReapMode::Hybrid, 1, 0, 1);
         let fire = r.arm_irq(0, due(&[5_000])).expect("armed");
         r.note_reap(1_000, 0, 0, 4, ReapKind::Interrupt);
         assert_eq!(r.active(0), ReapKind::Polled);
         assert!(!r.irq_due(fire, 0), "abandoned interrupt is stale");
         let visit = r.arm_poll(0, 1_250).expect("poller armed");
-        r.note_reap(1_250, 0, 0, 0, ReapKind::Polled);
+        // The dwell's samples, then one that finds the window idle.
+        for i in 0..=HYBRID_DWELL as u64 {
+            r.note_reap(1_250 + i, 0, 0, 0, ReapKind::Polled);
+        }
         assert_eq!(r.active(0), ReapKind::Interrupt);
         assert!(!r.poll_due(visit, 0), "abandoned poll visit is stale");
     }
 
     #[test]
     fn reset_restores_fresh_state() {
-        let mut r = Reaper::new(ReapMode::Hybrid(HybridConfig::default()), 2, 0, 1);
+        let mut r = Reaper::new(ReapMode::Hybrid, 2, 0, 1);
         for _ in 0..16 {
             r.note_reap(100, 1, 1, 100, ReapKind::Interrupt);
         }

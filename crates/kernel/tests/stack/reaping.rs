@@ -11,7 +11,7 @@ fn run_reap_mode(reap_mode: ReapMode, batch: u32) -> RunReport {
 
 #[test]
 fn polled_mode_reaps_without_interrupts() {
-    let polled = run_reap_mode(ReapMode::Polled(PollConfig::default()), 16);
+    let polled = run_reap_mode(ReapMode::Polled, 16);
     assert_eq!(polled.trace.irqs, 0, "a polled stack never takes an IRQ");
     assert_eq!(polled.reaper.irq_cpu_ns, 0);
     assert!(polled.trace.polls > 0, "the poller visited the CQ");
@@ -47,7 +47,7 @@ fn polled_reaps_promptly_while_coalesced_interrupts_defer() {
     // The reap-latency stat makes the trade visible: a polled CQ drains
     // within one poll interval of posting, while an 8us coalescing
     // budget holds CQEs back waiting for the aggregation threshold.
-    let polled = run_reap_mode(ReapMode::Polled(PollConfig { interval_ns: 250 }), 16);
+    let polled = run_reap_mode(ReapMode::Polled, 16);
     let coalesced = run_64_reads(coalescing(8, 16), 16);
     let lag = |r: &RunReport| r.device.reap_lag_ns as f64 / r.device.cqes.max(1) as f64;
     assert!(
@@ -60,7 +60,7 @@ fn polled_reaps_promptly_while_coalesced_interrupts_defer() {
 
 #[test]
 fn adaptive_coalescing_widens_depth_under_load() {
-    let adaptive = run_reap_mode(ReapMode::AdaptiveIrq(AdaptiveIrqConfig::default()), 16);
+    let adaptive = run_reap_mode(ReapMode::AdaptiveIrq, 16);
     let fixed = run_reap_mode(ReapMode::Interrupt, 16);
     assert!(
         adaptive.reaper.depth_hwm > 1,
@@ -82,7 +82,7 @@ fn adaptive_depth_narrows_back_on_a_light_stream() {
     // One chain in flight at a time: the controller must sit at (or
     // fall back to) immediate delivery — no CQE ever waits on a
     // threshold that cannot fill.
-    let light = run_reap_mode(ReapMode::AdaptiveIrq(AdaptiveIrqConfig::default()), 1);
+    let light = run_reap_mode(ReapMode::AdaptiveIrq, 1);
     assert_eq!(
         light.trace.irqs, light.device.cqes,
         "closed-loop depth 1 delivers one interrupt per completion"
@@ -91,7 +91,7 @@ fn adaptive_depth_narrows_back_on_a_light_stream() {
 
 #[test]
 fn hybrid_switches_to_polling_under_load_and_stays_interrupt_when_light() {
-    let heavy = run_reap_mode(ReapMode::Hybrid(HybridConfig::default()), 32);
+    let heavy = run_reap_mode(ReapMode::Hybrid, 32);
     assert!(
         heavy.reaper.mode_transitions >= 1,
         "32 SQEs in flight must trip the high watermark"
@@ -107,7 +107,7 @@ fn hybrid_switches_to_polling_under_load_and_stays_interrupt_when_light() {
         "the timeline logs every switch"
     );
     assert!(heavy.trace.polls > 0, "the poller ran after the switch");
-    let light = run_reap_mode(ReapMode::Hybrid(HybridConfig::default()), 1);
+    let light = run_reap_mode(ReapMode::Hybrid, 1);
     assert_eq!(
         light.reaper.mode_transitions, 0,
         "a single chain in flight never leaves interrupt mode"
@@ -124,7 +124,7 @@ fn cpu_split_weighs_poll_cpu_against_interrupt_cpu() {
     let irq_entry = LayerCosts::default().irq_entry;
     assert_eq!(irq.reaper.irq_cpu_ns, irq.trace.irqs * irq_entry);
     assert_eq!(irq.cpu_split(), (0.0, 1.0));
-    let hybrid = run_reap_mode(ReapMode::Hybrid(HybridConfig::default()), 32);
+    let hybrid = run_reap_mode(ReapMode::Hybrid, 32);
     let (poll_share, irq_share) = hybrid.cpu_split();
     assert!(poll_share > 0.0 && irq_share > 0.0, "both mechanisms ran");
     let total = (hybrid.trace.poll + hybrid.reaper.irq_cpu_ns) as f64;
@@ -155,5 +155,83 @@ fn backlog_high_watermark_reflects_delivery_policy() {
         coalesced.device.reap_lag_ns / coalesced.device.cqes.max(1)
             > immediate.device.reap_lag_ns / immediate.device.cqes.max(1),
         "held-back completions wait longer between doorbell and reap"
+    );
+}
+
+/// A YCSB-style stream of `count` operations: 40 % reads, each a
+/// two-hop lookup chased through `chain`, and 40 % updates of the first
+/// `keys` one-sector records of `log` and 20 % inserts past them, every
+/// eighth write fsynced. Every write lends the one record buffer.
+struct YcsbMix {
+    chain: Fd,
+    log: Fd,
+    keys: u64,
+    count: u64,
+    writes: u64,
+    record: Vec<u8>,
+}
+
+impl YcsbMix {
+    fn next(&mut self, issued: u64, _thread: usize, rng: &mut SimRng) -> Option<ChainSpec<'_>> {
+        if issued >= self.count {
+            return None;
+        }
+        let sector = SECTOR_SIZE as u64;
+        let key = match rng.below(100) {
+            0..40 => return Some(read(self.chain, 0, sector as u32, issued)),
+            40..80 => rng.below(self.keys),
+            _ => {
+                self.keys += 1;
+                self.keys - 1
+            }
+        };
+        self.record[..8].copy_from_slice(&key.to_le_bytes());
+        self.writes += 1;
+        let fsync = self.writes.is_multiple_of(8);
+        Some(write(self.log, key * sector, &self.record, fsync, key))
+    }
+}
+
+#[test]
+fn hybrid_switches_back_and_forth_under_a_ycsb_mix_at_batch_8() {
+    // The scheduler at its constants, on the load that made the most
+    // switches in the exactly-once property: a lookup/update/insert mix
+    // with fsync barriers through an 8-deep uring, lookups chased by
+    // the driver hook.
+    let cfg = MachineConfig {
+        reap_mode: ReapMode::Hybrid,
+        ..MachineConfig::default()
+    };
+    let (mut m, chain) = machine_with(cfg, "chain.db", &chain_file(2), Some(chase_program()));
+    let keys = 64;
+    m.create_file("log.db", &vec![1; keys * SECTOR_SIZE])
+        .expect("create");
+    let log = m.open("log.db", true).expect("open");
+    let state = YcsbMix {
+        chain,
+        log,
+        keys: keys as u64,
+        count: 400,
+        writes: 0,
+        record: vec![7; SECTOR_SIZE],
+    };
+    let mut d = Script::new(DispatchMode::DriverHook, state, YcsbMix::next);
+    let r = m.run_uring(1, 8, SECOND, &mut d);
+    assert_eq!(d.outcomes.len(), 400, "every chain completes");
+    assert!(d.outcomes.iter().all(|o| o.status.is_ok()));
+    assert_eq!(r.audit(), Ok(()));
+    let switches = &r.reaper.transitions;
+    assert!(
+        r.reaper.mode_transitions > 1,
+        "the pair must switch to polling and back: {switches:?}"
+    );
+    assert_eq!(switches.len() as u64, r.reaper.mode_transitions);
+    for (i, t) in switches.iter().enumerate() {
+        let to = [ReapKind::Polled, ReapKind::Interrupt][i % 2];
+        assert_eq!(t.to, to, "switch {i} alternates, polling first");
+    }
+    assert!(
+        r.trace.polls > 0 && r.trace.irqs > 0,
+        "both mechanisms reaped"
     );
 }

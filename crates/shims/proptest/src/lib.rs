@@ -2,7 +2,7 @@
 //!
 //! The build container has no network access, so this shim implements
 //! the subset of the proptest API the workspace's property tests use:
-//! the [`Strategy`] trait with `prop_map`, integer/range/tuple/`Just`
+//! the [`Strategy`](strategy::Strategy) trait with `prop_map`, integer/range/tuple/`Just`
 //! strategies, weighted [`prop_oneof!`], `collection::{vec, btree_set,
 //! btree_map}`, the [`proptest!`] macro with `proptest_config`, and the
 //! `prop_assert*` macros.

@@ -1,17 +1,17 @@
 //! The compilation tier: a pre-decoded interpreter.
 //!
 //! [`compile`] lowers a program once to one flat array of small `Copy`
-//! [`Op`]s, one per instruction, and [`CompiledProg::run_budgeted`]
+//! `Op`s, one per instruction, and [`CompiledProg::run_budgeted`]
 //! executes it with a single `loop { match op.kind }`. Everything the
 //! interpreter works out per execution is resolved at compile time:
 //! register indices are validated, immediates sign-extended, shift
 //! amounts masked, an `ld_imm64` pair folded into one op, and jump
 //! targets turned into op indices. The access width and the hot 64-bit
-//! comparisons are part of the op's [`Kind`], so a load, a store or a
+//! comparisons are part of the op's `Kind`, so a load, a store or a
 //! compare-and-branch is *one* dispatch into code specialised for it,
 //! not a dispatch on the class followed by a second one on the width
 //! or the condition. Falling through is `index + 1`; a trailing
-//! [`Kind::Fell`] op stands one past the last instruction.
+//! `Kind::Fell` op stands one past the last instruction.
 //!
 //! Every op retires one instruction against the budget, in the
 //! interpreter's own fetch-then-charge order, so the two engines agree
@@ -27,8 +27,8 @@
 //! testing — the simulated kernel charges `LayerCosts::bpf_exec(insns)`
 //! from them, so the simulation's cost model is bit-for-bit unchanged by
 //! the engine choice; only *measured host CPU* differs. The equivalence
-//! is enforced by sharing the interpreter's primitives ([`alu64_total`],
-//! [`read_mem_w`], [`call_helper`], ...) rather than reimplementing them,
+//! is enforced by sharing the interpreter's primitives (`alu64_total`,
+//! `read_mem_w`, `call_helper`, ...) rather than reimplementing them,
 //! and locked by the differential proptest harness in `tests/props.rs`.
 //!
 //! Lowering is total. Whether an instruction is legal is decided once,

@@ -13,7 +13,7 @@
 //! - [`interp`]: a safe interpreter with instruction accounting, used by
 //!   the simulated kernel to both *execute* traversal logic over real
 //!   block bytes and *charge* its cost to the simulated clock;
-//! - [`compile`]: a compilation tier that pre-decodes a program once
+//! - [`compile`](mod@compile): a compilation tier that pre-decodes a program once
 //!   into a flat array of width- and comparison-specialised ops run by
 //!   one dispatch loop, observationally identical to the interpreter
 //!   (same checks, same traps, same retired counts) but cheaper per hop

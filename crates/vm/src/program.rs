@@ -35,9 +35,10 @@ pub const SCRATCH_SIZE: usize = 256;
 /// Action codes a storage-BPF program returns in `r0`.
 ///
 /// The kernel cross-checks the code against the helpers the program
-/// actually invoked (e.g. returning [`ACT_RESUBMIT`] without having
-/// called the resubmit helper aborts the chain), so a buggy program
-/// cannot wedge an I/O chain.
+/// actually invoked (e.g. returning
+/// [`ACT_RESUBMIT`](action::ACT_RESUBMIT) without having called the
+/// resubmit helper aborts the chain), so a buggy program cannot wedge
+/// an I/O chain.
 pub mod action {
     /// Deliver the raw block buffer to the application unchanged.
     pub const ACT_PASS: u64 = 0;

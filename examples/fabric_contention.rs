@@ -40,13 +40,13 @@ fn main() {
     ] {
         // One shared target: per-initiator credit windows, a weighted
         // round-robin admission queue, queue-depth congestion past an
-        // 8-capsule knee, and a lossy wire with duplicate suppression.
+        // 8-capsule knee, and a lossy wire.
         let link = FabricConfig::symmetric(ONE_WAY_NS, ONE_WAY_NS / 5)
             .with_initiators(INITIATORS)
             .with_initiator_window(2)
             .with_admit_ns(500)
             .with_congestion(8, 250)
-            .with_loss(0.005, 50_000, 0.25);
+            .with_loss(0.005);
         let mut group = TenantGroup::builder()
             .dispatch(mode)
             .seed(0xBF0F)
@@ -66,12 +66,11 @@ fn main() {
 
         let secs = 30e-3;
         println!(
-            "{label}: {:>7.0} chains/s aggregate, p50 {:>6.1} us, {} capsules, {} retransmits, {} dups suppressed",
+            "{label}: {:>7.0} chains/s aggregate, p50 {:>6.1} us, {} capsules, {} retransmits",
             report.chains_per_sec,
             report.latency.quantile(0.5) as f64 / 1_000.0,
             report.fabric.capsules_sent,
             report.fabric.retransmits,
-            report.fabric.dups_suppressed,
         );
         for (breakdown, init) in report.tenants.iter().zip(&report.fabric_initiators) {
             println!(

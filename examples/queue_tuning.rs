@@ -13,7 +13,7 @@
 //! cargo run --release --example queue_tuning
 //! ```
 
-use bpfstor::core::{Btree, DispatchMode, HybridConfig, PushdownSession, ReapKind, ReapMode};
+use bpfstor::core::{Btree, DispatchMode, PushdownSession, ReapKind, ReapMode};
 use bpfstor::sim::MILLISECOND;
 
 fn main() {
@@ -58,7 +58,7 @@ fn main() {
     for batch in [1u32, 32] {
         let mut session = PushdownSession::builder(Btree::depth(4))
             .dispatch(DispatchMode::DriverHook)
-            .reap_mode(ReapMode::Hybrid(HybridConfig::default()))
+            .reap_mode(ReapMode::Hybrid)
             .build()
             .expect("session");
         let (report, stats) = session.run_uring(1, batch, 10 * MILLISECOND);

@@ -536,9 +536,9 @@ fn all_reap_modes_complete_the_same_lookups() {
         report
     };
     let irq = run(ReapMode::Interrupt);
-    let adaptive = run(ReapMode::AdaptiveIrq(Default::default()));
-    let polled = run(ReapMode::Polled(Default::default()));
-    let hybrid = run(ReapMode::Hybrid(Default::default()));
+    let adaptive = run(ReapMode::AdaptiveIrq);
+    let polled = run(ReapMode::Polled);
+    let hybrid = run(ReapMode::Hybrid);
     for r in [&adaptive, &polled, &hybrid] {
         assert_eq!(r.device.cqes, irq.device.cqes, "same completions per mode");
     }

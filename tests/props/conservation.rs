@@ -59,8 +59,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use bpfstor::core::{
-            AdaptiveIrqConfig, CommitPolicy, DispatchMode, HybridConfig, PollConfig,
-            PushdownSession, ReapMode, SessionBuilder, SessionStats, YcsbMix,
+            CommitPolicy, DispatchMode, PushdownSession, ReapMode, SessionBuilder, SessionStats,
+            YcsbMix,
         };
         use bpfstor::kernel::{FabricConfig, MachineConfig, RunReport};
         use bpfstor::sim::SECOND;
@@ -74,18 +74,10 @@ proptest! {
         };
         let reap = [
             ReapMode::Interrupt,
-            ReapMode::AdaptiveIrq(AdaptiveIrqConfig::default()),
-            ReapMode::Polled(PollConfig::default()),
-            // Twitchy watermarks: the pair flaps between mechanisms.
-            ReapMode::Hybrid(HybridConfig {
-                high_watermark: 2,
-                low_watermark: 0,
-                window: 2,
-                dwell: 1,
-                ..HybridConfig::default()
-            }),
-        ][reap_pick]
-            .clone();
+            ReapMode::AdaptiveIrq,
+            ReapMode::Polled,
+            ReapMode::Hybrid,
+        ][reap_pick];
         let commit = [
             CommitPolicy::PerFsync,
             CommitPolicy::Group { max_wait_us: 20, max_handles: 3 },

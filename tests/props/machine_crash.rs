@@ -234,7 +234,7 @@ proptest! {
                     .with_initiators(2)
                     .with_initiator_window(4)
                     .with_admit_ns(500)
-                    .with_loss(0.02, 50_000, 0.25),
+                    .with_loss(0.02),
             )
         };
         let policies = [
