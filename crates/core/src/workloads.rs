@@ -16,7 +16,7 @@ use bpfstor_btree::tree::{build_pages, shape_for_depth, step_on_page, Step, Tree
 use bpfstor_btree::{Node, PAGE_SIZE};
 use bpfstor_kernel::{ChainStatus, ChainToken, UserNext};
 use bpfstor_lsm::sstable::{ColdGet, ColdStep, Footer};
-use bpfstor_lsm::{data_block_entries, BLOCK};
+use bpfstor_lsm::{data_block_entries, Value, BLOCK};
 use bpfstor_sim::{IdMap, SimRng};
 use bpfstor_vm::Program;
 
@@ -185,10 +185,12 @@ impl PushdownWorkload for Btree {
 
 /// Where one native cold get is: between two block reads, or complete
 /// and waiting for `decode` to collect its value.
+// The value is held inline, so a hit on the user path makes no heap call.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum SstChain {
     Walking(ColdGet),
-    Finished(Option<Vec<u8>>),
+    Finished(Option<Value>),
 }
 
 /// Cold SSTable point gets (footer → index block(s) → data block) over a
@@ -238,13 +240,19 @@ impl Sst {
     }
 
     /// The expected value for `key`.
-    pub fn expected(&self, key: u64) -> Option<Vec<u8>> {
-        self.value(key).cloned()
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry's value is longer than
+    /// [`MAX_VALUE`](bpfstor_lsm::MAX_VALUE): no table holds it.
+    pub fn expected(&self, key: u64) -> Option<Value> {
+        let value = self.value(key)?;
+        Some(Value::try_from(value).expect("a table's values fit MAX_VALUE"))
     }
 
-    fn value(&self, key: u64) -> Option<&Vec<u8>> {
+    fn value(&self, key: u64) -> Option<&[u8]> {
         let at = self.entries.binary_search_by_key(&key, |(k, _)| *k);
-        at.ok().map(|i| &self.entries[i].1)
+        at.ok().map(|i| &self.entries[i].1[..])
     }
 
     /// Byte offset of the footer block (valid once `build_image` ran).
@@ -255,7 +263,7 @@ impl Sst {
 
 impl PushdownWorkload for Sst {
     type Request = u64;
-    type Output = Vec<u8>;
+    type Output = Value;
 
     fn name(&self) -> &str {
         "sst"
@@ -311,10 +319,13 @@ impl PushdownWorkload for Sst {
         &mut self,
         token: &ChainToken,
         status: &ChainStatus,
-    ) -> Result<Option<Vec<u8>>, SessionError> {
+    ) -> Result<Option<Value>, SessionError> {
         let chain = self.chains.remove(&token.id);
         match status {
-            ChainStatus::Emitted(v) => Ok(Some(v.clone())),
+            // Copied into the output, inline: a hit makes no heap call.
+            ChainStatus::Emitted(v) => Value::try_from(&v[..])
+                .map(Some)
+                .map_err(|e| SessionError::Decode(format!("emitted {e}"))),
             ChainStatus::Halted => Ok(None),
             ChainStatus::Pass(_) => Ok(match chain {
                 Some(SstChain::Finished(found)) => found,
@@ -324,8 +335,8 @@ impl PushdownWorkload for Sst {
         }
     }
 
-    fn check(&self, token: &ChainToken, out: Option<&Vec<u8>>) -> Verdict {
-        if out == self.value(token.arg) {
+    fn check(&self, token: &ChainToken, out: Option<&Value>) -> Verdict {
+        if out.map(|v| &v[..]) == self.value(token.arg) {
             Verdict::Ok
         } else {
             Verdict::Mismatch
@@ -640,7 +651,7 @@ impl YcsbMix {
 
 impl PushdownWorkload for YcsbMix {
     type Request = MixRequest;
-    type Output = Vec<u8>;
+    type Output = Value;
 
     fn name(&self) -> &str {
         "ycsb_mix"
@@ -727,11 +738,11 @@ impl PushdownWorkload for YcsbMix {
         &mut self,
         token: &ChainToken,
         status: &ChainStatus,
-    ) -> Result<Option<Vec<u8>>, SessionError> {
+    ) -> Result<Option<Value>, SessionError> {
         self.sst.decode(token, status)
     }
 
-    fn check(&self, token: &ChainToken, out: Option<&Vec<u8>>) -> Verdict {
+    fn check(&self, token: &ChainToken, out: Option<&Value>) -> Verdict {
         self.sst.check(token, out)
     }
 
@@ -872,5 +883,51 @@ impl PushdownWorkload for Chase {
             Some(&CHASE_PAYLOAD) => Verdict::Ok,
             _ => Verdict::Mismatch,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use bpfstor_kernel::DEFAULT_TENANT;
+    use bpfstor_lsm::MAX_VALUE;
+
+    use super::*;
+
+    fn token() -> ChainToken {
+        ChainToken {
+            id: 1,
+            tenant: DEFAULT_TENANT,
+            arg: 3,
+            issued: 0,
+        }
+    }
+
+    /// What `decode` makes of an `Emitted` buffer of `len` bytes.
+    fn decode_emitted<W>(w: &mut W, len: usize) -> Result<Option<Value>, SessionError>
+    where
+        W: PushdownWorkload<Output = Value>,
+    {
+        w.decode(&token(), &ChainStatus::Emitted(vec![9; len]))
+    }
+
+    #[test]
+    fn an_emitted_value_past_max_value_is_a_decode_error() {
+        let entries = vec![(3, vec![9; 48])];
+        let mut sst = Sst::new(entries.clone(), Vec::new());
+        let mut mix = YcsbMix::new(entries, OpMix::paper_tokudb(), 1);
+        let too_long = SessionError::Decode("emitted value of 256 bytes exceeds 255".into());
+        assert_eq!(
+            decode_emitted(&mut sst, MAX_VALUE + 1),
+            Err(too_long.clone())
+        );
+        assert_eq!(decode_emitted(&mut mix, MAX_VALUE + 1), Err(too_long));
+        // The longest a table holds decodes whole, and so does the hit.
+        let longest = decode_emitted(&mut sst, MAX_VALUE)
+            .expect("fits")
+            .expect("a hit");
+        assert_eq!(longest, vec![9; MAX_VALUE]);
+        let hit = decode_emitted(&mut mix, 48).expect("fits");
+        assert_eq!(mix.check(&token(), hit.as_ref()), Verdict::Ok);
+        assert_eq!(hit, sst.expected(3));
     }
 }

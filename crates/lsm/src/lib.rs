@@ -10,7 +10,8 @@
 //!   that parses it, with the cold lookup chain (footer → index
 //!   block(s) → data block) as one stepper, [`ColdGet`], that is both
 //!   the native walk and the oracle for the BPF offload program in
-//!   `bpfstor-core`;
+//!   `bpfstor-core`; a value read out of a table is a [`Value`], held
+//!   inline;
 //! - [`lsm`]: memtable + levels + size-tiered compaction over
 //!   `bpfstor-fs`, whose unlink-based lifecycle generates exactly the
 //!   unmap-event pattern the §4 extent-stability experiment measures.
@@ -25,5 +26,5 @@ pub use io::{DirectIo, LsmIo};
 pub use lsm::{LsmConfig, LsmError, LsmStats, LsmTree, TableHandle};
 pub use sstable::{
     build_image, data_block_entries, data_block_search, index_block_search, ColdGet, ColdStep,
-    Footer, SstError, BLOCK, MAX_VALUE, SST_MAGIC,
+    Footer, SstError, Value, BLOCK, MAX_VALUE, SST_MAGIC,
 };

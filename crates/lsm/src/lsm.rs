@@ -19,7 +19,8 @@ use bpfstor_fs::FsError;
 use crate::bloom::Bloom;
 use crate::io::LsmIo;
 use crate::sstable::{
-    build_image, data_block_entries, data_block_search, index_entries, Footer, SstError, BLOCK,
+    build_image, data_block_entries, data_block_search, index_entries, Footer, SstError, Value,
+    BLOCK,
 };
 
 /// Tuning knobs.
@@ -148,7 +149,7 @@ impl TableHandle {
     /// # Errors
     ///
     /// Propagates backend/format failures.
-    pub fn get(&self, io: &mut dyn LsmIo, key: u64) -> Result<Option<Vec<u8>>, LsmError> {
+    pub fn get(&self, io: &mut dyn LsmIo, key: u64) -> Result<Option<Value>, LsmError> {
         if !self.may_contain(key) {
             return Ok(None);
         }
@@ -255,7 +256,9 @@ impl LsmTree {
         Ok(())
     }
 
-    /// Point lookup: memtable, then levels newest-first.
+    /// Point lookup: memtable, then levels newest-first. The value is
+    /// owned: the memtable's are not held to [`MAX_VALUE`](crate::MAX_VALUE)
+    /// until they are flushed.
     ///
     /// # Errors
     ///
@@ -268,7 +271,7 @@ impl LsmTree {
         for level in &self.levels {
             for table in level {
                 if let Some(v) = table.get(io, key)? {
-                    return Ok(if v.is_empty() { None } else { Some(v) });
+                    return Ok(if v.is_empty() { None } else { Some(v.to_vec()) });
                 }
             }
         }

@@ -88,6 +88,69 @@ impl std::fmt::Display for SstError {
 
 impl std::error::Error for SstError {}
 
+/// A value read out of a table: at most [`MAX_VALUE`] bytes, held
+/// inline, so reading one makes no heap call. Derefs to its bytes and
+/// compares equal to any byte slice or `Vec<u8>` holding the same ones.
+#[derive(Clone, Copy)]
+pub struct Value {
+    len: u8,
+    bytes: [u8; MAX_VALUE],
+}
+
+// `Value::len` is a `u8`.
+const _: () = assert!(MAX_VALUE <= u8::MAX as usize);
+
+impl TryFrom<&[u8]> for Value {
+    type Error = SstError;
+
+    /// Copies `bytes`; [`SstError::ValueTooLarge`] past [`MAX_VALUE`].
+    fn try_from(bytes: &[u8]) -> Result<Self, SstError> {
+        if bytes.len() > MAX_VALUE {
+            return Err(SstError::ValueTooLarge(bytes.len()));
+        }
+        let mut value = Value {
+            len: bytes.len() as u8,
+            bytes: [0; MAX_VALUE],
+        };
+        value.bytes[..bytes.len()].copy_from_slice(bytes);
+        Ok(value)
+    }
+}
+
+impl std::ops::Deref for Value {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Value {}
+
+impl PartialEq<[u8]> for Value {
+    fn eq(&self, other: &[u8]) -> bool {
+        **self == *other
+    }
+}
+
+impl PartialEq<Vec<u8>> for Value {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        **self == **other
+    }
+}
+
 /// Builds the complete file image for sorted `(key, value)` entries.
 ///
 /// Returns the raw bytes (a whole number of blocks) ready to be written
@@ -367,11 +430,13 @@ fn data_entries(
 }
 
 /// Scans one *data block* for `key`, returning the value if present.
-pub fn data_block_search(block: &[u8], key: u64) -> Result<Option<Vec<u8>>, SstError> {
+/// A value longer than [`MAX_VALUE`] is [`SstError::ValueTooLarge`]: no
+/// table [`build_image`] writes holds one.
+pub fn data_block_search(block: &[u8], key: u64) -> Result<Option<Value>, SstError> {
     for entry in data_entries(block)? {
         let (k, value) = entry?;
         if k == key {
-            return Ok(Some(value.to_vec()));
+            return Value::try_from(value).map(Some);
         }
         if k > key {
             break;
@@ -415,13 +480,16 @@ pub enum ColdGet {
 }
 
 /// What one [`ColdGet::step`] decided.
+// The value moves out by value; boxing it would put back the heap call
+// per hit that holding it inline takes away.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ColdStep {
     /// Read the block at this file byte offset next (the stage has
     /// advanced to match).
     Read(u64),
     /// The get is complete: the value, if the key is present.
-    Done(Option<Vec<u8>>),
+    Done(Option<Value>),
 }
 
 impl ColdGet {
@@ -522,7 +590,7 @@ mod tests {
         for hops in 1..=16 {
             match stage.step(key, &image[off..off + BLOCK]) {
                 ColdStep::Read(next) => off = next as usize,
-                ColdStep::Done(found) => return (found, hops),
+                ColdStep::Done(found) => return (found.map(|v| v.to_vec()), hops),
             }
         }
         panic!("runaway cold get for key {key}");
@@ -610,7 +678,8 @@ mod tests {
         bad_data[16..24].copy_from_slice(&9u64.to_le_bytes());
         bad_data[24..26].copy_from_slice(&600u16.to_le_bytes());
         let overflow = SstError::Corrupt("value overflows block");
-        assert_eq!(data_block_search(&bad_data, 1), Ok(Some(vec![0u8; 4])));
+        let zeros = Value::try_from(&[0u8; 4][..]).expect("short");
+        assert_eq!(data_block_search(&bad_data, 1), Ok(Some(zeros)));
         assert_eq!(data_block_search(&bad_data, 9), Err(overflow.clone()));
         assert_eq!(data_block_entries(&bad_data), Err(overflow));
         assert_eq!(ColdGet::Data.step(9, &bad_data), ColdStep::Done(None));
@@ -619,6 +688,40 @@ mod tests {
         for mut stage in [ColdGet::Footer, ColdGet::Data, stage] {
             assert_eq!(stage.step(1, &[7]), ColdStep::Done(None), "{stage:?}");
         }
+    }
+
+    #[test]
+    fn a_value_longer_than_max_value_is_an_error_and_a_miss() {
+        // One entry whose 300-byte value fits the block but not a table.
+        let mut block = vec![0u8; BLOCK];
+        block[..2].copy_from_slice(&1u16.to_le_bytes());
+        block[2..10].copy_from_slice(&5u64.to_le_bytes());
+        block[10..12].copy_from_slice(&300u16.to_le_bytes());
+        let too_large = SstError::ValueTooLarge(300);
+        assert_eq!(data_block_search(&block, 5), Err(too_large.clone()));
+        assert_eq!(ColdGet::Data.step(5, &block), ColdStep::Done(None));
+        assert_eq!(
+            Value::try_from(&block[..256]).err(),
+            Some(SstError::ValueTooLarge(256))
+        );
+        assert_eq!(
+            Value::try_from(&block[..MAX_VALUE]).map(|v| v.len()),
+            Ok(MAX_VALUE)
+        );
+    }
+
+    #[test]
+    fn a_value_is_its_bytes() {
+        let bytes = b"v42".to_vec();
+        let value = Value::try_from(&bytes[..]).expect("short");
+        let copy = value;
+        assert_eq!((&*copy, copy), (&bytes[..], value), "a copy, not a move");
+        assert_eq!(value, bytes);
+        assert!(value == *b"v42".as_slice());
+        assert_eq!(format!("{value:?}"), format!("{bytes:?}"));
+        let empty = Value::try_from(&[][..]).expect("empty");
+        assert_ne!(empty, value);
+        assert!(empty.is_empty());
     }
 
     #[test]

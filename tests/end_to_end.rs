@@ -8,6 +8,7 @@ use bpfstor::core::{
     SessionError, Sst, CHASE_PAYLOAD,
 };
 use bpfstor::kernel::{Machine, ProgHandle};
+use bpfstor::lsm::Value;
 use bpfstor::sim::{MILLISECOND, SECOND};
 
 #[path = "../crates/kernel/tests/support/mod.rs"]
@@ -147,7 +148,7 @@ fn all_dispatch_modes_agree_on_btree_lookups() {
 #[test]
 fn all_dispatch_modes_agree_on_sst_gets() {
     let (entries, probes) = sst_fixture();
-    let mut results: Vec<Vec<(bool, Option<Vec<u8>>)>> = Vec::new();
+    let mut results: Vec<Vec<(bool, Option<Value>)>> = Vec::new();
     for mode in DispatchMode::ALL {
         let mut s = PushdownSession::builder(Sst::new(entries.clone(), Vec::new()))
             .dispatch(mode)

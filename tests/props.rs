@@ -17,6 +17,7 @@ use bpfstor::core::{
 use bpfstor::device::{DeviceClass, Ring, SectorStore, SECTOR_SIZE};
 use bpfstor::fs::alloc::{Run, GROUP_BLOCKS};
 use bpfstor::fs::{BlockAllocator, ExtFs, Extent, ExtentTree, JournalRecord, CHECKPOINT_RECORDS};
+use bpfstor::kernel::reaper::HYBRID_HIGH_WATERMARK;
 use bpfstor::kernel::{
     ChainOutcome, ChainSpec, ChainStatus, ChainToken, ChainVerdict, CommitPolicy, ConfigError,
     DispatchMode, ExecEngine, FabricConfig, Fd, Machine, MachineConfig, Mutation, RunReport,
@@ -26,7 +27,7 @@ use bpfstor::lsm::sstable::{
     build_image, data_block_entries, data_block_search, index_block_search, ColdGet, ColdStep,
     Footer, SST_MAGIC,
 };
-use bpfstor::lsm::BLOCK;
+use bpfstor::lsm::{Value, BLOCK};
 use bpfstor::sim::{
     CoreCountError, Histogram, LatencyDist, Nanos, SimRng, MAX_CONFIG_TIME, SECOND,
 };

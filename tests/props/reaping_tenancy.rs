@@ -7,10 +7,12 @@ proptest! {
     /// SQE: every chain completes, nothing errors, and every command
     /// the device serviced is reaped exactly once no matter how often
     /// the queue pair bounces between polling and interrupts. Only the
-    /// load is drawn; the scheduler runs at its constants.
+    /// load is drawn; the scheduler runs at its constants. Every drawn
+    /// batch keeps at least the high watermark in flight, so every
+    /// world switches modes: shallower ones never leave interrupts.
     #[test]
     fn hybrid_mode_switches_never_lose_or_duplicate_completions(
-        batch_pick in 0usize..4,
+        batch in HYBRID_HIGH_WATERMARK as u32..=32,
         (read_pct, update_split) in (10u8..=100, 0u8..=100),
         seed in any::<u64>(),
     ) {
@@ -18,7 +20,6 @@ proptest! {
         use bpfstor::sim::SECOND;
         use bpfstor::workload::OpMix;
 
-        let batch = [1u32, 3, 8, 32][batch_pick];
         let update = ((100 - read_pct) as u16 * update_split as u16 / 100) as u8;
         let mix = OpMix {
             read: read_pct,
@@ -45,6 +46,7 @@ proptest! {
         // else's: every non-empty reap batch was one interrupt or one
         // productive poll.
         prop_assert_eq!(report.audit(), Ok(()));
+        prop_assert!(report.reaper.mode_transitions > 0, "batch {} never switched", batch);
         prop_assert_eq!(
             report.reaper.mode_transitions as usize >= report.reaper.transitions.len(),
             true,

@@ -156,7 +156,7 @@ fn walk_cold_get(
         let block = &image[off as usize..off as usize + BLOCK];
         match hop(visited.len() as u32 - 1, off, block) {
             ColdStep::Read(next) => visited.push(next),
-            ColdStep::Done(found) => return (visited, found),
+            ColdStep::Done(found) => return (visited, found.map(|v| v.to_vec())),
         }
         assert!(visited.len() <= image.len() / BLOCK, "runaway chain");
     }
@@ -185,7 +185,9 @@ fn bpf_hop(
         .expect("never traps on a well-formed table");
     match out.ret {
         action::ACT_RESUBMIT => ColdStep::Read(env.resubmits[0]),
-        action::ACT_EMIT => ColdStep::Done(Some(env.emitted)),
+        action::ACT_EMIT => ColdStep::Done(Some(
+            Value::try_from(&env.emitted[..]).expect("the program emits one table value"),
+        )),
         action::ACT_HALT => ColdStep::Done(None),
         other => panic!("hop {hop} at {off}: action {other}"),
     }
