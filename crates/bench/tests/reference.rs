@@ -2,11 +2,21 @@
 //! reproduce the paper?": every registry table, run in-process at quick
 //! scale, equals its committed CSV byte for byte, and the claims ledger
 //! they fill has no row outside its range.
+//!
+//! The tables are run on two worker threads at most, each taking the
+//! next table not yet taken, which halves this suite's wall time on two
+//! cores (fig3a and fig3b, together three quarters of the work, run side
+//! by side). The committed CSVs are what `bench all --quick` writes, one
+//! table after another on one thread, so the byte-for-byte comparison
+//! below is also the check that a table run on a worker equals a serial
+//! run of it.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::thread;
 
 use bpfstor_bench::claims::{ledger, Ledger, CLAIMS};
 use bpfstor_bench::cli::LEDGER_CSV;
@@ -21,14 +31,33 @@ fn reference_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("reference")
 }
 
-/// Every table at quick scale and default seed, run once for all tests.
+/// Every table at quick scale and default seed, run once for all tests
+/// and kept in registry order.
 fn tables() -> &'static [(&'static str, Table)] {
     static RAN: OnceLock<Vec<(&'static str, Table)>> = OnceLock::new();
     RAN.get_or_init(|| {
-        let quick = Scale { quick: true };
-        every_table()
-            .map(|part| (part.0, run(part, quick, None)))
-            .collect()
+        let parts: Vec<_> = every_table().collect();
+        let next = AtomicUsize::new(0);
+        let workers = thread::available_parallelism().map_or(1, |n| n.get().min(2));
+        let mut ran: Vec<_> = thread::scope(|scope| {
+            let workers: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut ran = Vec::new();
+                        while let Some(part) = parts.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            ran.push((part.0, run(part, Scale { quick: true }, None)));
+                        }
+                        ran
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|worker| worker.join().expect("a table run panicked"))
+                .collect()
+        });
+        ran.sort_by_key(|&(csv, _)| parts.iter().position(|part| part.0 == csv));
+        ran
     })
 }
 

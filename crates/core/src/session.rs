@@ -546,10 +546,10 @@ impl<W: PushdownWorkload> PushdownSession<W> {
     /// [`SessionError::Mismatch`] if the workload's check fails, plus
     /// decode failures.
     pub fn lookup(&mut self, req: W::Request) -> Result<LookupOutcome<W::Output>, SessionError> {
-        self.member.one_shot = Some(OneShot {
+        self.member.one_shot = Some(Box::new(OneShot {
             request: Some(req),
             last: None,
-        });
+        }));
         let _ = self.run(|machine, member| machine.run_closed_loop(1, SECOND, member));
         let shot = self.member.one_shot.take().expect("set above");
         let Some(last) = shot.last else {
@@ -644,8 +644,9 @@ pub struct Member<W: PushdownWorkload> {
     /// Set for the duration of a [`PushdownSession::lookup`]; `None`
     /// draws from the workload's request stream and records no terminal
     /// chain, which spares benchmark runs the (possibly block-sized)
-    /// status clone.
-    one_shot: Option<OneShot<W>>,
+    /// status clone. Boxed, so a member that never looks up — every
+    /// benchmark and group member — holds a pointer, not the slot.
+    one_shot: Option<Box<OneShot<W>>>,
 }
 
 impl<W: PushdownWorkload> Member<W> {

@@ -8,9 +8,9 @@
 //!
 //! - a sparse [`store::SectorStore`] holds real bytes (B-tree nodes,
 //!   SSTables), so completions carry genuine data for BPF programs to
-//!   parse; it is thin to the 8-byte word, keeping each sector's bytes
-//!   up to its last non-zero word in one of seven slot classes (8, 16,
-//!   32, 64, 128, 256 or 512 B);
+//!   parse; it is thin to the 2-byte half-word, keeping each sector's
+//!   bytes up to its last non-zero half-word in one of nine slot
+//!   classes (2, 4, 8, 16, 32, 64, 128, 256 or 512 B);
 //! - [`ring::Ring`] implements the submission/completion queue pairs with
 //!   real head/tail wrap semantics, its slot array sized by the entries
 //!   queued rather than by the declared depth;

@@ -1,15 +1,15 @@
 //! Sparse sector-addressed backing store.
 //!
-//! Devices are thin-provisioned, and the unit of thinness is the 8-byte
-//! word: a sector holds host memory for its bytes up to its last
-//! non-zero word, rounded up to one of seven slot classes — 8, 16, 32,
-//! 64, 128, 256 or 512 B. A sector never written, overwritten with
-//! zeroes or discarded is a *hole* and reads as zeroes (as a freshly
-//! formatted namespace would). So the benchmarks can build deep B-trees
-//! whose *address space* is large, and a log of records that are an
-//! 8-byte key and zeroes costs one word per record, while the host
-//! memory footprint stays proportional to the non-zero bytes actually
-//! stored.
+//! Devices are thin-provisioned, and the unit of thinness is the 2-byte
+//! half-word: a sector holds host memory for its bytes up to its last
+//! non-zero half-word, rounded up to one of nine slot classes — 2, 4,
+//! 8, 16, 32, 64, 128, 256 or 512 B. A sector never written,
+//! overwritten with zeroes or discarded is a *hole* and reads as zeroes
+//! (as a freshly formatted namespace would). So the benchmarks can build
+//! deep B-trees whose *address space* is large, and a log of records
+//! that are a little-endian key below 65,536 and zeroes costs a 2 B slot
+//! per record (a key below 2^32, a 4 B one), while the host memory
+//! footprint stays proportional to the non-zero bytes actually stored.
 //!
 //! The index is a vector of 64-LBA leaves, one per 64 LBAs up to the
 //! highest non-zero LBA written. A leaf holds a bitmap of which of its
@@ -25,11 +25,11 @@
 //! a removal only at either end. Any other insert or removal, or a
 //! class change, expands the leaf once into a packed array of its
 //! entries, and the leaf stays one until it empties. The array lives in
-//! the store's own slabs, in the least class that holds it (8 B for one
-//! or two entries, … 256 B for 33 to 64): an insert or a removal shifts
+//! the store's own slabs, in the least class that holds it (4 B for one
+//! entry, 8 B for two, … 256 B for 33 to 64): an insert or a removal shifts
 //! the entries above it in place, and moves the array once when its
 //! count crosses a power of two; an emptied leaf gives its slot back. A
-//! write finds each sector's last non-zero word, scanning from the end:
+//! write finds each sector's last non-zero byte, scanning from the end:
 //! an all-zero sector becomes a hole and gives its slot, if it had one,
 //! back to its class; any other overwrites its own slot if its class is
 //! unchanged, and otherwise gives the old slot back and takes one of
@@ -55,17 +55,20 @@
 pub const SECTOR_SIZE: usize = 512;
 
 /// The unit a stored sector is cut to: its bytes up to its last
-/// non-zero word are kept, the zeroes after them are not.
-const LINE: usize = 8;
+/// non-zero half-word are kept, the zeroes after them are not. Two
+/// bytes, not one, so a log whose records' key tails end one byte apart
+/// (keys either side of 256) keeps them in one class, and its leaves
+/// runs.
+const LINE: usize = 2;
 
 /// The unit [`class_of`] scans a sector in first: an OR over 64 bytes
 /// vectorises, so finding the last non-zero one costs a few wide ORs
-/// before the last non-zero word is looked for inside it.
+/// before the last non-zero byte is looked for inside it.
 const SCAN: usize = 64;
 
 /// Slot classes: class `c` holds `LINE << c` bytes, so the last holds a
 /// whole sector.
-const CLASSES: usize = 7;
+const CLASSES: usize = 9;
 const _: () = assert!(LINE << (CLASSES - 1) == SECTOR_SIZE);
 
 /// Slab page size. 8 KiB measured fastest on the write-heavy benchmark
@@ -80,7 +83,7 @@ const PAGE_BYTES: usize = 8 << 10;
 const PAGE_LINES_LOG2: u32 = (PAGE_BYTES / LINE).trailing_zeros();
 
 /// Bits of an index entry that hold the class.
-const CLASS_BITS: u32 = 3;
+const CLASS_BITS: u32 = 4;
 const _: () = assert!(CLASSES <= 1 << CLASS_BITS);
 
 /// Slots a class may hold: an index entry keeps `slot + 1` above the
@@ -151,9 +154,13 @@ impl Slab {
                 let len = if page == 0 { at.end } else { PAGE_BYTES };
                 self.pages.push(vec![0u8; len].into_boxed_slice());
             }
-            // Only the first page is ever short.
+            // Only the first page is ever short. It grows by exactly its
+            // length: `resize` alone would round a 4-byte page up to a
+            // `Vec`'s least capacity, 8, and boxing it would cost a
+            // second call to shrink it back.
             Some(first) if first.len() < at.end => {
                 let mut grown = std::mem::take(first).into_vec();
+                grown.reserve_exact(grown.len());
                 grown.resize(2 * grown.len(), 0);
                 *first = grown.into_boxed_slice();
             }
@@ -242,21 +249,25 @@ fn set_entry_at(array: &mut [u8], rank: usize, entry: u32) {
 }
 
 /// The class a sector is stored in — the least whose slot holds its
-/// bytes up to its last non-zero word — or `None` if it is all zero.
-/// The last non-zero [`SCAN`]-byte span is found first, checking from
-/// the end with an OR over each span, which vectorises, so a sector
-/// whose last span is not zero costs one check; then the last non-zero
-/// word inside that span.
+/// bytes up to its last non-zero [`LINE`] — or `None` if it is all
+/// zero. The last non-zero [`SCAN`]-byte span is found first, checking
+/// from the end with an OR over each span, which vectorises, so a
+/// sector whose last span is not zero costs one check; then the last
+/// non-zero 8-byte word inside that span, and its last non-zero byte:
+/// read little-endian, the word's top byte is its last.
 fn class_of(sector: &[u8]) -> Option<usize> {
+    const WORD: usize = size_of::<u64>();
     let span = sector
         .chunks_exact(SCAN)
         .rposition(|span| span.iter().fold(0, |acc, &b| acc | b) != 0)?;
-    let word = sector[span * SCAN..(span + 1) * SCAN]
-        .chunks_exact(LINE)
-        .rposition(|word| u64::from_ne_bytes(word.try_into().expect("LINE long")) != 0)
+    let (word, bits) = sector[span * SCAN..(span + 1) * SCAN]
+        .chunks_exact(WORD)
+        .map(|word| u64::from_le_bytes(word.try_into().expect("WORD long")))
+        .enumerate()
+        .rfind(|&(_, bits)| bits != 0)
         .expect("a non-zero span has a non-zero word");
-    let last = span * (SCAN / LINE) + word;
-    Some((last + 1).next_power_of_two().trailing_zeros() as usize)
+    let last = span * SCAN + word * WORD + WORD - 1 - (bits.leading_zeros() / u8::BITS) as usize;
+    Some((last / LINE + 1).next_power_of_two().trailing_zeros() as usize)
 }
 
 /// `bytes` without their zero tail, to 64-byte granularity: up to the
@@ -759,19 +770,23 @@ mod tests {
     fn a_sector_is_kept_to_its_last_nonzero_line() {
         let boundaries = [
             (0, 0),
-            (7, 0),
-            (8, 1),
-            (15, 1),
-            (16, 2),
-            (31, 2),
-            (32, 3),
-            (63, 3),
-            (64, 4),
-            (127, 4),
-            (128, 5),
-            (255, 5),
-            (256, 6),
-            (511, 6),
+            (1, 0),
+            (2, 1),
+            (3, 1),
+            (4, 2),
+            (7, 2),
+            (8, 3),
+            (15, 3),
+            (16, 4),
+            (31, 4),
+            (32, 5),
+            (63, 5),
+            (64, 6),
+            (127, 6),
+            (128, 7),
+            (255, 7),
+            (256, 8),
+            (511, 8),
         ];
         for (last, class) in boundaries {
             let mut sector = [0u8; SECTOR_SIZE];
@@ -785,11 +800,21 @@ mod tests {
             assert_eq!(out, sector, "past the slot the sector reads zero");
         }
         assert_eq!(class_of(&[0u8; SECTOR_SIZE]), None);
+        // Every position of the last non-zero byte, with non-zero bytes
+        // before it in the same word and the span: the class is the
+        // least whose slot reaches it.
+        for last in 0..SECTOR_SIZE {
+            let mut sector = [0u8; SECTOR_SIZE];
+            sector[last.saturating_sub(70)..=last].fill(0x5A);
+            let least = (0..CLASSES).find(|&c| LINE << c > last);
+            assert_eq!(class_of(&sector), least, "last non-zero byte {last}");
+        }
     }
 
     #[test]
     fn a_class_change_frees_the_old_slot_for_reuse_before_a_page_is_added() {
-        // A key sector — 8 bytes and zeroes — is kept in an 8 B slot.
+        // A key sector — a little-endian key below 65,536 and zeroes —
+        // is kept in a 2 B slot.
         let key = |lba: u64| {
             let mut sector = [0u8; SECTOR_SIZE];
             sector[..8].copy_from_slice(&(lba + 1).to_le_bytes());
@@ -806,15 +831,15 @@ mod tests {
         wide[300] = 1;
         s.write(5, &wide);
         assert_eq!(s.slot(5), Some((0, WHOLE)));
-        assert_eq!(s.slabs[0].free, [5], "the word it left is free");
-        // The next key, in a leaf of its own, takes that word before the
+        assert_eq!(s.slabs[0].free, [5], "the half-word it left is free");
+        // The next key, in a leaf of its own, takes that slot before the
         // cursor moves; its leaf starts a run and holds no array, so the
         // cursor does not move at all.
         let next = per_page + 1_000;
         s.write(next, &key(next));
         assert_eq!(s.slot(next), Some((5, 0)), "and taken by the next key");
         assert_eq!(s.slabs[0].next, per_page as u32);
-        // Down a class: the whole slot is freed, and with no word free
+        // Down a class: the whole slot is freed, and with no 2 B slot free
         // the key takes the cursor's next slot, the first of a second
         // page.
         s.write(5, &key(5));
@@ -875,14 +900,17 @@ mod tests {
             stored &= !(1 << lba);
             check(&s, stored, count, false);
         }
-        // The emptied leaf gave its last array, an 8 B slot, back. The
-        // next leaf's first sector starts a run and takes no array: the
-        // slot stays free and the cursor does not move.
-        let cursor = s.slabs[0].next;
+        // The emptied leaf gave its last array, of one 4 B entry, back
+        // to the 4 B class. The next leaf's first sector starts a run
+        // and takes no array: the slot stays free and the cursor does
+        // not move.
+        let one = array_class(1);
+        assert_eq!(LINE << one, ENTRY);
+        let cursor = s.slabs[one].next;
         s.write(LEAF, &sector(LEAF));
         assert!(s.leaves[1].run);
         assert_eq!(
-            (&s.slabs[0].free[..], s.slabs[0].next),
+            (&s.slabs[one].free[..], s.slabs[one].next),
             (&[last][..], cursor)
         );
         let mut want = vec![0u8; 2 * LEAF as usize * SECTOR_SIZE];
@@ -892,7 +920,7 @@ mod tests {
 
     #[test]
     fn an_ascending_run_of_a_leaf_holds_no_array_slot() {
-        // 64 keys, each an 8 B slot, written one at a time up the leaf:
+        // 64 keys, each a 2 B slot, written one at a time up the leaf:
         // class 0 holds the 64 keys and nothing else.
         let mut s = SectorStore::new();
         let mut want = Vec::new();
@@ -922,7 +950,7 @@ mod tests {
             /// A whole sector at the LBA, after one in the next leaf took
             /// the run's next slot.
             Insert(u64),
-            /// The sector at the LBA moves down to an 8 B slot.
+            /// The sector at the LBA moves down to a 2 B slot.
             Shrink(u64),
             Discard(u64),
         }
@@ -958,7 +986,8 @@ mod tests {
             assert!(!leaf.run, "LBA {lba}");
             assert_eq!(leaf.present.count_ones(), count, "LBA {lba}");
             // The arrays' classes: one slot in the least, none freed.
-            // A shrunk sector's 8 B slot is class 0's.
+            // A shrunk sector's 2 B slot is class 0's, which no array
+            // is in.
             let keys = u32::from(matches!(how, Break::Shrink(_)));
             let held: Vec<(u32, usize)> = s.slabs[1..WHOLE]
                 .iter()
@@ -1002,35 +1031,43 @@ mod tests {
 
     #[test]
     fn a_small_image_over_several_classes_holds_under_a_page() {
-        // `fabric_chase`'s image: seven sectors that are an 8-byte
-        // pointer and zeroes, and a sentinel with bytes at 8..16. Each
-        // class's first page is as long as its slots, not 8 KiB.
+        // `fabric_chase`'s image: seven sectors that are the next
+        // sector's byte offset (two non-zero bytes) and zeroes, and a
+        // sentinel of all-ones and a payload at 8..16. Each class's first
+        // page is as long as its slots, not 8 KiB.
         let mut s = SectorStore::new();
         let mut want = Vec::new();
         for lba in 0..8u64 {
             let mut sector = [0u8; SECTOR_SIZE];
-            let at = if lba == 7 { 8 } else { 0 };
-            sector[at..at + 8].copy_from_slice(&(lba + 1).to_le_bytes());
+            if lba < 7 {
+                sector[..8].copy_from_slice(&((lba + 1) * SECTOR_SIZE as u64).to_le_bytes());
+            } else {
+                sector[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+                sector[8..16].copy_from_slice(&0xABAD_1DEA_F00D_CAFE_u64.to_le_bytes());
+            }
             s.write(lba, &sector);
             want.extend_from_slice(&sector);
         }
-        assert_eq!((s.slot(6), s.slot(7)), (Some((6, 0)), Some((0, 1))));
+        // The pointers' 2 B class and the sentinel's 16 B one.
+        assert_eq!((s.slot(6), s.slot(7)), (Some((6, 0)), Some((0, 3))));
         assert!(s.heap_bytes() < 1 << 10, "{} B", s.heap_bytes());
         assert_eq!(s.read(0, 8), want);
     }
 
     #[test]
     fn a_first_page_doubles_to_page_bytes_and_later_pages_are_whole() {
-        // Sector `lba` is one word of `lba + 1` and zeroes: an 8 B slot.
+        // Sector `lba` is one half-word of `lba + 1` and zeroes: a 2 B
+        // slot.
         let word = |lba: u64| {
             let mut sector = [0u8; SECTOR_SIZE];
-            sector[..LINE].copy_from_slice(&(lba + 1).to_le_bytes());
+            let key = u16::try_from(lba + 1).expect("a half-word key");
+            sector[..LINE].copy_from_slice(&key.to_le_bytes());
             sector
         };
         let per_page = (PAGE_BYTES / LINE) as u64;
         let mut s = SectorStore::new();
-        // Ascending words take ascending slots, so every leaf is a run
-        // and holds no array: the cursor counts the words.
+        // Ascending half-words take ascending slots, so every leaf is a
+        // run and holds no array: the cursor counts the half-words.
         for lba in 0..per_page {
             s.write(lba, &word(lba));
             let held = s.slabs[0].next as usize * LINE;
@@ -1048,9 +1085,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "is full at 536870911 slots")]
+    #[should_panic(expected = "is full at 268435455 slots")]
     fn an_index_entry_past_its_bits_panics() {
-        assert_eq!(entry(MAX_SLOTS - 1, WHOLE), u32::MAX - 1);
+        // The last slot's entry tops the 32 bits: all ones above the
+        // 4 class bits, which hold 8 for the whole-sector class.
+        assert_eq!(entry(MAX_SLOTS - 1, WHOLE), u32::MAX - 7);
         entry(MAX_SLOTS, 0);
     }
 
@@ -1111,12 +1150,12 @@ mod tests {
 
     #[test]
     fn zero_padded_records_cost_their_nonzero_sectors() {
-        // `tenant_noisy`'s log: 4 KiB records, an 8-byte key and zeroes,
-        // appended back to back. Each costs the first word of its first
-        // sector and an eighth of a 16 B leaf — its seven zero sectors a
-        // bit each, and no entry, for its leaf is a run — not the 4 KiB
-        // it spans: under 12 B, with the leaves' doubling slack, plus a
-        // partly filled page per class.
+        // `tenant_noisy`'s log: 4 KiB records, an 8-byte key below
+        // 65,536 and zeroes, appended back to back. Each costs the first
+        // half-word of its first sector and an eighth of a 16 B leaf —
+        // its seven zero sectors a bit each, and no entry, for its leaf
+        // is a run — not the 4 KiB it spans: under 6 B, with the leaves'
+        // doubling slack, plus a partly filled page per class.
         const RECORDS: usize = 20_000;
         const RECORD: usize = 8 * SECTOR_SIZE;
         let mut s = SectorStore::new();
@@ -1125,7 +1164,7 @@ mod tests {
             record[..8].copy_from_slice(&(key as u64 + 1).to_le_bytes());
             s.write((key * RECORD / SECTOR_SIZE) as u64, &record);
         }
-        let bound = RECORDS * 12 + CLASSES * PAGE_BYTES;
+        let bound = RECORDS * 6 + CLASSES * PAGE_BYTES;
         assert!(
             s.heap_bytes() <= bound,
             "{} B for {RECORDS} records (bound {bound})",
@@ -1139,6 +1178,42 @@ mod tests {
         assert_eq!(s.slabs[0].next, RECORDS as u32);
         let last = RECORDS as u64 - 1;
         assert_eq!(s.read(8 * last, 8)[..8], RECORDS.to_le_bytes());
+    }
+
+    #[test]
+    fn a_log_of_one_and_two_byte_keys_stays_a_run_per_leaf() {
+        // Keys whose last non-zero byte is their first (below 256) and
+        // their second (256 and up), alternating up eight leaves in LBA
+        // order: both are kept in a 2 B slot, so each sector takes the
+        // slot after the last and every leaf is a run without an array.
+        const SECTORS: u64 = 8 * LEAF;
+        let key = |lba: u64| {
+            let key = if lba.is_multiple_of(2) {
+                lba % 255 + 1
+            } else {
+                256 + lba
+            };
+            let mut sector = [0u8; SECTOR_SIZE];
+            sector[..8].copy_from_slice(&key.to_le_bytes());
+            sector
+        };
+        let mut s = SectorStore::new();
+        let mut want = Vec::new();
+        for lba in 0..SECTORS {
+            s.write(lba, &key(lba));
+            want.extend_from_slice(&key(lba));
+        }
+        assert_eq!(s.leaves.len(), 8);
+        assert!(s
+            .leaves
+            .iter()
+            .all(|leaf| leaf.run && leaf.present == u64::MAX));
+        assert_eq!(
+            (s.slabs[0].next, s.slabs[0].free.len()),
+            (SECTORS as u32, 0)
+        );
+        assert!(s.slabs[1..].iter().all(|slab| slab.next == 0));
+        assert_eq!(s.read(0, SECTORS as u32), want);
     }
 
     #[test]

@@ -933,9 +933,9 @@ mod tests {
 
     #[test]
     fn read_modify_writes_over_a_short_stored_sector() {
-        // The store keeps a sector to its last non-zero 8-byte word: 8
-        // bytes at 0 are one word, 8 more at 300 widen the sector to a
-        // whole one, and zeroing them narrows it again. Each write reads
+        // The store keeps a sector to its last non-zero half-word: 8
+        // bytes at 0 are an 8 B slot, 8 more at 300 widen the sector to
+        // a whole one, and zeroing them narrows it again. Each write reads
         // the stored sector for its edges and must keep every byte.
         let (mut fs, mut store) = setup();
         let ino = fs.create("f").expect("create");

@@ -11,10 +11,10 @@
 //! tier 1 and cannot gate it.)
 //!
 //! A journaled write keeps what the data itself costs and nothing else:
-//! one store page per 1024 non-zero sectors that land, when each is
-//! zero past its first 8-byte word (the store keeps a sector to its
-//! last non-zero word; an all-zero sector is a hole and costs a bit of
-//! the index). An appended log's sectors take consecutive slots, so
+//! one store page per 4096 non-zero sectors that land, when each is
+//! zero past its first two bytes, as a record whose 8-byte key is below
+//! 65,536 is (the store keeps a sector to its last non-zero half-word;
+//! an all-zero sector is a hole and costs a bit of the index). An appended log's sectors take consecutive slots, so
 //! each of its 64-LBA index leaves is a run that holds no array of
 //! entries. The record is lent, not given: the workload keeps one
 //! buffer and the kernel copies it into a payload buffer from the
@@ -388,8 +388,8 @@ fn fabric_pushdown_appends(until: u64) -> (u64, u64) {
 type WriteRun = fn(u64) -> (u64, u64);
 
 /// The write loops, by name. Per write chain, each costs only the store
-/// pages it fills: one per 1024 non-zero sectors written, each an 8-byte
-/// key and zeroes kept in an 8 B slot. The record is the workload's one
+/// pages it fills: one per 4096 non-zero sectors written, each an 8-byte
+/// key below 65,536 and zeroes kept in a 2 B slot. The record is the workload's one
 /// buffer, lent at each write and copied into a pooled payload buffer.
 /// The mix's read chains run the SST hook and allocate nothing.
 const WRITE_LOOPS: [(&str, WriteRun); 4] = [

@@ -80,8 +80,11 @@ proptest! {
 }
 
 /// Where a sector's last non-zero byte moves it to another slot class
-/// of the store (8, 16, 32, 64, 128, 256 or 512 B), from both sides.
-const CLASS_EDGES: [usize; 13] = [7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255, 256, 511];
+/// of the store (2, 4, 8, 16, 32, 64, 128, 256 or 512 B), from both
+/// sides.
+const CLASS_EDGES: [usize; 17] = [
+    1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 255, 256, 511,
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -119,12 +122,12 @@ proptest! {
                 }
                 4 => {
                     // Sector `j`'s last non-zero byte sits at a slot
-                    // class boundary drawn from 4 bits of `zeros`, any
-                    // of the 13; the sectors are then overwritten two
+                    // class boundary drawn from 5 bits of `zeros`, any
+                    // of the 17; the sectors are then overwritten two
                     // boundaries up or down, which moves each one a
                     // class up or down.
                     let picks: Vec<usize> = (0..nlb as usize)
-                        .map(|j| (zeros >> (j % 16 * 4) & 15) as usize % CLASS_EDGES.len())
+                        .map(|j| (zeros >> (j % 12 * 5) & 31) as usize % CLASS_EDGES.len())
                         .collect();
                     for moved in [false, true] {
                         let data: Vec<u8> = picks
