@@ -5,7 +5,9 @@
 use bpfstor_core::{
     Chase, DispatchMode, FabricConfig, PushdownSession, TenantGroup, TenantLimits, YcsbMix,
 };
-use bpfstor_device::SECTOR_SIZE;
+use bpfstor_device::{
+    ADMIT_NS, CONGESTION_KNEE, CONGESTION_NS_PER_CAPSULE, INITIATOR_WINDOW, SECTOR_SIZE,
+};
 use bpfstor_kernel::RunReport;
 use bpfstor_sim::Nanos;
 use bpfstor_workload::OpMix;
@@ -132,11 +134,9 @@ pub fn fabric_contention(scale: Scale, seed: Option<u64>) -> Table {
     let duration = scale.ms(6, 30);
     /// The ISSUE's headline operating point: a 20us one-way wire.
     const ONE_WAY: Nanos = 20_000;
-    /// Per-initiator credit window — small enough that credit holding
-    /// time, not thread count, bounds the no-pushdown arm.
-    const WINDOW: usize = 2;
-    /// Closed-loop writer threads per initiator (> WINDOW, so the
-    /// window is the binding constraint when credits are slow to free).
+    /// Closed-loop writer threads per initiator (> the contended
+    /// target's credit window, so the window is the binding constraint
+    /// when credits are slow to free).
     const THREADS: usize = 8;
     let entries: Vec<(u64, Vec<u8>)> = (0..128u64).map(|i| (i * 3, vec![7u8; 48])).collect();
     let write_mix = OpMix {
@@ -170,13 +170,12 @@ pub fn fabric_contention(scale: Scale, seed: Option<u64>) -> Table {
     let mut run = |ninit: usize, mode: DispatchMode| -> RunReport {
         let link = FabricConfig::symmetric(ONE_WAY, ONE_WAY / 5)
             .with_initiators(ninit)
-            .with_initiator_window(WINDOW)
-            // A real admission stage (0.5us/capsule, weighted round-
-            // robin between initiators) plus queue-depth congestion
-            // beyond an 8-capsule knee: the no-pushdown arm keeps twice
+            // A contended target: credit windows small enough that
+            // credit holding time, not thread count, bounds the
+            // no-pushdown arm, a round-robin admission stage, and
+            // queue-depth congestion. The no-pushdown arm keeps twice
             // the capsules outstanding, so it pays both costs twice.
-            .with_admit_ns(500)
-            .with_congestion(8, 250);
+            .with_contention();
         let mut g = TenantGroup::builder()
             .dispatch(mode)
             .seed(seed)
@@ -212,7 +211,7 @@ pub fn fabric_contention(scale: Scale, seed: Option<u64>) -> Table {
     for n in [1usize, 2, 4, 8] {
         let nopd = run(n, DispatchMode::Remote);
         let pd = run(n, DispatchMode::DriverHook);
-        // Every initiator must make progress — the weighted round-robin
+        // Every initiator must make progress — the round-robin
         // admission queue and per-initiator windows may not starve one.
         for r in [&nopd, &pd] {
             for b in &r.tenants {
@@ -244,9 +243,12 @@ pub fn fabric_contention(scale: Scale, seed: Option<u64>) -> Table {
         "four_over_one_least",
         (nopd[2] / nopd[0]).min(pd[2] / pd[0]),
     );
+    let us_of = |ns: Nanos| ns as f64 / 1_000.0;
     t.note(&format!(
-        "{THREADS} writer threads per initiator, credit window {WINDOW}, admission 0.5us/capsule, \
-         congestion 0.25us/capsule beyond 8 outstanding"
+        "{THREADS} writer threads per initiator, credit window {INITIATOR_WINDOW}, admission {}us/capsule, \
+         congestion {}us/capsule beyond {CONGESTION_KNEE} outstanding",
+        us_of(ADMIT_NS),
+        us_of(CONGESTION_NS_PER_CAPSULE),
     ));
     t.note("no-pushdown holds a credit across two RTTs per chain; pushdown crosses once and flushes target-side");
     t.note(&format!(

@@ -359,7 +359,7 @@ impl<W> SessionBuilder<W> {
     /// Shorthand for an NVMe-oF fabric transport: the workload's device
     /// sits behind a modelled network — a tenant group's tenants become
     /// initiators on the same target (tenant ids double as initiator
-    /// ids, for per-initiator credit windows, weighted admission and
+    /// ids, for per-initiator credit windows, round-robin admission and
     /// [`RunReport::fabric_initiators`]). Combine with
     /// [`DispatchMode::Remote`] for the no-pushdown baseline (every
     /// dependent hop pays a round trip) or [`DispatchMode::DriverHook`]

@@ -37,7 +37,8 @@ pub use ring::{check_queue_depth, Ring, MAX_QUEUE_DEPTH};
 pub use store::{SectorStore, SECTOR_SIZE};
 pub use transport::{
     FabricConfig, FabricStats, FabricTransport, InitiatorStats, LocalTransport, SubmitClass,
-    Transport, TransportConfig, MAX_INITIATORS, MAX_LOSS_PROB, RETRANSMIT_TIMEOUT_NS,
+    Transport, TransportConfig, ADMIT_NS, CONGESTION_KNEE, CONGESTION_NS_PER_CAPSULE,
+    INITIATOR_WINDOW, MAX_INITIATORS, MAX_LOSS_PROB, RETRANSMIT_TIMEOUT_NS,
 };
 
 /// The most internal channels a device has. Real controllers have tens
@@ -61,12 +62,6 @@ pub enum DeviceConfigError {
     InflightCap,
     /// `initiators` outside 1 to [`MAX_INITIATORS`].
     Initiators(usize),
-    /// `initiator_window` of `Some(0)`: that initiator's capsules are
-    /// never admitted.
-    InitiatorWindow,
-    /// `initiator_weights[i]` is 0: initiator `i` earns no admission
-    /// turn.
-    InitiatorWeight(usize),
     /// `loss_prob` outside `[0, MAX_LOSS_PROB]` (NaN included): a lost
     /// crossing is sent again until a copy arrives, `1 / (1 - p)` times
     /// on average.
@@ -84,8 +79,6 @@ impl std::fmt::Display for DeviceConfigError {
             QueueDepth(n) => write!(f, "queue depth {n}: NVMe rings have 2 to {MAX_QUEUE_DEPTH}"),
             InflightCap => write!(f, "inflight_cap 0 can never admit a capsule"),
             Initiators(n) => write!(f, "initiators {n}: a fabric has 1 to {MAX_INITIATORS}"),
-            InitiatorWindow => write!(f, "initiator_window 0 can never admit a capsule"),
-            InitiatorWeight(i) => write!(f, "initiator_weights[{i}] 0 earns no admission turn"),
             LossProb => write!(f, "loss_prob must be in [0, {MAX_LOSS_PROB}]"),
             TooLong(field) => write!(f, "{field} is longer than one simulated hour"),
         }

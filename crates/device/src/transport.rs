@@ -42,28 +42,26 @@
 //! # Multi-initiator contention
 //!
 //! With [`FabricConfig::initiators`] > 1 the target is shared: every
-//! submission names the initiator it came from, and three optional
-//! mechanisms model the contention (each defaults *off*, so existing
-//! single-initiator configurations reproduce their instants bit for
-//! bit):
+//! submission names the initiator it came from. One switch,
+//! [`FabricConfig::contended`], turns on the target's contention model,
+//! which runs at fixed constants (off by default, so an uncontended
+//! configuration reproduces its instants bit for bit):
 //!
-//! - **Per-initiator credit windows** ([`FabricConfig::initiator_window`]):
-//!   each initiator may hold at most this many capsules in flight across
-//!   the connection, on top of the shared per-queue-pair
-//!   [`FabricConfig::inflight_cap`].
-//! - **Target-side admission** ([`FabricConfig::admit_ns`]): arriving
-//!   command capsules serialize through one admission server; capsules
-//!   queued behind it are released by weighted round-robin between
-//!   initiators ([`FabricConfig::initiator_weights`]). Target-local
+//! - **Per-initiator credit windows**: each initiator may hold at most
+//!   [`INITIATOR_WINDOW`] capsules in flight across the connection, on
+//!   top of the shared per-queue-pair [`FabricConfig::inflight_cap`].
+//! - **Target-side admission**: arriving command capsules serialize
+//!   through one admission server, [`ADMIT_NS`] each; capsules queued
+//!   behind it are released round-robin between initiators. Target-local
 //!   (pushdown-recycled) submissions never queue here — they are already
 //!   on the target.
-//! - **Congestion and loss**: wire latency grows with the number of
-//!   capsules the target already holds
-//!   ([`FabricConfig::congestion_knee`] /
-//!   [`FabricConfig::congestion_ns_per_capsule`]), and each crossing may
-//!   be lost with [`FabricConfig::loss_prob`], paying
-//!   [`RETRANSMIT_TIMEOUT_NS`] per retransmission
-//!   ([`FabricStats::retransmits`]).
+//! - **Congestion**: each crossing pays [`CONGESTION_NS_PER_CAPSULE`] of
+//!   added wire latency per capsule the target holds beyond
+//!   [`CONGESTION_KNEE`].
+//!
+//! Independently of the switch, each crossing may be lost with
+//! [`FabricConfig::loss_prob`], paying [`RETRANSMIT_TIMEOUT_NS`] per
+//! retransmission ([`FabricStats::retransmits`]).
 //!
 //! Capsules are sized from the command they carry
 //! ([`FabricStats::bytes_tx`] / [`FabricStats::bytes_rx`]): a write
@@ -86,9 +84,6 @@ const CMD_CAPSULE_HDR: u64 = 64;
 const WIRE_NS_PER_KB: Nanos = 320;
 /// Fixed response-capsule size in bytes (CQE).
 const RSP_CAPSULE_HDR: u64 = 16;
-/// Stride-scheduling constant for the weighted round-robin admission
-/// pick (divided by the initiator's weight per admitted capsule).
-const WRR_STRIDE: u64 = 1 << 16;
 /// The most initiators a target serves: NVMe-oF gives each its own
 /// controller, and controller ids (CNTLID) stop below `0xFFF0`.
 pub const MAX_INITIATORS: usize = 0xFFF0;
@@ -97,6 +92,18 @@ pub const MAX_INITIATORS: usize = 0xFFF0;
 pub const MAX_LOSS_PROB: f64 = 0.99;
 /// What a lost crossing waits before its retransmission.
 pub const RETRANSMIT_TIMEOUT_NS: Nanos = 50_000;
+/// On a contended target: capsules one initiator may hold in flight
+/// across the connection.
+pub const INITIATOR_WINDOW: usize = 2;
+/// On a contended target: the admission server's service time per
+/// arriving command capsule.
+pub const ADMIT_NS: Nanos = 500;
+/// On a contended target: capsules the target holds before congestion
+/// slows the wire.
+pub const CONGESTION_KNEE: usize = 8;
+/// On a contended target: added one-way wire latency per held capsule
+/// beyond [`CONGESTION_KNEE`].
+pub const CONGESTION_NS_PER_CAPSULE: Nanos = 250;
 
 /// How a submission relates to the fabric (ignored by the local path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,31 +135,20 @@ pub struct FabricConfig {
     /// Maximum command capsules in flight per queue pair (submitted and
     /// not yet reaped by the host) — NVMe-oF's queue-granular credit
     /// window. Submissions beyond it are rejected as backpressure,
-    /// counted in [`FabricStats::capsule_stalls`].
+    /// counted in [`FabricStats::capsule_stalls`] when tighter than the
+    /// target ring.
     pub inflight_cap: usize,
     /// Number of initiators sharing this target (default 1): 1 to
     /// [`MAX_INITIATORS`]. Submissions are attributed to
     /// `initiator % initiators`.
     pub initiators: usize,
-    /// Optional per-initiator in-flight-capsule budget across the whole
-    /// connection, on top of the per-queue-pair window (default: none).
-    pub initiator_window: Option<usize>,
-    /// Weighted round-robin admission weights, indexed by initiator,
-    /// each at least 1; missing entries count as weight 1 (default:
-    /// empty, i.e. equal weights).
-    pub initiator_weights: Vec<u32>,
-    /// Target-side admission service time per arriving command capsule.
-    /// Zero (the default) disables the admission queue entirely —
-    /// capsules hit the target rings at their wire arrival instants.
-    pub admit_ns: Nanos,
-    /// In-flight capsule count the congestion model tolerates for free
-    /// (only meaningful with a nonzero
-    /// [`FabricConfig::congestion_ns_per_capsule`]).
-    pub congestion_knee: usize,
-    /// Added one-way wire latency per in-flight capsule beyond the
-    /// knee — the queue-depth-dependent congestion signal. Zero (the
-    /// default) disables congestion.
-    pub congestion_ns_per_capsule: Nanos,
+    /// The target is contended (default: not): per-initiator credit
+    /// windows of [`INITIATOR_WINDOW`], a round-robin admission server
+    /// of [`ADMIT_NS`] per capsule, and congestion of
+    /// [`CONGESTION_NS_PER_CAPSULE`] per held capsule beyond
+    /// [`CONGESTION_KNEE`]. When off, capsules hit the target rings at
+    /// their wire arrival instants over an uncongested wire.
+    pub contended: bool,
     /// Probability that one wire crossing is lost and must be
     /// retransmitted after [`RETRANSMIT_TIMEOUT_NS`]: 0 to
     /// [`MAX_LOSS_PROB`]. Zero (the default) draws no randomness at
@@ -176,25 +172,8 @@ impl FabricConfig {
             to_host: dist(one_way),
             target_proc_ns: 500,
             inflight_cap: 32,
-            ..FabricConfig::contention_defaults()
-        }
-    }
-
-    /// The contention/congestion knobs at their do-nothing defaults
-    /// (single initiator, no windows, no admission, no loss). Split out
-    /// so explicit `FabricConfig { .. }` literals can splat it.
-    pub fn contention_defaults() -> Self {
-        FabricConfig {
-            to_target: LatencyDist::Constant(0),
-            to_host: LatencyDist::Constant(0),
-            target_proc_ns: 0,
-            inflight_cap: 32,
             initiators: 1,
-            initiator_window: None,
-            initiator_weights: Vec::new(),
-            admit_ns: 0,
-            congestion_knee: 0,
-            congestion_ns_per_capsule: 0,
+            contended: false,
             loss_prob: 0.0,
         }
     }
@@ -205,30 +184,9 @@ impl FabricConfig {
         self
     }
 
-    /// Sets the per-initiator in-flight-capsule budget.
-    pub fn with_initiator_window(mut self, w: usize) -> Self {
-        self.initiator_window = Some(w);
-        self
-    }
-
-    /// Sets the weighted round-robin admission weights per initiator.
-    pub fn with_initiator_weights(mut self, weights: Vec<u32>) -> Self {
-        self.initiator_weights = weights;
-        self
-    }
-
-    /// Enables the target-side admission queue with the given service
-    /// time per command capsule.
-    pub fn with_admit_ns(mut self, ns: Nanos) -> Self {
-        self.admit_ns = ns;
-        self
-    }
-
-    /// Enables queue-depth-dependent congestion: `per_capsule_ns` of
-    /// added one-way latency per in-flight capsule beyond `knee`.
-    pub fn with_congestion(mut self, knee: usize, per_capsule_ns: Nanos) -> Self {
-        self.congestion_knee = knee;
-        self.congestion_ns_per_capsule = per_capsule_ns;
+    /// Makes the target contended ([`FabricConfig::contended`]).
+    pub fn with_contention(mut self) -> Self {
+        self.contended = true;
         self
     }
 
@@ -245,16 +203,11 @@ impl FabricConfig {
         ensure(self.inflight_cap >= 1, InflightCap)?;
         let initiators = (1..=MAX_INITIATORS).contains(&self.initiators);
         ensure(initiators, Initiators(self.initiators))?;
-        ensure(self.initiator_window != Some(0), InitiatorWindow)?;
-        let zero_weight = self.initiator_weights.iter().position(|&w| w == 0);
-        zero_weight.map_or(Ok(()), |i| Err(InitiatorWeight(i)))?;
         ensure((0.0..=MAX_LOSS_PROB).contains(&self.loss_prob), LossProb)?;
         let times = [
             ("to_target", self.to_target.longest()),
             ("to_host", self.to_host.longest()),
             ("target_proc_ns", self.target_proc_ns),
-            ("admit_ns", self.admit_ns),
-            ("congestion_ns_per_capsule", self.congestion_ns_per_capsule),
         ];
         times
             .into_iter()
@@ -334,7 +287,7 @@ pub struct InitiatorStats {
 /// [`NvmeCompletion::fabric_ns`]).
 ///
 /// `initiator` parameters attribute work to one of the fabric's
-/// initiators (per-initiator credit windows, weighted admission,
+/// initiators (per-initiator credit windows, round-robin admission,
 /// per-initiator stats); the local transport ignores them. Every method
 /// but the reap and the device accessors defaults to the local
 /// pass-through to [`Transport::device`]: [`LocalTransport`] is the
@@ -366,9 +319,15 @@ pub trait Transport {
         self.device().can_accept(qp, n)
     }
 
-    /// Counts a submission the driver declined to attempt because
-    /// [`Transport::can_accept`] said no.
-    fn record_rejection(&mut self, _initiator: u32) {
+    /// Counts a submission of `n` commands on `qp` the driver declined
+    /// to attempt because [`Transport::can_accept`] said no.
+    fn record_rejection(
+        &mut self,
+        _qp: QueuePairId,
+        _n: usize,
+        _initiator: u32,
+        _class: SubmitClass,
+    ) {
         self.device_mut().record_rejection();
     }
 
@@ -503,8 +462,8 @@ impl Transport for LocalTransport {
 struct InitState {
     /// Capsules this initiator holds in flight across all queue pairs.
     outstanding: usize,
-    /// Stride-scheduling pass value for weighted round-robin admission.
-    wrr_pass: u64,
+    /// Admission turns this initiator has taken (round-robin order).
+    turns: u64,
     stats: InitiatorStats,
 }
 
@@ -567,10 +526,10 @@ fn capsule_bytes(op: &NvmeOp) -> u64 {
 impl Wire {
     /// One wire crossing: fixed target-side processing, a sampled
     /// one-way latency, payload serialization, congestion over the
-    /// `held` capsules the target holds, and (when configured) loss with
-    /// timeout/retransmit. `payload_bytes` is the in-capsule data hauled
-    /// in this direction. A zero `loss_prob` draws exactly one sample,
-    /// preserving loss-free RNG streams.
+    /// `held` capsules the target holds (0 when uncontended), and (when
+    /// configured) loss with timeout/retransmit. `payload_bytes` is the
+    /// in-capsule data hauled in this direction. A zero `loss_prob`
+    /// draws exactly one sample, preserving loss-free RNG streams.
     fn cross(
         &mut self,
         to_target: bool,
@@ -581,8 +540,7 @@ impl Wire {
         let cfg = &self.cfg;
         // Queue-depth-dependent congestion: added one-way latency once
         // the target holds more capsules than the knee tolerates.
-        let congest =
-            cfg.congestion_ns_per_capsule * held.saturating_sub(cfg.congestion_knee) as u64;
+        let congest = CONGESTION_NS_PER_CAPSULE * held.saturating_sub(CONGESTION_KNEE) as u64;
         let mut total = cfg.target_proc_ns + payload_bytes * WIRE_NS_PER_KB / 1024 + congest;
         loop {
             let dist = if to_target {
@@ -647,33 +605,29 @@ impl FabricTransport {
         initiator as usize % self.inits.len()
     }
 
-    /// The admission weight of one initiator (a missing entry is
-    /// weight 1).
-    fn weight(&self, init: usize) -> u64 {
-        u64::from(
-            self.wire
-                .cfg
-                .initiator_weights
-                .get(init)
-                .copied()
-                .unwrap_or(1),
-        )
+    /// True when `n` more capsules of `class` from initiator `idx` would
+    /// overrun its credit window (only on a contended target; a
+    /// target-local submission holds no credit).
+    fn window_full(&self, idx: usize, n: usize, class: SubmitClass) -> bool {
+        self.wire.cfg.contended
+            && class != SubmitClass::TargetLocal
+            && self.inits[idx].outstanding + n > INITIATOR_WINDOW
     }
 
     /// Capsules the target holds: every queue pair's commands, from the
     /// initiator's submission queue to the host's reap (the congestion
-    /// signal, so not counted when congestion is off).
+    /// signal, so not counted on an uncontended target).
     fn held(&self) -> usize {
-        if self.wire.cfg.congestion_ns_per_capsule == 0 {
+        if !self.wire.cfg.contended {
             return 0;
         }
         (0..self.sq.len()).map(|qp| self.outstanding(qp)).sum()
     }
 
     /// Runs one doorbell batch's command capsules through the
-    /// target-side admission server: a serial server (`admit_ns` per
-    /// capsule) releasing queued capsules by weighted round-robin
-    /// between initiators. Moves every `(wire arrival, initiator, cmd)`
+    /// target-side admission server: a serial server ([`ADMIT_NS`] per
+    /// capsule) releasing queued capsules round-robin between
+    /// initiators. Moves every `(wire arrival, initiator, cmd)`
     /// of `waiting` onto `out` as `(admit instant, cmd)` in admission
     /// order.
     fn admit(
@@ -684,20 +638,19 @@ impl FabricTransport {
         while !waiting.is_empty() {
             let earliest = waiting.iter().map(|(at, ..)| *at).min().expect("nonempty");
             let t = self.admit_free_at.max(earliest);
-            // Everyone already arrived by `t` contends; weighted
-            // round-robin (stride scheduling) picks the winner, with
-            // arrival order breaking ties within one initiator.
+            // Everyone already arrived by `t` contends; the initiator
+            // with the fewest turns wins, arrival order breaking ties.
             let pick = waiting
                 .iter()
                 .enumerate()
                 .filter(|(_, (at, ..))| *at <= t)
-                .min_by_key(|(pos, (at, init, _))| (self.inits[*init].wrr_pass, *at, *pos))
+                .min_by_key(|(pos, (at, init, _))| (self.inits[*init].turns, *at, *pos))
                 .map(|(pos, _)| pos)
                 .expect("at least the earliest arrival qualifies");
             let (arrive, init, cmd) = waiting.remove(pick);
-            self.inits[init].wrr_pass += WRR_STRIDE / self.weight(init);
+            self.inits[init].turns += 1;
             self.wire.stats.admit_wait_ns += t.saturating_sub(arrive);
-            self.admit_free_at = t + self.wire.cfg.admit_ns;
+            self.admit_free_at = t + ADMIT_NS;
             out.push((t, cmd));
         }
     }
@@ -718,24 +671,19 @@ impl Transport for FabricTransport {
         if qp >= self.sq.len() || self.outstanding(qp) + n > self.queue_capacity() {
             return false;
         }
-        // Target-local submissions never cross the wire, so they hold
-        // no capsule credits — only the target ring bounds them.
-        if class == SubmitClass::TargetLocal {
-            return true;
-        }
-        match self.wire.cfg.initiator_window {
-            Some(w) => self.inits[self.init_idx(initiator)].outstanding + n <= w,
-            None => true,
-        }
+        !self.window_full(self.init_idx(initiator), n, class)
     }
 
-    fn record_rejection(&mut self, initiator: u32) {
-        // Attribute the stall to a capsule window when one is the
-        // binding constraint (the ring alone would have accepted).
-        let cfg = &self.wire.cfg;
-        if cfg.inflight_cap < self.dev.queue_capacity() || cfg.initiator_window.is_some() {
+    fn record_rejection(&mut self, qp: QueuePairId, n: usize, initiator: u32, class: SubmitClass) {
+        // A capsule stall is a refusal by a capsule window: the
+        // per-queue-pair cap where it is tighter than the ring, or the
+        // initiator's window for a class that holds credit. A full
+        // target ring is not one.
+        let idx = self.init_idx(initiator);
+        let cap = self.wire.cfg.inflight_cap;
+        let cap_refused = cap < self.dev.queue_capacity() && self.outstanding(qp) + n > cap;
+        if cap_refused || self.window_full(idx, n, class) {
             self.wire.stats.capsule_stalls += 1;
-            let idx = self.init_idx(initiator);
             self.inits[idx].stats.capsule_stalls += 1;
         }
         self.dev.record_rejection();
@@ -752,14 +700,11 @@ impl Transport for FabricTransport {
         if qp >= self.sq.len() {
             return Err(QueueError::NoSuchQueue);
         }
-        let holds_credit = class != SubmitClass::TargetLocal;
-        let window_full = holds_credit
-            && matches!(self.wire.cfg.initiator_window, Some(w) if self.inits[idx].outstanding >= w);
-        if self.outstanding(qp) >= self.queue_capacity() || window_full {
-            self.record_rejection(initiator);
+        if !self.can_accept(qp, 1, initiator, class) {
+            self.record_rejection(qp, 1, initiator, class);
             return Err(QueueError::SubmissionFull);
         }
-        if holds_credit {
+        if class != SubmitClass::TargetLocal {
             self.inits[idx].outstanding += 1;
             self.init_of.insert(cmd.cid, idx);
         }
@@ -811,7 +756,7 @@ impl Transport for FabricTransport {
             }
         }
         self.sq[qp] = sq;
-        if self.wire.cfg.admit_ns == 0 {
+        if !self.wire.cfg.contended {
             let crossed = bell.crossed.drain(..);
             bell.arrivals.extend(crossed.map(|(at, _, cmd)| (at, cmd)));
         } else {
@@ -954,8 +899,7 @@ mod tests {
             to_target: LatencyDist::Constant(one_way),
             to_host: LatencyDist::Constant(one_way),
             target_proc_ns: 0,
-            inflight_cap: 32,
-            ..FabricConfig::contention_defaults()
+            ..FabricConfig::default()
         }
     }
 
@@ -1175,8 +1119,7 @@ mod tests {
             to_target: LatencyDist::Uniform(1_000, 50_000),
             to_host: LatencyDist::Uniform(1_000, 50_000),
             target_proc_ns: 250,
-            inflight_cap: 32,
-            ..FabricConfig::contention_defaults()
+            ..FabricConfig::default()
         };
         let mut t = FabricTransport::new(dev(8), cfg, SimRng::seed(99));
         for cid in 0..6 {
@@ -1314,22 +1257,29 @@ mod tests {
 
     #[test]
     fn initiator_window_backpressures_one_initiator_not_the_other() {
-        let cfg = link(1_000).with_initiators(2).with_initiator_window(1);
+        let cfg = link(1_000).with_initiators(2).with_contention();
         let mut t = FabricTransport::new(dev(8), cfg, SimRng::seed(4));
-        t.submit(0, read_cmd(1), SubmitClass::Host, 0).expect("i0");
+        for cid in 1..=INITIATOR_WINDOW as u64 {
+            t.submit(0, read_cmd(cid), SubmitClass::Host, 0)
+                .expect("i0");
+        }
         assert!(
             !t.can_accept(0, 1, 0, SubmitClass::Host),
             "initiator 0 is at its window"
         );
         assert!(
-            t.can_accept(0, 1, 1, SubmitClass::Host),
+            t.can_accept(0, INITIATOR_WINDOW, 1, SubmitClass::Host),
             "initiator 1 has its own credits"
         );
+        assert!(
+            t.can_accept(0, 1, 0, SubmitClass::TargetLocal),
+            "a target-local submission holds no credit"
+        );
         assert_eq!(
-            t.submit(0, read_cmd(2), SubmitClass::Host, 0).unwrap_err(),
+            t.submit(0, read_cmd(9), SubmitClass::Host, 0).unwrap_err(),
             QueueError::SubmissionFull
         );
-        t.submit(0, read_cmd(3), SubmitClass::Host, 1).expect("i1");
+        t.submit(0, read_cmd(10), SubmitClass::Host, 1).expect("i1");
         assert_eq!(t.fabric_stats().capsule_stalls, 1);
         let per_init = t.initiator_stats();
         assert_eq!(per_init[0].capsule_stalls, 1);
@@ -1339,20 +1289,43 @@ mod tests {
         t.post_ready(Nanos::MAX, 0);
         t.reap(Nanos::MAX, 0, usize::MAX);
         assert!(
-            t.can_accept(0, 1, 0, SubmitClass::Host) && t.can_accept(0, 1, 1, SubmitClass::Host)
+            t.can_accept(0, INITIATOR_WINDOW, 0, SubmitClass::Host)
+                && t.can_accept(0, INITIATOR_WINDOW, 1, SubmitClass::Host)
         );
     }
 
+    /// A full target ring is not a capsule stall, on a contended target
+    /// too: target-local submissions hold no credit, and a host capsule
+    /// refused by the ring with credit to spare found no window full.
     #[test]
-    fn admission_serializes_and_weights_round_robin() {
+    fn a_full_ring_on_a_contended_target_is_no_capsule_stall() {
+        let mut t = FabricTransport::new(dev(8), link(1_000).with_contention(), SimRng::seed(4));
+        let ring = t.device().queue_capacity();
+        for cid in 0..ring as u64 {
+            t.submit(0, read_cmd(cid), SubmitClass::TargetLocal, 0)
+                .expect("the ring has room");
+        }
+        for class in [SubmitClass::TargetLocal, SubmitClass::Host] {
+            assert!(!t.can_accept(0, 1, 0, class), "the ring is full");
+            // The driver's path: asked first, then counted.
+            t.record_rejection(0, 1, 0, class);
+            // The transport's own refusal.
+            assert_eq!(
+                t.submit(0, read_cmd(99), class, 0).unwrap_err(),
+                QueueError::SubmissionFull
+            );
+        }
+        assert_eq!(t.device().stats().rejected, 4);
+        assert_eq!(t.fabric_stats().capsule_stalls, 0);
+        assert_eq!(t.initiator_stats()[0].capsule_stalls, 0);
+    }
+
+    #[test]
+    fn admission_serializes_round_robin_between_initiators() {
         // Two initiators' capsules arrive together on a constant-latency
-        // wire; a 1 µs admission server must serialize them, and with
-        // weights 1-vs-2 initiator 1 earns two admissions between
-        // initiator 0's turns.
-        let cfg = link(1_000)
-            .with_initiators(2)
-            .with_initiator_weights(vec![1, 2])
-            .with_admit_ns(1_000);
+        // wire; the admission server serializes them at ADMIT_NS each
+        // and alternates between the initiators.
+        let cfg = link(1_000).with_initiators(2).with_contention();
         let mut t = FabricTransport::new(dev(8), cfg, SimRng::seed(5));
         t.submit(0, read_cmd(10), SubmitClass::Host, 0).expect("i0");
         t.submit(0, read_cmd(11), SubmitClass::Host, 0).expect("i0");
@@ -1360,34 +1333,24 @@ mod tests {
         t.submit(0, read_cmd(21), SubmitClass::Host, 1).expect("i1");
         let mut times = t.ring_doorbell(0, 0).expect("bell").to_vec();
         times.sort_unstable();
-        // All arrive at 1_000; admissions at 1_000..=4_000.
-        assert_eq!(
-            times,
-            (1..=4)
-                .map(|k| k * 1_000 + SVC + 1_000)
-                .collect::<Vec<Nanos>>()
-        );
-        assert_eq!(t.fabric_stats().admit_wait_ns, 1_000 + 2_000 + 3_000);
-        // Cold-start tie goes to the earliest submission (cid 10), then
-        // weight-2 initiator 1 admits both its capsules before weight-1
-        // initiator 0 gets its second turn. (Equal weights would admit
-        // 10, 20, 11, 21.)
-        let horizon = 4_000 + SVC + 1_000;
+        // All arrive at 1_000; admissions at 1_000, 1_500, 2_000, 2_500.
+        let admitted: Vec<Nanos> = (0..4).map(|k| 1_000 + k * ADMIT_NS).collect();
+        let want: Vec<Nanos> = admitted.iter().map(|a| a + SVC + 1_000).collect();
+        assert_eq!(times, want);
+        assert_eq!(t.fabric_stats().admit_wait_ns, ADMIT_NS * (1 + 2 + 3));
+        // The cold-start tie goes to the earliest submission (cid 10),
+        // then the initiators take turns.
+        let horizon = *want.last().expect("four");
         t.post_ready(horizon, 0);
         let cqes = t.reap(horizon, 0, usize::MAX);
         let order: Vec<u64> = cqes.iter().map(|c| c.cid).collect();
-        assert_eq!(
-            order,
-            vec![10, 20, 21, 11],
-            "weight 2 admits twice between weight 1's turns"
-        );
+        assert_eq!(order, vec![10, 20, 11, 21], "one turn each");
     }
 
     #[test]
-    fn admission_is_a_pass_through_at_zero_admit_ns() {
-        // Bit-for-bit guard: the same submissions with admit_ns 0 and an
-        // otherwise-identical config produce identical instants to a
-        // pre-admission transport.
+    fn admission_is_a_pass_through_when_uncontended() {
+        // Bit-for-bit guard: on an uncontended target, the same
+        // submissions from two initiators produce the instants of one.
         let mut a = fabric(9_000);
         let cfg = link(9_000).with_initiators(2);
         let mut b = FabricTransport::new(dev(8), cfg, SimRng::seed(1));
@@ -1401,32 +1364,33 @@ mod tests {
             b.ring_doorbell(0, 0).expect("b"),
             "multi-initiator attribution alone must not move instants"
         );
+        assert_eq!(b.fabric_stats().admit_wait_ns, 0);
     }
 
     #[test]
     fn congestion_inflates_the_wire_beyond_the_knee() {
-        let mut cfg = link(1_000).with_congestion(2, 500);
-        cfg.inflight_cap = 8;
-        let mut t = FabricTransport::new(dev(16), cfg, SimRng::seed(6));
-        for cid in 0..6 {
-            t.submit(0, read_cmd(cid), SubmitClass::Host, 0)
-                .expect("fits");
-        }
-        // 6 in flight, knee 2 → every crossing pays (6-2)*500 = 2_000.
-        let times = t.ring_doorbell(0, 0).expect("bell");
-        assert!(
-            times
-                .iter()
-                .all(|&at| at >= 1_000 + 2_000 + SVC + 1_000 + 2_000),
-            "crossings beyond the knee pay the congestion penalty: {times:?}"
-        );
-        let mut free = fabric(1_000);
-        for cid in 0..6 {
-            free.submit(0, read_cmd(cid), SubmitClass::Host, 0)
-                .expect("fits");
-        }
-        let base = free.ring_doorbell(0, 0).expect("bell");
-        assert!(times.iter().max() > base.iter().max());
+        // Each initiator holds a full window; the target holds
+        // `initiators * INITIATOR_WINDOW` capsules when the doorbell
+        // rings, and every crossing (out and back) pays for each one
+        // beyond the knee.
+        let wire_ns = |initiators: usize| {
+            let cfg = link(1_000).with_initiators(initiators).with_contention();
+            let mut t = FabricTransport::new(dev(16), cfg, SimRng::seed(6));
+            let mut cid = 0;
+            for init in 0..initiators as u32 {
+                for _ in 0..INITIATOR_WINDOW {
+                    t.submit(0, read_cmd(cid), SubmitClass::Host, init)
+                        .expect("fits");
+                    cid += 1;
+                }
+            }
+            t.ring_doorbell(0, 0).expect("bell");
+            t.fabric_stats().wire_ns
+        };
+        assert_eq!(CONGESTION_KNEE, 4 * INITIATOR_WINDOW);
+        assert_eq!(wire_ns(4), 2 * 8 * 1_000, "at the knee: free");
+        let over = (10 - CONGESTION_KNEE) as Nanos * CONGESTION_NS_PER_CAPSULE;
+        assert_eq!(wire_ns(5), 2 * 10 * (1_000 + over), "beyond it: 2 x 250 ns");
     }
 
     #[test]
@@ -1460,23 +1424,26 @@ mod tests {
 
     #[test]
     fn zero_loss_config_draws_no_extra_randomness() {
-        // The loss machinery must not perturb the RNG stream when
-        // disabled: same seed, with and without the (inactive) knobs,
-        // identical instants.
-        let mut plain = fabric(4_000);
-        let cfg = link(4_000).with_loss(0.0).with_congestion(4, 0);
-        let mut armed = FabricTransport::new(dev(8), cfg, SimRng::seed(1));
-        for cid in 0..5 {
-            plain
-                .submit(0, read_cmd(cid), SubmitClass::Host, 0)
-                .expect("p");
-            armed
-                .submit(0, read_cmd(cid), SubmitClass::Host, 0)
-                .expect("a");
-        }
-        assert_eq!(
-            plain.ring_doorbell(0, 0).expect("p"),
-            armed.ring_doorbell(0, 0).expect("a")
-        );
+        // Neither a zero loss probability nor the contention model draws
+        // from the RNG: one capsule at a time over a jittered wire (no
+        // admission wait, nothing held past the knee) lands at the same
+        // instants with and without them.
+        let plain = FabricConfig::symmetric(4_000, 1_000);
+        let armed = plain.clone().with_loss(0.0).with_contention();
+        let run = |cfg: FabricConfig| {
+            let mut t = FabricTransport::new(dev(8), cfg, SimRng::seed(1));
+            let mut at = 0;
+            (0..5)
+                .map(|cid| {
+                    t.submit(0, read_cmd(cid), SubmitClass::Host, 0)
+                        .expect("fits");
+                    at = t.ring_doorbell(at, 0).expect("bell")[0];
+                    t.post_ready(at, 0);
+                    t.reap(at, 0, usize::MAX);
+                    at
+                })
+                .collect::<Vec<Nanos>>()
+        };
+        assert_eq!(run(plain), run(armed));
     }
 }

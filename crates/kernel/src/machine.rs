@@ -1806,7 +1806,7 @@ impl Machine {
         }
         // Backpressure: the whole request must fit the queue pair.
         if !self.transport.can_accept(qp, n, tenant, class) {
-            self.transport.record_rejection(tenant);
+            self.transport.record_rejection(qp, n, tenant, class);
             return self.admission.park(qp, tenant, id);
         }
         // Extra bio/driver work for each split segment beyond the first.
@@ -1965,10 +1965,10 @@ impl Machine {
         let residue = self.transport.outstanding(qp);
         if reaped > 0 {
             // Freed queue slots un-park stalled submissions. So do freed
-            // capsule credits: a fabric submission refused by its
-            // initiator's window (`FabricConfig::initiator_window`) may
-            // wait on a queue pair with nothing in flight, which no reap
-            // of its own will ever drain.
+            // capsule credits: on a contended fabric
+            // (`FabricConfig::contended`) a submission refused by its
+            // initiator's window may wait on a queue pair with nothing
+            // in flight, which no reap of its own will ever drain.
             self.unpark(qp);
             for q in (0..self.transport.nr_queues()).filter(|&q| q != qp) {
                 if self.transport.outstanding(q) == 0 && self.admission.has_parked(q) {

@@ -176,24 +176,6 @@ pub struct ExecSplit {
 }
 
 impl ExecSplit {
-    /// Average measured nanoseconds per interpreter hop.
-    pub fn interp_ns_per_hop(&self) -> f64 {
-        if self.interp_hops == 0 {
-            0.0
-        } else {
-            self.interp_ns as f64 / self.interp_hops as f64
-        }
-    }
-
-    /// Average measured nanoseconds per compiled hop.
-    pub fn compiled_ns_per_hop(&self) -> f64 {
-        if self.compiled_hops == 0 {
-            0.0
-        } else {
-            self.compiled_ns as f64 / self.compiled_hops as f64
-        }
-    }
-
     /// Total hook invocations, either engine.
     pub fn hops(&self) -> u64 {
         self.interp_hops + self.compiled_hops
@@ -291,10 +273,8 @@ mod tests {
     }
 
     #[test]
-    fn exec_split_averages_and_absorb() {
+    fn exec_split_absorb_sums_each_field() {
         let mut total = ExecSplit::default();
-        assert_eq!(total.interp_ns_per_hop(), 0.0);
-        assert_eq!(total.compiled_ns_per_hop(), 0.0);
         let a = ExecSplit {
             interp_hops: 4,
             interp_ns: 400,
@@ -309,8 +289,14 @@ mod tests {
         };
         total.absorb(&a);
         total.absorb(&b);
+        let want = ExecSplit {
+            interp_hops: 5,
+            interp_ns: 500,
+            compiled_hops: 2,
+            compiled_ns: 50,
+            ..ExecSplit::default()
+        };
+        assert_eq!(total, want);
         assert_eq!(total.hops(), 7);
-        assert!((total.interp_ns_per_hop() - 100.0).abs() < 1e-9);
-        assert!((total.compiled_ns_per_hop() - 25.0).abs() < 1e-9);
     }
 }

@@ -93,8 +93,7 @@ pub fn exact_link(one_way: Nanos) -> FabricConfig {
         to_target: LatencyDist::Constant(one_way),
         to_host: LatencyDist::Constant(one_way),
         target_proc_ns: 0,
-        inflight_cap: 32,
-        ..FabricConfig::contention_defaults()
+        ..FabricConfig::default()
     }
 }
 

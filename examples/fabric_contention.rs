@@ -38,14 +38,12 @@ fn main() {
         ("no-pushdown", DispatchMode::Remote),
         ("   pushdown", DispatchMode::DriverHook),
     ] {
-        // One shared target: per-initiator credit windows, a weighted
-        // round-robin admission queue, queue-depth congestion past an
-        // 8-capsule knee, and a lossy wire.
+        // One shared, contended target (per-initiator credit windows, a
+        // round-robin admission queue, queue-depth congestion) behind a
+        // lossy wire.
         let link = FabricConfig::symmetric(ONE_WAY_NS, ONE_WAY_NS / 5)
             .with_initiators(INITIATORS)
-            .with_initiator_window(2)
-            .with_admit_ns(500)
-            .with_congestion(8, 250)
+            .with_contention()
             .with_loss(0.005);
         let mut group = TenantGroup::builder()
             .dispatch(mode)

@@ -108,26 +108,15 @@ fn arb_config(d: &mut Draws) -> (MachineConfig, DispatchMode) {
         poll_loop: d.time(scale),
         ..costs_from(&costs)
     };
-    let mut fabric = FabricConfig {
+    let fabric = FabricConfig {
         to_target: d.latency(scale),
         to_host: d.latency(scale),
         target_proc_ns: d.time(scale),
         inflight_cap: d.count(&[0, 1, usize::MAX]),
         initiators: d.count(&[0, 1, 0xFFF0, 0xFFF1, usize::MAX]),
-        initiator_window: d
-            .word()
-            .is_multiple_of(2)
-            .then(|| d.count(&[0, 1, usize::MAX])),
-        initiator_weights: Vec::new(),
-        admit_ns: d.time(scale),
-        congestion_knee: d.count(&[0, usize::MAX]),
-        congestion_ns_per_capsule: d.time(scale),
+        contended: d.word().is_multiple_of(2),
         loss_prob: d.prob(&[0.0, 0.99, f64::next_up(0.99), 1.0, f64::NAN, -0.5], 0.99),
     };
-    for _ in 0..d.word() % 4 {
-        let weight = d.among(&[0, 1, u32::MAX.into()], 1, 9) as u32;
-        fabric.initiator_weights.push(weight);
-    }
     let on_fabric = d.word().is_multiple_of(2);
     let commit_policy = match d.word() % 3 {
         0 => CommitPolicy::PerFsync,
@@ -176,7 +165,7 @@ fn arb_config(d: &mut Draws) -> (MachineConfig, DispatchMode) {
             2 => cfg.profile.write_latency = LatencyDist::Uniform(0, past),
             3 => cfg.irq_coalesce_us = past / 1_000,
             _ => match &mut cfg.transport {
-                TransportConfig::Fabric(f) => f.admit_ns = past,
+                TransportConfig::Fabric(f) => f.target_proc_ns = past,
                 TransportConfig::Local => cfg.costs.syscall = past,
             },
         }
@@ -245,17 +234,11 @@ fn predicted_refusal(cfg: &MachineConfig) -> Option<ConfigError> {
             !(1..=0xFFF0).contains(&initiators),
             Device(Dev::Initiators(initiators)),
         );
-        refuse(f.initiator_window == Some(0), Device(Dev::InitiatorWindow));
-        if let Some(i) = f.initiator_weights.iter().position(|&w| w == 0) {
-            refuse(true, Device(Dev::InitiatorWeight(i)));
-        }
         refuse(!(0.0..=0.99).contains(&f.loss_prob), Device(Dev::LossProb));
         let times = [
             ("to_target", longest(&f.to_target)),
             ("to_host", longest(&f.to_host)),
             ("target_proc_ns", f.target_proc_ns),
-            ("admit_ns", f.admit_ns),
-            ("congestion_ns_per_capsule", f.congestion_ns_per_capsule),
         ];
         for (field, ns) in times {
             refuse(over(ns), Device(Dev::TooLong(field)));
@@ -340,14 +323,9 @@ fn configs_found_one_at_a_time_are_refused_by_name() {
     let cases = [
         // Found by hand, each in the change that first refused it: a
         // certain loss hung the first capsule, a zero-channel device
-        // indexed an empty table, and a zero window or cap ran as
-        // something else.
+        // indexed an empty table, and a zero cap ran as something else.
         (on_link(|l| l.loss_prob = 1.0), Device(Dev::LossProb)),
         (on_link(|l| l.inflight_cap = 0), Device(Dev::InflightCap)),
-        (
-            on_link(|l| l.initiator_window = Some(0)),
-            Device(Dev::InitiatorWindow),
-        ),
         (edited(|c| c.profile.channels = 0), Device(Dev::Channels(0))),
         (edited(|c| c.irq_coalesce_depth = 0), IrqCoalesceDepth),
         // Commit policies that were clamped.
@@ -368,12 +346,9 @@ fn configs_found_one_at_a_time_are_refused_by_name() {
             }),
             WritebackInterval,
         ),
-        // Read as something else: a zero weight as 1; a core count past NVMe's queue pairs aborted the
-        // process on allocation; a zero-block fs panicked in `mkfs`.
-        (
-            on_link(|l| l.initiator_weights = vec![0]),
-            Device(Dev::InitiatorWeight(0)),
-        ),
+        // Read as something else: a core count past NVMe's queue pairs
+        // aborted the process on allocation; a zero-block fs panicked in
+        // `mkfs`.
         (
             edited(|c| c.cores = 1 << 40),
             CoreCount(CoreCountError(1 << 40)),

@@ -232,8 +232,7 @@ proptest! {
             TransportConfig::Fabric(
                 FabricConfig::symmetric(20_000, 4_000)
                     .with_initiators(2)
-                    .with_initiator_window(4)
-                    .with_admit_ns(500)
+                    .with_contention()
                     .with_loss(0.02),
             )
         };

@@ -178,7 +178,7 @@ proptest! {
             to_host: LatencyDist::Uniform(one_way - jitter, one_way + jitter),
             target_proc_ns: 250,
             inflight_cap: cap,
-            ..FabricConfig::contention_defaults()
+            ..FabricConfig::default()
         };
         let mut t = FabricTransport::new(dev, cfg, SimRng::seed(0xCAB1E));
         // The effective window: the tighter of the credit cap and ring.
@@ -301,15 +301,19 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-    /// A lossy, jittery, congested multi-initiator wire still delivers
-    /// every submitted command to exactly one completion: losses pay a
-    /// retransmission timeout (never drop the command), and reordering
-    /// from jitter never double-completes or loses a tag.
+    /// A lossy, jittery multi-initiator wire, in front of a contended
+    /// target or not, still delivers every submitted command to exactly
+    /// one completion: losses pay a retransmission timeout (never drop
+    /// the command), and neither reordering from jitter nor admission
+    /// and congestion double-completes or loses a tag. A ring deeper
+    /// than `CONGESTION_KNEE` lets target-local submissions, which hold
+    /// no credit, or five initiators' full windows push the target past
+    /// the knee.
     #[test]
     fn lossy_fabric_delivers_every_command_exactly_once(
         actions in proptest::collection::vec(fabric_action_strategy(), 1..120),
-        depth in 3usize..10,
-        initiators in 1usize..5,
+        depth in 3usize..16,
+        initiators in 1usize..6,
         one_way in 100u64..40_000,
         loss in 0.0f64..0.4,
         rng_seed in 0u64..1_000,
@@ -321,7 +325,7 @@ proptest! {
         // Derived knobs keep the parameter tuple within proptest's
         // arity limit without shrinking the explored space much.
         let jitter = (one_way / 3).min(one_way.saturating_sub(1));
-        let admit_ns = (rng_seed % 4) * 500;
+        let contended = rng_seed % 4 != 0;
         let mut profile = bpfstor::device::DeviceProfile::optane_gen2_p5800x();
         profile.queue_depth = depth;
         let dev = bpfstor::device::NvmeDevice::new(profile, 1, SimRng::seed(0xFAB ^ rng_seed));
@@ -330,11 +334,9 @@ proptest! {
             to_host: LatencyDist::Uniform(one_way - jitter, one_way + jitter),
             target_proc_ns: 250,
             initiators,
-            admit_ns,
-            congestion_knee: 2,
-            congestion_ns_per_capsule: 500,
+            contended,
             loss_prob: loss,
-            ..FabricConfig::contention_defaults()
+            ..FabricConfig::default()
         };
         let mut t = FabricTransport::new(dev, cfg, SimRng::seed(0xCAB1E ^ rng_seed));
         let window = t.queue_capacity();
