@@ -106,7 +106,7 @@ pub fn ablation_resubmit_bound(scale: Scale) -> Table {
             resubmit_bound: bound,
             ..MachineConfig::default()
         };
-        let mut session = PushdownSession::builder(Btree::depth(10).check(false))
+        let mut session = PushdownSession::builder(Btree::depth(10))
             .dispatch(DispatchMode::DriverHook)
             .machine_config(cfg)
             .seed(29)

@@ -44,22 +44,17 @@ use bpfstor_sim::{Nanos, SimRng};
 
 use crate::session::{Member, PushdownWorkload, SessionBuilder, SessionError, SessionStats};
 
-/// What a [`TenantGroupBuilder`] holds beyond the shared machine's
-/// configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GroupOptions {
-    fair_reap: bool,
-}
-
 /// Builder for a [`TenantGroup`], created via [`TenantGroup::builder`]:
-/// the machine's setters are [`SessionBuilder`]'s.
-pub type TenantGroupBuilder = SessionBuilder<GroupOptions>;
+/// the machine's setters are [`SessionBuilder`]'s, and the group holds
+/// nothing beyond the shared machine's configuration.
+pub type TenantGroupBuilder = SessionBuilder<()>;
 
 impl TenantGroupBuilder {
-    /// Enables weighted fair reaping across tenants (default: off —
+    /// Enables weighted fair reaping across tenants
+    /// ([`bpfstor_kernel::MachineConfig::fair_reap`]; default: off —
     /// FIFO, the bit-for-bit single-tenant order).
     pub fn fair_reap(mut self, on: bool) -> Self {
-        self.workload.fair_reap = on;
+        self.config.fair_reap = on;
         self
     }
 
@@ -72,10 +67,8 @@ impl TenantGroupBuilder {
     /// Panics with [`bpfstor_kernel::MachineConfig::check`]'s refusal
     /// ([`Machine::new`]).
     pub fn build(self) -> TenantGroup {
-        let mut machine = Machine::new(self.config);
-        machine.set_fair_reap(self.workload.fair_reap);
         TenantGroup {
-            machine,
+            machine: Machine::new(self.config),
             mode: self.mode,
             retry_budget: self.retry_budget,
             members: Vec::new(),
@@ -95,7 +88,7 @@ impl TenantGroup {
     /// Starts building a group with the paper-testbed machine and
     /// driver-hook dispatch.
     pub fn builder() -> TenantGroupBuilder {
-        SessionBuilder::new(GroupOptions::default())
+        SessionBuilder::new(())
     }
 
     /// Adds a tenant: builds the workload's file on the shared machine

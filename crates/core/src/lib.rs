@@ -51,10 +51,10 @@ pub use bpfstor_kernel::{
     ChainSpec, ChainStatus, ChainToken, ChainVerdict, CommitLog, CommitPolicy, CommitStats,
     ConfigError, DispatchMode, ExecClock, ExecEngine, ExecSplit, FabricConfig, FabricStats,
     InitiatorStats, MachineConfig, ModeTransition, ProgHandle, ReapKind, ReapMode, ReaperStats,
-    RunReport, TransportConfig, WriteStart,
+    RunReport, WriteStart,
 };
 pub use bpfstor_kernel::{TenantBreakdown, TenantId, TenantLimits, DEFAULT_TENANT};
-pub use group::{GroupOptions, TenantGroup, TenantGroupBuilder};
+pub use group::{TenantGroup, TenantGroupBuilder};
 pub use lsm_io::MachineLsmIo;
 pub use progs::{
     btree_lookup_program, btree_lookup_program_with_stats, pointer_chase_program,

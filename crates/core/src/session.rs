@@ -35,8 +35,7 @@
 use bpfstor_kernel::{
     ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainStatus, ChainToken, ChainVerdict,
     CommitPolicy, ConfigError, DispatchMode, ExecEngine, FabricConfig, Fd, KernelError, Machine,
-    MachineConfig, Mutation, ProgHandle, ReapMode, RunReport, TenantId, TransportConfig, UserNext,
-    WriteStart, DEFAULT_TENANT,
+    MachineConfig, ProgHandle, ReapMode, RunReport, TenantId, UserNext, WriteStart, DEFAULT_TENANT,
 };
 use bpfstor_sim::{Nanos, SimRng, SECOND};
 use bpfstor_vm::Program;
@@ -251,8 +250,8 @@ impl SessionStats {
 }
 
 /// Builder for a [`PushdownSession`], created via
-/// [`PushdownSession::builder`], and — holding [`crate::GroupOptions`] where a
-/// session holds its workload — for a [`crate::TenantGroup`]
+/// [`PushdownSession::builder`], and — holding `()` where a session
+/// holds its workload — for a [`crate::TenantGroup`]
 /// ([`crate::TenantGroupBuilder`]): the machine's setters are written
 /// once, and both builds check the configuration they set
 /// ([`MachineConfig::check`]).
@@ -282,7 +281,8 @@ impl<W> SessionBuilder<W> {
         self
     }
 
-    /// Overrides the machine configuration.
+    /// Overrides the machine configuration: every setting, those the
+    /// other setters made included, so it comes first.
     pub fn machine_config(mut self, config: MachineConfig) -> Self {
         self.config = config;
         self
@@ -349,24 +349,18 @@ impl<W> SessionBuilder<W> {
         self
     }
 
-    /// Sets the ring→device transport (default:
-    /// [`TransportConfig::Local`], the paper's PCIe testbed).
-    pub fn transport(mut self, transport: TransportConfig) -> Self {
-        self.config.transport = transport;
-        self
-    }
-
-    /// Shorthand for an NVMe-oF fabric transport: the workload's device
-    /// sits behind a modelled network — a tenant group's tenants become
-    /// initiators on the same target (tenant ids double as initiator
-    /// ids, for per-initiator credit windows, round-robin admission and
-    /// [`RunReport::fabric_initiators`]). Combine with
+    /// Puts the workload's device behind a modelled NVMe-oF network
+    /// (default: none, the paper's PCIe testbed) — a tenant group's
+    /// tenants become initiators on the same target (tenant ids double
+    /// as initiator ids, for per-initiator credit windows, round-robin
+    /// admission and [`RunReport::fabric_initiators`]). Combine with
     /// [`DispatchMode::Remote`] for the no-pushdown baseline (every
     /// dependent hop pays a round trip) or [`DispatchMode::DriverHook`]
     /// for pushdown-over-fabric (the chain runs target-side and returns
     /// one capsule).
-    pub fn fabric(self, config: FabricConfig) -> Self {
-        self.transport(TransportConfig::Fabric(config))
+    pub fn fabric(mut self, config: FabricConfig) -> Self {
+        self.config.fabric = Some(config);
+        self
     }
 
     /// Sets how many times a chain that fails with
@@ -472,7 +466,7 @@ impl<W: PushdownWorkload> PushdownSession<W> {
         &self.member.workload
     }
 
-    /// The simulated machine (for advanced use: scheduling mutations,
+    /// The simulated machine (for advanced use: scheduling relocations,
     /// reading map values, extent-cache stats).
     pub fn machine(&self) -> &Machine {
         &self.machine
@@ -487,9 +481,7 @@ impl<W: PushdownWorkload> PushdownSession<W> {
     /// at simulated time `at` in the next run — the §4 invalidation
     /// trigger the session's retry policy recovers from.
     pub fn schedule_relocation(&mut self, at: Nanos) {
-        let name = self.file_name.clone();
-        self.machine
-            .schedule_mutation(at, Mutation::Relocate { name });
+        self.machine.schedule_relocation(at, &self.file_name);
     }
 
     /// Manually re-arms the extent snapshot (the automatic policy does

@@ -43,7 +43,6 @@ pub fn value_of(key: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct Btree {
     depth: u32,
-    check: bool,
     max_chains: u64,
     issued: u64,
     nkeys: u64,
@@ -52,24 +51,16 @@ pub struct Btree {
 
 impl Btree {
     /// A tree of the given depth (1–10 in the paper's sweeps), uniform
-    /// random lookups, checking enabled, unbounded chain count.
+    /// random lookups, unbounded chain count.
     pub fn depth(depth: u32) -> Self {
         let (_, nkeys) = shape_for_depth(depth);
         Btree {
             depth,
-            check: true,
             max_chains: u64::MAX,
             issued: 0,
             nkeys: nkeys as u64,
             info: None,
         }
-    }
-
-    /// Enables/disables value checking (disable for runs that expect
-    /// failures, e.g. tight resubmission bounds).
-    pub fn check(mut self, check: bool) -> Self {
-        self.check = check;
-        self
     }
 
     /// Stops closed-loop runs after this many chains.
@@ -168,9 +159,6 @@ impl PushdownWorkload for Btree {
     }
 
     fn check(&self, token: &ChainToken, out: Option<&u64>) -> Verdict {
-        if !self.check {
-            return Verdict::Unchecked;
-        }
         let key = token.arg;
         let expected = (key < self.nkeys).then(|| value_of(key));
         if out.copied() == expected {

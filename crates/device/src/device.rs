@@ -561,7 +561,6 @@ mod tests {
 
     fn fixed_profile(latency: Nanos, channels: usize) -> DeviceProfile {
         DeviceProfile {
-            name: "test",
             class: crate::profile::DeviceClass::NvmGen2,
             read_latency: LatencyDist::Constant(latency),
             write_latency: LatencyDist::Constant(latency),

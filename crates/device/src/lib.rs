@@ -37,8 +37,8 @@ pub use ring::{check_queue_depth, Ring, MAX_QUEUE_DEPTH};
 pub use store::{SectorStore, SECTOR_SIZE};
 pub use transport::{
     FabricConfig, FabricStats, FabricTransport, InitiatorStats, LocalTransport, SubmitClass,
-    Transport, TransportConfig, ADMIT_NS, CONGESTION_KNEE, CONGESTION_NS_PER_CAPSULE,
-    INITIATOR_WINDOW, MAX_INITIATORS, MAX_LOSS_PROB, RETRANSMIT_TIMEOUT_NS,
+    Transport, ADMIT_NS, CONGESTION_KNEE, CONGESTION_NS_PER_CAPSULE, INITIATOR_WINDOW,
+    MAX_INITIATORS, MAX_LOSS_PROB, RETRANSMIT_TIMEOUT_NS,
 };
 
 /// The most internal channels a device has. Real controllers have tens

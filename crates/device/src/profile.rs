@@ -46,8 +46,6 @@ impl DeviceClass {
 /// Service-time and parallelism model of one device.
 #[derive(Debug, Clone)]
 pub struct DeviceProfile {
-    /// Human-readable device name.
-    pub name: &'static str,
     /// Which Figure 1 class this profile belongs to.
     pub class: DeviceClass,
     /// Per-command service time for 512 B random reads.
@@ -80,7 +78,6 @@ impl DeviceProfile {
     /// read ≈ 4.16 ms (~240 IOPS), a single actuator.
     pub fn hdd_exos_x16() -> Self {
         DeviceProfile {
-            name: "Seagate Exos X16 (HDD)",
             class: DeviceClass::Hdd,
             // 80% short-ish seeks, 20% long seeks + rotation.
             read_latency: LatencyDist::Bimodal {
@@ -97,7 +94,6 @@ impl DeviceProfile {
     /// Intel 750-class TLC NAND: ~80 µs random read.
     pub fn nand_tlc() -> Self {
         DeviceProfile {
-            name: "Intel 750 TLC NAND",
             class: DeviceClass::Nand,
             read_latency: LatencyDist::LogNormal {
                 median: 78 * MICROSECOND,
@@ -115,7 +111,6 @@ impl DeviceProfile {
     /// First-generation Intel Optane SSD (900P): ~10 µs random read.
     pub fn optane_gen1_900p() -> Self {
         DeviceProfile {
-            name: "Intel Optane 900P (NVM-1)",
             class: DeviceClass::NvmGen1,
             read_latency: LatencyDist::LogNormal {
                 median: 10 * MICROSECOND,
@@ -134,7 +129,6 @@ impl DeviceProfile {
     /// measures 3.224 µs of device time per 512 B random read.
     pub fn optane_gen2_p5800x() -> Self {
         DeviceProfile {
-            name: "Intel Optane P5800X (NVM-2)",
             class: DeviceClass::NvmGen2,
             read_latency: LatencyDist::LogNormal {
                 median: 3_218,
@@ -188,7 +182,7 @@ mod tests {
         for class in DeviceClass::ALL {
             let p = DeviceProfile::for_class(class);
             let m = p.mean_read_latency();
-            assert!(m < prev, "{} not faster than its predecessor", p.name);
+            assert!(m < prev, "{class:?} not faster than its predecessor");
             prev = m;
         }
     }
@@ -230,8 +224,7 @@ mod tests {
             let ana = p.mean_read_latency();
             assert!(
                 (emp - ana).abs() / ana < 0.03,
-                "{}: empirical {emp} vs analytic {ana}",
-                p.name
+                "{class:?}: empirical {emp} vs analytic {ana}"
             );
         }
     }

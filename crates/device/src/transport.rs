@@ -10,7 +10,7 @@
 //!   semantics, same instants, same statistics.
 //! - [`FabricTransport`] models an NVMe-oF target shared by one or more
 //!   initiators (the BPF-oF setting): each command is encoded into a
-//!   *capsule* that pays a per-direction network latency (with jitter)
+//!   *capsule* that pays a one-way network latency (with jitter)
 //!   before the target's local SQ/CQ rings service it, and each
 //!   completion returns as a response capsule over the same wire. An
 //!   in-flight-capsule window provides credit-style flow control with
@@ -125,10 +125,9 @@ pub enum SubmitClass {
 /// Wire/flow-control model of one NVMe-oF connection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricConfig {
-    /// One-way host→target wire latency, sampled per command capsule.
-    pub to_target: LatencyDist,
-    /// One-way target→host wire latency, sampled per response capsule.
-    pub to_host: LatencyDist,
+    /// One-way wire latency, sampled per crossing in either direction
+    /// (command capsule out, response capsule back).
+    pub latency: LatencyDist,
     /// Fixed target-side capsule processing (decode, local ring write /
     /// response build) charged per wire crossing, in nanoseconds.
     pub target_proc_ns: Nanos,
@@ -160,16 +159,13 @@ impl FabricConfig {
     /// A symmetric link: `one_way` ns each direction, uniform jitter of
     /// `±jitter` ns, with the default window and target processing cost.
     pub fn symmetric(one_way: Nanos, jitter: Nanos) -> Self {
-        let dist = |mid: Nanos| {
-            if jitter == 0 {
-                LatencyDist::Constant(mid)
-            } else {
-                LatencyDist::Uniform(mid.saturating_sub(jitter), mid + jitter)
-            }
+        let latency = if jitter == 0 {
+            LatencyDist::Constant(one_way)
+        } else {
+            LatencyDist::Uniform(one_way.saturating_sub(jitter), one_way + jitter)
         };
         FabricConfig {
-            to_target: dist(one_way),
-            to_host: dist(one_way),
+            latency,
             target_proc_ns: 500,
             inflight_cap: 32,
             initiators: 1,
@@ -204,14 +200,8 @@ impl FabricConfig {
         let initiators = (1..=MAX_INITIATORS).contains(&self.initiators);
         ensure(initiators, Initiators(self.initiators))?;
         ensure((0.0..=MAX_LOSS_PROB).contains(&self.loss_prob), LossProb)?;
-        let times = [
-            ("to_target", self.to_target.longest()),
-            ("to_host", self.to_host.longest()),
-            ("target_proc_ns", self.target_proc_ns),
-        ];
-        times
-            .into_iter()
-            .try_for_each(|(field, ns)| check_time(ns, TooLong(field)))
+        check_time(self.latency.longest(), TooLong("latency"))?;
+        check_time(self.target_proc_ns, TooLong("target_proc_ns"))
     }
 }
 
@@ -220,16 +210,6 @@ impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig::symmetric(15_000, 3_000)
     }
-}
-
-/// Which transport a machine uses between its rings and the device.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum TransportConfig {
-    /// PCIe pass-through (the paper's testbed).
-    #[default]
-    Local,
-    /// NVMe-oF initiator(s)/target over a modelled network.
-    Fabric(FabricConfig),
 }
 
 /// Fabric-side counters for one run (all zero on the local transport).
@@ -310,11 +290,13 @@ pub trait Transport {
     }
 
     /// True when `qp` can admit `n` more commands from `initiator`
-    /// right now. `class` matters on a fabric: per-initiator credit
-    /// windows model capsule flow control on the wire, so
-    /// [`SubmitClass::TargetLocal`] submissions (pushdown flush chases,
-    /// target-side resubmissions) bypass the window and only contend
-    /// for target ring slots.
+    /// right now. On a fabric every class is bounded by
+    /// [`Transport::queue_capacity`], the tighter of the target ring and
+    /// the per-queue-pair capsule window. `class` matters only to the
+    /// per-initiator credit windows of a contended target, which model
+    /// capsule flow control on the wire: [`SubmitClass::TargetLocal`]
+    /// submissions (pushdown flush chases, target-side resubmissions)
+    /// never cross it, so they skip those windows.
     fn can_accept(&self, qp: QueuePairId, n: usize, _initiator: u32, _class: SubmitClass) -> bool {
         self.device().can_accept(qp, n)
     }
@@ -530,25 +512,14 @@ impl Wire {
     /// configured) loss with timeout/retransmit. `payload_bytes` is the
     /// in-capsule data hauled in this direction. A zero `loss_prob`
     /// draws exactly one sample, preserving loss-free RNG streams.
-    fn cross(
-        &mut self,
-        to_target: bool,
-        payload_bytes: u64,
-        held: usize,
-        init: &mut InitiatorStats,
-    ) -> Nanos {
+    fn cross(&mut self, payload_bytes: u64, held: usize, init: &mut InitiatorStats) -> Nanos {
         let cfg = &self.cfg;
         // Queue-depth-dependent congestion: added one-way latency once
         // the target holds more capsules than the knee tolerates.
         let congest = CONGESTION_NS_PER_CAPSULE * held.saturating_sub(CONGESTION_KNEE) as u64;
         let mut total = cfg.target_proc_ns + payload_bytes * WIRE_NS_PER_KB / 1024 + congest;
         loop {
-            let dist = if to_target {
-                &cfg.to_target
-            } else {
-                &cfg.to_host
-            };
-            let wire = dist.sample(&mut self.rng);
+            let wire = cfg.latency.sample(&mut self.rng);
             if cfg.loss_prob > 0.0 && self.rng.chance(cfg.loss_prob) {
                 // Lost: wait out the timeout, then retransmit (the
                 // retransmitted copy re-samples the wire).
@@ -570,7 +541,7 @@ impl Wire {
         self.stats.responses += 1;
         init.responses += 1;
         self.stats.bytes_rx += RSP_CAPSULE_HDR + payload_bytes;
-        self.cross(false, 0, held, init)
+        self.cross(0, held, init)
     }
 }
 
@@ -748,7 +719,7 @@ impl Transport for FabricTransport {
                     self.wire.stats.capsules_sent += 1;
                     self.wire.stats.bytes_tx += bytes;
                     let payload = bytes.saturating_sub(CMD_CAPSULE_HDR);
-                    let outbound = self.wire.cross(true, payload, held, is);
+                    let outbound = self.wire.cross(payload, held, is);
                     let returns = class == SubmitClass::Host;
                     bell.meta.insert(cmd.cid, (outbound, returns, init));
                     bell.crossed.push((now + outbound, init, cmd));
@@ -847,17 +818,6 @@ impl Transport for FabricTransport {
     }
 }
 
-impl TransportConfig {
-    /// Builds a transport around `dev`, drawing fabric randomness from
-    /// `rng` (unused by the local path).
-    pub fn build(&self, dev: NvmeDevice, rng: SimRng) -> Box<dyn Transport> {
-        match self {
-            TransportConfig::Local => Box::new(LocalTransport::new(dev)),
-            TransportConfig::Fabric(fc) => Box::new(FabricTransport::new(dev, fc.clone(), rng)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -867,7 +827,6 @@ mod tests {
 
     fn dev(depth: usize) -> NvmeDevice {
         let profile = DeviceProfile {
-            name: "test",
             class: DeviceClass::NvmGen2,
             read_latency: LatencyDist::Constant(SVC),
             write_latency: LatencyDist::Constant(SVC),
@@ -896,8 +855,7 @@ mod tests {
 
     fn link(one_way: Nanos) -> FabricConfig {
         FabricConfig {
-            to_target: LatencyDist::Constant(one_way),
-            to_host: LatencyDist::Constant(one_way),
+            latency: LatencyDist::Constant(one_way),
             target_proc_ns: 0,
             ..FabricConfig::default()
         }
@@ -1116,8 +1074,7 @@ mod tests {
     #[test]
     fn jitter_reorders_but_loses_nothing() {
         let cfg = FabricConfig {
-            to_target: LatencyDist::Uniform(1_000, 50_000),
-            to_host: LatencyDist::Uniform(1_000, 50_000),
+            latency: LatencyDist::Uniform(1_000, 50_000),
             target_proc_ns: 250,
             ..FabricConfig::default()
         };

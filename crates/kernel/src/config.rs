@@ -2,7 +2,7 @@
 //! of them ([`MachineConfig::check`], refusing by [`ConfigError`]), and
 //! the injectable host clock ([`ExecClock`]).
 
-use bpfstor_device::{DeviceConfigError, DeviceProfile, TransportConfig};
+use bpfstor_device::{DeviceConfigError, DeviceProfile, FabricConfig};
 use bpfstor_sim::{check_time, ensure, CoreCountError, Cores, MICROSECOND};
 use bpfstor_vm::ExecEngine;
 
@@ -51,7 +51,9 @@ pub struct MachineConfig {
     /// the blocks written, so a large file system costs no host memory
     /// until it is used.
     pub fs_blocks: u64,
-    /// NVMe-layer chained-resubmission bound (§4 fairness counter).
+    /// NVMe-layer chained-resubmission bound (§4 fairness counter),
+    /// one for every tenant: also the chain-depth factor of
+    /// [`crate::TenantLimits::insn_budget`].
     pub resubmit_bound: u32,
     /// Interrupt-coalescing time budget in microseconds: a pending CQE
     /// fires an interrupt at most this long after it is posted. `0`
@@ -66,9 +68,14 @@ pub struct MachineConfig {
     /// the two coalescing knobs above), adaptive interrupts, dedicated
     /// pollers, or the load-adaptive hybrid scheduler.
     pub reap_mode: ReapMode,
-    /// The ring→device hop: PCIe pass-through (the default) or an
-    /// NVMe-oF initiator/target pair over a modelled network.
-    pub transport: TransportConfig,
+    /// Whether each reap batch is serviced deficit-round-robin across
+    /// tenants by [`crate::TenantLimits::weight`] instead of FIFO. Off
+    /// (the default) is bit-for-bit the single-tenant completion order.
+    pub fair_reap: bool,
+    /// The ring→device hop: `None` (the default) is PCIe pass-through,
+    /// the paper's testbed; `Some` puts the device behind an NVMe-oF
+    /// initiator/target pair over a modelled network.
+    pub fabric: Option<FabricConfig>,
     /// Which engine executes hook programs: the compiled tier (the
     /// default) or, for a test or benchmark that names it, the
     /// interpreter it is checked against. The two are observably
@@ -100,7 +107,8 @@ impl Default for MachineConfig {
             irq_coalesce_us: 0,
             irq_coalesce_depth: 1,
             reap_mode: ReapMode::Interrupt,
-            transport: TransportConfig::Local,
+            fair_reap: false,
+            fabric: None,
             exec_engine: ExecEngine::default(),
             exec_clock: None,
             commit_policy: CommitPolicy::PerFsync,
@@ -177,7 +185,7 @@ impl MachineConfig {
         ensure(self.fs_blocks >= 1, FsBlocks)?;
         check_time(us(self.irq_coalesce_us), TooLong("irq_coalesce_us"))?;
         ensure(self.irq_coalesce_depth >= 1, IrqCoalesceDepth)?;
-        if let TransportConfig::Fabric(fabric) = &self.transport {
+        if let Some(fabric) = &self.fabric {
             fabric.check().map_err(Device)?;
         }
         match self.commit_policy {

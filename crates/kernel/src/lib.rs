@@ -30,7 +30,7 @@ pub mod reaper;
 pub mod tenant;
 pub mod trace;
 
-pub use bpfstor_device::{FabricConfig, FabricStats, InitiatorStats, TransportConfig};
+pub use bpfstor_device::{FabricConfig, FabricStats, InitiatorStats};
 pub use bpfstor_vm::ExecEngine;
 pub use chain::{
     Broken, ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainStatus, ChainToken,
@@ -40,7 +40,7 @@ pub use commit::{CommitLog, CommitPolicy, CommitStats};
 pub use config::{ConfigError, ExecClock, MachineConfig};
 pub use costs::LayerCosts;
 pub use extcache::{ExtCacheStats, ExtentCache};
-pub use machine::{KernelError, Machine, Mutation};
+pub use machine::{KernelError, Machine};
 pub use reaper::{ModeTransition, ReapKind, ReapMode, ReaperStats};
 pub use tenant::{TenantBreakdown, TenantId, TenantLimits, DEFAULT_TENANT};
 pub use trace::{ExecSplit, LayerTrace};

@@ -40,10 +40,10 @@
 //!   which parses the block and issues a fresh `pread`.
 //!
 //! The ring→device hop itself is a [`Transport`]
-//! ([`MachineConfig::transport`]): the default `LocalTransport` is the
+//! ([`MachineConfig::fabric`]): the default `LocalTransport` is the
 //! PCIe pass-through described above, while a `FabricTransport` puts an
-//! NVMe-oF-style network (capsule encode costs, per-direction latency
-//! with jitter, an in-flight-capsule credit window) between the rings
+//! NVMe-oF-style network (capsule encode costs, one-way latency with
+//! jitter, an in-flight-capsule credit window) between the rings
 //! and the device. Over a fabric, [`DispatchMode::Remote`] pays a round
 //! trip per dependent hop, while [`DispatchMode::DriverHook`] chains
 //! become *target-resident*: hops recycle on the target and only the
@@ -62,7 +62,7 @@
 //! | `IrqFire`, `Poll` | `on_irq_fire`, `on_poll` → `reap_qp` → (`fair_order`) → `on_cqe` (the command id is the request's tag) → `on_device_done` (a data CQE → `enter_flush_phase`, a flush CQE → `on_barrier_cqe`) | [`Reaper`] (an interrupt arms on the device's in-flight completions), `FairSched` (weights from `tenants`), `SqAdmission`, `Barrier` |
 //! | `Delivered` | `on_delivered` (→ `restart_chain`) | the [`ChainDriver`] |
 //! | `CapsuleRx` | `on_capsule_rx` → `unwind` | costs only |
-//! | `Mutate` | `on_mutate` | `fs`, [`ExtentCache`] |
+//! | `Relocate` | `on_relocate` | `fs`, [`ExtentCache`] |
 //! | `CommitSeal` (`Group` only) | `on_commit_seal` → `seal_and_issue` | `Barrier` |
 //! | `WritebackTick` (`Writeback` only) | `on_writeback_tick` → `seal_and_issue` | `Barrier`, `fs` |
 //!
@@ -156,8 +156,8 @@
 use bpfstor_device::device::{NvmeCommand, NvmeOp};
 use bpfstor_device::store::trim_zero_tail;
 use bpfstor_device::{
-    DeviceStats, NvmeCompletion, NvmeDevice, SectorStore, SubmitClass, Transport, TransportConfig,
-    SECTOR_SIZE,
+    DeviceStats, FabricTransport, LocalTransport, NvmeCompletion, NvmeDevice, SectorStore,
+    SubmitClass, Transport, SECTOR_SIZE,
 };
 use bpfstor_fs::{cut_runs, ExtFs, ExtentEvent, FsError};
 use bpfstor_sim::{ensure, Cores, EventQueue, Histogram, IdMap, Nanos, SimRng};
@@ -222,17 +222,6 @@ impl From<FsError> for KernelError {
     fn from(e: FsError) -> Self {
         KernelError::Fs(e.to_string())
     }
-}
-
-/// A file-system mutation scheduled to run mid-simulation (drives the
-/// invalidation experiments).
-#[derive(Debug, Clone)]
-pub enum Mutation {
-    /// Move every block of the file (defragmenter-style): always unmaps.
-    Relocate {
-        /// File name.
-        name: String,
-    },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -313,7 +302,9 @@ enum Ev {
     CapsuleRx {
         op: usize,
     },
-    Mutate {
+    /// A scheduled relocation of the file named by
+    /// `relocations[idx]` fires.
+    Relocate {
         idx: usize,
     },
     /// The group-commit window timer expired: seal the running journal
@@ -423,7 +414,7 @@ struct Op {
     thread: usize,
     fd: Fd,
     /// The tenant that owns the chain's descriptor — the identity every
-    /// per-tenant budget, bound, and counter keys on.
+    /// per-tenant budget, ledger and counter keys on.
     tenant: TenantId,
     ino: u64,
     kind: OpKind,
@@ -440,7 +431,7 @@ struct Op {
     hop: u32,
     /// Instructions retired by the chain's hops so far: each hop runs
     /// under the owning tenant's instruction budget *minus* this, so a
-    /// chain's cumulative execution traps at the tenant's bound (the
+    /// chain's cumulative execution traps at the tenant's budget (the
     /// verification-time budget covers the same whole-chain worst case).
     insns_used: u64,
     ios: u32,
@@ -715,9 +706,11 @@ pub struct Machine {
     /// Weighted fair reaping's per-queue-pair cursors.
     fair: FairSched,
     /// Whether reap batches are reordered by the fair scheduler
-    /// (default off: FIFO, bit-for-bit the single-tenant behaviour).
+    /// ([`MachineConfig::fair_reap`]).
     fair_reap: bool,
-    mutations: Vec<Mutation>,
+    /// Files named by [`Machine::schedule_relocation`], indexed by
+    /// their `Ev::Relocate`.
+    relocations: Vec<String>,
     resubmit_bound: u32,
     /// Engine executing hook programs ([`MachineConfig::exec_engine`]).
     exec_engine: ExecEngine,
@@ -746,9 +739,9 @@ impl Machine {
         // The local path must not consume parent randomness beyond the
         // device fork, so existing seeds reproduce bit-for-bit; only a
         // fabric forks a wire-latency stream.
-        let transport: Box<dyn Transport> = match &cfg.transport {
-            TransportConfig::Local => cfg.transport.build(device, SimRng::seed(0)),
-            TransportConfig::Fabric(_) => cfg.transport.build(device, rng.fork(2)),
+        let transport: Box<dyn Transport> = match cfg.fabric {
+            None => Box::new(LocalTransport::new(device)),
+            Some(fabric) => Box::new(FabricTransport::new(device, fabric, rng.fork(2))),
         };
         let tenants = vec![TenantLimits::default()];
         Machine {
@@ -776,8 +769,8 @@ impl Machine {
             ),
             admission: SqAdmission::new(nr_queues),
             fair: FairSched::new(nr_queues),
-            fair_reap: false,
-            mutations: Vec::new(),
+            fair_reap: cfg.fair_reap,
+            relocations: Vec::new(),
             resubmit_bound: cfg.resubmit_bound,
             exec_engine: cfg.exec_engine,
             exec_clock: cfg.exec_clock,
@@ -819,7 +812,7 @@ impl Machine {
 
     /// Opens a file `O_DIRECT` on behalf of `tenant`. Every chain issued
     /// on the descriptor is charged to that tenant: its SQ slot budget,
-    /// its resubmission bound, its fair-reaping weight, and its slice of
+    /// its resubmission ledger, its fair-reaping weight, and its slice of
     /// the run report.
     ///
     /// # Errors
@@ -883,14 +876,6 @@ impl Machine {
         self.tenants.len()
     }
 
-    /// Enables or disables weighted fair reaping: when on, each reap
-    /// batch is serviced deficit-round-robin across tenants by weight
-    /// instead of FIFO. Off (the default) is bit-for-bit the
-    /// single-tenant completion order.
-    pub fn set_fair_reap(&mut self, on: bool) {
-        self.fair_reap = on;
-    }
-
     /// The install ioctl (§4): verifies the program, instantiates its
     /// maps, loads it into the descriptor's program table, attaches it
     /// (replacing any currently attached program at the hook), and
@@ -914,7 +899,7 @@ impl Machine {
         let budget = self.tenants[st.tenant as usize]
             .insn_budget
             .map(|max_insns| ResourceBudget {
-                chain_depth: self.bound_for(st.tenant) as u64,
+                chain_depth: self.resubmit_bound as u64,
                 max_insns,
             });
         let verified = admit(&prog, budget).map_err(|e| KernelError::Verifier(e.to_string()))?;
@@ -1039,12 +1024,14 @@ impl Machine {
             .map(|v| v.to_vec())
     }
 
-    /// Schedules a file-system mutation at simulated time `at` in the
-    /// next run.
-    pub fn schedule_mutation(&mut self, at: Nanos, m: Mutation) {
-        let idx = self.mutations.len();
-        self.mutations.push(m);
-        self.events.push(at, Ev::Mutate { idx });
+    /// Schedules a defragmenter-style relocation of every block of the
+    /// file `name` at simulated time `at` in the next run: it always
+    /// unmaps, driving the §4 invalidation experiments. A name that no
+    /// longer opens at `at` relocates nothing.
+    pub fn schedule_relocation(&mut self, at: Nanos, name: &str) {
+        let idx = self.relocations.len();
+        self.relocations.push(name.to_owned());
+        self.events.push(at, Ev::Relocate { idx });
     }
 
     /// Direct FS access for setup/verification.
@@ -1178,7 +1165,7 @@ impl Machine {
     }
 
     /// Control-plane unlink that also propagates the unmap events to the
-    /// NVMe-layer extent snapshot, exactly like a scheduled mutation
+    /// NVMe-layer extent snapshot, exactly like a scheduled relocation
     /// would.
     ///
     /// # Errors
@@ -1238,7 +1225,7 @@ impl Machine {
         };
         self.events.push(self.now, Ev::AppStart { thread: 0 });
         // Drive only this chain to delivery — do NOT drain the whole
-        // queue, which may hold mutations scheduled for a future run.
+        // queue, which may hold relocations scheduled for a future run.
         while d.out.is_none() && self.step(&mut d) {}
         // Consume the op's own trailing bookkeeping (the AppStart pushed
         // at delivery, any already-due timers) without touching events
@@ -1332,22 +1319,14 @@ impl Machine {
 
     /// §4 fairness accounting: one chained kernel-side resubmission on
     /// behalf of `(tenant, thread)` (read hop recycle or write flush
-    /// chase). Each tenant's charges stay in its own row, so one tenant
-    /// hitting its bound never bills another.
+    /// chase). Each tenant's charges stay in its own row, so one
+    /// tenant's chain hitting the bound never bills another.
     fn note_resubmission(&mut self, tenant: TenantId, thread: usize) {
         let row = &mut self.run.resub[tenant as usize];
         if row.len() <= thread {
             row.resize(thread + 1, 0);
         }
         row[thread] += 1;
-    }
-
-    /// The §4 chained-resubmission bound in force for a tenant: its own
-    /// override if registered with one, else the machine-wide bound.
-    fn bound_for(&self, tenant: TenantId) -> u32 {
-        self.tenants[tenant as usize]
-            .resubmit_bound
-            .unwrap_or(self.resubmit_bound)
     }
 
     /// Chains completed so far this run (all tenants).
@@ -1510,7 +1489,7 @@ impl Machine {
             Ev::Poll { qp } => self.on_poll(qp),
             Ev::Delivered { op } => self.on_delivered(op, driver),
             Ev::CapsuleRx { op } => self.on_capsule_rx(op),
-            Ev::Mutate { idx } => self.on_mutate(idx),
+            Ev::Relocate { idx } => self.on_relocate(idx),
             Ev::CommitSeal { .. } => self.on_commit_seal(),
             Ev::WritebackTick { .. } => self.on_writeback_tick(),
         }
@@ -1877,7 +1856,7 @@ impl Machine {
         let runs = &mut self.spares.runs;
         let planned = self.fs.plan_write_into(ino, file_off, len, store, runs);
         // The plan's `Mapped` events are consumed now rather than piling
-        // up until the next mutation.
+        // up until the next relocation.
         self.apply_fs_events();
         if planned.is_err() {
             self.fail(id, ChainStatus::IoError, &[]);
@@ -2133,11 +2112,11 @@ impl Machine {
             OpKind::WriteData { fsync: true } => {
                 // §4 fairness, write-aware: the ordered flush chase is a
                 // kernel-side dependent resubmission exactly like a read
-                // hop recycle, so it meters against the same per-tenant
-                // budget. A write that hits the bound completes as
+                // hop recycle, so it meters against the same bound and
+                // is charged to the same (tenant, thread) ledger. A write that hits the bound completes as
                 // BoundExceeded with its journal transaction uncommitted
                 // (crash-before-fsync durability).
-                if hop + 1 >= self.bound_for(tenant) {
+                if hop + 1 >= self.resubmit_bound {
                     return self.fail(id, ChainStatus::BoundExceeded, &[]);
                 }
                 self.ops[id].as_mut().expect("op").hop += 1;
@@ -2401,7 +2380,6 @@ impl Machine {
         let ran @ (_, bpf_ns) = c.hook_run(insns);
         let op = self.ops[id].as_ref().expect("op");
         let (tenant, thread, ino) = (op.tenant, op.thread, op.ino);
-        let bound = self.bound_for(tenant);
         self.run.tstats[tenant as usize].bpf_ns += bpf_ns;
         let Some(target) = next else {
             // Terminal: the completion unwinds the full stack once
@@ -2409,9 +2387,9 @@ impl Machine {
             self.deliver(id, &[ran]);
             return;
         };
-        // §4 fairness: bound chained resubmissions per tenant.
+        // §4 fairness: bound each chain's resubmissions.
         let op = self.ops[id].as_mut().expect("op");
-        if op.hop + 1 >= bound {
+        if op.hop + 1 >= self.resubmit_bound {
             return self.fail(id, ChainStatus::BoundExceeded, &[ran]);
         }
         if op.mode == DispatchMode::SyscallHook {
@@ -2628,10 +2606,9 @@ impl Machine {
         self.spares.submitted = submitted;
     }
 
-    fn on_mutate(&mut self, idx: usize) {
+    fn on_relocate(&mut self, idx: usize) {
         let store = self.transport.device_mut().store_mut();
-        let Mutation::Relocate { name } = &self.mutations[idx];
-        if let Ok(ino) = self.fs.open(name) {
+        if let Ok(ino) = self.fs.open(&self.relocations[idx]) {
             let _ = self.fs.relocate(ino, store);
         }
         // The §4 invalidation hook: unmap events kill the NVMe-layer

@@ -16,18 +16,20 @@
 //!   tenants' slots are never consumed. `SqAdmission` keeps the meter
 //!   and the parked queues.
 //! - **Weighted fair reaping** ([`TenantLimits::weight`] +
-//!   [`crate::Machine::set_fair_reap`]): pending CQEs on a queue pair
+//!   [`crate::MachineConfig::fair_reap`]): pending CQEs on a queue pair
 //!   are serviced deficit-round-robin across tenants in proportion to
 //!   weight, so one tenant's completion storm cannot monopolise the
 //!   completion path.
 //! - **Instruction budgets** ([`TenantLimits::insn_budget`] with the
-//!   tenant's chain-depth bound): the install ioctl rejects a program
-//!   whose verified worst case (`max_path × chain_depth`) exceeds the
-//!   tenant's instruction budget, and the same budget backstops the
-//!   runtime — every hop of a tenant's chain executes with the budget's
-//!   *remainder* (budget minus instructions already retired by earlier
-//!   hops), so a runaway program traps `BudgetExceeded` at its owner's
-//!   bound even if the limits were tightened after install.
+//!   machine's chain-depth bound,
+//!   [`crate::MachineConfig::resubmit_bound`]): the install ioctl
+//!   rejects a program whose verified worst case (`max_path ×
+//!   chain_depth`) exceeds the tenant's instruction budget, and the
+//!   same budget backstops the runtime — every hop of a tenant's chain
+//!   executes with the budget's *remainder* (budget minus instructions
+//!   already retired by earlier hops), so a runaway program traps
+//!   `BudgetExceeded` at its owner's bound even if the limits were
+//!   tightened after install.
 
 use bpfstor_sim::{Histogram, Nanos};
 
@@ -47,7 +49,7 @@ pub struct TenantLimits {
     /// Fair-reaping weight (deficit-round-robin quantum). Relative: a
     /// weight-4 tenant is serviced four CQEs for every one of a
     /// weight-1 tenant when both have completions pending. Ignored
-    /// until [`crate::Machine::set_fair_reap`] enables fair reaping. At
+    /// unless [`crate::MachineConfig::fair_reap`] is on. At
     /// least 1 ([`TenantLimits::check`]).
     pub weight: u64,
     /// Per-queue-pair submission-slot budget: at most this many of the
@@ -56,14 +58,11 @@ pub struct TenantLimits {
     /// still admitted when the tenant has nothing in flight, so
     /// progress is always possible.
     pub sq_slots: Option<usize>,
-    /// Per-tenant chained-resubmission bound, overriding the machine's
-    /// [`crate::MachineConfig::resubmit_bound`] (§4 fairness). Also the
-    /// chain-depth factor of the verification-time budget.
-    pub resubmit_bound: Option<u32>,
     /// Verification-time instruction budget for one full chain: a
     /// program is rejected at install when its verified worst-case path
-    /// times the tenant's chain-depth bound exceeds this. `None` skips
-    /// the check.
+    /// times the machine's chain-depth bound
+    /// ([`crate::MachineConfig::resubmit_bound`]) exceeds this. `None`
+    /// skips the check.
     pub insn_budget: Option<u64>,
 }
 
@@ -72,7 +71,6 @@ impl Default for TenantLimits {
         TenantLimits {
             weight: 1,
             sq_slots: None,
-            resubmit_bound: None,
             insn_budget: None,
         }
     }

@@ -13,8 +13,7 @@ use bpfstor_fs::CHECKPOINT_RECORDS;
 use bpfstor_kernel::{
     Broken, ChainOutcome, ChainSpec, ChainStatus, ChainVerdict, CommitPolicy, ConfigError,
     DispatchMode, ExecSplit, FabricConfig, Fd, KernelError, Law, LayerCosts, Machine,
-    MachineConfig, Mutation, ReapKind, ReapMode, RunReport, TenantBreakdown, TenantLimits,
-    TransportConfig, DEFAULT_TENANT,
+    MachineConfig, ReapKind, ReapMode, RunReport, TenantBreakdown, TenantLimits, DEFAULT_TENANT,
 };
 use bpfstor_sim::{Nanos, SimRng, MILLISECOND, SECOND};
 use bpfstor_vm::{action, ctx_off, Asm, Program, Width};
@@ -40,7 +39,7 @@ fn setup(n_blocks: usize, mode: DispatchMode) -> (Machine, Script<Reads>) {
 /// [`MachineConfig::default`] over a zero-jitter fabric.
 fn fabric_cfg(one_way: Nanos) -> MachineConfig {
     MachineConfig {
-        transport: TransportConfig::Fabric(exact_link(one_way)),
+        fabric: Some(exact_link(one_way)),
         ..MachineConfig::default()
     }
 }

@@ -104,12 +104,7 @@ fn extent_miss_without_install_snapshot() {
     // Install, then invalidate via relocation before running: chains see
     // ExtentMiss (or Invalidated) until rearm.
     let (mut m, mut d) = setup(8, DispatchMode::DriverHook);
-    m.schedule_mutation(
-        0,
-        Mutation::Relocate {
-            name: "chain.db".to_string(),
-        },
-    );
+    m.schedule_relocation(0, "chain.db");
     let _ = m.run_closed_loop(1, 10 * MILLISECOND, &mut d);
     assert!(
         d.outcomes
@@ -247,14 +242,11 @@ fn runs_are_deterministic() {
         max_handles: 2,
     };
     for uring in [false, true] {
-        for transport in [
-            TransportConfig::Local,
-            TransportConfig::Fabric(exact_link(20_000)),
-        ] {
+        for fabric in [None, Some(exact_link(20_000))] {
             for commit_policy in [CommitPolicy::PerFsync, group] {
                 let run = || {
                     let cfg = MachineConfig {
-                        transport: transport.clone(),
+                        fabric: fabric.clone(),
                         commit_policy,
                         ..MachineConfig::default()
                     };
@@ -271,7 +263,7 @@ fn runs_are_deterministic() {
                     (report, d.outcomes)
                 };
                 let (first, second) = (run(), run());
-                let what = format!("uring {uring}, {transport:?}, {commit_policy:?}");
+                let what = format!("uring {uring}, {fabric:?}, {commit_policy:?}");
                 assert_eq!((first.0.chains, first.0.errors), (80, 0), "{what}");
                 assert!(first.0.commit.commits > 0, "{what}: fsyncs committed");
                 assert_eq!(first, second, "{what}");

@@ -107,7 +107,7 @@ fn fabric_capsule_window_backpressures_and_recovers() {
     // in flight, so submissions stall on the window, park, and retry —
     // every chain still completes exactly once.
     let mut cfg = fabric_cfg(10_000);
-    if let TransportConfig::Fabric(fc) = &mut cfg.transport {
+    if let Some(fc) = &mut cfg.fabric {
         fc.inflight_cap = 2;
     }
     let (mut m, mut d) = setup_with(cfg, 4, DispatchMode::Remote);
@@ -129,14 +129,14 @@ fn queue_pair_counters_reconcile_on_both_transports() {
     // either transport, so every law of `RunReport::audit` holds —
     // coalesced, per-CQE or polled, with or without pushdown, over a
     // clean wire or a lossy one whose 8-capsule window binds.
-    let coalesced = |transport| MachineConfig {
-        transport,
+    let coalesced = |fabric| MachineConfig {
+        fabric,
         irq_coalesce_us: 8,
         irq_coalesce_depth: 8,
         ..MachineConfig::default()
     };
-    let local = coalesced(TransportConfig::Local);
-    let fabric = coalesced(TransportConfig::Fabric(exact_link(20_000)));
+    let local = coalesced(None);
+    let fabric = coalesced(Some(exact_link(20_000)));
     let per_cqe = fabric_cfg(20_000);
     let polled = MachineConfig {
         reap_mode: ReapMode::Polled,
@@ -153,12 +153,12 @@ fn queue_pair_counters_reconcile_on_both_transports() {
         ("fabric, polled", polled, DispatchMode::Remote),
         (
             "fabric, lossy",
-            coalesced(TransportConfig::Fabric(lossy)),
+            coalesced(Some(lossy)),
             DispatchMode::Remote,
         ),
     ];
     for (world, cfg, mode) in worlds {
-        let on_fabric = cfg.transport != TransportConfig::Local;
+        let on_fabric = cfg.fabric.is_some();
         let (mut m, mut d) = setup_with(cfg, 4, mode);
         d.state.count = 64;
         let r = m.run_uring(1, 16, SECOND, &mut d);

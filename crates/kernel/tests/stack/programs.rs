@@ -85,9 +85,12 @@ fn a_program_admitted_at_its_verified_worst_case_never_exceeds_it() {
     // One hop per chain, so the tenant's budget is the worst case of
     // one invocation and nothing pads the product.
     let budgeted = |insn_budget: u64| {
-        let (mut m, _) = machine_with(MachineConfig::default(), "chain.db", &chain_file(2), None);
+        let cfg = MachineConfig {
+            resubmit_bound: 1,
+            ..MachineConfig::default()
+        };
+        let (mut m, _) = machine_with(cfg, "chain.db", &chain_file(2), None);
         let limits = TenantLimits {
-            resubmit_bound: Some(1),
             insn_budget: Some(insn_budget),
             ..TenantLimits::default()
         };
@@ -295,12 +298,7 @@ fn rearm_retry_verdict_restarts_chains_without_caller_intervention() {
         }
     };
     // Relocate the file while chains are in flight: the §4 invalidation.
-    m.schedule_mutation(
-        50_000,
-        Mutation::Relocate {
-            name: "chain.db".to_string(),
-        },
-    );
+    m.schedule_relocation(50_000, "chain.db");
     let report = m.run_closed_loop(1, SECOND, &mut d);
     assert_eq!(d.outcomes.len(), 6, "all logical chains complete");
     assert!(

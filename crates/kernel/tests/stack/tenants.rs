@@ -1,25 +1,22 @@
-// --- Tenants: per-tenant bounds, and aggregates that reconcile ------------------
+// --- Tenants: one bound, per-tenant ledgers, and aggregates that reconcile ----
 
 #[test]
-fn resubmission_bound_is_per_tenant() {
-    // Two tenants share the machine, one deep pointer chase each on its
-    // own thread. Tenant B carries a §4 override of 2 dependent
-    // submissions; the machine default (64) covers tenant A. B's chain
-    // must abort with BoundExceeded without charging — or aborting —
-    // A's chain, and the (tenant, thread) accounting matrix must keep
-    // the two ledgers apart.
+fn a_deeper_chain_trips_the_bound_without_charging_another_tenant() {
+    // Two tenants share the machine and its §4 bound of 4 dependent
+    // submissions, one pointer chase each on its own thread: tenant A
+    // chases 3 blocks, tenant B 8. B's chain must abort with
+    // BoundExceeded without charging — or aborting — A's shallower
+    // chain, and the (tenant, thread) accounting matrix must keep the
+    // two ledgers apart.
     let cfg = MachineConfig {
-        resubmit_bound: 64,
+        resubmit_bound: 4,
         ..MachineConfig::default()
     };
-    let image = chain_file(8);
-    let (mut m, fd_a) = machine_with(cfg, "a.db", &image, Some(chase_program()));
-    m.create_file("b.db", &image).expect("create b");
-    let limits = TenantLimits {
-        resubmit_bound: Some(2),
-        ..TenantLimits::default()
-    };
-    let tenant_b = m.register_tenant(limits).expect("weight 1");
+    let (mut m, fd_a) = machine_with(cfg, "a.db", &chain_file(3), Some(chase_program()));
+    m.create_file("b.db", &chain_file(8)).expect("create b");
+    let tenant_b = m
+        .register_tenant(TenantLimits::default())
+        .expect("weight 1");
     let fd_b = m.open_for(tenant_b, "b.db").expect("open b");
     m.install(fd_b, chase_program(), 0).expect("install b");
 
@@ -40,26 +37,26 @@ fn resubmission_bound_is_per_tenant() {
         match o.token.tenant {
             DEFAULT_TENANT => assert!(
                 o.status.is_ok(),
-                "tenant A's 8-hop chase fits the default bound: {:?}",
+                "tenant A's 3-hop chase fits the bound: {:?}",
                 o.status
             ),
             t if t == tenant_b => assert_eq!(
                 o.status,
                 ChainStatus::BoundExceeded,
-                "tenant B's override of 2 must trip on the same workload"
+                "tenant B's 8-hop chase must trip the same bound"
             ),
             t => panic!("unexpected tenant {t}"),
         }
     }
-    // A full chase resubmits hops-1 = 7 times on thread 0; B is cut off
-    // after its single allowed resubmission on thread 1. Each tenant's
-    // row only extends to the highest thread that charged it.
-    assert_eq!(m.resubmission_accounting_for(DEFAULT_TENANT), &[7]);
-    assert_eq!(m.resubmission_accounting_for(tenant_b), &[0, 1]);
+    // A's full chase resubmits hops-1 = 2 times on thread 0; B is cut
+    // off after the bound's 3 allowed resubmissions on thread 1. Each
+    // tenant's row only extends to the highest thread that charged it.
+    assert_eq!(m.resubmission_accounting_for(DEFAULT_TENANT), &[2]);
+    assert_eq!(m.resubmission_accounting_for(tenant_b), &[0, 3]);
     // The per-thread view every §4 test predates still sums the tenants.
-    assert_eq!(m.resubmission_accounting(), &[7, 1]);
-    assert_eq!(report.tenants[DEFAULT_TENANT as usize].resubmissions, 7);
-    assert_eq!(report.tenants[tenant_b as usize].resubmissions, 1);
+    assert_eq!(m.resubmission_accounting(), &[2, 3]);
+    assert_eq!(report.tenants[DEFAULT_TENANT as usize].resubmissions, 2);
+    assert_eq!(report.tenants[tenant_b as usize].resubmissions, 3);
     assert_eq!(report.tenants[tenant_b as usize].errors, 1);
     assert_eq!(report.tenants[DEFAULT_TENANT as usize].errors, 0);
 }
@@ -71,6 +68,7 @@ fn every_report_aggregate_is_the_sum_of_its_tenants() {
     // three recycled hops); tenant B fsyncs every write from four
     // threads into shared group-commit barriers.
     let cfg = MachineConfig {
+        resubmit_bound: 4,
         commit_policy: CommitPolicy::Group {
             max_wait_us: 30,
             max_handles: 2,
@@ -79,12 +77,6 @@ fn every_report_aggregate_is_the_sum_of_its_tenants() {
     };
     let (mut m, mut reader) = setup_with(cfg, 6, DispatchMode::DriverHook);
     reader.state.count = 12;
-    let limits = TenantLimits {
-        resubmit_bound: Some(4),
-        ..TenantLimits::default()
-    };
-    m.set_tenant_limits(DEFAULT_TENANT, limits)
-        .expect("tenant 0");
     let tenant_b = m
         .register_tenant(TenantLimits::weighted(2))
         .expect("weight 2");

@@ -178,8 +178,7 @@ fn a_relocation_amid_fsyncing_writers_keeps_every_commit_in_seal_order() {
             };
             let (mut m, fd) = log_machine(cfg, "wal.db");
             m.create_file("other.db", &chain_file(8)).expect("create");
-            let name = "other.db".to_string();
-            m.schedule_mutation(at, Mutation::Relocate { name });
+            m.schedule_relocation(at, "other.db");
             let mut d = writes(fd, SECTOR_SIZE, WRITES, 1);
             m.run_closed_loop(4, SECOND, &mut d);
             let written = |o: &ChainOutcome| matches!(o.status, ChainStatus::Written(_));
@@ -296,7 +295,7 @@ fn a_parked_write_lands_where_its_relocated_file_is_now() {
         let mut link = exact_link(5_000);
         link.inflight_cap = 1;
         let cfg = MachineConfig {
-            transport: TransportConfig::Fabric(link),
+            fabric: Some(link),
             ..MachineConfig::default()
         };
         (cfg, None, mode)
@@ -326,8 +325,7 @@ fn a_parked_write_lands_where_its_relocated_file_is_now() {
                 m.set_tenant_limits(DEFAULT_TENANT, limits)
                     .expect("tenant 0");
             }
-            let name = "wal.db".to_string();
-            m.schedule_mutation(at, Mutation::Relocate { name });
+            m.schedule_relocation(at, "wal.db");
             let mut d = writes(fd, SECTOR_SIZE, WRITES, 0);
             d.mode = mode;
             let report = m.run_closed_loop(4, SECOND, &mut d);
@@ -596,12 +594,7 @@ fn one_shot_io_leaves_future_mutations_for_the_next_run() {
     m.create_file("scratch.db", &[]).expect("create scratch");
     let scratch = m.fs().open("scratch.db").expect("open");
     // Schedule a relocation far in the future, then do preload I/O.
-    m.schedule_mutation(
-        1_000 * SECOND,
-        Mutation::Relocate {
-            name: "data.db".to_string(),
-        },
-    );
+    m.schedule_relocation(1_000 * SECOND, "data.db");
     let (gen_before, _) = m.fs().generations(ino).expect("gens");
     m.write_file(scratch, 0, &vec![1u8; SECTOR_SIZE], true)
         .expect("preload write");

@@ -90,8 +90,7 @@ pub fn kv_entries(n: u64) -> Vec<(u64, Vec<u8>)> {
 /// target-side processing — keeps latency arithmetic exact in tests.
 pub fn exact_link(one_way: Nanos) -> FabricConfig {
     FabricConfig {
-        to_target: LatencyDist::Constant(one_way),
-        to_host: LatencyDist::Constant(one_way),
+        latency: LatencyDist::Constant(one_way),
         target_proc_ns: 0,
         ..FabricConfig::default()
     }

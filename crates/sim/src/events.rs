@@ -57,9 +57,8 @@ impl<E> Ord for Entry<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// Sequence number of the next push: also every event ever pushed.
     next_seq: u64,
-    pushed: u64,
-    popped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -74,8 +73,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            pushed: 0,
-            popped: 0,
         }
     }
 
@@ -83,14 +80,12 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: Nanos, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pushed += 1;
         self.heap.push(Entry { at, seq, payload });
     }
 
     /// Removes and returns the earliest event, FIFO among equal times.
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
         let e = self.heap.pop()?;
-        self.popped += 1;
         Some((e.at, e.payload))
     }
 
@@ -111,12 +106,13 @@ impl<E> EventQueue<E> {
 
     /// Total events ever pushed (for engine statistics).
     pub fn total_pushed(&self) -> u64 {
-        self.pushed
+        self.next_seq
     }
 
-    /// Total events ever popped (for engine statistics).
+    /// Total events ever popped (for engine statistics): every push
+    /// not still queued.
     pub fn total_popped(&self) -> u64 {
-        self.popped
+        self.next_seq - self.heap.len() as u64
     }
 }
 

@@ -265,8 +265,7 @@ fn measure_workload<W: PushdownWorkload>(
     let mut b = PushdownSession::builder(workload).dispatch(mode);
     if fabric {
         b = b.fabric(FabricConfig {
-            to_target: LatencyDist::Uniform(16_000, 24_000),
-            to_host: LatencyDist::Uniform(16_000, 24_000),
+            latency: LatencyDist::Uniform(16_000, 24_000),
             ..FabricConfig::default()
         });
     }

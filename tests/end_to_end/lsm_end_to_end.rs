@@ -2,7 +2,7 @@
 
 use super::*;
 use bpfstor::core::{MachineLsmIo, Member, PushdownWorkload};
-use bpfstor::kernel::{MachineConfig, Mutation, DEFAULT_TENANT};
+use bpfstor::kernel::{MachineConfig, DEFAULT_TENANT};
 use bpfstor::lsm::{LsmConfig, LsmIo, LsmTree, TableHandle};
 
 const VS: usize = 64;
@@ -125,8 +125,7 @@ fn mid_run_remap_of_fresh_sstable_exercises_rearm_retry() {
     let keys: Vec<u64> = (0..400u64).map(|i| (i * 13) % 800).collect();
     let mut d = attach_to_table(&mut m, table, keys.clone(), DispatchMode::DriverHook, 3);
     // Defragment the table's extents shortly into the run.
-    let name = table.name.clone();
-    m.schedule_mutation(m.now + 100_000, Mutation::Relocate { name });
+    m.schedule_relocation(m.now + 100_000, &table.name);
     let report = m.run_closed_loop(2, SECOND, &mut d);
     let stats = d.stats();
     assert_eq!(stats.completed, keys.len() as u64);

@@ -1,41 +1,66 @@
 //! Tenant groups.
 
 use super::*;
-use bpfstor::core::{TenantGroup, TenantLimits};
+use bpfstor::core::{MachineConfig, TenantGroup, TenantLimits};
 
 #[test]
 fn single_tenant_group_equals_standalone_session_bit_for_bit() {
     // Same machine config and seed, one tenant with default limits:
     // the first tenant is the kernel's default tenant, so the group
-    // must not perturb a single simulated nanosecond.
+    // must not perturb a single simulated nanosecond. With fair reaping
+    // on, and both sides on one queue pair at 8 us / 8-deep interrupt
+    // coalescing, reap batches hold several CQEs, and deficit round
+    // robin over a single tenant must serve them FIFO.
     const SEED: u64 = 0x7E4A;
     const UNTIL: u64 = 4 * MILLISECOND;
     for mode in [DispatchMode::DriverHook, DispatchMode::User] {
         for uring in [false, true] {
-            let mut group = TenantGroup::builder().dispatch(mode).seed(SEED).build();
-            group
-                .add_tenant(Btree::depth(3), TenantLimits::default())
-                .expect("lone tenant");
-            let mut session = PushdownSession::builder(Btree::depth(3))
-                .dispatch(mode)
-                .seed(SEED)
-                .build()
-                .expect("session");
-            let (grouped, (standalone, stats)) = if uring {
-                (
-                    group.run_uring(&[2], 4, UNTIL),
-                    session.run_uring(2, 4, UNTIL),
-                )
-            } else {
-                (
-                    group.run_closed_loop(&[2], UNTIL),
-                    session.run_closed_loop(2, UNTIL),
-                )
-            };
-            let what = format!("{mode:?}, uring {uring}");
-            assert!(standalone.chains > 0, "{what}: the run does work");
-            assert_eq!(grouped, standalone, "{what}");
-            assert_eq!(group.stats(0), stats, "{what}: session statistics");
+            for fair in [false, true] {
+                let cfg = if fair {
+                    MachineConfig {
+                        cores: 1,
+                        irq_coalesce_us: 8,
+                        irq_coalesce_depth: 8,
+                        ..MachineConfig::default()
+                    }
+                } else {
+                    MachineConfig::default()
+                };
+                let mut group = TenantGroup::builder()
+                    .machine_config(cfg.clone())
+                    .dispatch(mode)
+                    .seed(SEED)
+                    .fair_reap(fair)
+                    .build();
+                group
+                    .add_tenant(Btree::depth(3), TenantLimits::default())
+                    .expect("lone tenant");
+                let mut session = PushdownSession::builder(Btree::depth(3))
+                    .machine_config(cfg)
+                    .dispatch(mode)
+                    .seed(SEED)
+                    .build()
+                    .expect("session");
+                let (grouped, (standalone, stats)) = if uring {
+                    (
+                        group.run_uring(&[2], 4, UNTIL),
+                        session.run_uring(2, 4, UNTIL),
+                    )
+                } else {
+                    (
+                        group.run_closed_loop(&[2], UNTIL),
+                        session.run_closed_loop(2, UNTIL),
+                    )
+                };
+                let what = format!("{mode:?}, uring {uring}, fair {fair}");
+                assert!(standalone.chains > 0, "{what}: the run does work");
+                if fair {
+                    let trace = &standalone.trace;
+                    assert!(trace.irqs < trace.ios, "{what}: reaps are batched");
+                }
+                assert_eq!(grouped, standalone, "{what}");
+                assert_eq!(group.stats(0), stats, "{what}: session statistics");
+            }
         }
     }
 }

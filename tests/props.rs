@@ -20,8 +20,8 @@ use bpfstor::fs::{BlockAllocator, ExtFs, Extent, ExtentTree, JournalRecord, CHEC
 use bpfstor::kernel::reaper::HYBRID_HIGH_WATERMARK;
 use bpfstor::kernel::{
     ChainOutcome, ChainSpec, ChainStatus, ChainToken, ChainVerdict, CommitPolicy, ConfigError,
-    DispatchMode, ExecEngine, FabricConfig, Fd, Machine, MachineConfig, Mutation, RunReport,
-    TenantLimits, TransportConfig, UserNext,
+    DispatchMode, ExecEngine, FabricConfig, Fd, Machine, MachineConfig, RunReport, TenantLimits,
+    UserNext,
 };
 use bpfstor::lsm::sstable::{
     build_image, data_block_entries, data_block_search, index_block_search, ColdGet, ColdStep,

@@ -109,8 +109,7 @@ fn arb_config(d: &mut Draws) -> (MachineConfig, DispatchMode) {
         ..costs_from(&costs)
     };
     let fabric = FabricConfig {
-        to_target: d.latency(scale),
-        to_host: d.latency(scale),
+        latency: d.latency(scale),
         target_proc_ns: d.time(scale),
         inflight_cap: d.count(&[0, 1, usize::MAX]),
         initiators: d.count(&[0, 1, 0xFFF0, 0xFFF1, usize::MAX]),
@@ -140,10 +139,8 @@ fn arb_config(d: &mut Draws) -> (MachineConfig, DispatchMode) {
         irq_coalesce_us: d.time(scale) / 1_000,
         irq_coalesce_depth: d.among(&[0, 1, u32::MAX.into()], 1, 16) as u32,
         reap_mode,
-        transport: match on_fabric {
-            true => TransportConfig::Fabric(fabric),
-            false => TransportConfig::Local,
-        },
+        fair_reap: d.word().is_multiple_of(2),
+        fabric: on_fabric.then_some(fabric),
         exec_engine: [ExecEngine::Compiled, ExecEngine::Interp][(d.word() % 2) as usize],
         exec_clock: None,
         commit_policy,
@@ -164,9 +161,9 @@ fn arb_config(d: &mut Draws) -> (MachineConfig, DispatchMode) {
             1 => cfg.costs.app_think = past,
             2 => cfg.profile.write_latency = LatencyDist::Uniform(0, past),
             3 => cfg.irq_coalesce_us = past / 1_000,
-            _ => match &mut cfg.transport {
-                TransportConfig::Fabric(f) => f.target_proc_ns = past,
-                TransportConfig::Local => cfg.costs.syscall = past,
+            _ => match &mut cfg.fabric {
+                Some(f) => f.target_proc_ns = past,
+                None => cfg.costs.syscall = past,
             },
         }
     }
@@ -227,7 +224,7 @@ fn predicted_refusal(cfg: &MachineConfig) -> Option<ConfigError> {
     refuse(cfg.fs_blocks == 0, FsBlocks);
     refuse(over(us(cfg.irq_coalesce_us)), TooLong("irq_coalesce_us"));
     refuse(cfg.irq_coalesce_depth == 0, IrqCoalesceDepth);
-    if let TransportConfig::Fabric(f) = &cfg.transport {
+    if let Some(f) = &cfg.fabric {
         refuse(f.inflight_cap == 0, Device(Dev::InflightCap));
         let initiators = f.initiators;
         refuse(
@@ -235,14 +232,11 @@ fn predicted_refusal(cfg: &MachineConfig) -> Option<ConfigError> {
             Device(Dev::Initiators(initiators)),
         );
         refuse(!(0.0..=0.99).contains(&f.loss_prob), Device(Dev::LossProb));
-        let times = [
-            ("to_target", longest(&f.to_target)),
-            ("to_host", longest(&f.to_host)),
-            ("target_proc_ns", f.target_proc_ns),
-        ];
-        for (field, ns) in times {
-            refuse(over(ns), Device(Dev::TooLong(field)));
-        }
+        refuse(over(longest(&f.latency)), Device(Dev::TooLong("latency")));
+        refuse(
+            over(f.target_proc_ns),
+            Device(Dev::TooLong("target_proc_ns")),
+        );
     }
     match cfg.commit_policy {
         CommitPolicy::Group {
@@ -313,7 +307,7 @@ fn edited(edit: impl FnOnce(&mut MachineConfig)) -> MachineConfig {
 fn on_link(edit: impl FnOnce(&mut FabricConfig)) -> MachineConfig {
     let mut link = FabricConfig::default();
     edit(&mut link);
-    edited(|c| c.transport = TransportConfig::Fabric(link))
+    edited(|c| c.fabric = Some(link))
 }
 
 #[test]
@@ -364,8 +358,8 @@ fn configs_found_one_at_a_time_are_refused_by_name() {
             Device(Dev::TooLong("read_latency")),
         ),
         (
-            on_link(|l| l.to_host = LatencyDist::Uniform(0, u64::MAX)),
-            Device(Dev::TooLong("to_host")),
+            on_link(|l| l.latency = LatencyDist::Uniform(0, u64::MAX)),
+            Device(Dev::TooLong("latency")),
         ),
     ];
     for (cfg, refusal) in cases {

@@ -276,16 +276,12 @@ proptest! {
         threads in 1usize..4,
         seed in any::<u64>(),
     ) {
-        let transport = if fabric {
-            TransportConfig::Fabric(FabricConfig::symmetric(9_000, 2_000))
-        } else {
-            TransportConfig::Local
-        };
+        let link = fabric.then(|| FabricConfig::symmetric(9_000, 2_000));
         let cores = if tight { 1 } else { 2 };
         let mut m = machine(MachineConfig {
             cores,
             seed,
-            transport,
+            fabric: link,
             fs_blocks: ISO_FS_BLOCKS,
             ..MachineConfig::default()
         });

@@ -18,7 +18,7 @@ fn run_crash_writers(
 ) -> (Machine, RunReport) {
     let mut cfg = MachineConfig {
         cores: 1,
-        ..crash_cfg(policy, seed, TransportConfig::Local)
+        ..crash_cfg(policy, seed, None)
     };
     cfg.profile.queue_depth = 2;
     let [other, wal] = relocate_at;
@@ -35,12 +35,12 @@ fn run_crash_writers(
     )
 }
 
-/// A machine under `policy`, `seed` and `transport`.
-fn crash_cfg(policy: CommitPolicy, seed: u64, transport: TransportConfig) -> MachineConfig {
+/// A machine under `policy`, `seed` and `fabric`.
+fn crash_cfg(policy: CommitPolicy, seed: u64, fabric: Option<FabricConfig>) -> MachineConfig {
     MachineConfig {
         commit_policy: policy,
         seed,
-        transport,
+        fabric,
         ..MachineConfig::default()
     }
 }
@@ -65,8 +65,7 @@ fn run_crash_writers_on(
             .expect("create");
     }
     for &(name, at) in relocations {
-        let name = name.to_string();
-        m.schedule_mutation(at, Mutation::Relocate { name });
+        m.schedule_relocation(at, name);
     }
     let mut d = support::writes(fd, SECTOR_SIZE, writes, fsync_every);
     (d.mode, d.state.final_fsync) = (mode, final_fsync);
@@ -229,7 +228,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let link = || {
-            TransportConfig::Fabric(
+            Some(
                 FabricConfig::symmetric(20_000, 4_000)
                     .with_initiators(2)
                     .with_contention()

@@ -174,8 +174,7 @@ proptest! {
         profile.queue_depth = depth;
         let dev = bpfstor::device::NvmeDevice::new(profile, 1, SimRng::seed(0xFAB));
         let cfg = FabricConfig {
-            to_target: LatencyDist::Uniform(one_way - jitter, one_way + jitter),
-            to_host: LatencyDist::Uniform(one_way - jitter, one_way + jitter),
+            latency: LatencyDist::Uniform(one_way - jitter, one_way + jitter),
             target_proc_ns: 250,
             inflight_cap: cap,
             ..FabricConfig::default()
@@ -330,8 +329,7 @@ proptest! {
         profile.queue_depth = depth;
         let dev = bpfstor::device::NvmeDevice::new(profile, 1, SimRng::seed(0xFAB ^ rng_seed));
         let cfg = FabricConfig {
-            to_target: LatencyDist::Uniform(one_way - jitter, one_way + jitter),
-            to_host: LatencyDist::Uniform(one_way - jitter, one_way + jitter),
+            latency: LatencyDist::Uniform(one_way - jitter, one_way + jitter),
             target_proc_ns: 250,
             initiators,
             contended,
