@@ -8,9 +8,8 @@
 //!
 //! - [`session`]: the workload-generic pushdown facade —
 //!   [`PushdownSession`] drives any [`PushdownWorkload`] through any
-//!   dispatch mode, handling program installation (typed
-//!   [`ProgHandle`]s), extent re-arming, and
-//!   automatic retry on invalidation;
+//!   dispatch mode, handling program installation, extent re-arming,
+//!   and automatic retry on invalidation;
 //! - [`workloads`]: the four in-tree workloads — [`Btree`], [`Sst`],
 //!   [`Scan`], [`Chase`];
 //! - [`progs`]: verified program generators — B-tree traversal, cold
@@ -50,8 +49,8 @@ pub mod workloads;
 pub use bpfstor_kernel::{
     ChainSpec, ChainStatus, ChainToken, ChainVerdict, CommitLog, CommitPolicy, CommitStats,
     ConfigError, DispatchMode, ExecClock, ExecEngine, ExecSplit, FabricConfig, FabricStats,
-    InitiatorStats, MachineConfig, ModeTransition, ProgHandle, ReapKind, ReapMode, ReaperStats,
-    RunReport, WriteStart,
+    InitiatorStats, MachineConfig, ModeTransition, ReapKind, ReapMode, ReaperStats, RunReport,
+    WriteStart,
 };
 pub use bpfstor_kernel::{TenantBreakdown, TenantId, TenantLimits, DEFAULT_TENANT};
 pub use group::{TenantGroup, TenantGroupBuilder};

@@ -11,11 +11,11 @@
 //! [`Chase`](crate::workloads::Chase) are the four in-tree
 //! implementations.
 //!
-//! A [`PushdownSession`] owns a simulated machine, the workload's file,
-//! and (for hook modes) the installed program's [`ProgHandle`]. It
-//! offers the same surface for every workload — [`lookup`],
-//! [`run_closed_loop`], [`run_uring`] — and handles the §4 failure
-//! protocol automatically: a chain that ends in
+//! A [`PushdownSession`] owns a simulated machine and the workload's
+//! file, on whose descriptor (for hook modes) the workload's program is
+//! installed. It offers the same surface for every workload —
+//! [`lookup`], [`run_closed_loop`], [`run_uring`] — and handles the §4
+//! failure protocol automatically: a chain that ends in
 //! [`ChainStatus::ExtentMiss`] or [`ChainStatus::Invalidated`] is
 //! re-armed (the install ioctl reruns) and retried up to a configurable
 //! budget, without the caller ever seeing the failure.
@@ -35,7 +35,7 @@
 use bpfstor_kernel::{
     ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainStatus, ChainToken, ChainVerdict,
     CommitPolicy, ConfigError, DispatchMode, ExecEngine, FabricConfig, Fd, KernelError, Machine,
-    MachineConfig, ProgHandle, ReapMode, RunReport, TenantId, UserNext, WriteStart, DEFAULT_TENANT,
+    MachineConfig, ReapMode, RunReport, TenantId, UserNext, WriteStart, DEFAULT_TENANT,
 };
 use bpfstor_sim::{Nanos, SimRng, SECOND};
 use bpfstor_vm::Program;
@@ -445,12 +445,6 @@ impl<W: PushdownWorkload> PushdownSession<W> {
         self.member.fd
     }
 
-    /// The installed program's handle (`None` in
-    /// [`DispatchMode::User`]).
-    pub fn handle(&self) -> Option<ProgHandle> {
-        self.member.handle
-    }
-
     /// The workload's on-disk file name.
     pub fn file_name(&self) -> &str {
         &self.file_name
@@ -629,7 +623,6 @@ struct OneShot<W: PushdownWorkload> {
 pub struct Member<W: PushdownWorkload> {
     workload: W,
     fd: Fd,
-    handle: Option<ProgHandle>,
     mode: DispatchMode,
     retry_budget: u32,
     stats: SessionStats,
@@ -671,16 +664,12 @@ impl<W: PushdownWorkload> Member<W> {
         let fd = machine.open_for(tenant, file_name)?;
         // Only the hook modes run a program; User and Remote traverse
         // natively from the application.
-        let handle = match mode {
-            DispatchMode::SyscallHook | DispatchMode::DriverHook => {
-                Some(machine.install(fd, workload.program(), workload.install_flags())?)
-            }
-            DispatchMode::User | DispatchMode::Remote => None,
-        };
+        if let DispatchMode::SyscallHook | DispatchMode::DriverHook = mode {
+            machine.install(fd, workload.program(), workload.install_flags())?;
+        }
         Ok(Member {
             workload,
             fd,
-            handle,
             mode,
             retry_budget,
             stats: SessionStats::default(),

@@ -755,7 +755,6 @@ pub struct Chase {
     hops: u64,
     max_chains: u64,
     issued: u64,
-    random_start: bool,
 }
 
 impl Chase {
@@ -770,15 +769,7 @@ impl Chase {
             hops,
             max_chains: u64::MAX,
             issued: 0,
-            random_start: false,
         }
-    }
-
-    /// Starts closed-loop chains at uniformly random blocks instead of
-    /// block 0 (chains get varying lengths; the payload is identical).
-    pub fn random_start(mut self, random: bool) -> Self {
-        self.random_start = random;
-        self
     }
 
     /// Stops closed-loop runs after this many chains.
@@ -830,16 +821,12 @@ impl PushdownWorkload for Chase {
         }
     }
 
-    fn next_request(&mut self, rng: &mut SimRng) -> Option<u64> {
+    fn next_request(&mut self, _rng: &mut SimRng) -> Option<u64> {
         if self.issued >= self.max_chains {
             return None;
         }
         self.issued += 1;
-        Some(if self.random_start {
-            rng.below(self.hops) * BLOCK as u64
-        } else {
-            0
-        })
+        Some(0)
     }
 
     fn user_step(&mut self, _token: &ChainToken, data: &[u8]) -> UserNext {

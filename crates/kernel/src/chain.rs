@@ -17,9 +17,8 @@
 //! Every in-flight chain is identified by a [`ChainToken`] minted by the
 //! kernel when the chain starts. The token — not the lookup key — is the
 //! identity drivers key per-chain state on, so two concurrent chains for
-//! the same key can never collide. Installed programs are referred to by
-//! [`ProgHandle`]s with an explicit attach/detach lifecycle (see
-//! [`crate::Machine::install`]).
+//! the same key can never collide. A descriptor runs the program last
+//! installed on it (see [`crate::Machine::install`]).
 
 use bpfstor_device::{DeviceStats, FabricStats, InitiatorStats};
 use bpfstor_fs::BlockOwnership;
@@ -31,21 +30,6 @@ use crate::trace::{ExecSplit, LayerTrace};
 
 /// A file descriptor in the simulated kernel.
 pub type Fd = u32;
-
-/// A typed reference to one program installed on one descriptor.
-///
-/// Returned by [`crate::Machine::install`]; passed to
-/// [`crate::Machine::attach`] / [`crate::Machine::detach`] /
-/// [`crate::Machine::unload`] and [`crate::Machine::map_value`]. A
-/// descriptor can hold several installed programs; at most one is
-/// *attached* (runs at the hook) at a time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ProgHandle {
-    /// The descriptor the program is installed on.
-    pub fd: Fd,
-    /// Slot within the descriptor's program table.
-    pub slot: u32,
-}
 
 /// Kernel-minted identity of one in-flight chain (one *attempt* of a
 /// logical request).
@@ -116,7 +100,7 @@ impl DispatchMode {
 /// The first I/O of a new chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainStart {
-    /// Target file descriptor (must have an attached program for hook
+    /// Target file descriptor (must have an installed program for hook
     /// modes).
     pub fd: Fd,
     /// Byte offset of the first read.

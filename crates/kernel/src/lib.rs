@@ -34,7 +34,7 @@ pub use bpfstor_device::{FabricConfig, FabricStats, InitiatorStats};
 pub use bpfstor_vm::ExecEngine;
 pub use chain::{
     Broken, ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainStatus, ChainToken,
-    ChainVerdict, DispatchMode, Fd, Law, ProgHandle, RunReport, UserNext, WriteStart,
+    ChainVerdict, DispatchMode, Fd, Law, RunReport, UserNext, WriteStart,
 };
 pub use commit::{CommitLog, CommitPolicy, CommitStats};
 pub use config::{ConfigError, ExecClock, MachineConfig};

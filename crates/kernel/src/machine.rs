@@ -168,7 +168,7 @@ use bpfstor_vm::{
 
 use crate::chain::{
     ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainStatus, ChainToken, ChainVerdict,
-    DispatchMode, Fd, ProgHandle, RunReport, UserNext, WriteStart,
+    DispatchMode, Fd, RunReport, UserNext, WriteStart,
 };
 use crate::commit::{Barrier, CommitLog, Request, Tick};
 use crate::config::{ConfigError, ExecClock, MachineConfig};
@@ -178,18 +178,16 @@ use crate::reaper::{FairSched, ReapKind, Reaper, POLL_INTERVAL_NS};
 use crate::tenant::{SqAdmission, TenantBreakdown, TenantId, TenantLimits, DEFAULT_TENANT};
 use crate::trace::{ExecSplit, LayerTrace};
 
-/// Errors from control-plane operations (open/install/attach/re-arm).
+/// Errors from control-plane operations (open/install/re-arm).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KernelError {
     /// Unknown file name.
     NoSuchFile,
     /// Unknown fd.
     BadFd(Fd),
-    /// Stale or unknown program handle.
-    BadHandle(ProgHandle),
     /// Program rejected by the verifier.
     Verifier(String),
-    /// No program attached to the fd.
+    /// No program installed on the fd.
     NotInstalled,
     /// File-system failure.
     Fs(String),
@@ -204,9 +202,6 @@ impl std::fmt::Display for KernelError {
         match self {
             KernelError::NoSuchFile => write!(f, "no such file"),
             KernelError::BadFd(fd) => write!(f, "bad fd {fd}"),
-            KernelError::BadHandle(h) => {
-                write!(f, "bad program handle (fd {}, slot {})", h.fd, h.slot)
-            }
             KernelError::Verifier(e) => write!(f, "verifier rejected program: {e}"),
             KernelError::NotInstalled => write!(f, "no program attached to fd"),
             KernelError::Fs(e) => write!(f, "fs: {e}"),
@@ -249,25 +244,13 @@ struct Install {
     compiled: Option<CompiledProg>,
 }
 
-/// Per-descriptor program table: several loaded programs, at most one
-/// attached (running at the hook).
-#[derive(Default)]
-struct ProgTable {
-    /// Indexed by [`ProgHandle::slot`]; an unloaded slot is never reused.
-    progs: Vec<Option<Install>>,
-    attached: Option<u32>,
-}
-
-impl ProgTable {
-    fn get_mut(&mut self, slot: u32) -> Option<&mut Install> {
-        self.progs.get_mut(slot as usize)?.as_mut()
-    }
-}
-
-/// One open descriptor: what it names and the programs loaded on it.
+/// One open descriptor: what it names and the program last installed
+/// on it, which runs at its hook. Boxed, so the descriptor table's
+/// slots stay small: the kernel's sync descriptor and user-path
+/// descriptors hold no program.
 struct Desc {
     st: FdState,
-    progs: ProgTable,
+    prog: Option<Box<Install>>,
 }
 
 #[derive(Debug)]
@@ -827,8 +810,7 @@ impl Machine {
         let fd = self.next_fd;
         self.next_fd += 1;
         let st = FdState { ino, tenant };
-        let progs = ProgTable::default();
-        self.fds.insert(fd, Desc { st, progs });
+        self.fds.insert(fd, Desc { st, prog: None });
         Ok(fd)
     }
 
@@ -877,24 +859,14 @@ impl Machine {
     }
 
     /// The install ioctl (§4): verifies the program, instantiates its
-    /// maps, loads it into the descriptor's program table, attaches it
-    /// (replacing any currently attached program at the hook), and
-    /// pushes the file's extent snapshot to the NVMe layer.
-    ///
-    /// The returned [`ProgHandle`] names the loaded program for
-    /// [`Machine::attach`] / [`Machine::detach`] / [`Machine::unload`]
-    /// and [`Machine::map_value`]. A descriptor can hold several loaded
-    /// programs and switch between them without re-verifying.
+    /// maps, replaces the descriptor's program (and its maps) at the
+    /// hook, and pushes the file's extent snapshot to the NVMe layer.
     ///
     /// # Errors
     ///
-    /// Verifier rejections and bad descriptors.
-    pub fn install(
-        &mut self,
-        fd: Fd,
-        prog: Program,
-        flags: u32,
-    ) -> Result<ProgHandle, KernelError> {
+    /// Verifier rejections and bad descriptors; either leaves the
+    /// descriptor's program as it was.
+    pub fn install(&mut self, fd: Fd, prog: Program, flags: u32) -> Result<(), KernelError> {
         let st = self.fds.get(&fd).ok_or(KernelError::BadFd(fd))?.st;
         let budget = self.tenants[st.tenant as usize]
             .insn_budget
@@ -912,83 +884,13 @@ impl Machine {
             ExecEngine::Compiled => Some(verified.compile()),
             ExecEngine::Interp => None,
         };
-        let table = &mut self.fds.get_mut(&fd).expect("checked above").progs;
-        let slot = table.progs.len() as u32;
-        table.progs.push(Some(Install {
+        self.fds.get_mut(&fd).expect("checked above").prog = Some(Box::new(Install {
             prog,
             maps,
             flags,
             compiled,
         }));
-        table.attached = Some(slot);
-        Ok(ProgHandle { fd, slot })
-    }
-
-    /// Attaches a previously loaded program to its descriptor's hook
-    /// (detaching whatever was attached) and re-arms the extent
-    /// snapshot, as activating a program requires a fresh snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::BadHandle`] for unknown/unloaded handles.
-    pub fn attach(&mut self, handle: ProgHandle) -> Result<(), KernelError> {
-        let desc = self
-            .fds
-            .get_mut(&handle.fd)
-            .ok_or(KernelError::BadFd(handle.fd))?;
-        if desc.progs.get_mut(handle.slot).is_none() {
-            return Err(KernelError::BadHandle(handle));
-        }
-        desc.progs.attached = Some(handle.slot);
-        let ino = desc.st.ino;
-        self.snapshot_extents(ino)
-    }
-
-    /// Detaches the program from its descriptor's hook; the program
-    /// stays loaded and can be re-attached. Tagged I/O on the fd fails
-    /// with a VM error until another program is attached.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::BadHandle`] if the handle is not loaded or not the
-    /// attached program.
-    pub fn detach(&mut self, handle: ProgHandle) -> Result<(), KernelError> {
-        let table = self.table_mut(handle)?;
-        if table.attached != Some(handle.slot) {
-            return Err(KernelError::BadHandle(handle));
-        }
-        table.attached = None;
         Ok(())
-    }
-
-    /// Unloads a program entirely (detaching it first if attached),
-    /// dropping its maps.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::BadHandle`] for unknown handles.
-    pub fn unload(&mut self, handle: ProgHandle) -> Result<(), KernelError> {
-        let table = self.table_mut(handle)?;
-        let loaded = table.progs.get_mut(handle.slot as usize);
-        if loaded.and_then(Option::take).is_none() {
-            return Err(KernelError::BadHandle(handle));
-        }
-        if table.attached == Some(handle.slot) {
-            table.attached = None;
-        }
-        Ok(())
-    }
-
-    fn table_mut(&mut self, handle: ProgHandle) -> Result<&mut ProgTable, KernelError> {
-        let desc = self.fds.get_mut(&handle.fd);
-        desc.map(|d| &mut d.progs)
-            .ok_or(KernelError::BadHandle(handle))
-    }
-
-    /// The handle of the program currently attached to `fd`, if any.
-    pub fn attached(&self, fd: Fd) -> Option<ProgHandle> {
-        let attached = self.fds.get(&fd)?.progs.attached;
-        attached.map(|slot| ProgHandle { fd, slot })
     }
 
     /// Pushes a fresh extent snapshot for `ino` to the NVMe layer.
@@ -1004,18 +906,19 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`KernelError::NotInstalled`] when no program is attached.
+    /// [`KernelError::NotInstalled`] when no program was installed.
     pub fn rearm(&mut self, fd: Fd) -> Result<(), KernelError> {
         let desc = self.fds.get(&fd).ok_or(KernelError::BadFd(fd))?;
-        if desc.progs.attached.is_none() {
+        if desc.prog.is_none() {
             return Err(KernelError::NotInstalled);
         }
         self.snapshot_extents(desc.st.ino)
     }
 
-    /// Reads back a program's map value after a run (for stats maps).
-    pub fn map_value(&mut self, handle: ProgHandle, map_id: u32, key: &[u8]) -> Option<Vec<u8>> {
-        let install = self.fds.get_mut(&handle.fd)?.progs.get_mut(handle.slot)?;
+    /// Reads back a map value of the program installed on `fd` after a
+    /// run (for stats maps).
+    pub fn map_value(&mut self, fd: Fd, map_id: u32, key: &[u8]) -> Option<Vec<u8>> {
+        let install = self.fds.get_mut(&fd)?.prog.as_mut()?;
         install
             .maps
             .lookup(map_id, key)
@@ -1049,7 +952,7 @@ impl Machine {
         self.extcache.stats()
     }
 
-    /// Resolves an fd to its inode (test helper).
+    /// Resolves an fd to its inode.
     pub fn ino_of(&self, fd: Fd) -> Option<u64> {
         self.fds.get(&fd).map(|d| d.st.ino)
     }
@@ -1188,8 +1091,8 @@ impl Machine {
     /// A reusable internal descriptor for by-inode synchronous I/O.
     fn sync_fd(&mut self, ino: u64) -> Fd {
         const SYNC_FD: Fd = u32::MAX;
-        let (st, progs) = (FdState::kernel(ino), ProgTable::default());
-        self.fds.insert(SYNC_FD, Desc { st, progs });
+        let st = FdState::kernel(ino);
+        self.fds.insert(SYNC_FD, Desc { st, prog: None });
         SYNC_FD
     }
 
@@ -2275,7 +2178,7 @@ impl Machine {
         }
     }
 
-    /// Runs the attached program over the completed block. Returns the
+    /// Runs the descriptor's program over the completed block. Returns the
     /// offset to resubmit when the chain continues (`None`: the op's
     /// status is set and the chain is terminal) and the instructions
     /// retired.
@@ -2293,8 +2196,7 @@ impl Machine {
             .insn_budget
             .map(|b| b.saturating_sub(op.insns_used))
             .unwrap_or(DEFAULT_INSN_BUDGET);
-        let table = self.fds.get_mut(&op.fd).map(|d| &mut d.progs);
-        let install = table.and_then(|t| t.get_mut(t.attached?));
+        let install = self.fds.get_mut(&op.fd).and_then(|d| d.prog.as_mut());
         match install {
             None => {
                 op.status = Some(ChainStatus::VmError("no program attached".to_string()));

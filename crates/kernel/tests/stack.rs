@@ -16,7 +16,7 @@ use bpfstor_kernel::{
     MachineConfig, ReapKind, ReapMode, RunReport, TenantBreakdown, TenantLimits, DEFAULT_TENANT,
 };
 use bpfstor_sim::{Nanos, SimRng, MILLISECOND, SECOND};
-use bpfstor_vm::{action, ctx_off, Asm, Program, Width};
+use bpfstor_vm::{action, ctx_off, Asm, MapSpec, Program, Width};
 use support::{
     chain_file, chase, chase_program, chase_step, exact_link, machine, machine_with, read, reads,
     write, writes, Reads, Script, Writes, CHAIN_VALUE,

@@ -207,62 +207,52 @@ fn unverifiable_program_rejected_at_install() {
     }
 }
 
-/// A trivial program that halts every chain immediately.
+/// A trivial program that halts every chain immediately; it declares
+/// one 8-byte array slot it never touches.
 fn halt_program() -> Program {
     let mut a = Asm::new();
     a.mov64_imm(0, action::ACT_HALT as i32).exit();
-    Program::new(a.finish().expect("assembles"))
+    Program::with_maps(a.finish().expect("assembles"), vec![MapSpec::array(8, 1)])
 }
 
 #[test]
-fn program_handles_attach_detach_lifecycle() {
+fn a_reinstall_replaces_the_program_and_its_maps() {
     let (mut m, fd) = machine_with(MachineConfig::default(), "chain.db", &chain_file(4), None);
+    let run = |m: &mut Machine, fd: Fd| {
+        let mut d = chase(fd, DispatchMode::DriverHook, 1);
+        let _ = m.run_closed_loop(1, SECOND, &mut d);
+        d.outcomes[0].status.clone()
+    };
+    let key = 0u32.to_le_bytes();
 
-    // Two programs loaded on one descriptor; the latest install is the
-    // attached one.
-    let chase_prog = m.install(fd, chase_program(), 0).expect("install chase");
-    let halt = m.install(fd, halt_program(), 0).expect("install halt");
-    assert_ne!(chase_prog, halt, "each install gets its own handle");
-    assert_eq!(m.attached(fd), Some(halt));
+    // Each install replaces the program at the hook, maps and all:
+    // chase, then halt, then chase again.
+    m.install(fd, chase_program(), 0).expect("install chase");
+    m.install(fd, halt_program(), 0).expect("install halt");
+    assert_eq!(run(&mut m, fd), ChainStatus::Halted);
+    assert_eq!(m.map_value(fd, 0, &key), Some(vec![0; 8]), "halt's map");
+    m.install(fd, chase_program(), 0).expect("reinstall chase");
+    let status = run(&mut m, fd);
+    assert!(matches!(status, ChainStatus::Emitted(_)), "{status:?}");
+    assert_eq!(m.map_value(fd, 0, &key), None, "halt's map went with it");
 
-    let mut d = chase(fd, DispatchMode::DriverHook, 1);
-    let _ = m.run_closed_loop(1, SECOND, &mut d);
-    assert_eq!(d.outcomes[0].status, ChainStatus::Halted, "halt prog runs");
+    // A rejected install keeps the previous program.
+    let mut a = Asm::new();
+    a.ldx(Width::DW, 2, 1, ctx_off::DATA)
+        .ldx(Width::B, 0, 2, 0) // unchecked data access
+        .exit();
+    let unchecked = Program::new(a.finish().expect("assembles"));
+    let err = m.install(fd, unchecked, 0).unwrap_err();
+    assert!(matches!(err, KernelError::Verifier(_)), "{err:?}");
+    let status = run(&mut m, fd);
+    assert!(matches!(status, ChainStatus::Emitted(_)), "{status:?}");
 
-    // Switch back to the chase program without re-verifying.
-    m.attach(chase_prog).expect("attach");
-    assert_eq!(m.attached(fd), Some(chase_prog));
-    let mut d = chase(fd, DispatchMode::DriverHook, 1);
-    let _ = m.run_closed_loop(1, SECOND, &mut d);
-    assert!(
-        matches!(d.outcomes[0].status, ChainStatus::Emitted(_)),
-        "chase prog runs after attach: {:?}",
-        d.outcomes[0].status
-    );
-
-    // Detached descriptor: tagged I/O fails with a VM error.
-    m.detach(chase_prog).expect("detach");
-    assert_eq!(m.attached(fd), None);
-    let mut d = chase(fd, DispatchMode::DriverHook, 1);
-    let _ = m.run_closed_loop(1, SECOND, &mut d);
-    assert!(
-        matches!(d.outcomes[0].status, ChainStatus::VmError(_)),
-        "{:?}",
-        d.outcomes[0].status
-    );
-
-    // Unload invalidates the handle.
-    m.unload(halt).expect("unload");
-    assert_eq!(m.attach(halt), Err(KernelError::BadHandle(halt)));
-    assert_eq!(m.map_value(halt, 0, &[0u8; 4]), None);
-
-    // Detaching a program that is not attached is an error.
-    assert_eq!(
-        m.detach(chase_prog),
-        Err(KernelError::BadHandle(chase_prog))
-    );
-    // rearm needs an attached program.
-    assert_eq!(m.rearm(fd), Err(KernelError::NotInstalled));
+    // A descriptor nothing was installed on: a hook chain ends in a VM
+    // error, and there is nothing to re-arm.
+    let bare = m.open("chain.db", true).expect("open");
+    let no_program = ChainStatus::VmError("no program attached".to_string());
+    assert_eq!(run(&mut m, bare), no_program);
+    assert_eq!(m.rearm(bare), Err(KernelError::NotInstalled));
 }
 
 #[test]

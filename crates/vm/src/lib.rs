@@ -75,9 +75,7 @@ pub use compile::{compile, CompiledProg, ExecEngine};
 pub use interp::{ExecEnv, RecordingEnv, RunCtx, RunOutcome, Trap, Vm, DEFAULT_INSN_BUDGET};
 pub use maps::{MapKind, MapSet, MapSpec};
 pub use program::{action, ctx_off, helper, Program, EMIT_MAX, SCRATCH_SIZE};
-pub use verifier::{
-    admit, verify, verify_bounded, ResourceBudget, Verified, VerifiedStats, VerifyError,
-};
+pub use verifier::{admit, verify, ResourceBudget, Verified, VerifiedStats, VerifyError};
 
 // The unit tests draw from the same generator as the integration
 // suites (`tests/arb`), which has to name this crate from outside.

@@ -52,7 +52,7 @@
 //! with it, counts as if it had been walked again. That is what makes
 //! [`VerifiedStats::max_path`] the longest instruction path through the
 //! program rather than the longest the walk happened to take — the
-//! figure [`verify_bounded`] holds against a tenant's budget, so that a
+//! figure [`admit`] holds against a tenant's budget, so that a
 //! long arm joining a state a short arm reached first still counts:
 //!
 //! ```
@@ -303,7 +303,7 @@ impl State {
 /// assert!(verify(&Program::new(a.finish().unwrap())).is_ok());
 /// ```
 pub fn verify(prog: &Program) -> Result<VerifiedStats, VerifyError> {
-    verify_bounded(prog, None)
+    admit(prog, None).map(|verified| verified.stats)
 }
 
 /// A tenant's verification-time resource budget: the worst case a chain
@@ -324,41 +324,6 @@ pub struct ResourceBudget {
     pub max_insns: u64,
 }
 
-/// Verifies `prog` and enforces `budget` on its worst-case chain cost.
-///
-/// With `budget: None` this is exactly [`verify`]. With a budget, the
-/// longest verified path per invocation times the chain-depth bound must
-/// fit `max_insns`, or the program is rejected with
-/// [`VerifyErrorKind::BudgetExceeded`].
-///
-/// # Errors
-///
-/// Everything [`verify`] rejects, plus budget violations.
-///
-/// # Examples
-///
-/// ```
-/// use bpfstor_vm::asm::Asm;
-/// use bpfstor_vm::program::Program;
-/// use bpfstor_vm::verifier::{verify_bounded, ResourceBudget};
-///
-/// let mut a = Asm::new();
-/// a.mov64_imm(0, 0).exit();
-/// let prog = Program::new(a.finish().unwrap());
-/// // Two instructions per hop, 4 hops: a budget of 8 admits it...
-/// let b = ResourceBudget { chain_depth: 4, max_insns: 8 };
-/// assert!(verify_bounded(&prog, Some(b)).is_ok());
-/// // ...a budget of 7 rejects it at install time.
-/// let b = ResourceBudget { chain_depth: 4, max_insns: 7 };
-/// assert!(verify_bounded(&prog, Some(b)).is_err());
-/// ```
-pub fn verify_bounded(
-    prog: &Program,
-    budget: Option<ResourceBudget>,
-) -> Result<VerifiedStats, VerifyError> {
-    admit(prog, budget).map(|verified| verified.stats)
-}
-
 /// A program [`admit`] let in, with what the structural pass learnt of
 /// it: the token [`Verified::compile`] lowers, so that what runs is what
 /// was verified and lowering has nothing left to decline.
@@ -369,12 +334,36 @@ pub struct Verified<'p> {
     pub stats: VerifiedStats,
 }
 
-/// [`verify_bounded`], keeping the structure for the compiler: the one
-/// call an installer makes.
+/// Verifies `prog` and enforces `budget` on its worst-case chain cost,
+/// keeping the structure for the compiler: the one call an installer
+/// makes.
+///
+/// With `budget: None` this admits exactly what [`verify`] does. With a
+/// budget, the longest verified path per invocation times the
+/// chain-depth bound must fit `max_insns`, or the program is rejected
+/// with [`VerifyErrorKind::BudgetExceeded`].
 ///
 /// # Errors
 ///
-/// Everything [`verify_bounded`] rejects.
+/// Everything [`verify`] rejects, plus budget violations.
+///
+/// # Examples
+///
+/// ```
+/// use bpfstor_vm::asm::Asm;
+/// use bpfstor_vm::program::Program;
+/// use bpfstor_vm::verifier::{admit, ResourceBudget};
+///
+/// let mut a = Asm::new();
+/// a.mov64_imm(0, 0).exit();
+/// let prog = Program::new(a.finish().unwrap());
+/// // Two instructions per hop, 4 hops: a budget of 8 admits it...
+/// let b = ResourceBudget { chain_depth: 4, max_insns: 8 };
+/// assert!(admit(&prog, Some(b)).is_ok());
+/// // ...a budget of 7 rejects it at install time.
+/// let b = ResourceBudget { chain_depth: 4, max_insns: 7 };
+/// assert!(admit(&prog, Some(b)).is_err());
+/// ```
 pub fn admit(prog: &Program, budget: Option<ResourceBudget>) -> Result<Verified<'_>, VerifyError> {
     let structure = Structure::of(prog)?;
     let stats = structure.explore(hash_at)?;
@@ -2431,9 +2420,9 @@ mod tests {
                 max_insns,
             })
         };
-        assert_eq!(verify_bounded(&prog, budget(97)), Ok(stats));
+        assert_eq!(admit(&prog, budget(97)).map(|v| v.stats), Ok(stats));
         assert_eq!(
-            verify_bounded(&prog, budget(96)).unwrap_err().kind,
+            admit(&prog, budget(96)).unwrap_err().kind,
             VerifyErrorKind::BudgetExceeded {
                 worst_case: 97,
                 budget: 96

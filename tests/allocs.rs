@@ -29,7 +29,8 @@
 //! calls and its transient peak of live bytes), and the machine itself,
 //! which holds host memory for what it uses, not for the queue depth and
 //! file-system size it declares — down to its latency histograms, which
-//! hold only the octaves their values span.
+//! hold only the octaves their values span — and for the programs its
+//! descriptors run: one each, the last installed.
 //!
 //! Every number this suite measures is a row of `tests/host_exact.csv`
 //! (`world,metric,value`, integers only), and each test compares the
@@ -44,7 +45,8 @@
 //! nothing, verification makes well under one heap call per ten
 //! analysed instructions, the journal retains less than one checkpoint
 //! trigger of committed records, a machine's footprint does not depend
-//! on the depth or size it declares, and a repeat run counts the same.
+//! on the depth or size it declares, 64 installs on one descriptor hold
+//! what one does, and a repeat run counts the same.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -530,8 +532,30 @@ fn a_machine_holds_what_it_uses_not_what_it_declares() {
 const MACHINE: &str = "default machine";
 
 #[test]
+fn a_descriptor_holds_only_the_program_last_installed_on_it() {
+    // Each install replaces the descriptor's program, its maps and its
+    // lowering, and re-snapshots the same extents: 64 installs of the
+    // B-tree program hold exactly the bytes one does.
+    let cfg = MachineConfig::default();
+    let (mut m, fd) = support::machine_with(cfg, "btree.db", &[7; 4096], None);
+    let before = LIVE.with(Cell::get);
+    let mut install = || m.install(fd, btree_lookup_program(), 0).expect("install");
+    install();
+    let one = LIVE.with(Cell::get) - before;
+    for _ in 1..64 {
+        install();
+    }
+    let held = LIVE.with(Cell::get) - before;
+    assert_eq!(held, one, "64 installs hold what one does");
+    check([(REINSTALLS, ["bytes_held"], [held as u64])]);
+}
+
+/// The world of the reinstall test above.
+const REINSTALLS: &str = "64 btree installs on one descriptor";
+
+#[test]
 fn every_committed_row_belongs_to_a_measured_world() {
-    let mut worlds = vec![JOURNALED, MACHINE];
+    let mut worlds = vec![JOURNALED, MACHINE, REINSTALLS];
     worlds.extend(LOOPS.map(|l| l.0));
     worlds.extend(WRITE_LOOPS.map(|l| l.0));
     worlds.extend(PROGRAMS.map(|p| p.0));

@@ -7,7 +7,7 @@ use bpfstor::core::{
     btree_lookup_program_with_stats, stats_slot, Btree, Chase, DispatchMode, PushdownSession, Scan,
     SessionError, Sst, CHASE_PAYLOAD,
 };
-use bpfstor::kernel::{Machine, ProgHandle};
+use bpfstor::kernel::{Fd, Machine};
 use bpfstor::lsm::Value;
 use bpfstor::sim::{MILLISECOND, SECOND};
 
@@ -72,7 +72,7 @@ fn all_four_workloads_run_in_all_three_modes_closed_loop() {
         assert_eq!(stats.errors, 0, "scan {mode:?}");
 
         // Pointer chase.
-        let mut s = PushdownSession::builder(Chase::hops(6).max_chains(10).random_start(true))
+        let mut s = PushdownSession::builder(Chase::hops(6).max_chains(10))
             .dispatch(mode)
             .build()
             .expect("chase session");
@@ -368,38 +368,37 @@ fn malformed_index_block_on_the_user_path_is_a_miss_not_a_panic() {
     assert_eq!(sst.decode(&token, &delivered), Ok(None));
 }
 
-// --- Program handles ----------------------------------------------------------
+// --- Installed programs -------------------------------------------------------
 
 #[test]
 fn stats_map_counts_kernel_side_through_the_handle() {
-    // Build a depth-4 session, then swap in the stats-map program
-    // variant; its handle addresses the map afterwards.
+    // Build a depth-4 session, then reinstall the stats-map program
+    // variant on its descriptor; the descriptor addresses the map
+    // afterwards.
     let mut s = PushdownSession::builder(Btree::depth(4).max_chains(25))
         .dispatch(DispatchMode::DriverHook)
         .build()
         .expect("session");
     let fd = s.fd();
-    let stats_handle = s
-        .machine_mut()
+    s.machine_mut()
         .install(fd, btree_lookup_program_with_stats(), 0)
         .expect("install stats variant");
-    assert_ne!(Some(stats_handle), s.handle(), "a second, distinct handle");
 
     let (report, stats) = s.run_closed_loop(1, SECOND);
     assert_eq!(report.errors, 0);
     assert_eq!(stats.mismatches, 0, "stats variant returns correct values");
 
-    let slot = |m: &mut Machine, h: ProgHandle, s: u32| -> u64 {
+    let slot = |m: &mut Machine, fd: Fd, s: u32| -> u64 {
         let v = m
-            .map_value(h, 0, &s.to_le_bytes())
+            .map_value(fd, 0, &s.to_le_bytes())
             .expect("map value readable after the run");
         u64::from_le_bytes(v.try_into().expect("8B"))
     };
     let m = s.machine_mut();
-    let invocations = slot(m, stats_handle, stats_slot::INVOCATIONS);
-    let resubmits = slot(m, stats_handle, stats_slot::RESUBMITS);
-    let hits = slot(m, stats_handle, stats_slot::HITS);
-    let misses = slot(m, stats_handle, stats_slot::MISSES);
+    let invocations = slot(m, fd, stats_slot::INVOCATIONS);
+    let resubmits = slot(m, fd, stats_slot::RESUBMITS);
+    let hits = slot(m, fd, stats_slot::HITS);
+    let misses = slot(m, fd, stats_slot::MISSES);
 
     assert_eq!(invocations, 25 * 4, "one invocation per hop");
     assert_eq!(resubmits, 25 * 3, "three interior hops per depth-4 lookup");
