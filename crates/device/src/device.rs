@@ -108,8 +108,6 @@ pub enum CmdKind {
 pub struct NvmeCompletion {
     /// Echoed command id.
     pub cid: u64,
-    /// Queue pair the command was submitted on.
-    pub qp: QueuePairId,
     /// What class of command completed.
     pub kind: CmdKind,
     /// Simulated time at which the command finishes on its channel (the
@@ -117,8 +115,6 @@ pub struct NvmeCompletion {
     pub complete_at: Nanos,
     /// Read payload (empty for writes/flushes).
     pub data: Vec<u8>,
-    /// Device channel that serviced the command (for utilization stats).
-    pub channel: usize,
     /// Non-device time a transport added on top of the service instant
     /// (wire latency + target-side capsule processing). Zero straight
     /// off the device; the fabric transport fills it in.
@@ -323,7 +319,7 @@ impl NvmeDevice {
         let mut wrote = false;
         while let Some(cmd) = self.queues[qp].sq.pop() {
             wrote |= !matches!(cmd.op, NvmeOp::Read { .. });
-            let done = self.service(now, qp, cmd);
+            let done = self.service(now, cmd);
             self.times.push(done.complete_at);
             self.queues[qp].inflight.push(done);
         }
@@ -455,7 +451,7 @@ impl NvmeDevice {
         self.stats.reap_lag_ns = lag.fold(self.stats.reap_lag_ns, Nanos::saturating_add);
     }
 
-    fn service(&mut self, now: Nanos, qp: QueuePairId, cmd: NvmeCommand) -> NvmeCompletion {
+    fn service(&mut self, now: Nanos, cmd: NvmeCommand) -> NvmeCompletion {
         // Earliest-free channel, lowest index on ties (deterministic).
         let mut ch = 0;
         for (i, &t) in self.channels.iter().enumerate().skip(1) {
@@ -497,11 +493,9 @@ impl NvmeDevice {
                 self.stats.busy_ns += extra;
                 return NvmeCompletion {
                     cid: cmd.cid,
-                    qp,
                     kind: CmdKind::Flush,
                     complete_at: end,
                     data: Vec::new(),
-                    channel: ch,
                     fabric_ns: 0,
                     rang_at: now,
                 };
@@ -512,11 +506,9 @@ impl NvmeDevice {
         self.stats.busy_ns += dur;
         NvmeCompletion {
             cid: cmd.cid,
-            qp,
             kind,
             complete_at: end,
             data,
-            channel: ch,
             fabric_ns: 0,
             rang_at: now,
         }

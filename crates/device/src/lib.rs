@@ -38,7 +38,7 @@ pub use store::{SectorStore, SECTOR_SIZE};
 pub use transport::{
     FabricConfig, FabricStats, FabricTransport, InitiatorStats, LocalTransport, SubmitClass,
     Transport, ADMIT_NS, CONGESTION_KNEE, CONGESTION_NS_PER_CAPSULE, INITIATOR_WINDOW,
-    MAX_INITIATORS, MAX_LOSS_PROB, RETRANSMIT_TIMEOUT_NS,
+    MAX_INITIATORS, MAX_LOSS_PROB, RETRANSMIT_TIMEOUT_NS, TARGET_PROC_NS,
 };
 
 /// The most internal channels a device has. Real controllers have tens
@@ -58,8 +58,6 @@ pub enum DeviceConfigError {
     /// sacrificed to tell full from empty, and NVMe's MQES caps the
     /// rest.
     QueueDepth(usize),
-    /// `inflight_cap` 0: no capsule is ever admitted.
-    InflightCap,
     /// `initiators` outside 1 to [`MAX_INITIATORS`].
     Initiators(usize),
     /// `loss_prob` outside `[0, MAX_LOSS_PROB]` (NaN included): a lost
@@ -77,7 +75,6 @@ impl std::fmt::Display for DeviceConfigError {
         match *self {
             Channels(n) => write!(f, "channels {n}: a device has 1 to {MAX_CHANNELS}"),
             QueueDepth(n) => write!(f, "queue depth {n}: NVMe rings have 2 to {MAX_QUEUE_DEPTH}"),
-            InflightCap => write!(f, "inflight_cap 0 can never admit a capsule"),
             Initiators(n) => write!(f, "initiators {n}: a fabric has 1 to {MAX_INITIATORS}"),
             LossProb => write!(f, "loss_prob must be in [0, {MAX_LOSS_PROB}]"),
             TooLong(field) => write!(f, "{field} is longer than one simulated hour"),

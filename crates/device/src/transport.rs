@@ -12,9 +12,9 @@
 //!   initiators (the BPF-oF setting): each command is encoded into a
 //!   *capsule* that pays a one-way network latency (with jitter)
 //!   before the target's local SQ/CQ rings service it, and each
-//!   completion returns as a response capsule over the same wire. An
-//!   in-flight-capsule window provides credit-style flow control with
-//!   its own backpressure, independent of the target ring depth. Past
+//!   completion returns as a response capsule over the same wire. As
+//!   in NVMe-oF, a queue pair's only flow control is its queue size: it
+//!   admits what the target's rings admit, as a local one does. Past
 //!   the initiator's submission queue, the target's rings are the only
 //!   record of a queue pair: each completion waits on the device, at
 //!   its host-visible instant, until the host posts and reaps it — so
@@ -49,7 +49,7 @@
 //!
 //! - **Per-initiator credit windows**: each initiator may hold at most
 //!   [`INITIATOR_WINDOW`] capsules in flight across the connection, on
-//!   top of the shared per-queue-pair [`FabricConfig::inflight_cap`].
+//!   top of the queue pair's ring depth.
 //! - **Target-side admission**: arriving command capsules serialize
 //!   through one admission server, [`ADMIT_NS`] each; capsules queued
 //!   behind it are released round-robin between initiators. Target-local
@@ -92,6 +92,9 @@ pub const MAX_INITIATORS: usize = 0xFFF0;
 pub const MAX_LOSS_PROB: f64 = 0.99;
 /// What a lost crossing waits before its retransmission.
 pub const RETRANSMIT_TIMEOUT_NS: Nanos = 50_000;
+/// Fixed target-side capsule processing (decode, local ring write /
+/// response build) charged per wire crossing.
+pub const TARGET_PROC_NS: Nanos = 500;
 /// On a contended target: capsules one initiator may hold in flight
 /// across the connection.
 pub const INITIATOR_WINDOW: usize = 2;
@@ -128,15 +131,6 @@ pub struct FabricConfig {
     /// One-way wire latency, sampled per crossing in either direction
     /// (command capsule out, response capsule back).
     pub latency: LatencyDist,
-    /// Fixed target-side capsule processing (decode, local ring write /
-    /// response build) charged per wire crossing, in nanoseconds.
-    pub target_proc_ns: Nanos,
-    /// Maximum command capsules in flight per queue pair (submitted and
-    /// not yet reaped by the host) — NVMe-oF's queue-granular credit
-    /// window. Submissions beyond it are rejected as backpressure,
-    /// counted in [`FabricStats::capsule_stalls`] when tighter than the
-    /// target ring.
-    pub inflight_cap: usize,
     /// Number of initiators sharing this target (default 1): 1 to
     /// [`MAX_INITIATORS`]. Submissions are attributed to
     /// `initiator % initiators`.
@@ -157,7 +151,7 @@ pub struct FabricConfig {
 
 impl FabricConfig {
     /// A symmetric link: `one_way` ns each direction, uniform jitter of
-    /// `±jitter` ns, with the default window and target processing cost.
+    /// `±jitter` ns, one uncontended initiator and a loss-free wire.
     pub fn symmetric(one_way: Nanos, jitter: Nanos) -> Self {
         let latency = if jitter == 0 {
             LatencyDist::Constant(one_way)
@@ -166,8 +160,6 @@ impl FabricConfig {
         };
         FabricConfig {
             latency,
-            target_proc_ns: 500,
-            inflight_cap: 32,
             initiators: 1,
             contended: false,
             loss_prob: 0.0,
@@ -196,12 +188,10 @@ impl FabricConfig {
     /// The fabric's rules, one [`DeviceConfigError`] variant each.
     pub fn check(&self) -> Result<(), DeviceConfigError> {
         use DeviceConfigError::*;
-        ensure(self.inflight_cap >= 1, InflightCap)?;
         let initiators = (1..=MAX_INITIATORS).contains(&self.initiators);
         ensure(initiators, Initiators(self.initiators))?;
         ensure((0.0..=MAX_LOSS_PROB).contains(&self.loss_prob), LossProb)?;
-        check_time(self.latency.longest(), TooLong("latency"))?;
-        check_time(self.target_proc_ns, TooLong("target_proc_ns"))
+        check_time(self.latency.longest(), TooLong("latency"))
     }
 }
 
@@ -223,11 +213,11 @@ pub struct FabricStats {
     /// Target-local recycled submissions that never touched the wire.
     pub target_local: u64,
     /// Total one-way wire time accumulated over both directions,
-    /// including the fixed target-side capsule processing and any
-    /// congestion/retransmission delay.
+    /// including the fixed target-side capsule processing
+    /// ([`TARGET_PROC_NS`]) and any congestion/retransmission delay.
     pub wire_ns: Nanos,
-    /// Submissions declined because a capsule window (per queue pair or
-    /// per initiator — not the target ring) was the binding constraint.
+    /// Submissions declined because a contended target's per-initiator
+    /// window ([`INITIATOR_WINDOW`]) was full — not the target ring.
     pub capsule_stalls: u64,
     /// High-water mark of in-flight capsules on any queue pair.
     pub max_inflight: usize,
@@ -254,7 +244,7 @@ pub struct InitiatorStats {
     pub retransmits: u64,
     /// Command-capsule bytes this initiator transmitted.
     pub bytes_tx: u64,
-    /// Submissions declined on this initiator's capsule windows.
+    /// Submissions declined on this initiator's credit window.
     pub capsule_stalls: u64,
 }
 
@@ -278,21 +268,15 @@ pub trait Transport {
         self.device().nr_queues()
     }
 
-    /// Usable outstanding-command slots per queue pair (the tighter of
-    /// the ring capacity and any fabric credit window).
-    fn queue_capacity(&self) -> usize {
-        self.device().queue_capacity()
-    }
-
     /// Commands admitted on `qp` and not yet reaped by the host.
     fn outstanding(&self, qp: QueuePairId) -> usize {
         self.device().outstanding(qp)
     }
 
     /// True when `qp` can admit `n` more commands from `initiator`
-    /// right now. On a fabric every class is bounded by
-    /// [`Transport::queue_capacity`], the tighter of the target ring and
-    /// the per-queue-pair capsule window. `class` matters only to the
+    /// right now. On a fabric every class is bounded by the target
+    /// ring's [`NvmeDevice::queue_capacity`], counting commands still in
+    /// the initiator's submission queue. `class` matters only to the
     /// per-initiator credit windows of a contended target, which model
     /// capsule flow control on the wire: [`SubmitClass::TargetLocal`]
     /// submissions (pushdown flush chases, target-side resubmissions)
@@ -301,15 +285,9 @@ pub trait Transport {
         self.device().can_accept(qp, n)
     }
 
-    /// Counts a submission of `n` commands on `qp` the driver declined
-    /// to attempt because [`Transport::can_accept`] said no.
-    fn record_rejection(
-        &mut self,
-        _qp: QueuePairId,
-        _n: usize,
-        _initiator: u32,
-        _class: SubmitClass,
-    ) {
+    /// Counts a submission of `n` commands the driver declined to
+    /// attempt because [`Transport::can_accept`] said no.
+    fn record_rejection(&mut self, _n: usize, _initiator: u32, _class: SubmitClass) {
         self.device_mut().record_rejection();
     }
 
@@ -517,7 +495,7 @@ impl Wire {
         // Queue-depth-dependent congestion: added one-way latency once
         // the target holds more capsules than the knee tolerates.
         let congest = CONGESTION_NS_PER_CAPSULE * held.saturating_sub(CONGESTION_KNEE) as u64;
-        let mut total = cfg.target_proc_ns + payload_bytes * WIRE_NS_PER_KB / 1024 + congest;
+        let mut total = TARGET_PROC_NS + payload_bytes * WIRE_NS_PER_KB / 1024 + congest;
         loop {
             let wire = cfg.latency.sample(&mut self.rng);
             if cfg.loss_prob > 0.0 && self.rng.chance(cfg.loss_prob) {
@@ -628,10 +606,6 @@ impl FabricTransport {
 }
 
 impl Transport for FabricTransport {
-    fn queue_capacity(&self) -> usize {
-        self.dev.queue_capacity().min(self.wire.cfg.inflight_cap)
-    }
-
     fn outstanding(&self, qp: QueuePairId) -> usize {
         self.sq
             .get(qp)
@@ -639,21 +613,17 @@ impl Transport for FabricTransport {
     }
 
     fn can_accept(&self, qp: QueuePairId, n: usize, initiator: u32, class: SubmitClass) -> bool {
-        if qp >= self.sq.len() || self.outstanding(qp) + n > self.queue_capacity() {
+        if qp >= self.sq.len() || self.outstanding(qp) + n > self.dev.queue_capacity() {
             return false;
         }
         !self.window_full(self.init_idx(initiator), n, class)
     }
 
-    fn record_rejection(&mut self, qp: QueuePairId, n: usize, initiator: u32, class: SubmitClass) {
-        // A capsule stall is a refusal by a capsule window: the
-        // per-queue-pair cap where it is tighter than the ring, or the
-        // initiator's window for a class that holds credit. A full
-        // target ring is not one.
+    fn record_rejection(&mut self, n: usize, initiator: u32, class: SubmitClass) {
+        // A capsule stall is a refusal by the initiator's credit window,
+        // for a class that holds credit. A full target ring is not one.
         let idx = self.init_idx(initiator);
-        let cap = self.wire.cfg.inflight_cap;
-        let cap_refused = cap < self.dev.queue_capacity() && self.outstanding(qp) + n > cap;
-        if cap_refused || self.window_full(idx, n, class) {
+        if self.window_full(idx, n, class) {
             self.wire.stats.capsule_stalls += 1;
             self.inits[idx].stats.capsule_stalls += 1;
         }
@@ -672,7 +642,7 @@ impl Transport for FabricTransport {
             return Err(QueueError::NoSuchQueue);
         }
         if !self.can_accept(qp, 1, initiator, class) {
-            self.record_rejection(qp, 1, initiator, class);
+            self.record_rejection(1, initiator, class);
             return Err(QueueError::SubmissionFull);
         }
         if class != SubmitClass::TargetLocal {
@@ -738,7 +708,7 @@ impl Transport for FabricTransport {
         for (arrive, cmd) in bell.arrivals.drain(..) {
             self.dev
                 .submit(qp, cmd)
-                .expect("initiator window never exceeds target ring capacity");
+                .expect("a queue pair never holds more than its ring");
             self.dev
                 .ring_doorbell(arrive, qp)
                 .expect("queue pair exists");
@@ -853,10 +823,11 @@ mod tests {
         }
     }
 
+    /// A zero-jitter link whose crossings total `one_way` ns, the
+    /// target's processing included.
     fn link(one_way: Nanos) -> FabricConfig {
         FabricConfig {
-            latency: LatencyDist::Constant(one_way),
-            target_proc_ns: 0,
+            latency: LatencyDist::Constant(one_way - TARGET_PROC_NS),
             ..FabricConfig::default()
         }
     }
@@ -1043,14 +1014,15 @@ mod tests {
         assert_eq!(t.fabric_stats().bytes_rx, RSP_CAPSULE_HDR);
     }
 
+    /// A fabric queue pair admits what its ring admits: commands still
+    /// in the initiator's submission queue count against the ring, a
+    /// full ring is backpressure but no capsule stall, and slots free at
+    /// the host's reap, not at the target's completion.
     #[test]
-    fn capsule_window_backpressures_before_the_ring() {
-        let cfg = FabricConfig {
-            inflight_cap: 2,
-            ..link(1_000)
-        };
-        let mut t = FabricTransport::new(dev(8), cfg, SimRng::seed(2));
-        assert_eq!(t.queue_capacity(), 2, "window tighter than the ring");
+    fn a_fabric_queue_pair_is_as_deep_as_its_ring() {
+        let mut t = FabricTransport::new(dev(3), link(1_000), SimRng::seed(2));
+        let ring = t.device().queue_capacity();
+        assert_eq!(ring, 2, "a 3-slot ring holds 2 commands");
         t.submit(0, read_cmd(1), SubmitClass::Host, 0).expect("one");
         t.submit(0, read_cmd(2), SubmitClass::Host, 0).expect("two");
         assert!(!t.can_accept(0, 1, 0, SubmitClass::Host));
@@ -1058,24 +1030,23 @@ mod tests {
             t.submit(0, read_cmd(3), SubmitClass::Host, 0).unwrap_err(),
             QueueError::SubmissionFull
         );
-        assert_eq!(t.fabric_stats().capsule_stalls, 1);
-        assert_eq!(t.fabric_stats().max_inflight, 2);
-        // Credits free at host reap, not at target completion.
+        assert_eq!(t.device().stats().rejected, 1);
+        assert_eq!(t.fabric_stats().capsule_stalls, 0);
+        assert_eq!(t.fabric_stats().max_inflight, ring);
         t.ring_doorbell(0, 0).expect("bell");
         t.post_ready(Nanos::MAX, 0);
         assert!(
             !t.can_accept(0, 1, 0, SubmitClass::Host),
-            "posted but unreaped still holds credits"
+            "posted but unreaped still holds its slot"
         );
-        assert_eq!(t.reap(10_000, 0, usize::MAX).len(), 2);
-        assert!(t.can_accept(0, 2, 0, SubmitClass::Host));
+        assert_eq!(t.reap(10_000, 0, usize::MAX).len(), ring);
+        assert!(t.can_accept(0, ring, 0, SubmitClass::Host));
     }
 
     #[test]
     fn jitter_reorders_but_loses_nothing() {
         let cfg = FabricConfig {
             latency: LatencyDist::Uniform(1_000, 50_000),
-            target_proc_ns: 250,
             ..FabricConfig::default()
         };
         let mut t = FabricTransport::new(dev(8), cfg, SimRng::seed(99));
@@ -1113,16 +1084,6 @@ mod tests {
             .iter()
             .all(|i| *i == InitiatorStats::default()));
         assert_eq!(t.post_ready(Nanos::MAX, 0), 0, "no stale completions");
-    }
-
-    #[test]
-    #[should_panic(expected = "inflight_cap 0 can never admit a capsule")]
-    fn zero_inflight_cap_literal_panics_at_build() {
-        let cfg = FabricConfig {
-            inflight_cap: 0,
-            ..FabricConfig::default()
-        };
-        let _ = FabricTransport::new(dev(8), cfg, SimRng::seed(3));
     }
 
     #[test]
@@ -1265,7 +1226,7 @@ mod tests {
         for class in [SubmitClass::TargetLocal, SubmitClass::Host] {
             assert!(!t.can_accept(0, 1, 0, class), "the ring is full");
             // The driver's path: asked first, then counted.
-            t.record_rejection(0, 1, 0, class);
+            t.record_rejection(1, 0, class);
             // The transport's own refusal.
             assert_eq!(
                 t.submit(0, read_cmd(99), class, 0).unwrap_err(),

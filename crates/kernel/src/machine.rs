@@ -43,11 +43,12 @@
 //! ([`MachineConfig::fabric`]): the default `LocalTransport` is the
 //! PCIe pass-through described above, while a `FabricTransport` puts an
 //! NVMe-oF-style network (capsule encode costs, one-way latency with
-//! jitter, an in-flight-capsule credit window) between the rings
-//! and the device. Over a fabric, [`DispatchMode::Remote`] pays a round
-//! trip per dependent hop, while [`DispatchMode::DriverHook`] chains
-//! become *target-resident*: hops recycle on the target and only the
-//! terminal response capsule crosses back (`Ev::CapsuleRx`).
+//! jitter) between the rings and the device; a fabric queue pair
+//! admits what its rings admit, as a local one does. Over a fabric,
+//! [`DispatchMode::Remote`] pays a round trip per dependent hop, while
+//! [`DispatchMode::DriverHook`] chains become *target-resident*: hops
+//! recycle on the target and only the terminal response capsule crosses
+//! back (`Ev::CapsuleRx`).
 //!
 //! # Event map
 //!
@@ -987,13 +988,6 @@ impl Machine {
         self.transport.device().stats()
     }
 
-    /// The core whose interrupt handler serves queue pair `qp` (MSI-X
-    /// affinity), or `None` for an unknown queue pair. There is one
-    /// queue pair per core, and queue pair `q` is core `q`'s.
-    pub fn qp_core(&self, qp: usize) -> Option<usize> {
-        (qp < self.transport.nr_queues()).then_some(qp)
-    }
-
     /// Busy nanoseconds accumulated on `core` in the current/last run
     /// (affinity test hook).
     pub fn core_busy_ns(&self, core: usize) -> Nanos {
@@ -1674,7 +1668,7 @@ impl Machine {
         };
         // A request that can never fit the SQ is an I/O error (a real
         // driver would split it; the workloads never get near this).
-        if n > self.transport.queue_capacity() {
+        if n > self.transport.device().queue_capacity() {
             return self.fail(id, ChainStatus::IoError, &[]);
         }
         // Tenant SQ budget: a tenant at its per-qp slot budget parks in
@@ -1688,7 +1682,7 @@ impl Machine {
         }
         // Backpressure: the whole request must fit the queue pair.
         if !self.transport.can_accept(qp, n, tenant, class) {
-            self.transport.record_rejection(qp, n, tenant, class);
+            self.transport.record_rejection(n, tenant, class);
             return self.admission.park(qp, tenant, id);
         }
         // Extra bio/driver work for each split segment beyond the first.

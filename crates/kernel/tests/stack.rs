@@ -8,14 +8,14 @@
 
 mod support;
 
-use bpfstor_device::{DeviceConfigError, SECTOR_SIZE};
+use bpfstor_device::{DeviceConfigError, SECTOR_SIZE, TARGET_PROC_NS};
 use bpfstor_fs::CHECKPOINT_RECORDS;
 use bpfstor_kernel::{
     Broken, ChainOutcome, ChainSpec, ChainStatus, ChainVerdict, CommitPolicy, ConfigError,
-    DispatchMode, ExecSplit, FabricConfig, Fd, KernelError, Law, LayerCosts, Machine,
-    MachineConfig, ReapKind, ReapMode, RunReport, TenantBreakdown, TenantLimits, DEFAULT_TENANT,
+    DispatchMode, ExecSplit, Fd, KernelError, Law, LayerCosts, Machine, MachineConfig, ReapKind,
+    ReapMode, RunReport, TenantBreakdown, TenantLimits, DEFAULT_TENANT,
 };
-use bpfstor_sim::{Nanos, SimRng, MILLISECOND, SECOND};
+use bpfstor_sim::{LatencyDist, Nanos, SimRng, MILLISECOND, SECOND};
 use bpfstor_vm::{action, ctx_off, Asm, MapSpec, Program, Width};
 use support::{
     chain_file, chase, chase_program, chase_step, exact_link, machine, machine_with, read, reads,

@@ -2,14 +2,26 @@
 
 #[test]
 fn zero_latency_fabric_matches_local_user_path() {
-    // With a zero-cost wire and zero capsule CPU, remote dispatch over
-    // the fabric transport must reproduce the local user path exactly —
-    // the refactor's "LocalTransport is byte-for-byte" guarantee, probed
-    // from the other side. (Field by field, not report == report: the
-    // fabric run's capsule counters legitimately differ.)
-    let (mut local, mut dl) = setup_with(MachineConfig::default(), 8, DispatchMode::User);
+    // With a zero-latency wire and zero capsule CPU, each crossing is
+    // the target's fixed processing alone, so remote dispatch over the
+    // fabric transport must reproduce exactly the local user path of a
+    // device slower by one crossing each way — the refactor's
+    // "LocalTransport is byte-for-byte" guarantee, probed from the other
+    // side. (Field by field, not report == report: the fabric run's
+    // capsule counters legitimately differ.)
+    const SVC: Nanos = 3_000;
+    let device = |svc: Nanos| {
+        let mut cfg = MachineConfig::default();
+        cfg.profile.read_latency = LatencyDist::Constant(svc);
+        cfg
+    };
+    let local = device(SVC + 2 * TARGET_PROC_NS);
+    let (mut local, mut dl) = setup_with(local, 8, DispatchMode::User);
     let rl = local.run_closed_loop(1, SECOND, &mut dl);
-    let mut cfg = fabric_cfg(0);
+    let mut cfg = MachineConfig {
+        fabric: Some(exact_link(TARGET_PROC_NS)),
+        ..device(SVC)
+    };
     cfg.costs.fab_encode = 0;
     cfg.costs.fab_decode = 0;
     let (mut fab, mut df) = setup_with(cfg, 8, DispatchMode::Remote);
@@ -21,7 +33,7 @@ fn zero_latency_fabric_matches_local_user_path() {
         rf.mean_latency().to_bits(),
         "zero-latency fabric must not perturb timing"
     );
-    assert_eq!(rf.trace.fabric_wire, 0);
+    assert_eq!(rf.trace.fabric_wire, rf.ios * 2 * TARGET_PROC_NS);
 }
 
 #[test]
@@ -102,14 +114,13 @@ fn pushdown_over_fabric_pays_one_round_trip_per_chain() {
 }
 
 #[test]
-fn fabric_capsule_window_backpressures_and_recovers() {
-    // A window of 2 capsules under an 8-deep ring: uring keeps 8 SQEs
-    // in flight, so submissions stall on the window, park, and retry —
-    // every chain still completes exactly once.
+fn fabric_ring_backpressures_and_recovers() {
+    // A fabric queue pair is as deep as its ring: under a 3-slot ring
+    // (2 usable) uring keeps 8 SQEs in flight, so submissions are
+    // refused by the ring, park, and retry — every chain still
+    // completes exactly once, and no capsule window stalls.
     let mut cfg = fabric_cfg(10_000);
-    if let Some(fc) = &mut cfg.fabric {
-        fc.inflight_cap = 2;
-    }
+    cfg.profile.queue_depth = 3;
     let (mut m, mut d) = setup_with(cfg, 4, DispatchMode::Remote);
     d.state.count = 24;
     let report = m.run_uring(1, 8, SECOND, &mut d);
@@ -117,9 +128,10 @@ fn fabric_capsule_window_backpressures_and_recovers() {
     assert!(d.outcomes.iter().all(|o| o.status.is_ok()));
     assert_eq!(report.errors, 0);
     assert!(
-        report.fabric.capsule_stalls > 0,
-        "the 2-capsule window must bind under 8 in-flight SQEs"
+        report.device.rejected > 0,
+        "the 2-slot ring must bind under 8 in-flight SQEs"
     );
+    assert_eq!(report.fabric.capsule_stalls, 0);
     assert!(report.fabric.max_inflight <= 2);
 }
 
@@ -128,7 +140,7 @@ fn queue_pair_counters_reconcile_on_both_transports() {
     // `RunReport::device` counts the host's side of the queue pair on
     // either transport, so every law of `RunReport::audit` holds —
     // coalesced, per-CQE or polled, with or without pushdown, over a
-    // clean wire or a lossy one whose 8-capsule window binds.
+    // clean wire or a lossy, contended one whose initiator window binds.
     let coalesced = |fabric| MachineConfig {
         fabric,
         irq_coalesce_us: 8,
@@ -142,10 +154,7 @@ fn queue_pair_counters_reconcile_on_both_transports() {
         reap_mode: ReapMode::Polled,
         ..fabric_cfg(20_000)
     };
-    let lossy = FabricConfig {
-        inflight_cap: 8,
-        ..exact_link(20_000).with_loss(0.02)
-    };
+    let lossy = exact_link(20_000).with_loss(0.02).with_contention();
     let worlds = [
         ("local, coalesced", local, DispatchMode::User),
         ("fabric, coalesced", fabric, DispatchMode::Remote),
@@ -299,11 +308,6 @@ fn irq_charge_lands_on_the_owning_core() {
             "the other core sees only incidental work: busy {busy:?}, irqs {irqs}"
         );
     }
-    // The default mapping is the identity qp→core layout.
-    let m = machine(MachineConfig::default());
-    assert_eq!(m.qp_core(0), Some(0));
-    assert_eq!(m.qp_core(5), Some(5));
-    assert_eq!(m.qp_core(99), None);
 }
 
 #[test]

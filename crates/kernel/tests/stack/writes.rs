@@ -289,14 +289,12 @@ fn a_parked_write_lands_where_its_relocated_file_is_now() {
     // blocks the file holds now: with its first attempt's runs it would
     // land on blocks the relocation freed, and read back lost. Four
     // worlds park writes: a one-slot ring, a one-slot tenant budget, and
-    // a one-capsule fabric window from the host and under pushdown.
+    // a one-slot ring behind a fabric, from the host and under pushdown.
     const WRITES: u64 = 48;
     let fabric = |mode| {
-        let mut link = exact_link(5_000);
-        link.inflight_cap = 1;
         let cfg = MachineConfig {
-            fabric: Some(link),
-            ..MachineConfig::default()
+            fabric: Some(exact_link(5_000)),
+            ..ring_depth(2)
         };
         (cfg, None, mode)
     };
@@ -310,7 +308,7 @@ fn a_parked_write_lands_where_its_relocated_file_is_now() {
             "one-slot tenant budget",
             (MachineConfig::default(), Some(one_slot), DispatchMode::User),
         ),
-        ("fabric, one capsule", fabric(DispatchMode::User)),
+        ("fabric, one-slot ring", fabric(DispatchMode::User)),
         ("fabric write pushdown", fabric(DispatchMode::DriverHook)),
     ];
     for (what, (cfg, limits, mode)) in worlds {

@@ -11,7 +11,7 @@
 // Each suite uses its own subset.
 #![allow(dead_code)]
 
-use bpfstor_device::SECTOR_SIZE;
+use bpfstor_device::{SECTOR_SIZE, TARGET_PROC_NS};
 use bpfstor_kernel::{
     ChainDriver, ChainOutcome, ChainSpec, ChainStart, ChainToken, ChainVerdict, DispatchMode,
     FabricConfig, Fd, Machine, MachineConfig, UserNext, WriteStart,
@@ -86,12 +86,12 @@ pub fn kv_entries(n: u64) -> Vec<(u64, Vec<u8>)> {
         .collect()
 }
 
-/// A zero-jitter fabric link: `one_way` ns each direction, no fixed
-/// target-side processing — keeps latency arithmetic exact in tests.
+/// A zero-jitter fabric link whose crossings total `one_way` ns each
+/// direction, the target's fixed processing ([`TARGET_PROC_NS`])
+/// included — keeps latency arithmetic exact in tests.
 pub fn exact_link(one_way: Nanos) -> FabricConfig {
     FabricConfig {
-        latency: LatencyDist::Constant(one_way),
-        target_proc_ns: 0,
+        latency: LatencyDist::Constant(one_way - TARGET_PROC_NS),
         ..FabricConfig::default()
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Program generators in `bpfstor-core` build traversal functions
 //! programmatically; this builder keeps them readable: named labels
-//! instead of hand-counted jump offsets, and a fluent method per opcode.
+//! instead of hand-counted jump offsets, and a fluent method per opcode
+//! the generators and tests use.
 //!
 //! # Examples
 //!
@@ -31,8 +32,7 @@ use crate::insn::{
     Insn, ALU_ADD, ALU_AND, ALU_ARSH, ALU_DIV, ALU_END, ALU_LSH, ALU_MOD, ALU_MOV, ALU_MUL,
     ALU_NEG, ALU_OR, ALU_RSH, ALU_SUB, ALU_XOR, CLS_ALU, CLS_ALU64, CLS_JMP, CLS_JMP32, CLS_LDX,
     CLS_ST, CLS_STX, END_TO_BE, END_TO_LE, JMP_CALL, JMP_EXIT, JMP_JA, JMP_JEQ, JMP_JGE, JMP_JGT,
-    JMP_JLE, JMP_JLT, JMP_JNE, JMP_JSET, JMP_JSGE, JMP_JSGT, JMP_JSLE, JMP_JSLT, MODE_MEM, SRC_K,
-    SRC_X, SZ_B, SZ_DW, SZ_H, SZ_W,
+    JMP_JLE, JMP_JLT, JMP_JNE, JMP_JSET, JMP_JSLT, MODE_MEM, SRC_K, SRC_X, SZ_B, SZ_DW, SZ_H, SZ_W,
 };
 
 /// Assembly error: an undefined or duplicate label.
@@ -180,11 +180,6 @@ impl Asm {
         self.push(Insn::new(CLS_ALU64 | ALU_MUL | SRC_K, dst, 0, 0, imm))
     }
 
-    /// `dst *= src`.
-    pub fn mul64_reg(&mut self, dst: u8, src: u8) -> &mut Self {
-        self.push(Insn::new(CLS_ALU64 | ALU_MUL | SRC_X, dst, src, 0, 0))
-    }
-
     /// `dst /= imm` (unsigned).
     pub fn div64_imm(&mut self, dst: u8, imm: i32) -> &mut Self {
         self.push(Insn::new(CLS_ALU64 | ALU_DIV | SRC_K, dst, 0, 0, imm))
@@ -210,29 +205,14 @@ impl Asm {
         self.push(Insn::new(CLS_ALU64 | ALU_AND | SRC_K, dst, 0, 0, imm))
     }
 
-    /// `dst &= src`.
-    pub fn and64_reg(&mut self, dst: u8, src: u8) -> &mut Self {
-        self.push(Insn::new(CLS_ALU64 | ALU_AND | SRC_X, dst, src, 0, 0))
-    }
-
     /// `dst |= imm`.
     pub fn or64_imm(&mut self, dst: u8, imm: i32) -> &mut Self {
         self.push(Insn::new(CLS_ALU64 | ALU_OR | SRC_K, dst, 0, 0, imm))
     }
 
-    /// `dst |= src`.
-    pub fn or64_reg(&mut self, dst: u8, src: u8) -> &mut Self {
-        self.push(Insn::new(CLS_ALU64 | ALU_OR | SRC_X, dst, src, 0, 0))
-    }
-
     /// `dst ^= imm`.
     pub fn xor64_imm(&mut self, dst: u8, imm: i32) -> &mut Self {
         self.push(Insn::new(CLS_ALU64 | ALU_XOR | SRC_K, dst, 0, 0, imm))
-    }
-
-    /// `dst ^= src`.
-    pub fn xor64_reg(&mut self, dst: u8, src: u8) -> &mut Self {
-        self.push(Insn::new(CLS_ALU64 | ALU_XOR | SRC_X, dst, src, 0, 0))
     }
 
     /// `dst <<= imm`.
@@ -270,11 +250,6 @@ impl Asm {
     /// `w(dst) += imm`.
     pub fn add32_imm(&mut self, dst: u8, imm: i32) -> &mut Self {
         self.push(Insn::new(CLS_ALU | ALU_ADD | SRC_K, dst, 0, 0, imm))
-    }
-
-    /// `w(dst) *= w(src)`.
-    pub fn mul32_reg(&mut self, dst: u8, src: u8) -> &mut Self {
-        self.push(Insn::new(CLS_ALU | ALU_MUL | SRC_X, dst, src, 0, 0))
     }
 
     /// Byte-swaps `dst` to big-endian at the given width (16/32/64).
@@ -401,24 +376,9 @@ impl Asm {
         self.jcond_reg(JMP_JLE, reg, src, target)
     }
 
-    /// `if reg > imm goto target` (signed).
-    pub fn jsgt_imm(&mut self, reg: u8, imm: i32, target: &str) -> &mut Self {
-        self.jcond_imm(JMP_JSGT, reg, imm, target)
-    }
-
-    /// `if reg >= imm goto target` (signed).
-    pub fn jsge_imm(&mut self, reg: u8, imm: i32, target: &str) -> &mut Self {
-        self.jcond_imm(JMP_JSGE, reg, imm, target)
-    }
-
     /// `if reg < imm goto target` (signed).
     pub fn jslt_imm(&mut self, reg: u8, imm: i32, target: &str) -> &mut Self {
         self.jcond_imm(JMP_JSLT, reg, imm, target)
-    }
-
-    /// `if reg <= imm goto target` (signed).
-    pub fn jsle_imm(&mut self, reg: u8, imm: i32, target: &str) -> &mut Self {
-        self.jcond_imm(JMP_JSLE, reg, imm, target)
     }
 
     /// `if reg & imm goto target`.

@@ -110,8 +110,6 @@ fn arb_config(d: &mut Draws) -> (MachineConfig, DispatchMode) {
     };
     let fabric = FabricConfig {
         latency: d.latency(scale),
-        target_proc_ns: d.time(scale),
-        inflight_cap: d.count(&[0, 1, usize::MAX]),
         initiators: d.count(&[0, 1, 0xFFF0, 0xFFF1, usize::MAX]),
         contended: d.word().is_multiple_of(2),
         loss_prob: d.prob(&[0.0, 0.99, f64::next_up(0.99), 1.0, f64::NAN, -0.5], 0.99),
@@ -162,7 +160,7 @@ fn arb_config(d: &mut Draws) -> (MachineConfig, DispatchMode) {
             2 => cfg.profile.write_latency = LatencyDist::Uniform(0, past),
             3 => cfg.irq_coalesce_us = past / 1_000,
             _ => match &mut cfg.fabric {
-                Some(f) => f.target_proc_ns = past,
+                Some(f) => f.latency = LatencyDist::Constant(past),
                 None => cfg.costs.syscall = past,
             },
         }
@@ -225,7 +223,6 @@ fn predicted_refusal(cfg: &MachineConfig) -> Option<ConfigError> {
     refuse(over(us(cfg.irq_coalesce_us)), TooLong("irq_coalesce_us"));
     refuse(cfg.irq_coalesce_depth == 0, IrqCoalesceDepth);
     if let Some(f) = &cfg.fabric {
-        refuse(f.inflight_cap == 0, Device(Dev::InflightCap));
         let initiators = f.initiators;
         refuse(
             !(1..=0xFFF0).contains(&initiators),
@@ -233,10 +230,6 @@ fn predicted_refusal(cfg: &MachineConfig) -> Option<ConfigError> {
         );
         refuse(!(0.0..=0.99).contains(&f.loss_prob), Device(Dev::LossProb));
         refuse(over(longest(&f.latency)), Device(Dev::TooLong("latency")));
-        refuse(
-            over(f.target_proc_ns),
-            Device(Dev::TooLong("target_proc_ns")),
-        );
     }
     match cfg.commit_policy {
         CommitPolicy::Group {
@@ -316,10 +309,9 @@ fn configs_found_one_at_a_time_are_refused_by_name() {
     use ConfigError::*;
     let cases = [
         // Found by hand, each in the change that first refused it: a
-        // certain loss hung the first capsule, a zero-channel device
-        // indexed an empty table, and a zero cap ran as something else.
+        // certain loss hung the first capsule and a zero-channel device
+        // indexed an empty table.
         (on_link(|l| l.loss_prob = 1.0), Device(Dev::LossProb)),
-        (on_link(|l| l.inflight_cap = 0), Device(Dev::InflightCap)),
         (edited(|c| c.profile.channels = 0), Device(Dev::Channels(0))),
         (edited(|c| c.irq_coalesce_depth = 0), IrqCoalesceDepth),
         // Commit policies that were clamped.

@@ -161,7 +161,6 @@ proptest! {
     fn fabric_capsules_yield_exactly_one_cqe_per_sqe(
         actions in proptest::collection::vec(fabric_action_strategy(), 1..120),
         depth in 2usize..10,
-        cap in 1usize..12,
         one_way in 100u64..40_000,
         jitter_num in 0u64..30_000,
     ) {
@@ -175,14 +174,12 @@ proptest! {
         let dev = bpfstor::device::NvmeDevice::new(profile, 1, SimRng::seed(0xFAB));
         let cfg = FabricConfig {
             latency: LatencyDist::Uniform(one_way - jitter, one_way + jitter),
-            target_proc_ns: 250,
-            inflight_cap: cap,
             ..FabricConfig::default()
         };
         let mut t = FabricTransport::new(dev, cfg, SimRng::seed(0xCAB1E));
-        // The effective window: the tighter of the credit cap and ring.
-        let window = t.queue_capacity();
-        prop_assert_eq!(window, cap.min(depth - 1));
+        // A queue pair is as deep as its ring, for every class.
+        let window = depth - 1;
+        prop_assert_eq!(t.device().queue_capacity(), window);
 
         let mut now: u64 = 0;
         let mut next_cid: u64 = 0;
@@ -218,7 +215,7 @@ proptest! {
                         }
                         accepted += 1;
                     } else {
-                        prop_assert_eq!(t.outstanding(0), window, "reject only at the window");
+                        prop_assert_eq!(t.outstanding(0), window, "reject only at a full ring");
                         prop_assert_eq!(
                             t.submit(0, cmd.clone(), cls, 0).unwrap_err(),
                             QueueError::SubmissionFull
@@ -242,7 +239,7 @@ proptest! {
                         prop_assert!(in_flight.remove(&c.cid), "one CQE per SQE");
                         prop_assert!(reaped_cids.insert(c.cid), "no duplicate CQE");
                     }
-                    // Freed credits readmit parked capsules, oldest first.
+                    // Freed slots readmit parked capsules, oldest first.
                     while t.can_accept(0, 1, 0, SubmitClass::Host) {
                         let Some((cmd, cls)) = parked.pop() else { break };
                         let cid = cmd.cid;
@@ -257,7 +254,7 @@ proptest! {
             }
             prop_assert!(
                 t.outstanding(0) <= window,
-                "in-flight capsules never exceed the configured cap"
+                "in-flight capsules never exceed the ring"
             );
             prop_assert!(
                 t.fabric_stats().max_inflight <= window,
@@ -295,6 +292,7 @@ proptest! {
         let s = t.fabric_stats();
         prop_assert_eq!(s.capsules_sent + s.target_local, accepted, "every capsule classified");
         prop_assert_eq!(s.responses, host_class, "one response capsule per host-class command");
+        prop_assert_eq!(s.capsule_stalls, 0, "a full ring is no capsule stall");
     }
 }
 
@@ -330,14 +328,12 @@ proptest! {
         let dev = bpfstor::device::NvmeDevice::new(profile, 1, SimRng::seed(0xFAB ^ rng_seed));
         let cfg = FabricConfig {
             latency: LatencyDist::Uniform(one_way - jitter, one_way + jitter),
-            target_proc_ns: 250,
             initiators,
             contended,
             loss_prob: loss,
-            ..FabricConfig::default()
         };
         let mut t = FabricTransport::new(dev, cfg, SimRng::seed(0xCAB1E ^ rng_seed));
-        let window = t.queue_capacity();
+        let window = t.device().queue_capacity();
 
         let class_of = |c: u8| match c {
             0 => SubmitClass::Host,
