@@ -12,24 +12,41 @@
 //! footprint stays proportional to the non-zero bytes actually stored.
 //!
 //! The index is a vector of 64-LBA leaves, one per 64 LBAs up to the
-//! highest non-zero LBA written. A leaf holds a bitmap of which of its
-//! sectors are stored and where their 4-byte `entry`s — each a class
-//! and a slot in that class's slab of 8 KiB pages — are, in LBA order,
-//! so a sector's entry is the one at its rank, the count of stored
-//! sectors below it in the leaf. A hole costs its bit. A leaf is a
-//! *run* while its sectors' slots are consecutive in one class: it
-//! keeps the first entry, the entry at rank `i` is that slot plus `i`,
-//! and it holds no array. An empty leaf's first sector starts a run; an
-//! insert keeps it only if it extends the run at the top with the slot
-//! after its last, or at the bottom with the slot before its first, and
-//! a removal only at either end. Any other insert or removal, or a
-//! class change, expands the leaf once into a packed array of its
-//! entries, and the leaf stays one until it empties. The array lives in
-//! the store's own slabs, in the least class that holds it (4 B for one
-//! entry, 8 B for two, … 256 B for 33 to 64): an insert or a removal shifts
-//! the entries above it in place, and moves the array once when its
-//! count crosses a power of two; an emptied leaf gives its slot back. A
-//! write finds each sector's last non-zero byte, scanning from the end:
+//! highest non-zero LBA written. A leaf is 12 bytes: a bitmap of which
+//! of its sectors are stored, and a 4-byte head that says where their
+//! 4-byte `entry`s — each a class and a slot in that class's slab of
+//! 8 KiB pages — are, in LBA order, so a sector's entry is the one at
+//! its rank. A hole costs its bit. The head's class bits give the
+//! leaf's shape, one of three:
+//! - A *run*, while its sectors' slots are consecutive in one class:
+//!   the head is the first entry, the entry at rank `i` (the count of
+//!   stored sectors below it in the leaf) is that slot plus `i`, and
+//!   the leaf holds nothing else. An empty leaf's first sector starts a
+//!   run; an insert keeps it only if it extends the run at the top with
+//!   the slot after its last, or at the bottom with the slot before its
+//!   first, and a removal only at either end.
+//! - A *pair*, two runs in two adjacent classes, as a log whose keys
+//!   cross 65,536 leaves: their tails end one half-word apart, so the
+//!   keys below take one class's slots in order and the keys above the
+//!   next class's. The head is the slot of a 16 B record in class 3: a
+//!   mask of the second run's sectors and each run's first entry. A run
+//!   gets its second run from its first sector of an adjacent class; an
+//!   insert or a removal that extends or trims either run at either end
+//!   keeps the pair, and emptying either run leaves the other as the
+//!   leaf's run and gives the record back. Only adjacent classes pair,
+//!   the shape a key log takes: a whole-sector run that gets a much
+//!   shorter sector seldom grows a second run, and would open class 3's
+//!   slab for a record that lives until the next sector expands it.
+//! - An *array*: any other insert or removal, or a class change,
+//!   expands a run or a pair once into a packed array of its entries,
+//!   and the leaf stays one until it empties. The array lives in the
+//!   store's own slabs, in the least class that holds it (4 B for one
+//!   entry, 8 B for two, … 256 B for 33 to 64): an insert or a removal
+//!   shifts the entries above it in place, and moves the array once
+//!   when its count crosses a power of two; an emptied leaf gives its
+//!   slot back.
+//!
+//! A write finds each sector's last non-zero byte, scanning from the end:
 //! an all-zero sector becomes a hole and gives its slot, if it had one,
 //! back to its class; any other overwrites its own slot if its class is
 //! unchanged, and otherwise gives the old slot back and takes one of
@@ -39,13 +56,14 @@
 //! fills, so a small image spread over several classes does not hold a
 //! whole page of each; every later page is allocated whole. A discard
 //! gives slots back; a read resolves a leaf once per run of sectors
-//! inside it — a run leaf by arithmetic, without an array read — copies
-//! each slot's bytes and fills the rest of the sector, or all of a
-//! hole, with zeroes. A dense image written in LBA order takes
-//! consecutive slots, so its leaves are runs: it costs its own bytes,
-//! 16 bytes of leaf per 64 sectors and a two-word pointer per page,
-//! 513.6 B a whole sector as measured (517.7 B with a 4-byte entry per
-//! sector). The file system allocates goal-directed — a file's next run
+//! inside it — a run leaf by arithmetic, without an array read, a pair
+//! by one read of its record — copies each slot's bytes and fills the
+//! rest of the sector, or all of a hole, with zeroes. A dense image
+//! written in LBA order takes consecutive slots, so its leaves are
+//! runs: it costs its own bytes, 12 bytes of leaf per 64 sectors and a
+//! two-word pointer per page, 513.56 B a whole sector as measured
+//! (517.7 B with a 4-byte entry per sector, 513.64 B with 16-byte
+//! leaves). The file system allocates goal-directed — a file's next run
 //! starts where its last one ended, else first-fit from the goal's
 //! block group (`fs/src/alloc.rs`) — over a device that fills from
 //! block 0, which keeps written LBAs, and therefore the leaves, dense.
@@ -98,6 +116,20 @@ const LEAF: u64 = u64::BITS as u64;
 const ENTRY: usize = size_of::<u32>();
 const _: () = assert!(LEAF as usize * ENTRY <= SECTOR_SIZE);
 
+/// The class bits of an array leaf's head: the head's slot is the
+/// array's. A run leaf's head is its first entry, so its class bits are
+/// a slot class, below this.
+const ARRAY: usize = CLASSES;
+
+/// The class bits of a pair leaf's head: the head's slot is its
+/// [`Pair`] record's, in class [`PAIR_CLASS`].
+const PAIR: usize = CLASSES + 1;
+const _: () = assert!(PAIR < 1 << CLASS_BITS);
+
+/// The class whose slot holds a [`Pair`] record: a mask and two entries.
+const PAIR_CLASS: usize = 3;
+const _: () = assert!(LINE << PAIR_CLASS == size_of::<u64>() + 2 * ENTRY);
+
 /// `PAGE_BYTES` long, but for a slab's first page while it fills.
 type Page = Box<[u8]>;
 
@@ -107,23 +139,109 @@ pub struct SectorStore {
     /// `leaves[i]` indexes sectors `LEAF * i` to `LEAF * i + 63`. Past
     /// the end every sector is a hole.
     leaves: Vec<Leaf>,
-    /// `slabs[c]` holds the sectors of class `c`, and the leaves'
-    /// arrays of class `c`.
+    /// `slabs[c]` holds the sectors of class `c`, the leaves' arrays of
+    /// class `c` and, in class [`PAIR_CLASS`], the pair leaves' records.
     slabs: [Slab; CLASSES],
 }
 
-/// The index of 64 LBAs.
+/// The index of 64 LBAs, packed to 12 bytes.
 #[derive(Debug, Default, Clone, Copy)]
+#[repr(C, packed(4))]
 struct Leaf {
     /// Bit `i` is set if sector `i` of the leaf is stored.
     present: u64,
-    /// In a run leaf, the first present sector's entry; else the slot,
-    /// in class [`array_class`] of the present count, of the present
-    /// sectors' entries in LBA order. Meaningless while `present` is 0.
-    array: u32,
-    /// The present sectors' slots are one run in one class: the `i`-th
-    /// present sector's is the first's plus `i`, and no array is held.
-    run: bool,
+    /// Where the present sectors' entries are, by its class bits. A
+    /// slot class: the leaf is a run, the head is its first entry, and
+    /// the `i`-th present sector's slot is the first's plus `i`.
+    /// [`ARRAY`]: its slot, in class [`array_class`] of the present
+    /// count, holds their entries in LBA order. [`PAIR`]: its slot holds
+    /// the leaf's [`Pair`]. Meaningless while `present` is 0.
+    head: u32,
+}
+
+/// A pair leaf's record: its present sectors are two runs, in adjacent
+/// classes.
+#[derive(Debug, Clone, Copy)]
+struct Pair {
+    /// The present sectors of run 1; the others are run 0's.
+    second: u64,
+    /// Each run's first entry.
+    firsts: [u32; 2],
+}
+
+impl Pair {
+    /// Run `run`'s sectors, of a leaf whose present ones are `present`.
+    fn sectors(self, present: u64, run: usize) -> u64 {
+        match run {
+            0 => present & !self.second,
+            _ => self.second,
+        }
+    }
+
+    /// The run that present sector `bit` is in.
+    fn run_of(self, bit: u32) -> usize {
+        (self.second >> bit & 1) as usize
+    }
+
+    /// The pair with `entry` put in for hole `bit`, if it extends the
+    /// run of its class at either end.
+    fn grow(mut self, present: u64, bit: u32, entry: u32) -> Option<Pair> {
+        let class = unpack(entry).1;
+        let run = self
+            .firsts
+            .iter()
+            .position(|&first| unpack(first).1 == class)?;
+        let sectors = self.sectors(present, run);
+        self.firsts[run] = grow(
+            self.firsts[run],
+            sectors.count_ones() as usize,
+            rank(sectors, bit),
+            entry,
+        )?;
+        self.second |= (run as u64) << bit;
+        Some(self)
+    }
+
+    /// The pair with present sector `bit` taken out, if it is the first
+    /// or the last of its run.
+    fn shrink(mut self, present: u64, bit: u32) -> Option<Pair> {
+        let run = self.run_of(bit);
+        let sectors = self.sectors(present, run);
+        self.firsts[run] = shrink(
+            self.firsts[run],
+            sectors.count_ones() as usize,
+            rank(sectors, bit),
+        )?;
+        self.second &= !(1 << bit);
+        Some(self)
+    }
+}
+
+/// How a non-empty leaf's entries are found.
+#[derive(Clone, Copy)]
+enum Shape<'a> {
+    /// The first entry of a run.
+    Run(u32),
+    /// Two runs, in adjacent classes.
+    Pair(Pair),
+    /// The bytes of an array.
+    Array(&'a [u8]),
+}
+
+impl Shape<'_> {
+    /// The entry of present sector `bit` of a leaf whose present sectors
+    /// are `present`: the one at its rank in its run or in the array.
+    #[inline(always)]
+    fn entry(self, present: u64, bit: u32) -> u32 {
+        match self {
+            Shape::Run(first) => run_entry(first, rank(present, bit)),
+            Shape::Pair(pair) => {
+                let run = pair.run_of(bit);
+                run_entry(pair.firsts[run], rank(pair.sectors(present, run), bit))
+            }
+            Shape::Array(array) => entry_at(array, rank(present, bit)),
+        }
+    }
 }
 
 /// The slots of one class, `LINE << class` bytes each, cut from pages
@@ -234,6 +352,28 @@ fn run_entry(first: u32, rank: usize) -> u32 {
     first.wrapping_add((rank as u32) << CLASS_BITS)
 }
 
+/// The first entry of a run of `count` entries from `first` with
+/// `entry` put in at rank `at`, if it extends the run: at the top with
+/// the slot after the last, or at the bottom with the slot before the
+/// first.
+fn grow(first: u32, count: usize, at: usize, entry: u32) -> Option<u32> {
+    if at == count && entry == run_entry(first, count) {
+        Some(first)
+    } else {
+        (at == 0 && run_entry(entry, 1) == first).then_some(entry)
+    }
+}
+
+/// The first entry of a run of `count` entries from `first` with entry
+/// `at` taken out, if it is the first or the last.
+fn shrink(first: u32, count: usize, at: usize) -> Option<u32> {
+    if at == 0 {
+        Some(run_entry(first, 1))
+    } else {
+        (at == count - 1).then_some(first)
+    }
+}
+
 /// Entry `rank` of an array.
 fn entry_at(array: &[u8], rank: usize) -> u32 {
     u32::from_ne_bytes(
@@ -299,19 +439,40 @@ impl SectorStore {
         SectorStore::default()
     }
 
-    /// The bytes of `leaf`'s array, or `None` if the leaf is empty or a
-    /// run.
-    fn array(&self, leaf: Leaf) -> Option<&[u8]> {
-        let class = array_class(leaf.present.count_ones() as usize);
-        (leaf.present != 0 && !leaf.run).then(|| self.slabs[class].bytes(leaf.array, class))
+    /// How non-empty `leaf`'s entries are found. Inlined, as is
+    /// [`Shape::entry`]: a call for each was a tenth of a whole-sector
+    /// overwrite's time.
+    #[inline(always)]
+    fn shape(&self, leaf: Leaf) -> Shape<'_> {
+        match unpack(leaf.head) {
+            (slot, ARRAY) => {
+                let class = array_class(leaf.present.count_ones() as usize);
+                Shape::Array(self.slabs[class].bytes(slot, class))
+            }
+            (slot, PAIR) => Shape::Pair(self.pair(slot)),
+            _ => Shape::Run(leaf.head),
+        }
     }
 
-    /// The entry of present sector `rank` of a non-empty leaf.
-    fn entry_of(&self, leaf: Leaf, rank: usize) -> u32 {
-        match self.array(leaf) {
-            Some(array) => entry_at(array, rank),
-            None => run_entry(leaf.array, rank),
+    /// The pair in record slot `slot`.
+    fn pair(&self, slot: u32) -> Pair {
+        let bytes = self.slabs[PAIR_CLASS].bytes(slot, PAIR_CLASS);
+        let (second, firsts) = bytes.split_at(size_of::<u64>());
+        Pair {
+            second: u64::from_ne_bytes(second.try_into().expect("a u64 long")),
+            firsts: [entry_at(firsts, 0), entry_at(firsts, 1)],
         }
+    }
+
+    /// Writes `pair` to record slot `slot`, and returns the head of a
+    /// leaf it is the record of.
+    fn put_pair(&mut self, slot: u32, pair: Pair) -> u32 {
+        let bytes = self.slabs[PAIR_CLASS].bytes_mut(slot, PAIR_CLASS);
+        let (second, firsts) = bytes.split_at_mut(size_of::<u64>());
+        second.copy_from_slice(&pair.second.to_ne_bytes());
+        set_entry_at(firsts, 0, pair.firsts[0]);
+        set_entry_at(firsts, 1, pair.firsts[1]);
+        entry(slot, PAIR)
     }
 
     /// The leaf holding sector `lba` and the sector's bit in it, if the
@@ -349,22 +510,18 @@ impl SectorStore {
                 .unwrap_or_default();
             let first = (lba % LEAF) as u32;
             lba = lba.wrapping_add((run.len() / SECTOR_SIZE) as u64);
-            if leaf.present == 0 {
+            let present = leaf.present;
+            if present == 0 {
                 run.fill(0);
                 continue;
             }
-            let array = self.array(leaf);
-            let mut at = rank(leaf.present, first);
+            let shape = self.shape(leaf);
             for (bit, dst) in (first..).zip(run.chunks_exact_mut(SECTOR_SIZE)) {
-                if leaf.present >> bit & 1 == 0 {
+                if present >> bit & 1 == 0 {
                     dst.fill(0);
                     continue;
                 }
-                let (slot, class) = unpack(match array {
-                    Some(array) => entry_at(array, at),
-                    None => run_entry(leaf.array, at),
-                });
-                at += 1;
+                let (slot, class) = unpack(shape.entry(present, bit));
                 let (kept, zeroes) = dst.split_at_mut(LINE << class);
                 kept.copy_from_slice(self.slabs[class].bytes(slot, class));
                 zeroes.fill(0);
@@ -441,99 +598,115 @@ impl SectorStore {
 
     /// The slot of `class` for stored sector `bit` of `leaf`: its own
     /// if its class is unchanged, else a new one, its old slot given
-    /// back. A class change expands a run leaf.
+    /// back. A class change expands a run or a pair leaf.
     fn retake(&mut self, leaf: usize, bit: u32, class: usize) -> u32 {
-        let Leaf {
-            present,
-            array,
-            run,
-        } = self.leaves[leaf];
-        let (count, at) = (present.count_ones() as usize, rank(present, bit));
-        let (old, old_class) = unpack(self.entry_of(self.leaves[leaf], at));
+        let was = self.leaves[leaf];
+        let (old, old_class) = unpack(self.shape(was).entry(was.present, bit));
         if old_class == class {
             return old;
         }
+        let (count, at) = (was.present.count_ones() as usize, rank(was.present, bit));
         self.slabs[old_class].free.push(old);
         let slot = self.slabs[class].take(class);
-        if run {
-            self.leaves[leaf].array =
-                self.expand(array, count, at, count, Some(entry(slot, class)));
-            self.leaves[leaf].run = false;
-        } else {
-            let held = array_class(count);
-            set_entry_at(
-                self.slabs[held].bytes_mut(array, held),
-                at,
-                entry(slot, class),
-            );
+        match unpack(was.head) {
+            (array, ARRAY) => {
+                let held = array_class(count);
+                set_entry_at(
+                    self.slabs[held].bytes_mut(array, held),
+                    at,
+                    entry(slot, class),
+                );
+            }
+            _ => self.leaves[leaf].head = self.expand(was, at, count, Some(entry(slot, class))),
         }
         slot
     }
 
     /// Adds `entry` for hole `lba` to its leaf. An empty leaf's first
-    /// entry starts a run; a run stays one only if `entry` extends it
-    /// at either end, else it is expanded.
+    /// entry starts a run. A run stays one if `entry` extends it at
+    /// either end, becomes a pair if `entry` is of an adjacent class,
+    /// and is expanded otherwise; a pair stays one if `entry` extends
+    /// either run at either end, and is expanded otherwise.
     fn insert(&mut self, lba: u64, entry: u32) {
         let leaf = usize::try_from(lba / LEAF).expect("LBA within the address space");
         if leaf >= self.leaves.len() {
             self.leaves.resize(leaf + 1, Leaf::default());
         }
         let bit = (lba % LEAF) as u32;
-        let Leaf {
-            present,
-            array,
-            run,
-        } = self.leaves[leaf];
+        let was = self.leaves[leaf];
+        let present = was.present;
+        if present == 0 {
+            self.leaves[leaf] = Leaf {
+                present: 1 << bit,
+                head: entry,
+            };
+            return;
+        }
         let (count, at) = (present.count_ones() as usize, rank(present, bit));
-        let (array, run) = if present == 0 {
-            (entry, true)
-        } else if !run {
-            (self.reshape(array, count, at, Some(entry)), false)
-        } else if at == count && entry == run_entry(array, count) {
-            (array, true)
-        } else if at == 0 && run_entry(entry, 1) == array {
-            (entry, true)
-        } else {
-            (self.expand(array, count, at, count + 1, Some(entry)), false)
+        let head = match unpack(was.head) {
+            (array, ARRAY) => self.reshape(array, count, at, Some(entry)),
+            (record, PAIR) => match self.pair(record).grow(present, bit, entry) {
+                Some(pair) => self.put_pair(record, pair),
+                None => self.expand(was, at, count + 1, Some(entry)),
+            },
+            (_, run_class) => match grow(was.head, count, at, entry) {
+                Some(first) => first,
+                None if run_class.abs_diff(unpack(entry).1) == 1 => {
+                    let record = self.slabs[PAIR_CLASS].take(PAIR_CLASS);
+                    let pair = Pair {
+                        second: 1 << bit,
+                        firsts: [was.head, entry],
+                    };
+                    self.put_pair(record, pair)
+                }
+                None => self.expand(was, at, count + 1, Some(entry)),
+            },
         };
         self.leaves[leaf] = Leaf {
             present: present | 1 << bit,
-            array,
-            run,
+            head,
         };
     }
 
     /// Makes stored sector `bit` of `leaf` a hole, giving its slot back
-    /// and taking its entry out of the leaf. A run stays one if the
-    /// sector is its first or last, else it is expanded.
+    /// and taking its entry out of the leaf. A run stays one, and a pair
+    /// one, if the sector is the first or last of its run; a pair whose
+    /// run it was alone in leaves the other run. Else the leaf is
+    /// expanded.
     fn remove(&mut self, leaf: usize, bit: u32) {
-        let Leaf {
-            present,
-            array,
-            run,
-        } = self.leaves[leaf];
+        let was = self.leaves[leaf];
+        let present = was.present;
         let (count, at) = (present.count_ones() as usize, rank(present, bit));
-        let (slot, class) = unpack(self.entry_of(self.leaves[leaf], at));
+        let (slot, class) = unpack(self.shape(was).entry(present, bit));
         self.slabs[class].free.push(slot);
-        let (array, run) = if !run {
-            (self.reshape(array, count, at, None), false)
-        } else if at == 0 {
-            (run_entry(array, 1), true)
-        } else if at == count - 1 {
-            (array, true)
-        } else {
-            (self.expand(array, count, at, count - 1, None), false)
+        let head = match unpack(was.head) {
+            (array, ARRAY) => self.reshape(array, count, at, None),
+            (record, PAIR) => {
+                let pair = self.pair(record);
+                let run = pair.run_of(bit);
+                if pair.sectors(present, run) == 1 << bit {
+                    self.slabs[PAIR_CLASS].free.push(record);
+                    pair.firsts[1 - run]
+                } else {
+                    match pair.shrink(present, bit) {
+                        Some(pair) => self.put_pair(record, pair),
+                        None => self.expand(was, at, count - 1, None),
+                    }
+                }
+            }
+            _ => {
+                shrink(was.head, count, at).unwrap_or_else(|| self.expand(was, at, count - 1, None))
+            }
         };
         self.leaves[leaf] = Leaf {
             present: present & !(1 << bit),
-            array,
-            run,
+            head,
         };
     }
 
     /// Puts `insert` in slot `array`, a leaf's array of `count` > 0
     /// entries, as entry `at`, or without one takes entry `at` out, and
-    /// returns the array's slot. The entries above `at` shift in place
+    /// returns the leaf's head. The entries above `at` shift in place
     /// while the class is still the least that holds them; else all are
     /// moved once to the class that is, and the old slot is given back,
     /// as an emptied array's is.
@@ -567,34 +740,39 @@ impl SectorStore {
         if let Some(entry) = insert {
             set_entry_at(bytes, at, entry);
         }
-        array
+        entry(array, ARRAY)
     }
 
-    /// Writes a run leaf's `count` entries from `first` out as an array
-    /// of `after` entries, in the least class that holds them, and
-    /// returns its slot: entry `at` is `edit` — put in if `after` is
-    /// `count + 1`, put in place of the run's if `after` is `count` — or
-    /// taken out if `edit` is `None`.
-    fn expand(
-        &mut self,
-        first: u32,
-        count: usize,
-        at: usize,
-        after: usize,
-        edit: Option<u32>,
-    ) -> u32 {
-        let class = array_class(after);
+    /// Writes run or pair leaf `leaf`'s entries out as an array of
+    /// `after` entries, in the least class that holds them, gives a
+    /// pair's record back and returns the leaf's head: entry `at` is
+    /// `edit` — put in if `after` is one more than the leaf's count, put
+    /// in place of the leaf's if `after` is its count — or taken out if
+    /// `edit` is `None`.
+    fn expand(&mut self, leaf: Leaf, at: usize, after: usize, edit: Option<u32>) -> u32 {
+        let (present, shape) = (leaf.present, self.shape(leaf));
+        let mut old = [0; LEAF as usize];
+        for (k, bit) in (0..LEAF as u32)
+            .filter(|&bit| present >> bit & 1 == 1)
+            .enumerate()
+        {
+            old[k] = shape.entry(present, bit);
+        }
+        if let (record, PAIR) = unpack(leaf.head) {
+            self.slabs[PAIR_CLASS].free.push(record);
+        }
+        let (count, class) = (present.count_ones() as usize, array_class(after));
         let array = self.slabs[class].take(class);
         let bytes = self.slabs[class].bytes_mut(array, class);
         for k in 0..after {
             let entry = match edit {
                 Some(entry) if k == at => entry,
-                _ if k < at => run_entry(first, k),
-                _ => run_entry(first, k + count - after),
+                _ if k < at => old[k],
+                _ => old[k + count - after],
             };
             set_entry_at(bytes, k, entry);
         }
-        array
+        entry(array, ARRAY)
     }
 
     /// Discards (TRIMs) `nlb` sectors starting at `slba`, returning them
@@ -621,6 +799,13 @@ mod tests {
     const PAGE_SECTORS: usize = PAGE_BYTES / SECTOR_SIZE;
     const WHOLE: usize = CLASSES - 1;
 
+    impl Leaf {
+        /// Whether the leaf is a run: not empty, and its head an entry.
+        fn run(self) -> bool {
+            self.present != 0 && unpack(self.head).1 < CLASSES
+        }
+    }
+
     impl SectorStore {
         /// Live heap the store holds: the leaves, and each class's free
         /// list, page table and pages (the leaves' arrays among them).
@@ -637,7 +822,7 @@ mod tests {
         fn slot(&self, lba: u64) -> Option<(u32, usize)> {
             let (leaf, bit) = self.stored(lba)?;
             let leaf = self.leaves[leaf];
-            Some(unpack(self.entry_of(leaf, rank(leaf.present, bit))))
+            Some(unpack(self.shape(leaf).entry(leaf.present, bit)))
         }
     }
 
@@ -648,9 +833,10 @@ mod tests {
     }
 
     #[test]
-    fn a_leaf_is_sixteen_bytes() {
-        // The run flag sits in the padding after `array`.
-        assert_eq!(size_of::<Leaf>(), 16);
+    fn a_leaf_is_twelve_bytes() {
+        // Its shape is in its head's class bits, and it is packed to the
+        // head's alignment.
+        assert_eq!(size_of::<Leaf>(), 12);
     }
 
     #[test]
@@ -869,9 +1055,9 @@ mod tests {
                 .collect()
         };
         let check = |s: &SectorStore, stored: u64, count: usize, run: bool| {
-            assert_eq!(s.leaves[0].run, run, "{count} entries");
+            assert_eq!(s.leaves[0].run(), run, "{count} entries");
             assert_eq!(in_use(s), least(count, run), "{count} entries");
-            assert_eq!(s.leaves[0].present, stored);
+            assert_eq!({ s.leaves[0].present }, stored);
             let want: Vec<u8> = (0..LEAF)
                 .flat_map(|lba| match stored >> lba & 1 {
                     1 => sector(lba),
@@ -895,7 +1081,7 @@ mod tests {
             .rev()
             .zip((0..LEAF).map(|i| (i * 23 + 5) % LEAF))
         {
-            last = s.leaves[0].array;
+            last = unpack(s.leaves[0].head).0;
             s.write(lba, &[0u8; SECTOR_SIZE]);
             stored &= !(1 << lba);
             check(&s, stored, count, false);
@@ -908,7 +1094,7 @@ mod tests {
         assert_eq!(LINE << one, ENTRY);
         let cursor = s.slabs[one].next;
         s.write(LEAF, &sector(LEAF));
-        assert!(s.leaves[1].run);
+        assert!(s.leaves[1].run());
         assert_eq!(
             (&s.slabs[one].free[..], s.slabs[one].next),
             (&[last][..], cursor)
@@ -930,8 +1116,8 @@ mod tests {
             s.write(lba, &sector);
             want.extend_from_slice(&sector);
         }
-        assert!(s.leaves[0].run);
-        assert_eq!(s.leaves[0].present, u64::MAX);
+        assert!(s.leaves[0].run());
+        assert_eq!({ s.leaves[0].present }, u64::MAX);
         assert_eq!((s.slabs[0].next, s.slabs[0].free.len()), (LEAF as u32, 0));
         assert_eq!(s.slot(LEAF - 1), Some((LEAF as u32 - 1, 0)));
         assert_eq!(s.read(0, LEAF as u32), want);
@@ -967,7 +1153,7 @@ mod tests {
             for lba in (2..=40).step_by(2) {
                 s.write(lba, &sector(lba));
             }
-            assert!(s.leaves[0].run);
+            assert!(s.leaves[0].run());
             let mut want = s.read(0, LEAF as u32);
             let (lba, now) = match how {
                 Break::Insert(lba) => {
@@ -983,7 +1169,7 @@ mod tests {
             }
             want[lba as usize * SECTOR_SIZE..][..SECTOR_SIZE].copy_from_slice(&now);
             let leaf = s.leaves[0];
-            assert!(!leaf.run, "LBA {lba}");
+            assert!(!leaf.run(), "LBA {lba}");
             assert_eq!(leaf.present.count_ones(), count, "LBA {lba}");
             // The arrays' classes: one slot in the least, none freed.
             // A shrunk sector's 2 B slot is class 0's, which no array
@@ -1000,7 +1186,7 @@ mod tests {
             assert_eq!(s.read(0, LEAF as u32), want, "LBA {lba}");
             // An append at the expanded leaf's top does not re-form a run.
             s.write(LEAF - 1, &sector(LEAF - 1));
-            assert!(!s.leaves[0].run, "LBA {lba}");
+            assert!(!s.leaves[0].run(), "LBA {lba}");
         }
     }
 
@@ -1018,11 +1204,11 @@ mod tests {
         }
         s.discard(10, 1);
         want[10 * SECTOR_SIZE..][..SECTOR_SIZE].fill(0);
-        assert!(s.leaves[0].run);
+        assert!(s.leaves[0].run());
         assert_eq!(s.slot(11), Some((1, WHOLE)));
         s.write(3, &sector(3));
         want[3 * SECTOR_SIZE..][..SECTOR_SIZE].copy_from_slice(&sector(3));
-        assert!(s.leaves[0].run);
+        assert!(s.leaves[0].run());
         assert_eq!(s.slot(3), Some((0, WHOLE)));
         assert_eq!(s.slabs[WHOLE].next, 10);
         assert!(s.slabs[..WHOLE].iter().all(|slab| slab.next == 0));
@@ -1052,6 +1238,10 @@ mod tests {
         assert_eq!((s.slot(6), s.slot(7)), (Some((6, 0)), Some((0, 3))));
         assert!(s.heap_bytes() < 1 << 10, "{} B", s.heap_bytes());
         assert_eq!(s.read(0, 8), want);
+        // Classes 0 and 3 are not adjacent: the leaf is an array, of
+        // eight entries, and so 32 B of class 4.
+        assert_eq!(unpack(s.leaves[0].head), (0, ARRAY));
+        assert_eq!(s.slabs[4].next, 1);
     }
 
     #[test]
@@ -1133,14 +1323,14 @@ mod tests {
         // `device.store_bytes_per_sector` read 534 B with one boxed
         // sector per hash-map entry, and 517.7 B with a 4 B entry per
         // sector in its leaf's array. A dense image's leaves are runs,
-        // so it costs its bytes and a share of a 16 B leaf and of a page
-        // pointer: 513.6 B.
+        // so it costs its bytes and a share of a 12 B leaf and of a page
+        // pointer: 513.56 B (513.64 B with a 16 B leaf).
         const SECTORS: u64 = 200_000;
         let mut s = SectorStore::new();
         for slba in 0..SECTORS {
             s.write(slba, &[0xA5u8; SECTOR_SIZE]);
         }
-        assert!(s.leaves.iter().all(|leaf| leaf.run));
+        assert!(s.leaves.iter().all(|leaf| leaf.run()));
         assert!(
             s.heap_bytes() as u64 <= 514 * SECTORS,
             "{} B for {SECTORS} sectors",
@@ -1152,9 +1342,9 @@ mod tests {
     fn zero_padded_records_cost_their_nonzero_sectors() {
         // `tenant_noisy`'s log: 4 KiB records, an 8-byte key below
         // 65,536 and zeroes, appended back to back. Each costs the first
-        // half-word of its first sector and an eighth of a 16 B leaf —
+        // half-word of its first sector and an eighth of a 12 B leaf —
         // its seven zero sectors a bit each, and no entry, for its leaf
-        // is a run — not the 4 KiB it spans: under 6 B, with the leaves'
+        // is a run — not the 4 KiB it spans: under 5 B, with the leaves'
         // doubling slack, plus a partly filled page per class.
         const RECORDS: usize = 20_000;
         const RECORD: usize = 8 * SECTOR_SIZE;
@@ -1164,7 +1354,7 @@ mod tests {
             record[..8].copy_from_slice(&(key as u64 + 1).to_le_bytes());
             s.write((key * RECORD / SECTOR_SIZE) as u64, &record);
         }
-        let bound = RECORDS * 6 + CLASSES * PAGE_BYTES;
+        let bound = RECORDS * 5 + CLASSES * PAGE_BYTES;
         assert!(
             s.heap_bytes() <= bound,
             "{} B for {RECORDS} records (bound {bound})",
@@ -1174,7 +1364,7 @@ mod tests {
         // slots in order, so every leaf stays a run and holds no array.
         let free: Vec<usize> = s.slabs.iter().map(|slab| slab.free.len()).collect();
         assert_eq!(free, [0; CLASSES]);
-        assert!(s.leaves.iter().all(|leaf| leaf.run));
+        assert!(s.leaves.iter().all(|leaf| leaf.run()));
         assert_eq!(s.slabs[0].next, RECORDS as u32);
         let last = RECORDS as u64 - 1;
         assert_eq!(s.read(8 * last, 8)[..8], RECORDS.to_le_bytes());
@@ -1207,13 +1397,206 @@ mod tests {
         assert!(s
             .leaves
             .iter()
-            .all(|leaf| leaf.run && leaf.present == u64::MAX));
+            .all(|leaf| leaf.run() && leaf.present == u64::MAX));
         assert_eq!(
             (s.slabs[0].next, s.slabs[0].free.len()),
             (SECTORS as u32, 0)
         );
         assert!(s.slabs[1..].iter().all(|slab| slab.next == 0));
         assert_eq!(s.read(0, SECTORS as u32), want);
+    }
+
+    /// A sector that is little-endian `key` and zeroes: a 2 B slot for a
+    /// key below 65,536, a 4 B one below 2^32, else an 8 B one.
+    fn keyed(key: u64) -> [u8; SECTOR_SIZE] {
+        let mut sector = [0u8; SECTOR_SIZE];
+        sector[..8].copy_from_slice(&key.to_le_bytes());
+        sector
+    }
+
+    /// The leaf's shape tag, [`PAIR`] or [`ARRAY`], or a run's class.
+    fn tag(s: &SectorStore, leaf: usize) -> usize {
+        unpack(s.leaves[leaf].head).1
+    }
+
+    #[test]
+    fn a_log_across_65536_keeps_a_pair_per_leaf() {
+        // Keys below 65,536 and from 65,536 on, interleaved up eight
+        // leaves in LBA order: each class's keys take its slots in order,
+        // so every leaf is a pair of runs, a 2 B-key one and a 4 B-key
+        // one. Class 3 holds the eight 16 B records and nothing else, and
+        // no leaf holds an array.
+        const SECTORS: u64 = 8 * LEAF;
+        let key = |lba: u64| {
+            keyed(if lba.is_multiple_of(3) {
+                65_536 + lba
+            } else {
+                lba + 1
+            })
+        };
+        let mut s = SectorStore::new();
+        let mut want = Vec::new();
+        for lba in 0..SECTORS {
+            s.write(lba, &key(lba));
+            want.extend_from_slice(&key(lba));
+        }
+        assert!((0..8).all(|leaf| tag(&s, leaf) == PAIR && s.leaves[leaf].present == u64::MAX));
+        let high = SECTORS.div_ceil(3) as u32;
+        let next: Vec<u32> = s.slabs.iter().map(|slab| slab.next).collect();
+        assert_eq!(next, [SECTORS as u32 - high, high, 0, 8, 0, 0, 0, 0, 0]);
+        assert_eq!(s.slabs[PAIR_CLASS].pages[0].len(), 8 * 16);
+        assert!(s.slabs.iter().all(|slab| slab.free.is_empty()));
+        assert_eq!(s.read(0, SECTORS as u32), want);
+    }
+
+    #[test]
+    fn emptying_either_run_of_a_pair_leaves_a_run_and_gives_the_record_back() {
+        // 2 B keys at the even LBAs 0..32 and 4 B keys at the odd ones,
+        // a pair. One run is taken out sector by sector, from both ends
+        // by turns, by zeroing or by discards: the leaf stays a pair
+        // until the run's last sector goes, and is then the other run.
+        let key = |lba: u64| keyed(if lba % 2 == 1 { 65_536 + lba } else { lba + 1 });
+        for (odd, discard) in [(false, false), (true, true), (false, true), (true, false)] {
+            let mut s = SectorStore::new();
+            let mut want = vec![0u8; LEAF as usize * SECTOR_SIZE];
+            for lba in 0..32 {
+                s.write(lba, &key(lba));
+                want[lba as usize * SECTOR_SIZE..][..SECTOR_SIZE].copy_from_slice(&key(lba));
+            }
+            assert_eq!(tag(&s, 0), PAIR);
+            let mut run: std::collections::VecDeque<u64> =
+                (0..32).filter(|lba| (lba % 2 == 1) == odd).collect();
+            for step in 0.. {
+                let Some(lba) = (if step % 2 == 0 {
+                    run.pop_front()
+                } else {
+                    run.pop_back()
+                }) else {
+                    break;
+                };
+                if discard {
+                    s.discard(lba, 1);
+                } else {
+                    s.write(lba, &[0u8; SECTOR_SIZE]);
+                }
+                want[lba as usize * SECTOR_SIZE..][..SECTOR_SIZE].fill(0);
+                let shape = if run.is_empty() {
+                    usize::from(!odd)
+                } else {
+                    PAIR
+                };
+                assert_eq!(tag(&s, 0), shape, "LBA {lba}");
+                assert_eq!(s.read(0, LEAF as u32), want, "LBA {lba}");
+            }
+            assert!(s.leaves[0].run());
+            assert_eq!(
+                (s.slabs[PAIR_CLASS].next, &s.slabs[PAIR_CLASS].free[..]),
+                (1, &[0][..])
+            );
+            // The sixteen keys of each class, the record, and no array.
+            let next: Vec<u32> = s.slabs.iter().map(|slab| slab.next).collect();
+            assert_eq!(next, [16, 16, 0, 1, 0, 0, 0, 0, 0]);
+        }
+    }
+
+    #[test]
+    fn breaking_a_pair_expands_it_once_into_the_least_class() {
+        // 2 B keys at LBAs 2, 6, … 38 and 4 B keys at 4, 8, … 40: a pair
+        // of ten and ten. Each break leaves one array slot, in the least
+        // class for the count after it, and gives the record back.
+        let key = |lba: u64| {
+            keyed(if lba.is_multiple_of(4) {
+                65_536 + lba
+            } else {
+                lba + 1
+            })
+        };
+        enum Break {
+            /// A key at the LBA: of either run's class, or of a third
+            /// (an 8 B key) — after one in the next leaf took the 2 B
+            /// run's next slot, so no insert extends a run.
+            Insert(u64, u64),
+            /// The key at the LBA moves to the other run's class.
+            Move(u64),
+            Discard(u64),
+        }
+        for (how, count) in [
+            (Break::Insert(5, 7), 21),
+            (Break::Insert(50, 51), 21),
+            (Break::Insert(0, 65_536), 21),
+            (Break::Insert(42, 1 << 32), 21),
+            (Break::Insert(1, 1 << 40), 21),
+            (Break::Move(2), 20),
+            (Break::Move(40), 20),
+            (Break::Move(20), 20),
+            (Break::Discard(20), 19),
+            (Break::Discard(18), 19),
+        ] {
+            let mut s = SectorStore::new();
+            for lba in (2..=40).step_by(2) {
+                s.write(lba, &key(lba));
+            }
+            assert_eq!(tag(&s, 0), PAIR);
+            let mut want = s.read(0, LEAF as u32);
+            let (lba, now) = match how {
+                Break::Insert(lba, k) => {
+                    s.write(LEAF, &keyed(1));
+                    (lba, keyed(k))
+                }
+                Break::Move(lba) => (lba, keyed(if lba.is_multiple_of(4) { 1 } else { 65_536 })),
+                Break::Discard(lba) => (lba, [0; SECTOR_SIZE]),
+            };
+            match how {
+                Break::Discard(_) => s.discard(lba, 1),
+                _ => s.write(lba, &now),
+            }
+            want[lba as usize * SECTOR_SIZE..][..SECTOR_SIZE].copy_from_slice(&now);
+            assert_eq!(tag(&s, 0), ARRAY, "LBA {lba}");
+            assert_eq!(s.leaves[0].present.count_ones(), count, "LBA {lba}");
+            let least = array_class(count as usize);
+            assert_eq!(least, 6, "20 entries' 80 B are a 128 B slot's");
+            assert_eq!(
+                (s.slabs[least].next, s.slabs[least].free.len()),
+                (1, 0),
+                "LBA {lba}"
+            );
+            assert_eq!(
+                (s.slabs[PAIR_CLASS].next, &s.slabs[PAIR_CLASS].free[..]),
+                (1, &[0][..]),
+                "LBA {lba}"
+            );
+            assert_eq!(s.read(0, LEAF as u32), want, "LBA {lba}");
+        }
+    }
+
+    #[test]
+    fn a_whole_sector_run_pairs_only_with_the_next_class_down() {
+        // 43 whole sectors, a run of class 8. A sector kept in a 64 B
+        // slot (class 5) makes it an array of 44 entries, a 256 B slot of
+        // class 7, and class 3 holds nothing; one kept in a 256 B slot
+        // (class 7) makes it a pair.
+        for (last, pair) in [(40, false), (200, true)] {
+            let mut s = SectorStore::new();
+            s.write(0, &[0xA5u8; 43 * SECTOR_SIZE]);
+            let mut short = [0u8; SECTOR_SIZE];
+            short[..=last].fill(0x5A);
+            s.write(50, &short);
+            let mut want = vec![0xA5u8; 43 * SECTOR_SIZE];
+            want.resize(LEAF as usize * SECTOR_SIZE, 0);
+            want[50 * SECTOR_SIZE..][..SECTOR_SIZE].copy_from_slice(&short);
+            assert_eq!(s.read(0, LEAF as u32), want);
+            let record = &s.slabs[PAIR_CLASS];
+            if pair {
+                assert_eq!(tag(&s, 0), PAIR);
+                assert_eq!((record.next, record.pages[0].len()), (1, 16));
+                assert_eq!(s.slabs[7].next, 1, "the short sector's slot");
+            } else {
+                assert_eq!(tag(&s, 0), ARRAY);
+                assert!(record.pages.is_empty(), "a class-3 page");
+                assert_eq!(s.slabs[array_class(44)].next, 1);
+                assert_eq!(array_class(44), 7);
+            }
+        }
     }
 
     #[test]

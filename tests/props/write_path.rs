@@ -90,13 +90,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
     fn sector_store_matches_the_per_sector_map(
-        ops in proptest::collection::vec((0u8..8, 0u64..400, 1u32..50, any::<u8>(), any::<u64>()), 1..60)
+        ops in proptest::collection::vec((0u8..9, 0u64..400, 1u32..50, any::<u8>(), any::<u64>()), 1..60)
     ) {
         // LBAs 0..450, seven 64-LBA leaves, ranges up to 49 sectors that
         // cross leaves: a store whose slots are freed and reused out of
         // LBA order, the small classes inside their first page as it
         // doubles, the whole-sector class over up to 28 pages. Above
-        // them, one leaf per `slba` for runs (kind 7).
+        // them, one leaf per `slba` for runs (kind 7), and above those
+        // one per `slba` for pairs (kind 8).
         let mut store = SectorStore::new();
         let mut oracle = SectorMap::default();
         for (kind, slba, nlb, fill, zeros) in ops {
@@ -226,6 +227,59 @@ proptest! {
                         prop_assert_eq!(store.read(leaf, 64), oracle.read(leaf, 64), "broken at {}", lba);
                         store.write(lba, &sector(lba, edge));
                         oracle.write(lba, &sector(lba, edge));
+                        prop_assert_eq!(store.read(leaf, 64), oracle.read(leaf, 64), "written back at {}", lba);
+                    }
+                }
+                8 => {
+                    // The leaf `512 + 64 * (400 + slba)`, empty unless an
+                    // earlier kind 8 drew the same `slba`, written as one
+                    // ascending log of two adjacent classes: sector `j`
+                    // ends at the top of class `fill % 8` or, where bit
+                    // `j` of `zeros` is set (never for sector 0, always
+                    // for sector 63), of the class above, so each class's
+                    // sectors take its slots in order. The run of either
+                    // class, drawn from `fill`, is then broken at its
+                    // bottom, its top and its middle sector — each by
+                    // zeroing, a discard, a move to the other class or to
+                    // a third class, drawn from `zeros`' top bits — and
+                    // the sector is written back. The leaf is read whole
+                    // after each step.
+                    let leaf = 512 + 64 * (400 + slba);
+                    let (low, upper) = (fill as usize % 8, (zeros | 1 << 63) & !1);
+                    let third = if low + 2 < 9 { low + 2 } else { low - 1 };
+                    let sector = |lba: u64, class: usize| {
+                        let mut sector = vec![0u8; SECTOR_SIZE];
+                        sector[..2 << class].fill(fill.wrapping_add(lba as u8) | 1);
+                        sector
+                    };
+                    let class = |j: u64| low + (upper >> j & 1) as usize;
+                    let log: Vec<u8> = (0..64).flat_map(|j| sector(leaf + j, class(j))).collect();
+                    store.write(leaf, &log);
+                    oracle.write(leaf, &log);
+                    prop_assert_eq!(store.read(leaf, 64), oracle.read(leaf, 64));
+                    for step in 0..3 {
+                        let run = if fill >> (3 + step) & 1 == 1 { upper } else { !upper };
+                        let run: Vec<u64> = (0..64).filter(|&j| run >> j & 1 == 1).collect();
+                        let j = [run[0], run[run.len() - 1], run[run.len() / 2]][step];
+                        let lba = leaf + j;
+                        match zeros >> (58 + 2 * step) & 3 {
+                            0 => {
+                                store.write(lba, &[0u8; SECTOR_SIZE]);
+                                oracle.write(lba, &[0u8; SECTOR_SIZE]);
+                            }
+                            1 => {
+                                store.discard(lba, 1);
+                                oracle.discard(lba, 1);
+                            }
+                            how => {
+                                let to = if how == 2 { 2 * low + 1 - class(j) } else { third };
+                                store.write(lba, &sector(lba, to));
+                                oracle.write(lba, &sector(lba, to));
+                            }
+                        }
+                        prop_assert_eq!(store.read(leaf, 64), oracle.read(leaf, 64), "broken at {}", lba);
+                        store.write(lba, &sector(lba, class(j)));
+                        oracle.write(lba, &sector(lba, class(j)));
                         prop_assert_eq!(store.read(leaf, 64), oracle.read(leaf, 64), "written back at {}", lba);
                     }
                 }
